@@ -1,4 +1,4 @@
-package mars
+package mars_test
 
 // Benchmarks regenerating the paper's tables and figures, one per
 // artifact (see DESIGN.md's experiment index). These use reduced trial

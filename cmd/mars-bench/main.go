@@ -8,7 +8,7 @@
 //	mars-bench -exp all
 //
 // Experiments: table1, fig2, fig3, fig5, fig7, fig8, fig9, fig10, fig11,
-// pathid, scale, stream, ctrlchan, gray, overhead, perf, ablation-sbfl,
+// pathid, scale, stream, ctrlchan, gray, overhead, ablation-sbfl,
 // ablation-fsmlen, ablation-miner, ablation-cause.
 //
 // The stream experiment runs the continuously-diagnosing service
@@ -28,9 +28,8 @@
 // (internal/telemetry) over the Table 1 fault suite and renders the
 // bytes/packet vs localization-accuracy frontier.
 //
-// The perf experiment times full MARS trials per codec and emits the
-// machine-readable throughput baseline (the BENCH_perf.json format) on
-// stdout, with a human summary on stderr. Profiling any experiment:
+// Wall-clock performance is measured by `go run ./bench` (BENCHMARK.json),
+// not here. Profiling any experiment:
 //
 //	mars-bench -exp table1 -trials 2 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
@@ -52,7 +51,6 @@ import (
 	"sync"
 	"time"
 
-	"mars/internal/deploy"
 	"mars/internal/experiments"
 	"mars/internal/harness"
 	"mars/internal/netsim"
@@ -65,7 +63,7 @@ func main() {
 		seed       = flag.Int64("seed", 1000, "base random seed")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "harness worker pool size for trial-based experiments")
 		progress   = flag.Bool("progress", false, "stream per-trial progress to stderr")
-		arity      = flag.Int("k", 16, "fat-tree arity for the sharded scale trial (scale, perf)")
+		arity      = flag.Int("k", 16, "fat-tree arity for the sharded trials (scale, stream)")
 		shards     = flag.Int("shards", 0, "shard count for the sharded scale trial; 0 = GOMAXPROCS")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -173,21 +171,6 @@ func main() {
 		"overhead": func() {
 			fmt.Print(experiments.RunOverheadWith(opts, *trials, *seed).Render())
 		},
-		"perf": func() {
-			// JSON (the BENCH_perf.json format) on stdout; the human
-			// summary goes to stderr so redirection stays machine-readable.
-			res := experiments.RunPerfWith(opts, *trials/4+1, *seed)
-			res.AddScale(experiments.DefaultScaleTrialConfig(*arity, *shards, *seed))
-			res.AddStream(experiments.DefaultStreamTrialConfig(*arity, *shards, *seed))
-			dp, err := deploy.PerfSection(deploy.DefaultScenario())
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "perf: deploy tier failed: %v\n", err)
-				os.Exit(1)
-			}
-			res.Deploy = dp
-			fmt.Print(res.JSON())
-			fmt.Fprint(os.Stderr, res.Render())
-		},
 		"ablation-sbfl": func() {
 			fmt.Print(experiments.RunAblationSBFLWith(opts, *trials/2+1, *seed).Render())
 		},
@@ -203,7 +186,7 @@ func main() {
 	}
 	order := []string{"fig2", "fig3", "fig5", "fig7", "fig8", "table1", "fig9",
 		"fig10", "fig11", "pathid", "scale", "stream", "ctrlchan", "gray",
-		"overhead", "perf", "ablation-sbfl", "ablation-fsmlen",
+		"overhead", "ablation-sbfl", "ablation-fsmlen",
 		"ablation-miner", "ablation-cause"}
 
 	timed := func(name string, run func()) {

@@ -290,16 +290,10 @@ type Controller struct {
 	flushScheduled bool
 }
 
-// New wires a controller to a simulator and data-plane program over a
-// perfect (synchronous, lossless) control channel. Call Start to begin
-// the refresh loop, and pass the controller to the program as its
-// Notifier.
-func New(cfg Config, sim *netsim.Simulator, prog *dataplane.Program) *Controller {
-	return NewWithChannel(cfg, sim, prog, nil)
-}
-
-// NewWithChannel wires a controller over an explicit control channel
-// (nil means a perfect one).
+// NewWithChannel wires a controller to a simulator and data-plane program
+// over an explicit control channel (nil means a perfect one: synchronous,
+// lossless). Call Start to begin the refresh loop, and pass the controller
+// to the program as its Notifier.
 func NewWithChannel(cfg Config, sim *netsim.Simulator, prog *dataplane.Program, ch *ctrlchan.Channel) *Controller {
 	if ch == nil {
 		ch = ctrlchan.New(sim, ctrlchan.Config{Seed: cfg.Seed})

@@ -37,21 +37,19 @@ func (r *AblationResult) Render() string {
 }
 
 // runMARSVariant runs MARS trials across all fault kinds on the harness
-// with a per-trial marsSystem factory (RCA config hooks, matching rules),
+// under one variant — an RCA config edit (nil: none) and a matching rule —
 // aggregating ranks in the historical (fault, trial) order. Variant trials
 // never touch the shared result cache: the variant knobs live outside
 // TrialConfig, so identical keys could mean different computations.
-func runMARSVariant(opts EngineOptions, trials int, baseSeed int64, label string, mk func() *marsSystem) metrics.Localization {
-	plan := opts.plan()
+func runMARSVariant(opts EngineOptions, trials int, baseSeed int64, label string, mutateRCA func(*rca.Config), match func(rca.Culprit, faults.GroundTruth) bool) metrics.Localization {
 	var (
 		tcs []TrialConfig
 		ts  []harness.Trial
 	)
 	for _, kind := range faults.Kinds() {
 		for i := 0; i < trials; i++ {
-			seed := plan.TrialSeed(baseSeed, int(kind), i)
+			seed := harness.TrialSeed(baseSeed, int(kind), i)
 			tc := DefaultTrialConfig(seed, kind)
-			tc.CtrlSeed = plan.CtrlChanSeed(seed)
 			tcs = append(tcs, tc)
 			ts = append(ts, harness.Trial{
 				Index: len(ts), Seed: seed,
@@ -60,7 +58,7 @@ func runMARSVariant(opts EngineOptions, trials int, baseSeed int64, label string
 		}
 	}
 	results := mustRun(opts, ts, func(tr harness.Trial) TrialResult {
-		return runSystemTrial(mk(), tcs[tr.Index])
+		return marsTrial(tcs[tr.Index], mutateRCA, match)
 	})
 	var loc metrics.Localization
 	for _, r := range results {
@@ -80,9 +78,8 @@ func RunAblationSBFLWith(opts EngineOptions, trials int, baseSeed int64) *Ablati
 	out := &AblationResult{Title: "Ablation: SBFL formula"}
 	for _, name := range []string{"relative-risk", "ochiai", "tarantula", "jaccard", "dstar"} {
 		formula := sbfl.Formulas()[name]
-		loc := runMARSVariant(opts, trials, baseSeed, "sbfl-"+name, func() *marsSystem {
-			return &marsSystem{mutateRCA: func(c *rca.Config) { c.Formula = formula }}
-		})
+		loc := runMARSVariant(opts, trials, baseSeed, "sbfl-"+name,
+			func(c *rca.Config) { c.Formula = formula }, marsMatches)
 		out.Rows = append(out.Rows, AblationRow{Name: name, Loc: loc})
 	}
 	return out
@@ -99,9 +96,8 @@ func RunAblationFSMMaxLenWith(opts EngineOptions, trials int, baseSeed int64) *A
 	out := &AblationResult{Title: "Ablation: FSM max pattern length"}
 	for _, maxLen := range []int{1, 2, 3} {
 		maxLen := maxLen
-		loc := runMARSVariant(opts, trials, baseSeed, fmt.Sprintf("fsmlen-%d", maxLen), func() *marsSystem {
-			return &marsSystem{mutateRCA: func(c *rca.Config) { c.MaxPatternLen = maxLen }}
-		})
+		loc := runMARSVariant(opts, trials, baseSeed, fmt.Sprintf("fsmlen-%d", maxLen),
+			func(c *rca.Config) { c.MaxPatternLen = maxLen }, marsMatches)
 		out.Rows = append(out.Rows, AblationRow{Name: fmt.Sprintf("maxlen=%d", maxLen), Loc: loc})
 	}
 	return out
@@ -118,9 +114,8 @@ func RunAblationMinerWith(opts EngineOptions, trials int, baseSeed int64) *Ablat
 	out := &AblationResult{Title: "Ablation: FSM algorithm (results must match)"}
 	for _, name := range []string{"PrefixSpan", "GSP", "CM-SPADE"} {
 		m := fsm.ByName(name)
-		loc := runMARSVariant(opts, trials, baseSeed, "miner-"+name, func() *marsSystem {
-			return &marsSystem{mutateRCA: func(c *rca.Config) { c.Miner = m }}
-		})
+		loc := runMARSVariant(opts, trials, baseSeed, "miner-"+name,
+			func(c *rca.Config) { c.Miner = m }, marsMatches)
 		out.Rows = append(out.Rows, AblationRow{Name: name, Loc: loc})
 	}
 	return out
@@ -137,16 +132,12 @@ func RunAblationCauseAccuracy(trials int, baseSeed int64) *AblationResult {
 // engine options.
 func RunAblationCauseAccuracyWith(opts EngineOptions, trials int, baseSeed int64) *AblationResult {
 	out := &AblationResult{Title: "Ablation: location-only vs location+cause matching"}
-	for _, strict := range []bool{false, true} {
-		strict := strict
-		name := "location"
-		if strict {
-			name = "location+cause"
-		}
-		loc := runMARSVariant(opts, trials, baseSeed, name, func() *marsSystem {
-			return &marsSystem{strictCause: strict}
-		})
-		out.Rows = append(out.Rows, AblationRow{Name: name, Loc: loc})
+	for _, v := range []struct {
+		name  string
+		match func(rca.Culprit, faults.GroundTruth) bool
+	}{{"location", marsMatches}, {"location+cause", marsCauseMatches}} {
+		loc := runMARSVariant(opts, trials, baseSeed, v.name, nil, v.match)
+		out.Rows = append(out.Rows, AblationRow{Name: v.name, Loc: loc})
 	}
 	return out
 }

@@ -56,7 +56,6 @@ func RunCtrlChan(trials int, baseSeed int64) *CtrlChanResult {
 // whole experiment deterministic under a fixed base seed and any worker
 // count.
 func RunCtrlChanWith(opts EngineOptions, trials int, baseSeed int64) *CtrlChanResult {
-	plan := opts.plan()
 	res := &CtrlChanResult{Trials: trials}
 	var (
 		tcs   []TrialConfig
@@ -69,9 +68,8 @@ func RunCtrlChanWith(opts EngineOptions, trials int, baseSeed int64) *CtrlChanRe
 			row := len(res.Rows) - 1
 			for _, kind := range faults.Kinds() {
 				for t := 0; t < trials; t++ {
-					seed := plan.TrialSeed(baseSeed, int(kind), t)
+					seed := harness.TrialSeed(baseSeed, int(kind), t)
 					tc := DefaultTrialConfig(seed, kind)
-					tc.CtrlSeed = plan.CtrlChanSeed(seed)
 					tc.CtrlLossy = true
 					tc.CtrlLoss = loss
 					tc.CtrlNoRetry = !retry

@@ -32,8 +32,8 @@ func TestCtrlChanTrialKnobs(t *testing.T) {
 	// exactly (the sweep's determinism rests on this).
 	tc := DefaultTrialConfig(5, faults.Delay)
 	tc.CtrlLossy, tc.CtrlLoss = true, 0.25
-	a := runMARSTrial(tc)
-	b := runMARSTrial(tc)
+	a := RunTrial(SysMARS, tc)
+	b := RunTrial(SysMARS, tc)
 	if a.Rank != b.Rank || a.Diagnoses != b.Diagnoses ||
 		a.PartialDiagnoses != b.PartialDiagnoses || a.DiagnosisBytes != b.DiagnosisBytes {
 		t.Errorf("same trial config diverged:\n%+v\n%+v", a, b)
@@ -41,7 +41,7 @@ func TestCtrlChanTrialKnobs(t *testing.T) {
 	// The no-retry ablation at the same loss leaves far more collections
 	// partial; the retry budget is what keeps diagnosis data complete.
 	tc.CtrlNoRetry = true
-	n := runMARSTrial(tc)
+	n := RunTrial(SysMARS, tc)
 	if n.PartialDiagnoses <= a.PartialDiagnoses {
 		t.Errorf("no-retry partial=%d not above retry partial=%d (of %d/%d diagnoses)",
 			n.PartialDiagnoses, a.PartialDiagnoses, n.Diagnoses, a.Diagnoses)

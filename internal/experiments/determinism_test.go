@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"mars"
 	"mars/internal/controlplane"
 	"mars/internal/ctrlchan"
 	"mars/internal/dataplane"
@@ -31,7 +32,7 @@ func culpritDigest(t *testing.T, tc TrialConfig) string {
 	}
 	prog := dataplane.New(dcfg, ft.Topology, table, nil)
 	router := netsim.NewECMPRouter(ft.Topology, uint64(tc.Seed))
-	sim := netsim.New(ft.Topology, router, prog, scaledSimConfig(), tc.Seed)
+	sim := netsim.New(ft.Topology, router, prog, mars.DefaultConfig().Sim, tc.Seed)
 	ch := ctrlchan.New(sim, ctrlchan.Config{Seed: tc.Seed + 7})
 	ccfg := controlplane.DefaultConfig()
 	ccfg.Seed = tc.Seed

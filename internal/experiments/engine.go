@@ -6,28 +6,17 @@ import (
 
 // EngineOptions configures how a trial-based driver schedules its matrix
 // on the harness. The zero value reproduces the historical sequential
-// drivers bit for bit: legacy seed plan, GOMAXPROCS workers (results are
-// byte-identical for any worker count), shared result cache enabled.
+// drivers bit for bit: GOMAXPROCS workers (results are byte-identical for
+// any worker count), shared result cache enabled.
 type EngineOptions struct {
 	// Workers bounds the harness worker pool (<= 0: runtime.GOMAXPROCS).
 	Workers int
 	// Progress receives per-trial completion callbacks (may be nil).
 	Progress harness.Progress
-	// Plan derives trial and control-channel seeds; nil means
-	// harness.LegacyPlan, the formula all recorded EXPERIMENTS.md numbers
-	// use.
-	Plan harness.SeedPlan
 	// DisableCache bypasses the shared (system, config) result cache.
 	// Determinism tests set it so a second run re-executes trials instead
 	// of echoing memoized results.
 	DisableCache bool
-}
-
-func (o EngineOptions) plan() harness.SeedPlan {
-	if o.Plan == nil {
-		return harness.LegacyPlan{}
-	}
-	return o.Plan
 }
 
 func (o EngineOptions) config() harness.Config {

@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"errors"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
 
 	"mars/internal/faults"
+	"mars/internal/harness"
 )
 
 func TestFig2ShapeCoreHotterThanEdge(t *testing.T) {
@@ -245,5 +248,24 @@ func TestScaleSweepShape(t *testing.T) {
 	// IntSight's cost grows superlinearly with the path set.
 	if r.Rows[1].IntSightBytes <= r.Rows[0].IntSightBytes*2 {
 		t.Error("per-hop encoding did not blow up with scale")
+	}
+}
+
+// An out-of-range SystemKind used to fall through to SyNDB and come back
+// as a SyNDB-labelled result; it must fail loudly, naming the kind.
+func TestRunTrialRejectsUnknownSystem(t *testing.T) {
+	const bogus = SystemKind(9)
+	if got := bogus.String(); got != "SystemKind(9)" {
+		t.Errorf("String() = %q, want SystemKind(9)", got)
+	}
+	tc := DefaultTrialConfig(1, faults.Delay)
+	_, err := harness.Run(harness.Config{Workers: 1}, []harness.Trial{{Label: "bogus"}},
+		func(harness.Trial) TrialResult { return RunTrial(bogus, tc) })
+	var te *harness.TrialError
+	if !errors.As(err, &te) {
+		t.Fatalf("RunTrial(%v) through the harness returned err=%v, want a *harness.TrialError", bogus, err)
+	}
+	if msg := fmt.Sprint(te.Recovered); !strings.Contains(msg, "SystemKind(9)") {
+		t.Errorf("panic %q does not name the kind", msg)
 	}
 }

@@ -1,0 +1,96 @@
+package experiments
+
+import (
+	"runtime"
+
+	"mars/internal/dataplane"
+	"mars/internal/netsim"
+	"mars/internal/pathid"
+	"mars/internal/topology"
+	"mars/internal/workload"
+)
+
+// NewShardedFabric is the one place the sharded k-ary fabric is wired: the
+// pod partition, one resident MARS program per shard, the sharded engine
+// over them, and the deterministic cross-pod mesh. The scale and stream
+// tiers both run on it and keep only what differs.
+//
+// shards <= 0 means GOMAXPROCS; the count is clamped to the partition's
+// units exactly as netsim.NewSharded clamps it, so program i always pairs
+// with shard i (sh.NumShards() is the effective count). table may be nil:
+// at k=16 the all-pairs path set is millions of entries, and without it
+// the in-band hash chain still runs — only the MAT control lookup is
+// skipped. numFlows flows at ratePPS each run until stop. With tap set,
+// every program's OnRecord appends its sink records to bufs[i]; the tap
+// runs inside shard i's event loop, so the buffers are strictly per-shard
+// and the coordinator drains (and truncates) them between Run steps. Unit
+// u's records land in exactly one buffer (shard u%shards) in deterministic
+// order, so every per-unit record sequence is shard-count invariant.
+//
+// The caller owns the engine and must Close it.
+func NewShardedFabric(ft *topology.FatTree, shards int, seed int64, simCfg netsim.Config,
+	table *pathid.Table, numFlows int, ratePPS float64, stop netsim.Time,
+	progress netsim.ShardProgress, tap bool,
+) (sh *netsim.Sharded, progs []*dataplane.Program, bufs [][]dataplane.RTRecord) {
+	part := ft.PodPartition()
+	if shards <= 0 {
+		shards = runtime.GOMAXPROCS(0)
+	}
+	if shards > part.NumUnits {
+		shards = part.NumUnits
+	}
+
+	// The data plane shares the table's PathID config so the MAT control
+	// values that break hash collisions are consistent between the per-hop
+	// chain and the sink-side decompression.
+	progCfg := dataplane.DefaultProgramConfig()
+	if table != nil {
+		progCfg.PathCfg = table.Cfg
+	}
+	owned := make([][]topology.NodeID, shards)
+	for _, sw := range ft.Switches() {
+		s := int(part.UnitOf[sw]) % shards
+		owned[s] = append(owned[s], sw)
+	}
+	progs = make([]*dataplane.Program, shards)
+	bufs = make([][]dataplane.RTRecord, shards)
+	for i := range progs {
+		progs[i] = dataplane.NewResident(progCfg, ft.Topology, table, nil, owned[i])
+		if tap {
+			buf := &bufs[i]
+			progs[i].OnRecord = func(_ topology.NodeID, rec dataplane.RTRecord) {
+				*buf = append(*buf, rec)
+			}
+		}
+	}
+
+	router := netsim.NewECMPRouter(ft.Topology, uint64(seed))
+	sh = netsim.NewSharded(ft.Topology, part, router, func(i int) netsim.Hooks { return progs[i] },
+		simCfg, seed, netsim.ShardedConfig{Shards: shards, Progress: progress})
+
+	// Flows install through OnNode so their events and RNG draws stamp with
+	// the owning unit: staggered starts, Poisson gaps and trace-shaped
+	// sizes drawn from the source unit's RNG stream.
+	for i := 0; i < numFlows; i++ {
+		src, dst := meshEndpoints(ft, i)
+		f := &workload.Flow{
+			Src: src, Dst: dst, Key: netsim.FlowKey(i + 1),
+			RatePPS: ratePPS,
+			Gaps:    workload.GapExponential,
+			Start:   netsim.Time(i%97) * 50 * netsim.Microsecond,
+			Stop:    stop,
+		}
+		sh.OnNode(src, f.Install)
+	}
+	return sh, progs, bufs
+}
+
+// meshEndpoints returns flow i's hosts under the deterministic cross-pod
+// mesh: source host i (mod hosts), destination 1..K-1 pods away.
+func meshEndpoints(ft *topology.FatTree, i int) (src, dst topology.NodeID) {
+	hosts := ft.HostIDs
+	perPod := len(hosts) / ft.K
+	src = hosts[i%len(hosts)]
+	dst = hosts[(i%len(hosts)+perPod*(1+i%(ft.K-1)))%len(hosts)]
+	return src, dst
+}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"mars"
 	"mars/internal/dataplane"
 	"mars/internal/faults"
 	"mars/internal/harness"
@@ -30,14 +31,11 @@ type Fig2Result struct {
 // links run hotter than edge links, which is why MARS offloads telemetry
 // storage to edge switches.
 func RunFig2(seed int64) *Fig2Result {
-	ft, err := topology.NewFatTree(4)
-	if err != nil {
-		panic(err)
-	}
-	router := netsim.NewECMPRouter(ft.Topology, uint64(seed))
-	cfg := scaledSimConfig()
+	cfg := mars.DefaultConfig().Sim
 	cfg.HostLinkBandwidthBps = cfg.LinkBandwidthBps // uniform rating for the CDF
-	sim := netsim.New(ft.Topology, router, nil, cfg, seed)
+	tc := TrialConfig{Seed: seed, K: 4, SimCfg: &cfg}
+	ft := newFatTree(tc)
+	sim := newSubstrate(tc, ft, nil).Sim
 	// The motivating CDF reproduces the *measurement conditions* of the
 	// Benson et al. study the paper cites: skewed host popularity (zipf
 	// endpoints — most access links idle, a few hot) over an oversubscribed
@@ -358,15 +356,15 @@ func RunFig7(seed int64) *Fig7Result {
 	// the burst's destination rack (the affected path), as in the paper's
 	// per-path illustration.
 	{
-		ft, _ := topology.NewFatTree(4)
-		router := netsim.NewECMPRouter(ft.Topology, uint64(seed))
 		var winLat netsim.Time
 		var winN int64
 		hook := &latencyWindow{lat: &winLat, n: &winN}
-		sim := netsim.New(ft.Topology, router, hook, scaledSimConfig(), seed)
 		tc := DefaultTrialConfig(seed, faults.MicroBurst)
+		ft := newFatTree(tc)
+		sub := newSubstrate(tc, ft, hook)
+		sim := sub.Sim
 		installWorkload(tc, sim, ft)
-		inj := faults.NewInjector(sim, ft, router)
+		inj := faults.NewInjector(sim, ft, sub.Router)
 		gt := inj.Inject(faults.MicroBurst, tc.FaultStart, netsim.Second)
 		hook.sinkEdge = gt.BurstSinkEdge
 		hook.topo = ft.Topology
@@ -390,10 +388,10 @@ func RunFig7(seed int64) *Fig7Result {
 
 	// (b) ECMP imbalance throughput split.
 	{
-		ft, _ := topology.NewFatTree(4)
-		router := netsim.NewECMPRouter(ft.Topology, uint64(seed))
-		sim := netsim.New(ft.Topology, router, nil, scaledSimConfig(), seed)
 		tc := DefaultTrialConfig(seed, faults.ECMPImbalance)
+		ft := newFatTree(tc)
+		sub := newSubstrate(tc, ft, nil)
+		sim, router := sub.Sim, sub.Router
 		installWorkload(tc, sim, ft)
 		// Deterministic: skew edge 0's uplinks 1:8 during the window.
 		e0 := ft.EdgeIDs[0]
@@ -578,12 +576,11 @@ func RunFig9(baseSeed int64) *Fig9Result {
 // RunFig9With measures overhead in the same Table 1 scenarios: telemetry
 // bytes are extra in-band header bytes crossing links; diagnosis bytes are
 // control-channel exchanges. One trial per fault kind per system — the
-// SeedPlan's trial-0 seeds, i.e. exactly the scenarios Table 1 already
+// trial-0 seeds, i.e. exactly the scenarios Table 1 already
 // ran, so when RunTable1 preceded this in the same process (as in
 // `mars-bench -exp all`), every trial is recalled from the shared result
 // cache instead of re-simulated.
 func RunFig9With(opts EngineOptions, baseSeed int64) *Fig9Result {
-	plan := opts.plan()
 	type unit struct {
 		sys  SystemKind
 		kind faults.Kind
@@ -595,9 +592,8 @@ func RunFig9With(opts EngineOptions, baseSeed int64) *Fig9Result {
 	)
 	for _, sys := range Systems() {
 		for _, kind := range faults.Kinds() {
-			seed := plan.TrialSeed(baseSeed, int(kind), 0)
+			seed := harness.TrialSeed(baseSeed, int(kind), 0)
 			tc := DefaultTrialConfig(seed, kind)
-			tc.CtrlSeed = plan.CtrlChanSeed(seed)
 			units = append(units, unit{sys, kind})
 			tcs = append(tcs, tc)
 			ts = append(ts, harness.Trial{

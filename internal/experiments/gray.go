@@ -124,7 +124,6 @@ const grayKindIndex = 100
 // the grid isolates the analyzer change. Results aggregate in declaration
 // order and are byte-identical for any worker count.
 func RunGrayWith(opts EngineOptions, trials int, baseSeed int64) *GrayResult {
-	plan := opts.plan()
 	scens := GrayScenarios()
 	type unit struct {
 		scen int
@@ -145,9 +144,8 @@ func RunGrayWith(opts EngineOptions, trials int, baseSeed int64) *GrayResult {
 			res.Cells[sc.Name][mode] = &GrayCell{}
 		}
 		for t := 0; t < trials; t++ {
-			seed := plan.TrialSeed(baseSeed, grayKindIndex+si, t)
+			seed := harness.TrialSeed(baseSeed, grayKindIndex+si, t)
 			tc := DefaultTrialConfig(seed, faults.SilentDrop)
-			tc.CtrlSeed = plan.CtrlChanSeed(seed)
 			// FaultStart separates detections from false alarms; use the
 			// episode's earliest window.
 			tc.FaultStart, tc.FaultDur = scheduleWindow(sc.Schedule)
@@ -198,18 +196,12 @@ func scheduleWindow(s faults.Schedule) (netsim.Time, netsim.Time) {
 }
 
 // runGrayTrial runs one MARS trial over a fault schedule. It bypasses the
-// shared trial cache (episodes are not TrialConfig-keyed) but uses the
-// same substrate path as every other driver.
+// shared trial cache (episodes are not TrialConfig-keyed) but is the same
+// mars.System run as every other MARS trial.
 func runGrayTrial(tc TrialConfig, sched faults.Schedule, compound bool) grayOutcome {
-	m := &marsSystem{mutateRCA: func(c *rca.Config) { c.CompoundCauses = compound }}
-	ft := newFatTree(tc)
-	sub := newSubstrate(tc, ft, m.Build(tc, ft))
-	inj := faults.NewInjector(sub.Sim, ft, sub.Router)
-	inj.ScheduleSeed = tc.Seed
-	m.Start(tc, sub, inj)
-	installWorkload(tc, sub.Sim, ft)
-	ep := inj.Apply(sched)
-	sub.Sim.Run(tc.Total)
+	m := startMARS(tc, func(c *rca.Config) { c.CompoundCauses = compound })
+	ep := m.sys.InjectSchedule(sched)
+	m.sys.Run(tc.Total)
 
 	ranked := rca.MergeRanked(m.lists)
 	out := grayOutcome{Detected: m.detected}

@@ -81,7 +81,6 @@ func RunOverhead(trials int, baseSeed int64) *OverheadResult {
 // keeping the frontier deterministic under a fixed base seed and any
 // worker count.
 func RunOverheadWith(opts EngineOptions, trials int, baseSeed int64) *OverheadResult {
-	plan := opts.plan()
 	res := &OverheadResult{Trials: trials}
 	var (
 		tcs   []TrialConfig
@@ -93,9 +92,8 @@ func RunOverheadWith(opts EngineOptions, trials int, baseSeed int64) *OverheadRe
 		row := len(res.Rows) - 1
 		for _, kind := range faults.Kinds() {
 			for t := 0; t < trials; t++ {
-				seed := plan.TrialSeed(baseSeed, int(kind), t)
+				seed := harness.TrialSeed(baseSeed, int(kind), t)
 				tc := DefaultTrialConfig(seed, kind)
-				tc.CtrlSeed = plan.CtrlChanSeed(seed)
 				tc.Codec = codec
 				tcs = append(tcs, tc)
 				rowOf = append(rowOf, row)

@@ -4,14 +4,11 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
 	"time"
 
-	"mars/internal/dataplane"
+	"mars"
 	"mars/internal/netsim"
-	"mars/internal/topology"
-	"mars/internal/workload"
 )
 
 // The scale trial is the sharded engine's end-to-end tier: one full
@@ -57,72 +54,19 @@ type ScaleTrialResult struct {
 	Mem         []netsim.MemEstimate
 }
 
-// RunScaleTrial executes one sharded data-plane trial. Each shard gets a
-// resident dataplane.Program (register arrays only for its owned
-// switches), flows are installed through OnNode so their events and RNG
-// draws stamp with the owning unit, and progress (if non-nil) observes
-// barrier rounds for the -progress heartbeat.
+// RunScaleTrial executes one sharded data-plane trial on the shared fabric
+// (NewShardedFabric, no path table, no record tap) and summarises it;
+// progress (if non-nil) observes barrier rounds for the -progress
+// heartbeat.
 func RunScaleTrial(tc TrialConfig, progress netsim.ShardProgress) *ScaleTrialResult {
-	ft, err := topology.NewFatTree(tc.K)
-	if err != nil {
-		panic(err)
-	}
-	part := ft.PodPartition()
-	shards := tc.Shards
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-
-	simCfg := scaledSimConfig()
+	ft := newFatTree(tc)
+	simCfg := mars.DefaultConfig().Sim
 	if tc.SimCfg != nil {
 		simCfg = *tc.SimCfg
 	}
-	progCfg := dataplane.DefaultProgramConfig()
-
-	// One resident program per shard, mirroring NewSharded's unit
-	// round-robin. Clamp exactly as the engine does so program index i
-	// always pairs with shard i.
-	if shards > part.NumUnits {
-		shards = part.NumUnits
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	owned := make([][]topology.NodeID, shards)
-	for _, sw := range ft.Switches() {
-		s := int(part.UnitOf[sw]) % shards
-		owned[s] = append(owned[s], sw)
-	}
-	progs := make([]*dataplane.Program, shards)
-	for i := range progs {
-		// Paths is nil: at k=16 the all-pairs path set is millions of
-		// entries; the in-band hash chain still runs, only the MAT
-		// control lookup is skipped.
-		progs[i] = dataplane.NewResident(progCfg, ft.Topology, nil, nil, owned[i])
-	}
-
-	router := netsim.NewECMPRouter(ft.Topology, uint64(tc.Seed))
-	sh := netsim.NewSharded(ft.Topology, part, router, func(i int) netsim.Hooks { return progs[i] },
-		simCfg, tc.Seed, netsim.ShardedConfig{Shards: shards, Progress: progress})
+	sh, progs, _ := NewShardedFabric(ft, tc.Shards, tc.Seed, simCfg, nil,
+		tc.NumFlows, tc.RatePPS, tc.Total, progress, false)
 	defer sh.Close()
-
-	// Deterministic cross-pod mesh: flow i runs from host i (mod hosts) to
-	// a host 1..K-1 pods away, staggered starts, Poisson gaps and
-	// trace-shaped sizes drawn from the source unit's RNG stream.
-	hosts := ft.HostIDs
-	perPod := len(hosts) / ft.K
-	for i := 0; i < tc.NumFlows; i++ {
-		src := hosts[i%len(hosts)]
-		dst := hosts[(i%len(hosts)+perPod*(1+i%(ft.K-1)))%len(hosts)]
-		f := &workload.Flow{
-			Src: src, Dst: dst, Key: netsim.FlowKey(i + 1),
-			RatePPS: tc.RatePPS,
-			Gaps:    workload.GapExponential,
-			Start:   netsim.Time(i%97) * 50 * netsim.Microsecond,
-			Stop:    tc.Total,
-		}
-		sh.OnNode(src, f.Install)
-	}
 
 	start := time.Now() //mars:wallclock the scale tier reports real sharded throughput
 	sh.Run(tc.Total + 50*netsim.Millisecond)
@@ -137,16 +81,10 @@ func RunScaleTrial(tc TrialConfig, progress netsim.ShardProgress) *ScaleTrialRes
 		Links:    len(ft.Links),
 		Flows:    tc.NumFlows,
 		Sent:     stats.Sent, Delivered: stats.Delivered, Dropped: stats.Dropped,
-		TotalLinkBytes: func() int64 {
-			var n int64
-			for _, b := range stats.LinkBytes {
-				n += b
-			}
-			return n
-		}(),
-		Rounds:      sh.Rounds(),
-		WallSeconds: wall,
-		Mem:         sh.Mem(),
+		TotalLinkBytes: sumLinkBytes(stats.LinkBytes),
+		Rounds:         sh.Rounds(),
+		WallSeconds:    wall,
+		Mem:            sh.Mem(),
 	}
 	if stats.Delivered > 0 {
 		res.MeanLatency = stats.TotalLatency / netsim.Time(stats.Delivered)

@@ -4,15 +4,19 @@
 // text rendering, so EXPERIMENTS.md can record paper-vs-measured rows.
 //
 // Trial-based drivers declare their (system x fault x trial) matrix to the
-// internal/harness engine, which derives seeds through a SeedPlan,
-// executes trials on a bounded worker pool, and returns results in
-// deterministic trial order — output is byte-identical for any worker
-// count. The systems themselves are wired through the SystemUnderTest
-// interface (systems.go), so MARS and the three baselines share one
-// substrate-construction path.
+// internal/harness engine, which executes trials on a bounded worker pool
+// and returns results in deterministic trial order — output is
+// byte-identical for any worker count. Seeds come from harness.TrialSeed.
+// MARS trials are mars.System runs: the trial config maps onto mars.Config
+// and the deployment is built by mars.NewSystem, the same code the public
+// API and the examples use. The three baselines share newSubstrate
+// (systems.go). The k=16 sharded tiers (scale, stream) build their fabric
+// through NewShardedFabric (fabric.go).
 package experiments
 
 import (
+	"fmt"
+
 	"mars/internal/baselines/syndb"
 	"mars/internal/dataplane"
 	"mars/internal/faults"
@@ -51,7 +55,7 @@ func (s SystemKind) String() string {
 	case SysSyNDB:
 		return "SyNDB"
 	default:
-		return "SyNDB"
+		return fmt.Sprintf("SystemKind(%d)", uint8(s))
 	}
 }
 
@@ -71,8 +75,8 @@ type TrialConfig struct {
 	SimCfg *netsim.Config
 
 	// CtrlSeed seeds the control channel's own random stream, derived from
-	// Seed by the sweep's harness.SeedPlan (constructors always fill it;
-	// zero falls back to the legacy Seed+7 offset).
+	// Seed by harness.CtrlChanSeed (constructors always fill it; zero falls
+	// back to the same derivation).
 	CtrlSeed int64
 	// CtrlLossy runs MARS over the realistic control channel model
 	// (1 ms ± jitter latency, duplication, reordering) instead of the
@@ -112,19 +116,7 @@ func DefaultTrialConfig(seed int64, kind faults.Kind) TrialConfig {
 		FaultStart: 2 * netsim.Second,
 		FaultDur:   1500 * netsim.Millisecond,
 		Total:      4 * netsim.Second,
-		CtrlSeed:   harness.LegacyPlan{}.CtrlChanSeed(seed),
-	}
-}
-
-// scaledSimConfig matches the BMv2-like environment of the paper: modest
-// link rates so fault loads visibly build queues.
-func scaledSimConfig() netsim.Config {
-	return netsim.Config{
-		LinkBandwidthBps:     14_000_000, // ~2500 pps of 700 B packets
-		HostLinkBandwidthBps: 100_000_000,
-		PropDelay:            10 * netsim.Microsecond,
-		SwitchProcDelay:      5 * netsim.Microsecond,
-		QueueCapacity:        128,
+		CtrlSeed:   harness.CtrlChanSeed(seed),
 	}
 }
 
@@ -173,25 +165,40 @@ func installWorkload(tc TrialConfig, sim *netsim.Simulator, ft *topology.FatTree
 	}, 1)
 }
 
-func totalLinkBytes(sim *netsim.Simulator) int64 {
+// sumLinkBytes totals per-link byte counters (all traffic serialized).
+func sumLinkBytes(perLink []int64) int64 {
 	var n int64
-	for _, b := range sim.Stats.LinkBytes {
+	for _, b := range perLink {
 		n += b
 	}
 	return n
 }
 
 // RunTrial executes one trial for one system and scores it against the
-// injected ground truth. Every system goes through the same
-// SystemUnderTest substrate path (systems.go).
+// injected ground truth. An out-of-range kind panics (the harness recovers
+// trial panics into a *harness.TrialError).
 func RunTrial(sys SystemKind, tc TrialConfig) TrialResult {
-	return runSystemTrial(newSystem(sys), tc)
+	switch sys {
+	case SysMARS:
+		return marsTrial(tc, nil, marsMatches)
+	case SysSpiderMon:
+		return runBaselineTrial(sys, tc, newSpiderMon)
+	case SysIntSight:
+		return runBaselineTrial(sys, tc, newIntSight)
+	case SysSyNDB:
+		return runBaselineTrial(sys, tc, newSyNDB)
+	default:
+		panic(fmt.Sprintf("experiments: unknown %v", sys))
+	}
 }
 
-// runMARSTrial runs one MARS trial through the unified substrate path
-// (kept as a named helper for the control-channel tests).
-func runMARSTrial(tc TrialConfig) TrialResult {
-	return runSystemTrial(&marsSystem{}, tc)
+// recordGT strips the live injection handle from a ground truth about to
+// enter a result record: it is lifecycle state that would make
+// otherwise-identical results compare unequal across reruns and keep the
+// finished simulator reachable.
+func recordGT(gt faults.GroundTruth) faults.GroundTruth {
+	gt.Handle = nil
+	return gt
 }
 
 // marsMatches decides whether a MARS culprit locates the injected fault.

@@ -2,18 +2,17 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
 
+	"mars"
 	"mars/internal/dataplane"
 	"mars/internal/netsim"
 	"mars/internal/pathid"
 	"mars/internal/rca"
 	"mars/internal/stream"
 	"mars/internal/topology"
-	"mars/internal/workload"
 )
 
 // The stream trial is the continuous-operation tier: the same sharded
@@ -134,65 +133,12 @@ func RunStreamTrial(tc StreamTrialConfig, progress netsim.ShardProgress) *Stream
 	if err != nil {
 		panic(err)
 	}
-	part := ft.PodPartition()
-	shards := tc.Shards
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	if shards > part.NumUnits {
-		shards = part.NumUnits
-	}
-	if shards < 1 {
-		shards = 1
-	}
-
-	simCfg := scaledSimConfig()
-
-	// The path table comes first: it covers exactly the (source edge,
-	// sink edge) pairs the mesh can produce (the all-pairs set is
-	// infeasible at k=16), and the data plane shares it so the MAT
-	// control values that break hash collisions are consistent between
-	// the per-hop chain and the sink-side decompression.
+	// The path table covers exactly the (source edge, sink edge) pairs the
+	// mesh can produce (the all-pairs set is infeasible at k=16).
 	table := selectivePathTable(ft, streamMeshPairs(ft, tc.NumFlows))
-	progCfg := dataplane.DefaultProgramConfig()
-	progCfg.PathCfg = table.Cfg
-
-	owned := make([][]topology.NodeID, shards)
-	for _, sw := range ft.Switches() {
-		s := int(part.UnitOf[sw]) % shards
-		owned[s] = append(owned[s], sw)
-	}
-	// One resident program per shard; each taps its sink records into its
-	// own buffer. The tap runs inside the shard's event loop, so buffers
-	// are strictly per-shard — the coordinator drains them between steps.
-	progs := make([]*dataplane.Program, shards)
-	bufs := make([][]dataplane.RTRecord, shards)
-	for i := range progs {
-		progs[i] = dataplane.NewResident(progCfg, ft.Topology, table, nil, owned[i])
-		buf := &bufs[i]
-		progs[i].OnRecord = func(_ topology.NodeID, rec dataplane.RTRecord) {
-			*buf = append(*buf, rec)
-		}
-	}
-
-	router := netsim.NewECMPRouter(ft.Topology, uint64(tc.Seed))
-	sh := netsim.NewSharded(ft.Topology, part, router, func(i int) netsim.Hooks { return progs[i] },
-		simCfg, tc.Seed, netsim.ShardedConfig{Shards: shards, Progress: progress})
+	sh, _, bufs := NewShardedFabric(ft, tc.Shards, tc.Seed, mars.DefaultConfig().Sim, table,
+		tc.NumFlows, tc.RatePPS, netsim.Time(tc.Epochs)*tc.Epoch, progress, true)
 	defer sh.Close()
-
-	// The scale trial's deterministic cross-pod mesh.
-	total := netsim.Time(tc.Epochs) * tc.Epoch
-	for i := 0; i < tc.NumFlows; i++ {
-		src, dst := streamMeshEndpoints(ft, i)
-		f := &workload.Flow{
-			Src: src, Dst: dst, Key: netsim.FlowKey(i + 1),
-			RatePPS: tc.RatePPS,
-			Gaps:    workload.GapExponential,
-			Start:   netsim.Time(i%97) * 50 * netsim.Microsecond,
-			Stop:    total,
-		}
-		sh.OnNode(src, f.Install)
-	}
 
 	// One stream service per window size over the same record stream.
 	svcs := make([]*stream.Service, len(tc.Windows))
@@ -207,7 +153,7 @@ func RunStreamTrial(tc StreamTrialConfig, progress netsim.ShardProgress) *Stream
 		if tc.EpochSampleCap > 0 {
 			scfg.EpochSampleCap = tc.EpochSampleCap
 		}
-		svcs[i] = stream.New(scfg, part, table)
+		svcs[i] = stream.New(scfg, sh.Part, table)
 	}
 
 	// Ground truth: silent drop on the edge-facing ports of the first
@@ -230,19 +176,9 @@ func RunStreamTrial(tc StreamTrialConfig, progress netsim.ShardProgress) *Stream
 		}
 	}
 
+	// drain feeds the shard buffers to every service in shard order.
 	var drained int64
-	start := time.Now() //mars:wallclock the stream tier reports real sustained throughput
-	for e := 0; e < tc.Epochs; e++ {
-		if uint32(e) == tc.FaultStart {
-			setDrop(tc.DropProb)
-		}
-		if uint32(e) == tc.FaultStop {
-			setDrop(0)
-		}
-		sh.Run(netsim.Time(e+1) * tc.Epoch)
-		// Drain shard buffers in shard order. Unit u's records live in
-		// exactly one buffer (shard u%shards) in deterministic order, so
-		// every per-unit ingest sequence is shard-count invariant.
+	drain := func() {
 		for i := range bufs {
 			for _, rec := range bufs[i] {
 				if tc.Tee != nil {
@@ -255,6 +191,17 @@ func RunStreamTrial(tc StreamTrialConfig, progress netsim.ShardProgress) *Stream
 			drained += int64(len(bufs[i]))
 			bufs[i] = bufs[i][:0]
 		}
+	}
+	start := time.Now() //mars:wallclock the stream tier reports real sustained throughput
+	for e := 0; e < tc.Epochs; e++ {
+		if uint32(e) == tc.FaultStart {
+			setDrop(tc.DropProb)
+		}
+		if uint32(e) == tc.FaultStop {
+			setDrop(0)
+		}
+		sh.Run(netsim.Time(e+1) * tc.Epoch)
+		drain()
 		// By the end of epoch e every record of epoch e-1 has arrived
 		// (one-epoch lateness bound), so e-1 and older may finalize.
 		for _, svc := range svcs {
@@ -263,18 +210,7 @@ func RunStreamTrial(tc StreamTrialConfig, progress netsim.ShardProgress) *Stream
 	}
 	// One grace epoch flushes the final epoch's in-flight records.
 	sh.Run(netsim.Time(tc.Epochs+1) * tc.Epoch)
-	for i := range bufs {
-		for _, rec := range bufs[i] {
-			if tc.Tee != nil {
-				tc.Tee(rec)
-			}
-			for _, svc := range svcs {
-				svc.Ingest(rec)
-			}
-		}
-		drained += int64(len(bufs[i]))
-		bufs[i] = bufs[i][:0]
-	}
+	drain()
 	for _, svc := range svcs {
 		svc.Finish()
 	}
@@ -364,23 +300,12 @@ func RunStreamTrial(tc StreamTrialConfig, progress netsim.ShardProgress) *Stream
 	return res
 }
 
-// streamMeshEndpoints returns flow i's hosts under the scale trial's
-// deterministic cross-pod mesh: source host i (mod hosts), destination
-// 1..K-1 pods away.
-func streamMeshEndpoints(ft *topology.FatTree, i int) (src, dst topology.NodeID) {
-	hosts := ft.HostIDs
-	perPod := len(hosts) / ft.K
-	src = hosts[i%len(hosts)]
-	dst = hosts[(i%len(hosts)+perPod*(1+i%(ft.K-1)))%len(hosts)]
-	return src, dst
-}
-
 // streamMeshPairs returns the set of (source edge, sink edge) switch
 // pairs the mesh's first numFlows flows traverse.
 func streamMeshPairs(ft *topology.FatTree, numFlows int) map[[2]topology.NodeID]bool {
 	pairs := map[[2]topology.NodeID]bool{}
 	for i := 0; i < numFlows; i++ {
-		src, dst := streamMeshEndpoints(ft, i)
+		src, dst := meshEndpoints(ft, i)
 		se, _ := ft.EdgeSwitchOf(src)
 		de, _ := ft.EdgeSwitchOf(dst)
 		pairs[[2]topology.NodeID{se, de}] = true

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"mars"
 	"mars/internal/baselines/intsight"
 	"mars/internal/baselines/spidermon"
 	"mars/internal/baselines/syndb"
@@ -10,16 +11,13 @@ import (
 	"mars/internal/faults"
 	"mars/internal/harness"
 	"mars/internal/netsim"
-	"mars/internal/pathid"
 	"mars/internal/rca"
-	"mars/internal/telemetry"
 	"mars/internal/topology"
 )
 
-// Substrate is the per-trial simulation stack shared by every compared
-// system: one fat-tree, one ECMP router, one simulator. It is built
-// exactly once per trial (the MARS path used to construct the topology and
-// router twice), by runSystemTrial.
+// Substrate is the bare simulation stack under everything that is not a
+// mars.System: one fat-tree, one ECMP router, one classic simulator. The
+// baselines and the hand-instrumented figure sims share it.
 type Substrate struct {
 	FT     *topology.FatTree
 	Router *netsim.ECMPRouter
@@ -40,7 +38,7 @@ func newFatTree(tc TrialConfig) *topology.FatTree {
 // trial's physical configuration and seed.
 func newSubstrate(tc TrialConfig, ft *topology.FatTree, hooks netsim.Hooks) *Substrate {
 	router := netsim.NewECMPRouter(ft.Topology, uint64(tc.Seed))
-	cfg := scaledSimConfig()
+	cfg := mars.DefaultConfig().Sim
 	if tc.SimCfg != nil {
 		cfg = *tc.SimCfg
 	}
@@ -48,80 +46,40 @@ func newSubstrate(tc TrialConfig, ft *topology.FatTree, hooks netsim.Hooks) *Sub
 	return &Substrate{FT: ft, Router: router, Sim: sim}
 }
 
-// SystemUnderTest wires one compared system into a trial. The lifecycle is
-// fixed by runSystemTrial: Build constructs the system's data-plane hooks
-// against the trial topology (before the simulator exists), Start attaches
-// whatever needs the live simulator (controller, control channel, fault
-// injector), and Localize scores the finished run into a TrialResult.
-// Implementations carry per-trial state, so a fresh value must be built
-// for every trial (newSystem); instances are never shared across harness
-// workers.
-type SystemUnderTest interface {
-	// Kind names the system (Table 1 column).
-	Kind() SystemKind
-	// Build constructs the system for this trial's topology and returns
-	// the data-plane hooks the simulator must install.
-	Build(tc TrialConfig, ft *topology.FatTree) netsim.Hooks
-	// Start completes wiring once the simulator exists; it runs before
-	// traffic is installed and before the fault is injected.
-	Start(tc TrialConfig, sub *Substrate, inj *faults.Injector)
-	// Localize scores the finished run against the injected ground truth.
-	Localize(tc TrialConfig, sub *Substrate, gt faults.GroundTruth) TrialResult
-}
-
-// newSystem builds a fresh per-trial SystemUnderTest for one Table-1
-// column.
-func newSystem(kind SystemKind) SystemUnderTest {
-	switch kind {
-	case SysMARS:
-		return &marsSystem{}
-	case SysSpiderMon:
-		return &spiderMonSystem{}
-	case SysIntSight:
-		return &intSightSystem{}
-	case SysSyNDB:
-		return &synDBSystem{}
-	default:
-		return &synDBSystem{}
-	}
-}
-
-// runSystemTrial is the single substrate-construction path behind every
-// trial: build the topology once, hand it to the system for its hooks,
-// build the simulator once, wire the system and injector, run the
-// workload and fault, and score.
-func runSystemTrial(s SystemUnderTest, tc TrialConfig) TrialResult {
-	ft := newFatTree(tc)
-	sub := newSubstrate(tc, ft, s.Build(tc, ft))
-	inj := faults.NewInjector(sub.Sim, ft, sub.Router)
-	s.Start(tc, sub, inj)
-	installWorkload(tc, sub.Sim, ft)
-	gt := inj.Inject(tc.Fault, tc.FaultStart, tc.FaultDur)
-	sub.Sim.Run(tc.Total)
-	res := s.Localize(tc, sub, gt)
-	// The handle is live injection lifecycle state, not part of the result
-	// record; keeping it would make otherwise-identical results compare
-	// unequal across reruns.
-	res.GT.Handle = nil
-	return res
-}
-
 // --- MARS -----------------------------------------------------------------
 
-// marsSystem runs MARS proper: PathID table, in-switch program, explicit
-// control channel, controller, and RCA. The two optional knobs serve the
-// ablations: mutateRCA edits the analyzer config before construction, and
-// strictCause switches Localize to the cause-class matching rule.
-type marsSystem struct {
-	mutateRCA   func(*rca.Config)
-	strictCause bool
+// marsConfig maps a trial onto the public facade's configuration: MARS
+// trials are mars.System runs, so the numbers in EXPERIMENTS.md and the
+// API users call are built by the same code. mutateRCA (may be nil) edits
+// the analyzer config for the ablations and the gray modes.
+func marsConfig(tc TrialConfig, mutateRCA func(*rca.Config)) mars.Config {
+	cfg := mars.DefaultConfig()
+	cfg.FatTreeK = tc.K
+	cfg.Seed = tc.Seed
+	if tc.SimCfg != nil {
+		cfg.Sim = *tc.SimCfg
+	}
+	cfg.Codec = tc.Codec
+	cfg.CtrlChan = ctrlchan.Config{Seed: tc.ctrlSeed()}
+	if tc.CtrlLossy {
+		cfg.CtrlChan = ctrlchan.Lossy(tc.CtrlLoss, tc.ctrlSeed())
+	}
+	if tc.CtrlNoRetry {
+		cfg.Controller.MaxRetries = 0
+	}
+	if mutateRCA != nil {
+		mutateRCA(&cfg.RCA)
+	}
+	return cfg
+}
 
-	// Per-trial state, populated by Build/Start and consumed by Localize.
-	table       *pathid.Table
-	prog        *dataplane.Program
-	codec       telemetry.Codec
-	ch          *ctrlchan.Channel
-	ctrl        *controlplane.Controller
+// marsRun is one MARS deployment under the trial drivers' diagnosis
+// policy: diagnoses completed before FaultStart count as false alarms and
+// are not analyzed (they are 2–4 of a trial's 6–8 collections, so the
+// facade's analyze-everything default would add ~60% RCA work and let
+// pre-fault noise into the ranking).
+type marsRun struct {
+	sys         *mars.System
 	lists       [][]rca.Culprit
 	detected    bool
 	firstDiag   netsim.Time
@@ -130,204 +88,143 @@ type marsSystem struct {
 	falseAlarms int64
 }
 
-func (m *marsSystem) Kind() SystemKind { return SysMARS }
-
-func (m *marsSystem) Build(tc TrialConfig, ft *topology.FatTree) netsim.Hooks {
-	dcfg := dataplane.DefaultProgramConfig()
-	if tc.Codec != "" {
-		cdc, err := telemetry.New(tc.Codec, tc.Seed)
-		if err != nil {
-			panic(err)
-		}
-		m.codec = cdc
-		dcfg.Codec = cdc
-	}
-	table, err := pathid.BuildTable(dcfg.PathCfg, ft.Topology, ft.AllEdgePairPaths())
+// startMARS builds the deployment through mars.NewSystem, installs the
+// trial's diagnosis policy on the controller, and starts the workload. The
+// caller injects its fault (or schedule) and runs the simulation.
+func startMARS(tc TrialConfig, mutateRCA func(*rca.Config)) *marsRun {
+	sys, err := mars.NewSystem(marsConfig(tc, mutateRCA))
 	if err != nil {
 		panic(err)
 	}
-	m.table = table
-	m.prog = dataplane.New(dcfg, ft.Topology, table, nil)
-	return m.prog
-}
-
-func (m *marsSystem) Start(tc TrialConfig, sub *Substrate, inj *faults.Injector) {
-	chcfg := ctrlchan.Config{Seed: tc.ctrlSeed()}
-	if tc.CtrlLossy {
-		chcfg = ctrlchan.Lossy(tc.CtrlLoss, tc.ctrlSeed())
-	}
-	m.ch = ctrlchan.New(sub.Sim, chcfg)
-	ccfg := controlplane.DefaultConfig()
-	ccfg.Seed = tc.Seed
-	if m.codec != nil {
-		ccfg.Decoder = m.codec
-	}
-	if tc.CtrlNoRetry {
-		ccfg.MaxRetries = 0
-	}
-	m.ctrl = controlplane.NewWithChannel(ccfg, sub.Sim, m.prog, m.ch)
-	m.prog.Notifier = m.ctrl
-	m.ctrl.Start()
-
-	rcfg := rca.DefaultConfig()
-	if m.mutateRCA != nil {
-		m.mutateRCA(&rcfg)
-	}
-	analyzer := rca.New(rcfg, m.table, m.ctrl)
-	m.ctrl.OnDiagnosis = func(d controlplane.Diagnosis) {
-		if d.Time >= tc.FaultStart {
-			if !m.detected {
-				m.detected = true
-				m.firstDiag = d.Time - tc.FaultStart
-			}
-			m.diagnoses++
-			if d.Partial() {
-				m.partial++
-			}
-			m.lists = append(m.lists, analyzer.Analyze(d))
-		} else {
+	m := &marsRun{sys: sys}
+	sys.Controller.OnDiagnosis = func(d controlplane.Diagnosis) {
+		if d.Time < tc.FaultStart {
 			m.falseAlarms++
+			return
 		}
+		if !m.detected {
+			m.detected = true
+			m.firstDiag = d.Time - tc.FaultStart
+		}
+		m.diagnoses++
+		if d.Partial() {
+			m.partial++
+		}
+		m.lists = append(m.lists, sys.Analyzer.Analyze(d))
 	}
-	inj.Chan = m.ch
-	// Wire the reboot register flush: a SwitchReboot injection wipes the
-	// program's IT/ET/RT state on recovery. Harmless for every other
-	// scenario (the flusher only fires from a reboot revert).
-	inj.Registers = m.prog
+	installWorkload(tc, sys.Sim, sys.FT)
+	return m
 }
 
-func (m *marsSystem) Localize(tc TrialConfig, sub *Substrate, gt faults.GroundTruth) TrialResult {
-	match := marsMatches
-	if m.strictCause {
-		match = marsCauseMatches
-	}
-	rank := 0
-	for i, c := range rca.MergeRanked(m.lists) {
-		if match(c, gt) {
-			rank = i + 1
-			break
-		}
-	}
+// marsTrial runs one single-fault MARS trial and scores the merged
+// ranking under match (marsMatches, or marsCauseMatches for the
+// cause-accuracy ablation).
+func marsTrial(tc TrialConfig, mutateRCA func(*rca.Config), match func(rca.Culprit, faults.GroundTruth) bool) TrialResult {
+	m := startMARS(tc, mutateRCA)
+	gt := m.sys.InjectFault(tc.Fault, tc.FaultStart, tc.FaultDur)
+	m.sys.Run(tc.Total)
 	return TrialResult{
-		System: SysMARS, GT: gt, Rank: rank, Detected: m.detected,
-		TelemetryBytes: m.prog.Stats.TelemetryLinkBytes,
-		DiagnosisBytes: m.ctrl.Bytes.DiagnosisBytes() + m.ctrl.Bytes.RefreshBytes + m.ctrl.Bytes.ThresholdPushBytes,
-		TotalLinkBytes: totalLinkBytes(sub.Sim),
+		System: SysMARS, GT: recordGT(gt), Rank: rankWhere(rca.MergeRanked(m.lists), gt, match),
+		Detected:       m.detected,
+		TelemetryBytes: m.sys.TelemetryOverheadBytes(),
+		DiagnosisBytes: m.sys.DiagnosisOverheadBytes(),
+		TotalLinkBytes: sumLinkBytes(m.sys.Sim.Stats.LinkBytes),
 		DiagLatency:    m.firstDiag, DiagDetected: m.detected,
 		Diagnoses: m.diagnoses, PartialDiagnoses: m.partial,
-		Packets:          sub.Sim.Stats.Sent,
-		TelemetryPackets: m.prog.Stats.TelemetryPackets,
+		Packets:          m.sys.Sim.Stats.Sent,
+		TelemetryPackets: m.sys.Program.Stats.TelemetryPackets,
 		FalseAlarms:      m.falseAlarms,
 	}
 }
 
 // ctrlSeed resolves the trial's control-channel seed: the value the
-// SeedPlan derived (constructors always set it), or the legacy offset for
-// hand-rolled zero-value configs.
+// constructors derived, or the legacy offset for hand-rolled zero-value
+// configs.
 func (tc TrialConfig) ctrlSeed() int64 {
 	if tc.CtrlSeed != 0 {
 		return tc.CtrlSeed
 	}
-	return harness.LegacyPlan{}.CtrlChanSeed(tc.Seed)
+	return harness.CtrlChanSeed(tc.Seed)
 }
 
-// --- SpiderMon --------------------------------------------------------------
+// --- Baselines --------------------------------------------------------------
 
-type spiderMonSystem struct {
-	sys *spidermon.System
+// baseline is one compared system wired into a trial: the data-plane hooks
+// the simulator installs, and score, which ranks the finished run against
+// the ground truth and fills the system's own result fields (rank,
+// detection, byte counters). Baselines carry per-trial state, so a fresh
+// value is built for every trial.
+type baseline struct {
+	hooks netsim.Hooks
+	score func(tc TrialConfig, gt faults.GroundTruth) TrialResult
 }
 
-func (s *spiderMonSystem) Kind() SystemKind { return SysSpiderMon }
-
-func (s *spiderMonSystem) Build(tc TrialConfig, ft *topology.FatTree) netsim.Hooks {
-	s.sys = spidermon.New(spidermon.DefaultConfig(), ft.Topology)
-	return s.sys
-}
-
-func (s *spiderMonSystem) Start(TrialConfig, *Substrate, *faults.Injector) {}
-
-func (s *spiderMonSystem) Localize(tc TrialConfig, sub *Substrate, gt faults.GroundTruth) TrialResult {
-	rank := 0
-	for i, c := range s.sys.Localize() {
-		if baselineMatches(c.Switches, c.FlowID, true, gt) {
-			rank = i + 1
-			break
+func newSpiderMon(ft *topology.FatTree) baseline {
+	s := spidermon.New(spidermon.DefaultConfig(), ft.Topology)
+	return baseline{s, func(_ TrialConfig, gt faults.GroundTruth) TrialResult {
+		rank := 0
+		for i, c := range s.Localize() {
+			if baselineMatches(c.Switches, c.FlowID, true, gt) {
+				rank = i + 1
+				break
+			}
 		}
-	}
-	return TrialResult{
-		System: SysSpiderMon, GT: gt, Rank: rank, Detected: s.sys.Detected(),
-		TelemetryBytes: s.sys.TelemetryBytes,
-		DiagnosisBytes: s.sys.DiagnosisBytes,
-		TotalLinkBytes: totalLinkBytes(sub.Sim),
-	}
+		return TrialResult{Rank: rank, Detected: s.Detected(),
+			TelemetryBytes: s.TelemetryBytes, DiagnosisBytes: s.DiagnosisBytes}
+	}}
 }
 
-// --- IntSight ---------------------------------------------------------------
-
-type intSightSystem struct {
-	sys *intsight.System
-}
-
-func (s *intSightSystem) Kind() SystemKind { return SysIntSight }
-
-func (s *intSightSystem) Build(tc TrialConfig, ft *topology.FatTree) netsim.Hooks {
-	s.sys = intsight.New(intsight.DefaultConfig(), ft.Topology)
-	return s.sys
-}
-
-func (s *intSightSystem) Start(TrialConfig, *Substrate, *faults.Injector) {}
-
-func (s *intSightSystem) Localize(tc TrialConfig, sub *Substrate, gt faults.GroundTruth) TrialResult {
-	rank := 0
-	for i, c := range s.sys.Localize() {
-		var sws []topology.NodeID
-		if c.Switch >= 0 {
-			sws = []topology.NodeID{c.Switch}
+func newIntSight(ft *topology.FatTree) baseline {
+	s := intsight.New(intsight.DefaultConfig(), ft.Topology)
+	return baseline{s, func(_ TrialConfig, gt faults.GroundTruth) TrialResult {
+		rank := 0
+		for i, c := range s.Localize() {
+			if switchOrFlowMatches(c.Switch, c.FlowID, gt) {
+				rank = i + 1
+				break
+			}
 		}
-		if baselineMatches(sws, c.FlowID, c.Switch < 0, gt) {
-			rank = i + 1
-			break
-		}
-	}
-	return TrialResult{
-		System: SysIntSight, GT: gt, Rank: rank, Detected: s.sys.Detected(),
-		TelemetryBytes: s.sys.TelemetryBytes,
-		DiagnosisBytes: s.sys.DiagnosisBytes,
-		TotalLinkBytes: totalLinkBytes(sub.Sim),
-	}
+		return TrialResult{Rank: rank, Detected: s.Detected(),
+			TelemetryBytes: s.TelemetryBytes, DiagnosisBytes: s.DiagnosisBytes}
+	}}
 }
 
-// --- SyNDB -------------------------------------------------------------------
-
-type synDBSystem struct {
-	sys *syndb.System
+func newSyNDB(ft *topology.FatTree) baseline {
+	s := syndb.New(syndb.DefaultConfig(), ft.Topology)
+	return baseline{s, func(tc TrialConfig, gt faults.GroundTruth) TrialResult {
+		rank := 0
+		for i, c := range s.Localize(syndbQuery(tc.Fault)) {
+			if switchOrFlowMatches(c.Switch, c.FlowID, gt) {
+				rank = i + 1
+				break
+			}
+		}
+		return TrialResult{Rank: rank, Detected: true, // always-on capture
+			TelemetryBytes: s.TelemetryBytes, DiagnosisBytes: s.DiagnosisBytes}
+	}}
 }
 
-func (s *synDBSystem) Kind() SystemKind { return SysSyNDB }
-
-func (s *synDBSystem) Build(tc TrialConfig, ft *topology.FatTree) netsim.Hooks {
-	s.sys = syndb.New(syndb.DefaultConfig(), ft.Topology)
-	return s.sys
+// runBaselineTrial runs one baseline over the shared substrate: build the
+// system's hooks against the topology, run the workload and fault, score.
+func runBaselineTrial(kind SystemKind, tc TrialConfig, mk func(*topology.FatTree) baseline) TrialResult {
+	ft := newFatTree(tc)
+	b := mk(ft)
+	sub := newSubstrate(tc, ft, b.hooks)
+	inj := faults.NewInjector(sub.Sim, ft, sub.Router)
+	installWorkload(tc, sub.Sim, ft)
+	gt := inj.Inject(tc.Fault, tc.FaultStart, tc.FaultDur)
+	sub.Sim.Run(tc.Total)
+	res := b.score(tc, gt)
+	res.System, res.GT, res.TotalLinkBytes = kind, recordGT(gt), sumLinkBytes(sub.Sim.Stats.LinkBytes)
+	return res
 }
 
-func (s *synDBSystem) Start(TrialConfig, *Substrate, *faults.Injector) {}
-
-func (s *synDBSystem) Localize(tc TrialConfig, sub *Substrate, gt faults.GroundTruth) TrialResult {
-	rank := 0
-	for i, c := range s.sys.Localize(syndbQuery(tc.Fault)) {
-		var sws []topology.NodeID
-		if c.Switch >= 0 {
-			sws = []topology.NodeID{c.Switch}
-		}
-		if baselineMatches(sws, c.FlowID, c.Switch < 0, gt) {
-			rank = i + 1
-			break
-		}
+// switchOrFlowMatches scores a culprit that names either one switch
+// (sw >= 0) or, failing that, a flow.
+func switchOrFlowMatches(sw topology.NodeID, flow dataplane.FlowID, gt faults.GroundTruth) bool {
+	var sws []topology.NodeID
+	if sw >= 0 {
+		sws = []topology.NodeID{sw}
 	}
-	return TrialResult{
-		System: SysSyNDB, GT: gt, Rank: rank, Detected: true, // always-on capture
-		TelemetryBytes: s.sys.TelemetryBytes,
-		DiagnosisBytes: s.sys.DiagnosisBytes,
-		TotalLinkBytes: totalLinkBytes(sub.Sim),
-	}
+	return baselineMatches(sws, flow, sw < 0, gt)
 }

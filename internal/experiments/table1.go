@@ -22,18 +22,17 @@ type Table1Result struct {
 }
 
 // RunTable1 runs `trials` trials per fault kind per system with the
-// default engine options (legacy seeds, GOMAXPROCS workers).
+// default engine options (GOMAXPROCS workers).
 func RunTable1(trials int, baseSeed int64) *Table1Result {
 	return RunTable1With(EngineOptions{}, trials, baseSeed)
 }
 
 // RunTable1With runs the Table 1 matrix on the harness. Seeds derive from
-// baseSeed through the options' SeedPlan so every system faces the same
-// fault sequence; trials execute on the worker pool and aggregate in the
+// baseSeed through harness.TrialSeed so every system faces the same fault
+// sequence; trials execute on the worker pool and aggregate in the
 // historical (fault, trial, system) nesting order, so the result is
 // byte-identical for any worker count.
 func RunTable1With(opts EngineOptions, trials int, baseSeed int64) *Table1Result {
-	plan := opts.plan()
 	type unit struct {
 		kind faults.Kind
 		sys  SystemKind
@@ -53,9 +52,8 @@ func RunTable1With(opts EngineOptions, trials int, baseSeed int64) *Table1Result
 			res.Cells[kind][sys] = &Table1Cell{}
 		}
 		for t := 0; t < trials; t++ {
-			seed := plan.TrialSeed(baseSeed, int(kind), t)
+			seed := harness.TrialSeed(baseSeed, int(kind), t)
 			tc := DefaultTrialConfig(seed, kind)
-			tc.CtrlSeed = plan.CtrlChanSeed(seed)
 			for _, sys := range Systems() {
 				units = append(units, unit{kind, sys})
 				tcs = append(tcs, tc)

@@ -6,9 +6,10 @@
 // in what real-time order they finished. Three properties are load-bearing:
 //
 //   - Determinism: each trial is a pure function of its Trial value (all
-//     randomness flows from Trial.Seed via a SeedPlan), results are stored
-//     at the trial's index, and drivers aggregate by iterating that slice
-//     in order. Output is therefore byte-identical for any worker count.
+//     randomness flows from Trial.Seed, derived by TrialSeed), results are
+//     stored at the trial's index, and drivers aggregate by iterating that
+//     slice in order. Output is therefore byte-identical for any worker
+//     count.
 //   - Bounded parallelism: at most Config.Workers trials run at once
 //     (default runtime.GOMAXPROCS(0)).
 //   - Panic containment: a panicking trial is recovered into a typed
@@ -27,7 +28,7 @@ import (
 
 // Trial is one unit of work in a trial matrix. Index is the trial's
 // position in the driver's deterministic enumeration (and aggregation)
-// order; Seed is the substrate seed the SeedPlan derived for it; Label is
+// order; Seed is the substrate seed TrialSeed derived for it; Label is
 // a human-readable tag for progress reporting.
 type Trial struct {
 	Index int

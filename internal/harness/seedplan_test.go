@@ -7,7 +7,6 @@ import "testing"
 // expression changes, recorded Table-1/ctrlchan results silently stop
 // being reproducible — so the formulas are asserted literally.
 func TestLegacyPlanPinsHistoricalFormulas(t *testing.T) {
-	var p LegacyPlan
 	for _, tt := range []struct {
 		base        int64
 		kind, trial int
@@ -18,15 +17,12 @@ func TestLegacyPlanPinsHistoricalFormulas(t *testing.T) {
 		{77, 4, 1, 4078},
 		{-50, 2, 999, 2949},
 	} {
-		if got := p.TrialSeed(tt.base, tt.kind, tt.trial); got != tt.want {
+		if got := TrialSeed(tt.base, tt.kind, tt.trial); got != tt.want {
 			t.Errorf("TrialSeed(%d,%d,%d) = %d, want %d", tt.base, tt.kind, tt.trial, got, tt.want)
 		}
 	}
-	if got := p.CtrlChanSeed(4007); got != 4014 {
+	if got := CtrlChanSeed(4007); got != 4014 {
 		t.Errorf("CtrlChanSeed(4007) = %d, want 4014", got)
-	}
-	if p.Name() != "legacy" {
-		t.Errorf("name = %q", p.Name())
 	}
 }
 
@@ -39,52 +35,25 @@ func TestLegacyPlanPinsHistoricalFormulas(t *testing.T) {
 // the same fault sequence), so cross-sweep seed equality at equal
 // (kind, trial) is asserted, not forbidden.
 func TestLegacyPlanNoCollidingSeeds(t *testing.T) {
-	var p LegacyPlan
 	const kinds = 6 // faults.Kinds() plus headroom for the next injector
 	for _, trials := range []int{8, 24, 999} {
 		seen := map[int64][2]int{}
 		for k := 0; k < kinds; k++ {
 			for tr := 0; tr < trials; tr++ {
-				s := p.TrialSeed(1000, k, tr)
+				s := TrialSeed(1000, k, tr)
 				if prev, dup := seen[s]; dup {
 					t.Fatalf("trials=%d: seed %d collides: (kind %d, trial %d) and (kind %d, trial %d)",
 						trials, s, prev[0], prev[1], k, tr)
 				}
 				seen[s] = [2]int{k, tr}
-				if cs := p.CtrlChanSeed(s); cs == s {
+				if cs := CtrlChanSeed(s); cs == s {
 					t.Fatalf("control-channel seed aliases substrate seed %d", s)
 				}
 			}
 		}
 	}
 	// The documented cap: at trial 1000 the plan aliases the next kind.
-	if p.TrialSeed(0, 0, 1000) != p.TrialSeed(0, 1, 0) {
+	if TrialSeed(0, 0, 1000) != TrialSeed(0, 1, 0) {
 		t.Error("stride documentation is stale: trial 1000 no longer aliases the next kind")
-	}
-}
-
-// TestSplitPlanCollisionFreeAtScale checks the hash-based plan over a grid
-// far beyond the legacy stride: all substrate and control-channel seeds
-// across (kinds x 20000 trials) are pairwise distinct.
-func TestSplitPlanCollisionFreeAtScale(t *testing.T) {
-	var p SplitPlan
-	seen := make(map[int64]bool, 6*20000*2)
-	for k := 0; k < 6; k++ {
-		for tr := 0; tr < 20000; tr++ {
-			s := p.TrialSeed(1000, k, tr)
-			cs := p.CtrlChanSeed(s)
-			if seen[s] {
-				t.Fatalf("substrate seed collision at (kind %d, trial %d)", k, tr)
-			}
-			seen[s] = true
-			if seen[cs] {
-				t.Fatalf("control-channel seed collision at (kind %d, trial %d)", k, tr)
-			}
-			seen[cs] = true
-		}
-	}
-	// Legacy's stride aliasing must not exist here.
-	if p.TrialSeed(0, 0, 1000) == p.TrialSeed(0, 1, 0) {
-		t.Error("split plan reproduced the legacy stride aliasing")
 	}
 }

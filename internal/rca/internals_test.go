@@ -3,7 +3,6 @@ package rca
 import (
 	"testing"
 
-	"mars/internal/controlplane"
 	"mars/internal/dataplane"
 	"mars/internal/netsim"
 	"mars/internal/topology"
@@ -23,9 +22,9 @@ func TestDropAffectedFlowsCancelsDisplacement(t *testing.T) {
 		r.Arrival = netsim.Time(epoch) * 100 * netsim.Millisecond
 		return r
 	}
-	d := controlplane.Diagnosis{
-		Time: 1200 * netsim.Millisecond,
-		Records: []dataplane.RTRecord{
+	d := evidence{
+		now: 1200 * netsim.Millisecond,
+		records: []dataplane.RTRecord{
 			mk(9, 40, 40),
 			mk(10, 40, 22), // deficit 18
 			mk(11, 40, 58), // surplus 18
@@ -36,9 +35,9 @@ func TestDropAffectedFlowsCancelsDisplacement(t *testing.T) {
 	}
 
 	// Real loss: sustained deficit accumulates.
-	d2 := controlplane.Diagnosis{
-		Time: 1200 * netsim.Millisecond,
-		Records: []dataplane.RTRecord{
+	d2 := evidence{
+		now: 1200 * netsim.Millisecond,
+		records: []dataplane.RTRecord{
 			mk(9, 40, 18),
 			mk(10, 40, 20),
 			mk(11, 40, 22),
@@ -57,9 +56,9 @@ func TestDropAffectedFlowsRecentWindow(t *testing.T) {
 	old := f.record(t, p, 2, okLatency, 40, 1)
 	old.SinkCount = 0 // massive loss, but long ago
 	old.Arrival = 200 * netsim.Millisecond
-	d := controlplane.Diagnosis{
-		Time:    5 * netsim.Second,
-		Records: []dataplane.RTRecord{old},
+	d := evidence{
+		now:     5 * netsim.Second,
+		records: []dataplane.RTRecord{old},
 	}
 	if got := a.dropAffectedFlows(d); len(got) != 0 {
 		t.Errorf("stale evidence flagged: %v", got)
@@ -74,7 +73,7 @@ func TestEpochGapIsDirectDropEvidence(t *testing.T) {
 	r := f.record(t, p, 30, okLatency, 40, 1)
 	r.EpochGap = 5
 	r.Arrival = 3 * netsim.Second
-	d := controlplane.Diagnosis{Time: 3 * netsim.Second, Records: []dataplane.RTRecord{r}}
+	d := evidence{now: 3 * netsim.Second, records: []dataplane.RTRecord{r}}
 	if got := a.dropAffectedFlows(d); !got[flow] {
 		t.Error("epoch gap not treated as drop evidence")
 	}

@@ -283,11 +283,15 @@ type estPacket struct {
 // drop evidence but no latency explanation — the signature of link
 // failures and blackholes.
 func (a *Analyzer) Analyze(d controlplane.Diagnosis) []Culprit {
-	lat := a.analyzeLatency(d)
+	ev := evidence{records: d.Records, now: d.Time}
+	if d.Trigger.Kind == dataplane.NotifyDrop {
+		ev.dropFlagged, ev.flagged = true, d.Trigger.Flow
+	}
+	lat := a.analyzeLatency(ev)
 	runDrop := false
 	if len(lat) == 0 {
-		runDrop = a.hasDropEvidence(d)
-	} else if d.Trigger.Kind == dataplane.NotifyDrop {
+		runDrop = a.hasDropEvidence(ev)
+	} else if ev.dropFlagged {
 		// The data plane explicitly flagged loss: report both views.
 		runDrop = true
 	} else if a.Cfg.CompoundCauses {
@@ -297,16 +301,11 @@ func (a *Analyzer) Analyze(d controlplane.Diagnosis) []Culprit {
 		// pipeline from ever running. Compound mode always cross-checks
 		// cumulative loss evidence so persistent gray loss accumulates rank
 		// across diagnoses even when each one also has a latency story.
-		runDrop = a.hasDropEvidence(d)
+		runDrop = a.hasDropEvidence(ev)
 	}
 	out := lat
 	if runDrop {
-		drop := a.analyzeDrop(d)
-		if len(lat) == 0 {
-			out = drop
-		} else {
-			out = MergeRanked([][]Culprit{lat, drop})
-		}
+		out = combineViews(lat, a.analyzeDrop(ev))
 	}
 	// Degraded mode: a partial collection (missing sinks) still yields a
 	// ranking, but every culprit carries the data coverage behind it so
@@ -314,7 +313,33 @@ func (a *Analyzer) Analyze(d controlplane.Diagnosis) []Culprit {
 	// codec decoder's reconstruction confidence folds in the same way: a
 	// probabilistic or subsampled encoding weakens confidence without
 	// changing the ranking.
-	conf := d.Coverage() * d.ReconstructionConfidence()
+	return withConfidence(out, d.Coverage()*d.ReconstructionConfidence())
+}
+
+// evidence is what the latency and drop pipelines read, whoever gathered
+// it: the records, the time they are as of (the trusted drop-evidence
+// window ends there), and — when a data-plane drop trigger started the
+// collection — the flow that trigger flagged. Analyze fills it from a
+// triggered collection, AnalyzeWindow from a sliding window.
+type evidence struct {
+	records     []dataplane.RTRecord
+	now         netsim.Time
+	dropFlagged bool
+	flagged     dataplane.FlowID
+}
+
+// combineViews folds the latency and drop views of one body of evidence:
+// the drop view alone when latency found nothing, otherwise both merged
+// under the cross-diagnosis rules.
+func combineViews(lat, drop []Culprit) []Culprit {
+	if len(lat) == 0 {
+		return drop
+	}
+	return MergeRanked([][]Culprit{lat, drop})
+}
+
+// withConfidence stamps the evidence coverage on every culprit.
+func withConfidence(out []Culprit, conf float64) []Culprit {
 	for i := range out {
 		out[i].Confidence = conf
 	}
@@ -333,9 +358,9 @@ func (a *Analyzer) dropMargin(sourceCount uint32) uint32 {
 }
 
 // recent reports whether a record falls inside the trusted drop-evidence
-// window of this diagnosis.
-func (a *Analyzer) recent(d controlplane.Diagnosis, r dataplane.RTRecord) bool {
-	return a.Cfg.RecentWindow <= 0 || r.Arrival >= d.Time-a.Cfg.RecentWindow
+// window of this evidence.
+func (a *Analyzer) recent(ev evidence, r dataplane.RTRecord) bool {
+	return a.Cfg.RecentWindow <= 0 || r.Arrival >= ev.now-a.Cfg.RecentWindow
 }
 
 // dropAffectedFlows identifies flows with genuine loss in the recent
@@ -343,15 +368,15 @@ func (a *Analyzer) recent(d controlplane.Diagnosis, r dataplane.RTRecord) bool {
 // latency shift displaces packets across one epoch boundary (deficit one
 // epoch, surplus the next, cancelling), while real loss accumulates.
 // Epoch gaps (missing telemetry packets) count as direct evidence.
-func (a *Analyzer) dropAffectedFlows(d controlplane.Diagnosis) map[dataplane.FlowID]bool {
+func (a *Analyzer) dropAffectedFlows(ev evidence) map[dataplane.FlowID]bool {
 	type agg struct {
 		src, sink uint64
 		gap       bool
 		seen      map[uint32]bool
 	}
 	byFlow := make(map[dataplane.FlowID]*agg)
-	for _, r := range d.Records {
-		if !a.recent(d, r) {
+	for _, r := range ev.records {
+		if !a.recent(ev, r) {
 			continue
 		}
 		f := byFlow[r.Flow]
@@ -396,12 +421,12 @@ func min64(a uint64, b uint64) uint64 {
 	return b
 }
 
-// hasDropEvidence reports whether the diagnosis carries recent cumulative
+// hasDropEvidence reports whether the evidence carries recent cumulative
 // drop indicators. The trigger kind alone is NOT trusted: a switch's
 // single-epoch count comparison false-fires on latency displacement, and
 // only sustained deficits in the collected data count as loss.
-func (a *Analyzer) hasDropEvidence(d controlplane.Diagnosis) bool {
-	return len(a.dropAffectedFlows(d)) > 0
+func (a *Analyzer) hasDropEvidence(ev evidence) bool {
+	return len(a.dropAffectedFlows(ev)) > 0
 }
 
 // decode resolves a record's PathID to its switch path.

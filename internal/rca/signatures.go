@@ -3,7 +3,6 @@ package rca
 import (
 	"sort"
 
-	"mars/internal/controlplane"
 	"mars/internal/dataplane"
 	"mars/internal/det"
 	"mars/internal/topology"
@@ -307,8 +306,8 @@ func (a *Analyzer) ecmpUpstream(fs *flowStats, sub []topology.NodeID) (topology.
 var DebugTrace func(flow dataplane.FlowID, sub []topology.NodeID, peak uint32, base float64, epochs int, qmed, baseQ float64)
 
 // analyzeLatency is the high-latency diagnosis path (§4.4.1-4.4.4).
-func (a *Analyzer) analyzeLatency(d controlplane.Diagnosis) []Culprit {
-	est := a.estimate(d.Records)
+func (a *Analyzer) analyzeLatency(ev evidence) []Culprit {
+	est := a.estimate(ev.records)
 	var abnormal, normal []estPacket
 	for _, p := range est {
 		if p.abnormal {
@@ -321,8 +320,8 @@ func (a *Analyzer) analyzeLatency(d controlplane.Diagnosis) []Culprit {
 	if len(patterns) == 0 {
 		return nil
 	}
-	stats := a.collectFlowStats(d.Records)
-	sinkRanges := collectSinkRanges(d.Records)
+	stats := a.collectFlowStats(ev.records)
+	sinkRanges := collectSinkRanges(ev.records)
 	globalMed := globalMedianEpochCount(stats)
 
 	// Noise floor: too few over-threshold records means a transient blip,
@@ -330,7 +329,7 @@ func (a *Analyzer) analyzeLatency(d controlplane.Diagnosis) []Culprit {
 	// so large collections don't pass on scattered tail noise.
 	if a.Cfg.MinAbnormalRecords > 0 && a.Thr != nil {
 		n := 0
-		for _, r := range d.Records {
+		for _, r := range ev.records {
 			if r.Latency > a.Thr.ThresholdOf(r.Flow) {
 				n++
 			}
@@ -343,7 +342,7 @@ func (a *Analyzer) analyzeLatency(d controlplane.Diagnosis) []Culprit {
 	// Baseline queue depth from records classified normal: the congestion
 	// signature requires abnormal depth to stand out against it.
 	var normalDepths []float64
-	for _, r := range d.Records {
+	for _, r := range ev.records {
 		if a.Thr == nil || r.Latency <= a.Thr.ThresholdOf(r.Flow) {
 			normalDepths = append(normalDepths, float64(r.TotalQueueDepth))
 		}
@@ -507,12 +506,12 @@ func (a *Analyzer) analyzeLatency(d controlplane.Diagnosis) []Culprit {
 // analyzeDrop is the separate drop-diagnosis logic (§4.4.4 "Drop"): the
 // affected flows form the abnormal set and a second SBFL instance ranks
 // the shared locations.
-func (a *Analyzer) analyzeDrop(d controlplane.Diagnosis) []Culprit {
-	affected := a.dropAffectedFlows(d)
-	if d.Trigger.Kind == dataplane.NotifyDrop {
-		affected[d.Trigger.Flow] = true
+func (a *Analyzer) analyzeDrop(ev evidence) []Culprit {
+	affected := a.dropAffectedFlows(ev)
+	if ev.dropFlagged {
+		affected[ev.flagged] = true
 	}
-	est := a.estimate(d.Records)
+	est := a.estimate(ev.records)
 	var abnormal, normal []estPacket
 	for _, p := range est {
 		if affected[p.flow] {
@@ -522,8 +521,8 @@ func (a *Analyzer) analyzeDrop(d controlplane.Diagnosis) []Culprit {
 		}
 	}
 	patterns := a.minePatterns(abnormal, normal)
-	stats := a.collectFlowStats(d.Records)
-	sinkRanges := collectSinkRanges(d.Records)
+	stats := a.collectFlowStats(ev.records)
+	sinkRanges := collectSinkRanges(ev.records)
 	globalMed := globalMedianEpochCount(stats)
 	var culprits []Culprit
 	for _, sp := range patterns {

@@ -1,7 +1,6 @@
 package rca
 
 import (
-	"mars/internal/controlplane"
 	"mars/internal/dataplane"
 	"mars/internal/netsim"
 )
@@ -22,22 +21,12 @@ import (
 // support for each culprit, exactly as the batch path does across partial
 // collections.
 func (a *Analyzer) AnalyzeWindow(records []dataplane.RTRecord, now netsim.Time, coverage float64) []Culprit {
-	d := controlplane.Diagnosis{
-		Trigger: dataplane.Notification{Kind: dataplane.NotifyHighLatency, Time: now},
-		Records: records,
-		Time:    now,
-	}
-	lat := a.analyzeLatency(d)
-	out := lat
-	if a.hasDropEvidence(d) {
-		drop := a.analyzeDrop(d)
-		switch {
-		case len(drop) == 0:
-			// evidence without a mineable pattern; keep the latency view
-		case len(lat) == 0:
-			out = drop
-		default:
-			out = MergeRanked([][]Culprit{lat, drop})
+	ev := evidence{records: records, now: now}
+	out := a.analyzeLatency(ev)
+	if a.hasDropEvidence(ev) {
+		// Evidence without a mineable pattern keeps the latency view.
+		if drop := a.analyzeDrop(ev); len(drop) > 0 {
+			out = combineViews(out, drop)
 		}
 	}
 	if coverage < 0 {
@@ -46,8 +35,5 @@ func (a *Analyzer) AnalyzeWindow(records []dataplane.RTRecord, now netsim.Time, 
 	if coverage > 1 {
 		coverage = 1
 	}
-	for i := range out {
-		out[i].Confidence = coverage
-	}
-	return out
+	return withConfidence(out, coverage)
 }
