@@ -8,10 +8,11 @@
 //
 // The channel (internal/ctrlchan) may lose, delay, reorder, or duplicate
 // messages, so the controller is built to survive its own control plane
-// being faulty: Ring Table collections and refresh pulls carry per-request
-// timeouts with capped exponential backoff and a retry budget; channel
-// sequence numbers deduplicate duplicated or reordered notifications; and
-// threshold pushes are acknowledged and re-sent until confirmed. When some
+// being faulty: Ring Table collections, refresh pulls and threshold pushes
+// are three kinds of one request lifecycle (issue → timeout → settle) with
+// a per-request deadline, capped exponential backoff and a retry budget;
+// channel sequence numbers deduplicate duplicated or reordered
+// notifications and responses. When some
 // edge switches never answer a collection within the retry budget, the
 // controller does not stall: it hands RCA a partial diagnosis tagged with
 // the missing sinks, and the analyzer annotates its culprits with the
@@ -201,27 +202,44 @@ func (b BandwidthStats) DiagnosisBytes() int64 {
 // timeouts, and the diagnosis finalizes when every sink has either
 // answered or exhausted its retry budget.
 type collection struct {
-	trigger   dataplane.Notification
-	records   []dataplane.RTRecord
+	trigger dataplane.Notification
+	records []dataplane.RTRecord
+	// pending holds the sinks still owed an answer; the collection is
+	// finalized the moment it empties.
 	pending   map[topology.NodeID]bool
 	missing   []topology.NodeID
 	requested int
-	finished  bool
 	// asOf tracks the newest response Stamp (zero on the in-sim path).
 	asOf netsim.Time
 }
 
-// collectReq tracks one outstanding collection request attempt.
-type collectReq struct {
-	col     *collection
-	sw      topology.NodeID
-	attempt int
-}
+// reqKind names the three request/response exchanges the controller runs
+// over the channel. They share one lifecycle — issue, timeout, settle —
+// and differ only in the message, in when a request has gone stale, and
+// in what exhausting the retry budget means.
+type reqKind uint8
 
-// refreshReq tracks one outstanding refresh pull attempt.
-type refreshReq struct {
-	sw      topology.NodeID
+const (
+	// reqRefresh is a refresh pull, settled by a refresh response.
+	reqRefresh reqKind = iota
+	// reqCollect is a Ring Table collection from one sink of one
+	// diagnosis, settled by a collect response.
+	reqCollect
+	// reqPush is a threshold push, settled by its acknowledgement.
+	reqPush
+)
+
+// request is one outstanding attempt, keyed by its channel sequence number.
+type request struct {
+	kind reqKind
+	sw   topology.NodeID
+	// attempt counts the retries behind this attempt (refresh, collect).
+	// Pushes count in pushState.attempts instead: that budget is shared by
+	// overlapping retry chains for one key and reset by a new want or an
+	// ack.
 	attempt int
+	col     *collection      // reqCollect
+	flow    dataplane.FlowID // reqPush
 }
 
 // noteKey deduplicates notification deliveries. The sequence number alone
@@ -242,14 +260,19 @@ type pushKey struct {
 
 // pushState tracks threshold convergence for one (switch, flow): the value
 // the controller wants installed, the last value the switch acknowledged,
-// and the in-flight attempt. At most one push per key is outstanding.
+// and whether an attempt is in flight. At most one push per key is
+// outstanding.
 type pushState struct {
 	want          netsim.Time
 	confirmed     netsim.Time
 	haveConfirmed bool
 	inFlight      bool
-	seq           uint64
 	attempts      int
+}
+
+// converged reports whether the switch has acknowledged the wanted value.
+func (ps *pushState) converged() bool {
+	return ps.haveConfirmed && ps.confirmed == ps.want
 }
 
 // Controller is the MARS control plane.
@@ -275,13 +298,13 @@ type Controller struct {
 	started       bool
 
 	// Channel sequencing and outstanding-request state.
-	nextSeq        uint64
-	seenNotes      map[noteKey]bool
-	collectSeqs    map[uint64]collectReq
-	refreshSeqs    map[uint64]refreshReq
+	nextSeq     uint64
+	seenNotes   map[noteKey]bool
+	outstanding map[uint64]request
+	// refreshPending marks sinks whose pull is outstanding or backing off,
+	// so a periodic round does not pile a second one onto them.
 	refreshPending map[topology.NodeID]bool
 	pushes         map[pushKey]*pushState
-	pushSeqs       map[uint64]pushKey
 
 	// suppressed retains the newest notification that arrived inside the
 	// response window, so a diagnosis fires when the window reopens
@@ -317,11 +340,9 @@ func NewWithTransport(cfg Config, clock Clock, prog *dataplane.Program, tr ctrlc
 		reservoirs:     make(map[dataplane.FlowID]*reservoir.Reservoir),
 		lastSeen:       make(map[topology.NodeID]netsim.Time),
 		seenNotes:      make(map[noteKey]bool),
-		collectSeqs:    make(map[uint64]collectReq),
-		refreshSeqs:    make(map[uint64]refreshReq),
+		outstanding:    make(map[uint64]request),
 		refreshPending: make(map[topology.NodeID]bool),
 		pushes:         make(map[pushKey]*pushState),
-		pushSeqs:       make(map[uint64]pushKey),
 	}
 	for _, sw := range c.Topo.Switches() {
 		for _, p := range c.Topo.Node(sw).Ports {
@@ -403,14 +424,108 @@ func (c *Controller) seq() uint64 {
 	return c.nextSeq
 }
 
-// armTimeout schedules fn at the request deadline unless the request was
-// already satisfied synchronously (perfect channel), keeping the event
-// heap untouched on the reliable path.
-func (c *Controller) armTimeout(stillPending func() bool, fn func()) {
-	if !stillPending() {
+// --- The request lifecycle -------------------------------------------------
+//
+// Every controller → switch exchange goes through issue/timeout/settle, so
+// an RTT-estimating deadline or a per-request latency histogram attaches
+// here once (issue knows the send time, settle the answer time) and serves
+// all three kinds.
+
+// issue sends one attempt of r unless it has gone stale: its collection
+// already resolved this sink, or the push is already in flight or
+// acknowledged at the wanted value. A refresh pull is never stale.
+func (c *Controller) issue(r request) {
+	m := ctrlchan.Message{Switch: r.sw}
+	switch r.kind {
+	case reqRefresh:
+		c.refreshPending[r.sw] = true
+		m.Kind, m.Watermark, m.Wire = ctrlchan.KindRefreshRequest, c.lastSeen[r.sw], ctrlchan.RefreshRequestBytes
+		c.Bytes.RequestBytes += m.Wire
+	case reqCollect:
+		if !r.col.pending[r.sw] {
+			return
+		}
+		m.Kind, m.Note, m.Wire = ctrlchan.KindCollectRequest, r.col.trigger, ctrlchan.CollectRequestBytes
+		c.Bytes.RequestBytes += m.Wire
+	case reqPush:
+		ps := c.pushOf(r)
+		if ps.inFlight || ps.converged() {
+			return
+		}
+		ps.inFlight = true
+		m.Kind, m.Flow, m.Threshold, m.Wire = ctrlchan.KindThresholdPush, r.flow, ps.want, dataplane.ThresholdPushBytes
+		c.Bytes.ThresholdPushBytes += m.Wire
+	}
+	seq := c.seq()
+	m.Seq = seq
+	c.outstanding[seq] = r
+	c.tr.Send(ctrlchan.ToSwitch, m, c.deliverToSwitch)
+	// A perfect channel answers inside Send; arming the deadline only for
+	// requests still outstanding keeps the event heap untouched on the
+	// reliable path.
+	if _, pending := c.outstanding[seq]; pending {
+		c.clock.After(c.Cfg.RequestTimeout, func() { c.timeout(seq) })
+	}
+}
+
+// timeout fires at an attempt's deadline: if the attempt is still
+// unanswered it is retried after a backoff while the budget lasts, and
+// given up otherwise. A retried push is re-checked for staleness when its
+// backoff fires (in issue), not here.
+func (c *Controller) timeout(seq uint64) {
+	r, ok := c.outstanding[seq]
+	if !ok {
+		return // answered in time
+	}
+	delete(c.outstanding, seq)
+	attempts := &r.attempt
+	switch r.kind {
+	case reqRefresh:
+	case reqCollect:
+		if !r.col.pending[r.sw] {
+			return
+		}
+	case reqPush:
+		ps := c.pushOf(r)
+		ps.inFlight = false
+		attempts = &ps.attempts
+	}
+	if *attempts < c.Cfg.MaxRetries {
+		*attempts++
+		c.Bytes.Retries++
+		c.clock.After(c.backoff(*attempts), func() { c.issue(r) })
 		return
 	}
-	c.clock.After(c.Cfg.RequestTimeout, fn)
+	switch r.kind {
+	case reqRefresh:
+		// Given up until the next periodic round; the watermark is
+		// unchanged, so no data is lost — only delayed.
+		c.refreshPending[r.sw] = false
+	case reqCollect:
+		r.col.missing = append(r.col.missing, r.sw)
+		c.sinkResolved(r.col, r.sw)
+	case reqPush:
+		// Left unconfirmed, so the next refresh of the flow pushes again
+		// even if the derived value is unchanged.
+	}
+}
+
+// pushOf returns the convergence state a push request works on (created
+// by pushThreshold before the first push for the key is issued).
+func (c *Controller) pushOf(r request) *pushState {
+	return c.pushes[pushKey{sw: r.sw, flow: r.flow}]
+}
+
+// settle matches a response to its outstanding request and retires it.
+// Duplicates, post-timeout stragglers and responses of the wrong kind for
+// their sequence number match nothing.
+func (c *Controller) settle(seq uint64, kind reqKind) (request, bool) {
+	r, ok := c.outstanding[seq]
+	if !ok || r.kind != kind {
+		return request{}, false
+	}
+	delete(c.outstanding, seq)
+	return r, true
 }
 
 // --- Switch-side agent ----------------------------------------------------
@@ -486,52 +601,17 @@ func (c *Controller) Refresh() {
 		if c.refreshPending[sw] {
 			continue
 		}
-		c.sendRefresh(sw, 0)
+		c.issue(request{kind: reqRefresh, sw: sw})
 	}
-}
-
-// sendRefresh issues one refresh pull attempt to sw.
-func (c *Controller) sendRefresh(sw topology.NodeID, attempt int) {
-	c.refreshPending[sw] = true
-	seq := c.seq()
-	c.refreshSeqs[seq] = refreshReq{sw: sw, attempt: attempt}
-	c.Bytes.RequestBytes += ctrlchan.RefreshRequestBytes
-	c.tr.Send(ctrlchan.ToSwitch, ctrlchan.Message{
-		Kind: ctrlchan.KindRefreshRequest, Seq: seq, Switch: sw,
-		Watermark: c.lastSeen[sw], Wire: ctrlchan.RefreshRequestBytes,
-	}, c.deliverToSwitch)
-	c.armTimeout(
-		func() bool { _, ok := c.refreshSeqs[seq]; return ok },
-		func() { c.refreshTimeout(seq) })
-}
-
-// refreshTimeout retries an unanswered pull within the budget, else gives
-// up until the next periodic round (the watermark is unchanged, so no
-// data is lost — only delayed).
-func (c *Controller) refreshTimeout(seq uint64) {
-	req, ok := c.refreshSeqs[seq]
-	if !ok {
-		return // answered in time
-	}
-	delete(c.refreshSeqs, seq)
-	if req.attempt < c.Cfg.MaxRetries {
-		c.Bytes.Retries++
-		c.clock.After(c.backoff(req.attempt+1), func() {
-			c.sendRefresh(req.sw, req.attempt+1)
-		})
-		return
-	}
-	c.refreshPending[req.sw] = false
 }
 
 // onRefreshResponse feeds the reservoirs and pushes refreshed thresholds
 // for the flows this sink updated.
 func (c *Controller) onRefreshResponse(m ctrlchan.Message) {
-	req, ok := c.refreshSeqs[m.Seq]
+	req, ok := c.settle(m.Seq, reqRefresh)
 	if !ok {
-		return // duplicate or post-timeout straggler
+		return
 	}
-	delete(c.refreshSeqs, m.Seq)
 	c.refreshPending[req.sw] = false
 
 	last := c.lastSeen[req.sw]
@@ -574,76 +654,27 @@ func (c *Controller) pushThreshold(flow dataplane.FlowID, th netsim.Time) {
 		if ps.inFlight {
 			continue // resolved on ack/timeout against the new want
 		}
-		if ps.haveConfirmed && ps.confirmed == th {
+		if ps.converged() {
 			continue // value didn't move: no push, no bytes
 		}
 		ps.attempts = 0
-		c.sendPush(k, ps)
-	}
-}
-
-// sendPush issues one push attempt carrying the latest wanted value.
-func (c *Controller) sendPush(k pushKey, ps *pushState) {
-	seq := c.seq()
-	ps.inFlight = true
-	ps.seq = seq
-	c.pushSeqs[seq] = k
-	c.Bytes.ThresholdPushBytes += dataplane.ThresholdPushBytes
-	c.tr.Send(ctrlchan.ToSwitch, ctrlchan.Message{
-		Kind: ctrlchan.KindThresholdPush, Seq: seq, Switch: k.sw,
-		Flow: k.flow, Threshold: ps.want, Wire: dataplane.ThresholdPushBytes,
-	}, c.deliverToSwitch)
-	c.armTimeout(
-		func() bool { _, ok := c.pushSeqs[seq]; return ok },
-		func() { c.pushTimeout(seq) })
-}
-
-// pushTimeout re-sends a lost push within the budget. Past the budget the
-// push state is left unconfirmed, so the next refresh of the flow tries
-// again even if the derived value is unchanged.
-func (c *Controller) pushTimeout(seq uint64) {
-	k, ok := c.pushSeqs[seq]
-	if !ok {
-		return
-	}
-	delete(c.pushSeqs, seq)
-	ps := c.pushes[k]
-	if ps == nil || !ps.inFlight || ps.seq != seq {
-		return
-	}
-	ps.inFlight = false
-	if ps.attempts < c.Cfg.MaxRetries {
-		ps.attempts++
-		c.Bytes.Retries++
-		c.clock.After(c.backoff(ps.attempts), func() {
-			if !ps.inFlight && !(ps.haveConfirmed && ps.confirmed == ps.want) {
-				c.sendPush(k, ps)
-			}
-		})
+		c.issue(request{kind: reqPush, sw: sw, flow: flow})
 	}
 }
 
 // onThresholdAck marks the pushed value confirmed and chases a value that
 // moved while the push was in flight.
 func (c *Controller) onThresholdAck(m ctrlchan.Message) {
-	k, ok := c.pushSeqs[m.Seq]
+	req, ok := c.settle(m.Seq, reqPush)
 	if !ok {
-		return // duplicate ack
-	}
-	delete(c.pushSeqs, m.Seq)
-	ps := c.pushes[k]
-	if ps == nil {
 		return
 	}
+	ps := c.pushOf(req)
 	ps.confirmed = m.Threshold
 	ps.haveConfirmed = true
-	if ps.seq == m.Seq {
-		ps.inFlight = false
-	}
+	ps.inFlight = false
 	ps.attempts = 0
-	if ps.want != ps.confirmed && !ps.inFlight {
-		c.sendPush(k, ps)
-	}
+	c.issue(req) // no-op unless the wanted value moved meanwhile
 }
 
 // --- Notifications and diagnosis collection -------------------------------
@@ -730,69 +761,28 @@ func (c *Controller) startCollection(trigger dataplane.Notification) {
 		col.pending[sw] = true
 	}
 	for _, sw := range c.edgeSwitches {
-		c.sendCollect(col, sw, 0)
-	}
-}
-
-// sendCollect issues one collection request attempt to sw.
-func (c *Controller) sendCollect(col *collection, sw topology.NodeID, attempt int) {
-	if col.finished || !col.pending[sw] {
-		return
-	}
-	seq := c.seq()
-	c.collectSeqs[seq] = collectReq{col: col, sw: sw, attempt: attempt}
-	c.Bytes.RequestBytes += ctrlchan.CollectRequestBytes
-	c.tr.Send(ctrlchan.ToSwitch, ctrlchan.Message{
-		Kind: ctrlchan.KindCollectRequest, Seq: seq, Switch: sw,
-		Note: col.trigger, Wire: ctrlchan.CollectRequestBytes,
-	}, c.deliverToSwitch)
-	c.armTimeout(
-		func() bool { _, ok := c.collectSeqs[seq]; return ok },
-		func() { c.collectTimeout(seq) })
-}
-
-// collectTimeout retries an unanswered collection request, or marks the
-// sink missing once the budget is spent.
-func (c *Controller) collectTimeout(seq uint64) {
-	req, ok := c.collectSeqs[seq]
-	if !ok {
-		return
-	}
-	delete(c.collectSeqs, seq)
-	col := req.col
-	if col.finished || !col.pending[req.sw] {
-		return
-	}
-	if req.attempt < c.Cfg.MaxRetries {
-		c.Bytes.Retries++
-		c.clock.After(c.backoff(req.attempt+1), func() {
-			c.sendCollect(col, req.sw, req.attempt+1)
-		})
-		return
-	}
-	delete(col.pending, req.sw)
-	col.missing = append(col.missing, req.sw)
-	if len(col.pending) == 0 {
-		c.finalizeCollection(col)
+		c.issue(request{kind: reqCollect, sw: sw, col: col})
 	}
 }
 
 // onCollectResponse folds one sink's snapshot into its collection.
 func (c *Controller) onCollectResponse(m ctrlchan.Message) {
-	req, ok := c.collectSeqs[m.Seq]
-	if !ok {
-		return // duplicate or post-timeout straggler
-	}
-	delete(c.collectSeqs, m.Seq)
-	col := req.col
-	if col.finished || !col.pending[req.sw] {
+	req, ok := c.settle(m.Seq, reqCollect)
+	if !ok || !req.col.pending[req.sw] {
 		return
 	}
-	delete(col.pending, req.sw)
+	col := req.col
 	col.records = append(col.records, m.Records...)
 	if m.Stamp > col.asOf {
 		col.asOf = m.Stamp
 	}
+	c.sinkResolved(col, req.sw)
+}
+
+// sinkResolved retires sw from its collection — answered, or given up on —
+// and finalizes the diagnosis once no sink is pending.
+func (c *Controller) sinkResolved(col *collection, sw topology.NodeID) {
+	delete(col.pending, sw)
 	if len(col.pending) == 0 {
 		c.finalizeCollection(col)
 	}
@@ -810,7 +800,6 @@ func (c *Controller) recordBytes() int64 {
 // finalizeCollection runs the codec decoder over the collected snapshot
 // and hands the (possibly partial) diagnosis to RCA.
 func (c *Controller) finalizeCollection(col *collection) {
-	col.finished = true
 	c.Bytes.Diagnoses++
 	if len(col.missing) > 0 {
 		c.Bytes.PartialDiagnoses++

@@ -18,7 +18,7 @@ import (
 // The stream trial is the continuous-operation tier: the same sharded
 // k=16 data-plane simulation as the scale trial, but instead of one
 // post-hoc diagnosis the sink records feed internal/stream epoch by
-// epoch — bounded per-flow state, sliding-window incremental mining, a
+// epoch — bounded per-flow state, sliding-window analysis, a
 // cross-unit culprit merge per window — while a silent-drop gray failure
 // turns on and off mid-run. The trial reports the streaming service's
 // whole observable surface: detection latency from fault injection to

@@ -10,9 +10,10 @@
 //
 // Semantics: MARS treats a "link" pattern ⟨a,b⟩ as two *adjacent* switches
 // on a path (the paper's worked example keeps ⟨s3,s2⟩ but not ⟨s3,s4⟩ for
-// path ⟨s3,s2,s4⟩), i.e. contiguous substring matching. The classic
-// gap-allowed subsequence semantics of the original algorithms is also
-// supported via Params.AllowGaps, and both are exercised in tests.
+// path ⟨s3,s2,s4⟩), i.e. contiguous substring matching under a relative
+// support floor. That is the only semantics the package implements: the
+// original algorithms' gap-allowed subsequences have no meaning for
+// switch/link culprits.
 package fsm
 
 import (
@@ -62,28 +63,19 @@ func seqKey(items []Item) string {
 
 // Params configures a mining run.
 type Params struct {
-	// MinSupport is the absolute support floor. If zero, MinRelSupport
-	// applies instead.
-	MinSupport int
 	// MinRelSupport is the relative support floor as a fraction of the
 	// database size (the paper's example uses 50%).
 	MinRelSupport float64
 	// MaxLen caps pattern length; 0 means unlimited. MARS uses 2.
 	MaxLen int
-	// AllowGaps selects classic subsequence semantics; false (default)
-	// requires contiguous substring matches, which is what MARS's
-	// link-or-switch patterns mean.
-	AllowGaps bool
 }
 
-// minSupport resolves the effective absolute support for db.
-func (p Params) minSupport(db Dataset) int {
-	ms := p.MinSupport
-	if ms <= 0 {
-		ms = int(p.MinRelSupport * float64(len(db)))
-		if ms < 1 {
-			ms = 1
-		}
+// minSupport resolves the absolute support floor over n sequences (at
+// least 1: a pattern must occur to be reported).
+func (p Params) minSupport(n int) int {
+	ms := int(p.MinRelSupport * float64(n))
+	if ms < 1 {
+		ms = 1
 	}
 	return ms
 }
@@ -126,23 +118,8 @@ func ByName(name string) Miner {
 	return nil
 }
 
-// Contains reports whether seq contains pat under the given semantics.
-func Contains(seq Sequence, pat []Item, allowGaps bool) bool {
-	if len(pat) == 0 {
-		return true
-	}
-	if allowGaps {
-		i := 0
-		for _, it := range seq {
-			if it == pat[i] {
-				i++
-				if i == len(pat) {
-					return true
-				}
-			}
-		}
-		return false
-	}
+// Contains reports whether pat occurs in seq as a contiguous run.
+func Contains(seq Sequence, pat []Item) bool {
 outer:
 	for i := 0; i+len(pat) <= len(seq); i++ {
 		for j := range pat {
@@ -198,9 +175,8 @@ func frequentItems(db Dataset, minSup int) []Pattern {
 	return out
 }
 
-// NaiveMiner enumerates every distinct substring/subsequence up to MaxLen
-// and counts support by scanning. It is the test oracle and is
-// exponential for gap semantics on long sequences — use only on small
+// NaiveMiner enumerates every distinct substring up to MaxLen and counts
+// support by scanning. It is the test oracle — use only on small
 // databases.
 type NaiveMiner struct{}
 
@@ -209,18 +185,14 @@ func (NaiveMiner) Name() string { return "naive" }
 
 // Mine implements Miner.
 func (NaiveMiner) Mine(db Dataset, p Params) []Pattern {
-	minSup := p.minSupport(db)
+	minSup := p.minSupport(len(db))
 	maxLen := p.maxLen()
 	cands := map[string][]Item{}
 	for _, seq := range db {
-		if p.AllowGaps {
-			collectSubseqs(seq, maxLen, cands)
-		} else {
-			for i := range seq {
-				for l := 1; l <= maxLen && i+l <= len(seq); l++ {
-					sub := seq[i : i+l]
-					cands[seqKey(sub)] = append([]Item{}, sub...)
-				}
+		for i := range seq {
+			for l := 1; l <= maxLen && i+l <= len(seq); l++ {
+				sub := seq[i : i+l]
+				cands[seqKey(sub)] = append([]Item{}, sub...)
 			}
 		}
 	}
@@ -229,7 +201,7 @@ func (NaiveMiner) Mine(db Dataset, p Params) []Pattern {
 		items := cands[k]
 		sup := 0
 		for _, seq := range db {
-			if Contains(seq, items, p.AllowGaps) {
+			if Contains(seq, items) {
 				sup++
 			}
 		}
@@ -238,20 +210,4 @@ func (NaiveMiner) Mine(db Dataset, p Params) []Pattern {
 		}
 	}
 	return sortPatterns(out)
-}
-
-func collectSubseqs(seq Sequence, maxLen int, into map[string][]Item) {
-	var rec func(start int, cur []Item)
-	rec = func(start int, cur []Item) {
-		if len(cur) > 0 {
-			into[seqKey(cur)] = append([]Item{}, cur...)
-		}
-		if len(cur) == maxLen {
-			return
-		}
-		for i := start; i < len(seq); i++ {
-			rec(i+1, append(cur, seq[i]))
-		}
-	}
-	rec(0, nil)
 }

@@ -5,23 +5,30 @@ import "mars/internal/det"
 // Incremental maintains the frequent-pattern state of a sliding window
 // without re-mining from scratch: sequences are added when their epoch
 // enters the window and removed when it expires, and the per-pattern
-// support counts update by the delta only. It implements the contiguous
-// (gap-free) semantics MARS uses for switch/link culprits; pattern length
-// is capped at construction.
+// support counts update by the delta only. Pattern length is capped at
+// construction.
 //
-// Two read paths serve the stream service:
+// The stream service no longer uses it. RCA mines the abnormal subset of a
+// window's records, each expanded by its PathCount, so the index's supports
+// (every sampled path, multiplicity 1) were never the supports RCA needs;
+// all the service took from it was its key set as a candidate list, and
+// scanning that list cost more than mining the window from scratch (DESIGN
+// §14). The type stays only because bench/'s
+// fsm.incr_mine_us_per_window_est probe constructs it, and goes with that
+// probe in the next benchmark PR.
+//
+// Two read paths:
 //
 //   - Patterns(p) mines the indexed multiset itself — exactly what a batch
 //     miner would return over the same dataset (the equivalence tests pin
 //     this against PrefixSpan and the naive oracle);
-//   - Miner() adapts the index to the rca seam: Mine(db, p) counts each
-//     indexed candidate's support over db exactly. Because every db the
-//     analyzer builds is drawn from window records whose paths are
-//     indexed, and a contiguous pattern frequent in a subset necessarily
-//     occurs in some indexed sequence, the candidate set is complete — the
-//     adapter's output equals a from-scratch mine of db.
+//   - Miner() adapts the index to the Miner seam: Mine(db, p) counts each
+//     indexed candidate's support over db exactly. When every sequence of
+//     db is indexed, a pattern frequent in db necessarily occurs in some
+//     indexed sequence, so the candidate set is complete and the output
+//     equals a from-scratch mine of db.
 //
-// Not safe for concurrent use; each stream unit owns one index.
+// Not safe for concurrent use.
 type Incremental struct {
 	maxLen int
 	// counts maps pattern key → entry. Support counts sequences (with
@@ -84,8 +91,7 @@ func (x *Incremental) Add(seq Sequence) {
 }
 
 // Remove un-indexes one sequence previously passed to Add. Removing a
-// sequence that was never added corrupts the counts; the stream service
-// pairs every Remove with the Add of the expiring epoch bucket.
+// sequence that was never added corrupts the counts.
 func (x *Incremental) Remove(seq Sequence) {
 	if x.size == 0 {
 		panic("fsm: Remove on empty incremental index")
@@ -107,13 +113,7 @@ func (x *Incremental) Remove(seq Sequence) {
 // p's support floor over the Len() indexed sequences, in the canonical
 // order (support desc, length asc, lexicographic).
 func (x *Incremental) Patterns(p Params) []Pattern {
-	minSup := p.MinSupport
-	if minSup <= 0 {
-		minSup = int(p.MinRelSupport * float64(x.size))
-		if minSup < 1 {
-			minSup = 1
-		}
-	}
+	minSup := p.minSupport(x.size)
 	maxLen := p.maxLen()
 	var out []Pattern
 	for _, k := range det.Keys(x.counts) {
@@ -125,9 +125,8 @@ func (x *Incremental) Patterns(p Params) []Pattern {
 	return sortPatterns(out)
 }
 
-// Miner returns a Miner view of the index for the rca seam. See the type
-// comment for the completeness argument; the adapter requires contiguous
-// semantics (Params.AllowGaps false) and a MaxLen no larger than the
+// Miner returns a Miner view of the index. See the type comment for the
+// completeness argument; the adapter requires a MaxLen no larger than the
 // index's.
 func (x *Incremental) Miner() Miner { return windowMiner{x} }
 
@@ -139,10 +138,7 @@ func (windowMiner) Name() string { return "incremental-window" }
 // Mine implements Miner: exact support counting of the indexed candidate
 // patterns over db.
 func (m windowMiner) Mine(db Dataset, p Params) []Pattern {
-	if p.AllowGaps {
-		panic("fsm: incremental window miner requires contiguous semantics")
-	}
-	minSup := p.minSupport(db)
+	minSup := p.minSupport(len(db))
 	maxLen := p.maxLen()
 	var out []Pattern
 	for _, k := range det.Keys(m.x.counts) {
@@ -152,7 +148,7 @@ func (m windowMiner) Mine(db Dataset, p Params) []Pattern {
 		}
 		sup := 0
 		for _, seq := range db {
-			if Contains(seq, e.items, false) {
+			if Contains(seq, e.items) {
 				sup++
 			}
 		}

@@ -16,9 +16,8 @@ func NewPrefixSpan() *PrefixSpan { return &PrefixSpan{} }
 func (*PrefixSpan) Name() string { return "PrefixSpan" }
 
 // projEntry locates occurrences of the current prefix in one sequence.
-// For gap semantics a single earliest end position suffices; for
-// contiguous semantics all end positions are kept because extensions must
-// continue from a specific occurrence.
+// All end positions are kept because a contiguous extension must continue
+// from a specific occurrence.
 type projEntry struct {
 	seq  int
 	ends []int32 // positions just past each prefix occurrence
@@ -26,7 +25,7 @@ type projEntry struct {
 
 // Mine implements Miner.
 func (*PrefixSpan) Mine(db Dataset, p Params) []Pattern {
-	minSup := p.minSupport(db)
+	minSup := p.minSupport(len(db))
 	maxLen := p.maxLen()
 	var out []Pattern
 
@@ -42,23 +41,12 @@ func (*PrefixSpan) Mine(db Dataset, p Params) []Pattern {
 		for _, pe := range proj {
 			seq := db[pe.seq]
 			seen := map[Item]bool{}
-			if p.AllowGaps {
-				// Earliest end is first (ends sorted); any later item extends.
-				for i := pe.ends[0]; i < int32(len(seq)); i++ {
-					it := seq[i]
+			for _, e := range pe.ends {
+				if e < int32(len(seq)) {
+					it := seq[e]
 					if !seen[it] {
 						seen[it] = true
 						counts[it]++
-					}
-				}
-			} else {
-				for _, e := range pe.ends {
-					if e < int32(len(seq)) {
-						it := seq[e]
-						if !seen[it] {
-							seen[it] = true
-							counts[it]++
-						}
 					}
 				}
 			}
@@ -73,18 +61,9 @@ func (*PrefixSpan) Mine(db Dataset, p Params) []Pattern {
 			for _, pe := range proj {
 				seq := db[pe.seq]
 				var ends []int32
-				if p.AllowGaps {
-					for i := pe.ends[0]; i < int32(len(seq)); i++ {
-						if seq[i] == it {
-							ends = append(ends, i+1)
-							break // earliest match suffices
-						}
-					}
-				} else {
-					for _, e := range pe.ends {
-						if e < int32(len(seq)) && seq[e] == it {
-							ends = append(ends, e+1)
-						}
+				for _, e := range pe.ends {
+					if e < int32(len(seq)) && seq[e] == it {
+						ends = append(ends, e+1)
 					}
 				}
 				if len(ends) > 0 {
@@ -105,9 +84,6 @@ func (*PrefixSpan) Mine(db Dataset, p Params) []Pattern {
 			for i, x := range seq {
 				if x == it {
 					ends = append(ends, int32(i+1))
-					if p.AllowGaps {
-						break
-					}
 				}
 			}
 			if len(ends) > 0 {

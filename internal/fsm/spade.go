@@ -31,7 +31,7 @@ type idOcc struct {
 
 // Mine implements Miner.
 func (s *Spade) Mine(db Dataset, p Params) []Pattern {
-	minSup := p.minSupport(db)
+	minSup := p.minSupport(len(db))
 	maxLen := p.maxLen()
 
 	// Build 1-item vertical id-lists.
@@ -53,7 +53,7 @@ func (s *Spade) Mine(db Dataset, p Params) []Pattern {
 	useCmap := s.cmap != nil
 	var cmap map[[2]Item]bool
 	if useCmap {
-		cmap = buildCMAP(db, minSup, p.AllowGaps)
+		cmap = buildCMAP(db, minSup)
 	}
 
 	var out []Pattern
@@ -72,7 +72,7 @@ func (s *Spade) Mine(db Dataset, p Params) []Pattern {
 			if useCmap && !cmap[[2]Item{last, it}] {
 				continue
 			}
-			joined := temporalJoin(list, itemLists[it], p.AllowGaps)
+			joined := temporalJoin(list, itemLists[it])
 			if supportOf(joined) >= minSup {
 				dfs(append(prefix, it), joined)
 			}
@@ -98,10 +98,10 @@ func supportOf(list []idOcc) int {
 }
 
 // temporalJoin extends a pattern id-list with an item id-list: the result
-// holds occurrences where the item appears after (gap semantics) or
-// immediately after (contiguous) an occurrence of the pattern, per
-// sequence. Both inputs are sorted by (sid, eid); so is the output.
-func temporalJoin(pat, item []idOcc, allowGaps bool) []idOcc {
+// holds occurrences where the item appears immediately after an occurrence
+// of the pattern, per sequence. Both inputs are sorted by (sid, eid); so
+// is the output.
+func temporalJoin(pat, item []idOcc) []idOcc {
 	var out []idOcc
 	i, j := 0, 0
 	for i < len(pat) && j < len(item) {
@@ -121,26 +121,14 @@ func temporalJoin(pat, item []idOcc, allowGaps bool) []idOcc {
 			for ji < len(item) && item[ji].sid == sid {
 				ji++
 			}
-			if allowGaps {
-				// Earliest pattern end; every later item position matches,
-				// but for id-list correctness keep each item position that
-				// has some pattern occurrence before it.
-				minEnd := pat[i].eid
-				for k := j; k < ji; k++ {
-					if item[k].eid > minEnd {
-						out = append(out, idOcc{sid, item[k].eid})
-					}
-				}
-			} else {
-				// Contiguous: item position must be exactly pattern end + 1.
-				ends := map[int32]bool{}
-				for k := i; k < pi; k++ {
-					ends[pat[k].eid] = true
-				}
-				for k := j; k < ji; k++ {
-					if ends[item[k].eid-1] {
-						out = append(out, idOcc{sid, item[k].eid})
-					}
+			// Contiguous: item position must be exactly pattern end + 1.
+			ends := map[int32]bool{}
+			for k := i; k < pi; k++ {
+				ends[pat[k].eid] = true
+			}
+			for k := j; k < ji; k++ {
+				if ends[item[k].eid-1] {
+					out = append(out, idOcc{sid, item[k].eid})
 				}
 			}
 			i, j = pi, ji
@@ -152,20 +140,12 @@ func temporalJoin(pat, item []idOcc, allowGaps bool) []idOcc {
 // buildCMAP records ordered item pairs whose 2-pattern support reaches
 // minSup; any longer pattern ending in a pair absent from the map cannot
 // be frequent, so DFS extensions are pruned without a join.
-func buildCMAP(db Dataset, minSup int, allowGaps bool) map[[2]Item]bool {
+func buildCMAP(db Dataset, minSup int) map[[2]Item]bool {
 	counts := map[[2]Item]int{}
 	for _, seq := range db {
 		seen := map[[2]Item]bool{}
-		if allowGaps {
-			for i := 0; i < len(seq); i++ {
-				for j := i + 1; j < len(seq); j++ {
-					seen[[2]Item{seq[i], seq[j]}] = true
-				}
-			}
-		} else {
-			for i := 0; i+1 < len(seq); i++ {
-				seen[[2]Item{seq[i], seq[i+1]}] = true
-			}
+		for i := 0; i+1 < len(seq); i++ {
+			seen[[2]Item{seq[i], seq[i+1]}] = true
 		}
 		//mars:mapiter-ok integer counting into a map is order-independent
 		for k := range seen {

@@ -1,16 +1,12 @@
 package fsm
 
-import (
-	"math/bits"
-
-	"mars/internal/det"
-)
+import "mars/internal/det"
 
 // Spam is SPAM (Ayres et al., KDD'02): the database is encoded as one
 // bitmap per item with a bit per position of every sequence, and a
 // pattern's occurrences are a bitmap of its end positions. An S-step
-// extension shifts the pattern bitmap into the "positions after" mask and
-// ANDs the item bitmap — all support counting is word-parallel popcounts.
+// extension shifts the pattern bitmap onto the next position of each
+// sequence and ANDs the item bitmap.
 //
 // The same engine also serves LAPIN-SPAM (Yang & Kitsuregawa, ICDE'05
 // workshop): before paying for the shift+AND, the item's last position in
@@ -67,7 +63,7 @@ func (b bitmap) empty() bool {
 
 // Mine implements Miner.
 func (s *Spam) Mine(db Dataset, p Params) []Pattern {
-	minSup := p.minSupport(db)
+	minSup := p.minSupport(len(db))
 	maxLen := p.maxLen()
 
 	totalBits := int32(0)
@@ -110,7 +106,7 @@ func (s *Spam) Mine(db Dataset, p Params) []Pattern {
 
 	var cmap map[[2]Item]bool
 	if s.cmap {
-		cmap = buildCMAP(db, minSup, p.AllowGaps)
+		cmap = buildCMAP(db, minSup)
 	}
 
 	var out []Pattern
@@ -132,7 +128,7 @@ func (s *Spam) Mine(db Dataset, p Params) []Pattern {
 			if s.lapin && !s.lapinViable(bdb, bm, it, minSup) {
 				continue
 			}
-			ext := s.sStep(bdb, bm, p.AllowGaps)
+			ext := s.sStep(bdb, bm)
 			ext.and(itemBitmaps[it])
 			if !ext.empty() {
 				dfs(append(prefix, it), ext)
@@ -145,33 +141,16 @@ func (s *Spam) Mine(db Dataset, p Params) []Pattern {
 	return sortPatterns(out)
 }
 
-// sStep transforms an end-position bitmap into the extension mask: for
-// gap semantics all later positions within the same sequence; for
-// contiguous semantics exactly the next position.
-func (s *Spam) sStep(bdb *bitmapDB, bm bitmap, allowGaps bool) bitmap {
+// sStep transforms an end-position bitmap into the extension mask: the
+// next position within the same sequence.
+func (s *Spam) sStep(bdb *bitmapDB, bm bitmap) bitmap {
 	out := newBitmap(bdb.words)
 	for si := range bdb.offset {
 		start := bdb.offset[si]
 		end := start + bdb.lengths[si]
-		if allowGaps {
-			// Find first set bit in [start,end); set all bits after it.
-			first := int32(-1)
-			for i := start; i < end; i++ {
-				if bm.get(i) {
-					first = i
-					break
-				}
-			}
-			if first >= 0 {
-				for i := first + 1; i < end; i++ {
-					out.set(i)
-				}
-			}
-		} else {
-			for i := start; i < end-1; i++ {
-				if bm.get(i) {
-					out.set(i + 1)
-				}
+		for i := start; i < end-1; i++ {
+			if bm.get(i) {
+				out.set(i + 1)
 			}
 		}
 	}
@@ -219,13 +198,4 @@ func (s *Spam) lapinViable(bdb *bitmapDB, bm bitmap, it Item, minSup int) bool {
 		}
 	}
 	return viable >= minSup
-}
-
-// popcount is retained for potential word-level support counting.
-func popcount(b bitmap) int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }

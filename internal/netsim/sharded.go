@@ -49,7 +49,6 @@ type Sharded struct {
 
 	serial   bool
 	progress ShardProgress
-	every    int64
 
 	// Worker pool (parallel mode): one goroutine per shard, fed window
 	// ends over cmd and reporting event counts over res. Started lazily on
@@ -79,11 +78,12 @@ type ShardedConfig struct {
 	// goroutine (no worker pool). Used by the alloc guard, and the
 	// automatic choice when only one shard exists or GOMAXPROCS is 1.
 	Serial bool
-	// Progress, if non-nil, is invoked every ProgressEvery rounds.
+	// Progress, if non-nil, is invoked every progressEvery rounds.
 	Progress ShardProgress
-	// ProgressEvery defaults to 4096 rounds.
-	ProgressEvery int
 }
+
+// progressEvery is the barrier-round period of ShardedConfig.Progress.
+const progressEvery = 4096
 
 // NewSharded builds the sharded engine. Every shard gets its own
 // Simulator with hooks from hooksFor (nil means no pipeline anywhere);
@@ -113,10 +113,6 @@ func NewSharded(topo *topology.Topology, part *topology.Partition, router Router
 		events:   make([]int64, n),
 		serial:   scfg.Serial || n == 1 || runtime.GOMAXPROCS(0) == 1,
 		progress: scfg.Progress,
-		every:    int64(scfg.ProgressEvery),
-	}
-	if sh.every <= 0 {
-		sh.every = 4096
 	}
 	for u := range sh.shardOf {
 		sh.shardOf[u] = int32(u % n)
@@ -275,7 +271,7 @@ func (sh *Sharded) Run(until Time) Time {
 		sh.runRound(end)
 		sh.exchange()
 		sh.rounds++
-		if sh.progress != nil && sh.rounds%sh.every == 0 {
+		if sh.progress != nil && sh.rounds%progressEvery == 0 {
 			sh.progress(end, sh.events)
 		}
 	}

@@ -77,9 +77,6 @@ func TestEpochGapIsDirectDropEvidence(t *testing.T) {
 	if got := a.dropAffectedFlows(d); !got[flow] {
 		t.Error("epoch gap not treated as drop evidence")
 	}
-	if !a.hasDropEvidence(d) {
-		t.Error("hasDropEvidence false despite gap")
-	}
 }
 
 func TestIsBurstyAbsoluteRate(t *testing.T) {

@@ -179,9 +179,6 @@ type Config struct {
 	// ImbalanceRatio: per-path throughput max/min at an ECMP divergence at
 	// or above this matches the ECMP signature.
 	ImbalanceRatio float64
-	// StablePPSFactor: peak/median epoch rate below this counts as
-	// "pps remains relatively stable".
-	StablePPSFactor float64
 	// DropCountThreshold mirrors the data plane's drop trigger.
 	DropCountThreshold uint32
 	// MinAbnormalRecords is the least number of over-threshold telemetry
@@ -228,7 +225,6 @@ func DefaultConfig() Config {
 		QueueCongested:       8,
 		CongestionFactor:     2.5,
 		ImbalanceRatio:       2.5,
-		StablePPSFactor:      2.0,
 		DropCountThreshold:   3,
 		MinAbnormalRecords:   4,
 		RecentWindow:         400 * netsim.Millisecond,
@@ -288,24 +284,26 @@ func (a *Analyzer) Analyze(d controlplane.Diagnosis) []Culprit {
 		ev.dropFlagged, ev.flagged = true, d.Trigger.Flow
 	}
 	lat := a.analyzeLatency(ev)
-	runDrop := false
-	if len(lat) == 0 {
-		runDrop = a.hasDropEvidence(ev)
-	} else if ev.dropFlagged {
-		// The data plane explicitly flagged loss: report both views.
-		runDrop = true
-	} else if a.Cfg.CompoundCauses {
-		// Gray failures hide behind latency noise: a silently lossy link
-		// produces small per-flow deficits that never trip the data plane's
-		// drop trigger, while incidental latency culprits keep the drop
-		// pipeline from ever running. Compound mode always cross-checks
-		// cumulative loss evidence so persistent gray loss accumulates rank
-		// across diagnoses even when each one also has a latency story.
-		runDrop = a.hasDropEvidence(ev)
+	// The flows with sustained loss both decide whether the drop view runs
+	// and form its abnormal set. The trigger kind alone is NOT trusted as
+	// evidence: a switch's single-epoch count comparison false-fires on
+	// latency displacement, and only sustained deficits in the collected
+	// data count as loss. With a latency explanation in hand the set is
+	// consulted only when the data plane explicitly flagged loss (report
+	// both views) or in compound mode. Gray failures hide behind latency
+	// noise: a silently lossy link produces small per-flow deficits that
+	// never trip the data plane's drop trigger, while incidental latency
+	// culprits keep the drop pipeline from ever running, so compound mode
+	// always cross-checks cumulative loss evidence and persistent gray loss
+	// accumulates rank across diagnoses even when each one also has a
+	// latency story.
+	var affected map[dataplane.FlowID]bool
+	if len(lat) == 0 || ev.dropFlagged || a.Cfg.CompoundCauses {
+		affected = a.dropAffectedFlows(ev)
 	}
 	out := lat
-	if runDrop {
-		out = combineViews(lat, a.analyzeDrop(ev))
+	if len(affected) > 0 || (len(lat) > 0 && ev.dropFlagged) {
+		out = combineViews(lat, a.analyzeDrop(ev, affected))
 	}
 	// Degraded mode: a partial collection (missing sinks) still yields a
 	// ranking, but every culprit carries the data coverage behind it so
@@ -411,7 +409,7 @@ func (a *Analyzer) dropAffectedFlows(ev evidence) map[dataplane.FlowID]bool {
 }
 
 // Note: the data plane's per-epoch trigger is deliberately jumpy (a switch
-// cannot afford history); the functions above re-verify its claim against
+// cannot afford history); dropAffectedFlows re-verifies its claim against
 // the cumulative window before any drop diagnosis runs.
 
 func min64(a uint64, b uint64) uint64 {
@@ -419,14 +417,6 @@ func min64(a uint64, b uint64) uint64 {
 		return a
 	}
 	return b
-}
-
-// hasDropEvidence reports whether the evidence carries recent cumulative
-// drop indicators. The trigger kind alone is NOT trusted: a switch's
-// single-epoch count comparison false-fires on latency displacement, and
-// only sustained deficits in the collected data count as loss.
-func (a *Analyzer) hasDropEvidence(ev evidence) bool {
-	return len(a.dropAffectedFlows(ev)) > 0
 }
 
 // decode resolves a record's PathID to its switch path.

@@ -23,8 +23,6 @@ type flowStats struct {
 	// pathCounts maps decoded path (by key) -> packets across records.
 	pathCounts map[string]float64
 	paths      map[string]topology.Path
-	// maxQueueDepth is the largest accumulated queue depth seen.
-	maxQueueDepth uint32
 	// abnormalQueueDepths collects depths of the flow's over-threshold
 	// records; the congestion signature uses their median, which is robust
 	// to a single queue blip.
@@ -119,9 +117,6 @@ func (a *Analyzer) collectFlowStats(records []dataplane.RTRecord) map[dataplane.
 			if abnormal {
 				fs.pathAbnormal[k] += float64(r.PathCount) + 1
 			}
-		}
-		if r.TotalQueueDepth > fs.maxQueueDepth {
-			fs.maxQueueDepth = r.TotalQueueDepth
 		}
 		if !fs.hasEpoch || r.Epoch < fs.minEpoch {
 			fs.minEpoch = r.Epoch
@@ -301,10 +296,6 @@ func (a *Analyzer) ecmpUpstream(fs *flowStats, sub []topology.NodeID) (topology.
 	return best, found
 }
 
-// DebugTrace, when set, receives per-(pattern, flow) signature inputs.
-// Test-only instrumentation.
-var DebugTrace func(flow dataplane.FlowID, sub []topology.NodeID, peak uint32, base float64, epochs int, qmed, baseQ float64)
-
 // analyzeLatency is the high-latency diagnosis path (§4.4.1-4.4.4).
 func (a *Analyzer) analyzeLatency(ev evidence) []Culprit {
 	est := a.estimate(ev.records)
@@ -354,10 +345,6 @@ func (a *Analyzer) analyzeLatency(ev evidence) []Culprit {
 			baseQ = m
 		}
 	}
-	congested := func(fs *flowStats) bool {
-		m := fs.abnormalQueueMedian()
-		return m >= float64(a.Cfg.QueueCongested) && m >= a.Cfg.CongestionFactor*baseQ
-	}
 
 	// Alg. 3: for every culprit pattern, inspect the flows that traverse
 	// it in the diagnosis data (all flows, not only flagged ones — the
@@ -401,10 +388,6 @@ func (a *Analyzer) analyzeLatency(ev evidence) []Culprit {
 		for _, flow := range det.KeysFunc(flowPkts, flowLess) {
 			cnt := flowPkts[flow]
 			fs := stats[flow]
-			if DebugTrace != nil {
-				peak, base := fs.peakAndBaseline()
-				DebugTrace(flow, sp.sub, peak, base, len(fs.epochCounts), fs.abnormalQueueMedian(), baseQ)
-			}
 			if a.isBursty(fs, sinkRanges[flow.Sink], globalMed) {
 				burstFound = true
 				culprits = append(culprits, Culprit{
@@ -499,15 +482,14 @@ func (a *Analyzer) analyzeLatency(ev evidence) []Culprit {
 		}
 		culprits = append(culprits, c)
 	}
-	_ = congested
 	return rank(mergeCulprits(culprits))
 }
 
 // analyzeDrop is the separate drop-diagnosis logic (§4.4.4 "Drop"): the
-// affected flows form the abnormal set and a second SBFL instance ranks
-// the shared locations.
-func (a *Analyzer) analyzeDrop(ev evidence) []Culprit {
-	affected := a.dropAffectedFlows(ev)
+// affected flows (dropAffectedFlows of ev, plus the flow a drop trigger
+// flagged) form the abnormal set and a second SBFL instance ranks the
+// shared locations.
+func (a *Analyzer) analyzeDrop(ev evidence, affected map[dataplane.FlowID]bool) []Culprit {
 	if ev.dropFlagged {
 		affected[ev.flagged] = true
 	}

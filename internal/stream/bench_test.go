@@ -33,8 +33,8 @@ func warmService(tb testing.TB, epochs uint32) (*Service, *testFabric) {
 
 // TestStreamIngestAllocs pins the steady-state ingest hot path at zero
 // allocations per record: flow lookup, reservoir input (scratch-buffer
-// refresh), path decode, and Algorithm-R replacement must all run
-// allocation-free once warm.
+// refresh), and Algorithm-R replacement must all run allocation-free once
+// warm.
 func TestStreamIngestAllocs(t *testing.T) {
 	s, f := warmService(t, 4)
 	p := f.pathsInto(t, f.ft.EdgeIDs[0])[0]

@@ -4,7 +4,7 @@
 //
 // Shape (§ DESIGN.md 14):
 //
-//	ingest → bounded flow state → sliding-window incremental mining → merge
+//	ingest → bounded flow state → sliding-window analysis → merge
 //
 // Records tap out of the data plane through Program.OnRecord and are
 // routed to a per-unit state shard keyed by the sink switch's
@@ -19,9 +19,9 @@
 // unit retains at most EpochSampleCap records per epoch regardless of how
 // many flows terminate there.
 //
-// Every closed window re-scores through the unchanged rca pipeline; the
-// fsm.Incremental index updates by epoch deltas instead of re-mining, and
-// per-unit culprit lists merge under the PR 1 Confidence rules
+// Every closed window re-scores through the unchanged rca pipeline —
+// mined by the analyzer's configured miner, exactly as a batch diagnosis
+// is — and per-unit culprit lists merge under the PR 1 Confidence rules
 // (rca.MergeRanked) with the window's sampling coverage as confidence.
 package stream
 
@@ -30,7 +30,6 @@ import (
 	"sync"
 
 	"mars/internal/dataplane"
-	"mars/internal/fsm"
 	"mars/internal/metrics"
 	"mars/internal/netsim"
 	"mars/internal/pathid"
@@ -59,9 +58,9 @@ type Config struct {
 	Workers int
 	// Seed drives the per-unit sampling RNG streams.
 	Seed int64
-	// RCA configures the per-window scorer. Miner is overridden per unit
-	// with the incremental window index; RecentWindow and EpochDuration
-	// are aligned to the window geometry if left zero.
+	// RCA configures the per-window scorer (its Miner mines every
+	// window); RecentWindow and EpochDuration are aligned to the window
+	// geometry if left zero.
 	RCA rca.Config
 	// Reservoir configures the per-flow latency reservoirs.
 	Reservoir reservoir.Config
@@ -89,8 +88,8 @@ const (
 	// flowStateOverheadBytes covers the flowState struct, map entry, and
 	// reservoir bookkeeping beyond the sample slice.
 	flowStateOverheadBytes = 128
-	// sampleEntryBytes covers one retained record plus its decoded-path
-	// and sequence headers.
+	// sampleEntryBytes covers one retained record and its share of the
+	// bucket bookkeeping.
 	sampleEntryBytes = 160
 )
 
@@ -129,8 +128,8 @@ type Service struct {
 	flowsRes  metrics.Gauge
 	lag       metrics.Gauge
 
-	// finalizedThrough is the newest epoch whose bucket is sealed and
-	// indexed; -1 before any.
+	// finalizedThrough is the newest sealed epoch (records for it or
+	// older are late); -1 before any.
 	finalizedThrough int64
 	// maxEpoch is the newest epoch observed on any record.
 	maxEpoch int64
@@ -205,9 +204,15 @@ func (s *Service) Merged() []rca.Culprit { return rca.MergeRanked(s.lists) }
 
 // Ingest routes one sink record to its unit shard. Records for epochs
 // already sealed are counted late and dropped — determinism requires that
-// a sealed window never reopens.
+// a sealed window never reopens. The stream clocks itself when nobody
+// calls CloseEpoch: a record of epoch x proves epochs <= x-2 complete (the
+// bound CloseEpoch documents), so they seal before the ring would wrap
+// onto them.
 func (s *Service) Ingest(rec dataplane.RTRecord) {
 	s.ingested.Inc()
+	if int64(rec.Epoch)-2 > s.finalizedThrough {
+		s.CloseEpoch(rec.Epoch - 1)
+	}
 	if int64(rec.Epoch) <= s.finalizedThrough {
 		s.late.Inc()
 		return
@@ -230,8 +235,8 @@ func (s *Service) Ingest(rec dataplane.RTRecord) {
 
 // CloseEpoch declares that every record arriving up to the end of epoch e
 // has been ingested. Epochs <= e-1 are then complete (a record promoted in
-// epoch x reaches its sink before the end of epoch x+1), so their buckets
-// seal, enter the mining index, and close any window that ends on them.
+// epoch x reaches its sink before the end of epoch x+1), so they seal and
+// close any window that ends on them.
 func (s *Service) CloseEpoch(e uint32) {
 	for ep := s.finalizedThrough + 1; ep <= int64(e)-1; ep++ {
 		s.finalizeEpoch(uint32(ep))
@@ -246,28 +251,23 @@ func (s *Service) Finish() {
 	}
 }
 
-// finalizeEpoch seals epoch ep in every unit, analyzes the window ending
-// on it (once W epochs exist), and expires the bucket leaving the window.
+// finalizeEpoch seals epoch ep and, once W epochs exist, analyzes the
+// window ending on it in every unit.
 func (s *Service) finalizeEpoch(ep uint32) {
 	s.finalizedThrough = int64(ep)
 	W := uint32(s.cfg.WindowEpochs)
-	analyze := ep+1 >= W
-	outs := make([]unitWindowOut, len(s.units))
-
-	work := func(u *unitState, out *unitWindowOut) {
-		u.seal(ep)
-		if analyze {
-			*out = u.analyzeWindow(ep+1-W, ep)
-			u.expire(ep + 1 - W)
-		}
+	if ep+1 < W {
+		return
 	}
+	start := ep + 1 - W
+	outs := make([]unitWindowOut, len(s.units))
 	workers := s.cfg.Workers
 	if workers > len(s.units) {
 		workers = len(s.units)
 	}
 	if workers <= 1 {
 		for i, u := range s.units {
-			work(u, &outs[i])
+			outs[i] = u.analyzeWindow(start, ep)
 		}
 	} else {
 		// Units are independent state shards; results land at fixed
@@ -280,17 +280,14 @@ func (s *Service) finalizeEpoch(ep uint32) {
 			go func(w int) {
 				defer wg.Done()
 				for i := w; i < len(s.units); i += workers {
-					work(s.units[i], &outs[i])
+					outs[i] = s.units[i].analyzeWindow(start, ep)
 				}
 			}(w)
 		}
 		wg.Wait()
 	}
 
-	if !analyze {
-		return
-	}
-	res := WindowResult{Start: ep + 1 - W, End: ep, Time: netsim.Time(ep+1) * s.cfg.Epoch}
+	res := WindowResult{Start: start, End: ep, Time: netsim.Time(ep+1) * s.cfg.Epoch}
 	var lists [][]rca.Culprit
 	for _, o := range outs {
 		res.Sampled += o.sampled
@@ -349,8 +346,8 @@ const (
 )
 
 // unitState is one pod-partition unit's shard of the stream: bounded flow
-// table, epoch sample buckets, incremental pattern index, and a dedicated
-// rca analyzer whose thresholds are this unit's reservoirs. Only its
+// table, epoch sample buckets, and a dedicated rca analyzer whose
+// thresholds are this unit's reservoirs. Only its
 // owning goroutine (the coordinator, or the worker analyzing it) touches
 // it.
 type unitState struct {
@@ -368,7 +365,6 @@ type unitState struct {
 	// two still-filling epochs.
 	ring []*bucket
 
-	inc      *fsm.Incremental
 	analyzer *rca.Analyzer
 }
 
@@ -377,19 +373,10 @@ type flowState struct {
 	lastEpoch uint32
 }
 
-type sampleEntry struct {
-	rec  dataplane.RTRecord
-	path topology.Path
-	// seq is the path converted for the mining index, built at seal time.
-	seq fsm.Sequence
-}
-
 type bucket struct {
 	epoch   uint32
-	used    bool
-	sealed  bool
 	offered int
-	entries []sampleEntry
+	entries []dataplane.RTRecord
 }
 
 func newUnitState(cfg *Config, unit int, paths *pathid.Table) *unitState {
@@ -400,14 +387,11 @@ func newUnitState(cfg *Config, unit int, paths *pathid.Table) *unitState {
 		flows:    make(map[dataplane.FlowID]*flowState),
 		flowCost: cfg.Reservoir.Volume*8 + flowStateOverheadBytes,
 		ring:     make([]*bucket, cfg.WindowEpochs+2),
-		inc:      fsm.NewIncremental(cfg.RCA.MaxPatternLen),
 	}
 	for i := range u.ring {
-		u.ring[i] = &bucket{entries: make([]sampleEntry, 0, cfg.EpochSampleCap)}
+		u.ring[i] = &bucket{entries: make([]dataplane.RTRecord, 0, cfg.EpochSampleCap)}
 	}
-	rcfg := cfg.RCA
-	rcfg.Miner = u.inc.Miner()
-	u.analyzer = rca.New(rcfg, paths, u)
+	u.analyzer = rca.New(cfg.RCA, paths, u)
 	return u
 }
 
@@ -423,10 +407,8 @@ func (u *unitState) ThresholdOf(flow dataplane.FlowID) netsim.Time {
 // when the ring wraps.
 func (u *unitState) slot(ep uint32) *bucket {
 	b := u.ring[int(ep)%len(u.ring)]
-	if !b.used || b.epoch != ep {
+	if b.epoch != ep {
 		b.epoch = ep
-		b.used = true
-		b.sealed = false
 		b.offered = 0
 		b.entries = b.entries[:0]
 	}
@@ -447,16 +429,12 @@ func (u *unitState) ingest(rec dataplane.RTRecord) ingestKind {
 
 	b := u.slot(rec.Epoch)
 	b.offered++
-	var path topology.Path
-	if u.analyzer.Paths != nil {
-		path, _ = u.analyzer.Paths.Lookup(rec.Flow.Sink, rec.PathID)
-	}
 	if len(b.entries) < cap(b.entries) {
-		b.entries = append(b.entries, sampleEntry{rec: rec, path: path})
+		b.entries = append(b.entries, rec)
 		return ingestSampled
 	}
 	if j := u.rng.Intn(b.offered); j < cap(b.entries) {
-		b.entries[j] = sampleEntry{rec: rec, path: path}
+		b.entries[j] = rec
 		return ingestReplaced
 	}
 	return ingestRejected
@@ -505,52 +483,23 @@ func (u *unitState) takeEvictions() int64 {
 	return n
 }
 
-// seal freezes epoch ep's sample and adds its paths to the window index.
-func (u *unitState) seal(ep uint32) {
-	b := u.slot(ep)
-	b.sealed = true
-	for i := range b.entries {
-		e := &b.entries[i]
-		e.seq = e.seq[:0]
-		for _, sw := range e.path {
-			e.seq = append(e.seq, fsm.Item(sw))
-		}
-		u.inc.Add(e.seq)
-	}
-}
-
-// expire removes epoch ep's paths from the index as the window slides off.
-func (u *unitState) expire(ep uint32) {
-	b := u.ring[int(ep)%len(u.ring)]
-	if !b.used || b.epoch != ep || !b.sealed {
-		return
-	}
-	for i := range b.entries {
-		u.inc.Remove(b.entries[i].seq)
-	}
-	b.sealed = false
-}
-
 type unitWindowOut struct {
 	culprits         []rca.Culprit
 	sampled, offered int
 }
 
 // analyzeWindow scores the sealed window [start, end] through the rca
-// pipeline with this unit's thresholds and window index.
+// pipeline with this unit's thresholds.
 func (u *unitState) analyzeWindow(start, end uint32) unitWindowOut {
 	var out unitWindowOut
 	var records []dataplane.RTRecord
 	for ep := start; ep <= end; ep++ {
-		b := u.ring[int(ep)%len(u.ring)]
-		if !b.used || b.epoch != ep {
-			continue
-		}
+		// slot, not a bare ring read: an epoch that brought this unit no
+		// records still retires the bucket W+2 epochs before it.
+		b := u.slot(ep)
 		out.offered += b.offered
 		out.sampled += len(b.entries)
-		for i := range b.entries {
-			records = append(records, b.entries[i].rec)
-		}
+		records = append(records, b.entries...)
 	}
 	if len(records) == 0 {
 		return out
@@ -568,9 +517,7 @@ func (u *unitState) analyzeWindow(start, end uint32) unitWindowOut {
 func (u *unitState) bucketBytes() int64 {
 	var n int64
 	for _, b := range u.ring {
-		if b.used {
-			n += int64(len(b.entries)) * sampleEntryBytes
-		}
+		n += int64(len(b.entries)) * sampleEntryBytes
 	}
 	return n
 }

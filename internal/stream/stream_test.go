@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mars/internal/dataplane"
+	"mars/internal/fsm"
 	"mars/internal/netsim"
 	"mars/internal/pathid"
 	"mars/internal/rca"
@@ -278,5 +279,106 @@ func TestStreamEpochSampleCap(t *testing.T) {
 	}
 	if offered == 0 {
 		t.Fatal("no records offered")
+	}
+}
+
+// A caller that only ingests and calls Finish once (deploy.ControllerNode)
+// must get the windows a per-epoch CloseEpoch driver gets: the stream
+// seals epoch x-2 on the first record of epoch x, before the W+2 ring
+// could wrap onto a bucket still inside a window.
+func TestStreamIngestAheadOfCloseEpoch(t *testing.T) {
+	f := newTestFabric(t)
+	badAgg := f.ft.AggIDs[2]
+	paths := f.pathsInto(t, f.ft.EdgeIDs[0])
+	const epochs = 12 // more than W+2 = 6, so an unsealed ring wraps twice
+	run := func(closeEach bool) *Service {
+		s := New(DefaultConfig(11), f.part, f.table)
+		for e := uint32(0); e < epochs; e++ {
+			for _, p := range paths {
+				gap := uint32(0)
+				if e >= 4 && p.Contains([]topology.NodeID{badAgg}) {
+					gap = 1
+				}
+				s.Ingest(f.rec(t, p, e, 2*netsim.Millisecond, gap))
+			}
+			if closeEach {
+				s.CloseEpoch(e)
+			}
+		}
+		s.Finish()
+		return s
+	}
+	ahead := run(false)
+	for _, w := range ahead.Results() {
+		if w.Sampled == 0 {
+			t.Errorf("window [%d,%d] is empty: the ring wrapped onto its sampled records", w.Start, w.End)
+		}
+	}
+	if late, _ := ahead.Metrics().Get("records_late"); late != 0 {
+		t.Errorf("records_late = %d on an in-order feed", late)
+	}
+	if got, want := snapshotOf(ahead), snapshotOf(run(true)); got != want {
+		t.Fatalf("ingest-ahead run diverges from the per-epoch CloseEpoch run:\n--- ahead ---\n%s--- stepped ---\n%s", got, want)
+	}
+}
+
+// countingMiner is a Miner set from outside that counts the calls reaching
+// it.
+type countingMiner struct {
+	fsm.Miner
+	calls *int
+}
+
+func (m countingMiner) Mine(db fsm.Dataset, p fsm.Params) []fsm.Pattern {
+	*m.calls++
+	return m.Miner.Mine(db, p)
+}
+
+// The miner in Config.RCA.Miner is the one that mines every window, and
+// each window's culprits are what rca.AnalyzeWindow with the default miner
+// makes of the same sampled records under the same thresholds.
+func TestStreamMinesWithConfiguredMiner(t *testing.T) {
+	f := newTestFabric(t)
+	calls := 0
+	cfg := DefaultConfig(11)
+	cfg.WindowEpochs = 3
+	cfg.RCA.Miner = countingMiner{Miner: fsm.NewPrefixSpan(), calls: &calls}
+	s := New(cfg, f.part, f.table)
+
+	refCfg := s.cfg.RCA // window-aligned EpochDuration/RecentWindow
+	refCfg.Miner = nil  // rca.New's default
+	diagnosed := 0
+	s.OnWindow = func(w WindowResult) {
+		var lists [][]rca.Culprit
+		for _, u := range s.units {
+			var recs []dataplane.RTRecord
+			offered := 0
+			for ep := w.Start; ep <= w.End; ep++ {
+				if b := u.ring[int(ep)%len(u.ring)]; b.epoch == ep {
+					recs = append(recs, b.entries...)
+					offered += b.offered
+				}
+			}
+			if len(recs) == 0 {
+				continue
+			}
+			ref := rca.New(refCfg, f.table, u)
+			if cs := ref.AnalyzeWindow(recs, w.Time, float64(len(recs))/float64(offered)); len(cs) > 0 {
+				lists = append(lists, cs)
+			}
+		}
+		if got, want := fmt.Sprint(w.Culprits), fmt.Sprint(rca.MergeRanked(lists)); got != want {
+			t.Errorf("window [%d,%d]: service %s, rca.AnalyzeWindow %s", w.Start, w.End, got, want)
+		}
+		if len(w.Culprits) > 0 {
+			diagnosed++
+		}
+	}
+	driveFaulted(t, f, s, 10, 4, 9, f.ft.AggIDs[2])
+	if calls == 0 {
+		t.Fatal("Config.RCA.Miner never saw a Mine call: the service mined with something else")
+	}
+	if diagnosed == 0 {
+		t.Fatal("no window produced culprits; the comparison was vacuous")
 	}
 }
