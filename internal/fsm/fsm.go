@@ -14,6 +14,13 @@
 // support floor. That is the only semantics the package implements: the
 // original algorithms' gap-allowed subsequences have no meaning for
 // switch/link culprits.
+//
+// Weighted databases: MARS's Alg. 2 makes one sampled telemetry record
+// stand for PathCount packets on one path, so its abnormal set is a
+// multiset. Params.Weights carries that multiplicity — sequence i counts
+// Weights[i] times — and every miner returns exactly what it would over
+// the database with each sequence repeated Weights[i] times, at a cost
+// that does not depend on the weights.
 package fsm
 
 import (
@@ -33,7 +40,7 @@ type Sequence []Item
 type Dataset []Sequence
 
 // Pattern is a mined frequent sequence with its support (the number of
-// database sequences that contain it).
+// database sequences that contain it, each counted with its weight).
 type Pattern struct {
 	Items   []Item
 	Support int
@@ -68,11 +75,35 @@ type Params struct {
 	MinRelSupport float64
 	// MaxLen caps pattern length; 0 means unlimited. MARS uses 2.
 	MaxLen int
+	// Weights, when non-nil, gives each database sequence a non-negative
+	// multiplicity (len(Weights) must equal len(db)): supports and the
+	// database size behind MinRelSupport are sums of weights, as if
+	// sequence i were present Weights[i] times. nil counts every sequence
+	// once.
+	Weights []int
 }
 
-// minSupport resolves the absolute support floor over n sequences (at
-// least 1: a pattern must occur to be reported).
+// weight is sequence i's multiplicity.
+func (p Params) weight(i int) int {
+	if p.Weights == nil {
+		return 1
+	}
+	return p.Weights[i]
+}
+
+// minSupport resolves the absolute support floor over a database of n
+// sequences (at least 1: a pattern must occur to be reported). The
+// relative floor is taken over the weighted size.
 func (p Params) minSupport(n int) int {
+	if p.Weights != nil {
+		if len(p.Weights) != n {
+			panic(fmt.Sprintf("fsm: %d weights for %d sequences", len(p.Weights), n))
+		}
+		n = 0
+		for _, w := range p.Weights {
+			n += w
+		}
+	}
 	ms := int(p.MinRelSupport * float64(n))
 	if ms < 1 {
 		ms = 1
@@ -155,14 +186,14 @@ func sortPatterns(ps []Pattern) []Pattern {
 
 // frequentItems returns items meeting minSup with their supports,
 // ascending by item.
-func frequentItems(db Dataset, minSup int) []Pattern {
+func frequentItems(db Dataset, p Params, minSup int) []Pattern {
 	sup := map[Item]int{}
-	for _, seq := range db {
+	for si, seq := range db {
 		seen := map[Item]bool{}
 		for _, it := range seq {
 			if !seen[it] {
 				seen[it] = true
-				sup[it]++
+				sup[it] += p.weight(si)
 			}
 		}
 	}
@@ -200,9 +231,9 @@ func (NaiveMiner) Mine(db Dataset, p Params) []Pattern {
 	for _, k := range det.Keys(cands) {
 		items := cands[k]
 		sup := 0
-		for _, seq := range db {
+		for si, seq := range db {
 			if Contains(seq, items) {
-				sup++
+				sup += p.weight(si)
 			}
 		}
 		if sup >= minSup {

@@ -9,7 +9,7 @@ import "mars/internal/det"
 // construction.
 //
 // The stream service no longer uses it. RCA mines the abnormal subset of a
-// window's records, each expanded by its PathCount, so the index's supports
+// window's records, each weighted by its PathCount, so the index's supports
 // (every sampled path, multiplicity 1) were never the supports RCA needs;
 // all the service took from it was its key set as a candidate list, and
 // scanning that list cost more than mining the window from scratch (DESIGN
@@ -147,9 +147,9 @@ func (m windowMiner) Mine(db Dataset, p Params) []Pattern {
 			continue
 		}
 		sup := 0
-		for _, seq := range db {
+		for si, seq := range db {
 			if Contains(seq, e.items) {
-				sup++
+				sup += p.weight(si)
 			}
 		}
 		if sup >= minSup {

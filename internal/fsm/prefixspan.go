@@ -46,7 +46,7 @@ func (*PrefixSpan) Mine(db Dataset, p Params) []Pattern {
 					it := seq[e]
 					if !seen[it] {
 						seen[it] = true
-						counts[it]++
+						counts[it] += p.weight(pe.seq)
 					}
 				}
 			}
@@ -76,7 +76,7 @@ func (*PrefixSpan) Mine(db Dataset, p Params) []Pattern {
 	}
 
 	// Seed with frequent 1-items and their occurrence projections.
-	for _, f := range frequentItems(db, minSup) {
+	for _, f := range frequentItems(db, p, minSup) {
 		it := f.Items[0]
 		var proj []projEntry
 		for si, seq := range db {

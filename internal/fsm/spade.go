@@ -43,7 +43,7 @@ func (s *Spade) Mine(db Dataset, p Params) []Pattern {
 	}
 	var items []Item
 	for _, it := range det.Keys(itemLists) {
-		if supportOf(itemLists[it]) >= minSup {
+		if supportOf(itemLists[it], p) >= minSup {
 			items = append(items, it)
 		}
 	}
@@ -53,13 +53,13 @@ func (s *Spade) Mine(db Dataset, p Params) []Pattern {
 	useCmap := s.cmap != nil
 	var cmap map[[2]Item]bool
 	if useCmap {
-		cmap = buildCMAP(db, minSup)
+		cmap = buildCMAP(db, p, minSup)
 	}
 
 	var out []Pattern
 	var dfs func(prefix []Item, list []idOcc)
 	dfs = func(prefix []Item, list []idOcc) {
-		sup := supportOf(list)
+		sup := supportOf(list, p)
 		if sup < minSup {
 			return
 		}
@@ -73,7 +73,7 @@ func (s *Spade) Mine(db Dataset, p Params) []Pattern {
 				continue
 			}
 			joined := temporalJoin(list, itemLists[it])
-			if supportOf(joined) >= minSup {
+			if supportOf(joined, p) >= minSup {
 				dfs(append(prefix, it), joined)
 			}
 		}
@@ -84,13 +84,14 @@ func (s *Spade) Mine(db Dataset, p Params) []Pattern {
 	return sortPatterns(out)
 }
 
-// supportOf counts distinct sequence IDs in a sorted id-list.
-func supportOf(list []idOcc) int {
+// supportOf sums the weights of the distinct sequence IDs in a sorted
+// id-list.
+func supportOf(list []idOcc, p Params) int {
 	n := 0
 	var prev int32 = -1
 	for _, o := range list {
 		if o.sid != prev {
-			n++
+			n += p.weight(int(o.sid))
 			prev = o.sid
 		}
 	}
@@ -140,16 +141,16 @@ func temporalJoin(pat, item []idOcc) []idOcc {
 // buildCMAP records ordered item pairs whose 2-pattern support reaches
 // minSup; any longer pattern ending in a pair absent from the map cannot
 // be frequent, so DFS extensions are pruned without a join.
-func buildCMAP(db Dataset, minSup int) map[[2]Item]bool {
+func buildCMAP(db Dataset, p Params, minSup int) map[[2]Item]bool {
 	counts := map[[2]Item]int{}
-	for _, seq := range db {
+	for si, seq := range db {
 		seen := map[[2]Item]bool{}
 		for i := 0; i+1 < len(seq); i++ {
 			seen[[2]Item{seq[i], seq[i+1]}] = true
 		}
 		//mars:mapiter-ok integer counting into a map is order-independent
 		for k := range seen {
-			counts[k]++
+			counts[k] += p.weight(si)
 		}
 	}
 	out := map[[2]Item]bool{}

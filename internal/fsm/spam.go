@@ -99,20 +99,20 @@ func (s *Spam) Mine(db Dataset, p Params) []Pattern {
 
 	var items []Item
 	for _, it := range det.Keys(itemBitmaps) {
-		if s.countSupport(bdb, itemBitmaps[it]) >= minSup {
+		if s.countSupport(bdb, itemBitmaps[it], p) >= minSup {
 			items = append(items, it)
 		}
 	}
 
 	var cmap map[[2]Item]bool
 	if s.cmap {
-		cmap = buildCMAP(db, minSup)
+		cmap = buildCMAP(db, p, minSup)
 	}
 
 	var out []Pattern
 	var dfs func(prefix []Item, bm bitmap)
 	dfs = func(prefix []Item, bm bitmap) {
-		sup := s.countSupport(bdb, bm)
+		sup := s.countSupport(bdb, bm, p)
 		if sup < minSup {
 			return
 		}
@@ -125,7 +125,7 @@ func (s *Spam) Mine(db Dataset, p Params) []Pattern {
 			if s.cmap && !cmap[[2]Item{last, it}] {
 				continue
 			}
-			if s.lapin && !s.lapinViable(bdb, bm, it, minSup) {
+			if s.lapin && !s.lapinViable(bdb, bm, it, p, minSup) {
 				continue
 			}
 			ext := s.sStep(bdb, bm)
@@ -157,15 +157,15 @@ func (s *Spam) sStep(bdb *bitmapDB, bm bitmap) bitmap {
 	return out
 }
 
-// countSupport counts sequences with at least one set bit.
-func (s *Spam) countSupport(bdb *bitmapDB, bm bitmap) int {
+// countSupport sums the weights of sequences with at least one set bit.
+func (s *Spam) countSupport(bdb *bitmapDB, bm bitmap, p Params) int {
 	sup := 0
 	for si := range bdb.offset {
 		start := bdb.offset[si]
 		end := start + bdb.lengths[si]
 		for i := start; i < end; i++ {
 			if bm.get(i) {
-				sup++
+				sup += p.weight(si)
 				break
 			}
 		}
@@ -173,10 +173,10 @@ func (s *Spam) countSupport(bdb *bitmapDB, bm bitmap) int {
 	return sup
 }
 
-// lapinViable applies last-position induction: count sequences where the
-// item's last position lies beyond the pattern's first end position; if
-// fewer than minSup, the S-step cannot yield a frequent pattern.
-func (s *Spam) lapinViable(bdb *bitmapDB, bm bitmap, it Item, minSup int) bool {
+// lapinViable applies last-position induction: weigh the sequences where
+// the item's last position lies beyond the pattern's first end position;
+// if they fall short of minSup, the S-step cannot yield a frequent pattern.
+func (s *Spam) lapinViable(bdb *bitmapDB, bm bitmap, it Item, p Params, minSup int) bool {
 	lp, ok := bdb.lastPos[it]
 	if !ok {
 		return false
@@ -191,7 +191,7 @@ func (s *Spam) lapinViable(bdb *bitmapDB, bm bitmap, it Item, minSup int) bool {
 		for i := start; i < end; i++ {
 			if bm.get(i) {
 				if lp[si] > i {
-					viable++
+					viable += p.weight(si)
 				}
 				break
 			}

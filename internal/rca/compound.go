@@ -40,15 +40,15 @@ func (a *Analyzer) degradedLightBranch(up topology.NodeID, flowPkts map[dataplan
 	for _, flow := range det.KeysFunc(flowPkts, flowLess) {
 		fs := stats[flow]
 		flowGaps := float64(len(fs.gapEpochs))
-		for _, k := range det.Keys(fs.pathCounts) {
-			path := fs.paths[k]
+		for _, ps := range fs.paths {
+			path := ps.path
 			for i := 0; i+1 < len(path); i++ {
 				if path[i] != up {
 					continue
 				}
 				w := path[i+1]
-				succCount[w] += fs.pathCounts[k]
-				succAbnormal[w] += fs.pathAbnormal[k]
+				succCount[w] += ps.pkts
+				succAbnormal[w] += ps.abnormal
 				if flowGaps > 0 {
 					succGapFlows[w] += flowGaps
 				}
@@ -172,14 +172,14 @@ func (a *Analyzer) classifyDropCause(sub []topology.NodeID, affected map[datapla
 	for _, flow := range det.KeysFunc(stats, flowLess) {
 		fs := stats[flow]
 		covers := false
-		for _, k := range det.Keys(fs.pathCounts) {
-			path := fs.paths[k]
+		for _, ps := range fs.paths {
+			path := ps.path
 			if !path.Contains(sub) {
 				continue
 			}
 			covers = true
 			if affected[flow] {
-				abnormalWeight += fs.pathAbnormal[k]
+				abnormalWeight += ps.abnormal
 			}
 			if len(sub) == 1 {
 				for i, sw := range path {

@@ -16,12 +16,9 @@ func compoundAnalyzer() *Analyzer {
 // synthetic flowStats with per-epoch (src, sink) pairs.
 func statsWithEpochs(pairs [][2]uint32) *flowStats {
 	fs := &flowStats{
-		epochCounts:  make(map[uint32]uint32),
-		pathCounts:   make(map[string]float64),
-		paths:        make(map[string]topology.Path),
-		pathAbnormal: make(map[string]float64),
-		epochSinks:   make(map[uint32]uint32),
-		gapEpochs:    make(map[uint32]bool),
+		epochCounts: make(map[uint32]uint32),
+		epochSinks:  make(map[uint32]uint32),
+		gapEpochs:   make(map[uint32]bool),
 	}
 	for i, p := range pairs {
 		fs.epochCounts[uint32(i)] = p[0]
@@ -82,9 +79,7 @@ func TestClassifyDropCauseTaxonomy(t *testing.T) {
 	mk := func(pairs [][2]uint32, abnormal float64) (map[dataplane.FlowID]bool, map[dataplane.FlowID]*flowStats) {
 		flow := dataplane.FlowID{Src: 0, Sink: 11}
 		fs := statsWithEpochs(pairs)
-		fs.pathCounts[path.String()] = 10
-		fs.paths[path.String()] = path
-		fs.pathAbnormal[path.String()] = abnormal
+		fs.paths = []pathStat{{path: path, pkts: 10, abnormal: abnormal}}
 		return map[dataplane.FlowID]bool{flow: true}, map[dataplane.FlowID]*flowStats{flow: fs}
 	}
 
@@ -123,8 +118,7 @@ func TestClassifyDropCauseReboot(t *testing.T) {
 	for i, p := range []topology.Path{{1, 4, 9}, {2, 4, 10}, {3, 4, 11}} {
 		flow := dataplane.FlowID{Src: topology.NodeID(100 + i), Sink: p[len(p)-1]}
 		fs := statsWithEpochs(outage)
-		fs.pathCounts[p.String()] = 10
-		fs.paths[p.String()] = p
+		fs.paths = []pathStat{{path: p, pkts: 10}}
 		affected[flow] = true
 		stats[flow] = fs
 	}

@@ -5,7 +5,7 @@ import (
 
 	"mars/internal/dataplane"
 	"mars/internal/netsim"
-	"mars/internal/topology"
+	"mars/internal/pathid"
 )
 
 func TestDropAffectedFlowsCancelsDisplacement(t *testing.T) {
@@ -115,17 +115,13 @@ func TestEcmpDivergenceRequiresHeavyFeedsNext(t *testing.T) {
 	dst := f.ft.EdgeIDs[2]
 	paths := f.ft.AllShortestPaths(e0, dst)
 	// Build stats with a heavy branch via paths[2] (second aggregation).
-	fls := &flowStats{
-		pathCounts: map[string]float64{},
-		paths:      map[string]topology.Path{},
-	}
+	fls := &flowStats{}
 	for i, p := range paths {
 		w := 5.0
 		if i >= 2 { // second agg branch heavy
 			w = 45.0
 		}
-		fls.pathCounts[p.String()] = w
-		fls.paths[p.String()] = p
+		fls.pathOf(pathid.ID(i), p).pkts = w
 	}
 	heavyAgg := paths[2][1]
 	if up, _, ok := a.ecmpDivergence(fls, heavyAgg); !ok || up != e0 {

@@ -4,8 +4,12 @@
 //
 // Pipeline (§4.4's four parts):
 //  1. estimate actual traffic from the sampled telemetry (Alg. 2) and
-//     classify estimated packets into abnormal/normal sets with the
-//     reservoir thresholds;
+//     classify it into abnormal/normal sets with the reservoir
+//     thresholds. A record with PathCount = n stands for n packets on one
+//     path with one latency, so the estimate is one entry of weight n per
+//     record, never n packets: supports, spectra and packet shares below
+//     are sums of weights, equal to the counts over the expanded packets
+//     at a cost that does not depend on PathCount;
 //  2. mine frequent sub-sequences (switches and links) of the abnormal
 //     paths with FSM (§4.4.2);
 //  3. score each pattern with relative-risk SBFL (§4.4.3, Eq. 1);
@@ -152,8 +156,10 @@ type Config struct {
 	MaxPatternLen int
 	// Formula is the SBFL scorer (relative risk by default).
 	Formula sbfl.Formula
-	// MaxEstimatePerRecord caps Alg. 2 expansion per telemetry record to
-	// bound analysis cost.
+	// MaxEstimatePerRecord caps the weight Alg. 2 gives one telemetry
+	// record (the packets it stands for), so a single heavy record cannot
+	// outvote the rest of the evidence. <= 0 means no cap. Analysis cost
+	// does not depend on it.
 	MaxEstimatePerRecord int
 	// BurstFactor: a flow whose peak epoch rate exceeds BurstFactor times
 	// its quiet baseline matches the micro-burst signature.
@@ -262,14 +268,6 @@ func New(cfg Config, paths *pathid.Table, thr Thresholds) *Analyzer {
 	return &Analyzer{Cfg: cfg, Paths: paths, Thr: thr}
 }
 
-// estPacket is one Alg. 2 estimated packet.
-type estPacket struct {
-	flow     dataplane.FlowID
-	path     topology.Path
-	latency  netsim.Time
-	abnormal bool
-}
-
 // Analyze produces the ranked culprit list for one diagnosis. The
 // notification only initiates collection; the diagnosis data itself is
 // self-contained. Per §4.4.4, drops are diagnosed with "another analysis
@@ -283,7 +281,8 @@ func (a *Analyzer) Analyze(d controlplane.Diagnosis) []Culprit {
 	if d.Trigger.Kind == dataplane.NotifyDrop {
 		ev.dropFlagged, ev.flagged = true, d.Trigger.Flow
 	}
-	lat := a.analyzeLatency(ev)
+	ix := a.index(ev)
+	lat := a.analyzeLatency(ix)
 	// The flows with sustained loss both decide whether the drop view runs
 	// and form its abnormal set. The trigger kind alone is NOT trusted as
 	// evidence: a switch's single-epoch count comparison false-fires on
@@ -303,7 +302,7 @@ func (a *Analyzer) Analyze(d controlplane.Diagnosis) []Culprit {
 	}
 	out := lat
 	if len(affected) > 0 || (len(lat) > 0 && ev.dropFlagged) {
-		out = combineViews(lat, a.analyzeDrop(ev, affected))
+		out = combineViews(lat, a.analyzeDrop(ix, affected))
 	}
 	// Degraded mode: a partial collection (missing sinks) still yields a
 	// ranking, but every culprit carries the data coverage behind it so
@@ -424,11 +423,44 @@ func (a *Analyzer) decode(r dataplane.RTRecord) (topology.Path, bool) {
 	return a.Paths.Lookup(r.Flow.Sink, r.PathID)
 }
 
-// estimate expands records into estimated packets (Alg. 2) and classifies
-// them against the dynamic thresholds.
-func (a *Analyzer) estimate(records []dataplane.RTRecord) []estPacket {
-	var out []estPacket
-	for _, r := range records {
+// entry is Alg. 2's estimate for one telemetry record: the record stands
+// for weight packets along path.
+type entry struct {
+	path   topology.Path // nil when the record's PathID does not decode
+	weight int
+}
+
+// index is what one Analyze/AnalyzeWindow derives from its evidence once
+// and both views read: the estimate and the threshold classification per
+// record, and (built by signatureData when a view has patterns to explain)
+// the per-flow summaries the signatures match against.
+type index struct {
+	evidence
+	// entries and over run parallel to records; over marks records whose
+	// latency exceeds their flow's dynamic threshold.
+	entries     []entry
+	over        []bool
+	overRecords int
+
+	stats      map[dataplane.FlowID]*flowStats
+	flows      []dataplane.FlowID // stats' keys in flowLess order
+	sinkRanges map[topology.NodeID]*sinkEpochRange
+	globalMed  float64
+}
+
+// index estimates actual traffic from the records (Alg. 2) and classifies
+// each against the dynamic thresholds.
+func (a *Analyzer) index(ev evidence) *index {
+	ix := &index{
+		evidence: ev,
+		entries:  make([]entry, len(ev.records)),
+		over:     make([]bool, len(ev.records)),
+	}
+	for i, r := range ev.records {
+		if a.Thr != nil && r.Latency > a.Thr.ThresholdOf(r.Flow) {
+			ix.over[i] = true
+			ix.overRecords++
+		}
 		path, ok := a.decode(r)
 		if !ok {
 			continue
@@ -437,37 +469,54 @@ func (a *Analyzer) estimate(records []dataplane.RTRecord) []estPacket {
 		if n < 1 {
 			n = 1 // the telemetry packet itself
 		}
-		if n > a.Cfg.MaxEstimatePerRecord {
-			n = a.Cfg.MaxEstimatePerRecord
+		if limit := a.Cfg.MaxEstimatePerRecord; limit > 0 && n > limit {
+			n = limit
 		}
-		abnormal := false
-		if a.Thr != nil {
-			abnormal = r.Latency > a.Thr.ThresholdOf(r.Flow)
-		}
-		for i := 0; i < n; i++ {
-			out = append(out, estPacket{flow: r.Flow, path: path, latency: r.Latency, abnormal: abnormal})
-		}
+		ix.entries[i] = entry{path: path, weight: n}
 	}
-	return out
+	return ix
 }
 
-// minePatterns runs FSM over the abnormal paths and scores each pattern
-// with SBFL over both sets.
-func (a *Analyzer) minePatterns(abnormal, normal []estPacket) []scoredPattern {
-	if len(abnormal) == 0 {
-		return nil
-	}
-	db := make(fsm.Dataset, len(abnormal))
-	for i, p := range abnormal {
-		seq := make(fsm.Sequence, len(p.path))
-		for j, sw := range p.path {
-			seq[j] = fsm.Item(sw)
+// minePatterns runs FSM over the paths of the failing entries and scores
+// each pattern with SBFL over both sets; failing runs parallel to the
+// index's entries. It also returns the failing set's size in estimated
+// packets.
+func (a *Analyzer) minePatterns(ix *index, failing []bool) ([]scoredPattern, float64) {
+	// Size the database: one sequence per failing record, all of them
+	// carved from one slab.
+	var seqs, items int
+	for i, e := range ix.entries {
+		if e.path != nil && failing[i] {
+			seqs++
+			items += len(e.path)
 		}
-		db[i] = seq
+	}
+	if seqs == 0 {
+		return nil, 0
+	}
+	db := make(fsm.Dataset, 0, seqs)
+	weights := make([]int, 0, seqs)
+	slab := make(fsm.Sequence, 0, items)
+	var failPkts, passPkts int
+	for i, e := range ix.entries {
+		switch {
+		case e.path == nil:
+		case failing[i]:
+			from := len(slab)
+			for _, sw := range e.path {
+				slab = append(slab, fsm.Item(sw))
+			}
+			db = append(db, slab[from:len(slab):len(slab)])
+			weights = append(weights, e.weight)
+			failPkts += e.weight
+		default:
+			passPkts += e.weight
+		}
 	}
 	patterns := a.Cfg.Miner.Mine(db, fsm.Params{
 		MinRelSupport: a.Cfg.MinRelSupport,
 		MaxLen:        a.Cfg.MaxPatternLen,
+		Weights:       weights,
 	})
 	out := make([]scoredPattern, 0, len(patterns))
 	for _, pat := range patterns {
@@ -475,9 +524,25 @@ func (a *Analyzer) minePatterns(abnormal, normal []estPacket) []scoredPattern {
 		for i, it := range pat.Items {
 			sub[i] = topology.NodeID(it)
 		}
-		spec := sbfl.Build(len(abnormal), len(normal),
-			func(i int) bool { return abnormal[i].path.Contains(sub) },
-			func(i int) bool { return normal[i].path.Contains(sub) })
+		// The spectrum in packets: every count is a sum of integer
+		// weights, so it equals the count over the expanded packets.
+		var npf, nps int
+		for i, e := range ix.entries {
+			if e.path == nil || !e.path.Contains(sub) {
+				continue
+			}
+			if failing[i] {
+				npf += e.weight
+			} else {
+				nps += e.weight
+			}
+		}
+		spec := sbfl.Spectrum{
+			Npf: float64(npf),
+			Nps: float64(nps),
+			Nnf: float64(failPkts - npf),
+			Nns: float64(passPkts - nps),
+		}
 		out = append(out, scoredPattern{
 			sub:   sub,
 			score: a.Cfg.Formula(spec),
@@ -494,7 +559,7 @@ func (a *Analyzer) minePatterns(abnormal, normal []estPacket) []scoredPattern {
 		}
 		return lessPath(out[i].sub, out[j].sub)
 	})
-	return out
+	return out, float64(failPkts)
 }
 
 type scoredPattern struct {

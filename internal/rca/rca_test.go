@@ -21,7 +21,7 @@ type fixedThr netsim.Time
 
 func (f fixedThr) ThresholdOf(dataplane.FlowID) netsim.Time { return netsim.Time(f) }
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	ft, err := topology.NewFatTree(4)
 	if err != nil {
@@ -35,7 +35,7 @@ func newFixture(t *testing.T) *fixture {
 }
 
 // record builds an RTRecord for a concrete path with the given telemetry.
-func (f *fixture) record(t *testing.T, path topology.Path, epoch uint32, latency netsim.Time, count uint32, qdepth uint32) dataplane.RTRecord {
+func (f *fixture) record(t testing.TB, path topology.Path, epoch uint32, latency netsim.Time, count uint32, qdepth uint32) dataplane.RTRecord {
 	t.Helper()
 	id, ok := f.table.FinalID(path)
 	if !ok {

@@ -5,6 +5,7 @@ import (
 
 	"mars/internal/dataplane"
 	"mars/internal/det"
+	"mars/internal/pathid"
 	"mars/internal/topology"
 )
 
@@ -20,17 +21,14 @@ func flowLess(a, b dataplane.FlowID) bool {
 type flowStats struct {
 	// epochCounts maps telemetry epoch -> source-side packet count.
 	epochCounts map[uint32]uint32
-	// pathCounts maps decoded path (by key) -> packets across records.
-	pathCounts map[string]float64
-	paths      map[string]topology.Path
+	// paths holds the flow's decoded paths in first-record order. Readers
+	// only sum integer-valued packet counts over it or test existence, so
+	// the order never reaches the output.
+	paths []pathStat
 	// abnormalQueueDepths collects depths of the flow's over-threshold
 	// records; the congestion signature uses their median, which is robust
 	// to a single queue blip.
 	abnormalQueueDepths []float64
-	// pathAbnormal maps decoded path (by key) -> estimated over-threshold
-	// packets along that path. The link-degrade signature uses it to find
-	// degradation evidence on an ECMP branch that carries little traffic.
-	pathAbnormal map[string]float64
 	// epochSinks maps telemetry epoch -> sink-side packet count, and
 	// gapEpochs marks epochs whose records reported telemetry gaps; the
 	// flap signature reads per-epoch loss on/off transitions from them.
@@ -40,6 +38,41 @@ type flowStats struct {
 	// spot flows that appeared mid-window (candidate bursts).
 	minEpoch uint32
 	hasEpoch bool
+}
+
+// pathStat is one path of a flow in the diagnosis data.
+type pathStat struct {
+	// id is the path's PathID: unique per sink, so unique within a flow.
+	id   pathid.ID
+	path topology.Path
+	// pkts is the packets across the path's records; abnormal is the part
+	// of it on over-threshold records. The link-degrade signature uses the
+	// latter to find degradation evidence on an ECMP branch that carries
+	// little traffic.
+	pkts, abnormal float64
+}
+
+// pathOf returns the flow's entry for a decoded path, adding it on first
+// sight.
+func (fs *flowStats) pathOf(id pathid.ID, path topology.Path) *pathStat {
+	for i := range fs.paths {
+		if fs.paths[i].id == id {
+			return &fs.paths[i]
+		}
+	}
+	fs.paths = append(fs.paths, pathStat{id: id, path: path})
+	return &fs.paths[len(fs.paths)-1]
+}
+
+// pktsThrough sums the flow's packets on paths that contain sub.
+func (fs *flowStats) pktsThrough(sub []topology.NodeID) float64 {
+	var cnt float64
+	for i := range fs.paths {
+		if fs.paths[i].path.Contains(sub) {
+			cnt += fs.paths[i].pkts
+		}
+	}
+	return cnt
 }
 
 // abnormalQueueMedian returns the median depth among abnormal records.
@@ -84,21 +117,23 @@ func collectSinkRanges(records []dataplane.RTRecord) map[topology.NodeID]*sinkEp
 	return out
 }
 
-// collectFlowStats indexes the diagnosis records per flow.
-func (a *Analyzer) collectFlowStats(records []dataplane.RTRecord) map[dataplane.FlowID]*flowStats {
-	stats := make(map[dataplane.FlowID]*flowStats)
-	for _, r := range records {
-		fs := stats[r.Flow]
+// signatureData indexes the diagnosis records per flow, with the sink
+// epoch ranges and the network-wide median rate the burst signature
+// needs — once per index, on the first view that has patterns to explain.
+func (a *Analyzer) signatureData(ix *index) {
+	if ix.stats != nil {
+		return
+	}
+	ix.stats = make(map[dataplane.FlowID]*flowStats)
+	for i, r := range ix.records {
+		fs := ix.stats[r.Flow]
 		if fs == nil {
 			fs = &flowStats{
-				epochCounts:  make(map[uint32]uint32),
-				pathCounts:   make(map[string]float64),
-				paths:        make(map[string]topology.Path),
-				pathAbnormal: make(map[string]float64),
-				epochSinks:   make(map[uint32]uint32),
-				gapEpochs:    make(map[uint32]bool),
+				epochCounts: make(map[uint32]uint32),
+				epochSinks:  make(map[uint32]uint32),
+				gapEpochs:   make(map[uint32]bool),
 			}
-			stats[r.Flow] = fs
+			ix.stats[r.Flow] = fs
 		}
 		if r.SourceCount > fs.epochCounts[r.Epoch] {
 			fs.epochCounts[r.Epoch] = r.SourceCount
@@ -109,24 +144,24 @@ func (a *Analyzer) collectFlowStats(records []dataplane.RTRecord) map[dataplane.
 		if r.EpochGap > 0 {
 			fs.gapEpochs[r.Epoch] = true
 		}
-		abnormal := a.Thr != nil && r.Latency > a.Thr.ThresholdOf(r.Flow)
-		if path, ok := a.decode(r); ok {
-			k := path.String()
-			fs.pathCounts[k] += float64(r.PathCount) + 1
-			fs.paths[k] = path
-			if abnormal {
-				fs.pathAbnormal[k] += float64(r.PathCount) + 1
+		if path := ix.entries[i].path; path != nil {
+			ps := fs.pathOf(r.PathID, path)
+			ps.pkts += float64(r.PathCount) + 1
+			if ix.over[i] {
+				ps.abnormal += float64(r.PathCount) + 1
 			}
 		}
 		if !fs.hasEpoch || r.Epoch < fs.minEpoch {
 			fs.minEpoch = r.Epoch
 			fs.hasEpoch = true
 		}
-		if abnormal {
+		if ix.over[i] {
 			fs.abnormalQueueDepths = append(fs.abnormalQueueDepths, float64(r.TotalQueueDepth))
 		}
 	}
-	return stats
+	ix.flows = det.KeysFunc(ix.stats, flowLess)
+	ix.sinkRanges = collectSinkRanges(ix.records)
+	ix.globalMed = globalMedianEpochCount(ix.stats)
 }
 
 // peakAndBaseline returns the peak per-epoch source count and the flow's
@@ -220,9 +255,8 @@ func (a *Analyzer) ecmpDivergence(fs *flowStats, next topology.NodeID) (topology
 	}
 	// children[parent][child switch] = accumulated count via that branch.
 	children := make(map[nodeKey]map[topology.NodeID]float64)
-	for _, k := range det.Keys(fs.pathCounts) {
-		cnt := fs.pathCounts[k]
-		path := fs.paths[k]
+	for _, ps := range fs.paths {
+		cnt, path := ps.pkts, ps.path
 		for i := 0; i+1 < len(path); i++ {
 			pk := nodeKey{i, path[i]}
 			m := children[pk]
@@ -296,45 +330,26 @@ func (a *Analyzer) ecmpUpstream(fs *flowStats, sub []topology.NodeID) (topology.
 	return best, found
 }
 
-// analyzeLatency is the high-latency diagnosis path (§4.4.1-4.4.4).
-func (a *Analyzer) analyzeLatency(ev evidence) []Culprit {
-	est := a.estimate(ev.records)
-	var abnormal, normal []estPacket
-	for _, p := range est {
-		if p.abnormal {
-			abnormal = append(abnormal, p)
-		} else {
-			normal = append(normal, p)
-		}
+// analyzeLatency is the high-latency diagnosis path (§4.4.1-4.4.4): the
+// over-threshold records form the abnormal set.
+func (a *Analyzer) analyzeLatency(ix *index) []Culprit {
+	// Noise floor: too few over-threshold records means a transient blip,
+	// not a localizable incident.
+	if a.Cfg.MinAbnormalRecords > 0 && a.Thr != nil && ix.overRecords < a.Cfg.MinAbnormalRecords {
+		return nil
 	}
-	patterns := a.minePatterns(abnormal, normal)
+	patterns, _ := a.minePatterns(ix, ix.over)
 	if len(patterns) == 0 {
 		return nil
 	}
-	stats := a.collectFlowStats(ev.records)
-	sinkRanges := collectSinkRanges(ev.records)
-	globalMed := globalMedianEpochCount(stats)
-
-	// Noise floor: too few over-threshold records means a transient blip,
-	// not a localizable incident. The floor scales with the snapshot size
-	// so large collections don't pass on scattered tail noise.
-	if a.Cfg.MinAbnormalRecords > 0 && a.Thr != nil {
-		n := 0
-		for _, r := range ev.records {
-			if r.Latency > a.Thr.ThresholdOf(r.Flow) {
-				n++
-			}
-		}
-		if n < a.Cfg.MinAbnormalRecords {
-			return nil
-		}
-	}
+	a.signatureData(ix)
+	stats, sinkRanges, globalMed := ix.stats, ix.sinkRanges, ix.globalMed
 
 	// Baseline queue depth from records classified normal: the congestion
 	// signature requires abnormal depth to stand out against it.
 	var normalDepths []float64
-	for _, r := range ev.records {
-		if a.Thr == nil || r.Latency <= a.Thr.ThresholdOf(r.Flow) {
+	for i, r := range ix.records {
+		if !ix.over[i] {
 			normalDepths = append(normalDepths, float64(r.TotalQueueDepth))
 		}
 	}
@@ -357,15 +372,8 @@ func (a *Analyzer) analyzeLatency(ev evidence) []Culprit {
 		}
 		flowPkts := make(map[dataplane.FlowID]float64)
 		var total float64
-		for _, flow := range det.KeysFunc(stats, flowLess) {
-			fs := stats[flow]
-			var cnt float64
-			for _, k := range det.Keys(fs.pathCounts) {
-				if fs.paths[k].Contains(sp.sub) {
-					cnt += fs.pathCounts[k]
-				}
-			}
-			if cnt > 0 {
+		for _, flow := range ix.flows {
+			if cnt := stats[flow].pktsThrough(sp.sub); cnt > 0 {
 				flowPkts[flow] = cnt
 				total += cnt
 			}
@@ -486,26 +494,20 @@ func (a *Analyzer) analyzeLatency(ev evidence) []Culprit {
 }
 
 // analyzeDrop is the separate drop-diagnosis logic (§4.4.4 "Drop"): the
-// affected flows (dropAffectedFlows of ev, plus the flow a drop trigger
-// flagged) form the abnormal set and a second SBFL instance ranks the
-// shared locations.
-func (a *Analyzer) analyzeDrop(ev evidence, affected map[dataplane.FlowID]bool) []Culprit {
-	if ev.dropFlagged {
-		affected[ev.flagged] = true
+// affected flows (dropAffectedFlows of the evidence, plus the flow a drop
+// trigger flagged) form the abnormal set and a second SBFL instance ranks
+// the shared locations.
+func (a *Analyzer) analyzeDrop(ix *index, affected map[dataplane.FlowID]bool) []Culprit {
+	if ix.dropFlagged {
+		affected[ix.flagged] = true
 	}
-	est := a.estimate(ev.records)
-	var abnormal, normal []estPacket
-	for _, p := range est {
-		if affected[p.flow] {
-			abnormal = append(abnormal, p)
-		} else {
-			normal = append(normal, p)
-		}
+	failing := make([]bool, len(ix.records))
+	for i, r := range ix.records {
+		failing[i] = affected[r.Flow]
 	}
-	patterns := a.minePatterns(abnormal, normal)
-	stats := a.collectFlowStats(ev.records)
-	sinkRanges := collectSinkRanges(ev.records)
-	globalMed := globalMedianEpochCount(stats)
+	patterns, abnormalPkts := a.minePatterns(ix, failing)
+	a.signatureData(ix)
+	stats, sinkRanges, globalMed := ix.stats, ix.sinkRanges, ix.globalMed
 	var culprits []Culprit
 	for _, sp := range patterns {
 		if sp.score <= 0 {
@@ -515,15 +517,14 @@ func (a *Analyzer) analyzeDrop(ev evidence, affected map[dataplane.FlowID]bool) 
 		// micro-burst symptom, not a link failure: attribute the pattern
 		// to the burst flow.
 		burstFound := false
-		for _, flow := range det.KeysFunc(stats, flowLess) {
+		for _, flow := range ix.flows {
 			fs := stats[flow]
 			if !fs.hasEpoch {
 				continue
 			}
 			covers := false
-			//mars:mapiter-ok pure existence check; any visit order finds the same answer
-			for k := range fs.pathCounts {
-				if fs.paths[k].Contains(sp.sub) {
+			for _, ps := range fs.paths {
+				if ps.path.Contains(sp.sub) {
 					covers = true
 					break
 				}
@@ -545,7 +546,9 @@ func (a *Analyzer) analyzeDrop(ev evidence, affected map[dataplane.FlowID]bool) 
 		c := Culprit{
 			Cause:    CauseDrop,
 			Location: append([]topology.NodeID{}, sp.sub...),
-			Score:    sp.score * (sp.npf / float64(maxInt(len(abnormal), 1))),
+			// The share of the abnormal set's estimated packets that
+			// cross the pattern.
+			Score: sp.score * (sp.npf / abnormalPkts),
 		}
 		if len(sp.sub) == 2 {
 			c.Level = LevelPort
@@ -558,13 +561,6 @@ func (a *Analyzer) analyzeDrop(ev evidence, affected map[dataplane.FlowID]bool) 
 		culprits = append(culprits, c)
 	}
 	return rank(mergeCulprits(culprits))
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // mergeCulprits applies §4.4.4's merge rules: repeated flow-level causes

@@ -22,10 +22,11 @@ import (
 // collections.
 func (a *Analyzer) AnalyzeWindow(records []dataplane.RTRecord, now netsim.Time, coverage float64) []Culprit {
 	ev := evidence{records: records, now: now}
-	out := a.analyzeLatency(ev)
+	ix := a.index(ev)
+	out := a.analyzeLatency(ix)
 	if affected := a.dropAffectedFlows(ev); len(affected) > 0 {
 		// Evidence without a mineable pattern keeps the latency view.
-		if drop := a.analyzeDrop(ev, affected); len(drop) > 0 {
+		if drop := a.analyzeDrop(ix, affected); len(drop) > 0 {
 			out = combineViews(out, drop)
 		}
 	}

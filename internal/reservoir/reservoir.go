@@ -142,6 +142,21 @@ func New(cfg Config, rng *rand.Rand) *Reservoir {
 	return &Reservoir{cfg: cfg, rng: rng, data: make([]float64, 0, cfg.Volume), dirty: true}
 }
 
+// Reset empties the reservoir back to exactly the state New returns —
+// same Config and RNG, no RNG draw — keeping the sample slab and refresh
+// scratch, so a bounded table can hand an evicted flow's reservoir to the
+// flow that replaces it.
+func (r *Reservoir) Reset() {
+	*r = Reservoir{
+		cfg:         r.cfg,
+		rng:         r.rng,
+		data:        r.data[:0],
+		dirty:       true,
+		sortScratch: r.sortScratch[:0],
+		devScratch:  r.devScratch[:0],
+	}
+}
+
 // Len returns the number of retained samples.
 func (r *Reservoir) Len() int { return len(r.data) }
 

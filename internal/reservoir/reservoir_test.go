@@ -3,6 +3,7 @@ package reservoir
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -252,5 +253,43 @@ func TestPropertySnapshotSubsetOfInputs(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResetRestoresNewState: Reset leaves a used reservoir in exactly the
+// state New builds (the refresh scratch aside, which carries no state),
+// draws nothing from the RNG, and the reservoir then behaves as a new one.
+func TestResetRestoresNewState(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Volume = 16
+	feed := func(r *Reservoir, n int) []float64 {
+		var thr []float64
+		for i := 0; i < n; i++ {
+			r.Input(float64(1000 + (i*37)%91))
+			thr = append(thr, r.Threshold())
+		}
+		r.Input(1e12) // end inside an outlier run
+		return thr
+	}
+
+	// used and twin sit at the same RNG position; only used is reset.
+	used, twin, fresh := newTest(cfg, 9), newTest(cfg, 9), newTest(cfg, 9)
+	feed(used, 200)
+	feed(twin, 200)
+	used.Reset()
+
+	got, want := *used, *fresh
+	got.sortScratch, got.devScratch, got.rng = nil, nil, nil
+	want.sortScratch, want.devScratch, want.rng = nil, nil, nil
+	if !reflect.DeepEqual(got, want) || cap(used.data) != cap(fresh.data) {
+		t.Fatalf("Reset state = %+v, New state = %+v", got, want)
+	}
+	if used.rng.Int63() != twin.rng.Int63() {
+		t.Error("Reset consumed an RNG draw")
+	}
+	used.rng.Seed(4)
+	fresh.rng.Seed(4)
+	if !reflect.DeepEqual(feed(used, 200), feed(fresh, 200)) {
+		t.Error("a reset reservoir diverges from a new one on the same input and RNG stream")
 	}
 }

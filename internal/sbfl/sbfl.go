@@ -15,12 +15,12 @@ import "math"
 //	Nps — normal (successful) packets whose path contains the pattern
 //	Nnf — abnormal packets whose path does NOT contain the pattern
 //	Nns — normal packets whose path does NOT contain the pattern
+//
+// The counts are in packets: rca fills them with sums of Alg. 2 weights
+// (one telemetry record stands for PathCount packets).
 type Spectrum struct {
 	Npf, Nps, Nnf, Nns float64
 }
-
-// Total returns the number of packets covered by the spectrum.
-func (s Spectrum) Total() float64 { return s.Npf + s.Nps + s.Nnf + s.Nns }
 
 // Formula computes a suspiciousness score from a spectrum. Higher means
 // more suspicious.
@@ -108,28 +108,4 @@ func Formulas() map[string]Formula {
 		"jaccard":       Jaccard,
 		"dstar":         DStar,
 	}
-}
-
-// CoverFunc reports whether a packet (by index) covers the pattern.
-type CoverFunc func(i int) bool
-
-// Build computes a pattern's spectrum over nf failing and ns successful
-// packets, where coversF/coversS report coverage in each set.
-func Build(nf, ns int, coversF, coversS CoverFunc) Spectrum {
-	var s Spectrum
-	for i := 0; i < nf; i++ {
-		if coversF(i) {
-			s.Npf++
-		} else {
-			s.Nnf++
-		}
-	}
-	for i := 0; i < ns; i++ {
-		if coversS(i) {
-			s.Nps++
-		} else {
-			s.Nns++
-		}
-	}
-	return s
 }

@@ -84,21 +84,6 @@ func TestJaccardAndDStar(t *testing.T) {
 	}
 }
 
-func TestBuild(t *testing.T) {
-	failCover := []bool{true, true, false}
-	passCover := []bool{false, true, false, false}
-	s := Build(len(failCover), len(passCover),
-		func(i int) bool { return failCover[i] },
-		func(i int) bool { return passCover[i] })
-	want := Spectrum{Npf: 2, Nnf: 1, Nps: 1, Nns: 3}
-	if s != want {
-		t.Errorf("Build = %+v, want %+v", s, want)
-	}
-	if s.Total() != 7 {
-		t.Errorf("Total = %v", s.Total())
-	}
-}
-
 // Property: all formulas return non-negative, non-NaN scores on valid
 // spectra.
 func TestPropertyScoresNonNegative(t *testing.T) {

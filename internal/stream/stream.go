@@ -26,6 +26,7 @@
 package stream
 
 import (
+	"container/heap"
 	"math/rand"
 	"sync"
 
@@ -360,17 +361,62 @@ type unitState struct {
 	flowBytes int
 	// evictions accumulates since the last takeEvictions.
 	evictions int64
+	// coldest orders the resident flows for eviction: a min-heap whose
+	// root is the victim.
+	coldest evictionHeap
+	// free holds evicted flow states for the next admission to reuse
+	// (reservoir sample slab and refresh scratch included).
+	free []*flowState
 
 	// ring holds the live epoch buckets: up to W sealed (in-window) plus
 	// two still-filling epochs.
 	ring []*bucket
+	// window is analyzeWindow's record concatenation, reused across
+	// windows (rca.AnalyzeWindow keeps no reference to it).
+	window []dataplane.RTRecord
 
 	analyzer *rca.Analyzer
 }
 
 type flowState struct {
+	flow      dataplane.FlowID
 	res       *reservoir.Reservoir
 	lastEpoch uint32
+	// heapIdx is the flow's position in unitState.coldest.
+	heapIdx int
+}
+
+// evictionHeap is a container/heap of the resident flows, least recently
+// active first (ties broken by flow ID): a strict total order, so the root
+// is the one flow a scan of the whole table would pick.
+type evictionHeap []*flowState
+
+func (h evictionHeap) Len() int { return len(h) }
+func (h evictionHeap) Less(i, j int) bool {
+	a, b := h[i], h[j]
+	if a.lastEpoch != b.lastEpoch {
+		return a.lastEpoch < b.lastEpoch
+	}
+	if a.flow.Src != b.flow.Src {
+		return a.flow.Src < b.flow.Src
+	}
+	return a.flow.Sink < b.flow.Sink
+}
+func (h evictionHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].heapIdx, h[j].heapIdx = i, j
+}
+func (h *evictionHeap) Push(x any) {
+	fs := x.(*flowState)
+	fs.heapIdx = len(*h)
+	*h = append(*h, fs)
+}
+func (h *evictionHeap) Pop() any {
+	old := *h
+	fs := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return fs
 }
 
 type bucket struct {
@@ -425,6 +471,7 @@ func (u *unitState) ingest(rec dataplane.RTRecord) ingestKind {
 	fs.res.Input(float64(rec.Latency))
 	if rec.Epoch > fs.lastEpoch {
 		fs.lastEpoch = rec.Epoch
+		heap.Fix(&u.coldest, fs.heapIdx)
 	}
 
 	b := u.slot(rec.Epoch)
@@ -446,8 +493,18 @@ func (u *unitState) admitFlow(flow dataplane.FlowID) *flowState {
 	for u.flowBytes+u.flowCost > u.cfg.BudgetBytes && len(u.flows) > 0 {
 		u.evictColdest()
 	}
-	fs := &flowState{res: reservoir.New(u.cfg.Reservoir, u.rng)}
+	var fs *flowState
+	if n := len(u.free); n > 0 {
+		// A reset reservoir is in reservoir.New's state, and neither draws
+		// from the RNG, so reuse cannot reach the output.
+		fs, u.free = u.free[n-1], u.free[:n-1]
+		fs.res.Reset()
+		fs.flow, fs.lastEpoch = flow, 0
+	} else {
+		fs = &flowState{flow: flow, res: reservoir.New(u.cfg.Reservoir, u.rng)}
+	}
 	u.flows[flow] = fs
+	heap.Push(&u.coldest, fs)
 	u.flowBytes += u.flowCost
 	return fs
 }
@@ -455,26 +512,11 @@ func (u *unitState) admitFlow(flow dataplane.FlowID) *flowState {
 // evictColdest removes the least-recently-active flow (ties broken by
 // flow ID), so eviction order is a pure function of the ingest sequence.
 func (u *unitState) evictColdest() {
-	var victim dataplane.FlowID
-	first := true
-	for f, fs := range u.flows { //mars:mapiter-ok deterministic argmin under the total order (lastEpoch, Src, Sink); iteration order cannot change the minimum
-		if first || less(fs.lastEpoch, f, u.flows[victim].lastEpoch, victim) {
-			victim, first = f, false
-		}
-	}
-	delete(u.flows, victim)
+	victim := heap.Pop(&u.coldest).(*flowState)
+	delete(u.flows, victim.flow)
+	u.free = append(u.free, victim)
 	u.flowBytes -= u.flowCost
 	u.evictions++
-}
-
-func less(aEpoch uint32, a dataplane.FlowID, bEpoch uint32, b dataplane.FlowID) bool {
-	if aEpoch != bEpoch {
-		return aEpoch < bEpoch
-	}
-	if a.Src != b.Src {
-		return a.Src < b.Src
-	}
-	return a.Sink < b.Sink
 }
 
 func (u *unitState) takeEvictions() int64 {
@@ -492,7 +534,7 @@ type unitWindowOut struct {
 // pipeline with this unit's thresholds.
 func (u *unitState) analyzeWindow(start, end uint32) unitWindowOut {
 	var out unitWindowOut
-	var records []dataplane.RTRecord
+	records := u.window[:0]
 	for ep := start; ep <= end; ep++ {
 		// slot, not a bare ring read: an epoch that brought this unit no
 		// records still retires the bucket W+2 epochs before it.
@@ -501,6 +543,7 @@ func (u *unitState) analyzeWindow(start, end uint32) unitWindowOut {
 		out.sampled += len(b.entries)
 		records = append(records, b.entries...)
 	}
+	u.window = records
 	if len(records) == 0 {
 		return out
 	}
