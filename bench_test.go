@@ -12,6 +12,7 @@ import (
 	"mars/internal/experiments"
 	"mars/internal/faults"
 	"mars/internal/fsm"
+	"mars/internal/harness"
 	"mars/internal/netsim"
 	"mars/internal/pathid"
 	"mars/internal/reservoir"
@@ -154,7 +155,7 @@ func BenchmarkAblationSBFL(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		experiments.RunAblationSBFL(1, int64(100+i))
+		experiments.RunAblationSBFLWith(harness.Config{}, 1, int64(100+i))
 	}
 }
 
@@ -163,7 +164,7 @@ func BenchmarkAblationFSMMaxLen(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		experiments.RunAblationFSMMaxLen(1, int64(100+i))
+		experiments.RunAblationFSMMaxLenWith(harness.Config{}, 1, int64(100+i))
 	}
 }
 

@@ -33,9 +33,11 @@
 //
 //	mars-bench -exp table1 -trials 2 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-// Trial-based experiments (table1, fig9, scale, ctrlchan, ablations) run
-// on the internal/harness worker pool: -workers bounds the pool (default
-// GOMAXPROCS) and -progress streams per-trial completions to stderr.
+// Trial-based experiments (table1, fig9, scale, ctrlchan, gray, overhead,
+// ablations) run on the internal/harness worker pool: -workers bounds the
+// pool (default GOMAXPROCS) and -progress streams per-trial completions to
+// stderr. -trials must stay below 1000, the seed stride between fault
+// kinds.
 // Results are byte-identical for any worker count — parallelism only
 // changes wall-clock time, which each run reports on stderr as a
 // machine-readable "timing:" line.
@@ -70,6 +72,13 @@ func main() {
 	)
 	flag.Parse()
 
+	// The per-experiment counts derived below (-trials/2+1, -trials/4+1)
+	// are within the limit whenever -trials is.
+	if err := experiments.CheckTrials(*trials); err != nil {
+		fmt.Fprintf(os.Stderr, "mars-bench: -trials: %v\n", err)
+		os.Exit(2)
+	}
+
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -98,7 +107,7 @@ func main() {
 		}()
 	}
 
-	opts := experiments.EngineOptions{Workers: *workers}
+	opts := harness.Config{Workers: *workers}
 	if *progress {
 		opts.Progress = progressPrinter()
 	}

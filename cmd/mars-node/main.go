@@ -135,18 +135,7 @@ func runController(scenarioPath, portmapPath string, withStream bool) (int, erro
 	ctrl.Start()
 	time.Sleep(deploy.ReplayDuration(sc)) //mars:wallclock live replay phase
 	deploy.WaitSettled(ctrl)
-	wall := time.Since(start).Seconds() //mars:wallclock deployment live phase
-
-	diags := ctrl.Diagnoses()
-	got := ctrl.Culprits()
-	res := &deploy.LoopbackResult{
-		Expected:         cap.Expected,
-		Got:              got,
-		Diagnoses:        len(diags),
-		WallSeconds:      wall,
-		CollectLatencies: ctrl.CollectionLatencies(),
-		Bytes:            ctrl.BandwidthStats(),
-	}
+	res := ctrl.Result(time.Since(start).Seconds()) //mars:wallclock deployment live phase
 	fmt.Printf("mars-node: controller diagnoses=%d collect_mean_ms=%.2f collect_p95_ms=%.2f diag_rate=%.2f/s retries=%d frames_rx=%d\n",
 		res.Diagnoses, res.MeanCollectMs(), res.P95CollectMs(), res.DiagnosesPerSec(),
 		res.Bytes.Retries, ctrl.Stats().FramesReceived.Load())
@@ -154,16 +143,8 @@ func runController(scenarioPath, portmapPath string, withStream bool) (int, erro
 		windows, merged := ctrl.FinishStream()
 		fmt.Printf("mars-node: stream windows=%d merged_culprits=%d\n", windows, merged)
 	}
-	want, gotKey := "<none>", "<none>"
-	if len(cap.Expected) > 0 {
-		want = deploy.Top1Key(cap.Expected[0])
-	}
-	if len(got) > 0 {
-		gotKey = deploy.Top1Key(got[0])
-	}
-	match := want != "<none>" && want == gotKey
-	fmt.Printf("mars-node: top-1 got=%s want=%s match=%v\n", gotKey, want, match)
-	if !match {
+	fmt.Printf("mars-node: %s\n", res.Verdict())
+	if !res.Top1Match {
 		return exitMismatch, nil
 	}
 	return 0, nil

@@ -28,7 +28,7 @@ type ControllerNode struct {
 	// the duration of one Analyze call (set and read on the loop goroutine).
 	currentThr map[dataplane.FlowID]netsim.Time
 
-	lists     [][]rca.Culprit
+	merged    rca.Merger
 	diagnoses []controlplane.Diagnosis
 
 	// noteSeen records the wall time each distinct trigger first reached
@@ -106,9 +106,7 @@ func NewControllerNode(cap *Capture, conn *net.UDPConn, switchAddrs map[topology
 			n.collectLat = append(n.collectLat, n.loop.Now()-at)
 		}
 		n.diagnoses = append(n.diagnoses, d)
-		if len(list) > 0 {
-			n.lists = append(n.lists, list)
-		}
+		n.merged.Add(list)
 		if n.Stream != nil {
 			for _, r := range d.Records {
 				n.Stream.Ingest(r)
@@ -129,8 +127,26 @@ func (n *ControllerNode) Start() { n.loop.Post(n.ctrl.Start) }
 // (synchronized through the loop; callable from any goroutine).
 func (n *ControllerNode) Culprits() []rca.Culprit {
 	var out []rca.Culprit
-	n.loop.Run(func() { out = rca.MergeRanked(n.lists) })
+	n.loop.Run(func() { out = n.merged.Ranked() })
 	return out
+}
+
+// Result judges the run as the controller saw it after wallSeconds of
+// live phase: the merged ranking against the capture's, and the collection
+// counts, latencies and bytes behind it. NotesSent is the switch nodes' to
+// add; the controller cannot see it.
+func (n *ControllerNode) Result(wallSeconds float64) *LoopbackResult {
+	res := &LoopbackResult{
+		Expected:         n.cap.Expected,
+		Got:              n.Culprits(),
+		Diagnoses:        len(n.Diagnoses()),
+		WallSeconds:      wallSeconds,
+		CollectLatencies: n.CollectionLatencies(),
+		Bytes:            n.BandwidthStats(),
+	}
+	res.Top1Match = len(res.Expected) > 0 && len(res.Got) > 0 &&
+		Top1Key(res.Expected[0]) == Top1Key(res.Got[0])
+	return res
 }
 
 // Diagnoses returns the collected diagnoses so far.

@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"fmt"
 	"sort"
 	"time"
 
@@ -26,6 +27,19 @@ type LoopbackResult struct {
 	CollectLatencies []netsim.Time
 	// Bytes is the controller's control-channel accounting.
 	Bytes controlplane.BandwidthStats
+}
+
+// Verdict renders the run's top-1 comparison: the deployment's and the
+// simulator's first culprit ("<none>" for an empty ranking) and whether
+// they match.
+func (r *LoopbackResult) Verdict() string {
+	top1 := func(cs []rca.Culprit) string {
+		if len(cs) == 0 {
+			return "<none>"
+		}
+		return Top1Key(cs[0])
+	}
+	return fmt.Sprintf("top-1 got=%s want=%s match=%v", top1(r.Got), top1(r.Expected), r.Top1Match)
 }
 
 // MeanCollectMs returns the mean collection latency in milliseconds (0
@@ -123,19 +137,10 @@ func RunLoopback(c *Capture) (*LoopbackResult, error) {
 	WaitSettled(ctrl)
 	wall := time.Since(start).Seconds() //mars:wallclock the deployment's live phase is wall-clock by nature
 
-	res := &LoopbackResult{
-		Expected:         c.Expected,
-		Got:              ctrl.Culprits(),
-		Diagnoses:        len(ctrl.Diagnoses()),
-		WallSeconds:      wall,
-		CollectLatencies: ctrl.CollectionLatencies(),
-		Bytes:            ctrl.BandwidthStats(),
-	}
+	res := ctrl.Result(wall)
 	for _, n := range nodes {
 		notes, _ := n.Counts()
 		res.NotesSent += notes
 	}
-	res.Top1Match = len(res.Expected) > 0 && len(res.Got) > 0 &&
-		Top1Key(res.Expected[0]) == Top1Key(res.Got[0])
 	return res, nil
 }

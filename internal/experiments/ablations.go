@@ -36,108 +36,75 @@ func (r *AblationResult) Render() string {
 	return b.String()
 }
 
-// runMARSVariant runs MARS trials across all fault kinds on the harness
-// under one variant — an RCA config edit (nil: none) and a matching rule —
-// aggregating ranks in the historical (fault, trial) order. Variant trials
-// never touch the shared result cache: the variant knobs live outside
-// TrialConfig, so identical keys could mean different computations.
-func runMARSVariant(opts EngineOptions, trials int, baseSeed int64, label string, mutateRCA func(*rca.Config), match func(rca.Culprit, faults.GroundTruth) bool) metrics.Localization {
-	var (
-		tcs []TrialConfig
-		ts  []harness.Trial
-	)
-	for _, kind := range faults.Kinds() {
-		for i := 0; i < trials; i++ {
-			seed := harness.TrialSeed(baseSeed, int(kind), i)
-			tc := DefaultTrialConfig(seed, kind)
-			tcs = append(tcs, tc)
-			ts = append(ts, harness.Trial{
-				Index: len(ts), Seed: seed,
-				Label: fmt.Sprintf("ablation/%s/%s/t%d", label, kind, i),
-			})
+// marsVariant is one row of an ablation: an RCA config edit (nil: none)
+// and a matching rule.
+type marsVariant struct {
+	name   string
+	mutate func(*rca.Config)
+	match  func(rca.Culprit, faults.GroundTruth) bool
+}
+
+// runMARSVariants runs the Table 1 fault suite under every variant, on
+// Table 1's seeds, aggregating each variant's ranks in (fault, trial)
+// order.
+func runMARSVariants(cfg harness.Config, title string, variants []marsVariant, trials int, baseSeed int64) *AblationResult {
+	var rows []sweepRow[TrialResult]
+	for _, v := range variants {
+		rows = append(rows, faultRow(v.name, func(tc TrialConfig) TrialResult {
+			return marsTrial(tc, v.mutate, v.match)
+		}))
+	}
+	results := sweep(cfg, "ablation", rows, faultSuite(), trials, baseSeed)
+	out := &AblationResult{Title: title}
+	for i, v := range variants {
+		row := AblationRow{Name: v.name}
+		for _, r := range results[i] {
+			row.Loc.Add(r.Rank)
 		}
+		out.Rows = append(out.Rows, row)
 	}
-	results := mustRun(opts, ts, func(tr harness.Trial) TrialResult {
-		return marsTrial(tcs[tr.Index], mutateRCA, match)
-	})
-	var loc metrics.Localization
-	for _, r := range results {
-		loc.Add(r.Rank)
-	}
-	return loc
+	return out
 }
 
-// RunAblationSBFL compares SBFL scoring formulas (relative risk is the
+// RunAblationSBFLWith compares SBFL scoring formulas (relative risk is the
 // paper's choice).
-func RunAblationSBFL(trials int, baseSeed int64) *AblationResult {
-	return RunAblationSBFLWith(EngineOptions{}, trials, baseSeed)
-}
-
-// RunAblationSBFLWith is RunAblationSBFL on configured engine options.
-func RunAblationSBFLWith(opts EngineOptions, trials int, baseSeed int64) *AblationResult {
-	out := &AblationResult{Title: "Ablation: SBFL formula"}
+func RunAblationSBFLWith(cfg harness.Config, trials int, baseSeed int64) *AblationResult {
+	var variants []marsVariant
 	for _, name := range []string{"relative-risk", "ochiai", "tarantula", "jaccard", "dstar"} {
 		formula := sbfl.Formulas()[name]
-		loc := runMARSVariant(opts, trials, baseSeed, "sbfl-"+name,
-			func(c *rca.Config) { c.Formula = formula }, marsMatches)
-		out.Rows = append(out.Rows, AblationRow{Name: name, Loc: loc})
+		variants = append(variants, marsVariant{name, func(c *rca.Config) { c.Formula = formula }, marsMatches})
 	}
-	return out
+	return runMARSVariants(cfg, "Ablation: SBFL formula", variants, trials, baseSeed)
 }
 
-// RunAblationFSMMaxLen compares culprit pattern length caps (MARS uses 2:
-// switches and links).
-func RunAblationFSMMaxLen(trials int, baseSeed int64) *AblationResult {
-	return RunAblationFSMMaxLenWith(EngineOptions{}, trials, baseSeed)
-}
-
-// RunAblationFSMMaxLenWith is RunAblationFSMMaxLen on configured options.
-func RunAblationFSMMaxLenWith(opts EngineOptions, trials int, baseSeed int64) *AblationResult {
-	out := &AblationResult{Title: "Ablation: FSM max pattern length"}
+// RunAblationFSMMaxLenWith compares culprit pattern length caps (MARS uses
+// 2: switches and links).
+func RunAblationFSMMaxLenWith(cfg harness.Config, trials int, baseSeed int64) *AblationResult {
+	var variants []marsVariant
 	for _, maxLen := range []int{1, 2, 3} {
-		maxLen := maxLen
-		loc := runMARSVariant(opts, trials, baseSeed, fmt.Sprintf("fsmlen-%d", maxLen),
-			func(c *rca.Config) { c.MaxPatternLen = maxLen }, marsMatches)
-		out.Rows = append(out.Rows, AblationRow{Name: fmt.Sprintf("maxlen=%d", maxLen), Loc: loc})
+		variants = append(variants, marsVariant{fmt.Sprintf("maxlen=%d", maxLen),
+			func(c *rca.Config) { c.MaxPatternLen = maxLen }, marsMatches})
 	}
-	return out
+	return runMARSVariants(cfg, "Ablation: FSM max pattern length", variants, trials, baseSeed)
 }
 
-// RunAblationMiner confirms miner choice does not change results (they
+// RunAblationMinerWith confirms miner choice does not change results (they
 // return identical pattern sets), only runtime.
-func RunAblationMiner(trials int, baseSeed int64) *AblationResult {
-	return RunAblationMinerWith(EngineOptions{}, trials, baseSeed)
-}
-
-// RunAblationMinerWith is RunAblationMiner on configured engine options.
-func RunAblationMinerWith(opts EngineOptions, trials int, baseSeed int64) *AblationResult {
-	out := &AblationResult{Title: "Ablation: FSM algorithm (results must match)"}
+func RunAblationMinerWith(cfg harness.Config, trials int, baseSeed int64) *AblationResult {
+	var variants []marsVariant
 	for _, name := range []string{"PrefixSpan", "GSP", "CM-SPADE"} {
 		m := fsm.ByName(name)
-		loc := runMARSVariant(opts, trials, baseSeed, "miner-"+name,
-			func(c *rca.Config) { c.Miner = m }, marsMatches)
-		out.Rows = append(out.Rows, AblationRow{Name: name, Loc: loc})
+		variants = append(variants, marsVariant{name, func(c *rca.Config) { c.Miner = m }, marsMatches})
 	}
-	return out
+	return runMARSVariants(cfg, "Ablation: FSM algorithm (results must match)", variants, trials, baseSeed)
 }
 
-// RunAblationCauseAccuracy scores MARS with the strict cause-matching rule
-// (the diagnosed cause class must equal the injected class, in addition to
-// the location).
-func RunAblationCauseAccuracy(trials int, baseSeed int64) *AblationResult {
-	return RunAblationCauseAccuracyWith(EngineOptions{}, trials, baseSeed)
-}
-
-// RunAblationCauseAccuracyWith is RunAblationCauseAccuracy on configured
-// engine options.
-func RunAblationCauseAccuracyWith(opts EngineOptions, trials int, baseSeed int64) *AblationResult {
-	out := &AblationResult{Title: "Ablation: location-only vs location+cause matching"}
-	for _, v := range []struct {
-		name  string
-		match func(rca.Culprit, faults.GroundTruth) bool
-	}{{"location", marsMatches}, {"location+cause", marsCauseMatches}} {
-		loc := runMARSVariant(opts, trials, baseSeed, v.name, nil, v.match)
-		out.Rows = append(out.Rows, AblationRow{Name: v.name, Loc: loc})
-	}
-	return out
+// RunAblationCauseAccuracyWith scores MARS with the strict cause-matching
+// rule (the diagnosed cause class must equal the injected class, in
+// addition to the location) next to the location-only rule.
+func RunAblationCauseAccuracyWith(cfg harness.Config, trials int, baseSeed int64) *AblationResult {
+	return runMARSVariants(cfg, "Ablation: location-only vs location+cause matching", []marsVariant{
+		{"location", nil, marsMatches},
+		{"location+cause", nil, marsCauseMatches},
+	}, trials, baseSeed)
 }

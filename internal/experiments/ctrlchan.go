@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"mars/internal/faults"
 	"mars/internal/harness"
 	"mars/internal/metrics"
 	"mars/internal/netsim"
@@ -44,69 +43,51 @@ type CtrlChanResult struct {
 	Rows   []CtrlChanRow
 }
 
-// RunCtrlChan sweeps control-channel loss with the default engine options.
-func RunCtrlChan(trials int, baseSeed int64) *CtrlChanResult {
-	return RunCtrlChanWith(EngineOptions{}, trials, baseSeed)
-}
-
-// RunCtrlChanWith sweeps control-channel loss over the Table 1 fault suite
-// on the harness. Seeds derive exactly as in RunTable1, so every sweep
-// point faces the same fault sequence; per-row aggregation walks results
-// in the historical (loss, mode, fault, trial) nesting order, keeping the
-// whole experiment deterministic under a fixed base seed and any worker
-// count.
-func RunCtrlChanWith(opts EngineOptions, trials int, baseSeed int64) *CtrlChanResult {
+// RunCtrlChanWith sweeps control-channel loss over the Table 1 fault
+// suite, both controller modes at every loss point. Every sweep point
+// faces Table 1's fault sequence; each row aggregates in (fault, trial)
+// order.
+func RunCtrlChanWith(cfg harness.Config, trials int, baseSeed int64) *CtrlChanResult {
 	res := &CtrlChanResult{Trials: trials}
-	var (
-		tcs   []TrialConfig
-		rowOf []int
-		ts    []harness.Trial
-	)
+	var rows []sweepRow[TrialResult]
 	for _, loss := range CtrlChanLosses {
 		for _, retry := range []bool{true, false} {
 			res.Rows = append(res.Rows, CtrlChanRow{Loss: loss, Retry: retry})
-			row := len(res.Rows) - 1
-			for _, kind := range faults.Kinds() {
-				for t := 0; t < trials; t++ {
-					seed := harness.TrialSeed(baseSeed, int(kind), t)
-					tc := DefaultTrialConfig(seed, kind)
-					tc.CtrlLossy = true
-					tc.CtrlLoss = loss
-					tc.CtrlNoRetry = !retry
-					tcs = append(tcs, tc)
-					rowOf = append(rowOf, row)
-					mode := "retry"
-					if !retry {
-						mode = "no-retry"
-					}
-					ts = append(ts, harness.Trial{
-						Index: len(ts), Seed: seed,
-						Label: fmt.Sprintf("ctrlchan/%.0f%%/%s/%s/t%d", 100*loss, mode, kind, t),
-					})
-				}
+			label := fmt.Sprintf("%.0f%%/%s", 100*loss, ctrlChanMode(retry))
+			rows = append(rows, faultRow(label, func(tc TrialConfig) TrialResult {
+				tc.CtrlLossy = true
+				tc.CtrlLoss = loss
+				tc.CtrlNoRetry = !retry
+				return RunTrial(SysMARS, tc)
+			}))
+		}
+	}
+	results := sweep(cfg, "ctrlchan", rows, faultSuite(), trials, baseSeed)
+	for i := range res.Rows {
+		row := &res.Rows[i]
+		var latSum netsim.Time
+		for _, r := range results[i] {
+			row.Loc.Add(r.Rank)
+			row.Diagnoses += r.Diagnoses
+			row.Partial += r.PartialDiagnoses
+			if r.DiagDetected {
+				row.Detected++
+				latSum += r.DiagLatency
 			}
 		}
-	}
-	results := mustRun(opts, ts, func(tr harness.Trial) TrialResult {
-		return opts.runTrial(SysMARS, tcs[tr.Index])
-	})
-	latSum := make([]netsim.Time, len(res.Rows))
-	for i, r := range results {
-		row := &res.Rows[rowOf[i]]
-		row.Loc.Add(r.Rank)
-		row.Diagnoses += r.Diagnoses
-		row.Partial += r.PartialDiagnoses
-		if r.DiagDetected {
-			row.Detected++
-			latSum[rowOf[i]] += r.DiagLatency
-		}
-	}
-	for i := range res.Rows {
-		if res.Rows[i].Detected > 0 {
-			res.Rows[i].MeanDiagLatency = latSum[i] / netsim.Time(res.Rows[i].Detected)
+		if row.Detected > 0 {
+			row.MeanDiagLatency = latSum / netsim.Time(row.Detected)
 		}
 	}
 	return res
+}
+
+// ctrlChanMode names a controller mode in labels and the rendered table.
+func ctrlChanMode(retry bool) string {
+	if retry {
+		return "retry"
+	}
+	return "no-retry"
 }
 
 // Row returns the sweep point for (loss, retry), or nil.
@@ -126,12 +107,8 @@ func (r *CtrlChanResult) Render() string {
 	fmt.Fprintf(&b, "%-6s %-9s %6s %6s %8s %10s %10s %9s\n",
 		"loss", "mode", "R@1", "R@3", "Exam", "diag(ms)", "diagnoses", "partial")
 	for _, row := range r.Rows {
-		mode := "retry"
-		if !row.Retry {
-			mode = "no-retry"
-		}
 		fmt.Fprintf(&b, "%-6s %-9s %6.2f %6.2f %8.2f %10.1f %10d %9d\n",
-			fmt.Sprintf("%.0f%%", 100*row.Loss), mode,
+			fmt.Sprintf("%.0f%%", 100*row.Loss), ctrlChanMode(row.Retry),
 			row.Loc.RecallAt(1), row.Loc.RecallAt(3), row.Loc.MeanExamScore(),
 			row.MeanDiagLatency.Millis(), row.Diagnoses, row.Partial)
 	}

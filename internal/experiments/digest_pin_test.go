@@ -5,9 +5,11 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"math"
 	"testing"
 
 	"mars/internal/faults"
+	"mars/internal/harness"
 )
 
 // Pinned digests of the three seeded experiment sweeps, captured before
@@ -28,6 +30,15 @@ const (
 	pinnedOverheadDigest = "a5a8d1aa7a8bc339696cc0a0a2a57aaad986b946b9cc9c21526de3cc9017e856"
 )
 
+// Pins of the remaining sweep-based drivers, captured at the commit before
+// they moved onto the shared sweep (same pinTrials/pinSeed, same rule:
+// fix the code, do not re-pin).
+const (
+	pinnedGrayDigest          = "0d8acd4ee0a8760fd4b43a53602f7eb6bf23e52fe5da07eb5dc3b1372f881c18"
+	pinnedFig9Digest          = "deeaf4ce7f4ad1a0c02ac91c97a369c5516bd4a1ba47bb0cbd4539b03f6c3fc1"
+	pinnedAblationCauseDigest = "7b50244818b6cf8a7ab918ba510dc2f20ffbd272b22913d13a1f48406ff134d5"
+)
+
 // pinTrials keeps the pin suite affordable: one trial per fault kind per
 // sweep point still exercises every fault signature, every system, every
 // codec, and the lossy control channel end to end.
@@ -37,7 +48,7 @@ const pinTrials = 1
 const pinSeed = 1000
 
 func table1Digest() string {
-	res := RunTable1With(EngineOptions{}, pinTrials, pinSeed)
+	res := RunTable1With(harness.Config{}, pinTrials, pinSeed)
 	h := sha256.New()
 	io.WriteString(h, res.Render())
 	for _, kind := range faults.Kinds() {
@@ -49,7 +60,7 @@ func table1Digest() string {
 }
 
 func ctrlChanDigest() string {
-	res := RunCtrlChanWith(EngineOptions{}, pinTrials, pinSeed)
+	res := RunCtrlChanWith(harness.Config{}, pinTrials, pinSeed)
 	h := sha256.New()
 	io.WriteString(h, res.Render())
 	for _, row := range res.Rows {
@@ -61,7 +72,7 @@ func ctrlChanDigest() string {
 }
 
 func overheadDigest() string {
-	res := RunOverheadWith(EngineOptions{}, pinTrials, pinSeed)
+	res := RunOverheadWith(harness.Config{}, pinTrials, pinSeed)
 	h := sha256.New()
 	io.WriteString(h, res.Render())
 	for _, row := range res.Rows {
@@ -72,9 +83,44 @@ func overheadDigest() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestPinnedSeededDigests is the acceptance gate for the zero-alloc
-// pipeline: the table1, ctrlchan, and overhead sweeps must produce
-// byte-identical seeded output before and after the optimization.
+func grayDigest() string {
+	res := RunGrayWith(harness.Config{}, pinTrials, pinSeed)
+	h := sha256.New()
+	io.WriteString(h, res.Render())
+	for _, sc := range GrayScenarios() {
+		for _, mode := range GrayModes() {
+			c := res.Cells[sc.Name][mode]
+			fmt.Fprintf(h, "%s/%v:%+v|%+v|%d|%d|%d\n", sc.Name, mode,
+				c.Link.Results, c.Sw.Results, c.CauseHits, c.Detected, c.Trials)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func fig9Digest() string {
+	res := RunFig9With(harness.Config{}, pinSeed)
+	h := sha256.New()
+	io.WriteString(h, res.Render())
+	for _, row := range res.Rows {
+		fmt.Fprintf(h, "%v:%x|%x|%x\n", row.System, math.Float64bits(row.TelemetryBytes),
+			math.Float64bits(row.DiagnosisBytes), math.Float64bits(row.PctOfTraffic))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func ablationCauseDigest() string {
+	res := RunAblationCauseAccuracyWith(harness.Config{}, pinTrials, pinSeed)
+	h := sha256.New()
+	io.WriteString(h, res.Render())
+	for _, row := range res.Rows {
+		fmt.Fprintf(h, "%s:%+v\n", row.Name, row.Loc.Results)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestPinnedSeededDigests is the byte-level guard under every refactor of
+// the seeded pipeline: the table1, ctrlchan, overhead, gray, fig9 and
+// cause-ablation sweeps must reproduce their pinned seeded output.
 func TestPinnedSeededDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full seeded sweeps are not short")
@@ -86,6 +132,9 @@ func TestPinnedSeededDigests(t *testing.T) {
 		{"table1", pinnedTable1Digest, table1Digest},
 		{"ctrlchan", pinnedCtrlChanDigest, ctrlChanDigest},
 		{"overhead", pinnedOverheadDigest, overheadDigest},
+		{"gray", pinnedGrayDigest, grayDigest},
+		{"fig9", pinnedFig9Digest, fig9Digest},
+		{"ablation-cause", pinnedAblationCauseDigest, ablationCauseDigest},
 	} {
 		c := c
 		t.Run(c.name, func(t *testing.T) {

@@ -201,7 +201,7 @@ func TestTable1Quick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	res := RunTable1(2, 77)
+	res := RunTable1With(harness.Config{}, 2, 77)
 	if res.Trials != 2 {
 		t.Fatal("trials mismatch")
 	}
@@ -232,7 +232,7 @@ func TestDefaultTrialConfigSane(t *testing.T) {
 }
 
 func TestScaleSweepShape(t *testing.T) {
-	r := RunScale([]int{4, 6})
+	r := RunScaleWith(harness.Config{}, []int{4, 6})
 	if len(r.Rows) != 2 {
 		t.Fatal("rows")
 	}

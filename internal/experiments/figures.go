@@ -568,60 +568,27 @@ type Fig9Result struct {
 	Rows []Fig9Row
 }
 
-// RunFig9 measures overhead with the default engine options.
-func RunFig9(baseSeed int64) *Fig9Result {
-	return RunFig9With(EngineOptions{}, baseSeed)
-}
-
-// RunFig9With measures overhead in the same Table 1 scenarios: telemetry
-// bytes are extra in-band header bytes crossing links; diagnosis bytes are
-// control-channel exchanges. One trial per fault kind per system — the
-// trial-0 seeds, i.e. exactly the scenarios Table 1 already
-// ran, so when RunTable1 preceded this in the same process (as in
-// `mars-bench -exp all`), every trial is recalled from the shared result
-// cache instead of re-simulated.
-func RunFig9With(opts EngineOptions, baseSeed int64) *Fig9Result {
-	type unit struct {
-		sys  SystemKind
-		kind faults.Kind
-	}
-	var (
-		units []unit
-		tcs   []TrialConfig
-		ts    []harness.Trial
-	)
-	for _, sys := range Systems() {
-		for _, kind := range faults.Kinds() {
-			seed := harness.TrialSeed(baseSeed, int(kind), 0)
-			tc := DefaultTrialConfig(seed, kind)
-			units = append(units, unit{sys, kind})
-			tcs = append(tcs, tc)
-			ts = append(ts, harness.Trial{
-				Index: len(ts), Seed: seed,
-				Label: fmt.Sprintf("fig9/%s/%s", sys, kind),
-			})
-		}
-	}
-	results := mustRun(opts, ts, func(tr harness.Trial) TrialResult {
-		return opts.runTrial(units[tr.Index].sys, tcs[tr.Index])
-	})
+// RunFig9With measures overhead in the Table 1 scenarios: telemetry bytes
+// are extra in-band header bytes crossing links; diagnosis bytes are
+// control-channel exchanges. One trial per fault kind per system, on
+// Table 1's trial-0 seeds.
+func RunFig9With(cfg harness.Config, baseSeed int64) *Fig9Result {
+	results := sweep(cfg, "fig9", systemRows(), faultSuite(), 1, baseSeed)
 	out := &Fig9Result{}
-	var tel, diag, total float64
-	n := 0
-	for i, r := range results {
-		tel += float64(r.TelemetryBytes)
-		diag += float64(r.DiagnosisBytes)
-		total += float64(r.TotalLinkBytes)
-		n++
-		if i+1 == len(results) || units[i+1].sys != units[i].sys {
-			out.Rows = append(out.Rows, Fig9Row{
-				System:         units[i].sys,
-				TelemetryBytes: tel / float64(n),
-				DiagnosisBytes: diag / float64(n),
-				PctOfTraffic:   100 * (tel + diag) / total,
-			})
-			tel, diag, total, n = 0, 0, 0, 0
+	for r, sys := range Systems() {
+		var tel, diag, total float64
+		for _, tr := range results[r] {
+			tel += float64(tr.TelemetryBytes)
+			diag += float64(tr.DiagnosisBytes)
+			total += float64(tr.TotalLinkBytes)
 		}
+		n := float64(len(results[r]))
+		out.Rows = append(out.Rows, Fig9Row{
+			System:         sys,
+			TelemetryBytes: tel / n,
+			DiagnosisBytes: diag / n,
+			PctOfTraffic:   100 * (tel + diag) / total,
+		})
 	}
 	return out
 }

@@ -108,74 +108,55 @@ type grayOutcome struct {
 	Detected bool
 }
 
-// RunGray runs the gray suite with default engine options.
-func RunGray(trials int, baseSeed int64) *GrayResult {
-	return RunGrayWith(EngineOptions{}, trials, baseSeed)
-}
-
 // grayKindIndex offsets the seed-plan fault index so gray seeds never
 // collide with the Table 1 kinds (0..4) or the ctrlchan sweeps.
 const grayKindIndex = 100
 
-// RunGrayWith runs the gray/correlated/churn suite on the harness: MARS
-// only, every scenario in both analyzer modes, scored against the episode
-// ground truth (roots only — consequences are the distractors). Both
-// modes of a trial share one seed, so they face the identical episode and
-// the grid isolates the analyzer change. Results aggregate in declaration
-// order and are byte-identical for any worker count.
-func RunGrayWith(opts EngineOptions, trials int, baseSeed int64) *GrayResult {
+// RunGrayWith runs the gray/correlated/churn suite: MARS only, every
+// scenario in both analyzer modes, scored against the episode ground truth
+// (roots only — consequences are the distractors). Both modes of a trial
+// share one seed, so they face the identical episode and the grid
+// isolates the analyzer change.
+func RunGrayWith(cfg harness.Config, trials int, baseSeed int64) *GrayResult {
 	scens := GrayScenarios()
-	type unit struct {
-		scen int
-		mode GrayMode
+	var kinds []sweepKind
+	for si, sc := range scens {
+		kinds = append(kinds, sweepKind{grayKindIndex + si, sc.Name})
 	}
-	var (
-		units []unit
-		tcs   []TrialConfig
-		ts    []harness.Trial
-	)
+	var rows []sweepRow[grayOutcome]
+	for _, mode := range GrayModes() {
+		rows = append(rows, sweepRow[grayOutcome]{mode.String(), func(k int, seed int64) grayOutcome {
+			tc := DefaultTrialConfig(seed, faults.SilentDrop)
+			// FaultStart separates detections from false alarms; use the
+			// episode's earliest window.
+			tc.FaultStart, tc.FaultDur = scheduleWindow(scens[k].Schedule)
+			return runGrayTrial(tc, scens[k].Schedule, mode == GrayCompound)
+		}})
+	}
+	results := sweep(cfg, "gray", rows, kinds, trials, baseSeed)
+
 	res := &GrayResult{
 		Trials: trials,
 		Cells:  make(map[string]map[GrayMode]*GrayCell),
 	}
-	for si, sc := range scens {
+	for _, sc := range scens {
 		res.Cells[sc.Name] = make(map[GrayMode]*GrayCell)
 		for _, mode := range GrayModes() {
 			res.Cells[sc.Name][mode] = &GrayCell{}
 		}
-		for t := 0; t < trials; t++ {
-			seed := harness.TrialSeed(baseSeed, grayKindIndex+si, t)
-			tc := DefaultTrialConfig(seed, faults.SilentDrop)
-			// FaultStart separates detections from false alarms; use the
-			// episode's earliest window.
-			tc.FaultStart, tc.FaultDur = scheduleWindow(sc.Schedule)
-			for _, mode := range GrayModes() {
-				units = append(units, unit{si, mode})
-				tcs = append(tcs, tc)
-				ts = append(ts, harness.Trial{
-					Index: len(ts), Seed: seed,
-					Label: fmt.Sprintf("gray/%s/%s/t%d", sc.Name, mode, t),
-				})
+	}
+	for r, mode := range GrayModes() {
+		for i, o := range results[r] {
+			cell := res.Cells[scens[i/trials].Name][mode]
+			cell.Trials++
+			cell.Link.Add(o.LinkRank)
+			cell.Sw.Add(o.SwRank)
+			if o.CauseHit {
+				cell.CauseHits++
 			}
-		}
-	}
-	outcomes, err := harness.Run(opts.config(), ts, func(tr harness.Trial) grayOutcome {
-		u := units[tr.Index]
-		return runGrayTrial(tcs[tr.Index], scens[u.scen].Schedule, u.mode == GrayCompound)
-	})
-	if err != nil {
-		panic(err)
-	}
-	for i, o := range outcomes {
-		cell := res.Cells[scens[units[i].scen].Name][units[i].mode]
-		cell.Trials++
-		cell.Link.Add(o.LinkRank)
-		cell.Sw.Add(o.SwRank)
-		if o.CauseHit {
-			cell.CauseHits++
-		}
-		if o.Detected {
-			cell.Detected++
+			if o.Detected {
+				cell.Detected++
+			}
 		}
 	}
 	return res
@@ -195,15 +176,14 @@ func scheduleWindow(s faults.Schedule) (netsim.Time, netsim.Time) {
 	return start, end - start
 }
 
-// runGrayTrial runs one MARS trial over a fault schedule. It bypasses the
-// shared trial cache (episodes are not TrialConfig-keyed) but is the same
-// mars.System run as every other MARS trial.
+// runGrayTrial runs one MARS trial over a fault schedule: the same
+// mars.System run as every other MARS trial, scored against the episode.
 func runGrayTrial(tc TrialConfig, sched faults.Schedule, compound bool) grayOutcome {
 	m := startMARS(tc, func(c *rca.Config) { c.CompoundCauses = compound })
 	ep := m.sys.InjectSchedule(sched)
 	m.sys.Run(tc.Total)
 
-	ranked := rca.MergeRanked(m.lists)
+	ranked := m.merged.Ranked()
 	out := grayOutcome{Detected: m.detected}
 	for _, gt := range ep.Roots() {
 		if r := rankWhere(ranked, gt, grayLinkMatch); r > 0 && (out.LinkRank == 0 || r < out.LinkRank) {

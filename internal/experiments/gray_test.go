@@ -3,18 +3,19 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"mars/internal/harness"
 )
 
 // The gray suite must render byte-identically for any worker count —
 // parallelism may only change wall-clock time. This is the same guarantee
-// the other drivers pin, extended to the schedule-based trials that bypass
-// the shared result cache.
+// the other drivers pin, extended to the schedule-based trials.
 func TestGrayDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full gray suite in -short mode")
 	}
-	one := RunGrayWith(EngineOptions{Workers: 1, DisableCache: true}, 2, 77).Render()
-	eight := RunGrayWith(EngineOptions{Workers: 8, DisableCache: true}, 2, 77).Render()
+	one := RunGrayWith(harness.Config{Workers: 1}, 2, 77).Render()
+	eight := RunGrayWith(harness.Config{Workers: 8}, 2, 77).Render()
 	if one != eight {
 		t.Fatalf("gray grid differs between 1 and 8 workers:\n--- w1 ---\n%s--- w8 ---\n%s", one, eight)
 	}
@@ -27,7 +28,7 @@ func TestGrayRenderCoversGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full gray suite in -short mode")
 	}
-	out := RunGrayWith(EngineOptions{Workers: 4}, 1, 33).Render()
+	out := RunGrayWith(harness.Config{Workers: 4}, 1, 33).Render()
 	for _, sc := range GrayScenarios() {
 		if !strings.Contains(out, sc.Name) {
 			t.Errorf("grid lacks scenario %q:\n%s", sc.Name, out)

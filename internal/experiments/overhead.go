@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"mars/internal/faults"
 	"mars/internal/harness"
 	"mars/internal/metrics"
 )
@@ -69,58 +68,36 @@ type OverheadResult struct {
 	Rows   []OverheadRow
 }
 
-// RunOverhead sweeps the codecs with default engine options.
-func RunOverhead(trials int, baseSeed int64) *OverheadResult {
-	return RunOverheadWith(EngineOptions{}, trials, baseSeed)
-}
-
-// RunOverheadWith runs the codec sweep on the harness. Seeds derive
-// exactly as in RunTable1, so every codec faces the same fault sequence
-// and the mars11 row reproduces Table 1's MARS accuracy; per-row
-// aggregation walks results in the (codec, fault, trial) nesting order,
-// keeping the frontier deterministic under a fixed base seed and any
-// worker count.
-func RunOverheadWith(opts EngineOptions, trials int, baseSeed int64) *OverheadResult {
+// RunOverheadWith runs the Table 1 fault suite under every codec. Every
+// codec faces Table 1's fault sequence, so the mars11 row reproduces
+// Table 1's MARS accuracy; each row aggregates in (fault, trial) order.
+func RunOverheadWith(cfg harness.Config, trials int, baseSeed int64) *OverheadResult {
 	res := &OverheadResult{Trials: trials}
-	var (
-		tcs   []TrialConfig
-		rowOf []int
-		ts    []harness.Trial
-	)
+	var rows []sweepRow[TrialResult]
 	for _, codec := range OverheadCodecs {
 		res.Rows = append(res.Rows, OverheadRow{Codec: codec})
-		row := len(res.Rows) - 1
-		for _, kind := range faults.Kinds() {
-			for t := 0; t < trials; t++ {
-				seed := harness.TrialSeed(baseSeed, int(kind), t)
-				tc := DefaultTrialConfig(seed, kind)
-				tc.Codec = codec
-				tcs = append(tcs, tc)
-				rowOf = append(rowOf, row)
-				ts = append(ts, harness.Trial{
-					Index: len(ts), Seed: seed,
-					Label: fmt.Sprintf("overhead/%s/%s/t%d", codec, kind, t),
-				})
-			}
-		}
+		rows = append(rows, faultRow(codec, func(tc TrialConfig) TrialResult {
+			tc.Codec = codec
+			return RunTrial(SysMARS, tc)
+		}))
 	}
-	results := mustRun(opts, ts, func(tr harness.Trial) TrialResult {
-		return opts.runTrial(SysMARS, tcs[tr.Index])
-	})
-	for i, r := range results {
-		row := &res.Rows[rowOf[i]]
-		row.Loc.Add(r.Rank)
-		row.Det.Add(r.DiagDetected, true)
-		if r.FalseAlarms > 0 {
-			row.Det.Add(true, false)
-		}
-		row.TelemetryBytes += r.TelemetryBytes
-		row.TotalLinkBytes += r.TotalLinkBytes
-		row.DiagnosisBytes += r.DiagnosisBytes
-		row.Packets += r.Packets
-		row.TelemetryPackets += r.TelemetryPackets
-		if r.DiagDetected {
-			row.Detected++
+	results := sweep(cfg, "overhead", rows, faultSuite(), trials, baseSeed)
+	for i := range res.Rows {
+		row := &res.Rows[i]
+		for _, r := range results[i] {
+			row.Loc.Add(r.Rank)
+			row.Det.Add(r.DiagDetected, true)
+			if r.FalseAlarms > 0 {
+				row.Det.Add(true, false)
+			}
+			row.TelemetryBytes += r.TelemetryBytes
+			row.TotalLinkBytes += r.TotalLinkBytes
+			row.DiagnosisBytes += r.DiagnosisBytes
+			row.Packets += r.Packets
+			row.TelemetryPackets += r.TelemetryPackets
+			if r.DiagDetected {
+				row.Detected++
+			}
 		}
 	}
 	return res

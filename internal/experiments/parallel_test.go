@@ -21,11 +21,8 @@ func renderDigest(s string) string {
 
 // TestTable1ParallelDeterminism runs the full Table-1 suite sequentially
 // and on an oversubscribed worker pool and requires byte-identical output.
-// The cache is disabled so the second run actually re-executes every trial
-// instead of echoing the first run's memoized results; with it enabled the
-// comparison would be vacuously true. CI runs this under -race, so any
-// unsynchronized sharing between trial workers fails the build even when
-// the digests happen to agree.
+// CI runs this under -race, so any unsynchronized sharing between trial
+// workers fails the build even when the digests happen to agree.
 //
 // The parallel run doubles as the progress-wiring check (the same path
 // mars-bench -progress uses): every trial must be reported exactly once.
@@ -37,16 +34,15 @@ func TestTable1ParallelDeterminism(t *testing.T) {
 		trials   = 1
 		baseSeed = 4242
 	)
-	seq := RunTable1With(EngineOptions{Workers: 1, DisableCache: true}, trials, baseSeed).Render()
+	seq := RunTable1With(harness.Config{Workers: 1}, trials, baseSeed).Render()
 
 	var (
 		mu sync.Mutex
 		// seen counts completions per trial label; guarded by mu.
 		seen = map[string]int{}
 	)
-	opts := EngineOptions{
-		Workers:      8,
-		DisableCache: true,
+	opts := harness.Config{
+		Workers: 8,
 		Progress: func(done, total int, tr harness.Trial, _ time.Duration) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -75,37 +71,5 @@ func TestTable1ParallelDeterminism(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("trial %s reported %d times, want 1", label, n)
 		}
-	}
-}
-
-// TestFig9ReusesTable1Results pins the cross-driver result sharing: Fig. 9
-// scores the same (system, fault, trial-0 seed) scenarios as Table 1, so
-// after a Table-1 run every Fig. 9 trial must be a cache hit — zero new
-// simulations. This is what makes `mars-bench -exp all` pay for the shared
-// trial matrix once.
-func TestFig9ReusesTable1Results(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full experiment sweeps are not short")
-	}
-	sharedResults.Reset()
-	defer sharedResults.Reset()
-
-	RunTable1With(EngineOptions{}, 1, 9090)
-	hitsBefore, missesBefore := sharedResults.Stats()
-	if missesBefore == 0 {
-		t.Fatalf("Table 1 populated no cache entries; reuse check is vacuous")
-	}
-
-	fig9 := RunFig9With(EngineOptions{}, 9090)
-	hitsAfter, missesAfter := sharedResults.Stats()
-	if missesAfter != missesBefore {
-		t.Fatalf("Fig. 9 re-ran %d trials Table 1 already executed (misses %d -> %d)",
-			missesAfter-missesBefore, missesBefore, missesAfter)
-	}
-	if hitsAfter == hitsBefore {
-		t.Fatalf("Fig. 9 never consulted the shared cache; reuse check is vacuous")
-	}
-	if len(fig9.Rows) == 0 {
-		t.Fatalf("Fig. 9 produced no rows from cached trials")
 	}
 }

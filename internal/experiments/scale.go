@@ -37,63 +37,60 @@ type ScaleResult struct {
 	Width uint
 }
 
-// RunScale sweeps fat-tree arities with the default engine options.
-func RunScale(ks []int) *ScaleResult {
-	return RunScaleWith(EngineOptions{}, ks)
-}
-
 // RunScaleWith sweeps fat-tree arities and measures MARS's header and
 // memory costs against IntSight's encoding. A 16-bit PathID accommodates
 // the larger path sets (the 8-bit default is sized for K=4). Each arity is
-// one harness trial, so big-K topology and table builds proceed in
-// parallel; rows come back in sweep order. BuildMs is the one wall-clock
-// field: under parallel workers concurrent builds share the CPUs, so
-// per-row build latency can read higher than a sequential sweep even
-// though the whole sweep finishes sooner.
-func RunScaleWith(opts EngineOptions, ks []int) *ScaleResult {
+// one sweep row of one unseeded trial, so big-K topology and table builds
+// proceed in parallel; rows come back in sweep order. BuildMs is the one
+// wall-clock field: under parallel workers concurrent builds share the
+// CPUs, so per-row build latency can read higher than a sequential sweep
+// even though the whole sweep finishes sooner.
+func RunScaleWith(cfg harness.Config, ks []int) *ScaleResult {
 	out := &ScaleResult{Width: 16}
-	cfg := pathid.Config{Alg: pathid.CRC16, Width: out.Width}
-	ts := make([]harness.Trial, len(ks))
-	for i, k := range ks {
-		ts[i] = harness.Trial{Index: i, Seed: int64(k), Label: fmt.Sprintf("scale/K=%d", k)}
+	idCfg := pathid.Config{Alg: pathid.CRC16, Width: out.Width}
+	var rows []sweepRow[ScaleRow]
+	for _, k := range ks {
+		rows = append(rows, sweepRow[ScaleRow]{fmt.Sprintf("K=%d", k), func(int, int64) ScaleRow {
+			return scaleRow(k, idCfg)
+		}})
 	}
-	rows, err := harness.Run(opts.config(), ts, func(tr harness.Trial) ScaleRow {
-		k := ks[tr.Index]
-		ft, err := topology.NewFatTree(k)
-		if err != nil {
-			panic(err)
-		}
-		paths := ft.AllEdgePairPaths()
-		maxHops := 0
-		for _, p := range paths {
-			if len(p) > maxHops {
-				maxHops = len(p)
-			}
-		}
-		start := time.Now() //mars:wallclock Table 2 reports real build latency
-		tbl, err := pathid.BuildTable(cfg, ft.Topology, paths)
-		if err != nil {
-			panic(err)
-		}
-		return ScaleRow{
-			K:               k,
-			Switches:        ft.NumSwitches(),
-			Hosts:           ft.NumHosts(),
-			Paths:           len(paths),
-			MaxHops:         maxHops,
-			HeaderB:         cfg.HeaderBytes() + dataplane.TelemetryHeaderBytes,
-			MATEntries:      tbl.MATEntryCount(),
-			MATBytes:        tbl.MemoryBytes(),
-			IntSightEntries: pathid.IntSightMATEntries(paths),
-			IntSightBytes:   pathid.IntSightMemoryBytes(paths),
-			BuildMs:         float64(time.Since(start).Microseconds()) / 1000, //mars:wallclock Table 2 reports real build latency
-		}
-	})
+	for _, r := range sweep(cfg, "scale", rows, []sweepKind{{0, "build"}}, 1, 0) {
+		out.Rows = append(out.Rows, r[0])
+	}
+	return out
+}
+
+// scaleRow builds the arity-k fabric's path table and reads off its costs.
+func scaleRow(k int, cfg pathid.Config) ScaleRow {
+	ft, err := topology.NewFatTree(k)
 	if err != nil {
 		panic(err)
 	}
-	out.Rows = rows
-	return out
+	paths := ft.AllEdgePairPaths()
+	maxHops := 0
+	for _, p := range paths {
+		if len(p) > maxHops {
+			maxHops = len(p)
+		}
+	}
+	start := time.Now() //mars:wallclock Table 2 reports real build latency
+	tbl, err := pathid.BuildTable(cfg, ft.Topology, paths)
+	if err != nil {
+		panic(err)
+	}
+	return ScaleRow{
+		K:               k,
+		Switches:        ft.NumSwitches(),
+		Hosts:           ft.NumHosts(),
+		Paths:           len(paths),
+		MaxHops:         maxHops,
+		HeaderB:         cfg.HeaderBytes() + dataplane.TelemetryHeaderBytes,
+		MATEntries:      tbl.MATEntryCount(),
+		MATBytes:        tbl.MemoryBytes(),
+		IntSightEntries: pathid.IntSightMATEntries(paths),
+		IntSightBytes:   pathid.IntSightMemoryBytes(paths),
+		BuildMs:         float64(time.Since(start).Microseconds()) / 1000, //mars:wallclock Table 2 reports real build latency
+	}
 }
 
 // Render formats the sweep.

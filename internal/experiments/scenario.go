@@ -3,10 +3,13 @@
 // benchmarks. Each driver returns a plain data structure plus a formatted
 // text rendering, so EXPERIMENTS.md can record paper-vs-measured rows.
 //
-// Trial-based drivers declare their (system x fault x trial) matrix to the
-// internal/harness engine, which executes trials on a bounded worker pool
-// and returns results in deterministic trial order — output is
-// byte-identical for any worker count. Seeds come from harness.TrialSeed.
+// Every trial-based driver (Table 1, Fig. 9, ctrlchan, overhead, gray, the
+// ablations, the arity sweep) is a row list handed to sweep (sweep.go) plus
+// a fold over the results of each row. sweep alone enumerates the rows x
+// kinds x trials matrix, derives seeds (harness.TrialSeed), labels trials
+// and runs them on the internal/harness worker pool; results come back by
+// index, so output is byte-identical for any worker count. Drivers take
+// the harness.Config (workers, progress) as their first argument.
 // MARS trials are mars.System runs: the trial config maps onto mars.Config
 // and the deployment is built by mars.NewSystem, the same code the public
 // API and the examples use. The three baselines share newSubstrate
@@ -20,7 +23,6 @@ import (
 	"mars/internal/baselines/syndb"
 	"mars/internal/dataplane"
 	"mars/internal/faults"
-	"mars/internal/harness"
 	"mars/internal/netsim"
 	"mars/internal/rca"
 	"mars/internal/topology"
@@ -74,10 +76,6 @@ type TrialConfig struct {
 	// SimCfg overrides the physical parameters (zero = scaled defaults).
 	SimCfg *netsim.Config
 
-	// CtrlSeed seeds the control channel's own random stream, derived from
-	// Seed by harness.CtrlChanSeed (constructors always fill it; zero falls
-	// back to the same derivation).
-	CtrlSeed int64
 	// CtrlLossy runs MARS over the realistic control channel model
 	// (1 ms ± jitter latency, duplication, reordering) instead of the
 	// perfect synchronous one, with CtrlLoss symmetric message loss.
@@ -116,7 +114,6 @@ func DefaultTrialConfig(seed int64, kind faults.Kind) TrialConfig {
 		FaultStart: 2 * netsim.Second,
 		FaultDur:   1500 * netsim.Millisecond,
 		Total:      4 * netsim.Second,
-		CtrlSeed:   harness.CtrlChanSeed(seed),
 	}
 }
 

@@ -60,9 +60,10 @@ func marsConfig(tc TrialConfig, mutateRCA func(*rca.Config)) mars.Config {
 		cfg.Sim = *tc.SimCfg
 	}
 	cfg.Codec = tc.Codec
-	cfg.CtrlChan = ctrlchan.Config{Seed: tc.ctrlSeed()}
+	ctrlSeed := harness.CtrlChanSeed(tc.Seed)
+	cfg.CtrlChan = ctrlchan.Config{Seed: ctrlSeed}
 	if tc.CtrlLossy {
-		cfg.CtrlChan = ctrlchan.Lossy(tc.CtrlLoss, tc.ctrlSeed())
+		cfg.CtrlChan = ctrlchan.Lossy(tc.CtrlLoss, ctrlSeed)
 	}
 	if tc.CtrlNoRetry {
 		cfg.Controller.MaxRetries = 0
@@ -80,7 +81,7 @@ func marsConfig(tc TrialConfig, mutateRCA func(*rca.Config)) mars.Config {
 // pre-fault noise into the ranking).
 type marsRun struct {
 	sys         *mars.System
-	lists       [][]rca.Culprit
+	merged      rca.Merger
 	detected    bool
 	firstDiag   netsim.Time
 	diagnoses   int64
@@ -110,7 +111,7 @@ func startMARS(tc TrialConfig, mutateRCA func(*rca.Config)) *marsRun {
 		if d.Partial() {
 			m.partial++
 		}
-		m.lists = append(m.lists, sys.Analyzer.Analyze(d))
+		m.merged.Add(sys.Analyzer.Analyze(d))
 	}
 	installWorkload(tc, sys.Sim, sys.FT)
 	return m
@@ -124,7 +125,7 @@ func marsTrial(tc TrialConfig, mutateRCA func(*rca.Config), match func(rca.Culpr
 	gt := m.sys.InjectFault(tc.Fault, tc.FaultStart, tc.FaultDur)
 	m.sys.Run(tc.Total)
 	return TrialResult{
-		System: SysMARS, GT: recordGT(gt), Rank: rankWhere(rca.MergeRanked(m.lists), gt, match),
+		System: SysMARS, GT: recordGT(gt), Rank: rankWhere(m.merged.Ranked(), gt, match),
 		Detected:       m.detected,
 		TelemetryBytes: m.sys.TelemetryOverheadBytes(),
 		DiagnosisBytes: m.sys.DiagnosisOverheadBytes(),
@@ -135,16 +136,6 @@ func marsTrial(tc TrialConfig, mutateRCA func(*rca.Config), match func(rca.Culpr
 		TelemetryPackets: m.sys.Program.Stats.TelemetryPackets,
 		FalseAlarms:      m.falseAlarms,
 	}
-}
-
-// ctrlSeed resolves the trial's control-channel seed: the value the
-// constructors derived, or the legacy offset for hand-rolled zero-value
-// configs.
-func (tc TrialConfig) ctrlSeed() int64 {
-	if tc.CtrlSeed != 0 {
-		return tc.CtrlSeed
-	}
-	return harness.CtrlChanSeed(tc.Seed)
 }
 
 // --- Baselines --------------------------------------------------------------

@@ -21,54 +21,39 @@ type Table1Result struct {
 	Cells map[faults.Kind]map[SystemKind]*Table1Cell
 }
 
-// RunTable1 runs `trials` trials per fault kind per system with the
-// default engine options (GOMAXPROCS workers).
-func RunTable1(trials int, baseSeed int64) *Table1Result {
-	return RunTable1With(EngineOptions{}, trials, baseSeed)
+// systemRows is one sweep row per compared system, each running the
+// default trial of the fault suite (Table 1 and Fig. 9 share it).
+func systemRows() []sweepRow[TrialResult] {
+	var rows []sweepRow[TrialResult]
+	for _, sys := range Systems() {
+		rows = append(rows, faultRow(sys.String(), func(tc TrialConfig) TrialResult {
+			return RunTrial(sys, tc)
+		}))
+	}
+	return rows
 }
 
-// RunTable1With runs the Table 1 matrix on the harness. Seeds derive from
-// baseSeed through harness.TrialSeed so every system faces the same fault
-// sequence; trials execute on the worker pool and aggregate in the
-// historical (fault, trial, system) nesting order, so the result is
-// byte-identical for any worker count.
-func RunTable1With(opts EngineOptions, trials int, baseSeed int64) *Table1Result {
-	type unit struct {
-		kind faults.Kind
-		sys  SystemKind
-	}
-	var (
-		units []unit
-		tcs   []TrialConfig
-		ts    []harness.Trial
-	)
+// RunTable1With runs `trials` trials per fault kind per system. Every
+// system faces the same seeded fault sequence; each (fault, system) cell
+// aggregates its ranks in trial order.
+func RunTable1With(cfg harness.Config, trials int, baseSeed int64) *Table1Result {
+	kinds := faults.Kinds()
+	results := sweep(cfg, "table1", systemRows(), faultSuite(), trials, baseSeed)
+
 	res := &Table1Result{
 		Trials: trials,
 		Cells:  make(map[faults.Kind]map[SystemKind]*Table1Cell),
 	}
-	for _, kind := range faults.Kinds() {
+	for _, kind := range kinds {
 		res.Cells[kind] = make(map[SystemKind]*Table1Cell)
 		for _, sys := range Systems() {
 			res.Cells[kind][sys] = &Table1Cell{}
 		}
-		for t := 0; t < trials; t++ {
-			seed := harness.TrialSeed(baseSeed, int(kind), t)
-			tc := DefaultTrialConfig(seed, kind)
-			for _, sys := range Systems() {
-				units = append(units, unit{kind, sys})
-				tcs = append(tcs, tc)
-				ts = append(ts, harness.Trial{
-					Index: len(ts), Seed: seed,
-					Label: fmt.Sprintf("table1/%s/%s/t%d", kind, sys, t),
-				})
-			}
-		}
 	}
-	results := mustRun(opts, ts, func(tr harness.Trial) TrialResult {
-		return opts.runTrial(units[tr.Index].sys, tcs[tr.Index])
-	})
-	for i, r := range results {
-		res.Cells[units[i].kind][units[i].sys].Loc.Add(r.Rank)
+	for r, sys := range Systems() {
+		for i, tr := range results[r] {
+			res.Cells[kinds[i/trials]][sys].Loc.Add(tr.Rank)
+		}
 	}
 	return res
 }

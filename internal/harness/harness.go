@@ -1,15 +1,16 @@
 // Package harness is the deterministic parallel trial engine under every
-// experiment driver. A driver declares its trial matrix as a flat, ordered
-// slice of Trials (the enumeration order IS the aggregation order), hands
-// the engine a pure per-trial function, and gets results back indexed
-// exactly like the input — regardless of how many workers executed them or
-// in what real-time order they finished. Three properties are load-bearing:
+// experiment driver. Its caller (experiments.sweep, the one place a trial
+// matrix is enumerated) declares the matrix as a flat, ordered slice of
+// Trials, hands the engine a pure per-trial function, and gets results
+// back indexed exactly like the input — regardless of how many workers
+// executed them or in what real-time order they finished. Three properties
+// are load-bearing:
 //
 //   - Determinism: each trial is a pure function of its Trial value (all
 //     randomness flows from Trial.Seed, derived by TrialSeed), results are
-//     stored at the trial's index, and drivers aggregate by iterating that
-//     slice in order. Output is therefore byte-identical for any worker
-//     count.
+//     stored at the trial's index, and drivers aggregate by iterating
+//     slices of that in order. Output is therefore byte-identical for any
+//     worker count.
 //   - Bounded parallelism: at most Config.Workers trials run at once
 //     (default runtime.GOMAXPROCS(0)).
 //   - Panic containment: a panicking trial is recovered into a typed

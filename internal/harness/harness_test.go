@@ -136,40 +136,3 @@ func TestRunEmptyAndDefaults(t *testing.T) {
 		t.Fatalf("clamped run results: %v", results)
 	}
 }
-
-// TestCacheMemoizes covers Get/Put/Len/Stats/Reset and concurrent access.
-func TestCacheMemoizes(t *testing.T) {
-	c := NewCache[string, int]()
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("hit on empty cache")
-	}
-	c.Put("a", 7)
-	if v, ok := c.Get("a"); !ok || v != 7 {
-		t.Fatalf("Get(a) = %d, %v", v, ok)
-	}
-	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
-		t.Errorf("stats = %d hits, %d misses", hits, misses)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				c.Put(fmt.Sprintf("k%d", i), i)
-				c.Get(fmt.Sprintf("k%d", (i+w)%100))
-			}
-		}(w)
-	}
-	wg.Wait()
-	if c.Len() != 101 {
-		t.Errorf("len = %d, want 101", c.Len())
-	}
-	c.Reset()
-	if c.Len() != 0 {
-		t.Error("reset left entries")
-	}
-	if hits, misses := c.Stats(); hits != 0 || misses != 0 {
-		t.Error("reset left counters")
-	}
-}

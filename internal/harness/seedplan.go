@@ -5,12 +5,15 @@ package harness
 // its RNG seeds from (base seed, fault-kind index, trial index) through
 // these two functions.
 
+// KindStride is the seed distance between consecutive fault-kind indices.
+// Seeds are collision-free only while trial < KindStride: trial KindStride
+// of kind k aliases trial 0 of kind k+1.
+const KindStride = 1000
+
 // TrialSeed returns the substrate seed (simulator, router, controller) for
-// trial `trial` of fault-kind index `kind`: base + kind*1000 + trial.
-// Seeds are collision-free only while trial < 1000 (the kind stride):
-// trial 1000 of kind k aliases trial 0 of kind k+1.
+// trial `trial` of fault-kind index `kind`: base + kind*KindStride + trial.
 func TrialSeed(base int64, kind, trial int) int64 {
-	return base + int64(kind)*1000 + int64(trial)
+	return base + int64(kind)*KindStride + int64(trial)
 }
 
 // CtrlChanSeed derives the control-channel seed from a trial's substrate

@@ -655,69 +655,103 @@ func mergeCulprits(cs []Culprit) []Culprit {
 
 // MergeRanked folds the culprit lists of several diagnoses of the same
 // incident into one ranked list (an operator reviews the accumulated
-// evidence). Each list is first normalized to a top score of 1 — SBFL
-// scores are only comparable within one diagnosis — then duplicate
-// culprits merge by the §4.4.4 rules, so persistent culprits accumulate.
+// evidence): a Merger fed every list in order.
 func MergeRanked(lists [][]Culprit) []Culprit {
-	var all []Culprit
+	var m Merger
 	for _, l := range lists {
-		if len(l) == 0 {
-			continue
-		}
-		max := l[0].Score
-		for _, c := range l {
-			if c.Score > max {
-				max = c.Score
-			}
-		}
-		if max <= 0 {
-			max = 1
-		}
-		for _, c := range l {
-			c.Score /= max
-			all = append(all, c)
-		}
+		m.Add(l)
 	}
-	return rank(mergeOnce(all))
+	return m.Ranked()
 }
 
-// mergeOnce folds exact-duplicate culprits (same cause, level, location,
-// flow) by summation. Within a single diagnosis the §4.4.4 max-rule for
-// flow-level causes has already been applied by mergeCulprits, so at this
-// stage (port-collapse leftovers and cross-diagnosis accumulation) every
-// cause kind accumulates evidence the same way — otherwise flow-level
-// culprits could never compete with switch-level ones that sum across
-// repeated diagnoses.
+// mergeKey is a culprit's identity under the cross-diagnosis merge: cause,
+// level, and the flow (flow-level culprits, whose identity subsumes their
+// location) or the location (everything else).
+type mergeKey struct {
+	cause Cause
+	level Level
+	loc   string
+	flow  dataplane.FlowID
+}
+
+// Merger accumulates the culprit lists of successive diagnoses of one
+// incident without retaining them: its state is one entry per distinct
+// culprit, in first-appearance order. Add in diagnosis order, read Ranked
+// at any point; the result is bit-identical to MergeRanked over the same
+// lists. The zero value is ready to use.
+type Merger struct {
+	index map[mergeKey]int
+	cs    []Culprit
+}
+
+// Add folds one diagnosis's culprit list in. The list is first normalized
+// to a top score of 1 — SBFL scores are only comparable within one
+// diagnosis — then duplicate culprits merge, so persistent culprits
+// accumulate.
+func (m *Merger) Add(list []Culprit) {
+	if len(list) == 0 {
+		return
+	}
+	max := list[0].Score
+	for _, c := range list {
+		if c.Score > max {
+			max = c.Score
+		}
+	}
+	if max <= 0 {
+		max = 1
+	}
+	for _, c := range list {
+		c.Score /= max
+		m.fold(c)
+	}
+}
+
+// fold merges one culprit into the accumulated set: exact duplicates
+// (same cause, level, location, flow) sum. Within a single diagnosis the
+// §4.4.4 max-rule for flow-level causes has already been applied by
+// mergeCulprits, so at this stage (port-collapse leftovers and
+// cross-diagnosis accumulation) every cause kind accumulates evidence the
+// same way — otherwise flow-level culprits could never compete with
+// switch-level ones that sum across repeated diagnoses.
+func (m *Merger) fold(c Culprit) {
+	k := mergeKey{cause: c.Cause, level: c.Level}
+	if c.Level == LevelFlow {
+		k.flow = c.Flow
+	} else {
+		k.loc = topology.Path(c.Location).String()
+	}
+	i, ok := m.index[k]
+	if !ok {
+		if m.index == nil {
+			m.index = make(map[mergeKey]int)
+		}
+		m.index[k] = len(m.cs)
+		m.cs = append(m.cs, c)
+		return
+	}
+	m.cs[i].Score += c.Score
+	// A culprit confirmed by a better-covered diagnosis keeps that
+	// diagnosis's confidence.
+	if c.Confidence > m.cs[i].Confidence {
+		m.cs[i].Confidence = c.Confidence
+	}
+}
+
+// Ranked returns the merged culprits so far, ranked (a fresh slice: the
+// accumulated set keeps its first-appearance order for later Adds).
+func (m *Merger) Ranked() []Culprit {
+	out := make([]Culprit, len(m.cs))
+	copy(out, m.cs)
+	return rank(out)
+}
+
+// mergeOnce folds exact-duplicate culprits by summation, keeping
+// first-appearance order.
 func mergeOnce(cs []Culprit) []Culprit {
-	type key struct {
-		cause Cause
-		level Level
-		loc   string
-		flow  dataplane.FlowID
-	}
-	merged := make(map[key]*Culprit)
-	order := make([]key, 0, len(cs))
+	var m Merger
 	for _, c := range cs {
-		k := key{c.Cause, c.Level, topology.Path(c.Location).String(), dataplane.FlowID{}}
-		if c.Level == LevelFlow {
-			k.flow, k.loc = c.Flow, ""
-		}
-		if m, ok := merged[k]; ok {
-			m.Score += c.Score
-			// A culprit confirmed by a better-covered diagnosis keeps
-			// that diagnosis's confidence.
-			if c.Confidence > m.Confidence {
-				m.Confidence = c.Confidence
-			}
-		} else {
-			cc := c
-			merged[k] = &cc
-			order = append(order, k)
-		}
+		m.fold(c)
 	}
-	out := make([]Culprit, 0, len(order))
-	for _, k := range order {
-		out = append(out, *merged[k])
-	}
-	return out
+	return m.cs
 }

@@ -139,7 +139,9 @@ type Service struct {
 	lastAnalyzed int64
 
 	results []WindowResult
-	lists   [][]rca.Culprit
+	// merged accumulates every closed window's per-unit culprit lists;
+	// the lists themselves are not retained.
+	merged  rca.Merger
 	lastTop string
 
 	// OnWindow, if set, observes every closed window in order.
@@ -201,7 +203,7 @@ func (s *Service) Results() []WindowResult { return s.results }
 // Merged folds every closed window's per-unit culprit lists under the
 // cross-diagnosis merge rules: scores accumulate across windows, each
 // culprit keeps the best coverage that supported it.
-func (s *Service) Merged() []rca.Culprit { return rca.MergeRanked(s.lists) }
+func (s *Service) Merged() []rca.Culprit { return s.merged.Ranked() }
 
 // Ingest routes one sink record to its unit shard. Records for epochs
 // already sealed are counted late and dropped — determinism requires that
@@ -295,7 +297,7 @@ func (s *Service) finalizeEpoch(ep uint32) {
 		res.Offered += o.offered
 		if len(o.culprits) > 0 {
 			lists = append(lists, o.culprits)
-			s.lists = append(s.lists, o.culprits)
+			s.merged.Add(o.culprits)
 		}
 	}
 	res.Culprits = rca.MergeRanked(lists)

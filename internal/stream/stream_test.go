@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -336,7 +337,9 @@ func (m countingMiner) Mine(db fsm.Dataset, p fsm.Params) []fsm.Pattern {
 
 // The miner in Config.RCA.Miner is the one that mines every window, and
 // each window's culprits are what rca.AnalyzeWindow with the default miner
-// makes of the same sampled records under the same thresholds.
+// makes of the same sampled records under the same thresholds. Merged(),
+// which the service accumulates window by window without keeping the
+// lists, equals rca.MergeRanked over every per-unit list of every window.
 func TestStreamMinesWithConfiguredMiner(t *testing.T) {
 	f := newTestFabric(t)
 	calls := 0
@@ -348,6 +351,7 @@ func TestStreamMinesWithConfiguredMiner(t *testing.T) {
 	refCfg := s.cfg.RCA // window-aligned EpochDuration/RecentWindow
 	refCfg.Miner = nil  // rca.New's default
 	diagnosed := 0
+	var all [][]rca.Culprit
 	s.OnWindow = func(w WindowResult) {
 		var lists [][]rca.Culprit
 		for _, u := range s.units {
@@ -373,8 +377,12 @@ func TestStreamMinesWithConfiguredMiner(t *testing.T) {
 		if len(w.Culprits) > 0 {
 			diagnosed++
 		}
+		all = append(all, lists...)
 	}
 	driveFaulted(t, f, s, 10, 4, 9, f.ft.AggIDs[2])
+	if got, want := s.Merged(), rca.MergeRanked(all); !reflect.DeepEqual(got, want) {
+		t.Errorf("Merged() after %d windows:\n%v\nrca.MergeRanked over every per-unit list:\n%v", len(s.Results()), got, want)
+	}
 	if calls == 0 {
 		t.Fatal("Config.RCA.Miner never saw a Mine call: the service mined with something else")
 	}

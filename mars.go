@@ -157,7 +157,7 @@ type System struct {
 	Paths      *pathid.Table
 
 	injector *faults.Injector
-	lists    [][]rca.Culprit
+	merged   rca.Merger
 	// Diagnoses collects every on-demand collection for inspection.
 	Diagnoses []Diagnosis
 	// OnDiagnosis, if set, observes each diagnosis as it happens.
@@ -207,9 +207,7 @@ func NewSystem(cfg Config) (*System, error) {
 	ctrl.OnDiagnosis = func(d controlplane.Diagnosis) {
 		s.Diagnoses = append(s.Diagnoses, d)
 		list := s.Analyzer.Analyze(d)
-		if len(list) > 0 {
-			s.lists = append(s.lists, list)
-		}
+		s.merged.Add(list)
 		if s.OnDiagnosis != nil {
 			s.OnDiagnosis(d, list)
 		}
@@ -254,7 +252,7 @@ func (s *System) Run(until Time) { s.Sim.Run(until) }
 // Culprits returns the merged, ranked culprit list accumulated across all
 // diagnoses so far.
 func (s *System) Culprits() []Culprit {
-	return rca.MergeRanked(s.lists)
+	return s.merged.Ranked()
 }
 
 // ThresholdOf exposes the controller's current dynamic threshold for a
