@@ -90,17 +90,6 @@ func BenchmarkFig8AnomalyDetection(b *testing.B) {
 	}
 }
 
-// BenchmarkFig9Overhead regenerates the bandwidth study for MARS only
-// (the full four-system version runs in cmd/mars-bench).
-func BenchmarkFig9Overhead(b *testing.B) {
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tc := experiments.DefaultTrialConfig(int64(7+i), faults.Delay)
-		experiments.RunTrial(experiments.SysMARS, tc)
-	}
-}
-
 // BenchmarkFig10Resources regenerates the resource-model sweep (E-F10).
 func BenchmarkFig10Resources(b *testing.B) {
 	b.ReportAllocs()
@@ -133,19 +122,6 @@ func BenchmarkPathIDTableBuild(b *testing.B) {
 		if _, err := pathid.BuildTable(pathid.DefaultConfig(), ft.Topology, paths); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkAblationPenalty compares reservoir penalty variants (A-1).
-func BenchmarkAblationPenalty(b *testing.B) {
-	for _, mode := range []reservoir.PenaltyMode{reservoir.PenaltyText, reservoir.PenaltyOff, reservoir.PenaltyPrinted} {
-		b.Run(mode.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				experiments.RunFig8(int64(i+1), 6, 400)
-				_ = mode
-			}
-		})
 	}
 }
 

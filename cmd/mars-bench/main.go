@@ -12,12 +12,13 @@
 // ablation-fsmlen, ablation-miner, ablation-cause.
 //
 // The stream experiment runs the continuously-diagnosing service
-// (internal/stream) against the sharded k-ary fabric with a mid-run
+// (internal/stream) against the partitioned k-ary fabric with a mid-run
 // silent-drop fault: sink records feed the sliding-window pipeline epoch
 // by epoch and the run reports detection latency, accuracy per window
-// size, and the live metrics snapshot. -k and -shards size the fabric;
-// -workers bounds the service's analysis fan-out. Stdout is byte-identical
-// for any -shards/-workers value.
+// size, and the live metrics snapshot. -k sizes the fabric, -shards lays
+// out the resident programs' hook owners and -workers bounds the service's
+// analysis fan-out. Stdout is byte-identical for any -shards/-workers
+// value.
 //
 // The gray experiment runs the gray-failure/correlated-fault/topology-churn
 // schedule suite (silent drop, link flap, link down, switch reboot, uplink
@@ -65,8 +66,8 @@ func main() {
 		seed       = flag.Int64("seed", 1000, "base random seed")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "harness worker pool size for trial-based experiments")
 		progress   = flag.Bool("progress", false, "stream per-trial progress to stderr")
-		arity      = flag.Int("k", 16, "fat-tree arity for the sharded trials (scale, stream)")
-		shards     = flag.Int("shards", 0, "shard count for the sharded scale trial; 0 = GOMAXPROCS")
+		arity      = flag.Int("k", 16, "fat-tree arity for the partitioned trials (scale, stream)")
+		shards     = flag.Int("shards", 1, "hook-owner count for -exp scale/stream: owner layout only, output byte-identical")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -108,8 +109,10 @@ func main() {
 	}
 
 	opts := harness.Config{Workers: *workers}
+	var hb func(netsim.Time, int64) // scale/stream heartbeat
 	if *progress {
 		opts.Progress = progressPrinter()
+		hb = experiments.ScaleHeartbeat(os.Stderr)
 	}
 
 	runners := map[string]func(){
@@ -145,13 +148,9 @@ func main() {
 		},
 		"scale": func() {
 			fmt.Print(experiments.RunScaleWith(opts, []int{4, 6, 8}).Render())
-			// The sharded scale trial: simulated outcome on stdout
+			// The partitioned scale trial: simulated outcome on stdout
 			// (invariant under -shards, diffed by CI), throughput and
-			// per-shard memory on stderr.
-			var hb netsim.ShardProgress
-			if *progress {
-				hb = experiments.ScaleHeartbeat(os.Stderr)
-			}
+			// memory on stderr.
 			res := experiments.RunScaleTrial(experiments.DefaultScaleTrialConfig(*arity, *shards, *seed), hb)
 			fmt.Print(res.Render())
 			fmt.Fprint(os.Stderr, res.RenderMem())
@@ -161,10 +160,6 @@ func main() {
 			// Continuous streaming diagnosis: simulated outcome on stdout
 			// (invariant under -shards and -workers, diffed by CI),
 			// sustained throughput on stderr.
-			var hb netsim.ShardProgress
-			if *progress {
-				hb = experiments.ScaleHeartbeat(os.Stderr)
-			}
 			tc := experiments.DefaultStreamTrialConfig(*arity, *shards, *seed)
 			tc.Workers = *workers
 			res := experiments.RunStreamTrial(tc, hb)

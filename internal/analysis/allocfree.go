@@ -45,7 +45,6 @@ var Allocfree = &Analyzer{
 var allocfreeRoots = []string{
 	"mars/internal/netsim.Simulator.Run",
 	"mars/internal/netsim.Simulator.RunAll",
-	"mars/internal/netsim.Simulator.RunShardWindow",
 	"mars/internal/dataplane.Program.OnForward",
 	"mars/internal/dataplane.Program.OnDrop",
 	"mars/internal/dataplane.Program.OnDeliver",

@@ -90,7 +90,7 @@ type Program struct {
 	// the streaming controller's ingest tap. The record is passed by value
 	// (no escape from the zero-alloc forwarding path); nil disables the
 	// tap. The callback runs inside the simulator event loop, so it must
-	// not block and must touch only state owned by this program's shard.
+	// not block.
 	OnRecord func(sw topology.NodeID, rec RTRecord)
 	Stats    Stats
 
@@ -132,10 +132,10 @@ func New(cfg Config, topo *topology.Topology, paths *pathid.Table, notifier Noti
 
 // NewResident creates a program whose register state (Ingress/Egress/Ring
 // Tables, threshold maps) is allocated only for switches in the resident
-// set; nil means every switch. The sharded engine attaches one resident
-// program per shard — a switch's packets are always processed by its
-// owning shard, so per-switch registers need exist only there, and total
-// register memory stays flat as the shard count grows. Per-switch
+// set; nil means every switch. A netsim.Sharded run attaches one resident
+// program per hook owner — a switch's hooks always reach its one owner, so
+// per-switch registers need exist only there, and total register memory
+// stays flat as the owner count grows. Per-switch
 // accessors are nil-safe for non-resident switches (SetThreshold and
 // FlushSwitch no-op; ITFlows/ETEntries report zero).
 func NewResident(cfg Config, topo *topology.Topology, paths *pathid.Table, notifier Notifier, resident []topology.NodeID) *Program {

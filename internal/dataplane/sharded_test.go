@@ -8,8 +8,8 @@ import (
 )
 
 // shardFixture builds a k=4 fat-tree with its switches split across two
-// resident programs by pod-partition unit parity, mirroring how the
-// sharded engine assigns per-shard register residency.
+// resident programs by pod-partition unit parity, mirroring how
+// netsim.Sharded assigns units to hook owners.
 func shardFixture(t *testing.T) (*topology.FatTree, *topology.Partition, [2]*Program, func(topology.NodeID) int) {
 	t.Helper()
 	ft, err := topology.NewFatTree(4)

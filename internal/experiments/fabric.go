@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"runtime"
-
 	"mars/internal/dataplane"
 	"mars/internal/netsim"
 	"mars/internal/pathid"
@@ -10,31 +8,28 @@ import (
 	"mars/internal/workload"
 )
 
-// NewShardedFabric is the one place the sharded k-ary fabric is wired: the
-// pod partition, one resident MARS program per shard, the sharded engine
-// over them, and the deterministic cross-pod mesh. The scale and stream
-// tiers both run on it and keep only what differs.
+// NewShardedFabric is the one place the partitioned k-ary fabric is
+// wired: the pod partition, one resident MARS program per hook owner, the
+// simulator over them, and the deterministic cross-pod mesh. The scale and
+// stream tiers both run on it and keep only what differs.
 //
-// shards <= 0 means GOMAXPROCS; the count is clamped to the partition's
-// units exactly as netsim.NewSharded clamps it, so program i always pairs
-// with shard i (sh.NumShards() is the effective count). table may be nil:
-// at k=16 the all-pairs path set is millions of entries, and without it
-// the in-band hash chain still runs — only the MAT control lookup is
-// skipped. numFlows flows at ratePPS each run until stop. With tap set,
-// every program's OnRecord appends its sink records to bufs[i]; the tap
-// runs inside shard i's event loop, so the buffers are strictly per-shard
-// and the coordinator drains (and truncates) them between Run steps. Unit
-// u's records land in exactly one buffer (shard u%shards) in deterministic
-// order, so every per-unit record sequence is shard-count invariant.
-//
-// The caller owns the engine and must Close it.
+// shards is the owner count, clamped to [1, partition units] as
+// netsim.NewSharded clamps it, so program i always pairs with owner i; it
+// lays out which program holds which switch's registers and never changes
+// simulated output. table may be nil: at k=16 the all-pairs path set is
+// millions of entries, and without it the in-band hash chain still runs —
+// only the MAT control lookup is skipped. numFlows flows at ratePPS each
+// run until stop. With tap set, every program's OnRecord appends its sink
+// records to bufs[i], which the caller drains (and truncates) between Run
+// steps. Unit u's records land in exactly one buffer (owner u%shards) in
+// deterministic order, so every per-unit record sequence is owner-count
+// invariant.
 func NewShardedFabric(ft *topology.FatTree, shards int, seed int64, simCfg netsim.Config,
-	table *pathid.Table, numFlows int, ratePPS float64, stop netsim.Time,
-	progress netsim.ShardProgress, tap bool,
+	table *pathid.Table, numFlows int, ratePPS float64, stop netsim.Time, tap bool,
 ) (sh *netsim.Sharded, progs []*dataplane.Program, bufs [][]dataplane.RTRecord) {
 	part := ft.PodPartition()
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
+	if shards < 1 {
+		shards = 1
 	}
 	if shards > part.NumUnits {
 		shards = part.NumUnits
@@ -66,7 +61,7 @@ func NewShardedFabric(ft *topology.FatTree, shards int, seed int64, simCfg netsi
 
 	router := netsim.NewECMPRouter(ft.Topology, uint64(seed))
 	sh = netsim.NewSharded(ft.Topology, part, router, func(i int) netsim.Hooks { return progs[i] },
-		simCfg, seed, netsim.ShardedConfig{Shards: shards, Progress: progress})
+		simCfg, seed, netsim.ShardedConfig{Shards: shards})
 
 	// Flows install through OnNode so their events and RNG draws stamp with
 	// the owning unit: staggered starts, Poisson gaps and trace-shaped

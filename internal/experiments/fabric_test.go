@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"runtime"
 	"testing"
 
 	"mars"
@@ -9,11 +8,12 @@ import (
 	"mars/internal/topology"
 )
 
-// The sharded drivers rest on one pairing the engine never checks: program
-// index i holds exactly the registers of the switches shard i executes,
-// and (with the tap on) buffer i holds only records sunk there. Assert it
-// for every way the requested count can resolve: auto, 1, a count that
-// does not divide the units, the unit count, and more than the units.
+// The partitioned drivers rest on one pairing the simulator never checks:
+// program index i holds exactly the registers of the switches whose hooks
+// owner i receives, and (with the tap on) buffer i holds only records sunk
+// there. Assert it for every way the requested count can resolve: below 1,
+// 1, a count that does not divide the units, the unit count, and more than
+// the units.
 func TestShardedFabricProgramShardPairing(t *testing.T) {
 	ft, err := topology.NewFatTree(4)
 	if err != nil {
@@ -23,17 +23,17 @@ func TestShardedFabricProgramShardPairing(t *testing.T) {
 	table := selectivePathTable(ft, streamMeshPairs(ft, 32))
 	for _, req := range []int{0, 1, 3, 4, 9} {
 		want := req
-		if want <= 0 {
-			want = runtime.GOMAXPROCS(0)
+		if want < 1 {
+			want = 1
 		}
 		if want > units {
 			want = units
 		}
 		stop := 200 * netsim.Millisecond
 		sh, progs, bufs := NewShardedFabric(ft, req, 7, mars.DefaultConfig().Sim, table,
-			32, 150, stop, nil, true)
+			32, 150, stop, true)
 		if sh.NumShards() != want || len(progs) != want || len(bufs) != want {
-			t.Errorf("shards=%d: engine has %d shards, %d programs, %d buffers; want %d",
+			t.Errorf("shards=%d: simulator has %d owners, %d programs, %d buffers; want %d",
 				req, sh.NumShards(), len(progs), len(bufs), want)
 		}
 		for _, sw := range ft.Switches() {
@@ -44,7 +44,7 @@ func TestShardedFabricProgramShardPairing(t *testing.T) {
 				}
 				owners++
 				if got := sh.ShardFor(sw); got != i {
-					t.Errorf("shards=%d: switch %d is resident in program %d but runs on shard %d", req, sw, i, got)
+					t.Errorf("shards=%d: switch %d is resident in program %d but its hooks go to owner %d", req, sw, i, got)
 				}
 			}
 			if owners != 1 {
@@ -65,6 +65,5 @@ func TestShardedFabricProgramShardPairing(t *testing.T) {
 		if tapped == 0 {
 			t.Errorf("shards=%d: the tap saw no records; the sink check is vacuous", req)
 		}
-		sh.Close()
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strings"
@@ -11,17 +10,16 @@ import (
 	"mars/internal/netsim"
 )
 
-// The scale trial is the sharded engine's end-to-end tier: one full
+// The scale trial is the partitioned fabric's end-to-end tier: one full
 // data-plane simulation (MARS program attached, telemetry promoted,
-// registers resident per shard) at k=16/k=32 fat-tree arity, executed by
-// internal/netsim.Sharded under the conservative-lookahead barrier. The
-// simulated output — Render() — is invariant under the shard count (CI
-// diffs shards=1 against shards=8 byte for byte); only the wall-clock and
-// per-shard memory accounting on stderr vary per machine.
+// registers resident per hook owner) at k=16/k=32 fat-tree arity on
+// internal/netsim.Sharded. The simulated output — Render() — is invariant
+// under the owner count (CI diffs shards=1 against shards=8 byte for
+// byte); only the wall-clock and memory accounting on stderr vary per
+// machine.
 
 // DefaultScaleTrialConfig sizes a single scale-tier trial: a cross-pod
 // mesh of two flows per host at a modest rate, one simulated second.
-// shards<=0 means auto (GOMAXPROCS, clamped to the partition's units).
 func DefaultScaleTrialConfig(k, shards int, seed int64) TrialConfig {
 	hosts := k * k * k / 4
 	return TrialConfig{
@@ -34,11 +32,11 @@ func DefaultScaleTrialConfig(k, shards int, seed int64) TrialConfig {
 	}
 }
 
-// ScaleTrialResult carries the simulated outcome (shard-count-invariant)
+// ScaleTrialResult carries the simulated outcome (owner-count-invariant)
 // plus the machine-dependent throughput and memory accounting.
 type ScaleTrialResult struct {
 	K      int
-	Shards int // effective shard count actually run
+	Shards int // effective hook-owner count
 	// Topology and workload dimensions.
 	Switches, Hosts, Links, Flows int
 	// Simulated outcome (invariant under Shards).
@@ -47,30 +45,41 @@ type ScaleTrialResult struct {
 	TotalLinkBytes           int64
 	TelemetryBytes           int64
 	TelemetryPackets         int64
-	Rounds                   int64
 	Events                   int64
 	// Machine-dependent accounting (stderr only).
 	WallSeconds float64
-	Mem         []netsim.MemEstimate
+	Mem         netsim.MemEstimate
 }
 
-// RunScaleTrial executes one sharded data-plane trial on the shared fabric
+// scaleSlice is the simulated time RunScaleTrial advances per Run step;
+// stepping changes nothing simulated, it only gives the heartbeat a place
+// to fire.
+const scaleSlice = 50 * netsim.Millisecond
+
+// RunScaleTrial executes one data-plane trial on the shared fabric
 // (NewShardedFabric, no path table, no record tap) and summarises it;
-// progress (if non-nil) observes barrier rounds for the -progress
-// heartbeat.
-func RunScaleTrial(tc TrialConfig, progress netsim.ShardProgress) *ScaleTrialResult {
+// progress (if non-nil) is the -progress heartbeat, called after every
+// scaleSlice of simulated time with the clock and the events dispatched
+// so far.
+func RunScaleTrial(tc TrialConfig, progress func(now netsim.Time, events int64)) *ScaleTrialResult {
 	ft := newFatTree(tc)
 	simCfg := mars.DefaultConfig().Sim
 	if tc.SimCfg != nil {
 		simCfg = *tc.SimCfg
 	}
 	sh, progs, _ := NewShardedFabric(ft, tc.Shards, tc.Seed, simCfg, nil,
-		tc.NumFlows, tc.RatePPS, tc.Total, progress, false)
-	defer sh.Close()
+		tc.NumFlows, tc.RatePPS, tc.Total, false)
 
-	start := time.Now() //mars:wallclock the scale tier reports real sharded throughput
-	sh.Run(tc.Total + 50*netsim.Millisecond)
-	wall := time.Since(start).Seconds() //mars:wallclock the scale tier reports real sharded throughput
+	// One more slice after the workload stops drains the packets in flight.
+	end := tc.Total + scaleSlice
+	start := time.Now() //mars:wallclock the scale tier reports real simulator throughput
+	for now := netsim.Time(0); now < end; {
+		now = sh.Run(min(now+scaleSlice, end))
+		if progress != nil {
+			progress(now, sh.Events()[0])
+		}
+	}
+	wall := time.Since(start).Seconds() //mars:wallclock the scale tier reports real simulator throughput
 
 	stats := sh.MergedStats()
 	res := &ScaleTrialResult{
@@ -82,15 +91,12 @@ func RunScaleTrial(tc TrialConfig, progress netsim.ShardProgress) *ScaleTrialRes
 		Flows:    tc.NumFlows,
 		Sent:     stats.Sent, Delivered: stats.Delivered, Dropped: stats.Dropped,
 		TotalLinkBytes: sumLinkBytes(stats.LinkBytes),
-		Rounds:         sh.Rounds(),
+		Events:         sh.Events()[0],
 		WallSeconds:    wall,
-		Mem:            sh.Mem(),
+		Mem:            sh.Mem()[0],
 	}
 	if stats.Delivered > 0 {
 		res.MeanLatency = stats.TotalLatency / netsim.Time(stats.Delivered)
-	}
-	for _, n := range sh.Events() {
-		res.Events += n
 	}
 	for _, p := range progs {
 		res.TelemetryBytes += p.Stats.TelemetryLinkBytes
@@ -100,8 +106,8 @@ func RunScaleTrial(tc TrialConfig, progress netsim.ShardProgress) *ScaleTrialRes
 }
 
 // Render formats the simulated outcome. Everything here is invariant
-// under the shard count — the determinism CI job diffs this output across
-// shard counts — so neither Shards nor any wall-clock/memory figure may
+// under the owner count — the determinism CI job diffs this output across
+// -shards values — so neither Shards nor any wall-clock/memory figure may
 // appear.
 func (r *ScaleTrialResult) Render() string {
 	var b strings.Builder
@@ -112,23 +118,14 @@ func (r *ScaleTrialResult) Render() string {
 		r.Sent, r.Delivered, r.Dropped, r.MeanLatency)
 	fmt.Fprintf(&b, "  bytes:    links=%d telemetry=%d telemetry-packets=%d\n",
 		r.TotalLinkBytes, r.TelemetryBytes, r.TelemetryPackets)
-	fmt.Fprintf(&b, "  engine:   barrier-rounds=%d events=%d\n", r.Rounds, r.Events)
+	fmt.Fprintf(&b, "  engine:   events=%d\n", r.Events)
 	return b.String()
 }
 
-// RenderMem formats the per-shard memory estimates (stderr: the shard
-// count and per-shard residency are machine/flag dependent).
+// RenderMem formats the simulator's memory estimate (stderr: residency
+// is machine dependent).
 func (r *ScaleTrialResult) RenderMem() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "memory: %d shard(s), MemStats-free estimates\n", r.Shards)
-	var est, peak int64
-	for _, m := range r.Mem {
-		fmt.Fprintf(&b, "  %s\n", m)
-		est += m.EstBytes
-		peak += m.PeakBytes
-	}
-	fmt.Fprintf(&b, "  total: est=%dKB peak=%dKB\n", est/1024, peak/1024)
-	return b.String()
+	return fmt.Sprintf("memory: MemStats-free estimate\n  %s\n", r.Mem)
 }
 
 // TimingLine is the machine-readable stderr throughput summary.
@@ -142,16 +139,11 @@ func (r *ScaleTrialResult) TimingLine() string {
 		r.K, r.Shards, r.WallSeconds, pps, eps)
 }
 
-// ScaleHeartbeat builds the -progress callback for the scale tier: one
-// stderr line per observed barrier epoch with the per-shard cumulative
-// event counts, so long k=32 runs show liveness and load balance. The
-// line is formatted into a buffer and flushed as one write per tick —
-// the %v of a per-shard slice otherwise fragments into dozens of
-// unbuffered stderr writes on every barrier round.
-func ScaleHeartbeat(w io.Writer) netsim.ShardProgress {
-	bw := bufio.NewWriter(w)
-	return func(now netsim.Time, events []int64) {
-		fmt.Fprintf(bw, "scale-progress: t=%v shard-events=%v\n", now, events)
-		bw.Flush()
+// ScaleHeartbeat builds the -progress callback of the scale and stream
+// tiers: one stderr line per Run step with the simulated clock and the
+// cumulative dispatched-event count, so long k=32 runs show liveness.
+func ScaleHeartbeat(w io.Writer) func(now netsim.Time, events int64) {
+	return func(now netsim.Time, events int64) {
+		fmt.Fprintf(w, "scale-progress: t=%v events=%d\n", now, events)
 	}
 }

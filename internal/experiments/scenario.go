@@ -13,7 +13,7 @@
 // MARS trials are mars.System runs: the trial config maps onto mars.Config
 // and the deployment is built by mars.NewSystem, the same code the public
 // API and the examples use. The three baselines share newSubstrate
-// (systems.go). The k=16 sharded tiers (scale, stream) build their fabric
+// (systems.go). The k=16 partitioned tiers (scale, stream) build their fabric
 // through NewShardedFabric (fabric.go).
 package experiments
 
@@ -93,10 +93,9 @@ type TrialConfig struct {
 	// experiment sets it.
 	Codec string
 
-	// Shards is the sharded-engine shard count for the scale tier
-	// (RunScaleTrial); 0 means auto (GOMAXPROCS, clamped to the partition).
-	// The count never changes simulated output — only wall-clock time —
-	// and the classic single-heap trials ignore it.
+	// Shards is the hook-owner count of the scale tier (RunScaleTrial),
+	// clamped to [1, partition units]: it lays out the resident programs
+	// and never changes simulated output. Every other trial ignores it.
 	Shards int
 }
 

@@ -15,7 +15,7 @@ import (
 	"mars/internal/topology"
 )
 
-// The stream trial is the continuous-operation tier: the same sharded
+// The stream trial is the continuous-operation tier: the same partitioned
 // k=16 data-plane simulation as the scale trial, but instead of one
 // post-hoc diagnosis the sink records feed internal/stream epoch by
 // epoch — bounded per-flow state, sliding-window analysis, a
@@ -25,15 +25,15 @@ import (
 // the first window that ranks the true culprit, localization accuracy
 // as a function of the window size, and the live metrics snapshot.
 //
-// Everything on stdout (Render) is invariant under the simulator shard
-// count AND the stream worker count — CI diffs both. Only wall-clock
+// Everything on stdout (Render) is invariant under the hook-owner count
+// AND the stream worker count — CI diffs both. Only wall-clock
 // throughput on stderr varies per machine.
 
 // StreamTrialConfig sizes one streaming-diagnosis trial.
 type StreamTrialConfig struct {
 	Seed   int64
 	K      int
-	Shards int // simulator shards; <=0 = GOMAXPROCS, clamped to units
+	Shards int // hook owners, clamped to [1, units]; layout only
 	// Workers bounds the stream service's per-window analysis fan-out.
 	Workers int
 	// Background traffic, as in the scale trial.
@@ -90,10 +90,10 @@ type StreamWindowAccuracy struct {
 }
 
 // StreamTrialResult carries the simulated outcome (invariant under the
-// shard and worker counts) plus machine-dependent throughput figures.
+// owner and worker counts) plus machine-dependent throughput figures.
 type StreamTrialResult struct {
 	K       int
-	Shards  int // effective simulator shards actually run
+	Shards  int // effective hook-owner count
 	Workers int
 	// Topology and workload dimensions.
 	Switches, Hosts, Flows int
@@ -120,15 +120,16 @@ type StreamTrialResult struct {
 	RecordsPerSec float64
 }
 
-// RunStreamTrial executes one continuously-diagnosing trial: the sharded
-// simulator advances one telemetry epoch per step, each shard's resident
-// program taps its sink records through Program.OnRecord into a
-// per-shard buffer, and the coordinator drains the buffers into the
-// stream services between steps. The per-unit record order is invariant
-// under the shard count, and every service consumes per-unit sequences
-// only, so the simulated outcome is byte-identical for any Shards or
-// Workers value.
-func RunStreamTrial(tc StreamTrialConfig, progress netsim.ShardProgress) *StreamTrialResult {
+// RunStreamTrial executes one continuously-diagnosing trial: the
+// simulator advances one telemetry epoch per step, each owner's resident
+// program taps its sink records through Program.OnRecord into a per-owner
+// buffer, and the buffers are drained into the stream services between
+// steps. The per-unit record order is invariant under the owner count, and
+// every service consumes per-unit sequences only, so the simulated outcome
+// is byte-identical for any Shards or Workers value. progress (if non-nil)
+// is the -progress heartbeat, called after every step with the simulated
+// clock and the events dispatched so far.
+func RunStreamTrial(tc StreamTrialConfig, progress func(now netsim.Time, events int64)) *StreamTrialResult {
 	ft, err := topology.NewFatTree(tc.K)
 	if err != nil {
 		panic(err)
@@ -137,8 +138,7 @@ func RunStreamTrial(tc StreamTrialConfig, progress netsim.ShardProgress) *Stream
 	// mesh can produce (the all-pairs set is infeasible at k=16).
 	table := selectivePathTable(ft, streamMeshPairs(ft, tc.NumFlows))
 	sh, _, bufs := NewShardedFabric(ft, tc.Shards, tc.Seed, mars.DefaultConfig().Sim, table,
-		tc.NumFlows, tc.RatePPS, netsim.Time(tc.Epochs)*tc.Epoch, progress, true)
-	defer sh.Close()
+		tc.NumFlows, tc.RatePPS, netsim.Time(tc.Epochs)*tc.Epoch, true)
 
 	// One stream service per window size over the same record stream.
 	svcs := make([]*stream.Service, len(tc.Windows))
@@ -157,15 +157,14 @@ func RunStreamTrial(tc StreamTrialConfig, progress netsim.ShardProgress) *Stream
 	}
 
 	// Ground truth: silent drop on the edge-facing ports of the first
-	// aggregation switch. Port loss state lives on the owning shard only,
-	// so the mutation targets that shard's simulator between Run steps.
+	// aggregation switch, toggled between Run steps.
 	badAgg := ft.AggIDs[0]
 	isEdge := map[topology.NodeID]bool{}
 	for _, e := range ft.EdgeIDs {
 		isEdge[e] = true
 	}
 	setDrop := func(p float64) {
-		sim := sh.Shard(sh.ShardFor(badAgg))
+		sim := sh.Shard(0)
 		for _, nb := range ft.Topology.Neighbors(badAgg) {
 			if !isEdge[nb] {
 				continue // edge-facing ports only
@@ -176,7 +175,7 @@ func RunStreamTrial(tc StreamTrialConfig, progress netsim.ShardProgress) *Stream
 		}
 	}
 
-	// drain feeds the shard buffers to every service in shard order.
+	// drain feeds the owner buffers to every service in owner order.
 	var drained int64
 	drain := func() {
 		for i := range bufs {
@@ -192,6 +191,14 @@ func RunStreamTrial(tc StreamTrialConfig, progress netsim.ShardProgress) *Stream
 			bufs[i] = bufs[i][:0]
 		}
 	}
+	// step runs epoch e to its end and drains what it tapped.
+	step := func(e int) {
+		now := sh.Run(netsim.Time(e+1) * tc.Epoch)
+		drain()
+		if progress != nil {
+			progress(now, sh.Events()[0])
+		}
+	}
 	start := time.Now() //mars:wallclock the stream tier reports real sustained throughput
 	for e := 0; e < tc.Epochs; e++ {
 		if uint32(e) == tc.FaultStart {
@@ -200,8 +207,7 @@ func RunStreamTrial(tc StreamTrialConfig, progress netsim.ShardProgress) *Stream
 		if uint32(e) == tc.FaultStop {
 			setDrop(0)
 		}
-		sh.Run(netsim.Time(e+1) * tc.Epoch)
-		drain()
+		step(e)
 		// By the end of epoch e every record of epoch e-1 has arrived
 		// (one-epoch lateness bound), so e-1 and older may finalize.
 		for _, svc := range svcs {
@@ -209,8 +215,7 @@ func RunStreamTrial(tc StreamTrialConfig, progress netsim.ShardProgress) *Stream
 		}
 	}
 	// One grace epoch flushes the final epoch's in-flight records.
-	sh.Run(netsim.Time(tc.Epochs+1) * tc.Epoch)
-	drain()
+	step(tc.Epochs)
 	for _, svc := range svcs {
 		svc.Finish()
 	}
@@ -349,7 +354,7 @@ func selectivePathTable(ft *topology.FatTree, pairs map[[2]topology.NodeID]bool)
 }
 
 // Render formats the simulated outcome. Invariant under both the
-// simulator shard count and the stream worker count — the determinism CI
+// hook-owner count and the stream worker count — the determinism CI
 // job diffs this output across both — so neither Shards, Workers, nor
 // any wall-clock figure may appear.
 func (r *StreamTrialResult) Render() string {

@@ -6,9 +6,9 @@ package netsim
 // simulator's dominant allocation source. Control-plane and workload
 // callbacks still use the generic evFunc kind through At/After — they fire
 // at per-epoch, not per-packet, rates. Events with equal timestamps fire
-// in scheduling order (seq) so that runs are deterministic; the hand-rolled
-// heap below avoids container/heap's interface boxing, which allocated on
-// every schedule.
+// in ord order so that runs are deterministic; the hand-rolled heap below
+// avoids container/heap's interface boxing, which allocated on every
+// schedule.
 
 type eventKind uint8
 
@@ -38,17 +38,14 @@ const (
 // event is one scheduled occurrence. Packet events carry their operands
 // inline (node a, port b, pkt); only evFunc carries a closure.
 //
-// ord makes the agenda's order a total order that is invariant under
-// sharding. The sharded engine packs (generating partition unit, that
+// ord makes the agenda's order a total order that depends on the
+// partition alone: Simulator.push packs (generating partition unit, that
 // unit's event count) into it, unit-major — see unitShift in sim.go — so
 // same-timestamp events order by generating unit, then by the unit's own
-// scheduling order. Both halves are properties of the simulated system,
-// not of the execution: a shard receiving a mailbox event from another
-// shard inserts it with the ord it was generated with, so the heap's
-// (at, ord) order is identical at any shard count. The classic
-// single-heap simulator stamps a bare global counter (its only unit is
-// 0), which is the historical (at, scheduling order) tie-break — and
-// exactly what a single-unit sharded run produces.
+// scheduling order. Both halves are properties of the simulated system, so
+// the trace is the same however units are grouped under hook owners. With
+// one unit (netsim.New) ord is the bare scheduling counter — the
+// historical (at, scheduling order) tie-break.
 type event struct {
 	at   Time
 	ord  uint64
@@ -63,16 +60,14 @@ type event struct {
 // by (at, ord). Events are stored by value in a reusable backing
 // slice, so scheduling allocates only on capacity growth.
 type agenda struct {
-	h   []event
-	seq uint64
+	h []event
 	// peak tracks the high-water pending-event count for the MemStats-free
 	// memory accounting of the scale tier.
 	peak int
 }
 
 // before reports heap order: earlier time first, then ord — the packed
-// (generating unit, per-unit scheduling order) stamp, or the bare global
-// counter in the classic simulator.
+// (generating unit, per-unit scheduling order) stamp.
 func (a *agenda) before(i, j int) bool {
 	if a.h[i].at != a.h[j].at {
 		return a.h[i].at < a.h[j].at
@@ -80,16 +75,8 @@ func (a *agenda) before(i, j int) bool {
 	return a.h[i].ord < a.h[j].ord
 }
 
+// push inserts an event that already carries its ord stamp.
 func (a *agenda) push(e *event) {
-	a.seq++
-	e.ord = a.seq
-	a.pushStamped(e)
-}
-
-// pushStamped inserts an event that already carries its ord stamp — the
-// sharded engine packs (generating unit, per-unit seq) into it, and
-// mailbox events arriving from another shard must keep theirs.
-func (a *agenda) pushStamped(e *event) {
 	//mars:alloc TestNetsimStepAllocs the agenda array keeps its capacity across pops; steady state re-slices in place
 	a.h = append(a.h, *e)
 	if len(a.h) > a.peak {
@@ -105,10 +92,6 @@ func (a *agenda) pushStamped(e *event) {
 		a.h[i], a.h[parent] = a.h[parent], a.h[i]
 		i = parent
 	}
-}
-
-func (a *agenda) schedule(at Time, fn func()) {
-	a.push(&event{at: at, kind: evFunc, fn: fn})
 }
 
 func (a *agenda) empty() bool { return len(a.h) == 0 }
@@ -140,11 +123,3 @@ func (a *agenda) next() event {
 }
 
 func (a *agenda) peek() Time { return a.h[0].at }
-
-// peekTime returns the earliest pending timestamp, if any.
-func (a *agenda) peekTime() (Time, bool) {
-	if len(a.h) == 0 {
-		return 0, false
-	}
-	return a.h[0].at, true
-}

@@ -36,18 +36,16 @@ func BenchmarkNetsimStep(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedStep measures the sharded engine's per-packet cost at
-// shards=1 — the configuration bench-gate holds against the classic
-// BenchmarkNetsimStep so sharding never taxes the sequential hot path.
-// One op is one end-to-end cross-pod packet, including the barrier
-// rounds and (empty) mailbox exchanges its windows incur.
+// BenchmarkShardedStep measures the per-packet cost over the pod
+// partition — nine units' stamps and a unit switch on every dispatch —
+// next to BenchmarkNetsimStep's single unit. One op is one end-to-end
+// cross-pod packet run through a 10 ms Run step.
 func BenchmarkShardedStep(b *testing.B) {
 	ft, err := topology.NewFatTree(4)
 	if err != nil {
 		b.Fatal(err)
 	}
 	sh := NewSharded(ft.Topology, ft.PodPartition(), NewECMPRouter(ft.Topology, 1), nil, DefaultConfig(), 1, ShardedConfig{Shards: 1})
-	defer sh.Close()
 	hosts := ft.HostIDs
 	perPod := len(hosts) / ft.K
 	var (

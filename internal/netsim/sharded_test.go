@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
 
 	"mars/internal/topology"
@@ -16,9 +15,7 @@ type traceRec struct {
 	sz   int32
 }
 
-// traceHooks records per-node event sequences. Every node's events are
-// dispatched by exactly one engine (classic) or one owning shard, so the
-// per-node slices are append-only from a single goroutine.
+// traceHooks records per-node event sequences as seen by one hook owner.
 type traceHooks struct {
 	NopHooks
 	arrivals  [][]traceRec
@@ -46,9 +43,9 @@ func (h *traceHooks) OnDrop(s *Simulator, sw topology.NodeID, port topology.Port
 	h.drops[sw] = append(h.drops[sw], traceRec{s.Now(), pkt.Flow, pkt.ID, pkt.Size})
 }
 
-// mergeTraces folds per-shard traces into one per-node view. A node's
-// events all run on its owning shard, so exactly one input contributes to
-// each node slot and concatenation preserves its order.
+// mergeTraces folds per-owner traces into one per-node view. A node's
+// events all reach its one owner (TestShardedHookRouting), so exactly one
+// input contributes to each node slot and concatenation preserves its order.
 func mergeTraces(hs []*traceHooks) *traceHooks {
 	out := newTraceHooks(len(hs[0].arrivals))
 	for _, h := range hs {
@@ -107,7 +104,6 @@ func installEmitters(on func(topology.NodeID, func(*Simulator)), ft *topology.Fa
 type engineResult struct {
 	stats  Stats
 	trace  *traceHooks
-	rounds int64
 	events int64
 }
 
@@ -132,17 +128,12 @@ func runSharded(t *testing.T, ft *topology.FatTree, part *topology.Partition, se
 		return h
 	}
 	sh := NewSharded(ft.Topology, part, NewECMPRouter(ft.Topology, 1), hooksFor, DefaultConfig(), seed, scfg)
-	defer sh.Close()
 	if withFault {
 		sh.OnNode(ft.AggIDs[0], func(s *Simulator) { s.SetPortDropProb(ft.AggIDs[0], 0, 0.2) })
 	}
 	installEmitters(sh.OnNode, ft, nflows, useRNG, until)
 	sh.Run(until)
-	var events int64
-	for _, n := range sh.Events() {
-		events += n
-	}
-	return engineResult{stats: sh.MergedStats(), trace: mergeTraces(traces), rounds: sh.Rounds(), events: events}
+	return engineResult{stats: sh.MergedStats(), trace: mergeTraces(traces), events: sh.Events()[0]}
 }
 
 func requireEqualTraces(t *testing.T, label string, want, got engineResult) {
@@ -215,14 +206,9 @@ func TestShardedMatchesClassicPodPartition(t *testing.T) {
 
 // TestShardedShardCountInvariance is the shards=1≡N digest: the same
 // seeded scenario — RNG workload plus a random-loss fault — must produce
-// identical stats, per-node traces, and barrier-round counts at every
-// shard count, in both serial and parallel execution. CI runs this under
-// -race, which exercises the coordinator/worker handoff.
+// identical stats, per-node traces, and event counts at every hook-owner
+// count.
 func TestShardedShardCountInvariance(t *testing.T) {
-	// Force the worker-pool path even on single-CPU machines (the engine
-	// would otherwise auto-select serial rounds and leave the goroutine
-	// handoff untested).
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	ft, err := topology.NewFatTree(6) // 9 units: 6 pods + 3 core stripes
 	if err != nil {
 		t.Fatal(err)
@@ -240,68 +226,204 @@ func TestShardedShardCountInvariance(t *testing.T) {
 	for _, n := range []int{2, 4, 8} {
 		got := run(ShardedConfig{Shards: n})
 		requireEqualTraces(t, "shards", base, got)
-		if got.rounds != base.rounds {
-			t.Errorf("shards=%d: %d barrier rounds, shards=1 had %d", n, got.rounds, base.rounds)
-		}
 		if got.events != base.events {
 			t.Errorf("shards=%d: %d events dispatched, shards=1 had %d", n, got.events, base.events)
 		}
-		serial := run(ShardedConfig{Shards: n, Serial: true})
-		requireEqualTraces(t, "serial", base, serial)
+	}
+}
+
+// ownerHooks checks that every callback for a node reaches the Hooks value
+// of that node's owner and no other.
+type ownerHooks struct {
+	t        *testing.T
+	shardFor func(topology.NodeID) int
+	owner    int
+	calls    [4]int // arrival, forward, drop, deliver
+}
+
+func (h *ownerHooks) check(kind int, n topology.NodeID) {
+	h.calls[kind]++
+	if want := h.shardFor(n); want != h.owner {
+		h.t.Errorf("hook kind %d for node %d reached owner %d, want %d", kind, n, h.owner, want)
+	}
+}
+
+func (h *ownerHooks) OnSwitchArrival(_ *Simulator, sw topology.NodeID, _ topology.PortID, _ *Packet) {
+	h.check(0, sw)
+}
+
+func (h *ownerHooks) OnForward(_ *Simulator, sw topology.NodeID, _, _ topology.PortID, _ *Packet, _ int) Action {
+	h.check(1, sw)
+	return ActionForward
+}
+
+func (h *ownerHooks) OnDrop(_ *Simulator, sw topology.NodeID, _ topology.PortID, _ *Packet, _ DropReason) {
+	h.check(2, sw)
+}
+
+func (h *ownerHooks) OnDeliver(_ *Simulator, host topology.NodeID, _ *Packet) {
+	h.check(3, host)
+}
+
+// TestShardedHookRouting pins what "shard" means: every OnSwitchArrival,
+// OnForward, OnDrop and OnDeliver for node n is delivered to
+// hooksFor(ShardFor(n)) — and each owner sees all four kinds, so the check
+// is not vacuous.
+func TestShardedHookRouting(t *testing.T) {
+	ft, err := topology.NewFatTree(4) // 6 units: 4 pods + 2 core stripes
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 2, 4, 6} {
+		var (
+			sh     *Sharded
+			owners []*ownerHooks
+		)
+		shardFor := func(n topology.NodeID) int { return sh.ShardFor(n) }
+		sh = NewSharded(ft.Topology, ft.PodPartition(), NewECMPRouter(ft.Topology, 1), func(i int) Hooks {
+			h := &ownerHooks{t: t, shardFor: shardFor, owner: i}
+			owners = append(owners, h)
+			return h
+		}, DefaultConfig(), 3, ShardedConfig{Shards: n})
+		// Random loss on every pod's first aggregation switch, so every
+		// owner of a pod unit sees drops.
+		for pod := 0; pod < ft.K; pod++ {
+			agg := ft.AggIDs[pod*ft.K/2]
+			for port := range ft.Node(agg).Ports {
+				sh.Shard(0).SetPortDropProb(agg, topology.PortID(port), 0.3)
+			}
+		}
+		installEmitters(sh.OnNode, ft, 32, true, 200*Millisecond)
+		sh.Run(300 * Millisecond)
+		if len(owners) != n {
+			t.Fatalf("shards=%d: hooksFor called %d times", n, len(owners))
+		}
+		for _, h := range owners {
+			// The two core-stripe units never drop or deliver; with six
+			// owners, two of them own only a core stripe.
+			coreOnly := n == 6 && h.owner >= ft.K
+			for kind, c := range h.calls {
+				if c == 0 && !(coreOnly && kind >= 2) {
+					t.Errorf("shards=%d: owner %d saw no hook of kind %d", n, h.owner, kind)
+				}
+			}
+		}
+	}
+}
+
+// TestSteppedRunEqualsOneRun pins the property the -progress heartbeat and
+// the epoch-stepped stream trial rest on: N stepped Run(t_i) calls dispatch
+// exactly the trace of one Run(t_N).
+func TestSteppedRunEqualsOneRun(t *testing.T) {
+	ft, err := topology.NewFatTree(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	until := 300 * Millisecond
+	run := func(steps []Time) engineResult {
+		tr := newTraceHooks(len(ft.Nodes))
+		sh := NewSharded(ft.Topology, ft.PodPartition(), NewECMPRouter(ft.Topology, 1),
+			func(int) Hooks { return tr }, DefaultConfig(), 11, ShardedConfig{Shards: 1})
+		sh.OnNode(ft.AggIDs[0], func(s *Simulator) { s.SetPortDropProb(ft.AggIDs[0], 0, 0.2) })
+		installEmitters(sh.OnNode, ft, 24, true, until)
+		for _, at := range steps {
+			if got := sh.Run(at); got != at {
+				t.Fatalf("Run(%v) returned %v", at, got)
+			}
+		}
+		return engineResult{stats: sh.MergedStats(), trace: tr, events: sh.Events()[0]}
+	}
+	one := run([]Time{until})
+	// Uneven slices, one of them empty of events and one ending exactly on
+	// an event timestamp boundary of the CBR-free workload.
+	stepped := run([]Time{1, 7 * Millisecond, 7 * Millisecond, 50 * Millisecond, 123456789, 299 * Millisecond, until})
+	if one.stats.Delivered == 0 || one.stats.Dropped == 0 {
+		t.Fatalf("degenerate workload: %+v", one.stats)
+	}
+	requireEqualTraces(t, "stepped", one, stepped)
+	if one.events != stepped.events {
+		t.Errorf("stepped runs dispatched %d events, one run %d", stepped.events, one.events)
+	}
+}
+
+// TestStopHonouredOnPartition: Stop ends Run after the current event on a
+// pod partition exactly as it does on netsim.New, and RunAll counts its
+// dispatched events like Run.
+func TestStopHonouredOnPartition(t *testing.T) {
+	ft, err := topology.NewFatTree(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := NewSharded(ft.Topology, ft.PodPartition(), NewECMPRouter(ft.Topology, 1), nil, DefaultConfig(), 5, ShardedConfig{Shards: 2})
+	installEmitters(sh.OnNode, ft, 16, true, 200*Millisecond)
+	var stoppedAt Time
+	sh.OnNode(ft.HostIDs[0], func(s *Simulator) {
+		s.At(40*Millisecond, func() {
+			stoppedAt = s.Now()
+			s.Stop()
+		})
+	})
+	sh.Run(300 * Millisecond)
+	st := sh.MergedStats()
+	if stoppedAt != 40*Millisecond {
+		t.Fatalf("stop callback ran at %v, want 40ms", stoppedAt)
+	}
+	if st.Sent == 0 || st.Sent == st.Delivered+st.Dropped {
+		t.Fatalf("Stop did not cut the run short: %+v", st)
+	}
+	events := sh.Events()[0]
+	sh.Run(400 * Millisecond)
+	sh.Shard(0).RunAll()
+	if got := sh.Events()[0]; got != events {
+		t.Errorf("a stopped simulator dispatched %d more events", got-events)
+	}
+
+	// RunAll counts what it dispatches.
+	sim := New(ft.Topology, NewECMPRouter(ft.Topology, 1), nil, DefaultConfig(), 5)
+	sim.Send(0, ft.HostIDs[0], ft.HostIDs[len(ft.HostIDs)-1], 1, 700)
+	sim.RunAll()
+	if sim.Stats.Delivered != 1 || sim.events == 0 {
+		t.Errorf("RunAll delivered %d packets and counted %d events", sim.Stats.Delivered, sim.events)
 	}
 }
 
 // TestShardedMemEstimates sanity-checks the MemStats-free accounting: a
-// run must report owned switches partitioning the fabric, a nonzero
-// agenda peak, and live+pooled packets consistent with the pool counter.
+// drained run must report every switch of the fabric, a nonzero agenda
+// peak, and no packet left live.
 func TestShardedMemEstimates(t *testing.T) {
 	ft, err := topology.NewFatTree(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := runShardedForMem(t, ft, 4)
-	totalSwitches, totalLive := 0, 0
-	for _, m := range res {
-		totalSwitches += m.OwnedSwitches
-		totalLive += m.PacketsLive
-		if m.AgendaPeak <= 0 || m.EstBytes <= 0 || m.PeakBytes < m.EstBytes-int64(len(ft.Nodes))*64 {
-			t.Errorf("shard %d: implausible estimate %+v", m.Shard, m)
-		}
-	}
-	// Packets released on a different shard than they were acquired leave
-	// one shard's live count negative and another's positive; after a full
-	// drain the fleet-wide sum must balance to zero.
-	if totalLive != 0 {
-		t.Errorf("%d packets live across shards after drain, want 0", totalLive)
-	}
-	if totalSwitches != ft.NumSwitches() {
-		t.Errorf("owned switches sum to %d, want %d", totalSwitches, ft.NumSwitches())
-	}
-}
-
-func runShardedForMem(t *testing.T, ft *topology.FatTree, shards int) []MemEstimate {
-	t.Helper()
-	sh := NewSharded(ft.Topology, ft.PodPartition(), NewECMPRouter(ft.Topology, 1), nil, DefaultConfig(), 7, ShardedConfig{Shards: shards})
-	defer sh.Close()
+	sh := NewSharded(ft.Topology, ft.PodPartition(), NewECMPRouter(ft.Topology, 1), nil, DefaultConfig(), 7, ShardedConfig{Shards: 4})
 	installEmitters(sh.OnNode, ft, 16, true, 100*Millisecond)
 	sh.Run(400 * Millisecond) // generous horizon: all in-flight packets drain
-	return sh.Mem()
+	mem := sh.Mem()
+	if len(mem) != 1 {
+		t.Fatalf("%d estimates, want the one simulator's", len(mem))
+	}
+	m := mem[0]
+	if m.AgendaPeak <= 0 || m.EstBytes <= 0 || m.PeakBytes < m.EstBytes-int64(len(ft.Nodes))*64 {
+		t.Errorf("implausible estimate %+v", m)
+	}
+	if m.PacketsLive != 0 {
+		t.Errorf("%d packets live after drain, want 0", m.PacketsLive)
+	}
+	if m.Switches != ft.NumSwitches() {
+		t.Errorf("estimate covers %d switches, want %d", m.Switches, ft.NumSwitches())
+	}
 }
 
-// TestShardedStepAllocs pins the sharded hot path at zero allocations per
-// end-to-end packet in steady state, including the cross-shard outbox and
-// mailbox exchange: the run uses two serial shards, so every packet
-// crosses the barrier machinery. Serial mode keeps AllocsPerRun honest
-// (no goroutine scheduling noise); the parallel coordinator adds no
-// per-event work beyond channel sends.
+// TestShardedStepAllocs pins the partitioned hot path — per-unit stamps,
+// unit switches on dispatch, two hook owners — at zero allocations per
+// end-to-end cross-pod packet in steady state.
 func TestShardedStepAllocs(t *testing.T) {
 	ft, err := topology.NewFatTree(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	sh := NewSharded(ft.Topology, ft.PodPartition(), NewECMPRouter(ft.Topology, 1), nil, cfg, 1, ShardedConfig{Shards: 2, Serial: true})
-	defer sh.Close()
+	sh := NewSharded(ft.Topology, ft.PodPartition(), NewECMPRouter(ft.Topology, 1), nil, cfg, 1, ShardedConfig{Shards: 2})
 	hosts := ft.HostIDs
 	perPod := len(hosts) / ft.K
 	var (
@@ -319,8 +441,8 @@ func TestShardedStepAllocs(t *testing.T) {
 		sh.Run(horizon)
 		i++
 	}
-	// Warm the agendas, outboxes, packet pools, and port queues on every
-	// path the sends below traverse.
+	// Warm the agenda, packet pool, and port queues on every path the
+	// sends below traverse.
 	for n := 0; n < 256; n++ {
 		send()
 	}

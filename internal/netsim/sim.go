@@ -157,20 +157,44 @@ func (st *Stats) MeanLatency() Time {
 	return st.TotalLatency / Time(st.Delivered)
 }
 
-// Simulator owns the event loop and all runtime network state.
+// unitState is the per-partition-unit generation state: everything an
+// event's effects may depend on besides the switch state it touches. Each
+// unit stamps the events it generates with its own sequence counter, draws
+// from its own RNG stream and numbers its own packets, so the trace depends
+// on the partition alone; hooks is the pipeline of the unit's hook owner.
+type unitState struct {
+	id uint64
+	// ord is the last stamp issued: id<<unitShift | events generated.
+	ord   uint64
+	pkts  uint64
+	rng   *rand.Rand
+	hooks Hooks
+}
+
+// Simulator owns the event loop and all runtime network state. There is
+// one agenda per simulation, ordered by (time, generating unit, per-unit
+// seq); netsim.New runs it over the single-unit partition, where that order
+// is plain scheduling order.
 type Simulator struct {
 	Topo   *topology.Topology
 	Router Router
 	Cfg    Config
 	Stats  Stats
 
-	hooks    Hooks
 	agenda   agenda
 	now      Time
-	rng      *rand.Rand
 	switches []switchRuntime
-	nextPkt  uint64
 	stopped  bool
+	// events counts dispatched events (Run and RunAll alike).
+	events int64
+	// unitOf maps NodeID -> partition unit (shared with the Partition,
+	// read-only); units holds each unit's generation state.
+	unitOf []int32
+	units  []unitState
+	// cur is the unit whose event (or OnNode callback) is executing: every
+	// push is stamped with it, random draws come from its stream and hooks
+	// go to its owner. dispatch sets it from the event's owning unit.
+	cur *unitState
 	// free is the packet pool: delivered and dropped packets return here
 	// and are reissued by Send with their ground-truth slices' capacity
 	// intact, so a steady-state run allocates no packets at all. Reuse is
@@ -179,51 +203,39 @@ type Simulator struct {
 	// pktAlloc counts packets ever allocated (pool misses); together with
 	// len(free) it gives the live-packet estimate without runtime.MemStats.
 	pktAlloc int64
-	// shard is non-nil when this simulator is one shard of a Sharded
-	// engine (sharded.go); nil keeps the classic single-heap behavior,
-	// byte-identical to the historical simulator.
-	shard *shardCtx
-}
-
-// shardCtx is the per-shard state the event path needs when this
-// simulator runs as one shard of a Sharded engine. Events are stamped with
-// their generating unit and a per-unit sequence number, and events whose
-// owning unit lives on another shard are buffered in outboxes that the
-// coordinator exchanges at epoch barriers.
-type shardCtx struct {
-	id int32
-	// unitOf maps NodeID -> partition unit (shared, read-only).
-	unitOf []int32
-	// shardOf maps unit -> shard (shared, read-only).
-	shardOf []int32
-	// curUnit is the unit whose event (or OnNode callback) is executing;
-	// everything generated now is stamped with it.
-	curUnit int32
-	// unitSeq / unitPkt / rngs are indexed by unit; only this shard's
-	// owned units are ever touched (ownership is static).
-	unitSeq []uint64
-	unitPkt []uint64
-	rngs    []*rand.Rand
-	// numUnits sizes the packet-ID stride so IDs stay globally unique.
-	numUnits uint64
-	// outbox[d] buffers events owned by shard d, appended in local
-	// dispatch order and drained by the coordinator at the next barrier.
-	outbox [][]event
 }
 
 // New creates a simulator over topo using router for forwarding decisions
-// and hooks as the attached pipeline (nil means no pipeline).
+// and hooks as the attached pipeline (nil means no pipeline). It is the
+// one-unit case of the partitioned simulator: unit 0 keeps the raw seed,
+// event stamps are the scheduling counter and packet IDs run 1, 2, 3, …
 func New(topo *topology.Topology, router Router, hooks Hooks, cfg Config, seed int64) *Simulator {
-	if hooks == nil {
-		hooks = NopHooks{}
-	}
+	return newSimulator(topo, topology.SingleUnit(topo), router, []Hooks{hooks}, cfg, seed)
+}
+
+// newSimulator builds the simulator over a validated partition; unitHooks
+// is indexed by unit (nil entries mean no pipeline).
+func newSimulator(topo *topology.Topology, part *topology.Partition, router Router, unitHooks []Hooks, cfg Config, seed int64) *Simulator {
 	s := &Simulator{
 		Topo:   topo,
 		Router: router,
 		Cfg:    cfg,
-		hooks:  hooks,
-		rng:    rand.New(rand.NewSource(seed)),
+		unitOf: part.UnitOf,
+		units:  make([]unitState, part.NumUnits),
 	}
+	for u := range s.units {
+		hooks := unitHooks[u]
+		if hooks == nil {
+			hooks = NopHooks{}
+		}
+		s.units[u] = unitState{
+			id:    uint64(u),
+			ord:   uint64(u) << unitShift,
+			rng:   rand.New(rand.NewSource(unitSeed(seed, u))),
+			hooks: hooks,
+		}
+	}
+	s.cur = &s.units[0]
 	s.Stats.LinkBytes = make([]int64, len(topo.Links))
 	s.Stats.LinkDirBytes = make([][2]int64, len(topo.Links))
 	s.switches = make([]switchRuntime, len(topo.Nodes))
@@ -235,12 +247,18 @@ func New(topo *topology.Topology, router Router, hooks Hooks, cfg Config, seed i
 	return s
 }
 
+// unitSeed derives unit u's RNG seed; unit 0 gets the base seed verbatim.
+func unitSeed(seed int64, u int) int64 {
+	const golden = uint64(0x9E3779B97F4A7C15)
+	return seed ^ int64(uint64(u)*golden)
+}
+
 // Now returns the current simulation time.
 func (s *Simulator) Now() Time { return s.now }
 
-// RNG exposes the run's deterministic random source for workload
-// generators and fault injectors that must share the seed.
-func (s *Simulator) RNG() *rand.Rand { return s.rng }
+// RNG exposes the executing unit's deterministic random source for
+// workload generators and fault injectors that must share the seed.
+func (s *Simulator) RNG() *rand.Rand { return s.cur.rng }
 
 // At schedules fn to run at time t (clamped to now if in the past).
 func (s *Simulator) At(t Time, fn func()) {
@@ -258,10 +276,13 @@ func (s *Simulator) Stop() { s.stopped = true }
 
 // Run processes events until the agenda empties or until time `until`
 // passes (events after `until` remain queued). It returns the final time.
+// Stepping Run(t1), Run(t2), … dispatches exactly what one Run to the last
+// horizon would.
 func (s *Simulator) Run(until Time) Time {
 	for !s.stopped && !s.agenda.empty() && s.agenda.peek() <= until {
 		e := s.agenda.next()
 		s.now = e.at
+		s.events++
 		s.dispatch(e)
 	}
 	if s.now < until {
@@ -275,30 +296,10 @@ func (s *Simulator) RunAll() Time {
 	for !s.stopped && !s.agenda.empty() {
 		e := s.agenda.next()
 		s.now = e.at
+		s.events++
 		s.dispatch(e)
 	}
 	return s.now
-}
-
-// RunShardWindow processes this shard's local events with timestamps
-// strictly below end and returns how many it dispatched. It is the
-// per-shard inner loop of the Sharded engine's barrier protocol
-// (sharded.go): the coordinator guarantees no event below end can still
-// arrive from another shard, so draining the local heap up to end is
-// exactly the sequential order. Stop is not honored here — a sharded run
-// is bounded by its Run(until) horizon instead.
-func (s *Simulator) RunShardWindow(end Time) int64 {
-	var n int64
-	for {
-		t, ok := s.agenda.peekTime()
-		if !ok || t >= end {
-			return n
-		}
-		e := s.agenda.next()
-		s.now = e.at
-		s.dispatch(e)
-		n++
-	}
 }
 
 // unitShift packs the generating unit into an event's ord stamp above the
@@ -307,90 +308,55 @@ func (s *Simulator) RunShardWindow(end Time) int64 {
 // sweep, while keeping heap comparisons a single uint64 compare.
 const unitShift = 48
 
-// push stamps and routes one event. The classic simulator stamps a global
-// sequence number and inserts locally (this path must stay inline-thin —
-// it is on the per-packet hot path); a shard stamps (generating unit,
-// per-unit seq) and diverts events owned by a foreign shard into the
-// outbox for the next barrier exchange.
+// push stamps one event with (executing unit, that unit's next seq) and
+// inserts it. It is on the per-packet hot path and must stay inline-thin.
 func (s *Simulator) push(e *event) {
-	if s.shard == nil {
-		s.agenda.push(e)
-		return
-	}
-	s.pushSharded(e)
+	u := s.cur
+	u.ord++
+	e.ord = u.ord
+	s.agenda.push(e)
 }
 
-// pushSharded is the sharded engine's stamp-and-route half of push.
-func (s *Simulator) pushSharded(e *event) {
-	c := s.shard
-	u := c.curUnit
-	c.unitSeq[u]++
-	e.ord = uint64(u)<<unitShift | c.unitSeq[u]
-	if d := c.shardOf[s.ownerUnit(e)]; d != c.id {
-		//mars:alloc TestShardedStepAllocs outboxes keep their capacity across barrier drains; steady state appends in place
-		c.outbox[d] = append(c.outbox[d], *e)
-		return
-	}
-	s.agenda.pushStamped(e)
-}
+// enter makes node n's unit the executing one.
+func (s *Simulator) enter(n topology.NodeID) { s.cur = &s.units[s.unitOf[n]] }
 
-// ownerUnit returns the partition unit whose state the event touches when
-// dispatched — the unit (and therefore shard) that must execute it. Only
-// evPropagate can cross units: every other packet event operates on the
-// switch that generated it, and evFunc closures stay with the unit that
-// scheduled them (their generating unit, recovered from the ord stamp).
-func (s *Simulator) ownerUnit(e *event) int32 {
-	switch e.kind {
-	case evFunc:
-		return int32(e.ord >> unitShift)
-	case evHostArrive, evProcArrive, evEnqueue, evTxDone, evStartTx:
-		return s.shard.unitOf[e.a]
-	case evPropagate:
-		return s.shard.unitOf[s.Topo.Node(topology.NodeID(e.a)).Ports[e.b].Peer]
-	}
-	return int32(e.ord >> unitShift)
-}
-
-// setUnitContext switches the shard's generation context to the event's
-// owning unit before dispatch: subsequent pushes are stamped with it and
-// random draws come from its stream, so per-unit streams advance in each
-// unit's own dispatch order regardless of how units share shards.
-func (s *Simulator) setUnitContext(e *event) {
-	u := s.ownerUnit(e)
-	s.shard.curUnit = u
-	s.rng = s.shard.rngs[u]
-}
-
-// dispatch executes one event. Packet events resolve their port operands
-// against the immutable topology at fire time, so the agenda never carries
-// more than (node, port, packet).
+// dispatch executes one event in the context of the unit that owns the
+// state it touches: packet events run as the unit of the switch (or, for a
+// propagation, the peer) they operate on, and evFunc closures stay with the
+// unit that scheduled them, recovered from the ord stamp. Packet events
+// resolve their port operands against the immutable topology at fire time,
+// so the agenda never carries more than (node, port, packet).
 func (s *Simulator) dispatch(e event) {
-	if s.shard != nil {
-		s.setUnitContext(&e)
-	}
 	switch e.kind {
 	case evFunc:
+		s.cur = &s.units[e.ord>>unitShift]
 		e.fn()
 	case evHostArrive:
+		s.enter(topology.NodeID(e.a))
 		src := e.pkt.Src
 		hostLink := s.Topo.Node(src).Ports[0].Link
 		s.Stats.LinkBytes[hostLink] += int64(e.pkt.WireSize())
 		s.countDir(hostLink, src, e.pkt.WireSize())
 		s.arriveAtSwitch(topology.NodeID(e.a), topology.PortID(e.b), e.pkt)
 	case evProcArrive:
+		s.enter(topology.NodeID(e.a))
 		s.processAtSwitch(topology.NodeID(e.a), topology.PortID(e.b), e.pkt)
 	case evEnqueue:
+		s.enter(topology.NodeID(e.a))
 		s.enqueue(topology.NodeID(e.a), topology.PortID(e.b), e.pkt)
 	case evTxDone:
+		s.enter(topology.NodeID(e.a))
 		s.txDone(topology.NodeID(e.a), topology.PortID(e.b), e.pkt)
 	case evPropagate:
 		port := s.Topo.Node(topology.NodeID(e.a)).Ports[e.b]
+		s.enter(port.Peer)
 		if s.Topo.IsHost(port.Peer) {
 			s.deliver(port.Peer, e.pkt)
 		} else {
 			s.arriveAtSwitch(port.Peer, port.PeerPort, e.pkt)
 		}
 	case evStartTx:
+		s.enter(topology.NodeID(e.a))
 		s.startTransmitNow(topology.NodeID(e.a), topology.PortID(e.b))
 	}
 }
@@ -434,16 +400,11 @@ func (s *Simulator) Send(t Time, src, dst topology.NodeID, flow FlowKey, size in
 	}
 	//mars:lifecycle ownership transfers to the event agenda with the packet; deliver/drop release it at end of life
 	pkt := s.acquirePacket()
-	if c := s.shard; c != nil {
-		// Per-unit ID stream, stride-encoded so IDs are globally unique
-		// and — with one unit — identical to the classic 1,2,3... stream.
-		u := c.curUnit
-		pkt.ID = c.unitPkt[u]*c.numUnits + uint64(u) + 1
-		c.unitPkt[u]++
-	} else {
-		s.nextPkt++
-		pkt.ID = s.nextPkt
-	}
+	// Per-unit ID stream, stride-encoded so IDs are globally unique; with
+	// one unit the stride is 1 and IDs run 1, 2, 3, …
+	u := s.cur
+	pkt.ID = u.pkts*uint64(len(s.units)) + u.id + 1
+	u.pkts++
 	pkt.Src = src
 	pkt.Dst = dst
 	pkt.Flow = flow
@@ -501,7 +462,7 @@ func (s *Simulator) processAtSwitch(sw topology.NodeID, inPort topology.PortID, 
 	}
 	pkt.TruePath = append(pkt.TruePath, sw)          //mars:alloc TestNetsimStepAllocs per-packet slices keep their capacity across pool recycling
 	pkt.HopArrivals = append(pkt.HopArrivals, s.now) //mars:alloc TestNetsimStepAllocs per-packet slices keep their capacity across pool recycling
-	s.hooks.OnSwitchArrival(s, sw, inPort, pkt)
+	s.cur.hooks.OnSwitchArrival(s, sw, inPort, pkt)
 
 	outPort, ok := s.Router.Route(sw, pkt)
 	if !ok {
@@ -517,7 +478,7 @@ func (s *Simulator) processAtSwitch(sw topology.NodeID, inPort topology.PortID, 
 	//mars:alloc TestNetsimStepAllocs per-packet slices keep their capacity across pool recycling
 	pkt.HopQueueDepths = append(pkt.HopQueueDepths, int32(qlen))
 
-	if act := s.hooks.OnForward(s, sw, inPort, outPort, pkt, qlen); act == ActionDrop {
+	if act := s.cur.hooks.OnForward(s, sw, inPort, outPort, pkt, qlen); act == ActionDrop {
 		s.drop(sw, outPort, pkt, DropByProgram)
 		return
 	}
@@ -529,7 +490,7 @@ func (s *Simulator) processAtSwitch(sw topology.NodeID, inPort topology.PortID, 
 		s.drop(sw, outPort, pkt, DropLinkDown)
 		return
 	}
-	if pr.dropProb > 0 && s.rng.Float64() < pr.dropProb {
+	if pr.dropProb > 0 && s.cur.rng.Float64() < pr.dropProb {
 		s.drop(sw, outPort, pkt, DropFault)
 		return
 	}
@@ -636,14 +597,14 @@ func (s *Simulator) countDir(link topology.LinkID, from topology.NodeID, n int32
 func (s *Simulator) deliver(host topology.NodeID, pkt *Packet) {
 	s.Stats.Delivered++
 	s.Stats.TotalLatency += s.now - pkt.SendTime
-	s.hooks.OnDeliver(s, host, pkt)
+	s.cur.hooks.OnDeliver(s, host, pkt)
 	s.releasePacket(pkt)
 }
 
 func (s *Simulator) drop(sw topology.NodeID, port topology.PortID, pkt *Packet, reason DropReason) {
 	s.Stats.Dropped++
 	s.Stats.DropsByReason[reason]++
-	s.hooks.OnDrop(s, sw, port, pkt, reason)
+	s.cur.hooks.OnDrop(s, sw, port, pkt, reason)
 	s.releasePacket(pkt)
 }
 

@@ -227,7 +227,7 @@ func TestECMPSplitsFlows(t *testing.T) {
 			}
 		}
 	}}
-	s.hooks = h
+	s.cur.hooks = h
 	for i := 0; i < 64; i++ {
 		s.Send(Time(i)*Millisecond, src, dst, FlowKey(i*2654435761), 500)
 	}
@@ -252,7 +252,7 @@ func TestECMPFlowStickiness(t *testing.T) {
 	h := &captureHooks{onDeliver: func(pkt *Packet) {
 		paths[topology.Path(pkt.TruePath).String()] = true
 	}}
-	s.hooks = h
+	s.cur.hooks = h
 	for i := 0; i < 20; i++ {
 		s.Send(Time(i)*Millisecond, src, dst, FlowKey(12345), 400)
 	}
@@ -278,7 +278,7 @@ func TestECMPWeightSkew(t *testing.T) {
 	viaHop := map[topology.NodeID]int{}
 	s := New(ft.Topology, r, nil, DefaultConfig(), 42)
 	h := &captureHooks{onDeliver: func(pkt *Packet) { viaHop[pkt.TruePath[1]]++ }}
-	s.hooks = h
+	s.cur.hooks = h
 	src, dst := ft.HostIDs[0], ft.HostIDs[8]
 	n := 600
 	for i := 0; i < n; i++ {

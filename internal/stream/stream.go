@@ -8,10 +8,10 @@
 //
 // Records tap out of the data plane through Program.OnRecord and are
 // routed to a per-unit state shard keyed by the sink switch's
-// topology.PodPartition unit — the same partition the sharded simulator
-// uses, which is what makes the stream's output invariant under the
-// engine's shard count: each unit's record sequence is produced by exactly
-// one owning shard in deterministic event order.
+// topology.PodPartition unit — the same partition the simulator orders
+// events by, which is what makes the stream's output invariant under the
+// simulator's hook-owner count: each unit's record sequence reaches
+// exactly one owner's tap in deterministic event order.
 //
 // Memory is O(budget), not O(flows): per-flow latency reservoirs live
 // under a hard byte budget with least-recently-active eviction, and each

@@ -3,11 +3,11 @@ package topology
 import "fmt"
 
 // Partition assigns every node to a simulation unit. Units are the
-// granularity of the sharded event engine (internal/netsim): all state a
-// packet event touches belongs to exactly one unit, so any grouping of
-// units onto shards executes the same trace. The unit map must therefore
-// be derived from the topology alone — never from the shard count — which
-// is what makes sharded output invariant under the number of shards.
+// granularity of the simulator's event order (internal/netsim): all state
+// a packet event touches belongs to exactly one unit, and events are
+// stamped, seeded and numbered per unit, so any grouping of units under
+// hook owners observes the same trace. The unit map must therefore be
+// derived from the topology alone — never from the owner count.
 type Partition struct {
 	// UnitOf maps NodeID -> unit index.
 	UnitOf []int32
@@ -15,8 +15,8 @@ type Partition struct {
 	NumUnits int
 }
 
-// SingleUnit places every node in unit 0; the sharded engine degenerates
-// to the sequential simulator (used by equivalence tests).
+// SingleUnit places every node in unit 0: the partition netsim.New runs
+// on, where the event order is plain scheduling order.
 func SingleUnit(t *Topology) *Partition {
 	return &Partition{UnitOf: make([]int32, len(t.Nodes)), NumUnits: 1}
 }
@@ -50,10 +50,7 @@ func (p *Partition) Validate(t *Topology) error {
 // K + c. Total units: K + K/2.
 //
 // Every host shares a unit with its edge switch, so the only events that
-// cross units are link propagations between switches — which is exactly
-// the conservative-lookahead guarantee the sharded engine relies on (a
-// cross-unit event is always scheduled at least one propagation delay into
-// the future).
+// cross units are link propagations between switches.
 func (ft *FatTree) PodPartition() *Partition {
 	half := ft.K / 2
 	p := &Partition{

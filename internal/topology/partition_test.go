@@ -2,11 +2,10 @@ package topology
 
 import "testing"
 
-// TestPodPartition pins the sharding unit map: pods are units 0..K-1,
-// core stripes K..K+K/2-1, hosts share their edge switch's unit, and —
-// the property the sharded engine's conservative lookahead rests on —
-// every cross-unit link connects two switches, so cross-unit events are
-// always link propagations with a full PropDelay of lookahead.
+// TestPodPartition pins the unit map: pods are units 0..K-1, core stripes
+// K..K+K/2-1, hosts share their edge switch's unit, and every cross-unit
+// link connects two switches, so cross-unit events are always link
+// propagations.
 func TestPodPartition(t *testing.T) {
 	for _, k := range []int{4, 16} {
 		ft, err := NewFatTree(k)
