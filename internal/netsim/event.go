@@ -6,8 +6,8 @@ package netsim
 // simulator's dominant allocation source. Control-plane and workload
 // callbacks still use the generic evFunc kind through At/After — they fire
 // at per-epoch, not per-packet, rates. Events with equal timestamps fire
-// in ord order so that runs are deterministic; the hand-rolled heap below
-// avoids container/heap's interface boxing, which allocated on every
+// in ord order so that runs are deterministic; the hand-rolled agenda
+// below avoids container/heap's interface boxing, which allocated on every
 // schedule.
 
 type eventKind uint8
@@ -56,70 +56,152 @@ type event struct {
 	fn   func()
 }
 
-// agenda is the simulator's pending-event set: a binary min-heap ordered
-// by (at, ord). Events are stored by value in a reusable backing
-// slice, so scheduling allocates only on capacity growth.
+// agenda is the simulator's pending-event set, popped in (at, ord) order.
+// Most events wait in a 4-ary min-heap; the two kinds whose delay is a run
+// constant wait in sorted FIFO lanes, where a push is an append and a pop
+// moves no other event. The lanes are ordered by the same (at, ord) key as
+// the heap and next takes the least of the three heads, so where an event
+// waits never changes when it fires. Events are stored by value in
+// reusable backing slices, so scheduling allocates only on capacity growth.
 type agenda struct {
 	h []event
+	// lanes[0] holds evEnqueue (now + SwitchProcDelay), lanes[1]
+	// evPropagate (now + PropDelay): 10 of a cross-pod packet's 17 events.
+	lanes [2]lane
+	n     int // pending events, heap plus lanes
 	// peak tracks the high-water pending-event count for the MemStats-free
 	// memory accounting of the scale tier.
 	peak int
 }
 
-// before reports heap order: earlier time first, then ord — the packed
+// lane is a FIFO of events sorted by (at, ord): q[head:] is pending.
+type lane struct {
+	q    []event
+	head int
+}
+
+// before reports agenda order: earlier time first, then ord — the packed
 // (generating unit, per-unit scheduling order) stamp.
-func (a *agenda) before(i, j int) bool {
-	if a.h[i].at != a.h[j].at {
-		return a.h[i].at < a.h[j].at
-	}
-	return a.h[i].ord < a.h[j].ord
+func (e *event) before(o *event) bool {
+	return e.at < o.at || (e.at == o.at && e.ord < o.ord)
 }
 
 // push inserts an event that already carries its ord stamp.
 func (a *agenda) push(e *event) {
+	if a.n++; a.n > a.peak {
+		a.peak = a.n
+	}
+	if e.kind == evEnqueue {
+		a.lanes[0].push(e)
+		return
+	}
+	if e.kind == evPropagate {
+		a.lanes[1].push(e)
+		return
+	}
 	//mars:alloc TestNetsimStepAllocs the agenda array keeps its capacity across pops; steady state re-slices in place
 	a.h = append(a.h, *e)
-	if len(a.h) > a.peak {
-		a.peak = len(a.h)
-	}
-	// Sift up.
-	i := len(a.h) - 1
+	// Sift the hole up: one store per level, e lands once.
+	h, i := a.h, len(a.h)-1
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !a.before(i, parent) {
+		parent := (i - 1) / 4
+		if !e.before(&h[parent]) {
 			break
 		}
-		a.h[i], a.h[parent] = a.h[parent], a.h[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = *e
 }
 
-func (a *agenda) empty() bool { return len(a.h) == 0 }
+// push appends e and steps it back over every (at, ord)-later predecessor,
+// so the lane is sorted whatever is pushed. With the clock non-decreasing
+// and the delay constant, that is only ever same-at events of other units.
+func (l *lane) push(e *event) {
+	if l.head > 0 && len(l.q) == cap(l.q) && l.head >= len(l.q)/2 {
+		// Reclaim the drained prefix rather than growing the array.
+		n := copy(l.q, l.q[l.head:])
+		clear(l.q[n:])
+		l.q, l.head = l.q[:n], 0
+	}
+	//mars:alloc TestNetsimStepAllocs the lane array keeps its capacity; the drained prefix is reclaimed above
+	l.q = append(l.q, *e)
+	i := len(l.q) - 1
+	for ; i > l.head && e.before(&l.q[i-1]); i-- {
+		l.q[i] = l.q[i-1]
+	}
+	l.q[i] = *e
+}
+
+func (a *agenda) empty() bool { return a.n == 0 }
+
+// len and capacity count heap and lanes together (Simulator.Mem).
+func (a *agenda) len() int { return a.n }
+
+func (a *agenda) capacity() int { return cap(a.h) + cap(a.lanes[0].q) + cap(a.lanes[1].q) }
+
+// least returns the (at, ord)-least pending event and where it waits: -1
+// for the heap, else the lane index. The agenda must not be empty.
+func (a *agenda) least() (*event, int) {
+	var best *event
+	src := -1
+	if len(a.h) > 0 {
+		best = &a.h[0]
+	}
+	for i := range a.lanes {
+		if l := &a.lanes[i]; l.head < len(l.q) {
+			if e := &l.q[l.head]; best == nil || e.before(best) {
+				best, src = e, i
+			}
+		}
+	}
+	return best, src
+}
 
 func (a *agenda) next() event {
-	top := a.h[0]
+	e, src := a.least()
+	top := *e
+	a.n--
+	if src >= 0 {
+		*e = event{} // release the packet reference
+		l := &a.lanes[src]
+		if l.head++; l.head == len(l.q) {
+			l.q, l.head = l.q[:0], 0
+		}
+		return top
+	}
 	n := len(a.h) - 1
-	a.h[0] = a.h[n]
+	last := a.h[n]
 	a.h[n] = event{} // release the packet/closure reference
-	a.h = a.h[:n]
-	// Sift down.
+	h := a.h[:n]
+	a.h = h
+	if n == 0 {
+		return top
+	}
+	// Sift the hole down from the root until last fits.
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && a.before(l, smallest) {
-			smallest = l
-		}
-		if r < n && a.before(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
+		c := 4*i + 1
+		if c >= n {
 			break
 		}
-		a.h[i], a.h[smallest] = a.h[smallest], a.h[i]
-		i = smallest
+		m := c
+		for j := c + 1; j < c+4 && j < n; j++ {
+			if h[j].before(&h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(&last) {
+			break
+		}
+		h[i] = h[m]
+		i = m
 	}
+	h[i] = last
 	return top
 }
 
-func (a *agenda) peek() Time { return a.h[0].at }
+func (a *agenda) peek() Time {
+	e, _ := a.least()
+	return e.at
+}

@@ -72,3 +72,65 @@ func BenchmarkShardedStep(b *testing.B) {
 		send()
 	}
 }
+
+// deepHooks counts deliveries for BenchmarkNetsimDeep, tracks how shallow
+// the agenda ever got, and stops the run at the target count.
+type deepHooks struct {
+	NopHooks
+	delivered, target int
+	minPending        int
+}
+
+func (h *deepHooks) OnDeliver(s *Simulator, _ topology.NodeID, _ *Packet) {
+	if n := s.agenda.len(); n < h.minPending {
+		h.minPending = n
+	}
+	if h.delivered++; h.delivered == h.target {
+		s.Stop()
+	}
+}
+
+// BenchmarkNetsimDeep measures the event loop with a deep agenda and a
+// table larger than k=4's: 1,024 concurrent cross-pod Poisson flows on a
+// k=8 fabric at ~45 % access-link load, so every pop sifts through more than
+// a thousand pending events (each flow's next-send timer plus the packets
+// in flight) and consecutive Route calls land on different rows. The two
+// benchmarks above run one packet at a time — agenda depth at most 2 — and
+// cannot see what the agenda and the routing table cost at scale. One op is
+// one delivered packet.
+func BenchmarkNetsimDeep(b *testing.B) {
+	const (
+		flows   = 1024
+		meanGap = 5 * Millisecond // 200 pps per flow
+	)
+	ft, err := topology.NewFatTree(8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	hooks := &deepHooks{minPending: flows}
+	sim := New(ft.Topology, NewECMPRouter(ft.Topology, 1), hooks, DefaultConfig(), 1)
+	hosts := ft.HostIDs
+	perPod := len(hosts) / ft.K
+	for i := 0; i < flows; i++ {
+		src := i % len(hosts)
+		dst := (src + perPod*(1+i%(ft.K-1))) % len(hosts)
+		flow := FlowKey(i)
+		var tick func()
+		tick = func() {
+			sim.Send(sim.Now(), hosts[src], hosts[dst], flow, 700)
+			sim.After(Time(sim.RNG().ExpFloat64()*float64(meanGap)), tick)
+		}
+		sim.After(Time(sim.RNG().ExpFloat64()*float64(meanGap)), tick)
+	}
+	// Warm-up (~20k packets): fill the packet pool, the port queues and the
+	// agenda arrays.
+	sim.Run(100 * Millisecond)
+	hooks.target = hooks.delivered + b.N
+	b.ReportAllocs()
+	b.ResetTimer()
+	sim.RunAll() // OnDeliver stops it at the b.N-th delivery
+	b.StopTimer()
+	if hooks.minPending < 1000 {
+		b.Fatalf("agenda fell to %d pending events, want >= 1000 throughout", hooks.minPending)
+	}
+}

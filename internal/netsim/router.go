@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mars/internal/topology"
@@ -25,16 +26,22 @@ type Router interface {
 type ECMPRouter struct {
 	topo *topology.Topology
 	// hostEdge[host] is each host's edge switch (-1 for non-hosts), dense
-	// by node ID for map-free routing.
+	// by node ID for map-free routing; hostPort[host] is that switch's
+	// port toward the host.
 	hostEdge []topology.NodeID
-	// hostPort[host] is the edge switch's port toward the host.
 	hostPort []topology.PortID
-	// cands[sw*numNodes+edge] lists the equal-cost next hops from switch
-	// sw toward edge switch edge, ascending by next-hop ID. The candidate
-	// sets depend only on the immutable topology (weights merely bias the
-	// pick), so they are precomputed once and the per-packet Route is
-	// allocation-free.
-	cands [][]nextHop
+	// spans[row[sw]*cols+col[edge]] locates, in hops, the equal-cost next
+	// hops from switch sw toward edge switch edge, ascending by next-hop
+	// ID. row numbers the switches and col the switches hosts attach to
+	// (-1 otherwise), so the table is switches × edge switches, not nodes²,
+	// and equal candidate lists of a switch are stored once: the whole
+	// table stays cache-resident at k=16. The candidate sets depend only on
+	// the immutable topology (weights merely bias the pick), so they are
+	// precomputed once and the per-packet Route is allocation-free.
+	row, col []int32
+	cols     int
+	spans    []span
+	hops     []nextHop
 	// weights[sw][nextHop] overrides the default weight 1.
 	weights map[topology.NodeID]map[topology.NodeID]int32
 	// salt perturbs the flow hash so different runs explore different
@@ -49,6 +56,9 @@ type nextHop struct {
 	port topology.PortID
 }
 
+// span is one candidate list: hops[off : off+n].
+type span struct{ off, n uint32 }
+
 // NewECMPRouter precomputes shortest-path distances between all switches
 // and the per-(switch, edge) equal-cost next-hop sets.
 func NewECMPRouter(topo *topology.Topology, salt uint64) *ECMPRouter {
@@ -57,20 +67,28 @@ func NewECMPRouter(topo *topology.Topology, salt uint64) *ECMPRouter {
 		topo:     topo,
 		hostEdge: make([]topology.NodeID, n),
 		hostPort: make([]topology.PortID, n),
+		row:      make([]int32, n),
+		col:      make([]int32, n),
 		weights:  make(map[topology.NodeID]map[topology.NodeID]int32),
 		salt:     salt,
 	}
 	for i := range r.hostEdge {
-		r.hostEdge[i] = -1
+		r.hostEdge[i], r.row[i], r.col[i] = -1, -1, -1
 	}
+	var edges []topology.NodeID
 	for _, h := range topo.Hosts() {
 		if sw, ok := topo.EdgeSwitchOf(h); ok {
 			r.hostEdge[h] = sw
 			if p, ok := topo.PortTo(sw, h); ok {
 				r.hostPort[h] = p
 			}
+			if r.col[sw] < 0 {
+				r.col[sw] = int32(len(edges))
+				edges = append(edges, sw)
+			}
 		}
 	}
+	r.cols = len(edges)
 	// BFS from every switch over the switch-only subgraph.
 	dist := make(map[topology.NodeID]map[topology.NodeID]int32)
 	for _, src := range topo.Switches() {
@@ -96,31 +114,55 @@ func NewECMPRouter(topo *topology.Topology, salt uint64) *ECMPRouter {
 	// Materialize the candidate sets. Ports are enumerated in ascending
 	// peer order below, matching the sorted order the map-based
 	// implementation produced.
-	r.cands = make([][]nextHop, n*n)
-	for _, sw := range topo.Switches() {
-		for _, edge := range topo.Switches() {
-			if sw == edge {
-				continue
-			}
+	r.spans = make([]span, topo.NumSwitches()*r.cols)
+	var hops []nextHop
+	for i, sw := range topo.Switches() {
+		r.row[sw] = int32(i)
+		rowStart := len(r.hops)
+		for c, edge := range edges {
 			dcur, ok := dist[sw][edge]
-			if !ok {
+			if sw == edge || !ok {
 				continue
 			}
-			var hops []nextHop
-			for i, p := range topo.Node(sw).Ports {
+			hops = hops[:0]
+			for pi, p := range topo.Node(sw).Ports {
 				v := p.Peer
 				if !topo.IsSwitch(v) {
 					continue
 				}
 				if d, ok := dist[v][edge]; ok && d == dcur-1 {
-					hops = append(hops, nextHop{sw: v, port: topology.PortID(i)})
+					hops = append(hops, nextHop{sw: v, port: topology.PortID(pi)})
 				}
 			}
 			sort.Slice(hops, func(i, j int) bool { return hops[i].sw < hops[j].sw })
-			r.cands[int(sw)*n+int(edge)] = hops
+			r.spans[i*r.cols+c] = r.intern(rowStart, hops)
 		}
 	}
 	return r
+}
+
+// intern returns the span of list within r.hops[from:], appending it if no
+// equal run is there yet. A switch has few distinct candidate lists (one
+// per neighbor plus one per tier above), so the scan is short.
+func (r *ECMPRouter) intern(from int, list []nextHop) span {
+	for off := from; off+len(list) <= len(r.hops); off++ {
+		if slices.Equal(r.hops[off:off+len(list)], list) {
+			return span{uint32(off), uint32(len(list))}
+		}
+	}
+	r.hops = append(r.hops, list...)
+	return span{uint32(len(r.hops) - len(list)), uint32(len(list))}
+}
+
+// candidates returns the equal-cost next hops from sw toward edge switch
+// edge (nil when sw is not a switch or has no route).
+func (r *ECMPRouter) candidates(sw, edge topology.NodeID) []nextHop {
+	i := r.row[sw]
+	if i < 0 {
+		return nil
+	}
+	sp := r.spans[int(i)*r.cols+int(r.col[edge])]
+	return r.hops[sp.off : sp.off+sp.n]
 }
 
 // SetWeight overrides the ECMP weight used at sw when the candidate next
@@ -180,7 +222,7 @@ func (r *ECMPRouter) NextHops(sw topology.NodeID, dst topology.NodeID) []topolog
 	if edge < 0 || sw == edge {
 		return nil
 	}
-	cands := r.cands[int(sw)*len(r.hostEdge)+int(edge)]
+	cands := r.candidates(sw, edge)
 	if len(cands) == 0 {
 		return nil
 	}
@@ -189,17 +231,6 @@ func (r *ECMPRouter) NextHops(sw topology.NodeID, dst topology.NodeID) []topolog
 		hops[i] = c.sw
 	}
 	return hops
-}
-
-// weightOf returns the configured ECMP weight at sw for next hop via
-// (default 1).
-func (r *ECMPRouter) weightOf(sw, via topology.NodeID) int32 {
-	if m := r.weights[sw]; m != nil {
-		if v, ok := m[via]; ok {
-			return v
-		}
-	}
-	return 1
 }
 
 // Route implements Router. It runs per packet per hop and performs no
@@ -215,20 +246,25 @@ func (r *ECMPRouter) Route(sw topology.NodeID, pkt *Packet) (topology.PortID, bo
 	if sw == edge {
 		return r.hostPort[pkt.Dst], true
 	}
-	cands := r.cands[int(sw)*len(r.hostEdge)+int(edge)]
+	cands := r.candidates(sw, edge)
 	if len(cands) == 0 {
 		return 0, false
 	}
 	next := cands[0]
 	if len(cands) > 1 {
+		h := splitmix64(uint64(pkt.Flow) ^ r.salt ^ uint64(sw)*0x9E3779B97F4A7C15)
+		w := r.weights[sw]
+		if w == nil {
+			// Every weight is 1: the weighted walk below lands on h % len.
+			return cands[h%uint64(len(cands))].port, true
+		}
 		var total int64
 		for _, c := range cands {
-			total += int64(r.weightOf(sw, c.sw))
+			total += weightOf(w, c.sw)
 		}
-		h := splitmix64(uint64(pkt.Flow) ^ r.salt ^ uint64(sw)*0x9E3779B97F4A7C15)
 		pick := int64(h % uint64(total))
 		for _, c := range cands {
-			pick -= int64(r.weightOf(sw, c.sw))
+			pick -= weightOf(w, c.sw)
 			if pick < 0 {
 				next = c
 				break
@@ -236,6 +272,15 @@ func (r *ECMPRouter) Route(sw topology.NodeID, pkt *Packet) (topology.PortID, bo
 		}
 	}
 	return next.port, true
+}
+
+// weightOf returns the ECMP weight for next hop via among one switch's
+// overrides w (default 1).
+func weightOf(w map[topology.NodeID]int32, via topology.NodeID) int64 {
+	if v, ok := w[via]; ok {
+		return int64(v)
+	}
+	return 1
 }
 
 // splitmix64 is a fast, well-mixed 64-bit hash used for flow placement.

@@ -116,17 +116,21 @@ type MemEstimate struct {
 	PeakBytes     int64
 }
 
+// eventBytes is what Mem charges per agenda slot: an upper bound on
+// sizeof(event) (48), kept at 64 so EXPERIMENTS.md's KB figures stay
+// comparable across PRs.
+const eventBytes = 64
+
 // Mem computes the estimate. Cold path: it walks the packet pool and every
 // port queue.
 func (s *Simulator) Mem() MemEstimate {
 	const (
-		eventBytes   = 64 // sizeof(event), padded
 		packetBytes  = 120
 		portBytes    = 80
 		runtimeBytes = 48
 	)
 	m := MemEstimate{
-		AgendaLen:     len(s.agenda.h),
+		AgendaLen:     s.agenda.len(),
 		AgendaPeak:    s.agenda.peak,
 		PacketsPooled: len(s.free),
 		PacketsLive:   int(s.pktAlloc) - len(s.free),
@@ -154,7 +158,7 @@ func (s *Simulator) Mem() MemEstimate {
 	}
 	statsBytes := int64(len(s.Stats.LinkBytes))*8 + int64(len(s.Stats.LinkDirBytes))*16
 	fixed := int64(len(s.switches))*runtimeBytes + portCount*portBytes + queueBytes + statsBytes
-	m.EstBytes = fixed + int64(cap(s.agenda.h))*eventBytes + s.pktAlloc*perPkt
+	m.EstBytes = fixed + int64(s.agenda.capacity())*eventBytes + s.pktAlloc*perPkt
 	m.PeakBytes = fixed + int64(m.AgendaPeak)*eventBytes + s.pktAlloc*perPkt
 	return m
 }

@@ -15,6 +15,7 @@ package pathid
 import (
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 
 	"mars/internal/topology"
@@ -248,7 +249,8 @@ func BuildTable(cfg Config, topo *topology.Topology, paths []topology.Path) (*Ta
 		if len(sorted[i]) != len(sorted[j]) {
 			return len(sorted[i]) < len(sorted[j])
 		}
-		return pathKey(sorted[i]) < pathKey(sorted[j])
+		// NodeIDs are non-negative, so numeric order is pathKey's byte order.
+		return slices.Compare(sorted[i], sorted[j]) < 0
 	})
 	for _, p := range sorted {
 		if err := t.insert(p); err != nil {

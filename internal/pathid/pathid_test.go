@@ -1,6 +1,8 @@
 package pathid
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -273,5 +275,58 @@ func TestPropertyStepMasked(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBuildOrderMatchesStringKeyOrder pins BuildTable's processing order —
+// and with it every PathID and MAT entry, which are a function of that
+// order — to the one the original comparator produced: length, then the
+// big-endian pathKey strings.
+func TestBuildOrderMatchesStringKeyOrder(t *testing.T) {
+	for _, tc := range []struct {
+		k   int
+		cfg Config
+	}{
+		{4, Config{Alg: CRC16, Width: 8}}, // narrow: collisions install entries
+		{8, Config{Alg: CRC16, Width: 16}},
+	} {
+		ft, err := topology.NewFatTree(tc.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths := ft.AllEdgePairPaths()
+		got, err := BuildTable(tc.cfg, ft.Topology, paths)
+		if err != nil {
+			t.Fatalf("k=%d BuildTable: %v", tc.k, err)
+		}
+		sorted := append([]topology.Path(nil), paths...)
+		sort.Slice(sorted, func(i, j int) bool {
+			if len(sorted[i]) != len(sorted[j]) {
+				return len(sorted[i]) < len(sorted[j])
+			}
+			return pathKey(sorted[i]) < pathKey(sorted[j])
+		})
+		want := &Table{
+			Cfg: tc.cfg, topo: ft.Topology,
+			entries: map[matKey]uint8{}, byFinal: map[finalKey]topology.Path{}, finalOf: map[string]ID{},
+		}
+		for _, p := range sorted {
+			if err := want.insert(p); err != nil {
+				t.Fatalf("k=%d reference insert: %v", tc.k, err)
+			}
+		}
+		if tc.k == 4 && len(want.entries) == 0 {
+			t.Fatal("k=4 at width 8 installed no MAT entries; the case compares nothing")
+		}
+		if !reflect.DeepEqual(got.entries, want.entries) {
+			t.Errorf("k=%d: MAT entries differ from the string-key build (%d vs %d)", tc.k, len(got.entries), len(want.entries))
+		}
+		for _, p := range paths {
+			g, _ := got.FinalID(p)
+			w, ok := want.FinalID(p)
+			if !ok || g != w {
+				t.Fatalf("k=%d: FinalID(%v) = %d, string-key build has %d (ok=%v)", tc.k, p, g, w, ok)
+			}
+		}
 	}
 }
