@@ -1,7 +1,6 @@
 package rca
 
 import (
-	"mars/internal/dataplane"
 	"mars/internal/det"
 	"mars/internal/topology"
 )
@@ -33,12 +32,12 @@ const compoundBoost = 1.25
 // carrying its own degradation evidence — over-threshold packets or
 // telemetry gaps on paths through it — exposes the root. Returns the
 // [up, lightPeer] link and true when the evidence clears MinLinkEvidence.
-func (a *Analyzer) degradedLightBranch(up topology.NodeID, flowPkts map[dataplane.FlowID]float64, stats map[dataplane.FlowID]*flowStats) ([]topology.NodeID, bool) {
+func (a *Analyzer) degradedLightBranch(up topology.NodeID, through []flowPkts, stats []flowStats) ([]topology.NodeID, bool) {
 	succCount := make(map[topology.NodeID]float64)
 	succAbnormal := make(map[topology.NodeID]float64)
 	succGapFlows := make(map[topology.NodeID]float64)
-	for _, flow := range det.KeysFunc(flowPkts, flowLess) {
-		fs := stats[flow]
+	for _, fp := range through {
+		fs := &stats[fp.flow]
 		flowGaps := float64(len(fs.gapEpochs))
 		for _, ps := range fs.paths {
 			path := ps.path
@@ -91,11 +90,10 @@ func (a *Analyzer) degradedLightBranch(up topology.NodeID, flowPkts map[dataplan
 // consults it under CompoundCauses: a congested link whose flows also
 // lose packets is a degraded link, not a slow processing stage — queuing
 // alone never destroys packets.
-func (a *Analyzer) lossFlowCount(flowPkts map[dataplane.FlowID]float64, stats map[dataplane.FlowID]*flowStats) int {
+func (a *Analyzer) lossFlowCount(through []flowPkts, stats []flowStats) int {
 	n := 0
-	//mars:mapiter-ok pure count; any visit order yields the same total
-	for flow := range flowPkts {
-		fs := stats[flow]
+	for _, fp := range through {
+		fs := &stats[fp.flow]
 		var src, sink uint64
 		gap := false
 		//mars:mapiter-ok pure sums over the flow's epochs
@@ -106,7 +104,7 @@ func (a *Analyzer) lossFlowCount(flowPkts map[dataplane.FlowID]float64, stats ma
 				gap = true
 			}
 		}
-		margin := uint64(a.dropMargin(uint32(min64(src, 1<<31))))
+		margin := uint64(a.dropMargin(uint32(min(src, 1<<31))))
 		if gap || src > sink+margin {
 			n++
 		}
@@ -164,13 +162,13 @@ func (a *Analyzer) flapTransitions(fs *flowStats) int {
 //     does not drop, while truly silent loss adds no delay.
 //   - Drop otherwise (hard steady loss, e.g. a down link, or silent
 //     partial loss with no latency side-channel).
-func (a *Analyzer) classifyDropCause(sub []topology.NodeID, affected map[dataplane.FlowID]bool, stats map[dataplane.FlowID]*flowStats) Cause {
+func (a *Analyzer) classifyDropCause(ix *index, sub []topology.NodeID, affected []bool) Cause {
 	maxTrans := 0
 	hardLoss := false
 	abnormalWeight := 0.0
 	neighbors := make(map[topology.NodeID]bool)
-	for _, flow := range det.KeysFunc(stats, flowLess) {
-		fs := stats[flow]
+	for _, flow := range ix.flows {
+		fs := &ix.stats[flow]
 		covers := false
 		for _, ps := range fs.paths {
 			path := ps.path

@@ -3,7 +3,6 @@ package rca
 import (
 	"testing"
 
-	"mars/internal/dataplane"
 	"mars/internal/topology"
 )
 
@@ -25,6 +24,16 @@ func statsWithEpochs(pairs [][2]uint32) *flowStats {
 		fs.epochSinks[uint32(i)] = p[1]
 	}
 	return fs
+}
+
+// statsIndex is an index holding only the given per-flow summaries, flow
+// numbers in argument order.
+func statsIndex(stats ...flowStats) *index {
+	ix := &index{stats: stats}
+	for f := range stats {
+		ix.flows = append(ix.flows, int32(f))
+	}
+	return ix
 }
 
 func TestHardLossEpoch(t *testing.T) {
@@ -76,34 +85,33 @@ func TestClassifyDropCauseTaxonomy(t *testing.T) {
 	a := compoundAnalyzer()
 	link := []topology.NodeID{4, 9}
 	path := topology.Path{2, 4, 9, 11}
-	mk := func(pairs [][2]uint32, abnormal float64) (map[dataplane.FlowID]bool, map[dataplane.FlowID]*flowStats) {
-		flow := dataplane.FlowID{Src: 0, Sink: 11}
+	mk := func(pairs [][2]uint32, abnormal float64) ([]bool, *index) {
 		fs := statsWithEpochs(pairs)
 		fs.paths = []pathStat{{path: path, pkts: 10, abnormal: abnormal}}
-		return map[dataplane.FlowID]bool{flow: true}, map[dataplane.FlowID]*flowStats{flow: fs}
+		return []bool{true}, statsIndex(*fs)
 	}
 
 	flapping := [][2]uint32{{20, 2}, {20, 20}, {20, 2}, {20, 20}, {20, 2}, {20, 20}}
 	affected, stats := mk(flapping, 0)
-	if got := a.classifyDropCause(link, affected, stats); got != CauseLinkFlap {
+	if got := a.classifyDropCause(stats, link, affected); got != CauseLinkFlap {
 		t.Errorf("alternating hard loss = %v, want link-flap", got)
 	}
 	// The same alternation WITH latency evidence is congestion collapse,
 	// not an administrative flap.
 	affected, stats = mk(flapping, 10)
-	if got := a.classifyDropCause(link, affected, stats); got != CauseDrop {
+	if got := a.classifyDropCause(stats, link, affected); got != CauseDrop {
 		t.Errorf("alternating loss with latency = %v, want drop", got)
 	}
 
 	// Partial loss plus latency on a link pattern: degraded link.
 	soft := [][2]uint32{{20, 18}, {20, 17}, {20, 18}, {20, 17}, {20, 18}, {20, 17}}
 	affected, stats = mk(soft, 10)
-	if got := a.classifyDropCause(link, affected, stats); got != CauseLinkDegrade {
+	if got := a.classifyDropCause(stats, link, affected); got != CauseLinkDegrade {
 		t.Errorf("soft loss with latency = %v, want link-degrade", got)
 	}
 	// Silent partial loss with no latency stays steady drop.
 	affected, stats = mk(soft, 0)
-	if got := a.classifyDropCause(link, affected, stats); got != CauseDrop {
+	if got := a.classifyDropCause(stats, link, affected); got != CauseDrop {
 		t.Errorf("silent soft loss = %v, want drop", got)
 	}
 }
@@ -112,17 +120,17 @@ func TestClassifyDropCauseReboot(t *testing.T) {
 	a := compoundAnalyzer()
 	sub := []topology.NodeID{4}
 	outage := [][2]uint32{{20, 20}, {20, 1}, {20, 1}, {20, 20}}
-	affected := make(map[dataplane.FlowID]bool)
-	stats := make(map[dataplane.FlowID]*flowStats)
+	var affected []bool
+	var stats []flowStats
 	// Three flows through switch 4 from distinct neighbors: the loss fans.
-	for i, p := range []topology.Path{{1, 4, 9}, {2, 4, 10}, {3, 4, 11}} {
-		flow := dataplane.FlowID{Src: topology.NodeID(100 + i), Sink: p[len(p)-1]}
+	for _, p := range []topology.Path{{1, 4, 9}, {2, 4, 10}, {3, 4, 11}} {
 		fs := statsWithEpochs(outage)
 		fs.paths = []pathStat{{path: p, pkts: 10}}
-		affected[flow] = true
-		stats[flow] = fs
+		affected = append(affected, true)
+		stats = append(stats, *fs)
 	}
-	if got := a.classifyDropCause(sub, affected, stats); got != CauseSwitchReboot {
+	ix := statsIndex(stats...)
+	if got := a.classifyDropCause(ix, sub, affected); got != CauseSwitchReboot {
 		t.Errorf("fanned hard outage = %v, want switch-reboot", got)
 	}
 	// Without hard loss the fan is not a reboot.
@@ -132,7 +140,7 @@ func TestClassifyDropCauseReboot(t *testing.T) {
 			fs.epochSinks[e] = fs.epochCounts[e]
 		}
 	}
-	if got := a.classifyDropCause(sub, affected, stats); got == CauseSwitchReboot {
+	if got := a.classifyDropCause(ix, sub, affected); got == CauseSwitchReboot {
 		t.Error("clean counts must not classify as reboot")
 	}
 }

@@ -2,7 +2,6 @@ package rca
 
 import (
 	"mars/internal/dataplane"
-	"mars/internal/det"
 	"mars/internal/netsim"
 	"mars/internal/topology"
 )
@@ -78,7 +77,7 @@ type namedSignature struct {
 
 // runExtensions evaluates custom signatures for one pattern and returns
 // the culprits they produce (empty if none claimed it).
-func (a *Analyzer) runExtensions(sp scoredPattern, flowPkts map[dataplane.FlowID]float64, stats map[dataplane.FlowID]*flowStats, baseQ, globalMed float64) []Culprit {
+func (a *Analyzer) runExtensions(ix *index, sp scoredPattern, through []flowPkts, baseQ float64) []Culprit {
 	if len(a.extensions) == 0 {
 		return nil
 	}
@@ -86,14 +85,14 @@ func (a *Analyzer) runExtensions(sp scoredPattern, flowPkts map[dataplane.FlowID
 		Pattern:            sp.sub,
 		Score:              sp.score,
 		BaselineQueueDepth: baseQ,
-		GlobalMedianRate:   globalMed,
+		GlobalMedianRate:   ix.globalMed,
 	}
-	for _, flow := range det.KeysFunc(flowPkts, flowLess) {
-		fs := stats[flow]
+	for _, fp := range through {
+		fs := &ix.stats[fp.flow]
 		peak, base := fs.peakAndBaseline()
 		ev.Flows = append(ev.Flows, FlowEvidence{
-			Flow:                  flow,
-			PacketsThroughPattern: flowPkts[flow],
+			Flow:                  ix.flowIDs[fp.flow],
+			PacketsThroughPattern: fp.pkts,
 			PeakEpochRate:         float64(peak),
 			BaselineEpochRate:     base,
 			AbnormalQueueMedian:   fs.abnormalQueueMedian(),

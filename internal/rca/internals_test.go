@@ -1,6 +1,7 @@
 package rca
 
 import (
+	"slices"
 	"testing"
 
 	"mars/internal/dataplane"
@@ -30,7 +31,7 @@ func TestDropAffectedFlowsCancelsDisplacement(t *testing.T) {
 			mk(11, 40, 58), // surplus 18
 		},
 	}
-	if got := a.dropAffectedFlows(d); len(got) != 0 {
+	if got := a.dropAffectedFlows(a.index(d)); slices.Contains(got, true) {
 		t.Errorf("displacement flagged as drop: %v", got)
 	}
 
@@ -43,7 +44,7 @@ func TestDropAffectedFlowsCancelsDisplacement(t *testing.T) {
 			mk(11, 40, 22),
 		},
 	}
-	if got := a.dropAffectedFlows(d2); !got[flow] {
+	if got := a.dropAffectedFlows(a.index(d2)); len(got) != 1 || !got[0] {
 		t.Errorf("sustained loss not flagged: %v", got)
 	}
 }
@@ -60,7 +61,7 @@ func TestDropAffectedFlowsRecentWindow(t *testing.T) {
 		now:     5 * netsim.Second,
 		records: []dataplane.RTRecord{old},
 	}
-	if got := a.dropAffectedFlows(d); len(got) != 0 {
+	if got := a.dropAffectedFlows(a.index(d)); slices.Contains(got, true) {
 		t.Errorf("stale evidence flagged: %v", got)
 	}
 }
@@ -74,7 +75,7 @@ func TestEpochGapIsDirectDropEvidence(t *testing.T) {
 	r.EpochGap = 5
 	r.Arrival = 3 * netsim.Second
 	d := evidence{now: 3 * netsim.Second, records: []dataplane.RTRecord{r}}
-	if got := a.dropAffectedFlows(d); !got[flow] {
+	if got := a.dropAffectedFlows(a.index(d)); len(got) != 1 || !got[0] {
 		t.Error("epoch gap not treated as drop evidence")
 	}
 }

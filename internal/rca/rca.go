@@ -3,13 +3,13 @@
 // a ranked list of culprits with causes.
 //
 // Pipeline (§4.4's four parts):
-//  1. estimate actual traffic from the sampled telemetry (Alg. 2) and
-//     classify it into abnormal/normal sets with the reservoir
-//     thresholds. A record with PathCount = n stands for n packets on one
-//     path with one latency, so the estimate is one entry of weight n per
-//     record, never n packets: supports, spectra and packet shares below
-//     are sums of weights, equal to the counts over the expanded packets
-//     at a cost that does not depend on PathCount;
+//  1. classify the sampled telemetry into abnormal/normal sets with the
+//     reservoir thresholds (one per flow; flows are numbered once per
+//     analysis) and, for a view with an abnormal set to mine, estimate
+//     actual traffic (Alg. 2), decoding each (flow, PathID) once. A record
+//     with PathCount = n is one entry of weight n, never n packets:
+//     supports, spectra and packet shares below are sums of weights, equal
+//     to the counts over the expanded packets whatever PathCount is;
 //  2. mine frequent sub-sequences (switches and links) of the abnormal
 //     paths with FSM (§4.4.2);
 //  3. score each pattern with relative-risk SBFL (§4.4.3, Eq. 1);
@@ -19,11 +19,11 @@ package rca
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mars/internal/controlplane"
 	"mars/internal/dataplane"
-	"mars/internal/det"
 	"mars/internal/fsm"
 	"mars/internal/netsim"
 	"mars/internal/pathid"
@@ -241,7 +241,9 @@ func DefaultConfig() Config {
 }
 
 // Thresholds supplies the per-flow dynamic thresholds used to classify
-// estimated packets (the controller's reservoirs implement this).
+// estimated packets (the controller's reservoirs implement this). An
+// analysis asks once per flow, in first-appearance order: an implementation
+// must answer the same for a flow throughout one analysis.
 type Thresholds interface {
 	ThresholdOf(flow dataplane.FlowID) netsim.Time
 }
@@ -296,12 +298,12 @@ func (a *Analyzer) Analyze(d controlplane.Diagnosis) []Culprit {
 	// always cross-checks cumulative loss evidence and persistent gray loss
 	// accumulates rank across diagnoses even when each one also has a
 	// latency story.
-	var affected map[dataplane.FlowID]bool
+	var affected []bool
 	if len(lat) == 0 || ev.dropFlagged || a.Cfg.CompoundCauses {
-		affected = a.dropAffectedFlows(ev)
+		affected = a.dropAffectedFlows(ix)
 	}
 	out := lat
-	if len(affected) > 0 || (len(lat) > 0 && ev.dropFlagged) {
+	if slices.Contains(affected, true) || (len(lat) > 0 && ev.dropFlagged) {
 		out = combineViews(lat, a.analyzeDrop(ix, affected))
 	}
 	// Degraded mode: a partial collection (missing sinks) still yields a
@@ -354,73 +356,40 @@ func (a *Analyzer) dropMargin(sourceCount uint32) uint32 {
 	return m
 }
 
-// recent reports whether a record falls inside the trusted drop-evidence
-// window of this evidence.
-func (a *Analyzer) recent(ev evidence, r dataplane.RTRecord) bool {
-	return a.Cfg.RecentWindow <= 0 || r.Arrival >= ev.now-a.Cfg.RecentWindow
-}
-
-// dropAffectedFlows identifies flows with genuine loss in the recent
-// window. Per-epoch count mismatches are summed per flow: a sudden
+// dropAffectedFlows identifies, by flow number, flows with genuine loss in
+// the recent window (RecentWindow back from the evidence's time), which
+// re-verifies the data plane's jumpy per-epoch trigger (a switch cannot
+// afford history). Per-epoch count mismatches are summed per flow: a sudden
 // latency shift displaces packets across one epoch boundary (deficit one
-// epoch, surplus the next, cancelling), while real loss accumulates.
-// Epoch gaps (missing telemetry packets) count as direct evidence.
-func (a *Analyzer) dropAffectedFlows(ev evidence) map[dataplane.FlowID]bool {
+// epoch, surplus the next, cancelling), while real loss accumulates. Epoch
+// gaps (missing telemetry packets) count as direct evidence.
+func (a *Analyzer) dropAffectedFlows(ix *index) []bool {
 	type agg struct {
 		src, sink uint64
 		gap       bool
-		seen      map[uint32]bool
 	}
-	byFlow := make(map[dataplane.FlowID]*agg)
-	for _, r := range ev.records {
-		if !a.recent(ev, r) {
+	byFlow, counted := make([]agg, len(ix.flowIDs)), ix.emptySet()
+	for i := range ix.records {
+		r := &ix.records[i]
+		if a.Cfg.RecentWindow > 0 && r.Arrival < ix.now-a.Cfg.RecentWindow {
 			continue
 		}
-		f := byFlow[r.Flow]
-		if f == nil {
-			f = &agg{seen: make(map[uint32]bool)}
-			byFlow[r.Flow] = f
-		}
+		f := &byFlow[ix.flowOf[i]]
 		if r.EpochGap > 0 {
 			f.gap = true
 		}
 		// A flow can have several records per epoch (one per path); counts
 		// are flow-level, so take each epoch once.
-		if !f.seen[r.Epoch] {
-			f.seen[r.Epoch] = true
+		if counted.of(ix.flowOf[i], r.Epoch, i) == i {
 			f.src += uint64(r.SourceCount)
 			f.sink += uint64(r.SinkCount)
 		}
 	}
-	affected := make(map[dataplane.FlowID]bool)
-	for _, flow := range det.KeysFunc(byFlow, flowLess) {
-		f := byFlow[flow]
-		if f.gap {
-			affected[flow] = true
-			continue
-		}
-		margin := uint64(a.dropMargin(uint32(min64(f.src, 1<<31))))
-		if f.src > f.sink+margin {
-			affected[flow] = true
-		}
+	affected := make([]bool, len(byFlow))
+	for n, f := range byFlow {
+		affected[n] = f.gap || f.src > f.sink+uint64(a.dropMargin(uint32(min(f.src, 1<<31))))
 	}
 	return affected
-}
-
-// Note: the data plane's per-epoch trigger is deliberately jumpy (a switch
-// cannot afford history); dropAffectedFlows re-verifies its claim against
-// the cumulative window before any drop diagnosis runs.
-
-func min64(a uint64, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// decode resolves a record's PathID to its switch path.
-func (a *Analyzer) decode(r dataplane.RTRecord) (topology.Path, bool) {
-	return a.Paths.Lookup(r.Flow.Sink, r.PathID)
 }
 
 // entry is Alg. 2's estimate for one telemetry record: the record stands
@@ -430,51 +399,130 @@ type entry struct {
 	weight int
 }
 
-// index is what one Analyze/AnalyzeWindow derives from its evidence once
-// and both views read: the estimate and the threshold classification per
-// record, and (built by signatureData when a view has patterns to explain)
-// the per-flow summaries the signatures match against.
+// index is what one Analyze/AnalyzeWindow derives from its evidence and
+// both views read, in three layers, each built at most once: flows numbered
+// and records classified (index, always); the decoded estimate (estimate,
+// for the first view with an abnormal set to mine: a quiet window decodes
+// nothing); the per-flow summaries the signatures match against
+// (signatureData, for the first view with patterns to explain).
 type index struct {
 	evidence
-	// entries and over run parallel to records; over marks records whose
-	// latency exceeds their flow's dynamic threshold.
-	entries     []entry
+	// flowOf, over and entries run parallel to records. flowOf numbers the
+	// flows densely in first-record order, flowIDs maps the numbers back;
+	// over marks records later than their flow's threshold.
+	flowOf      []int32
+	flowIDs     []dataplane.FlowID
 	over        []bool
 	overRecords int
+	set         *firsts // dropAffectedFlows' epochs, then estimate's PathIDs
+	entries     []entry // nil until estimate
 
-	stats      map[dataplane.FlowID]*flowStats
-	flows      []dataplane.FlowID // stats' keys in flowLess order
+	stats      []flowStats // by flow number
+	flows      []int32     // the flow numbers in flowLess order
 	sinkRanges map[topology.NodeID]*sinkEpochRange
 	globalMed  float64
 }
 
-// index estimates actual traffic from the records (Alg. 2) and classifies
-// each against the dynamic thresholds.
+// index numbers the flows of the records and classifies each record
+// against its flow's dynamic threshold, asked for once per flow.
 func (a *Analyzer) index(ev evidence) *index {
 	ix := &index{
 		evidence: ev,
-		entries:  make([]entry, len(ev.records)),
+		flowOf:   make([]int32, len(ev.records)),
 		over:     make([]bool, len(ev.records)),
 	}
-	for i, r := range ev.records {
-		if a.Thr != nil && r.Latency > a.Thr.ThresholdOf(r.Flow) {
+	numbers := make(map[dataplane.FlowID]int32)
+	var thresholds []netsim.Time
+	for i := range ev.records {
+		r := &ev.records[i]
+		f, ok := numbers[r.Flow]
+		if !ok {
+			f = int32(len(ix.flowIDs))
+			numbers[r.Flow] = f
+			ix.flowIDs = append(ix.flowIDs, r.Flow)
+			if a.Thr != nil {
+				thresholds = append(thresholds, a.Thr.ThresholdOf(r.Flow))
+			}
+		}
+		ix.flowOf[i] = f
+		if a.Thr != nil && r.Latency > thresholds[f] {
 			ix.over[i] = true
 			ix.overRecords++
 		}
-		path, ok := a.decode(r)
-		if !ok {
+	}
+	ix.set = &firsts{head: make([]int32, len(ix.flowIDs)), next: make([]int32, len(ev.records)), key: make([]uint32, len(ev.records))}
+	return ix
+}
+
+// estimate fills ix.entries with the traffic the records stand for (Alg. 2),
+// once per index, decoding each (flow, PathID) on the first record with it.
+func (a *Analyzer) estimate(ix *index) {
+	if ix.entries != nil {
+		return
+	}
+	ix.entries = make([]entry, len(ix.records))
+	decoded := ix.emptySet()
+	for i := range ix.records {
+		r := &ix.records[i]
+		j := decoded.of(ix.flowOf[i], uint32(r.PathID), i)
+		if j == i {
+			ix.entries[i].path, _ = a.Paths.Lookup(r.Flow.Sink, r.PathID)
+		}
+		path := ix.entries[j].path
+		if path == nil {
 			continue
 		}
-		n := int(r.PathCount)
-		if n < 1 {
-			n = 1 // the telemetry packet itself
-		}
-		if limit := a.Cfg.MaxEstimatePerRecord; limit > 0 && n > limit {
-			n = limit
+		n := max(int(r.PathCount), 1) // at least the telemetry packet itself
+		if limit := a.Cfg.MaxEstimatePerRecord; limit > 0 {
+			n = min(n, limit)
 		}
 		ix.entries[i] = entry{path: path, weight: n}
 	}
-	return ix
+}
+
+// firsts is a set of (flow, key) pairs over one index's records that
+// remembers which record first carried each pair, in O(records) memory
+// whatever the keys: per flow, a chain of those first records (head and
+// next hold a record index + 1; 0 ends a chain). Honest telemetry gives a
+// flow a handful of keys — W epochs, (k/2)^2 paths — so a lookup is a few
+// compares. Pairs past maxChain in one flow go to a map instead, so a
+// corrupt or hostile frame cannot make the walk quadratic.
+type firsts struct {
+	head, next []int32          // by flow number; by record
+	key        []uint32         // by record
+	spill      map[uint64]int32 // flow<<32 | key -> record
+}
+
+const maxChain = 64
+
+// emptySet returns the index's one firsts, emptied: its uses do not overlap.
+func (ix *index) emptySet() *firsts {
+	clear(ix.set.head)
+	ix.set.spill = nil
+	return ix.set
+}
+
+// of returns the record that first carried (f, key): i, now added, if none had.
+func (s *firsts) of(f int32, key uint32, i int) int {
+	j, hops := s.head[f], 0
+	for ; j > 0 && hops < maxChain; j, hops = s.next[j-1], hops+1 {
+		if s.key[j-1] == key {
+			return int(j - 1)
+		}
+	}
+	if hops < maxChain {
+		s.key[i], s.next[i], s.head[f] = key, s.head[f], int32(i+1)
+		return i
+	}
+	pair := uint64(f)<<32 | uint64(key)
+	if j, ok := s.spill[pair]; ok {
+		return int(j)
+	}
+	if s.spill == nil {
+		s.spill = make(map[uint64]int32)
+	}
+	s.spill[pair] = int32(i)
+	return i
 }
 
 // minePatterns runs FSM over the paths of the failing entries and scores
@@ -482,6 +530,7 @@ func (a *Analyzer) index(ev evidence) *index {
 // index's entries. It also returns the failing set's size in estimated
 // packets.
 func (a *Analyzer) minePatterns(ix *index, failing []bool) ([]scoredPattern, float64) {
+	a.estimate(ix)
 	// Size the database: one sequence per failing record, all of them
 	// carved from one slab.
 	var seqs, items int

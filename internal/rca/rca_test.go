@@ -10,8 +10,8 @@ import (
 	"mars/internal/topology"
 )
 
-// fixture builds a K=4 fat-tree with its PathID table and a fixed
-// per-flow threshold of 10 ms.
+// fixture builds a fat-tree (K=4 unless a test asks otherwise) with its
+// PathID table and a fixed per-flow threshold of 10 ms.
 type fixture struct {
 	ft    *topology.FatTree
 	table *pathid.Table
@@ -21,13 +21,21 @@ type fixedThr netsim.Time
 
 func (f fixedThr) ThresholdOf(dataplane.FlowID) netsim.Time { return netsim.Time(f) }
 
-func newFixture(t testing.TB) *fixture {
+func newFixture(t testing.TB) *fixture { return newFixtureK(t, 4) }
+
+// newFixtureK widens the PathID to 16 bits above K=4, whose path sets the
+// 8-bit default cannot tell apart.
+func newFixtureK(t testing.TB, k int) *fixture {
 	t.Helper()
-	ft, err := topology.NewFatTree(4)
+	ft, err := topology.NewFatTree(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, err := pathid.BuildTable(pathid.DefaultConfig(), ft.Topology, ft.AllEdgePairPaths())
+	cfg := pathid.DefaultConfig()
+	if k > 4 {
+		cfg.Width = 16
+	}
+	table, err := pathid.BuildTable(cfg, ft.Topology, ft.AllEdgePairPaths())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,11 +179,11 @@ func TestProcessRateLocalization(t *testing.T) {
 	}
 }
 
-func TestECMPLocalizationBlamesUpstream(t *testing.T) {
-	f := newFixture(t)
-	a := analyzer(f)
-	// Edge e0 splits unevenly between its two aggs: 9x traffic through
-	// agg1, whose queue congests. The culprit must be e0, not agg1.
+// ecmpRecords is a skewed ECMP split: edge e0 sends 9x the traffic through
+// its second aggregation, whose queue congests, for two flows; background
+// flows elsewhere are healthy.
+func (f *fixture) ecmpRecords(t testing.TB) []dataplane.RTRecord {
+	t.Helper()
 	e0 := f.ft.EdgeIDs[0]
 	dst := f.ft.EdgeIDs[2] // cross-pod
 	paths := f.ft.AllShortestPaths(e0, dst)
@@ -218,6 +226,15 @@ func TestECMPLocalizationBlamesUpstream(t *testing.T) {
 			recs = append(recs, f.record(t, p, ep, okLatency, 20, 1))
 		}
 	}
+	return recs
+}
+
+func TestECMPLocalizationBlamesUpstream(t *testing.T) {
+	f := newFixture(t)
+	a := analyzer(f)
+	// The culprit must be e0, not the congested aggregation.
+	e0 := f.ft.EdgeIDs[0]
+	recs := f.ecmpRecords(t)
 	got := a.Analyze(controlplane.Diagnosis{
 		Trigger: dataplane.Notification{Kind: dataplane.NotifyHighLatency},
 		Records: recs,

@@ -1,6 +1,7 @@
 package rca
 
 import (
+	"slices"
 	"sort"
 
 	"mars/internal/dataplane"
@@ -9,7 +10,7 @@ import (
 	"mars/internal/topology"
 )
 
-// flowLess orders FlowIDs for deterministic iteration over flow-keyed maps.
+// flowLess orders FlowIDs: the order per-flow evidence is read in.
 func flowLess(a, b dataplane.FlowID) bool {
 	if a.Src != b.Src {
 		return a.Src < b.Src
@@ -64,6 +65,12 @@ func (fs *flowStats) pathOf(id pathid.ID, path topology.Path) *pathStat {
 	return &fs.paths[len(fs.paths)-1]
 }
 
+// flowPkts is one flow, by number, and its packets through a pattern.
+type flowPkts struct {
+	flow int32
+	pkts float64
+}
+
 // pktsThrough sums the flow's packets on paths that contain sub.
 func (fs *flowStats) pktsThrough(sub []topology.NodeID) float64 {
 	var cnt float64
@@ -97,7 +104,8 @@ type sinkEpochRange struct {
 // collectSinkRanges computes the covered epoch window per sink switch.
 func collectSinkRanges(records []dataplane.RTRecord) map[topology.NodeID]*sinkEpochRange {
 	out := make(map[topology.NodeID]*sinkEpochRange)
-	for _, r := range records {
+	for i := range records {
+		r := &records[i]
 		sr := out[r.Flow.Sink]
 		if sr == nil {
 			sr = &sinkEpochRange{}
@@ -124,17 +132,20 @@ func (a *Analyzer) signatureData(ix *index) {
 	if ix.stats != nil {
 		return
 	}
-	ix.stats = make(map[dataplane.FlowID]*flowStats)
-	for i, r := range ix.records {
-		fs := ix.stats[r.Flow]
-		if fs == nil {
-			fs = &flowStats{
-				epochCounts: make(map[uint32]uint32),
-				epochSinks:  make(map[uint32]uint32),
-				gapEpochs:   make(map[uint32]bool),
-			}
-			ix.stats[r.Flow] = fs
+	a.estimate(ix)
+	ix.stats = make([]flowStats, len(ix.flowIDs))
+	for f := range ix.stats {
+		ix.stats[f] = flowStats{
+			epochCounts: make(map[uint32]uint32),
+			epochSinks:  make(map[uint32]uint32),
+			gapEpochs:   make(map[uint32]bool),
 		}
+		ix.flows = append(ix.flows, int32(f))
+	}
+	sort.Slice(ix.flows, func(i, j int) bool { return flowLess(ix.flowIDs[ix.flows[i]], ix.flowIDs[ix.flows[j]]) })
+	for i := range ix.records {
+		r := &ix.records[i]
+		fs := &ix.stats[ix.flowOf[i]]
 		if r.SourceCount > fs.epochCounts[r.Epoch] {
 			fs.epochCounts[r.Epoch] = r.SourceCount
 		}
@@ -159,7 +170,6 @@ func (a *Analyzer) signatureData(ix *index) {
 			fs.abnormalQueueDepths = append(fs.abnormalQueueDepths, float64(r.TotalQueueDepth))
 		}
 	}
-	ix.flows = det.KeysFunc(ix.stats, flowLess)
 	ix.sinkRanges = collectSinkRanges(ix.records)
 	ix.globalMed = globalMedianEpochCount(ix.stats)
 }
@@ -187,11 +197,11 @@ func (fs *flowStats) peakAndBaseline() (peak uint32, base float64) {
 
 // globalMedianEpochCount is the baseline rate across all flows, used to
 // judge burstiness of flows without their own history.
-func globalMedianEpochCount(stats map[dataplane.FlowID]*flowStats) float64 {
+func globalMedianEpochCount(stats []flowStats) float64 {
 	var all []float64
-	for _, fs := range stats {
+	for f := range stats {
 		//mars:mapiter-ok all is fully sorted before use
-		for _, c := range fs.epochCounts {
+		for _, c := range stats[f].epochCounts {
 			all = append(all, float64(c))
 		}
 	}
@@ -348,9 +358,9 @@ func (a *Analyzer) analyzeLatency(ix *index) []Culprit {
 	// Baseline queue depth from records classified normal: the congestion
 	// signature requires abnormal depth to stand out against it.
 	var normalDepths []float64
-	for i, r := range ix.records {
+	for i := range ix.records {
 		if !ix.over[i] {
-			normalDepths = append(normalDepths, float64(r.TotalQueueDepth))
+			normalDepths = append(normalDepths, float64(ix.records[i].TotalQueueDepth))
 		}
 	}
 	baseQ := 1.0
@@ -366,15 +376,16 @@ func (a *Analyzer) analyzeLatency(ix *index) []Culprit {
 	// offending micro-burst flow may be too new to have a calibrated
 	// threshold) and assign the pattern's cause by signature matching.
 	var culprits []Culprit
+	var through []flowPkts
 	for _, sp := range patterns {
 		if sp.score <= 0 {
 			continue
 		}
-		flowPkts := make(map[dataplane.FlowID]float64)
+		through = through[:0]
 		var total float64
-		for _, flow := range ix.flows {
-			if cnt := stats[flow].pktsThrough(sp.sub); cnt > 0 {
-				flowPkts[flow] = cnt
+		for _, f := range ix.flows {
+			if cnt := stats[f].pktsThrough(sp.sub); cnt > 0 {
+				through = append(through, flowPkts{f, cnt})
 				total += cnt
 			}
 		}
@@ -384,7 +395,7 @@ func (a *Analyzer) analyzeLatency(ix *index) []Culprit {
 
 		// Operator-registered signatures run first (§5.6's extension
 		// point); any match claims the pattern.
-		if ext := a.runExtensions(sp, flowPkts, stats, baseQ, globalMed); len(ext) > 0 {
+		if ext := a.runExtensions(ix, sp, through, baseQ); len(ext) > 0 {
 			culprits = append(culprits, ext...)
 			continue
 		}
@@ -393,17 +404,16 @@ func (a *Analyzer) analyzeLatency(ix *index) []Culprit {
 		// explains the congestion, so it claims the pattern (weighted by
 		// its packet share) and suppresses spurious switch-level causes.
 		burstFound := false
-		for _, flow := range det.KeysFunc(flowPkts, flowLess) {
-			cnt := flowPkts[flow]
-			fs := stats[flow]
-			if a.isBursty(fs, sinkRanges[flow.Sink], globalMed) {
+		for _, fp := range through {
+			flow := ix.flowIDs[fp.flow]
+			if a.isBursty(&stats[fp.flow], sinkRanges[flow.Sink], globalMed) {
 				burstFound = true
 				culprits = append(culprits, Culprit{
 					Cause:    CauseMicroBurst,
 					Level:    LevelFlow,
 					Flow:     flow,
 					Location: append([]topology.NodeID{}, sp.sub...),
-					Score:    sp.score * (cnt / total),
+					Score:    sp.score * (fp.pkts / total),
 				})
 			}
 		}
@@ -414,9 +424,8 @@ func (a *Analyzer) analyzeLatency(ix *index) []Culprit {
 		// Queue-buildup signatures: pool the traversing flows' abnormal
 		// queue observations.
 		var depths []float64
-		//mars:mapiter-ok depths is fully sorted before use
-		for flow := range flowPkts {
-			depths = append(depths, stats[flow].abnormalQueueDepths...)
+		for _, fp := range through {
+			depths = append(depths, stats[fp.flow].abnormalQueueDepths...)
 		}
 		sort.Float64s(depths)
 		patternCongested := len(depths) > 0 &&
@@ -431,10 +440,10 @@ func (a *Analyzer) analyzeLatency(ix *index) []Culprit {
 			// two independent flows vote for the same upstream culprit.
 			votes := make(map[topology.NodeID]int)
 			weight := make(map[topology.NodeID]float64)
-			for _, flow := range det.KeysFunc(flowPkts, flowLess) {
-				if u, ok := a.ecmpUpstream(stats[flow], sp.sub); ok {
+			for _, fp := range through {
+				if u, ok := a.ecmpUpstream(&stats[fp.flow], sp.sub); ok {
 					votes[u]++
-					weight[u] += flowPkts[flow]
+					weight[u] += fp.pkts
 				}
 			}
 			var up topology.NodeID
@@ -454,7 +463,7 @@ func (a *Analyzer) analyzeLatency(ix *index) []Culprit {
 				// the imbalance is the reaction and the sick link the
 				// root; rank the link above the switch.
 				if a.Cfg.CompoundCauses {
-					if link, ok := a.degradedLightBranch(up, flowPkts, stats); ok {
+					if link, ok := a.degradedLightBranch(up, through, stats); ok {
 						culprits = append(culprits, Culprit{
 							Cause:    CauseLinkDegrade,
 							Level:    LevelPort,
@@ -476,7 +485,7 @@ func (a *Analyzer) analyzeLatency(ix *index) []Culprit {
 				// destroys them. Re-label and boost so the sick link wins
 				// the ranking over its own downstream symptoms.
 				if a.Cfg.CompoundCauses && len(sp.sub) == 2 &&
-					a.lossFlowCount(flowPkts, stats) >= 2 {
+					a.lossFlowCount(through, stats) >= 2 {
 					c.Cause = CauseLinkDegrade
 					c.Score = sp.score * compoundBoost
 				}
@@ -494,19 +503,23 @@ func (a *Analyzer) analyzeLatency(ix *index) []Culprit {
 }
 
 // analyzeDrop is the separate drop-diagnosis logic (§4.4.4 "Drop"): the
-// affected flows (dropAffectedFlows of the evidence, plus the flow a drop
+// affected flows (dropAffectedFlows of the index, plus the flow a drop
 // trigger flagged) form the abnormal set and a second SBFL instance ranks
 // the shared locations.
-func (a *Analyzer) analyzeDrop(ix *index, affected map[dataplane.FlowID]bool) []Culprit {
-	if ix.dropFlagged {
-		affected[ix.flagged] = true
+func (a *Analyzer) analyzeDrop(ix *index, affected []bool) []Culprit {
+	if f := slices.Index(ix.flowIDs, ix.flagged); ix.dropFlagged && f >= 0 {
+		// The flagged flow, if any record is its, joins a copy of the set.
+		affected = slices.Clone(affected)
+		affected[f] = true
 	}
 	failing := make([]bool, len(ix.records))
-	for i, r := range ix.records {
-		failing[i] = affected[r.Flow]
+	for i, f := range ix.flowOf {
+		failing[i] = affected[f]
 	}
 	patterns, abnormalPkts := a.minePatterns(ix, failing)
-	a.signatureData(ix)
+	if len(patterns) > 0 {
+		a.signatureData(ix)
+	}
 	stats, sinkRanges, globalMed := ix.stats, ix.sinkRanges, ix.globalMed
 	var culprits []Culprit
 	for _, sp := range patterns {
@@ -517,8 +530,8 @@ func (a *Analyzer) analyzeDrop(ix *index, affected map[dataplane.FlowID]bool) []
 		// micro-burst symptom, not a link failure: attribute the pattern
 		// to the burst flow.
 		burstFound := false
-		for _, flow := range ix.flows {
-			fs := stats[flow]
+		for _, f := range ix.flows {
+			fs, flow := &stats[f], ix.flowIDs[f]
 			if !fs.hasEpoch {
 				continue
 			}
@@ -556,7 +569,7 @@ func (a *Analyzer) analyzeDrop(ix *index, affected map[dataplane.FlowID]bool) []
 			c.Level = LevelSwitch
 		}
 		if a.Cfg.CompoundCauses {
-			c.Cause = a.classifyDropCause(sp.sub, affected, stats)
+			c.Cause = a.classifyDropCause(ix, sp.sub, affected)
 		}
 		culprits = append(culprits, c)
 	}

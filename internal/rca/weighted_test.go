@@ -143,7 +143,7 @@ func expandedOracle(a *Analyzer, records []dataplane.RTRecord, failing []bool) (
 	var packets []packet
 	var db fsm.Dataset
 	for i, r := range records {
-		path, ok := a.decode(r)
+		path, ok := a.Paths.Lookup(r.Flow.Sink, r.PathID)
 		if !ok {
 			continue
 		}
@@ -218,10 +218,10 @@ func TestMinePatternsMatchesExpandedOracle(t *testing.T) {
 		}
 	}
 	dropView := func(ix *index) []bool {
-		affected := a.dropAffectedFlows(ix.evidence)
+		affected := a.dropAffectedFlows(ix)
 		failing := make([]bool, len(ix.records))
-		for i, r := range ix.records {
-			failing[i] = affected[r.Flow]
+		for i, f := range ix.flowOf {
+			failing[i] = affected[f]
 		}
 		return failing
 	}
@@ -307,14 +307,19 @@ func TestZeroEstimateCapMeansNoCap(t *testing.T) {
 	}
 	// Uncapped means the full PathCount, not the default's 30.
 	ix := a.index(evidence{records: f.dropRecords(t)})
+	a.estimate(ix)
 	if w := ix.entries[0].weight; w != 40 {
 		t.Errorf("uncapped weight of a PathCount-40 record = %d, want 40", w)
 	}
 }
 
 // BenchmarkAnalyzeWindow is the bench-gate entry for window analysis. Its
-// two sizes analyse the same k=4 window with every PathCount at 1 and at
-// 30: a gap between them is a regression to per-packet cost.
+// PathCount sizes analyse the same k=4 window with every PathCount at 1 and
+// at 30: a gap between them is a regression to per-packet cost. QuietK8 is
+// the window a streaming unit sees most often, on a path table that does
+// not sit in cache: ~400 healthy records of ~100 flows over 4 epochs at
+// k=8, thresholds from a map. Anything it pays per record for — a decode,
+// a threshold, a per-flow map — is paid for a window that reports nothing.
 func BenchmarkAnalyzeWindow(b *testing.B) {
 	f := newFixture(b)
 	a := analyzer(f)
@@ -332,4 +337,30 @@ func BenchmarkAnalyzeWindow(b *testing.B) {
 			}
 		})
 	}
+
+	b.Run("QuietK8", func(b *testing.B) {
+		f := newFixtureK(b, 8)
+		thresholds := make(map[dataplane.FlowID]netsim.Time)
+		var window []dataplane.RTRecord
+		e := f.ft.EdgeIDs
+		for n := 0; n < 100; n++ {
+			src, dst := e[n%len(e)], e[(n*7+3)%len(e)]
+			if src == dst {
+				dst = e[(n*7+4)%len(e)]
+			}
+			paths := f.ft.AllShortestPaths(src, dst)
+			thresholds[dataplane.FlowID{Src: src, Sink: dst}] = 10 * netsim.Millisecond
+			for ep := uint32(0); ep < 4; ep++ {
+				window = append(window, f.record(b, paths[(n+int(ep))%len(paths)], ep, okLatency, 20, 1))
+			}
+		}
+		a := New(DefaultConfig(), f.table, ThresholdFunc(func(flow dataplane.FlowID) netsim.Time { return thresholds[flow] }))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if got := a.AnalyzeWindow(window, 400*netsim.Millisecond, 1); len(got) != 0 {
+				b.Fatalf("a healthy window produced culprits: %v", got)
+			}
+		}
+	})
 }

@@ -1,6 +1,8 @@
 package rca
 
 import (
+	"slices"
+
 	"mars/internal/dataplane"
 	"mars/internal/netsim"
 )
@@ -21,10 +23,9 @@ import (
 // support for each culprit, exactly as the batch path does across partial
 // collections.
 func (a *Analyzer) AnalyzeWindow(records []dataplane.RTRecord, now netsim.Time, coverage float64) []Culprit {
-	ev := evidence{records: records, now: now}
-	ix := a.index(ev)
+	ix := a.index(evidence{records: records, now: now})
 	out := a.analyzeLatency(ix)
-	if affected := a.dropAffectedFlows(ev); len(affected) > 0 {
+	if affected := a.dropAffectedFlows(ix); slices.Contains(affected, true) {
 		// Evidence without a mineable pattern keeps the latency view.
 		if drop := a.analyzeDrop(ix, affected); len(drop) > 0 {
 			out = combineViews(out, drop)

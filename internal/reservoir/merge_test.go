@@ -170,10 +170,3 @@ func TestRefreshScratchReuseStable(t *testing.T) {
 			r2.Threshold(), t1, r2.Median(), m1)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

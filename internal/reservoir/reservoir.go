@@ -18,7 +18,7 @@ package reservoir
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // PenaltyMode selects how the penalty factor α is driven.
@@ -172,14 +172,8 @@ func (r *Reservoir) refresh() {
 		r.threshold = r.cfg.DefaultThreshold
 		return
 	}
-	sorted := append(r.sortScratch[:0], r.data...)
-	r.sortScratch = sorted
-	sort.Float64s(sorted)
-	if n%2 == 1 {
-		r.median = sorted[n/2]
-	} else {
-		r.median = (sorted[n/2-1] + sorted[n/2]) / 2
-	}
+	r.sortScratch = append(r.sortScratch[:0], r.data...)
+	r.median = medianOf(r.sortScratch)
 	var sum, sum2 float64
 	for _, v := range r.data {
 		sum += v
@@ -198,14 +192,7 @@ func (r *Reservoir) refresh() {
 			dev = append(dev, math.Abs(v-r.median))
 		}
 		r.devScratch = dev
-		sort.Float64s(dev)
-		var mad float64
-		if n%2 == 1 {
-			mad = dev[n/2]
-		} else {
-			mad = (dev[n/2-1] + dev[n/2]) / 2
-		}
-		scale = 1.4826 * mad
+		scale = 1.4826 * medianOf(dev)
 		if scale == 0 {
 			// Degenerate (more than half the samples identical): fall back
 			// to the classical estimator so the threshold is not the bare
@@ -214,6 +201,54 @@ func (r *Reservoir) refresh() {
 		}
 	}
 	r.threshold = r.median + r.cfg.C*scale
+}
+
+// medianOf returns the median of s — the middle value, or the mean of the
+// two middle values — and reorders s. Both are order statistics, so they
+// are selected, not sorted for: the values, and so their sum, are the ones
+// a full sort would leave at n/2-1 and n/2.
+func medianOf(s []float64) float64 {
+	k := len(s) / 2
+	upper := selectKth(s, k)
+	if len(s)%2 == 1 {
+		return upper
+	}
+	return (slices.Max(s[:k]) + upper) / 2
+}
+
+// selectKth returns the k-th smallest value of s (from 0), reordering s so
+// that it sits at s[k] with nothing larger before it and nothing smaller
+// after it: Hoare's quickselect with a median-of-three pivot.
+func selectKth(s []float64, k int) float64 {
+	lo, hi := 0, len(s)-1
+	for lo < hi {
+		a, b, c := s[lo], s[lo+(hi-lo)/2], s[hi]
+		pivot := max(min(a, b), min(max(a, b), c))
+		i, j := lo, hi
+		for i <= j {
+			for s[i] < pivot {
+				i++
+			}
+			for s[j] > pivot {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		// s[lo..j] <= pivot <= s[i..hi], and anything between equals it.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return s[k]
+		}
+	}
+	return s[k]
 }
 
 // Threshold returns the current dynamic threshold θ.
