@@ -197,11 +197,6 @@ func (p *ModulePass) DirectiveNear(pos token.Pos, name string) (reason string, o
 	return "", false
 }
 
-// PkgOf returns the package owning the file at pos, or nil.
-func (p *ModulePass) PkgOf(pos token.Pos) *Package {
-	return p.byFile[p.Fset.Position(pos).Filename]
-}
-
 // All returns the full suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{

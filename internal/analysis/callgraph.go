@@ -118,9 +118,6 @@ func (g *CallGraph) NodeFor(fn *types.Func) *CGNode {
 	return g.byFn[fn.Origin()]
 }
 
-// NodeForLit returns the node of a function literal, or nil.
-func (g *CallGraph) NodeForLit(lit *ast.FuncLit) *CGNode { return g.byLit[lit] }
-
 // ByQName returns the declared node with the given qualified name, or nil.
 func (g *CallGraph) ByQName(qname string) *CGNode {
 	for _, n := range g.Nodes {

@@ -355,13 +355,6 @@ func NewWithTransport(cfg Config, clock Clock, prog *dataplane.Program, tr ctrlc
 	return c
 }
 
-// Channel exposes the control channel (for fault injection and stats); nil
-// when the controller runs over a non-Channel transport.
-func (c *Controller) Channel() *ctrlchan.Channel {
-	ch, _ := c.tr.(*ctrlchan.Channel)
-	return ch
-}
-
 // Deliver dispatches an inbound switch → controller message. It is the
 // handler a socket transport's read loop hands frames to; the in-simulator
 // path reaches the same dispatch through the Channel's deliver callback.

@@ -20,6 +20,7 @@
 package ctrlchan
 
 import (
+	"fmt"
 	"math/rand"
 
 	"mars/internal/dataplane"
@@ -83,7 +84,7 @@ func (k Kind) String() string {
 	case KindThresholdAck:
 		return "threshold-ack"
 	default:
-		return "threshold-ack"
+		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
 }
 
@@ -234,12 +235,6 @@ func (ch *Channel) SetLoss(d Direction, p float64) {
 func (ch *Channel) Loss(d Direction) float64 {
 	cfg, _ := ch.dir(d)
 	return cfg.Loss
-}
-
-// SetDirConfig replaces one direction's whole fault model.
-func (ch *Channel) SetDirConfig(d Direction, cfg DirConfig) {
-	c, _ := ch.dir(d)
-	*c = cfg
 }
 
 // Send submits a message in direction d; deliver runs when (and if) the

@@ -162,3 +162,14 @@ func TestLossyConfigShape(t *testing.T) {
 		t.Error("zero DirConfig must be perfect")
 	}
 }
+
+// A kind this build does not know — a newer peer's, a corrupt frame's —
+// must not print as one it does.
+func TestKindStringNamesUnknownKinds(t *testing.T) {
+	if got := KindThresholdAck.String(); got != "threshold-ack" {
+		t.Errorf("KindThresholdAck = %q", got)
+	}
+	if got := Kind(200).String(); got != "Kind(200)" {
+		t.Errorf("Kind(200) = %q, want Kind(200)", got)
+	}
+}

@@ -37,9 +37,8 @@ type UDPTransport struct {
 	maxFragment int
 	frameID     atomic.Uint32
 	closed      atomic.Bool
-	// lossProb holds the injected-loss probability ×1e9, readable without
-	// the rng mutex.
-	lossProb atomic.Int64
+	// lossProb is the injected outbound fragment loss probability.
+	lossProb float64
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -116,11 +115,11 @@ func NewUDP(conn *net.UDPConn, cfg UDPConfig, deliver func(Message)) *UDPTranspo
 		switches:    cfg.Switches,
 		deliver:     deliver,
 		maxFragment: maxFrag,
+		lossProb:    cfg.LossProb,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		reasm:       make(map[reasmKey]*partialFrame),
 		readDone:    make(chan struct{}),
 	}
-	t.lossProb.Store(int64(cfg.LossProb * 1e9))
 	//mars:sync the read loop only invokes the deliver callback, which posts onto the node's single-threaded rtclock loop; socket arrival order is inherently wall-clock and outside the seeded digest surface
 	go t.readLoop()
 	return t
@@ -149,14 +148,13 @@ func (t *UDPTransport) Send(d Direction, m Message, _ func(Message)) {
 		count = 1
 	}
 	t.stats.FramesSent.Add(1)
-	loss := float64(t.lossProb.Load()) / 1e9
 	for i := 0; i < count; i++ {
 		lo := i * t.maxFragment
 		hi := lo + t.maxFragment
 		if hi > len(frame) {
 			hi = len(frame)
 		}
-		if loss > 0 && t.drawLoss(loss) {
+		if t.lossProb > 0 && t.drawLoss() {
 			t.stats.InjectedDrops.Add(1)
 			continue
 		}
@@ -173,14 +171,11 @@ func (t *UDPTransport) Send(d Direction, m Message, _ func(Message)) {
 	}
 }
 
-func (t *UDPTransport) drawLoss(p float64) bool {
+func (t *UDPTransport) drawLoss() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.rng.Float64() < p
+	return t.rng.Float64() < t.lossProb
 }
-
-// SetLossProb adjusts the injected outbound fragment loss at runtime.
-func (t *UDPTransport) SetLossProb(p float64) { t.lossProb.Store(int64(p * 1e9)) }
 
 // Stats exposes the transport counters.
 func (t *UDPTransport) Stats() *UDPStats { return &t.stats }

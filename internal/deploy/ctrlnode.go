@@ -187,9 +187,6 @@ func (n *ControllerNode) BandwidthStats() controlplane.BandwidthStats {
 	return out
 }
 
-// SetLossProb adjusts the node transport's injected fragment loss.
-func (n *ControllerNode) SetLossProb(p float64) { n.tr.SetLossProb(p) }
-
 // Stats exposes the node's transport counters.
 func (n *ControllerNode) Stats() *ctrlchan.UDPStats { return n.tr.Stats() }
 

@@ -170,9 +170,6 @@ func (s *SwitchNode) onRefresh(m ctrlchan.Message) {
 	}, nil)
 }
 
-// SetLossProb adjusts the node transport's injected fragment loss.
-func (s *SwitchNode) SetLossProb(p float64) { s.tr.SetLossProb(p) }
-
 // Stats exposes the node's transport counters.
 func (s *SwitchNode) Stats() *ctrlchan.UDPStats { return s.tr.Stats() }
 

@@ -608,26 +608,6 @@ func (s *Simulator) drop(sw topology.NodeID, port topology.PortID, pkt *Packet, 
 	s.releasePacket(pkt)
 }
 
-// QueueLen returns the current occupancy (packets, including in-flight) of
-// a switch egress port.
-func (s *Simulator) QueueLen(sw topology.NodeID, port topology.PortID) int {
-	pr := &s.switches[sw].ports[port]
-	n := pr.qlen()
-	if pr.busy {
-		n++
-	}
-	return n
-}
-
-// TotalQueueLen returns the summed occupancy of all ports at sw.
-func (s *Simulator) TotalQueueLen(sw topology.NodeID) int {
-	n := 0
-	for i := range s.switches[sw].ports {
-		n += s.QueueLen(sw, topology.PortID(i))
-	}
-	return n
-}
-
 // --- Fault controls -------------------------------------------------------
 //
 // These are the Chaosblade-equivalent knobs; internal/faults composes them

@@ -12,10 +12,7 @@
 // reproducible.
 package netsim
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Time is simulation time in nanoseconds since the start of the run.
 type Time int64
@@ -27,9 +24,6 @@ const (
 	Millisecond      = 1000 * Microsecond
 	Second           = 1000 * Millisecond
 )
-
-// Duration converts a standard library duration to simulation time.
-func Duration(d time.Duration) Time { return Time(d.Nanoseconds()) }
 
 // Seconds returns the time as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }

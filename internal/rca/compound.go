@@ -1,9 +1,6 @@
 package rca
 
-import (
-	"mars/internal/det"
-	"mars/internal/topology"
-)
+import "mars/internal/topology"
 
 // Compound-cause disambiguation (gray-failure signatures). The paper's
 // five signatures each assume a single clean cause; gray episodes violate
@@ -33,50 +30,54 @@ const compoundBoost = 1.25
 // telemetry gaps on paths through it — exposes the root. Returns the
 // [up, lightPeer] link and true when the evidence clears MinLinkEvidence.
 func (a *Analyzer) degradedLightBranch(up topology.NodeID, through []flowPkts, stats []flowStats) ([]topology.NodeID, bool) {
-	succCount := make(map[topology.NodeID]float64)
-	succAbnormal := make(map[topology.NodeID]float64)
-	succGapFlows := make(map[topology.NodeID]float64)
+	// Per successor of up: packets, abnormal packets, and the gap epochs of
+	// the flows that take it.
+	var succ []swSum
 	for _, fp := range through {
 		fs := &stats[fp.flow]
-		flowGaps := float64(len(fs.gapEpochs))
+		var flowGaps float64
+		for _, e := range fs.epochs {
+			if e.gap {
+				flowGaps++
+			}
+		}
 		for _, ps := range fs.paths {
 			path := ps.path
 			for i := 0; i+1 < len(path); i++ {
 				if path[i] != up {
 					continue
 				}
-				w := path[i+1]
-				succCount[w] += ps.pkts
-				succAbnormal[w] += ps.abnormal
-				if flowGaps > 0 {
-					succGapFlows[w] += flowGaps
-				}
+				var w *swSum
+				succ, w = sumFor(succ, path[i+1])
+				w.pkts += ps.pkts
+				w.abnormal += ps.abnormal
+				w.gaps += flowGaps
 				break
 			}
 		}
 	}
-	if len(succCount) < 2 {
+	if len(succ) < 2 {
 		return nil, false
 	}
 	var heavy topology.NodeID
 	best := -1.0
-	for _, w := range det.Keys(succCount) {
-		if succCount[w] > best {
-			heavy, best = w, succCount[w]
+	for _, w := range succ {
+		if w.pkts > best {
+			heavy, best = w.sw, w.pkts
 		}
 	}
 	var light topology.NodeID
 	bestEv := 0.0
 	found := false
-	for _, w := range det.Keys(succCount) {
-		if w == heavy {
+	for _, w := range succ {
+		if w.sw == heavy {
 			continue
 		}
 		// Gaps are stronger evidence than latency: a starved branch sees
 		// little traffic, so even a few missing telemetry epochs weigh in.
-		ev := succAbnormal[w] + 2*succGapFlows[w]
+		ev := w.abnormal + 2*w.gaps
 		if ev > bestEv {
-			light, bestEv, found = w, ev, true
+			light, bestEv, found = w.sw, ev, true
 		}
 	}
 	if !found || bestEv < a.Cfg.MinLinkEvidence {
@@ -93,15 +94,13 @@ func (a *Analyzer) degradedLightBranch(up topology.NodeID, through []flowPkts, s
 func (a *Analyzer) lossFlowCount(through []flowPkts, stats []flowStats) int {
 	n := 0
 	for _, fp := range through {
-		fs := &stats[fp.flow]
 		var src, sink uint64
 		gap := false
-		//mars:mapiter-ok pure sums over the flow's epochs
-		for e, c := range fs.epochCounts {
-			src += uint64(c)
-			sink += uint64(fs.epochSinks[e])
-			if fs.gapEpochs[e] {
-				gap = true
+		for _, e := range stats[fp.flow].epochs {
+			if e.src > 0 {
+				src += uint64(e.src)
+				sink += uint64(e.sink)
+				gap = gap || e.gap
 			}
 		}
 		margin := uint64(a.dropMargin(uint32(min(src, 1<<31))))
@@ -112,14 +111,13 @@ func (a *Analyzer) lossFlowCount(through []flowPkts, stats []flowStats) int {
 	return n
 }
 
-// hardLossEpoch reports whether a flow epoch shows severe loss: the sink
-// saw less than half of what the source sent (a down link or switch), or
-// the epoch's telemetry went missing entirely. Probabilistic gray loss
-// (a few percent) never qualifies — that distinction is what separates
-// flapping and outages from silent degradation.
-func (fs *flowStats) hardLossEpoch(e uint32) bool {
-	src := fs.epochCounts[e]
-	return fs.gapEpochs[e] || (src >= 4 && fs.epochSinks[e]*2 < src)
+// hardLoss reports whether a flow epoch shows severe loss: the sink saw
+// less than half of what the source sent (a down link or switch), or the
+// epoch's telemetry went missing entirely. Probabilistic gray loss (a few
+// percent) never qualifies — that distinction is what separates flapping
+// and outages from silent degradation.
+func (e epochStat) hardLoss() bool {
+	return e.gap || (e.src >= 4 && e.sink*2 < e.src)
 }
 
 // flapTransitions counts hard-loss↔clean epoch alternations for one flow.
@@ -130,10 +128,12 @@ func (fs *flowStats) hardLossEpoch(e uint32) bool {
 func (a *Analyzer) flapTransitions(fs *flowStats) int {
 	trans := 0
 	prevBad, first := false, true
-	for _, e := range det.Keys(fs.epochCounts) {
-		src := fs.epochCounts[e]
-		hardBad := fs.hardLossEpoch(e)
-		clean := !fs.gapEpochs[e] && src > 0 && fs.epochSinks[e]+a.dropMargin(src) >= src
+	for _, e := range fs.epochs {
+		if e.src == 0 {
+			continue
+		}
+		hardBad := e.hardLoss()
+		clean := !e.gap && e.sink+a.dropMargin(e.src) >= e.src
 		if !hardBad && !clean {
 			continue // ambiguous epoch: keeps the current state
 		}
@@ -162,21 +162,19 @@ func (a *Analyzer) flapTransitions(fs *flowStats) int {
 //     does not drop, while truly silent loss adds no delay.
 //   - Drop otherwise (hard steady loss, e.g. a down link, or silent
 //     partial loss with no latency side-channel).
-func (a *Analyzer) classifyDropCause(ix *index, sub []topology.NodeID, affected []bool) Cause {
+func (a *Analyzer) classifyDropCause(ix *index, sub []topology.NodeID, through []flowPkts, affected []bool) Cause {
 	maxTrans := 0
 	hardLoss := false
 	abnormalWeight := 0.0
-	neighbors := make(map[topology.NodeID]bool)
-	for _, flow := range ix.flows {
-		fs := &ix.stats[flow]
-		covers := false
+	var neighbors []swSum // only counted
+	for _, fp := range through {
+		fs := &ix.stats[fp.flow]
 		for _, ps := range fs.paths {
 			path := ps.path
 			if !path.Contains(sub) {
 				continue
 			}
-			covers = true
-			if affected[flow] {
+			if affected[fp.flow] {
 				abnormalWeight += ps.abnormal
 			}
 			if len(sub) == 1 {
@@ -185,25 +183,18 @@ func (a *Analyzer) classifyDropCause(ix *index, sub []topology.NodeID, affected 
 						continue
 					}
 					if i > 0 {
-						neighbors[path[i-1]] = true
+						neighbors, _ = sumFor(neighbors, path[i-1])
 					}
 					if i+1 < len(path) {
-						neighbors[path[i+1]] = true
+						neighbors, _ = sumFor(neighbors, path[i+1])
 					}
 				}
 			}
 		}
-		if covers && affected[flow] {
-			if t := a.flapTransitions(fs); t > maxTrans {
-				maxTrans = t
-			}
-			if !hardLoss {
-				for _, e := range det.Keys(fs.epochCounts) {
-					if fs.hardLossEpoch(e) {
-						hardLoss = true
-						break
-					}
-				}
+		if affected[fp.flow] {
+			maxTrans = max(maxTrans, a.flapTransitions(fs))
+			for _, e := range fs.epochs {
+				hardLoss = hardLoss || (e.src > 0 && e.hardLoss())
 			}
 		}
 	}

@@ -14,14 +14,9 @@ func compoundAnalyzer() *Analyzer {
 
 // synthetic flowStats with per-epoch (src, sink) pairs.
 func statsWithEpochs(pairs [][2]uint32) *flowStats {
-	fs := &flowStats{
-		epochCounts: make(map[uint32]uint32),
-		epochSinks:  make(map[uint32]uint32),
-		gapEpochs:   make(map[uint32]bool),
-	}
+	fs := &flowStats{}
 	for i, p := range pairs {
-		fs.epochCounts[uint32(i)] = p[0]
-		fs.epochSinks[uint32(i)] = p[1]
+		fs.epochs = append(fs.epochs, epochStat{epoch: uint32(i), src: p[0], sink: p[1]})
 	}
 	return fs
 }
@@ -36,6 +31,12 @@ func statsIndex(stats ...flowStats) *index {
 	return ix
 }
 
+// classify is classifyDropCause over the index's flows that traverse sub.
+func classify(a *Analyzer, ix *index, sub []topology.NodeID, affected []bool) Cause {
+	through, _ := ix.traversing(sub)
+	return a.classifyDropCause(ix, sub, through, affected)
+}
+
 func TestHardLossEpoch(t *testing.T) {
 	fs := statsWithEpochs([][2]uint32{
 		{20, 20}, // clean
@@ -45,12 +46,12 @@ func TestHardLossEpoch(t *testing.T) {
 	})
 	want := []bool{false, true, false, false}
 	for e, w := range want {
-		if got := fs.hardLossEpoch(uint32(e)); got != w {
-			t.Errorf("hardLossEpoch(%d) = %v, want %v", e, got, w)
+		if got := fs.epochs[e].hardLoss(); got != w {
+			t.Errorf("epoch %d: hardLoss = %v, want %v", e, got, w)
 		}
 	}
-	fs.gapEpochs[0] = true
-	if !fs.hardLossEpoch(0) {
+	fs.epochs[0].gap = true
+	if !fs.epochs[0].hardLoss() {
 		t.Error("a gap epoch is hard loss regardless of counts")
 	}
 }
@@ -93,25 +94,25 @@ func TestClassifyDropCauseTaxonomy(t *testing.T) {
 
 	flapping := [][2]uint32{{20, 2}, {20, 20}, {20, 2}, {20, 20}, {20, 2}, {20, 20}}
 	affected, stats := mk(flapping, 0)
-	if got := a.classifyDropCause(stats, link, affected); got != CauseLinkFlap {
+	if got := classify(a, stats, link, affected); got != CauseLinkFlap {
 		t.Errorf("alternating hard loss = %v, want link-flap", got)
 	}
 	// The same alternation WITH latency evidence is congestion collapse,
 	// not an administrative flap.
 	affected, stats = mk(flapping, 10)
-	if got := a.classifyDropCause(stats, link, affected); got != CauseDrop {
+	if got := classify(a, stats, link, affected); got != CauseDrop {
 		t.Errorf("alternating loss with latency = %v, want drop", got)
 	}
 
 	// Partial loss plus latency on a link pattern: degraded link.
 	soft := [][2]uint32{{20, 18}, {20, 17}, {20, 18}, {20, 17}, {20, 18}, {20, 17}}
 	affected, stats = mk(soft, 10)
-	if got := a.classifyDropCause(stats, link, affected); got != CauseLinkDegrade {
+	if got := classify(a, stats, link, affected); got != CauseLinkDegrade {
 		t.Errorf("soft loss with latency = %v, want link-degrade", got)
 	}
 	// Silent partial loss with no latency stays steady drop.
 	affected, stats = mk(soft, 0)
-	if got := a.classifyDropCause(stats, link, affected); got != CauseDrop {
+	if got := classify(a, stats, link, affected); got != CauseDrop {
 		t.Errorf("silent soft loss = %v, want drop", got)
 	}
 }
@@ -130,17 +131,16 @@ func TestClassifyDropCauseReboot(t *testing.T) {
 		stats = append(stats, *fs)
 	}
 	ix := statsIndex(stats...)
-	if got := a.classifyDropCause(ix, sub, affected); got != CauseSwitchReboot {
+	if got := classify(a, ix, sub, affected); got != CauseSwitchReboot {
 		t.Errorf("fanned hard outage = %v, want switch-reboot", got)
 	}
 	// Without hard loss the fan is not a reboot.
 	for _, fs := range stats {
-		//mars:mapiter-ok uniform mutation of every entry
-		for e := range fs.epochCounts {
-			fs.epochSinks[e] = fs.epochCounts[e]
+		for e := range fs.epochs {
+			fs.epochs[e].sink = fs.epochs[e].src
 		}
 	}
-	if got := a.classifyDropCause(ix, sub, affected); got == CauseSwitchReboot {
+	if got := classify(a, ix, sub, affected); got == CauseSwitchReboot {
 		t.Error("clean counts must not classify as reboot")
 	}
 }

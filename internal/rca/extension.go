@@ -89,7 +89,7 @@ func (a *Analyzer) runExtensions(ix *index, sp scoredPattern, through []flowPkts
 	}
 	for _, fp := range through {
 		fs := &ix.stats[fp.flow]
-		peak, base := fs.peakAndBaseline()
+		peak, base, _ := fs.peakAndBaseline()
 		ev.Flows = append(ev.Flows, FlowEvidence{
 			Flow:                  ix.flowIDs[fp.flow],
 			PacketsThroughPattern: fp.pkts,

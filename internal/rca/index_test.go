@@ -10,6 +10,7 @@ import (
 
 	"mars/internal/controlplane"
 	"mars/internal/dataplane"
+	"mars/internal/fsm"
 	"mars/internal/netsim"
 	"mars/internal/pathid"
 	"mars/internal/topology"
@@ -147,9 +148,25 @@ func TestIndexMatchesPerRecordOracle(t *testing.T) {
 			if want := a.refDropAffectedFlows(ev); !reflect.DeepEqual(affected, want) {
 				t.Errorf("%s: affected flows %v, reference %v", name, affected, want)
 			}
+			// Record i's row decodes to the per-record path, and each row's
+			// over/under are the sums of its records' reference weights.
 			a.estimate(ix)
-			if !reflect.DeepEqual(ix.entries, ref.entries) {
-				t.Errorf("%s: estimate diverges from the per-record decode", name)
+			over, under := make([]int, len(ix.paths)), make([]int, len(ix.paths))
+			for i, e := range ref.entries {
+				row := ix.pathOf[i]
+				if ix.paths[row].flow != ix.flowOf[i] || !reflect.DeepEqual(ix.paths[row].path, e.path) {
+					t.Fatalf("%s: record %d is on row %+v, the per-record decode says path %v", name, i, ix.paths[row], e.path)
+				}
+				if ref.over[i] {
+					over[row] += e.weight
+				} else {
+					under[row] += e.weight
+				}
+			}
+			for row, ps := range ix.paths {
+				if ps.over != over[row] || ps.under != under[row] {
+					t.Errorf("%s: row %d weighs %d over + %d under, its records sum to %d + %d", name, row, ps.over, ps.under, over[row], under[row])
+				}
 			}
 
 			got, want := a.AnalyzeWindow(in.records, in.now, 0.75), a.refAnalyzeWindow(in.records, in.now, 0.75)
@@ -247,21 +264,21 @@ func TestQuietWindowNeverDecodes(t *testing.T) {
 	if lat, affected := a.analyzeLatency(ix), a.dropAffectedFlows(ix); lat != nil || slices.Contains(affected, true) {
 		t.Fatalf("healthy window: latency view %v, affected flows %v", lat, affected)
 	}
-	if ix.entries != nil || ix.stats != nil {
+	if ix.pathOf != nil || ix.stats != nil {
 		t.Error("a healthy window built the estimate: every path was decoded for nothing")
 	}
 
 	ix = a.index(evidence{records: lossWindow(t, f, 9), now: 400 * netsim.Millisecond})
 	lat := a.analyzeLatency(ix)
-	if len(lat) == 0 || ix.entries == nil {
-		t.Fatalf("latency view of the loss window: %d culprits, entries built: %v", len(lat), ix.entries != nil)
+	if len(lat) == 0 || ix.pathOf == nil {
+		t.Fatalf("latency view of the loss window: %d culprits, rows built: %v", len(lat), ix.pathOf != nil)
 	}
-	built, stats := &ix.entries[0], &ix.stats[0]
+	rows, stats, epochs := &ix.paths[0], &ix.stats[0], &ix.stats[0].epochs[0]
 	if drop := a.analyzeDrop(ix, a.dropAffectedFlows(ix)); len(drop) == 0 {
 		t.Fatal("drop view of the loss window found nothing")
 	}
-	if &ix.entries[0] != built || &ix.stats[0] != stats {
-		t.Error("the drop view rebuilt a layer the latency view had built")
+	if &ix.paths[0] != rows || &ix.stats[0] != stats || &ix.stats[0].epochs[0] != epochs {
+		t.Error("the drop view rebuilt a table the latency view had built")
 	}
 }
 
@@ -313,5 +330,180 @@ func TestDropEvidenceMemoryBoundedByRecords(t *testing.T) {
 	// flow lost 2 x 30 packets whichever epochs they were.
 	if got := a.dropAffectedFlows(a.index(evidence{records: window(math.MaxUint32), now: 400 * netsim.Millisecond})); len(got) != 1 || !got[0] {
 		t.Errorf("affected = %v, want the one flow", got)
+	}
+}
+
+// seenMiner is a Miner set from outside that records, per call reaching it,
+// the database's sequence count and the sum of its weights.
+type seenMiner struct {
+	fsm.Miner
+	seqs, weight *[]int
+}
+
+func (m seenMiner) Mine(db fsm.Dataset, p fsm.Params) []fsm.Pattern {
+	sum := 0
+	for _, w := range p.Weights {
+		sum += w
+	}
+	*m.seqs, *m.weight = append(*m.seqs, len(db)), append(*m.weight, sum)
+	return m.Miner.Mine(db, p)
+}
+
+// TestMinesOneSequencePerPath: the miner is handed one sequence per distinct
+// decodable (flow, path) with failing traffic — not one per failing record —
+// and the weights still sum to the failing records' capped estimates, in
+// the latency view and in the drop view.
+func TestMinesOneSequencePerPath(t *testing.T) {
+	f := newFixture(t)
+	var seqs, weight []int
+	cfg := DefaultConfig()
+	cfg.Miner = seenMiner{Miner: fsm.NewPrefixSpan(), seqs: &seqs, weight: &weight}
+	a := New(cfg, f.table, fixedThr(10*netsim.Millisecond))
+
+	// Twelve records per path, PathCounts on both sides of the Alg. 2 floor
+	// and cap, and a few PathIDs nothing decodes.
+	hit, miss := f.pathsThrough([]topology.NodeID{f.ft.AggIDs[0], f.ft.CoreIDs[0]})
+	var recs []dataplane.RTRecord
+	for ep := uint32(0); ep < 12; ep++ {
+		for _, p := range hit[:8] {
+			r := f.record(t, p, ep, badLatency, 40, 30)
+			r.SinkCount = 10
+			recs = append(recs, r)
+		}
+		for _, p := range miss[:24] {
+			recs = append(recs, f.record(t, p, ep, okLatency, 20, 1))
+		}
+	}
+	for i := range recs {
+		recs[i].PathCount = uint32(i*7) % 45
+		recs[i].Arrival = 1200 * netsim.Millisecond
+		if i%11 == 0 {
+			recs[i].PathID = pathid.ID(0xdead0000 + i%2)
+		}
+	}
+	now := 1200 * netsim.Millisecond
+
+	// What a per-record reading of the failing set says.
+	type row struct {
+		flow dataplane.FlowID
+		id   pathid.ID
+	}
+	expect := func(failing func(i int) bool) (rows, sum int) {
+		distinct := make(map[row]bool)
+		for i, r := range recs {
+			if _, ok := f.table.Lookup(r.Flow.Sink, r.PathID); !ok || !failing(i) {
+				continue
+			}
+			distinct[row{r.Flow, r.PathID}] = true
+			sum += min(max(int(r.PathCount), 1), cfg.MaxEstimatePerRecord)
+		}
+		return len(distinct), sum
+	}
+	ix := a.index(evidence{records: recs, now: now})
+	affected := a.dropAffectedFlows(ix)
+	latRows, latSum := expect(func(i int) bool { return ix.over[i] })
+	dropRows, dropSum := expect(func(i int) bool { return affected[ix.flowOf[i]] })
+	if latRows == 0 || dropRows == 0 || len(recs) < 10*len(ix.flowIDs) {
+		t.Fatalf("fixture: %d latency rows, %d drop rows, %d records", latRows, dropRows, len(recs))
+	}
+
+	if got := a.AnalyzeWindow(recs, now, 1); len(got) == 0 {
+		t.Fatal("no culprits")
+	}
+	if want := []int{latRows, dropRows}; !reflect.DeepEqual(seqs, want) {
+		t.Errorf("sequences mined (latency view, drop view) = %v, want one per failing (flow, path): %v", seqs, want)
+	}
+	if want := []int{latSum, dropSum}; !reflect.DeepEqual(weight, want) {
+		t.Errorf("weights mined (latency view, drop view) = %v, want the failing records' capped estimates: %v", weight, want)
+	}
+}
+
+// TestEpochTableKeepsMapSemantics: the (flow, epoch) rows answer what the
+// three per-flow maps by epoch answered. Duplicate records of an epoch fold
+// to the largest counts, whatever order they arrive in; an epoch whose
+// records all say SourceCount 0 has no rate and no loss, yet is still the
+// flow's earliest epoch and its telemetry gap still weighs on a starved
+// branch.
+func TestEpochTableKeepsMapSemantics(t *testing.T) {
+	f := newFixture(t)
+	a := analyzer(f)
+	e0 := f.ft.EdgeIDs[0]
+	paths := f.ft.AllShortestPaths(e0, f.ft.EdgeIDs[2])
+	light, heavy := paths[0], paths[2] // out of e0 by different aggregations
+	mk := func(p topology.Path, epoch, src, sink, pathCount, gap uint32) dataplane.RTRecord {
+		r := f.record(t, p, epoch, okLatency, src, 1)
+		r.SinkCount, r.PathCount, r.EpochGap = sink, pathCount, gap
+		return r
+	}
+	recs := []dataplane.RTRecord{
+		mk(heavy, 5, 20, 24, 40, 0),
+		mk(light, 2, 0, 0, 0, 1), // not counted; earliest; its gap counts
+		mk(heavy, 7, 30, 10, 40, 0),
+		mk(light, 5, 25, 18, 1, 0), // epoch 5 again: larger source count
+		mk(light, 7, 12, 28, 1, 0), // epoch 7 again: larger sink count
+	}
+	ix := a.index(evidence{records: recs, now: 800 * netsim.Millisecond})
+	a.signatureData(ix)
+	fs := &ix.stats[0]
+	if want := []epochStat{{2, 0, 0, true}, {5, 25, 24, false}, {7, 30, 28, false}}; !reflect.DeepEqual(fs.epochs, want) {
+		t.Fatalf("epochs = %+v, want %+v", fs.epochs, want)
+	}
+	if peak, base, counted := fs.peakAndBaseline(); peak != 30 || base != 25 || counted != 2 {
+		t.Errorf("peak, baseline, counted epochs = %d, %v, %d; want 30, 25, 2", peak, base, counted)
+	}
+	if got := globalMedianEpochCount(ix.stats); got != 27.5 {
+		t.Errorf("network-wide median rate = %v, want 27.5 over the two counted epochs", got)
+	}
+	// Epoch 2 makes the flow present two epochs into its sink's window, not
+	// five: new there against a window from 0, not against one from 1.
+	if !a.isBursty(fs, &sinkEpochRange{min: 0, max: 7}, 1) || a.isBursty(fs, &sinkEpochRange{min: 1, max: 7}, 1) {
+		t.Error("the flow's earliest epoch is not its SourceCount-0 epoch 2")
+	}
+	// 55 packets sent, 52 seen: inside the margin. Only a gap on a counted
+	// epoch makes the flow lossy here, and epoch 2's is not one.
+	through := []flowPkts{{flow: 0, pkts: 1}}
+	if n := a.lossFlowCount(through, ix.stats); n != 0 {
+		t.Errorf("lossFlowCount = %d: the gap of an epoch that is not counted was read as loss", n)
+	}
+	// The starved branch's only degradation evidence is that gap epoch,
+	// weighed twice: exactly MinLinkEvidence.
+	link, ok := a.degradedLightBranch(e0, through, ix.stats)
+	if want := []topology.NodeID{e0, light[1]}; !ok || !reflect.DeepEqual(link, want) {
+		t.Errorf("degradedLightBranch = %v, %v; want the light link %v", link, ok, want)
+	}
+}
+
+// TestSignatureDataBoundedOnHostileFrame: one flow whose every record names
+// another epoch — the largest frame the control channel carries, 69,905
+// records — costs memory by its records: a handful of arrays, never an
+// allocation per epoch. No wall-clock assertion; the per-flow sort keeps it
+// O(n log n).
+func TestSignatureDataBoundedOnHostileFrame(t *testing.T) {
+	f := newFixture(t)
+	a := analyzer(f)
+	const n = 69905
+	p := f.ft.AllShortestPaths(f.ft.EdgeIDs[0], f.ft.EdgeIDs[2])[0]
+	recs := make([]dataplane.RTRecord, n)
+	for i := range recs {
+		recs[i] = f.record(t, p, uint32(i)*7919, badLatency, 40, 30)
+		recs[i].Arrival = 400 * netsim.Millisecond
+	}
+	var culprits int
+	allocs := testing.AllocsPerRun(1, func() {
+		culprits = len(a.AnalyzeWindow(recs, 400*netsim.Millisecond, 1))
+	})
+	if culprits == 0 {
+		t.Fatal("no culprit: the latency view had no pattern to explain")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	a.AnalyzeWindow(recs, 400*netsim.Millisecond, 1)
+	runtime.ReadMemStats(&after)
+	if allocs > n/10 {
+		t.Errorf("%d records of one flow cost %.0f allocations", n, allocs)
+	}
+	t.Logf("%.0f allocations, %d bytes per record", allocs, (after.TotalAlloc-before.TotalAlloc)/n)
+	if perRecord := (after.TotalAlloc - before.TotalAlloc) / n; perRecord > 512 {
+		t.Errorf("%d records of one flow allocated %d bytes each", n, perRecord)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"mars/internal/dataplane"
 	"mars/internal/netsim"
-	"mars/internal/pathid"
 )
 
 func TestDropAffectedFlowsCancelsDisplacement(t *testing.T) {
@@ -84,26 +83,25 @@ func TestIsBurstyAbsoluteRate(t *testing.T) {
 	f := newFixture(t)
 	a := analyzer(f)
 	// Flow appearing mid-window at 1200 pps (120/epoch) with no history.
-	fs := &flowStats{epochCounts: map[uint32]uint32{20: 120, 21: 118}, minEpoch: 20, hasEpoch: true}
-	win := &sinkEpochRange{min: 0, max: 25, valid: true}
+	fs := &flowStats{epochs: []epochStat{{epoch: 20, src: 120}, {epoch: 21, src: 118}}}
+	win := &sinkEpochRange{min: 0, max: 25}
 	if !a.isBursty(fs, win, 30) {
 		t.Error("new 1200pps flow not bursty")
 	}
 	// Same rate but present from the window start: steady heavy flow.
-	fs2 := &flowStats{epochCounts: map[uint32]uint32{}, hasEpoch: true}
+	fs2 := &flowStats{}
 	for e := uint32(0); e <= 25; e++ {
-		fs2.epochCounts[e] = 120
+		fs2.epochs = append(fs2.epochs, epochStat{epoch: e, src: 120})
 	}
-	fs2.minEpoch = 0
 	if a.isBursty(fs2, win, 30) {
 		t.Error("steady heavy flow misclassified as burst")
 	}
 	// Existing flow whose rate jumps 4x: relative test.
-	fs3 := &flowStats{epochCounts: map[uint32]uint32{}, hasEpoch: true, minEpoch: 0}
+	fs3 := &flowStats{}
 	for e := uint32(0); e <= 20; e++ {
-		fs3.epochCounts[e] = 25
+		fs3.epochs = append(fs3.epochs, epochStat{epoch: e, src: 25})
 	}
-	fs3.epochCounts[21] = 110
+	fs3.epochs = append(fs3.epochs, epochStat{epoch: 21, src: 110})
 	if !a.isBursty(fs3, win, 30) {
 		t.Error("4x rate jump not bursty")
 	}
@@ -122,7 +120,7 @@ func TestEcmpDivergenceRequiresHeavyFeedsNext(t *testing.T) {
 		if i >= 2 { // second agg branch heavy
 			w = 45.0
 		}
-		fls.pathOf(pathid.ID(i), p).pkts = w
+		fls.paths = append(fls.paths, pathStat{path: p, pkts: w})
 	}
 	heavyAgg := paths[2][1]
 	if up, _, ok := a.ecmpDivergence(fls, heavyAgg); !ok || up != e0 {

@@ -3,6 +3,7 @@ package rca
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mars/internal/dataplane"
@@ -89,7 +90,7 @@ func bitEqual(got, want []Culprit) bool {
 	}
 	for k := range want {
 		g, w := got[k], want[k]
-		if g.Cause != w.Cause || g.Level != w.Level || g.Flow != w.Flow || !pathEq(g.Location, w.Location) ||
+		if g.Cause != w.Cause || g.Level != w.Level || g.Flow != w.Flow || !slices.Equal(g.Location, w.Location) ||
 			math.Float64bits(g.Score) != math.Float64bits(w.Score) ||
 			math.Float64bits(g.Confidence) != math.Float64bits(w.Confidence) {
 			return false

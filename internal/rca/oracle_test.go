@@ -6,31 +6,215 @@ import (
 	"mars/internal/controlplane"
 	"mars/internal/dataplane"
 	"mars/internal/det"
+	"mars/internal/fsm"
 	"mars/internal/netsim"
+	"mars/internal/pathid"
+	"mars/internal/sbfl"
 	"mars/internal/topology"
 )
 
 // The per-record reference. This file is the evidence pipeline as it stood
-// before the index numbered its flows, kept as the oracle of
+// before the index numbered its flows and before it grouped its records into
+// (flow, path) and (flow, epoch) rows, kept as the oracle of
 // TestIndexMatchesPerRecordOracle: a threshold and a Paths.Lookup per
-// record, drop aggregation in a map of per-flow epoch maps, per-flow
-// summaries and every derived set keyed by FlowID. It shares with the
-// pipeline under test only what that change left alone — minePatterns over
-// ready-made entries, the flowStats methods, the signatures' predicates,
-// the merge and the ranking. Do not modernise it.
+// record, one mined sequence per failing record, drop aggregation in a map
+// of per-flow epoch maps, per-flow summaries in three epoch maps and a
+// PathID-keyed path memo, every derived set keyed by FlowID. It shares with
+// the pipeline under test only what those changes left alone — the
+// signatures' predicates (isBursty, ecmpUpstream, flapTransitions, which it
+// reaches by converting a flow's maps with shared), the merge and the
+// ranking. Do not modernise it.
 
-// mined presents the reference's estimate to minePatterns.
-func (ix *refIndex) mined() *index {
-	return &index{evidence: ix.evidence, entries: ix.entries}
+// refEntry is Alg. 2's estimate for one telemetry record: the record stands
+// for weight packets along path.
+type refEntry struct {
+	path   topology.Path // nil when the record's PathID does not decode
+	weight int
+}
+
+// refMinePatterns is minePatterns with one database sequence per failing
+// record; failing runs parallel to the entries.
+func (a *Analyzer) refMinePatterns(entries []refEntry, failing []bool) ([]scoredPattern, float64) {
+	var seqs, items int
+	for i, e := range entries {
+		if e.path != nil && failing[i] {
+			seqs++
+			items += len(e.path)
+		}
+	}
+	if seqs == 0 {
+		return nil, 0
+	}
+	db := make(fsm.Dataset, 0, seqs)
+	weights := make([]int, 0, seqs)
+	slab := make(fsm.Sequence, 0, items)
+	var failPkts, passPkts int
+	for i, e := range entries {
+		switch {
+		case e.path == nil:
+		case failing[i]:
+			from := len(slab)
+			for _, sw := range e.path {
+				slab = append(slab, fsm.Item(sw))
+			}
+			db = append(db, slab[from:len(slab):len(slab)])
+			weights = append(weights, e.weight)
+			failPkts += e.weight
+		default:
+			passPkts += e.weight
+		}
+	}
+	patterns := a.Cfg.Miner.Mine(db, fsm.Params{
+		MinRelSupport: a.Cfg.MinRelSupport,
+		MaxLen:        a.Cfg.MaxPatternLen,
+		Weights:       weights,
+	})
+	out := make([]scoredPattern, 0, len(patterns))
+	for _, pat := range patterns {
+		sub := make([]topology.NodeID, len(pat.Items))
+		for i, it := range pat.Items {
+			sub[i] = topology.NodeID(it)
+		}
+		var npf, nps int
+		for i, e := range entries {
+			if e.path == nil || !e.path.Contains(sub) {
+				continue
+			}
+			if failing[i] {
+				npf += e.weight
+			} else {
+				nps += e.weight
+			}
+		}
+		spec := sbfl.Spectrum{
+			Npf: float64(npf),
+			Nps: float64(nps),
+			Nnf: float64(failPkts - npf),
+			Nns: float64(passPkts - nps),
+		}
+		out = append(out, scoredPattern{
+			sub:   sub,
+			score: a.Cfg.Formula(spec),
+			npf:   spec.Npf,
+		})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].score != out[j].score {
+			return out[i].score > out[j].score
+		}
+		if len(out[i].sub) != len(out[j].sub) {
+			return len(out[i].sub) > len(out[j].sub)
+		}
+		return lessPath(out[i].sub, out[j].sub)
+	})
+	return out, float64(failPkts)
+}
+
+// refFlowStats summarizes one flow's diagnosis data in maps by epoch.
+type refFlowStats struct {
+	// epochCounts maps telemetry epoch -> source-side packet count.
+	epochCounts map[uint32]uint32
+	paths       []refPathStat
+	// abnormalQueueDepths collects depths of the flow's over-threshold
+	// records.
+	abnormalQueueDepths []float64
+	// epochSinks maps telemetry epoch -> sink-side packet count, and
+	// gapEpochs marks epochs whose records reported telemetry gaps.
+	epochSinks map[uint32]uint32
+	gapEpochs  map[uint32]bool
+	// minEpoch is the earliest epoch among the flow's records.
+	minEpoch uint32
+	hasEpoch bool
+}
+
+// refPathStat is one path of a flow in the diagnosis data.
+type refPathStat struct {
+	// id is the path's PathID: unique per sink, so unique within a flow.
+	id             pathid.ID
+	path           topology.Path
+	pkts, abnormal float64
+}
+
+// pathOf returns the flow's entry for a decoded path, adding it on first
+// sight.
+func (fs *refFlowStats) pathOf(id pathid.ID, path topology.Path) *refPathStat {
+	for i := range fs.paths {
+		if fs.paths[i].id == id {
+			return &fs.paths[i]
+		}
+	}
+	fs.paths = append(fs.paths, refPathStat{id: id, path: path})
+	return &fs.paths[len(fs.paths)-1]
+}
+
+func (fs *refFlowStats) pktsThrough(sub []topology.NodeID) float64 {
+	var cnt float64
+	for i := range fs.paths {
+		if fs.paths[i].path.Contains(sub) {
+			cnt += fs.paths[i].pkts
+		}
+	}
+	return cnt
+}
+
+func (fs *refFlowStats) peakAndBaseline() (peak uint32, base float64) {
+	if len(fs.epochCounts) == 0 {
+		return 0, 0
+	}
+	counts := make([]float64, 0, len(fs.epochCounts))
+	//mars:mapiter-ok peak is a pure maximum and counts is fully sorted before use
+	for _, c := range fs.epochCounts {
+		if c > peak {
+			peak = c
+		}
+		counts = append(counts, float64(c))
+	}
+	sort.Float64s(counts)
+	return peak, counts[len(counts)/4]
+}
+
+func (fs *refFlowStats) hardLossEpoch(e uint32) bool {
+	src := fs.epochCounts[e]
+	return fs.gapEpochs[e] || (src >= 4 && fs.epochSinks[e]*2 < src)
+}
+
+// shared presents the flow to the predicates the reference shares with the
+// pipeline under test: every epoch any of the maps (or minEpoch) knows, in
+// ascending order, and the paths.
+func (fs *refFlowStats) shared() *flowStats {
+	known := make(map[uint32]bool)
+	if fs.hasEpoch {
+		known[fs.minEpoch] = true
+	}
+	//mars:mapiter-ok the union is sorted below
+	for e := range fs.epochCounts {
+		known[e] = true
+	}
+	//mars:mapiter-ok the union is sorted below
+	for e := range fs.epochSinks {
+		known[e] = true
+	}
+	//mars:mapiter-ok the union is sorted below
+	for e := range fs.gapEpochs {
+		known[e] = true
+	}
+	out := &flowStats{abnormalQueueDepths: fs.abnormalQueueDepths}
+	for _, e := range det.Keys(known) {
+		out.epochs = append(out.epochs, epochStat{e, fs.epochCounts[e], fs.epochSinks[e], fs.gapEpochs[e]})
+	}
+	for _, ps := range fs.paths {
+		out.paths = append(out.paths, pathStat{path: ps.path, pkts: ps.pkts, abnormal: ps.abnormal})
+	}
+	return out
 }
 
 type refIndex struct {
 	evidence
-	entries     []entry
+	entries     []refEntry
 	over        []bool
 	overRecords int
 
-	stats      map[dataplane.FlowID]*flowStats
+	stats      map[dataplane.FlowID]*refFlowStats
 	flows      []dataplane.FlowID
 	sinkRanges map[topology.NodeID]*sinkEpochRange
 	globalMed  float64
@@ -39,7 +223,7 @@ type refIndex struct {
 func (a *Analyzer) refIndex(ev evidence) *refIndex {
 	ix := &refIndex{
 		evidence: ev,
-		entries:  make([]entry, len(ev.records)),
+		entries:  make([]refEntry, len(ev.records)),
 		over:     make([]bool, len(ev.records)),
 	}
 	for i, r := range ev.records {
@@ -58,7 +242,7 @@ func (a *Analyzer) refIndex(ev evidence) *refIndex {
 		if limit := a.Cfg.MaxEstimatePerRecord; limit > 0 && n > limit {
 			n = limit
 		}
-		ix.entries[i] = entry{path: path, weight: n}
+		ix.entries[i] = refEntry{path: path, weight: n}
 	}
 	return ix
 }
@@ -115,11 +299,11 @@ func (a *Analyzer) refSignatureData(ix *refIndex) {
 	if ix.stats != nil {
 		return
 	}
-	ix.stats = make(map[dataplane.FlowID]*flowStats)
+	ix.stats = make(map[dataplane.FlowID]*refFlowStats)
 	for i, r := range ix.records {
 		fs := ix.stats[r.Flow]
 		if fs == nil {
-			fs = &flowStats{
+			fs = &refFlowStats{
 				epochCounts: make(map[uint32]uint32),
 				epochSinks:  make(map[uint32]uint32),
 				gapEpochs:   make(map[uint32]bool),
@@ -155,7 +339,7 @@ func (a *Analyzer) refSignatureData(ix *refIndex) {
 	ix.globalMed = refGlobalMedianEpochCount(ix.stats)
 }
 
-func refGlobalMedianEpochCount(stats map[dataplane.FlowID]*flowStats) float64 {
+func refGlobalMedianEpochCount(stats map[dataplane.FlowID]*refFlowStats) float64 {
 	var all []float64
 	for _, fs := range stats {
 		//mars:mapiter-ok all is fully sorted before use
@@ -178,7 +362,7 @@ func (a *Analyzer) refAnalyzeLatency(ix *refIndex) []Culprit {
 	if a.Cfg.MinAbnormalRecords > 0 && a.Thr != nil && ix.overRecords < a.Cfg.MinAbnormalRecords {
 		return nil
 	}
-	patterns, _ := a.minePatterns(ix.mined(), ix.over)
+	patterns, _ := a.refMinePatterns(ix.entries, ix.over)
 	if len(patterns) == 0 {
 		return nil
 	}
@@ -225,7 +409,7 @@ func (a *Analyzer) refAnalyzeLatency(ix *refIndex) []Culprit {
 		for _, flow := range det.KeysFunc(flowPkts, flowLess) {
 			cnt := flowPkts[flow]
 			fs := stats[flow]
-			if a.isBursty(fs, sinkRanges[flow.Sink], globalMed) {
+			if a.isBursty(fs.shared(), sinkRanges[flow.Sink], globalMed) {
 				burstFound = true
 				culprits = append(culprits, Culprit{
 					Cause:    CauseMicroBurst,
@@ -255,7 +439,7 @@ func (a *Analyzer) refAnalyzeLatency(ix *refIndex) []Culprit {
 			votes := make(map[topology.NodeID]int)
 			weight := make(map[topology.NodeID]float64)
 			for _, flow := range det.KeysFunc(flowPkts, flowLess) {
-				if u, ok := a.ecmpUpstream(stats[flow], sp.sub); ok {
+				if u, ok := a.ecmpUpstream(stats[flow].shared(), sp.sub); ok {
 					votes[u]++
 					weight[u] += flowPkts[flow]
 				}
@@ -315,7 +499,7 @@ func (a *Analyzer) refAnalyzeDrop(ix *refIndex, affected map[dataplane.FlowID]bo
 	for i, r := range ix.records {
 		failing[i] = affected[r.Flow]
 	}
-	patterns, abnormalPkts := a.minePatterns(ix.mined(), failing)
+	patterns, abnormalPkts := a.refMinePatterns(ix.entries, failing)
 	a.refSignatureData(ix)
 	stats, sinkRanges, globalMed := ix.stats, ix.sinkRanges, ix.globalMed
 	var culprits []Culprit
@@ -336,7 +520,7 @@ func (a *Analyzer) refAnalyzeDrop(ix *refIndex, affected map[dataplane.FlowID]bo
 					break
 				}
 			}
-			if covers && a.isBursty(fs, sinkRanges[flow.Sink], globalMed) {
+			if covers && a.isBursty(fs.shared(), sinkRanges[flow.Sink], globalMed) {
 				burstFound = true
 				culprits = append(culprits, Culprit{
 					Cause:    CauseMicroBurst,
@@ -368,7 +552,7 @@ func (a *Analyzer) refAnalyzeDrop(ix *refIndex, affected map[dataplane.FlowID]bo
 	return rank(mergeCulprits(culprits))
 }
 
-func (a *Analyzer) refDegradedLightBranch(up topology.NodeID, flowPkts map[dataplane.FlowID]float64, stats map[dataplane.FlowID]*flowStats) ([]topology.NodeID, bool) {
+func (a *Analyzer) refDegradedLightBranch(up topology.NodeID, flowPkts map[dataplane.FlowID]float64, stats map[dataplane.FlowID]*refFlowStats) ([]topology.NodeID, bool) {
 	succCount := make(map[topology.NodeID]float64)
 	succAbnormal := make(map[topology.NodeID]float64)
 	succGapFlows := make(map[topology.NodeID]float64)
@@ -419,7 +603,7 @@ func (a *Analyzer) refDegradedLightBranch(up topology.NodeID, flowPkts map[datap
 	return []topology.NodeID{up, light}, true
 }
 
-func (a *Analyzer) refLossFlowCount(flowPkts map[dataplane.FlowID]float64, stats map[dataplane.FlowID]*flowStats) int {
+func (a *Analyzer) refLossFlowCount(flowPkts map[dataplane.FlowID]float64, stats map[dataplane.FlowID]*refFlowStats) int {
 	n := 0
 	//mars:mapiter-ok pure count; any visit order yields the same total
 	for flow := range flowPkts {
@@ -442,7 +626,7 @@ func (a *Analyzer) refLossFlowCount(flowPkts map[dataplane.FlowID]float64, stats
 	return n
 }
 
-func (a *Analyzer) refClassifyDropCause(sub []topology.NodeID, affected map[dataplane.FlowID]bool, stats map[dataplane.FlowID]*flowStats) Cause {
+func (a *Analyzer) refClassifyDropCause(sub []topology.NodeID, affected map[dataplane.FlowID]bool, stats map[dataplane.FlowID]*refFlowStats) Cause {
 	maxTrans := 0
 	hardLoss := false
 	abnormalWeight := 0.0
@@ -474,7 +658,7 @@ func (a *Analyzer) refClassifyDropCause(sub []topology.NodeID, affected map[data
 			}
 		}
 		if covers && affected[flow] {
-			if t := a.flapTransitions(fs); t > maxTrans {
+			if t := a.flapTransitions(fs.shared()); t > maxTrans {
 				maxTrans = t
 			}
 			if !hardLoss {
@@ -500,7 +684,7 @@ func (a *Analyzer) refClassifyDropCause(sub []topology.NodeID, affected map[data
 	return CauseDrop
 }
 
-func (a *Analyzer) refRunExtensions(sp scoredPattern, flowPkts map[dataplane.FlowID]float64, stats map[dataplane.FlowID]*flowStats, baseQ, globalMed float64) []Culprit {
+func (a *Analyzer) refRunExtensions(sp scoredPattern, flowPkts map[dataplane.FlowID]float64, stats map[dataplane.FlowID]*refFlowStats, baseQ, globalMed float64) []Culprit {
 	if len(a.extensions) == 0 {
 		return nil
 	}
@@ -518,7 +702,7 @@ func (a *Analyzer) refRunExtensions(sp scoredPattern, flowPkts map[dataplane.Flo
 			PacketsThroughPattern: flowPkts[flow],
 			PeakEpochRate:         float64(peak),
 			BaselineEpochRate:     base,
-			AbnormalQueueMedian:   fs.abnormalQueueMedian(),
+			AbnormalQueueMedian:   fs.shared().abnormalQueueMedian(),
 			AbnormalRecords:       len(fs.abnormalQueueDepths),
 		})
 	}

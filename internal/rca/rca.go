@@ -6,12 +6,13 @@
 //  1. classify the sampled telemetry into abnormal/normal sets with the
 //     reservoir thresholds (one per flow; flows are numbered once per
 //     analysis) and, for a view with an abnormal set to mine, estimate
-//     actual traffic (Alg. 2), decoding each (flow, PathID) once. A record
-//     with PathCount = n is one entry of weight n, never n packets:
-//     supports, spectra and packet shares below are sums of weights, equal
-//     to the counts over the expanded packets whatever PathCount is;
+//     actual traffic (Alg. 2) into one row per (flow, path), decoding each
+//     PathID once. A record with PathCount = n adds weight n to its row,
+//     never n packets: supports, spectra and packet shares below are sums of
+//     weights, equal to the counts over the expanded packets whatever
+//     PathCount is;
 //  2. mine frequent sub-sequences (switches and links) of the abnormal
-//     paths with FSM (§4.4.2);
+//     paths with FSM (§4.4.2), one weighted sequence per row;
 //  3. score each pattern with relative-risk SBFL (§4.4.3, Eq. 1);
 //  4. assign a cause per culprit by signature matching over the diagnosis
 //     data, score by Alg. 3, and merge (§4.4.4).
@@ -137,14 +138,7 @@ func (c Culprit) String() string {
 }
 
 // ContainsSwitch reports whether the culprit blames sw.
-func (c Culprit) ContainsSwitch(sw topology.NodeID) bool {
-	for _, s := range c.Location {
-		if s == sw {
-			return true
-		}
-	}
-	return false
-}
+func (c Culprit) ContainsSwitch(sw topology.NodeID) bool { return slices.Contains(c.Location, sw) }
 
 // Config tunes the analyzer.
 type Config struct {
@@ -392,33 +386,48 @@ func (a *Analyzer) dropAffectedFlows(ix *index) []bool {
 	return affected
 }
 
-// entry is Alg. 2's estimate for one telemetry record: the record stands
-// for weight packets along path.
-type entry struct {
-	path   topology.Path // nil when the record's PathID does not decode
-	weight int
+// pathStat is one (flow, path) row of the evidence: every record of one flow
+// with one PathID, folded. A row, not a record, is the unit of mining —
+// supports and spectra are sums of integer weights, so they depend only on
+// the distinct paths.
+type pathStat struct {
+	flow int32
+	path topology.Path // nil when the PathID does not decode
+	// over and under are Alg. 2's estimate of the row's traffic, split by
+	// its records' over-threshold bit: each record stands for
+	// clamp(PathCount, 1, MaxEstimatePerRecord) packets along path.
+	over, under int
+	// pkts is the uncapped packets across the row's records; abnormal is
+	// the part of it on over-threshold records. The link-degrade signature
+	// uses the latter to find degradation evidence on an ECMP branch that
+	// carries little traffic.
+	pkts, abnormal float64
 }
 
 // index is what one Analyze/AnalyzeWindow derives from its evidence and
 // both views read, in three layers, each built at most once: flows numbered
-// and records classified (index, always); the decoded estimate (estimate,
+// and records classified (index, always); the (flow, path) rows (estimate,
 // for the first view with an abnormal set to mine: a quiet window decodes
-// nothing); the per-flow summaries the signatures match against
-// (signatureData, for the first view with patterns to explain).
+// nothing); the (flow, epoch) rows and the per-flow summaries the signatures
+// match against (signatureData, for the first view with patterns to
+// explain).
 type index struct {
 	evidence
-	// flowOf, over and entries run parallel to records. flowOf numbers the
+	// flowOf, over and pathOf run parallel to records. flowOf numbers the
 	// flows densely in first-record order, flowIDs maps the numbers back;
 	// over marks records later than their flow's threshold.
 	flowOf      []int32
 	flowIDs     []dataplane.FlowID
 	over        []bool
 	overRecords int
-	set         *firsts // dropAffectedFlows' epochs, then estimate's PathIDs
-	entries     []entry // nil until estimate
+	set         *firsts    // dropAffectedFlows' epochs, then estimate's PathIDs
+	pathOf      []int32    // each record's row in paths; nil until estimate
+	paths       []pathStat // in first-record order
+	hops        int        // the summed length of paths' paths
 
 	stats      []flowStats // by flow number
 	flows      []int32     // the flow numbers in flowLess order
+	through    []flowPkts  // traversing's result, reused
 	sinkRanges map[topology.NodeID]*sinkEpochRange
 	globalMed  float64
 }
@@ -454,29 +463,40 @@ func (a *Analyzer) index(ev evidence) *index {
 	return ix
 }
 
-// estimate fills ix.entries with the traffic the records stand for (Alg. 2),
-// once per index, decoding each (flow, PathID) on the first record with it.
+// estimate folds the records into the (flow, path) rows with the traffic
+// they stand for (Alg. 2), once per index, decoding each (flow, PathID) on
+// the first record with it. A record's weight is capped before it is summed.
 func (a *Analyzer) estimate(ix *index) {
-	if ix.entries != nil {
+	if ix.pathOf != nil {
 		return
 	}
-	ix.entries = make([]entry, len(ix.records))
+	ix.pathOf = make([]int32, len(ix.records))
 	decoded := ix.emptySet()
 	for i := range ix.records {
 		r := &ix.records[i]
-		j := decoded.of(ix.flowOf[i], uint32(r.PathID), i)
-		if j == i {
-			ix.entries[i].path, _ = a.Paths.Lookup(r.Flow.Sink, r.PathID)
+		if j := decoded.of(ix.flowOf[i], uint32(r.PathID), i); j != i {
+			ix.pathOf[i] = ix.pathOf[j]
+		} else {
+			path, _ := a.Paths.Lookup(r.Flow.Sink, r.PathID)
+			ix.pathOf[i] = int32(len(ix.paths))
+			ix.paths = append(ix.paths, pathStat{flow: ix.flowOf[i], path: path})
+			ix.hops += len(path)
 		}
-		path := ix.entries[j].path
-		if path == nil {
+		row := &ix.paths[ix.pathOf[i]]
+		if row.path == nil {
 			continue
 		}
 		n := max(int(r.PathCount), 1) // at least the telemetry packet itself
 		if limit := a.Cfg.MaxEstimatePerRecord; limit > 0 {
 			n = min(n, limit)
 		}
-		ix.entries[i] = entry{path: path, weight: n}
+		row.pkts += float64(r.PathCount) + 1
+		if ix.over[i] {
+			row.over += n
+			row.abnormal += float64(r.PathCount) + 1
+		} else {
+			row.under += n
+		}
 	}
 }
 
@@ -525,42 +545,51 @@ func (s *firsts) of(f int32, key uint32, i int) int {
 	return i
 }
 
-// minePatterns runs FSM over the paths of the failing entries and scores
-// each pattern with SBFL over both sets; failing runs parallel to the
-// index's entries. It also returns the failing set's size in estimated
-// packets.
-func (a *Analyzer) minePatterns(ix *index, failing []bool) ([]scoredPattern, float64) {
-	a.estimate(ix)
-	// Size the database: one sequence per failing record, all of them
-	// carved from one slab.
-	var seqs, items int
-	for i, e := range ix.entries {
-		if e.path != nil && failing[i] {
-			seqs++
-			items += len(e.path)
+// split is a view's reading of one row: the estimated packets of it that
+// belong to the view's abnormal set, and the rest.
+type split func(row *pathStat) (fail, pass int)
+
+// byThreshold is the latency view's split: over-threshold traffic fails.
+func byThreshold(row *pathStat) (fail, pass int) { return row.over, row.under }
+
+// byFlow is the drop view's split: all traffic of an affected flow fails.
+func byFlow(affected []bool) split {
+	return func(row *pathStat) (fail, pass int) {
+		if affected[row.flow] {
+			return row.over + row.under, 0
 		}
+		return 0, row.over + row.under
 	}
-	if seqs == 0 {
-		return nil, 0
-	}
-	db := make(fsm.Dataset, 0, seqs)
-	weights := make([]int, 0, seqs)
-	slab := make(fsm.Sequence, 0, items)
+}
+
+// minePatterns runs FSM over the rows with failing traffic — one sequence
+// per row, weighted by that traffic — and scores each pattern with SBFL over
+// both sets. It also returns the failing set's size in estimated packets.
+// (A row whose path did not decode weighs nothing and contains no pattern.)
+func (a *Analyzer) minePatterns(ix *index, of split) ([]scoredPattern, float64) {
+	a.estimate(ix)
+	// The database's sequences are all carved from one slab, sized for every
+	// row so that it never moves.
+	db := make(fsm.Dataset, 0, len(ix.paths))
+	weights := make([]int, 0, len(ix.paths))
+	slab := make(fsm.Sequence, 0, ix.hops)
 	var failPkts, passPkts int
-	for i, e := range ix.entries {
-		switch {
-		case e.path == nil:
-		case failing[i]:
+	for i := range ix.paths {
+		row := &ix.paths[i]
+		fail, pass := of(row)
+		failPkts += fail
+		passPkts += pass
+		if fail > 0 {
 			from := len(slab)
-			for _, sw := range e.path {
+			for _, sw := range row.path {
 				slab = append(slab, fsm.Item(sw))
 			}
 			db = append(db, slab[from:len(slab):len(slab)])
-			weights = append(weights, e.weight)
-			failPkts += e.weight
-		default:
-			passPkts += e.weight
+			weights = append(weights, fail)
 		}
+	}
+	if len(db) == 0 {
+		return nil, 0
 	}
 	patterns := a.Cfg.Miner.Mine(db, fsm.Params{
 		MinRelSupport: a.Cfg.MinRelSupport,
@@ -576,14 +605,11 @@ func (a *Analyzer) minePatterns(ix *index, failing []bool) ([]scoredPattern, flo
 		// The spectrum in packets: every count is a sum of integer
 		// weights, so it equals the count over the expanded packets.
 		var npf, nps int
-		for i, e := range ix.entries {
-			if e.path == nil || !e.path.Contains(sub) {
-				continue
-			}
-			if failing[i] {
-				npf += e.weight
-			} else {
-				nps += e.weight
+		for i := range ix.paths {
+			if row := &ix.paths[i]; row.path.Contains(sub) {
+				fail, pass := of(row)
+				npf += fail
+				nps += pass
 			}
 		}
 		spec := sbfl.Spectrum{
@@ -617,17 +643,7 @@ type scoredPattern struct {
 	npf   float64 // abnormal packets covering the pattern
 }
 
-func lessPath(a, b []topology.NodeID) bool {
-	for i := range a {
-		if i >= len(b) {
-			return false
-		}
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
-}
+func lessPath(a, b []topology.NodeID) bool { return slices.Compare(a, b) < 0 }
 
 // rank finalizes a culprit list: sort by score descending with
 // deterministic tie-breaking.
@@ -639,22 +655,10 @@ func rank(cs []Culprit) []Culprit {
 		if len(cs[i].Location) != len(cs[j].Location) {
 			return len(cs[i].Location) > len(cs[j].Location)
 		}
-		if !pathEq(cs[i].Location, cs[j].Location) {
-			return lessPath(cs[i].Location, cs[j].Location)
+		if c := slices.Compare(cs[i].Location, cs[j].Location); c != 0 {
+			return c < 0
 		}
 		return cs[i].Cause < cs[j].Cause
 	})
 	return cs
-}
-
-func pathEq(a, b []topology.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,12 +1,12 @@
 package rca
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 
 	"mars/internal/dataplane"
 	"mars/internal/det"
-	"mars/internal/pathid"
 	"mars/internal/topology"
 )
 
@@ -20,49 +20,29 @@ func flowLess(a, b dataplane.FlowID) bool {
 
 // flowStats summarizes one flow's diagnosis data for signature matching.
 type flowStats struct {
-	// epochCounts maps telemetry epoch -> source-side packet count.
-	epochCounts map[uint32]uint32
-	// paths holds the flow's decoded paths in first-record order. Readers
-	// only sum integer-valued packet counts over it or test existence, so
-	// the order never reaches the output.
+	// epochs is the flow's (flow, epoch) rows in ascending epoch order.
+	epochs []epochStat
+	// paths is the flow's decoded (flow, path) rows. Readers only sum
+	// integer-valued packet counts over it or test existence, so the order
+	// never reaches the output.
 	paths []pathStat
 	// abnormalQueueDepths collects depths of the flow's over-threshold
 	// records; the congestion signature uses their median, which is robust
 	// to a single queue blip.
 	abnormalQueueDepths []float64
-	// epochSinks maps telemetry epoch -> sink-side packet count, and
-	// gapEpochs marks epochs whose records reported telemetry gaps; the
-	// flap signature reads per-epoch loss on/off transitions from them.
-	epochSinks map[uint32]uint32
-	gapEpochs  map[uint32]bool
-	// minEpoch is the earliest epoch among the flow's records, used to
-	// spot flows that appeared mid-window (candidate bursts).
-	minEpoch uint32
-	hasEpoch bool
+	// splits is the flow's imbalanced ECMP splits; nil until ecmpDivergence
+	// first asks.
+	splits []ecmpSplit
 }
 
-// pathStat is one path of a flow in the diagnosis data.
-type pathStat struct {
-	// id is the path's PathID: unique per sink, so unique within a flow.
-	id   pathid.ID
-	path topology.Path
-	// pkts is the packets across the path's records; abnormal is the part
-	// of it on over-threshold records. The link-degrade signature uses the
-	// latter to find degradation evidence on an ECMP branch that carries
-	// little traffic.
-	pkts, abnormal float64
-}
-
-// pathOf returns the flow's entry for a decoded path, adding it on first
-// sight.
-func (fs *flowStats) pathOf(id pathid.ID, path topology.Path) *pathStat {
-	for i := range fs.paths {
-		if fs.paths[i].id == id {
-			return &fs.paths[i]
-		}
-	}
-	fs.paths = append(fs.paths, pathStat{id: id, path: path})
-	return &fs.paths[len(fs.paths)-1]
+// epochStat is one (flow, epoch) row: the largest source- and sink-side
+// packet counts among the flow's records of the epoch, and whether any of
+// them reported a telemetry gap. The epoch is counted — it has a rate, and
+// its loss is read — only when src > 0.
+type epochStat struct {
+	epoch     uint32
+	src, sink uint32
+	gap       bool
 }
 
 // flowPkts is one flow, by number, and its packets through a pattern.
@@ -82,6 +62,39 @@ func (fs *flowStats) pktsThrough(sub []topology.NodeID) float64 {
 	return cnt
 }
 
+// traversing returns the flows with packets through sub, in flowLess order,
+// and the packets' sum. The slice is reused by the next call.
+func (ix *index) traversing(sub []topology.NodeID) ([]flowPkts, float64) {
+	ix.through = ix.through[:0]
+	var total float64
+	for _, f := range ix.flows {
+		if cnt := ix.stats[f].pktsThrough(sub); cnt > 0 {
+			ix.through = append(ix.through, flowPkts{f, cnt})
+			total += cnt
+		}
+	}
+	return ix.through, total
+}
+
+// swSum is one switch's sums in a slice kept sorted by switch ID, so a scan
+// for a strict maximum breaks ties toward the lower ID: the divergence votes
+// of analyzeLatency, the successors of degradedLightBranch, the neighbors of
+// classifyDropCause.
+type swSum struct {
+	sw                   topology.NodeID
+	flows                int
+	pkts, abnormal, gaps float64
+}
+
+// sumFor returns the entry of sw, inserted zero if s had none.
+func sumFor(s []swSum, sw topology.NodeID) ([]swSum, *swSum) {
+	i, ok := slices.BinarySearchFunc(s, sw, func(e swSum, sw topology.NodeID) int { return cmp.Compare(e.sw, sw) })
+	if !ok {
+		s = slices.Insert(s, i, swSum{sw: sw})
+	}
+	return s, &s[i]
+}
+
 // abnormalQueueMedian returns the median depth among abnormal records.
 func (fs *flowStats) abnormalQueueMedian() float64 {
 	if len(fs.abnormalQueueDepths) == 0 {
@@ -98,7 +111,6 @@ func (fs *flowStats) abnormalQueueMedian() float64 {
 // nothing that epoch (every active epoch marks a telemetry packet).
 type sinkEpochRange struct {
 	min, max uint32
-	valid    bool
 }
 
 // collectSinkRanges computes the covered epoch window per sink switch.
@@ -106,28 +118,19 @@ func collectSinkRanges(records []dataplane.RTRecord) map[topology.NodeID]*sinkEp
 	out := make(map[topology.NodeID]*sinkEpochRange)
 	for i := range records {
 		r := &records[i]
-		sr := out[r.Flow.Sink]
-		if sr == nil {
-			sr = &sinkEpochRange{}
-			out[r.Flow.Sink] = sr
-		}
-		if !sr.valid {
-			sr.min, sr.max, sr.valid = r.Epoch, r.Epoch, true
-			continue
-		}
-		if r.Epoch < sr.min {
-			sr.min = r.Epoch
-		}
-		if r.Epoch > sr.max {
-			sr.max = r.Epoch
+		if sr := out[r.Flow.Sink]; sr != nil {
+			sr.min, sr.max = min(sr.min, r.Epoch), max(sr.max, r.Epoch)
+		} else {
+			out[r.Flow.Sink] = &sinkEpochRange{r.Epoch, r.Epoch}
 		}
 	}
 	return out
 }
 
-// signatureData indexes the diagnosis records per flow, with the sink
-// epoch ranges and the network-wide median rate the burst signature
-// needs — once per index, on the first view that has patterns to explain.
+// signatureData builds the per-flow summaries — each flow's (flow, epoch)
+// and (flow, path) rows — with the sink epoch ranges and the network-wide
+// median rate the burst signature needs: once per index, on the first view
+// that has patterns to explain.
 func (a *Analyzer) signatureData(ix *index) {
 	if ix.stats != nil {
 		return
@@ -135,64 +138,92 @@ func (a *Analyzer) signatureData(ix *index) {
 	a.estimate(ix)
 	ix.stats = make([]flowStats, len(ix.flowIDs))
 	for f := range ix.stats {
-		ix.stats[f] = flowStats{
-			epochCounts: make(map[uint32]uint32),
-			epochSinks:  make(map[uint32]uint32),
-			gapEpochs:   make(map[uint32]bool),
-		}
 		ix.flows = append(ix.flows, int32(f))
 	}
 	sort.Slice(ix.flows, func(i, j int) bool { return flowLess(ix.flowIDs[ix.flows[i]], ix.flowIDs[ix.flows[j]]) })
+
+	// The (flow, epoch) table. A counting pass groups the records by flow
+	// number into one array; each flow's stretch is then sorted by epoch and
+	// its equal epochs folded in place, so a sort only ever sees one flow's
+	// records (and stays O(n log n) when one flow is the whole frame).
+	// at[f] counts flow f's records, then is where its stretch starts, then
+	// — every placement advancing it — where it ends.
+	at := make([]int32, len(ix.flowIDs))
+	for _, f := range ix.flowOf {
+		at[f]++
+	}
+	var sum int32
+	for f, n := range at {
+		at[f], sum = sum, sum+n
+	}
+	rows := make([]epochStat, len(ix.records))
 	for i := range ix.records {
-		r := &ix.records[i]
-		fs := &ix.stats[ix.flowOf[i]]
-		if r.SourceCount > fs.epochCounts[r.Epoch] {
-			fs.epochCounts[r.Epoch] = r.SourceCount
-		}
-		if r.SinkCount > fs.epochSinks[r.Epoch] {
-			fs.epochSinks[r.Epoch] = r.SinkCount
-		}
-		if r.EpochGap > 0 {
-			fs.gapEpochs[r.Epoch] = true
-		}
-		if path := ix.entries[i].path; path != nil {
-			ps := fs.pathOf(r.PathID, path)
-			ps.pkts += float64(r.PathCount) + 1
-			if ix.over[i] {
-				ps.abnormal += float64(r.PathCount) + 1
-			}
-		}
-		if !fs.hasEpoch || r.Epoch < fs.minEpoch {
-			fs.minEpoch = r.Epoch
-			fs.hasEpoch = true
-		}
+		r, f := &ix.records[i], ix.flowOf[i]
+		rows[at[f]] = epochStat{r.Epoch, r.SourceCount, r.SinkCount, r.EpochGap > 0}
+		at[f]++
 		if ix.over[i] {
+			fs := &ix.stats[f]
 			fs.abnormalQueueDepths = append(fs.abnormalQueueDepths, float64(r.TotalQueueDepth))
 		}
 	}
+	var from int32
+	for f := range ix.stats {
+		run := rows[from:at[f]]
+		from = at[f]
+		slices.SortFunc(run, func(a, b epochStat) int { return cmp.Compare(a.epoch, b.epoch) })
+		n := 0
+		for _, e := range run {
+			if n > 0 && run[n-1].epoch == e.epoch {
+				last := &run[n-1]
+				last.src, last.sink, last.gap = max(last.src, e.src), max(last.sink, e.sink), last.gap || e.gap
+				continue
+			}
+			run[n] = e
+			n++
+		}
+		ix.stats[f].epochs = run[:n:n]
+	}
+
+	// Each flow's rows of the (flow, path) table, the undecodable ones
+	// dropped: a copy grouped by flow, first-record order kept within one.
+	paths := slices.DeleteFunc(slices.Clone(ix.paths), func(row pathStat) bool { return row.path == nil })
+	slices.SortStableFunc(paths, func(a, b pathStat) int { return cmp.Compare(a.flow, b.flow) })
+	for from := 0; from < len(paths); {
+		to := from + 1
+		for to < len(paths) && paths[to].flow == paths[from].flow {
+			to++
+		}
+		ix.stats[paths[from].flow].paths = paths[from:to:to]
+		from = to
+	}
+
 	ix.sinkRanges = collectSinkRanges(ix.records)
 	ix.globalMed = globalMedianEpochCount(ix.stats)
 }
 
-// peakAndBaseline returns the peak per-epoch source count and the flow's
-// quiet baseline: the 25th percentile of its recorded epoch rates. Missing
-// epochs are NOT treated as zero-rate silence — ring eviction and
-// fault-delayed telemetry also produce gaps, and padding them with zeros
-// fabricates burstiness for perfectly steady flows.
-func (fs *flowStats) peakAndBaseline() (peak uint32, base float64) {
-	if len(fs.epochCounts) == 0 {
-		return 0, 0
-	}
-	counts := make([]float64, 0, len(fs.epochCounts))
-	//mars:mapiter-ok peak is a pure maximum and counts is fully sorted before use
-	for _, c := range fs.epochCounts {
-		if c > peak {
-			peak = c
+// appendCounts appends the source-side packet counts of the flow's counted
+// epochs, in epoch order.
+func (fs *flowStats) appendCounts(to []float64) []float64 {
+	for _, e := range fs.epochs {
+		if e.src > 0 {
+			to = append(to, float64(e.src))
 		}
-		counts = append(counts, float64(c))
+	}
+	return to
+}
+
+// peakAndBaseline returns the peak per-epoch source count, the flow's quiet
+// baseline — the 25th percentile of its recorded epoch rates — and how many
+// epochs were counted. Missing epochs are NOT treated as zero-rate silence —
+// ring eviction and fault-delayed telemetry also produce gaps, and padding
+// them with zeros fabricates burstiness for perfectly steady flows.
+func (fs *flowStats) peakAndBaseline() (peak uint32, base float64, counted int) {
+	counts := fs.appendCounts(make([]float64, 0, len(fs.epochs)))
+	if len(counts) == 0 {
+		return 0, 0, 0
 	}
 	sort.Float64s(counts)
-	return peak, counts[len(counts)/4]
+	return uint32(counts[len(counts)-1]), counts[len(counts)/4], len(counts)
 }
 
 // globalMedianEpochCount is the baseline rate across all flows, used to
@@ -200,10 +231,7 @@ func (fs *flowStats) peakAndBaseline() (peak uint32, base float64) {
 func globalMedianEpochCount(stats []flowStats) float64 {
 	var all []float64
 	for f := range stats {
-		//mars:mapiter-ok all is fully sorted before use
-		for _, c := range stats[f].epochCounts {
-			all = append(all, float64(c))
-		}
+		all = stats[f].appendCounts(all)
 	}
 	if len(all) == 0 {
 		return 0
@@ -221,11 +249,11 @@ func globalMedianEpochCount(stats []flowStats) float64 {
 // appeared mid-window at its sink (a transient flow with no history of
 // its own), over the network-wide median rate with the relaxed factor.
 func (a *Analyzer) isBursty(fs *flowStats, window *sinkEpochRange, globalMed float64) bool {
-	peak, base := fs.peakAndBaseline()
+	peak, base, counted := fs.peakAndBaseline()
 	if base < 1 {
 		base = 1
 	}
-	if len(fs.epochCounts) >= 3 && float64(peak) >= a.Cfg.BurstFactor*base {
+	if counted >= 3 && float64(peak) >= a.Cfg.BurstFactor*base {
 		return true
 	}
 	// Absolute test: the paper defines micro-bursts by sheer rate ("over
@@ -234,7 +262,7 @@ func (a *Analyzer) isBursty(fs *flowStats, window *sinkEpochRange, globalMed flo
 	// evicts all flows' records chronologically, so a late first record
 	// means the flow genuinely did not exist before) and to flows whose
 	// rate at least doubled.
-	newAtSink := window != nil && window.valid && fs.hasEpoch && fs.minEpoch >= window.min+2
+	newAtSink := window != nil && len(fs.epochs) > 0 && fs.epochs[0].epoch >= window.min+2
 	if a.Cfg.BurstPPS > 0 && a.Cfg.EpochDuration > 0 {
 		peakPPS := float64(peak) / a.Cfg.EpochDuration.Seconds()
 		if peakPPS >= a.Cfg.BurstPPS && (newAtSink || float64(peak) >= 2*base) {
@@ -253,71 +281,84 @@ func (a *Analyzer) isBursty(fs *flowStats, window *sinkEpochRange, globalMed flo
 	return false
 }
 
+// ecmpSplit is one switch whose equal-cost split over a flow's paths
+// reaches the configured imbalance: the ratio of its heaviest branch to its
+// lightest, and the child the heaviest leads into.
+type ecmpSplit struct {
+	sw, heavy topology.NodeID
+	ratio     float64
+}
+
+// imbalancedSplits walks the prefix tree of the paths, weighted by packet
+// counts, and lists the splits that reach ImbalanceRatio in (depth, switch)
+// order. Never nil.
+func (a *Analyzer) imbalancedSplits(paths []pathStat) []ecmpSplit {
+	// One branch per path hop; sorted, a tree node's children are adjacent
+	// and in ascending child order.
+	type branch struct {
+		depth     int
+		sw, child topology.NodeID
+		pkts      float64
+	}
+	var branches []branch
+	for _, ps := range paths {
+		for i := 0; i+1 < len(ps.path); i++ {
+			branches = append(branches, branch{i, ps.path[i], ps.path[i+1], ps.pkts})
+		}
+	}
+	slices.SortFunc(branches, func(a, b branch) int {
+		return cmp.Or(cmp.Compare(a.depth, b.depth), cmp.Compare(a.sw, b.sw), cmp.Compare(a.child, b.child))
+	})
+	sameNode := func(a, b branch) bool { return a.depth == b.depth && a.sw == b.sw }
+	n := 0
+	for _, b := range branches {
+		if n > 0 && sameNode(branches[n-1], b) && branches[n-1].child == b.child {
+			branches[n-1].pkts += b.pkts
+			continue
+		}
+		branches[n] = b
+		n++
+	}
+	branches = branches[:n]
+
+	out := []ecmpSplit{}
+	for from, to := 0, 0; from < len(branches); from = to {
+		for to = from + 1; to < len(branches) && sameNode(branches[from], branches[to]); to++ {
+		}
+		// The heavy child is the first maximum in ascending child order.
+		heavy, least := branches[from], branches[from].pkts
+		for _, b := range branches[from+1 : to] {
+			if b.pkts > heavy.pkts {
+				heavy = b
+			}
+			least = min(least, b.pkts)
+		}
+		if least <= 0 {
+			least = 1
+		}
+		if ratio := heavy.pkts / least; to-from >= 2 && ratio >= a.Cfg.ImbalanceRatio {
+			out = append(out, ecmpSplit{heavy.sw, heavy.child, ratio})
+		}
+	}
+	return out
+}
+
 // ecmpDivergence finds the switch whose equal-cost split over this flow's
 // paths is most imbalanced AND whose overloaded branch leads directly into
-// `next` (the congested pattern head). It returns ok=false if no
-// divergence reaches the configured ratio.
+// `next` (the congested pattern head): the overloaded branch must feed the
+// congested switch for the blame to transfer upstream (§4.4.4's s9 -> s1
+// example). It returns ok=false if no divergence reaches the configured
+// ratio.
 func (a *Analyzer) ecmpDivergence(fs *flowStats, next topology.NodeID) (topology.NodeID, float64, bool) {
-	// Build a prefix tree of the flow's paths weighted by packet counts.
-	type nodeKey struct {
-		depth int
-		sw    topology.NodeID
-	}
-	// children[parent][child switch] = accumulated count via that branch.
-	children := make(map[nodeKey]map[topology.NodeID]float64)
-	for _, ps := range fs.paths {
-		cnt, path := ps.pkts, ps.path
-		for i := 0; i+1 < len(path); i++ {
-			pk := nodeKey{i, path[i]}
-			m := children[pk]
-			if m == nil {
-				m = make(map[topology.NodeID]float64)
-				children[pk] = m
-			}
-			m[path[i+1]] += cnt
-		}
+	if fs.splits == nil {
+		fs.splits = a.imbalancedSplits(fs.paths)
 	}
 	var bestSw topology.NodeID
 	var bestRatio float64
 	found := false
-	for _, pk := range det.KeysFunc(children, func(a, b nodeKey) bool {
-		if a.depth != b.depth {
-			return a.depth < b.depth
-		}
-		return a.sw < b.sw
-	}) {
-		m := children[pk]
-		if len(m) < 2 {
-			continue
-		}
-		var max, min float64
-		var heavy topology.NodeID
-		first := true
-		for _, child := range det.Keys(m) {
-			cnt := m[child]
-			if first || cnt > max {
-				max = cnt
-				heavy = child
-			}
-			if first || cnt < min {
-				min = cnt
-			}
-			first = false
-		}
-		if min <= 0 {
-			min = 1
-		}
-		ratio := max / min
-		if ratio < a.Cfg.ImbalanceRatio {
-			continue
-		}
-		// The overloaded branch must feed the congested switch for the
-		// blame to transfer upstream (§4.4.4's s9 -> s1 example).
-		if heavy != next {
-			continue
-		}
-		if !found || ratio > bestRatio {
-			bestSw, bestRatio, found = pk.sw, ratio, true
+	for _, sp := range fs.splits {
+		if sp.heavy == next && (!found || sp.ratio > bestRatio) {
+			bestSw, bestRatio, found = sp.sw, sp.ratio, true
 		}
 	}
 	return bestSw, bestRatio, found
@@ -340,6 +381,15 @@ func (a *Analyzer) ecmpUpstream(fs *flowStats, sub []topology.NodeID) (topology.
 	return best, found
 }
 
+// patternLevel is the level a pattern is blamed at: a link is one egress
+// port, anything else a switch.
+func patternLevel(sub []topology.NodeID) Level {
+	if len(sub) == 2 {
+		return LevelPort
+	}
+	return LevelSwitch
+}
+
 // analyzeLatency is the high-latency diagnosis path (§4.4.1-4.4.4): the
 // over-threshold records form the abnormal set.
 func (a *Analyzer) analyzeLatency(ix *index) []Culprit {
@@ -348,7 +398,7 @@ func (a *Analyzer) analyzeLatency(ix *index) []Culprit {
 	if a.Cfg.MinAbnormalRecords > 0 && a.Thr != nil && ix.overRecords < a.Cfg.MinAbnormalRecords {
 		return nil
 	}
-	patterns, _ := a.minePatterns(ix, ix.over)
+	patterns, _ := a.minePatterns(ix, byThreshold)
 	if len(patterns) == 0 {
 		return nil
 	}
@@ -376,19 +426,11 @@ func (a *Analyzer) analyzeLatency(ix *index) []Culprit {
 	// offending micro-burst flow may be too new to have a calibrated
 	// threshold) and assign the pattern's cause by signature matching.
 	var culprits []Culprit
-	var through []flowPkts
 	for _, sp := range patterns {
 		if sp.score <= 0 {
 			continue
 		}
-		through = through[:0]
-		var total float64
-		for _, f := range ix.flows {
-			if cnt := stats[f].pktsThrough(sp.sub); cnt > 0 {
-				through = append(through, flowPkts{f, cnt})
-				total += cnt
-			}
-		}
+		through, total := ix.traversing(sp.sub)
 		if total == 0 {
 			continue
 		}
@@ -432,26 +474,27 @@ func (a *Analyzer) analyzeLatency(ix *index) []Culprit {
 			depths[len(depths)/2] >= float64(a.Cfg.QueueCongested) &&
 			depths[len(depths)/2] >= a.Cfg.CongestionFactor*baseQ
 
-		c := Culprit{Score: sp.score, Location: append([]topology.NodeID{}, sp.sub...)}
+		c := Culprit{Score: sp.score, Level: patternLevel(sp.sub), Location: append([]topology.NodeID{}, sp.sub...)}
 		if patternCongested {
 			// ECMP check across traversing flows. A single aggregated flow
 			// with few subflows is naturally lumpy over its equal-cost
 			// paths, so a divergence switch is blamed only when at least
 			// two independent flows vote for the same upstream culprit.
-			votes := make(map[topology.NodeID]int)
-			weight := make(map[topology.NodeID]float64)
+			var votes []swSum
 			for _, fp := range through {
 				if u, ok := a.ecmpUpstream(&stats[fp.flow], sp.sub); ok {
-					votes[u]++
-					weight[u] += fp.pkts
+					var v *swSum
+					votes, v = sumFor(votes, u)
+					v.flows++
+					v.pkts += fp.pkts
 				}
 			}
 			var up topology.NodeID
 			found := false
 			best := 0.0
-			for _, u := range det.Keys(votes) {
-				if n := votes[u]; n >= 2 && weight[u] > best {
-					up, found, best = u, true, weight[u]
+			for _, v := range votes {
+				if v.flows >= 2 && v.pkts > best {
+					up, found, best = v.sw, true, v.pkts
 				}
 			}
 			if found {
@@ -474,11 +517,6 @@ func (a *Analyzer) analyzeLatency(ix *index) []Culprit {
 				}
 			} else {
 				c.Cause = CauseProcessRate
-				if len(sp.sub) == 2 {
-					c.Level = LevelPort
-				} else {
-					c.Level = LevelSwitch
-				}
 				// Compound-cause check: a congested link whose traversing
 				// flows also lose packets is a degraded link, not a slow
 				// processing stage — queuing delays packets but never
@@ -492,10 +530,6 @@ func (a *Analyzer) analyzeLatency(ix *index) []Culprit {
 			}
 		} else {
 			c.Cause = CauseDelay
-			c.Level = LevelSwitch
-			if len(sp.sub) == 2 {
-				c.Level = LevelPort
-			}
 		}
 		culprits = append(culprits, c)
 	}
@@ -512,15 +546,10 @@ func (a *Analyzer) analyzeDrop(ix *index, affected []bool) []Culprit {
 		affected = slices.Clone(affected)
 		affected[f] = true
 	}
-	failing := make([]bool, len(ix.records))
-	for i, f := range ix.flowOf {
-		failing[i] = affected[f]
-	}
-	patterns, abnormalPkts := a.minePatterns(ix, failing)
+	patterns, abnormalPkts := a.minePatterns(ix, byFlow(affected))
 	if len(patterns) > 0 {
 		a.signatureData(ix)
 	}
-	stats, sinkRanges, globalMed := ix.stats, ix.sinkRanges, ix.globalMed
 	var culprits []Culprit
 	for _, sp := range patterns {
 		if sp.score <= 0 {
@@ -530,19 +559,10 @@ func (a *Analyzer) analyzeDrop(ix *index, affected []bool) []Culprit {
 		// micro-burst symptom, not a link failure: attribute the pattern
 		// to the burst flow.
 		burstFound := false
-		for _, f := range ix.flows {
-			fs, flow := &stats[f], ix.flowIDs[f]
-			if !fs.hasEpoch {
-				continue
-			}
-			covers := false
-			for _, ps := range fs.paths {
-				if ps.path.Contains(sp.sub) {
-					covers = true
-					break
-				}
-			}
-			if covers && a.isBursty(fs, sinkRanges[flow.Sink], globalMed) {
+		through, _ := ix.traversing(sp.sub)
+		for _, fp := range through {
+			flow := ix.flowIDs[fp.flow]
+			if a.isBursty(&ix.stats[fp.flow], ix.sinkRanges[flow.Sink], ix.globalMed) {
 				burstFound = true
 				culprits = append(culprits, Culprit{
 					Cause:    CauseMicroBurst,
@@ -558,18 +578,14 @@ func (a *Analyzer) analyzeDrop(ix *index, affected []bool) []Culprit {
 		}
 		c := Culprit{
 			Cause:    CauseDrop,
+			Level:    patternLevel(sp.sub),
 			Location: append([]topology.NodeID{}, sp.sub...),
 			// The share of the abnormal set's estimated packets that
 			// cross the pattern.
 			Score: sp.score * (sp.npf / abnormalPkts),
 		}
-		if len(sp.sub) == 2 {
-			c.Level = LevelPort
-		} else {
-			c.Level = LevelSwitch
-		}
 		if a.Cfg.CompoundCauses {
-			c.Cause = a.classifyDropCause(ix, sp.sub, affected)
+			c.Cause = a.classifyDropCause(ix, sp.sub, through, affected)
 		}
 		culprits = append(culprits, c)
 	}
@@ -581,33 +597,19 @@ func (a *Analyzer) analyzeDrop(ix *index, affected []bool) []Culprit {
 // causes of the same type on multiple ports of one switch collapse into a
 // switch-level cause.
 func mergeCulprits(cs []Culprit) []Culprit {
-	type key struct {
-		cause Cause
-		level Level
-		loc   string
-		flow  dataplane.FlowID
-	}
-	merged := make(map[key]*Culprit)
-	order := make([]key, 0, len(cs))
+	at := make(map[mergeKey]int)
+	var merged []Culprit // in first-appearance order
 	for _, c := range cs {
-		k := key{cause: c.Cause, level: c.Level, loc: topology.Path(c.Location).String()}
-		if c.Level == LevelFlow {
-			k.flow = c.Flow
-			k.loc = "" // flow identity subsumes location
-		}
-		if m, ok := merged[k]; ok {
-			if c.Level == LevelFlow {
-				if c.Score > m.Score {
-					m.Score = c.Score
-					m.Location = c.Location
-				}
-			} else {
-				m.Score += c.Score
-			}
-		} else {
-			cc := c
-			merged[k] = &cc
-			order = append(order, k)
+		k := keyOf(c)
+		i, ok := at[k]
+		switch {
+		case !ok:
+			at[k] = len(merged)
+			merged = append(merged, c)
+		case c.Level != LevelFlow:
+			merged[i].Score += c.Score
+		case c.Score > merged[i].Score:
+			merged[i].Score, merged[i].Location = c.Score, c.Location
 		}
 	}
 
@@ -617,15 +619,14 @@ func mergeCulprits(cs []Culprit) []Culprit {
 		cause Cause
 		sw    topology.NodeID
 	}
-	portGroups := make(map[swKey][]key)
-	for _, k := range order {
-		m := merged[k]
+	portGroups := make(map[swKey][]int)
+	for i, m := range merged {
 		if m.Level == LevelPort && len(m.Location) >= 1 {
 			g := swKey{m.Cause, m.Location[0]}
-			portGroups[g] = append(portGroups[g], k)
+			portGroups[g] = append(portGroups[g], i)
 		}
 	}
-	collapsed := make(map[key]bool)
+	collapsed := make([]bool, len(merged))
 	var extra []Culprit
 	for _, g := range det.KeysFunc(portGroups, func(a, b swKey) bool {
 		if a.cause != b.cause {
@@ -633,14 +634,14 @@ func mergeCulprits(cs []Culprit) []Culprit {
 		}
 		return a.sw < b.sw
 	}) {
-		ks := portGroups[g]
-		if len(ks) < 2 {
+		ports := portGroups[g]
+		if len(ports) < 2 {
 			continue
 		}
 		var sum float64
-		for _, k := range ks {
-			sum += merged[k].Score
-			collapsed[k] = true
+		for _, i := range ports {
+			sum += merged[i].Score
+			collapsed[i] = true
 		}
 		extra = append(extra, Culprit{
 			Cause:    g.cause,
@@ -649,21 +650,22 @@ func mergeCulprits(cs []Culprit) []Culprit {
 			Score:    sum,
 		})
 	}
-
-	out := make([]Culprit, 0, len(order)+len(extra))
-	for _, k := range order {
-		if collapsed[k] {
-			continue
-		}
-		out = append(out, *merged[k])
+	if len(extra) == 0 {
+		return merged
 	}
-	out = append(out, extra...)
 	// The collapse can mint a switch-level culprit that duplicates an
-	// existing one; fold such duplicates with one more merge pass.
-	if len(extra) > 0 {
-		return mergeOnce(out)
+	// existing one: fold what is left and what was minted, exact duplicates
+	// summing, first-appearance order kept.
+	var out Merger
+	for i, c := range merged {
+		if !collapsed[i] {
+			out.fold(c)
+		}
 	}
-	return out
+	for _, c := range extra {
+		out.fold(c)
+	}
+	return out.cs
 }
 
 // MergeRanked folds the culprit lists of several diagnoses of the same
@@ -685,6 +687,16 @@ type mergeKey struct {
 	level Level
 	loc   string
 	flow  dataplane.FlowID
+}
+
+func keyOf(c Culprit) mergeKey {
+	k := mergeKey{cause: c.Cause, level: c.Level}
+	if c.Level == LevelFlow {
+		k.flow = c.Flow
+	} else {
+		k.loc = topology.Path(c.Location).String()
+	}
+	return k
 }
 
 // Merger accumulates the culprit lists of successive diagnoses of one
@@ -728,12 +740,7 @@ func (m *Merger) Add(list []Culprit) {
 // same way — otherwise flow-level culprits could never compete with
 // switch-level ones that sum across repeated diagnoses.
 func (m *Merger) fold(c Culprit) {
-	k := mergeKey{cause: c.Cause, level: c.Level}
-	if c.Level == LevelFlow {
-		k.flow = c.Flow
-	} else {
-		k.loc = topology.Path(c.Location).String()
-	}
+	k := keyOf(c)
 	i, ok := m.index[k]
 	if !ok {
 		if m.index == nil {
@@ -757,14 +764,4 @@ func (m *Merger) Ranked() []Culprit {
 	out := make([]Culprit, len(m.cs))
 	copy(out, m.cs)
 	return rank(out)
-}
-
-// mergeOnce folds exact-duplicate culprits by summation, keeping
-// first-appearance order.
-func mergeOnce(cs []Culprit) []Culprit {
-	var m Merger
-	for _, c := range cs {
-		m.fold(c)
-	}
-	return m.cs
 }

@@ -205,9 +205,9 @@ func expandedOracle(a *Analyzer, records []dataplane.RTRecord, failing []bool) (
 func TestMinePatternsMatchesExpandedOracle(t *testing.T) {
 	f := newFixture(t)
 	a := analyzer(f)
-	check := func(name string, ix *index, failing []bool) {
+	check := func(name string, ix *index, of split, failing []bool) {
 		t.Helper()
-		got, gotPkts := a.minePatterns(ix, failing)
+		got, gotPkts := a.minePatterns(ix, of)
 		want, wantPkts := expandedOracle(a, ix.records, failing)
 		if len(want) == 0 {
 			t.Fatalf("%s: oracle mined no pattern; the fixture has no abnormal set", name)
@@ -217,27 +217,30 @@ func TestMinePatternsMatchesExpandedOracle(t *testing.T) {
 				name, got, gotPkts, want, wantPkts)
 		}
 	}
-	dropView := func(ix *index) []bool {
+	// The drop view's split, and the per-record failing set it stands for.
+	dropView := func(ix *index) (split, []bool) {
 		affected := a.dropAffectedFlows(ix)
 		failing := make([]bool, len(ix.records))
 		for i, f := range ix.flowOf {
 			failing[i] = affected[f]
 		}
-		return failing
+		return byFlow(affected), failing
 	}
 	for _, sc := range scenarios(t, f) {
 		ix := a.index(evidence{records: sc.records, now: 500 * netsim.Millisecond})
 		if sc.drop {
-			check(sc.name+"/drop-view", ix, dropView(ix))
+			of, failing := dropView(ix)
+			check(sc.name+"/drop-view", ix, of, failing)
 		} else {
-			check(sc.name+"/latency-view", ix, ix.over)
+			check(sc.name+"/latency-view", ix, byThreshold, ix.over)
 		}
 	}
 	// A drop window: the sliding-window entry point's evidence, no trigger.
 	window := lossWindow(t, f, 9)
 	ix := a.index(evidence{records: window, now: 400 * netsim.Millisecond})
-	check("window/drop-view", ix, dropView(ix))
-	check("window/latency-view", ix, ix.over)
+	of, failing := dropView(ix)
+	check("window/drop-view", ix, of, failing)
+	check("window/latency-view", ix, byThreshold, ix.over)
 }
 
 // lossWindow is a 4-epoch k=4 window with both kinds of abnormal set:
@@ -308,7 +311,7 @@ func TestZeroEstimateCapMeansNoCap(t *testing.T) {
 	// Uncapped means the full PathCount, not the default's 30.
 	ix := a.index(evidence{records: f.dropRecords(t)})
 	a.estimate(ix)
-	if w := ix.entries[0].weight; w != 40 {
+	if w := ix.paths[ix.pathOf[0]].under; w != 40 {
 		t.Errorf("uncapped weight of a PathCount-40 record = %d, want 40", w)
 	}
 }

@@ -241,7 +241,17 @@ func (s *Service) Ingest(rec dataplane.RTRecord) {
 // epoch x reaches its sink before the end of epoch x+1), so they seal and
 // close any window that ends on them.
 func (s *Service) CloseEpoch(e uint32) {
-	for ep := s.finalizedThrough + 1; ep <= int64(e)-1; ep++ {
+	last := int64(e) - 1
+	for ep := s.finalizedThrough + 1; ep <= last; ep++ {
+		if ep-int64(s.cfg.WindowEpochs) > s.maxEpoch {
+			// The window ending on ep starts more than one epoch after the
+			// newest epoch any record has carried, so it and every later
+			// one through last is empty in every unit's ring: seal the
+			// stretch unanalysed. A record's Epoch is four bytes off the
+			// wire; one far ahead costs W+2 windows, not one per epoch.
+			s.finalizedThrough = last
+			break
+		}
 		s.finalizeEpoch(uint32(ep))
 	}
 	s.updateGauges()

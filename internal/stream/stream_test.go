@@ -244,6 +244,38 @@ func TestStreamLateRecordsDropped(t *testing.T) {
 	}
 }
 
+// A record's Epoch is four bytes off the wire. One that names an epoch far
+// ahead seals everything up to it without a window analysis (and a result)
+// per epoch in between — at the parent this test did not return — and the
+// service carries on from there.
+func TestStreamFarFutureEpochIsBounded(t *testing.T) {
+	f := newTestFabric(t)
+	cfg := DefaultConfig(1)
+	s := New(cfg, f.part, f.table)
+	p := f.pathsInto(t, f.ft.EdgeIDs[0])[0]
+	const far = 1 << 31
+	s.Ingest(f.rec(t, p, 0, netsim.Millisecond, 0))
+	s.Ingest(f.rec(t, p, far, netsim.Millisecond, 0))
+	if n := len(s.Results()); n > cfg.WindowEpochs+2 {
+		t.Fatalf("one far-future record closed %d windows, want at most W+2 = %d", n, cfg.WindowEpochs+2)
+	}
+	if got := s.Results()[0]; got.Sampled != 1 || got.End != uint32(cfg.WindowEpochs-1) {
+		t.Errorf("first window = [%d,%d] with %d records, want the one holding epoch 0's", got.Start, got.End, got.Sampled)
+	}
+	s.Ingest(f.rec(t, p, far+1, netsim.Millisecond, 0))
+	if late, _ := s.Metrics().Get("records_late"); late != 0 {
+		t.Fatalf("records_late = %d: the stream did not carry on from the far epoch", late)
+	}
+	s.Finish()
+	last := s.Results()[len(s.Results())-1]
+	if last.End != far+2 || last.Sampled != 2 {
+		t.Errorf("last window = [%d,%d] with %d records, want the one ending on %d with both far records", last.Start, last.End, last.Sampled, uint32(far+2))
+	}
+	if n := len(s.Results()); n > 2*(cfg.WindowEpochs+2) {
+		t.Errorf("%d windows closed in all", n)
+	}
+}
+
 // The epoch sampler is a hard cap: a unit never retains more than
 // EpochSampleCap records per epoch, and the coverage fraction reflects
 // what was dropped.
