@@ -25,7 +25,7 @@
 // degrade, correlated delay+drop) with the paper's signatures and with
 // compound-cause disambiguation side by side.
 //
-// The overhead experiment sweeps the registered telemetry codecs
+// The overhead experiment sweeps the telemetry codecs
 // (internal/telemetry) over the Table 1 fault suite and renders the
 // bytes/packet vs localization-accuracy frontier.
 //

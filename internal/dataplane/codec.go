@@ -10,17 +10,15 @@ import (
 // is actually a free design choice: whether a marked packet is promoted to
 // a telemetry packet (source), what the in-flight header accumulates and
 // how many wire bytes it grows (per hop), and what reaches the sink's Ring
-// Table record. Implementations live in internal/telemetry; a nil
-// Config.Codec selects the built-in behavior below, which is the paper's
-// encoding with byte-identical arithmetic.
+// Table record. The paper's answers are Mars11 below, which a nil
+// Config.Codec resolves to; internal/telemetry's codecs embed it and
+// declare only what they change.
 //
-// By convention, concrete implementations are named <name>Codec and pair
-// with Marshal<Name>/Unmarshal<Name> wire functions whose fixed array
-// length equals WireBytes() (and Marshal<Name>Hop for a non-zero
-// HopBytes()); the mars-lint wirewidth analyzer enforces the pairing.
+// By convention, a type named <name>Codec that declares WireBytes() (or a
+// non-zero HopBytes()) pairs with a Marshal<Name> (or Marshal<Name>Hop)
+// wire function whose fixed array length is that width; the mars-lint
+// wirewidth analyzer enforces the pairing.
 type Codec interface {
-	// Name is the registered codec name ("mars11", "perhop", ...).
-	Name() string
 	// WireBytes is the fixed header size added at the source switch.
 	WireBytes() int
 	// HopBytes is the per-hop wire growth (classic INT stacks); 0 for
@@ -41,26 +39,24 @@ type Codec interface {
 	SinkRecord(h *INTHeader, r *RTRecord)
 }
 
-// builtin is the paper's fixed 11-byte encoding as the program has always
-// executed it: every epoch mark is promoted, each hop folds its queue
-// depth into the accumulator, nothing grows, nothing is carried beyond the
-// base header. Keeping it inside the package (rather than importing
-// internal/telemetry's mars11) preserves the import direction
+// Mars11 is the paper's fixed 11-byte encoding: every epoch mark is
+// promoted, each hop folds its queue depth into the accumulator, nothing
+// grows, nothing is carried beyond the base header. It lives here rather
+// than in internal/telemetry so the import direction stays
 // telemetry → dataplane.
-type builtin struct{}
+type Mars11 struct{}
 
-func (builtin) Name() string        { return "mars11" }
-func (builtin) WireBytes() int      { return TelemetryHeaderBytes }
-func (builtin) HopBytes() int       { return 0 }
-func (builtin) EpochStride() uint32 { return 1 }
+func (Mars11) WireBytes() int      { return TelemetryHeaderBytes }
+func (Mars11) HopBytes() int       { return 0 }
+func (Mars11) EpochStride() uint32 { return 1 }
 
-func (builtin) Promote(FlowID, uint32) bool { return true }
+func (Mars11) Promote(FlowID, uint32) bool { return true }
 
-func (builtin) OnHop(h *INTHeader, _ uint64, _ topology.NodeID, qlen int, _ netsim.Time) int {
+func (Mars11) OnHop(h *INTHeader, _ uint64, _ topology.NodeID, qlen int, _ netsim.Time) int {
 	h.TotalQueueDepth += uint32(qlen)
 	return 0
 }
 
-func (builtin) SinkRecord(*INTHeader, *RTRecord) {}
+func (Mars11) SinkRecord(*INTHeader, *RTRecord) {}
 
-var _ Codec = builtin{}
+var _ Codec = Mars11{}

@@ -70,3 +70,47 @@ func TestFlushSwitchHostNoop(t *testing.T) {
 	env := newEnv(t, cfg, 6)
 	env.prog.FlushSwitch(env.ft.HostIDs[0])
 }
+
+// TestRegistersLiveAtEdgeSwitches: the three register tables and the
+// sink's epoch cache exist only where a host is attached (§4.2: core
+// switches carry no per-flow state), while thresholds — checked at every
+// hop — exist, and are lost to a reboot, at every switch.
+func TestRegistersLiveAtEdgeSwitches(t *testing.T) {
+	env := newEnv(t, DefaultProgramConfig(), 5)
+	workload.RandomBackground(env.sim, env.ft, workload.BackgroundConfig{
+		NumFlows: 24, RatePPS: 100, CrossPodBias: 1, RoundRobinSrc: true, RoundRobinDst: true,
+	}, 0)
+	env.sim.Run(netsim.Second)
+
+	edge := map[topology.NodeID]bool{}
+	for _, sw := range env.ft.EdgeIDs {
+		edge[sw] = true
+	}
+	for _, sw := range env.ft.Switches() {
+		st := &env.prog.states[sw]
+		for name, has := range map[string]bool{"it": st.it != nil, "et": st.et != nil, "rt": st.rt != nil, "telemEpoch": st.telemEpoch != nil} {
+			if has != edge[sw] {
+				t.Errorf("switch %d (edge=%v): %s present=%v", sw, edge[sw], name, has)
+			}
+		}
+		if !env.prog.Resident(sw) {
+			t.Errorf("switch %d of a dataplane.New program is not resident", sw)
+		}
+	}
+	if env.prog.ITFlows(env.ft.EdgeIDs[0]) == 0 || len(env.prog.RTSnapshot(env.ft.EdgeIDs[0])) == 0 {
+		t.Error("edge switch tables did not load during the run")
+	}
+
+	core, flow := env.ft.CoreIDs[0], FlowID{Src: env.ft.EdgeIDs[0], Sink: env.ft.EdgeIDs[2]}
+	env.prog.SetThreshold(core, flow, netsim.Millisecond)
+	if got := env.prog.threshold(core, flow); got != netsim.Millisecond {
+		t.Fatalf("core threshold after SetThreshold = %v, want 1ms", got)
+	}
+	env.prog.FlushSwitch(core)
+	if got := env.prog.threshold(core, flow); got != env.prog.Cfg.DefaultThreshold {
+		t.Errorf("core threshold after FlushSwitch = %v, want the default %v", got, env.prog.Cfg.DefaultThreshold)
+	}
+	if st := &env.prog.states[core]; st.it != nil || st.rt != nil {
+		t.Error("FlushSwitch gave a core switch register tables")
+	}
+}

@@ -87,7 +87,7 @@ func TestPromoteAllocs(t *testing.T) {
 	cdc := prog.cdc
 	e := uint32(0)
 	avg := testing.AllocsPerRun(500, func() {
-		mark, _ := it.Record(sink, e, 700, netsim.Time(e))
+		mark, _ := it.Record(sink, e, 700)
 		if mark {
 			cdc.Promote(flow, e)
 		}

@@ -93,7 +93,7 @@ func BenchmarkPromote(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := uint32(i)
-		mark, _ := it.Record(sink, e, 700, netsim.Time(i))
+		mark, _ := it.Record(sink, e, 700)
 		if mark {
 			cdc.Promote(flow, e)
 		}

@@ -25,13 +25,13 @@ type Config struct {
 	// NotifyWindow rate-limits notifications: at most one per switch per
 	// window (§4.2.2).
 	NotifyWindow netsim.Time
-	// Codec selects the telemetry encoding; nil is the paper's fixed
-	// 11-byte header (byte-identical to the historical pipeline).
+	// Codec selects the telemetry encoding; nil is Mars11, the paper's
+	// fixed 11-byte header.
 	Codec Codec
 }
 
 // DefaultProgramConfig returns the configuration used across the
-// evaluation: 100 ms epochs, 8-bit CRC16 PathIDs, 256-record rings.
+// evaluation: 100 ms epochs, 8-bit CRC16 PathIDs, 512-record rings.
 func DefaultProgramConfig() Config {
 	return Config{
 		Epoch:              100 * netsim.Millisecond,
@@ -58,13 +58,17 @@ type Stats struct {
 	SuppressedNotifications int64
 }
 
-// switchState is the per-switch register memory.
+// switchState is the per-switch register memory. Every resident switch
+// checks latency, so thresholds and the notify window exist at all of
+// them; the three register tables and telemEpoch exist only at edge
+// switches, the only ones that can be a flow's source or sink (§4.2: core
+// switches carry no per-flow state).
 type switchState struct {
 	it *IngressTable
 	et *EgressTable
 	rt *RingTable
 	// thresholds holds dynamic per-flow latency thresholds pushed by the
-	// control plane.
+	// control plane; non-nil exactly at resident switches.
 	thresholds map[FlowID]netsim.Time
 	// telemEpoch tracks the latest telemetry epoch seen per flow at the
 	// sink, for epoch-gap drop detection. The stored value is epoch+1 so
@@ -98,7 +102,7 @@ type Program struct {
 	// sinkOf caches each host's edge switch, indexed by node ID (-1 for
 	// non-hosts).
 	sinkOf []topology.NodeID
-	// cdc is the resolved telemetry codec (Cfg.Codec or the builtin).
+	// cdc is the resolved telemetry codec (Cfg.Codec, or Mars11 for nil).
 	cdc Codec
 	// metaFree recycles PacketMeta values: a meta is acquired at the
 	// source switch and released at the sink or on drop, so steady-state
@@ -130,31 +134,33 @@ func New(cfg Config, topo *topology.Topology, paths *pathid.Table, notifier Noti
 	return NewResident(cfg, topo, paths, notifier, nil)
 }
 
-// NewResident creates a program whose register state (Ingress/Egress/Ring
-// Tables, threshold maps) is allocated only for switches in the resident
-// set; nil means every switch. A netsim.Sharded run attaches one resident
-// program per hook owner — a switch's hooks always reach its one owner, so
-// per-switch registers need exist only there, and total register memory
-// stays flat as the owner count grows. Per-switch
-// accessors are nil-safe for non-resident switches (SetThreshold and
-// FlushSwitch no-op; ITFlows/ETEntries report zero).
+// NewResident creates a program whose per-switch state is allocated only
+// for switches in the resident set; nil means every switch. A
+// netsim.Sharded run attaches one resident program per hook owner — a
+// switch's hooks always reach its one owner, so per-switch state need
+// exist only there, and total register memory stays flat as the owner
+// count grows. Of the resident switches, only those with a host behind
+// them get register tables (see switchState). Per-switch accessors are
+// nil-safe wherever state is absent (SetThreshold and FlushSwitch no-op;
+// RTSnapshot/ITFlows/ETEntries report nothing).
 func NewResident(cfg Config, topo *topology.Topology, paths *pathid.Table, notifier Notifier, resident []topology.NodeID) *Program {
 	p := &Program{Cfg: cfg, Topo: topo, Paths: paths, Notifier: notifier}
 	p.cdc = cfg.Codec
 	if p.cdc == nil {
-		p.cdc = builtin{}
+		p.cdc = Mars11{}
 	}
 	p.states = make([]switchState, len(topo.Nodes))
 	populate := func(i topology.NodeID) {
 		if topo.Nodes[i].Kind != topology.KindSwitch {
 			return
 		}
-		p.states[i] = switchState{
-			it:         NewIngressTable(len(topo.Nodes)),
-			et:         NewEgressTable(len(topo.Nodes)),
-			rt:         NewRingTable(cfg.RingSize),
-			thresholds: make(map[FlowID]netsim.Time),
-			telemEpoch: make(map[FlowID]int64),
+		st := &p.states[i]
+		st.thresholds = make(map[FlowID]netsim.Time)
+		for _, port := range topo.Nodes[i].Ports {
+			if topo.IsHost(port.Peer) {
+				p.resetTables(st)
+				break
+			}
 		}
 	}
 	if resident == nil {
@@ -178,9 +184,16 @@ func NewResident(cfg Config, topo *topology.Topology, paths *pathid.Table, notif
 	return p
 }
 
-// Resident reports whether sw's registers live in this program instance.
+// resetTables gives an edge switch empty register tables.
+func (p *Program) resetTables(st *switchState) {
+	n := len(p.Topo.Nodes)
+	st.it, st.et, st.rt = NewIngressTable(n), NewEgressTable(n), NewRingTable(p.Cfg.RingSize)
+	st.telemEpoch = make(map[FlowID]int64)
+}
+
+// Resident reports whether sw's state lives in this program instance.
 func (p *Program) Resident(sw topology.NodeID) bool {
-	return int(sw) < len(p.states) && p.states[sw].it != nil
+	return int(sw) < len(p.states) && p.states[sw].thresholds != nil
 }
 
 // EpochOf converts a time to a telemetry epoch ID.
@@ -193,17 +206,17 @@ func (p *Program) EpochOf(t netsim.Time) uint32 {
 // as a switch reboot does to P4 register arrays. The controller is not
 // informed: until its next threshold push the switch runs on defaults,
 // which is exactly the mid-epoch blind spot the switch-reboot gray
-// scenario exercises. No-op for hosts.
+// scenario exercises. A switch without register tables (no host behind
+// it) still loses its thresholds. No-op for hosts.
 func (p *Program) FlushSwitch(sw topology.NodeID) {
 	st := &p.states[sw]
-	if st.it == nil {
+	if st.thresholds == nil {
 		return
 	}
-	st.it = NewIngressTable(len(p.Topo.Nodes))
-	st.et = NewEgressTable(len(p.Topo.Nodes))
-	st.rt = NewRingTable(p.Cfg.RingSize)
+	if st.it != nil {
+		p.resetTables(st)
+	}
 	clear(st.thresholds)
-	clear(st.telemEpoch)
 	st.lastNotify = 0
 	st.notified = false
 }
@@ -294,7 +307,7 @@ func (p *Program) OnForward(s *netsim.Simulator, sw topology.NodeID, inPort, out
 		pkt.ExtraBytes += int32(p.Cfg.PathCfg.HeaderBytes())
 		sink := p.sinkOf[pkt.Dst]
 		st := &p.states[sw]
-		mark, lastCount := st.it.Record(sink, epoch, pkt.Size, now)
+		mark, lastCount := st.it.Record(sink, epoch, pkt.Size)
 		if mark && p.cdc.Promote(FlowID{Src: sw, Sink: sink}, epoch) {
 			meta.hdr = INTHeader{
 				SourceTS:       now,

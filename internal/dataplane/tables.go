@@ -9,13 +9,12 @@ import (
 // epochCounter tracks per-key packet/byte counts for the current and
 // previous epoch, the register pattern a P4 pipeline would use.
 type epochCounter struct {
-	epoch      uint32
-	count      uint32
-	bytes      uint64
-	prevCount  uint32
-	prevBytes  uint64
-	prevEpoch  uint32
-	everEpochs uint32 // number of distinct epochs seen (diagnostics)
+	epoch     uint32
+	count     uint32
+	bytes     uint64
+	prevCount uint32
+	prevBytes uint64
+	prevEpoch uint32
 }
 
 // roll advances the counter to epoch e, shifting current into previous.
@@ -35,9 +34,6 @@ func (c *epochCounter) roll(e uint32) {
 
 // add records one packet of size b in epoch e.
 func (c *epochCounter) add(e uint32, b int32) {
-	if c.everEpochs == 0 || e != c.epoch {
-		c.everEpochs++
-	}
 	c.roll(e)
 	c.count++
 	c.bytes += uint64(b)
@@ -73,7 +69,6 @@ type itEntry struct {
 	lastTelemEpoch uint32
 	haveTelem      bool
 	present        bool
-	lastTelemTS    netsim.Time
 }
 
 // NewIngressTable returns an IT with one preallocated slot per possible
@@ -85,7 +80,7 @@ func NewIngressTable(numNodes int) *IngressTable {
 // Record counts a packet toward (sink, epoch) and reports whether this
 // packet should become the epoch's telemetry packet, together with the
 // previous epoch's packet count to embed.
-func (it *IngressTable) Record(sink topology.NodeID, epoch uint32, size int32, now netsim.Time) (mark bool, lastEpochCount uint32) {
+func (it *IngressTable) Record(sink topology.NodeID, epoch uint32, size int32) (mark bool, lastEpochCount uint32) {
 	e := &it.entries[sink]
 	if !e.present {
 		e.present = true
@@ -96,7 +91,6 @@ func (it *IngressTable) Record(sink topology.NodeID, epoch uint32, size int32, n
 	if !e.haveTelem || e.lastTelemEpoch != epoch {
 		e.haveTelem = true
 		e.lastTelemEpoch = epoch
-		e.lastTelemTS = now
 		return true, lastEpochCount
 	}
 	return false, lastEpochCount

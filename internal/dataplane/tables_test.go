@@ -43,7 +43,7 @@ func TestIngressTableOneTelemetryPerEpoch(t *testing.T) {
 	it := NewIngressTable(16)
 	marks := 0
 	for i := 0; i < 10; i++ {
-		mark, _ := it.Record(7, 1, 100, 0)
+		mark, _ := it.Record(7, 1, 100)
 		if mark {
 			marks++
 		}
@@ -51,7 +51,7 @@ func TestIngressTableOneTelemetryPerEpoch(t *testing.T) {
 	if marks != 1 {
 		t.Errorf("marks in one epoch = %d, want 1", marks)
 	}
-	mark, last := it.Record(7, 2, 100, 0)
+	mark, last := it.Record(7, 2, 100)
 	if !mark {
 		t.Error("new epoch should mark a telemetry packet")
 	}
@@ -65,8 +65,8 @@ func TestIngressTableOneTelemetryPerEpoch(t *testing.T) {
 
 func TestIngressTablePerSinkIsolation(t *testing.T) {
 	it := NewIngressTable(16)
-	it.Record(1, 1, 100, 0)
-	mark, _ := it.Record(2, 1, 100, 0)
+	it.Record(1, 1, 100)
+	mark, _ := it.Record(2, 1, 100)
 	if !mark {
 		t.Error("different sink should get its own telemetry packet")
 	}

@@ -72,16 +72,16 @@ func UnmarshalINT(b [TelemetryHeaderBytes]byte, now netsim.Time, epochHint uint3
 		SourceTS:        DecompressTimestamp(binary.BigEndian.Uint32(b[0:4]), now),
 		LastEpochCount:  uint32(binary.BigEndian.Uint16(b[4:6])),
 		TotalQueueDepth: uint32(binary.BigEndian.Uint16(b[6:8])),
-		EpochID:         expandEpoch(binary.BigEndian.Uint16(b[8:10]), epochHint),
+		EpochID:         ExpandEpoch(binary.BigEndian.Uint16(b[8:10]), epochHint),
 		Flagged:         b[10]&1 != 0,
 	}
 	return h
 }
 
-// expandEpoch recovers a full 32-bit epoch from its low 16 bits relative
+// ExpandEpoch recovers a full 32-bit epoch from its low 16 bits relative
 // to the receiver's current epoch (telemetry is always from the recent
 // past).
-func expandEpoch(low uint16, hint uint32) uint32 {
+func ExpandEpoch(low uint16, hint uint32) uint32 {
 	base := hint &^ 0xFFFF
 	cand := base | uint32(low)
 	if cand > hint {
@@ -201,7 +201,7 @@ func UnmarshalRTRecord(b [RTRecordBytes]byte, sink topology.NodeID, epochHint ui
 			Sink: sink,
 		},
 		PathID:          pathid.ID(binary.BigEndian.Uint16(b[4:6])),
-		Epoch:           expandEpoch(binary.BigEndian.Uint16(b[6:8]), epochHint),
+		Epoch:           ExpandEpoch(binary.BigEndian.Uint16(b[6:8]), epochHint),
 		Latency:         netsim.Time(binary.BigEndian.Uint32(b[8:12])) * netsim.Microsecond,
 		SourceCount:     uint32(binary.BigEndian.Uint16(b[12:14])),
 		SinkCount:       uint32(binary.BigEndian.Uint16(b[14:16])),

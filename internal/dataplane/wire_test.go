@@ -175,8 +175,8 @@ func TestExpandEpoch(t *testing.T) {
 		{0xFFFE, 65537, 0xFFFE},
 	}
 	for _, c := range cases {
-		if got := expandEpoch(c.low, c.hint); got != c.want {
-			t.Errorf("expandEpoch(%d, %d) = %d, want %d", c.low, c.hint, got, c.want)
+		if got := ExpandEpoch(c.low, c.hint); got != c.want {
+			t.Errorf("ExpandEpoch(%d, %d) = %d, want %d", c.low, c.hint, got, c.want)
 		}
 	}
 }

@@ -10,8 +10,8 @@ import (
 
 // The overhead experiment (this repository's addition, extending the
 // paper's Fig. 2 / §4.2 low-cost argument): MARS runs the Table 1 fault
-// suite under each registered telemetry codec, measuring the
-// cost–accuracy frontier the fixed 11-byte header occupies. Cost is
+// suite under each telemetry codec, measuring the cost–accuracy frontier
+// the fixed 11-byte header occupies. Cost is
 // in-band bytes per packet and link-utilization inflation; accuracy is
 // detection F1 (post-fault diagnosis vs. pre-fault false alarms) and the
 // paper's R@k / Exam Score. The perhop codec (classic INT) bounds the

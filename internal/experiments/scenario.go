@@ -88,9 +88,7 @@ type TrialConfig struct {
 	CtrlNoRetry bool
 
 	// Codec names the telemetry encoding for MARS trials (internal/
-	// telemetry); "" keeps the historical built-in mars11 path, leaving
-	// every pre-existing sweep byte-identical. Only the overhead
-	// experiment sets it.
+	// telemetry); "" is "mars11". Only the overhead experiment sets it.
 	Codec string
 
 	// Shards is the hook-owner count of the scale tier (RunScaleTrial),

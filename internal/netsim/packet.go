@@ -31,16 +31,9 @@ type Packet struct {
 	// Meta is pipeline-owned metadata (e.g. the MARS INT header).
 	Meta any
 
-	// Ground truth recorded by the simulator for validation and for
-	// baselines that capture per-switch records (IntSight, SyNDB):
-
-	// TruePath is the switch sequence traversed so far.
+	// TruePath is the switch sequence traversed so far: ground truth the
+	// simulator records so tests can validate routing against it.
 	TruePath []topology.NodeID
-	// HopQueueDepths[i] is the egress-queue length observed when the packet
-	// was enqueued at TruePath[i].
-	HopQueueDepths []int32
-	// HopArrivals[i] is the arrival time at TruePath[i].
-	HopArrivals []Time
 }
 
 // WireSize returns the bytes this packet occupies on a link.

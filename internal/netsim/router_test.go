@@ -164,3 +164,13 @@ func TestCandidateTableStaysCompact(t *testing.T) {
 		t.Errorf("k=16 candidate table is %d bytes (%d spans, %d hops), want < 1 MiB", size, len(r.spans), len(r.hops))
 	}
 }
+
+// TestPacketStaysCompact: every hop touches the packet, and the pool holds
+// one per packet in flight (tens of thousands at k=16). A per-hop slice
+// nothing reads costs 24 bytes here plus an append per hop; 128 bytes (the
+// size with two of them) would not pass.
+func TestPacketStaysCompact(t *testing.T) {
+	if size := unsafe.Sizeof(Packet{}); size > 96 {
+		t.Errorf("sizeof(Packet) = %d, want <= 96", size)
+	}
+}

@@ -125,7 +125,7 @@ const eventBytes = 64
 // port queue.
 func (s *Simulator) Mem() MemEstimate {
 	const (
-		packetBytes  = 120
+		packetBytes  = 80
 		portBytes    = 80
 		runtimeBytes = 48
 	)
@@ -135,14 +135,14 @@ func (s *Simulator) Mem() MemEstimate {
 		PacketsPooled: len(s.free),
 		PacketsLive:   int(s.pktAlloc) - len(s.free),
 	}
-	var pktSlices int64
+	var pathBytes int64
 	for _, p := range s.free {
-		pktSlices += int64(cap(p.TruePath))*4 + int64(cap(p.HopQueueDepths))*4 + int64(cap(p.HopArrivals))*8
+		pathBytes += int64(cap(p.TruePath)) * 4
 	}
-	// Live packets' slice capacities are unknown; assume the pool average.
+	// Live packets' TruePath capacities are unknown; assume the pool average.
 	perPkt := int64(packetBytes)
 	if len(s.free) > 0 {
-		perPkt += pktSlices / int64(len(s.free))
+		perPkt += pathBytes / int64(len(s.free))
 	}
 	var queueBytes, portCount int64
 	for i := range s.switches {

@@ -106,10 +106,6 @@ type portRuntime struct {
 	blackhole    bool    // drop everything
 	down         bool    // attached link is administratively/physically down
 	rateLimitPPS float64 // max departures per second; 0 = unlimited
-	extraLatency Time    // added to every transmission (Delay fault)
-
-	// enqueuedBytes tracks current occupancy in bytes for observability.
-	enqueuedBytes int64
 }
 
 // qlen is the number of packets waiting in the queue (excluding any
@@ -378,11 +374,7 @@ func (s *Simulator) acquirePacket() *Packet {
 // returns it to the pool. Hooks have already run; per the Hooks contract
 // they copied anything they needed.
 func (s *Simulator) releasePacket(pkt *Packet) {
-	*pkt = Packet{
-		TruePath:       pkt.TruePath[:0],
-		HopQueueDepths: pkt.HopQueueDepths[:0],
-		HopArrivals:    pkt.HopArrivals[:0],
-	}
+	*pkt = Packet{TruePath: pkt.TruePath[:0]}
 	//mars:alloc TestNetsimStepAllocs the free list keeps its capacity; steady state recycles without growing
 	s.free = append(s.free, pkt)
 }
@@ -460,8 +452,7 @@ func (s *Simulator) processAtSwitch(sw topology.NodeID, inPort topology.PortID, 
 		s.drop(sw, inPort, pkt, DropSwitchDown)
 		return
 	}
-	pkt.TruePath = append(pkt.TruePath, sw)          //mars:alloc TestNetsimStepAllocs per-packet slices keep their capacity across pool recycling
-	pkt.HopArrivals = append(pkt.HopArrivals, s.now) //mars:alloc TestNetsimStepAllocs per-packet slices keep their capacity across pool recycling
+	pkt.TruePath = append(pkt.TruePath, sw) //mars:alloc TestNetsimStepAllocs the per-packet slice keeps its capacity across pool recycling
 	s.cur.hooks.OnSwitchArrival(s, sw, inPort, pkt)
 
 	outPort, ok := s.Router.Route(sw, pkt)
@@ -475,8 +466,6 @@ func (s *Simulator) processAtSwitch(sw topology.NodeID, inPort topology.PortID, 
 	if pr.busy {
 		qlen++ // count the in-flight packet as queue occupancy
 	}
-	//mars:alloc TestNetsimStepAllocs per-packet slices keep their capacity across pool recycling
-	pkt.HopQueueDepths = append(pkt.HopQueueDepths, int32(qlen))
 
 	if act := s.cur.hooks.OnForward(s, sw, inPort, outPort, pkt, qlen); act == ActionDrop {
 		s.drop(sw, outPort, pkt, DropByProgram)
@@ -517,7 +506,6 @@ func (s *Simulator) enqueue(sw topology.NodeID, outPort topology.PortID, pkt *Pa
 	}
 	//mars:alloc TestNetsimStepAllocs the drained prefix is reclaimed above, so the queue array's capacity is reused
 	pr.queue = append(pr.queue, pkt)
-	pr.enqueuedBytes += int64(pkt.WireSize())
 	if !pr.busy {
 		s.startTransmit(sw, outPort)
 	}
@@ -554,7 +542,6 @@ func (s *Simulator) startTransmitNow(sw topology.NodeID, outPort topology.PortID
 		pr.queue = pr.queue[:0]
 		pr.qhead = 0
 	}
-	pr.enqueuedBytes -= int64(pkt.WireSize())
 
 	port := s.Topo.Node(sw).Ports[outPort]
 	var tx Time
@@ -563,7 +550,6 @@ func (s *Simulator) startTransmitNow(sw topology.NodeID, outPort topology.PortID
 	} else {
 		tx = s.txTime(pkt.WireSize())
 	}
-	tx += pr.extraLatency
 	if g := pr.minGap(); g > tx {
 		// Rate limit dominates serialization (process-rate decrease).
 		tx = g
@@ -627,11 +613,6 @@ func (s *Simulator) SetPortBlackhole(sw topology.NodeID, port topology.PortID, o
 // (0 removes the cap). This models the process-rate-decrease fault.
 func (s *Simulator) SetPortRateLimit(sw topology.NodeID, port topology.PortID, pps float64) {
 	s.switches[sw].ports[port].rateLimitPPS = pps
-}
-
-// SetPortExtraLatency adds fixed latency to every transmission on a port.
-func (s *Simulator) SetPortExtraLatency(sw topology.NodeID, port topology.PortID, d Time) {
-	s.switches[sw].ports[port].extraLatency = d
 }
 
 // SetSwitchExtraDelay adds processing latency to every packet traversing

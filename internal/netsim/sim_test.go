@@ -405,12 +405,9 @@ func TestPropertyHopQueueDepthBounded(t *testing.T) {
 	cfg.QueueCapacity = 16
 	h := &captureHooks{}
 	maxSeen := 0
-	h.onDeliver = func(pkt *Packet) {
-		for _, d := range pkt.HopQueueDepths {
-			if int(d) > maxSeen {
-				maxSeen = int(d)
-			}
-		}
+	h.onForward = func(_ topology.NodeID, _ *Packet, qlen int) Action {
+		maxSeen = max(maxSeen, qlen)
+		return ActionForward
 	}
 	s := New(topo, r, h, cfg, 11)
 	for i := 0; i < 500; i++ {

@@ -27,6 +27,7 @@ package stream
 
 import (
 	"container/heap"
+	"math"
 	"math/rand"
 	"sync"
 
@@ -240,8 +241,13 @@ func (s *Service) Ingest(rec dataplane.RTRecord) {
 // has been ingested. Epochs <= e-1 are then complete (a record promoted in
 // epoch x reaches its sink before the end of epoch x+1), so they seal and
 // close any window that ends on them.
-func (s *Service) CloseEpoch(e uint32) {
-	last := int64(e) - 1
+func (s *Service) CloseEpoch(e uint32) { s.closeThrough(int64(e) - 1) }
+
+// closeThrough seals every unsealed epoch through last. Epoch arithmetic
+// here and below is 64-bit: a record's Epoch is four bytes off the wire,
+// so the top of the uint32 range is reachable and must neither wrap nor
+// hang.
+func (s *Service) closeThrough(last int64) {
 	for ep := s.finalizedThrough + 1; ep <= last; ep++ {
 		if ep-int64(s.cfg.WindowEpochs) > s.maxEpoch {
 			// The window ending on ep starts more than one epoch after the
@@ -257,10 +263,11 @@ func (s *Service) CloseEpoch(e uint32) {
 	s.updateGauges()
 }
 
-// Finish seals everything observed, closing the tail windows.
+// Finish seals everything observed, closing the tail windows: the newest
+// epoch and the grace epoch after it, where the epoch range has one.
 func (s *Service) Finish() {
 	if s.maxEpoch >= 0 {
-		s.CloseEpoch(uint32(s.maxEpoch) + 2)
+		s.closeThrough(min(s.maxEpoch+1, math.MaxUint32))
 	}
 }
 
@@ -268,11 +275,11 @@ func (s *Service) Finish() {
 // window ending on it in every unit.
 func (s *Service) finalizeEpoch(ep uint32) {
 	s.finalizedThrough = int64(ep)
-	W := uint32(s.cfg.WindowEpochs)
-	if ep+1 < W {
+	W := int64(s.cfg.WindowEpochs)
+	if int64(ep)+1 < W {
 		return
 	}
-	start := ep + 1 - W
+	start := uint32(int64(ep) + 1 - W)
 	outs := make([]unitWindowOut, len(s.units))
 	workers := s.cfg.Workers
 	if workers > len(s.units) {
@@ -300,7 +307,7 @@ func (s *Service) finalizeEpoch(ep uint32) {
 		wg.Wait()
 	}
 
-	res := WindowResult{Start: start, End: ep, Time: netsim.Time(ep+1) * s.cfg.Epoch}
+	res := WindowResult{Start: start, End: ep, Time: (netsim.Time(ep) + 1) * s.cfg.Epoch}
 	var lists [][]rca.Culprit
 	for _, o := range outs {
 		res.Sampled += o.sampled
@@ -547,10 +554,10 @@ type unitWindowOut struct {
 func (u *unitState) analyzeWindow(start, end uint32) unitWindowOut {
 	var out unitWindowOut
 	records := u.window[:0]
-	for ep := start; ep <= end; ep++ {
+	for ep := int64(start); ep <= int64(end); ep++ { // 64-bit: end may be the last uint32
 		// slot, not a bare ring read: an epoch that brought this unit no
 		// records still retires the bucket W+2 epochs before it.
-		b := u.slot(ep)
+		b := u.slot(uint32(ep))
 		out.offered += b.offered
 		out.sampled += len(b.entries)
 		records = append(records, b.entries...)
@@ -563,7 +570,7 @@ func (u *unitState) analyzeWindow(start, end uint32) unitWindowOut {
 	if out.offered > 0 {
 		coverage = float64(out.sampled) / float64(out.offered)
 	}
-	now := netsim.Time(end+1) * u.cfg.Epoch
+	now := (netsim.Time(end) + 1) * u.cfg.Epoch
 	out.culprits = u.analyzer.AnalyzeWindow(records, now, coverage)
 	return out
 }

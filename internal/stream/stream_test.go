@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -273,6 +274,44 @@ func TestStreamFarFutureEpochIsBounded(t *testing.T) {
 	}
 	if n := len(s.Results()); n > 2*(cfg.WindowEpochs+2) {
 		t.Errorf("%d windows closed in all", n)
+	}
+}
+
+// The top of the epoch range is reachable (four bytes off the wire), and
+// the stream's last two epochs must still be analysed there. At the parent
+// Finish's uint32(maxEpoch)+2 wrapped and closed nothing; behind it sat a
+// window-start test, two window times and a loop condition that wrap at
+// epoch 2^32-1, the last of which never terminates.
+func TestStreamTailWindowsAtMaxEpoch(t *testing.T) {
+	f := newTestFabric(t)
+	cfg := DefaultConfig(1)
+	s := New(cfg, f.part, f.table)
+	paths := f.pathsInto(t, f.ft.EdgeIDs[0])
+	const top = math.MaxUint32
+	for _, e := range []uint32{top - 1, top} {
+		for i := 0; i < 10; i++ {
+			s.Ingest(f.rec(t, paths[i%len(paths)], e, netsim.Millisecond, 0))
+		}
+	}
+	s.Finish()
+	res := s.Results()
+	if len(res) < 2 {
+		t.Fatalf("%d windows closed, want the two tail windows", len(res))
+	}
+	for i, want := range []struct {
+		end     uint32
+		sampled int
+	}{{top - 1, 10}, {top, 20}} {
+		got := res[len(res)-2+i]
+		wantTime := (netsim.Time(want.end) + 1) * cfg.Epoch
+		if got.End != want.end || got.Start != want.end-uint32(cfg.WindowEpochs)+1 || got.Sampled != want.sampled || got.Time != wantTime {
+			t.Errorf("tail window %d = [%d,%d] t=%v with %d records, want [%d,%d] t=%v with %d",
+				i, got.Start, got.End, got.Time, got.Sampled,
+				want.end-uint32(cfg.WindowEpochs)+1, want.end, wantTime, want.sampled)
+		}
+	}
+	if late, _ := s.Metrics().Get("records_late"); late != 0 {
+		t.Errorf("records_late = %d", late)
 	}
 }
 

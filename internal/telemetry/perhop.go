@@ -1,14 +1,12 @@
 package telemetry
 
 import (
+	"fmt"
+
 	"mars/internal/dataplane"
 	"mars/internal/netsim"
 	"mars/internal/topology"
 )
-
-func init() {
-	Register("perhop", func(int64) Codec { return perhopCodec{} })
-}
 
 // Hop is one classic-INT stack entry recorded by the perhop codec.
 type Hop struct {
@@ -30,18 +28,15 @@ type HopStack struct {
 // switch, so wire cost grows linearly with path length (Fig. 2's
 // motivating comparison). Detection signals are a superset of mars11's —
 // the base accumulator is still maintained — so localization accuracy
-// matches mars11 while bytes/packet strictly dominate it.
-type perhopCodec struct{}
+// matches mars11 while bytes/packet strictly dominate it. The sink stores
+// the aggregate fields, not the raw stack, so collection cost
+// (RecordBytes) is the paper's too: perhop pays its premium in-band.
+type perhopCodec struct{ paper }
 
-func (perhopCodec) Name() string        { return "perhop" }
-func (perhopCodec) WireBytes() int      { return PerhopWireBytes }
-func (perhopCodec) HopBytes() int       { return PerhopHopBytes }
-func (perhopCodec) EpochStride() uint32 { return 1 }
+func (perhopCodec) HopBytes() int { return PerhopHopBytes }
 
-func (perhopCodec) Promote(dataplane.FlowID, uint32) bool { return true }
-
-func (perhopCodec) OnHop(h *dataplane.INTHeader, _ uint64, sw topology.NodeID, qlen int, now netsim.Time) int {
-	h.TotalQueueDepth += uint32(qlen)
+func (c perhopCodec) OnHop(h *dataplane.INTHeader, pktID uint64, sw topology.NodeID, qlen int, now netsim.Time) int {
+	c.paper.OnHop(h, pktID, sw, qlen, now)
 	st, _ := h.Ext.(*HopStack)
 	if st == nil {
 		st = &HopStack{}
@@ -61,9 +56,10 @@ func (perhopCodec) SinkRecord(h *dataplane.INTHeader, r *dataplane.RTRecord) {
 	}
 }
 
-func (perhopCodec) Marshal(h *dataplane.INTHeader) []byte {
-	base := MarshalPerhop(h)
-	out := base[:]
+// Marshal is the paper's header followed by one PerhopHopBytes entry per
+// recorded hop.
+func (c perhopCodec) Marshal(h *dataplane.INTHeader) []byte {
+	out := c.paper.Marshal(h)
 	if st, ok := h.Ext.(*HopStack); ok {
 		for i := range st.Hops {
 			hb := MarshalPerhopHop(&st.Hops[i])
@@ -73,33 +69,18 @@ func (perhopCodec) Marshal(h *dataplane.INTHeader) []byte {
 	return out
 }
 
-func (perhopCodec) Unmarshal(b []byte, now netsim.Time, epochHint uint32) (*dataplane.INTHeader, error) {
-	if len(b) < PerhopWireBytes || (len(b)-PerhopWireBytes)%PerhopHopBytes != 0 {
-		return nil, wireLen("perhop", b, PerhopWireBytes+(max(len(b)-PerhopWireBytes, 0)/PerhopHopBytes)*PerhopHopBytes)
+func (c perhopCodec) Unmarshal(b []byte, now netsim.Time, epochHint uint32) (*dataplane.INTHeader, error) {
+	const base = dataplane.TelemetryHeaderBytes
+	if len(b) < base || (len(b)-base)%PerhopHopBytes != 0 {
+		return nil, fmt.Errorf("telemetry: perhop wire form is %d bytes, want %d plus a multiple of %d", len(b), base, PerhopHopBytes)
 	}
-	var a [PerhopWireBytes]byte
-	copy(a[:], b[:PerhopWireBytes])
-	h := UnmarshalPerhop(a, now, epochHint)
-	rest := b[PerhopWireBytes:]
-	if len(rest) > 0 {
+	h := dataplane.UnmarshalINT([base]byte(b), now, epochHint)
+	if rest := b[base:]; len(rest) > 0 {
 		st := &HopStack{Hops: make([]Hop, 0, len(rest)/PerhopHopBytes)}
-		for off := 0; off < len(rest); off += PerhopHopBytes {
-			var hb [PerhopHopBytes]byte
-			copy(hb[:], rest[off:off+PerhopHopBytes])
-			st.Hops = append(st.Hops, UnmarshalPerhopHop(hb))
+		for ; len(rest) > 0; rest = rest[PerhopHopBytes:] {
+			st.Hops = append(st.Hops, UnmarshalPerhopHop([PerhopHopBytes]byte(rest)))
 		}
 		h.Ext = st
 	}
 	return h, nil
 }
-
-// DecodeRecords is the identity with full confidence: the per-hop trace
-// is exact.
-func (perhopCodec) DecodeRecords(recs []dataplane.RTRecord) ([]dataplane.RTRecord, []float64) {
-	return recs, onesFor(recs)
-}
-
-// RecordBytes is the base 28-byte collection record: the sink stores the
-// aggregate fields, not the raw stack, so collection cost matches mars11
-// — perhop pays its premium in-band, on every telemetry packet.
-func (perhopCodec) RecordBytes() int { return dataplane.RTRecordBytes }

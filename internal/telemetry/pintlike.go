@@ -8,10 +8,6 @@ import (
 	"mars/internal/topology"
 )
 
-func init() {
-	Register("pintlike", func(seed int64) Codec { return pintlikeCodec{seed: uint64(seed)} })
-}
-
 // HopSample is the pintlike codec's fixed-width slot: one hop's
 // observation, chosen by per-packet reservoir sampling so that across
 // many packets of a flow every hop is observed with equal probability.
@@ -54,18 +50,14 @@ type HopDepth struct {
 // per-hop queue profile across packets; confidence is the fraction of the
 // path the group actually observed.
 type pintlikeCodec struct {
+	paper
 	seed uint64
 }
 
-func (pintlikeCodec) Name() string        { return "pintlike" }
-func (pintlikeCodec) WireBytes() int      { return PintlikeWireBytes }
-func (pintlikeCodec) HopBytes() int       { return 0 }
-func (pintlikeCodec) EpochStride() uint32 { return 1 }
+func (pintlikeCodec) WireBytes() int { return PintlikeWireBytes }
 
-func (pintlikeCodec) Promote(dataplane.FlowID, uint32) bool { return true }
-
-func (c pintlikeCodec) OnHop(h *dataplane.INTHeader, pktID uint64, sw topology.NodeID, qlen int, _ netsim.Time) int {
-	h.TotalQueueDepth += uint32(qlen)
+func (c pintlikeCodec) OnHop(h *dataplane.INTHeader, pktID uint64, sw topology.NodeID, qlen int, now netsim.Time) int {
+	c.paper.OnHop(h, pktID, sw, qlen, now)
 	hs, _ := h.Ext.(*HopSample)
 	if hs == nil {
 		hs = &HopSample{}
@@ -96,12 +88,10 @@ func (pintlikeCodec) Marshal(h *dataplane.INTHeader) []byte {
 }
 
 func (pintlikeCodec) Unmarshal(b []byte, now netsim.Time, epochHint uint32) (*dataplane.INTHeader, error) {
-	if err := wireLen("pintlike", b, PintlikeWireBytes); err != nil {
+	if err := wireLen(b, PintlikeWireBytes); err != nil {
 		return nil, err
 	}
-	var a [PintlikeWireBytes]byte
-	copy(a[:], b)
-	return UnmarshalPintlike(a, now, epochHint), nil
+	return UnmarshalPintlike([PintlikeWireBytes]byte(b), now, epochHint), nil
 }
 
 // DecodeRecords reconstructs per-hop queue profiles: records are grouped
@@ -181,8 +171,6 @@ func (c pintlikeCodec) DecodeRecords(recs []dataplane.RTRecord) ([]dataplane.RTR
 	}
 	return out, conf
 }
-
-func (pintlikeCodec) RecordBytes() int { return dataplane.RTRecordBytes }
 
 // mix64 is a splitmix64 finalizer: a stateless, seed-stable hash for the
 // per-hop sampling decision (no shared RNG state, so packet processing

@@ -1,57 +1,27 @@
 package telemetry
 
-import (
-	"mars/internal/dataplane"
-	"mars/internal/netsim"
-	"mars/internal/topology"
-)
+import "mars/internal/dataplane"
 
-// DefaultSampledStride is the registered "sampled" codec's promotion
-// period: one telemetry packet every 2 epochs, halving in-band cost.
+// DefaultSampledStride is the "sampled" codec's promotion period: one
+// telemetry packet every 2 epochs, halving in-band cost.
 const DefaultSampledStride = 2
 
-func init() {
-	Register("sampled", func(int64) Codec { return sampledCodec{stride: DefaultSampledStride} })
-}
-
-// sampledCodec is epoch-subsampled mars11: the same 11-byte header, but a
+// sampledCodec is epoch-subsampled mars11: the paper's 11 bytes, but a
 // flow's marked packet is promoted only when the epoch is a multiple of
 // the stride. Bytes drop by ~1/stride; detection and reconstruction see
 // only every Nth epoch, so temporal coverage (and the reconstruction
-// confidence handed to RCA) drops with it.
+// confidence handed to RCA) drops with it. The stride is configuration,
+// like the epoch length: the sink reads it from EpochStride, never off
+// the wire.
 type sampledCodec struct {
+	paper
 	stride uint32
 }
 
-func (sampledCodec) Name() string          { return "sampled" }
-func (sampledCodec) WireBytes() int        { return SampledWireBytes }
-func (sampledCodec) HopBytes() int         { return 0 }
 func (c sampledCodec) EpochStride() uint32 { return c.stride }
 
 func (c sampledCodec) Promote(_ dataplane.FlowID, epoch uint32) bool {
 	return epoch%c.stride == 0
-}
-
-func (sampledCodec) OnHop(h *dataplane.INTHeader, _ uint64, _ topology.NodeID, qlen int, _ netsim.Time) int {
-	h.TotalQueueDepth += uint32(qlen)
-	return 0
-}
-
-func (sampledCodec) SinkRecord(*dataplane.INTHeader, *dataplane.RTRecord) {}
-
-func (c sampledCodec) Marshal(h *dataplane.INTHeader) []byte {
-	b := MarshalSampled(h, c.stride)
-	return b[:]
-}
-
-func (c sampledCodec) Unmarshal(b []byte, now netsim.Time, epochHint uint32) (*dataplane.INTHeader, error) {
-	if err := wireLen("sampled", b, SampledWireBytes); err != nil {
-		return nil, err
-	}
-	var a [SampledWireBytes]byte
-	copy(a[:], b)
-	h, _ := UnmarshalSampled(a, now, epochHint)
-	return h, nil
 }
 
 // DecodeRecords passes records through exactly but reports 1/stride
@@ -64,5 +34,3 @@ func (c sampledCodec) DecodeRecords(recs []dataplane.RTRecord) ([]dataplane.RTRe
 	}
 	return recs, conf
 }
-
-func (sampledCodec) RecordBytes() int { return dataplane.RTRecordBytes }

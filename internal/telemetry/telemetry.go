@@ -1,20 +1,20 @@
-// Package telemetry makes the MARS telemetry encoding a pluggable design
-// point. The paper argues for a fixed 11-byte header against per-hop
+// Package telemetry puts the MARS telemetry encoding on a measured
+// frontier. The paper argues for a fixed 11-byte header against per-hop
 // growing INT stacks (§4.2, Fig. 2); PINT (Ben Basat et al., SIGCOMM
 // 2020) shows the space between those extremes — probabilistic per-hop
 // sampling into a fixed-width slot, reconstructed from many packets at
-// the sink. This package defines the Codec seam and registers four
-// encodings spanning that frontier:
+// the sink. The paper's encoding is one value, paper, built on
+// dataplane.Mars11 and dataplane.MarshalINT; every other codec embeds it
+// and declares only what it changes:
 //
-//   - mars11: the paper's 11-byte header, byte-identical to the
-//     historical pipeline (the default).
+//   - mars11: paper itself (the default).
 //   - perhop: classic INT — one 8-byte record appended per hop, the
 //     expensive exact upper baseline whose cost grows with path length.
 //   - pintlike: the 11-byte base plus a 5-byte probabilistic hop slot;
 //     each hop reservoir-samples itself into the slot with seeded
 //     hashing, and the controller reconstructs per-hop queue profiles
 //     across packets with a coverage confidence.
-//   - sampled: the 11-byte header promoted only every Nth epoch,
+//   - sampled: the paper's header promoted only every Nth epoch,
 //     trading temporal coverage for bytes.
 //
 // A Codec is both the data-plane program hooks (dataplane.Codec) and the
@@ -26,7 +26,7 @@ package telemetry
 
 import (
 	"fmt"
-	"sort"
+	"strings"
 
 	"mars/internal/dataplane"
 	"mars/internal/netsim"
@@ -46,58 +46,57 @@ type Codec interface {
 
 	// DecodeRecords reconstructs a collected Ring Table snapshot on the
 	// controller. It returns the (possibly rewritten) records and a
-	// per-record reconstruction confidence in [0,1]: 1 for exact
-	// encodings, the observed-hop coverage for pintlike, the epoch
-	// coverage for sampled.
+	// per-record reconstruction confidence in [0,1]: nil (1 everywhere)
+	// for exact encodings, the observed-hop coverage for pintlike, the
+	// epoch coverage for sampled.
 	DecodeRecords(recs []dataplane.RTRecord) ([]dataplane.RTRecord, []float64)
 	// RecordBytes is the wire size of one record during on-demand
 	// collection (28 for the paper's encoding).
 	RecordBytes() int
 }
 
-// factories maps registered codec names to constructors. seed feeds any
-// codec-internal hashing (only pintlike uses it); codecs must be
-// deterministic functions of (seed, packet contents).
-var factories = map[string]func(seed int64) Codec{}
+// paper is the paper's encoding, once: dataplane.Mars11's switch
+// behavior plus the controller half over dataplane.MarshalINT's 11 bytes.
+// It is the "mars11" codec, and the base every other codec embeds.
+type paper struct{ dataplane.Mars11 }
 
-// Register installs a codec constructor under name. It panics on
-// duplicates: registration happens from init functions, so a collision is
-// a programming error.
-func Register(name string, f func(seed int64) Codec) {
-	if _, dup := factories[name]; dup {
-		panic(fmt.Sprintf("telemetry: duplicate codec %q", name))
-	}
-	factories[name] = f
+func (paper) Marshal(h *dataplane.INTHeader) []byte {
+	b := dataplane.MarshalINT(h)
+	return b[:]
 }
 
-// New builds the named codec. The error lists the registered names so CLI
-// surfaces can echo it directly.
+func (paper) Unmarshal(b []byte, now netsim.Time, epochHint uint32) (*dataplane.INTHeader, error) {
+	if err := wireLen(b, dataplane.TelemetryHeaderBytes); err != nil {
+		return nil, err
+	}
+	return dataplane.UnmarshalINT([dataplane.TelemetryHeaderBytes]byte(b), now, epochHint), nil
+}
+
+// DecodeRecords is the identity: the encoding is exact, and a nil
+// confidence means 1 everywhere.
+func (paper) DecodeRecords(recs []dataplane.RTRecord) ([]dataplane.RTRecord, []float64) {
+	return recs, nil
+}
+
+func (paper) RecordBytes() int { return dataplane.RTRecordBytes }
+
+// New builds the named codec. seed feeds codec-internal hashing (only
+// pintlike uses it); codecs are deterministic functions of (seed, packet
+// contents). The error lists the valid names so CLI surfaces can echo it
+// directly.
 func New(name string, seed int64) (Codec, error) {
-	f, ok := factories[name]
-	if !ok {
-		return nil, fmt.Errorf("telemetry: unknown codec %q (valid: %s)", name, nameList())
+	switch name {
+	case "mars11":
+		return paper{}, nil
+	case "perhop":
+		return perhopCodec{}, nil
+	case "pintlike":
+		return pintlikeCodec{seed: uint64(seed)}, nil
+	case "sampled":
+		return sampledCodec{stride: DefaultSampledStride}, nil
 	}
-	return f(seed), nil
+	return nil, fmt.Errorf("telemetry: unknown codec %q (valid: %s)", name, strings.Join(Names(), ", "))
 }
 
-// Names returns the registered codec names in sorted order.
-func Names() []string {
-	out := make([]string, 0, len(factories))
-	for name := range factories {
-		//mars:mapiter-ok keys are sorted before use
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func nameList() string {
-	var s string
-	for i, name := range Names() {
-		if i > 0 {
-			s += ", "
-		}
-		s += name
-	}
-	return s
-}
+// Names returns the codec names in sorted order.
+func Names() []string { return []string{"mars11", "perhop", "pintlike", "sampled"} }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -42,12 +43,25 @@ func sampleHeaders() []*dataplane.INTHeader {
 	}
 }
 
-// TestMars11MatchesDataplane pins the mars11 wire form to the paper's
-// encoder bit for bit (the property wire.go's doc comment promises).
-func TestMars11MatchesDataplane(t *testing.T) {
+// TestSampledTravelsAsThePaperHeader: sampled changes when a header is
+// sent, not what it looks like — its wire form is dataplane.MarshalINT's
+// bytes (the stride is configuration, never on the wire) and only that
+// length decodes.
+func TestSampledTravelsAsThePaperHeader(t *testing.T) {
+	c, err := New("sampled", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, h := range sampleHeaders() {
-		if got, want := MarshalMars11(h), dataplane.MarshalINT(h); got != want {
-			t.Errorf("MarshalMars11(%+v) = %v, dataplane.MarshalINT = %v", h, got, want)
+		want := dataplane.MarshalINT(h)
+		if got := c.Marshal(h); !bytes.Equal(got, want[:]) {
+			t.Errorf("sampled Marshal(%+v) = %v, dataplane.MarshalINT = %v", h, got, want)
+		}
+	}
+	for n := 0; n <= 2*dataplane.TelemetryHeaderBytes; n++ {
+		_, err := c.Unmarshal(make([]byte, n), netsim.Second, 0)
+		if ok := n == dataplane.TelemetryHeaderBytes; (err == nil) != ok {
+			t.Errorf("Unmarshal of %d bytes: err = %v", n, err)
 		}
 	}
 }

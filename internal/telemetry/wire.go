@@ -9,102 +9,30 @@ import (
 	"mars/internal/topology"
 )
 
-// Wire forms for the registered codecs. Like dataplane/wire.go, every
-// fixed-width layout here is a Marshal<X>/Unmarshal<X> pair over an
-// [N]byte array so the mars-lint wirewidth analyzer can verify field
-// symmetry, and N is the codec's declared WireBytes() (or HopBytes() for
-// the per-hop entry), which the analyzer's codec check pins.
+// Wire forms. mars11, sampled and the perhop base header travel as
+// dataplane.MarshalINT's 11 bytes; the two layouts stated here are the
+// ones that extend it. Like dataplane/wire.go, each is a
+// Marshal<X>/Unmarshal<X> pair over an [N]byte array so the mars-lint
+// wirewidth analyzer can verify field symmetry, and N is the codec's
+// declared WireBytes() (or HopBytes() for the per-hop entry), which the
+// analyzer's codec check pins. pintlike restates the base fields instead
+// of copying MarshalINT's bytes into place because the analyzer tiles
+// byte spans and would read a copy-composed form as a hole.
 
-// Declared wire sizes. Mars11WireBytes mirrors the paper's constant; the
-// equality is asserted by TestMars11MatchesDataplane.
+// Declared wire sizes.
 const (
-	// Mars11WireBytes is the paper's fixed telemetry header.
-	Mars11WireBytes = 11
-	// SampledWireBytes reuses the mars11 layout; the promotion stride
-	// rides in the spare bits of the flags byte.
-	SampledWireBytes = 11
-	// PintlikeWireBytes is the mars11 base plus the 5-byte sampled hop
-	// slot (switch 2, quantized depth 1, hop index 1, hop count 1).
+	// PintlikeWireBytes is the paper's 11 bytes plus the 5-byte sampled
+	// hop slot (switch 2, quantized depth 1, hop index 1, hop count 1).
 	PintlikeWireBytes = 16
-	// PerhopWireBytes is the perhop base header (mars11 layout); each
-	// traversed hop appends PerhopHopBytes more.
-	PerhopWireBytes = 11
 	// PerhopHopBytes is one per-hop INT stack entry (switch 2, queue 2,
 	// time since source 4).
 	PerhopHopBytes = 8
 )
 
-// MarshalMars11 encodes the base telemetry header into the paper's
-// 11-byte wire form, bit-for-bit the layout of dataplane.MarshalINT:
-//
-//	0:4  compressed source timestamp (µs, low 32 bits)
-//	4:6  last-epoch packet count (saturating uint16)
-//	6:8  total queue depth (saturating uint16)
-//	8:10 epoch ID (low 16 bits)
-//	10   flags (bit 0: anomaly-flagged)
-func MarshalMars11(h *dataplane.INTHeader) [Mars11WireBytes]byte {
-	var b [Mars11WireBytes]byte
-	binary.BigEndian.PutUint32(b[0:4], dataplane.CompressTimestamp(h.SourceTS))
-	binary.BigEndian.PutUint16(b[4:6], sat16(h.LastEpochCount))
-	binary.BigEndian.PutUint16(b[6:8], sat16(h.TotalQueueDepth))
-	binary.BigEndian.PutUint16(b[8:10], uint16(h.EpochID))
-	if h.Flagged {
-		b[10] = 1
-	}
-	return b
-}
-
-// UnmarshalMars11 decodes the 11-byte base header; now anchors timestamp
-// recovery and epochHint anchors epoch expansion.
-func UnmarshalMars11(b [Mars11WireBytes]byte, now netsim.Time, epochHint uint32) *dataplane.INTHeader {
-	return &dataplane.INTHeader{
-		SourceTS:        dataplane.DecompressTimestamp(binary.BigEndian.Uint32(b[0:4]), now),
-		LastEpochCount:  uint32(binary.BigEndian.Uint16(b[4:6])),
-		TotalQueueDepth: uint32(binary.BigEndian.Uint16(b[6:8])),
-		EpochID:         expandEpoch(binary.BigEndian.Uint16(b[8:10]), epochHint),
-		Flagged:         b[10]&1 != 0,
-	}
-}
-
-// MarshalSampled encodes the mars11 layout with the promotion stride in
-// the spare flag bits:
-//
-//	0:4  compressed source timestamp
-//	4:6  last-epoch packet count (sat)
-//	6:8  total queue depth (sat)
-//	8:10 epoch ID (low 16 bits)
-//	10   bit 0: anomaly-flagged; bits 1..7: epoch stride
-func MarshalSampled(h *dataplane.INTHeader, stride uint32) [SampledWireBytes]byte {
-	var b [SampledWireBytes]byte
-	binary.BigEndian.PutUint32(b[0:4], dataplane.CompressTimestamp(h.SourceTS))
-	binary.BigEndian.PutUint16(b[4:6], sat16(h.LastEpochCount))
-	binary.BigEndian.PutUint16(b[6:8], sat16(h.TotalQueueDepth))
-	binary.BigEndian.PutUint16(b[8:10], uint16(h.EpochID))
-	flags := sat7(stride) << 1
-	if h.Flagged {
-		flags |= 1
-	}
-	b[10] = flags
-	return b
-}
-
-// UnmarshalSampled decodes the sampled layout, returning the header and
-// the carried stride.
-func UnmarshalSampled(b [SampledWireBytes]byte, now netsim.Time, epochHint uint32) (*dataplane.INTHeader, uint32) {
-	h := &dataplane.INTHeader{
-		SourceTS:        dataplane.DecompressTimestamp(binary.BigEndian.Uint32(b[0:4]), now),
-		LastEpochCount:  uint32(binary.BigEndian.Uint16(b[4:6])),
-		TotalQueueDepth: uint32(binary.BigEndian.Uint16(b[6:8])),
-		EpochID:         expandEpoch(binary.BigEndian.Uint16(b[8:10]), epochHint),
-		Flagged:         b[10]&1 != 0,
-	}
-	return h, uint32(b[10] >> 1)
-}
-
 // MarshalPintlike encodes the mars11 base plus the probabilistic hop
 // slot:
 //
-//	0:10  mars11 base fields (see MarshalMars11)
+//	0:10  the paper's base fields (see dataplane.MarshalINT)
 //	10    flags (bit 0: anomaly-flagged)
 //	11:13 slot switch ID (saturating uint16)
 //	13    slot queue depth, quantized (saturating uint8)
@@ -137,7 +65,7 @@ func UnmarshalPintlike(b [PintlikeWireBytes]byte, now netsim.Time, epochHint uin
 		SourceTS:        dataplane.DecompressTimestamp(binary.BigEndian.Uint32(b[0:4]), now),
 		LastEpochCount:  uint32(binary.BigEndian.Uint16(b[4:6])),
 		TotalQueueDepth: uint32(binary.BigEndian.Uint16(b[6:8])),
-		EpochID:         expandEpoch(binary.BigEndian.Uint16(b[8:10]), epochHint),
+		EpochID:         dataplane.ExpandEpoch(binary.BigEndian.Uint16(b[8:10]), epochHint),
 		Flagged:         b[10]&1 != 0,
 	}
 	if b[14] != 0 {
@@ -149,33 +77,6 @@ func UnmarshalPintlike(b [PintlikeWireBytes]byte, now netsim.Time, epochHint uin
 		}
 	}
 	return h
-}
-
-// MarshalPerhop encodes the perhop codec's base header (the mars11
-// layout; the hop stack follows as PerhopHopBytes entries appended by
-// perhopCodec.Marshal).
-func MarshalPerhop(h *dataplane.INTHeader) [PerhopWireBytes]byte {
-	var b [PerhopWireBytes]byte
-	binary.BigEndian.PutUint32(b[0:4], dataplane.CompressTimestamp(h.SourceTS))
-	binary.BigEndian.PutUint16(b[4:6], sat16(h.LastEpochCount))
-	binary.BigEndian.PutUint16(b[6:8], sat16(h.TotalQueueDepth))
-	binary.BigEndian.PutUint16(b[8:10], uint16(h.EpochID))
-	if h.Flagged {
-		b[10] = 1
-	}
-	return b
-}
-
-// UnmarshalPerhop decodes the perhop base header (hop entries are decoded
-// separately by UnmarshalPerhopHop).
-func UnmarshalPerhop(b [PerhopWireBytes]byte, now netsim.Time, epochHint uint32) *dataplane.INTHeader {
-	return &dataplane.INTHeader{
-		SourceTS:        dataplane.DecompressTimestamp(binary.BigEndian.Uint32(b[0:4]), now),
-		LastEpochCount:  uint32(binary.BigEndian.Uint16(b[4:6])),
-		TotalQueueDepth: uint32(binary.BigEndian.Uint16(b[6:8])),
-		EpochID:         expandEpoch(binary.BigEndian.Uint16(b[8:10]), epochHint),
-		Flagged:         b[10]&1 != 0,
-	}
 }
 
 // MarshalPerhopHop encodes one INT stack entry:
@@ -201,25 +102,11 @@ func UnmarshalPerhopHop(b [PerhopHopBytes]byte) Hop {
 }
 
 // wireLen validates an exact expected length.
-func wireLen(name string, b []byte, want int) error {
+func wireLen(b []byte, want int) error {
 	if len(b) != want {
-		return fmt.Errorf("telemetry: %s wire form is %d bytes, want %d", name, len(b), want)
+		return fmt.Errorf("telemetry: wire form is %d bytes, want %d", len(b), want)
 	}
 	return nil
-}
-
-// expandEpoch recovers a full 32-bit epoch from its low 16 bits relative
-// to the receiver's current epoch (same recovery as dataplane's decoder).
-func expandEpoch(low uint16, hint uint32) uint32 {
-	base := hint &^ 0xFFFF
-	cand := base | uint32(low)
-	if cand > hint {
-		if base == 0 {
-			return cand
-		}
-		cand -= 1 << 16
-	}
-	return cand
 }
 
 func sat16(v uint32) uint16 {
@@ -232,13 +119,6 @@ func sat16(v uint32) uint16 {
 func sat8(v uint32) uint8 {
 	if v > 0xFF {
 		return 0xFF
-	}
-	return uint8(v)
-}
-
-func sat7(v uint32) uint8 {
-	if v > 0x7F {
-		return 0x7F
 	}
 	return uint8(v)
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -14,60 +15,47 @@ import (
 // anchors. Raw bytes are only compared where the layout defines every bit
 // (reserved bits are legitimately dropped on re-encode).
 
-// FuzzMars11RoundTrip anchors the paper's 11-byte layout.
+// FuzzMars11RoundTrip anchors the paper's 11-byte layout at the codec
+// level, for both codecs that travel as it: only 11 bytes decode, and a
+// decoded header re-encodes to exactly dataplane.MarshalINT's bytes.
 func FuzzMars11RoundTrip(f *testing.F) {
-	f.Add(make([]byte, Mars11WireBytes), int64(0), uint32(0))
+	f.Add(make([]byte, dataplane.TelemetryHeaderBytes), int64(0), uint32(0))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0x81}, int64(3*netsim.Second), uint32(70000))
 	f.Fuzz(func(t *testing.T, raw []byte, nowRaw int64, epochHint uint32) {
-		var b [Mars11WireBytes]byte
-		copy(b[:], raw)
 		if nowRaw < 0 {
 			nowRaw = 0 // the codecs' contract is a non-negative clock
 		}
 		now := netsim.Time(nowRaw)
-
-		h := UnmarshalMars11(b, now, epochHint)
-		b2 := MarshalMars11(h)
-		if !reflect.DeepEqual(h, UnmarshalMars11(b2, now, epochHint)) {
-			t.Fatalf("mars11 codec not idempotent: b=%v h=%+v b2=%v", b, h, b2)
-		}
-		// The layout is bit-identical to dataplane.MarshalINT, so both
-		// encoders must agree on every header.
-		if db := dataplane.MarshalINT(h); b2 != db {
-			t.Fatalf("mars11 diverged from dataplane layout: %v vs %v", b2, db)
-		}
-		for i := 0; i < Mars11WireBytes-1; i++ {
-			if b2[i] != b[i] {
-				t.Fatalf("byte %d changed across re-encode: %#x -> %#x", i, b[i], b2[i])
+		for _, name := range []string{"mars11", "sampled"} {
+			c, err := New(name, 1)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if b2[10] != b[10]&1 {
-			t.Fatalf("flags byte %#x re-encoded as %#x, want %#x", b[10], b2[10], b[10]&1)
-		}
-	})
-}
-
-// FuzzSampledRoundTrip additionally carries the stride in the spare flag
-// bits, so the whole flags byte must survive re-encoding.
-func FuzzSampledRoundTrip(f *testing.F) {
-	f.Add(make([]byte, SampledWireBytes), int64(0), uint32(0))
-	f.Add([]byte{0, 0, 1, 0, 0, 9, 0, 4, 0, 2, 0x05}, int64(netsim.Second), uint32(300))
-	f.Fuzz(func(t *testing.T, raw []byte, nowRaw int64, epochHint uint32) {
-		var b [SampledWireBytes]byte
-		copy(b[:], raw)
-		if nowRaw < 0 {
-			nowRaw = 0
-		}
-		now := netsim.Time(nowRaw)
-
-		h, stride := UnmarshalSampled(b, now, epochHint)
-		b2 := MarshalSampled(h, stride)
-		h2, stride2 := UnmarshalSampled(b2, now, epochHint)
-		if !reflect.DeepEqual(h, h2) || stride != stride2 {
-			t.Fatalf("sampled codec not idempotent: b=%v h=%+v stride=%d b2=%v stride2=%d", b, h, stride, b2, stride2)
-		}
-		if b2 != b {
-			t.Fatalf("sampled layout defines all 11 bytes but re-encode changed them: %v -> %v", b, b2)
+			h, err := c.Unmarshal(raw, now, epochHint)
+			if len(raw) != dataplane.TelemetryHeaderBytes {
+				if err == nil {
+					t.Fatalf("%s: %d bytes decoded without error", name, len(raw))
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: 11 bytes failed to decode: %v", name, err)
+			}
+			b2 := c.Marshal(h)
+			if db := dataplane.MarshalINT(h); !bytes.Equal(b2, db[:]) {
+				t.Fatalf("%s diverged from dataplane layout: %v vs %v", name, b2, db)
+			}
+			if h2, err := c.Unmarshal(b2, now, epochHint); err != nil || !reflect.DeepEqual(h, h2) {
+				t.Fatalf("%s codec not idempotent: b=%v h=%+v b2=%v h2=%+v err=%v", name, raw, h, b2, h2, err)
+			}
+			for i := 0; i < dataplane.TelemetryHeaderBytes-1; i++ {
+				if b2[i] != raw[i] {
+					t.Fatalf("%s: byte %d changed across re-encode: %#x -> %#x", name, i, raw[i], b2[i])
+				}
+			}
+			if b2[10] != raw[10]&1 {
+				t.Fatalf("%s: flags byte %#x re-encoded as %#x, want %#x", name, raw[10], b2[10], raw[10]&1)
+			}
 		}
 	})
 }
@@ -104,8 +92,8 @@ func FuzzPintlikeRoundTrip(f *testing.F) {
 // the codec-level Unmarshal: bad lengths must error (never panic), valid
 // stacks must round-trip exactly.
 func FuzzPerhopRoundTrip(f *testing.F) {
-	f.Add(make([]byte, PerhopWireBytes), int64(0), uint32(0))
-	f.Add(make([]byte, PerhopWireBytes+2*PerhopHopBytes), int64(netsim.Second), uint32(9))
+	f.Add(make([]byte, dataplane.TelemetryHeaderBytes), int64(0), uint32(0))
+	f.Add(make([]byte, dataplane.TelemetryHeaderBytes+2*PerhopHopBytes), int64(netsim.Second), uint32(9))
 	f.Add([]byte{1, 2, 3}, int64(0), uint32(0))
 	f.Fuzz(func(t *testing.T, raw []byte, nowRaw int64, epochHint uint32) {
 		if nowRaw < 0 {
@@ -117,7 +105,7 @@ func FuzzPerhopRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		h, err := c.Unmarshal(raw, now, epochHint)
-		if len(raw) < PerhopWireBytes || (len(raw)-PerhopWireBytes)%PerhopHopBytes != 0 {
+		if len(raw) < dataplane.TelemetryHeaderBytes || (len(raw)-dataplane.TelemetryHeaderBytes)%PerhopHopBytes != 0 {
 			if err == nil {
 				t.Fatalf("%d bytes decoded without error", len(raw))
 			}
@@ -127,7 +115,7 @@ func FuzzPerhopRoundTrip(f *testing.F) {
 			t.Fatalf("valid length %d failed to decode: %v", len(raw), err)
 		}
 		b2 := c.Marshal(h)
-		hops := (len(raw) - PerhopWireBytes) / PerhopHopBytes
+		hops := (len(raw) - dataplane.TelemetryHeaderBytes) / PerhopHopBytes
 		if want := c.WireBytes() + hops*c.HopBytes(); len(b2) != want {
 			t.Fatalf("re-encode of %d-hop stack is %d bytes, want %d", hops, len(b2), want)
 		}

@@ -116,10 +116,12 @@ type Config struct {
 	CtrlChan ctrlchan.Config
 	// RCA configures the analyzer.
 	RCA rca.Config
-	// Codec selects the telemetry encoding by registered name
-	// (internal/telemetry). "" or "mars11" is the paper's fixed 11-byte
-	// header; "perhop", "pintlike", and "sampled" trade bytes/packet
-	// against reconstruction fidelity (see `mars-bench -exp overhead`).
+	// Codec selects the telemetry encoding by name (internal/telemetry).
+	// "" is "mars11", the paper's fixed 11-byte header; "perhop",
+	// "pintlike", and "sampled" trade bytes/packet against reconstruction
+	// fidelity (see `mars-bench -exp overhead`). NewSystem derives both
+	// Program.Codec and Controller.Decoder from this one name, replacing
+	// whatever either field held.
 	Codec string
 }
 
@@ -176,14 +178,15 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	ccfg := cfg.Controller
 	ccfg.Seed = cfg.Seed
-	if cfg.Codec != "" {
-		cdc, err := telemetry.New(cfg.Codec, cfg.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("mars: %w", err)
-		}
-		cfg.Program.Codec = cdc
-		ccfg.Decoder = cdc
+	if cfg.Codec == "" {
+		cfg.Codec = "mars11"
 	}
+	cdc, err := telemetry.New(cfg.Codec, cfg.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("mars: %w", err)
+	}
+	cfg.Program.Codec = cdc
+	ccfg.Decoder = cdc
 	prog := dataplane.New(cfg.Program, ft.Topology, table, nil)
 	router := netsim.NewECMPRouter(ft.Topology, uint64(cfg.Seed))
 	sim := netsim.New(ft.Topology, router, prog, cfg.Sim, cfg.Seed)

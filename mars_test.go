@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"mars/internal/ctrlchan"
+	"mars/internal/dataplane"
+	"mars/internal/telemetry"
 )
 
 func TestSystemEndToEndDelayFault(t *testing.T) {
@@ -41,6 +43,36 @@ func TestSystemRejectsBadConfig(t *testing.T) {
 	cfg.FatTreeK = 3
 	if _, err := NewSystem(cfg); err == nil {
 		t.Fatal("expected error for odd K")
+	}
+}
+
+// TestFacadeDerivesBothCodecHalves: Config.Codec is the one selector. ""
+// is "mars11", both halves of the system hold that codec's value, and a
+// Program.Codec set next to it does not survive.
+func TestFacadeDerivesBothCodecHalves(t *testing.T) {
+	for _, tc := range []struct {
+		codec, want string
+		program     dataplane.Codec
+	}{
+		{"", "mars11", nil},
+		{"mars11", "mars11", nil},
+		{"pintlike", "pintlike", dataplane.Mars11{}},
+	} {
+		cfg := DefaultConfig()
+		cfg.Codec = tc.codec
+		cfg.Program.Codec = tc.program
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := telemetry.New(tc.want, cfg.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prog, ctrl := sys.Program.Cfg.Codec, sys.Controller.Cfg.Decoder; prog != any(want) || ctrl != any(want) {
+			t.Errorf("Codec %q next to Program.Codec %#v: Program.Codec = %#v, Controller.Decoder = %#v; want %#v twice",
+				tc.codec, tc.program, prog, ctrl, want)
+		}
 	}
 }
 
