@@ -32,7 +32,7 @@ func main() {
 		faultList = flag.String("fault", "delay", "comma-separated fault scenarios: micro-burst, ecmp-imbalance, process-rate, delay, drop, ctrl-chan, silent-drop, link-flap, link-down, switch-reboot, uplink-degrade")
 		seed      = flag.Int64("seed", 1, "random seed (workload, fault target, reservoirs)")
 		k         = flag.Int("k", 4, "fat-tree arity (even)")
-		flows     = flag.Int("flows", 96, "background flows")
+		flows     = flag.Int("flows", 0, "background flows (default 12 per edge switch: 96 at k=4)")
 		rate      = flag.Float64("rate", 220, "per-flow background rate (pps)")
 		start     = flag.Float64("start", 2.0, "fault start (s)")
 		dur       = flag.Float64("dur", 1.5, "fault duration (s)")
@@ -63,6 +63,9 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
+	}
+	if *flows == 0 {
+		*flows = 12 * len(sys.FT.EdgeIDs)
 	}
 	sys.StartBackground(*flows, *rate)
 	if *verbose {

@@ -21,31 +21,20 @@ import (
 	"mars/internal/topology"
 )
 
-// Config tunes the baseline.
-type Config struct {
-	// HeaderBytes is IntSight's per-packet INT cost (the paper cites 33 B).
-	HeaderBytes int32
-	// SLOLatency is the static end-to-end latency objective.
-	SLOLatency netsim.Time
-	// ContentionQueueDepth marks a switch as a contention point when its
+// The baseline's accounting, as the paper states it (§5.4, Fig. 9).
+const (
+	// headerBytes is IntSight's per-packet INT cost (the paper cites 33 B).
+	headerBytes = 33
+	// sloLatency is the static end-to-end latency objective.
+	sloLatency = 25 * netsim.Millisecond
+	// contentionQueueDepth marks a switch as a contention point when its
 	// egress queue is at least this deep.
-	ContentionQueueDepth int
-	// Epoch is the reporting period.
-	Epoch netsim.Time
-	// ReportBytes is the size of one conditional flow report.
-	ReportBytes int64
-}
-
-// DefaultConfig mirrors the paper's accounting.
-func DefaultConfig() Config {
-	return Config{
-		HeaderBytes:          33,
-		SLOLatency:           25 * netsim.Millisecond,
-		ContentionQueueDepth: 8,
-		Epoch:                100 * netsim.Millisecond,
-		ReportBytes:          64,
-	}
-}
+	contentionQueueDepth = 8
+	// epochLen is the reporting period.
+	epochLen = 100 * netsim.Millisecond
+	// reportBytes is the size of one conditional flow report.
+	reportBytes = 64
+)
 
 // meta is the per-packet IntSight header.
 type meta struct {
@@ -75,7 +64,6 @@ type Culprit struct {
 // System is the IntSight baseline attached to one simulator run.
 type System struct {
 	netsim.NopHooks
-	Cfg  Config
 	Topo *topology.Topology
 
 	reports map[int64]map[netsim.FlowKey]*report
@@ -92,9 +80,8 @@ type System struct {
 }
 
 // New attaches a fresh IntSight instance.
-func New(cfg Config, topo *topology.Topology) *System {
+func New(topo *topology.Topology) *System {
 	s := &System{
-		Cfg:      cfg,
 		Topo:     topo,
 		reports:  make(map[int64]map[netsim.FlowKey]*report),
 		srcCount: make(map[netsim.FlowKey]int64),
@@ -121,11 +108,11 @@ func (s *System) OnForward(sim *netsim.Simulator, sw topology.NodeID, inPort, ou
 	if m == nil {
 		m = &meta{start: sim.Now()}
 		pkt.Meta = m
-		pkt.ExtraBytes = s.Cfg.HeaderBytes
+		pkt.ExtraBytes = headerBytes
 		s.srcCount[pkt.Flow]++
 	}
-	s.TelemetryBytes += int64(s.Cfg.HeaderBytes)
-	if qlen >= s.Cfg.ContentionQueueDepth {
+	s.TelemetryBytes += headerBytes
+	if qlen >= contentionQueueDepth {
 		m.contention = append(m.contention, sw)
 	}
 
@@ -133,8 +120,8 @@ func (s *System) OnForward(sim *netsim.Simulator, sw topology.NodeID, inPort, ou
 	if s.Topo.IsHost(s.Topo.Node(sw).Ports[outPort].Peer) {
 		s.dstCount[pkt.Flow]++
 		e2e := sim.Now() - m.start
-		epoch := int64(sim.Now() / s.Cfg.Epoch)
-		if e2e > s.Cfg.SLOLatency {
+		epoch := int64(sim.Now() / epochLen)
+		if e2e > sloLatency {
 			s.sloViolated = true
 			b := s.reports[epoch]
 			if b == nil {
@@ -151,7 +138,7 @@ func (s *System) OnForward(sim *netsim.Simulator, sw topology.NodeID, inPort, ou
 					contention: make(map[topology.NodeID]int),
 				}
 				b[pkt.Flow] = r
-				s.DiagnosisBytes += s.Cfg.ReportBytes
+				s.DiagnosisBytes += reportBytes
 			}
 			r.violations++
 			for _, c := range m.contention {

@@ -15,7 +15,7 @@ func setup(t *testing.T, seed int64) (*System, *netsim.Simulator, *topology.FatT
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := New(DefaultConfig(), ft.Topology)
+	sys := New(ft.Topology)
 	router := netsim.NewECMPRouter(ft.Topology, uint64(seed))
 	cfg := netsim.Config{
 		LinkBandwidthBps:     14_000_000,

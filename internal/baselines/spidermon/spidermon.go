@@ -20,30 +20,21 @@ import (
 	"mars/internal/topology"
 )
 
-// Config tunes the baseline.
-type Config struct {
-	// TriggerQueueDepth is the static cumulative queue-depth threshold that
+// The baseline as the paper describes it (§5.4, Fig. 9): a minimal
+// header and wave collection from every switch.
+const (
+	// triggerQueueDepth is the static cumulative queue-depth threshold that
 	// fires the spider wave (SpiderMon uses queuing-delta time; queue depth
 	// is its observable proxy here).
-	TriggerQueueDepth uint32
-	// WindowBuckets x BucketLen is the telemetry history the wave collects.
-	BucketLen netsim.Time
-	// HeaderBytes is SpiderMon's per-packet INT cost (latency only).
-	HeaderBytes int32
-	// PerSwitchReportBytes is the per-switch cost of one spider wave.
-	PerSwitchReportBytes int64
-}
-
-// DefaultConfig mirrors the paper's description: a minimal header and
-// wave collection from every switch.
-func DefaultConfig() Config {
-	return Config{
-		TriggerQueueDepth:    60,
-		BucketLen:            100 * netsim.Millisecond,
-		HeaderBytes:          4,
-		PerSwitchReportBytes: 2048,
-	}
-}
+	triggerQueueDepth = 60
+	// bucketLen is the granularity of the telemetry history the wave
+	// collects.
+	bucketLen = 100 * netsim.Millisecond
+	// headerBytes is SpiderMon's per-packet INT cost (latency only).
+	headerBytes = 4
+	// perSwitchReportBytes is the per-switch cost of one spider wave.
+	perSwitchReportBytes = 2048
+)
 
 // meta is SpiderMon's per-packet header.
 type meta struct {
@@ -72,7 +63,6 @@ type Culprit struct {
 // System is the SpiderMon baseline attached to one simulator run.
 type System struct {
 	netsim.NopHooks
-	Cfg  Config
 	Topo *topology.Topology
 
 	// occupancy[bucket][queue][flow] = packets enqueued.
@@ -100,9 +90,8 @@ type flowSwitch struct {
 }
 
 // New attaches a fresh SpiderMon instance (use as the simulator's Hooks).
-func New(cfg Config, topo *topology.Topology) *System {
+func New(topo *topology.Topology) *System {
 	s := &System{
-		Cfg:       cfg,
 		Topo:      topo,
 		occupancy: make(map[int64]map[occKey]map[netsim.FlowKey]int32),
 		pred:      make(map[flowSwitch]topology.NodeID),
@@ -126,14 +115,14 @@ func (s *System) OnForward(sim *netsim.Simulator, sw topology.NodeID, inPort, ou
 	if m == nil {
 		m = &meta{}
 		pkt.Meta = m
-		pkt.ExtraBytes = s.Cfg.HeaderBytes
+		pkt.ExtraBytes = headerBytes
 		src, _ := s.sinkOf[pkt.Src]
 		s.flowEdges[pkt.Flow] = dataplane.FlowID{Src: src, Sink: s.sinkOf[pkt.Dst]}
 	}
 	m.cumQueue += uint32(qlen)
-	s.TelemetryBytes += int64(s.Cfg.HeaderBytes)
+	s.TelemetryBytes += headerBytes
 
-	bucket := int64(sim.Now() / s.Cfg.BucketLen)
+	bucket := int64(sim.Now() / bucketLen)
 	qk := occKey{sw, outPort}
 	b := s.occupancy[bucket]
 	if b == nil {
@@ -151,12 +140,12 @@ func (s *System) OnForward(sim *netsim.Simulator, sw topology.NodeID, inPort, ou
 		s.pred[flowSwitch{pkt.Flow, sw}] = inPeer
 	}
 
-	if !s.triggered && m.cumQueue >= s.Cfg.TriggerQueueDepth {
+	if !s.triggered && m.cumQueue >= triggerQueueDepth {
 		s.triggered = true
 		s.triggerTime = sim.Now()
 		s.triggerSw = sw
 		// Spider wave: every switch reports its recent telemetry.
-		s.DiagnosisBytes += int64(s.Topo.NumSwitches()) * s.Cfg.PerSwitchReportBytes
+		s.DiagnosisBytes += int64(s.Topo.NumSwitches()) * perSwitchReportBytes
 	}
 	return netsim.ActionForward
 }
@@ -168,7 +157,7 @@ func (s *System) Localize() []Culprit {
 	if !s.triggered {
 		return nil
 	}
-	trigBucket := int64(s.triggerTime / s.Cfg.BucketLen)
+	trigBucket := int64(s.triggerTime / bucketLen)
 	in := make(map[netsim.FlowKey]float64)
 	out := make(map[netsim.FlowKey]float64)
 	domQueue := make(map[netsim.FlowKey]occKey)

@@ -15,7 +15,7 @@ func setup(t *testing.T, seed int64) (*System, *netsim.Simulator, *topology.FatT
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := New(DefaultConfig(), ft.Topology)
+	sys := New(ft.Topology)
 	router := netsim.NewECMPRouter(ft.Topology, uint64(seed))
 	cfg := netsim.Config{
 		LinkBandwidthBps:     14_000_000,
@@ -72,7 +72,7 @@ func TestTriggersOnMicroBurstAndRanksFlows(t *testing.T) {
 		}
 	}
 	// The wave must have been charged to every switch.
-	wantDiag := int64(ft.NumSwitches()) * DefaultConfig().PerSwitchReportBytes
+	wantDiag := int64(ft.NumSwitches()) * perSwitchReportBytes
 	if sys.DiagnosisBytes != wantDiag {
 		t.Errorf("diagnosis bytes = %d, want %d", sys.DiagnosisBytes, wantDiag)
 	}

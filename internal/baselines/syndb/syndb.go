@@ -35,20 +35,15 @@ const (
 	QueryDrop
 )
 
-// Config tunes the baseline.
-type Config struct {
-	// RecordBytes is the wire size of one p-record streamed to the DB.
-	RecordBytes int64
-	// MaxRecords bounds the database (a capture ring, as in SyNDB).
-	MaxRecords int
-	// Bucket is the time bucket for rate queries.
-	Bucket netsim.Time
-}
-
-// DefaultConfig mirrors the paper's accounting.
-func DefaultConfig() Config {
-	return Config{RecordBytes: 16, MaxRecords: 1 << 20, Bucket: 100 * netsim.Millisecond}
-}
+// The baseline's accounting, as the paper states it (§5.4, Fig. 9).
+const (
+	// recordBytes is the wire size of one p-record streamed to the DB.
+	recordBytes = 16
+	// maxRecords bounds the database (a capture ring, as in SyNDB).
+	maxRecords = 1 << 20
+	// bucket is the time bucket for rate queries.
+	bucket = 100 * netsim.Millisecond
+)
 
 // pRecord is one per-switch packet record.
 type pRecord struct {
@@ -71,7 +66,6 @@ type Culprit struct {
 // System is the SyNDB baseline attached to one simulator run.
 type System struct {
 	netsim.NopHooks
-	Cfg  Config
 	Topo *topology.Topology
 
 	records []pRecord
@@ -87,9 +81,8 @@ type System struct {
 }
 
 // New attaches a fresh SyNDB instance.
-func New(cfg Config, topo *topology.Topology) *System {
+func New(topo *topology.Topology) *System {
 	s := &System{
-		Cfg:       cfg,
 		Topo:      topo,
 		lastSeen:  make(map[uint64]topology.NodeID),
 		delivered: make(map[uint64]bool),
@@ -106,13 +99,13 @@ func New(cfg Config, topo *topology.Topology) *System {
 
 // OnForward implements netsim.Hooks: every switch streams a p-record.
 func (s *System) OnForward(sim *netsim.Simulator, sw topology.NodeID, inPort, outPort topology.PortID, pkt *netsim.Packet, qlen int) netsim.Action {
-	if len(s.records) < s.Cfg.MaxRecords {
+	if len(s.records) < maxRecords {
 		s.records = append(s.records, pRecord{
 			pkt: pkt.ID, flow: pkt.Flow, sw: sw, port: outPort,
 			at: sim.Now(), qlen: int32(qlen),
 		})
 	}
-	s.DiagnosisBytes += s.Cfg.RecordBytes
+	s.DiagnosisBytes += recordBytes
 	s.lastSeen[pkt.ID] = sw
 	if _, ok := s.flowIDs[pkt.Flow]; !ok {
 		s.flowIDs[pkt.Flow] = dataplane.FlowID{Src: s.sinkOf[pkt.Src], Sink: s.sinkOf[pkt.Dst]}
@@ -165,7 +158,7 @@ func (s *System) queryMicroBurst() []Culprit {
 			b = make(map[int64]float64)
 			buckets[r.flow] = b
 		}
-		b[int64(r.at/s.Cfg.Bucket)]++
+		b[int64(r.at/bucket)]++
 	}
 	var out []Culprit
 	for _, f := range det.Keys(buckets) {

@@ -36,8 +36,6 @@ type Config struct {
 	// ResponseWindow rate-limits diagnosis collections: the control plane
 	// responds to at most one notification per window (§4.4).
 	ResponseWindow netsim.Time
-	// Reservoir configures the per-flow latency reservoirs.
-	Reservoir reservoir.Config
 	// Seed drives reservoir replacement randomness and retry jitter.
 	Seed int64
 
@@ -52,9 +50,6 @@ type Config struct {
 	BackoffBase netsim.Time
 	// BackoffMax caps the exponential backoff.
 	BackoffMax netsim.Time
-	// BackoffJitter randomizes each backoff by ±Jitter/2 of its value so
-	// retries to many switches do not synchronize.
-	BackoffJitter float64
 
 	// Decoder is the controller-side half of the selected telemetry codec
 	// (internal/telemetry): it reconstructs collected Ring Table records
@@ -89,26 +84,31 @@ type RecordDecoder interface {
 	RecordBytes() int
 }
 
+const (
+	// reservoirC is the deviation multiple C of θ = m + C·σ (§4.3) in the
+	// controller's per-flow reservoirs, raised from the paper's 3 to 6 MAD
+	// units (~4σ-equivalent for Gaussian noise): multi-hop latency under
+	// Poisson cross-traffic is heavy-tailed, and a 3-MAD threshold flags a
+	// few percent of healthy telemetry records.
+	reservoirC = 6
+	// backoffJitter randomizes each backoff by ±backoffJitter/2 of its
+	// value so retries to many switches do not synchronize.
+	backoffJitter = 0.5
+)
+
 // DefaultConfig matches the data plane's 100 ms epochs: thresholds refresh
-// every 200 ms, diagnosis at most once per 500 ms. The deviation multiple
-// is raised to 6 MAD units (~4σ-equivalent for Gaussian noise): multi-hop
-// latency under Poisson cross-traffic is heavy-tailed, and a 3-MAD
-// threshold flags a few percent of healthy telemetry records. Reliability
-// knobs assume a ~1 ms control RTT: 20 ms deadlines, 3 retries, 10→80 ms
-// backoff — a full retry cycle fits well inside one response window.
+// every 200 ms, diagnosis at most once per 500 ms. Reliability knobs assume
+// a ~1 ms control RTT: 20 ms deadlines, 3 retries, 10→80 ms backoff — a
+// full retry cycle fits well inside one response window.
 func DefaultConfig() Config {
-	rc := reservoir.DefaultConfig()
-	rc.C = 6
 	return Config{
 		RefreshPeriod:  200 * netsim.Millisecond,
 		ResponseWindow: 500 * netsim.Millisecond,
-		Reservoir:      rc,
 		Seed:           1,
 		RequestTimeout: 20 * netsim.Millisecond,
 		MaxRetries:     3,
 		BackoffBase:    10 * netsim.Millisecond,
 		BackoffMax:     80 * netsim.Millisecond,
-		BackoffJitter:  0.5,
 	}
 }
 
@@ -381,7 +381,9 @@ func (c *Controller) Start() {
 func (c *Controller) ReservoirFor(flow dataplane.FlowID) *reservoir.Reservoir {
 	r := c.reservoirs[flow]
 	if r == nil {
-		r = reservoir.New(c.Cfg.Reservoir, c.rng)
+		cfg := reservoir.DefaultConfig()
+		cfg.C = reservoirC
+		r = reservoir.New(cfg, c.rng)
 		c.reservoirs[flow] = r
 	}
 	return r
@@ -402,8 +404,8 @@ func (c *Controller) backoff(attempt int) netsim.Time {
 	if d > c.Cfg.BackoffMax {
 		d = c.Cfg.BackoffMax
 	}
-	if j := c.Cfg.BackoffJitter; j > 0 && d > 0 {
-		d += netsim.Time(float64(d) * j * (c.rng.Float64() - 0.5))
+	if d > 0 {
+		d += netsim.Time(float64(d) * backoffJitter * (c.rng.Float64() - 0.5))
 	}
 	if d < 0 {
 		d = 0

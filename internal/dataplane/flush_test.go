@@ -107,8 +107,8 @@ func TestRegistersLiveAtEdgeSwitches(t *testing.T) {
 		t.Fatalf("core threshold after SetThreshold = %v, want 1ms", got)
 	}
 	env.prog.FlushSwitch(core)
-	if got := env.prog.threshold(core, flow); got != env.prog.Cfg.DefaultThreshold {
-		t.Errorf("core threshold after FlushSwitch = %v, want the default %v", got, env.prog.Cfg.DefaultThreshold)
+	if got := env.prog.threshold(core, flow); got != DefaultThreshold {
+		t.Errorf("core threshold after FlushSwitch = %v, want the default %v", got, DefaultThreshold)
 	}
 	if st := &env.prog.states[core]; st.it != nil || st.rt != nil {
 		t.Error("FlushSwitch gave a core switch register tables")

@@ -6,22 +6,33 @@ import (
 	"mars/internal/topology"
 )
 
+// The evaluation's fixed constants, stated once for the data plane and for
+// everything that interprets its records.
+const (
+	// EpochDuration is the telemetry sampling period (§4.2.1). The
+	// controller's analysis (rca) and the streaming service both read
+	// epoch IDs minted here, so they name this constant rather than
+	// restate it.
+	EpochDuration = 100 * netsim.Millisecond
+	// DefaultThreshold applies to flows without a pushed dynamic threshold
+	// (§4.2.2: a deliberately high default).
+	DefaultThreshold = 10 * netsim.Second
+	// DropCountThreshold is the source-vs-sink count difference that
+	// triggers a drop notification (§4.2.2); rca re-verifies collected
+	// records against the same floor.
+	DropCountThreshold = 3
+	// dropRelMargin widens that trigger with volume: a quarter of the
+	// epoch's source count may cross the epoch boundary without loss.
+	dropRelMargin = 4
+	// ringSize is the Ring Table capacity per sink switch.
+	ringSize = 512
+)
+
 // Config parameterizes the MARS switch program.
 type Config struct {
-	// Epoch is the telemetry sampling period set by the controller
-	// (§4.2.1: "the epoch period can be set by the controller at runtime").
-	Epoch netsim.Time
 	// PathCfg is the PathID hash configuration shared with the control
 	// plane.
 	PathCfg pathid.Config
-	// RingSize is the Ring Table capacity per sink switch.
-	RingSize int
-	// DefaultThreshold applies to flows without a pushed dynamic threshold
-	// (the paper uses a deliberately high default, e.g. 10 s).
-	DefaultThreshold netsim.Time
-	// DropCountThreshold is the source-vs-sink count difference that
-	// triggers a drop notification.
-	DropCountThreshold uint32
 	// NotifyWindow rate-limits notifications: at most one per switch per
 	// window (§4.2.2).
 	NotifyWindow netsim.Time
@@ -31,15 +42,11 @@ type Config struct {
 }
 
 // DefaultProgramConfig returns the configuration used across the
-// evaluation: 100 ms epochs, 8-bit CRC16 PathIDs, 512-record rings.
+// evaluation: 8-bit CRC16 PathIDs and a 50 ms notification window.
 func DefaultProgramConfig() Config {
 	return Config{
-		Epoch:              100 * netsim.Millisecond,
-		PathCfg:            pathid.DefaultConfig(),
-		RingSize:           512,
-		DefaultThreshold:   10 * netsim.Second,
-		DropCountThreshold: 3,
-		NotifyWindow:       50 * netsim.Millisecond,
+		PathCfg:      pathid.DefaultConfig(),
+		NotifyWindow: 50 * netsim.Millisecond,
 	}
 }
 
@@ -187,7 +194,7 @@ func NewResident(cfg Config, topo *topology.Topology, paths *pathid.Table, notif
 // resetTables gives an edge switch empty register tables.
 func (p *Program) resetTables(st *switchState) {
 	n := len(p.Topo.Nodes)
-	st.it, st.et, st.rt = NewIngressTable(n), NewEgressTable(n), NewRingTable(p.Cfg.RingSize)
+	st.it, st.et, st.rt = NewIngressTable(n), NewEgressTable(n), NewRingTable(ringSize)
 	st.telemEpoch = make(map[FlowID]int64)
 }
 
@@ -198,7 +205,7 @@ func (p *Program) Resident(sw topology.NodeID) bool {
 
 // EpochOf converts a time to a telemetry epoch ID.
 func (p *Program) EpochOf(t netsim.Time) uint32 {
-	return uint32(t / p.Cfg.Epoch)
+	return uint32(t / EpochDuration)
 }
 
 // FlushSwitch wipes sw's register state — Ingress Table, Egress Table,
@@ -243,7 +250,7 @@ func (p *Program) threshold(sw topology.NodeID, flow FlowID) netsim.Time {
 	if d, ok := p.states[sw].thresholds[flow]; ok {
 		return d
 	}
-	return p.Cfg.DefaultThreshold
+	return DefaultThreshold
 }
 
 // RTSnapshot returns the sink switch's Ring Table contents oldest-first.
@@ -409,10 +416,7 @@ func (p *Program) OnForward(s *netsim.Simulator, sw topology.NodeID, inPort, out
 			// under transient queueing the path latency can reach a third
 			// of an epoch, displacing that share of packets across the
 			// boundary without any loss.
-			margin := p.Cfg.DropCountThreshold
-			if rel := rec.SourceCount / 4; rel > margin {
-				margin = rel
-			}
+			margin := max(DropCountThreshold, rec.SourceCount/dropRelMargin)
 			if rec.SourceCount > rec.SinkCount+margin {
 				p.notify(s, sw, Notification{
 					Kind: NotifyDrop, Switch: sw, Flow: flow,

@@ -50,7 +50,7 @@ func TestResidentProgramPartitionsRegisters(t *testing.T) {
 		if away.ITFlows(sw) != 0 || away.ETEntries(sw) != 0 || away.RTSnapshot(sw) != nil {
 			t.Fatalf("switch %d reports register state on a foreign shard", sw)
 		}
-		if d := away.threshold(sw, flow); d != away.Cfg.DefaultThreshold {
+		if d := away.threshold(sw, flow); d != DefaultThreshold {
 			t.Fatalf("non-resident threshold = %v, want default", d)
 		}
 	}
@@ -83,7 +83,7 @@ func TestShardedRegistersRouteFlush(t *testing.T) {
 		t.Fatal("threshold not installed on owning shard")
 	}
 	sr.FlushSwitch(victim)
-	if d := home.threshold(victim, flow); d != home.Cfg.DefaultThreshold {
+	if d := home.threshold(victim, flow); d != DefaultThreshold {
 		t.Fatalf("threshold after routed flush = %v, want default", d)
 	}
 	// Other resident switches keep their thresholds.

@@ -39,8 +39,8 @@ type StreamTrialConfig struct {
 	// Background traffic, as in the scale trial.
 	NumFlows int
 	RatePPS  float64
-	// Epoch geometry: Epochs telemetry epochs of Epoch each.
-	Epoch  netsim.Time
+	// Epochs is the run length in telemetry epochs
+	// (dataplane.EpochDuration each).
 	Epochs int
 	// Windows lists the window sizes (in epochs) evaluated side by side
 	// over the same record stream; Windows[0] is the primary service
@@ -50,9 +50,6 @@ type StreamTrialConfig struct {
 	// edge-facing ports during epochs [FaultStart, FaultStop).
 	FaultStart, FaultStop uint32
 	DropProb              float64
-	// Stream memory bounds (zero = stream.DefaultConfig values).
-	BudgetBytes    int
-	EpochSampleCap int
 
 	// Tee, if non-nil, observes every drained sink record in coordinator
 	// order — the hook behind the batch-equivalence test.
@@ -71,7 +68,6 @@ func DefaultStreamTrialConfig(k, shards int, seed int64) StreamTrialConfig {
 		Workers:    1,
 		NumFlows:   2 * hosts,
 		RatePPS:    120,
-		Epoch:      100 * netsim.Millisecond,
 		Epochs:     15,
 		Windows:    []int{4, 2, 8},
 		FaultStart: 5,
@@ -138,21 +134,14 @@ func RunStreamTrial(tc StreamTrialConfig, progress func(now netsim.Time, events 
 	// mesh can produce (the all-pairs set is infeasible at k=16).
 	table := selectivePathTable(ft, streamMeshPairs(ft, tc.NumFlows))
 	sh, _, bufs := NewShardedFabric(ft, tc.Shards, tc.Seed, mars.DefaultConfig().Sim, table,
-		tc.NumFlows, tc.RatePPS, netsim.Time(tc.Epochs)*tc.Epoch, true)
+		tc.NumFlows, tc.RatePPS, netsim.Time(tc.Epochs)*dataplane.EpochDuration, true)
 
 	// One stream service per window size over the same record stream.
 	svcs := make([]*stream.Service, len(tc.Windows))
 	for i, w := range tc.Windows {
 		scfg := stream.DefaultConfig(tc.Seed)
-		scfg.Epoch = tc.Epoch
 		scfg.WindowEpochs = w
 		scfg.Workers = tc.Workers
-		if tc.BudgetBytes > 0 {
-			scfg.BudgetBytes = tc.BudgetBytes
-		}
-		if tc.EpochSampleCap > 0 {
-			scfg.EpochSampleCap = tc.EpochSampleCap
-		}
 		svcs[i] = stream.New(scfg, sh.Part, table)
 	}
 
@@ -193,7 +182,7 @@ func RunStreamTrial(tc StreamTrialConfig, progress func(now netsim.Time, events 
 	}
 	// step runs epoch e to its end and drains what it tapped.
 	step := func(e int) {
-		now := sh.Run(netsim.Time(e+1) * tc.Epoch)
+		now := sh.Run(netsim.Time(e+1) * dataplane.EpochDuration)
 		drain()
 		if progress != nil {
 			progress(now, sh.Events()[0])
@@ -229,7 +218,7 @@ func RunStreamTrial(tc StreamTrialConfig, progress func(now netsim.Time, events 
 		Switches: ft.NumSwitches(),
 		Hosts:    ft.NumHosts(),
 		Flows:    tc.NumFlows,
-		Epochs:   tc.Epochs, EpochDur: tc.Epoch,
+		Epochs:   tc.Epochs, EpochDur: dataplane.EpochDuration,
 		FaultStart: tc.FaultStart, FaultStop: tc.FaultStop,
 		Culprit: badAgg,
 		Sent:    stats.Sent, Delivered: stats.Delivered, Dropped: stats.Dropped,
@@ -262,7 +251,7 @@ func RunStreamTrial(tc StreamTrialConfig, progress func(now netsim.Time, events 
 			}
 			if c.ContainsSwitch(badAgg) {
 				res.DetectionEpoch = int(w.End)
-				res.DetectionLatency = netsim.Time(w.End+1)*tc.Epoch - netsim.Time(tc.FaultStart)*tc.Epoch
+				res.DetectionLatency = netsim.Time(w.End+1)*dataplane.EpochDuration - netsim.Time(tc.FaultStart)*dataplane.EpochDuration
 				break
 			}
 		}
@@ -339,18 +328,11 @@ func selectivePathTable(ft *topology.FatTree, pairs map[[2]topology.NodeID]bool)
 		}
 		paths = append(paths, ft.AllShortestPaths(p[0], p[1])...)
 	}
-	cfg := pathid.DefaultConfig()
-	for {
-		table, err := pathid.BuildTable(cfg, ft.Topology, paths)
-		if err == nil {
-			return table
-		}
-		// The wire format carries 16 PathID bits, so that is the ceiling.
-		if cfg.Width >= 16 {
-			panic(err)
-		}
-		cfg.Width += 8
+	table, err := pathid.BuildWidening(pathid.DefaultConfig(), ft.Topology, paths)
+	if err != nil {
+		panic(err)
 	}
+	return table
 }
 
 // Render formats the simulated outcome. Invariant under both the

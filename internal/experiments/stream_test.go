@@ -92,7 +92,6 @@ func TestStreamMatchesBatchTop1(t *testing.T) {
 	table := selectivePathTable(ft, streamMeshPairs(ft, tc.NumFlows))
 
 	scfg := stream.DefaultConfig(tc.Seed)
-	scfg.Epoch = tc.Epoch
 	scfg.WindowEpochs = tc.Windows[0]
 	svc := stream.New(scfg, ft.PodPartition(), table)
 	// Replay in drain order, sealing as the stream advances: once a record
@@ -114,10 +113,9 @@ func TestStreamMatchesBatchTop1(t *testing.T) {
 	// Batch verdict: one diagnosis over the entire trace with a recent
 	// window covering the whole run.
 	rcfg := rca.DefaultConfig()
-	rcfg.EpochDuration = tc.Epoch
-	rcfg.RecentWindow = netsim.Time(tc.Epochs+1) * tc.Epoch
+	rcfg.RecentWindow = netsim.Time(tc.Epochs+1) * dataplane.EpochDuration
 	an := rca.New(rcfg, table, flatThresholds{})
-	batch := an.AnalyzeWindow(all, netsim.Time(tc.Epochs+1)*tc.Epoch, 1)
+	batch := an.AnalyzeWindow(all, netsim.Time(tc.Epochs+1)*dataplane.EpochDuration, 1)
 	if len(batch) == 0 {
 		t.Fatal("batch analyzer produced no culprits")
 	}

@@ -151,7 +151,7 @@ type baseline struct {
 }
 
 func newSpiderMon(ft *topology.FatTree) baseline {
-	s := spidermon.New(spidermon.DefaultConfig(), ft.Topology)
+	s := spidermon.New(ft.Topology)
 	return baseline{s, func(_ TrialConfig, gt faults.GroundTruth) TrialResult {
 		rank := 0
 		for i, c := range s.Localize() {
@@ -166,7 +166,7 @@ func newSpiderMon(ft *topology.FatTree) baseline {
 }
 
 func newIntSight(ft *topology.FatTree) baseline {
-	s := intsight.New(intsight.DefaultConfig(), ft.Topology)
+	s := intsight.New(ft.Topology)
 	return baseline{s, func(_ TrialConfig, gt faults.GroundTruth) TrialResult {
 		rank := 0
 		for i, c := range s.Localize() {
@@ -181,7 +181,7 @@ func newIntSight(ft *topology.FatTree) baseline {
 }
 
 func newSyNDB(ft *topology.FatTree) baseline {
-	s := syndb.New(syndb.DefaultConfig(), ft.Topology)
+	s := syndb.New(ft.Topology)
 	return baseline{s, func(tc TrialConfig, gt faults.GroundTruth) TrialResult {
 		rank := 0
 		for i, c := range s.Localize(syndbQuery(tc.Fault)) {

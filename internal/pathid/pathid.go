@@ -261,6 +261,23 @@ func BuildTable(cfg Config, topo *topology.Topology, paths []topology.Path) (*Ta
 	return t, nil
 }
 
+// BuildWidening is BuildTable at the narrowest field that fits the path
+// set: cfg.Width first, then 12 and 16 bits — the widest PathID the
+// telemetry wire format carries. The width it settled on is the returned
+// table's Cfg.Width; the error is the widest attempt's.
+func BuildWidening(cfg Config, topo *topology.Topology, paths []topology.Path) (t *Table, err error) {
+	for i, w := range []uint{cfg.Width, 12, 16} {
+		if i > 0 && w <= cfg.Width {
+			continue
+		}
+		cfg.Width = w
+		if t, err = BuildTable(cfg, topo, paths); err == nil {
+			return t, nil
+		}
+	}
+	return nil, err
+}
+
 // chain computes the stepwise IDs of a path under the current entry set.
 // ids[i] is the PathID after hop i.
 func (t *Table) chain(path topology.Path, ports [][2]uint16) []ID {

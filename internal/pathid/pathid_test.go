@@ -105,6 +105,32 @@ func TestBuildTableAllPathsResolvable8Bit(t *testing.T) {
 	}
 }
 
+// TestBuildWideningSettlesOnNarrowestWidth: k=4 fits the configured 8
+// bits, k=8's all-pairs set does not and settles on 12, and a width the
+// caller already set past 12 is never narrowed.
+func TestBuildWideningSettlesOnNarrowestWidth(t *testing.T) {
+	k8, err := topology.NewFatTree(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		ft          *topology.FatTree
+		start, want uint
+	}{{k4(t), 8, 8}, {k8, 8, 12}, {k8, 16, 16}} {
+		paths := tc.ft.AllEdgePairPaths()
+		tab, err := BuildWidening(Config{Alg: CRC16, Width: tc.start}, tc.ft.Topology, paths)
+		if err != nil {
+			t.Fatalf("k=%d from %d bits: %v", tc.ft.K, tc.start, err)
+		}
+		if tab.Cfg.Width != tc.want {
+			t.Errorf("k=%d from %d bits settled on %d, want %d", tc.ft.K, tc.start, tab.Cfg.Width, tc.want)
+		}
+	}
+	if _, err := BuildTable(DefaultConfig(), k8.Topology, k8.AllEdgePairPaths()); err == nil {
+		t.Error("k=8 all-pairs built at 8 bits; the widening has nothing to do")
+	}
+}
+
 func TestBuildTableCollisionsNeedEntries(t *testing.T) {
 	ft := k4(t)
 	paths := ft.AllEdgePairPaths() // 208 ordered paths in K=4

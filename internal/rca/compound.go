@@ -18,17 +18,33 @@ import "mars/internal/topology"
 //     one switch — a single bad link cannot produce loss on every
 //     adjacent direction at once.
 
-// compoundBoost ranks a link-degrade root above the ECMP-divergence
-// culprit derived from the same pattern: the root must win R@1 for
-// disambiguation to matter.
-const compoundBoost = 1.25
+// The compound signatures' thresholds (this reproduction's, not the
+// paper's: DESIGN.md §11).
+const (
+	// compoundBoost ranks a link-degrade root above the ECMP-divergence
+	// culprit derived from the same pattern: the root must win R@1 for
+	// disambiguation to matter.
+	compoundBoost = 1.25
+	// minLinkEvidence is the least degradation evidence (abnormal packet
+	// weight plus weighted telemetry gaps) a starved ECMP branch must
+	// carry before the link-degrade signature re-blames the light link.
+	minLinkEvidence = 2
+	// flapMinTransitions is the least number of bad↔clean epoch
+	// alternations across a pattern's flows before drop evidence is
+	// classified as flapping rather than steady loss.
+	flapMinTransitions = 4
+	// rebootMinFan is the least number of distinct path neighbors of a
+	// single-switch drop pattern before the loss is classified as a
+	// node-level outage (reboot) rather than one bad link.
+	rebootMinFan = 3
+)
 
 // degradedLightBranch looks for the link-degrade signature at divergence
 // switch up: among the ECMP branches the pattern's flows take out of up,
 // the heavy branch explains the congestion, and a light (starved) branch
 // carrying its own degradation evidence — over-threshold packets or
 // telemetry gaps on paths through it — exposes the root. Returns the
-// [up, lightPeer] link and true when the evidence clears MinLinkEvidence.
+// [up, lightPeer] link and true when the evidence clears minLinkEvidence.
 func (a *Analyzer) degradedLightBranch(up topology.NodeID, through []flowPkts, stats []flowStats) ([]topology.NodeID, bool) {
 	// Per successor of up: packets, abnormal packets, and the gap epochs of
 	// the flows that take it.
@@ -80,7 +96,7 @@ func (a *Analyzer) degradedLightBranch(up topology.NodeID, through []flowPkts, s
 			light, bestEv, found = w.sw, ev, true
 		}
 	}
-	if !found || bestEv < a.Cfg.MinLinkEvidence {
+	if !found || bestEv < minLinkEvidence {
 		return nil, false
 	}
 	return []topology.NodeID{up, light}, true
@@ -201,14 +217,14 @@ func (a *Analyzer) classifyDropCause(ix *index, sub []topology.NodeID, through [
 	// A flapping link destroys packets without delaying the survivors;
 	// intermittent hard loss that comes WITH over-threshold latency is
 	// congestion collapse (queue overflow), not an administrative flap.
-	if a.Cfg.FlapMinTransitions > 0 && maxTrans >= a.Cfg.FlapMinTransitions &&
-		abnormalWeight < a.Cfg.MinLinkEvidence {
+	if maxTrans >= flapMinTransitions &&
+		abnormalWeight < minLinkEvidence {
 		return CauseLinkFlap
 	}
-	if len(sub) == 1 && hardLoss && a.Cfg.RebootMinFan > 0 && len(neighbors) >= a.Cfg.RebootMinFan {
+	if len(sub) == 1 && hardLoss && len(neighbors) >= rebootMinFan {
 		return CauseSwitchReboot
 	}
-	if len(sub) == 2 && !hardLoss && abnormalWeight >= a.Cfg.MinLinkEvidence {
+	if len(sub) == 2 && !hardLoss && abnormalWeight >= minLinkEvidence {
 		return CauseLinkDegrade
 	}
 	return CauseDrop

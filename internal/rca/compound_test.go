@@ -62,8 +62,8 @@ func TestFlapTransitionsCountsAlternation(t *testing.T) {
 	flap := statsWithEpochs([][2]uint32{
 		{20, 2}, {20, 20}, {20, 2}, {20, 20}, {20, 2}, {20, 20},
 	})
-	if got := a.flapTransitions(flap); got < a.Cfg.FlapMinTransitions {
-		t.Errorf("flap transitions = %d, want >= %d", got, a.Cfg.FlapMinTransitions)
+	if got := a.flapTransitions(flap); got < flapMinTransitions {
+		t.Errorf("flap transitions = %d, want >= %d", got, flapMinTransitions)
 	}
 	// One contiguous outage: at most two transitions.
 	outage := statsWithEpochs([][2]uint32{

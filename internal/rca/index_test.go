@@ -254,7 +254,7 @@ func TestQuietWindowNeverDecodes(t *testing.T) {
 			quiet = append(quiet, f.record(t, p, ep, okLatency, 20, 1))
 		}
 	}
-	// A blip under the MinAbnormalRecords noise floor is still quiet.
+	// A blip under the minAbnormalRecords noise floor is still quiet.
 	quiet[0].Latency = badLatency
 	if got := a.AnalyzeWindow(quiet, 400*netsim.Millisecond, 1); len(got) != 0 {
 		t.Fatalf("healthy window produced culprits: %v", got)
@@ -395,7 +395,7 @@ func TestMinesOneSequencePerPath(t *testing.T) {
 				continue
 			}
 			distinct[row{r.Flow, r.PathID}] = true
-			sum += min(max(int(r.PathCount), 1), cfg.MaxEstimatePerRecord)
+			sum += min(max(int(r.PathCount), 1), maxEstimatePerRecord)
 		}
 		return len(distinct), sum
 	}
@@ -466,7 +466,7 @@ func TestEpochTableKeepsMapSemantics(t *testing.T) {
 		t.Errorf("lossFlowCount = %d: the gap of an epoch that is not counted was read as loss", n)
 	}
 	// The starved branch's only degradation evidence is that gap epoch,
-	// weighed twice: exactly MinLinkEvidence.
+	// weighed twice: exactly minLinkEvidence.
 	link, ok := a.degradedLightBranch(e0, through, ix.stats)
 	if want := []topology.NodeID{e0, light[1]}; !ok || !reflect.DeepEqual(link, want) {
 		t.Errorf("degradedLightBranch = %v, %v; want the light link %v", link, ok, want)

@@ -239,8 +239,8 @@ func (a *Analyzer) refIndex(ev evidence) *refIndex {
 		if n < 1 {
 			n = 1
 		}
-		if limit := a.Cfg.MaxEstimatePerRecord; limit > 0 && n > limit {
-			n = limit
+		if n > maxEstimatePerRecord {
+			n = maxEstimatePerRecord
 		}
 		ix.entries[i] = refEntry{path: path, weight: n}
 	}
@@ -359,7 +359,7 @@ func refGlobalMedianEpochCount(stats map[dataplane.FlowID]*refFlowStats) float64
 }
 
 func (a *Analyzer) refAnalyzeLatency(ix *refIndex) []Culprit {
-	if a.Cfg.MinAbnormalRecords > 0 && a.Thr != nil && ix.overRecords < a.Cfg.MinAbnormalRecords {
+	if a.Thr != nil && ix.overRecords < minAbnormalRecords {
 		return nil
 	}
 	patterns, _ := a.refMinePatterns(ix.entries, ix.over)
@@ -431,8 +431,8 @@ func (a *Analyzer) refAnalyzeLatency(ix *refIndex) []Culprit {
 		}
 		sort.Float64s(depths)
 		patternCongested := len(depths) > 0 &&
-			depths[len(depths)/2] >= float64(a.Cfg.QueueCongested) &&
-			depths[len(depths)/2] >= a.Cfg.CongestionFactor*baseQ
+			depths[len(depths)/2] >= queueCongested &&
+			depths[len(depths)/2] >= congestionFactor*baseQ
 
 		c := Culprit{Score: sp.score, Location: append([]topology.NodeID{}, sp.sub...)}
 		if patternCongested {
@@ -597,7 +597,7 @@ func (a *Analyzer) refDegradedLightBranch(up topology.NodeID, flowPkts map[datap
 			light, bestEv, found = w, ev, true
 		}
 	}
-	if !found || bestEv < a.Cfg.MinLinkEvidence {
+	if !found || bestEv < minLinkEvidence {
 		return nil, false
 	}
 	return []topology.NodeID{up, light}, true
@@ -671,14 +671,14 @@ func (a *Analyzer) refClassifyDropCause(sub []topology.NodeID, affected map[data
 			}
 		}
 	}
-	if a.Cfg.FlapMinTransitions > 0 && maxTrans >= a.Cfg.FlapMinTransitions &&
-		abnormalWeight < a.Cfg.MinLinkEvidence {
+	if maxTrans >= flapMinTransitions &&
+		abnormalWeight < minLinkEvidence {
 		return CauseLinkFlap
 	}
-	if len(sub) == 1 && hardLoss && a.Cfg.RebootMinFan > 0 && len(neighbors) >= a.Cfg.RebootMinFan {
+	if len(sub) == 1 && hardLoss && len(neighbors) >= rebootMinFan {
 		return CauseSwitchReboot
 	}
-	if len(sub) == 2 && !hardLoss && abnormalWeight >= a.Cfg.MinLinkEvidence {
+	if len(sub) == 2 && !hardLoss && abnormalWeight >= minLinkEvidence {
 		return CauseLinkDegrade
 	}
 	return CauseDrop

@@ -150,41 +150,10 @@ type Config struct {
 	MaxPatternLen int
 	// Formula is the SBFL scorer (relative risk by default).
 	Formula sbfl.Formula
-	// MaxEstimatePerRecord caps the weight Alg. 2 gives one telemetry
-	// record (the packets it stands for), so a single heavy record cannot
-	// outvote the rest of the evidence. <= 0 means no cap. Analysis cost
-	// does not depend on it.
-	MaxEstimatePerRecord int
-	// BurstFactor: a flow whose peak epoch rate exceeds BurstFactor times
-	// its quiet baseline matches the micro-burst signature.
-	BurstFactor float64
-	// BurstFactorNew is the relaxed multiple (against the network-wide
-	// median rate) for flows that appeared mid-window and have no quiet
-	// history of their own.
-	BurstFactorNew float64
 	// EpochDuration converts per-epoch counts to rates for the absolute
-	// burst test; it mirrors the data plane's telemetry epoch.
+	// burst test: the telemetry epoch of whoever minted the records'
+	// epoch IDs (dataplane.EpochDuration unless a replay says otherwise).
 	EpochDuration netsim.Time
-	// BurstPPS is the absolute rate above which a flow qualifies as a
-	// burst regardless of baselines (the paper's micro-bursts exceed
-	// 1000 pps against ~200 pps background).
-	BurstPPS float64
-	// QueueCongested: total queue depth at or above this matches the
-	// queue-buildup signatures.
-	QueueCongested uint32
-	// CongestionFactor: additionally, the abnormal queue depth must exceed
-	// this multiple of the normal records' median depth (total queue depth
-	// sums over hops, so absolute thresholds alone misfire on long paths).
-	CongestionFactor float64
-	// ImbalanceRatio: per-path throughput max/min at an ECMP divergence at
-	// or above this matches the ECMP signature.
-	ImbalanceRatio float64
-	// DropCountThreshold mirrors the data plane's drop trigger.
-	DropCountThreshold uint32
-	// MinAbnormalRecords is the least number of over-threshold telemetry
-	// records required before the latency pipeline reports culprits;
-	// below it the anomaly is treated as transient noise.
-	MinAbnormalRecords int
 	// RecentWindow bounds how far back drop evidence is trusted: a latency
 	// fault's onset shifts packets across an epoch boundary once, which
 	// looks like a count mismatch; only sustained (recent) mismatches
@@ -196,41 +165,17 @@ type Config struct {
 	// behavior (and its pinned experiment digests) is unchanged; the gray
 	// experiment flips it on for its compound mode.
 	CompoundCauses bool
-	// MinLinkEvidence is the least degradation evidence (abnormal packet
-	// weight plus weighted telemetry gaps) a starved ECMP branch must
-	// carry before the link-degrade signature re-blames the light link.
-	MinLinkEvidence float64
-	// FlapMinTransitions is the least number of bad↔clean epoch
-	// alternations across a pattern's flows before drop evidence is
-	// classified as flapping rather than steady loss.
-	FlapMinTransitions int
-	// RebootMinFan is the least number of distinct path neighbors of a
-	// single-switch drop pattern before the loss is classified as a
-	// node-level outage (reboot) rather than one bad link.
-	RebootMinFan int
 }
 
 // DefaultConfig returns the evaluation configuration.
 func DefaultConfig() Config {
 	return Config{
-		Miner:                fsm.NewPrefixSpan(),
-		MinRelSupport:        0.3,
-		MaxPatternLen:        2,
-		Formula:              sbfl.RelativeRisk,
-		MaxEstimatePerRecord: 30,
-		BurstFactor:          3.0,
-		BurstFactorNew:       2.5,
-		EpochDuration:        100 * netsim.Millisecond,
-		BurstPPS:             700,
-		QueueCongested:       8,
-		CongestionFactor:     2.5,
-		ImbalanceRatio:       2.5,
-		DropCountThreshold:   3,
-		MinAbnormalRecords:   4,
-		RecentWindow:         400 * netsim.Millisecond,
-		MinLinkEvidence:      2,
-		FlapMinTransitions:   4,
-		RebootMinFan:         3,
+		Miner:         fsm.NewPrefixSpan(),
+		MinRelSupport: 0.3,
+		MaxPatternLen: 2,
+		Formula:       sbfl.RelativeRisk,
+		EpochDuration: dataplane.EpochDuration,
+		RecentWindow:  400 * netsim.Millisecond,
 	}
 }
 
@@ -260,6 +205,9 @@ func New(cfg Config, paths *pathid.Table, thr Thresholds) *Analyzer {
 	}
 	if cfg.Formula == nil {
 		cfg.Formula = sbfl.RelativeRisk
+	}
+	if cfg.EpochDuration <= 0 {
+		cfg.EpochDuration = dataplane.EpochDuration
 	}
 	return &Analyzer{Cfg: cfg, Paths: paths, Thr: thr}
 }
@@ -339,15 +287,16 @@ func withConfidence(out []Culprit, conf float64) []Culprit {
 	return out
 }
 
-// dropMargin is the count-mismatch tolerance: absolute floor plus a
-// relative allowance for epoch-boundary in-flight packets (mirrors the
-// data plane's trigger).
+// dropRelMargin is the relative half of the drop margin: one packet in
+// dropRelMargin of an epoch's source count may be in flight across the
+// epoch boundary without counting as loss.
+const dropRelMargin = 8
+
+// dropMargin is the count-mismatch tolerance: the data plane's own drop
+// trigger (§4.2.2) as the absolute floor, plus a relative allowance for
+// epoch-boundary in-flight packets.
 func (a *Analyzer) dropMargin(sourceCount uint32) uint32 {
-	m := a.Cfg.DropCountThreshold
-	if rel := sourceCount / 8; rel > m {
-		m = rel
-	}
-	return m
+	return max(dataplane.DropCountThreshold, sourceCount/dropRelMargin)
 }
 
 // dropAffectedFlows identifies, by flow number, flows with genuine loss in
@@ -395,7 +344,7 @@ type pathStat struct {
 	path topology.Path // nil when the PathID does not decode
 	// over and under are Alg. 2's estimate of the row's traffic, split by
 	// its records' over-threshold bit: each record stands for
-	// clamp(PathCount, 1, MaxEstimatePerRecord) packets along path.
+	// clamp(PathCount, 1, maxEstimatePerRecord) packets along path.
 	over, under int
 	// pkts is the uncapped packets across the row's records; abnormal is
 	// the part of it on over-threshold records. The link-degrade signature
@@ -463,6 +412,11 @@ func (a *Analyzer) index(ev evidence) *index {
 	return ix
 }
 
+// maxEstimatePerRecord caps the weight Alg. 2 gives one telemetry record
+// (the packets it stands for), so a single heavy record cannot outvote the
+// rest of the evidence. Analysis cost does not depend on it.
+const maxEstimatePerRecord = 30
+
 // estimate folds the records into the (flow, path) rows with the traffic
 // they stand for (Alg. 2), once per index, decoding each (flow, PathID) on
 // the first record with it. A record's weight is capped before it is summed.
@@ -486,10 +440,8 @@ func (a *Analyzer) estimate(ix *index) {
 		if row.path == nil {
 			continue
 		}
-		n := max(int(r.PathCount), 1) // at least the telemetry packet itself
-		if limit := a.Cfg.MaxEstimatePerRecord; limit > 0 {
-			n = min(n, limit)
-		}
+		// At least the telemetry packet itself.
+		n := min(max(int(r.PathCount), 1), maxEstimatePerRecord)
 		row.pkts += float64(r.PathCount) + 1
 		if ix.over[i] {
 			row.over += n

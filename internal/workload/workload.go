@@ -78,8 +78,7 @@ func (g GapDist) sample(r *rand.Rand, mean float64) float64 {
 	}
 }
 
-// RateFn modulates a flow's packet rate over time; it returns a multiplier
-// applied to the base rate (0 pauses the flow for that gap).
+// RateFn is a load curve over time: a multiplier on a base rate.
 type RateFn func(t netsim.Time) float64
 
 // Diurnal returns a day-long sinusoidal load curve scaled to [low, high]
@@ -108,8 +107,6 @@ type Flow struct {
 	// Start and Stop bound the flow's lifetime; Stop <= Start means
 	// "runs until the simulation ends".
 	Start, Stop netsim.Time
-	// Rate optionally modulates RatePPS over time.
-	Rate RateFn
 
 	// SentCount is incremented for every packet emitted.
 	SentCount int64
@@ -131,20 +128,11 @@ func (f *Flow) Install(s *netsim.Simulator) {
 		if f.Stop > f.Start && now >= f.Stop {
 			return
 		}
-		rate := f.RatePPS
-		if f.Rate != nil {
-			rate *= f.Rate(now)
-		}
-		if rate > 0 {
-			s.Send(now, f.Src, f.Dst, f.Key, sizes.Sample(s.RNG()))
-			f.SentCount++
-			meanGap := float64(netsim.Second) / rate
-			gap := f.Gaps.sample(s.RNG(), meanGap)
-			s.After(netsim.Time(gap)+1, emit)
-		} else {
-			// Paused by the rate function; poll again shortly.
-			s.After(10*netsim.Millisecond, emit)
-		}
+		s.Send(now, f.Src, f.Dst, f.Key, sizes.Sample(s.RNG()))
+		f.SentCount++
+		meanGap := float64(netsim.Second) / f.RatePPS
+		gap := f.Gaps.sample(s.RNG(), meanGap)
+		s.After(netsim.Time(gap)+1, emit)
 	}
 	s.At(f.Start, emit)
 }
@@ -177,8 +165,6 @@ type BackgroundConfig struct {
 	Gaps GapDist
 	// Start and Stop bound all flows.
 	Start, Stop netsim.Time
-	// Rate optionally modulates every flow (e.g. Diurnal).
-	Rate RateFn
 	// CrossPodBias in [0,1] is the probability a flow's endpoints are
 	// forced into different pods (longer paths exercise more switches).
 	CrossPodBias float64
@@ -250,7 +236,6 @@ func RandomBackground(s *netsim.Simulator, ft *topology.FatTree, cfg BackgroundC
 			Gaps:    cfg.Gaps,
 			Start:   cfg.Start,
 			Stop:    cfg.Stop,
-			Rate:    cfg.Rate,
 		}
 		f.Install(s)
 		flows = append(flows, f)

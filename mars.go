@@ -106,15 +106,21 @@ type Config struct {
 	Seed int64
 	// Sim sets the physical network parameters.
 	Sim netsim.Config
-	// Program configures the switch pipeline (epoch, PathID hash, ring).
+	// Program configures the switch pipeline: the PathID hash (NewSystem
+	// widens its field until the fabric's path set fits) and the
+	// notification window. The telemetry epoch, ring size and drop
+	// trigger are dataplane constants.
 	Program dataplane.Config
-	// Controller configures threshold refresh and diagnosis windows.
+	// Controller configures threshold refresh, diagnosis windows and the
+	// request retry budget.
 	Controller controlplane.Config
 	// CtrlChan configures the controller↔switch control channel. The
 	// zero value is a perfect channel (synchronous, lossless), matching
 	// the paper's idealized evaluation setup.
 	CtrlChan ctrlchan.Config
-	// RCA configures the analyzer.
+	// RCA configures the analyzer's miner, support floor, scorer and the
+	// compound-cause switch; the signature thresholds are rca constants
+	// (DESIGN.md §16).
 	RCA rca.Config
 	// Codec selects the telemetry encoding by name (internal/telemetry).
 	// "" is "mars11", the paper's fixed 11-byte header; "perhop",
@@ -172,10 +178,13 @@ func NewSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mars: %w", err)
 	}
-	table, err := pathid.BuildTable(cfg.Program.PathCfg, ft.Topology, ft.AllEdgePairPaths())
+	// The PathID field is as narrow as the path set allows: k=4 fits the
+	// paper's 8 bits, larger fabrics widen.
+	table, err := pathid.BuildWidening(cfg.Program.PathCfg, ft.Topology, ft.AllEdgePairPaths())
 	if err != nil {
 		return nil, fmt.Errorf("mars: building PathID table: %w", err)
 	}
+	cfg.Program.PathCfg = table.Cfg
 	ccfg := cfg.Controller
 	ccfg.Seed = cfg.Seed
 	if cfg.Codec == "" {

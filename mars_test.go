@@ -38,6 +38,36 @@ func TestSystemEndToEndDelayFault(t *testing.T) {
 	}
 }
 
+// TestSystemWidensPathIDAboveK4: the facade starts at the configured
+// PathID width and widens until the all-pairs path set fits, so k=4 keeps
+// the paper's 8 bits and k=8 builds (at 12) and localizes a delay fault.
+func TestSystemWidensPathIDAboveK4(t *testing.T) {
+	cfg := DefaultConfig()
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := sys.Program.Cfg.PathCfg.Width; w != 8 || sys.Paths.Cfg.Width != w {
+		t.Errorf("k=4 PathID width: program %d, table %d; want the paper's 8 twice", w, sys.Paths.Cfg.Width)
+	}
+
+	cfg.FatTreeK = 8
+	sys, err = NewSystem(cfg)
+	if err != nil {
+		t.Fatalf("k=8: %v", err)
+	}
+	if w := sys.Program.Cfg.PathCfg.Width; w != 12 || sys.Paths.Cfg.Width != w {
+		t.Errorf("k=8 PathID width: program %d, table %d; want 12 twice", w, sys.Paths.Cfg.Width)
+	}
+	sys.StartBackground(12*len(sys.FT.EdgeIDs), 220)
+	gt := sys.InjectFault(FaultDelay, 2*Second, 1500*Millisecond)
+	sys.Run(4 * Second)
+	culprits := sys.Culprits()
+	if len(culprits) == 0 || !culprits[0].ContainsSwitch(gt.Switch) {
+		t.Errorf("k=8 delay at s%d: top culprit is not the injected switch: %v", gt.Switch, culprits[:min(3, len(culprits))])
+	}
+}
+
 func TestSystemRejectsBadConfig(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FatTreeK = 3
@@ -107,7 +137,7 @@ func TestSystemThresholdBecomesDynamic(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			if th := sys.ThresholdOf(FlowID{Src: src, Sink: dst}); th < cfg.Program.DefaultThreshold {
+			if th := sys.ThresholdOf(FlowID{Src: src, Sink: dst}); th < dataplane.DefaultThreshold {
 				dynamic++
 			}
 		}
