@@ -199,9 +199,10 @@ func runSwitch(scenarioPath, portmapPath string, group int) error {
 			break
 		}
 	}
-	notes, pushes := node.Counts()
-	fmt.Printf("mars-node: switch group=%d notes=%d pushes=%d frames_rx=%d\n",
-		group, notes, pushes, node.Stats().FramesReceived.Load())
+	notes, pushes, b := node.Counts()
+	fmt.Printf("mars-node: switch group=%d notes=%d pushes=%d frames_rx=%d notification_bytes=%d collection_bytes=%d refresh_bytes=%d ack_bytes=%d\n",
+		group, notes, pushes, node.Stats().FramesReceived.Load(),
+		b.NotificationBytes, b.CollectionBytes, b.RefreshBytes, b.AckBytes)
 	return nil
 }
 
@@ -282,8 +283,11 @@ func runLauncher(scenarioPath, dir string, timeout time.Duration, withStream boo
 			return nil, fmt.Errorf("spawning %s: %w", name, err)
 		}
 		// Relay the child's stdout, watching for the readiness handshake.
+		// Wait closes the pipe, so it runs only after the relay reads EOF.
+		relayed := make(chan struct{})
 		//mars:sync per-child relay writes whole lines prefixed with the child's name; cross-child interleaving mirrors real process timing, which is the launcher's observable, not a seeded output
 		go func() {
+			defer close(relayed)
 			sc := bufio.NewScanner(stdout)
 			signaled := false
 			for sc.Scan() {
@@ -297,7 +301,7 @@ func runLauncher(scenarioPath, dir string, timeout time.Duration, withStream boo
 			}
 		}()
 		//mars:sync one waiter per child feeding a buffered done channel; consumers select on it explicitly, so ordering is enforced at the receive sites
-		go func() { c.done <- cmd.Wait(); logf.Close() }()
+		go func() { <-relayed; c.done <- cmd.Wait(); logf.Close() }()
 		return c, nil
 	}
 

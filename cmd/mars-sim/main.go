@@ -40,7 +40,7 @@ func main() {
 		top       = flag.Int("top", 8, "culprits to print")
 		codec     = flag.String("codec", "", "telemetry codec: mars11 (default), perhop, pintlike, sampled")
 		compound  = flag.Bool("compound", false, "enable compound-cause RCA (gray-failure signatures)")
-		verbose   = flag.Bool("v", false, "print each diagnosis as it happens")
+		verbose   = flag.Bool("v", false, "print each diagnosis as it happens and the control-channel byte counters")
 	)
 	flag.Parse()
 
@@ -97,6 +97,10 @@ func main() {
 
 	fmt.Printf("\nsent=%d delivered=%d dropped=%d\n",
 		sys.Sim.Stats.Sent, sys.Sim.Stats.Delivered, sys.Sim.Stats.Dropped)
+	if b := sys.Controller.Bytes; *verbose {
+		fmt.Printf("control channel: notification %d + collection %d + refresh %d + push %d B are the diagnosis overhead; request %d + ack %d B are not in it\n",
+			b.NotificationBytes, b.CollectionBytes, b.RefreshBytes, b.ThresholdPushBytes, b.RequestBytes, b.AckBytes)
+	}
 	fmt.Printf("telemetry overhead: %d B, diagnosis overhead: %d B\n\n",
 		sys.TelemetryOverheadBytes(), sys.DiagnosisOverheadBytes())
 

@@ -4,7 +4,8 @@
 // with counted bytes), feeds per-flow reservoirs, pushes refreshed dynamic
 // thresholds down to the data plane, and — when a data-plane notification
 // arrives — collects the Ring Tables of all edge switches as diagnosis
-// data for root cause analysis (§4.3, §4.4).
+// data for root cause analysis (§4.3, §4.4). The other end of every
+// exchange — in the paper, each switch's P4Runtime server — is the Agent.
 //
 // The channel (internal/ctrlchan) may lose, delay, reorder, or duplicate
 // messages, so the controller is built to survive its own control plane
@@ -52,9 +53,8 @@ type Config struct {
 	BackoffMax netsim.Time
 
 	// Decoder is the controller-side half of the selected telemetry codec
-	// (internal/telemetry): it reconstructs collected Ring Table records
-	// and prices them on the collection wire. nil means the paper's exact
-	// encoding — identity reconstruction, 28-byte records.
+	// (internal/telemetry): it reconstructs collected Ring Table records.
+	// nil means the paper's exact encoding — identity reconstruction.
 	Decoder RecordDecoder
 }
 
@@ -81,7 +81,6 @@ type Clock interface {
 // culprit confidence. Every internal/telemetry Codec satisfies this.
 type RecordDecoder interface {
 	DecodeRecords(recs []dataplane.RTRecord) ([]dataplane.RTRecord, []float64)
-	RecordBytes() int
 }
 
 const (
@@ -161,13 +160,15 @@ func (d Diagnosis) Coverage() float64 {
 // Partial reports whether any contacted sink is missing.
 func (d Diagnosis) Partial() bool { return len(d.MissingSinks) > 0 }
 
-// BandwidthStats counts every control-channel byte for the Fig. 9 study.
+// BandwidthStats counts every control-channel byte for the Fig. 9 study,
+// each at its sender when the message is put on the channel: the Agent
+// counts NotificationBytes, CollectionBytes, RefreshBytes and AckBytes, the
+// Controller everything else.
 type BandwidthStats struct {
 	// NotificationBytes: data plane -> control plane triggers.
 	NotificationBytes int64
-	// CollectionBytes: Ring Table pulls (diagnosis data). Counted when a
-	// response is put on the channel, so retransmitted collections cost
-	// their true repeated bytes.
+	// CollectionBytes: Ring Table pulls (diagnosis data); a retransmitted
+	// collection costs its true repeated bytes.
 	CollectionBytes int64
 	// RefreshBytes: periodic latency pulls for reservoir upkeep.
 	RefreshBytes int64
@@ -243,10 +244,9 @@ type request struct {
 }
 
 // noteKey deduplicates notification deliveries. The sequence number alone
-// is not enough: in the multi-process deployment every switch process mints
-// its own Seq stream, so streams from different switches collide. In the
-// simulator the controller mints every Seq from one global counter, making
-// the (switch, seq) pair exactly as unique as the bare seq was.
+// is not enough: every Agent mints its own Seq stream, and the multi-process
+// deployment runs one per switch group, so streams from different switches
+// collide.
 type noteKey struct {
 	sw  topology.NodeID
 	seq uint64
@@ -278,12 +278,15 @@ func (ps *pushState) converged() bool {
 // Controller is the MARS control plane.
 type Controller struct {
 	Cfg   Config
-	Prog  *dataplane.Program
 	Topo  *topology.Topology
 	Bytes BandwidthStats
 
 	// OnDiagnosis receives each collected diagnosis (the RCA entry point).
 	OnDiagnosis func(d Diagnosis)
+	// ToSwitch is the in-process delivery hook of the switch end
+	// (Agent.Deliver), handed to the transport with every request; nil when
+	// the transport crosses a process boundary.
+	ToSwitch func(ctrlchan.Message)
 
 	clock      Clock
 	tr         ctrlchan.Transport
@@ -313,27 +316,14 @@ type Controller struct {
 	flushScheduled bool
 }
 
-// NewWithChannel wires a controller to a simulator and data-plane program
-// over an explicit control channel (nil means a perfect one: synchronous,
-// lossless). Call Start to begin the refresh loop, and pass the controller
-// to the program as its Notifier.
-func NewWithChannel(cfg Config, sim *netsim.Simulator, prog *dataplane.Program, ch *ctrlchan.Channel) *Controller {
-	if ch == nil {
-		ch = ctrlchan.New(sim, ctrlchan.Config{Seed: cfg.Seed})
-	}
-	return NewWithTransport(cfg, sim, prog, ch)
-}
-
-// NewWithTransport wires a controller to an arbitrary clock and transport —
-// the seam the real-process deployment mode enters through. With a
-// *netsim.Simulator clock and a *ctrlchan.Channel transport this is exactly
-// NewWithChannel; with an rtclock loop and a UDP transport the same
-// reliability machinery runs against real sockets.
-func NewWithTransport(cfg Config, clock Clock, prog *dataplane.Program, tr ctrlchan.Transport) *Controller {
+// New wires a controller to a clock and a transport: the simulator and a
+// ctrlchan.Channel, or an rtclock loop and a UDP transport — the same
+// reliability machinery runs against either. Everything the switches send
+// reaches it through Deliver. Call Start to begin the refresh loop.
+func New(cfg Config, clock Clock, topo *topology.Topology, tr ctrlchan.Transport) *Controller {
 	c := &Controller{
 		Cfg:            cfg,
-		Prog:           prog,
-		Topo:           prog.Topo,
+		Topo:           topo,
 		clock:          clock,
 		tr:             tr,
 		rng:            rand.New(rand.NewSource(cfg.Seed)),
@@ -354,11 +344,6 @@ func NewWithTransport(cfg Config, clock Clock, prog *dataplane.Program, tr ctrlc
 	}
 	return c
 }
-
-// Deliver dispatches an inbound switch → controller message. It is the
-// handler a socket transport's read loop hands frames to; the in-simulator
-// path reaches the same dispatch through the Channel's deliver callback.
-func (c *Controller) Deliver(m ctrlchan.Message) { c.deliverToController(m) }
 
 // EdgeSwitches returns the switches with attached hosts (telemetry sinks).
 func (c *Controller) EdgeSwitches() []topology.NodeID { return c.edgeSwitches }
@@ -413,12 +398,6 @@ func (c *Controller) backoff(attempt int) netsim.Time {
 	return d
 }
 
-// seq mints the next channel sequence number.
-func (c *Controller) seq() uint64 {
-	c.nextSeq++
-	return c.nextSeq
-}
-
 // --- The request lifecycle -------------------------------------------------
 //
 // Every controller → switch exchange goes through issue/timeout/settle, so
@@ -451,10 +430,11 @@ func (c *Controller) issue(r request) {
 		m.Kind, m.Flow, m.Threshold, m.Wire = ctrlchan.KindThresholdPush, r.flow, ps.want, dataplane.ThresholdPushBytes
 		c.Bytes.ThresholdPushBytes += m.Wire
 	}
-	seq := c.seq()
+	c.nextSeq++
+	seq := c.nextSeq
 	m.Seq = seq
 	c.outstanding[seq] = r
-	c.tr.Send(ctrlchan.ToSwitch, m, c.deliverToSwitch)
+	c.tr.Send(ctrlchan.ToSwitch, m, c.ToSwitch)
 	// A perfect channel answers inside Send; arming the deadline only for
 	// requests still outstanding keeps the event heap untouched on the
 	// reliable path.
@@ -523,55 +503,11 @@ func (c *Controller) settle(seq uint64, kind reqKind) (request, bool) {
 	return r, true
 }
 
-// --- Switch-side agent ----------------------------------------------------
-//
-// In the paper each switch runs a P4Runtime server; here a thin agent
-// executes controller requests against the shared Program state and sends
-// the response back over the channel. It holds no controller state — all
-// reliability logic lives on the controller side.
-
-// deliverToSwitch handles controller → switch messages at the switch.
-func (c *Controller) deliverToSwitch(m ctrlchan.Message) {
-	//mars:partial only controller->switch request kinds arrive here; responses, acks, and notifications travel the other direction and are handled by deliverToController
-	switch m.Kind {
-	case ctrlchan.KindCollectRequest:
-		recs := c.Prog.RTSnapshot(m.Switch)
-		wire := int64(len(recs)) * c.recordBytes()
-		c.Bytes.CollectionBytes += wire
-		c.tr.Send(ctrlchan.ToController, ctrlchan.Message{
-			Kind: ctrlchan.KindCollectResponse, Seq: m.Seq, Switch: m.Switch,
-			Records: recs, Wire: wire,
-		}, c.deliverToController)
-
-	case ctrlchan.KindRefreshRequest:
-		// Incremental pull: only records newer than the controller's
-		// watermark cross the channel (8 B per compressed latency sample,
-		// as in the seed accounting).
-		var recs []dataplane.RTRecord
-		for _, r := range c.Prog.RTSnapshot(m.Switch) {
-			if r.Arrival > m.Watermark {
-				recs = append(recs, r)
-			}
-		}
-		c.Bytes.RefreshBytes += int64(len(recs)) * 8
-		c.tr.Send(ctrlchan.ToController, ctrlchan.Message{
-			Kind: ctrlchan.KindRefreshResponse, Seq: m.Seq, Switch: m.Switch,
-			Records: recs, Wire: int64(len(recs)) * 8,
-		}, c.deliverToController)
-
-	case ctrlchan.KindThresholdPush:
-		c.Prog.SetThreshold(m.Switch, m.Flow, m.Threshold)
-		c.Bytes.AckBytes += ctrlchan.AckBytes
-		c.tr.Send(ctrlchan.ToController, ctrlchan.Message{
-			Kind: ctrlchan.KindThresholdAck, Seq: m.Seq, Switch: m.Switch,
-			Flow: m.Flow, Threshold: m.Threshold, Wire: ctrlchan.AckBytes,
-		}, c.deliverToController)
-	}
-}
-
-// deliverToController dispatches switch → controller messages.
-func (c *Controller) deliverToController(m ctrlchan.Message) {
-	//mars:partial only switch->controller response kinds arrive here; requests and pushes travel the other direction and are handled by deliverToSwitch
+// Deliver dispatches one switch → controller message: the handler a socket
+// transport's read loop hands frames to, and the delivery hook an in-process
+// Agent sends with.
+func (c *Controller) Deliver(m ctrlchan.Message) {
+	//mars:partial only switch->controller kinds arrive here; requests and pushes travel the other direction and are handled by Agent.Deliver
 	switch m.Kind {
 	case ctrlchan.KindNotification:
 		c.onNotification(m)
@@ -674,18 +610,6 @@ func (c *Controller) onThresholdAck(m ctrlchan.Message) {
 
 // --- Notifications and diagnosis collection -------------------------------
 
-// Notify implements dataplane.Notifier. It runs at the notifying switch:
-// the trigger is accounted and sent up the control channel, where loss,
-// delay, duplication, and reordering may apply before onNotification sees
-// it.
-func (c *Controller) Notify(n dataplane.Notification) {
-	c.Bytes.NotificationBytes += dataplane.NotificationBytes
-	c.tr.Send(ctrlchan.ToController, ctrlchan.Message{
-		Kind: ctrlchan.KindNotification, Seq: c.seq(), Switch: n.Switch,
-		Note: n, Wire: dataplane.NotificationBytes,
-	}, c.deliverToController)
-}
-
 // onNotification deduplicates deliveries and applies the response window.
 // A notification inside the window is not dropped: the newest one is
 // retained and fires a diagnosis the moment the window reopens.
@@ -783,15 +707,6 @@ func (c *Controller) sinkResolved(col *collection, sw topology.NodeID) {
 	}
 }
 
-// recordBytes is the collection wire size of one Ring Table record under
-// the active codec.
-func (c *Controller) recordBytes() int64 {
-	if c.Cfg.Decoder != nil {
-		return int64(c.Cfg.Decoder.RecordBytes())
-	}
-	return dataplane.RTRecordBytes
-}
-
 // finalizeCollection runs the codec decoder over the collected snapshot
 // and hands the (possibly partial) diagnosis to RCA.
 func (c *Controller) finalizeCollection(col *collection) {
@@ -816,5 +731,3 @@ func (c *Controller) finalizeCollection(col *collection) {
 		})
 	}
 }
-
-var _ dataplane.Notifier = (*Controller)(nil)

@@ -3,38 +3,34 @@ package controlplane
 import (
 	"testing"
 
+	"mars/internal/ctrlchan"
 	"mars/internal/dataplane"
 	"mars/internal/netsim"
-	"mars/internal/pathid"
 	"mars/internal/topology"
 	"mars/internal/workload"
 )
 
 type env struct {
-	ft   *topology.FatTree
-	sim  *netsim.Simulator
-	prog *dataplane.Program
-	ctrl *Controller
+	ft    *topology.FatTree
+	sim   *netsim.Simulator
+	prog  *dataplane.Program
+	ctrl  *Controller
+	agent *Agent
 }
 
+// newEnv is a started controller and the switch agent over prog's live
+// registers, joined by a perfect channel.
 func newEnv(t *testing.T, seed int64) *env {
-	t.Helper()
-	ft, err := topology.NewFatTree(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dcfg := dataplane.DefaultProgramConfig()
-	table, err := pathid.BuildTable(dcfg.PathCfg, ft.Topology, ft.AllEdgePairPaths())
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := dataplane.New(dcfg, ft.Topology, table, nil)
-	router := netsim.NewECMPRouter(ft.Topology, uint64(seed))
-	sim := netsim.New(ft.Topology, router, prog, netsim.DefaultConfig(), seed)
-	ctrl := NewWithChannel(DefaultConfig(), sim, prog, nil)
-	prog.Notifier = ctrl
-	ctrl.Start()
-	return &env{ft: ft, sim: sim, prog: prog, ctrl: ctrl}
+	return newLossyEnv(t, seed, DefaultConfig(), ctrlchan.Config{})
+}
+
+// attachAgent gives ctrl its in-process other end: an agent over prog's
+// live registers at the paper's record price, installed as prog's Notifier.
+func attachAgent(ctrl *Controller, prog *dataplane.Program, tr ctrlchan.Transport) *Agent {
+	a := NewAgent(LiveRegisters{Program: prog}, dataplane.RTRecordBytes, tr, &ctrl.Bytes, ctrl.Deliver)
+	ctrl.ToSwitch = a.Deliver
+	prog.Notifier = a
+	return a
 }
 
 func TestEdgeSwitchDiscovery(t *testing.T) {
@@ -137,7 +133,7 @@ func TestResponseWindowLimitsDiagnoses(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		at := netsim.Time(i) * netsim.Millisecond
 		e.sim.At(at, func() {
-			e.ctrl.Notify(dataplane.Notification{Kind: dataplane.NotifyHighLatency, Time: at})
+			e.agent.Notify(dataplane.Notification{Kind: dataplane.NotifyHighLatency, Time: at})
 		})
 	}
 	e.sim.Run(netsim.Second)
@@ -199,7 +195,7 @@ func TestCoreSwitchesCarryNoTelemetryState(t *testing.T) {
 	}
 	// Force one collection.
 	e.sim.At(1500*netsim.Millisecond, func() {
-		e.ctrl.Notify(dataplane.Notification{Kind: dataplane.NotifyHighLatency})
+		e.agent.Notify(dataplane.Notification{Kind: dataplane.NotifyHighLatency})
 	})
 	e.sim.Run(2 * netsim.Second)
 	for _, sw := range append(e.ft.CoreIDs, e.ft.AggIDs...) {

@@ -48,6 +48,8 @@ func (c *countingClock) After(d netsim.Time, fn func()) {
 // records in sw's Ring Table.
 type reqHarness struct {
 	ctrl  *Controller
+	agent *Agent
+	prog  *dataplane.Program
 	clock *countingClock
 	tr    *dropFirst
 	sw    topology.NodeID // the sink edge switch the drops target
@@ -77,10 +79,11 @@ func newReqHarness(t *testing.T, kind ctrlchan.Kind, chCfg ctrlchan.Config, drop
 		tr:    &dropFirst{Channel: ctrlchan.New(sim, chCfg), kind: kind, sw: sink, n: drop},
 		sw:    sink,
 		flow:  dataplane.FlowID{Src: srcEdge, Sink: sink},
+		prog:  prog,
 	}
-	h.ctrl = NewWithTransport(DefaultConfig(), h.clock, prog, h.tr)
+	h.ctrl = New(DefaultConfig(), h.clock, ft.Topology, h.tr)
 	h.ctrl.OnDiagnosis = func(d Diagnosis) { h.diags = append(h.diags, d) }
-	prog.Notifier = h.ctrl
+	h.agent = attachAgent(h.ctrl, prog, h.tr)
 
 	f := &workload.Flow{Src: src, Dst: dst, Key: 1, RatePPS: 100,
 		Gaps: workload.GapConstant, Start: 0, Stop: netsim.Second}
@@ -125,7 +128,7 @@ func TestRequestLifecycleAcrossKinds(t *testing.T) {
 			kind:  ctrlchan.KindRefreshRequest,
 			start: func(h *reqHarness) { h.ctrl.Refresh() },
 			done: func(t *testing.T, h *reqHarness) {
-				records := int64(len(h.ctrl.Prog.RTSnapshot(h.sw)))
+				records := int64(len(h.prog.RTSnapshot(h.sw)))
 				if got := h.ctrl.ReservoirFor(h.flow).Accepted; got != records || records == 0 {
 					t.Errorf("reservoir accepted %d of the sink's %d records, want each once", got, records)
 				}
@@ -144,7 +147,7 @@ func TestRequestLifecycleAcrossKinds(t *testing.T) {
 			name: "collect",
 			kind: ctrlchan.KindCollectRequest,
 			start: func(h *reqHarness) {
-				h.ctrl.Notify(dataplane.Notification{Kind: dataplane.NotifyHighLatency, Time: h.clock.Now()})
+				h.agent.Notify(dataplane.Notification{Kind: dataplane.NotifyHighLatency, Time: h.clock.Now()})
 			},
 			done: func(t *testing.T, h *reqHarness) {
 				if len(h.diags) == 0 {

@@ -28,10 +28,10 @@ func newLossyEnv(t *testing.T, seed int64, cfg Config, chCfg ctrlchan.Config) *e
 	router := netsim.NewECMPRouter(ft.Topology, uint64(seed))
 	sim := netsim.New(ft.Topology, router, prog, netsim.DefaultConfig(), seed)
 	ch := ctrlchan.New(sim, chCfg)
-	ctrl := NewWithChannel(cfg, sim, prog, ch)
-	prog.Notifier = ctrl
+	ctrl := New(cfg, sim, ft.Topology, ch)
+	agent := attachAgent(ctrl, prog, ch)
 	ctrl.Start()
-	return &env{ft: ft, sim: sim, prog: prog, ctrl: ctrl}
+	return &env{ft: ft, sim: sim, prog: prog, ctrl: ctrl, agent: agent}
 }
 
 func TestZeroEdgeSwitchTopology(t *testing.T) {
@@ -48,14 +48,16 @@ func TestZeroEdgeSwitchTopology(t *testing.T) {
 	}
 	prog := dataplane.New(dataplane.DefaultProgramConfig(), topo, nil, nil)
 	sim := netsim.New(topo, nil, prog, netsim.DefaultConfig(), 1)
-	ctrl := NewWithChannel(DefaultConfig(), sim, prog, nil)
+	ch := ctrlchan.New(sim, ctrlchan.Config{})
+	ctrl := New(DefaultConfig(), sim, topo, ch)
+	agent := attachAgent(ctrl, prog, ch)
 	if n := len(ctrl.EdgeSwitches()); n != 0 {
 		t.Fatalf("edge switches = %d, want 0", n)
 	}
 	var diags []Diagnosis
 	ctrl.OnDiagnosis = func(d Diagnosis) { diags = append(diags, d) }
 	ctrl.Start()
-	ctrl.Notify(dataplane.Notification{Kind: dataplane.NotifyHighLatency})
+	agent.Notify(dataplane.Notification{Kind: dataplane.NotifyHighLatency})
 	sim.Run(netsim.Second)
 	if len(diags) != 1 {
 		t.Fatalf("diagnoses = %d, want 1", len(diags))
@@ -132,7 +134,7 @@ func TestCollectionRetriesRecoverMissingSinks(t *testing.T) {
 		var diags []Diagnosis
 		e.ctrl.OnDiagnosis = func(d Diagnosis) { diags = append(diags, d) }
 		e.sim.At(0, func() {
-			e.ctrl.Notify(dataplane.Notification{Kind: dataplane.NotifyHighLatency})
+			e.agent.Notify(dataplane.Notification{Kind: dataplane.NotifyHighLatency})
 		})
 		e.sim.Run(2 * netsim.Second)
 		if len(diags) != 1 {
@@ -170,7 +172,7 @@ func TestDuplicatedNotificationsDeduplicated(t *testing.T) {
 	var diags []Diagnosis
 	e.ctrl.OnDiagnosis = func(d Diagnosis) { diags = append(diags, d) }
 	e.sim.At(0, func() {
-		e.ctrl.Notify(dataplane.Notification{Kind: dataplane.NotifyHighLatency})
+		e.agent.Notify(dataplane.Notification{Kind: dataplane.NotifyHighLatency})
 	})
 	e.sim.Run(netsim.Second)
 	if len(diags) != 1 {

@@ -21,4 +21,14 @@ func TestWriteSeedCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	dir = filepath.Join("testdata", "fuzz", "FuzzReassembly")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, seed := range reasmSeeds() {
+		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
+		if err := os.WriteFile(filepath.Join(dir, "seed-"+name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

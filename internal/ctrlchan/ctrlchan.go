@@ -38,13 +38,6 @@ const (
 	ToSwitch
 )
 
-func (d Direction) String() string {
-	if d == ToController {
-		return "to-controller"
-	}
-	return "to-switch"
-}
-
 // Kind enumerates the typed control-channel exchanges.
 type Kind uint8
 
@@ -125,8 +118,8 @@ type Message struct {
 	// Wire is the message's size on the channel in bytes (set by the
 	// sender; the Channel only accounts it).
 	Wire int64
-	// Stamp is the sender's clock at snapshot time on collect/refresh
-	// responses. The in-simulator path leaves it zero (collection there is
+	// Stamp is the sender's clock at snapshot time on collect responses.
+	// The in-simulator path leaves it zero (collection there is
 	// synchronous); the real-socket deployment mode sets it so the
 	// controller can anchor record-recency analysis to the data's own
 	// timeline rather than the wall clock.

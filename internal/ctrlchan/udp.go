@@ -47,7 +47,13 @@ type UDPTransport struct {
 
 	reasmMu sync.Mutex
 	reasm   map[reasmKey]*partialFrame
-	sweep   time.Time
+	// reasmHeld is what the incomplete frames are accounted as holding
+	// (partialFrame.held summed), kept at or below maxReasmBytes.
+	reasmHeld int
+	sweep     time.Time
+	// now is the reassembly TTL clock: time.Now outside tests —
+	// deployment-mode I/O, never simulation state.
+	now func() time.Time
 
 	readDone chan struct{}
 }
@@ -57,7 +63,6 @@ type UDPStats struct {
 	FramesSent     atomic.Int64
 	FramesReceived atomic.Int64
 	FragmentsSent  atomic.Int64
-	FragmentsRecvd atomic.Int64
 	InjectedDrops  atomic.Int64
 	DecodeErrors   atomic.Int64
 	ReasmDropped   atomic.Int64
@@ -85,8 +90,18 @@ const (
 	fragMagic       = 0x4D46 // "MF"
 	fragHeaderBytes = 10
 	defaultFragment = 1400
-	// reasmTTL bounds how long an incomplete frame waits for fragments.
-	reasmTTL = 2 * time.Second
+	// reasmTTL bounds how long an incomplete frame waits for fragments;
+	// expired ones are swept at most once per reasmSweep.
+	reasmTTL   = 2 * time.Second
+	reasmSweep = reasmTTL / 8
+	// maxFrameBytes is the largest frame DecodeMessage accepts.
+	maxFrameBytes = FrameHeaderBytes + MaxFramePayload
+	// maxPartialFrames and maxReasmBytes bound what incomplete frames may
+	// hold, fragment tables included (fragSlotBytes per announced fragment;
+	// any datagram can announce 65,535): room for four whole frames at once.
+	maxPartialFrames = 1024
+	maxReasmBytes    = 4 * maxFrameBytes
+	fragSlotBytes    = 24 // one []byte header of partialFrame.frags
 )
 
 type reasmKey struct {
@@ -95,8 +110,11 @@ type reasmKey struct {
 }
 
 type partialFrame struct {
-	frags    [][]byte
-	have     int
+	frags [][]byte
+	have  int
+	// held is the frame's share of reasmHeld: its fragment table plus the
+	// payloads received so far.
+	held     int
 	deadline time.Time
 }
 
@@ -118,6 +136,7 @@ func NewUDP(conn *net.UDPConn, cfg UDPConfig, deliver func(Message)) *UDPTranspo
 		lossProb:    cfg.LossProb,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		reasm:       make(map[reasmKey]*partialFrame),
+		now:         time.Now,
 		readDone:    make(chan struct{}),
 	}
 	//mars:sync the read loop only invokes the deliver callback, which posts onto the node's single-threaded rtclock loop; socket arrival order is inherently wall-clock and outside the seeded digest surface
@@ -143,10 +162,7 @@ func (t *UDPTransport) Send(d Direction, m Message, _ func(Message)) {
 	}
 	frame := EncodeMessage(&m)
 	id := t.frameID.Add(1)
-	count := (len(frame) + t.maxFragment - 1) / t.maxFragment
-	if count == 0 {
-		count = 1
-	}
+	count := (len(frame) + t.maxFragment - 1) / t.maxFragment // >= 1: a frame has a header
 	t.stats.FramesSent.Add(1)
 	for i := 0; i < count; i++ {
 		lo := i * t.maxFragment
@@ -158,17 +174,23 @@ func (t *UDPTransport) Send(d Direction, m Message, _ func(Message)) {
 			t.stats.InjectedDrops.Add(1)
 			continue
 		}
-		pkt := make([]byte, fragHeaderBytes+hi-lo)
-		binary.BigEndian.PutUint16(pkt[0:2], fragMagic)
-		binary.BigEndian.PutUint32(pkt[2:6], id)
-		binary.BigEndian.PutUint16(pkt[6:8], uint16(i))
-		binary.BigEndian.PutUint16(pkt[8:10], uint16(count))
-		copy(pkt[fragHeaderBytes:], frame[lo:hi])
-		if _, err := t.conn.WriteToUDP(pkt, peer); err != nil {
+		if _, err := t.conn.WriteToUDP(fragment(id, i, count, frame[lo:hi]), peer); err != nil {
 			return // socket closed or unreachable; retries handle it
 		}
 		t.stats.FragmentsSent.Add(1)
 	}
+}
+
+// fragment renders one datagram: the fragment header, then its slice of
+// the frame.
+func fragment(id uint32, index, count int, payload []byte) []byte {
+	pkt := make([]byte, fragHeaderBytes+len(payload))
+	binary.BigEndian.PutUint16(pkt[0:2], fragMagic)
+	binary.BigEndian.PutUint32(pkt[2:6], id)
+	binary.BigEndian.PutUint16(pkt[6:8], uint16(index))
+	binary.BigEndian.PutUint16(pkt[8:10], uint16(count))
+	copy(pkt[fragHeaderBytes:], payload)
+	return pkt
 }
 
 func (t *UDPTransport) drawLoss() bool {
@@ -190,23 +212,14 @@ func (t *UDPTransport) Close() error {
 	return err
 }
 
-// readLoop receives fragments, reassembles frames, decodes, delivers.
-// Read deadlines keep the loop responsive to Close even when the peer has
-// gone quiet.
+// readLoop receives fragments, reassembles frames, decodes, delivers, until
+// Close closes the socket under the blocked read.
 func (t *UDPTransport) readLoop() {
 	defer close(t.readDone)
 	buf := make([]byte, 65536)
 	for {
-		//mars:wallclock socket read deadline; deployment-mode I/O, never simulation state
-		t.conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
 		n, from, err := t.conn.ReadFromUDP(buf)
 		if err != nil {
-			if t.closed.Load() {
-				return
-			}
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue
-			}
 			return
 		}
 		t.onFragment(append([]byte(nil), buf[:n]...), from)
@@ -220,7 +233,6 @@ func (t *UDPTransport) onFragment(pkt []byte, from *net.UDPAddr) {
 		t.stats.DecodeErrors.Add(1)
 		return
 	}
-	t.stats.FragmentsRecvd.Add(1)
 	id := binary.BigEndian.Uint32(pkt[2:6])
 	index := int(binary.BigEndian.Uint16(pkt[6:8]))
 	count := int(binary.BigEndian.Uint16(pkt[8:10]))
@@ -249,39 +261,66 @@ func (t *UDPTransport) onFragment(pkt []byte, from *net.UDPAddr) {
 }
 
 // reassemble buffers one fragment and returns the whole frame when the
-// last piece lands. Incomplete frames are evicted after reasmTTL.
+// last piece lands. Incomplete frames are evicted after reasmTTL, and a
+// fragment that would take them past maxPartialFrames or maxReasmBytes, or
+// its own frame past maxFrameBytes, is dropped — a lost fragment, which
+// the retry machinery above already absorbs.
 func (t *UDPTransport) reassemble(k reasmKey, index, count int, payload []byte) []byte {
-	//mars:wallclock reassembly TTL eviction; deployment-mode I/O, never simulation state
-	now := time.Now()
+	now := t.now()
 	t.reasmMu.Lock()
 	defer t.reasmMu.Unlock()
 	if now.After(t.sweep) {
 		for key, p := range t.reasm {
 			if now.After(p.deadline) {
-				delete(t.reasm, key)
-				t.stats.ReasmDropped.Add(1)
+				t.evict(key, p)
 			}
 		}
-		t.sweep = now.Add(reasmTTL)
+		t.sweep = now.Add(reasmSweep)
 	}
 	p := t.reasm[k]
-	if p == nil || len(p.frags) != count {
+	if p != nil && len(p.frags) != count {
+		t.evict(k, p) // the id now announces a different frame
+		p = nil
+	}
+	need := len(payload)
+	switch {
+	case p == nil:
+		need += count * fragSlotBytes
+	case p.frags[index] != nil:
+		return nil // duplicate
+	case p.held-count*fragSlotBytes+need > maxFrameBytes:
+		t.evict(k, p)
+		return nil
+	}
+	if t.reasmHeld+need > maxReasmBytes || p == nil && len(t.reasm) >= maxPartialFrames {
+		t.stats.ReasmDropped.Add(1)
+		return nil
+	}
+	if p == nil {
 		p = &partialFrame{frags: make([][]byte, count), deadline: now.Add(reasmTTL)}
 		t.reasm[k] = p
 	}
-	if p.frags[index] == nil {
-		p.frags[index] = payload
-		p.have++
-	}
+	p.frags[index] = payload
+	p.have++
+	p.held += need
+	t.reasmHeld += need
 	if p.have < count {
 		return nil
 	}
 	delete(t.reasm, k)
-	var frame []byte
+	t.reasmHeld -= p.held
+	frame := make([]byte, 0, p.held-count*fragSlotBytes)
 	for _, f := range p.frags {
 		frame = append(frame, f...)
 	}
 	return frame
+}
+
+// evict abandons an incomplete frame and releases what it held.
+func (t *UDPTransport) evict(k reasmKey, p *partialFrame) {
+	delete(t.reasm, k)
+	t.reasmHeld -= p.held
+	t.stats.ReasmDropped.Add(1)
 }
 
 var _ Transport = (*UDPTransport)(nil)

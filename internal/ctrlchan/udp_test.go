@@ -3,6 +3,7 @@ package ctrlchan
 import (
 	"net"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -184,5 +185,97 @@ func TestUDPUnroutableSwitchDropsSilently(t *testing.T) {
 	got := swRx.wait(t, 1)
 	if got[0].Switch != 3 {
 		t.Fatalf("delivered to %d, want 3", got[0].Switch)
+	}
+}
+
+// reasmTransport is a transport with no socket: a test feeds datagrams to
+// onFragment itself, and the reassembly clock reads *clock.
+func reasmTransport(clock *time.Time, deliver func(Message)) *UDPTransport {
+	return &UDPTransport{
+		reasm:   make(map[reasmKey]*partialFrame),
+		deliver: deliver,
+		now:     func() time.Time { return *clock },
+	}
+}
+
+// fragmentsOf cuts m's frame into the datagrams Send would write.
+func fragmentsOf(id uint32, m Message, maxFrag int) [][]byte {
+	frame := EncodeMessage(&m)
+	pkts := make([][]byte, (len(frame)+maxFrag-1)/maxFrag)
+	for i := range pkts {
+		hi := (i + 1) * maxFrag
+		if hi > len(frame) {
+			hi = len(frame)
+		}
+		pkts[i] = fragment(id, i, len(pkts), frame[i*maxFrag:hi])
+	}
+	return pkts
+}
+
+// feedFrame hands m to t as the fragments Send would cut it into.
+func feedFrame(t *UDPTransport, from *net.UDPAddr, id uint32, m Message, maxFrag int) {
+	for _, pkt := range fragmentsOf(id, m, maxFrag) {
+		t.onFragment(pkt, from)
+	}
+}
+
+// TestReassemblyFloodIsBounded opens 10,000 frames of 65,535 announced
+// fragments each from one unauthenticated sender. What they may pin is a
+// constant, and once they have expired an honest multi-fragment frame is
+// delivered again.
+func TestReassemblyFloodIsBounded(t *testing.T) {
+	clock := time.Unix(1000, 0)
+	var got []Message
+	tr := reasmTransport(&clock, func(m Message) { got = append(got, m) })
+	honest := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 7001}
+	attacker := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 6666}
+	resp := Message{Kind: KindCollectResponse, Seq: 1, Switch: 3, Records: make([]dataplane.RTRecord, 100)}
+	feedFrame(tr, honest, 1, resp, defaultFragment)
+	if len(got) != 1 {
+		t.Fatalf("delivered %d frames before the flood, want 1", len(got))
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for id := uint32(0); id < 10000; id++ {
+		tr.onFragment(fragment(id, 0, 65535, []byte{0}), attacker)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if growth := int64(after.HeapAlloc) - int64(before.HeapAlloc); growth > 32<<20 {
+		t.Fatalf("10,000 eleven-byte datagrams pinned %d MiB of live heap, want under 32", growth>>20)
+	}
+	if tr.reasmHeld > maxReasmBytes || len(tr.reasm) > maxPartialFrames {
+		t.Fatalf("incomplete frames hold %d bytes in %d entries, bounds %d and %d", tr.reasmHeld, len(tr.reasm), maxReasmBytes, maxPartialFrames)
+	}
+	if len(tr.reasm) == 0 || tr.stats.ReasmDropped.Load() == 0 {
+		t.Fatalf("flood left %d entries and %d drops; it never reached the bound", len(tr.reasm), tr.stats.ReasmDropped.Load())
+	}
+
+	clock = clock.Add(reasmTTL + reasmSweep + time.Millisecond)
+	feedFrame(tr, honest, 2, resp, defaultFragment)
+	if len(got) != 2 || !reflect.DeepEqual(got[1], resp) {
+		t.Fatalf("delivered %d frames after the flood expired, want the honest frame again", len(got))
+	}
+	if len(tr.reasm) != 0 || tr.reasmHeld != 0 {
+		t.Fatalf("expired flood still holds %d bytes in %d entries", tr.reasmHeld, len(tr.reasm))
+	}
+}
+
+// TestReassemblyDropsOversizeFrame: fragments that already add up to more
+// than any frame DecodeMessage accepts are dropped without waiting for the
+// rest.
+func TestReassemblyDropsOversizeFrame(t *testing.T) {
+	clock := time.Unix(1000, 0)
+	tr := reasmTransport(&clock, func(Message) { t.Fatal("delivered a frame nobody sent") })
+	from := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 6666}
+	payload := make([]byte, 60000)
+	for i := 0; i*len(payload) <= maxFrameBytes; i++ {
+		tr.onFragment(fragment(9, i, 1000, payload), from)
+	}
+	if len(tr.reasm) != 0 || tr.reasmHeld != 0 || tr.stats.ReasmDropped.Load() != 1 {
+		t.Fatalf("oversize frame left %d entries holding %d bytes, %d drops; want it dropped at once",
+			len(tr.reasm), tr.reasmHeld, tr.stats.ReasmDropped.Load())
 	}
 }

@@ -32,9 +32,11 @@ type ControllerNode struct {
 	diagnoses []controlplane.Diagnosis
 
 	// noteSeen records the wall time each distinct trigger first reached
-	// this process; collectLat accumulates trigger→finalized-diagnosis
-	// wall latencies. Both loop-owned.
-	noteSeen   map[noteIdent]netsim.Time
+	// this process (a retransmission carries the same Notification);
+	// collectLat accumulates trigger→finalized-diagnosis wall latencies —
+	// a real socket round to every edge switch, retries included. Both
+	// loop-owned.
+	noteSeen   map[dataplane.Notification]netsim.Time
 	collectLat []netsim.Time
 
 	// Stream, when non-nil, additionally ingests every collected record
@@ -45,22 +47,10 @@ type ControllerNode struct {
 	OnDiagnosis func(controlplane.Diagnosis, []rca.Culprit)
 }
 
-// noteIdent is a trigger notification's identity across retransmissions.
-type noteIdent struct {
-	kind  dataplane.NotificationKind
-	sw    topology.NodeID
-	flow  dataplane.FlowID
-	simAt netsim.Time
-}
-
-func identOf(n dataplane.Notification) noteIdent {
-	return noteIdent{kind: n.Kind, sw: n.Switch, flow: n.Flow, simAt: n.Time}
-}
-
 // NewControllerNode binds the controller to a socket. switchAddrs maps
 // every switch ID to its hosting process.
 func NewControllerNode(cap *Capture, conn *net.UDPConn, switchAddrs map[topology.NodeID]*net.UDPAddr) *ControllerNode {
-	n := &ControllerNode{cap: cap, loop: rtclock.New(), noteSeen: make(map[noteIdent]netsim.Time)}
+	n := &ControllerNode{cap: cap, loop: rtclock.New(), noteSeen: make(map[dataplane.Notification]netsim.Time)}
 	n.tr = ctrlchan.NewUDP(conn, ctrlchan.UDPConfig{
 		Switches: switchAddrs,
 		LossProb: cap.Scenario.LossProb,
@@ -68,9 +58,8 @@ func NewControllerNode(cap *Capture, conn *net.UDPConn, switchAddrs map[topology
 	}, func(m ctrlchan.Message) {
 		n.loop.Post(func() {
 			if m.Kind == ctrlchan.KindNotification {
-				id := identOf(m.Note)
-				if _, ok := n.noteSeen[id]; !ok {
-					n.noteSeen[id] = n.loop.Now()
+				if _, ok := n.noteSeen[m.Note]; !ok {
+					n.noteSeen[m.Note] = n.loop.Now()
 				}
 			}
 			n.ctrl.Deliver(m)
@@ -78,7 +67,7 @@ func NewControllerNode(cap *Capture, conn *net.UDPConn, switchAddrs map[topology
 	})
 
 	cfg := ScaledControllerConfig(cap.Scenario)
-	n.ctrl = controlplane.NewWithTransport(cfg, n.loop, cap.Sys.Program, n.tr)
+	n.ctrl = controlplane.New(cfg, n.loop, cap.Sys.FT.Topology, n.tr)
 
 	// RCA consults the thresholds the simulator had derived at the matched
 	// capture's moment, so abnormality classification sees the data plane's
@@ -102,7 +91,7 @@ func NewControllerNode(cap *Capture, conn *net.UDPConn, switchAddrs map[topology
 		}
 		list := n.rca.Analyze(d)
 		n.currentThr = nil
-		if at, ok := n.noteSeen[identOf(d.Trigger)]; ok {
+		if at, ok := n.noteSeen[d.Trigger]; ok {
 			n.collectLat = append(n.collectLat, n.loop.Now()-at)
 		}
 		n.diagnoses = append(n.diagnoses, d)
@@ -123,27 +112,19 @@ func NewControllerNode(cap *Capture, conn *net.UDPConn, switchAddrs map[topology
 // clock. Call once every process is listening.
 func (n *ControllerNode) Start() { n.loop.Post(n.ctrl.Start) }
 
-// Culprits returns the merged ranked culprit list accumulated so far
-// (synchronized through the loop; callable from any goroutine).
-func (n *ControllerNode) Culprits() []rca.Culprit {
-	var out []rca.Culprit
-	n.loop.Run(func() { out = n.merged.Ranked() })
-	return out
-}
-
 // Result judges the run as the controller saw it after wallSeconds of
 // live phase: the merged ranking against the capture's, and the collection
-// counts, latencies and bytes behind it. NotesSent is the switch nodes' to
-// add; the controller cannot see it.
+// counts, latencies and bytes behind it. What only the switch nodes can
+// count — NotesSent and the four switch-side byte counters — is AddSwitch's
+// to fold in.
 func (n *ControllerNode) Result(wallSeconds float64) *LoopbackResult {
-	res := &LoopbackResult{
-		Expected:         n.cap.Expected,
-		Got:              n.Culprits(),
-		Diagnoses:        len(n.Diagnoses()),
-		WallSeconds:      wallSeconds,
-		CollectLatencies: n.CollectionLatencies(),
-		Bytes:            n.BandwidthStats(),
-	}
+	res := &LoopbackResult{Expected: n.cap.Expected, WallSeconds: wallSeconds}
+	n.loop.Run(func() {
+		res.Got = n.merged.Ranked()
+		res.Diagnoses = len(n.diagnoses)
+		res.CollectLatencies = append(res.CollectLatencies, n.collectLat...)
+		res.Bytes = n.ctrl.Bytes
+	})
 	res.Top1Match = len(res.Expected) > 0 && len(res.Got) > 0 &&
 		Top1Key(res.Expected[0]) == Top1Key(res.Got[0])
 	return res
@@ -153,15 +134,6 @@ func (n *ControllerNode) Result(wallSeconds float64) *LoopbackResult {
 func (n *ControllerNode) Diagnoses() []controlplane.Diagnosis {
 	var out []controlplane.Diagnosis
 	n.loop.Run(func() { out = append(out, n.diagnoses...) })
-	return out
-}
-
-// CollectionLatencies returns the wall-clock delay from each diagnosis's
-// trigger arriving at this process to its collection finalizing — the
-// latency of a real socket round to every edge switch, including retries.
-func (n *ControllerNode) CollectionLatencies() []netsim.Time {
-	var out []netsim.Time
-	n.loop.Run(func() { out = append(out, n.collectLat...) })
 	return out
 }
 
@@ -178,13 +150,6 @@ func (n *ControllerNode) FinishStream() (windows, culprits int) {
 		culprits = len(n.Stream.Merged())
 	})
 	return windows, culprits
-}
-
-// BandwidthStats snapshots the controller's byte accounting.
-func (n *ControllerNode) BandwidthStats() controlplane.BandwidthStats {
-	var out controlplane.BandwidthStats
-	n.loop.Run(func() { out = n.ctrl.Bytes })
-	return out
 }
 
 // Stats exposes the node's transport counters.

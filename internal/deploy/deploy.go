@@ -17,12 +17,12 @@
 //     which notifications its switches raised and at what sim time, what
 //     each Ring Table held when a diagnosis collected it, and what dynamic
 //     thresholds the sim controller had derived at that moment.
-//   - Control plane: genuinely real. Switch processes replay their
-//     notifications at scaled wall-clock offsets over UDP; the controller
-//     process runs the unmodified controlplane.Controller — the same
-//     timeout, capped-backoff, retry-budget, and dedup machinery as the
-//     simulator — against real sockets, collects Ring Table snapshots
-//     from the switch processes, and feeds the same RCA analyzer.
+//   - Control plane: genuinely real, and the simulator's own at both ends.
+//     Switch processes replay their notifications at scaled wall-clock
+//     offsets through a controlplane.Agent that answers from the capture;
+//     the controller process runs the unmodified controlplane.Controller
+//     (timeouts, capped backoff, retry budget, dedup) against real
+//     sockets and feeds the same RCA analyzer.
 //
 // A run succeeds when the multi-process diagnosis reproduces the
 // simulator's top-1 culprit: the control plane that produced it was real,

@@ -2,10 +2,17 @@ package deploy
 
 import (
 	"net"
+	"reflect"
+	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
+	"mars/internal/controlplane"
+	"mars/internal/ctrlchan"
+	"mars/internal/dataplane"
+	"mars/internal/netsim"
 	"mars/internal/topology"
 )
 
@@ -32,8 +39,9 @@ func defaultCapture(t *testing.T) *Capture {
 
 // launchInProcess wires a controller node and one switch node per group
 // inside the test process — same transports, sockets, and replay logic as
-// the multi-process launcher, minus fork/exec.
-func launchInProcess(t *testing.T, c *Capture) (*ControllerNode, []*SwitchNode) {
+// the multi-process launcher, minus fork/exec. Group absent (-1 for none)
+// gets no node: its socket is closed and its switches never answer.
+func launchInProcess(t *testing.T, c *Capture, absent int) (*ControllerNode, []*SwitchNode) {
 	t.Helper()
 	groups := GroupSwitches(c.Sys.FT, c.Scenario.Groups)
 	conns, pm, err := AllocatePorts(groups)
@@ -51,6 +59,10 @@ func launchInProcess(t *testing.T, c *Capture) (*ControllerNode, []*SwitchNode) 
 	ctrl := NewControllerNode(c, conns[0], swAddrs)
 	var nodes []*SwitchNode
 	for i, g := range groups {
+		if i == absent {
+			conns[i+1].Close()
+			continue
+		}
 		nodes = append(nodes, NewSwitchNode(c, g, conns[i+1], ctrlAddr))
 	}
 	t.Cleanup(func() {
@@ -112,12 +124,12 @@ func TestLoopbackReproducesSimTop1(t *testing.T) {
 	if len(c.Expected) == 0 {
 		t.Skip("sim produced no culprits")
 	}
-	ctrl, nodes := launchInProcess(t, c)
+	ctrl, nodes := launchInProcess(t, c, -1)
 
 	want := Top1Key(c.Expected[0])
 	deadline := time.Now().Add(wallDeadline(c)) //mars:wallclock test deadline
 	for {
-		got := ctrl.Culprits()
+		got := ctrl.Result(0).Got
 		if len(got) > 0 && Top1Key(got[0]) == want {
 			break
 		}
@@ -139,16 +151,173 @@ func TestLoopbackReproducesSimTop1(t *testing.T) {
 			}
 		}
 	}
-	var sent int
+	// The deployment accounts what it sends: each node's agent counts its
+	// own responses, and the run's total is the controller's plus theirs.
+	res := ctrl.Result(0)
 	for _, n := range nodes {
-		notes, _ := n.Counts()
-		sent += notes
+		notes, pushes, b := n.Counts()
+		if b.NotificationBytes != int64(notes)*dataplane.NotificationBytes || b.AckBytes != int64(pushes)*ctrlchan.AckBytes {
+			t.Fatalf("after %d notes and %d accepted pushes a node counted %d notification and %d ack bytes",
+				notes, pushes, b.NotificationBytes, b.AckBytes)
+		}
+		res.AddSwitch(n)
 	}
-	if sent == 0 {
+	if res.NotesSent == 0 {
 		t.Fatal("no notifications replayed")
+	}
+	if b := res.Bytes; b.NotificationBytes != int64(res.NotesSent)*dataplane.NotificationBytes ||
+		b.AckBytes <= 0 || b.CollectionBytes <= 0 || b.RefreshBytes <= 0 {
+		t.Fatalf("after %d notes the run counted %d notification, %d ack, %d collection, %d refresh bytes",
+			res.NotesSent, b.NotificationBytes, b.AckBytes, b.CollectionBytes, b.RefreshBytes)
 	}
 	if ctrl.Stats().FramesReceived.Load() == 0 {
 		t.Fatal("controller transport saw no frames: the exchange did not cross sockets")
+	}
+}
+
+// sentLog is a Transport that keeps what is sent through it.
+type sentLog []ctrlchan.Message
+
+func (l *sentLog) Send(_ ctrlchan.Direction, m ctrlchan.Message, _ func(ctrlchan.Message)) {
+	*l = append(*l, m)
+}
+
+// TestOneAgentTwoRegisterSources puts the same requests to the one Agent
+// over both Registers — the simulated run's live Program and the replay of
+// its capture: the responses differ only in the records the registers hold.
+func TestOneAgentTwoRegisterSources(t *testing.T) {
+	c := defaultCapture(t)
+	last := c.Diags[len(c.Diags)-1]
+	sw := last.Records[0].Flow.Sink
+	runEnd := func() netsim.Time { return netsim.Time(float64(c.Scenario.RunFor) * c.Scenario.Scale) }
+	flow := dataplane.FlowID{Src: 1, Sink: sw}
+	for _, src := range []struct {
+		name  string
+		regs  controlplane.Registers
+		price int64
+	}{
+		{"live", controlplane.LiveRegisters{Program: c.Sys.Program}, 11},
+		{"replay", newReplayRegisters(c, []topology.NodeID{sw}, runEnd), dataplane.RTRecordBytes},
+	} {
+		t.Run(src.name, func(t *testing.T) {
+			all := src.regs.Arrived(sw)
+			if len(all) < 2 {
+				t.Fatalf("s%d holds %d records; the comparison is vacuous", sw, len(all))
+			}
+			mid := all[len(all)/2].Arrival
+			var sent sentLog
+			var bytes controlplane.BandwidthStats
+			agent := controlplane.NewAgent(src.regs, src.price, &sent, &bytes, nil)
+			reqs := []ctrlchan.Message{
+				{Kind: ctrlchan.KindCollectRequest, Seq: 7, Switch: sw, Note: last.Trigger},
+				{Kind: ctrlchan.KindRefreshRequest, Seq: 8, Switch: sw},
+				{Kind: ctrlchan.KindRefreshRequest, Seq: 9, Switch: sw, Watermark: mid},
+				{Kind: ctrlchan.KindThresholdPush, Seq: 10, Switch: sw, Flow: flow, Threshold: netsim.Millisecond},
+			}
+			for _, m := range reqs {
+				agent.Deliver(m)
+			}
+			if len(sent) != len(reqs) {
+				t.Fatalf("%d requests drew %d responses", len(reqs), len(sent))
+			}
+			kinds := []ctrlchan.Kind{ctrlchan.KindCollectResponse, ctrlchan.KindRefreshResponse, ctrlchan.KindRefreshResponse, ctrlchan.KindThresholdAck}
+			for i, got := range sent {
+				if got.Kind != kinds[i] || got.Seq != reqs[i].Seq || got.Switch != sw {
+					t.Errorf("request %d (%v seq %d) drew %v seq %d for s%d", i, reqs[i].Kind, reqs[i].Seq, got.Kind, got.Seq, got.Switch)
+				}
+			}
+			collect, full, newer, ack := sent[0], sent[1], sent[2], sent[3]
+			if len(collect.Records) == 0 || collect.Wire != int64(len(collect.Records))*src.price {
+				t.Errorf("collect response: %d records priced %d B, want %d B each", len(collect.Records), collect.Wire, src.price)
+			}
+			if len(full.Records) != len(all) || full.Wire != int64(len(all))*8 {
+				t.Errorf("refresh from 0: %d records priced %d B, want all %d at 8 B", len(full.Records), full.Wire, len(all))
+			}
+			if len(newer.Records) == 0 || len(newer.Records) >= len(all) || newer.Wire != int64(len(newer.Records))*8 {
+				t.Errorf("refresh from %v: %d of %d records priced %d B", mid, len(newer.Records), len(all), newer.Wire)
+			}
+			for _, r := range newer.Records {
+				if r.Arrival <= mid {
+					t.Errorf("refresh from %v returned a record that arrived at %v", mid, r.Arrival)
+				}
+			}
+			if ack.Wire != ctrlchan.AckBytes || ack.Flow != flow || ack.Threshold != netsim.Millisecond {
+				t.Errorf("ack = %+v", ack)
+			}
+			want := controlplane.BandwidthStats{CollectionBytes: collect.Wire, RefreshBytes: full.Wire + newer.Wire, AckBytes: ack.Wire}
+			if bytes != want {
+				t.Errorf("agent counted %+v, sent %+v", bytes, want)
+			}
+		})
+	}
+}
+
+// TestLoopbackWithAnAbsentSwitchGroup runs the deployment with one switch
+// group's process never started. Every diagnosis still finalizes — partial,
+// naming exactly that group's edge switches — the run ends on schedule, and
+// everything shuts down.
+func TestLoopbackWithAnAbsentSwitchGroup(t *testing.T) {
+	// The first half of the run in real time: at the default 4x compression
+	// a loaded machine (the race detector, a busy CI box) can stall a node
+	// past a present sink's whole 45 ms retry budget, and "exactly the
+	// absent group's sinks" would not hold.
+	slow := *defaultCapture(t)
+	slow.Scenario.Scale, slow.Scenario.RunFor = 1, 2*netsim.Second
+	c := &slow
+	groups := GroupSwitches(c.Sys.FT, c.Scenario.Groups)
+	// A group the first captured notification is raised outside of, so that
+	// at least one diagnosis fires.
+	absent, hosted := -1, map[topology.NodeID]bool{}
+	for g := range groups {
+		hosted = map[topology.NodeID]bool{}
+		for _, sw := range groups[g] {
+			hosted[sw] = true
+		}
+		if !hosted[c.Notes[0].Note.Switch] {
+			absent = g
+			break
+		}
+	}
+	if absent < 0 {
+		t.Fatal("one group hosts every switch")
+	}
+	var missing []topology.NodeID
+	for _, sw := range c.Sys.FT.EdgeIDs {
+		if hosted[sw] {
+			missing = append(missing, sw)
+		}
+	}
+
+	before := runtime.NumGoroutine()
+	start := time.Now() //mars:wallclock the run must end on schedule
+	ctrl, nodes := launchInProcess(t, c, absent)
+	time.Sleep(ReplayDuration(c.Scenario)) //mars:wallclock live replay phase
+	WaitSettled(ctrl)
+	// WaitSettled polls for at most 2 s; the rest is scheduling slack.
+	if took, bound := time.Since(start), ReplayDuration(c.Scenario)+2*time.Second+500*time.Millisecond; took > bound { //mars:wallclock the run must end on schedule
+		t.Errorf("run took %v, want within %v", took, bound)
+	}
+	diags := ctrl.Diagnoses()
+	if len(diags) == 0 {
+		t.Fatal("no diagnosis finalized")
+	}
+	for _, d := range diags {
+		got := append([]topology.NodeID(nil), d.MissingSinks...)
+		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+		if !d.Partial() || !reflect.DeepEqual(got, missing) || d.Coverage() != 0.75 {
+			t.Errorf("diagnosis missing %v with coverage %v, want %v missing and 6/8", got, d.Coverage(), missing)
+		}
+	}
+	ctrl.Stop()
+	for _, n := range nodes {
+		n.Stop()
+	}
+	deadline := time.Now().Add(2 * time.Second) //mars:wallclock test deadline
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) { //mars:wallclock test deadline
+			t.Fatalf("%d goroutines before the run, %d after every node stopped", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond) //mars:wallclock test polling
 	}
 }
 
@@ -159,16 +328,16 @@ func TestLoopbackRetriesUnderInjectedLoss(t *testing.T) {
 	base := defaultCapture(t)
 	lossy := *base
 	lossy.Scenario.LossProb = 0.25
-	ctrl, _ := launchInProcess(t, &lossy)
+	ctrl, _ := launchInProcess(t, &lossy, -1)
 
 	deadline := time.Now().Add(wallDeadline(&lossy)) //mars:wallclock test deadline
 	for {
-		if len(ctrl.Diagnoses()) > 0 && ctrl.BandwidthStats().Retries > 0 {
+		if len(ctrl.Diagnoses()) > 0 && ctrl.Result(0).Bytes.Retries > 0 {
 			break
 		}
 		if time.Now().After(deadline) { //mars:wallclock test deadline
 			t.Fatalf("under 25%% fragment loss: %d diagnoses, %d retries (want both > 0)",
-				len(ctrl.Diagnoses()), ctrl.BandwidthStats().Retries)
+				len(ctrl.Diagnoses()), ctrl.Result(0).Bytes.Retries)
 		}
 		time.Sleep(20 * time.Millisecond) //mars:wallclock test polling
 	}

@@ -25,8 +25,20 @@ type LoopbackResult struct {
 	WallSeconds float64
 	// CollectLatencies are per-diagnosis trigger→finalize wall latencies.
 	CollectLatencies []netsim.Time
-	// Bytes is the controller's control-channel accounting.
+	// Bytes is the run's control-channel accounting: the controller's
+	// counters plus each switch node's agent's.
 	Bytes controlplane.BandwidthStats
+}
+
+// AddSwitch folds in what one switch node counted: the notifications it
+// replayed and the bytes its agent sent.
+func (r *LoopbackResult) AddSwitch(n *SwitchNode) {
+	notes, _, b := n.Counts()
+	r.NotesSent += notes
+	r.Bytes.NotificationBytes += b.NotificationBytes
+	r.Bytes.CollectionBytes += b.CollectionBytes
+	r.Bytes.RefreshBytes += b.RefreshBytes
+	r.Bytes.AckBytes += b.AckBytes
 }
 
 // Verdict renders the run's top-1 comparison: the deployment's and the
@@ -139,8 +151,7 @@ func RunLoopback(c *Capture) (*LoopbackResult, error) {
 
 	res := ctrl.Result(wall)
 	for _, n := range nodes {
-		notes, _ := n.Counts()
-		res.NotesSent += notes
+		res.AddSwitch(n)
 	}
 	return res, nil
 }

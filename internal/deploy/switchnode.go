@@ -1,9 +1,10 @@
 package deploy
 
 import (
-	"fmt"
 	"net"
+	"sort"
 
+	"mars/internal/controlplane"
 	"mars/internal/ctrlchan"
 	"mars/internal/dataplane"
 	"mars/internal/netsim"
@@ -11,58 +12,105 @@ import (
 	"mars/internal/topology"
 )
 
-// SwitchNode is one switch-group process: it replays its switches'
-// captured notifications onto the wire at scaled wall offsets and answers
-// the controller's collect, refresh, and threshold-push requests from the
-// captured telemetry. All state is owned by a single rtclock loop — the
-// same single-threaded discipline the simulator enforces.
-type SwitchNode struct {
-	cap      *Capture
-	switches []topology.NodeID
-	hosted   map[topology.NodeID]bool
-	loop     *rtclock.Loop
-	tr       *ctrlchan.UDPTransport
-
-	// logs holds each hosted sink's cumulative record history.
+// replayRegisters is the deployment's controlplane.Registers: the capture,
+// read at a wall clock (now, nanoseconds since the node started) scaled
+// back onto the sim timeline.
+type replayRegisters struct {
+	cap *Capture
+	now func() netsim.Time
+	// logs holds each hosted sink's cumulative record history, by arrival.
 	logs map[topology.NodeID][]dataplane.RTRecord
-	// thresholds tracks pushed per-switch per-flow thresholds (the
-	// deployment's observable effect of the push path).
-	thresholds map[string]netsim.Time
-	nextSeq    uint64
-
-	// thresholdPushes counts accepted pushes; notesSent counts replayed
-	// notifications. Loop-owned: read them through Counts.
-	thresholdPushes int
-	notesSent       int
+	// pushes counts installed thresholds, the replay's only trace of one.
+	pushes int
 }
 
-// Counts returns (notifications replayed, threshold pushes accepted),
-// synchronized through the loop; callable from any goroutine.
-func (s *SwitchNode) Counts() (notes, pushes int) {
-	s.loop.Run(func() { notes, pushes = s.notesSent, s.thresholdPushes })
-	return notes, pushes
+func newReplayRegisters(cap *Capture, switches []topology.NodeID, now func() netsim.Time) *replayRegisters {
+	r := &replayRegisters{cap: cap, now: now, logs: make(map[topology.NodeID][]dataplane.RTRecord)}
+	for _, sw := range switches {
+		r.logs[sw] = cap.recordLog(sw)
+	}
+	return r
+}
+
+// Snapshot serves a diagnosis pull: the trigger selects the captured
+// diagnosis, and sw's slice of it is stamped with the capture's sim time.
+func (r *replayRegisters) Snapshot(sw topology.NodeID, trigger dataplane.Notification) ([]dataplane.RTRecord, netsim.Time) {
+	d := r.cap.matchDiag(trigger)
+	if d == nil {
+		return nil, 0
+	}
+	var recs []dataplane.RTRecord
+	for _, rec := range d.Records {
+		if rec.Flow.Sink == sw {
+			recs = append(recs, rec)
+		}
+	}
+	return recs, d.Time
+}
+
+// Arrived serves a refresh pull: the records of sw's log that have
+// "arrived" by the current sim time (clamped to the captured run).
+func (r *replayRegisters) Arrived(sw topology.NodeID) []dataplane.RTRecord {
+	sc := r.cap.Scenario
+	simNow := netsim.Time(float64(r.now()) / sc.Scale)
+	if simNow > sc.RunFor {
+		simNow = sc.RunFor
+	}
+	log := r.logs[sw]
+	return log[:sort.Search(len(log), func(i int) bool { return log[i].Arrival > simNow })]
+}
+
+// SetThreshold accepts a push; a replayed data plane has no register for it.
+func (r *replayRegisters) SetThreshold(topology.NodeID, dataplane.FlowID, netsim.Time) { r.pushes++ }
+
+// SwitchNode is one switch-group process: it replays its switches'
+// captured notifications at scaled wall offsets through the simulator's
+// controlplane.Agent, which answers the controller's requests for the
+// switches it hosts from replayRegisters. All state is owned by a single
+// rtclock loop — the same single-threaded discipline the simulator enforces.
+type SwitchNode struct {
+	cap    *Capture
+	hosted map[topology.NodeID]bool
+	loop   *rtclock.Loop
+	tr     *ctrlchan.UDPTransport
+	regs   *replayRegisters
+	agent  *controlplane.Agent
+
+	// bytes is the agent's accounting, notesSent the replayed
+	// notifications. Loop-owned: read them through Counts.
+	bytes     controlplane.BandwidthStats
+	notesSent int
+}
+
+// Counts returns, from one turn of the loop, the notifications replayed,
+// the threshold pushes accepted and the four switch-side byte counters the
+// node's agent keeps; callable from any goroutine.
+func (s *SwitchNode) Counts() (notes, pushes int, bytes controlplane.BandwidthStats) {
+	s.loop.Run(func() { notes, pushes, bytes = s.notesSent, s.regs.pushes, s.bytes })
+	return notes, pushes, bytes
 }
 
 // NewSwitchNode binds a switch-group agent to a socket. switches lists
 // the hosted switch IDs; controller is the controller process's address.
 func NewSwitchNode(cap *Capture, switches []topology.NodeID, conn *net.UDPConn, controller *net.UDPAddr) *SwitchNode {
-	s := &SwitchNode{
-		cap:        cap,
-		switches:   switches,
-		hosted:     make(map[topology.NodeID]bool, len(switches)),
-		loop:       rtclock.New(),
-		logs:       make(map[topology.NodeID][]dataplane.RTRecord),
-		thresholds: make(map[string]netsim.Time),
-	}
+	s := &SwitchNode{cap: cap, hosted: make(map[topology.NodeID]bool, len(switches)), loop: rtclock.New()}
 	for _, sw := range switches {
 		s.hosted[sw] = true
-		s.logs[sw] = cap.recordLog(sw)
 	}
+	s.regs = newReplayRegisters(cap, switches, s.loop.Now)
 	s.tr = ctrlchan.NewUDP(conn, ctrlchan.UDPConfig{
 		Controller: controller,
 		LossProb:   cap.Scenario.LossProb,
 		Seed:       cap.Scenario.Seed + 100, // distinct stream per role
-	}, func(m ctrlchan.Message) { s.loop.Post(func() { s.handle(m) }) })
+	}, func(m ctrlchan.Message) {
+		s.loop.Post(func() {
+			if s.hosted[m.Switch] { // else misrouted: the controller's retries own it
+				s.agent.Deliver(m)
+			}
+		})
+	})
+	// Build selects no codec: a record is priced at the paper's 28 bytes.
+	s.agent = controlplane.NewAgent(s.regs, dataplane.RTRecordBytes, s.tr, &s.bytes, nil)
 	return s
 }
 
@@ -76,98 +124,12 @@ func (s *SwitchNode) Start() {
 				continue
 			}
 			note := tn.Note
-			s.loop.After(s.wallOffset(tn.At), func() { s.sendNote(note) })
+			s.loop.After(netsim.Time(float64(tn.At)*s.cap.Scenario.Scale), func() {
+				s.notesSent++
+				s.agent.Notify(note)
+			})
 		}
 	})
-}
-
-// wallOffset maps a sim time to a wall offset on this node's clock.
-func (s *SwitchNode) wallOffset(at netsim.Time) netsim.Time {
-	return netsim.Time(float64(at) * s.cap.Scenario.Scale)
-}
-
-// simNow maps the node's wall clock back to the sim timeline (clamped to
-// the captured run).
-func (s *SwitchNode) simNow() netsim.Time {
-	t := netsim.Time(float64(s.loop.Now()) / s.cap.Scenario.Scale)
-	if t > s.cap.Scenario.RunFor {
-		t = s.cap.Scenario.RunFor
-	}
-	return t
-}
-
-func (s *SwitchNode) seq() uint64 {
-	s.nextSeq++
-	return s.nextSeq
-}
-
-// sendNote replays one notification to the controller.
-func (s *SwitchNode) sendNote(n dataplane.Notification) {
-	s.notesSent++
-	s.tr.Send(ctrlchan.ToController, ctrlchan.Message{
-		Kind: ctrlchan.KindNotification, Seq: s.seq(), Switch: n.Switch,
-		Note: n, Wire: dataplane.NotificationBytes,
-	}, nil)
-}
-
-// handle answers one controller request on the loop goroutine.
-func (s *SwitchNode) handle(m ctrlchan.Message) {
-	if !s.hosted[m.Switch] {
-		return // misrouted: ignore, the controller's retry machinery owns it
-	}
-	//mars:partial only controller->switch request kinds arrive at an agent; the other kinds travel switch->controller
-	switch m.Kind {
-	case ctrlchan.KindCollectRequest:
-		s.onCollect(m)
-	case ctrlchan.KindRefreshRequest:
-		s.onRefresh(m)
-	case ctrlchan.KindThresholdPush:
-		s.thresholds[fmt.Sprintf("s%d/f%d-%d", m.Switch, m.Flow.Src, m.Flow.Sink)] = m.Threshold
-		s.thresholdPushes++
-		s.tr.Send(ctrlchan.ToController, ctrlchan.Message{
-			Kind: ctrlchan.KindThresholdAck, Seq: m.Seq, Switch: m.Switch,
-			Flow: m.Flow, Threshold: m.Threshold, Wire: ctrlchan.AckBytes,
-		}, nil)
-	}
-}
-
-// onCollect serves a diagnosis pull: the request carries its trigger
-// notification, which selects the captured diagnosis snapshot; the
-// response carries this switch's slice of it, stamped with the snapshot's
-// sim time.
-func (s *SwitchNode) onCollect(m ctrlchan.Message) {
-	var recs []dataplane.RTRecord
-	var stamp netsim.Time
-	if d := s.cap.matchDiag(m.Note); d != nil {
-		stamp = d.Time
-		for _, r := range d.Records {
-			if r.Flow.Sink == m.Switch {
-				recs = append(recs, r)
-			}
-		}
-	}
-	s.tr.Send(ctrlchan.ToController, ctrlchan.Message{
-		Kind: ctrlchan.KindCollectResponse, Seq: m.Seq, Switch: m.Switch,
-		Records: recs, Stamp: stamp,
-		Wire: int64(len(recs)) * dataplane.RTRecordBytes,
-	}, nil)
-}
-
-// onRefresh serves an incremental latency pull from the captured record
-// log: records that have "arrived" by the current (scaled) sim time and
-// are newer than the controller's watermark.
-func (s *SwitchNode) onRefresh(m ctrlchan.Message) {
-	now := s.simNow()
-	var recs []dataplane.RTRecord
-	for _, r := range s.logs[m.Switch] {
-		if r.Arrival > m.Watermark && r.Arrival <= now {
-			recs = append(recs, r)
-		}
-	}
-	s.tr.Send(ctrlchan.ToController, ctrlchan.Message{
-		Kind: ctrlchan.KindRefreshResponse, Seq: m.Seq, Switch: m.Switch,
-		Records: recs, Stamp: now, Wire: int64(len(recs)) * 8,
-	}, nil)
 }
 
 // Stats exposes the node's transport counters.

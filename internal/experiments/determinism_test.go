@@ -36,8 +36,10 @@ func culpritDigest(t *testing.T, tc TrialConfig) string {
 	ch := ctrlchan.New(sim, ctrlchan.Config{Seed: tc.Seed + 7})
 	ccfg := controlplane.DefaultConfig()
 	ccfg.Seed = tc.Seed
-	ctrl := controlplane.NewWithChannel(ccfg, sim, prog, ch)
-	prog.Notifier = ctrl
+	ctrl := controlplane.New(ccfg, sim, ft.Topology, ch)
+	agent := controlplane.NewAgent(controlplane.LiveRegisters{Program: prog}, dataplane.RTRecordBytes, ch, &ctrl.Bytes, ctrl.Deliver)
+	ctrl.ToSwitch = agent.Deliver
+	prog.Notifier = agent
 	ctrl.Start()
 
 	analyzer := rca.New(rca.DefaultConfig(), table, ctrl)

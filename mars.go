@@ -125,9 +125,9 @@ type Config struct {
 	// Codec selects the telemetry encoding by name (internal/telemetry).
 	// "" is "mars11", the paper's fixed 11-byte header; "perhop",
 	// "pintlike", and "sampled" trade bytes/packet against reconstruction
-	// fidelity (see `mars-bench -exp overhead`). NewSystem derives both
-	// Program.Codec and Controller.Decoder from this one name, replacing
-	// whatever either field held.
+	// fidelity (see `mars-bench -exp overhead`). NewSystem derives
+	// Program.Codec, Controller.Decoder and the switch agent's record price
+	// from this one name, replacing whatever either field held.
 	Codec string
 }
 
@@ -204,8 +204,10 @@ func NewSystem(cfg Config) (*System, error) {
 		chcfg.Seed = cfg.Seed
 	}
 	ch := ctrlchan.New(sim, chcfg)
-	ctrl := controlplane.NewWithChannel(ccfg, sim, prog, ch)
-	prog.Notifier = ctrl
+	ctrl := controlplane.New(ccfg, sim, ft.Topology, ch)
+	agent := controlplane.NewAgent(controlplane.LiveRegisters{Program: prog}, int64(cdc.RecordBytes()), ch, &ctrl.Bytes, ctrl.Deliver)
+	ctrl.ToSwitch = agent.Deliver
+	prog.Notifier = agent
 	ctrl.Start()
 
 	s := &System{
