@@ -97,10 +97,12 @@ func (a *Agent) Deliver(m ctrlchan.Message) {
 			Records: recs, Wire: int64(len(recs)) * refreshSampleBytes,
 		})
 	case ctrlchan.KindThresholdPush:
-		a.regs.SetThreshold(m.Switch, m.Flow, m.Threshold)
+		for _, e := range m.Thresholds {
+			a.regs.SetThreshold(m.Switch, e.Flow, e.Value)
+		}
 		a.send(&a.bytes.AckBytes, ctrlchan.Message{
 			Kind: ctrlchan.KindThresholdAck, Seq: m.Seq, Switch: m.Switch,
-			Flow: m.Flow, Threshold: m.Threshold, Wire: ctrlchan.AckBytes,
+			Thresholds: m.Thresholds, Wire: ctrlchan.AckBytes,
 		})
 	}
 }

@@ -22,6 +22,7 @@ package controlplane
 
 import (
 	"math/rand"
+	"slices"
 
 	"mars/internal/ctrlchan"
 	"mars/internal/dataplane"
@@ -234,13 +235,9 @@ const (
 type request struct {
 	kind reqKind
 	sw   topology.NodeID
-	// attempt counts the retries behind this attempt (refresh, collect).
-	// Pushes count in pushState.attempts instead: that budget is shared by
-	// overlapping retry chains for one key and reset by a new want or an
-	// ack.
+	// attempt counts the retries behind this attempt.
 	attempt int
-	col     *collection      // reqCollect
-	flow    dataplane.FlowID // reqPush
+	col     *collection // reqCollect
 }
 
 // noteKey deduplicates notification deliveries. The sequence number alone
@@ -252,27 +249,20 @@ type noteKey struct {
 	seq uint64
 }
 
-// pushKey identifies a per-switch per-flow threshold installation.
-type pushKey struct {
-	sw   topology.NodeID
-	flow dataplane.FlowID
+// flowPush is what the controller keeps of one flow's threshold: the value
+// it wants installed, and the switches that check the flow's telemetry —
+// the union of the shortest paths between its edge switches, ascending.
+type flowPush struct {
+	want     netsim.Time
+	switches []topology.NodeID
 }
 
-// pushState tracks threshold convergence for one (switch, flow): the value
-// the controller wants installed, the last value the switch acknowledged,
-// and whether an attempt is in flight. At most one push per key is
-// outstanding.
-type pushState struct {
-	want          netsim.Time
-	confirmed     netsim.Time
-	haveConfirmed bool
-	inFlight      bool
-	attempts      int
-}
-
-// converged reports whether the switch has acknowledged the wanted value.
-func (ps *pushState) converged() bool {
-	return ps.haveConfirmed && ps.confirmed == ps.want
+// switchPush is one switch's threshold convergence: the entries it has not
+// acknowledged, in the order they were queued, and whether a push carrying
+// them is in flight. At most one is.
+type switchPush struct {
+	unacked  []ctrlchan.Threshold
+	inFlight bool
 }
 
 // Controller is the MARS control plane.
@@ -307,7 +297,8 @@ type Controller struct {
 	// refreshPending marks sinks whose pull is outstanding or backing off,
 	// so a periodic round does not pile a second one onto them.
 	refreshPending map[topology.NodeID]bool
-	pushes         map[pushKey]*pushState
+	flows          map[dataplane.FlowID]*flowPush
+	pushes         map[topology.NodeID]*switchPush
 
 	// suppressed retains the newest notification that arrived inside the
 	// response window, so a diagnosis fires when the window reopens
@@ -332,16 +323,16 @@ func New(cfg Config, clock Clock, topo *topology.Topology, tr ctrlchan.Transport
 		seenNotes:      make(map[noteKey]bool),
 		outstanding:    make(map[uint64]request),
 		refreshPending: make(map[topology.NodeID]bool),
-		pushes:         make(map[pushKey]*pushState),
+		flows:          make(map[dataplane.FlowID]*flowPush),
+		pushes:         make(map[topology.NodeID]*switchPush),
 	}
-	for _, sw := range c.Topo.Switches() {
-		for _, p := range c.Topo.Node(sw).Ports {
-			if c.Topo.IsHost(p.Peer) {
-				c.edgeSwitches = append(c.edgeSwitches, sw)
-				break
-			}
+	for _, h := range topo.Hosts() {
+		if sw, ok := topo.EdgeSwitchOf(h); ok {
+			c.edgeSwitches = append(c.edgeSwitches, sw)
 		}
 	}
+	slices.Sort(c.edgeSwitches)
+	c.edgeSwitches = slices.Compact(c.edgeSwitches)
 	return c
 }
 
@@ -406,8 +397,8 @@ func (c *Controller) backoff(attempt int) netsim.Time {
 // all three kinds.
 
 // issue sends one attempt of r unless it has gone stale: its collection
-// already resolved this sink, or the push is already in flight or
-// acknowledged at the wanted value. A refresh pull is never stale.
+// already resolved this sink, or the switch has a push in flight or
+// nothing left unacknowledged. A refresh pull is never stale.
 func (c *Controller) issue(r request) {
 	m := ctrlchan.Message{Switch: r.sw}
 	switch r.kind {
@@ -422,12 +413,13 @@ func (c *Controller) issue(r request) {
 		m.Kind, m.Note, m.Wire = ctrlchan.KindCollectRequest, r.col.trigger, ctrlchan.CollectRequestBytes
 		c.Bytes.RequestBytes += m.Wire
 	case reqPush:
-		ps := c.pushOf(r)
-		if ps.inFlight || ps.converged() {
+		sp := c.pushes[r.sw]
+		if sp.inFlight || len(sp.unacked) == 0 {
 			return
 		}
-		ps.inFlight = true
-		m.Kind, m.Flow, m.Threshold, m.Wire = ctrlchan.KindThresholdPush, r.flow, ps.want, dataplane.ThresholdPushBytes
+		sp.inFlight = true
+		m.Kind, m.Thresholds = ctrlchan.KindThresholdPush, slices.Clone(sp.unacked)
+		m.Wire = int64(len(m.Thresholds)) * dataplane.ThresholdPushBytes
 		c.Bytes.ThresholdPushBytes += m.Wire
 	}
 	c.nextSeq++
@@ -446,14 +438,14 @@ func (c *Controller) issue(r request) {
 // timeout fires at an attempt's deadline: if the attempt is still
 // unanswered it is retried after a backoff while the budget lasts, and
 // given up otherwise. A retried push is re-checked for staleness when its
-// backoff fires (in issue), not here.
+// backoff fires (in issue), not here, and carries whatever is unacknowledged
+// by then.
 func (c *Controller) timeout(seq uint64) {
 	r, ok := c.outstanding[seq]
 	if !ok {
 		return // answered in time
 	}
 	delete(c.outstanding, seq)
-	attempts := &r.attempt
 	switch r.kind {
 	case reqRefresh:
 	case reqCollect:
@@ -461,14 +453,12 @@ func (c *Controller) timeout(seq uint64) {
 			return
 		}
 	case reqPush:
-		ps := c.pushOf(r)
-		ps.inFlight = false
-		attempts = &ps.attempts
+		c.pushes[r.sw].inFlight = false
 	}
-	if *attempts < c.Cfg.MaxRetries {
-		*attempts++
+	if r.attempt < c.Cfg.MaxRetries {
+		r.attempt++
 		c.Bytes.Retries++
-		c.clock.After(c.backoff(*attempts), func() { c.issue(r) })
+		c.clock.After(c.backoff(r.attempt), func() { c.issue(r) })
 		return
 	}
 	switch r.kind {
@@ -480,15 +470,9 @@ func (c *Controller) timeout(seq uint64) {
 		r.col.missing = append(r.col.missing, r.sw)
 		c.sinkResolved(r.col, r.sw)
 	case reqPush:
-		// Left unconfirmed, so the next refresh of the flow pushes again
-		// even if the derived value is unchanged.
+		// Left unacknowledged, so the next refresh of any of their flows
+		// sends the entries again even if its value did not move.
 	}
-}
-
-// pushOf returns the convergence state a push request works on (created
-// by pushThreshold before the first push for the key is issued).
-func (c *Controller) pushOf(r request) *pushState {
-	return c.pushes[pushKey{sw: r.sw, flow: r.flow}]
 }
 
 // settle matches a response to its outstanding request and retires it.
@@ -547,7 +531,7 @@ func (c *Controller) onRefreshResponse(m ctrlchan.Message) {
 
 	last := c.lastSeen[req.sw]
 	newest := last
-	var updated []dataplane.FlowID
+	var updated []ctrlchan.Threshold
 	seen := make(map[dataplane.FlowID]bool)
 	for _, r := range m.Records {
 		if r.Arrival <= last {
@@ -559,53 +543,82 @@ func (c *Controller) onRefreshResponse(m ctrlchan.Message) {
 		c.ReservoirFor(r.Flow).Input(float64(r.Latency))
 		if !seen[r.Flow] {
 			seen[r.Flow] = true
-			updated = append(updated, r.Flow)
+			updated = append(updated, ctrlchan.Threshold{Flow: r.Flow})
 		}
 	}
 	c.lastSeen[req.sw] = newest
-	for _, flow := range updated {
-		c.pushThreshold(flow, c.ThresholdOf(flow))
+	for i := range updated {
+		updated[i].Value = c.ThresholdOf(updated[i].Flow)
+	}
+	c.pushThresholds(updated)
+}
+
+// --- Threshold pushes (acknowledged, one frame per switch) ----------------
+
+// pushThresholds queues each wanted threshold at the switches that check
+// its flow's telemetry, then sends every switch that owes an
+// acknowledgement for one of these flows a single push carrying all its
+// unacknowledged entries; a switch with a push in flight gets them after
+// the ack. A value that did not move costs no bytes, except at a switch
+// that never acknowledged it (its push spent the retry budget).
+func (c *Controller) pushThresholds(wanted []ctrlchan.Threshold) {
+	var due []topology.NodeID
+	for _, e := range wanted {
+		fp := c.flows[e.Flow]
+		moved := fp == nil || fp.want != e.Value
+		if fp == nil {
+			fp = &flowPush{switches: c.switchesOf(e.Flow)}
+			c.flows[e.Flow] = fp
+		}
+		fp.want = e.Value
+		for _, sw := range fp.switches {
+			sp := c.pushes[sw]
+			if sp == nil {
+				sp = &switchPush{}
+				c.pushes[sw] = sp
+			}
+			i := slices.IndexFunc(sp.unacked, func(u ctrlchan.Threshold) bool { return u.Flow == e.Flow })
+			switch {
+			case moved && i >= 0:
+				sp.unacked[i] = e
+			case moved:
+				sp.unacked = append(sp.unacked, e)
+			case i < 0:
+				continue // unchanged and acknowledged
+			}
+			due = append(due, sw)
+		}
+	}
+	slices.Sort(due)
+	for _, sw := range slices.Compact(due) {
+		c.issue(request{kind: reqPush, sw: sw})
 	}
 }
 
-// --- Threshold pushes (acknowledged, deduplicated) ------------------------
-
-// pushThreshold installs th for flow on every switch, skipping switches
-// whose acknowledged value already matches (re-deriving an unchanged
-// threshold costs no bytes) and re-sending unacknowledged pushes.
-func (c *Controller) pushThreshold(flow dataplane.FlowID, th netsim.Time) {
-	for _, sw := range c.Topo.Switches() {
-		k := pushKey{sw: sw, flow: flow}
-		ps := c.pushes[k]
-		if ps == nil {
-			ps = &pushState{}
-			c.pushes[k] = ps
-		}
-		ps.want = th
-		if ps.inFlight {
-			continue // resolved on ack/timeout against the new want
-		}
-		if ps.converged() {
-			continue // value didn't move: no push, no bytes
-		}
-		ps.attempts = 0
-		c.issue(request{kind: reqPush, sw: sw, flow: flow})
+// switchesOf returns the switches at which the data plane checks flow's
+// telemetry: the union of the shortest paths between its edge switches
+// (ECMP forwards on no other), ascending.
+func (c *Controller) switchesOf(flow dataplane.FlowID) []topology.NodeID {
+	var sws []topology.NodeID
+	for _, p := range c.Topo.AllShortestPaths(flow.Src, flow.Sink) {
+		sws = append(sws, p...)
 	}
+	slices.Sort(sws)
+	return slices.Compact(sws)
 }
 
-// onThresholdAck marks the pushed value confirmed and chases a value that
-// moved while the push was in flight.
+// onThresholdAck retires the entries the acknowledged push installed — one
+// whose value moved while it was in flight stays — and sends the switch
+// whatever is still unacknowledged.
 func (c *Controller) onThresholdAck(m ctrlchan.Message) {
 	req, ok := c.settle(m.Seq, reqPush)
 	if !ok {
 		return
 	}
-	ps := c.pushOf(req)
-	ps.confirmed = m.Threshold
-	ps.haveConfirmed = true
-	ps.inFlight = false
-	ps.attempts = 0
-	c.issue(req) // no-op unless the wanted value moved meanwhile
+	sp := c.pushes[req.sw]
+	sp.inFlight = false
+	sp.unacked = slices.DeleteFunc(sp.unacked, func(e ctrlchan.Threshold) bool { return slices.Contains(m.Thresholds, e) })
+	c.issue(request{kind: reqPush, sw: req.sw}) // no-op unless entries were queued or moved meanwhile
 }
 
 // --- Notifications and diagnosis collection -------------------------------

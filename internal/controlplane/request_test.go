@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"slices"
 	"testing"
 
 	"mars/internal/ctrlchan"
@@ -170,17 +171,16 @@ func TestRequestLifecycleAcrossKinds(t *testing.T) {
 		{
 			name:  "push",
 			kind:  ctrlchan.KindThresholdPush,
-			start: func(h *reqHarness) { h.ctrl.pushThreshold(h.flow, want) },
+			start: func(h *reqHarness) { h.ctrl.pushThresholds([]ctrlchan.Threshold{{Flow: h.flow, Value: want}}) },
 			done: func(t *testing.T, h *reqHarness) {
-				ps := h.ctrl.pushes[pushKey{sw: h.sw, flow: h.flow}]
-				if !ps.converged() || ps.confirmed != want || ps.inFlight {
-					t.Errorf("push state %+v, want %v acknowledged", *ps, want)
+				if sp := h.ctrl.pushes[h.sw]; len(sp.unacked) != 0 || sp.inFlight || h.ctrl.flows[h.flow].want != want {
+					t.Errorf("s%d push state %+v, want %v acknowledged", h.sw, *sp, want)
 				}
 			},
 			gaveUp: func(t *testing.T, h *reqHarness) {
-				ps := h.ctrl.pushes[pushKey{sw: h.sw, flow: h.flow}]
-				if ps.converged() || ps.inFlight {
-					t.Errorf("push state %+v after giving up, want unconfirmed and idle", *ps)
+				unacked := []ctrlchan.Threshold{{Flow: h.flow, Value: want}}
+				if sp := h.ctrl.pushes[h.sw]; !slices.Equal(sp.unacked, unacked) || sp.inFlight {
+					t.Errorf("s%d push state %+v after giving up, want %v unacknowledged and idle", h.sw, *sp, unacked)
 				}
 			},
 		},

@@ -5,6 +5,7 @@ import (
 
 	"mars/internal/ctrlchan"
 	"mars/internal/dataplane"
+	"mars/internal/det"
 	"mars/internal/netsim"
 	"mars/internal/pathid"
 	"mars/internal/topology"
@@ -98,26 +99,78 @@ func TestIdleRefreshSendsNothing(t *testing.T) {
 
 func TestThresholdPushSkipsUnchangedValue(t *testing.T) {
 	// Satellite of the Fig. 9 study: re-deriving an unchanged threshold
-	// must cost zero push bytes; only a moved value goes on the wire.
+	// must cost zero push bytes; only a moved value goes on the wire, and
+	// only to the switches on the flow's paths.
 	e := newEnv(t, 12)
 	flow := dataplane.FlowID{Src: e.ctrl.EdgeSwitches()[0], Sink: e.ctrl.EdgeSwitches()[1]}
-	numSw := len(e.ctrl.Topo.Switches())
-	perRound := int64(numSw) * dataplane.ThresholdPushBytes
+	// An intra-pod flow: its two edge switches and their pod's two
+	// aggregation switches.
+	onPath := int64(len(e.ctrl.switchesOf(flow)))
+	if onPath != 4 {
+		t.Fatalf("intra-pod flow %v crosses %d switches, want 4", flow, onPath)
+	}
+	push := func(th netsim.Time) { e.ctrl.pushThresholds([]ctrlchan.Threshold{{Flow: flow, Value: th}}) }
 
-	e.ctrl.pushThreshold(flow, 5*netsim.Millisecond)
-	if got := e.ctrl.Bytes.ThresholdPushBytes; got != perRound {
-		t.Fatalf("first push = %d bytes, want %d", got, perRound)
+	push(5 * netsim.Millisecond)
+	if got := e.ctrl.Bytes.ThresholdPushBytes; got != onPath*dataplane.ThresholdPushBytes {
+		t.Fatalf("first push = %d bytes, want %d", got, onPath*dataplane.ThresholdPushBytes)
 	}
-	if got := e.ctrl.Bytes.AckBytes; got != int64(numSw)*ctrlchan.AckBytes {
-		t.Errorf("acks = %d bytes, want %d", got, int64(numSw)*ctrlchan.AckBytes)
+	if got := e.ctrl.Bytes.AckBytes; got != onPath*ctrlchan.AckBytes {
+		t.Errorf("acks = %d bytes, want %d", got, onPath*ctrlchan.AckBytes)
 	}
-	e.ctrl.pushThreshold(flow, 5*netsim.Millisecond)
-	if got := e.ctrl.Bytes.ThresholdPushBytes; got != perRound {
-		t.Errorf("unchanged value re-pushed: %d bytes, want still %d", got, perRound)
+	push(5 * netsim.Millisecond)
+	if got := e.ctrl.Bytes.ThresholdPushBytes; got != onPath*dataplane.ThresholdPushBytes {
+		t.Errorf("unchanged value re-pushed: %d bytes, want still %d", got, onPath*dataplane.ThresholdPushBytes)
 	}
-	e.ctrl.pushThreshold(flow, 6*netsim.Millisecond)
-	if got := e.ctrl.Bytes.ThresholdPushBytes; got != 2*perRound {
-		t.Errorf("moved value = %d bytes, want %d", got, 2*perRound)
+	push(6 * netsim.Millisecond)
+	if got := e.ctrl.Bytes.ThresholdPushBytes; got != 2*onPath*dataplane.ThresholdPushBytes {
+		t.Errorf("moved value = %d bytes, want %d", got, 2*onPath*dataplane.ThresholdPushBytes)
+	}
+}
+
+func TestThresholdMovedInFlightFollowsTheAck(t *testing.T) {
+	// A value that moves while its push is in flight is not settled by the
+	// ack of the old one: each switch is sent it once that ack is in.
+	delayed := ctrlchan.DirConfig{Latency: netsim.Millisecond}
+	e := newLossyEnv(t, 14, DefaultConfig(), ctrlchan.Config{ToController: delayed, ToSwitch: delayed})
+	flow := dataplane.FlowID{Src: e.ctrl.EdgeSwitches()[0], Sink: e.ctrl.EdgeSwitches()[1]}
+	onPath := int64(len(e.ctrl.switchesOf(flow)))
+	e.ctrl.pushThresholds([]ctrlchan.Threshold{{Flow: flow, Value: 5 * netsim.Millisecond}})
+	e.ctrl.pushThresholds([]ctrlchan.Threshold{{Flow: flow, Value: 6 * netsim.Millisecond}})
+	if got := e.ctrl.Bytes.ThresholdPushBytes; got != onPath*dataplane.ThresholdPushBytes {
+		t.Fatalf("a second push went out while the first was in flight: %d bytes", got)
+	}
+	e.sim.Run(100 * netsim.Millisecond)
+	if got := e.ctrl.Bytes.AckBytes; got != 2*onPath*ctrlchan.AckBytes || e.ctrl.Bytes.Retries != 0 {
+		t.Errorf("%d ack bytes and %d retries, want two acked pushes per switch and no retry", got, e.ctrl.Bytes.Retries)
+	}
+	for _, sw := range e.ctrl.switchesOf(flow) {
+		if sp := e.ctrl.pushes[sw]; len(sp.unacked) != 0 || sp.inFlight {
+			t.Errorf("s%d push state %+v, want the moved value acknowledged", sw, *sp)
+		}
+	}
+}
+
+func TestPushStateIsPerSwitch(t *testing.T) {
+	// After a loaded run the controller keeps one push record per switch it
+	// has pushed to, all of them acknowledged, and nothing outstanding.
+	e := newEnv(t, 15)
+	workload.RandomBackground(e.sim, e.ft, workload.BackgroundConfig{
+		NumFlows: 96, RatePPS: 220, RateJitter: 0.2, Gaps: workload.GapExponential,
+		CrossPodBias: 1, RoundRobinSrc: true, RoundRobinDst: true,
+	}, 1)
+	e.sim.Run(2 * netsim.Second)
+	if len(e.ctrl.flows) == 0 || len(e.ctrl.pushes) == 0 || len(e.ctrl.pushes) > e.ft.NumSwitches() {
+		t.Fatalf("%d flows pushed, %d push records; want some, at most one per switch (%d)",
+			len(e.ctrl.flows), len(e.ctrl.pushes), e.ft.NumSwitches())
+	}
+	for _, sw := range det.Keys(e.ctrl.pushes) {
+		if sp := e.ctrl.pushes[sw]; len(sp.unacked) != 0 || sp.inFlight {
+			t.Errorf("s%d push state %+v after a lossless run", sw, *sp)
+		}
+	}
+	if len(e.ctrl.outstanding) != 0 {
+		t.Errorf("%d requests outstanding after a lossless run", len(e.ctrl.outstanding))
 	}
 }
 

@@ -112,11 +112,12 @@ type Message struct {
 	Records []dataplane.RTRecord
 	// Watermark is the refresh request's newest-already-seen arrival time.
 	Watermark netsim.Time
-	// Flow and Threshold are the payload of threshold pushes and acks.
-	Flow      dataplane.FlowID
-	Threshold netsim.Time
-	// Wire is the message's size on the channel in bytes (set by the
-	// sender; the Channel only accounts it).
+	// Thresholds is the payload of a threshold push — every entry the
+	// switch has not acknowledged — and of its ack, which echoes the
+	// entries it installed.
+	Thresholds []Threshold
+	// Wire is the message's modelled size in bytes, set by the sender and
+	// accounted by it; it does not cross a socket.
 	Wire int64
 	// Stamp is the sender's clock at snapshot time on collect responses.
 	// The in-simulator path leaves it zero (collection there is
@@ -124,6 +125,12 @@ type Message struct {
 	// controller can anchor record-recency analysis to the data's own
 	// timeline rather than the wall clock.
 	Stamp netsim.Time
+}
+
+// Threshold is one pushed per-flow dynamic threshold.
+type Threshold struct {
+	Flow  dataplane.FlowID
+	Value netsim.Time
 }
 
 // DirConfig is the fault model of one channel direction.

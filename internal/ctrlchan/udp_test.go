@@ -76,8 +76,7 @@ func TestUDPRoundTripBothDirections(t *testing.T) {
 
 	req := Message{Kind: KindCollectRequest, Seq: 9, Switch: 3,
 		Note: dataplane.Notification{Kind: dataplane.NotifyDrop, Switch: 3,
-			Flow: dataplane.FlowID{Src: 1, Sink: 3}, Time: netsim.Second, Dropped: 4},
-		Wire: CollectRequestBytes}
+			Flow: dataplane.FlowID{Src: 1, Sink: 3}, Time: netsim.Second, Dropped: 4}}
 	ctrl.Send(ToSwitch, req, nil)
 	got := swRx.wait(t, 1)
 	if !reflect.DeepEqual(got[0], req) {
@@ -87,8 +86,7 @@ func TestUDPRoundTripBothDirections(t *testing.T) {
 	resp := Message{Kind: KindCollectResponse, Seq: 9, Switch: 3,
 		Stamp: 2 * netsim.Second,
 		Records: []dataplane.RTRecord{{Flow: dataplane.FlowID{Src: 1, Sink: 3},
-			Epoch: 12, Latency: 300 * netsim.Microsecond, Arrival: netsim.Second}},
-		Wire: dataplane.RTRecordBytes}
+			Epoch: 12, Latency: 300 * netsim.Microsecond, Arrival: netsim.Second}}}
 	sw.Send(ToController, resp, nil)
 	back := ctrlRx.wait(t, 1)
 	if !reflect.DeepEqual(back[0], resp) {
@@ -166,8 +164,7 @@ func TestUDPGarbageTolerance(t *testing.T) {
 		}
 	}
 
-	resp := Message{Kind: KindThresholdAck, Seq: 4, Switch: 3,
-		Flow: dataplane.FlowID{Src: 1, Sink: 3}, Threshold: netsim.Millisecond, Wire: AckBytes}
+	resp := Message{Kind: KindThresholdAck, Seq: 4, Switch: 3}
 	sw.Send(ToController, resp, nil)
 	got := ctrlRx.wait(t, 1)
 	if !reflect.DeepEqual(got[0], resp) {

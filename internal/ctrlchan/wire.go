@@ -17,7 +17,7 @@ import (
 // sockets as versioned, length-framed byte frames. Every frame is
 //
 //	header [FrameHeaderBytes]byte   (magic, version, kind, seq, switch,
-//	                                 modeled wire bytes, payload length)
+//	                                 payload length)
 //	payload [Len]byte               (layout fixed per Kind)
 //
 // in big-endian, following the explicit-span style of dataplane/wire.go:
@@ -25,8 +25,9 @@ import (
 // wirewidth analyzer verifies encode/decode symmetry, and the
 // variable-length frame assembly (EncodeMessage/DecodeMessage) composes
 // them. Unlike the in-band telemetry encodings, these frames carry full
-// field widths — the control channel is not byte-budgeted; Message.Wire
-// keeps carrying the *modeled* size the experiments account.
+// field widths — the control channel is not byte-budgeted. The *modeled*
+// size the experiments account (Message.Wire) stays with its sender, which
+// counts it; a decoded Message has Wire zero.
 
 // Frame constants.
 const (
@@ -34,20 +35,22 @@ const (
 	FrameMagic = 0x4D31
 	// FrameVersion is the protocol version this build speaks. A version
 	// bump is a wire break: peers reject frames from other versions.
-	FrameVersion = 1
+	FrameVersion = 2
 	// FrameHeaderBytes is the fixed frame header size.
-	FrameHeaderBytes = 28
+	FrameHeaderBytes = 20
 	// NotificationWireBytes is the full-width notification payload.
 	NotificationWireBytes = 41
 	// RecordWireBytes is one full-width Ring Table record (including the
 	// sink switch and arrival time, which the in-band 28-byte collection
 	// form leaves implicit).
 	RecordWireBytes = 60
-	// ThresholdWireBytes is the threshold push/ack payload.
+	// ThresholdWireBytes is one threshold push/ack entry.
 	ThresholdWireBytes = 16
 	// responseHeadBytes prefixes collect/refresh response payloads:
 	// 8-byte snapshot stamp + 4-byte record count.
 	responseHeadBytes = 12
+	// countBytes prefixes threshold push/ack payloads: the entry count.
+	countBytes = 4
 	// MaxFramePayload bounds a frame's payload; DecodeMessage rejects
 	// anything larger before allocating.
 	MaxFramePayload = 1 << 22
@@ -63,15 +66,12 @@ var (
 	ErrBadFrame = errors.New("ctrlchan: bad frame")
 )
 
-// FrameHeader is the decoded fixed header of one frame.
+// FrameHeader is the decoded fixed header of one frame; its version is
+// FrameVersion, or it does not decode.
 type FrameHeader struct {
-	Version uint8
-	Kind    Kind
-	Seq     uint64
-	Switch  topology.NodeID
-	// Wire is the modeled message size (Message.Wire), carried so both
-	// ends account identical experiment bytes regardless of frame size.
-	Wire int64
+	Kind   Kind
+	Seq    uint64
+	Switch topology.NodeID
 	// Len is the payload length following the header.
 	Len uint32
 }
@@ -83,17 +83,15 @@ type FrameHeader struct {
 //	3     kind
 //	4:12  sequence number
 //	12:16 switch ID
-//	16:24 modeled wire bytes
-//	24:28 payload length
+//	16:20 payload length
 func MarshalFrameHeader(h *FrameHeader) [FrameHeaderBytes]byte {
 	var b [FrameHeaderBytes]byte
 	binary.BigEndian.PutUint16(b[0:2], FrameMagic)
-	b[2] = h.Version
+	b[2] = FrameVersion
 	b[3] = byte(h.Kind)
 	binary.BigEndian.PutUint64(b[4:12], h.Seq)
 	binary.BigEndian.PutUint32(b[12:16], uint32(h.Switch))
-	binary.BigEndian.PutUint64(b[16:24], uint64(h.Wire))
-	binary.BigEndian.PutUint32(b[24:28], h.Len)
+	binary.BigEndian.PutUint32(b[16:20], h.Len)
 	return b
 }
 
@@ -102,16 +100,14 @@ func UnmarshalFrameHeader(b [FrameHeaderBytes]byte) (*FrameHeader, error) {
 	if binary.BigEndian.Uint16(b[0:2]) != FrameMagic {
 		return nil, fmt.Errorf("%w: magic %#04x", ErrBadFrame, binary.BigEndian.Uint16(b[0:2]))
 	}
-	h := &FrameHeader{
-		Version: b[2],
-		Kind:    Kind(b[3]),
-		Seq:     binary.BigEndian.Uint64(b[4:12]),
-		Switch:  topology.NodeID(binary.BigEndian.Uint32(b[12:16])),
-		Wire:    int64(binary.BigEndian.Uint64(b[16:24])),
-		Len:     binary.BigEndian.Uint32(b[24:28]),
+	if b[2] != FrameVersion {
+		return nil, fmt.Errorf("%w: version %d, want %d", ErrBadFrame, b[2], FrameVersion)
 	}
-	if h.Version != FrameVersion {
-		return nil, fmt.Errorf("%w: version %d, want %d", ErrBadFrame, h.Version, FrameVersion)
+	h := &FrameHeader{
+		Kind:   Kind(b[3]),
+		Seq:    binary.BigEndian.Uint64(b[4:12]),
+		Switch: topology.NodeID(binary.BigEndian.Uint32(b[12:16])),
+		Len:    binary.BigEndian.Uint32(b[16:20]),
 	}
 	if h.Kind > KindThresholdAck {
 		return nil, fmt.Errorf("%w: kind %d", ErrBadFrame, h.Kind)
@@ -222,25 +218,28 @@ func UnmarshalRecordWire(b [RecordWireBytes]byte) dataplane.RTRecord {
 	}
 }
 
-// MarshalThresholdWire encodes a threshold push/ack payload:
+// MarshalThresholdWire encodes one threshold push/ack entry:
 //
 //	0:4  flow source switch
 //	4:8  flow sink switch
 //	8:16 threshold (ns)
-func MarshalThresholdWire(flow dataplane.FlowID, th netsim.Time) [ThresholdWireBytes]byte {
+func MarshalThresholdWire(e *Threshold) [ThresholdWireBytes]byte {
 	var b [ThresholdWireBytes]byte
-	binary.BigEndian.PutUint32(b[0:4], uint32(flow.Src))
-	binary.BigEndian.PutUint32(b[4:8], uint32(flow.Sink))
-	binary.BigEndian.PutUint64(b[8:16], uint64(th))
+	binary.BigEndian.PutUint32(b[0:4], uint32(e.Flow.Src))
+	binary.BigEndian.PutUint32(b[4:8], uint32(e.Flow.Sink))
+	binary.BigEndian.PutUint64(b[8:16], uint64(e.Value))
 	return b
 }
 
-// UnmarshalThresholdWire decodes a threshold push/ack payload.
-func UnmarshalThresholdWire(b [ThresholdWireBytes]byte) (dataplane.FlowID, netsim.Time) {
-	return dataplane.FlowID{
-		Src:  topology.NodeID(binary.BigEndian.Uint32(b[0:4])),
-		Sink: topology.NodeID(binary.BigEndian.Uint32(b[4:8])),
-	}, netsim.Time(binary.BigEndian.Uint64(b[8:16]))
+// UnmarshalThresholdWire decodes one threshold push/ack entry.
+func UnmarshalThresholdWire(b [ThresholdWireBytes]byte) Threshold {
+	return Threshold{
+		Flow: dataplane.FlowID{
+			Src:  topology.NodeID(binary.BigEndian.Uint32(b[0:4])),
+			Sink: topology.NodeID(binary.BigEndian.Uint32(b[4:8])),
+		},
+		Value: netsim.Time(binary.BigEndian.Uint64(b[8:16])),
+	}
 }
 
 // payloadLen returns the encoded payload size of m.
@@ -255,7 +254,7 @@ func payloadLen(m *Message) int {
 	case KindRefreshRequest:
 		return 8 // watermark
 	case KindThresholdPush, KindThresholdAck:
-		return ThresholdWireBytes
+		return countBytes + len(m.Thresholds)*ThresholdWireBytes
 	}
 	return 0
 }
@@ -263,14 +262,7 @@ func payloadLen(m *Message) int {
 // EncodeMessage renders one Message as a complete frame.
 func EncodeMessage(m *Message) []byte {
 	plen := payloadLen(m)
-	h := FrameHeader{
-		Version: FrameVersion,
-		Kind:    m.Kind,
-		Seq:     m.Seq,
-		Switch:  m.Switch,
-		Wire:    m.Wire,
-		Len:     uint32(plen),
-	}
+	h := FrameHeader{Kind: m.Kind, Seq: m.Seq, Switch: m.Switch, Len: uint32(plen)}
 	out := make([]byte, 0, FrameHeaderBytes+plen)
 	hb := MarshalFrameHeader(&h)
 	out = append(out, hb[:]...)
@@ -292,8 +284,11 @@ func EncodeMessage(m *Message) []byte {
 		binary.BigEndian.PutUint64(wb[:], uint64(m.Watermark))
 		out = append(out, wb[:]...)
 	case KindThresholdPush, KindThresholdAck:
-		tb := MarshalThresholdWire(m.Flow, m.Threshold)
-		out = append(out, tb[:]...)
+		out = binary.BigEndian.AppendUint32(out, uint32(len(m.Thresholds)))
+		for i := range m.Thresholds {
+			tb := MarshalThresholdWire(&m.Thresholds[i])
+			out = append(out, tb[:]...)
+		}
 	}
 	return out
 }
@@ -317,7 +312,7 @@ func DecodeMessage(b []byte) (Message, int, error) {
 		return Message{}, 0, ErrShortFrame
 	}
 	p := b[FrameHeaderBytes:total]
-	m := Message{Kind: h.Kind, Seq: h.Seq, Switch: h.Switch, Wire: h.Wire}
+	m := Message{Kind: h.Kind, Seq: h.Seq, Switch: h.Switch}
 	switch h.Kind {
 	case KindNotification, KindCollectRequest:
 		if len(p) != NotificationWireBytes {
@@ -353,12 +348,18 @@ func DecodeMessage(b []byte) (Message, int, error) {
 		}
 		m.Watermark = netsim.Time(binary.BigEndian.Uint64(p))
 	case KindThresholdPush, KindThresholdAck:
-		if len(p) != ThresholdWireBytes {
-			return Message{}, 0, fmt.Errorf("%w: threshold payload %d bytes, want %d", ErrBadFrame, len(p), ThresholdWireBytes)
+		if len(p) < countBytes {
+			return Message{}, 0, fmt.Errorf("%w: %v payload %d bytes, want >= %d", ErrBadFrame, h.Kind, len(p), countBytes)
 		}
-		var tb [ThresholdWireBytes]byte
-		copy(tb[:], p)
-		m.Flow, m.Threshold = UnmarshalThresholdWire(tb)
+		count := int(binary.BigEndian.Uint32(p[0:countBytes]))
+		if len(p) != countBytes+count*ThresholdWireBytes {
+			return Message{}, 0, fmt.Errorf("%w: %v entry count %d disagrees with payload %d bytes", ErrBadFrame, h.Kind, count, len(p))
+		}
+		for i := 0; i < count; i++ {
+			var tb [ThresholdWireBytes]byte
+			copy(tb[:], p[countBytes+i*ThresholdWireBytes:])
+			m.Thresholds = append(m.Thresholds, UnmarshalThresholdWire(tb))
+		}
 	}
 	return m, total, nil
 }

@@ -19,14 +19,14 @@ func FuzzDecodeMessage(f *testing.F) {
 		{Kind: KindNotification, Seq: 1, Switch: 7,
 			Note: dataplane.Notification{Kind: dataplane.NotifyDrop, Switch: 7,
 				Flow: dataplane.FlowID{Src: 3, Sink: 9}, Time: netsim.Second, Dropped: 12}},
-		{Kind: KindCollectRequest, Seq: 2, Switch: 9, Wire: CollectRequestBytes},
+		{Kind: KindCollectRequest, Seq: 2, Switch: 9},
 		{Kind: KindCollectResponse, Seq: 2, Switch: 9, Stamp: 2 * netsim.Second,
 			Records: []dataplane.RTRecord{{Flow: dataplane.FlowID{Src: 1, Sink: 2},
 				PathID: 0xAB, Epoch: 23, Latency: 830 * netsim.Microsecond,
 				SourceCount: 120, SinkCount: 117, Arrival: 2400 * netsim.Millisecond}}},
 		{Kind: KindRefreshRequest, Seq: 3, Switch: 4, Watermark: 1900 * netsim.Millisecond},
-		{Kind: KindThresholdPush, Seq: 5, Switch: 11,
-			Flow: dataplane.FlowID{Src: 1, Sink: 2}, Threshold: 700 * netsim.Microsecond},
+		{Kind: KindThresholdPush, Seq: 5, Switch: 11, Thresholds: []Threshold{
+			{Flow: dataplane.FlowID{Src: 1, Sink: 2}, Value: 700 * netsim.Microsecond}}},
 	} {
 		f.Add(EncodeMessage(&m))
 	}
@@ -61,19 +61,19 @@ func FuzzDecodeMessage(f *testing.F) {
 // survive encode -> decode exactly.
 func FuzzMessageRoundTrip(f *testing.F) {
 	f.Add(uint8(0), uint64(1), int32(7), int32(3), int32(9), int64(netsim.Second),
-		int64(500*netsim.Microsecond), int64(0), uint32(0), int64(24), uint8(2))
+		int64(500*netsim.Microsecond), int64(0), uint32(0), uint8(2))
 	f.Add(uint8(2), uint64(99), int32(2), int32(1), int32(2), int64(0),
-		int64(0), int64(41), uint32(3), int64(56), uint8(3))
+		int64(0), int64(41), uint32(3), uint8(3))
 	f.Add(uint8(5), uint64(7), int32(11), int32(4), int32(6), int64(2*netsim.Second),
-		int64(700*netsim.Microsecond), int64(0), uint32(0), int64(10), uint8(0))
+		int64(700*netsim.Microsecond), int64(0), uint32(0), uint8(2))
 	f.Fuzz(func(t *testing.T, kind uint8, seq uint64, sw, src, sink int32,
-		ts, lat, dropped int64, gap uint32, wire int64, nrec uint8) {
+		ts, lat, dropped int64, gap uint32, nrec uint8) {
 		k := Kind(kind % uint8(KindThresholdAck+1))
 		nk := dataplane.NotifyHighLatency
 		if dropped != 0 {
 			nk = dataplane.NotifyDrop
 		}
-		m := Message{Kind: k, Seq: seq, Switch: topology.NodeID(sw), Wire: wire}
+		m := Message{Kind: k, Seq: seq, Switch: topology.NodeID(sw)}
 		switch k {
 		case KindNotification, KindCollectRequest:
 			m.Note = dataplane.Notification{Kind: nk, Switch: topology.NodeID(sw),
@@ -94,8 +94,12 @@ func FuzzMessageRoundTrip(f *testing.F) {
 		case KindRefreshRequest:
 			m.Watermark = netsim.Time(ts)
 		case KindThresholdPush, KindThresholdAck:
-			m.Flow = dataplane.FlowID{Src: topology.NodeID(src), Sink: topology.NodeID(sink)}
-			m.Threshold = netsim.Time(lat)
+			for i := uint8(0); i < nrec%8; i++ {
+				m.Thresholds = append(m.Thresholds, Threshold{
+					Flow:  dataplane.FlowID{Src: topology.NodeID(src) + topology.NodeID(i), Sink: topology.NodeID(sink)},
+					Value: netsim.Time(lat) + netsim.Time(i),
+				})
+			}
 		}
 		b := EncodeMessage(&m)
 		got, n, err := DecodeMessage(b)

@@ -10,7 +10,8 @@ import (
 	"mars/internal/netsim"
 )
 
-// wireMessages is a corpus covering every kind and payload shape.
+// wireMessages is a corpus covering every kind and payload shape. None sets
+// Wire: the modelled size is counted by its sender and does not cross.
 func wireMessages() []Message {
 	note := dataplane.Notification{
 		Kind:     dataplane.NotifyDrop,
@@ -33,18 +34,31 @@ func wireMessages() []Message {
 			Arrival: 2500 * netsim.Millisecond,
 		},
 	}
+	entries := []Threshold{
+		{Flow: dataplane.FlowID{Src: 1, Sink: 2}, Value: 700 * netsim.Microsecond},
+		{Flow: dataplane.FlowID{Src: 5, Sink: 2}, Value: 1200 * netsim.Microsecond},
+	}
 	return []Message{
-		{Kind: KindNotification, Seq: 1, Switch: 7, Note: note, Wire: dataplane.NotificationBytes},
-		{Kind: KindCollectRequest, Seq: 2, Switch: 9, Note: note, Wire: CollectRequestBytes},
-		{Kind: KindCollectResponse, Seq: 2, Switch: 9, Records: recs,
-			Wire: int64(len(recs)) * dataplane.RTRecordBytes, Stamp: 2600 * netsim.Millisecond},
-		{Kind: KindRefreshRequest, Seq: 3, Switch: 4, Watermark: 1900 * netsim.Millisecond, Wire: RefreshRequestBytes},
-		{Kind: KindRefreshResponse, Seq: 3, Switch: 4, Records: recs[:1], Wire: 8, Stamp: 2 * netsim.Second},
-		{Kind: KindRefreshResponse, Seq: 8, Switch: 4, Wire: 0}, // empty response
-		{Kind: KindThresholdPush, Seq: 5, Switch: 11, Flow: dataplane.FlowID{Src: 1, Sink: 2},
-			Threshold: 700 * netsim.Microsecond, Wire: dataplane.ThresholdPushBytes},
-		{Kind: KindThresholdAck, Seq: 5, Switch: 11, Flow: dataplane.FlowID{Src: 1, Sink: 2},
-			Threshold: 700 * netsim.Microsecond, Wire: AckBytes},
+		{Kind: KindNotification, Seq: 1, Switch: 7, Note: note},
+		{Kind: KindCollectRequest, Seq: 2, Switch: 9, Note: note},
+		{Kind: KindCollectResponse, Seq: 2, Switch: 9, Records: recs, Stamp: 2600 * netsim.Millisecond},
+		{Kind: KindRefreshRequest, Seq: 3, Switch: 4, Watermark: 1900 * netsim.Millisecond},
+		{Kind: KindRefreshResponse, Seq: 3, Switch: 4, Records: recs[:1], Stamp: 2 * netsim.Second},
+		{Kind: KindRefreshResponse, Seq: 8, Switch: 4}, // empty response
+		{Kind: KindThresholdPush, Seq: 5, Switch: 11, Thresholds: entries},
+		{Kind: KindThresholdAck, Seq: 5, Switch: 11, Thresholds: entries},
+	}
+}
+
+// TestWireDoesNotCross: a frame carries the message, not the modelled size
+// its sender counted.
+func TestWireDoesNotCross(t *testing.T) {
+	want := Message{Kind: KindThresholdAck, Seq: 5, Switch: 11}
+	sent := want
+	sent.Wire = AckBytes
+	got, _, err := DecodeMessage(EncodeMessage(&sent))
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %+v (%v), want %+v", got, err, want)
 	}
 }
 
@@ -109,12 +123,12 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	corrupt("bad version", func(b []byte) { b[2] = FrameVersion + 1 })
 	corrupt("bad kind", func(b []byte) { b[3] = 200 })
 	corrupt("payload too short for kind", func(b []byte) {
-		binary.BigEndian.PutUint32(b[24:28], 4) // refresh-req wants 8
+		binary.BigEndian.PutUint32(b[16:20], 4) // refresh-req wants 8
 	})
 
 	// Oversized declared payload must be rejected before allocation.
 	big := append([]byte(nil), base...)
-	binary.BigEndian.PutUint32(big[24:28], MaxFramePayload+1)
+	binary.BigEndian.PutUint32(big[16:20], MaxFramePayload+1)
 	if _, _, err := DecodeMessage(big); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("oversized payload: err = %v, want ErrBadFrame", err)
 	}
@@ -125,6 +139,13 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	binary.BigEndian.PutUint32(resp[FrameHeaderBytes+8:FrameHeaderBytes+12], 7)
 	if _, _, err := DecodeMessage(resp); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("record count mismatch: err = %v, want ErrBadFrame", err)
+	}
+
+	// A push whose entry count disagrees with the payload length.
+	push := EncodeMessage(&wireMessages()[6])
+	binary.BigEndian.PutUint32(push[FrameHeaderBytes:FrameHeaderBytes+4], 1<<30)
+	if _, _, err := DecodeMessage(push); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("entry count mismatch: err = %v, want ErrBadFrame", err)
 	}
 
 	// A notification payload carrying an unknown notification kind.

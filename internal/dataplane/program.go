@@ -228,21 +228,15 @@ func (p *Program) FlushSwitch(sw topology.NodeID) {
 	st.notified = false
 }
 
-// SetThreshold installs a dynamic latency threshold for flow at switch sw
-// (the control plane pushes the same value to every switch on the flow's
-// paths; pushing to all switches is equivalent and simpler).
+// SetThreshold installs a dynamic latency threshold for flow at switch sw.
+// The control plane pushes a flow's value to exactly the switches on its
+// shortest paths, the only ones its telemetry packets cross; every other
+// switch keeps DefaultThreshold for the flow and never reads it.
 func (p *Program) SetThreshold(sw topology.NodeID, flow FlowID, d netsim.Time) {
 	if p.states[sw].thresholds == nil {
 		return
 	}
 	p.states[sw].thresholds[flow] = d
-}
-
-// SetThresholdAll installs a flow threshold on every resident switch.
-func (p *Program) SetThresholdAll(flow FlowID, d netsim.Time) {
-	for _, sw := range p.Topo.Switches() {
-		p.SetThreshold(sw, flow, d)
-	}
 }
 
 // threshold returns the latency threshold in force for flow at sw.

@@ -41,6 +41,16 @@ func newEnv(t *testing.T, cfg Config, seed int64) *testEnv {
 	return env
 }
 
+// setOnPath installs th for flow where the control plane pushes it: every
+// switch on a shortest path between the flow's edge switches.
+func (env *testEnv) setOnPath(flow FlowID, th netsim.Time) {
+	for _, p := range env.ft.AllShortestPaths(flow.Src, flow.Sink) {
+		for _, sw := range p {
+			env.prog.SetThreshold(sw, flow, th)
+		}
+	}
+}
+
 func TestTelemetryOnePerFlowPerEpoch(t *testing.T) {
 	cfg := DefaultProgramConfig()
 	env := newEnv(t, cfg, 1)
@@ -126,7 +136,7 @@ func TestHighLatencyNotification(t *testing.T) {
 	sink, _ := env.ft.EdgeSwitchOf(dst)
 	flow := FlowID{Src: srcEdge, Sink: sink}
 	// Push a tight threshold so normal latency trips it.
-	env.prog.SetThresholdAll(flow, 1*netsim.Microsecond)
+	env.setOnPath(flow, 1*netsim.Microsecond)
 	f := &workload.Flow{Src: src, Dst: dst, Key: 9, RatePPS: 100,
 		Gaps: workload.GapConstant, Start: 0, Stop: 500 * netsim.Millisecond}
 	f.Install(env.sim)
@@ -152,7 +162,7 @@ func TestNotificationRateLimited(t *testing.T) {
 	src, dst := env.ft.HostIDs[0], env.ft.HostIDs[8]
 	srcEdge, _ := env.ft.EdgeSwitchOf(src)
 	sink, _ := env.ft.EdgeSwitchOf(dst)
-	env.prog.SetThresholdAll(FlowID{srcEdge, sink}, 1)
+	env.setOnPath(FlowID{srcEdge, sink}, 1)
 	f := &workload.Flow{Src: src, Dst: dst, Key: 9, RatePPS: 200,
 		Gaps: workload.GapConstant, Start: 0, Stop: 2 * netsim.Second}
 	f.Install(env.sim)
@@ -176,7 +186,7 @@ func TestSuppressionFlagStopsDownstreamDetection(t *testing.T) {
 	src, dst := env.ft.HostIDs[0], env.ft.HostIDs[8]
 	srcEdge, _ := env.ft.EdgeSwitchOf(src)
 	sink, _ := env.ft.EdgeSwitchOf(dst)
-	env.prog.SetThresholdAll(FlowID{srcEdge, sink}, 1)
+	env.setOnPath(FlowID{srcEdge, sink}, 1)
 	env.sim.Send(0, src, dst, 77, 500)
 	env.sim.RunAll()
 	latencyNotes := 0

@@ -68,16 +68,17 @@ func TestResidentProgramPartitionsRegisters(t *testing.T) {
 	}
 }
 
-// SetThresholdAll touches only resident switches, and ShardedRegisters
-// routes a reboot flush to the program that actually holds the registers.
+// SetThreshold touches only resident switches, and ShardedRegisters routes
+// a reboot flush to the program that actually holds the registers.
 func TestShardedRegistersRouteFlush(t *testing.T) {
 	ft, _, progs, shardFor := shardFixture(t)
 	flow := FlowID{Src: ft.HostIDs[0], Sink: ft.HostIDs[8]}
+	victim, witness := ft.EdgeIDs[0], ft.EdgeIDs[1]
 	for _, p := range progs {
-		p.SetThresholdAll(flow, netsim.Millisecond)
+		p.SetThreshold(victim, flow, netsim.Millisecond)
+		p.SetThreshold(witness, flow, netsim.Millisecond)
 	}
 	sr := &ShardedRegisters{Progs: progs[:], ShardFor: shardFor}
-	victim := ft.EdgeIDs[0]
 	home := progs[shardFor(victim)]
 	if home.threshold(victim, flow) != netsim.Millisecond {
 		t.Fatal("threshold not installed on owning shard")
@@ -87,7 +88,6 @@ func TestShardedRegistersRouteFlush(t *testing.T) {
 		t.Fatalf("threshold after routed flush = %v, want default", d)
 	}
 	// Other resident switches keep their thresholds.
-	witness := ft.EdgeIDs[1]
 	if progs[shardFor(witness)].threshold(witness, flow) != netsim.Millisecond {
 		t.Fatal("routed flush touched a non-victim switch")
 	}

@@ -217,17 +217,6 @@ func (rt *RingTable) Push(r RTRecord) {
 	}
 }
 
-// Len returns the number of valid records.
-func (rt *RingTable) Len() int {
-	if rt.full {
-		return len(rt.buf)
-	}
-	return rt.next
-}
-
-// Cap returns the ring capacity.
-func (rt *RingTable) Cap() int { return len(rt.buf) }
-
 // Snapshot returns the valid records oldest-first.
 func (rt *RingTable) Snapshot() []RTRecord {
 	if !rt.full {

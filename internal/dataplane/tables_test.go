@@ -104,16 +104,16 @@ func TestEgressTableCounts(t *testing.T) {
 
 func TestRingTableWraps(t *testing.T) {
 	rt := NewRingTable(3)
-	if rt.Len() != 0 || rt.Cap() != 3 {
-		t.Fatalf("empty ring len=%d cap=%d", rt.Len(), rt.Cap())
+	if n := len(rt.Snapshot()); n != 0 || len(rt.buf) != 3 {
+		t.Fatalf("empty ring len=%d cap=%d", n, len(rt.buf))
 	}
 	for i := uint32(1); i <= 5; i++ {
 		rt.Push(RTRecord{Epoch: i})
 	}
-	if rt.Len() != 3 {
-		t.Fatalf("len = %d", rt.Len())
-	}
 	snap := rt.Snapshot()
+	if len(snap) != 3 {
+		t.Fatalf("len = %d", len(snap))
+	}
 	if snap[0].Epoch != 3 || snap[1].Epoch != 4 || snap[2].Epoch != 5 {
 		t.Errorf("snapshot = %v", snap)
 	}

@@ -120,7 +120,7 @@ func MarshalNotification(n *Notification) [NotificationBytes]byte {
 	if n.Kind == NotifyHighLatency {
 		binary.BigEndian.PutUint32(b[17:21], uint32(n.Latency/netsim.Microsecond))
 	} else {
-		binary.BigEndian.PutUint32(b[17:21], uint32(min64w(n.Dropped, 0xFFFFFFFF)))
+		binary.BigEndian.PutUint32(b[17:21], uint32(min(n.Dropped, 0xFFFFFFFF)))
 	}
 	binary.BigEndian.PutUint16(b[21:23], uint16(n.EpochGap))
 	return b
@@ -150,13 +150,6 @@ func UnmarshalNotification(b [NotificationBytes]byte, now netsim.Time) (*Notific
 		n.Dropped = int64(v)
 	}
 	return n, nil
-}
-
-func min64w(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // MarshalRTRecord encodes a Ring Table record into its 28-byte collection

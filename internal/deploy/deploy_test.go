@@ -157,7 +157,7 @@ func TestLoopbackReproducesSimTop1(t *testing.T) {
 	for _, n := range nodes {
 		notes, pushes, b := n.Counts()
 		if b.NotificationBytes != int64(notes)*dataplane.NotificationBytes || b.AckBytes != int64(pushes)*ctrlchan.AckBytes {
-			t.Fatalf("after %d notes and %d accepted pushes a node counted %d notification and %d ack bytes",
+			t.Fatalf("after %d notes and %d push frames a node counted %d notification and %d ack bytes",
 				notes, pushes, b.NotificationBytes, b.AckBytes)
 		}
 		res.AddSwitch(n)
@@ -212,7 +212,8 @@ func TestOneAgentTwoRegisterSources(t *testing.T) {
 				{Kind: ctrlchan.KindCollectRequest, Seq: 7, Switch: sw, Note: last.Trigger},
 				{Kind: ctrlchan.KindRefreshRequest, Seq: 8, Switch: sw},
 				{Kind: ctrlchan.KindRefreshRequest, Seq: 9, Switch: sw, Watermark: mid},
-				{Kind: ctrlchan.KindThresholdPush, Seq: 10, Switch: sw, Flow: flow, Threshold: netsim.Millisecond},
+				{Kind: ctrlchan.KindThresholdPush, Seq: 10, Switch: sw, Thresholds: []ctrlchan.Threshold{
+					{Flow: flow, Value: netsim.Millisecond}, {Flow: dataplane.FlowID{Src: 2, Sink: sw}, Value: 2 * netsim.Millisecond}}},
 			}
 			for _, m := range reqs {
 				agent.Deliver(m)
@@ -226,27 +227,31 @@ func TestOneAgentTwoRegisterSources(t *testing.T) {
 					t.Errorf("request %d (%v seq %d) drew %v seq %d for s%d", i, reqs[i].Kind, reqs[i].Seq, got.Kind, got.Seq, got.Switch)
 				}
 			}
-			collect, full, newer, ack := sent[0], sent[1], sent[2], sent[3]
-			if len(collect.Records) == 0 || collect.Wire != int64(len(collect.Records))*src.price {
-				t.Errorf("collect response: %d records priced %d B, want %d B each", len(collect.Records), collect.Wire, src.price)
+			collect, full, newer := sent[0], sent[1], sent[2]
+			if len(collect.Records) == 0 {
+				t.Error("collect response carried no records")
 			}
-			if len(full.Records) != len(all) || full.Wire != int64(len(all))*8 {
-				t.Errorf("refresh from 0: %d records priced %d B, want all %d at 8 B", len(full.Records), full.Wire, len(all))
+			if len(full.Records) != len(all) {
+				t.Errorf("refresh from 0: %d records, want all %d", len(full.Records), len(all))
 			}
-			if len(newer.Records) == 0 || len(newer.Records) >= len(all) || newer.Wire != int64(len(newer.Records))*8 {
-				t.Errorf("refresh from %v: %d of %d records priced %d B", mid, len(newer.Records), len(all), newer.Wire)
+			if len(newer.Records) == 0 || len(newer.Records) >= len(all) {
+				t.Errorf("refresh from %v: %d of %d records", mid, len(newer.Records), len(all))
 			}
 			for _, r := range newer.Records {
 				if r.Arrival <= mid {
 					t.Errorf("refresh from %v returned a record that arrived at %v", mid, r.Arrival)
 				}
 			}
-			if ack.Wire != ctrlchan.AckBytes || ack.Flow != flow || ack.Threshold != netsim.Millisecond {
-				t.Errorf("ack = %+v", ack)
+			// The sender's counters price what was sent: records at the
+			// agent's record price, 8 B a refreshed sample, one ack frame for
+			// a two-entry push.
+			want := controlplane.BandwidthStats{
+				CollectionBytes: int64(len(collect.Records)) * src.price,
+				RefreshBytes:    int64(len(full.Records)+len(newer.Records)) * 8,
+				AckBytes:        ctrlchan.AckBytes,
 			}
-			want := controlplane.BandwidthStats{CollectionBytes: collect.Wire, RefreshBytes: full.Wire + newer.Wire, AckBytes: ack.Wire}
 			if bytes != want {
-				t.Errorf("agent counted %+v, sent %+v", bytes, want)
+				t.Errorf("agent counted %+v, want %+v", bytes, want)
 			}
 		})
 	}
@@ -257,13 +262,7 @@ func TestOneAgentTwoRegisterSources(t *testing.T) {
 // naming exactly that group's edge switches — the run ends on schedule, and
 // everything shuts down.
 func TestLoopbackWithAnAbsentSwitchGroup(t *testing.T) {
-	// The first half of the run in real time: at the default 4x compression
-	// a loaded machine (the race detector, a busy CI box) can stall a node
-	// past a present sink's whole 45 ms retry budget, and "exactly the
-	// absent group's sinks" would not hold.
-	slow := *defaultCapture(t)
-	slow.Scenario.Scale, slow.Scenario.RunFor = 1, 2*netsim.Second
-	c := &slow
+	c := defaultCapture(t)
 	groups := GroupSwitches(c.Sys.FT, c.Scenario.Groups)
 	// A group the first captured notification is raised outside of, so that
 	// at least one diagnosis fires.

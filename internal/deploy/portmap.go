@@ -1,10 +1,8 @@
 package deploy
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
-	"os"
 
 	"mars/internal/topology"
 )
@@ -26,23 +24,13 @@ type PortGroup struct {
 }
 
 // WriteFile serializes the port map as JSON.
-func (p *PortMap) WriteFile(path string) error {
-	b, err := json.MarshalIndent(p, "", "  ")
-	if err != nil {
-		return fmt.Errorf("deploy: encoding portmap: %w", err)
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
+func (p *PortMap) WriteFile(path string) error { return writeJSON(path, "portmap", p) }
 
 // ReadPortMap loads a portmap JSON file.
 func ReadPortMap(path string) (*PortMap, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("deploy: reading portmap: %w", err)
-	}
 	var p PortMap
-	if err := json.Unmarshal(b, &p); err != nil {
-		return nil, fmt.Errorf("deploy: parsing portmap %s: %w", path, err)
+	if err := readJSON(path, "portmap", &p); err != nil {
+		return nil, err
 	}
 	return &p, nil
 }

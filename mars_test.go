@@ -1,11 +1,16 @@
 package mars
 
 import (
+	"fmt"
 	"testing"
 
+	"mars/internal/controlplane"
 	"mars/internal/ctrlchan"
 	"mars/internal/dataplane"
+	"mars/internal/det"
 	"mars/internal/telemetry"
+	"mars/internal/topology"
+	"mars/internal/workload"
 )
 
 func TestSystemEndToEndDelayFault(t *testing.T) {
@@ -65,6 +70,89 @@ func TestSystemWidensPathIDAboveK4(t *testing.T) {
 	culprits := sys.Culprits()
 	if len(culprits) == 0 || !culprits[0].ContainsSwitch(gt.Switch) {
 		t.Errorf("k=8 delay at s%d: top culprit is not the injected switch: %v", gt.Switch, culprits[:min(3, len(culprits))])
+	}
+}
+
+// installLog is the live registers with the last threshold each switch was
+// sent for each flow.
+type installLog struct {
+	controlplane.LiveRegisters
+	at map[FlowID]map[topology.NodeID]Time
+}
+
+func (l *installLog) SetThreshold(sw topology.NodeID, flow FlowID, th Time) {
+	if l.at[flow] == nil {
+		l.at[flow] = map[topology.NodeID]Time{}
+	}
+	l.at[flow][sw] = th
+	l.LiveRegisters.SetThreshold(sw, flow, th)
+}
+
+// TestThresholdsGoWhereTheyAreRead runs default trials on the perfect
+// channel with every install logged: (a) no switch off all of a flow's
+// shortest paths is ever sent that flow's threshold — at k=4, at k=8, and
+// for an intra-edge flow, whose one switch is the only one; (b) at every
+// hop a telemetry packet was checked at, the switch holds the controller's
+// current threshold for the flow once it has been pushed at all.
+func TestThresholdsGoWhereTheyAreRead(t *testing.T) {
+	for _, k := range []int{4, 8} {
+		cfg := DefaultConfig()
+		cfg.FatTreeK = k
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cdc, err := telemetry.New("mars11", cfg.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log := &installLog{LiveRegisters: controlplane.LiveRegisters{Program: sys.Program}, at: map[FlowID]map[topology.NodeID]Time{}}
+		agent := controlplane.NewAgent(log, int64(cdc.RecordBytes()), sys.CtrlChan, &sys.Controller.Bytes, sys.Controller.Deliver)
+		sys.Controller.ToSwitch, sys.Program.Notifier = agent.Deliver, agent
+
+		var stale []string
+		sys.Program.OnRecord = func(sink topology.NodeID, rec dataplane.RTRecord) {
+			at := log.at[rec.Flow]
+			path, ok := sys.Paths.Lookup(sink, rec.PathID)
+			if at == nil || !ok {
+				return
+			}
+			for _, sw := range path {
+				if want := sys.Controller.ThresholdOf(rec.Flow); at[sw] != want && len(stale) < 3 {
+					stale = append(stale, fmt.Sprintf("%v at s%d: %v, controller %v", rec.Flow, sw, at[sw], want))
+				}
+			}
+		}
+		sys.StartBackground(12*len(sys.FT.EdgeIDs), 220)
+		h0, h1 := sys.FT.HostIDs[0], sys.FT.HostIDs[1]
+		edge, _ := sys.FT.EdgeSwitchOf(h0)
+		if e1, _ := sys.FT.EdgeSwitchOf(h1); e1 != edge {
+			t.Fatalf("hosts %d and %d are not behind one edge switch", h0, h1)
+		}
+		intra := &workload.Flow{Src: h0, Dst: h1, Key: 1 << 20, RatePPS: 220, Gaps: workload.GapConstant, Start: 0, Stop: 2 * Second}
+		intra.Install(sys.Sim)
+		sys.Run(2 * Second)
+
+		if len(stale) > 0 {
+			t.Errorf("k=%d: hops checked against a threshold other than the controller's: %v", k, stale)
+		}
+		intraAt := log.at[FlowID{Src: edge, Sink: edge}]
+		if _, ok := intraAt[edge]; !ok || len(intraAt) != 1 {
+			t.Errorf("k=%d: intra-edge flow at s%d installed at %v, want exactly its one switch", k, edge, intraAt)
+		}
+		for _, flow := range det.KeysFunc(log.at, func(a, b FlowID) bool { return a.Src < b.Src || a.Src == b.Src && a.Sink < b.Sink }) {
+			onPath := map[topology.NodeID]bool{}
+			for _, p := range sys.FT.AllShortestPaths(flow.Src, flow.Sink) {
+				for _, sw := range p {
+					onPath[sw] = true
+				}
+			}
+			for _, sw := range det.Keys(log.at[flow]) {
+				if !onPath[sw] {
+					t.Fatalf("k=%d: %v installed at s%d, off all its %d shortest paths", k, flow, sw, len(sys.FT.AllShortestPaths(flow.Src, flow.Sink)))
+				}
+			}
+		}
 	}
 }
 
