@@ -168,7 +168,8 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkReservoirInput measures the per-sample cost of Algorithm 1.
+// BenchmarkReservoirInput measures the per-sample cost of Algorithm 1 on a
+// full reservoir; it is the bench gate's entry for the reservoir layer.
 func BenchmarkReservoirInput(b *testing.B) {
 	r := reservoir.New(reservoir.DefaultConfig(), rand.New(rand.NewSource(1)))
 	b.ReportAllocs()

@@ -39,6 +39,10 @@ const (
 	pinnedAblationCauseDigest = "7b50244818b6cf8a7ab918ba510dc2f20ffbd272b22913d13a1f48406ff134d5"
 )
 
+// Pin of the streaming tier, captured before the reservoirs kept their
+// sample sorted (same rule: fix the code, do not re-pin).
+const pinnedStreamDigest = "fbfe8ae43b0f331eaeb9bddae86eb31d89b12f768bac039100e1afe0ef9a8d84"
+
 // pinTrials keeps the pin suite affordable: one trial per fault kind per
 // sweep point still exercises every fault signature, every system, every
 // codec, and the lossy control channel end to end.
@@ -118,9 +122,33 @@ func ablationCauseDigest() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// streamDigest runs the stream trial the CI determinism job diffs
+// (mars-bench -exp stream -k 8 -seed 1000) and covers, beyond Render, every
+// window of every service with its culprits' exact scores: a threshold or
+// eviction change that moves one window's ranking cannot hide behind the
+// first-hit and top-1 summary.
+func streamDigest() string {
+	tc := DefaultStreamTrialConfig(8, 1, pinSeed)
+	res := RunStreamTrial(tc, nil)
+	h := sha256.New()
+	io.WriteString(h, res.Render())
+	for i, windows := range res.Results {
+		for _, w := range windows {
+			fmt.Fprintf(h, "W%d [%d,%d] %d/%d:", tc.Windows[i], w.Start, w.End, w.Sampled, w.Offered)
+			for _, c := range w.Culprits {
+				fmt.Fprintf(h, " %v/%v/%v/%v|%x|%x", c.Cause, c.Level, c.Location, c.Flow,
+					math.Float64bits(c.Score), math.Float64bits(c.Confidence))
+			}
+			io.WriteString(h, "\n")
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // TestPinnedSeededDigests is the byte-level guard under every refactor of
 // the seeded pipeline: the table1, ctrlchan, overhead, gray, fig9 and
-// cause-ablation sweeps must reproduce their pinned seeded output.
+// cause-ablation sweeps and the stream trial must reproduce their pinned
+// seeded output.
 func TestPinnedSeededDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full seeded sweeps are not short")
@@ -135,6 +163,7 @@ func TestPinnedSeededDigests(t *testing.T) {
 		{"gray", pinnedGrayDigest, grayDigest},
 		{"fig9", pinnedFig9Digest, fig9Digest},
 		{"ablation-cause", pinnedAblationCauseDigest, ablationCauseDigest},
+		{"stream", pinnedStreamDigest, streamDigest},
 	} {
 		c := c
 		t.Run(c.name, func(t *testing.T) {

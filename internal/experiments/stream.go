@@ -110,6 +110,8 @@ type StreamTrialResult struct {
 	Diagnoses        int64
 	Accuracy         []StreamWindowAccuracy
 	MetricsJSON      string // primary service's live metrics snapshot
+	// Results holds each service's closed windows, in Windows order.
+	Results [][]stream.WindowResult
 	// Machine-dependent accounting (stderr only).
 	WallSeconds   float64
 	DiagPerSec    float64 // per-unit window analyses per wall second
@@ -269,6 +271,7 @@ func RunStreamTrial(tc StreamTrialConfig, progress func(now netsim.Time, events 
 	}
 
 	for i, svc := range svcs {
+		res.Results = append(res.Results, svc.Results())
 		acc := StreamWindowAccuracy{WindowEpochs: tc.Windows[i]}
 		for _, w := range svc.Results() {
 			if w.End < tc.FaultStart || w.Start >= tc.FaultStop {

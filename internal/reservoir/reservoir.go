@@ -114,17 +114,20 @@ type Reservoir struct {
 	data []float64
 	co   int // consecutive-outlier count (PenaltyText) or its inverse
 
-	// cached statistics, invalidated on mutation
-	dirty     bool
-	median    float64
-	stddev    float64
-	threshold float64
+	// sorted is empty or data in ascending order. refresh sorts it once,
+	// the first time the reservoir reaches MinSamples (most flows in a
+	// bounded table are evicted before they do); from then on Input keeps it
+	// in step by binary-search insertion, so the median is a read and the
+	// MAD a merge walk, and a full reservoir refreshes without allocating.
+	sorted []float64
 
-	// scratch buffers reused across refreshes so a full reservoir
-	// recomputes its threshold without allocating (the stream ingest path
-	// refreshes once per observation).
-	sortScratch []float64
-	devScratch  []float64
+	// cached statistics, invalidated on mutation; σ is summed only when
+	// read (haveStddev), since the MAD scale rarely needs it.
+	dirty      bool
+	haveStddev bool
+	median     float64
+	stddev     float64
+	threshold  float64
 
 	// Observed counters for diagnostics.
 	Accepted int64
@@ -143,24 +146,24 @@ func New(cfg Config, rng *rand.Rand) *Reservoir {
 }
 
 // Reset empties the reservoir back to exactly the state New returns —
-// same Config and RNG, no RNG draw — keeping the sample slab and refresh
-// scratch, so a bounded table can hand an evicted flow's reservoir to the
-// flow that replaces it.
+// same Config and RNG, no RNG draw, no sorted sample — keeping both slabs,
+// so a bounded table can hand an evicted flow's reservoir to the flow that
+// replaces it.
 func (r *Reservoir) Reset() {
 	*r = Reservoir{
-		cfg:         r.cfg,
-		rng:         r.rng,
-		data:        r.data[:0],
-		dirty:       true,
-		sortScratch: r.sortScratch[:0],
-		devScratch:  r.devScratch[:0],
+		cfg:    r.cfg,
+		rng:    r.rng,
+		data:   r.data[:0],
+		dirty:  true,
+		sorted: r.sorted[:0],
 	}
 }
 
 // Len returns the number of retained samples.
 func (r *Reservoir) Len() int { return len(r.data) }
 
-// refresh recomputes median, stddev, and threshold.
+// refresh recomputes median and threshold, and σ only if the threshold
+// needs it.
 func (r *Reservoir) refresh() {
 	if !r.dirty {
 		return
@@ -168,87 +171,79 @@ func (r *Reservoir) refresh() {
 	r.dirty = false
 	n := len(r.data)
 	if n < r.cfg.MinSamples {
-		r.median, r.stddev = 0, 0
+		r.median, r.stddev, r.haveStddev = 0, 0, true
 		r.threshold = r.cfg.DefaultThreshold
 		return
 	}
-	r.sortScratch = append(r.sortScratch[:0], r.data...)
-	r.median = medianOf(r.sortScratch)
-	var sum, sum2 float64
-	for _, v := range r.data {
-		sum += v
+	if len(r.sorted) == 0 {
+		r.sorted = append(r.sorted, r.data...)
+		slices.Sort(r.sorted)
 	}
-	mean := sum / float64(n)
-	for _, v := range r.data {
-		d := v - mean
-		sum2 += d * d
+	s, k := r.sorted, n/2
+	r.median = s[k]
+	if n%2 == 0 {
+		r.median = (s[k-1] + s[k]) / 2
 	}
-	r.stddev = math.Sqrt(sum2 / float64(n))
+	r.haveStddev = false
 
-	scale := r.stddev
+	var scale float64
 	if r.cfg.Scale == ScaleMAD {
-		dev := r.devScratch[:0]
-		for _, v := range r.data {
-			dev = append(dev, math.Abs(v-r.median))
-		}
-		r.devScratch = dev
-		scale = 1.4826 * medianOf(dev)
-		if scale == 0 {
-			// Degenerate (more than half the samples identical): fall back
-			// to the classical estimator so the threshold is not the bare
-			// median.
-			scale = r.stddev
-		}
+		scale = 1.4826 * r.mad()
+	}
+	if scale == 0 {
+		// ScaleStddev, or a degenerate MAD (more than half the samples
+		// identical): the classical estimator, so the threshold is not the
+		// bare median.
+		scale = r.sigma()
 	}
 	r.threshold = r.median + r.cfg.C*scale
 }
 
-// medianOf returns the median of s — the middle value, or the mean of the
-// two middle values — and reorders s. Both are order statistics, so they
-// are selected, not sorted for: the values, and so their sum, are the ones
-// a full sort would leave at n/2-1 and n/2.
-func medianOf(s []float64) float64 {
-	k := len(s) / 2
-	upper := selectKth(s, k)
-	if len(s)%2 == 1 {
-		return upper
+// mad returns the median of |v − median| over the sample. Left of the
+// median's position the deviations are median − s[i], growing leftward;
+// from it on they are s[j] − median, growing rightward. A merge walk
+// outward from the median therefore visits them in ascending order, and
+// since IEEE subtraction is sign-symmetric each equals math.Abs(v − median)
+// bit for bit.
+func (r *Reservoir) mad() float64 {
+	s, m := r.sorted, r.median
+	n, k := len(s), len(s)/2
+	lo, hi := k-1, k
+	var prev, cur float64
+	for range k + 1 {
+		prev = cur
+		if hi == n || lo >= 0 && m-s[lo] <= s[hi]-m {
+			cur = m - s[lo]
+			lo--
+		} else {
+			cur = s[hi] - m
+			hi++
+		}
 	}
-	return (slices.Max(s[:k]) + upper) / 2
+	if n%2 == 1 {
+		return cur
+	}
+	return (prev + cur) / 2
 }
 
-// selectKth returns the k-th smallest value of s (from 0), reordering s so
-// that it sits at s[k] with nothing larger before it and nothing smaller
-// after it: Hoare's quickselect with a median-of-three pivot.
-func selectKth(s []float64, k int) float64 {
-	lo, hi := 0, len(s)-1
-	for lo < hi {
-		a, b, c := s[lo], s[lo+(hi-lo)/2], s[hi]
-		pivot := max(min(a, b), min(max(a, b), c))
-		i, j := lo, hi
-		for i <= j {
-			for s[i] < pivot {
-				i++
-			}
-			for s[j] > pivot {
-				j--
-			}
-			if i <= j {
-				s[i], s[j] = s[j], s[i]
-				i++
-				j--
-			}
-		}
-		// s[lo..j] <= pivot <= s[i..hi], and anything between equals it.
-		switch {
-		case k <= j:
-			hi = j
-		case k >= i:
-			lo = i
-		default:
-			return s[k]
-		}
+// sigma returns the population standard deviation, summed over data in
+// insertion order (the summation order is part of its bits) the first time
+// it is asked for after a refresh.
+func (r *Reservoir) sigma() float64 {
+	if r.haveStddev {
+		return r.stddev
 	}
-	return s[k]
+	var sum, sum2 float64
+	for _, v := range r.data {
+		sum += v
+	}
+	mean := sum / float64(len(r.data))
+	for _, v := range r.data {
+		d := v - mean
+		sum2 += d * d
+	}
+	r.stddev, r.haveStddev = math.Sqrt(sum2/float64(len(r.data))), true
+	return r.stddev
 }
 
 // Threshold returns the current dynamic threshold θ.
@@ -266,7 +261,7 @@ func (r *Reservoir) Median() float64 {
 // Stddev returns the current sample standard deviation.
 func (r *Reservoir) Stddev() float64 {
 	r.refresh()
-	return r.stddev
+	return r.sigma()
 }
 
 // Input feeds one latency observation (Algorithm 1) and reports whether it
@@ -295,12 +290,19 @@ func (r *Reservoir) Input(l float64) bool {
 
 	if len(r.data) < r.cfg.Volume {
 		r.data = append(r.data, l)
+		if len(r.sorted) > 0 {
+			r.sorted = insertSorted(r.sorted, l)
+		}
 		r.dirty = true
 		r.Accepted++
 		return outlier
 	}
 	if r.rng.Float64() < alpha*r.cfg.StaticProb {
 		idx := r.rng.Intn(len(r.data))
+		if len(r.sorted) > 0 {
+			i, _ := slices.BinarySearch(r.sorted, r.data[idx])
+			r.sorted = insertSorted(slices.Delete(r.sorted, i, i+1), l)
+		}
 		r.data[idx] = l
 		r.dirty = true
 		r.Accepted++
@@ -308,6 +310,12 @@ func (r *Reservoir) Input(l float64) bool {
 		r.Rejected++
 	}
 	return outlier
+}
+
+// insertSorted inserts v into the ascending s at its binary-searched place.
+func insertSorted(s []float64, v float64) []float64 {
+	i, _ := slices.BinarySearch(s, v)
+	return slices.Insert(s, i, v)
 }
 
 // Classify tests a latency against the current threshold without feeding

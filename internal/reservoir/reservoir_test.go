@@ -257,7 +257,7 @@ func TestPropertySnapshotSubsetOfInputs(t *testing.T) {
 }
 
 // TestResetRestoresNewState: Reset leaves a used reservoir in exactly the
-// state New builds (the refresh scratch aside, which carries no state),
+// state New builds (the emptied sorted slab aside, which holds no values),
 // draws nothing from the RNG, and the reservoir then behaves as a new one.
 func TestResetRestoresNewState(t *testing.T) {
 	cfg := DefaultConfig()
@@ -279,8 +279,11 @@ func TestResetRestoresNewState(t *testing.T) {
 	used.Reset()
 
 	got, want := *used, *fresh
-	got.sortScratch, got.devScratch, got.rng = nil, nil, nil
-	want.sortScratch, want.devScratch, want.rng = nil, nil, nil
+	if len(got.sorted) != 0 {
+		t.Fatalf("Reset kept %d sorted values", len(got.sorted))
+	}
+	got.sorted, got.rng = nil, nil
+	want.sorted, want.rng = nil, nil
 	if !reflect.DeepEqual(got, want) || cap(used.data) != cap(fresh.data) {
 		t.Fatalf("Reset state = %+v, New state = %+v", got, want)
 	}
@@ -294,8 +297,9 @@ func TestResetRestoresNewState(t *testing.T) {
 	}
 }
 
-// The scratch-buffer refresh must produce the same statistics as a fresh
-// computation (guards the allocation-free rewrite of refresh).
+// Two reservoirs filled from the same seed and samples read the same
+// statistics, whatever the first is fed afterwards: refreshes share no
+// state between reservoirs.
 func TestRefreshScratchReuseStable(t *testing.T) {
 	fill := func() *Reservoir {
 		r := newTest(DefaultConfig(), 13)
