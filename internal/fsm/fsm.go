@@ -21,10 +21,16 @@
 // Weights[i] times — and every miner returns exactly what it would over
 // the database with each sequence repeated Weights[i] times, at a cost
 // that does not depend on the weights.
+//
+// Counting: PrefixSpan and GSP count the frequent 1-items in a table
+// indexed by item (frequentItems), not a hash map. Items are switch IDs, so
+// the table's span is bounded by the topology's node count, and a count
+// costs O(items + span).
 package fsm
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"mars/internal/det"
@@ -185,22 +191,34 @@ func sortPatterns(ps []Pattern) []Pattern {
 }
 
 // frequentItems returns items meeting minSup with their supports,
-// ascending by item.
+// ascending by item. sup and last are indexed by item − lo; last holds the
+// index + 1 of the latest sequence to count the item, so a sequence counts
+// it once however often it repeats it.
 func frequentItems(db Dataset, p Params, minSup int) []Pattern {
-	sup := map[Item]int{}
-	for si, seq := range db {
-		seen := map[Item]bool{}
+	lo, hi := Item(math.MaxInt32), Item(math.MinInt32)
+	for _, seq := range db {
 		for _, it := range seq {
-			if !seen[it] {
-				seen[it] = true
-				sup[it] += p.weight(si)
+			lo, hi = min(lo, it), max(hi, it)
+		}
+	}
+	if lo > hi {
+		return nil
+	}
+	span := int(hi) - int(lo) + 1
+	sup, last := make([]int, span), make([]int32, span)
+	for si, seq := range db {
+		w, mark := p.weight(si), int32(si+1)
+		for _, it := range seq {
+			if i := int(it) - int(lo); last[i] != mark {
+				last[i] = mark
+				sup[i] += w
 			}
 		}
 	}
 	var out []Pattern
-	for _, it := range det.Keys(sup) {
-		if s := sup[it]; s >= minSup {
-			out = append(out, Pattern{Items: []Item{it}, Support: s})
+	for i, s := range sup {
+		if s >= minSup {
+			out = append(out, Pattern{Items: []Item{lo + Item(i)}, Support: s})
 		}
 	}
 	return out

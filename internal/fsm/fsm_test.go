@@ -118,18 +118,51 @@ func randomPaths(rng *rand.Rand, n int) Dataset {
 
 func TestCrossValidationContiguous(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
-	for trial := 0; trial < 15; trial++ {
-		db := randomPaths(rng, 20+rng.Intn(30))
-		// A floor of 2..5 sequences, written as the fraction of db that
-		// resolves to it (+0.5 keeps the product clear of float rounding).
-		floor := 2 + rng.Intn(4)
-		params := Params{MinRelSupport: (float64(floor) + 0.5) / float64(len(db)), MaxLen: 1 + rng.Intn(3)}
-		want := patternsToMap(NaiveMiner{}.Mine(db, params))
-		for _, m := range All() {
-			got := patternsToMap(m.Mine(db, params))
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d: %s disagrees with naive (got %d, want %d patterns)\nparams %+v",
-					trial, m.Name(), len(got), len(want), params)
+	// Beside the small alphabet MARS's sets look like: the same alphabet
+	// shifted to 1<<20 (a table counter indexes by item - lo), one split
+	// into clusters at 0 and 5000 (a span that is mostly empty), and weights
+	// of 0..3, zeros included.
+	for _, v := range []struct {
+		name    string
+		item    func(Item) Item
+		weights bool
+	}{
+		{"small-alphabet", func(x Item) Item { return x }, false},
+		{"offset-alphabet", func(x Item) Item { return 1<<20 + x }, false},
+		{"far-apart", func(x Item) Item { return x%2*5000 + x/2 }, false},
+		{"zero-weights", func(x Item) Item { return x }, true},
+	} {
+		for trial := 0; trial < 15; trial++ {
+			db := randomPaths(rng, 20+rng.Intn(30))
+			for _, seq := range db {
+				for j := range seq {
+					seq[j] = v.item(seq[j])
+				}
+			}
+			var params Params
+			size := len(db)
+			if v.weights {
+				params.Weights = make([]int, len(db))
+				for i := range params.Weights {
+					params.Weights[i] = rng.Intn(4)
+				}
+				params.Weights[0], size = 1, 0
+				for _, w := range params.Weights {
+					size += w
+				}
+			}
+			// A floor of 2..5, written as the fraction of the database's
+			// size that resolves to it (+0.5 keeps the product clear of float
+			// rounding).
+			floor := 2 + rng.Intn(4)
+			params.MinRelSupport, params.MaxLen = (float64(floor)+0.5)/float64(size), 1+rng.Intn(3)
+			want := patternsToMap(NaiveMiner{}.Mine(db, params))
+			for _, m := range All() {
+				got := patternsToMap(m.Mine(db, params))
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s trial %d: %s disagrees with naive (got %d, want %d patterns)\nparams %+v",
+						v.name, trial, m.Name(), len(got), len(want), params)
+				}
 			}
 		}
 	}

@@ -473,21 +473,31 @@ func TestEpochTableKeepsMapSemantics(t *testing.T) {
 	}
 }
 
-// TestSignatureDataBoundedOnHostileFrame: one flow whose every record names
-// another epoch — the largest frame the control channel carries, 69,905
-// records — costs memory by its records: a handful of arrays, never an
-// allocation per epoch. No wall-clock assertion; the per-flow sort keeps it
-// O(n log n).
+// hostileRecords is the largest frame the control channel carries
+// (ctrlchan.MaxFramePayload), in records.
+const hostileRecords = 69905
+
+// hostileFrame is one late flow on one path whose every record names
+// another epoch, a whole frame of it.
+func hostileFrame(tb testing.TB, f *fixture) []dataplane.RTRecord {
+	tb.Helper()
+	p := f.ft.AllShortestPaths(f.ft.EdgeIDs[0], f.ft.EdgeIDs[2])[0]
+	recs := make([]dataplane.RTRecord, hostileRecords)
+	for i := range recs {
+		recs[i] = f.record(tb, p, uint32(i)*7919, badLatency, 40, 30)
+		recs[i].Arrival = 400 * netsim.Millisecond
+	}
+	return recs
+}
+
+// TestSignatureDataBoundedOnHostileFrame: the hostile frame costs memory by
+// its records: a handful of arrays, never an allocation per epoch. No
+// wall-clock assertion; the per-flow sort keeps it O(n log n).
 func TestSignatureDataBoundedOnHostileFrame(t *testing.T) {
 	f := newFixture(t)
 	a := analyzer(f)
-	const n = 69905
-	p := f.ft.AllShortestPaths(f.ft.EdgeIDs[0], f.ft.EdgeIDs[2])[0]
-	recs := make([]dataplane.RTRecord, n)
-	for i := range recs {
-		recs[i] = f.record(t, p, uint32(i)*7919, badLatency, 40, 30)
-		recs[i].Arrival = 400 * netsim.Millisecond
-	}
+	const n = hostileRecords
+	recs := hostileFrame(t, f)
 	var culprits int
 	allocs := testing.AllocsPerRun(1, func() {
 		culprits = len(a.AnalyzeWindow(recs, 400*netsim.Millisecond, 1))
@@ -505,5 +515,55 @@ func TestSignatureDataBoundedOnHostileFrame(t *testing.T) {
 	t.Logf("%.0f allocations, %d bytes per record", allocs, (after.TotalAlloc-before.TotalAlloc)/n)
 	if perRecord := (after.TotalAlloc - before.TotalAlloc) / n; perRecord > 512 {
 		t.Errorf("%d records of one flow allocated %d bytes each", n, perRecord)
+	}
+}
+
+// TestAnalyzerReuseCarriesNothing: an Analyzer keeps its working set from one
+// analysis to the next, and nothing in it reaches the next one's output. One
+// Analyzer runs the weighted_test.go scenarios, the hostile frame, an empty
+// window and the scenarios again in reverse — each a different size and
+// shape from the one before — and every result must equal a fresh
+// Analyzer's on the same input, through either entry point.
+func TestAnalyzerReuseCarriesNothing(t *testing.T) {
+	f := newFixture(t)
+	const now = 500 * netsim.Millisecond
+	type input struct {
+		name    string
+		records []dataplane.RTRecord
+		trigger dataplane.Notification
+	}
+	var forward []input
+	for _, sc := range scenarios(t, f) {
+		trigger := dataplane.Notification{Kind: dataplane.NotifyHighLatency}
+		if sc.drop {
+			trigger = dataplane.Notification{Kind: dataplane.NotifyDrop, Flow: sc.records[0].Flow}
+		}
+		forward = append(forward, input{sc.name, sc.records, trigger})
+	}
+	backward := slices.Clone(forward)
+	slices.Reverse(backward)
+	inputs := slices.Concat(forward, []input{
+		{"hostile-frame", hostileFrame(t, f), dataplane.Notification{Kind: dataplane.NotifyHighLatency}},
+		{"empty", nil, dataplane.Notification{Kind: dataplane.NotifyDrop}},
+	}, backward)
+	for _, entry := range []struct {
+		name string
+		run  func(*Analyzer, input) []Culprit
+	}{
+		{"Analyze", func(a *Analyzer, in input) []Culprit {
+			return a.Analyze(controlplane.Diagnosis{Trigger: in.trigger, Time: now, Records: in.records})
+		}},
+		{"AnalyzeWindow", func(a *Analyzer, in input) []Culprit { return a.AnalyzeWindow(in.records, now, 1) }},
+	} {
+		reused := analyzer(f)
+		for i, in := range inputs {
+			got, want := entry.run(reused, in), entry.run(analyzer(f), in)
+			if len(want) == 0 && len(in.records) > 0 {
+				t.Fatalf("%s #%d %s: no culprits; equal empty lists would prove nothing", entry.name, i, in.name)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s #%d %s: a reused Analyzer ranks differently from a fresh one\n got %v\nwant %v", entry.name, i, in.name, got, want)
+			}
+		}
 	}
 }

@@ -142,7 +142,8 @@ func (c Culprit) ContainsSwitch(sw topology.NodeID) bool { return slices.Contain
 
 // Config tunes the analyzer.
 type Config struct {
-	// Miner is the FSM algorithm (PrefixSpan by default).
+	// Miner is the FSM algorithm (PrefixSpan by default). The database it
+	// is handed is the Analyzer's working memory: Mine must not keep it.
 	Miner fsm.Miner
 	// MinRelSupport is the FSM relative support floor over the abnormal set.
 	MinRelSupport float64
@@ -187,7 +188,9 @@ type Thresholds interface {
 	ThresholdOf(flow dataplane.FlowID) netsim.Time
 }
 
-// Analyzer turns diagnoses into ranked culprit lists.
+// Analyzer turns diagnoses into ranked culprit lists. It is not safe for
+// concurrent use: each analysis works in memory the Analyzer keeps for the
+// next one.
 type Analyzer struct {
 	Cfg   Config
 	Paths *pathid.Table
@@ -196,6 +199,26 @@ type Analyzer struct {
 	// extensions holds operator-registered cause signatures (see
 	// RegisterSignature).
 	extensions []namedSignature
+
+	work workingSet
+}
+
+// workingSet is the memory analyses build their index (index, estimate) and
+// mining database (minePatterns) in; each slice grows only when an analysis
+// is larger than any before it. It is working memory, not a cache: an
+// analysis writes every element before it reads it, so nothing passes from
+// one analysis to the next (TestAnalyzerReuseCarriesNothing).
+type workingSet struct {
+	flowOf, pathOf []int32
+	over           []bool
+	numbers        map[dataplane.FlowID]int32
+	thresholds     []netsim.Time
+	flowIDs        []dataplane.FlowID
+	set            firsts
+	paths          []pathStat
+	db             fsm.Dataset
+	weights        []int
+	slab           fsm.Sequence
 }
 
 // New creates an analyzer. paths decompresses PathIDs; thr classifies.
@@ -209,7 +232,7 @@ func New(cfg Config, paths *pathid.Table, thr Thresholds) *Analyzer {
 	if cfg.EpochDuration <= 0 {
 		cfg.EpochDuration = dataplane.EpochDuration
 	}
-	return &Analyzer{Cfg: cfg, Paths: paths, Thr: thr}
+	return &Analyzer{Cfg: cfg, Paths: paths, Thr: thr, work: workingSet{numbers: make(map[dataplane.FlowID]int32)}}
 }
 
 // Analyze produces the ranked culprit list for one diagnosis. The
@@ -359,7 +382,7 @@ type pathStat struct {
 // for the first view with an abnormal set to mine: a quiet window decodes
 // nothing); the (flow, epoch) rows and the per-flow summaries the signatures
 // match against (signatureData, for the first view with patterns to
-// explain).
+// explain). The first two layers' slices are the Analyzer's workingSet.
 type index struct {
 	evidence
 	// flowOf, over and pathOf run parallel to records. flowOf numbers the
@@ -382,15 +405,19 @@ type index struct {
 }
 
 // index numbers the flows of the records and classifies each record
-// against its flow's dynamic threshold, asked for once per flow.
+// against its flow's dynamic threshold, asked for once per flow. Its
+// slices are valid until the Analyzer's next index.
 func (a *Analyzer) index(ev evidence) *index {
+	w, n := &a.work, len(ev.records)
 	ix := &index{
 		evidence: ev,
-		flowOf:   make([]int32, len(ev.records)),
-		over:     make([]bool, len(ev.records)),
+		flowOf:   slices.Grow(w.flowOf[:0], n)[:n],
+		over:     slices.Grow(w.over[:0], n)[:n],
+		flowIDs:  w.flowIDs[:0],
 	}
-	numbers := make(map[dataplane.FlowID]int32)
-	var thresholds []netsim.Time
+	clear(ix.over)
+	numbers, thresholds := w.numbers, w.thresholds[:0]
+	clear(numbers)
 	for i := range ev.records {
 		r := &ev.records[i]
 		f, ok := numbers[r.Flow]
@@ -408,7 +435,10 @@ func (a *Analyzer) index(ev evidence) *index {
 			ix.overRecords++
 		}
 	}
-	ix.set = &firsts{head: make([]int32, len(ix.flowIDs)), next: make([]int32, len(ev.records)), key: make([]uint32, len(ev.records))}
+	w.flowOf, w.over, w.flowIDs, w.thresholds = ix.flowOf, ix.over, ix.flowIDs, thresholds
+	w.set.head = slices.Grow(w.set.head[:0], len(ix.flowIDs))[:len(ix.flowIDs)]
+	w.set.next, w.set.key = slices.Grow(w.set.next[:0], n)[:n], slices.Grow(w.set.key[:0], n)[:n]
+	ix.set = &w.set
 	return ix
 }
 
@@ -424,7 +454,8 @@ func (a *Analyzer) estimate(ix *index) {
 	if ix.pathOf != nil {
 		return
 	}
-	ix.pathOf = make([]int32, len(ix.records))
+	w := &a.work
+	ix.pathOf, ix.paths = slices.Grow(w.pathOf[:0], len(ix.records))[:len(ix.records)], w.paths[:0]
 	decoded := ix.emptySet()
 	for i := range ix.records {
 		r := &ix.records[i]
@@ -450,6 +481,7 @@ func (a *Analyzer) estimate(ix *index) {
 			row.under += n
 		}
 	}
+	w.pathOf, w.paths = ix.pathOf, ix.paths
 }
 
 // firsts is a set of (flow, key) pairs over one index's records that
@@ -521,10 +553,11 @@ func byFlow(affected []bool) split {
 func (a *Analyzer) minePatterns(ix *index, of split) ([]scoredPattern, float64) {
 	a.estimate(ix)
 	// The database's sequences are all carved from one slab, sized for every
-	// row so that it never moves.
-	db := make(fsm.Dataset, 0, len(ix.paths))
-	weights := make([]int, 0, len(ix.paths))
-	slab := make(fsm.Sequence, 0, ix.hops)
+	// row so that it never moves; all three live in the working set.
+	w := &a.work
+	db := slices.Grow(w.db[:0], len(ix.paths))
+	weights := slices.Grow(w.weights[:0], len(ix.paths))
+	slab := slices.Grow(w.slab[:0], ix.hops)
 	var failPkts, passPkts int
 	for i := range ix.paths {
 		row := &ix.paths[i]
@@ -540,6 +573,7 @@ func (a *Analyzer) minePatterns(ix *index, of split) ([]scoredPattern, float64) 
 			weights = append(weights, fail)
 		}
 	}
+	w.db, w.weights, w.slab = db, weights, slab
 	if len(db) == 0 {
 		return nil, 0
 	}

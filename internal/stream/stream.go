@@ -29,6 +29,7 @@ import (
 	"container/heap"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"mars/internal/dataplane"
@@ -554,19 +555,21 @@ type unitWindowOut struct {
 // pipeline with this unit's thresholds.
 func (u *unitState) analyzeWindow(start, end uint32) unitWindowOut {
 	var out unitWindowOut
-	records := u.window[:0]
 	for ep := int64(start); ep <= int64(end); ep++ { // 64-bit: end may be the last uint32
 		// slot, not a bare ring read: an epoch that brought this unit no
 		// records still retires the bucket W+2 epochs before it.
 		b := u.slot(uint32(ep))
 		out.offered += b.offered
 		out.sampled += len(b.entries)
-		records = append(records, b.entries...)
 	}
-	u.window = records
-	if len(records) == 0 {
+	if out.sampled == 0 {
 		return out
 	}
+	records := slices.Grow(u.window[:0], out.sampled)
+	for ep := int64(start); ep <= int64(end); ep++ {
+		records = append(records, u.slot(uint32(ep)).entries...)
+	}
+	u.window = records
 	coverage := 1.0
 	if out.offered > 0 {
 		coverage = float64(out.sampled) / float64(out.offered)
