@@ -2,21 +2,9 @@ package rca
 
 import "mars/internal/topology"
 
-// Compound-cause disambiguation (gray-failure signatures). The paper's
-// five signatures each assume a single clean cause; gray episodes violate
-// that. Three additional signatures, gated by Config.CompoundCauses, read
-// the same diagnosis data for the evidence the paper's rules discard:
-//
-//   - link-degrade: ECMP divergence whose *starved* branch carries
-//     abnormal latency or telemetry gaps. The imbalance is then a
-//     reaction, not the root: weights were skewed away from a sick link,
-//     so the light link outranks the divergence switch.
-//   - link-flap: drop evidence that alternates with clean epochs —
-//     steady loss (Drop) never heals mid-window, flapping does,
-//     repeatedly.
-//   - switch-reboot: loss fanning across many distinct path neighbors of
-//     one switch — a single bad link cannot produce loss on every
-//     adjacent direction at once.
+// Compound-cause disambiguation (gray-failure signatures): the five chain
+// entries Config.CompoundCauses inserts read the evidence the paper's
+// signatures, each assuming a single clean cause, discard.
 
 // The compound signatures' thresholds (this reproduction's, not the
 // paper's: DESIGN.md §11).
@@ -39,18 +27,23 @@ const (
 	rebootMinFan = 3
 )
 
-// degradedLightBranch looks for the link-degrade signature at divergence
-// switch up: among the ECMP branches the pattern's flows take out of up,
-// the heavy branch explains the congestion, and a light (starved) branch
-// carrying its own degradation evidence — over-threshold packets or
-// telemetry gaps on paths through it — exposes the root. Returns the
-// [up, lightPeer] link and true when the evidence clears minLinkEvidence.
-func (a *Analyzer) degradedLightBranch(up topology.NodeID, through []flowPkts, stats []flowStats) ([]topology.NodeID, bool) {
+// degradedLightBranch is the link-degrade signature behind an ECMP
+// imbalance at divergence switch up: among the branches the pattern's flows
+// take out of up, the heavy branch explains the congestion, and a light
+// (starved) branch carrying its own degradation evidence — over-threshold
+// packets or telemetry gaps on paths through it — exposes the root. It
+// matches, keeping the [up, lightPeer] link in ev.link, when the evidence
+// clears minLinkEvidence.
+func (a *Analyzer) degradedLightBranch(ev *patternEvidence) bool {
+	if !a.imbalanced(ev) {
+		return false
+	}
 	// Per successor of up: packets, abnormal packets, and the gap epochs of
 	// the flows that take it.
+	up := ev.up
 	var succ []swSum
-	for _, fp := range through {
-		fs := &stats[fp.flow]
+	for _, fp := range ev.through {
+		fs := &ev.ix.stats[fp.flow]
 		var flowGaps float64
 		for _, e := range fs.epochs {
 			if e.gap {
@@ -73,7 +66,7 @@ func (a *Analyzer) degradedLightBranch(up topology.NodeID, through []flowPkts, s
 		}
 	}
 	if len(succ) < 2 {
-		return nil, false
+		return false
 	}
 	var heavy topology.NodeID
 	best := -1.0
@@ -91,22 +84,20 @@ func (a *Analyzer) degradedLightBranch(up topology.NodeID, through []flowPkts, s
 		}
 		// Gaps are stronger evidence than latency: a starved branch sees
 		// little traffic, so even a few missing telemetry epochs weigh in.
-		ev := w.abnormal + 2*w.gaps
-		if ev > bestEv {
-			light, bestEv, found = w.sw, ev, true
+		evidence := w.abnormal + 2*w.gaps
+		if evidence > bestEv {
+			light, bestEv, found = w.sw, evidence, true
 		}
 	}
 	if !found || bestEv < minLinkEvidence {
-		return nil, false
+		return false
 	}
-	return []topology.NodeID{up, light}, true
+	ev.link = []topology.NodeID{up, light}
+	return true
 }
 
 // lossFlowCount counts pattern-traversing flows with cumulative loss
-// beyond the drop margin (or telemetry gaps). The process-rate signature
-// consults it under CompoundCauses: a congested link whose flows also
-// lose packets is a degraded link, not a slow processing stage — queuing
-// alone never destroys packets.
+// beyond the drop margin (or telemetry gaps).
 func (a *Analyzer) lossFlowCount(through []flowPkts, stats []flowStats) int {
 	n := 0
 	for _, fp := range through {
@@ -125,6 +116,13 @@ func (a *Analyzer) lossFlowCount(through []flowPkts, stats []flowStats) int {
 		}
 	}
 	return n
+}
+
+// lossyCongestedLink is the link-degrade signature on a congested link
+// whose flows also lose packets: a degraded link, not a slow processing
+// stage — queuing delays packets but never destroys them.
+func (a *Analyzer) lossyCongestedLink(ev *patternEvidence) bool {
+	return len(ev.sp.sub) == 2 && a.congested(ev) && a.lossFlowCount(ev.through, ev.ix.stats) >= 2
 }
 
 // hardLoss reports whether a flow epoch shows severe loss: the sink saw
@@ -165,67 +163,67 @@ func (a *Analyzer) flapTransitions(fs *flowStats) int {
 	return trans
 }
 
-// classifyDropCause refines a drop pattern's cause under CompoundCauses
-// by how the loss behaves over time and space:
-//
-//   - link-flap: the pattern's flows alternate repeatedly between
-//     hard-loss and clean epochs (an outage heals at most once).
-//   - switch-reboot: hard loss on a single-switch pattern fanning across
-//     many distinct path neighbors — one bad link cannot starve every
-//     adjacent direction at once.
-//   - link-degrade: partial loss on a link pattern whose flows also carry
-//     over-threshold latency — a rate-limited sick link queues what it
-//     does not drop, while truly silent loss adds no delay.
-//   - Drop otherwise (hard steady loss, e.g. a down link, or silent
-//     partial loss with no latency side-channel).
-func (a *Analyzer) classifyDropCause(ix *index, sub []topology.NodeID, through []flowPkts, affected []bool) Cause {
-	maxTrans := 0
-	hardLoss := false
-	abnormalWeight := 0.0
+// loss reads how the pattern's loss behaves over time and space, the
+// compound drop entries' evidence, from its traversing flows on first ask.
+func (a *Analyzer) loss(ev *patternEvidence) {
+	if ev.lossKnown {
+		return
+	}
+	ev.lossKnown = true
+	sub := ev.sp.sub
+	ev.flaps, ev.hard, ev.abnormal = 0, false, 0
 	var neighbors []swSum // only counted
-	for _, fp := range through {
-		fs := &ix.stats[fp.flow]
+	for _, fp := range ev.through {
+		fs, affected := &ev.ix.stats[fp.flow], ev.affected[fp.flow]
 		for _, ps := range fs.paths {
 			path := ps.path
 			if !path.Contains(sub) {
 				continue
 			}
-			if affected[fp.flow] {
-				abnormalWeight += ps.abnormal
+			if affected {
+				ev.abnormal += ps.abnormal
 			}
-			if len(sub) == 1 {
-				for i, sw := range path {
-					if sw != sub[0] {
-						continue
-					}
-					if i > 0 {
-						neighbors, _ = sumFor(neighbors, path[i-1])
-					}
-					if i+1 < len(path) {
-						neighbors, _ = sumFor(neighbors, path[i+1])
-					}
+			for i := 0; len(sub) == 1 && i < len(path); i++ {
+				if path[i] != sub[0] {
+					continue
+				}
+				if i > 0 {
+					neighbors, _ = sumFor(neighbors, path[i-1])
+				}
+				if i+1 < len(path) {
+					neighbors, _ = sumFor(neighbors, path[i+1])
 				}
 			}
 		}
-		if affected[fp.flow] {
-			maxTrans = max(maxTrans, a.flapTransitions(fs))
+		if affected {
+			ev.flaps = max(ev.flaps, a.flapTransitions(fs))
 			for _, e := range fs.epochs {
-				hardLoss = hardLoss || (e.src > 0 && e.hardLoss())
+				ev.hard = ev.hard || (e.src > 0 && e.hardLoss())
 			}
 		}
 	}
-	// A flapping link destroys packets without delaying the survivors;
-	// intermittent hard loss that comes WITH over-threshold latency is
-	// congestion collapse (queue overflow), not an administrative flap.
-	if maxTrans >= flapMinTransitions &&
-		abnormalWeight < minLinkEvidence {
-		return CauseLinkFlap
-	}
-	if len(sub) == 1 && hardLoss && len(neighbors) >= rebootMinFan {
-		return CauseSwitchReboot
-	}
-	if len(sub) == 2 && !hardLoss && abnormalWeight >= minLinkEvidence {
-		return CauseLinkDegrade
-	}
-	return CauseDrop
+	ev.fan = len(neighbors)
+}
+
+// flapping is the link-flap signature: the pattern's flows alternate
+// repeatedly between hard-loss and clean epochs (an outage heals at most
+// once) without latency — hard loss WITH latency is congestion collapse.
+func (a *Analyzer) flapping(ev *patternEvidence) bool {
+	a.loss(ev)
+	return ev.flaps >= flapMinTransitions && ev.abnormal < minLinkEvidence
+}
+
+// rebooted is the switch-reboot signature: hard loss on a one-switch
+// pattern fanning across its neighbours, which one bad link cannot do.
+func (a *Analyzer) rebooted(ev *patternEvidence) bool {
+	a.loss(ev)
+	return len(ev.sp.sub) == 1 && ev.hard && ev.fan >= rebootMinFan
+}
+
+// lossWithLatency is the drop view's link-degrade signature: partial loss
+// with latency on a link — a rate-limited sick link queues what it does
+// not drop, while truly silent loss adds no delay.
+func (a *Analyzer) lossWithLatency(ev *patternEvidence) bool {
+	a.loss(ev)
+	return len(ev.sp.sub) == 2 && !ev.hard && ev.abnormal >= minLinkEvidence
 }

@@ -1,8 +1,12 @@
 package rca
 
 import (
+	"slices"
 	"testing"
 
+	"mars/internal/controlplane"
+	"mars/internal/dataplane"
+	"mars/internal/netsim"
 	"mars/internal/topology"
 )
 
@@ -24,17 +28,74 @@ func statsWithEpochs(pairs [][2]uint32) *flowStats {
 // statsIndex is an index holding only the given per-flow summaries, flow
 // numbers in argument order.
 func statsIndex(stats ...flowStats) *index {
-	ix := &index{stats: stats}
+	ix := &index{stats: stats, flowIDs: make([]dataplane.FlowID, len(stats))}
 	for f := range stats {
 		ix.flows = append(ix.flows, int32(f))
 	}
 	return ix
 }
 
-// classify is classifyDropCause over the index's flows that traverse sub.
+// classify walks the drop chain over one pattern on sub, traversed by the
+// index's flows, and returns the cause of the culprit that claims it.
 func classify(a *Analyzer, ix *index, sub []topology.NodeID, affected []bool) Cause {
-	through, _ := ix.traversing(sub)
-	return a.classifyDropCause(ix, sub, through, affected)
+	ev := &patternEvidence{ix: ix, affected: affected, abnormalPkts: 1}
+	ev.of(scoredPattern{sub: sub, score: 1, npf: 1})
+	out := a.walk(dropChain, ev, nil)
+	return out[len(out)-1].Cause
+}
+
+// healthyIntraPod is one epoch of every path of three flows that stay
+// inside pods 1-3, on time and lossless.
+func healthyIntraPod(tb testing.TB, f *fixture, ep uint32) []dataplane.RTRecord {
+	tb.Helper()
+	e := f.ft.EdgeIDs
+	var recs []dataplane.RTRecord
+	for _, pair := range [][2]topology.NodeID{{e[2], e[3]}, {e[4], e[5]}, {e[6], e[7]}} {
+		for _, p := range f.ft.AllShortestPaths(pair[0], pair[1]) {
+			recs = append(recs, f.record(tb, p, ep, okLatency, 20, 1))
+		}
+	}
+	return recs
+}
+
+// flapWindow is an 8-epoch k=4 window in which six flows over agg0 -> core0
+// lose 18 of 20 packets in every odd epoch and none in the even ones, and
+// nobody is late: a flapping link.
+func flapWindow(tb testing.TB, f *fixture) []dataplane.RTRecord {
+	tb.Helper()
+	hit, _ := f.pathsThrough([]topology.NodeID{f.ft.AggIDs[0], f.ft.CoreIDs[0]})
+	var recs []dataplane.RTRecord
+	for ep := uint32(0); ep < 8; ep++ {
+		for _, p := range hit[:6] {
+			r := f.record(tb, p, ep, okLatency, 20, 1)
+			if ep%2 == 1 {
+				r.SinkCount = 2
+			}
+			recs = append(recs, r)
+		}
+		recs = append(recs, healthyIntraPod(tb, f, ep)...)
+	}
+	return recs
+}
+
+// rebootWindow is a 4-epoch k=4 window in which core0 is down for epochs 1
+// and 2: six flows that cross it between pod 0 and the three other pods
+// lose 19 of 20 packets there and none before or after, and nobody is late.
+func rebootWindow(tb testing.TB, f *fixture) []dataplane.RTRecord {
+	tb.Helper()
+	hit, _ := f.pathsThrough([]topology.NodeID{f.ft.CoreIDs[0]})
+	var recs []dataplane.RTRecord
+	for ep := uint32(0); ep < 4; ep++ {
+		for _, p := range hit[:6] {
+			r := f.record(tb, p, ep, okLatency, 20, 1)
+			if ep == 1 || ep == 2 {
+				r.SinkCount = 1
+			}
+			recs = append(recs, r)
+		}
+		recs = append(recs, healthyIntraPod(tb, f, ep)...)
+	}
+	return recs
 }
 
 func TestHardLossEpoch(t *testing.T) {
@@ -145,14 +206,47 @@ func TestClassifyDropCauseReboot(t *testing.T) {
 	}
 }
 
+// TestCompoundCausesOffNeverEmitsGrayLabels: under the default Config the
+// walker skips every compound entry, so a flapping link, a rebooting switch
+// and a late, lossy link yield no gray cause through either entry point —
+// while compound mode names each, so the inputs do reach those entries.
 func TestCompoundCausesOffNeverEmitsGrayLabels(t *testing.T) {
-	for _, c := range []Cause{CauseLinkDegrade, CauseLinkFlap, CauseSwitchReboot} {
-		if c.String() == "" {
-			t.Fatal("gray causes must have names")
-		}
-	}
-	cfg := DefaultConfig()
-	if cfg.CompoundCauses {
+	if DefaultConfig().CompoundCauses {
 		t.Fatal("CompoundCauses must default to off — the paper's behavior is the baseline")
+	}
+	f := newFixture(t)
+	paper := analyzer(f)
+	cfg := DefaultConfig()
+	cfg.CompoundCauses = true
+	compound := New(cfg, f.table, fixedThr(10*netsim.Millisecond))
+	gray := []Cause{CauseLinkDegrade, CauseLinkFlap, CauseSwitchReboot}
+	for _, in := range []struct {
+		name    string
+		records []dataplane.RTRecord
+		now     netsim.Time
+		want    Cause
+	}{
+		{"flap", flapWindow(t, f), 700 * netsim.Millisecond, CauseLinkFlap},
+		{"reboot", rebootWindow(t, f), 400 * netsim.Millisecond, CauseSwitchReboot},
+		{"loss-window", lossWindow(t, f, 9), 400 * netsim.Millisecond, CauseLinkDegrade},
+	} {
+		lists := [][]Culprit{paper.AnalyzeWindow(in.records, in.now, 1)}
+		for _, kind := range []dataplane.NotificationKind{dataplane.NotifyHighLatency, dataplane.NotifyDrop} {
+			d := controlplane.Diagnosis{Trigger: dataplane.Notification{Kind: kind}, Time: in.now, Records: in.records}
+			lists = append(lists, paper.Analyze(d))
+		}
+		for _, list := range lists {
+			if len(list) == 0 {
+				t.Fatalf("%s: no culprits; an empty list would prove nothing", in.name)
+			}
+			for _, c := range list {
+				if slices.Contains(gray, c.Cause) {
+					t.Errorf("%s: default Config emitted %v", in.name, c)
+				}
+			}
+		}
+		if !slices.ContainsFunc(compound.AnalyzeWindow(in.records, in.now, 1), func(c Culprit) bool { return c.Cause == in.want }) {
+			t.Errorf("%s: compound mode emits no %v culprit", in.name, in.want)
+		}
 	}
 }

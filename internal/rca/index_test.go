@@ -50,11 +50,38 @@ func interleavedWindow(tb testing.TB, f *fixture) []dataplane.RTRecord {
 	return recs
 }
 
+// sharedBurst is a flow that bursts tenfold, late and queued, over a path
+// every switch and link of which a steady flow also crosses: wherever the
+// burst is blamed, it is by its share of the pattern's packets.
+func sharedBurst(tb testing.TB, f *fixture) []dataplane.RTRecord {
+	tb.Helper()
+	e := f.ft.EdgeIDs
+	burst := f.ft.AllShortestPaths(e[0], e[2])[0]
+	steady := []topology.Path{burst}
+	for _, p := range append(f.ft.AllShortestPaths(e[0], e[3]), f.ft.AllShortestPaths(e[1], e[2])...) {
+		if slices.Equal(p[1:4], burst[1:4]) {
+			steady = append(steady, p)
+		}
+	}
+	var recs []dataplane.RTRecord
+	for ep := uint32(1); ep <= 8; ep++ {
+		for n, p := range steady {
+			r := f.record(tb, p, ep, okLatency, 20, 1)
+			if n == 0 && ep >= 4 {
+				r = f.record(tb, p, ep, badLatency, 200, 30)
+			}
+			recs = append(recs, r)
+		}
+	}
+	return recs
+}
+
 // TestIndexMatchesPerRecordOracle holds the flow-numbered index and both
 // entry points to the per-record reference of oracle_test.go: the same
 // classification, the same affected set and the same culprit lists, on
-// every fixture of weighted_test.go and on the inputs that single out one
-// layer of the index each.
+// every fixture of weighted_test.go, on the inputs that single out one layer
+// of the index each, and on those that reach every entry of both signature
+// chains.
 func TestIndexMatchesPerRecordOracle(t *testing.T) {
 	f := newFixture(t)
 	type input struct {
@@ -66,10 +93,23 @@ func TestIndexMatchesPerRecordOracle(t *testing.T) {
 	for _, sc := range scenarios(t, f) {
 		inputs = append(inputs, input{sc.name, sc.records, 500 * netsim.Millisecond})
 	}
+	// The skewed split with a telemetry gap on every light-branch record:
+	// the starved link behind the divergence carries degradation evidence,
+	// and the congested links' flows are lossy.
+	starved := f.ecmpRecords(t)
+	for i := range starved {
+		if starved[i].SourceCount == 5 {
+			starved[i].EpochGap = 1
+		}
+	}
 	inputs = append(inputs,
 		input{"loss-window", lossWindow(t, f, 9), 400 * netsim.Millisecond},
 		input{"interleaved-paths", interleavedWindow(t, f), 400 * netsim.Millisecond},
 		input{"ecmp-skew", f.ecmpRecords(t), 500 * netsim.Millisecond},
+		input{"ecmp-starved-branch", starved, 500 * netsim.Millisecond},
+		input{"burst-shared", sharedBurst(t, f), 800 * netsim.Millisecond},
+		input{"flap", flapWindow(t, f), 700 * netsim.Millisecond},
+		input{"reboot", rebootWindow(t, f), 400 * netsim.Millisecond},
 		// RecentWindow is 400 ms: at 600 ms it trusts epochs 2 and 3 only,
 		// at 5 s none.
 		input{"recent-window-excludes-some", lossWindow(t, f, 9), 600 * netsim.Millisecond},
@@ -110,15 +150,6 @@ func TestIndexMatchesPerRecordOracle(t *testing.T) {
 
 	compound := DefaultConfig()
 	compound.CompoundCauses = true
-	extended := New(DefaultConfig(), f.table, perFlowThr)
-	extended.RegisterSignature("heavy-flow", func(ev PatternEvidence) (SignatureMatch, bool) {
-		for _, fe := range ev.Flows {
-			if fe.PacketsThroughPattern > 200 {
-				return SignatureMatch{Cause: CauseExtensionBase, Level: LevelFlow, Flow: fe.Flow, Weight: fe.PeakEpochRate}, true
-			}
-		}
-		return SignatureMatch{}, false
-	})
 	analyzers := []struct {
 		name string
 		a    *Analyzer
@@ -126,7 +157,6 @@ func TestIndexMatchesPerRecordOracle(t *testing.T) {
 		{"default", New(DefaultConfig(), f.table, perFlowThr)},
 		{"one-threshold", analyzer(f)},
 		{"compound", New(compound, f.table, perFlowThr)},
-		{"extension", extended},
 		{"no-thresholds", New(DefaultConfig(), f.table, nil)},
 	}
 	absent := dataplane.FlowID{Src: 9999, Sink: 9998}
@@ -198,8 +228,8 @@ func TestIndexMatchesPerRecordOracle(t *testing.T) {
 		}
 	}
 	// Agreement on empty lists would prove nothing: between them the
-	// inputs must reach every signature the changed code feeds.
-	for _, c := range []Cause{CauseMicroBurst, CauseECMPImbalance, CauseProcessRate, CauseDelay, CauseDrop, CauseLinkDegrade, CauseExtensionBase} {
+	// inputs must reach every entry of both signature chains.
+	for _, c := range []Cause{CauseMicroBurst, CauseECMPImbalance, CauseProcessRate, CauseDelay, CauseDrop, CauseLinkDegrade, CauseLinkFlap, CauseSwitchReboot} {
 		if !seen[c] {
 			t.Errorf("no input produced a %v culprit", c)
 		}
@@ -467,9 +497,10 @@ func TestEpochTableKeepsMapSemantics(t *testing.T) {
 	}
 	// The starved branch's only degradation evidence is that gap epoch,
 	// weighed twice: exactly minLinkEvidence.
-	link, ok := a.degradedLightBranch(e0, through, ix.stats)
-	if want := []topology.NodeID{e0, light[1]}; !ok || !reflect.DeepEqual(link, want) {
-		t.Errorf("degradedLightBranch = %v, %v; want the light link %v", link, ok, want)
+	// (The pattern is taken as congested behind divergence switch e0.)
+	ev := &patternEvidence{ix: ix, through: through, congestionKnown: true, congested: true, voteKnown: true, voted: true, up: e0}
+	if want := []topology.NodeID{e0, light[1]}; !a.degradedLightBranch(ev) || !reflect.DeepEqual(ev.link, want) {
+		t.Errorf("degradedLightBranch found %v; want the light link %v", ev.link, want)
 	}
 }
 

@@ -23,7 +23,10 @@ import (
 // the pipeline under test only what those changes left alone — the
 // signatures' predicates (isBursty, ecmpUpstream, flapTransitions, which it
 // reaches by converting a flow's maps with shared), the merge and the
-// ranking. Do not modernise it.
+// ranking. refAnalyzeLatency, refAnalyzeDrop and refClassifyDropCause are
+// also cause assignment as it stood before the signature chains: one
+// decision tree per view, the compound branches spliced into it. Do not
+// modernise it.
 
 // refEntry is Alg. 2's estimate for one telemetry record: the record stands
 // for weight packets along path.
@@ -400,11 +403,6 @@ func (a *Analyzer) refAnalyzeLatency(ix *refIndex) []Culprit {
 			continue
 		}
 
-		if ext := a.refRunExtensions(sp, flowPkts, stats, baseQ, globalMed); len(ext) > 0 {
-			culprits = append(culprits, ext...)
-			continue
-		}
-
 		burstFound := false
 		for _, flow := range det.KeysFunc(flowPkts, flowLess) {
 			cnt := flowPkts[flow]
@@ -682,53 +680,6 @@ func (a *Analyzer) refClassifyDropCause(sub []topology.NodeID, affected map[data
 		return CauseLinkDegrade
 	}
 	return CauseDrop
-}
-
-func (a *Analyzer) refRunExtensions(sp scoredPattern, flowPkts map[dataplane.FlowID]float64, stats map[dataplane.FlowID]*refFlowStats, baseQ, globalMed float64) []Culprit {
-	if len(a.extensions) == 0 {
-		return nil
-	}
-	ev := PatternEvidence{
-		Pattern:            sp.sub,
-		Score:              sp.score,
-		BaselineQueueDepth: baseQ,
-		GlobalMedianRate:   globalMed,
-	}
-	for _, flow := range det.KeysFunc(flowPkts, flowLess) {
-		fs := stats[flow]
-		peak, base := fs.peakAndBaseline()
-		ev.Flows = append(ev.Flows, FlowEvidence{
-			Flow:                  flow,
-			PacketsThroughPattern: flowPkts[flow],
-			PeakEpochRate:         float64(peak),
-			BaselineEpochRate:     base,
-			AbnormalQueueMedian:   fs.shared().abnormalQueueMedian(),
-			AbnormalRecords:       len(fs.abnormalQueueDepths),
-		})
-	}
-	var out []Culprit
-	for _, ns := range a.extensions {
-		m, ok := ns.fn(ev)
-		if !ok {
-			continue
-		}
-		w := m.Weight
-		if w <= 0 {
-			w = 1
-		}
-		loc := m.Location
-		if loc == nil {
-			loc = append([]topology.NodeID{}, sp.sub...)
-		}
-		out = append(out, Culprit{
-			Cause:    m.Cause,
-			Level:    m.Level,
-			Location: loc,
-			Flow:     m.Flow,
-			Score:    sp.score * w,
-		})
-	}
-	return out
 }
 
 func (a *Analyzer) refAnalyze(d controlplane.Diagnosis) []Culprit {

@@ -59,7 +59,6 @@ const (
 )
 
 func (c Cause) String() string {
-	//mars:partial CauseExtensionBase is the sentinel floor for extension causes, not a concrete cause; extension causes render through the default
 	switch c {
 	case CauseMicroBurst:
 		return "micro-burst"
@@ -188,6 +187,12 @@ type Thresholds interface {
 	ThresholdOf(flow dataplane.FlowID) netsim.Time
 }
 
+// ThresholdFunc satisfies Thresholds with a plain function.
+type ThresholdFunc func(flow dataplane.FlowID) netsim.Time
+
+// ThresholdOf implements Thresholds.
+func (f ThresholdFunc) ThresholdOf(flow dataplane.FlowID) netsim.Time { return f(flow) }
+
 // Analyzer turns diagnoses into ranked culprit lists. It is not safe for
 // concurrent use: each analysis works in memory the Analyzer keeps for the
 // next one.
@@ -196,15 +201,11 @@ type Analyzer struct {
 	Paths *pathid.Table
 	Thr   Thresholds
 
-	// extensions holds operator-registered cause signatures (see
-	// RegisterSignature).
-	extensions []namedSignature
-
 	work workingSet
 }
 
-// workingSet is the memory analyses build their index (index, estimate) and
-// mining database (minePatterns) in; each slice grows only when an analysis
+// workingSet is the memory analyses build their index (index, estimate),
+// mining database (minePatterns) and patterns' evidence (walk) in; each slice grows only when an analysis
 // is larger than any before it. It is working memory, not a cache: an
 // analysis writes every element before it reads it, so nothing passes from
 // one analysis to the next (TestAnalyzerReuseCarriesNothing).
@@ -219,6 +220,7 @@ type workingSet struct {
 	db             fsm.Dataset
 	weights        []int
 	slab           fsm.Sequence
+	pattern        patternEvidence
 }
 
 // New creates an analyzer. paths decompresses PathIDs; thr classifies.
@@ -399,7 +401,6 @@ type index struct {
 
 	stats      []flowStats // by flow number
 	flows      []int32     // the flow numbers in flowLess order
-	through    []flowPkts  // traversing's result, reused
 	sinkRanges map[topology.NodeID]*sinkEpochRange
 	globalMed  float64
 }

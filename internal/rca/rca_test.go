@@ -457,6 +457,13 @@ func TestMergePortLevelCollapse(t *testing.T) {
 	}
 }
 
+func TestThresholdFunc(t *testing.T) {
+	var thr Thresholds = ThresholdFunc(func(dataplane.FlowID) netsim.Time { return 42 })
+	if thr.ThresholdOf(dataplane.FlowID{}) != 42 {
+		t.Error("ThresholdFunc broken")
+	}
+}
+
 func minInt(a, b int) int {
 	if a < b {
 		return a

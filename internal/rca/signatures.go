@@ -27,8 +27,8 @@ type flowStats struct {
 	// never reaches the output.
 	paths []pathStat
 	// abnormalQueueDepths collects depths of the flow's over-threshold
-	// records; the congestion signature uses their median, which is robust
-	// to a single queue blip.
+	// records; the congestion signature pools them over a pattern's flows
+	// and reads the median, which is robust to a single queue blip.
 	abnormalQueueDepths []float64
 	// splits is the flow's imbalanced ECMP splits; nil until ecmpDivergence
 	// first asks.
@@ -48,6 +48,7 @@ type epochStat struct {
 // flowPkts is one flow, by number, and its packets through a pattern.
 type flowPkts struct {
 	flow int32
+	hit  bool // marked by the last per-flow predicate that read it
 	pkts float64
 }
 
@@ -62,24 +63,10 @@ func (fs *flowStats) pktsThrough(sub []topology.NodeID) float64 {
 	return cnt
 }
 
-// traversing returns the flows with packets through sub, in flowLess order,
-// and the packets' sum. The slice is reused by the next call.
-func (ix *index) traversing(sub []topology.NodeID) ([]flowPkts, float64) {
-	ix.through = ix.through[:0]
-	var total float64
-	for _, f := range ix.flows {
-		if cnt := ix.stats[f].pktsThrough(sub); cnt > 0 {
-			ix.through = append(ix.through, flowPkts{f, cnt})
-			total += cnt
-		}
-	}
-	return ix.through, total
-}
-
 // swSum is one switch's sums in a slice kept sorted by switch ID, so a scan
 // for a strict maximum breaks ties toward the lower ID: the divergence votes
-// of analyzeLatency, the successors of degradedLightBranch, the neighbors of
-// classifyDropCause.
+// of imbalanced, the successors of degradedLightBranch, the neighbors of
+// loss.
 type swSum struct {
 	sw                   topology.NodeID
 	flows                int
@@ -93,17 +80,6 @@ func sumFor(s []swSum, sw topology.NodeID) ([]swSum, *swSum) {
 		s = slices.Insert(s, i, swSum{sw: sw})
 	}
 	return s, &s[i]
-}
-
-// abnormalQueueMedian returns the median depth among abnormal records.
-func (fs *flowStats) abnormalQueueMedian() float64 {
-	if len(fs.abnormalQueueDepths) == 0 {
-		return 0
-	}
-	s := make([]float64, len(fs.abnormalQueueDepths))
-	copy(s, fs.abnormalQueueDepths)
-	sort.Float64s(s)
-	return s[len(s)/2]
 }
 
 // sinkEpochRange tracks the telemetry epochs covered by one sink's Ring
@@ -298,6 +274,21 @@ func (a *Analyzer) isBursty(fs *flowStats, window *sinkEpochRange, globalMed flo
 	return false
 }
 
+// bursting marks the traversing flows that match the micro-burst signature —
+// all of them, not only flagged ones: the offending flow may be too new to
+// have a calibrated threshold. A burst explains the pattern's congestion or
+// overflow loss, so its entry claims the pattern.
+func (a *Analyzer) bursting(ev *patternEvidence) bool {
+	found := false
+	for i := range ev.through {
+		fp := &ev.through[i]
+		flow := ev.ix.flowIDs[fp.flow]
+		fp.hit = a.isBursty(&ev.ix.stats[fp.flow], ev.ix.sinkRanges[flow.Sink], ev.ix.globalMed)
+		found = found || fp.hit
+	}
+	return found
+}
+
 // imbalanceRatio: per-path throughput max/min at an ECMP divergence at or
 // above this matches the ECMP-imbalance signature (§4.4.4).
 const imbalanceRatio = 2.5
@@ -368,8 +359,7 @@ func (a *Analyzer) imbalancedSplits(paths []pathStat) []ecmpSplit {
 // paths is most imbalanced AND whose overloaded branch leads directly into
 // `next` (the congested pattern head): the overloaded branch must feed the
 // congested switch for the blame to transfer upstream (§4.4.4's s9 -> s1
-// example). It returns ok=false if no divergence reaches the configured
-// ratio.
+// example). It returns ok=false if no divergence reaches imbalanceRatio.
 func (a *Analyzer) ecmpDivergence(fs *flowStats, next topology.NodeID) (topology.NodeID, float64, bool) {
 	if fs.splits == nil {
 		fs.splits = a.imbalancedSplits(fs.paths)
@@ -427,6 +417,52 @@ const (
 	congestionFactor = 2.5
 )
 
+// congested pools the traversing flows' abnormal queue depths: the pattern
+// is congested when their median reaches both queueCongested and
+// congestionFactor times the normal baseline.
+func (a *Analyzer) congested(ev *patternEvidence) bool {
+	if !ev.congestionKnown {
+		ev.congestionKnown = true
+		d := ev.depths[:0]
+		for _, fp := range ev.through {
+			d = append(d, ev.ix.stats[fp.flow].abnormalQueueDepths...)
+		}
+		slices.Sort(d)
+		ev.depths = d
+		ev.congested = len(d) > 0 && d[len(d)/2] >= queueCongested && d[len(d)/2] >= congestionFactor*ev.baseQ
+	}
+	return ev.congested
+}
+
+// imbalanced is the ECMP-imbalance signature: a congested pattern behind an
+// upstream divergence. A single aggregated flow with few subflows is
+// naturally lumpy over its equal-cost paths, so a divergence switch is
+// blamed only when at least two flows vote for it; the heaviest vote wins.
+func (a *Analyzer) imbalanced(ev *patternEvidence) bool {
+	if !a.congested(ev) {
+		return false
+	}
+	if !ev.voteKnown {
+		ev.voteKnown = true
+		var votes []swSum
+		for _, fp := range ev.through {
+			if u, ok := a.ecmpUpstream(&ev.ix.stats[fp.flow], ev.sp.sub); ok {
+				var v *swSum
+				votes, v = sumFor(votes, u)
+				v.flows++
+				v.pkts += fp.pkts
+			}
+		}
+		best := 0.0
+		for _, v := range votes {
+			if v.flows >= 2 && v.pkts > best {
+				ev.up, ev.voted, best = v.sw, true, v.pkts
+			}
+		}
+	}
+	return ev.voted
+}
+
 // analyzeLatency is the high-latency diagnosis path (§4.4.1-4.4.4): the
 // over-threshold records form the abnormal set.
 func (a *Analyzer) analyzeLatency(ix *index) []Culprit {
@@ -440,143 +476,34 @@ func (a *Analyzer) analyzeLatency(ix *index) []Culprit {
 		return nil
 	}
 	a.signatureData(ix)
-	stats, sinkRanges, globalMed := ix.stats, ix.sinkRanges, ix.globalMed
 
 	// Baseline queue depth from records classified normal: the congestion
 	// signature requires abnormal depth to stand out against it.
-	var normalDepths []float64
+	ev := &a.work.pattern
+	ev.ix, ev.baseQ, ev.depths = ix, 1, ev.depths[:0]
 	for i := range ix.records {
 		if !ix.over[i] {
-			normalDepths = append(normalDepths, float64(ix.records[i].TotalQueueDepth))
+			ev.depths = append(ev.depths, float64(ix.records[i].TotalQueueDepth))
 		}
 	}
-	baseQ := 1.0
-	if len(normalDepths) > 0 {
-		sort.Float64s(normalDepths)
-		if m := normalDepths[len(normalDepths)/2]; m > baseQ {
-			baseQ = m
-		}
+	if d := ev.depths; len(d) > 0 {
+		slices.Sort(d)
+		ev.baseQ = max(ev.baseQ, d[len(d)/2])
 	}
-
-	// Alg. 3: for every culprit pattern, inspect the flows that traverse
-	// it in the diagnosis data (all flows, not only flagged ones — the
-	// offending micro-burst flow may be too new to have a calibrated
-	// threshold) and assign the pattern's cause by signature matching.
+	// Alg. 3: the latency chain assigns each pattern a flow crosses a cause.
 	var culprits []Culprit
 	for _, sp := range patterns {
-		if sp.score <= 0 {
-			continue
+		if sp.score > 0 && ev.of(sp) > 0 {
+			culprits = a.walk(latencyChain, ev, culprits)
 		}
-		through, total := ix.traversing(sp.sub)
-		if total == 0 {
-			continue
-		}
-
-		// Operator-registered signatures run first (§5.6's extension
-		// point); any match claims the pattern.
-		if ext := a.runExtensions(ix, sp, through, baseQ); len(ext) > 0 {
-			culprits = append(culprits, ext...)
-			continue
-		}
-
-		// Micro-burst signature first: a bursting flow through the pattern
-		// explains the congestion, so it claims the pattern (weighted by
-		// its packet share) and suppresses spurious switch-level causes.
-		burstFound := false
-		for _, fp := range through {
-			flow := ix.flowIDs[fp.flow]
-			if a.isBursty(&stats[fp.flow], sinkRanges[flow.Sink], globalMed) {
-				burstFound = true
-				culprits = append(culprits, Culprit{
-					Cause:    CauseMicroBurst,
-					Level:    LevelFlow,
-					Flow:     flow,
-					Location: append([]topology.NodeID{}, sp.sub...),
-					Score:    sp.score * (fp.pkts / total),
-				})
-			}
-		}
-		if burstFound {
-			continue
-		}
-
-		// Queue-buildup signatures: pool the traversing flows' abnormal
-		// queue observations.
-		var depths []float64
-		for _, fp := range through {
-			depths = append(depths, stats[fp.flow].abnormalQueueDepths...)
-		}
-		sort.Float64s(depths)
-		patternCongested := len(depths) > 0 &&
-			depths[len(depths)/2] >= queueCongested &&
-			depths[len(depths)/2] >= congestionFactor*baseQ
-
-		c := Culprit{Score: sp.score, Level: patternLevel(sp.sub), Location: append([]topology.NodeID{}, sp.sub...)}
-		if patternCongested {
-			// ECMP check across traversing flows. A single aggregated flow
-			// with few subflows is naturally lumpy over its equal-cost
-			// paths, so a divergence switch is blamed only when at least
-			// two independent flows vote for the same upstream culprit.
-			var votes []swSum
-			for _, fp := range through {
-				if u, ok := a.ecmpUpstream(&stats[fp.flow], sp.sub); ok {
-					var v *swSum
-					votes, v = sumFor(votes, u)
-					v.flows++
-					v.pkts += fp.pkts
-				}
-			}
-			var up topology.NodeID
-			found := false
-			best := 0.0
-			for _, v := range votes {
-				if v.flows >= 2 && v.pkts > best {
-					up, found, best = v.sw, true, v.pkts
-				}
-			}
-			if found {
-				c.Cause = CauseECMPImbalance
-				c.Level = LevelSwitch
-				c.Location = []topology.NodeID{up}
-				// Compound-cause check: if a starved branch out of the
-				// divergence switch carries its own degradation evidence,
-				// the imbalance is the reaction and the sick link the
-				// root; rank the link above the switch.
-				if a.Cfg.CompoundCauses {
-					if link, ok := a.degradedLightBranch(up, through, stats); ok {
-						culprits = append(culprits, Culprit{
-							Cause:    CauseLinkDegrade,
-							Level:    LevelPort,
-							Location: link,
-							Score:    sp.score * compoundBoost,
-						})
-					}
-				}
-			} else {
-				c.Cause = CauseProcessRate
-				// Compound-cause check: a congested link whose traversing
-				// flows also lose packets is a degraded link, not a slow
-				// processing stage — queuing delays packets but never
-				// destroys them. Re-label and boost so the sick link wins
-				// the ranking over its own downstream symptoms.
-				if a.Cfg.CompoundCauses && len(sp.sub) == 2 &&
-					a.lossFlowCount(through, stats) >= 2 {
-					c.Cause = CauseLinkDegrade
-					c.Score = sp.score * compoundBoost
-				}
-			}
-		} else {
-			c.Cause = CauseDelay
-		}
-		culprits = append(culprits, c)
 	}
 	return rank(mergeCulprits(culprits))
 }
 
 // analyzeDrop is the separate drop-diagnosis logic (§4.4.4 "Drop"): the
 // affected flows (dropAffectedFlows of the index, plus the flow a drop
-// trigger flagged) form the abnormal set and a second SBFL instance ranks
-// the shared locations.
+// trigger flagged) form the abnormal set, a second SBFL instance ranks the
+// shared locations, and the drop chain assigns their causes.
 func (a *Analyzer) analyzeDrop(ix *index, affected []bool) []Culprit {
 	if f := slices.Index(ix.flowIDs, ix.flagged); ix.dropFlagged && f >= 0 {
 		// The flagged flow, if any record is its, joins a copy of the set.
@@ -587,44 +514,14 @@ func (a *Analyzer) analyzeDrop(ix *index, affected []bool) []Culprit {
 	if len(patterns) > 0 {
 		a.signatureData(ix)
 	}
+	ev := &a.work.pattern
+	ev.ix, ev.affected, ev.abnormalPkts = ix, affected, abnormalPkts
 	var culprits []Culprit
 	for _, sp := range patterns {
-		if sp.score <= 0 {
-			continue
+		if sp.score > 0 {
+			ev.of(sp)
+			culprits = a.walk(dropChain, ev, culprits)
 		}
-		// Loss caused by a bursting flow overflowing the queue is a
-		// micro-burst symptom, not a link failure: attribute the pattern
-		// to the burst flow.
-		burstFound := false
-		through, _ := ix.traversing(sp.sub)
-		for _, fp := range through {
-			flow := ix.flowIDs[fp.flow]
-			if a.isBursty(&ix.stats[fp.flow], ix.sinkRanges[flow.Sink], ix.globalMed) {
-				burstFound = true
-				culprits = append(culprits, Culprit{
-					Cause:    CauseMicroBurst,
-					Level:    LevelFlow,
-					Flow:     flow,
-					Location: append([]topology.NodeID{}, sp.sub...),
-					Score:    sp.score,
-				})
-			}
-		}
-		if burstFound {
-			continue
-		}
-		c := Culprit{
-			Cause:    CauseDrop,
-			Level:    patternLevel(sp.sub),
-			Location: append([]topology.NodeID{}, sp.sub...),
-			// The share of the abnormal set's estimated packets that
-			// cross the pattern.
-			Score: sp.score * (sp.npf / abnormalPkts),
-		}
-		if a.Cfg.CompoundCauses {
-			c.Cause = a.classifyDropCause(ix, sp.sub, through, affected)
-		}
-		culprits = append(culprits, c)
 	}
 	return rank(mergeCulprits(culprits))
 }
