@@ -116,9 +116,10 @@ type MemEstimate struct {
 	PeakBytes     int64
 }
 
-// eventBytes is what Mem charges per agenda slot: an upper bound on
-// sizeof(event) (48), kept at 64 so EXPERIMENTS.md's KB figures stay
-// comparable across PRs.
+// eventBytes is what Mem charges per agenda slot — an element of the
+// current bucket, the wheel's slab, the heap or a lane, each an event by
+// value: an upper bound on sizeof(event) (48, the slab link included), kept
+// at 64 so EXPERIMENTS.md's KB figures stay comparable across PRs.
 const eventBytes = 64
 
 // Mem computes the estimate. Cold path: it walks the packet pool and every
@@ -157,7 +158,7 @@ func (s *Simulator) Mem() MemEstimate {
 		}
 	}
 	statsBytes := int64(len(s.Stats.LinkBytes))*8 + int64(len(s.Stats.LinkDirBytes))*16
-	fixed := int64(len(s.switches))*runtimeBytes + portCount*portBytes + queueBytes + statsBytes
+	fixed := int64(len(s.switches))*runtimeBytes + portCount*portBytes + queueBytes + statsBytes + wheelIndexBytes
 	m.EstBytes = fixed + int64(s.agenda.capacity())*eventBytes + s.pktAlloc*perPkt
 	m.PeakBytes = fixed + int64(m.AgendaPeak)*eventBytes + s.pktAlloc*perPkt
 	return m
