@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -352,6 +353,87 @@ func TestStreamEpochSampleCap(t *testing.T) {
 	if offered == 0 {
 		t.Fatal("no records offered")
 	}
+}
+
+// Ring buckets start empty and grow to what their epochs sample. At caps
+// that are not powers of two, where growth overshoots the cap, a service
+// must still sample exactly as one whose buckets were sized to the cap up
+// front: same windows, culprits and metrics, and no bucket ever past the
+// cap.
+func TestStreamGrownBucketsMatchPreSized(t *testing.T) {
+	f := newTestFabric(t)
+	badAgg := f.ft.AggIDs[0]
+	paths := f.pathsInto(t, f.ft.EdgeIDs[0])
+	for _, sampleCap := range []int{1, 5, 100} {
+		cfg := DefaultConfig(17)
+		cfg.EpochSampleCap = sampleCap
+		grown, presized := New(cfg, f.part, f.table), New(cfg, f.part, f.table)
+		for _, u := range presized.units {
+			for _, b := range u.ring {
+				b.entries = make([]dataplane.RTRecord, 0, sampleCap)
+			}
+		}
+		for e := uint32(0); e < 10; e++ {
+			for _, p := range paths {
+				// 5 to 40 records per path: epochs grow, shrink and overflow.
+				lat, gap := netsim.Millisecond, uint32(0)
+				if e >= 4 && e <= 7 && p.Contains([]topology.NodeID{badAgg}) {
+					lat, gap = 20*netsim.Millisecond, 1
+				}
+				for i := uint32(0); i < 5+5*(e*3%8); i++ {
+					rec := f.rec(t, p, e, lat+netsim.Time(i)*netsim.Microsecond, gap)
+					grown.Ingest(rec)
+					presized.Ingest(rec)
+				}
+				for _, u := range grown.units {
+					for _, b := range u.ring {
+						if len(b.entries) > sampleCap {
+							t.Fatalf("cap %d: epoch %d's bucket holds %d records", sampleCap, b.epoch, len(b.entries))
+						}
+					}
+				}
+			}
+			grown.CloseEpoch(e)
+			presized.CloseEpoch(e)
+		}
+		grown.Finish()
+		presized.Finish()
+		if rep, _ := grown.Metrics().Get("records_replaced"); rep == 0 {
+			t.Fatalf("cap %d: the sampler never replaced; the replacement branch is untested", sampleCap)
+		}
+		if got, want := snapshotOf(grown), snapshotOf(presized); got != want {
+			t.Fatalf("cap %d: grown buckets diverge from pre-sized ones:\n--- grown ---\n%s--- pre-sized ---\n%s", sampleCap, got, want)
+		}
+		if len(grown.Merged()) == 0 {
+			t.Fatalf("cap %d: no culprits; equal empty outputs would prove nothing", sampleCap)
+		}
+	}
+}
+
+// A service's memory follows what it samples, not what it could: building
+// one allocates the same at a cap of 1,024 records per epoch as at a cap of
+// one, so a replay that samples little never zeroes W+2 full buckets per
+// unit.
+func TestStreamNewAllocatesNoSampleCap(t *testing.T) {
+	f := newTestFabric(t)
+	newBytes := func(sampleCap int) uint64 {
+		cfg := DefaultConfig(1)
+		cfg.WindowEpochs, cfg.BudgetBytes, cfg.EpochSampleCap = 8, 4<<20, sampleCap
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 8; i++ {
+			New(cfg, f.part, f.table)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / 8
+	}
+	one, wide := newBytes(1), newBytes(1024)
+	// 1 KiB of slack per unit; one pre-sized 80-byte-record ring per unit is
+	// (W+2) x 1,024 x 80 B = 800 KiB.
+	if slack := uint64(f.part.NumUnits) << 10; wide > one+slack {
+		t.Fatalf("New allocates %d B at cap 1,024 against %d B at cap 1: the ring is sized by the cap again", wide, one)
+	}
+	t.Logf("New: %d B at cap 1, %d B at cap 1,024 (%d units)", one, wide, f.part.NumUnits)
 }
 
 // A caller that only ingests and calls Finish once (deploy.ControllerNode)
