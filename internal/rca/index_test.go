@@ -478,7 +478,7 @@ func TestEpochTableKeepsMapSemantics(t *testing.T) {
 	if want := []epochStat{{2, 0, 0, true}, {5, 25, 24, false}, {7, 30, 28, false}}; !reflect.DeepEqual(fs.epochs, want) {
 		t.Fatalf("epochs = %+v, want %+v", fs.epochs, want)
 	}
-	if peak, base, counted := fs.peakAndBaseline(); peak != 30 || base != 25 || counted != 2 {
+	if peak, base, counted := fs.peakAndBaseline(new([]float64)); peak != 30 || base != 25 || counted != 2 {
 		t.Errorf("peak, baseline, counted epochs = %d, %v, %d; want 30, 25, 2", peak, base, counted)
 	}
 	if got := globalMedianEpochCount(ix.stats); got != 27.5 {
@@ -595,6 +595,10 @@ func TestAnalyzerReuseCarriesNothing(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s #%d %s: a reused Analyzer ranks differently from a fresh one\n got %v\nwant %v", entry.name, i, in.name, got, want)
 			}
+		}
+		// The signatures' per-flow scratch must have been reused too.
+		if w := &reused.work; cap(w.counts) == 0 || cap(w.branches) == 0 {
+			t.Errorf("%s: the inputs never reached the burst counts (cap %d) or the ECMP prefix tree (cap %d)", entry.name, cap(w.counts), cap(w.branches))
 		}
 	}
 }

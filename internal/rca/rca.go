@@ -221,6 +221,8 @@ type workingSet struct {
 	weights        []int
 	slab           fsm.Sequence
 	pattern        patternEvidence
+	counts         []float64 // isBursty's epoch counts, one flow at a time
+	branches       []branch  // imbalancedSplits' prefix tree, one flow at a time
 }
 
 // New creates an analyzer. paths decompresses PathIDs; thr classifies.

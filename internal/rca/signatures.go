@@ -190,11 +190,13 @@ func (fs *flowStats) appendCounts(to []float64) []float64 {
 
 // peakAndBaseline returns the peak per-epoch source count, the flow's quiet
 // baseline — the 25th percentile of its recorded epoch rates — and how many
-// epochs were counted. Missing epochs are NOT treated as zero-rate silence —
-// ring eviction and fault-delayed telemetry also produce gaps, and padding
-// them with zeros fabricates burstiness for perfectly steady flows.
-func (fs *flowStats) peakAndBaseline() (peak uint32, base float64, counted int) {
-	counts := fs.appendCounts(make([]float64, 0, len(fs.epochs)))
+// epochs were counted, sorting the counts in *scratch. Missing epochs are NOT
+// treated as zero-rate silence — ring eviction and fault-delayed telemetry
+// also produce gaps, and padding them with zeros fabricates burstiness for
+// perfectly steady flows.
+func (fs *flowStats) peakAndBaseline(scratch *[]float64) (peak uint32, base float64, counted int) {
+	counts := fs.appendCounts((*scratch)[:0])
+	*scratch = counts
 	if len(counts) == 0 {
 		return 0, 0, 0
 	}
@@ -244,7 +246,7 @@ const (
 // appeared mid-window at its sink (a transient flow with no history of
 // its own), over the network-wide median rate with the relaxed factor.
 func (a *Analyzer) isBursty(fs *flowStats, window *sinkEpochRange, globalMed float64) bool {
-	peak, base, counted := fs.peakAndBaseline()
+	peak, base, counted := fs.peakAndBaseline(&a.work.counts)
 	if base < 1 {
 		base = 1
 	}
@@ -301,23 +303,27 @@ type ecmpSplit struct {
 	ratio     float64
 }
 
+// branch is one path hop in imbalancedSplits' prefix tree: the child a
+// tree node at depth leads into, and the packets on the way.
+type branch struct {
+	depth     int
+	sw, child topology.NodeID
+	pkts      float64
+}
+
 // imbalancedSplits walks the prefix tree of the paths, weighted by packet
 // counts, and lists the splits that reach imbalanceRatio in (depth, switch)
 // order. Never nil.
 func (a *Analyzer) imbalancedSplits(paths []pathStat) []ecmpSplit {
-	// One branch per path hop; sorted, a tree node's children are adjacent
-	// and in ascending child order.
-	type branch struct {
-		depth     int
-		sw, child topology.NodeID
-		pkts      float64
-	}
-	var branches []branch
+	// One branch per path hop, in the working set; sorted, a tree node's
+	// children are adjacent and in ascending child order.
+	branches := a.work.branches[:0]
 	for _, ps := range paths {
 		for i := 0; i+1 < len(ps.path); i++ {
 			branches = append(branches, branch{i, ps.path[i], ps.path[i+1], ps.pkts})
 		}
 	}
+	a.work.branches = branches
 	slices.SortFunc(branches, func(a, b branch) int {
 		return cmp.Or(cmp.Compare(a.depth, b.depth), cmp.Compare(a.sw, b.sw), cmp.Compare(a.child, b.child))
 	})
@@ -615,20 +621,27 @@ func MergeRanked(lists [][]Culprit) []Culprit {
 
 // mergeKey is a culprit's identity under the cross-diagnosis merge: cause,
 // level, and the flow (flow-level culprits, whose identity subsumes their
-// location) or the location (everything else).
+// location) or the location (everything else). A location of up to two
+// switches — every one MaxPatternLen 2 produces — is its length and its
+// switches; a longer one is its formatted path.
 type mergeKey struct {
 	cause Cause
 	level Level
-	loc   string
+	n     uint8
+	loc   [2]topology.NodeID
+	long  string
 	flow  dataplane.FlowID
 }
 
 func keyOf(c Culprit) mergeKey {
 	k := mergeKey{cause: c.Cause, level: c.Level}
-	if c.Level == LevelFlow {
+	switch {
+	case c.Level == LevelFlow:
 		k.flow = c.Flow
-	} else {
-		k.loc = topology.Path(c.Location).String()
+	case len(c.Location) <= len(k.loc):
+		k.n = uint8(copy(k.loc[:], c.Location))
+	default:
+		k.long = topology.Path(c.Location).String()
 	}
 	return k
 }
