@@ -73,7 +73,7 @@ func randomCulprit(rng *rand.Rand) Culprit {
 		Score:      rng.Float64() * 3,
 		Confidence: float64(rng.Intn(5)) / 4,
 	}
-	for n := 1 + rng.Intn(2); n > 0; n-- {
+	for n := rng.Intn(4); n > 0; n-- { // 0 to 3 switches: both sides of the merge key's two
 		c.Location = append(c.Location, topology.NodeID(rng.Intn(3)))
 	}
 	if c.Level == LevelFlow {
@@ -107,7 +107,7 @@ func bitEqual(got, want []Culprit) bool {
 func TestMergerMatchesBatchMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(20230807))
 	folded := 0
-	for round := 0; round < 40; round++ {
+	for round := 0; round < 80; round++ {
 		var (
 			m     Merger
 			lists [][]Culprit
