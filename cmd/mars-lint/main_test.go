@@ -36,8 +36,8 @@ func TestListOutput(t *testing.T) {
 		t.Errorf("-list output diverges from AnalyzerList()")
 	}
 	lines := strings.Split(strings.TrimRight(text, "\n"), "\n")
-	if len(lines) != 9 {
-		t.Errorf("-list printed %d analyzers, want 9:\n%s", len(lines), text)
+	if len(lines) != 8 {
+		t.Errorf("-list printed %d analyzers, want 8:\n%s", len(lines), text)
 	}
 	for _, want := range []string{"detflow", "allocfree", "lifecycle", "exhaustcase", "suppress with //mars:partial"} {
 		if !strings.Contains(text, want) {

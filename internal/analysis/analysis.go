@@ -17,9 +17,6 @@
 //     parameters, never literals (suppress: //mars:fixedseed)
 //   - wirewidth: encode/decode symmetry and field-width accounting for
 //     the wire formats in wire.go (11-byte telemetry payload)
-//   - lockheld:  fields documented "guarded by <mu>" are only touched
-//     under the lock (suppress: //mars:locked on the caller-holds-lock
-//     function)
 package analysis
 
 import (
@@ -200,7 +197,7 @@ func (p *ModulePass) DirectiveNear(pos token.Pos, name string) (reason string, o
 // All returns the full suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Detrand, Mapiter, Seedflow, Wirewidth, Lockheld,
+		Detrand, Mapiter, Seedflow, Wirewidth,
 		Detflow, Allocfree, Lifecycle, Exhaustcase,
 	}
 }

@@ -103,7 +103,6 @@ func TestDetrandGolden(t *testing.T)     { runGolden(t, Detrand) }
 func TestMapiterGolden(t *testing.T)     { runGolden(t, Mapiter) }
 func TestSeedflowGolden(t *testing.T)    { runGolden(t, Seedflow) }
 func TestWirewidthGolden(t *testing.T)   { runGolden(t, Wirewidth) }
-func TestLockheldGolden(t *testing.T)    { runGolden(t, Lockheld) }
 func TestDetflowGolden(t *testing.T)     { runGolden(t, Detflow) }
 func TestAllocfreeGolden(t *testing.T)   { runGolden(t, Allocfree) }
 func TestLifecycleGolden(t *testing.T)   { runGolden(t, Lifecycle) }

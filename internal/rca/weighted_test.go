@@ -340,22 +340,7 @@ func BenchmarkAnalyzeWindow(b *testing.B) {
 	}
 
 	b.Run("QuietK8", func(b *testing.B) {
-		f := newFixtureK(b, 8)
-		thresholds := make(map[dataplane.FlowID]netsim.Time)
-		var window []dataplane.RTRecord
-		e := f.ft.EdgeIDs
-		for n := 0; n < 100; n++ {
-			src, dst := e[n%len(e)], e[(n*7+3)%len(e)]
-			if src == dst {
-				dst = e[(n*7+4)%len(e)]
-			}
-			paths := f.ft.AllShortestPaths(src, dst)
-			thresholds[dataplane.FlowID{Src: src, Sink: dst}] = 10 * netsim.Millisecond
-			for ep := uint32(0); ep < 4; ep++ {
-				window = append(window, f.record(b, paths[(n+int(ep))%len(paths)], ep, okLatency, 20, 1))
-			}
-		}
-		a := New(DefaultConfig(), f.table, ThresholdFunc(func(flow dataplane.FlowID) netsim.Time { return thresholds[flow] }))
+		a, window := quietK8(b)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -364,4 +349,67 @@ func BenchmarkAnalyzeWindow(b *testing.B) {
 			}
 		}
 	})
+}
+
+// quietK8 is BenchmarkAnalyzeWindow's QuietK8 window and its analyzer.
+func quietK8(tb testing.TB) (*Analyzer, []dataplane.RTRecord) {
+	tb.Helper()
+	f := newFixtureK(tb, 8)
+	thresholds := make(map[dataplane.FlowID]netsim.Time)
+	var window []dataplane.RTRecord
+	e := f.ft.EdgeIDs
+	for n := 0; n < 100; n++ {
+		src, dst := e[n%len(e)], e[(n*7+3)%len(e)]
+		if src == dst {
+			dst = e[(n*7+4)%len(e)]
+		}
+		paths := f.ft.AllShortestPaths(src, dst)
+		thresholds[dataplane.FlowID{Src: src, Sink: dst}] = 10 * netsim.Millisecond
+		for ep := uint32(0); ep < 4; ep++ {
+			window = append(window, f.record(tb, paths[(n+int(ep))%len(paths)], ep, okLatency, 20, 1))
+		}
+	}
+	return New(DefaultConfig(), f.table, ThresholdFunc(func(flow dataplane.FlowID) netsim.Time { return thresholds[flow] })), window
+}
+
+// countingMiner counts the Mine calls and the sequences they are given.
+type countingMiner struct {
+	fsm.Miner
+	calls, seqs int
+}
+
+func (m *countingMiner) Mine(db fsm.Dataset, p fsm.Params) []fsm.Pattern {
+	m.calls++
+	m.seqs += len(db)
+	return m.Miner.Mine(db, p)
+}
+
+// TestWindowWorkCounts pins the exact work of one AnalyzeWindow on
+// BenchmarkAnalyzeWindow's windows: the (flow, path) rows estimate decodes,
+// one Paths.Lookup call each, and the Mine calls with the sequences they
+// mine. The allocation gate does not see these; a change that moves one
+// changes the work per window and must say so.
+func TestWindowWorkCounts(t *testing.T) {
+	f := newFixture(t)
+	quiet, quietWindow := quietK8(t)
+	for _, tc := range []struct {
+		name                 string
+		a                    *Analyzer
+		window               []dataplane.RTRecord
+		lookups, mines, seqs int
+	}{
+		// 32 (flow, path) rows over 128 records; the latency view mines
+		// the 8 slow rows and the drop view the 28 rows of its lossy flows.
+		{"PathCount1", analyzer(f), lossWindow(t, f, 1), 32, 2, 36},
+		// A healthy window decodes and mines nothing.
+		{"QuietK8", quiet, quietWindow, 0, 0, 0},
+	} {
+		m := &countingMiner{Miner: tc.a.Cfg.Miner}
+		tc.a.Cfg.Miner = m
+		tc.a.AnalyzeWindow(tc.window, 400*netsim.Millisecond, 1)
+		if lookups := len(tc.a.work.paths); lookups != tc.lookups || m.calls != tc.mines || m.seqs != tc.seqs {
+			t.Errorf("%s: %d Paths.Lookup calls, %d Mine calls over %d sequences; want %d, %d, %d",
+				tc.name, lookups, m.calls, m.seqs, tc.lookups, tc.mines, tc.seqs)
+		}
+	}
 }
