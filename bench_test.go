@@ -14,7 +14,6 @@ import (
 	"mars/internal/fsm"
 	"mars/internal/harness"
 	"mars/internal/netsim"
-	"mars/internal/pathid"
 	"mars/internal/reservoir"
 	"mars/internal/topology"
 )
@@ -105,23 +104,6 @@ func BenchmarkFig11FSMAlgorithms(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		experiments.RunFig11(int64(i+1), 2000, 1)
-	}
-}
-
-// BenchmarkPathIDTableBuild measures control-plane PathID precomputation
-// (E-M1) on the K=4 path set.
-func BenchmarkPathIDTableBuild(b *testing.B) {
-	ft, err := topology.NewFatTree(4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	paths := ft.AllEdgePairPaths()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pathid.BuildTable(pathid.DefaultConfig(), ft.Topology, paths); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"slices"
-	"sort"
 
 	"mars/internal/topology"
 )
@@ -154,26 +153,28 @@ func Step(cfg Config, cur ID, sw topology.NodeID, in, out uint16, control uint8)
 // numbers used in the PathID hash chain: real inter-switch port indices in
 // the middle, HostPort sentinels at the ends.
 func HopPorts(topo *topology.Topology, path topology.Path) ([][2]uint16, error) {
-	ports := make([][2]uint16, len(path))
-	for i, sw := range path {
-		in := uint16(HostPort)
-		out := uint16(HostPort)
-		if i > 0 {
-			p, ok := topo.PortTo(sw, path[i-1])
-			if !ok {
-				return nil, fmt.Errorf("pathid: %v not adjacent to %v", path[i-1], sw)
-			}
-			in = uint16(p)
-		}
-		if i < len(path)-1 {
-			p, ok := topo.PortTo(sw, path[i+1])
-			if !ok {
-				return nil, fmt.Errorf("pathid: %v not adjacent to %v", sw, path[i+1])
-			}
-			out = uint16(p)
-		}
-		ports[i] = [2]uint16{in, out}
+	return appendHopPorts(make([][2]uint16, 0, len(path)), topo, path)
+}
+
+// appendHopPorts is HopPorts appending to ports. Each link's ports are
+// found once: the egress port towards the next switch, and the peer port
+// behind it as that switch's ingress.
+func appendHopPorts(ports [][2]uint16, topo *topology.Topology, path topology.Path) ([][2]uint16, error) {
+	if len(path) == 0 {
+		return ports, nil
 	}
+	n := len(ports)
+	ports = slices.Grow(ports, len(path))[:n+len(path)]
+	ports[n][0] = HostPort
+	for i, sw := range path[:len(path)-1] {
+		p, ok := topo.PortTo(sw, path[i+1])
+		if !ok {
+			return nil, fmt.Errorf("pathid: %v not adjacent to %v", sw, path[i+1])
+		}
+		ports[n+i][1] = uint16(p)
+		ports[n+i+1][0] = uint16(topo.Nodes[sw].Ports[p].PeerPort)
+	}
+	ports[len(ports)-1][1] = HostPort
 	return ports, nil
 }
 
@@ -209,15 +210,12 @@ type Table struct {
 	topo *topology.Topology
 
 	entries map[matKey]uint8
-	// byFinal maps (sink switch, final ID) to the unique path.
+	// byFinal maps (sink switch, final ID) to the unique path. The paths
+	// are carved from one node slab.
 	byFinal map[finalKey]topology.Path
-	// finalOf maps a path (by string key) to its final ID.
+	// finalOf maps a path (by pathKey) to its final ID. The keys are
+	// carved from one string.
 	finalOf map[string]ID
-	// walked holds, while BuildTable runs, the walkKey of every (switch,
-	// current ID, in, out) hop the inserted paths' chains cross: a control
-	// value installed there would re-route those paths, so insert never
-	// picks one.
-	walked map[uint64]struct{}
 }
 
 type finalKey struct {
@@ -225,45 +223,64 @@ type finalKey struct {
 	id   ID
 }
 
-func pathKey(p topology.Path) string {
-	b := make([]byte, 0, len(p)*4)
+// appendPathKey appends p's key: each switch ID as four big-endian bytes.
+func appendPathKey(b []byte, p topology.Path) []byte {
 	for _, n := range p {
 		b = append(b, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
 	}
-	return string(b)
+	return b
+}
+
+func pathKey(p topology.Path) string {
+	return string(appendPathKey(make([]byte, 0, len(p)*4), p))
+}
+
+// comparePaths is BuildTable's processing order: shorter paths first, then
+// lexicographic. NodeIDs are non-negative, so numeric order is pathKey's
+// byte order.
+func comparePaths(a, b topology.Path) int {
+	if len(a) != len(b) {
+		return len(a) - len(b)
+	}
+	for i, n := range a {
+		if n != b[i] {
+			return int(n) - int(b[i])
+		}
+	}
+	return 0
 }
 
 // BuildTable computes PathIDs for every path, resolving collisions between
 // paths that share a sink switch by assigning control values (installing
-// MAT entries) from the sink hop backwards. It errors only if a collision
-// cannot be broken with any of the 255 control values at any hop, which
-// would require a wider PathID.
+// MAT entries) from the sink hop backwards. It errors if a sink has more
+// distinct paths than the width has IDs — before inserting any — or if a
+// collision cannot be broken with any of the 255 control values at any
+// hop; either calls for a wider PathID.
 func BuildTable(cfg Config, topo *topology.Topology, paths []topology.Path) (*Table, error) {
-	t := &Table{
-		Cfg:     cfg,
-		topo:    topo,
-		entries: make(map[matKey]uint8),
-		byFinal: make(map[finalKey]topology.Path),
-		finalOf: make(map[string]ID),
-		walked:  make(map[uint64]struct{}),
+	perSink := make([]int, len(topo.Nodes))
+	for _, p := range paths {
+		perSink[p[len(p)-1]]++
 	}
-	// Deterministic processing order: shorter paths first, then lexicographic.
-	sorted := make([]topology.Path, len(paths))
-	copy(sorted, paths)
-	sort.Slice(sorted, func(i, j int) bool {
-		if len(sorted[i]) != len(sorted[j]) {
-			return len(sorted[i]) < len(sorted[j])
+	ids := uint64(cfg.mask()) + 1
+	for sink, n := range perSink {
+		if uint64(n) <= ids {
+			continue
 		}
-		// NodeIDs are non-negative, so numeric order is pathKey's byte order.
-		return slices.Compare(sorted[i], sorted[j]) < 0
-	})
-	for _, p := range sorted {
-		if err := t.insert(p); err != nil {
-			return nil, err
+		// Duplicates do not count: sorted, they are adjacent.
+		var to []topology.Path
+		for _, p := range paths {
+			if p[len(p)-1] == topology.NodeID(sink) {
+				to = append(to, p)
+			}
+		}
+		slices.SortFunc(to, comparePaths)
+		if n = len(slices.CompactFunc(to, topology.Path.Equal)); uint64(n) > ids {
+			return nil, fmt.Errorf("pathid: sink s%d has %d distinct paths, more than the %d IDs of a %d-bit PathID", sink, n, ids, cfg.Width)
 		}
 	}
-	t.walked = nil
-	return t, nil
+	sorted := slices.Clone(paths)
+	slices.SortFunc(sorted, comparePaths)
+	return newBuilder(cfg, topo, slices.CompactFunc(sorted, topology.Path.Equal)).build()
 }
 
 // BuildWidening is BuildTable at the narrowest field that fits the path
@@ -283,79 +300,158 @@ func BuildWidening(cfg Config, topo *topology.Topology, paths []topology.Path) (
 	return nil, err
 }
 
-// chain computes the stepwise IDs of a path under the current entry set.
-// ids[i] is the PathID after hop i.
-func (t *Table) chain(path topology.Path, ports [][2]uint16) []ID {
-	ids := make([]ID, len(path))
+// builder is BuildTable's working state. Nothing in it outlives the build
+// but the table.
+type builder struct {
+	t *Table
+	// paths are the distinct paths in insertion order, carved from the
+	// node slab; keys holds their pathKeys back to back.
+	paths []topology.Path
+	keys  string
+	// walked holds the walkKey of every (switch, current ID, in, out) hop
+	// the chains of paths[:walkedN] cross: a control value installed there
+	// would re-route those paths, so insert never picks one. It is filled
+	// only when a collision is about to read it.
+	walked  map[uint64]struct{}
+	walkedN int
+	// Per-path scratch, reused across inserts.
+	ports, walkPorts [][2]uint16
+	ids, try         []ID
+}
+
+// newBuilder copies the distinct paths into one node slab and their keys
+// into one string, and sizes the table's path maps for all of them. It
+// takes ownership of paths.
+func newBuilder(cfg Config, topo *topology.Topology, paths []topology.Path) *builder {
+	hops := 0
+	for _, p := range paths {
+		hops += len(p)
+	}
+	slab := make([]topology.NodeID, 0, hops)
+	keys := make([]byte, 0, 4*hops)
+	for i, p := range paths {
+		start := len(slab)
+		slab = append(slab, p...)
+		paths[i] = slab[start:len(slab):len(slab)]
+		keys = appendPathKey(keys, p)
+	}
+	return &builder{
+		t: &Table{
+			Cfg:     cfg,
+			topo:    topo,
+			entries: make(map[matKey]uint8),
+			byFinal: make(map[finalKey]topology.Path, len(paths)),
+			finalOf: make(map[string]ID, len(paths)),
+		},
+		paths: paths,
+		keys:  string(keys),
+	}
+}
+
+// build inserts the paths in order.
+func (b *builder) build() (*Table, error) {
+	off := 0
+	for i, p := range b.paths {
+		key := b.keys[off : off+4*len(p)]
+		off += len(key)
+		if err := b.insert(i, key); err != nil {
+			return nil, err
+		}
+	}
+	return b.t, nil
+}
+
+// chain appends to ids the stepwise IDs of a path under the current entry
+// set: ids[i] is the PathID after hop i.
+func (t *Table) chain(ids []ID, path topology.Path, ports [][2]uint16) []ID {
 	cur := ID(0)
 	for i, sw := range path {
 		ctrl := t.entries[matKey{sw, cur, ports[i][0], ports[i][1]}]
 		cur = Step(t.Cfg, cur, sw, ports[i][0], ports[i][1], ctrl)
-		ids[i] = cur
+		ids = append(ids, cur)
 	}
 	return ids
 }
 
-// insert enters path, breaking a collision at its sink with a MAT entry.
-func (t *Table) insert(path topology.Path) error {
-	ports, err := HopPorts(t.topo, path)
-	if err != nil {
+// insert enters paths[i], whose pathKey is key, breaking a collision at its
+// sink with a MAT entry.
+func (b *builder) insert(i int, key string) error {
+	t, path := b.t, b.paths[i]
+	var err error
+	if b.ports, err = appendHopPorts(b.ports[:0], t.topo, path); err != nil {
 		return err
 	}
 	sink := path[len(path)-1]
-	ids := t.chain(path, ports)
-	final := ids[len(ids)-1]
-	if existing, clash := t.byFinal[finalKey{sink, final}]; clash {
-		if existing.Equal(path) {
-			return nil // duplicate path
-		}
-		// Collision at this sink: walk hops from the sink backwards and try
-		// control values until the final ID is fresh.
-		for hop := len(path) - 1; hop >= 0; hop-- {
-			prev := ID(0)
-			if hop > 0 {
-				prev = ids[hop-1]
-			}
-			key := matKey{path[hop], prev, ports[hop][0], ports[hop][1]}
-			if _, taken := t.entries[key]; taken {
-				// This hop already disambiguates another path; changing it
-				// would break that path's chain. Move one hop earlier.
-				continue
-			}
-			if _, crossed := t.walked[walkKey(key)]; crossed {
-				// An inserted path's chain crosses this hop with no entry:
-				// a control value here would re-route it. Move one hop
-				// earlier.
-				continue
-			}
-			for c := uint8(1); c != 0; c++ {
-				t.entries[key] = c
-				newIDs := t.chain(path, ports)
-				nf := newIDs[len(newIDs)-1]
-				if _, clash2 := t.byFinal[finalKey{sink, nf}]; !clash2 {
-					t.record(path, ports, newIDs)
-					return nil
-				}
-				delete(t.entries, key)
-			}
-		}
-		return fmt.Errorf("pathid: cannot disambiguate %v at width %d", path, t.Cfg.Width)
+	b.ids = t.chain(b.ids[:0], path, b.ports)
+	if _, clash := t.byFinal[finalKey{sink, b.ids[len(b.ids)-1]}]; !clash {
+		b.record(path, key, b.ids[len(b.ids)-1])
+		return nil
 	}
-	t.record(path, ports, ids)
-	return nil
+	// Collision at this sink: walk hops from the sink backwards and try
+	// control values until the final ID is fresh.
+	if err := b.walk(i); err != nil {
+		return err
+	}
+	for hop := len(path) - 1; hop >= 0; hop-- {
+		prev := ID(0)
+		if hop > 0 {
+			prev = b.ids[hop-1]
+		}
+		k := matKey{path[hop], prev, b.ports[hop][0], b.ports[hop][1]}
+		if _, taken := t.entries[k]; taken {
+			// This hop already disambiguates another path; changing it
+			// would break that path's chain. Move one hop earlier.
+			continue
+		}
+		if _, crossed := b.walked[walkKey(k)]; crossed {
+			// An inserted path's chain crosses this hop with no entry: a
+			// control value here would re-route it. Move one hop earlier.
+			continue
+		}
+		for c := uint8(1); c != 0; c++ {
+			t.entries[k] = c
+			b.try = t.chain(b.try[:0], path, b.ports)
+			final := b.try[len(b.try)-1]
+			if _, clash := t.byFinal[finalKey{sink, final}]; !clash {
+				b.record(path, key, final)
+				return nil
+			}
+			delete(t.entries, k)
+		}
+	}
+	return fmt.Errorf("pathid: cannot disambiguate %v at width %d", path, t.Cfg.Width)
 }
 
-// record enters path with its chain ids: the final ID both ways, and
-// every hop the chain crosses into the walked set.
-func (t *Table) record(path topology.Path, ports [][2]uint16, ids []ID) {
-	final := ids[len(ids)-1]
-	t.byFinal[finalKey{path[len(path)-1], final}] = path.Clone()
-	t.finalOf[pathKey(path)] = final
-	prev := ID(0)
-	for i, sw := range path {
-		t.walked[walkKey(matKey{sw, prev, ports[i][0], ports[i][1]})] = struct{}{}
-		prev = ids[i]
+// record enters path under key with its final ID, both ways.
+func (b *builder) record(path topology.Path, key string, final ID) {
+	b.t.byFinal[finalKey{path[len(path)-1], final}] = path
+	b.t.finalOf[key] = final
+}
+
+// walk brings the walked set up to paths[:upTo] by walking the chains of
+// the paths inserted since the last collision. It is the set's one fill
+// site, and it runs only when a collision is about to read the set, so a
+// collision-free build never builds it. No entry is installed between two
+// collisions, so each chain walked here is the one its path was inserted
+// with.
+func (b *builder) walk(upTo int) error {
+	if b.walked == nil {
+		b.walked = make(map[uint64]struct{}, len(b.keys)/4)
 	}
+	for _, p := range b.paths[b.walkedN:upTo] {
+		var err error
+		if b.walkPorts, err = appendHopPorts(b.walkPorts[:0], b.t.topo, p); err != nil {
+			return err
+		}
+		prev := ID(0)
+		for h, sw := range p {
+			k := matKey{sw, prev, b.walkPorts[h][0], b.walkPorts[h][1]}
+			b.walked[walkKey(k)] = struct{}{}
+			prev = Step(b.t.Cfg, prev, sw, k.in, k.out, b.t.entries[k])
+		}
+	}
+	b.walkedN = upTo
+	return nil
 }
 
 // walkKey packs a hop into one word. It is exact for switch IDs below

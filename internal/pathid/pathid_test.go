@@ -1,8 +1,13 @@
 package pathid
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -126,8 +131,11 @@ func TestBuildWideningSettlesOnNarrowestWidth(t *testing.T) {
 			t.Errorf("k=%d from %d bits settled on %d, want %d", tc.ft.K, tc.start, tab.Cfg.Width, tc.want)
 		}
 	}
-	if _, err := BuildTable(DefaultConfig(), k8.Topology, k8.AllEdgePairPaths()); err == nil {
-		t.Error("k=8 all-pairs built at 8 bits; the widening has nothing to do")
+	// k=8 all-pairs has 460 paths per sink, more than 8 bits' 256 IDs:
+	// the build fails by pigeonhole, before any insert, naming the sink.
+	_, err = BuildTable(DefaultConfig(), k8.Topology, k8.AllEdgePairPaths())
+	if want := fmt.Sprintf("sink s%d has 460 distinct paths", k8.EdgeIDs[0]); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("k=8 all-pairs at 8 bits: err = %v, want the pigeonhole error %q", err, want)
 	}
 }
 
@@ -227,6 +235,29 @@ func TestDuplicatePathsIgnored(t *testing.T) {
 	}
 	if tbl.NumPaths() != len(paths) {
 		t.Errorf("NumPaths = %d, want %d", tbl.NumPaths(), len(paths))
+	}
+	// Every path given twice builds the same table as every path given
+	// once, MAT entries included: duplicates neither count towards a
+	// sink's IDs nor change the insertion order. Given ten times, each
+	// sink's 26 paths arrive 260 times, past 8 bits' 256 IDs, and still
+	// build.
+	all := ft.AllEdgePairPaths()
+	once, err := BuildTable(DefaultConfig(), ft.Topology, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, times := range []int{2, 10} {
+		var rep []topology.Path
+		for i := 0; i < times; i++ {
+			rep = append(rep, all...)
+		}
+		again, err := BuildTable(DefaultConfig(), ft.Topology, rep)
+		if err != nil {
+			t.Fatalf("all-pairs given %d times: %v", times, err)
+		}
+		if once.MATEntryCount() == 0 || !reflect.DeepEqual(once.entries, again.entries) || tableDigest(once, all) != tableDigest(again, all) {
+			t.Errorf("all-pairs given %d times built another table: %d vs %d MAT entries", times, again.MATEntryCount(), once.MATEntryCount())
+		}
 	}
 }
 
@@ -332,15 +363,11 @@ func TestBuildOrderMatchesStringKeyOrder(t *testing.T) {
 			}
 			return pathKey(sorted[i]) < pathKey(sorted[j])
 		})
-		want := &Table{
-			Cfg: tc.cfg, topo: ft.Topology,
-			entries: map[matKey]uint8{}, byFinal: map[finalKey]topology.Path{}, finalOf: map[string]ID{},
-			walked: map[uint64]struct{}{},
-		}
-		for _, p := range sorted {
-			if err := want.insert(p); err != nil {
-				t.Fatalf("k=%d reference insert: %v", tc.k, err)
-			}
+		// The reference goes through the same insert and post-insert
+		// steps as BuildTable, in the string-key order.
+		want, err := newBuilder(tc.cfg, ft.Topology, sorted).build()
+		if err != nil {
+			t.Fatalf("k=%d reference insert: %v", tc.k, err)
 		}
 		if tc.k == 4 && len(want.entries) == 0 {
 			t.Fatal("k=4 at width 8 installed no MAT entries; the case compares nothing")
@@ -407,5 +434,100 @@ func TestPropertyEveryChainDecodesToItself(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// tableDigest hashes what a table decides for a path set: its MAT entry
+// count, the entries per switch, and every path's final ID.
+func tableDigest(tbl *Table, paths []topology.Path) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "entries %d\n", tbl.MATEntryCount())
+	per := tbl.EntriesPerSwitch()
+	sws := make([]topology.NodeID, 0, len(per))
+	//mars:mapiter-ok the collected keys are sorted immediately below
+	for sw := range per {
+		sws = append(sws, sw)
+	}
+	slices.Sort(sws)
+	for _, sw := range sws {
+		fmt.Fprintf(h, "switch %d %d\n", sw, per[sw])
+	}
+	for _, p := range paths {
+		id, ok := tbl.FinalID(p)
+		fmt.Fprintf(h, "%v %d %v\n", p, id, ok)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestPinnedTables pins the tables themselves, not only the experiment
+// digests built on them: k=4 and k=8 all-pairs at every algorithm and
+// width that builds. The digests were read before the build was made
+// faster; a change to the build must leave every table as it was.
+func TestPinnedTables(t *testing.T) {
+	for _, tc := range []struct {
+		k    int
+		cfg  Config
+		want string // "" where the width is too narrow to build
+	}{
+		{4, Config{CRC16, 8}, "c137d31da31ec2d6731fa3cfb4f31073765ba6026005291f3e1cfc9b0fec7b15"}, // 16 entries
+		{4, Config{CRC16, 12}, "c6c44c12f677d89071dc69cc05ecf1f9f68f8bad1ca50fa6b8a6bb0d96bb31c8"},
+		{4, Config{CRC16, 16}, "bf977b8d95317f6044059e4a0e55ca2294e1eb5424f405870baed731e572933e"},
+		{4, Config{CRC32, 8}, "4d24ad8ea1434253c4860d84f8bbd851312d18acd5a8bd08722f2d0868ea7810"}, // 12 entries
+		{4, Config{CRC32, 12}, "a67e50bcca12ea2f95e1b4c4679cda0d3736e62be84828af19a15830528bac48"},
+		{4, Config{CRC32, 16}, "9093fb936ed0f8919d7928a69e3bd4cb90e3e83c91fbae8e486ca6528eacb39f"},
+		{8, Config{CRC16, 8}, ""},
+		{8, Config{CRC16, 12}, "e2406c354cf746863cce453bac4328606cca85a60f5f0de1cc5c4eefef97d075"}, // 1,191 entries
+		{8, Config{CRC16, 16}, "608313cd3e53ee0d8760133c2488cc0187d2d349907629cccf789ea38b72d327"},
+		{8, Config{CRC32, 8}, ""},
+		{8, Config{CRC32, 12}, "f0aaf34a4035c7dd808e735f0705a6042d143f2369112757c9bb09e9876cdd07"}, // 36 entries
+		{8, Config{CRC32, 16}, "eab540b4d935e04ea386babd337db9f883a76e2dac913768263ea91d478724f8"}, // 3 entries
+	} {
+		ft, err := topology.NewFatTree(tc.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths := ft.AllEdgePairPaths()
+		tbl, err := BuildTable(tc.cfg, ft.Topology, paths)
+		if (err == nil) != (tc.want != "") {
+			t.Fatalf("k=%d %v/%d: err = %v", tc.k, tc.cfg.Alg, tc.cfg.Width, err)
+		}
+		if err != nil {
+			continue
+		}
+		if got := tableDigest(tbl, paths); got != tc.want {
+			t.Errorf("k=%d %v/%d: table digest %s, pinned %s", tc.k, tc.cfg.Alg, tc.cfg.Width, got, tc.want)
+		}
+	}
+}
+
+// BenchmarkBuildTable times the control plane's table build on three
+// path sets: k=8 all-pairs (14,720 paths) at 16 bits, which is
+// collision-free; the same set at 8 bits, which fails by pigeonhole (460
+// paths per sink against 256 IDs); and k=4 all-pairs at 8 bits, which
+// installs 16 MAT entries.
+func BenchmarkBuildTable(b *testing.B) {
+	ft4, err := topology.NewFatTree(4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ft8, err := topology.NewFatTree(8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name  string
+		ft    *topology.FatTree
+		width uint
+		ok    bool
+	}{{"K8All16", ft8, 16, true}, {"K8All8", ft8, 8, false}, {"K4All8", ft4, 8, true}} {
+		paths := bc.ft.AllEdgePairPaths()
+		cfg := Config{Alg: CRC16, Width: bc.width}
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := BuildTable(cfg, bc.ft.Topology, paths); (err == nil) != bc.ok {
+					b.Fatalf("BuildTable: err = %v, want success %v", err, bc.ok)
+				}
+			}
+		})
 	}
 }

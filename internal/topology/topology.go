@@ -9,7 +9,7 @@ package topology
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // NodeID identifies a switch or host in the topology. IDs are dense,
@@ -365,68 +365,91 @@ func (p Path) String() string {
 }
 
 // AllShortestPaths enumerates every shortest switch-level path from src to
-// dst (both switches), in deterministic order. It performs a BFS layering
-// followed by a DFS over predecessor sets.
+// dst (both switches), in deterministic order: lexicographic from dst
+// backwards, predecessors in ascending ID. It performs a BFS layering,
+// counting the shortest paths into each node, followed by a DFS over
+// predecessor sets. The paths are carved from one backing array, each
+// capped at its length.
 func (t *Topology) AllShortestPaths(src, dst NodeID) []Path {
 	if src == dst {
 		return []Path{{src}}
 	}
-	dist := make([]int32, len(t.Nodes))
+	if !t.IsSwitch(src) || !t.IsSwitch(dst) {
+		return nil
+	}
+	// dist[v] is v's BFS depth (-1 unreached, -2 a host, which no path
+	// crosses) and count[v] the number of shortest src→v paths. The BFS
+	// stops at the first node of dst's depth: every node nearer src is
+	// then expanded, which is all the backtrack reads.
+	scratch := make([]int32, 2*len(t.Nodes))
+	dist, count := scratch[:len(t.Nodes)], scratch[len(t.Nodes):]
 	for i := range dist {
 		dist[i] = -1
+		if t.Nodes[i].Kind != KindSwitch {
+			dist[i] = -2
+		}
 	}
-	dist[src] = 0
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		if u == dst {
-			continue
+	dist[src], count[src] = 0, 1
+	queue := make([]NodeID, 1, t.numSwitches+1)
+	queue[0] = src
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		if dist[dst] >= 0 && dist[u] == dist[dst] {
+			break
 		}
 		for _, p := range t.Nodes[u].Ports {
 			v := p.Peer
-			if t.Nodes[v].Kind != KindSwitch {
-				continue
-			}
 			if dist[v] == -1 {
 				dist[v] = dist[u] + 1
 				queue = append(queue, v)
 			}
+			if dist[v] == dist[u]+1 {
+				count[v] += count[u]
+			}
 		}
 	}
-	if dist[dst] == -1 {
+	if dist[dst] < 0 {
 		return nil
 	}
-	// Backtrack from dst along strictly decreasing distance.
-	var paths []Path
-	cur := make(Path, 0, dist[dst]+1)
-	var dfs func(v NodeID)
-	dfs = func(v NodeID) {
-		cur = append(cur, v)
-		if v == src {
-			rev := make(Path, len(cur))
-			for i := range cur {
-				rev[i] = cur[len(cur)-1-i]
-			}
-			paths = append(paths, rev)
-		} else {
-			// Deterministic order: ascending neighbor ID.
-			prev := make([]NodeID, 0, 4)
-			for _, p := range t.Nodes[v].Ports {
-				u := p.Peer
-				if t.Nodes[u].Kind == KindSwitch && dist[u] == dist[v]-1 {
-					prev = append(prev, u)
-				}
-			}
-			sort.Slice(prev, func(i, j int) bool { return prev[i] < prev[j] })
-			for _, u := range prev {
-				dfs(u)
-			}
-		}
-		cur = cur[:len(cur)-1]
+	n := int(dist[dst]) + 1
+	w := pathWalk{t: t, src: src, dist: dist, cur: make(Path, n),
+		nodes: make([]NodeID, int(count[dst])*n), paths: make([]Path, 0, count[dst])}
+	w.visit(dst)
+	return w.paths
+}
+
+// pathWalk is AllShortestPaths' backtrack from dst along strictly
+// decreasing distance.
+type pathWalk struct {
+	t     *Topology
+	src   NodeID
+	dist  []int32
+	cur   Path     // cur[dist[v]] = v for the nodes on the current branch
+	nodes []NodeID // the backing array the paths are carved from
+	paths []Path
+}
+
+func (w *pathWalk) visit(v NodeID) {
+	w.cur[w.dist[v]] = v
+	if v == w.src {
+		off := len(w.paths) * len(w.cur)
+		p := w.nodes[off : off+len(w.cur) : off+len(w.cur)]
+		copy(p, w.cur)
+		w.paths = append(w.paths, p)
+		return
 	}
-	dfs(dst)
-	return paths
+	// Deterministic order: ascending neighbor ID.
+	var buf [16]NodeID
+	prev := buf[:0]
+	for _, p := range w.t.Nodes[v].Ports {
+		if u := p.Peer; w.dist[u] == w.dist[v]-1 {
+			prev = append(prev, u)
+		}
+	}
+	slices.Sort(prev)
+	for _, u := range prev {
+		w.visit(u)
+	}
 }
 
 // AllEdgePairPaths enumerates the shortest paths between every ordered pair

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -147,6 +148,108 @@ func TestAllShortestPathsK4(t *testing.T) {
 		}
 		if ft.Node(p[2]).Layer != LayerCore {
 			t.Errorf("middle hop not core: %v", p)
+		}
+	}
+}
+
+// referenceShortestPaths is AllShortestPaths as it was before the BFS
+// stopped at dst's depth and the paths shared one backing array: a full
+// BFS, then a DFS that sorts each node's predecessors and allocates every
+// path on its own.
+func referenceShortestPaths(t *Topology, src, dst NodeID) []Path {
+	if src == dst {
+		return []Path{{src}}
+	}
+	dist := make([]int32, len(t.Nodes))
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src] = 0
+	queue := []NodeID{src}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		if u == dst {
+			continue
+		}
+		for _, p := range t.Nodes[u].Ports {
+			v := p.Peer
+			if t.Nodes[v].Kind != KindSwitch {
+				continue
+			}
+			if dist[v] == -1 {
+				dist[v] = dist[u] + 1
+				queue = append(queue, v)
+			}
+		}
+	}
+	if dist[dst] == -1 {
+		return nil
+	}
+	var paths []Path
+	cur := make(Path, 0, dist[dst]+1)
+	var dfs func(v NodeID)
+	dfs = func(v NodeID) {
+		cur = append(cur, v)
+		if v == src {
+			rev := make(Path, len(cur))
+			for i := range cur {
+				rev[i] = cur[len(cur)-1-i]
+			}
+			paths = append(paths, rev)
+		} else {
+			var prev []NodeID
+			for _, p := range t.Nodes[v].Ports {
+				u := p.Peer
+				if t.Nodes[u].Kind == KindSwitch && dist[u] == dist[v]-1 {
+					prev = append(prev, u)
+				}
+			}
+			sort.Slice(prev, func(i, j int) bool { return prev[i] < prev[j] })
+			for _, u := range prev {
+				dfs(u)
+			}
+		}
+		cur = cur[:len(cur)-1]
+	}
+	dfs(dst)
+	return paths
+}
+
+// TestAllShortestPathsMatchesReference: the enumeration returns the same
+// paths in the same order as the reference, on every k=4 node pair (edge
+// pairs, the other switches, and hosts, which reach nothing but
+// themselves) and on a sample of k=16 edge pairs, and every path is capped
+// at its length, so appending to one cannot overwrite the next.
+func TestAllShortestPathsMatchesReference(t *testing.T) {
+	check := func(ft *FatTree, src, dst NodeID) {
+		t.Helper()
+		got, want := ft.AllShortestPaths(src, dst), referenceShortestPaths(ft.Topology, src, dst)
+		if len(got) != len(want) {
+			t.Fatalf("k=%d s%d→s%d: %d paths, reference %d", ft.K, src, dst, len(got), len(want))
+		}
+		for i := range got {
+			if !got[i].Equal(want[i]) || cap(got[i]) != len(got[i]) {
+				t.Fatalf("k=%d s%d→s%d path %d: %v (cap %d), reference %v", ft.K, src, dst, i, got[i], cap(got[i]), want[i])
+			}
+		}
+	}
+	k4, err := NewFatTree(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for src := range k4.Nodes {
+		for dst := range k4.Nodes {
+			check(k4, NodeID(src), NodeID(dst))
+		}
+	}
+	k16, err := NewFatTree(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(k16.EdgeIDs); i += 7 {
+		for j := 3; j < len(k16.EdgeIDs); j += 11 {
+			check(k16, k16.EdgeIDs[i], k16.EdgeIDs[j])
 		}
 	}
 }
