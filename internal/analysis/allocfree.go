@@ -73,6 +73,7 @@ var allocGuards = map[string]bool{
 	"TestPromoteAllocs":            true,
 	"TestSinkRecordAllocs":         true,
 	"TestProgramSteadyStateAllocs": true,
+	"TestTelemetrySinkAllocs":      true,
 	"TestShardedStepAllocs":        true,
 	"TestStreamIngestAllocs":       true,
 }

@@ -34,9 +34,9 @@ type Codec interface {
 	// OnHop updates the in-flight header at one switch and returns the
 	// wire bytes the header grew by at this hop.
 	OnHop(h *INTHeader, pktID uint64, sw topology.NodeID, qlen int, now netsim.Time) int
-	// SinkRecord lets the codec move codec-private header state (h.Ext)
-	// into the Ring Table record before it is pushed.
-	SinkRecord(h *INTHeader, r *RTRecord)
+	// SinkRecord returns the codec-private header state (from h.Ext) that
+	// the sink stores as its Ring Table record's Ext; nil stores nothing.
+	SinkRecord(h *INTHeader) any
 }
 
 // Mars11 is the paper's fixed 11-byte encoding: every epoch mark is
@@ -57,6 +57,6 @@ func (Mars11) OnHop(h *INTHeader, _ uint64, _ topology.NodeID, qlen int, _ netsi
 	return 0
 }
 
-func (Mars11) SinkRecord(*INTHeader, *RTRecord) {}
+func (Mars11) SinkRecord(*INTHeader) any { return nil }
 
 var _ Codec = Mars11{}

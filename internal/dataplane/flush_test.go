@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"slices"
 	"testing"
 
 	"mars/internal/netsim"
@@ -74,7 +75,9 @@ func TestFlushSwitchHostNoop(t *testing.T) {
 // TestRegistersLiveAtEdgeSwitches: the three register tables and the
 // sink's epoch cache exist only where a host is attached (§4.2: core
 // switches carry no per-flow state), while thresholds — checked at every
-// hop — exist, and are lost to a reboot, at every switch.
+// hop — exist, and are lost to a reboot, at every switch. IT and ET hold
+// one slot per host-facing switch, indexed by its ordinal in node order,
+// and a reboot rebuilds them at that size.
 func TestRegistersLiveAtEdgeSwitches(t *testing.T) {
 	env := newEnv(t, DefaultProgramConfig(), 5)
 	workload.RandomBackground(env.sim, env.ft, workload.BackgroundConfig{
@@ -112,5 +115,71 @@ func TestRegistersLiveAtEdgeSwitches(t *testing.T) {
 	}
 	if st := &env.prog.states[core]; st.it != nil || st.rt != nil {
 		t.Error("FlushSwitch gave a core switch register tables")
+	}
+
+	for i, sw := range env.ft.EdgeIDs {
+		if got := env.prog.ord[sw]; got != int32(i) {
+			t.Errorf("edge switch %d has ordinal %d, want %d", sw, got, i)
+		}
+	}
+	wantSlots(t, env.prog, 8)
+	ft8, err := topology.NewFatTree(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSlots(t, New(DefaultProgramConfig(), ft8.Topology, nil, nil), 32)
+
+	// Host and switch IDs interleaved, and the later edge switch wired
+	// first and to the lower host IDs: numbering by host or by wiring
+	// order would put e1 first, node order puts e0 first.
+	b := topology.NewBuilder()
+	h0 := b.AddHost("h0")
+	spine := b.AddSwitch("spine", topology.LayerCore)
+	e0 := b.AddSwitch("e0", topology.LayerEdge)
+	h1 := b.AddHost("h1")
+	e1 := b.AddSwitch("e1", topology.LayerEdge)
+	h2 := b.AddHost("h2")
+	b.Connect(e1, h0)
+	b.Connect(e1, h1)
+	b.Connect(e0, h2)
+	b.Connect(e0, spine)
+	b.Connect(e1, spine)
+	topo, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := New(DefaultProgramConfig(), topo, nil, nil)
+	if want := []int32{-1, -1, 0, -1, 1, -1}; !slices.Equal(prog.ord, want) {
+		t.Errorf("ordinals by node ID = %v, want %v", prog.ord, want)
+	}
+	wantSlots(t, prog, 2)
+}
+
+// wantSlots requires every register-table switch of prog to hold exactly
+// edges IT and ET per-flow slots, before and after a reboot.
+func wantSlots(t *testing.T, prog *Program, edges int) {
+	t.Helper()
+	if prog.edges != edges {
+		t.Errorf("%d host-facing switches counted, want %d", prog.edges, edges)
+	}
+	tables := 0
+	for i := range prog.states {
+		if prog.states[i].it == nil {
+			continue
+		}
+		tables++
+		for _, flushed := range []bool{false, true} {
+			if flushed {
+				prog.FlushSwitch(topology.NodeID(i))
+			}
+			st := &prog.states[i]
+			if len(st.it.entries) != edges || len(st.et.perFlow) != edges {
+				t.Errorf("switch %d (flushed=%v): IT %d, ET %d slots, want %d",
+					i, flushed, len(st.it.entries), len(st.et.perFlow), edges)
+			}
+		}
+	}
+	if tables != edges {
+		t.Errorf("%d switches have register tables, want %d", tables, edges)
 	}
 }

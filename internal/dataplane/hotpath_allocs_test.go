@@ -81,9 +81,9 @@ func TestPerHopFoldAllocs(t *testing.T) {
 // takes the telemetry-packet branch.
 func TestPromoteAllocs(t *testing.T) {
 	prog, _, ft := allocEnv(t)
-	sink := ft.Topology.Switches()[1]
-	flow := FlowID{Src: ft.Topology.Switches()[0], Sink: sink}
-	it := NewIngressTable(len(ft.Topology.Nodes))
+	flow := FlowID{Src: ft.EdgeIDs[0], Sink: ft.EdgeIDs[1]}
+	sink := prog.ord[flow.Sink]
+	it := NewIngressTable(prog.edges)
 	cdc := prog.cdc
 	e := uint32(0)
 	avg := testing.AllocsPerRun(500, func() {
@@ -102,11 +102,10 @@ func TestPromoteAllocs(t *testing.T) {
 // per-flow and per-path counters, previous-epoch reads, Ring Table push)
 // at zero allocations per packet once the flow's table slots exist.
 func TestSinkRecordAllocs(t *testing.T) {
-	_, _, ft := allocEnv(t)
-	src := ft.Topology.Switches()[0]
-	sink := ft.Topology.Switches()[1]
-	flow := FlowID{Src: src, Sink: sink}
-	et := NewEgressTable(len(ft.Topology.Nodes))
+	prog, _, ft := allocEnv(t)
+	flow := FlowID{Src: ft.EdgeIDs[0], Sink: ft.EdgeIDs[1]}
+	src := prog.ord[flow.Src]
+	et := NewEgressTable(prog.edges)
 	rt := NewRingTable(512)
 	path := pathid.ID(0x5a)
 	et.Record(src, path, 0, 700) // create the per-path map entry
@@ -124,6 +123,37 @@ func TestSinkRecordAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("sink record allocates %.2f objects/op, want 0", avg)
+	}
+}
+
+// TestTelemetrySinkAllocs pins a telemetry packet's sink hop at zero
+// allocations: the Ring Table record is built, checked for drops and
+// pushed by value. Each measured packet is its flow's first in a new
+// epoch, so the source promotes every one and every one is recorded at
+// its sink — the path TestProgramSteadyStateAllocs's back-to-back packets
+// never take.
+func TestTelemetrySinkAllocs(t *testing.T) {
+	prog, sim, ft := allocEnv(t)
+	src, dst := ft.HostIDs[0], ft.HostIDs[len(ft.HostIDs)-1]
+	send := func() {
+		sim.Run(netsim.Time(prog.EpochOf(sim.Now())+1) * EpochDuration)
+		sim.Send(sim.Now(), src, dst, 1, 700)
+		sim.RunAll()
+	}
+	for i := 0; i < 4; i++ {
+		send()
+	}
+	const runs = 200
+	before := prog.Stats.TelemetryPackets
+	avg := testing.AllocsPerRun(runs, send)
+	if got := prog.Stats.TelemetryPackets - before; got != runs+1 {
+		t.Fatalf("%d of %d measured packets were promoted", got, runs+1)
+	}
+	if sw, _ := ft.Topology.EdgeSwitchOf(dst); len(prog.RTSnapshot(sw)) == 0 {
+		t.Fatal("the sink recorded nothing")
+	}
+	if avg != 0 {
+		t.Errorf("telemetry packet allocates %.2f objects/op, want 0", avg)
 	}
 }
 

@@ -8,11 +8,11 @@ import (
 	"mars/internal/topology"
 )
 
-// Hot-path microbenchmarks. These four series (together with
+// Hot-path microbenchmarks. These series (together with
 // BenchmarkNetsimStep in internal/netsim) are the CI bench-gate's
 // regression surface: stable names, b.ReportAllocs, no setup inside the
-// timed region. Allocation counts are pinned separately by
-// TestHotPathAllocs.
+// timed region. Allocation counts are pinned separately by the Test*Allocs
+// guards in hotpath_allocs_test.go.
 
 // benchEnv builds the K=4 evaluation substrate once per benchmark.
 func benchEnv(b *testing.B) (*Program, *netsim.Simulator, *topology.FatTree) {
@@ -85,9 +85,9 @@ func BenchmarkPerHopFold(b *testing.B) {
 // the telemetry-packet branch.
 func BenchmarkPromote(b *testing.B) {
 	prog, _, ft := benchEnv(b)
-	sink := ft.Topology.Switches()[1]
-	flow := FlowID{Src: ft.Topology.Switches()[0], Sink: sink}
-	it := NewIngressTable(len(ft.Topology.Nodes))
+	flow := FlowID{Src: ft.EdgeIDs[0], Sink: ft.EdgeIDs[1]}
+	sink := prog.ord[flow.Sink]
+	it := NewIngressTable(prog.edges)
 	cdc := prog.cdc
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -104,11 +104,10 @@ func BenchmarkPromote(b *testing.B) {
 // Table per-flow and per-path counter updates, the previous-epoch reads,
 // and the Ring Table push.
 func BenchmarkSinkRecord(b *testing.B) {
-	_, _, ft := benchEnv(b)
-	src := ft.Topology.Switches()[0]
-	sink := ft.Topology.Switches()[1]
-	flow := FlowID{Src: src, Sink: sink}
-	et := NewEgressTable(len(ft.Topology.Nodes))
+	prog, _, ft := benchEnv(b)
+	flow := FlowID{Src: ft.EdgeIDs[0], Sink: ft.EdgeIDs[1]}
+	src := prog.ord[flow.Src]
+	et := NewEgressTable(prog.edges)
 	rt := NewRingTable(512)
 	path := pathid.ID(0x5a)
 	b.ReportAllocs()
@@ -123,4 +122,22 @@ func BenchmarkSinkRecord(b *testing.B) {
 			SourceCount: sc, SinkCount: sc, PathCount: pc, PathBytes: pb,
 		})
 	}
+}
+
+// BenchmarkNewResident measures a program's register memory: New over a
+// k=16 fat tree allocates every switch's state, as each fabric pass does.
+// Its B/op is the gate on IT and ET holding one slot per edge switch (128
+// at k=16) rather than one per node (1,344).
+func BenchmarkNewResident(b *testing.B) {
+	ft, err := topology.NewFatTree(16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultProgramConfig()
+	b.Run("K16", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			New(cfg, ft.Topology, nil, nil)
+		}
+	})
 }

@@ -1,6 +1,8 @@
 package dataplane
 
 import (
+	"slices"
+
 	"mars/internal/netsim"
 	"mars/internal/pathid"
 	"mars/internal/topology"
@@ -109,6 +111,12 @@ type Program struct {
 	// sinkOf caches each host's edge switch, indexed by node ID (-1 for
 	// non-hosts).
 	sinkOf []topology.NodeID
+	// ord numbers the switches with a host behind them — the only
+	// possible sources and sinks — 0, 1, 2, … in node order, indexed by
+	// node ID (-1 elsewhere). IT and ET slots are indexed by it, so they
+	// hold one slot per edge switch rather than one per node.
+	ord   []int32
+	edges int
 	// cdc is the resolved telemetry codec (Cfg.Codec, or Mars11 for nil).
 	cdc Codec
 	// metaFree recycles PacketMeta values: a meta is acquired at the
@@ -156,6 +164,15 @@ func NewResident(cfg Config, topo *topology.Topology, paths *pathid.Table, notif
 	if p.cdc == nil {
 		p.cdc = Mars11{}
 	}
+	hostPort := func(pt topology.Port) bool { return topo.IsHost(pt.Peer) }
+	p.ord = make([]int32, len(topo.Nodes))
+	for i, n := range topo.Nodes {
+		p.ord[i] = -1
+		if n.Kind == topology.KindSwitch && slices.ContainsFunc(n.Ports, hostPort) {
+			p.ord[i] = int32(p.edges)
+			p.edges++
+		}
+	}
 	p.states = make([]switchState, len(topo.Nodes))
 	populate := func(i topology.NodeID) {
 		if topo.Nodes[i].Kind != topology.KindSwitch {
@@ -163,11 +180,8 @@ func NewResident(cfg Config, topo *topology.Topology, paths *pathid.Table, notif
 		}
 		st := &p.states[i]
 		st.thresholds = make(map[FlowID]netsim.Time)
-		for _, port := range topo.Nodes[i].Ports {
-			if topo.IsHost(port.Peer) {
-				p.resetTables(st)
-				break
-			}
+		if p.ord[i] >= 0 {
+			p.resetTables(st)
 		}
 	}
 	if resident == nil {
@@ -193,8 +207,7 @@ func NewResident(cfg Config, topo *topology.Topology, paths *pathid.Table, notif
 
 // resetTables gives an edge switch empty register tables.
 func (p *Program) resetTables(st *switchState) {
-	n := len(p.Topo.Nodes)
-	st.it, st.et, st.rt = NewIngressTable(n), NewEgressTable(n), NewRingTable(ringSize)
+	st.it, st.et, st.rt = NewIngressTable(p.edges), NewEgressTable(p.edges), NewRingTable(ringSize)
 	st.telemEpoch = make(map[FlowID]int64)
 }
 
@@ -308,7 +321,7 @@ func (p *Program) OnForward(s *netsim.Simulator, sw topology.NodeID, inPort, out
 		pkt.ExtraBytes += int32(p.Cfg.PathCfg.HeaderBytes())
 		sink := p.sinkOf[pkt.Dst]
 		st := &p.states[sw]
-		mark, lastCount := st.it.Record(sink, epoch, pkt.Size)
+		mark, lastCount := st.it.Record(p.ord[sink], epoch, pkt.Size)
 		if mark && p.cdc.Promote(FlowID{Src: sw, Sink: sink}, epoch) {
 			meta.hdr = INTHeader{
 				SourceTS:       now,
@@ -366,11 +379,12 @@ func (p *Program) OnForward(s *netsim.Simulator, sw topology.NodeID, inPort, out
 
 	if isSink {
 		st := &p.states[sw]
-		st.et.Record(flow.Src, meta.PathID, epoch, pkt.Size)
+		src := p.ord[flow.Src]
+		st.et.Record(src, meta.PathID, epoch, pkt.Size)
 		if meta.INT != nil {
 			e := meta.INT.EpochID
-			sinkCount := st.et.FlowLastEpochCount(flow.Src, e)
-			pathCount, pathBytes := st.et.PathLastEpoch(flow.Src, meta.PathID, e)
+			sinkCount := st.et.FlowLastEpochCount(src, e)
+			pathCount, pathBytes := st.et.PathLastEpoch(src, meta.PathID, e)
 			rec := RTRecord{
 				Flow:            flow,
 				PathID:          meta.PathID,
@@ -382,8 +396,8 @@ func (p *Program) OnForward(s *netsim.Simulator, sw topology.NodeID, inPort, out
 				PathBytes:       pathBytes,
 				TotalQueueDepth: meta.INT.TotalQueueDepth,
 				Arrival:         now,
+				Ext:             p.cdc.SinkRecord(meta.INT),
 			}
-			p.cdc.SinkRecord(meta.INT, &rec)
 			// Epoch-gap drop detection (§4.3.2): missing telemetry epochs
 			// mean the sampled packets themselves were lost. The expected
 			// spacing is the codec's promotion stride (1 for the paper's

@@ -3,7 +3,6 @@ package dataplane
 import (
 	"mars/internal/netsim"
 	"mars/internal/pathid"
-	"mars/internal/topology"
 )
 
 // epochCounter tracks per-key packet/byte counts for the current and
@@ -57,8 +56,10 @@ func (c *epochCounter) lastEpochCount(e uint32) uint32 {
 // and the bookkeeping that marks exactly one telemetry packet per flow per
 // epoch (§4.2.2). FlowID is simplified to the sink switch because the
 // source switch's own ID covers the other half. Entries are preallocated
-// register slots indexed by sink switch ID, matching the fixed-size
-// register arrays a P4 pipeline would use; Record is allocation-free.
+// register slots indexed by the sink's edge ordinal (Program numbers the
+// switches with a host behind them 0, 1, 2, … in node order), matching
+// the fixed-size register arrays a P4 pipeline would use; Record is
+// allocation-free.
 type IngressTable struct {
 	entries []itEntry
 	flows   int
@@ -72,15 +73,15 @@ type itEntry struct {
 }
 
 // NewIngressTable returns an IT with one preallocated slot per possible
-// sink (numNodes is the topology's node count).
-func NewIngressTable(numNodes int) *IngressTable {
-	return &IngressTable{entries: make([]itEntry, numNodes)}
+// sink (edges is the topology's count of host-facing switches).
+func NewIngressTable(edges int) *IngressTable {
+	return &IngressTable{entries: make([]itEntry, edges)}
 }
 
 // Record counts a packet toward (sink, epoch) and reports whether this
 // packet should become the epoch's telemetry packet, together with the
-// previous epoch's packet count to embed.
-func (it *IngressTable) Record(sink topology.NodeID, epoch uint32, size int32) (mark bool, lastEpochCount uint32) {
+// previous epoch's packet count to embed. sink is the edge ordinal.
+func (it *IngressTable) Record(sink int32, epoch uint32, size int32) (mark bool, lastEpochCount uint32) {
 	e := &it.entries[sink]
 	if !e.present {
 		e.present = true
@@ -101,31 +102,32 @@ func (it *IngressTable) Flows() int { return it.flows }
 
 // EgressTable (ET) is the sink-switch state: per-(FlowID, PathID) and
 // per-FlowID epoch counters (§4.2.2). FlowID is simplified to the source
-// switch at the sink. The per-flow counters are preallocated slots indexed
-// by source switch ID; the per-(flow, path) counters stay keyed by the
-// sparse 16-bit PathID space but store counter values in-map to avoid a
-// pointer allocation per path.
+// switch at the sink, named by its edge ordinal as in IngressTable. The
+// per-flow counters are preallocated slots indexed by that ordinal; the
+// per-(flow, path) counters stay keyed by the sparse 16-bit PathID space,
+// a map of pointers to counters allocated on a key's first packet.
 type EgressTable struct {
 	perPath map[etKey]*epochCounter
 	perFlow []epochCounter
 }
 
 type etKey struct {
-	src  topology.NodeID
+	src  int32
 	path pathid.ID
 }
 
 // NewEgressTable returns an ET with one preallocated per-flow slot per
-// possible source (numNodes is the topology's node count).
-func NewEgressTable(numNodes int) *EgressTable {
+// possible source (edges is the topology's count of host-facing
+// switches).
+func NewEgressTable(edges int) *EgressTable {
 	return &EgressTable{
 		perPath: make(map[etKey]*epochCounter),
-		perFlow: make([]epochCounter, numNodes),
+		perFlow: make([]epochCounter, edges),
 	}
 }
 
-// Record counts an arriving packet.
-func (et *EgressTable) Record(src topology.NodeID, path pathid.ID, epoch uint32, size int32) {
+// Record counts an arriving packet from the source of edge ordinal src.
+func (et *EgressTable) Record(src int32, path pathid.ID, epoch uint32, size int32) {
 	k := etKey{src, path}
 	c := et.perPath[k]
 	if c == nil {
@@ -138,12 +140,12 @@ func (et *EgressTable) Record(src topology.NodeID, path pathid.ID, epoch uint32,
 }
 
 // FlowLastEpochCount returns the sink-side count of the flow in epoch-1.
-func (et *EgressTable) FlowLastEpochCount(src topology.NodeID, epoch uint32) uint32 {
+func (et *EgressTable) FlowLastEpochCount(src int32, epoch uint32) uint32 {
 	return et.perFlow[src].lastEpochCount(epoch)
 }
 
 // PathLastEpoch returns the per-path count and bytes for epoch-1.
-func (et *EgressTable) PathLastEpoch(src topology.NodeID, path pathid.ID, epoch uint32) (uint32, uint64) {
+func (et *EgressTable) PathLastEpoch(src int32, path pathid.ID, epoch uint32) (uint32, uint64) {
 	c := et.perPath[etKey{src, path}]
 	if c == nil {
 		return 0, 0

@@ -96,7 +96,7 @@ func bucketOf(t Time) int64 { return int64(t) >> bucketShift }
 // Every wheel and heap event lies in a bucket after base, so cur's head is
 // the least of them; advance, run only when cur is drained, moves base to
 // the earliest of the first marked slot and the heap top's bucket and
-// loads both. next takes the least of cur's and the lanes' heads, so where
+// loads both. nextBy takes the least of cur's and the lanes' heads, so where
 // an event waits never changes when it fires. Events are stored by value
 // in reusable backing slices, so scheduling allocates only on capacity
 // growth.
@@ -304,15 +304,22 @@ func (a *agenda) firstMarked() int64 {
 	return a.base + 1 + (s-start)&wheelMask
 }
 
-func (a *agenda) next() event {
+// nextBy pops the least pending event if it is due by until; otherwise it
+// pops nothing and reports false. One least per event: a stepped Run's
+// horizon check and its pop are the same look. The agenda must not be
+// empty.
+func (a *agenda) nextBy(until Time) (event, bool) {
 	e, l := a.least()
+	if e.at > until {
+		return event{}, false
+	}
 	top := *e
 	*e = event{} // release the packet/closure reference
 	a.n--
 	if l.head++; l.head == len(l.q) {
 		l.q, l.head = l.q[:0], 0
 	}
-	return top
+	return top, true
 }
 
 // popHeap removes the heap's least event.
@@ -347,9 +354,4 @@ func (a *agenda) popHeap() event {
 	}
 	h[i] = last
 	return top
-}
-
-func (a *agenda) peek() Time {
-	e, _ := a.least()
-	return e.at
 }

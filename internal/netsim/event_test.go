@@ -6,12 +6,12 @@ import (
 	"unsafe"
 )
 
-// agendaOp is one step of an agenda script: pop the least event, peek at
-// its time without popping (where a stepped Run stops), or push one of the
-// given kind at the given time — or, with rel, that long after the last
-// pop — stamped by the given unit.
+// agendaOp is one step of an agenda script: pop the least event, stop
+// just short of it (where a stepped Run stops: nextBy pops nothing), or
+// push one of the given kind at the given time — or, with rel, that long
+// after the last pop — stamped by the given unit.
 type agendaOp struct {
-	pop, peek bool
+	pop, stop bool
 	kind      eventKind
 	at        Time
 	rel       bool
@@ -20,8 +20,8 @@ type agendaOp struct {
 
 // runAgendaOps drives a fresh agenda through ops next to a model — the
 // plain list of pending (at, ord) keys — and requires every pop to be the
-// model's minimum, peek to be the next pop's time and the length, emptiness
-// and peak bookkeeping to match. Ords are unique (per-unit counters under
+// model's minimum, nextBy to pop nothing just short of it, and the length,
+// emptiness and peak bookkeeping to match. Ords are unique (per-unit counters under
 // the unit prefix, as Simulator.push stamps them), so the order is total.
 // Whatever is still pending after the script is drained the same way.
 func runAgendaOps(t testing.TB, ops []agendaOp) {
@@ -42,21 +42,22 @@ func runAgendaOps(t testing.TB, ops []agendaOp) {
 		}
 		return m
 	}
-	peek := func(step int) {
-		if at, want := a.peek(), model[least()].at; at != want {
-			t.Fatalf("step %d: peek() = %d, next pop is at %d", step, at, want)
+	stop := func(step int) {
+		at := model[least()].at
+		if got, ok := a.nextBy(at - 1); ok {
+			t.Fatalf("step %d: nextBy(%d) popped an event at %d, next pop is at %d", step, at-1, got.at, at)
 		}
 	}
 	pop := func(step int) {
-		peek(step)
+		stop(step)
 		m := least()
 		want := model[m]
 		model = append(model[:m], model[m+1:]...)
 		now = want.at
-		got := a.next()
-		if got.at != want.at || got.ord != want.ord || got.kind != want.kind {
-			t.Fatalf("step %d: popped (at=%d ord=%#x kind=%d), want (at=%d ord=%#x kind=%d)",
-				step, got.at, got.ord, got.kind, want.at, want.ord, want.kind)
+		got, ok := a.nextBy(want.at)
+		if !ok || got.at != want.at || got.ord != want.ord || got.kind != want.kind {
+			t.Fatalf("step %d: popped %v (at=%d ord=%#x kind=%d), want (at=%d ord=%#x kind=%d)",
+				step, ok, got.at, got.ord, got.kind, want.at, want.ord, want.kind)
 		}
 	}
 	check := func(step int) {
@@ -69,9 +70,9 @@ func runAgendaOps(t testing.TB, ops []agendaOp) {
 	}
 	for step, op := range ops {
 		switch {
-		case op.peek:
+		case op.stop:
 			if len(model) > 0 {
-				peek(step)
+				stop(step)
 			}
 		case op.pop:
 			if len(model) > 0 {
@@ -110,7 +111,7 @@ var agendaScales = [4]Time{1, 1<<bucketShift/10 + 1, wheelBuckets << bucketShift
 
 // decodeAgendaScript turns fuzz bytes into ops, two bytes per op. In the
 // first, zero low two bits make a pop (one in eight) or, with bit 2 set, a
-// peek (one in eight); otherwise bits 2–4 are the kind, bit 5 makes the
+// stop (one in eight); otherwise bits 2–4 are the kind, bit 5 makes the
 // time relative to the last pop and bits 6–7 pick its scale. The second
 // byte is the unit (high nibble) and the time in scale steps, in [0,16).
 // At scale 0 equal times across units, and lane-kind pushes earlier than
@@ -122,7 +123,7 @@ func decodeAgendaScript(script []byte) []agendaOp {
 		b, c := script[i], script[i+1]
 		ops = append(ops, agendaOp{
 			pop:  b&3 == 0 && b&4 == 0,
-			peek: b&3 == 0 && b&4 != 0,
+			stop: b&3 == 0 && b&4 != 0,
 			kind: eventKind(b>>2&7) % (evStartTx + 1),
 			at:   Time(c&15) * agendaScales[b>>6],
 			rel:  b&32 != 0,
@@ -132,7 +133,7 @@ func decodeAgendaScript(script []byte) []agendaOp {
 	return ops
 }
 
-// FuzzAgendaOrder: any interleaving of pushes, peeks and pops, of any kinds
+// FuzzAgendaOrder: any interleaving of pushes, stops and pops, of any kinds
 // at any times, pops in (at, ord) order. testdata/fuzz/FuzzAgendaOrder
 // holds one script per wheel shape: bucket crossings, far-future closures,
 // pushes before the current bucket, a refill far past a drain, and stepped
@@ -159,7 +160,7 @@ func FuzzAgendaOrder(f *testing.F) {
 // up to ~1,800 events pending, ~1,200 on the wheel and ~500 in the heap,
 // so the heap is several levels deep and the lanes grow, compact and wrap.
 // The lane constant is lowered mid-run; the clock stops at stepped Run
-// horizons (peek, then push from the horizon, before the bucket the peek
+// horizons (stop, then push from the horizon, before the bucket the stop
 // made current); and periodic drains to empty are followed by a refill ten
 // seconds later.
 func TestAgendaOrderProperty(t *testing.T) {
@@ -168,7 +169,7 @@ func TestAgendaOrderProperty(t *testing.T) {
 		script := make([]byte, 2*rng.Intn(400))
 		rng.Read(script)
 		if i%2 == 1 {
-			// Pop or peek at every other op, so the agenda often drains
+			// Pop or stop at every other op, so the agenda often drains
 			// and the next push finds nothing pending off the lanes.
 			for j := 0; j < len(script); j += 4 {
 				script[j] &^= 3
@@ -218,7 +219,7 @@ func TestAgendaOrderProperty(t *testing.T) {
 				for len(pending) > 0 && pending[earliest()] <= horizon {
 					popOne()
 				}
-				ops = append(ops, agendaOp{peek: true})
+				ops = append(ops, agendaOp{stop: true})
 				now = horizon
 			}
 			if len(pending) > target && rng.Intn(3) > 0 {

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"mars/internal/topology"
@@ -275,8 +276,11 @@ func (s *Simulator) Stop() { s.stopped = true }
 // Stepping Run(t1), Run(t2), … dispatches exactly what one Run to the last
 // horizon would.
 func (s *Simulator) Run(until Time) Time {
-	for !s.stopped && !s.agenda.empty() && s.agenda.peek() <= until {
-		e := s.agenda.next()
+	for !s.stopped && !s.agenda.empty() {
+		e, ok := s.agenda.nextBy(until)
+		if !ok {
+			break
+		}
 		s.now = e.at
 		s.events++
 		s.dispatch(e)
@@ -290,7 +294,7 @@ func (s *Simulator) Run(until Time) Time {
 // RunAll processes events until the agenda empties.
 func (s *Simulator) RunAll() Time {
 	for !s.stopped && !s.agenda.empty() {
-		e := s.agenda.next()
+		e, _ := s.agenda.nextBy(math.MaxInt64)
 		s.now = e.at
 		s.events++
 		s.dispatch(e)

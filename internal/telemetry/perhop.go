@@ -50,10 +50,11 @@ func (c perhopCodec) OnHop(h *dataplane.INTHeader, pktID uint64, sw topology.Nod
 	return PerhopHopBytes
 }
 
-func (perhopCodec) SinkRecord(h *dataplane.INTHeader, r *dataplane.RTRecord) {
+func (perhopCodec) SinkRecord(h *dataplane.INTHeader) any {
 	if st, ok := h.Ext.(*HopStack); ok {
-		r.Ext = st
+		return st
 	}
+	return nil
 }
 
 // Marshal is the paper's header followed by one PerhopHopBytes entry per

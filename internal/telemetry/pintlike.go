@@ -75,11 +75,12 @@ func (c pintlikeCodec) OnHop(h *dataplane.INTHeader, pktID uint64, sw topology.N
 	return 0
 }
 
-func (pintlikeCodec) SinkRecord(h *dataplane.INTHeader, r *dataplane.RTRecord) {
+func (pintlikeCodec) SinkRecord(h *dataplane.INTHeader) any {
 	if hs, ok := h.Ext.(*HopSample); ok {
 		s := *hs
-		r.Ext = &s
+		return &s
 	}
+	return nil
 }
 
 func (pintlikeCodec) Marshal(h *dataplane.INTHeader) []byte {

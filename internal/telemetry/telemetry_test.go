@@ -197,11 +197,10 @@ func TestPerhopStack(t *testing.T) {
 			t.Fatalf("OnHop grew %d bytes, want %d", grow, PerhopHopBytes)
 		}
 	}
-	var rec dataplane.RTRecord
-	c.SinkRecord(h, &rec)
-	st, ok := rec.Ext.(*HopStack)
+	ext := c.SinkRecord(h)
+	st, ok := ext.(*HopStack)
 	if !ok || len(st.Hops) != 3 {
-		t.Fatalf("sink record Ext = %#v, want a 3-hop stack", rec.Ext)
+		t.Fatalf("sink record Ext = %#v, want a 3-hop stack", ext)
 	}
 	if st.Hops[2].Switch != 13 || st.Hops[2].SinceSourceUS != 3000 {
 		t.Errorf("hop 3 = %+v, want switch 13 at 3000µs", st.Hops[2])
