@@ -1,5 +1,5 @@
-// mars-lint runs the repo's determinism & wire-invariant static-analysis
-// suite (internal/analysis). It is stdlib-only and builds offline.
+// mars-lint runs the repo's determinism and hot-path static-analysis suite
+// (internal/analysis). It is stdlib-only and builds offline.
 //
 // Usage:
 //

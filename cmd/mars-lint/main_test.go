@@ -17,7 +17,7 @@ func TestOnlyUnknownName(t *testing.T) {
 	if !strings.Contains(msg, `unknown analyzer "detflw"`) {
 		t.Errorf("stderr %q does not name the bad analyzer", msg)
 	}
-	for _, name := range []string{"detrand", "detflow", "allocfree", "lifecycle", "exhaustcase"} {
+	for _, name := range []string{"detrand", "detflow", "allocfree", "exhaustcase"} {
 		if !strings.Contains(msg, name) {
 			t.Errorf("stderr %q does not list valid analyzer %q", msg, name)
 		}
@@ -36,10 +36,10 @@ func TestListOutput(t *testing.T) {
 		t.Errorf("-list output diverges from AnalyzerList()")
 	}
 	lines := strings.Split(strings.TrimRight(text, "\n"), "\n")
-	if len(lines) != 8 {
-		t.Errorf("-list printed %d analyzers, want 8:\n%s", len(lines), text)
+	if len(lines) != 6 {
+		t.Errorf("-list printed %d analyzers, want 6:\n%s", len(lines), text)
 	}
-	for _, want := range []string{"detflow", "allocfree", "lifecycle", "exhaustcase", "suppress with //mars:partial"} {
+	for _, want := range []string{"detflow", "allocfree", "exhaustcase", "suppress with //mars:partial"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("-list output missing %q", want)
 		}

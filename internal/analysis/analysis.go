@@ -1,6 +1,6 @@
 // Package analysis is mars-lint's static-analysis engine: a stdlib-only
 // (go/parser + go/ast + go/types) framework plus the repo-specific
-// analyzers that machine-check MARS's determinism and wire invariants.
+// analyzers that machine-check MARS's determinism and hot-path invariants.
 // Nothing here imports outside the standard library, so the suite builds
 // and runs offline.
 //
@@ -15,8 +15,6 @@
 //     (suppress: //mars:mapiter-ok)
 //   - seedflow:  rand.NewSource arguments derive from config/seed
 //     parameters, never literals (suppress: //mars:fixedseed)
-//   - wirewidth: encode/decode symmetry and field-width accounting for
-//     the wire formats in wire.go (11-byte telemetry payload)
 package analysis
 
 import (
@@ -98,17 +96,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Col:      position.Column,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// TypeOf is a nil-safe shorthand for the package's type information.
-func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Pkg.Info.TypeOf(e) }
-
-// ObjectOf resolves an identifier to its object (nil if unknown).
-func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
-	if o := p.Pkg.Info.ObjectOf(id); o != nil {
-		return o
-	}
-	return nil
 }
 
 // Suppressed reports whether pos's line or the line directly above carries
@@ -197,8 +184,8 @@ func (p *ModulePass) DirectiveNear(pos token.Pos, name string) (reason string, o
 // All returns the full suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Detrand, Mapiter, Seedflow, Wirewidth,
-		Detflow, Allocfree, Lifecycle, Exhaustcase,
+		Detrand, Mapiter, Seedflow,
+		Detflow, Allocfree, Exhaustcase,
 	}
 }
 

@@ -15,9 +15,9 @@ import (
 // conservative — interface calls fan out to every implementer, calls
 // through function values fan out to every address-taken function of
 // compatible arity — because the analyzers on top of it (detflow,
-// allocfree, lifecycle) prove *absence* properties: "nothing reachable
-// from the event loop reads the wall clock", "nothing reachable from the
-// packet hooks allocates". Over-approximating reachability keeps those
+// allocfree) prove *absence* properties: "nothing reachable from the
+// event loop reads the wall clock", "nothing reachable from the packet
+// hooks allocates". Over-approximating reachability keeps those
 // proofs sound; the cost is a suppression comment at the rare
 // intentionally-nondeterministic site.
 
@@ -38,20 +38,6 @@ const (
 	// elsewhere (stored callbacks, scheduled events).
 	EdgeClosure
 )
-
-func (k EdgeKind) String() string {
-	switch k {
-	case EdgeStatic:
-		return "static"
-	case EdgeIface:
-		return "iface"
-	case EdgeDynamic:
-		return "dynamic"
-	case EdgeClosure:
-		return "closure"
-	}
-	return "?"
-}
 
 // CGEdge is one outgoing call edge.
 type CGEdge struct {
@@ -88,17 +74,6 @@ func (n *CGNode) ShortName() string {
 		return n.qname[i+1:]
 	}
 	return n.qname
-}
-
-// Pos is the declaration (or literal) position.
-func (n *CGNode) Pos() token.Pos {
-	if n.Decl != nil {
-		return n.Decl.Pos()
-	}
-	if n.Lit != nil {
-		return n.Lit.Pos()
-	}
-	return token.NoPos
 }
 
 // CallGraph is the static call graph over one load.

@@ -102,30 +102,9 @@ func matchWants(t *testing.T, diags []Diagnostic, wants []*expectation) {
 func TestDetrandGolden(t *testing.T)     { runGolden(t, Detrand) }
 func TestMapiterGolden(t *testing.T)     { runGolden(t, Mapiter) }
 func TestSeedflowGolden(t *testing.T)    { runGolden(t, Seedflow) }
-func TestWirewidthGolden(t *testing.T)   { runGolden(t, Wirewidth) }
 func TestDetflowGolden(t *testing.T)     { runGolden(t, Detflow) }
 func TestAllocfreeGolden(t *testing.T)   { runGolden(t, Allocfree) }
-func TestLifecycleGolden(t *testing.T)   { runGolden(t, Lifecycle) }
 func TestExhaustcaseGolden(t *testing.T) { runGolden(t, Exhaustcase) }
-
-// TestLifecycleCrossPackage runs lifecycle over a tiny multi-package
-// module, where the out-of-package Apply/Revert rule can actually fire:
-// the driver package calls into the window package's handle type.
-func TestLifecycleCrossPackage(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("testdata", "mod", "lifecyclemod"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := LoadModule(root)
-	if err != nil {
-		t.Fatalf("loading corpus module: %v", err)
-	}
-	var wants []*expectation
-	for _, sub := range []string{"window", "driver"} {
-		wants = append(wants, parseWants(t, filepath.Join(root, sub))...)
-	}
-	matchWants(t, Run(pkgs, []*Analyzer{Lifecycle}), wants)
-}
 
 // loadRepo loads the repository's own module once for every test that
 // analyzes the real tree.
@@ -172,8 +151,6 @@ func TestSuppressionsLoadBearing(t *testing.T) {
 		{"detflow", "harness/harness.go", "goroutine spawned inside the deterministic core"},
 		{"allocfree", "netsim/sim.go", "append (may grow the backing array)"},
 		{"allocfree", "dataplane/program.go", "escaping composite literal"},
-		{"lifecycle", "netsim/sim.go", "acquires a pooled Packet"},
-		{"lifecycle", "faults/faults.go", "never armed, returned, or stored"},
 		{"exhaustcase", "experiments/gray.go", "switch on Kind misses"},
 		{"mapiter", "analysis/analysis.go", "depends on iteration order"},
 	}

@@ -37,6 +37,8 @@ func wireMessages() []Message {
 	entries := []Threshold{
 		{Flow: dataplane.FlowID{Src: 1, Sink: 2}, Value: 700 * netsim.Microsecond},
 		{Flow: dataplane.FlowID{Src: 5, Sink: 2}, Value: 1200 * netsim.Microsecond},
+		// Past 2^32 ns: a threshold field narrowed to 4 bytes loses it.
+		{Flow: dataplane.FlowID{Src: 6, Sink: 2}, Value: 5 * netsim.Second},
 	}
 	return []Message{
 		{Kind: KindNotification, Seq: 1, Switch: 7, Note: note},

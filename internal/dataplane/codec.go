@@ -16,8 +16,9 @@ import (
 //
 // By convention, a type named <name>Codec that declares WireBytes() (or a
 // non-zero HopBytes()) pairs with a Marshal<Name> (or Marshal<Name>Hop)
-// wire function whose fixed array length is that width; the mars-lint
-// wirewidth analyzer enforces the pairing.
+// wire function whose fixed array length is that width;
+// telemetry.TestMarshalLenMatchesDeclared checks every codec's Marshal
+// length against its declared widths.
 type Codec interface {
 	// WireBytes is the fixed header size added at the source switch.
 	WireBytes() int

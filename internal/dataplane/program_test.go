@@ -279,8 +279,10 @@ func TestTelemetryBandwidthAccounting(t *testing.T) {
 	env.sim.Send(0, src, dst, 1, 500)
 	env.sim.RunAll()
 	// One telemetry packet crossing 4 inter-switch links with 1 B PathID +
-	// 11 B INT = 48 bytes.
-	want := int64(4 * (1 + TelemetryHeaderBytes))
+	// 11 B INT (the paper's payload, §4.1) = 48 bytes. A literal, not
+	// 4 * (1 + TelemetryHeaderBytes), so a change to the header width
+	// fails here.
+	want := int64(48)
 	if got := env.prog.Stats.TelemetryLinkBytes; got != want {
 		t.Errorf("telemetry link bytes = %d, want %d", got, want)
 	}

@@ -270,7 +270,6 @@ func (in *Injector) plan(kind Kind, start, dur netsim.Time, rng *rand.Rand, ep *
 		workload.Burst(in.Sim, src, dst, key, pps, start, dur, 1000)
 		// The burst traffic is already on the agenda; there is nothing to
 		// apply later and nothing a revert could unsend.
-		//mars:lifecycle the pre-armed handle exists only so GroundTruth.Handle stays uniform for revert bookkeeping; the shared epilogue below stores it
 		h = &Handle{kind: kind, applied: true}
 
 	case ECMPImbalance:

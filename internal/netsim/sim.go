@@ -394,7 +394,6 @@ func (s *Simulator) Send(t Time, src, dst topology.NodeID, flow FlowKey, size in
 	if size <= 0 {
 		panic("netsim: packet size must be positive")
 	}
-	//mars:lifecycle ownership transfers to the event agenda with the packet; deliver/drop release it at end of life
 	pkt := s.acquirePacket()
 	// Per-unit ID stream, stride-encoded so IDs are globally unique; with
 	// one unit the stride is 1 and IDs run 1, 2, 3, …

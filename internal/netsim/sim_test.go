@@ -129,6 +129,11 @@ func TestTailDropOnFullQueue(t *testing.T) {
 	if s.Stats.Delivered+s.Stats.Dropped != s.Stats.Sent {
 		t.Errorf("conservation: %d + %d != %d", s.Stats.Delivered, s.Stats.Dropped, s.Stats.Sent)
 	}
+	// Every dropped packet goes back to the pool: a drop path that skips
+	// releasePacket leaves them live once the agenda is empty.
+	if live := s.Mem().PacketsLive; live != 0 {
+		t.Errorf("%d packets live after drain (%d dropped), want 0", live, s.Stats.Dropped)
+	}
 }
 
 func TestBlackholeDropsAll(t *testing.T) {

@@ -67,8 +67,9 @@ func TestSampledTravelsAsThePaperHeader(t *testing.T) {
 }
 
 // TestMarshalLenMatchesDeclared checks every registered codec's Marshal
-// length against its declared WireBytes/HopBytes — the runtime face of
-// the invariant mars-lint's wirewidth codec check pins statically.
+// length against its declared WireBytes/HopBytes, so a codec cannot
+// promise one wire width to the simulator's byte accounting while its
+// marshaller emits another.
 func TestMarshalLenMatchesDeclared(t *testing.T) {
 	for _, name := range Names() {
 		c, err := New(name, 42)

@@ -12,12 +12,13 @@ import (
 // Wire forms. mars11, sampled and the perhop base header travel as
 // dataplane.MarshalINT's 11 bytes; the two layouts stated here are the
 // ones that extend it. Like dataplane/wire.go, each is a
-// Marshal<X>/Unmarshal<X> pair over an [N]byte array so the mars-lint
-// wirewidth analyzer can verify field symmetry, and N is the codec's
-// declared WireBytes() (or HopBytes() for the per-hop entry), which the
-// analyzer's codec check pins. pintlike restates the base fields instead
-// of copying MarshalINT's bytes into place because the analyzer tiles
-// byte spans and would read a copy-composed form as a hole.
+// Marshal<X>/Unmarshal<X> pair over an [N]byte array, and N is the codec's
+// declared WireBytes() (or HopBytes() for the per-hop entry). pintlike
+// restates the base fields instead of copying MarshalINT's bytes into
+// place, so its whole layout reads in one function. FuzzPintlikeRoundTrip
+// and FuzzPerhopRoundTrip check that each pair is symmetric, and
+// TestMarshalLenMatchesDeclared that every codec's Marshal length is its
+// declared width.
 
 // Declared wire sizes.
 const (
