@@ -244,6 +244,18 @@ func TestAgendaOrderProperty(t *testing.T) {
 	}
 }
 
+// TestPortBytesCoversPortRuntime: Mem charges portBytes per switch port
+// and runtimeBytes per node, so neither may fall below the structs it
+// stands for.
+func TestPortBytesCoversPortRuntime(t *testing.T) {
+	if sz := unsafe.Sizeof(portRuntime{}); portBytes < sz {
+		t.Fatalf("portBytes = %d, sizeof(portRuntime) = %d", portBytes, sz)
+	}
+	if sz := unsafe.Sizeof(switchRuntime{}) + unsafe.Sizeof(hostWiring{}); runtimeBytes < sz {
+		t.Fatalf("runtimeBytes = %d, sizeof(switchRuntime) + sizeof(hostWiring) = %d", runtimeBytes, sz)
+	}
+}
+
 // TestEventBytesCoversEvent: Mem charges eventBytes per agenda slot, so it
 // must not fall below the struct it stands for; and the wheel's slab link
 // must fit in the event's padding, so the wheel makes no event larger.

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"testing"
 
 	"mars/internal/topology"
@@ -60,6 +61,63 @@ func TestSetLinkUpDropsTraversingPackets(t *testing.T) {
 	sim.RunAll()
 	if sim.Stats.Delivered != before+1 {
 		t.Fatal("restored link must deliver again")
+	}
+}
+
+// dropSite is where and why one OnDrop fired.
+type dropSite struct {
+	sw     topology.NodeID
+	port   topology.PortID
+	reason DropReason
+}
+
+type dropSites struct {
+	NopHooks
+	at []dropSite
+}
+
+func (h *dropSites) OnDrop(_ *Simulator, sw topology.NodeID, port topology.PortID, _ *Packet, r DropReason) {
+	h.at = append(h.at, dropSite{sw, port, r})
+}
+
+// TestSetLinkUpDropsAccessLinkBothWays: a lowered access link loses what
+// its host sends as well as what is sent to it. Both losses are link-down
+// drops at the edge switch's access port, and neither packet is counted
+// on the link.
+func TestSetLinkUpDropsAccessLinkBothWays(t *testing.T) {
+	ft, err := topology.NewFatTree(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hooks := &dropSites{}
+	sim := New(ft.Topology, NewECMPRouter(ft.Topology, 7), hooks, DefaultConfig(), 7)
+	host, other := ft.HostIDs[0], ft.HostIDs[len(ft.HostIDs)-1]
+	edge, _ := ft.EdgeSwitchOf(host)
+	port, _ := ft.PortTo(edge, host)
+	link := ft.Node(edge).Ports[port].Link
+	sim.SetLinkUp(link, false)
+	if sim.LinkUp(link) {
+		t.Fatalf("access link %d still up", link)
+	}
+	sim.Send(sim.Now(), host, other, FlowKey(1), 700) // from the host
+	sim.Send(sim.Now(), other, host, FlowKey(2), 700) // to the host
+	sim.RunAll()
+	want := []dropSite{{edge, port, DropLinkDown}, {edge, port, DropLinkDown}}
+	if !slices.Equal(hooks.at, want) {
+		t.Fatalf("drops at %v, want %v", hooks.at, want)
+	}
+	if sim.Stats.Delivered != 0 || sim.Stats.LinkBytes[link] != 0 {
+		t.Fatalf("delivered %d, %d bytes on the downed link", sim.Stats.Delivered, sim.Stats.LinkBytes[link])
+	}
+	sim.SetLinkUp(link, true)
+	sim.Send(sim.Now(), host, other, FlowKey(3), 700)
+	sim.Send(sim.Now(), other, host, FlowKey(4), 700)
+	sim.RunAll()
+	if sim.Stats.Delivered != 2 || len(hooks.at) != 2 {
+		t.Fatalf("restored access link: delivered %d, %d drops", sim.Stats.Delivered, len(hooks.at))
+	}
+	if d := sim.Stats.LinkDirBytes[link]; d[0] == 0 || d[1] == 0 {
+		t.Fatalf("restored access link carried %v by direction, want both", d)
 	}
 }
 

@@ -122,14 +122,18 @@ type MemEstimate struct {
 // at 64 so EXPERIMENTS.md's KB figures stay comparable across PRs.
 const eventBytes = 64
 
+// portBytes is what Mem charges per switch port: an upper bound on
+// sizeof(portRuntime) (80 with its wiring); runtimeBytes is its charge per
+// node, an upper bound on a switchRuntime and a hostWiring together (48).
+const (
+	portBytes    = 80
+	runtimeBytes = 48
+)
+
 // Mem computes the estimate. Cold path: it walks the packet pool and every
 // port queue.
 func (s *Simulator) Mem() MemEstimate {
-	const (
-		packetBytes  = 80
-		portBytes    = 80
-		runtimeBytes = 48
-	)
+	const packetBytes = 80
 	m := MemEstimate{
 		AgendaLen:     s.agenda.len(),
 		AgendaPeak:    s.agenda.peak,

@@ -89,7 +89,10 @@ func DefaultConfig() Config {
 	}
 }
 
-// portRuntime is the mutable state of one switch egress port.
+// portRuntime is one switch egress port: its wiring, copied from the
+// topology at construction so the event loop never walks the graph, and
+// its mutable state. The fields are ordered largest first, so the wiring
+// costs the struct 8 bytes.
 type portRuntime struct {
 	// queue[qhead:] holds the waiting packets. Dequeue advances qhead
 	// instead of re-slicing so the backing array is reused; enqueue
@@ -97,16 +100,24 @@ type portRuntime struct {
 	// steady-state enqueue path allocation-free.
 	queue []*Packet
 	qhead int
-	busy  bool
 	// nextFreeAt enforces the process-rate-decrease fault: the earliest
 	// time the next transmission may start.
 	nextFreeAt Time
 
 	// Fault state:
 	dropProb     float64 // random loss probability per enqueue
-	blackhole    bool    // drop everything
-	down         bool    // attached link is administratively/physically down
 	rateLimitPPS float64 // max departures per second; 0 = unlimited
+
+	// Wiring: the topology.Port this runtime stands for.
+	peer     topology.NodeID
+	peerPort topology.PortID
+	link     topology.LinkID
+
+	busy      bool
+	blackhole bool  // drop everything
+	down      bool  // attached link is administratively/physically down
+	peerHost  bool  // peer is a host: serialize at the host-link rate, deliver on arrival
+	dir       uint8 // Stats.LinkDirBytes index of this port's transmit direction
 }
 
 // qlen is the number of packets waiting in the queue (excluding any
@@ -125,6 +136,14 @@ type switchRuntime struct {
 	ports     []portRuntime
 	procExtra Time // switch-level Delay fault
 	down      bool // switch is rebooting: every arriving packet is lost
+}
+
+// hostWiring is a host's access link as its edge switch sees it: the
+// switch a packet the host sends arrives at, and the port it arrives on.
+// edge is -1 for a node that is not a host or has no edge switch.
+type hostWiring struct {
+	edge topology.NodeID
+	port topology.PortID
 }
 
 // Stats aggregates run-level counters.
@@ -181,7 +200,9 @@ type Simulator struct {
 	agenda   agenda
 	now      Time
 	switches []switchRuntime
-	stopped  bool
+	// hosts is indexed by NodeID like switches.
+	hosts   []hostWiring
+	stopped bool
 	// events counts dispatched events (Run and RunAll alike).
 	events int64
 	// unitOf maps NodeID -> partition unit (shared with the Partition,
@@ -236,9 +257,24 @@ func newSimulator(topo *topology.Topology, part *topology.Partition, router Rout
 	s.Stats.LinkBytes = make([]int64, len(topo.Links))
 	s.Stats.LinkDirBytes = make([][2]int64, len(topo.Links))
 	s.switches = make([]switchRuntime, len(topo.Nodes))
+	s.hosts = make([]hostWiring, len(topo.Nodes))
 	for i := range topo.Nodes {
+		id := topology.NodeID(i)
 		if topo.Nodes[i].Kind == topology.KindSwitch {
-			s.switches[i].ports = make([]portRuntime, len(topo.Nodes[i].Ports))
+			ports := make([]portRuntime, len(topo.Nodes[i].Ports))
+			for p, tp := range topo.Nodes[i].Ports {
+				ports[p].peer, ports[p].peerPort, ports[p].link = tp.Peer, tp.PeerPort, tp.Link
+				ports[p].peerHost = topo.IsHost(tp.Peer)
+				if topo.Links[tp.Link].A != id {
+					ports[p].dir = 1
+				}
+			}
+			s.switches[i].ports = ports
+		}
+		s.hosts[i].edge = -1
+		if edge, ok := topo.EdgeSwitchOf(id); ok {
+			port, _ := topo.PortTo(edge, id)
+			s.hosts[i] = hostWiring{edge: edge, port: port}
 		}
 	}
 	return s
@@ -324,20 +360,27 @@ func (s *Simulator) enter(n topology.NodeID) { s.cur = &s.units[s.unitOf[n]] }
 // state it touches: packet events run as the unit of the switch (or, for a
 // propagation, the peer) they operate on, and evFunc closures stay with the
 // unit that scheduled them, recovered from the ord stamp. Packet events
-// resolve their port operands against the immutable topology at fire time,
-// so the agenda never carries more than (node, port, packet).
+// resolve their port operands against the port's wiring at fire time, so
+// the agenda never carries more than (node, port, packet).
 func (s *Simulator) dispatch(e event) {
 	switch e.kind {
 	case evFunc:
 		s.cur = &s.units[e.ord>>unitShift]
 		e.fn()
 	case evHostArrive:
-		s.enter(topology.NodeID(e.a))
-		src := e.pkt.Src
-		hostLink := s.Topo.Node(src).Ports[0].Link
-		s.Stats.LinkBytes[hostLink] += int64(e.pkt.WireSize())
-		s.countDir(hostLink, src, e.pkt.WireSize())
-		s.arriveAtSwitch(topology.NodeID(e.a), topology.PortID(e.b), e.pkt)
+		sw, in := topology.NodeID(e.a), topology.PortID(e.b)
+		s.enter(sw)
+		pr := &s.switches[sw].ports[in]
+		if pr.down {
+			// The access link is down: what the host sent is lost on it.
+			s.drop(sw, in, e.pkt, DropLinkDown)
+			return
+		}
+		// The host transmits the other way from the edge switch's port.
+		n := int64(e.pkt.WireSize())
+		s.Stats.LinkBytes[pr.link] += n
+		s.Stats.LinkDirBytes[pr.link][pr.dir^1] += n
+		s.arriveAtSwitch(sw, in, e.pkt)
 	case evProcArrive:
 		s.enter(topology.NodeID(e.a))
 		s.processAtSwitch(topology.NodeID(e.a), topology.PortID(e.b), e.pkt)
@@ -348,12 +391,12 @@ func (s *Simulator) dispatch(e event) {
 		s.enter(topology.NodeID(e.a))
 		s.txDone(topology.NodeID(e.a), topology.PortID(e.b), e.pkt)
 	case evPropagate:
-		port := s.Topo.Node(topology.NodeID(e.a)).Ports[e.b]
-		s.enter(port.Peer)
-		if s.Topo.IsHost(port.Peer) {
-			s.deliver(port.Peer, e.pkt)
+		pr := &s.switches[e.a].ports[e.b]
+		s.enter(pr.peer)
+		if pr.peerHost {
+			s.deliver(pr.peer, e.pkt)
 		} else {
-			s.arriveAtSwitch(port.Peer, port.PeerPort, e.pkt)
+			s.arriveAtSwitch(pr.peer, pr.peerPort, e.pkt)
 		}
 	case evStartTx:
 		s.enter(topology.NodeID(e.a))
@@ -406,18 +449,17 @@ func (s *Simulator) Send(t Time, src, dst topology.NodeID, flow FlowKey, size in
 	pkt.Size = size
 	pkt.SendTime = t
 	s.Stats.Sent++
-	edge, ok := s.Topo.EdgeSwitchOf(src)
-	if !ok {
+	access := s.hosts[src]
+	if access.edge < 0 {
 		panic(fmt.Sprintf("netsim: host %d has no edge switch", src))
 	}
-	inPort, _ := s.Topo.PortTo(edge, src)
 	// Host NIC: ideal serialization onto the access link.
 	tx := s.txTimeHost(pkt.WireSize())
 	at := t + tx + s.Cfg.PropDelay
 	if at < s.now {
 		at = s.now
 	}
-	s.push(&event{at: at, kind: evHostArrive, a: int32(edge), b: int32(inPort), pkt: pkt})
+	s.push(&event{at: at, kind: evHostArrive, a: int32(access.edge), b: int32(access.port), pkt: pkt})
 	return pkt
 }
 
@@ -546,9 +588,8 @@ func (s *Simulator) startTransmitNow(sw topology.NodeID, outPort topology.PortID
 		pr.qhead = 0
 	}
 
-	port := s.Topo.Node(sw).Ports[outPort]
 	var tx Time
-	if s.Topo.IsHost(port.Peer) {
+	if pr.peerHost {
 		tx = s.txTimeHost(pkt.WireSize())
 	} else {
 		tx = s.txTime(pkt.WireSize())
@@ -565,22 +606,13 @@ func (s *Simulator) startTransmitNow(sw topology.NodeID, outPort topology.PortID
 // txDone completes one serialization: account the link bytes, schedule the
 // propagation to the peer, then keep the transmitter going.
 func (s *Simulator) txDone(sw topology.NodeID, outPort topology.PortID, pkt *Packet) {
-	port := s.Topo.Node(sw).Ports[outPort]
-	s.Stats.LinkBytes[port.Link] += int64(pkt.WireSize())
-	s.countDir(port.Link, sw, pkt.WireSize())
+	pr := &s.switches[sw].ports[outPort]
+	n := int64(pkt.WireSize())
+	s.Stats.LinkBytes[pr.link] += n
+	s.Stats.LinkDirBytes[pr.link][pr.dir] += n
 	//mars:alloc TestNetsimStepAllocs push copies the event into the agenda array; the literal never outlives the call and stays on the stack
 	s.push(&event{at: s.now + s.Cfg.PropDelay, kind: evPropagate, a: int32(sw), b: int32(outPort), pkt: pkt})
 	s.startTransmit(sw, outPort)
-}
-
-// countDir attributes bytes to the link direction whose transmitter is
-// `from`.
-func (s *Simulator) countDir(link topology.LinkID, from topology.NodeID, n int32) {
-	if s.Topo.Links[link].A == from {
-		s.Stats.LinkDirBytes[link][0] += int64(n)
-	} else {
-		s.Stats.LinkDirBytes[link][1] += int64(n)
-	}
 }
 
 func (s *Simulator) deliver(host topology.NodeID, pkt *Packet) {
@@ -647,9 +679,11 @@ func (s *Simulator) SwitchExtraDelay(sw topology.NodeID) Time {
 // allocations (see hotpath_allocs_test.go).
 
 // SetLinkUp raises or lowers a link. A lowered link drops every packet that
-// tries to cross it, in both directions, at the moment the sender's egress
-// pipeline reaches it. Packets already serialized onto the wire complete
-// their propagation (the photons are in flight).
+// tries to cross it, in both directions: a switch's at the moment its
+// egress pipeline reaches it, a host's (which has no egress pipeline here)
+// on arrival at its edge switch, charged to the edge's access port.
+// Packets a switch already serialized onto the wire complete their
+// propagation (the photons are in flight).
 func (s *Simulator) SetLinkUp(link topology.LinkID, up bool) {
 	l := s.Topo.Links[link]
 	if s.Topo.IsSwitch(l.A) {

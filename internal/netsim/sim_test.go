@@ -465,6 +465,53 @@ func TestLinkDirBytesSplitDirections(t *testing.T) {
 	}
 }
 
+// TestPortWiringMatchesTopology: every switch port carries the wiring of
+// its topology.Port, and every host's entry names the edge switch and
+// port that the graph gives for it.
+func TestPortWiringMatchesTopology(t *testing.T) {
+	for _, k := range []int{4, 8} {
+		ft, err := topology.NewFatTree(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim := New(ft.Topology, NewECMPRouter(ft.Topology, 1), nil, DefaultConfig(), 1)
+		for i := range ft.Nodes {
+			id := topology.NodeID(i)
+			if ft.IsSwitch(id) {
+				ports := sim.switches[i].ports
+				if len(ports) != len(ft.Nodes[i].Ports) {
+					t.Fatalf("k=%d s%d: %d port runtimes for %d ports", k, id, len(ports), len(ft.Nodes[i].Ports))
+				}
+				for p, tp := range ft.Nodes[i].Ports {
+					pr := &ports[p]
+					l := ft.Links[tp.Link]
+					fromA := l.A == id && l.APort == topology.PortID(p)
+					if pr.peer != tp.Peer || pr.peerPort != tp.PeerPort || pr.link != tp.Link ||
+						pr.peerHost != ft.IsHost(tp.Peer) || (pr.dir == 0) != fromA {
+						t.Fatalf("k=%d s%d port %d: wiring {%d %d %d host=%v dir=%d}, topology %+v (from A %v)",
+							k, id, p, pr.peer, pr.peerPort, pr.link, pr.peerHost, pr.dir, tp, fromA)
+					}
+				}
+				if sim.hosts[i].edge != -1 {
+					t.Fatalf("k=%d switch s%d has a host entry %+v", k, id, sim.hosts[i])
+				}
+				continue
+			}
+			edge, ok := ft.EdgeSwitchOf(id)
+			port, _ := ft.PortTo(edge, id)
+			if !ok || sim.hosts[i] != (hostWiring{edge: edge, port: port}) {
+				t.Fatalf("k=%d host %d: entry %+v, topology edge s%d port %d (ok %v)", k, id, sim.hosts[i], edge, port, ok)
+			}
+			// The host's bytes go on its own link, counted in the
+			// direction opposite to the edge port's.
+			pr := &sim.switches[edge].ports[port]
+			if l := ft.Links[pr.link]; pr.link != ft.Nodes[i].Ports[0].Link || (l.A == id) != (pr.dir^1 == 0) {
+				t.Fatalf("k=%d host %d: edge port link %d dir %d, host link %+v", k, id, pr.link, pr.dir, l)
+			}
+		}
+	}
+}
+
 func TestScaleK6Works(t *testing.T) {
 	// The whole pipeline must run on larger fabrics too.
 	ft, err := topology.NewFatTree(6)

@@ -73,7 +73,7 @@ const HostPort = 0xFFFF
 
 // crc16Table is the byte-at-a-time lookup table for CRC-16/CCITT-FALSE
 // (poly 0x1021, MSB-first), equivalent to the textbook bit loop but 8×
-// fewer iterations per byte on the per-hop fold.
+// fewer iterations per byte.
 var crc16Table = func() [256]uint16 {
 	var t [256]uint16
 	for i := 0; i < 256; i++ {
@@ -104,33 +104,47 @@ func crc16(buf []byte) uint16 {
 	return crc
 }
 
+// stepBytes is the length of Step's hash message: PathID (4), switch ID
+// (4), ingress port (2), egress port (2), control (1).
+const stepBytes = 13
+
+// crc16Pos and crc16Zero split Step's CRC-16 over its fixed 13-byte
+// message into independent lookups. A CRC without its initial value is
+// linear over GF(2), so the CRC of a message is the CRC of as many zero
+// bytes from the initial value (crc16Zero) XOR, for each position i, the
+// zero-initialised CRC of byte b alone at i (crc16Pos[i][b]).
+var crc16Pos, crc16Zero = func() (t [stepBytes][256]uint16, zero uint16) {
+	for i := range t {
+		for b := range t[i] {
+			crc := crc16Update(0, byte(b))
+			for range stepBytes - 1 - i {
+				crc = crc16Update(crc, 0)
+			}
+			t[i][b] = crc
+		}
+	}
+	return t, crc16(make([]byte, stepBytes))
+}()
+
 // Step computes the next PathID after one hop: the data-plane update
 // hash{PathID, switchID, ingressPort, egressPort, control}. It runs per
-// packet per hop; the CRC16 branch folds the 13 message bytes directly
-// into the running CRC so no buffer is materialized (the stack buffer
-// previously escaped through the hash call and was the fold's only
-// allocation).
+// packet per hop; the CRC16 branch is 13 independent table lookups, one
+// per message byte (crc16Pos), like a switch's one-stage hash unit, so no
+// lookup waits on the one before it.
 func Step(cfg Config, cur ID, sw topology.NodeID, in, out uint16, control uint8) ID {
 	var h ID
 	switch cfg.Alg {
 	case CRC16:
-		crc := uint16(0xFFFF)
-		crc = crc16Update(crc, byte(cur>>24))
-		crc = crc16Update(crc, byte(cur>>16))
-		crc = crc16Update(crc, byte(cur>>8))
-		crc = crc16Update(crc, byte(cur))
-		crc = crc16Update(crc, byte(uint32(sw)>>24))
-		crc = crc16Update(crc, byte(uint32(sw)>>16))
-		crc = crc16Update(crc, byte(uint32(sw)>>8))
-		crc = crc16Update(crc, byte(uint32(sw)))
-		crc = crc16Update(crc, byte(in>>8))
-		crc = crc16Update(crc, byte(in))
-		crc = crc16Update(crc, byte(out>>8))
-		crc = crc16Update(crc, byte(out))
-		crc = crc16Update(crc, control)
+		t := &crc16Pos
+		crc := crc16Zero ^
+			t[0][byte(cur>>24)] ^ t[1][byte(cur>>16)] ^ t[2][byte(cur>>8)] ^ t[3][byte(cur)] ^
+			t[4][byte(uint32(sw)>>24)] ^ t[5][byte(uint32(sw)>>16)] ^ t[6][byte(uint32(sw)>>8)] ^ t[7][byte(uint32(sw))] ^
+			t[8][byte(in>>8)] ^ t[9][byte(in)] ^
+			t[10][byte(out>>8)] ^ t[11][byte(out)] ^
+			t[12][control]
 		h = ID(crc)
 	case CRC32:
-		var buf [13]byte
+		var buf [stepBytes]byte
 		buf[0] = byte(cur >> 24)
 		buf[1] = byte(cur >> 16)
 		buf[2] = byte(cur >> 8)
@@ -196,10 +210,10 @@ const MATEntryBytes = 10
 // ("each MAT entry consuming around 7 bytes").
 const IntSightMATEntryBytes = 7
 
-type matKey struct {
-	sw      topology.NodeID
-	cur     ID
-	in, out uint16
+// matKey packs a hop's match fields, everything but the switch, into the
+// key of that switch's MAT. Every field is kept whole, HostPort included.
+func matKey(cur ID, in, out uint16) uint64 {
+	return uint64(cur)<<32 | uint64(in)<<16 | uint64(out)
 }
 
 // Table is the control plane's PathID database: the consensus hash chain,
@@ -209,7 +223,10 @@ type Table struct {
 	Cfg  Config
 	topo *topology.Topology
 
-	entries map[matKey]uint8
+	// mat[sw] is switch sw's MAT: control values by matKey. It is made,
+	// one slot per node, with the first entry, so a table without entries
+	// holds none; a switch may keep an empty map once an entry is withdrawn.
+	mat []map[uint64]uint8
 	// byFinal maps (sink switch, final ID) to the unique path. The paths
 	// are carved from one node slab.
 	byFinal map[finalKey]topology.Path
@@ -314,7 +331,8 @@ type builder struct {
 	// only when a collision is about to read it.
 	walked  map[uint64]struct{}
 	walkedN int
-	// Per-path scratch, reused across inserts.
+	// Per-path scratch, reused across inserts. ports and ids, which every
+	// insert fills, start at the longest path's length and never grow.
 	ports, walkPorts [][2]uint16
 	ids, try         []ID
 }
@@ -323,9 +341,10 @@ type builder struct {
 // into one string, and sizes the table's path maps for all of them. It
 // takes ownership of paths.
 func newBuilder(cfg Config, topo *topology.Topology, paths []topology.Path) *builder {
-	hops := 0
+	hops, longest := 0, 0
 	for _, p := range paths {
 		hops += len(p)
+		longest = max(longest, len(p))
 	}
 	slab := make([]topology.NodeID, 0, hops)
 	keys := make([]byte, 0, 4*hops)
@@ -339,12 +358,13 @@ func newBuilder(cfg Config, topo *topology.Topology, paths []topology.Path) *bui
 		t: &Table{
 			Cfg:     cfg,
 			topo:    topo,
-			entries: make(map[matKey]uint8),
 			byFinal: make(map[finalKey]topology.Path, len(paths)),
 			finalOf: make(map[string]ID, len(paths)),
 		},
 		paths: paths,
 		keys:  string(keys),
+		ports: make([][2]uint16, 0, longest),
+		ids:   make([]ID, 0, longest),
 	}
 }
 
@@ -366,8 +386,7 @@ func (b *builder) build() (*Table, error) {
 func (t *Table) chain(ids []ID, path topology.Path, ports [][2]uint16) []ID {
 	cur := ID(0)
 	for i, sw := range path {
-		ctrl := t.entries[matKey{sw, cur, ports[i][0], ports[i][1]}]
-		cur = Step(t.Cfg, cur, sw, ports[i][0], ports[i][1], ctrl)
+		cur = Step(t.Cfg, cur, sw, ports[i][0], ports[i][1], t.ControlFor(sw, cur, ports[i][0], ports[i][1]))
 		ids = append(ids, cur)
 	}
 	return ids
@@ -397,29 +416,42 @@ func (b *builder) insert(i int, key string) error {
 		if hop > 0 {
 			prev = b.ids[hop-1]
 		}
-		k := matKey{path[hop], prev, b.ports[hop][0], b.ports[hop][1]}
-		if _, taken := t.entries[k]; taken {
+		sw, in, out := path[hop], b.ports[hop][0], b.ports[hop][1]
+		if t.ControlFor(sw, prev, in, out) != 0 {
 			// This hop already disambiguates another path; changing it
 			// would break that path's chain. Move one hop earlier.
 			continue
 		}
-		if _, crossed := b.walked[walkKey(k)]; crossed {
+		if _, crossed := b.walked[walkKey(sw, prev, in, out)]; crossed {
 			// An inserted path's chain crosses this hop with no entry: a
 			// control value here would re-route it. Move one hop earlier.
 			continue
 		}
+		m, k := t.switchMAT(sw), matKey(prev, in, out)
 		for c := uint8(1); c != 0; c++ {
-			t.entries[k] = c
+			m[k] = c
 			b.try = t.chain(b.try[:0], path, b.ports)
 			final := b.try[len(b.try)-1]
 			if _, clash := t.byFinal[finalKey{sink, final}]; !clash {
 				b.record(path, key, final)
 				return nil
 			}
-			delete(t.entries, k)
+			delete(m, k)
 		}
 	}
 	return fmt.Errorf("pathid: cannot disambiguate %v at width %d", path, t.Cfg.Width)
+}
+
+// switchMAT returns sw's MAT, making it (and mat, on the first entry) if
+// sw has none yet.
+func (t *Table) switchMAT(sw topology.NodeID) map[uint64]uint8 {
+	if t.mat == nil {
+		t.mat = make([]map[uint64]uint8, len(t.topo.Nodes))
+	}
+	if t.mat[sw] == nil {
+		t.mat[sw] = make(map[uint64]uint8)
+	}
+	return t.mat[sw]
 }
 
 // record enters path under key with its final ID, both ways.
@@ -445,9 +477,9 @@ func (b *builder) walk(upTo int) error {
 		}
 		prev := ID(0)
 		for h, sw := range p {
-			k := matKey{sw, prev, b.walkPorts[h][0], b.walkPorts[h][1]}
-			b.walked[walkKey(k)] = struct{}{}
-			prev = Step(b.t.Cfg, prev, sw, k.in, k.out, b.t.entries[k])
+			in, out := b.walkPorts[h][0], b.walkPorts[h][1]
+			b.walked[walkKey(sw, prev, in, out)] = struct{}{}
+			prev = Step(b.t.Cfg, prev, sw, in, out, b.t.ControlFor(sw, prev, in, out))
 		}
 	}
 	b.walkedN = upTo
@@ -458,8 +490,8 @@ func (b *builder) walk(upTo int) error {
 // 65,536 and ports below 255 (HostPort packs as 255). Past that two hops
 // may share a key, which can only make insert skip a hop it could have
 // used, never re-route a path.
-func walkKey(k matKey) uint64 {
-	return uint64(k.cur)<<32 | uint64(uint16(k.sw))<<16 | uint64(uint8(k.in))<<8 | uint64(uint8(k.out))
+func walkKey(sw topology.NodeID, cur ID, in, out uint16) uint64 {
+	return uint64(cur)<<32 | uint64(uint16(sw))<<16 | uint64(uint8(in))<<8 | uint64(uint8(out))
 }
 
 // FinalID returns the PathID a packet following path arrives with at the
@@ -476,14 +508,16 @@ func (t *Table) Lookup(sink topology.NodeID, id ID) (topology.Path, bool) {
 }
 
 // ControlFor is the data-plane MAT lookup at one hop: it returns the
-// control value to hash (0 if no entry matches). The empty-table fast
-// path skips the map hash entirely — most configurations need no
-// collision-breaking entries at all.
+// control value to hash (0 if no entry matches). A switch with no entries
+// — most switches, and every switch of most configurations — answers
+// without hashing; the rest hash one uint64.
 func (t *Table) ControlFor(sw topology.NodeID, cur ID, in, out uint16) uint8 {
-	if len(t.entries) == 0 {
-		return 0
+	if uint(sw) < uint(len(t.mat)) {
+		if m := t.mat[sw]; len(m) > 0 {
+			return m[matKey(cur, in, out)]
+		}
 	}
-	return t.entries[matKey{sw, cur, in, out}]
+	return 0
 }
 
 // NumPaths returns the number of distinct paths in the table.
@@ -491,7 +525,13 @@ func (t *Table) NumPaths() int { return len(t.finalOf) }
 
 // MATEntryCount returns the number of collision-breaking entries installed
 // across all switches.
-func (t *Table) MATEntryCount() int { return len(t.entries) }
+func (t *Table) MATEntryCount() int {
+	n := 0
+	for _, m := range t.mat {
+		n += len(m)
+	}
+	return n
+}
 
 // MemoryBytes returns the total switch memory spent on PathID MAT entries
 // under the paper's 10 B/entry estimate.
@@ -499,12 +539,13 @@ func (t *Table) MemoryBytes() int { return t.MATEntryCount() * MATEntryBytes }
 
 // EntriesPerSwitch breaks down entry placement for resource reporting.
 func (t *Table) EntriesPerSwitch() map[topology.NodeID]int {
-	m := make(map[topology.NodeID]int)
-	//mars:mapiter-ok integer counting into a map is order-independent
-	for k := range t.entries {
-		m[k.sw]++
+	per := make(map[topology.NodeID]int)
+	for sw, m := range t.mat {
+		if len(m) > 0 {
+			per[topology.NodeID(sw)] = len(m)
+		}
 	}
-	return m
+	return per
 }
 
 // IntSightMATEntries returns the number of MAT entries IntSight's encoding

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash/crc32"
+	"math/rand"
 	"reflect"
 	"slices"
 	"sort"
@@ -28,6 +30,60 @@ func TestCRC16KnownVector(t *testing.T) {
 	if got := crc16([]byte("123456789")); got != 0x29B1 {
 		t.Errorf("crc16 = %#x, want 0x29b1", got)
 	}
+}
+
+// stepMessage lays out Step's hash message byte by byte: PathID, switch
+// ID, ingress port, egress port (each big-endian), control.
+func stepMessage(cur ID, sw topology.NodeID, in, out uint16, control uint8) []byte {
+	return []byte{
+		byte(cur >> 24), byte(cur >> 16), byte(cur >> 8), byte(cur),
+		byte(uint32(sw) >> 24), byte(uint32(sw) >> 16), byte(uint32(sw) >> 8), byte(uint32(sw)),
+		byte(in >> 8), byte(in), byte(out >> 8), byte(out), control,
+	}
+}
+
+// refStep is Step as the textbook fold: the hash over the message built
+// in a buffer, one byte at a time, then masked to the width.
+func refStep(cfg Config, cur ID, sw topology.NodeID, in, out uint16, control uint8) ID {
+	msg := stepMessage(cur, sw, in, out, control)
+	if cfg.Alg == CRC16 {
+		return ID(crc16(msg)) & cfg.mask()
+	}
+	return ID(crc32.ChecksumIEEE(msg)) & cfg.mask()
+}
+
+// TestStepMatchesByteFold: the positional CRC-16 lookups are the CRC of
+// the 13-byte message, for random IDs and switches, both HostPort
+// sentinels, every control value and every width.
+func TestStepMatchesByteFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ports := []uint16{0, 1, 7, 255, 256, HostPort - 1, HostPort}
+	for width := uint(1); width <= 32; width++ {
+		for _, alg := range []HashAlg{CRC16, CRC32} {
+			cfg := Config{Alg: alg, Width: width}
+			for c := 0; c < 256; c++ {
+				cur, sw := ID(rng.Uint32()), topology.NodeID(rng.Int31())
+				in, out := ports[rng.Intn(len(ports))], ports[rng.Intn(len(ports))]
+				if got, want := Step(cfg, cur, sw, in, out, uint8(c)), refStep(cfg, cur, sw, in, out, uint8(c)); got != want {
+					t.Fatalf("%v/%d Step(%#x, %d, %d, %d, %d) = %#x, byte fold %#x", alg, width, cur, sw, in, out, c, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzStep: Step equals the byte-at-a-time fold for any input.
+func FuzzStep(f *testing.F) {
+	f.Add(uint32(0), int32(0), uint16(HostPort), uint16(1), uint8(0), uint8(8))
+	f.Add(uint32(0xDEADBEEF), int32(1343), uint16(3), uint16(HostPort), uint8(255), uint8(16))
+	f.Fuzz(func(t *testing.T, cur uint32, sw int32, in, out uint16, control, width uint8) {
+		for _, alg := range []HashAlg{CRC16, CRC32} {
+			cfg := Config{Alg: alg, Width: uint(width%32) + 1}
+			if got, want := Step(cfg, ID(cur), topology.NodeID(sw), in, out, control), refStep(cfg, ID(cur), topology.NodeID(sw), in, out, control); got != want {
+				t.Fatalf("%v/%d: Step = %#x, byte fold %#x", alg, cfg.Width, got, want)
+			}
+		}
+	})
 }
 
 func TestStepDeterministicAndWidthMasked(t *testing.T) {
@@ -255,7 +311,7 @@ func TestDuplicatePathsIgnored(t *testing.T) {
 		if err != nil {
 			t.Fatalf("all-pairs given %d times: %v", times, err)
 		}
-		if once.MATEntryCount() == 0 || !reflect.DeepEqual(once.entries, again.entries) || tableDigest(once, all) != tableDigest(again, all) {
+		if once.MATEntryCount() == 0 || !reflect.DeepEqual(matEntries(once), matEntries(again)) || tableDigest(once, all) != tableDigest(again, all) {
 			t.Errorf("all-pairs given %d times built another table: %d vs %d MAT entries", times, again.MATEntryCount(), once.MATEntryCount())
 		}
 	}
@@ -269,6 +325,66 @@ func TestHeaderBytes(t *testing.T) {
 	for _, c := range cases {
 		if got := (Config{Width: c.width}).HeaderBytes(); got != c.want {
 			t.Errorf("HeaderBytes(%d) = %d, want %d", c.width, got, c.want)
+		}
+	}
+}
+
+// matEntries lists a table's MAT entries as a set.
+func matEntries(tbl *Table) map[MATEntry]bool {
+	set := map[MATEntry]bool{}
+	for sw, m := range tbl.mat {
+		//mars:mapiter-ok the entries go into a set
+		for k, c := range m {
+			set[MATEntry{Switch: topology.NodeID(sw), Cur: ID(k >> 32), In: uint16(k >> 16), Out: uint16(k), Control: c}] = true
+		}
+	}
+	return set
+}
+
+// TestControlForMatchesEntries: every installed entry comes back from
+// ControlFor, and a key one field off does not: the current ID ±1, the
+// ports swapped, or HostPort in place of either port.
+func TestControlForMatchesEntries(t *testing.T) {
+	k8, err := topology.NewFatTree(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		ft    *topology.FatTree
+		width uint
+		want  int
+	}{{k4(t), 8, 16}, {k8, 12, 1191}} {
+		tbl, err := BuildTable(Config{Alg: CRC16, Width: tc.width}, tc.ft.Topology, tc.ft.AllEdgePairPaths())
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := matEntries(tbl)
+		if len(entries) != tc.want || tbl.MATEntryCount() != tc.want {
+			t.Fatalf("k=%d at %d bits: %d entries listed, %d counted, want %d", tc.ft.K, tc.width, len(entries), tbl.MATEntryCount(), tc.want)
+		}
+		// control maps each installed hop, Control left zero, to its value;
+		// any other hop must read 0.
+		control := map[MATEntry]uint8{}
+		//mars:mapiter-ok the entries go into a map
+		for e := range entries {
+			c := e.Control
+			e.Control = 0
+			control[e] = c
+		}
+		//mars:mapiter-ok each hop is checked on its own
+		for e := range control {
+			for _, hop := range []MATEntry{
+				e,
+				{Switch: e.Switch, Cur: e.Cur + 1, In: e.In, Out: e.Out},
+				{Switch: e.Switch, Cur: e.Cur - 1, In: e.In, Out: e.Out},
+				{Switch: e.Switch, Cur: e.Cur, In: e.Out, Out: e.In},
+				{Switch: e.Switch, Cur: e.Cur, In: HostPort, Out: e.Out},
+				{Switch: e.Switch, Cur: e.Cur, In: e.In, Out: HostPort},
+			} {
+				if got, want := tbl.ControlFor(hop.Switch, hop.Cur, hop.In, hop.Out), control[hop]; got != want {
+					t.Fatalf("k=%d: ControlFor(%+v) = %d, want %d (near %+v)", tc.ft.K, hop, got, want, e)
+				}
+			}
 		}
 	}
 }
@@ -369,11 +485,11 @@ func TestBuildOrderMatchesStringKeyOrder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("k=%d reference insert: %v", tc.k, err)
 		}
-		if tc.k == 4 && len(want.entries) == 0 {
+		if tc.k == 4 && want.MATEntryCount() == 0 {
 			t.Fatal("k=4 at width 8 installed no MAT entries; the case compares nothing")
 		}
-		if !reflect.DeepEqual(got.entries, want.entries) {
-			t.Errorf("k=%d: MAT entries differ from the string-key build (%d vs %d)", tc.k, len(got.entries), len(want.entries))
+		if !reflect.DeepEqual(matEntries(got), matEntries(want)) {
+			t.Errorf("k=%d: MAT entries differ from the string-key build (%d vs %d)", tc.k, got.MATEntryCount(), want.MATEntryCount())
 		}
 		for _, p := range paths {
 			g, _ := got.FinalID(p)
