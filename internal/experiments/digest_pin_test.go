@@ -25,18 +25,18 @@ import (
 // intentional semantic change to the experiments themselves lands, and
 // then the new values must be justified in the commit.)
 const (
-	pinnedTable1Digest   = "10f2a98004c1a5605aa9300b7072071036cf3173da513e420eaf20804923967e"
-	pinnedCtrlChanDigest = "2f929e2563a9a378fa7b359f5684a3eaab17cf66bc02f05204f25ccee0e4ca4d"
-	pinnedOverheadDigest = "2b44dc7b3c27cd1cb2b71b1d1d730ac8fce8617fc6dd3db5caa14cd3a723a808"
+	pinnedTable1Digest   = "31c016848c28c536acf5831d72faa8e63f1d7dc80b5d651b47d7415cd29f285a"
+	pinnedCtrlChanDigest = "322d12b8d42a4e7772b038cef848c3dcc944d8c9ebded21cfb5acd2571d68acc"
+	pinnedOverheadDigest = "5831112979b037a829997380742276627b64cb7fcd27c41d1cb8128c647d35d2"
 )
 
 // Pins of the remaining sweep-based drivers, captured at the commit before
 // they moved onto the shared sweep (same pinTrials/pinSeed, same rule:
 // fix the code, do not re-pin).
 const (
-	pinnedGrayDigest          = "0d8acd4ee0a8760fd4b43a53602f7eb6bf23e52fe5da07eb5dc3b1372f881c18"
+	pinnedGrayDigest          = "5a803da9ce0e8b69460b9f2c0dd730b05f6ba14d20a013b0f7b060d0dec02ebf"
 	pinnedFig9Digest          = "a6fc891e532d2eb6725b65846114f528084117a66f48824b2a7e5fb6bc1452bc"
-	pinnedAblationCauseDigest = "7b50244818b6cf8a7ab918ba510dc2f20ffbd272b22913d13a1f48406ff134d5"
+	pinnedAblationCauseDigest = "c1393b1c8bb60b7522012f5b5ec4c207b524a2ad5314e7eee873b40a41b9dac5"
 )
 
 // Pin of the streaming tier (same rule: fix the code, do not re-pin).

@@ -81,7 +81,9 @@ func sharedBurst(tb testing.TB, f *fixture) []dataplane.RTRecord {
 // classification, the same affected set and the same culprit lists, on
 // every fixture of weighted_test.go, on the inputs that single out one layer
 // of the index each, and on those that reach every entry of both signature
-// chains.
+// chains. Whatever notification started a collection, Analyze ranks exactly
+// what AnalyzeWindow ranks over the same records: the trigger kind never
+// reaches the analysis.
 func TestIndexMatchesPerRecordOracle(t *testing.T) {
 	f := newFixture(t)
 	type input struct {
@@ -164,8 +166,7 @@ func TestIndexMatchesPerRecordOracle(t *testing.T) {
 	for _, in := range inputs {
 		for _, an := range analyzers {
 			a, name := an.a, in.name+"/"+an.name
-			ev := evidence{records: in.records, now: in.now}
-			ix, ref := a.index(ev), a.refIndex(ev)
+			ix, ref := a.index(in.records, in.now), a.refIndex(in.records)
 			if !reflect.DeepEqual(ix.over, ref.over) || ix.overRecords != ref.overRecords {
 				t.Errorf("%s: classification diverges: %d over, reference %d", name, ix.overRecords, ref.overRecords)
 			}
@@ -175,7 +176,7 @@ func TestIndexMatchesPerRecordOracle(t *testing.T) {
 					affected[ix.flowIDs[n]] = true
 				}
 			}
-			if want := a.refDropAffectedFlows(ev); !reflect.DeepEqual(affected, want) {
+			if want := a.refDropAffectedFlows(in.records, in.now); !reflect.DeepEqual(affected, want) {
 				t.Errorf("%s: affected flows %v, reference %v", name, affected, want)
 			}
 			// Record i's row decodes to the per-record path, and each row's
@@ -216,10 +217,13 @@ func TestIndexMatchesPerRecordOracle(t *testing.T) {
 				triggers = append(triggers, dataplane.Notification{Kind: dataplane.NotifyDrop, Flow: in.records[len(in.records)-1].Flow})
 			}
 			for _, trig := range triggers {
-				d := controlplane.Diagnosis{Trigger: trig, Time: in.now, Records: in.records}
+				d := controlplane.Diagnosis{Trigger: trig, Time: in.now, Records: in.records, Requested: 4, MissingSinks: []topology.NodeID{f.ft.EdgeIDs[7]}}
 				got, want := a.Analyze(d), a.refAnalyze(d)
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: Analyze(%v trigger on %v)\n got %v\nwant %v", name, trig.Kind, trig.Flow, got, want)
+				}
+				if window := a.AnalyzeWindow(d.Records, d.Time, d.Coverage()*d.ReconstructionConfidence()); !reflect.DeepEqual(got, window) {
+					t.Errorf("%s: the %v trigger on %v changes the ranking\n Analyze       %v\n AnalyzeWindow %v", name, trig.Kind, trig.Flow, got, window)
 				}
 				for _, c := range got {
 					seen[c.Cause] = true
@@ -262,12 +266,7 @@ func TestThresholdOfOncePerFlow(t *testing.T) {
 	a := New(DefaultConfig(), f.table, thr)
 	a.AnalyzeWindow(recs, 400*netsim.Millisecond, 1)
 	if !reflect.DeepEqual(thr.calls, want) {
-		t.Errorf("AnalyzeWindow: ThresholdOf calls %v, want one per flow in first-appearance order %v", thr.calls, want)
-	}
-	thr.calls = nil
-	a.Analyze(controlplane.Diagnosis{Trigger: dataplane.Notification{Kind: dataplane.NotifyDrop, Flow: recs[0].Flow}, Records: recs})
-	if !reflect.DeepEqual(thr.calls, want) {
-		t.Errorf("Analyze: ThresholdOf calls %v, want %v", thr.calls, want)
+		t.Errorf("ThresholdOf calls %v, want one per flow in first-appearance order %v", thr.calls, want)
 	}
 }
 
@@ -290,7 +289,7 @@ func TestQuietWindowNeverDecodes(t *testing.T) {
 		t.Fatalf("healthy window produced culprits: %v", got)
 	}
 	// AnalyzeWindow's two views, on an index the test can look into.
-	ix := a.index(evidence{records: quiet, now: 400 * netsim.Millisecond})
+	ix := a.index(quiet, 400*netsim.Millisecond)
 	if lat, affected := a.analyzeLatency(ix), a.dropAffectedFlows(ix); lat != nil || slices.Contains(affected, true) {
 		t.Fatalf("healthy window: latency view %v, affected flows %v", lat, affected)
 	}
@@ -298,7 +297,7 @@ func TestQuietWindowNeverDecodes(t *testing.T) {
 		t.Error("a healthy window built the estimate: every path was decoded for nothing")
 	}
 
-	ix = a.index(evidence{records: lossWindow(t, f, 9), now: 400 * netsim.Millisecond})
+	ix = a.index(lossWindow(t, f, 9), 400*netsim.Millisecond)
 	lat := a.analyzeLatency(ix)
 	if len(lat) == 0 || ix.pathOf == nil {
 		t.Fatalf("latency view of the loss window: %d culprits, rows built: %v", len(lat), ix.pathOf != nil)
@@ -358,7 +357,7 @@ func TestDropEvidenceMemoryBoundedByRecords(t *testing.T) {
 	}
 	// And the aggregation itself: each (flow, epoch) counted once, so the
 	// flow lost 2 x 30 packets whichever epochs they were.
-	if got := a.dropAffectedFlows(a.index(evidence{records: window(math.MaxUint32), now: 400 * netsim.Millisecond})); len(got) != 1 || !got[0] {
+	if got := a.dropAffectedFlows(a.index(window(math.MaxUint32), 400*netsim.Millisecond)); len(got) != 1 || !got[0] {
 		t.Errorf("affected = %v, want the one flow", got)
 	}
 }
@@ -429,7 +428,7 @@ func TestMinesOneSequencePerPath(t *testing.T) {
 		}
 		return len(distinct), sum
 	}
-	ix := a.index(evidence{records: recs, now: now})
+	ix := a.index(recs, now)
 	affected := a.dropAffectedFlows(ix)
 	latRows, latSum := expect(func(i int) bool { return ix.over[i] })
 	dropRows, dropSum := expect(func(i int) bool { return affected[ix.flowOf[i]] })
@@ -472,7 +471,7 @@ func TestEpochTableKeepsMapSemantics(t *testing.T) {
 		mk(light, 5, 25, 18, 1, 0), // epoch 5 again: larger source count
 		mk(light, 7, 12, 28, 1, 0), // epoch 7 again: larger sink count
 	}
-	ix := a.index(evidence{records: recs, now: 800 * netsim.Millisecond})
+	ix := a.index(recs, 800*netsim.Millisecond)
 	a.signatureData(ix)
 	fs := &ix.stats[0]
 	if want := []epochStat{{2, 0, 0, true}, {5, 25, 24, false}, {7, 30, 28, false}}; !reflect.DeepEqual(fs.epochs, want) {
@@ -554,51 +553,33 @@ func TestSignatureDataBoundedOnHostileFrame(t *testing.T) {
 // Analyzer runs the weighted_test.go scenarios, the hostile frame, an empty
 // window and the scenarios again in reverse — each a different size and
 // shape from the one before — and every result must equal a fresh
-// Analyzer's on the same input, through either entry point.
+// Analyzer's on the same input.
 func TestAnalyzerReuseCarriesNothing(t *testing.T) {
 	f := newFixture(t)
 	const now = 500 * netsim.Millisecond
 	type input struct {
 		name    string
 		records []dataplane.RTRecord
-		trigger dataplane.Notification
 	}
 	var forward []input
 	for _, sc := range scenarios(t, f) {
-		trigger := dataplane.Notification{Kind: dataplane.NotifyHighLatency}
-		if sc.drop {
-			trigger = dataplane.Notification{Kind: dataplane.NotifyDrop, Flow: sc.records[0].Flow}
-		}
-		forward = append(forward, input{sc.name, sc.records, trigger})
+		forward = append(forward, input{sc.name, sc.records})
 	}
 	backward := slices.Clone(forward)
 	slices.Reverse(backward)
-	inputs := slices.Concat(forward, []input{
-		{"hostile-frame", hostileFrame(t, f), dataplane.Notification{Kind: dataplane.NotifyHighLatency}},
-		{"empty", nil, dataplane.Notification{Kind: dataplane.NotifyDrop}},
-	}, backward)
-	for _, entry := range []struct {
-		name string
-		run  func(*Analyzer, input) []Culprit
-	}{
-		{"Analyze", func(a *Analyzer, in input) []Culprit {
-			return a.Analyze(controlplane.Diagnosis{Trigger: in.trigger, Time: now, Records: in.records})
-		}},
-		{"AnalyzeWindow", func(a *Analyzer, in input) []Culprit { return a.AnalyzeWindow(in.records, now, 1) }},
-	} {
-		reused := analyzer(f)
-		for i, in := range inputs {
-			got, want := entry.run(reused, in), entry.run(analyzer(f), in)
-			if len(want) == 0 && len(in.records) > 0 {
-				t.Fatalf("%s #%d %s: no culprits; equal empty lists would prove nothing", entry.name, i, in.name)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s #%d %s: a reused Analyzer ranks differently from a fresh one\n got %v\nwant %v", entry.name, i, in.name, got, want)
-			}
+	inputs := slices.Concat(forward, []input{{"hostile-frame", hostileFrame(t, f)}, {"empty", nil}}, backward)
+	reused := analyzer(f)
+	for i, in := range inputs {
+		got, want := reused.AnalyzeWindow(in.records, now, 1), analyzer(f).AnalyzeWindow(in.records, now, 1)
+		if len(want) == 0 && len(in.records) > 0 {
+			t.Fatalf("#%d %s: no culprits; equal empty lists would prove nothing", i, in.name)
 		}
-		// The signatures' per-flow scratch must have been reused too.
-		if w := &reused.work; cap(w.counts) == 0 || cap(w.branches) == 0 {
-			t.Errorf("%s: the inputs never reached the burst counts (cap %d) or the ECMP prefix tree (cap %d)", entry.name, cap(w.counts), cap(w.branches))
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("#%d %s: a reused Analyzer ranks differently from a fresh one\n got %v\nwant %v", i, in.name, got, want)
 		}
+	}
+	// The signatures' per-flow scratch must have been reused too.
+	if w := &reused.work; cap(w.counts) == 0 || cap(w.branches) == 0 {
+		t.Errorf("the inputs never reached the burst counts (cap %d) or the ECMP prefix tree (cap %d)", cap(w.counts), cap(w.branches))
 	}
 }

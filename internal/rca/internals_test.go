@@ -22,28 +22,22 @@ func TestDropAffectedFlowsCancelsDisplacement(t *testing.T) {
 		r.Arrival = netsim.Time(epoch) * 100 * netsim.Millisecond
 		return r
 	}
-	d := evidence{
-		now: 1200 * netsim.Millisecond,
-		records: []dataplane.RTRecord{
-			mk(9, 40, 40),
-			mk(10, 40, 22), // deficit 18
-			mk(11, 40, 58), // surplus 18
-		},
+	displaced := []dataplane.RTRecord{
+		mk(9, 40, 40),
+		mk(10, 40, 22), // deficit 18
+		mk(11, 40, 58), // surplus 18
 	}
-	if got := a.dropAffectedFlows(a.index(d)); slices.Contains(got, true) {
+	if got := a.dropAffectedFlows(a.index(displaced, 1200*netsim.Millisecond)); slices.Contains(got, true) {
 		t.Errorf("displacement flagged as drop: %v", got)
 	}
 
 	// Real loss: sustained deficit accumulates.
-	d2 := evidence{
-		now: 1200 * netsim.Millisecond,
-		records: []dataplane.RTRecord{
-			mk(9, 40, 18),
-			mk(10, 40, 20),
-			mk(11, 40, 22),
-		},
+	lossy := []dataplane.RTRecord{
+		mk(9, 40, 18),
+		mk(10, 40, 20),
+		mk(11, 40, 22),
 	}
-	if got := a.dropAffectedFlows(a.index(d2)); len(got) != 1 || !got[0] {
+	if got := a.dropAffectedFlows(a.index(lossy, 1200*netsim.Millisecond)); len(got) != 1 || !got[0] {
 		t.Errorf("sustained loss not flagged: %v", got)
 	}
 }
@@ -56,11 +50,7 @@ func TestDropAffectedFlowsRecentWindow(t *testing.T) {
 	old := f.record(t, p, 2, okLatency, 40, 1)
 	old.SinkCount = 0 // massive loss, but long ago
 	old.Arrival = 200 * netsim.Millisecond
-	d := evidence{
-		now:     5 * netsim.Second,
-		records: []dataplane.RTRecord{old},
-	}
-	if got := a.dropAffectedFlows(a.index(d)); slices.Contains(got, true) {
+	if got := a.dropAffectedFlows(a.index([]dataplane.RTRecord{old}, 5*netsim.Second)); slices.Contains(got, true) {
 		t.Errorf("stale evidence flagged: %v", got)
 	}
 }
@@ -73,8 +63,7 @@ func TestEpochGapIsDirectDropEvidence(t *testing.T) {
 	r := f.record(t, p, 30, okLatency, 40, 1)
 	r.EpochGap = 5
 	r.Arrival = 3 * netsim.Second
-	d := evidence{now: 3 * netsim.Second, records: []dataplane.RTRecord{r}}
-	if got := a.dropAffectedFlows(a.index(d)); len(got) != 1 || !got[0] {
+	if got := a.dropAffectedFlows(a.index([]dataplane.RTRecord{r}, 3*netsim.Second)); len(got) != 1 || !got[0] {
 		t.Error("epoch gap not treated as drop evidence")
 	}
 }

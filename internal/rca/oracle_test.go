@@ -212,7 +212,7 @@ func (fs *refFlowStats) shared() *flowStats {
 }
 
 type refIndex struct {
-	evidence
+	records     []dataplane.RTRecord
 	entries     []refEntry
 	over        []bool
 	overRecords int
@@ -223,13 +223,13 @@ type refIndex struct {
 	globalMed  float64
 }
 
-func (a *Analyzer) refIndex(ev evidence) *refIndex {
+func (a *Analyzer) refIndex(records []dataplane.RTRecord) *refIndex {
 	ix := &refIndex{
-		evidence: ev,
-		entries:  make([]refEntry, len(ev.records)),
-		over:     make([]bool, len(ev.records)),
+		records: records,
+		entries: make([]refEntry, len(records)),
+		over:    make([]bool, len(records)),
 	}
-	for i, r := range ev.records {
+	for i, r := range records {
 		if a.Thr != nil && r.Latency > a.Thr.ThresholdOf(r.Flow) {
 			ix.over[i] = true
 			ix.overRecords++
@@ -254,19 +254,19 @@ func (a *Analyzer) refDecode(r dataplane.RTRecord) (topology.Path, bool) {
 	return a.Paths.Lookup(r.Flow.Sink, r.PathID)
 }
 
-func (a *Analyzer) refRecent(ev evidence, r dataplane.RTRecord) bool {
-	return a.Cfg.RecentWindow <= 0 || r.Arrival >= ev.now-a.Cfg.RecentWindow
+func (a *Analyzer) refRecent(now netsim.Time, r dataplane.RTRecord) bool {
+	return a.Cfg.RecentWindow <= 0 || r.Arrival >= now-a.Cfg.RecentWindow
 }
 
-func (a *Analyzer) refDropAffectedFlows(ev evidence) map[dataplane.FlowID]bool {
+func (a *Analyzer) refDropAffectedFlows(records []dataplane.RTRecord, now netsim.Time) map[dataplane.FlowID]bool {
 	type agg struct {
 		src, sink uint64
 		gap       bool
 		seen      map[uint32]bool
 	}
 	byFlow := make(map[dataplane.FlowID]*agg)
-	for _, r := range ev.records {
-		if !a.refRecent(ev, r) {
+	for _, r := range records {
+		if !a.refRecent(now, r) {
 			continue
 		}
 		f := byFlow[r.Flow]
@@ -490,9 +490,6 @@ func (a *Analyzer) refAnalyzeLatency(ix *refIndex) []Culprit {
 }
 
 func (a *Analyzer) refAnalyzeDrop(ix *refIndex, affected map[dataplane.FlowID]bool) []Culprit {
-	if ix.dropFlagged {
-		affected[ix.flagged] = true
-	}
 	failing := make([]bool, len(ix.records))
 	for i, r := range ix.records {
 		failing[i] = affected[r.Flow]
@@ -683,30 +680,19 @@ func (a *Analyzer) refClassifyDropCause(sub []topology.NodeID, affected map[data
 }
 
 func (a *Analyzer) refAnalyze(d controlplane.Diagnosis) []Culprit {
-	ev := evidence{records: d.Records, now: d.Time}
-	if d.Trigger.Kind == dataplane.NotifyDrop {
-		ev.dropFlagged, ev.flagged = true, d.Trigger.Flow
-	}
-	ix := a.refIndex(ev)
-	lat := a.refAnalyzeLatency(ix)
-	var affected map[dataplane.FlowID]bool
-	if len(lat) == 0 || ev.dropFlagged || a.Cfg.CompoundCauses {
-		affected = a.refDropAffectedFlows(ev)
-	}
-	out := lat
-	if len(affected) > 0 || (len(lat) > 0 && ev.dropFlagged) {
-		out = combineViews(lat, a.refAnalyzeDrop(ix, affected))
-	}
-	return withConfidence(out, d.Coverage()*d.ReconstructionConfidence())
+	return a.refAnalyzeWindow(d.Records, d.Time, d.Coverage()*d.ReconstructionConfidence())
 }
 
 func (a *Analyzer) refAnalyzeWindow(records []dataplane.RTRecord, now netsim.Time, coverage float64) []Culprit {
-	ev := evidence{records: records, now: now}
-	ix := a.refIndex(ev)
+	ix := a.refIndex(records)
 	out := a.refAnalyzeLatency(ix)
-	if affected := a.refDropAffectedFlows(ev); len(affected) > 0 {
-		if drop := a.refAnalyzeDrop(ix, affected); len(drop) > 0 {
-			out = combineViews(out, drop)
+	if affected := a.refDropAffectedFlows(records, now); len(affected) > 0 {
+		drop := a.refAnalyzeDrop(ix, affected)
+		switch {
+		case len(out) == 0:
+			out = drop
+		case len(drop) > 0:
+			out = MergeRanked([][]Culprit{out, drop})
 		}
 	}
 	if coverage < 0 {

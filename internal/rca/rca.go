@@ -1,6 +1,8 @@
-// Package rca implements MARS's root cause analysis (§4.4): triggered by a
-// data-plane notification, it turns the collected Ring Table snapshot into
-// a ranked list of culprits with causes.
+// Package rca implements MARS's root cause analysis (§4.4): it turns a body
+// of Ring Table records — a collection a data-plane notification started,
+// or a stream window — into a ranked list of culprits with causes. One core
+// (AnalyzeWindow) analyses both; what started the collection does not
+// reach it.
 //
 // Pipeline (§4.4's four parts):
 //  1. classify the sampled telemetry into abnormal/normal sets with the
@@ -161,9 +163,10 @@ type Config struct {
 	RecentWindow netsim.Time
 	// CompoundCauses enables the gray-failure signatures: link-degrade
 	// disambiguation behind ECMP divergence, link-flap intermittency, and
-	// switch-reboot fan-out. Off by default so the paper's five-signature
-	// behavior (and its pinned experiment digests) is unchanged; the gray
-	// experiment flips it on for its compound mode.
+	// switch-reboot fan-out. It admits the signature chains' compound
+	// entries and nothing else: which views run does not depend on it. Off
+	// by default so the paper's five-signature behavior is the baseline;
+	// the gray experiment flips it on for its compound mode.
 	CompoundCauses bool
 }
 
@@ -239,71 +242,42 @@ func New(cfg Config, paths *pathid.Table, thr Thresholds) *Analyzer {
 	return &Analyzer{Cfg: cfg, Paths: paths, Thr: thr, work: workingSet{numbers: make(map[dataplane.FlowID]int32)}}
 }
 
-// Analyze produces the ranked culprit list for one diagnosis. The
-// notification only initiates collection; the diagnosis data itself is
-// self-contained. Per §4.4.4, drops are diagnosed with "another analysis
-// logic": when the latency pipeline explains the anomaly (bursts, slow
-// ports, and delays all manifest as latency first, often with secondary
-// loss), its findings stand; the drop pipeline runs when the incident has
-// drop evidence but no latency explanation — the signature of link
-// failures and blackholes.
+// AnalyzeWindow is the RCA core: it turns one body of records, as of now,
+// into a ranked culprit list. Both views run on the same evidence (§4.4.4):
+// the latency view's findings stand, and sustained loss among the records
+// (dropAffectedFlows) runs the separate drop view, whose culprits are added
+// to the latency ones — or supply the list when latency found nothing —
+// under the cross-diagnosis merge rules. No notification takes part: a
+// switch's single-epoch count comparison false-fires on latency
+// displacement, so only sustained deficits in the records count as loss.
+//
+// coverage in [0,1] is the share of the evidence that reached the analysis
+// — a collection's sink coverage, or a stream window's record coverage
+// after its bounded-memory sampler. It scales every culprit's Confidence,
+// so the cross-diagnosis merge keeps the best-covered support for each
+// culprit.
+func (a *Analyzer) AnalyzeWindow(records []dataplane.RTRecord, now netsim.Time, coverage float64) []Culprit {
+	ix := a.index(records, now)
+	out := a.analyzeLatency(ix)
+	if affected := a.dropAffectedFlows(ix); slices.Contains(affected, true) {
+		// Evidence without a mineable pattern keeps the latency view.
+		if drop := a.analyzeDrop(ix, affected); len(out) == 0 {
+			out = drop
+		} else if len(drop) > 0 {
+			out = MergeRanked([][]Culprit{out, drop})
+		}
+	}
+	return withConfidence(out, min(max(coverage, 0), 1))
+}
+
+// Analyze produces the ranked culprit list for one collected diagnosis: its
+// records as of the collection time, with the collection's sink coverage
+// and the codec's reconstruction confidence as the coverage, so a partial
+// collection or a probabilistic encoding weakens every culprit's Confidence
+// without changing the ranking. The notification only started the
+// collection; its kind does not reach the analysis.
 func (a *Analyzer) Analyze(d controlplane.Diagnosis) []Culprit {
-	ev := evidence{records: d.Records, now: d.Time}
-	if d.Trigger.Kind == dataplane.NotifyDrop {
-		ev.dropFlagged, ev.flagged = true, d.Trigger.Flow
-	}
-	ix := a.index(ev)
-	lat := a.analyzeLatency(ix)
-	// The flows with sustained loss both decide whether the drop view runs
-	// and form its abnormal set. The trigger kind alone is NOT trusted as
-	// evidence: a switch's single-epoch count comparison false-fires on
-	// latency displacement, and only sustained deficits in the collected
-	// data count as loss. With a latency explanation in hand the set is
-	// consulted only when the data plane explicitly flagged loss (report
-	// both views) or in compound mode. Gray failures hide behind latency
-	// noise: a silently lossy link produces small per-flow deficits that
-	// never trip the data plane's drop trigger, while incidental latency
-	// culprits keep the drop pipeline from ever running, so compound mode
-	// always cross-checks cumulative loss evidence and persistent gray loss
-	// accumulates rank across diagnoses even when each one also has a
-	// latency story.
-	var affected []bool
-	if len(lat) == 0 || ev.dropFlagged || a.Cfg.CompoundCauses {
-		affected = a.dropAffectedFlows(ix)
-	}
-	out := lat
-	if slices.Contains(affected, true) || (len(lat) > 0 && ev.dropFlagged) {
-		out = combineViews(lat, a.analyzeDrop(ix, affected))
-	}
-	// Degraded mode: a partial collection (missing sinks) still yields a
-	// ranking, but every culprit carries the data coverage behind it so
-	// the operator — and the merge across diagnoses — can weigh it. The
-	// codec decoder's reconstruction confidence folds in the same way: a
-	// probabilistic or subsampled encoding weakens confidence without
-	// changing the ranking.
-	return withConfidence(out, d.Coverage()*d.ReconstructionConfidence())
-}
-
-// evidence is what the latency and drop pipelines read, whoever gathered
-// it: the records, the time they are as of (the trusted drop-evidence
-// window ends there), and — when a data-plane drop trigger started the
-// collection — the flow that trigger flagged. Analyze fills it from a
-// triggered collection, AnalyzeWindow from a sliding window.
-type evidence struct {
-	records     []dataplane.RTRecord
-	now         netsim.Time
-	dropFlagged bool
-	flagged     dataplane.FlowID
-}
-
-// combineViews folds the latency and drop views of one body of evidence:
-// the drop view alone when latency found nothing, otherwise both merged
-// under the cross-diagnosis rules.
-func combineViews(lat, drop []Culprit) []Culprit {
-	if len(lat) == 0 {
-		return drop
-	}
-	return MergeRanked([][]Culprit{lat, drop})
+	return a.AnalyzeWindow(d.Records, d.Time, d.Coverage()*d.ReconstructionConfidence())
 }
 
 // withConfidence stamps the evidence coverage on every culprit.
@@ -380,15 +354,16 @@ type pathStat struct {
 	pkts, abnormal float64
 }
 
-// index is what one Analyze/AnalyzeWindow derives from its evidence and
-// both views read, in three layers, each built at most once: flows numbered
-// and records classified (index, always); the (flow, path) rows (estimate,
-// for the first view with an abnormal set to mine: a quiet window decodes
-// nothing); the (flow, epoch) rows and the per-flow summaries the signatures
-// match against (signatureData, for the first view with patterns to
-// explain). The first two layers' slices are the Analyzer's workingSet.
+// index is what one analysis derives from its records and both views read,
+// in three layers, each built at most once: flows numbered and records
+// classified (index, always); the (flow, path) rows (estimate, for the first
+// view with an abnormal set to mine: a quiet window decodes nothing); the
+// (flow, epoch) rows and the per-flow summaries the signatures match against
+// (signatureData, for the first view with patterns to explain). The first
+// two layers' slices are the Analyzer's workingSet.
 type index struct {
-	evidence
+	records []dataplane.RTRecord
+	now     netsim.Time // the trusted drop-evidence window ends here
 	// flowOf, over and pathOf run parallel to records. flowOf numbers the
 	// flows densely in first-record order, flowIDs maps the numbers back;
 	// over marks records later than their flow's threshold.
@@ -410,19 +385,20 @@ type index struct {
 // index numbers the flows of the records and classifies each record
 // against its flow's dynamic threshold, asked for once per flow. Its
 // slices are valid until the Analyzer's next index.
-func (a *Analyzer) index(ev evidence) *index {
-	w, n := &a.work, len(ev.records)
+func (a *Analyzer) index(records []dataplane.RTRecord, now netsim.Time) *index {
+	w, n := &a.work, len(records)
 	ix := &index{
-		evidence: ev,
-		flowOf:   slices.Grow(w.flowOf[:0], n)[:n],
-		over:     slices.Grow(w.over[:0], n)[:n],
-		flowIDs:  w.flowIDs[:0],
+		records: records,
+		now:     now,
+		flowOf:  slices.Grow(w.flowOf[:0], n)[:n],
+		over:    slices.Grow(w.over[:0], n)[:n],
+		flowIDs: w.flowIDs[:0],
 	}
 	clear(ix.over)
 	numbers, thresholds := w.numbers, w.thresholds[:0]
 	clear(numbers)
-	for i := range ev.records {
-		r := &ev.records[i]
+	for i := range records {
+		r := &records[i]
 		f, ok := numbers[r.Flow]
 		if !ok {
 			f = int32(len(ix.flowIDs))

@@ -507,15 +507,10 @@ func (a *Analyzer) analyzeLatency(ix *index) []Culprit {
 }
 
 // analyzeDrop is the separate drop-diagnosis logic (§4.4.4 "Drop"): the
-// affected flows (dropAffectedFlows of the index, plus the flow a drop
-// trigger flagged) form the abnormal set, a second SBFL instance ranks the
-// shared locations, and the drop chain assigns their causes.
+// affected flows (dropAffectedFlows of the index) form the abnormal set, a
+// second SBFL instance ranks the shared locations, and the drop chain
+// assigns their causes.
 func (a *Analyzer) analyzeDrop(ix *index, affected []bool) []Culprit {
-	if f := slices.Index(ix.flowIDs, ix.flagged); ix.dropFlagged && f >= 0 {
-		// The flagged flow, if any record is its, joins a copy of the set.
-		affected = slices.Clone(affected)
-		affected[f] = true
-	}
 	patterns, abnormalPkts := a.minePatterns(ix, byFlow(affected))
 	if len(patterns) > 0 {
 		a.signatureData(ix)

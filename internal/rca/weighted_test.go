@@ -13,8 +13,8 @@ import (
 	"mars/internal/topology"
 )
 
-// scenario is one fixture diagnosis: its records and, for the drop view,
-// whether a data-plane drop trigger flagged a flow.
+// scenario is one fixture diagnosis: its records and whether its fault is a
+// loss, whose abnormal set is the drop view's.
 type scenario struct {
 	name    string
 	records []dataplane.RTRecord
@@ -227,7 +227,7 @@ func TestMinePatternsMatchesExpandedOracle(t *testing.T) {
 		return byFlow(affected), failing
 	}
 	for _, sc := range scenarios(t, f) {
-		ix := a.index(evidence{records: sc.records, now: 500 * netsim.Millisecond})
+		ix := a.index(sc.records, 500*netsim.Millisecond)
 		if sc.drop {
 			of, failing := dropView(ix)
 			check(sc.name+"/drop-view", ix, of, failing)
@@ -235,9 +235,9 @@ func TestMinePatternsMatchesExpandedOracle(t *testing.T) {
 			check(sc.name+"/latency-view", ix, byThreshold, ix.over)
 		}
 	}
-	// A drop window: the sliding-window entry point's evidence, no trigger.
+	// A window that is both late and lossy: both views' abnormal sets.
 	window := lossWindow(t, f, 9)
-	ix := a.index(evidence{records: window, now: 400 * netsim.Millisecond})
+	ix := a.index(window, 400*netsim.Millisecond)
 	of, failing := dropView(ix)
 	check("window/drop-view", ix, of, failing)
 	check("window/latency-view", ix, byThreshold, ix.over)
