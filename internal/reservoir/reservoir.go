@@ -286,7 +286,6 @@ func (r *Reservoir) Input(l float64) bool {
 	case PenaltyOff:
 		r.co = 0
 	}
-	alpha := math.Exp(-float64(r.co))
 
 	if len(r.data) < r.cfg.Volume {
 		r.data = append(r.data, l)
@@ -297,6 +296,9 @@ func (r *Reservoir) Input(l float64) bool {
 		r.Accepted++
 		return outlier
 	}
+	// α = exp(−c_o) is read only here: a reservoir still filling admits
+	// every sample.
+	alpha := math.Exp(-float64(r.co))
 	if r.rng.Float64() < alpha*r.cfg.StaticProb {
 		idx := r.rng.Intn(len(r.data))
 		if len(r.sorted) > 0 {

@@ -1,6 +1,7 @@
 package reservoir
 
 import (
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"reflect"
@@ -319,5 +320,59 @@ func TestRefreshScratchReuseStable(t *testing.T) {
 	if r2.Threshold() != t1 || r2.Median() != m1 {
 		t.Fatalf("recomputed stats differ: thr %v vs %v, med %v vs %v",
 			r2.Threshold(), t1, r2.Median(), m1)
+	}
+}
+
+// TestPinnedInputSequence pins Algorithm 1 end to end in every penalty
+// mode: a seeded 10,000-sample sequence of normal latencies broken by
+// outlier runs of random length. The outlier verdicts (folded with
+// FNV-1a), the acceptance counters, the bits of the final θ and the RNG
+// value after the run are the values recorded before α moved into the
+// full-reservoir branch; any change to which draws Input makes, or to the
+// bits it compares, moves one of them.
+func TestPinnedInputSequence(t *testing.T) {
+	type pin struct {
+		outliers           int
+		verdicts           uint64
+		accepted, rejected int64
+		threshold          uint64
+		nextDraw           int64
+	}
+	want := map[PenaltyMode]pin{
+		PenaltyText:    {1833, 0x94b5957433502dba, 4146, 5854, 0x409079794fcfca6b, 6227954901704815788},
+		PenaltyOff:     {1822, 0x9f346771f5d0b1e1, 5006, 4994, 0x4090b8a12dee95ae, 3071881423211951125},
+		PenaltyPrinted: {87, 0x3356785e59be518a, 111, 9889, 0x40d339723ea5382c, 5282546305954615968},
+	}
+	for _, mode := range []PenaltyMode{PenaltyText, PenaltyOff, PenaltyPrinted} {
+		cfg := DefaultConfig()
+		cfg.Volume = 64
+		cfg.Penalty = mode
+		rng := rand.New(rand.NewSource(101))
+		r := New(cfg, rng)
+		in := rand.New(rand.NewSource(202))
+		h := fnv.New64a()
+		var got pin
+		for i, run := 0, 0; i < 10000; i++ {
+			if run == 0 && in.Intn(50) == 0 {
+				run = 1 + in.Intn(20)
+			}
+			l := 1000 + 20*in.NormFloat64()
+			if run > 0 {
+				l, run = 8000+100*in.NormFloat64(), run-1
+			}
+			verdict := byte(0)
+			if r.Input(l) {
+				verdict = 1
+				got.outliers++
+			}
+			h.Write([]byte{verdict})
+		}
+		got.verdicts = h.Sum64()
+		got.accepted, got.rejected = r.Accepted, r.Rejected
+		got.threshold = math.Float64bits(r.Threshold())
+		got.nextDraw = rng.Int63()
+		if got != want[mode] {
+			t.Errorf("%v: got %#v, want %#v", mode, got, want[mode])
+		}
 	}
 }

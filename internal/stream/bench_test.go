@@ -3,6 +3,7 @@ package stream
 import (
 	"testing"
 
+	"mars/internal/dataplane"
 	"mars/internal/netsim"
 	"mars/internal/topology"
 )
@@ -44,6 +45,66 @@ func TestStreamIngestAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state Ingest allocates %.1f/op, want 0", avg)
+	}
+}
+
+// evictingUnit returns a warm unit at DefaultConfig and its feed: 224
+// flows, four times what the unit's budget holds, each active once per
+// epoch in a fixed order, so every record admits its flow and evicts the
+// least recently active one, and the epoch's 224 records overflow its
+// 128-record sample.
+func evictingUnit(tb testing.TB) (*unitState, func() dataplane.RTRecord) {
+	tb.Helper()
+	f := newTestFabric(tb)
+	cfg := DefaultConfig(41)
+	u := newUnitState(&cfg, int(f.part.UnitOf[f.ft.EdgeIDs[0]]), f.table)
+	const flows = 224
+	if held := cfg.BudgetBytes / u.flowCost; flows <= held {
+		tb.Fatalf("%d flows fit the %d-flow budget; the feed must evict", flows, held)
+	}
+	i := 0
+	next := func() dataplane.RTRecord {
+		rec := dataplane.RTRecord{
+			Flow:    dataplane.FlowID{Src: topology.NodeID(i % flows), Sink: f.ft.EdgeIDs[0]},
+			Epoch:   uint32(i / flows),
+			Latency: netsim.Time(1000 + i%97),
+		}
+		i++
+		return rec
+	}
+	for range 4 * flows { // free list, buckets, flow table and heap at size
+		u.ingest(next())
+	}
+	return u, next
+}
+
+// TestStreamEvictingIngestAllocs pins the evicting ingest path at zero
+// allocations per record: eviction, flow-state reuse through the free
+// list and admission must all run allocation-free once warm.
+func TestStreamEvictingIngestAllocs(t *testing.T) {
+	u, next := evictingUnit(t)
+	u.takeEvictions()
+	avg := testing.AllocsPerRun(1000, func() {
+		u.ingest(next())
+	})
+	if avg != 0 {
+		t.Fatalf("evicting ingest allocates %.2f/record, want 0", avg)
+	}
+	if n := u.takeEvictions(); n != 1001 {
+		t.Fatalf("%d evictions over 1001 records, want one per record", n)
+	}
+}
+
+// BenchmarkStreamEvictingIngest measures one record on a warm unit's
+// evicting path (evictingUnit): the ingest cost of a unit whose flows
+// outnumber its budget, which BenchmarkStreamStep's resident flows never
+// reach.
+func BenchmarkStreamEvictingIngest(b *testing.B) {
+	u, next := evictingUnit(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		u.ingest(next())
 	}
 }
 

@@ -26,7 +26,6 @@
 package stream
 
 import (
-	"container/heap"
 	"math"
 	"math/rand"
 	"slices"
@@ -51,7 +50,9 @@ type Config struct {
 	WindowEpochs int
 	// BudgetBytes is the hard per-unit budget for per-flow state. When a
 	// new flow would exceed it, the least-recently-active flow is evicted
-	// (its threshold falls back to the reservoir default on return).
+	// (its threshold falls back to the reservoir default on return). Its
+	// floor is one flow: a unit always holds the flow it is ingesting, so
+	// New raises a smaller budget, zero included, to one flow's cost.
 	BudgetBytes int
 	// EpochSampleCap bounds the records a unit retains per epoch; beyond
 	// it, Algorithm-R reservoir replacement keeps a uniform sample.
@@ -96,6 +97,9 @@ const (
 	// bucket bookkeeping.
 	sampleEntryBytes = 160
 )
+
+// flowStateBytes is the accounted size of one flow's state.
+func flowStateBytes(rc reservoir.Config) int { return rc.Volume*8 + flowStateOverheadBytes }
 
 // WindowResult is one closed window's merged diagnosis.
 type WindowResult struct {
@@ -162,6 +166,9 @@ func New(cfg Config, part *topology.Partition, paths *pathid.Table) *Service {
 	}
 	if cfg.Epoch <= 0 {
 		cfg.Epoch = dataplane.EpochDuration
+	}
+	if fc := flowStateBytes(cfg.Reservoir); cfg.BudgetBytes < fc {
+		cfg.BudgetBytes = fc
 	}
 	if cfg.RCA.EpochDuration <= 0 {
 		cfg.RCA.EpochDuration = cfg.Epoch
@@ -383,7 +390,7 @@ type unitState struct {
 	// evictions accumulates since the last takeEvictions.
 	evictions int64
 	// coldest orders the resident flows for eviction: a min-heap whose
-	// root is the victim.
+	// root, once its key is current, is the victim.
 	coldest evictionHeap
 	// free holds evicted flow states for the next admission to reuse
 	// (reservoir sample slab and refresh scratch included).
@@ -403,41 +410,78 @@ type flowState struct {
 	flow      dataplane.FlowID
 	res       *reservoir.Reservoir
 	lastEpoch uint32
-	// heapIdx is the flow's position in unitState.coldest.
-	heapIdx int
+	// heapEpoch is the flow's key in unitState.coldest: its lastEpoch when
+	// it was last sifted. Epochs only rise, so it never exceeds lastEpoch.
+	heapEpoch uint32
 }
 
-// evictionHeap is a container/heap of the resident flows, least recently
-// active first (ties broken by flow ID): a strict total order, so the root
-// is the one flow a scan of the whole table would pick.
+// evictionHeap is a binary min-heap of the resident flows, least recently
+// active first (ties broken by flow ID): a strict total order. Keys are
+// lazy — ingest raises a flow's lastEpoch without moving it — so only a
+// root whose key is current is the flow a scan of the whole table would
+// pick (evictColdest).
 type evictionHeap []*flowState
 
-func (h evictionHeap) Len() int { return len(h) }
-func (h evictionHeap) Less(i, j int) bool {
-	a, b := h[i], h[j]
-	if a.lastEpoch != b.lastEpoch {
-		return a.lastEpoch < b.lastEpoch
+// colder orders the heap by (heapEpoch, Src, Sink).
+func colder(a, b *flowState) bool {
+	if a.heapEpoch != b.heapEpoch {
+		return a.heapEpoch < b.heapEpoch
 	}
 	if a.flow.Src != b.flow.Src {
 		return a.flow.Src < b.flow.Src
 	}
 	return a.flow.Sink < b.flow.Sink
 }
-func (h evictionHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heapIdx, h[j].heapIdx = i, j
-}
-func (h *evictionHeap) Push(x any) {
-	fs := x.(*flowState)
-	fs.heapIdx = len(*h)
+
+func (h *evictionHeap) push(fs *flowState) {
 	*h = append(*h, fs)
+	h.up(len(*h) - 1)
 }
-func (h *evictionHeap) Pop() any {
+
+// pop removes and returns the root.
+func (h *evictionHeap) pop() *flowState {
 	old := *h
-	fs := old[len(old)-1]
-	old[len(old)-1] = nil
-	*h = old[:len(old)-1]
-	return fs
+	n := len(old) - 1
+	root := old[0]
+	old[0] = old[n]
+	old[n] = nil
+	*h = old[:n]
+	if n > 0 {
+		h.down(0)
+	}
+	return root
+}
+
+func (h evictionHeap) up(i int) {
+	fs := h[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !colder(fs, h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = fs
+}
+
+func (h evictionHeap) down(i int) {
+	fs := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && colder(h[r], h[c]) {
+			c = r
+		}
+		if !colder(h[c], fs) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = fs
 }
 
 type bucket struct {
@@ -452,7 +496,7 @@ func newUnitState(cfg *Config, unit int, paths *pathid.Table) *unitState {
 		unit:     unit,
 		rng:      rand.New(rand.NewSource(cfg.Seed ^ int64(uint64(unit+1)*0x9e3779b97f4a7c15))),
 		flows:    make(map[dataplane.FlowID]*flowState),
-		flowCost: cfg.Reservoir.Volume*8 + flowStateOverheadBytes,
+		flowCost: flowStateBytes(cfg.Reservoir),
 		ring:     make([]*bucket, cfg.WindowEpochs+2),
 	}
 	for i := range u.ring {
@@ -487,12 +531,11 @@ func (u *unitState) slot(ep uint32) *bucket {
 func (u *unitState) ingest(rec dataplane.RTRecord) ingestKind {
 	fs := u.flows[rec.Flow]
 	if fs == nil {
-		fs = u.admitFlow(rec.Flow)
+		fs = u.admitFlow(rec.Flow, rec.Epoch)
 	}
 	fs.res.Input(float64(rec.Latency))
 	if rec.Epoch > fs.lastEpoch {
-		fs.lastEpoch = rec.Epoch
-		heap.Fix(&u.coldest, fs.heapIdx)
+		fs.lastEpoch = rec.Epoch // the heap key catches up in evictColdest
 	}
 
 	b := u.slot(rec.Epoch)
@@ -533,10 +576,11 @@ func (u *unitState) room(b *bucket) []dataplane.RTRecord {
 	return slices.Grow(e, min(want, u.cfg.EpochSampleCap)-len(e))
 }
 
-// admitFlow creates flow state under the byte budget, evicting the
-// least-recently-active flows first.
-func (u *unitState) admitFlow(flow dataplane.FlowID) *flowState {
-	for u.flowBytes+u.flowCost > u.cfg.BudgetBytes && len(u.flows) > 0 {
+// admitFlow creates flow state active at epoch under the byte budget,
+// evicting the least-recently-active flows first. The budget holds at
+// least one flow (New), so an empty table always has room.
+func (u *unitState) admitFlow(flow dataplane.FlowID, epoch uint32) *flowState {
+	for u.flowBytes+u.flowCost > u.cfg.BudgetBytes {
 		u.evictColdest()
 	}
 	var fs *flowState
@@ -545,20 +589,28 @@ func (u *unitState) admitFlow(flow dataplane.FlowID) *flowState {
 		// from the RNG, so reuse cannot reach the output.
 		fs, u.free = u.free[n-1], u.free[:n-1]
 		fs.res.Reset()
-		fs.flow, fs.lastEpoch = flow, 0
+		fs.flow = flow
 	} else {
 		fs = &flowState{flow: flow, res: reservoir.New(u.cfg.Reservoir, u.rng)}
 	}
+	fs.lastEpoch, fs.heapEpoch = epoch, epoch
 	u.flows[flow] = fs
-	heap.Push(&u.coldest, fs)
+	u.coldest.push(fs)
 	u.flowBytes += u.flowCost
 	return fs
 }
 
 // evictColdest removes the least-recently-active flow (ties broken by
 // flow ID), so eviction order is a pure function of the ingest sequence.
+// No heap key is above its flow's true key, so once the root's key is
+// current the root's true key is at most every other flow's: it is the
+// victim. A stale root takes its current key and sinks first.
 func (u *unitState) evictColdest() {
-	victim := heap.Pop(&u.coldest).(*flowState)
+	for root := u.coldest[0]; root.heapEpoch < root.lastEpoch; root = u.coldest[0] {
+		root.heapEpoch = root.lastEpoch
+		u.coldest.down(0)
+	}
+	victim := u.coldest.pop()
 	delete(u.flows, victim.flow)
 	u.free = append(u.free, victim)
 	u.flowBytes -= u.flowCost

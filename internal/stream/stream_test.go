@@ -152,6 +152,43 @@ func TestStreamBudgetBound(t *testing.T) {
 	}
 }
 
+// A budget below one flow's cost is the one-flow budget: the unit holds
+// only the flow it is ingesting, its accounted state never exceeds one
+// flow, and the whole observable surface equals the run at exactly one
+// flow's cost.
+func TestStreamBudgetBelowOneFlow(t *testing.T) {
+	f := newTestFabric(t)
+	dst := f.ft.EdgeIDs[0]
+	unit := int(f.part.UnitOf[dst])
+	paths := f.pathsInto(t, dst)
+	flowCost := DefaultConfig(0).Reservoir.Volume*8 + flowStateOverheadBytes
+	run := func(budget int) string {
+		cfg := DefaultConfig(9)
+		cfg.BudgetBytes = budget
+		s := New(cfg, f.part, f.table)
+		for e := uint32(0); e < 6; e++ {
+			for _, p := range paths {
+				s.Ingest(f.rec(t, p, e, netsim.Millisecond, 0))
+				if got := s.FlowBytes(unit); got != flowCost {
+					t.Fatalf("budget %d, epoch %d: flow bytes %d, want one flow's %d", budget, e, got, flowCost)
+				}
+			}
+			s.CloseEpoch(e)
+		}
+		s.Finish()
+		if v, _ := s.Metrics().Get("flows_evicted"); v < int64(6*len(paths)-1) {
+			t.Fatalf("budget %d: %d evictions, want every admission after the first to evict", budget, v)
+		}
+		return snapshotOf(s)
+	}
+	want := run(flowCost)
+	for _, budget := range []int{0, flowCost - 1} {
+		if got := run(budget); got != want {
+			t.Errorf("budget %d differs from the one-flow budget:\n%s\nwant:\n%s", budget, got, want)
+		}
+	}
+}
+
 // One ingest sequence, any worker count: the whole observable surface
 // (windows, culprits, merged list, metrics) must be byte-identical.
 func TestStreamWorkerInvariance(t *testing.T) {
