@@ -68,15 +68,16 @@ var allocEnvelope = map[string]bool{
 // //mars:alloc suppression may cite. TestAllocfreeGuardRegistry pins this
 // set against the Test*Allocs functions actually present in the repo.
 var allocGuards = map[string]bool{
-	"TestNetsimStepAllocs":           true,
-	"TestPerHopFoldAllocs":           true,
-	"TestPromoteAllocs":              true,
-	"TestSinkRecordAllocs":           true,
-	"TestProgramSteadyStateAllocs":   true,
-	"TestTelemetrySinkAllocs":        true,
-	"TestShardedStepAllocs":          true,
-	"TestStreamIngestAllocs":         true,
-	"TestStreamEvictingIngestAllocs": true,
+	"TestNetsimStepAllocs":               true,
+	"TestPerHopFoldAllocs":               true,
+	"TestPromoteAllocs":                  true,
+	"TestSinkRecordAllocs":               true,
+	"TestProgramSteadyStateAllocs":       true,
+	"TestTelemetrySinkAllocs":            true,
+	"TestShardedStepAllocs":              true,
+	"TestStreamIngestAllocs":             true,
+	"TestStreamEvictingIngestAllocs":     true,
+	"TestAnalyzeWindowSteadyStateAllocs": true,
 }
 
 // AllocGuardTests returns the registered guard-test names, sorted.

@@ -22,16 +22,17 @@
 // the database with each sequence repeated Weights[i] times, at a cost
 // that does not depend on the weights.
 //
-// Counting: PrefixSpan and GSP count the frequent 1-items in a table
-// indexed by item (frequentItems), not a hash map. Items are switch IDs, so
+// Counting: PrefixSpan counts items in a table indexed by item, not a hash
+// map, and GSP takes its frequent 1-items from it. Items are switch IDs, so
 // the table's span is bounded by the topology's node count, and a count
-// costs O(items + span).
+// costs O(items + span). The tables and projections are reused from one
+// Mine to the next: a warm Mine allocates only the patterns it returns.
 package fsm
 
 import (
+	"cmp"
 	"fmt"
-	"math"
-	"sort"
+	"slices"
 
 	"mars/internal/det"
 )
@@ -170,58 +171,13 @@ outer:
 }
 
 // sortPatterns orders output deterministically: support descending, then
-// length ascending, then lexicographic items.
+// length ascending, then lexicographic items. A miner reports each pattern
+// once, so the order is strict and total: every sort yields one permutation.
 func sortPatterns(ps []Pattern) []Pattern {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Support != ps[j].Support {
-			return ps[i].Support > ps[j].Support
-		}
-		if len(ps[i].Items) != len(ps[j].Items) {
-			return len(ps[i].Items) < len(ps[j].Items)
-		}
-		a, b := ps[i].Items, ps[j].Items
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
+	slices.SortFunc(ps, func(a, b Pattern) int {
+		return cmp.Or(cmp.Compare(b.Support, a.Support), cmp.Compare(len(a.Items), len(b.Items)), slices.Compare(a.Items, b.Items))
 	})
 	return ps
-}
-
-// frequentItems returns items meeting minSup with their supports,
-// ascending by item. sup and last are indexed by item − lo; last holds the
-// index + 1 of the latest sequence to count the item, so a sequence counts
-// it once however often it repeats it.
-func frequentItems(db Dataset, p Params, minSup int) []Pattern {
-	lo, hi := Item(math.MaxInt32), Item(math.MinInt32)
-	for _, seq := range db {
-		for _, it := range seq {
-			lo, hi = min(lo, it), max(hi, it)
-		}
-	}
-	if lo > hi {
-		return nil
-	}
-	span := int(hi) - int(lo) + 1
-	sup, last := make([]int, span), make([]int32, span)
-	for si, seq := range db {
-		w, mark := p.weight(si), int32(si+1)
-		for _, it := range seq {
-			if i := int(it) - int(lo); last[i] != mark {
-				last[i] = mark
-				sup[i] += w
-			}
-		}
-	}
-	var out []Pattern
-	for i, s := range sup {
-		if s >= minSup {
-			out = append(out, Pattern{Items: []Item{lo + Item(i)}, Support: s})
-		}
-	}
-	return out
 }
 
 // NaiveMiner enumerates every distinct substring up to MaxLen and counts

@@ -8,7 +8,9 @@ import "mars/internal/det"
 // Apriori property, then counted with a database scan. Its repeated full
 // scans make it the slowest algorithm on MARS's workload, matching its
 // position in Fig. 11.
-type GSP struct{}
+type GSP struct {
+	items PrefixSpan // counts level 1
+}
 
 // NewGSP returns a GSP miner.
 func NewGSP() *GSP { return &GSP{} }
@@ -17,11 +19,11 @@ func NewGSP() *GSP { return &GSP{} }
 func (*GSP) Name() string { return "GSP" }
 
 // Mine implements Miner.
-func (*GSP) Mine(db Dataset, p Params) []Pattern {
+func (g *GSP) Mine(db Dataset, p Params) []Pattern {
 	minSup := p.minSupport(len(db))
 	maxLen := p.maxLen()
 
-	level := frequentItems(db, p, minSup)
+	level := g.items.Mine(db, Params{MinRelSupport: p.MinRelSupport, MaxLen: 1, Weights: p.Weights})
 	out := append([]Pattern{}, level...)
 
 	for k := 2; k <= maxLen && len(level) > 0; k++ {

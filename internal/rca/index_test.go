@@ -480,7 +480,7 @@ func TestEpochTableKeepsMapSemantics(t *testing.T) {
 	if peak, base, counted := fs.peakAndBaseline(new([]float64)); peak != 30 || base != 25 || counted != 2 {
 		t.Errorf("peak, baseline, counted epochs = %d, %v, %d; want 30, 25, 2", peak, base, counted)
 	}
-	if got := globalMedianEpochCount(ix.stats); got != 27.5 {
+	if got := globalMedianEpochCount(ix.stats, new([]float64)); got != 27.5 {
 		t.Errorf("network-wide median rate = %v, want 27.5 over the two counted epochs", got)
 	}
 	// Epoch 2 makes the flow present two epochs into its sink's window, not
@@ -553,7 +553,9 @@ func TestSignatureDataBoundedOnHostileFrame(t *testing.T) {
 // Analyzer runs the weighted_test.go scenarios, the hostile frame, an empty
 // window and the scenarios again in reverse — each a different size and
 // shape from the one before — and every result must equal a fresh
-// Analyzer's on the same input.
+// Analyzer's on the same input. Its thresholds alternate between two
+// sources from one input to the next, as a stream worker's analyzer serves
+// one unit after another.
 func TestAnalyzerReuseCarriesNothing(t *testing.T) {
 	f := newFixture(t)
 	const now = 500 * netsim.Millisecond
@@ -568,9 +570,19 @@ func TestAnalyzerReuseCarriesNothing(t *testing.T) {
 	backward := slices.Clone(forward)
 	slices.Reverse(backward)
 	inputs := slices.Concat(forward, []input{{"hostile-frame", hostileFrame(t, f)}, {"empty", nil}}, backward)
+	// The second source flags every record of a flow from an even source
+	// switch, the healthy ones too.
+	sources := []Thresholds{fixedThr(10 * netsim.Millisecond), ThresholdFunc(func(flow dataplane.FlowID) netsim.Time {
+		if flow.Src%2 == 0 {
+			return netsim.Millisecond
+		}
+		return 10 * netsim.Millisecond
+	})}
 	reused := analyzer(f)
 	for i, in := range inputs {
-		got, want := reused.AnalyzeWindow(in.records, now, 1), analyzer(f).AnalyzeWindow(in.records, now, 1)
+		thr := sources[i%len(sources)]
+		reused.Thr = thr
+		got, want := reused.AnalyzeWindow(in.records, now, 1), New(DefaultConfig(), f.table, thr).AnalyzeWindow(in.records, now, 1)
 		if len(want) == 0 && len(in.records) > 0 {
 			t.Fatalf("#%d %s: no culprits; equal empty lists would prove nothing", i, in.name)
 		}
@@ -578,8 +590,17 @@ func TestAnalyzerReuseCarriesNothing(t *testing.T) {
 			t.Errorf("#%d %s: a reused Analyzer ranks differently from a fresh one\n got %v\nwant %v", i, in.name, got, want)
 		}
 	}
-	// The signatures' per-flow scratch must have been reused too.
-	if w := &reused.work; cap(w.counts) == 0 || cap(w.branches) == 0 {
-		t.Errorf("the inputs never reached the burst counts (cap %d) or the ECMP prefix tree (cap %d)", cap(w.counts), cap(w.branches))
+	// Every part of the working set must have been reused too.
+	w := &reused.work
+	for name, c := range map[string]int{
+		"burst counts": cap(w.counts), "ECMP prefix tree": cap(w.branches),
+		"drop sums": cap(w.drops), "affected flows": cap(w.affected),
+		"flow summaries": cap(w.stats), "flow order": cap(w.flows), "epoch cursor": cap(w.at),
+		"epoch rows": cap(w.rows), "flow paths": cap(w.flowPaths), "sink ranges": len(w.sinkRanges),
+		"scored patterns": cap(w.scored), "pattern switches": cap(w.subs), "walked culprits": cap(w.culprits),
+	} { //mars:mapiter-ok each entry is checked on its own
+		if c == 0 {
+			t.Errorf("the inputs never reached the %s", name)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package rca
 
 import (
+	"slices"
 	"sort"
 
 	"mars/internal/controlplane"
@@ -33,6 +34,23 @@ import (
 type refEntry struct {
 	path   topology.Path // nil when the record's PathID does not decode
 	weight int
+}
+
+// lessPath orders switch sequences lexicographically.
+func lessPath(a, b []topology.NodeID) bool { return slices.Compare(a, b) < 0 }
+
+// refCollectSinkRanges computes the covered epoch window per sink switch.
+func refCollectSinkRanges(records []dataplane.RTRecord) map[topology.NodeID]*sinkEpochRange {
+	out := make(map[topology.NodeID]*sinkEpochRange)
+	for i := range records {
+		r := &records[i]
+		if sr := out[r.Flow.Sink]; sr != nil {
+			sr.min, sr.max = min(sr.min, r.Epoch), max(sr.max, r.Epoch)
+		} else {
+			out[r.Flow.Sink] = &sinkEpochRange{r.Epoch, r.Epoch}
+		}
+	}
+	return out
 }
 
 // refMinePatterns is minePatterns with one database sequence per failing
@@ -338,7 +356,7 @@ func (a *Analyzer) refSignatureData(ix *refIndex) {
 		}
 	}
 	ix.flows = det.KeysFunc(ix.stats, flowLess)
-	ix.sinkRanges = collectSinkRanges(ix.records)
+	ix.sinkRanges = refCollectSinkRanges(ix.records)
 	ix.globalMed = refGlobalMedianEpochCount(ix.stats)
 }
 
@@ -486,7 +504,7 @@ func (a *Analyzer) refAnalyzeLatency(ix *refIndex) []Culprit {
 		}
 		culprits = append(culprits, c)
 	}
-	return rank(mergeCulprits(culprits))
+	return rank(new(workingSet).mergeCulprits(culprits))
 }
 
 func (a *Analyzer) refAnalyzeDrop(ix *refIndex, affected map[dataplane.FlowID]bool) []Culprit {
@@ -544,7 +562,7 @@ func (a *Analyzer) refAnalyzeDrop(ix *refIndex, affected map[dataplane.FlowID]bo
 		}
 		culprits = append(culprits, c)
 	}
-	return rank(mergeCulprits(culprits))
+	return rank(new(workingSet).mergeCulprits(culprits))
 }
 
 func (a *Analyzer) refDegradedLightBranch(up topology.NodeID, flowPkts map[dataplane.FlowID]float64, stats map[dataplane.FlowID]*refFlowStats) ([]topology.NodeID, bool) {

@@ -21,9 +21,9 @@
 package rca
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"mars/internal/controlplane"
 	"mars/internal/dataplane"
@@ -198,7 +198,8 @@ func (f ThresholdFunc) ThresholdOf(flow dataplane.FlowID) netsim.Time { return f
 
 // Analyzer turns diagnoses into ranked culprit lists. It is not safe for
 // concurrent use: each analysis works in memory the Analyzer keeps for the
-// next one.
+// next one. Thr may change between analyses: nothing passes from one to the
+// next, so one Analyzer can serve several threshold sources in turn.
 type Analyzer struct {
 	Cfg   Config
 	Paths *pathid.Table
@@ -208,11 +209,14 @@ type Analyzer struct {
 }
 
 // workingSet is the memory analyses build their index (index, estimate),
-// mining database (minePatterns) and patterns' evidence (walk) in; each slice grows only when an analysis
-// is larger than any before it. It is working memory, not a cache: an
+// drop sums (dropAffectedFlows), mining database and scored patterns
+// (minePatterns), signature tables (signatureData) and patterns' evidence
+// and culprits (walk) in; each slice grows only when an analysis is larger
+// than any before it. It is working memory, not a cache: an
 // analysis writes every element before it reads it, so nothing passes from
 // one analysis to the next (TestAnalyzerReuseCarriesNothing).
 type workingSet struct {
+	ix             index
 	flowOf, pathOf []int32
 	over           []bool
 	numbers        map[dataplane.FlowID]int32
@@ -224,8 +228,21 @@ type workingSet struct {
 	weights        []int
 	slab           fsm.Sequence
 	pattern        patternEvidence
-	counts         []float64 // isBursty's epoch counts, one flow at a time
+	counts         []float64 // a median's epoch counts: every flow's, then one flow's at a time
 	branches       []branch  // imbalancedSplits' prefix tree, one flow at a time
+	drops          []flowDrop
+	affected       []bool
+	scored         []scoredPattern // a view's, with their switches in subs
+	subs           []topology.NodeID
+	culprits       []Culprit // a view's, before they merge
+	merge          map[mergeKey]int
+	ports          []int // mergeCulprits' port culprits, by index
+	collapsed      []bool
+	stats          []flowStats
+	flows, at      []int32
+	rows           []epochStat
+	flowPaths      []pathStat
+	sinkRanges     map[topology.NodeID]sinkEpochRange
 }
 
 // New creates an analyzer. paths decompresses PathIDs; thr classifies.
@@ -239,7 +256,8 @@ func New(cfg Config, paths *pathid.Table, thr Thresholds) *Analyzer {
 	if cfg.EpochDuration <= 0 {
 		cfg.EpochDuration = dataplane.EpochDuration
 	}
-	return &Analyzer{Cfg: cfg, Paths: paths, Thr: thr, work: workingSet{numbers: make(map[dataplane.FlowID]int32)}}
+	w := workingSet{numbers: make(map[dataplane.FlowID]int32), sinkRanges: make(map[topology.NodeID]sinkEpochRange)}
+	return &Analyzer{Cfg: cfg, Paths: paths, Thr: thr, work: w}
 }
 
 // AnalyzeWindow is the RCA core: it turns one body of records, as of now,
@@ -308,11 +326,9 @@ func (a *Analyzer) dropMargin(sourceCount uint32) uint32 {
 // epoch, surplus the next, cancelling), while real loss accumulates. Epoch
 // gaps (missing telemetry packets) count as direct evidence.
 func (a *Analyzer) dropAffectedFlows(ix *index) []bool {
-	type agg struct {
-		src, sink uint64
-		gap       bool
-	}
-	byFlow, counted := make([]agg, len(ix.flowIDs)), ix.emptySet()
+	w, n := &a.work, len(ix.flowIDs)
+	byFlow, counted := slices.Grow(w.drops[:0], n)[:n], ix.emptySet()
+	clear(byFlow)
 	for i := range ix.records {
 		r := &ix.records[i]
 		if a.Cfg.RecentWindow > 0 && r.Arrival < ix.now-a.Cfg.RecentWindow {
@@ -329,11 +345,18 @@ func (a *Analyzer) dropAffectedFlows(ix *index) []bool {
 			f.sink += uint64(r.SinkCount)
 		}
 	}
-	affected := make([]bool, len(byFlow))
+	affected := slices.Grow(w.affected[:0], n)[:n]
 	for n, f := range byFlow {
 		affected[n] = f.gap || f.src > f.sink+uint64(a.dropMargin(uint32(min(f.src, 1<<31))))
 	}
+	w.drops, w.affected = byFlow, affected
 	return affected
+}
+
+// flowDrop is one flow's summed epoch counts and whether it has a gap.
+type flowDrop struct {
+	src, sink uint64
+	gap       bool
 }
 
 // pathStat is one (flow, path) row of the evidence: every record of one flow
@@ -378,16 +401,17 @@ type index struct {
 
 	stats      []flowStats // by flow number
 	flows      []int32     // the flow numbers in flowLess order
-	sinkRanges map[topology.NodeID]*sinkEpochRange
+	sinkRanges map[topology.NodeID]sinkEpochRange
 	globalMed  float64
 }
 
 // index numbers the flows of the records and classifies each record
-// against its flow's dynamic threshold, asked for once per flow. Its
+// against its flow's dynamic threshold, asked for once per flow. It and its
 // slices are valid until the Analyzer's next index.
 func (a *Analyzer) index(records []dataplane.RTRecord, now netsim.Time) *index {
 	w, n := &a.work, len(records)
-	ix := &index{
+	ix := &w.ix
+	*ix = index{
 		records: records,
 		now:     now,
 		flowOf:  slices.Grow(w.flowOf[:0], n)[:n],
@@ -561,12 +585,18 @@ func (a *Analyzer) minePatterns(ix *index, of split) ([]scoredPattern, float64) 
 		MaxLen:        a.Cfg.MaxPatternLen,
 		Weights:       weights,
 	})
-	out := make([]scoredPattern, 0, len(patterns))
+	// The culprits copy the switches they keep (walk).
+	items := 0
 	for _, pat := range patterns {
-		sub := make([]topology.NodeID, len(pat.Items))
-		for i, it := range pat.Items {
-			sub[i] = topology.NodeID(it)
+		items += len(pat.Items)
+	}
+	out, subs := slices.Grow(w.scored[:0], len(patterns)), slices.Grow(w.subs[:0], items)
+	for _, pat := range patterns {
+		from := len(subs)
+		for _, it := range pat.Items {
+			subs = append(subs, topology.NodeID(it))
 		}
+		sub := subs[from:len(subs):len(subs)]
 		// The spectrum in packets: every count is a sum of integer
 		// weights, so it equals the count over the expanded packets.
 		var npf, nps int
@@ -589,15 +619,11 @@ func (a *Analyzer) minePatterns(ix *index, of split) ([]scoredPattern, float64) 
 			npf:   spec.Npf,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].score != out[j].score {
-			return out[i].score > out[j].score
-		}
-		// Longer (more specific) patterns first among ties, then by ID.
-		if len(out[i].sub) != len(out[j].sub) {
-			return len(out[i].sub) > len(out[j].sub)
-		}
-		return lessPath(out[i].sub, out[j].sub)
+	w.scored, w.subs = out, subs
+	// Longer (more specific) patterns first among equal scores, then by ID:
+	// patterns are unique, so every sort yields this one permutation.
+	slices.SortFunc(out, func(a, b scoredPattern) int {
+		return cmp.Or(cmp.Compare(b.score, a.score), cmp.Compare(len(b.sub), len(a.sub)), slices.Compare(a.sub, b.sub))
 	})
 	return out, float64(failPkts)
 }
@@ -608,22 +634,13 @@ type scoredPattern struct {
 	npf   float64 // abnormal packets covering the pattern
 }
 
-func lessPath(a, b []topology.NodeID) bool { return slices.Compare(a, b) < 0 }
-
 // rank finalizes a culprit list: sort by score descending with
-// deterministic tie-breaking.
+// deterministic tie-breaking. Culprits of distinct merge identities differ
+// in location, cause, level or flow, so every sort yields one permutation.
 func rank(cs []Culprit) []Culprit {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Score != cs[j].Score {
-			return cs[i].Score > cs[j].Score
-		}
-		if len(cs[i].Location) != len(cs[j].Location) {
-			return len(cs[i].Location) > len(cs[j].Location)
-		}
-		if c := slices.Compare(cs[i].Location, cs[j].Location); c != 0 {
-			return c < 0
-		}
-		return cs[i].Cause < cs[j].Cause
+	slices.SortFunc(cs, func(a, b Culprit) int {
+		return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(len(b.Location), len(a.Location)), slices.Compare(a.Location, b.Location),
+			cmp.Compare(a.Cause, b.Cause), cmp.Compare(a.Level, b.Level), cmp.Compare(a.Flow.Src, b.Flow.Src), cmp.Compare(a.Flow.Sink, b.Flow.Sink))
 	})
 	return cs
 }

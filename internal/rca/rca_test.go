@@ -408,7 +408,7 @@ func TestMergeCulpritsRules(t *testing.T) {
 		{Cause: CauseDelay, Level: LevelSwitch, Location: []topology.NodeID{9}, Score: 2},
 		{Cause: CauseDelay, Level: LevelSwitch, Location: []topology.NodeID{9}, Score: 2.5},
 	}
-	out := mergeCulprits(in)
+	out := new(workingSet).mergeCulprits(in)
 	if len(out) != 2 {
 		t.Fatalf("merged = %d entries: %v", len(out), out)
 	}
@@ -432,7 +432,7 @@ func TestMergePortLevelCollapse(t *testing.T) {
 		{Cause: CauseProcessRate, Level: LevelPort, Location: []topology.NodeID{4, 8}, Score: 3},
 		{Cause: CauseDrop, Level: LevelPort, Location: []topology.NodeID{4, 7}, Score: 1},
 	}
-	out := mergeCulprits(in)
+	out := new(workingSet).mergeCulprits(in)
 	var collapsed *Culprit
 	for i := range out {
 		if out[i].Cause == CauseProcessRate {

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"mars/internal/dataplane"
-	"mars/internal/det"
 	"mars/internal/topology"
 )
 
@@ -89,34 +88,42 @@ type sinkEpochRange struct {
 	min, max uint32
 }
 
-// collectSinkRanges computes the covered epoch window per sink switch.
-func collectSinkRanges(records []dataplane.RTRecord) map[topology.NodeID]*sinkEpochRange {
-	out := make(map[topology.NodeID]*sinkEpochRange)
+// collectSinkRanges computes the covered epoch window per sink switch into
+// out, emptied first.
+func collectSinkRanges(records []dataplane.RTRecord, out map[topology.NodeID]sinkEpochRange) {
+	clear(out)
 	for i := range records {
 		r := &records[i]
-		if sr := out[r.Flow.Sink]; sr != nil {
-			sr.min, sr.max = min(sr.min, r.Epoch), max(sr.max, r.Epoch)
+		if sr, ok := out[r.Flow.Sink]; ok {
+			out[r.Flow.Sink] = sinkEpochRange{min(sr.min, r.Epoch), max(sr.max, r.Epoch)}
 		} else {
-			out[r.Flow.Sink] = &sinkEpochRange{r.Epoch, r.Epoch}
+			out[r.Flow.Sink] = sinkEpochRange{r.Epoch, r.Epoch}
 		}
 	}
-	return out
 }
 
 // signatureData builds the per-flow summaries — each flow's (flow, epoch)
 // and (flow, path) rows — with the sink epoch ranges and the network-wide
 // median rate the burst signature needs: once per index, on the first view
-// that has patterns to explain.
+// that has patterns to explain. Its tables are the Analyzer's workingSet.
 func (a *Analyzer) signatureData(ix *index) {
 	if ix.stats != nil {
 		return
 	}
 	a.estimate(ix)
-	ix.stats = make([]flowStats, len(ix.flowIDs))
+	w, nf := &a.work, len(ix.flowIDs)
+	// A flow's summary starts empty; only its depths' array is kept.
+	ix.stats, ix.flows = slices.Grow(w.stats[:0], nf)[:nf], w.flows[:0]
 	for f := range ix.stats {
+		ix.stats[f] = flowStats{abnormalQueueDepths: ix.stats[f].abnormalQueueDepths[:0]}
 		ix.flows = append(ix.flows, int32(f))
 	}
-	sort.Slice(ix.flows, func(i, j int) bool { return flowLess(ix.flowIDs[ix.flows[i]], ix.flowIDs[ix.flows[j]]) })
+	// Flows are distinct, so the order is strict and total: every sort
+	// yields one permutation.
+	slices.SortFunc(ix.flows, func(a, b int32) int {
+		fa, fb := ix.flowIDs[a], ix.flowIDs[b]
+		return cmp.Or(cmp.Compare(fa.Src, fb.Src), cmp.Compare(fa.Sink, fb.Sink))
+	})
 
 	// The (flow, epoch) table. A counting pass groups the records by flow
 	// number into one array; each flow's stretch is then sorted by epoch and
@@ -124,7 +131,8 @@ func (a *Analyzer) signatureData(ix *index) {
 	// records (and stays O(n log n) when one flow is the whole frame).
 	// at[f] counts flow f's records, then is where its stretch starts, then
 	// — every placement advancing it — where it ends.
-	at := make([]int32, len(ix.flowIDs))
+	at := slices.Grow(w.at[:0], nf)[:nf]
+	clear(at)
 	for _, f := range ix.flowOf {
 		at[f]++
 	}
@@ -132,7 +140,7 @@ func (a *Analyzer) signatureData(ix *index) {
 	for f, n := range at {
 		at[f], sum = sum, sum+n
 	}
-	rows := make([]epochStat, len(ix.records))
+	rows := slices.Grow(w.rows[:0], len(ix.records))[:len(ix.records)]
 	for i := range ix.records {
 		r, f := &ix.records[i], ix.flowOf[i]
 		rows[at[f]] = epochStat{r.Epoch, r.SourceCount, r.SinkCount, r.EpochGap > 0}
@@ -162,7 +170,7 @@ func (a *Analyzer) signatureData(ix *index) {
 
 	// Each flow's rows of the (flow, path) table, the undecodable ones
 	// dropped: a copy grouped by flow, first-record order kept within one.
-	paths := slices.DeleteFunc(slices.Clone(ix.paths), func(row pathStat) bool { return row.path == nil })
+	paths := slices.DeleteFunc(append(w.flowPaths[:0], ix.paths...), func(row pathStat) bool { return row.path == nil })
 	slices.SortStableFunc(paths, func(a, b pathStat) int { return cmp.Compare(a.flow, b.flow) })
 	for from := 0; from < len(paths); {
 		to := from + 1
@@ -173,8 +181,10 @@ func (a *Analyzer) signatureData(ix *index) {
 		from = to
 	}
 
-	ix.sinkRanges = collectSinkRanges(ix.records)
-	ix.globalMed = globalMedianEpochCount(ix.stats)
+	collectSinkRanges(ix.records, w.sinkRanges)
+	ix.sinkRanges = w.sinkRanges
+	ix.globalMed = globalMedianEpochCount(ix.stats, &w.counts)
+	w.stats, w.flows, w.at, w.rows, w.flowPaths = ix.stats, ix.flows, at, rows, paths
 }
 
 // appendCounts appends the source-side packet counts of the flow's counted
@@ -205,12 +215,14 @@ func (fs *flowStats) peakAndBaseline(scratch *[]float64) (peak uint32, base floa
 }
 
 // globalMedianEpochCount is the baseline rate across all flows, used to
-// judge burstiness of flows without their own history.
-func globalMedianEpochCount(stats []flowStats) float64 {
-	var all []float64
+// judge burstiness of flows without their own history, sorting the counts
+// in *scratch.
+func globalMedianEpochCount(stats []flowStats, scratch *[]float64) float64 {
+	all := (*scratch)[:0]
 	for f := range stats {
 		all = stats[f].appendCounts(all)
 	}
+	*scratch = all
 	if len(all) == 0 {
 		return 0
 	}
@@ -284,8 +296,9 @@ func (a *Analyzer) bursting(ev *patternEvidence) bool {
 	found := false
 	for i := range ev.through {
 		fp := &ev.through[i]
-		flow := ev.ix.flowIDs[fp.flow]
-		fp.hit = a.isBursty(&ev.ix.stats[fp.flow], ev.ix.sinkRanges[flow.Sink], ev.ix.globalMed)
+		// Every indexed flow has a record at its sink: the range exists.
+		window := ev.ix.sinkRanges[ev.ix.flowIDs[fp.flow].Sink]
+		fp.hit = a.isBursty(&ev.ix.stats[fp.flow], &window, ev.ix.globalMed)
 		found = found || fp.hit
 	}
 	return found
@@ -497,13 +510,14 @@ func (a *Analyzer) analyzeLatency(ix *index) []Culprit {
 		ev.baseQ = max(ev.baseQ, d[len(d)/2])
 	}
 	// Alg. 3: the latency chain assigns each pattern a flow crosses a cause.
-	var culprits []Culprit
+	culprits := a.work.culprits[:0]
 	for _, sp := range patterns {
 		if sp.score > 0 && ev.of(sp) > 0 {
 			culprits = a.walk(latencyChain, ev, culprits)
 		}
 	}
-	return rank(mergeCulprits(culprits))
+	a.work.culprits = culprits
+	return rank(a.work.mergeCulprits(culprits))
 }
 
 // analyzeDrop is the separate drop-diagnosis logic (§4.4.4 "Drop"): the
@@ -517,23 +531,29 @@ func (a *Analyzer) analyzeDrop(ix *index, affected []bool) []Culprit {
 	}
 	ev := &a.work.pattern
 	ev.ix, ev.affected, ev.abnormalPkts = ix, affected, abnormalPkts
-	var culprits []Culprit
+	culprits := a.work.culprits[:0]
 	for _, sp := range patterns {
 		if sp.score > 0 {
 			ev.of(sp)
 			culprits = a.walk(dropChain, ev, culprits)
 		}
 	}
-	return rank(mergeCulprits(culprits))
+	a.work.culprits = culprits
+	return rank(a.work.mergeCulprits(culprits))
 }
 
 // mergeCulprits applies §4.4.4's merge rules: repeated flow-level causes
 // keep their maximum score; other repeated causes sum; and port-level
 // causes of the same type on multiple ports of one switch collapse into a
-// switch-level cause.
-func mergeCulprits(cs []Culprit) []Culprit {
-	at := make(map[mergeKey]int)
-	var merged []Culprit // in first-appearance order
+// switch-level cause. The list it returns is new; its index and port
+// groups are w's.
+func (w *workingSet) mergeCulprits(cs []Culprit) []Culprit {
+	if w.merge == nil {
+		w.merge = make(map[mergeKey]int)
+	}
+	at := w.merge
+	clear(at)
+	merged := make([]Culprit, 0, len(cs)) // in first-appearance order
 	for _, c := range cs {
 		k := keyOf(c)
 		i, ok := at[k]
@@ -549,39 +569,39 @@ func mergeCulprits(cs []Culprit) []Culprit {
 	}
 
 	// Port-level collapse: same cause on >= 2 ports of one switch becomes
-	// one switch-level culprit with summed score.
-	type swKey struct {
-		cause Cause
-		sw    topology.NodeID
-	}
-	portGroups := make(map[swKey][]int)
+	// one switch-level culprit with summed score. Sorted by (cause, switch,
+	// index), a strict order, each group's ports are adjacent in index order.
+	ports, collapsed := w.ports[:0], slices.Grow(w.collapsed[:0], len(merged))[:len(merged)]
 	for i, m := range merged {
+		collapsed[i] = false
 		if m.Level == LevelPort && len(m.Location) >= 1 {
-			g := swKey{m.Cause, m.Location[0]}
-			portGroups[g] = append(portGroups[g], i)
+			ports = append(ports, i)
 		}
 	}
-	collapsed := make([]bool, len(merged))
+	w.ports, w.collapsed = ports, collapsed
+	group := func(i int) (Cause, topology.NodeID) { return merged[i].Cause, merged[i].Location[0] }
+	slices.SortFunc(ports, func(i, j int) int {
+		ci, si := group(i)
+		cj, sj := group(j)
+		return cmp.Or(cmp.Compare(ci, cj), cmp.Compare(si, sj), cmp.Compare(i, j))
+	})
 	var extra []Culprit
-	for _, g := range det.KeysFunc(portGroups, func(a, b swKey) bool {
-		if a.cause != b.cause {
-			return a.cause < b.cause
+	for from, to := 0, 0; from < len(ports); from = to {
+		cause, sw := group(ports[from])
+		for to = from + 1; to < len(ports) && merged[ports[to]].Cause == cause && merged[ports[to]].Location[0] == sw; to++ {
 		}
-		return a.sw < b.sw
-	}) {
-		ports := portGroups[g]
-		if len(ports) < 2 {
+		if to-from < 2 {
 			continue
 		}
 		var sum float64
-		for _, i := range ports {
+		for _, i := range ports[from:to] {
 			sum += merged[i].Score
 			collapsed[i] = true
 		}
 		extra = append(extra, Culprit{
-			Cause:    g.cause,
+			Cause:    cause,
 			Level:    LevelSwitch,
-			Location: []topology.NodeID{g.sw},
+			Location: []topology.NodeID{sw},
 			Score:    sum,
 		})
 	}
@@ -605,13 +625,17 @@ func mergeCulprits(cs []Culprit) []Culprit {
 
 // MergeRanked folds the culprit lists of several diagnoses of the same
 // incident into one ranked list (an operator reviews the accumulated
-// evidence): a Merger fed every list in order.
+// evidence): a Merger fed every list in order, sized for all of them.
 func MergeRanked(lists [][]Culprit) []Culprit {
-	var m Merger
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	m := Merger{index: make(map[mergeKey]int, n), cs: make([]Culprit, 0, n)}
 	for _, l := range lists {
 		m.Add(l)
 	}
-	return m.Ranked()
+	return rank(m.cs)
 }
 
 // mergeKey is a culprit's identity under the cross-diagnosis merge: cause,

@@ -266,6 +266,35 @@ func lossWindow(tb testing.TB, f *fixture, pathCount uint32) []dataplane.RTRecor
 	return recs
 }
 
+// steadyStateAllocs is what a warm Analyzer allocates re-analysing
+// lossWindow: what it returns — each culprit's location, each view's
+// merged list, the two views' merge — and each view's mined patterns,
+// which fsm.Miner returns too. The index, the rows, the mining database,
+// the signatures' tables and the walk's scratch are the working set's.
+const steadyStateAllocs = 30
+
+// TestAnalyzeWindowSteadyStateAllocs: a warm Analyzer re-analysing the same
+// k=4 window allocates only what it returns (steadyStateAllocs). A table
+// rebuilt per window fails it: rebuilding the drop sums, the flow summaries
+// and the epoch rows, with PrefixSpan counting in maps per projection, cost
+// 370.
+func TestAnalyzeWindowSteadyStateAllocs(t *testing.T) {
+	f := newFixture(t)
+	a := analyzer(f)
+	window := lossWindow(t, f, 1)
+	var culprits int
+	allocs := testing.AllocsPerRun(20, func() {
+		culprits = len(a.AnalyzeWindow(window, 400*netsim.Millisecond, 1))
+	})
+	if culprits == 0 {
+		t.Fatal("no culprits: the window never reached the signatures")
+	}
+	if allocs > steadyStateAllocs {
+		t.Errorf("a warm analysis of %d records allocates %.0f times, want at most %d", len(window), allocs, steadyStateAllocs)
+	}
+	t.Logf("%.0f allocations, %d culprits", allocs, culprits)
+}
+
 // TestAnalyzeCostIndependentOfPathCount: a record is one entry whatever
 // its PathCount, so analysing the same window with every PathCount at 1
 // and at 30 allocates the same. (Per-packet expansion allocated one

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"runtime"
 	"testing"
 
 	"mars/internal/dataplane"
@@ -57,7 +58,7 @@ func evictingUnit(tb testing.TB) (*unitState, func() dataplane.RTRecord) {
 	tb.Helper()
 	f := newTestFabric(tb)
 	cfg := DefaultConfig(41)
-	u := newUnitState(&cfg, int(f.part.UnitOf[f.ft.EdgeIDs[0]]), f.table)
+	u := newUnitState(&cfg, int(f.part.UnitOf[f.ft.EdgeIDs[0]]))
 	const flows = 224
 	if held := cfg.BudgetBytes / u.flowCost; flows <= held {
 		tb.Fatalf("%d flows fit the %d-flow budget; the feed must evict", flows, held)
@@ -132,5 +133,50 @@ func BenchmarkStreamStep(b *testing.B) {
 			}
 		}
 		s.CloseEpoch(e + 1)
+	}
+}
+
+// BenchmarkStreamWindowClose closes one window over every unit of a k=8
+// service whose windows were never analysed: W epochs of records into every
+// edge switch, the flows through one core switch reporting telemetry gaps in
+// the last two, are ingested untimed; the CloseEpoch that analyses them is
+// timed. The first window grows the service's analysis memory — one window
+// buffer and one analyzer per worker — so the row's B/op is that memory: a
+// working set per unit multiplies it.
+func BenchmarkStreamWindowClose(b *testing.B) {
+	f := newTestFabricK(b, 8)
+	cfg := DefaultConfig(17)
+	W := uint32(cfg.WindowEpochs)
+	bad := f.ft.CoreIDs[0]
+	var recs []dataplane.RTRecord
+	for e := uint32(0); e < W; e++ {
+		for _, dst := range f.ft.EdgeIDs {
+			for _, p := range f.pathsInto(b, dst) {
+				gap := uint32(0)
+				if e+2 >= W && p.Contains([]topology.NodeID{bad}) {
+					gap = 1
+				}
+				recs = append(recs, f.rec(b, p, e, netsim.Millisecond, gap))
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s := New(cfg, f.part, f.table)
+		for _, r := range recs {
+			s.Ingest(r)
+		}
+		// Two collections empty every sync.Pool (fmt's printers, which
+		// the window's churn check formats with), so each close starts from
+		// the same runtime state and allocs/op repeats exactly.
+		runtime.GC()
+		runtime.GC()
+		b.StartTimer()
+		s.CloseEpoch(W)
+		if len(s.Results()) != 1 || len(s.Results()[0].Culprits) == 0 {
+			b.Fatalf("closed %d windows, want one with culprits", len(s.Results()))
+		}
 	}
 }

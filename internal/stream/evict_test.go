@@ -79,12 +79,11 @@ func evictRec(src, sink int, epoch uint32) dataplane.RTRecord {
 // returns the most stale roots one eviction had to re-sift.
 func replayAgainstScan(t *testing.T, recs []dataplane.RTRecord) (maxResifts int) {
 	t.Helper()
-	f := newTestFabric(t)
 	cfg := DefaultConfig(5)
 	const residentCap = 12
 	flowCost := cfg.Reservoir.Volume*8 + flowStateOverheadBytes
 	cfg.BudgetBytes = residentCap * flowCost
-	u := newUnitState(&cfg, 0, f.table)
+	u := newUnitState(&cfg, 0)
 
 	ref := make(map[dataplane.FlowID]uint32) // flow -> lastEpoch
 	var victims int

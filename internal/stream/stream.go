@@ -23,6 +23,9 @@
 // mined by the analyzer's configured miner, exactly as a batch diagnosis
 // is — and per-unit culprit lists merge under the PR 1 Confidence rules
 // (rca.MergeRanked) with the window's sampling coverage as confidence.
+// Analysis memory is O(workers), not O(units): each analysis worker owns one
+// window buffer and one rca analyzer, and installs a unit's thresholds
+// before it scores that unit's window.
 package stream
 
 import (
@@ -121,6 +124,8 @@ type Service struct {
 	cfg   Config
 	part  *topology.Partition
 	units []*unitState
+	// scratch is each analysis worker's memory: worker w's is scratch[w].
+	scratch []windowScratch
 
 	reg       *metrics.Registry
 	ingested  metrics.Counter
@@ -199,7 +204,12 @@ func New(cfg Config, part *topology.Partition, paths *pathid.Table) *Service {
 
 	s.units = make([]*unitState, part.NumUnits)
 	for u := range s.units {
-		s.units[u] = newUnitState(&cfg, u, paths)
+		s.units[u] = newUnitState(&cfg, u)
+	}
+	// Thresholds are installed per unit before each analysis.
+	s.scratch = make([]windowScratch, max(1, min(cfg.Workers, part.NumUnits)))
+	for i := range s.scratch {
+		s.scratch[i].analyzer = rca.New(cfg.RCA, paths, nil)
 	}
 	return s
 }
@@ -296,7 +306,7 @@ func (s *Service) finalizeEpoch(ep uint32) {
 	}
 	if workers <= 1 {
 		for i, u := range s.units {
-			outs[i] = u.analyzeWindow(start, ep)
+			outs[i] = u.analyzeWindow(&s.scratch[0], start, ep)
 		}
 	} else {
 		// Units are independent state shards; results land at fixed
@@ -305,11 +315,11 @@ func (s *Service) finalizeEpoch(ep uint32) {
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
-			//mars:sync workers stride disjoint unit indices and write into pre-indexed outs slots; everything below folds outs in unit order, so the schedule cannot reach the output (the CI determinism job diffs workers=1 against workers=8)
+			//mars:sync workers stride disjoint unit indices, each with its own scratch, and write into pre-indexed outs slots; everything below folds outs in unit order, so the schedule cannot reach the output (the CI determinism job diffs workers=1 against workers=8)
 			go func(w int) {
 				defer wg.Done()
 				for i := w; i < len(s.units); i += workers {
-					outs[i] = s.units[i].analyzeWindow(start, ep)
+					outs[i] = s.units[i].analyzeWindow(&s.scratch[w], start, ep)
 				}
 			}(w)
 		}
@@ -375,10 +385,9 @@ const (
 )
 
 // unitState is one pod-partition unit's shard of the stream: bounded flow
-// table, epoch sample buckets, and a dedicated rca analyzer whose
-// thresholds are this unit's reservoirs. Only its
-// owning goroutine (the coordinator, or the worker analyzing it) touches
-// it.
+// table and epoch sample buckets; its reservoirs are the thresholds its
+// windows are scored against (ThresholdOf). Only its owning goroutine (the
+// coordinator, or the worker analyzing it) touches it.
 type unitState struct {
 	cfg      *Config
 	unit     int
@@ -399,10 +408,14 @@ type unitState struct {
 	// ring holds the live epoch buckets: up to W sealed (in-window) plus
 	// two still-filling epochs.
 	ring []*bucket
-	// window is analyzeWindow's record concatenation, reused across
-	// windows (rca.AnalyzeWindow keeps no reference to it).
-	window []dataplane.RTRecord
+}
 
+// windowScratch is one analysis worker's memory for every unit it analyzes:
+// the window's records (rca.AnalyzeWindow keeps no reference to them) and
+// the analyzer, whose working set carries nothing from one unit's analysis
+// to the next.
+type windowScratch struct {
+	window   []dataplane.RTRecord
 	analyzer *rca.Analyzer
 }
 
@@ -490,7 +503,7 @@ type bucket struct {
 	entries []dataplane.RTRecord
 }
 
-func newUnitState(cfg *Config, unit int, paths *pathid.Table) *unitState {
+func newUnitState(cfg *Config, unit int) *unitState {
 	u := &unitState{
 		cfg:      cfg,
 		unit:     unit,
@@ -502,7 +515,6 @@ func newUnitState(cfg *Config, unit int, paths *pathid.Table) *unitState {
 	for i := range u.ring {
 		u.ring[i] = &bucket{}
 	}
-	u.analyzer = rca.New(cfg.RCA, paths, u)
 	return u
 }
 
@@ -629,8 +641,8 @@ type unitWindowOut struct {
 }
 
 // analyzeWindow scores the sealed window [start, end] through the rca
-// pipeline with this unit's thresholds.
-func (u *unitState) analyzeWindow(start, end uint32) unitWindowOut {
+// pipeline with this unit's thresholds, in sc.
+func (u *unitState) analyzeWindow(sc *windowScratch, start, end uint32) unitWindowOut {
 	var out unitWindowOut
 	for ep := int64(start); ep <= int64(end); ep++ { // 64-bit: end may be the last uint32
 		// slot, not a bare ring read: an epoch that brought this unit no
@@ -642,17 +654,18 @@ func (u *unitState) analyzeWindow(start, end uint32) unitWindowOut {
 	if out.sampled == 0 {
 		return out
 	}
-	records := slices.Grow(u.window[:0], out.sampled)
+	records := slices.Grow(sc.window[:0], out.sampled)
 	for ep := int64(start); ep <= int64(end); ep++ {
 		records = append(records, u.slot(uint32(ep)).entries...)
 	}
-	u.window = records
+	sc.window = records
 	coverage := 1.0
 	if out.offered > 0 {
 		coverage = float64(out.sampled) / float64(out.offered)
 	}
 	now := (netsim.Time(end) + 1) * u.cfg.Epoch
-	out.culprits = u.analyzer.AnalyzeWindow(records, now, coverage)
+	sc.analyzer.Thr = u
+	out.culprits = sc.analyzer.AnalyzeWindow(records, now, coverage)
 	return out
 }
 

@@ -16,21 +16,29 @@ import (
 	"mars/internal/topology"
 )
 
-// testFabric is a k=4 fat tree with a full path table, shared by the
-// synthetic-ingest tests.
+// testFabric is a fat tree with a full path table, shared by the
+// synthetic-ingest tests: k=4 unless a test asks for more.
 type testFabric struct {
 	ft    *topology.FatTree
 	part  *topology.Partition
 	table *pathid.Table
 }
 
-func newTestFabric(t testing.TB) *testFabric {
+func newTestFabric(t testing.TB) *testFabric { return newTestFabricK(t, 4) }
+
+// newTestFabricK widens the PathID to 16 bits above k=4, whose path sets
+// the 8-bit default cannot tell apart.
+func newTestFabricK(t testing.TB, k int) *testFabric {
 	t.Helper()
-	ft, err := topology.NewFatTree(4)
+	ft, err := topology.NewFatTree(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, err := pathid.BuildTable(pathid.DefaultConfig(), ft.Topology, ft.AllEdgePairPaths())
+	cfg := pathid.DefaultConfig()
+	if k > 4 {
+		cfg.Width = 16
+	}
+	table, err := pathid.BuildTable(cfg, ft.Topology, ft.AllEdgePairPaths())
 	if err != nil {
 		t.Fatal(err)
 	}
