@@ -78,6 +78,7 @@ var allocGuards = map[string]bool{
 	"TestStreamIngestAllocs":             true,
 	"TestStreamEvictingIngestAllocs":     true,
 	"TestAnalyzeWindowSteadyStateAllocs": true,
+	"TestLookupAllocs":                   true,
 }
 
 // AllocGuardTests returns the registered guard-test names, sorted.

@@ -33,6 +33,10 @@ type FlowID struct {
 
 func (f FlowID) String() string { return fmt.Sprintf("<s%d,s%d>", f.Src, f.Sink) }
 
+// Key packs f into one word, Src in the high half: distinct FlowIDs, negative
+// IDs included, have distinct keys.
+func (f FlowID) Key() uint64 { return uint64(uint32(f.Src))<<32 | uint64(uint32(f.Sink)) }
+
 // Wire-size constants used for the Fig. 9 bandwidth accounting.
 const (
 	// TelemetryHeaderBytes is the INT payload of a telemetry packet: source

@@ -1,10 +1,12 @@
 package dataplane
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
 	"mars/internal/pathid"
+	"mars/internal/topology"
 )
 
 func TestEpochCounterRoll(t *testing.T) {
@@ -164,5 +166,21 @@ func TestPropertyRingKeepsNewest(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFlowIDKeyInjective: distinct FlowIDs have distinct keys, across the
+// sign and width boundaries of both halves.
+func TestFlowIDKeyInjective(t *testing.T) {
+	ids := []topology.NodeID{math.MinInt32, -2, -1, 0, 1, 2, 0xFFFF, 0x10000, math.MaxInt32}
+	seen := map[uint64]FlowID{}
+	for _, src := range ids {
+		for _, sink := range ids {
+			f := FlowID{Src: src, Sink: sink}
+			if g, dup := seen[f.Key()]; dup {
+				t.Fatalf("%v and %v share key %#x", f, g, f.Key())
+			}
+			seen[f.Key()] = f
+		}
 	}
 }

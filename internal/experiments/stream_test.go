@@ -4,7 +4,10 @@ import (
 	"testing"
 
 	"mars/internal/dataplane"
+	"mars/internal/faults"
+	"mars/internal/harness"
 	"mars/internal/netsim"
+	"mars/internal/pathid"
 	"mars/internal/rca"
 	"mars/internal/stream"
 	"mars/internal/topology"
@@ -68,31 +71,60 @@ func (flatThresholds) ThresholdOf(dataplane.FlowID) netsim.Time {
 
 // The windowed streaming path must converge to the batch path's verdict:
 // one analyzer over the full record trace (the post-hoc diagnosis) and
-// the stream's cross-window merge must blame the same top-1 switch.
+// the stream's cross-window merge must blame the same top-1 switch. It
+// holds on the stream trial's silent drop and on Table 1's micro-burst
+// trial. On Table 1's other four faults the whole-trace batch top-1 is one
+// of the fabric's own fault-free anomalies (ROADMAP item 2), so there is
+// no verdict on the fault to converge to.
 func TestStreamMatchesBatchTop1(t *testing.T) {
-	var all []dataplane.RTRecord
-	tc := testStreamConfig(42, 1, 1)
-	// Static fault: on for the entire run, the convergence setting — both
-	// paths see the same sustained deficit against their cumulative margin.
-	tc.FaultStart = 0
-	tc.FaultStop = uint32(tc.Epochs) + 2
-	tc.Tee = func(rec dataplane.RTRecord) { all = append(all, rec) }
+	t.Run("stream-trial/drop", func(t *testing.T) {
+		var all []dataplane.RTRecord
+		tc := testStreamConfig(42, 1, 1)
+		// Static fault: on for the entire run, the convergence setting — both
+		// paths see the same sustained deficit against their cumulative margin.
+		tc.FaultStart = 0
+		tc.FaultStop = uint32(tc.Epochs) + 2
+		tc.Tee = func(rec dataplane.RTRecord) { all = append(all, rec) }
 
-	// Re-run the primary service standalone to read its merged list (the
-	// driver reports only the rendered surface).
-	r := RunStreamTrial(tc, nil)
-	if len(all) == 0 {
-		t.Fatal("tee saw no records")
+		// Re-run the primary service standalone to read its merged list (the
+		// driver reports only the rendered surface).
+		r := RunStreamTrial(tc, nil)
+		if len(all) == 0 {
+			t.Fatal("tee saw no records")
+		}
+		ft, err := topology.NewFatTree(tc.K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		table := selectivePathTable(ft, streamMeshPairs(ft, tc.NumFlows))
+		checkStreamMatchesBatch(t, all, ft, table, flatThresholds{}, tc.Seed, tc.Windows[0], tc.Epochs,
+			func(c rca.Culprit) bool { return c.ContainsSwitch(r.Culprit) })
+	})
+	for _, kind := range []faults.Kind{faults.MicroBurst} {
+		t.Run("trial/"+kind.String(), func(t *testing.T) {
+			// Table 1's first trial of the fault at CI's -seed 1000.
+			tc := DefaultTrialConfig(harness.TrialSeed(1000, int(kind), 0), kind)
+			m := startMARS(tc, nil)
+			var all []dataplane.RTRecord
+			m.sys.Program.OnRecord = func(_ topology.NodeID, rec dataplane.RTRecord) { all = append(all, rec) }
+			gt := m.sys.InjectFault(tc.Fault, tc.FaultStart, tc.FaultDur)
+			m.sys.Run(tc.Total)
+			epochs := int(tc.Total / dataplane.EpochDuration)
+			checkStreamMatchesBatch(t, all, m.sys.FT, m.sys.Paths, m.sys.Analyzer.Thr, tc.Seed, 4, epochs,
+				func(c rca.Culprit) bool { return marsMatches(c, gt) })
+		})
 	}
+}
 
-	ft, err := topology.NewFatTree(tc.K)
-	if err != nil {
-		t.Fatal(err)
-	}
-	table := selectivePathTable(ft, streamMeshPairs(ft, tc.NumFlows))
-
-	scfg := stream.DefaultConfig(tc.Seed)
-	scfg.WindowEpochs = tc.Windows[0]
+// checkStreamMatchesBatch replays records, in drain order, into a stream
+// service of W-epoch windows and scores them in one batch analysis over
+// epochs epochs with thr. The batch top-1 must locate the fault (locates),
+// and some window's top-1 must be the batch top-1 exactly.
+func checkStreamMatchesBatch(t *testing.T, all []dataplane.RTRecord, ft *topology.FatTree, table *pathid.Table,
+	thr rca.Thresholds, seed int64, W, epochs int, locates func(rca.Culprit) bool) {
+	t.Helper()
+	scfg := stream.DefaultConfig(seed)
+	scfg.WindowEpochs = W
 	svc := stream.New(scfg, ft.PodPartition(), table)
 	// Replay in drain order, sealing as the stream advances: once a record
 	// of epoch e appears, every record of epoch <= e-2 has already drained
@@ -107,45 +139,36 @@ func TestStreamMatchesBatchTop1(t *testing.T) {
 	}
 	svc.Finish()
 	if len(svc.Results()) == 0 {
-		t.Fatalf("stream produced no windows:\n%s", r.Render())
+		t.Fatal("stream produced no windows")
 	}
 
 	// Batch verdict: one diagnosis over the entire trace with a recent
 	// window covering the whole run.
 	rcfg := rca.DefaultConfig()
-	rcfg.RecentWindow = netsim.Time(tc.Epochs+1) * dataplane.EpochDuration
-	an := rca.New(rcfg, table, flatThresholds{})
-	batch := an.AnalyzeWindow(all, netsim.Time(tc.Epochs+1)*dataplane.EpochDuration, 1)
+	rcfg.RecentWindow = netsim.Time(epochs+1) * dataplane.EpochDuration
+	an := rca.New(rcfg, table, thr)
+	batch := an.AnalyzeWindow(all, netsim.Time(epochs+1)*dataplane.EpochDuration, 1)
 	if len(batch) == 0 {
 		t.Fatal("batch analyzer produced no culprits")
 	}
-
-	if !batch[0].ContainsSwitch(r.Culprit) {
-		t.Fatalf("batch top-1 %v does not blame ground truth s%d", batch[0], r.Culprit)
+	if !locates(batch[0]) {
+		t.Fatalf("batch top-1 %v does not locate the injected fault", batch[0])
 	}
 
 	// Convergence: once the reservoir thresholds and affected-flow sets
 	// stabilize, a window's top-1 must reach the batch verdict exactly —
 	// same cause, same location.
-	converged := false
+	var got []string
 	for _, w := range svc.Results() {
 		if len(w.Culprits) == 0 {
 			continue
 		}
 		c := w.Culprits[0]
-		if c.Cause == batch[0].Cause && c.Level == batch[0].Level &&
+		if c.Cause == batch[0].Cause && c.Level == batch[0].Level && c.Flow == batch[0].Flow &&
 			topology.Path(c.Location).String() == topology.Path(batch[0].Location).String() {
-			converged = true
-			break
+			return
 		}
+		got = append(got, c.String())
 	}
-	if !converged {
-		var got []string
-		for _, w := range svc.Results() {
-			if len(w.Culprits) > 0 {
-				got = append(got, w.Culprits[0].String())
-			}
-		}
-		t.Fatalf("no window top-1 converged to the batch verdict %v; window tops: %v", batch[0], got)
-	}
+	t.Fatalf("no window top-1 converged to the batch verdict %v; window tops: %v", batch[0], got)
 }

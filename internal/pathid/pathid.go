@@ -17,6 +17,7 @@ import (
 	"hash/crc32"
 	"slices"
 
+	"mars/internal/hashidx"
 	"mars/internal/topology"
 )
 
@@ -227,29 +228,26 @@ type Table struct {
 	// one slot per node, with the first entry, so a table without entries
 	// holds none; a switch may keep an empty map once an entry is withdrawn.
 	mat []map[uint64]uint8
-	// byFinal maps (sink switch, final ID) to the unique path. The paths
-	// are carved from one node slab.
-	byFinal map[finalKey]topology.Path
-	// finalOf maps a path (by pathKey) to its final ID. The keys are
-	// carved from one string.
-	finalOf map[string]ID
+	// byFinal maps finalKey(sink switch, final ID) to the unique path's
+	// offset in slab, so a decode reads one index entry and the slab.
+	byFinal hashidx.Index
+	// slab holds every path behind its length: the path at offset off is
+	// slab[off+1 : off+1+slab[off]].
+	slab []topology.NodeID
 }
 
-type finalKey struct {
-	sink topology.NodeID
-	id   ID
+// finalKey packs a (sink switch, final ID) pair into byFinal's key.
+func finalKey(sink topology.NodeID, id ID) uint64 {
+	return uint64(uint32(sink))<<32 | uint64(id)
 }
 
-// appendPathKey appends p's key: each switch ID as four big-endian bytes.
-func appendPathKey(b []byte, p topology.Path) []byte {
+// pathKey is p's key: each switch ID as four big-endian bytes.
+func pathKey(p topology.Path) string {
+	b := make([]byte, 0, len(p)*4)
 	for _, n := range p {
 		b = append(b, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
 	}
-	return b
-}
-
-func pathKey(p topology.Path) string {
-	return string(appendPathKey(make([]byte, 0, len(p)*4), p))
+	return string(b)
 }
 
 // comparePaths is BuildTable's processing order: shorter paths first, then
@@ -322,9 +320,8 @@ func BuildWidening(cfg Config, topo *topology.Topology, paths []topology.Path) (
 type builder struct {
 	t *Table
 	// paths are the distinct paths in insertion order, carved from the
-	// node slab; keys holds their pathKeys back to back.
+	// table's slab.
 	paths []topology.Path
-	keys  string
 	// walked holds the walkKey of every (switch, current ID, in, out) hop
 	// the chains of paths[:walkedN] cross: a control value installed there
 	// would re-route those paths, so insert never picks one. It is filled
@@ -337,32 +334,30 @@ type builder struct {
 	ids, try         []ID
 }
 
-// newBuilder copies the distinct paths into one node slab and their keys
-// into one string, and sizes the table's path maps for all of them. It
-// takes ownership of paths.
+// newBuilder copies the distinct paths into the table's slab, each behind
+// its length, and sizes the table's index for all of them. It takes
+// ownership of paths.
 func newBuilder(cfg Config, topo *topology.Topology, paths []topology.Path) *builder {
 	hops, longest := 0, 0
 	for _, p := range paths {
 		hops += len(p)
 		longest = max(longest, len(p))
 	}
-	slab := make([]topology.NodeID, 0, hops)
-	keys := make([]byte, 0, 4*hops)
+	slab := make([]topology.NodeID, 0, len(paths)+hops)
 	for i, p := range paths {
+		slab = append(slab, topology.NodeID(len(p)))
 		start := len(slab)
 		slab = append(slab, p...)
 		paths[i] = slab[start:len(slab):len(slab)]
-		keys = appendPathKey(keys, p)
 	}
 	return &builder{
 		t: &Table{
 			Cfg:     cfg,
 			topo:    topo,
-			byFinal: make(map[finalKey]topology.Path, len(paths)),
-			finalOf: make(map[string]ID, len(paths)),
+			byFinal: hashidx.New(len(paths)),
+			slab:    slab,
 		},
 		paths: paths,
-		keys:  string(keys),
 		ports: make([][2]uint16, 0, longest),
 		ids:   make([]ID, 0, longest),
 	}
@@ -372,11 +367,10 @@ func newBuilder(cfg Config, topo *topology.Topology, paths []topology.Path) *bui
 func (b *builder) build() (*Table, error) {
 	off := 0
 	for i, p := range b.paths {
-		key := b.keys[off : off+4*len(p)]
-		off += len(key)
-		if err := b.insert(i, key); err != nil {
+		if err := b.insert(i, int32(off)); err != nil {
 			return nil, err
 		}
+		off += 1 + len(p)
 	}
 	return b.t, nil
 }
@@ -392,9 +386,9 @@ func (t *Table) chain(ids []ID, path topology.Path, ports [][2]uint16) []ID {
 	return ids
 }
 
-// insert enters paths[i], whose pathKey is key, breaking a collision at its
-// sink with a MAT entry.
-func (b *builder) insert(i int, key string) error {
+// insert enters paths[i], which sits at offset off of the slab, breaking a
+// collision at its sink with a MAT entry.
+func (b *builder) insert(i int, off int32) error {
 	t, path := b.t, b.paths[i]
 	var err error
 	if b.ports, err = appendHopPorts(b.ports[:0], t.topo, path); err != nil {
@@ -402,8 +396,8 @@ func (b *builder) insert(i int, key string) error {
 	}
 	sink := path[len(path)-1]
 	b.ids = t.chain(b.ids[:0], path, b.ports)
-	if _, clash := t.byFinal[finalKey{sink, b.ids[len(b.ids)-1]}]; !clash {
-		b.record(path, key, b.ids[len(b.ids)-1])
+	if _, clash := t.byFinal.Get(finalKey(sink, b.ids[len(b.ids)-1])); !clash {
+		t.byFinal.Put(finalKey(sink, b.ids[len(b.ids)-1]), off)
 		return nil
 	}
 	// Collision at this sink: walk hops from the sink backwards and try
@@ -432,8 +426,8 @@ func (b *builder) insert(i int, key string) error {
 			m[k] = c
 			b.try = t.chain(b.try[:0], path, b.ports)
 			final := b.try[len(b.try)-1]
-			if _, clash := t.byFinal[finalKey{sink, final}]; !clash {
-				b.record(path, key, final)
+			if _, clash := t.byFinal.Get(finalKey(sink, final)); !clash {
+				t.byFinal.Put(finalKey(sink, final), off)
 				return nil
 			}
 			delete(m, k)
@@ -454,12 +448,6 @@ func (t *Table) switchMAT(sw topology.NodeID) map[uint64]uint8 {
 	return t.mat[sw]
 }
 
-// record enters path under key with its final ID, both ways.
-func (b *builder) record(path topology.Path, key string, final ID) {
-	b.t.byFinal[finalKey{path[len(path)-1], final}] = path
-	b.t.finalOf[key] = final
-}
-
 // walk brings the walked set up to paths[:upTo] by walking the chains of
 // the paths inserted since the last collision. It is the set's one fill
 // site, and it runs only when a collision is about to read the set, so a
@@ -468,7 +456,7 @@ func (b *builder) record(path topology.Path, key string, final ID) {
 // with.
 func (b *builder) walk(upTo int) error {
 	if b.walked == nil {
-		b.walked = make(map[uint64]struct{}, len(b.keys)/4)
+		b.walked = make(map[uint64]struct{}, len(b.t.slab)-len(b.paths))
 	}
 	for _, p := range b.paths[b.walkedN:upTo] {
 		var err error
@@ -495,16 +483,38 @@ func walkKey(sw topology.NodeID, cur ID, in, out uint16) uint64 {
 }
 
 // FinalID returns the PathID a packet following path arrives with at the
-// sink, under the table's consensus chain.
+// sink, under the table's consensus chain, and whether path is in the
+// table: whether that ID decodes back to path. The walked set keeps every
+// entry off the chains of the paths inserted before it, so the chain walked
+// here is the one path was inserted with. Paths of up to maxStackHops
+// switches cost no allocation.
 func (t *Table) FinalID(path topology.Path) (ID, bool) {
-	id, ok := t.finalOf[pathKey(path)]
-	return id, ok
+	var ports [maxStackHops][2]uint16
+	var ids [maxStackHops]ID
+	pp, err := appendHopPorts(ports[:0], t.topo, path)
+	if err != nil || len(path) == 0 {
+		return 0, false
+	}
+	id := t.chain(ids[:0], path, pp)[len(path)-1]
+	if p, ok := t.Lookup(path[len(path)-1], id); !ok || !p.Equal(path) {
+		return 0, false
+	}
+	return id, true
 }
+
+// maxStackHops bounds the paths FinalID walks in stack buffers; a fat
+// tree's longest is five switches.
+const maxStackHops = 8
 
 // Lookup decompresses a (sink switch, PathID) pair back to the full path.
 func (t *Table) Lookup(sink topology.NodeID, id ID) (topology.Path, bool) {
-	p, ok := t.byFinal[finalKey{sink, id}]
-	return p, ok
+	off, ok := t.byFinal.Get(finalKey(sink, id))
+	if !ok {
+		return nil, false
+	}
+	start := off + 1
+	end := start + int32(t.slab[off])
+	return t.slab[start:end:end], true
 }
 
 // ControlFor is the data-plane MAT lookup at one hop: it returns the
@@ -521,7 +531,7 @@ func (t *Table) ControlFor(sw topology.NodeID, cur ID, in, out uint16) uint8 {
 }
 
 // NumPaths returns the number of distinct paths in the table.
-func (t *Table) NumPaths() int { return len(t.finalOf) }
+func (t *Table) NumPaths() int { return t.byFinal.Len() }
 
 // MATEntryCount returns the number of collision-breaking entries installed
 // across all switches.

@@ -647,3 +647,128 @@ func BenchmarkBuildTable(b *testing.B) {
 		})
 	}
 }
+
+// TestFinalIDRejectsUnknownPaths: FinalID answers only for the table's
+// paths. A 5-bit table built from every other k=4 path knows none of the
+// rest, though most of their chains arrive with an ID that decodes to
+// another path; nor a path that is not a walk of the topology, nor the
+// empty path.
+func TestFinalIDRejectsUnknownPaths(t *testing.T) {
+	ft := k4(t)
+	var in, out []topology.Path
+	for i, p := range ft.AllEdgePairPaths() {
+		if i%2 == 0 {
+			in = append(in, p)
+		} else {
+			out = append(out, p)
+		}
+	}
+	tbl, err := BuildTable(Config{Alg: CRC16, Width: 5}, ft.Topology, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range in {
+		if _, ok := tbl.FinalID(p); !ok {
+			t.Fatalf("FinalID(%v) misses an inserted path", p)
+		}
+	}
+	if aliased := len(out) - len(decodesToItself(t, tbl, ft.Topology, out)); aliased != 0 {
+		t.Fatalf("%d paths outside the table decode to themselves", aliased)
+	}
+	decodes := 0
+	for _, p := range out {
+		ports, _ := HopPorts(ft.Topology, p)
+		cur := ID(0)
+		for i, sw := range p {
+			cur = Step(tbl.Cfg, cur, sw, ports[i][0], ports[i][1], tbl.ControlFor(sw, cur, ports[i][0], ports[i][1]))
+		}
+		if _, ok := tbl.Lookup(p[len(p)-1], cur); ok {
+			decodes++
+		}
+	}
+	if decodes == 0 {
+		t.Fatal("no outside path's chain decodes to another path; the case checks nothing")
+	}
+	out = append(out, topology.Path{ft.EdgeIDs[0], ft.EdgeIDs[7]}, nil)
+	for _, p := range out {
+		if id, ok := tbl.FinalID(p); ok {
+			t.Fatalf("FinalID(%v) = %d for a path the table does not hold", p, id)
+		}
+	}
+}
+
+// k8Decodes returns k=8 all-pairs at 16 bits: the paths, their table, and
+// two sets of (sink, ID) queries, every path's final ID and as many that
+// decode to nothing.
+func k8Decodes(tb testing.TB) (paths []topology.Path, tbl *Table, hits, misses []finalQuery) {
+	tb.Helper()
+	ft, err := topology.NewFatTree(8)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	paths = ft.AllEdgePairPaths()
+	if tbl, err = BuildTable(Config{Alg: CRC16, Width: 16}, ft.Topology, paths); err != nil {
+		tb.Fatal(err)
+	}
+	for _, p := range paths {
+		id, ok := tbl.FinalID(p)
+		if !ok {
+			tb.Fatalf("no final ID for %v", p)
+		}
+		sink := p[len(p)-1]
+		hits = append(hits, finalQuery{sink, id})
+		miss := id ^ 0x8000
+		for _, taken := tbl.Lookup(sink, miss); taken; _, taken = tbl.Lookup(sink, miss) {
+			miss = (miss + 1) & 0xFFFF
+		}
+		misses = append(misses, finalQuery{sink, miss})
+	}
+	return paths, tbl, hits, misses
+}
+
+type finalQuery struct {
+	sink topology.NodeID
+	id   ID
+}
+
+// TestLookupAllocs pins the decode path at zero allocations: Lookup, hit
+// or miss, and FinalID, which walks the chain without building the hop
+// ports.
+func TestLookupAllocs(t *testing.T) {
+	paths, tbl, hits, misses := k8Decodes(t)
+	avg := testing.AllocsPerRun(100, func() {
+		for i := range 64 {
+			tbl.Lookup(hits[i].sink, hits[i].id)
+			tbl.Lookup(misses[i].sink, misses[i].id)
+			if _, ok := tbl.FinalID(paths[i]); !ok {
+				t.Fatalf("FinalID misses %v", paths[i])
+			}
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("Lookup and FinalID allocate %.1f per run, want 0", avg)
+	}
+}
+
+// BenchmarkTableLookup decodes every (sink, final ID) of k=8 all-pairs at
+// 16 bits (14,720 paths), and as many (sink, ID) pairs that decode to
+// nothing, per op.
+func BenchmarkTableLookup(b *testing.B) {
+	_, tbl, hits, misses := k8Decodes(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	hops := 0
+	for i := 0; i < b.N; i++ {
+		for _, q := range hits {
+			p, _ := tbl.Lookup(q.sink, q.id)
+			hops += len(p)
+		}
+		for _, q := range misses {
+			p, _ := tbl.Lookup(q.sink, q.id)
+			hops += len(p)
+		}
+	}
+	lookupHops = hops
+}
+
+var lookupHops int

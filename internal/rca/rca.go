@@ -28,6 +28,7 @@ import (
 	"mars/internal/controlplane"
 	"mars/internal/dataplane"
 	"mars/internal/fsm"
+	"mars/internal/hashidx"
 	"mars/internal/netsim"
 	"mars/internal/pathid"
 	"mars/internal/sbfl"
@@ -219,7 +220,7 @@ type workingSet struct {
 	ix             index
 	flowOf, pathOf []int32
 	over           []bool
-	numbers        map[dataplane.FlowID]int32
+	numbers        flowNumbers
 	thresholds     []netsim.Time
 	flowIDs        []dataplane.FlowID
 	set            firsts
@@ -256,7 +257,10 @@ func New(cfg Config, paths *pathid.Table, thr Thresholds) *Analyzer {
 	if cfg.EpochDuration <= 0 {
 		cfg.EpochDuration = dataplane.EpochDuration
 	}
-	w := workingSet{numbers: make(map[dataplane.FlowID]int32), sinkRanges: make(map[topology.NodeID]sinkEpochRange)}
+	w := workingSet{
+		numbers:    flowNumbers{h: hashidx.NewHasher(), slots: make([]int32, 8)},
+		sinkRanges: make(map[topology.NodeID]sinkEpochRange),
+	}
 	return &Analyzer{Cfg: cfg, Paths: paths, Thr: thr, work: w}
 }
 
@@ -419,15 +423,12 @@ func (a *Analyzer) index(records []dataplane.RTRecord, now netsim.Time) *index {
 		flowIDs: w.flowIDs[:0],
 	}
 	clear(ix.over)
-	numbers, thresholds := w.numbers, w.thresholds[:0]
-	clear(numbers)
+	thresholds := w.thresholds[:0]
+	clear(w.numbers.slots)
 	for i := range records {
 		r := &records[i]
-		f, ok := numbers[r.Flow]
-		if !ok {
-			f = int32(len(ix.flowIDs))
-			numbers[r.Flow] = f
-			ix.flowIDs = append(ix.flowIDs, r.Flow)
+		f, added := w.numbers.number(r.Flow, &ix.flowIDs)
+		if added {
 			if a.Thr != nil {
 				thresholds = append(thresholds, a.Thr.ThresholdOf(r.Flow))
 			}
@@ -443,6 +444,50 @@ func (a *Analyzer) index(records []dataplane.RTRecord, now netsim.Time) *index {
 	w.set.next, w.set.key = slices.Grow(w.set.next[:0], n)[:n], slices.Grow(w.set.key[:0], n)[:n]
 	ix.set = &w.set
 	return ix
+}
+
+// flowNumbers numbers an index's flows: open-addressed slots of flow number
+// + 1 (0 is empty) under the keyed hash of FlowID.Key, each probe checked
+// against the index's flowIDs. A slot is four bytes where a hashidx.Index
+// entry is sixteen: the 112 flows of a k=8 unit's window grow it through
+// 2 KB, an Index through 8 KB (BenchmarkStreamWindowClose gates it).
+type flowNumbers struct {
+	h     hashidx.Hasher
+	slots []int32 // a power of two long
+}
+
+// number returns flow's number, appending flow to flowIDs if it has none
+// yet (added). The table doubles before it passes 3/4 full.
+func (t *flowNumbers) number(flow dataplane.FlowID, flowIDs *[]dataplane.FlowID) (f int32, added bool) {
+	i, f := t.find(flow, *flowIDs)
+	if f >= 0 {
+		return f, false
+	}
+	n := len(*flowIDs)
+	if 4*(n+1) > 3*len(t.slots) {
+		t.slots = make([]int32, 2*len(t.slots))
+		for g, id := range *flowIDs {
+			j, _ := t.find(id, nil)
+			t.slots[j] = int32(g) + 1
+		}
+		i, _ = t.find(flow, nil)
+	}
+	t.slots[i] = int32(n) + 1
+	*flowIDs = append(*flowIDs, flow)
+	return int32(n), true
+}
+
+// find returns flow's slot and number among flowIDs, or the empty slot that
+// ends its probe run and -1.
+func (t *flowNumbers) find(flow dataplane.FlowID, flowIDs []dataplane.FlowID) (int, int32) {
+	mask := len(t.slots) - 1
+	i := int(t.h.Hash(flow.Key())) & mask
+	for ; t.slots[i] != 0; i = (i + 1) & mask {
+		if f := t.slots[i] - 1; int(f) < len(flowIDs) && flowIDs[f] == flow {
+			return i, f
+		}
+	}
+	return i, -1
 }
 
 // maxEstimatePerRecord caps the weight Alg. 2 gives one telemetry record

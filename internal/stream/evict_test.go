@@ -119,11 +119,11 @@ func replayAgainstScan(t *testing.T, recs []dataplane.RTRecord) (maxResifts int)
 		}
 		u.ingest(rec)
 
-		if len(u.flows) != len(ref) || len(u.coldest) != len(ref) {
-			t.Fatalf("record %d: %d resident flows (%d indexed), reference has %d", i, len(u.flows), len(u.coldest), len(ref))
+		if u.flows.Len() != len(ref) || len(u.coldest) != len(ref) {
+			t.Fatalf("record %d: %d resident flows (%d indexed), reference has %d", i, u.flows.Len(), len(u.coldest), len(ref))
 		}
 		for cand, last := range ref { //mars:mapiter-ok every entry is checked
-			fs := u.flows[cand]
+			fs := u.resident(cand)
 			if fs == nil || fs.lastEpoch != last {
 				t.Fatalf("record %d: after %d evictions flow %v is %+v, reference has it resident at epoch %d", i, victims, cand, fs, last)
 			}
@@ -149,7 +149,7 @@ func checkHeap(t *testing.T, rec int, u *unitState) {
 	t.Helper()
 	seen := make(map[*flowState]bool, len(u.coldest))
 	for i, fs := range u.coldest {
-		if seen[fs] || u.flows[fs.flow] != fs {
+		if seen[fs] || u.resident(fs.flow) != fs {
 			t.Fatalf("record %d: heap slot %d holds %+v twice or not resident", rec, i, fs)
 		}
 		seen[fs] = true

@@ -35,6 +35,7 @@ import (
 	"sync"
 
 	"mars/internal/dataplane"
+	"mars/internal/hashidx"
 	"mars/internal/metrics"
 	"mars/internal/netsim"
 	"mars/internal/pathid"
@@ -93,7 +94,7 @@ func DefaultConfig(seed int64) Config {
 // Deterministic byte-accounting constants (documented estimates, not
 // unsafe.Sizeof, so the resident-bytes metric is platform-invariant).
 const (
-	// flowStateOverheadBytes covers the flowState struct, map entry, and
+	// flowStateOverheadBytes covers the flowState struct, index entry, and
 	// reservoir bookkeeping beyond the sample slice.
 	flowStateOverheadBytes = 128
 	// sampleEntryBytes covers one retained record and its share of the
@@ -358,7 +359,7 @@ func (s *Service) updateGauges() {
 	var bytes, flows int64
 	for _, u := range s.units {
 		bytes += int64(u.flowBytes) + u.bucketBytes()
-		flows += int64(len(u.flows))
+		flows += int64(u.flows.Len())
 	}
 	s.resident.Set(bytes)
 	s.flowsRes.Set(flows)
@@ -389,10 +390,15 @@ const (
 // windows are scored against (ThresholdOf). Only its owning goroutine (the
 // coordinator, or the worker analyzing it) touches it.
 type unitState struct {
-	cfg      *Config
-	unit     int
-	rng      *rand.Rand
-	flows    map[dataplane.FlowID]*flowState
+	cfg  *Config
+	unit int
+	rng  *rand.Rand
+	// flows maps each resident flow's FlowID.Key to its slot: the state of
+	// slot s is states[s/flowChunk][s%flowChunk]. Slots below made hold a
+	// state, resident or free.
+	flows    hashidx.Index
+	states   []*[flowChunk]flowState
+	made     int32
 	flowCost int
 	// flowBytes is the accounted size of the flow table.
 	flowBytes int
@@ -401,9 +407,9 @@ type unitState struct {
 	// coldest orders the resident flows for eviction: a min-heap whose
 	// root, once its key is current, is the victim.
 	coldest evictionHeap
-	// free holds evicted flow states for the next admission to reuse
-	// (reservoir sample slab and refresh scratch included).
-	free []*flowState
+	// free holds the slots of evicted flows for the next admission to
+	// reuse (reservoir sample slab and refresh scratch included).
+	free []int32
 
 	// ring holds the live epoch buckets: up to W sealed (in-window) plus
 	// two still-filling epochs.
@@ -418,6 +424,9 @@ type windowScratch struct {
 	window   []dataplane.RTRecord
 	analyzer *rca.Analyzer
 }
+
+// flowChunk is how many flow states a unit allocates at once.
+const flowChunk = 16
 
 type flowState struct {
 	flow      dataplane.FlowID
@@ -508,7 +517,6 @@ func newUnitState(cfg *Config, unit int) *unitState {
 		cfg:      cfg,
 		unit:     unit,
 		rng:      rand.New(rand.NewSource(cfg.Seed ^ int64(uint64(unit+1)*0x9e3779b97f4a7c15))),
-		flows:    make(map[dataplane.FlowID]*flowState),
 		flowCost: flowStateBytes(cfg.Reservoir),
 		ring:     make([]*bucket, cfg.WindowEpochs+2),
 	}
@@ -520,10 +528,18 @@ func newUnitState(cfg *Config, unit int) *unitState {
 
 // ThresholdOf implements rca.Thresholds from the unit's live reservoirs.
 func (u *unitState) ThresholdOf(flow dataplane.FlowID) netsim.Time {
-	if fs, ok := u.flows[flow]; ok {
+	if fs := u.resident(flow); fs != nil {
 		return netsim.Time(fs.res.Threshold())
 	}
 	return netsim.Time(u.cfg.Reservoir.DefaultThreshold)
+}
+
+// resident returns flow's state, or nil if flow is not resident.
+func (u *unitState) resident(flow dataplane.FlowID) *flowState {
+	if slot, ok := u.flows.Get(flow.Key()); ok {
+		return &u.states[slot/flowChunk][slot%flowChunk]
+	}
+	return nil
 }
 
 // slot returns the ring bucket for epoch ep, recycling an expired slot
@@ -541,7 +557,7 @@ func (u *unitState) slot(ep uint32) *bucket {
 // ingest feeds one record: flow state first (every observation counts
 // toward the threshold), then the epoch sample (Algorithm R).
 func (u *unitState) ingest(rec dataplane.RTRecord) ingestKind {
-	fs := u.flows[rec.Flow]
+	fs := u.resident(rec.Flow)
 	if fs == nil {
 		fs = u.admitFlow(rec.Flow, rec.Epoch)
 	}
@@ -595,18 +611,25 @@ func (u *unitState) admitFlow(flow dataplane.FlowID, epoch uint32) *flowState {
 	for u.flowBytes+u.flowCost > u.cfg.BudgetBytes {
 		u.evictColdest()
 	}
-	var fs *flowState
+	var slot int32
 	if n := len(u.free); n > 0 {
+		slot, u.free = u.free[n-1], u.free[:n-1]
+	} else {
+		if slot = u.made; slot%flowChunk == 0 {
+			u.states = append(u.states, new([flowChunk]flowState))
+		}
+		u.made++
+	}
+	fs := &u.states[slot/flowChunk][slot%flowChunk]
+	if fs.res == nil {
+		fs.res = reservoir.New(u.cfg.Reservoir, u.rng)
+	} else {
 		// A reset reservoir is in reservoir.New's state, and neither draws
 		// from the RNG, so reuse cannot reach the output.
-		fs, u.free = u.free[n-1], u.free[:n-1]
 		fs.res.Reset()
-		fs.flow = flow
-	} else {
-		fs = &flowState{flow: flow, res: reservoir.New(u.cfg.Reservoir, u.rng)}
 	}
-	fs.lastEpoch, fs.heapEpoch = epoch, epoch
-	u.flows[flow] = fs
+	fs.flow, fs.lastEpoch, fs.heapEpoch = flow, epoch, epoch
+	u.flows.Put(flow.Key(), slot)
 	u.coldest.push(fs)
 	u.flowBytes += u.flowCost
 	return fs
@@ -622,9 +645,8 @@ func (u *unitState) evictColdest() {
 		root.heapEpoch = root.lastEpoch
 		u.coldest.down(0)
 	}
-	victim := u.coldest.pop()
-	delete(u.flows, victim.flow)
-	u.free = append(u.free, victim)
+	slot, _ := u.flows.Delete(u.coldest.pop().flow.Key())
+	u.free = append(u.free, slot)
 	u.flowBytes -= u.flowCost
 	u.evictions++
 }
