@@ -68,8 +68,8 @@ func TestResidentProgramPartitionsRegisters(t *testing.T) {
 	}
 }
 
-// SetThreshold touches only resident switches, and ShardedRegisters routes
-// a reboot flush to the program that actually holds the registers.
+// SetThreshold touches only resident switches, and a reboot flush on the
+// program that owns the switch wipes the registers where they live.
 func TestShardedRegistersRouteFlush(t *testing.T) {
 	ft, _, progs, shardFor := shardFixture(t)
 	flow := FlowID{Src: ft.HostIDs[0], Sink: ft.HostIDs[8]}
@@ -78,17 +78,16 @@ func TestShardedRegistersRouteFlush(t *testing.T) {
 		p.SetThreshold(victim, flow, netsim.Millisecond)
 		p.SetThreshold(witness, flow, netsim.Millisecond)
 	}
-	sr := &ShardedRegisters{Progs: progs[:], ShardFor: shardFor}
 	home := progs[shardFor(victim)]
 	if home.threshold(victim, flow) != netsim.Millisecond {
 		t.Fatal("threshold not installed on owning shard")
 	}
-	sr.FlushSwitch(victim)
+	home.FlushSwitch(victim)
 	if d := home.threshold(victim, flow); d != DefaultThreshold {
-		t.Fatalf("threshold after routed flush = %v, want default", d)
+		t.Fatalf("threshold after the owner's flush = %v, want default", d)
 	}
 	// Other resident switches keep their thresholds.
 	if progs[shardFor(witness)].threshold(witness, flow) != netsim.Millisecond {
-		t.Fatal("routed flush touched a non-victim switch")
+		t.Fatal("the flush touched a non-victim switch")
 	}
 }

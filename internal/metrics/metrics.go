@@ -64,9 +64,6 @@ type RankResult struct {
 	Rank int
 }
 
-// Found reports whether the root cause appeared at all.
-func (r RankResult) Found() bool { return r.Rank > 0 }
-
 // ExamDefaultPenalty is the paper's convention: "if the root cause is out
 // of Top-5, we set a default 10 false positive causes before it".
 const ExamDefaultPenalty = 10

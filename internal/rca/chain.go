@@ -98,7 +98,7 @@ type patternEvidence struct {
 }
 
 // of points the evidence at sp: the flows with packets through it, in
-// flowLess order, and their total, which it returns.
+// (Src, Sink) order, and their total, which it returns.
 func (ev *patternEvidence) of(sp scoredPattern) float64 {
 	ev.sp, ev.congestionKnown, ev.voteKnown, ev.lossKnown, ev.voted = sp, false, false, false, false
 	ev.through, ev.total = ev.through[:0], 0

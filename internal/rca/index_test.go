@@ -11,6 +11,7 @@ import (
 	"mars/internal/controlplane"
 	"mars/internal/dataplane"
 	"mars/internal/fsm"
+	"mars/internal/hashidx"
 	"mars/internal/netsim"
 	"mars/internal/pathid"
 	"mars/internal/topology"
@@ -125,13 +126,13 @@ func TestIndexMatchesPerRecordOracle(t *testing.T) {
 		}
 	}
 	inputs = append(inputs, input{"undecodable-path-ids", undecodable, 400 * netsim.Millisecond})
-	// One flow with more epochs and more PathIDs than a chain holds
-	// (maxChain), each epoch on two paths: the pairs past the chain are
-	// remembered by the spill map, and counted and decoded once all the
-	// same — the second path's records, which alone show loss, never count.
+	// One flow with 192 epochs and 48 made-up PathIDs besides its two
+	// paths', each epoch on both paths: every (flow, epoch) and
+	// (flow, PathID) is counted and decoded once, on its first record — the
+	// second path's records, which alone show loss, never count.
 	var long []dataplane.RTRecord
 	for n, p := range f.ft.AllShortestPaths(f.ft.EdgeIDs[0], f.ft.EdgeIDs[2])[:2] {
-		for ep := uint32(0); ep < 3*maxChain; ep++ {
+		for ep := uint32(0); ep < 192; ep++ {
 			r := f.record(t, p, ep*7919, badLatency, 40, 30)
 			r.SinkCount, r.Arrival = uint32(40-40*n), 400*netsim.Millisecond
 			if ep%2 == 1 {
@@ -359,6 +360,47 @@ func TestDropEvidenceMemoryBoundedByRecords(t *testing.T) {
 	// flow lost 2 x 30 packets whichever epochs they were.
 	if got := a.dropAffectedFlows(a.index(window(math.MaxUint32), 400*netsim.Millisecond)); len(got) != 1 || !got[0] {
 		t.Errorf("affected = %v, want the one flow", got)
+	}
+}
+
+// TestFirstSeenSpreadsCollidingKeys: a frame's (flow, epoch) keys are the
+// sender's to choose. 2,048 records of one flow whose epochs all share one
+// home slot of the 4,096-slot table under the unkeyed hash would form one
+// probe run; under the Analyzer's own seed their mean probe length must stay
+// at most 2 (random keys average 1.5 at this load), and every epoch is still
+// counted once.
+func TestFirstSeenSpreadsCollidingKeys(t *testing.T) {
+	f := newFixture(t)
+	const n, slots = 2048, 4096
+	base := f.record(t, f.ft.AllShortestPaths(f.ft.EdgeIDs[0], f.ft.EdgeIDs[2])[0], 0, okLatency, 40, 1)
+	base.SinkCount, base.Arrival = 10, 400*netsim.Millisecond
+	recs := make([]dataplane.RTRecord, 0, n)
+	for e := uint32(0); len(recs) < n; e++ {
+		if (hashidx.Hasher{}).Hash(uint64(e))&(slots-1) == 0 {
+			r := base
+			r.Epoch = e
+			recs = append(recs, r)
+		}
+	}
+	a := analyzer(f)
+	ix := a.index(recs, 400*netsim.Millisecond)
+	if affected := a.dropAffectedFlows(ix); len(affected) != 1 || !affected[0] || a.work.drops[0].src != 40*n {
+		t.Fatalf("affected = %v, sums %+v: want the one flow, every epoch counted once", affected, a.work.drops)
+	}
+	seen := &a.work.seen
+	if len(seen.slots) != slots {
+		t.Fatalf("%d records sized the table at %d slots, want %d", n, len(seen.slots), slots)
+	}
+	probes := 0
+	for s, v := range seen.slots {
+		if v == 0 {
+			continue
+		}
+		key := uint64(ix.flowOf[v-1])<<32 | uint64(ix.records[v-1].Epoch)
+		probes += (s-int(seen.h.Hash(key)&(slots-1)))&(slots-1) + 1
+	}
+	if m := float64(probes) / n; m > 2 {
+		t.Errorf("mean probe length %.2f over %d keys that collide unkeyed, want <= 2", m, n)
 	}
 }
 
@@ -598,6 +640,7 @@ func TestAnalyzerReuseCarriesNothing(t *testing.T) {
 		"flow summaries": cap(w.stats), "flow order": cap(w.flows), "epoch cursor": cap(w.at),
 		"epoch rows": cap(w.rows), "flow paths": cap(w.flowPaths), "sink ranges": len(w.sinkRanges),
 		"scored patterns": cap(w.scored), "pattern switches": cap(w.subs), "walked culprits": cap(w.culprits),
+		"first-seen table": cap(w.seen.slots),
 	} { //mars:mapiter-ok each entry is checked on its own
 		if c == 0 {
 			t.Errorf("the inputs never reached the %s", name)

@@ -14,6 +14,15 @@ import (
 	"mars/internal/topology"
 )
 
+// flowLess orders FlowIDs by (Src, Sink): the order per-flow evidence is
+// read in.
+func flowLess(a, b dataplane.FlowID) bool {
+	if a.Src != b.Src {
+		return a.Src < b.Src
+	}
+	return a.Sink < b.Sink
+}
+
 // The per-record reference. This file is the evidence pipeline as it stood
 // before the index numbered its flows and before it grouped its records into
 // (flow, path) and (flow, epoch) rows, kept as the oracle of

@@ -220,10 +220,9 @@ type workingSet struct {
 	ix             index
 	flowOf, pathOf []int32
 	over           []bool
-	numbers        flowNumbers
+	seen           firstSeen
 	thresholds     []netsim.Time
 	flowIDs        []dataplane.FlowID
-	set            firsts
 	paths          []pathStat
 	db             fsm.Dataset
 	weights        []int
@@ -258,7 +257,7 @@ func New(cfg Config, paths *pathid.Table, thr Thresholds) *Analyzer {
 		cfg.EpochDuration = dataplane.EpochDuration
 	}
 	w := workingSet{
-		numbers:    flowNumbers{h: hashidx.NewHasher(), slots: make([]int32, 8)},
+		seen:       firstSeen{h: hashidx.NewHasher()},
 		sinkRanges: make(map[topology.NodeID]sinkEpochRange),
 	}
 	return &Analyzer{Cfg: cfg, Paths: paths, Thr: thr, work: w}
@@ -331,8 +330,9 @@ func (a *Analyzer) dropMargin(sourceCount uint32) uint32 {
 // gaps (missing telemetry packets) count as direct evidence.
 func (a *Analyzer) dropAffectedFlows(ix *index) []bool {
 	w, n := &a.work, len(ix.flowIDs)
-	byFlow, counted := slices.Grow(w.drops[:0], n)[:n], ix.emptySet()
+	byFlow := slices.Grow(w.drops[:0], n)[:n]
 	clear(byFlow)
+	w.seen.reset(len(ix.records))
 	for i := range ix.records {
 		r := &ix.records[i]
 		if a.Cfg.RecentWindow > 0 && r.Arrival < ix.now-a.Cfg.RecentWindow {
@@ -344,7 +344,10 @@ func (a *Analyzer) dropAffectedFlows(ix *index) []bool {
 		}
 		// A flow can have several records per epoch (one per path); counts
 		// are flow-level, so take each epoch once.
-		if counted.of(ix.flowOf[i], r.Epoch, i) == i {
+		fn, e := ix.flowOf[i], r.Epoch
+		if w.seen.of(uint64(fn)<<32|uint64(e), int32(i), func(j int32) bool {
+			return ix.flowOf[j] == fn && ix.records[j].Epoch == e
+		}) == int32(i) {
 			f.src += uint64(r.SourceCount)
 			f.sink += uint64(r.SinkCount)
 		}
@@ -398,13 +401,12 @@ type index struct {
 	flowIDs     []dataplane.FlowID
 	over        []bool
 	overRecords int
-	set         *firsts    // dropAffectedFlows' epochs, then estimate's PathIDs
 	pathOf      []int32    // each record's row in paths; nil until estimate
 	paths       []pathStat // in first-record order
 	hops        int        // the summed length of paths' paths
 
 	stats      []flowStats // by flow number
-	flows      []int32     // the flow numbers in flowLess order
+	flows      []int32     // the flow numbers in (Src, Sink) order
 	sinkRanges map[topology.NodeID]sinkEpochRange
 	globalMed  float64
 }
@@ -424,11 +426,13 @@ func (a *Analyzer) index(records []dataplane.RTRecord, now netsim.Time) *index {
 	}
 	clear(ix.over)
 	thresholds := w.thresholds[:0]
-	clear(w.numbers.slots)
+	w.seen.reset(n)
 	for i := range records {
 		r := &records[i]
-		f, added := w.numbers.number(r.Flow, &ix.flowIDs)
-		if added {
+		next := int32(len(ix.flowIDs))
+		f := w.seen.of(r.Flow.Key(), next, func(g int32) bool { return ix.flowIDs[g] == r.Flow })
+		if f == next {
+			ix.flowIDs = append(ix.flowIDs, r.Flow)
 			if a.Thr != nil {
 				thresholds = append(thresholds, a.Thr.ThresholdOf(r.Flow))
 			}
@@ -440,54 +444,48 @@ func (a *Analyzer) index(records []dataplane.RTRecord, now netsim.Time) *index {
 		}
 	}
 	w.flowOf, w.over, w.flowIDs, w.thresholds = ix.flowOf, ix.over, ix.flowIDs, thresholds
-	w.set.head = slices.Grow(w.set.head[:0], len(ix.flowIDs))[:len(ix.flowIDs)]
-	w.set.next, w.set.key = slices.Grow(w.set.next[:0], n)[:n], slices.Grow(w.set.key[:0], n)[:n]
-	ix.set = &w.set
 	return ix
 }
 
-// flowNumbers numbers an index's flows: open-addressed slots of flow number
-// + 1 (0 is empty) under the keyed hash of FlowID.Key, each probe checked
-// against the index's flowIDs. A slot is four bytes where a hashidx.Index
-// entry is sixteen: the 112 flows of a k=8 unit's window grow it through
-// 2 KB, an Index through 8 KB (BenchmarkStreamWindowClose gates it).
-type flowNumbers struct {
+// firstSeen remembers which value first came with each key: open-addressed
+// slots of value + 1 (0 is empty), a power of two long and at most half
+// full, under the Analyzer's keyed hash. A slot holds no key: the caller
+// tells a value that came with the key from one that only shares its probe
+// run, against storage it already has. An analysis uses the one table
+// three times, emptied in between, and the uses never overlap: index's flow
+// numbering, dropAffectedFlows' (flow, epoch) set and estimate's
+// (flow, PathID) set. Sized by the records, it is O(records) memory for
+// any key values; keyed, it keeps keys off the wire from piling into one
+// probe run (TestFirstSeenSpreadsCollidingKeys).
+type firstSeen struct {
 	h     hashidx.Hasher
-	slots []int32 // a power of two long
+	slots []int32
 }
 
-// number returns flow's number, appending flow to flowIDs if it has none
-// yet (added). The table doubles before it passes 3/4 full.
-func (t *flowNumbers) number(flow dataplane.FlowID, flowIDs *[]dataplane.FlowID) (f int32, added bool) {
-	i, f := t.find(flow, *flowIDs)
-	if f >= 0 {
-		return f, false
+// reset empties the table, with room for n keys.
+func (t *firstSeen) reset(n int) {
+	size := 8
+	for size < 2*n {
+		size *= 2
 	}
-	n := len(*flowIDs)
-	if 4*(n+1) > 3*len(t.slots) {
-		t.slots = make([]int32, 2*len(t.slots))
-		for g, id := range *flowIDs {
-			j, _ := t.find(id, nil)
-			t.slots[j] = int32(g) + 1
-		}
-		i, _ = t.find(flow, nil)
-	}
-	t.slots[i] = int32(n) + 1
-	*flowIDs = append(*flowIDs, flow)
-	return int32(n), true
+	t.slots = slices.Grow(t.slots[:0], size)[:size]
+	clear(t.slots)
 }
 
-// find returns flow's slot and number among flowIDs, or the empty slot that
-// ends its probe run and -1.
-func (t *flowNumbers) find(flow dataplane.FlowID, flowIDs []dataplane.FlowID) (int, int32) {
-	mask := len(t.slots) - 1
-	i := int(t.h.Hash(flow.Key())) & mask
-	for ; t.slots[i] != 0; i = (i + 1) & mask {
-		if f := t.slots[i] - 1; int(f) < len(flowIDs) && flowIDs[f] == flow {
-			return i, f
+// of returns the value that first came with key, as same tells a value
+// that did from one that only shares its probe run: v, now added, if none
+// had.
+func (t *firstSeen) of(key uint64, v int32, same func(w int32) bool) int32 {
+	mask := uint64(len(t.slots) - 1)
+	for s := t.h.Hash(key) & mask; ; s = (s + 1) & mask {
+		switch w := t.slots[s] - 1; {
+		case w < 0:
+			t.slots[s] = v + 1
+			return v
+		case same(w):
+			return w
 		}
 	}
-	return i, -1
 }
 
 // maxEstimatePerRecord caps the weight Alg. 2 gives one telemetry record
@@ -504,10 +502,13 @@ func (a *Analyzer) estimate(ix *index) {
 	}
 	w := &a.work
 	ix.pathOf, ix.paths = slices.Grow(w.pathOf[:0], len(ix.records))[:len(ix.records)], w.paths[:0]
-	decoded := ix.emptySet()
+	w.seen.reset(len(ix.records))
 	for i := range ix.records {
 		r := &ix.records[i]
-		if j := decoded.of(ix.flowOf[i], uint32(r.PathID), i); j != i {
+		fn, id := ix.flowOf[i], r.PathID
+		if j := w.seen.of(uint64(fn)<<32|uint64(id), int32(i), func(j int32) bool {
+			return ix.flowOf[j] == fn && ix.records[j].PathID == id
+		}); j != int32(i) {
 			ix.pathOf[i] = ix.pathOf[j]
 		} else {
 			path, _ := a.Paths.Lookup(r.Flow.Sink, r.PathID)
@@ -530,51 +531,6 @@ func (a *Analyzer) estimate(ix *index) {
 		}
 	}
 	w.pathOf, w.paths = ix.pathOf, ix.paths
-}
-
-// firsts is a set of (flow, key) pairs over one index's records that
-// remembers which record first carried each pair, in O(records) memory
-// whatever the keys: per flow, a chain of those first records (head and
-// next hold a record index + 1; 0 ends a chain). Honest telemetry gives a
-// flow a handful of keys — W epochs, (k/2)^2 paths — so a lookup is a few
-// compares. Pairs past maxChain in one flow go to a map instead, so a
-// corrupt or hostile frame cannot make the walk quadratic.
-type firsts struct {
-	head, next []int32          // by flow number; by record
-	key        []uint32         // by record
-	spill      map[uint64]int32 // flow<<32 | key -> record
-}
-
-const maxChain = 64
-
-// emptySet returns the index's one firsts, emptied: its uses do not overlap.
-func (ix *index) emptySet() *firsts {
-	clear(ix.set.head)
-	ix.set.spill = nil
-	return ix.set
-}
-
-// of returns the record that first carried (f, key): i, now added, if none had.
-func (s *firsts) of(f int32, key uint32, i int) int {
-	j, hops := s.head[f], 0
-	for ; j > 0 && hops < maxChain; j, hops = s.next[j-1], hops+1 {
-		if s.key[j-1] == key {
-			return int(j - 1)
-		}
-	}
-	if hops < maxChain {
-		s.key[i], s.next[i], s.head[f] = key, s.head[f], int32(i+1)
-		return i
-	}
-	pair := uint64(f)<<32 | uint64(key)
-	if j, ok := s.spill[pair]; ok {
-		return int(j)
-	}
-	if s.spill == nil {
-		s.spill = make(map[uint64]int32)
-	}
-	s.spill[pair] = int32(i)
-	return i
 }
 
 // split is a view's reading of one row: the estimated packets of it that

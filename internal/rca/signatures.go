@@ -9,14 +9,6 @@ import (
 	"mars/internal/topology"
 )
 
-// flowLess orders FlowIDs: the order per-flow evidence is read in.
-func flowLess(a, b dataplane.FlowID) bool {
-	if a.Src != b.Src {
-		return a.Src < b.Src
-	}
-	return a.Sink < b.Sink
-}
-
 // flowStats summarizes one flow's diagnosis data for signature matching.
 type flowStats struct {
 	// epochs is the flow's (flow, epoch) rows in ascending epoch order.

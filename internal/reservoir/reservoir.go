@@ -10,8 +10,7 @@
 // surrounding text ("as more continuous outliers are detected, the
 // possibility that incoming data gets into the reservoir decreases
 // severely") and would starve the reservoir of normal samples. PenaltyText
-// implements the text's semantics (the default); PenaltyPrinted implements
-// the literal pseudocode for the ablation bench; PenaltyOff disables the
+// implements the text's semantics (the default); PenaltyOff disables the
 // factor entirely (the "reservoir w/o α" baseline of Fig. 8).
 package reservoir
 
@@ -30,10 +29,6 @@ const (
 	PenaltyText PenaltyMode = iota
 	// PenaltyOff: α = 1 always (classic reservoir sampling).
 	PenaltyOff
-	// PenaltyPrinted: the literal Algorithm 1 pseudocode (c_o resets on an
-	// outlier and counts consecutive normal samples). Kept for the ablation
-	// study; not recommended.
-	PenaltyPrinted
 )
 
 func (m PenaltyMode) String() string {
@@ -42,8 +37,6 @@ func (m PenaltyMode) String() string {
 		return "penalty"
 	case PenaltyOff:
 		return "no-penalty"
-	case PenaltyPrinted:
-		return "penalty-printed"
 	default:
 		return "unknown"
 	}
@@ -112,7 +105,7 @@ type Reservoir struct {
 	cfg  Config
 	rng  *rand.Rand
 	data []float64
-	co   int // consecutive-outlier count (PenaltyText) or its inverse
+	co   int // consecutive-outlier count (PenaltyText)
 
 	// sorted is empty or data in ascending order. refresh sorts it once,
 	// the first time the reservoir reaches MinSamples (most flows in a
@@ -270,20 +263,9 @@ func (r *Reservoir) Stddev() float64 {
 func (r *Reservoir) Input(l float64) bool {
 	outlier := l > r.Threshold()
 
-	switch r.cfg.Penalty {
-	case PenaltyText:
-		if outlier {
-			r.co++
-		} else {
-			r.co = 0
-		}
-	case PenaltyPrinted:
-		if outlier {
-			r.co = 0
-		} else {
-			r.co++
-		}
-	case PenaltyOff:
+	if outlier && r.cfg.Penalty == PenaltyText {
+		r.co++
+	} else {
 		r.co = 0
 	}
 
@@ -320,10 +302,6 @@ func insertSorted(s []float64, v float64) []float64 {
 	return slices.Insert(s, i, v)
 }
 
-// Classify tests a latency against the current threshold without feeding
-// it into the reservoir (used by the data plane, which holds a copy of θ).
-func (r *Reservoir) Classify(l float64) bool { return l > r.Threshold() }
-
 // StaticDetector is the fixed-threshold strawman of Fig. 8: anything above
 // Threshold is an anomaly.
 type StaticDetector struct {
@@ -333,16 +311,11 @@ type StaticDetector struct {
 // Input implements the same reporting contract as Reservoir.Input.
 func (s *StaticDetector) Input(l float64) bool { return l > s.Threshold }
 
-// Classify tests without side effects (static detectors have none).
-func (s *StaticDetector) Classify(l float64) bool { return l > s.Threshold }
-
 // Detector abstracts the dynamic and static classifiers for the Fig. 8
 // comparison harness.
 type Detector interface {
 	// Input observes one sample and reports whether it is anomalous.
 	Input(l float64) bool
-	// Classify tests a sample without recording it.
-	Classify(l float64) bool
 }
 
 var (

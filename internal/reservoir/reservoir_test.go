@@ -133,27 +133,6 @@ func TestPenaltyResistsOutlierFlood(t *testing.T) {
 	}
 }
 
-func TestPenaltyPrintedVariantDiffers(t *testing.T) {
-	// The literal pseudocode penalizes normal data; after a long normal
-	// stream its acceptance count must be far below the text variant's.
-	feed := func(mode PenaltyMode) int64 {
-		cfg := DefaultConfig()
-		cfg.Volume = 32
-		cfg.Penalty = mode
-		r := newTest(cfg, 2)
-		rng := rand.New(rand.NewSource(4))
-		for i := 0; i < 2000; i++ {
-			r.Input(500 + 10*rng.NormFloat64())
-		}
-		return r.Accepted
-	}
-	text := feed(PenaltyText)
-	printed := feed(PenaltyPrinted)
-	if printed >= text/2 {
-		t.Errorf("printed variant accepted %d, text %d; expected starvation", printed, text)
-	}
-}
-
 func TestReservoirCapacityBound(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Volume = 16
@@ -170,23 +149,6 @@ func TestStaticDetector(t *testing.T) {
 	s := &StaticDetector{Threshold: 100}
 	if s.Input(99) || !s.Input(101) {
 		t.Error("static detector misclassified")
-	}
-	if s.Classify(99) || !s.Classify(101) {
-		t.Error("static classify misclassified")
-	}
-}
-
-func TestClassifyHasNoSideEffects(t *testing.T) {
-	cfg := DefaultConfig()
-	r := newTest(cfg, 1)
-	for i := 0; i < 50; i++ {
-		r.Input(100)
-	}
-	before := r.Threshold()
-	beforeLen := r.Len()
-	r.Classify(1e9)
-	if r.Threshold() != before || r.Len() != beforeLen {
-		t.Error("Classify mutated reservoir")
 	}
 }
 
@@ -339,11 +301,10 @@ func TestPinnedInputSequence(t *testing.T) {
 		nextDraw           int64
 	}
 	want := map[PenaltyMode]pin{
-		PenaltyText:    {1833, 0x94b5957433502dba, 4146, 5854, 0x409079794fcfca6b, 6227954901704815788},
-		PenaltyOff:     {1822, 0x9f346771f5d0b1e1, 5006, 4994, 0x4090b8a12dee95ae, 3071881423211951125},
-		PenaltyPrinted: {87, 0x3356785e59be518a, 111, 9889, 0x40d339723ea5382c, 5282546305954615968},
+		PenaltyText: {1833, 0x94b5957433502dba, 4146, 5854, 0x409079794fcfca6b, 6227954901704815788},
+		PenaltyOff:  {1822, 0x9f346771f5d0b1e1, 5006, 4994, 0x4090b8a12dee95ae, 3071881423211951125},
 	}
-	for _, mode := range []PenaltyMode{PenaltyText, PenaltyOff, PenaltyPrinted} {
+	for _, mode := range []PenaltyMode{PenaltyText, PenaltyOff} {
 		cfg := DefaultConfig()
 		cfg.Volume = 64
 		cfg.Penalty = mode
