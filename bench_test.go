@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mars"
 	"mars/internal/experiments"
 	"mars/internal/faults"
 	"mars/internal/fsm"
@@ -176,4 +177,20 @@ func BenchmarkFSMMiners(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkNewSystem times one k=16 deployment's construction: the fabric,
+// every edge pair's shortest paths, the PathID table widened to 16 bits
+// (with MAT entries), the router, the data plane and the controller.
+func BenchmarkNewSystem(b *testing.B) {
+	cfg := mars.DefaultConfig()
+	cfg.FatTreeK = 16
+	b.Run("K16", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := mars.NewSystem(cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -147,7 +147,7 @@ func main() {
 			fmt.Print(experiments.RunPathIDMemory().Render())
 		},
 		"scale": func() {
-			fmt.Print(experiments.RunScaleWith(opts, []int{4, 6, 8}).Render())
+			fmt.Print(experiments.RunScaleWith(opts, []int{4, 6, 8, 16}).Render())
 			// The partitioned scale trial: simulated outcome on stdout
 			// (invariant under -shards, diffed by CI), throughput and
 			// memory on stderr.

@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"maps"
 	"net"
 	"reflect"
 	"runtime"
@@ -43,6 +44,13 @@ func defaultCapture(t *testing.T) *Capture {
 // gets no node: its socket is closed and its switches never answer.
 func launchInProcess(t *testing.T, c *Capture, absent int) (*ControllerNode, []*SwitchNode) {
 	t.Helper()
+	return launchInProcessWith(t, c, absent, nil)
+}
+
+// launchInProcessWith is launchInProcess with rewire, if not nil, applied
+// to the controller node before anything starts.
+func launchInProcessWith(t *testing.T, c *Capture, absent int, rewire func(*ControllerNode)) (*ControllerNode, []*SwitchNode) {
+	t.Helper()
 	groups := GroupSwitches(c.Sys.FT, c.Scenario.Groups)
 	conns, pm, err := AllocatePorts(groups)
 	if err != nil {
@@ -57,6 +65,9 @@ func launchInProcess(t *testing.T, c *Capture, absent int) (*ControllerNode, []*
 		t.Fatal(err)
 	}
 	ctrl := NewControllerNode(c, conns[0], swAddrs)
+	if rewire != nil {
+		rewire(ctrl)
+	}
 	var nodes []*SwitchNode
 	for i, g := range groups {
 		if i == absent {
@@ -343,6 +354,80 @@ func TestLoopbackRetriesUnderInjectedLoss(t *testing.T) {
 	if ctrl.Stats().InjectedDrops.Load() == 0 {
 		t.Fatal("loss injection never dropped a fragment")
 	}
+}
+
+// retryKinds attributes each controller retry to the kind of request it
+// repeats. It stands between the controller and its transport and clock:
+// it notes the kind of each request sent, gives it to the deadline the
+// controller arms right after the send, and counts the retries that
+// deadline's timeout books. It runs on the controller node's loop.
+type retryKinds struct {
+	tr      ctrlchan.Transport
+	clock   controlplane.Clock
+	ctrl    *controlplane.Controller
+	timeout netsim.Time
+	last    ctrlchan.Kind
+	retries map[ctrlchan.Kind]int64
+}
+
+func (k *retryKinds) Send(d ctrlchan.Direction, m ctrlchan.Message, deliver func(ctrlchan.Message)) {
+	k.last = m.Kind
+	k.tr.Send(d, m, deliver)
+}
+
+func (k *retryKinds) Now() netsim.Time             { return k.clock.Now() }
+func (k *retryKinds) At(at netsim.Time, fn func()) { k.clock.At(at, fn) }
+
+func (k *retryKinds) After(d netsim.Time, fn func()) {
+	if d != k.timeout {
+		k.clock.After(d, fn)
+		return
+	}
+	kind := k.last
+	k.clock.After(d, func() {
+		before := k.ctrl.Bytes.Retries
+		fn()
+		k.retries[kind] += k.ctrl.Bytes.Retries - before
+	})
+}
+
+// TestLoopbackRetriesByKind runs the default capture over loopback with
+// no injected loss and attributes every retry the controller books to a
+// request kind. The counts are logged, not asserted: they depend on how
+// busy the host is. On a 2-vCPU host, runs read zero or tens of retries;
+// the scaled 5 ms request deadline is what they measure.
+func TestLoopbackRetriesByKind(t *testing.T) {
+	c := defaultCapture(t)
+	var k *retryKinds
+	ctrl, _ := launchInProcessWith(t, c, -1, func(n *ControllerNode) {
+		cfg := ScaledControllerConfig(c.Scenario)
+		k = &retryKinds{tr: n.tr, clock: n.loop, timeout: cfg.RequestTimeout, retries: map[ctrlchan.Kind]int64{}}
+		on := n.ctrl.OnDiagnosis
+		n.ctrl = controlplane.New(cfg, k, c.Sys.FT.Topology, k)
+		n.ctrl.OnDiagnosis = on
+		k.ctrl = n.ctrl
+	})
+	time.Sleep(ReplayDuration(c.Scenario)) //mars:wallclock live replay phase
+	WaitSettled(ctrl)
+	// The refresh loop keeps running: read both counts in one turn of it.
+	var (
+		byKind map[ctrlchan.Kind]int64
+		booked int64
+	)
+	ctrl.loop.Run(func() { byKind, booked = maps.Clone(k.retries), k.ctrl.Bytes.Retries })
+	var sum int64
+	for _, kind := range []ctrlchan.Kind{ctrlchan.KindCollectRequest, ctrlchan.KindRefreshRequest, ctrlchan.KindThresholdPush} {
+		sum += byKind[kind]
+	}
+	if sum != booked {
+		t.Fatalf("attributed %d retries (%v), the controller booked %d", sum, byKind, booked)
+	}
+	diagnoses := len(ctrl.Diagnoses())
+	if diagnoses == 0 {
+		t.Fatal("no diagnosis finalized")
+	}
+	t.Logf("%d diagnoses, %d retries: collect %d, refresh %d, push %d", diagnoses, booked,
+		byKind[ctrlchan.KindCollectRequest], byKind[ctrlchan.KindRefreshRequest], byKind[ctrlchan.KindThresholdPush])
 }
 
 // TestPortMapRoundTrip checks the JSON discovery file survives a write /

@@ -1,9 +1,9 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"mars/internal/topology"
 )
@@ -59,8 +59,10 @@ type nextHop struct {
 // span is one candidate list: hops[off : off+n].
 type span struct{ off, n uint32 }
 
-// NewECMPRouter precomputes shortest-path distances between all switches
-// and the per-(switch, edge) equal-cost next-hop sets.
+// NewECMPRouter precomputes the per-(switch, edge) equal-cost next-hop
+// sets from each switch's distance to each edge switch: one BFS per edge
+// switch over the switch-only subgraph, into a dense per-node array, since
+// Route reads distances to edge switches only.
 func NewECMPRouter(topo *topology.Topology, salt uint64) *ECMPRouter {
 	n := len(topo.Nodes)
 	r := &ECMPRouter{
@@ -89,52 +91,52 @@ func NewECMPRouter(topo *topology.Topology, salt uint64) *ECMPRouter {
 		}
 	}
 	r.cols = len(edges)
-	// BFS from every switch over the switch-only subgraph.
-	dist := make(map[topology.NodeID]map[topology.NodeID]int32)
-	for _, src := range topo.Switches() {
-		d := make(map[topology.NodeID]int32, topo.NumSwitches())
-		d[src] = 0
-		queue := []topology.NodeID{src}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, p := range topo.Node(u).Ports {
-				v := p.Peer
-				if !topo.IsSwitch(v) {
-					continue
-				}
-				if _, seen := d[v]; !seen {
+	// dist[c*n+v] is switch v's hop count to edges[c], -1 if unreachable.
+	dist := make([]int32, len(edges)*n)
+	queue := make([]topology.NodeID, 0, topo.NumSwitches())
+	for c, edge := range edges {
+		d := dist[c*n : (c+1)*n]
+		for i := range d {
+			d[i] = -1
+		}
+		d[edge] = 0
+		queue = append(queue[:0], edge)
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
+			for _, p := range topo.Nodes[u].Ports {
+				if v := p.Peer; d[v] < 0 && topo.IsSwitch(v) {
 					d[v] = d[u] + 1
 					queue = append(queue, v)
 				}
 			}
 		}
-		dist[src] = d
 	}
-	// Materialize the candidate sets. Ports are enumerated in ascending
-	// peer order below, matching the sorted order the map-based
-	// implementation produced.
+	// Materialize the candidate sets from each switch's switch neighbors,
+	// sorted once by ID (ports in order among parallel links), so every
+	// list comes out ascending by next hop.
 	r.spans = make([]span, topo.NumSwitches()*r.cols)
-	var hops []nextHop
+	var nbrs, hops []nextHop
 	for i, sw := range topo.Switches() {
 		r.row[sw] = int32(i)
+		nbrs = nbrs[:0]
+		for pi, p := range topo.Nodes[sw].Ports {
+			if topo.IsSwitch(p.Peer) {
+				nbrs = append(nbrs, nextHop{sw: p.Peer, port: topology.PortID(pi)})
+			}
+		}
+		slices.SortStableFunc(nbrs, func(a, b nextHop) int { return cmp.Compare(a.sw, b.sw) })
 		rowStart := len(r.hops)
 		for c, edge := range edges {
-			dcur, ok := dist[sw][edge]
-			if sw == edge || !ok {
+			d := dist[c*n : (c+1)*n]
+			if sw == edge || d[sw] < 0 {
 				continue
 			}
 			hops = hops[:0]
-			for pi, p := range topo.Node(sw).Ports {
-				v := p.Peer
-				if !topo.IsSwitch(v) {
-					continue
-				}
-				if d, ok := dist[v][edge]; ok && d == dcur-1 {
-					hops = append(hops, nextHop{sw: v, port: topology.PortID(pi)})
+			for _, h := range nbrs {
+				if d[h.sw] == d[sw]-1 {
+					hops = append(hops, h)
 				}
 			}
-			sort.Slice(hops, func(i, j int) bool { return hops[i].sw < hops[j].sw })
 			r.spans[i*r.cols+c] = r.intern(rowStart, hops)
 		}
 	}

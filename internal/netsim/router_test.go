@@ -88,8 +88,24 @@ func (ref *refRouter) route(sw, dst topology.NodeID, hops []topology.NodeID, flo
 // flow keys, Route and NextHops equal the reference — with even weights
 // (the modulo shortcut), with skews at an edge and at an aggregation switch
 // (the weighted walk), and after RestoreWeights and ResetWeights put the
-// even split back.
+// even split back. At k=16, where the dense distance tables are largest,
+// NextHops equals the reference on a stride of switches × hosts.
 func TestRouteMatchesReference(t *testing.T) {
+	k16, err := topology.NewFatTree(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r16, ref16 := NewECMPRouter(k16.Topology, 1), newRefRouter(k16.Topology, 1)
+	switches := k16.Switches()
+	for i := 0; i < len(switches); i += 3 {
+		for j := i % 7; j < len(k16.HostIDs); j += 7 {
+			sw, dst := switches[i], k16.HostIDs[j]
+			if got, want := r16.NextHops(sw, dst), ref16.nextHops(sw, dst); !slices.Equal(got, want) {
+				t.Fatalf("k=16: NextHops(%d, %d) = %v, want %v", sw, dst, got, want)
+			}
+		}
+	}
+
 	for _, k := range []int{4, 8} {
 		ft, err := topology.NewFatTree(k)
 		if err != nil {
@@ -173,4 +189,20 @@ func TestPacketStaysCompact(t *testing.T) {
 	if size := unsafe.Sizeof(Packet{}); size > 96 {
 		t.Errorf("sizeof(Packet) = %d, want <= 96", size)
 	}
+}
+
+// BenchmarkNewECMPRouter times the router's construction over a k=16 fat
+// tree: the distances toward each of its 128 edge switches and the
+// interned candidate list of every (switch, edge switch) pair.
+func BenchmarkNewECMPRouter(b *testing.B) {
+	ft, err := topology.NewFatTree(16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("K16", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			NewECMPRouter(ft.Topology, uint64(i))
+		}
+	})
 }

@@ -15,6 +15,7 @@ package pathid
 import (
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"slices"
 
 	"mars/internal/hashidx"
@@ -171,26 +172,38 @@ func HopPorts(topo *topology.Topology, path topology.Path) ([][2]uint16, error) 
 	return appendHopPorts(make([][2]uint16, 0, len(path)), topo, path)
 }
 
-// appendHopPorts is HopPorts appending to ports. Each link's ports are
-// found once: the egress port towards the next switch, and the peer port
-// behind it as that switch's ingress.
+// appendHopPorts is HopPorts appending to ports.
 func appendHopPorts(ports [][2]uint16, topo *topology.Topology, path topology.Path) ([][2]uint16, error) {
-	if len(path) == 0 {
-		return ports, nil
-	}
 	n := len(ports)
 	ports = slices.Grow(ports, len(path))[:n+len(path)]
-	ports[n][0] = HostPort
-	for i, sw := range path[:len(path)-1] {
+	if err := fillHopPorts(ports[n:], topo, path, 0); err != nil {
+		return nil, err
+	}
+	return ports, nil
+}
+
+// fillHopPorts sets ports[from:] to path's hop ports, len(ports) ==
+// len(path), given ports[from][0] when from > 0. Each link's ports are
+// found once: the egress port towards the next switch, and the peer port
+// behind it as that switch's ingress.
+func fillHopPorts(ports [][2]uint16, topo *topology.Topology, path topology.Path, from int) error {
+	if len(path) == 0 {
+		return nil
+	}
+	if from == 0 {
+		ports[0][0] = HostPort
+	}
+	for i := from; i < len(path)-1; i++ {
+		sw := path[i]
 		p, ok := topo.PortTo(sw, path[i+1])
 		if !ok {
-			return nil, fmt.Errorf("pathid: %v not adjacent to %v", sw, path[i+1])
+			return fmt.Errorf("pathid: %v not adjacent to %v", sw, path[i+1])
 		}
-		ports[n+i][1] = uint16(p)
-		ports[n+i+1][0] = uint16(topo.Nodes[sw].Ports[p].PeerPort)
+		ports[i][1] = uint16(p)
+		ports[i+1][0] = uint16(topo.Nodes[sw].Ports[p].PeerPort)
 	}
-	ports[len(ports)-1][1] = HostPort
-	return ports, nil
+	ports[len(path)-1][1] = HostPort
+	return nil
 }
 
 // MATEntry is one collision-breaking rule installed at a switch: when a
@@ -241,30 +254,6 @@ func finalKey(sink topology.NodeID, id ID) uint64 {
 	return uint64(uint32(sink))<<32 | uint64(id)
 }
 
-// pathKey is p's key: each switch ID as four big-endian bytes.
-func pathKey(p topology.Path) string {
-	b := make([]byte, 0, len(p)*4)
-	for _, n := range p {
-		b = append(b, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
-	}
-	return string(b)
-}
-
-// comparePaths is BuildTable's processing order: shorter paths first, then
-// lexicographic. NodeIDs are non-negative, so numeric order is pathKey's
-// byte order.
-func comparePaths(a, b topology.Path) int {
-	if len(a) != len(b) {
-		return len(a) - len(b)
-	}
-	for i, n := range a {
-		if n != b[i] {
-			return int(n) - int(b[i])
-		}
-	}
-	return 0
-}
-
 // BuildTable computes PathIDs for every path, resolving collisions between
 // paths that share a sink switch by assigning control values (installing
 // MAT entries) from the sink hop backwards. It errors if a sink has more
@@ -281,21 +270,74 @@ func BuildTable(cfg Config, topo *topology.Topology, paths []topology.Path) (*Ta
 		if uint64(n) <= ids {
 			continue
 		}
-		// Duplicates do not count: sorted, they are adjacent.
-		var to []topology.Path
-		for _, p := range paths {
+		// Duplicates do not count.
+		to := make([]int32, 0, n)
+		for i, p := range paths {
 			if p[len(p)-1] == topology.NodeID(sink) {
-				to = append(to, p)
+				to = append(to, int32(i))
 			}
 		}
-		slices.SortFunc(to, comparePaths)
-		if n = len(slices.CompactFunc(to, topology.Path.Equal)); uint64(n) > ids {
+		if n = len(distinctOrder(paths, to, len(topo.Nodes))); uint64(n) > ids {
 			return nil, fmt.Errorf("pathid: sink s%d has %d distinct paths, more than the %d IDs of a %d-bit PathID", sink, n, ids, cfg.Width)
 		}
 	}
-	sorted := slices.Clone(paths)
-	slices.SortFunc(sorted, comparePaths)
-	return newBuilder(cfg, topo, slices.CompactFunc(sorted, topology.Path.Equal)).build()
+	b := newSlabBuilder(cfg, topo, paths, distinctOrder(paths, nil, len(topo.Nodes)))
+	return b.build()
+}
+
+// distinctOrder returns the indices of paths in BuildTable's processing
+// order, shorter paths first, then lexicographic by switch ID, each
+// distinct path once; of only the indices in sub, if sub is not nil. It
+// orders without comparing slices, by a least-significant-first radix
+// sort: one stable counting pass per position from the last (a position
+// past a path's end counts as below every switch), then one by length.
+// Duplicates, adjacent once sorted, are compared and dropped. Switch IDs
+// are below nodes.
+func distinctOrder(paths []topology.Path, sub []int32, nodes int) []int32 {
+	n := len(paths)
+	if sub != nil {
+		n = len(sub)
+	}
+	buf := make([]int32, 3*n)
+	idx, tmp, digit := buf[:n], buf[n:2*n], buf[2*n:]
+	longest := 0
+	for j := range idx {
+		idx[j] = int32(j)
+		if sub != nil {
+			idx[j] = sub[j]
+		}
+		longest = max(longest, len(paths[idx[j]]))
+	}
+	count := make([]int32, max(nodes, longest)+2)
+	for pos := longest - 1; pos >= -1; pos-- {
+		for j, i := range idx {
+			p := paths[i]
+			switch {
+			case pos < 0: // the last pass: by length
+				digit[j] = int32(len(p))
+			case pos < len(p):
+				digit[j] = int32(p[pos]) + 1
+			default:
+				digit[j] = 0
+			}
+		}
+		clear(count)
+		for _, d := range digit {
+			count[d+1]++
+		}
+		if n == 0 || count[digit[0]+1] == int32(n) {
+			continue // one digit throughout: the order stands
+		}
+		for d := 1; d < len(count); d++ {
+			count[d] += count[d-1]
+		}
+		for j, i := range idx {
+			tmp[count[digit[j]]] = i
+			count[digit[j]]++
+		}
+		idx, tmp = tmp, idx
+	}
+	return slices.CompactFunc(idx, func(a, b int32) bool { return paths[a].Equal(paths[b]) })
 }
 
 // BuildWidening is BuildTable at the narrowest field that fits the path
@@ -319,104 +361,136 @@ func BuildWidening(cfg Config, topo *topology.Topology, paths []topology.Path) (
 // but the table.
 type builder struct {
 	t *Table
-	// paths are the distinct paths in insertion order, carved from the
-	// table's slab.
-	paths []topology.Path
 	// walked holds the walkKey of every (switch, current ID, in, out) hop
-	// the chains of paths[:walkedN] cross: a control value installed there
-	// would re-route those paths, so insert never picks one. It is filled
-	// only when a collision is about to read it.
-	walked  map[uint64]struct{}
-	walkedN int
-	// Per-path scratch, reused across inserts. ports and ids, which every
-	// insert fills, start at the longest path's length and never grow.
-	ports, walkPorts [][2]uint16
-	ids, try         []ID
+	// the chains of the slab's paths before offset walkedTo cross: a
+	// control value installed there would re-route those paths, so insert
+	// never picks one. It is filled only when a collision is about to read
+	// it.
+	walked   hopSet
+	walkedTo int32
+	hops     int // the slab's hops, the most walked can hold
+	// cur is the chain insert traced last and walking the one walk did.
+	cur, walking trace
+	try          []ID
 }
 
-// newBuilder copies the distinct paths into the table's slab, each behind
-// its length, and sizes the table's index for all of them. It takes
-// ownership of paths.
-func newBuilder(cfg Config, topo *topology.Topology, paths []topology.Path) *builder {
+// trace is the hop ports and stepwise IDs of the path a builder traced
+// last: ids[h] is the PathID after hop h under the entries of that time.
+type trace struct {
+	path  topology.Path
+	ports [][2]uint16
+	ids   []ID
+}
+
+// follow makes tr path's trace and returns the first hop it computed. Hop
+// h's ports and ID depend only on path[:h+2] and the entries, so the hops
+// before the last switch path shares with the path traced before are kept:
+// in BuildTable's lexicographic order most paths differ from the last in
+// their final two hops. The caller sets tr.path to nil when it installs an
+// entry, which can change any hop.
+func (tr *trace) follow(t *Table, path topology.Path) (int, error) {
+	same := 0
+	for same < min(len(path), len(tr.path)) && path[same] == tr.path[same] {
+		same++
+	}
+	from := max(same-1, 0)
+	if cap(tr.ports) < len(path) {
+		from = 0
+		tr.ports, tr.ids = make([][2]uint16, len(path)), make([]ID, 0, len(path))
+	}
+	tr.path, tr.ports = nil, tr.ports[:len(path)]
+	if err := fillHopPorts(tr.ports, t.topo, path, from); err != nil {
+		return 0, err
+	}
+	tr.path, tr.ids = path, t.chain(tr.ids[:from], path, tr.ports)
+	return from, nil
+}
+
+// newSlabBuilder copies paths[order[0]], paths[order[1]], ..., distinct
+// paths in insertion order, into the table's slab, each behind its length,
+// and sizes the table's index for all of them.
+func newSlabBuilder(cfg Config, topo *topology.Topology, paths []topology.Path, order []int32) builder {
 	hops, longest := 0, 0
-	for _, p := range paths {
-		hops += len(p)
-		longest = max(longest, len(p))
+	for _, i := range order {
+		hops += len(paths[i])
+		longest = max(longest, len(paths[i]))
 	}
-	slab := make([]topology.NodeID, 0, len(paths)+hops)
-	for i, p := range paths {
-		slab = append(slab, topology.NodeID(len(p)))
-		start := len(slab)
-		slab = append(slab, p...)
-		paths[i] = slab[start:len(slab):len(slab)]
+	slab := make([]topology.NodeID, 0, len(order)+hops)
+	for _, i := range order {
+		slab = append(append(slab, topology.NodeID(len(paths[i]))), paths[i]...)
 	}
-	return &builder{
-		t: &Table{
-			Cfg:     cfg,
-			topo:    topo,
-			byFinal: hashidx.New(len(paths)),
-			slab:    slab,
-		},
-		paths: paths,
-		ports: make([][2]uint16, 0, longest),
-		ids:   make([]ID, 0, longest),
+	return builder{
+		t:    &Table{Cfg: cfg, topo: topo, byFinal: hashidx.New(len(order)), slab: slab},
+		hops: hops,
+		// Every insert traces; its buffers start at the longest path's
+		// length and never grow.
+		cur: trace{ports: make([][2]uint16, 0, longest), ids: make([]ID, 0, longest)},
 	}
 }
 
-// build inserts the paths in order.
+// build inserts the slab's paths in order.
 func (b *builder) build() (*Table, error) {
-	off := 0
-	for i, p := range b.paths {
-		if err := b.insert(i, int32(off)); err != nil {
+	for off := int32(0); off < int32(len(b.t.slab)); off += 1 + int32(b.t.slab[off]) {
+		if err := b.insert(off); err != nil {
 			return nil, err
 		}
-		off += 1 + len(p)
 	}
 	return b.t, nil
 }
 
-// chain appends to ids the stepwise IDs of a path under the current entry
-// set: ids[i] is the PathID after hop i.
+// path returns the slab's path at offset off.
+func (t *Table) path(off int32) topology.Path {
+	start := off + 1
+	end := start + int32(t.slab[off])
+	return t.slab[start:end:end]
+}
+
+// chain appends to ids, which holds the IDs after path's first len(ids)
+// hops, the stepwise IDs of the rest under the current entry set: ids[i]
+// is the PathID after hop i.
 func (t *Table) chain(ids []ID, path topology.Path, ports [][2]uint16) []ID {
 	cur := ID(0)
-	for i, sw := range path {
+	if len(ids) > 0 {
+		cur = ids[len(ids)-1]
+	}
+	for i := len(ids); i < len(path); i++ {
+		sw := path[i]
 		cur = Step(t.Cfg, cur, sw, ports[i][0], ports[i][1], t.ControlFor(sw, cur, ports[i][0], ports[i][1]))
 		ids = append(ids, cur)
 	}
 	return ids
 }
 
-// insert enters paths[i], which sits at offset off of the slab, breaking a
-// collision at its sink with a MAT entry.
-func (b *builder) insert(i int, off int32) error {
-	t, path := b.t, b.paths[i]
-	var err error
-	if b.ports, err = appendHopPorts(b.ports[:0], t.topo, path); err != nil {
+// insert enters the slab's path at offset off, breaking a collision at its
+// sink with a MAT entry.
+func (b *builder) insert(off int32) error {
+	t, path := b.t, b.t.path(off)
+	if _, err := b.cur.follow(t, path); err != nil {
 		return err
 	}
+	ids, ports := b.cur.ids, b.cur.ports
 	sink := path[len(path)-1]
-	b.ids = t.chain(b.ids[:0], path, b.ports)
-	if _, clash := t.byFinal.Get(finalKey(sink, b.ids[len(b.ids)-1])); !clash {
-		t.byFinal.Put(finalKey(sink, b.ids[len(b.ids)-1]), off)
+	if _, clash := t.byFinal.Get(finalKey(sink, ids[len(ids)-1])); !clash {
+		t.byFinal.Put(finalKey(sink, ids[len(ids)-1]), off)
 		return nil
 	}
 	// Collision at this sink: walk hops from the sink backwards and try
 	// control values until the final ID is fresh.
-	if err := b.walk(i); err != nil {
+	if err := b.walk(off); err != nil {
 		return err
 	}
 	for hop := len(path) - 1; hop >= 0; hop-- {
 		prev := ID(0)
 		if hop > 0 {
-			prev = b.ids[hop-1]
+			prev = ids[hop-1]
 		}
-		sw, in, out := path[hop], b.ports[hop][0], b.ports[hop][1]
+		sw, in, out := path[hop], ports[hop][0], ports[hop][1]
 		if t.ControlFor(sw, prev, in, out) != 0 {
 			// This hop already disambiguates another path; changing it
 			// would break that path's chain. Move one hop earlier.
 			continue
 		}
-		if _, crossed := b.walked[walkKey(sw, prev, in, out)]; crossed {
+		if b.walked.has(walkKey(sw, prev, in, out)) {
 			// An inserted path's chain crosses this hop with no entry: a
 			// control value here would re-route it. Move one hop earlier.
 			continue
@@ -424,10 +498,11 @@ func (b *builder) insert(i int, off int32) error {
 		m, k := t.switchMAT(sw), matKey(prev, in, out)
 		for c := uint8(1); c != 0; c++ {
 			m[k] = c
-			b.try = t.chain(b.try[:0], path, b.ports)
+			b.try = t.chain(b.try[:0], path, ports)
 			final := b.try[len(b.try)-1]
 			if _, clash := t.byFinal.Get(finalKey(sink, final)); !clash {
 				t.byFinal.Put(finalKey(sink, final), off)
+				b.cur.path = nil
 				return nil
 			}
 			delete(m, k)
@@ -448,30 +523,71 @@ func (t *Table) switchMAT(sw topology.NodeID) map[uint64]uint8 {
 	return t.mat[sw]
 }
 
-// walk brings the walked set up to paths[:upTo] by walking the chains of
-// the paths inserted since the last collision. It is the set's one fill
-// site, and it runs only when a collision is about to read the set, so a
-// collision-free build never builds it. No entry is installed between two
-// collisions, so each chain walked here is the one its path was inserted
-// with.
-func (b *builder) walk(upTo int) error {
-	if b.walked == nil {
-		b.walked = make(map[uint64]struct{}, len(b.t.slab)-len(b.paths))
+// walk brings the walked set up to the paths before offset upTo by walking
+// the chains of the paths inserted since the last collision. It is the
+// set's one fill site, and it runs only when a collision is about to read
+// the set, so a collision-free build never builds it. No entry is
+// installed between two collisions, so each chain walked here is the one
+// its path was inserted with, and a hop a path shares with the one walked
+// before it is already in the set.
+func (b *builder) walk(upTo int32) error {
+	if b.walked.slots == nil {
+		b.walked = newHopSet(b.hops)
 	}
-	for _, p := range b.paths[b.walkedN:upTo] {
-		var err error
-		if b.walkPorts, err = appendHopPorts(b.walkPorts[:0], b.t.topo, p); err != nil {
+	b.walking.path = nil
+	for ; b.walkedTo < upTo; b.walkedTo += 1 + int32(b.t.slab[b.walkedTo]) {
+		p := b.t.path(b.walkedTo)
+		from, err := b.walking.follow(b.t, p)
+		if err != nil {
 			return err
 		}
-		prev := ID(0)
-		for h, sw := range p {
-			in, out := b.walkPorts[h][0], b.walkPorts[h][1]
-			b.walked[walkKey(sw, prev, in, out)] = struct{}{}
-			prev = Step(b.t.Cfg, prev, sw, in, out, b.t.ControlFor(sw, prev, in, out))
+		for h := from; h < len(p); h++ {
+			prev := ID(0)
+			if h > 0 {
+				prev = b.walking.ids[h-1]
+			}
+			b.walked.add(walkKey(p[h], prev, b.walking.ports[h][0], b.walking.ports[h][1]))
 		}
 	}
-	b.walkedN = upTo
 	return nil
+}
+
+// hopSet is the walked set: walkKeys in a power-of-two array, linearly
+// probed from a seeded hash. It is sized once for n keys and at most
+// two-thirds full then, so it never grows.
+type hopSet struct {
+	h     hashidx.Hasher
+	slots []uint64 // 0 marks an empty slot
+	zero  bool     // whether key 0 is in
+}
+
+func newHopSet(n int) hopSet {
+	return hopSet{h: hashidx.NewHasher(), slots: make([]uint64, 1<<bits.Len(uint(n+n/2)))}
+}
+
+// slot returns k's slot, or the empty one that ends its probe run.
+func (s *hopSet) slot(k uint64) *uint64 {
+	mask := uint64(len(s.slots) - 1)
+	for i := s.h.Hash(k) & mask; ; i = (i + 1) & mask {
+		if s.slots[i] == k || s.slots[i] == 0 {
+			return &s.slots[i]
+		}
+	}
+}
+
+func (s *hopSet) add(k uint64) {
+	if k == 0 {
+		s.zero = true
+		return
+	}
+	*s.slot(k) = k
+}
+
+func (s *hopSet) has(k uint64) bool {
+	if k == 0 {
+		return s.zero
+	}
+	return *s.slot(k) == k
 }
 
 // walkKey packs a hop into one word. It is exact for switch IDs below
@@ -562,15 +678,15 @@ func (t *Table) EntriesPerSwitch() map[topology.NodeID]int {
 // needs for the same path set: one per hop of every path (§5.5:
 // "IntSight needs to assign MAT entries for all switches on a path").
 func IntSightMATEntries(paths []topology.Path) int {
-	n := 0
-	seen := map[string]bool{}
+	nodes := 0
 	for _, p := range paths {
-		k := pathKey(p)
-		if seen[k] {
-			continue
+		for _, sw := range p {
+			nodes = max(nodes, int(sw)+1)
 		}
-		seen[k] = true
-		n += len(p)
+	}
+	n := 0
+	for _, i := range distinctOrder(paths, nil, nodes) {
+		n += len(paths[i])
 	}
 	return n
 }

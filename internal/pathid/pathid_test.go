@@ -1,6 +1,7 @@
 package pathid
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -451,6 +452,72 @@ func TestPropertyStepMasked(t *testing.T) {
 	}
 }
 
+// pathKey is p's key: each switch ID as four big-endian bytes.
+func pathKey(p topology.Path) string {
+	b := make([]byte, 0, len(p)*4)
+	for _, n := range p {
+		b = append(b, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
+	}
+	return string(b)
+}
+
+// newBuilder is a builder over paths, distinct, in insertion order.
+func newBuilder(cfg Config, topo *topology.Topology, paths []topology.Path) *builder {
+	order := make([]int32, len(paths))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	b := newSlabBuilder(cfg, topo, paths, order)
+	return &b
+}
+
+// TestDistinctOrderMatchesComparisonSort: distinctOrder equals a
+// comparison sort by (length, then switch IDs) with duplicates dropped, on
+// random path sets of every length from 0 to 6 with many duplicates, in
+// random order, whole and as subsets.
+func TestDistinctOrderMatchesComparisonSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		nodes := 2 + rng.Intn(300)
+		paths := make([]topology.Path, rng.Intn(400))
+		for i := range paths {
+			paths[i] = make(topology.Path, rng.Intn(7))
+			for j := range paths[i] {
+				paths[i][j] = topology.NodeID(rng.Intn(min(nodes, 3+trial)))
+			}
+		}
+		var sub []int32
+		if trial%2 == 1 {
+			for i := range paths {
+				if rng.Intn(3) > 0 {
+					sub = append(sub, int32(i))
+				}
+			}
+		}
+		want := slices.Clone(sub)
+		if sub == nil {
+			want = make([]int32, len(paths))
+			for i := range want {
+				want[i] = int32(i)
+			}
+		}
+		slices.SortStableFunc(want, func(a, b int32) int {
+			p, q := paths[a], paths[b]
+			return cmp.Or(cmp.Compare(len(p), len(q)), slices.Compare(p, q))
+		})
+		want = slices.CompactFunc(want, func(a, b int32) bool { return paths[a].Equal(paths[b]) })
+		got := distinctOrder(paths, slices.Clone(sub), nodes)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d distinct paths, want %d", trial, len(got), len(want))
+		}
+		for i := range got {
+			if !paths[got[i]].Equal(paths[want[i]]) {
+				t.Fatalf("trial %d: position %d is %v, want %v", trial, i, paths[got[i]], paths[want[i]])
+			}
+		}
+	}
+}
+
 // TestBuildOrderMatchesStringKeyOrder pins BuildTable's processing order —
 // and with it every PathID and MAT entry, which are a function of that
 // order — to the one the original comparator produced: length, then the
@@ -616,11 +683,39 @@ func TestPinnedTables(t *testing.T) {
 	}
 }
 
-// BenchmarkBuildTable times the control plane's table build on three
+// meshPaths is the path set of a cross-pod mesh of two flows per host,
+// flow i from host i (mod hosts) to a host 1..K-1 pods away: every
+// shortest path of each distinct (source edge, sink edge) pair, pairs in
+// ascending order. At k=16 that is 1,536 pairs and 98,304 paths.
+func meshPaths(ft *topology.FatTree) []topology.Path {
+	hosts := ft.HostIDs
+	perPod := len(hosts) / ft.K
+	seen := map[[2]topology.NodeID]bool{}
+	var pairs [][2]topology.NodeID
+	for i := 0; i < 2*len(hosts); i++ {
+		se, _ := ft.EdgeSwitchOf(hosts[i%len(hosts)])
+		de, _ := ft.EdgeSwitchOf(hosts[(i%len(hosts)+perPod*(1+i%(ft.K-1)))%len(hosts)])
+		if p := [2]topology.NodeID{se, de}; se != de && !seen[p] {
+			seen[p] = true
+			pairs = append(pairs, p)
+		}
+	}
+	slices.SortFunc(pairs, func(a, b [2]topology.NodeID) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
+	var paths []topology.Path
+	for _, p := range pairs {
+		paths = append(paths, ft.AllShortestPaths(p[0], p[1])...)
+	}
+	return paths
+}
+
+// BenchmarkBuildTable times the control plane's table build on four
 // path sets: k=8 all-pairs (14,720 paths) at 16 bits, which is
 // collision-free; the same set at 8 bits, which fails by pigeonhole (460
-// paths per sink against 256 IDs); and k=4 all-pairs at 8 bits, which
-// installs 16 MAT entries.
+// paths per sink against 256 IDs); k=4 all-pairs at 8 bits, which
+// installs 16 MAT entries; and a k=16 cross-pod mesh's 98,304 paths at 16
+// bits (meshPaths), the largest table a set-up builds without entries.
 func BenchmarkBuildTable(b *testing.B) {
 	ft4, err := topology.NewFatTree(4)
 	if err != nil {
@@ -630,13 +725,23 @@ func BenchmarkBuildTable(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	ft16, err := topology.NewFatTree(16)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, bc := range []struct {
 		name  string
 		ft    *topology.FatTree
+		paths []topology.Path
 		width uint
 		ok    bool
-	}{{"K8All16", ft8, 16, true}, {"K8All8", ft8, 8, false}, {"K4All8", ft4, 8, true}} {
-		paths := bc.ft.AllEdgePairPaths()
+	}{
+		{"K8All16", ft8, ft8.AllEdgePairPaths(), 16, true},
+		{"K8All8", ft8, ft8.AllEdgePairPaths(), 8, false},
+		{"K4All8", ft4, ft4.AllEdgePairPaths(), 8, true},
+		{"K16Mesh16", ft16, meshPaths(ft16), 16, true},
+	} {
+		paths := bc.paths
 		cfg := Config{Alg: CRC16, Width: bc.width}
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

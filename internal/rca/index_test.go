@@ -562,31 +562,68 @@ func hostileFrame(tb testing.TB, f *fixture) []dataplane.RTRecord {
 	return recs
 }
 
-// TestSignatureDataBoundedOnHostileFrame: the hostile frame costs memory by
-// its records: a handful of arrays, never an allocation per epoch. No
-// wall-clock assertion; the per-flow sort keeps it O(n log n).
+// spreadFrame is a hostile frame of as many records spread over every
+// (flow, PathID) key a k=4 fabric's 8-bit IDs allow: each edge pair in
+// turn, every third record on one of its own paths and the rest on an ID
+// that decodes to another flow's path or to none, every epoch distinct,
+// and the flows of one source edge switch slow. It fills estimate's
+// (flow, PathID) set, which hostileFrame's one key leaves empty.
+func spreadFrame(tb testing.TB, f *fixture) []dataplane.RTRecord {
+	tb.Helper()
+	var pairs [][]topology.Path
+	for _, s := range f.ft.EdgeIDs {
+		for _, d := range f.ft.EdgeIDs {
+			if s != d {
+				pairs = append(pairs, f.ft.AllShortestPaths(s, d))
+			}
+		}
+	}
+	recs := make([]dataplane.RTRecord, hostileRecords)
+	for i := range recs {
+		paths, latency := pairs[i%len(pairs)], okLatency
+		if paths[0][0] == f.ft.EdgeIDs[0] {
+			latency = badLatency
+		}
+		recs[i] = f.record(tb, paths[i/len(pairs)%len(paths)], uint32(i)*7919, latency, 40, 30)
+		if i%3 != 0 {
+			recs[i].PathID = pathid.ID(i / len(pairs) * 37 % 256)
+		}
+		recs[i].Arrival = 400 * netsim.Millisecond
+	}
+	return recs
+}
+
+// TestSignatureDataBoundedOnHostileFrame: a hostile frame costs memory by
+// its records, a handful of arrays, never an allocation per epoch or per
+// (flow, PathID) key: hostileFrame's one flow and spreadFrame's thousands
+// of keys alike. No wall-clock assertion; the per-flow sort keeps it
+// O(n log n).
 func TestSignatureDataBoundedOnHostileFrame(t *testing.T) {
 	f := newFixture(t)
-	a := analyzer(f)
 	const n = hostileRecords
-	recs := hostileFrame(t, f)
-	var culprits int
-	allocs := testing.AllocsPerRun(1, func() {
-		culprits = len(a.AnalyzeWindow(recs, 400*netsim.Millisecond, 1))
-	})
-	if culprits == 0 {
-		t.Fatal("no culprit: the latency view had no pattern to explain")
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	a.AnalyzeWindow(recs, 400*netsim.Millisecond, 1)
-	runtime.ReadMemStats(&after)
-	if allocs > n/10 {
-		t.Errorf("%d records of one flow cost %.0f allocations", n, allocs)
-	}
-	t.Logf("%.0f allocations, %d bytes per record", allocs, (after.TotalAlloc-before.TotalAlloc)/n)
-	if perRecord := (after.TotalAlloc - before.TotalAlloc) / n; perRecord > 512 {
-		t.Errorf("%d records of one flow allocated %d bytes each", n, perRecord)
+	for name, frame := range map[string]func(testing.TB, *fixture) []dataplane.RTRecord{
+		"one flow": hostileFrame, "spread": spreadFrame,
+	} { //mars:mapiter-ok each frame is checked on its own
+		a := analyzer(f)
+		recs := frame(t, f)
+		var culprits int
+		allocs := testing.AllocsPerRun(1, func() {
+			culprits = len(a.AnalyzeWindow(recs, 400*netsim.Millisecond, 1))
+		})
+		if culprits == 0 {
+			t.Fatalf("%s: no culprit: the latency view had no pattern to explain", name)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		a.AnalyzeWindow(recs, 400*netsim.Millisecond, 1)
+		runtime.ReadMemStats(&after)
+		if allocs > n/10 {
+			t.Errorf("%s: %d records cost %.0f allocations", name, n, allocs)
+		}
+		t.Logf("%s: %.0f allocations, %d bytes per record", name, allocs, (after.TotalAlloc-before.TotalAlloc)/n)
+		if perRecord := (after.TotalAlloc - before.TotalAlloc) / n; perRecord > 512 {
+			t.Errorf("%s: %d records allocated %d bytes each", name, n, perRecord)
+		}
 	}
 }
 
@@ -611,7 +648,7 @@ func TestAnalyzerReuseCarriesNothing(t *testing.T) {
 	}
 	backward := slices.Clone(forward)
 	slices.Reverse(backward)
-	inputs := slices.Concat(forward, []input{{"hostile-frame", hostileFrame(t, f)}, {"empty", nil}}, backward)
+	inputs := slices.Concat(forward, []input{{"hostile-frame", hostileFrame(t, f)}, {"spread-frame", spreadFrame(t, f)}, {"empty", nil}}, backward)
 	// The second source flags every record of a flow from an even source
 	// switch, the healthy ones too.
 	sources := []Thresholds{fixedThr(10 * netsim.Millisecond), ThresholdFunc(func(flow dataplane.FlowID) netsim.Time {

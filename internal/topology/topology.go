@@ -10,6 +10,7 @@ package topology
 import (
 	"fmt"
 	"slices"
+	"sync"
 )
 
 // NodeID identifies a switch or host in the topology. IDs are dense,
@@ -124,6 +125,10 @@ type Topology struct {
 
 	numSwitches int
 	numHosts    int
+
+	// shortestIdx is built on the first path enumeration (shortest).
+	shortestOnce sync.Once
+	shortestIdx  *shortestIndex
 }
 
 // NumSwitches returns the count of switch nodes.
@@ -366,10 +371,8 @@ func (p Path) String() string {
 
 // AllShortestPaths enumerates every shortest switch-level path from src to
 // dst (both switches), in deterministic order: lexicographic from dst
-// backwards, predecessors in ascending ID. It performs a BFS layering,
-// counting the shortest paths into each node, followed by a DFS over
-// predecessor sets. The paths are carved from one backing array, each
-// capped at its length.
+// backwards, predecessors in ascending ID. The paths are carved from one
+// backing array, each capped at its length.
 func (t *Topology) AllShortestPaths(src, dst NodeID) []Path {
 	if src == dst {
 		return []Path{{src}}
@@ -377,85 +380,19 @@ func (t *Topology) AllShortestPaths(src, dst NodeID) []Path {
 	if !t.IsSwitch(src) || !t.IsSwitch(dst) {
 		return nil
 	}
-	// dist[v] is v's BFS depth (-1 unreached, -2 a host, which no path
-	// crosses) and count[v] the number of shortest src→v paths. The BFS
-	// stops at the first node of dst's depth: every node nearer src is
-	// then expanded, which is all the backtrack reads.
-	scratch := make([]int32, 2*len(t.Nodes))
-	dist, count := scratch[:len(t.Nodes)], scratch[len(t.Nodes):]
-	for i := range dist {
-		dist[i] = -1
-		if t.Nodes[i].Kind != KindSwitch {
-			dist[i] = -2
-		}
-	}
-	dist[src], count[src] = 0, 1
-	queue := make([]NodeID, 1, t.numSwitches+1)
-	queue[0] = src
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		if dist[dst] >= 0 && dist[u] == dist[dst] {
-			break
-		}
-		for _, p := range t.Nodes[u].Ports {
-			v := p.Peer
-			if dist[v] == -1 {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-			if dist[v] == dist[u]+1 {
-				count[v] += count[u]
-			}
-		}
-	}
-	if dist[dst] < 0 {
+	x := t.shortest()
+	n, hops := x.size(x.sw[src], x.sw[dst])
+	if n == 0 {
 		return nil
 	}
-	n := int(dist[dst]) + 1
-	w := pathWalk{t: t, src: src, dist: dist, cur: make(Path, n),
-		nodes: make([]NodeID, int(count[dst])*n), paths: make([]Path, 0, count[dst])}
-	w.visit(dst)
+	w := pathWalk{x: x, nodes: make([]NodeID, 0, hops), paths: make([]Path, 0, n)}
+	w.walk(x.sw[src], x.sw[dst])
 	return w.paths
 }
 
-// pathWalk is AllShortestPaths' backtrack from dst along strictly
-// decreasing distance.
-type pathWalk struct {
-	t     *Topology
-	src   NodeID
-	dist  []int32
-	cur   Path     // cur[dist[v]] = v for the nodes on the current branch
-	nodes []NodeID // the backing array the paths are carved from
-	paths []Path
-}
-
-func (w *pathWalk) visit(v NodeID) {
-	w.cur[w.dist[v]] = v
-	if v == w.src {
-		off := len(w.paths) * len(w.cur)
-		p := w.nodes[off : off+len(w.cur) : off+len(w.cur)]
-		copy(p, w.cur)
-		w.paths = append(w.paths, p)
-		return
-	}
-	// Deterministic order: ascending neighbor ID.
-	var buf [16]NodeID
-	prev := buf[:0]
-	for _, p := range w.t.Nodes[v].Ports {
-		if u := p.Peer; w.dist[u] == w.dist[v]-1 {
-			prev = append(prev, u)
-		}
-	}
-	slices.Sort(prev)
-	for _, u := range prev {
-		w.visit(u)
-	}
-}
-
 // AllEdgePairPaths enumerates the shortest paths between every ordered pair
-// of edge switches (including the trivial one-switch "path" when source and
-// sink coincide, which corresponds to intra-rack traffic). The result is
-// keyed deterministically in ascending (src, dst) order.
+// of distinct edge switches, in ascending (src, dst) order, each pair's
+// paths in AllShortestPaths' order, all carved from one backing array.
 func (t *Topology) AllEdgePairPaths() []Path {
 	var edges []NodeID
 	for i := range t.Nodes {
@@ -467,14 +404,155 @@ func (t *Topology) AllEdgePairPaths() []Path {
 		// Topologies without layer info: use all switches.
 		edges = t.Switches()
 	}
-	var out []Path
+	x := t.shortest()
+	paths, hops := 0, 0
 	for _, s := range edges {
 		for _, d := range edges {
-			if s == d {
-				continue
+			if s != d {
+				n, h := x.size(x.sw[s], x.sw[d])
+				paths, hops = paths+n, hops+h
 			}
-			out = append(out, t.AllShortestPaths(s, d)...)
 		}
 	}
-	return out
+	w := pathWalk{x: x, nodes: make([]NodeID, 0, hops), paths: make([]Path, 0, paths)}
+	for _, s := range edges {
+		for _, d := range edges {
+			if s != d {
+				w.walk(x.sw[s], x.sw[d])
+			}
+		}
+	}
+	return w.paths
+}
+
+// shortest returns the topology's shortestIndex, building it on first use.
+func (t *Topology) shortest() *shortestIndex {
+	t.shortestOnce.Do(func() { t.shortestIdx = newShortestIndex(t) })
+	return t.shortestIdx
+}
+
+// shortestIndex is what the path enumerations read: each switch's switch
+// neighbors in ascending ID order, and a BFS over the switch-only graph
+// from each switch that has been a source, kept as dense rows. Switches are
+// numbered in ascending ID order, so ascending number is ascending ID.
+type shortestIndex struct {
+	n  int
+	sw []int32  // sw[node] is the node's switch number, -1 for a host
+	id []NodeID // id[i] is switch number i's node
+	// adj[off[i]:off[i+1]] are switch i's switch neighbors, one per port,
+	// ascending.
+	off, adj []int32
+	rows     []shortestRow
+}
+
+// shortestRow is the BFS from one source switch, made on its first use:
+// depth[j] is switch j's depth (-1 unreached), count[j] the number of
+// shortest paths to it, and pred[poff[j]:poff[j+1]] its neighbors one
+// level nearer the source, ascending: the steps a backtrack from j takes.
+type shortestRow struct {
+	once               sync.Once
+	depth, count, poff []int32
+	pred               []int32
+}
+
+func newShortestIndex(t *Topology) *shortestIndex {
+	x := &shortestIndex{sw: make([]int32, len(t.Nodes)), id: make([]NodeID, 0, t.numSwitches)}
+	for v := range t.Nodes {
+		x.sw[v] = -1
+		if t.Nodes[v].Kind == KindSwitch {
+			x.sw[v] = int32(len(x.id))
+			x.id = append(x.id, NodeID(v))
+		}
+	}
+	x.n, x.off, x.rows = len(x.id), make([]int32, len(x.id)+1), make([]shortestRow, len(x.id))
+	for i, v := range x.id {
+		for _, p := range t.Nodes[v].Ports {
+			if u := x.sw[p.Peer]; u >= 0 {
+				x.adj = append(x.adj, u)
+			}
+		}
+		slices.Sort(x.adj[x.off[i]:])
+		x.off[i+1] = int32(len(x.adj))
+	}
+	return x
+}
+
+// row returns switch s's BFS row, layering the graph from s on first use.
+func (x *shortestIndex) row(s int32) *shortestRow {
+	r := &x.rows[s]
+	r.once.Do(func() {
+		buf := make([]int32, 3*x.n)
+		depth, count, queue := buf[:x.n], buf[x.n:2*x.n], buf[2*x.n:2*x.n]
+		for i := range depth {
+			depth[i] = -1
+		}
+		depth[s], count[s] = 0, 1
+		queue = append(queue, s)
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
+			for _, v := range x.adj[x.off[u]:x.off[u+1]] {
+				if depth[v] < 0 {
+					depth[v] = depth[u] + 1
+					queue = append(queue, v)
+				}
+				if depth[v] == depth[u]+1 {
+					count[v] += count[u]
+				}
+			}
+		}
+		poff, pred := make([]int32, x.n+1), make([]int32, 0, len(x.adj)/2)
+		for v := range x.n {
+			for _, u := range x.adj[x.off[v]:x.off[v+1]] {
+				if depth[u] == depth[v]-1 {
+					pred = append(pred, u)
+				}
+			}
+			poff[v+1] = int32(len(pred))
+		}
+		r.depth, r.count, r.poff, r.pred = depth, count, poff, pred
+	})
+	return r
+}
+
+// size returns the number of shortest paths from switch i to switch j and
+// their switches in total.
+func (x *shortestIndex) size(i, j int32) (paths, hops int) {
+	r := x.row(i)
+	if r.depth[j] < 0 {
+		return 0, 0
+	}
+	return int(r.count[j]), int(r.count[j]) * int(r.depth[j]+1)
+}
+
+// pathWalk appends paths to one backing array by backtracking from a sink
+// along the source's predecessor lists.
+type pathWalk struct {
+	x     *shortestIndex
+	src   int32
+	row   *shortestRow
+	cur   Path // cur[depth[v]] = v for the nodes on the current branch
+	nodes []NodeID
+	paths []Path
+}
+
+// walk appends every shortest path from switch src to switch dst.
+func (w *pathWalk) walk(src, dst int32) {
+	w.src, w.row = src, w.x.row(src)
+	if d := w.row.depth[dst]; d >= 0 {
+		w.cur = slices.Grow(w.cur[:0], int(d)+1)[:d+1]
+		w.visit(dst)
+	}
+}
+
+func (w *pathWalk) visit(v int32) {
+	w.cur[w.row.depth[v]] = w.x.id[v]
+	if v == w.src {
+		off := len(w.nodes)
+		w.nodes = append(w.nodes, w.cur...)
+		w.paths = append(w.paths, w.nodes[off:len(w.nodes):len(w.nodes)])
+		return
+	}
+	for _, u := range w.row.pred[w.row.poff[v]:w.row.poff[v+1]] {
+		w.visit(u)
+	}
 }

@@ -1,7 +1,9 @@
 package topology
 
 import (
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -250,6 +252,95 @@ func TestAllShortestPathsMatchesReference(t *testing.T) {
 	for i := 0; i < len(k16.EdgeIDs); i += 7 {
 		for j := 3; j < len(k16.EdgeIDs); j += 11 {
 			check(k16, k16.EdgeIDs[i], k16.EdgeIDs[j])
+		}
+	}
+}
+
+// TestAllEdgePairPathsMatchesPerPair: AllEdgePairPaths is the per-pair
+// AllShortestPaths results concatenated in ascending (src, dst) order, path
+// for path, each path capped at its length. At k=4 and k=8 every pair is
+// compared; at k=16 every pair's run is delimited by its endpoints and a
+// stride of pairs is compared in full.
+func TestAllEdgePairPathsMatchesPerPair(t *testing.T) {
+	for _, tc := range []struct{ k, stride int }{{4, 1}, {8, 1}, {16, 97}} {
+		ft, err := NewFatTree(tc.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all, next, pair := ft.AllEdgePairPaths(), 0, 0
+		for _, s := range ft.EdgeIDs {
+			for _, d := range ft.EdgeIDs {
+				if s == d {
+					continue
+				}
+				start := next
+				for next < len(all) && all[next][0] == s && all[next][len(all[next])-1] == d {
+					if cap(all[next]) != len(all[next]) {
+						t.Fatalf("k=%d s%d→s%d: path %v has cap %d", tc.k, s, d, all[next], cap(all[next]))
+					}
+					next++
+				}
+				if pair++; pair%tc.stride != 0 {
+					if next == start {
+						t.Fatalf("k=%d s%d→s%d: no paths", tc.k, s, d)
+					}
+					continue
+				}
+				want := ft.AllShortestPaths(s, d)
+				if got := all[start:next]; len(got) != len(want) {
+					t.Fatalf("k=%d s%d→s%d: %d paths, AllShortestPaths has %d", tc.k, s, d, len(got), len(want))
+				}
+				for i, p := range want {
+					if !all[start+i].Equal(p) {
+						t.Fatalf("k=%d s%d→s%d path %d: %v, AllShortestPaths has %v", tc.k, s, d, i, all[start+i], p)
+					}
+				}
+			}
+		}
+		if next != len(all) {
+			t.Fatalf("k=%d: %d paths after the last pair", tc.k, len(all)-next)
+		}
+	}
+}
+
+// TestShortestIndexConcurrentFirstUse: a topology is shared across
+// goroutines and builds its path index, and each source's row, on first
+// use. Goroutines that race to that first use all see the paths a
+// sequential enumeration of another copy sees (go test -race checks the
+// rest).
+func TestShortestIndexConcurrentFirstUse(t *testing.T) {
+	shared, err := NewFatTree(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewFatTree(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ref.AllEdgePairPaths()
+	var wg sync.WaitGroup
+	got := make([][]Path, 4)
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if g%2 == 0 {
+				got[g] = shared.AllEdgePairPaths()
+				return
+			}
+			for _, s := range shared.EdgeIDs {
+				for _, d := range shared.EdgeIDs {
+					if s != d {
+						got[g] = append(got[g], shared.AllShortestPaths(s, d)...)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for g, paths := range got {
+		if !slices.EqualFunc(paths, want, Path.Equal) {
+			t.Errorf("goroutine %d enumerated %d paths that differ from a sequential run's %d", g, len(paths), len(want))
 		}
 	}
 }
