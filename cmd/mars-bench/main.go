@@ -66,8 +66,8 @@ func main() {
 		seed       = flag.Int64("seed", 1000, "base random seed")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "harness worker pool size for trial-based experiments")
 		progress   = flag.Bool("progress", false, "stream per-trial progress to stderr")
-		arity      = flag.Int("k", 16, "fat-tree arity for the partitioned trials (scale, stream)")
-		shards     = flag.Int("shards", 1, "hook-owner count for -exp scale/stream: owner layout only, output byte-identical")
+		arity      = flag.Int("k", 16, "fat-tree arity of the stream trial")
+		shards     = flag.Int("shards", 1, "hook-owner count of the stream trial: owner layout only, output byte-identical")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -109,7 +109,7 @@ func main() {
 	}
 
 	opts := harness.Config{Workers: *workers}
-	var hb func(netsim.Time, int64) // scale/stream heartbeat
+	var hb func(netsim.Time, int64) // stream heartbeat
 	if *progress {
 		opts.Progress = progressPrinter()
 		hb = experiments.ScaleHeartbeat(os.Stderr)
@@ -148,13 +148,6 @@ func main() {
 		},
 		"scale": func() {
 			fmt.Print(experiments.RunScaleWith(opts, []int{4, 6, 8, 16}).Render())
-			// The partitioned scale trial: simulated outcome on stdout
-			// (invariant under -shards, diffed by CI), throughput and
-			// memory on stderr.
-			res := experiments.RunScaleTrial(experiments.DefaultScaleTrialConfig(*arity, *shards, *seed), hb)
-			fmt.Print(res.Render())
-			fmt.Fprint(os.Stderr, res.RenderMem())
-			fmt.Fprintln(os.Stderr, res.TimingLine())
 		},
 		"stream": func() {
 			// Continuous streaming diagnosis: simulated outcome on stdout
@@ -164,6 +157,7 @@ func main() {
 			tc.Workers = *workers
 			res := experiments.RunStreamTrial(tc, hb)
 			fmt.Print(res.Render())
+			fmt.Println(res.EngineLine())
 			fmt.Fprintln(os.Stderr, res.TimingLine())
 		},
 		"ctrlchan": func() {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"mars"
 	"mars/internal/dataplane"
 	"mars/internal/netsim"
 	"mars/internal/pathid"
@@ -10,22 +11,19 @@ import (
 
 // NewShardedFabric is the one place the partitioned k-ary fabric is
 // wired: the pod partition, one resident MARS program per hook owner, the
-// simulator over them, and the deterministic cross-pod mesh. The scale and
-// stream tiers both run on it and keep only what differs.
+// simulator over them, and the deterministic cross-pod mesh. The stream
+// tier runs on it.
 //
 // shards is the owner count, clamped to [1, partition units] as
 // netsim.NewSharded clamps it, so program i always pairs with owner i; it
 // lays out which program holds which switch's registers and never changes
-// simulated output. table may be nil: at k=16 the all-pairs path set is
-// millions of entries, and without it the in-band hash chain still runs —
-// only the MAT control lookup is skipped. numFlows flows at ratePPS each
-// run until stop. With tap set, every program's OnRecord appends its sink
-// records to bufs[i], which the caller drains (and truncates) between Run
-// steps. Unit u's records land in exactly one buffer (owner u%shards) in
-// deterministic order, so every per-unit record sequence is owner-count
-// invariant.
-func NewShardedFabric(ft *topology.FatTree, shards int, seed int64, simCfg netsim.Config,
-	table *pathid.Table, numFlows int, ratePPS float64, stop netsim.Time, tap bool,
+// simulated output. numFlows flows at ratePPS each run until stop. Every
+// program's OnRecord appends its sink records to bufs[i], which the caller
+// drains (and truncates) between Run steps. Unit u's records land in
+// exactly one buffer (owner u%shards) in deterministic order, so every
+// per-unit record sequence is owner-count invariant.
+func NewShardedFabric(ft *topology.FatTree, shards int, seed int64, table *pathid.Table,
+	numFlows int, ratePPS float64, stop netsim.Time,
 ) (sh *netsim.Sharded, progs []*dataplane.Program, bufs [][]dataplane.RTRecord) {
 	part := ft.PodPartition()
 	if shards < 1 {
@@ -39,9 +37,7 @@ func NewShardedFabric(ft *topology.FatTree, shards int, seed int64, simCfg netsi
 	// values that break hash collisions are consistent between the per-hop
 	// chain and the sink-side decompression.
 	progCfg := dataplane.DefaultProgramConfig()
-	if table != nil {
-		progCfg.PathCfg = table.Cfg
-	}
+	progCfg.PathCfg = table.Cfg
 	owned := make([][]topology.NodeID, shards)
 	for _, sw := range ft.Switches() {
 		s := int(part.UnitOf[sw]) % shards
@@ -51,17 +47,15 @@ func NewShardedFabric(ft *topology.FatTree, shards int, seed int64, simCfg netsi
 	bufs = make([][]dataplane.RTRecord, shards)
 	for i := range progs {
 		progs[i] = dataplane.NewResident(progCfg, ft.Topology, table, nil, owned[i])
-		if tap {
-			buf := &bufs[i]
-			progs[i].OnRecord = func(_ topology.NodeID, rec dataplane.RTRecord) {
-				*buf = append(*buf, rec)
-			}
+		buf := &bufs[i]
+		progs[i].OnRecord = func(_ topology.NodeID, rec dataplane.RTRecord) {
+			*buf = append(*buf, rec)
 		}
 	}
 
 	router := netsim.NewECMPRouter(ft.Topology, uint64(seed))
 	sh = netsim.NewSharded(ft.Topology, part, router, func(i int) netsim.Hooks { return progs[i] },
-		simCfg, seed, netsim.ShardedConfig{Shards: shards})
+		mars.DefaultConfig().Sim, seed, netsim.ShardedConfig{Shards: shards})
 
 	// Flows install through OnNode so their events and RNG draws stamp with
 	// the owning unit: staggered starts, Poisson gaps and trace-shaped

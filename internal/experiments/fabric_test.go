@@ -3,17 +3,15 @@ package experiments
 import (
 	"testing"
 
-	"mars"
 	"mars/internal/netsim"
 	"mars/internal/topology"
 )
 
 // The partitioned drivers rest on one pairing the simulator never checks:
 // program index i holds exactly the registers of the switches whose hooks
-// owner i receives, and (with the tap on) buffer i holds only records sunk
-// there. Assert it for every way the requested count can resolve: below 1,
-// 1, a count that does not divide the units, the unit count, and more than
-// the units.
+// owner i receives, and buffer i holds only records sunk there. Assert it
+// for every way the requested count can resolve: below 1, 1, a count that
+// does not divide the units, the unit count, and more than the units.
 func TestShardedFabricProgramShardPairing(t *testing.T) {
 	ft, err := topology.NewFatTree(4)
 	if err != nil {
@@ -30,8 +28,7 @@ func TestShardedFabricProgramShardPairing(t *testing.T) {
 			want = units
 		}
 		stop := 200 * netsim.Millisecond
-		sh, progs, bufs := NewShardedFabric(ft, req, 7, mars.DefaultConfig().Sim, table,
-			32, 150, stop, true)
+		sh, progs, bufs := NewShardedFabric(ft, req, 7, table, 32, 150, stop)
 		if sh.NumShards() != want || len(progs) != want || len(bufs) != want {
 			t.Errorf("shards=%d: simulator has %d owners, %d programs, %d buffers; want %d",
 				req, sh.NumShards(), len(progs), len(bufs), want)

@@ -201,7 +201,7 @@ func RunFig3() *Fig3Result {
 	res.MARSEntries = tbl.MATEntryCount()
 	res.MARSBytes = tbl.MemoryBytes()
 	res.IntSightEntries = pathid.IntSightMATEntries(paths)
-	res.IntSightBytes = pathid.IntSightMemoryBytes(paths)
+	res.IntSightBytes = res.IntSightEntries * pathid.IntSightMATEntryBytes
 	res.SavingsPct = 100 * (1 - float64(res.MARSBytes)/float64(res.IntSightBytes))
 	return res
 }
@@ -660,10 +660,8 @@ type PathIDMemoryRow struct {
 func RunPathIDMemory() *PathIDMemoryResult {
 	ft, _ := topology.NewFatTree(4)
 	paths := ft.AllEdgePairPaths()
-	out := &PathIDMemoryResult{
-		IntSightEntries: pathid.IntSightMATEntries(paths),
-		IntSightBytes:   pathid.IntSightMemoryBytes(paths),
-	}
+	out := &PathIDMemoryResult{IntSightEntries: pathid.IntSightMATEntries(paths)}
+	out.IntSightBytes = out.IntSightEntries * pathid.IntSightMATEntryBytes
 	for _, cfg := range []pathid.Config{
 		{Alg: pathid.CRC16, Width: 8},
 		{Alg: pathid.CRC16, Width: 12},

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"mars/internal/dataplane"
 	"mars/internal/harness"
@@ -24,8 +23,6 @@ type ScaleRow struct {
 	// IntSightEntries is the per-hop-encoding baseline at the same scale.
 	IntSightEntries int
 	IntSightBytes   int
-	// BuildMs is the control-plane PathID precomputation time.
-	BuildMs float64
 }
 
 // ScaleResult is the K-sweep backing the paper's Motivation #2 claim that
@@ -41,10 +38,7 @@ type ScaleResult struct {
 // memory costs against IntSight's encoding. A 16-bit PathID accommodates
 // the larger path sets (the 8-bit default is sized for K=4). Each arity is
 // one sweep row of one unseeded trial, so big-K topology and table builds
-// proceed in parallel; rows come back in sweep order. BuildMs is the one
-// wall-clock field: under parallel workers concurrent builds share the
-// CPUs, so per-row build latency can read higher than a sequential sweep
-// even though the whole sweep finishes sooner.
+// proceed in parallel; rows come back in sweep order.
 func RunScaleWith(cfg harness.Config, ks []int) *ScaleResult {
 	out := &ScaleResult{Width: 16}
 	idCfg := pathid.Config{Alg: pathid.CRC16, Width: out.Width}
@@ -73,11 +67,11 @@ func scaleRow(k int, cfg pathid.Config) ScaleRow {
 			maxHops = len(p)
 		}
 	}
-	start := time.Now() //mars:wallclock Table 2 reports real build latency
 	tbl, err := pathid.BuildTable(cfg, ft.Topology, paths)
 	if err != nil {
 		panic(err)
 	}
+	intSight := pathid.IntSightMATEntries(paths)
 	return ScaleRow{
 		K:               k,
 		Switches:        ft.NumSwitches(),
@@ -87,9 +81,8 @@ func scaleRow(k int, cfg pathid.Config) ScaleRow {
 		HeaderB:         cfg.HeaderBytes() + dataplane.TelemetryHeaderBytes,
 		MATEntries:      tbl.MATEntryCount(),
 		MATBytes:        tbl.MemoryBytes(),
-		IntSightEntries: pathid.IntSightMATEntries(paths),
-		IntSightBytes:   pathid.IntSightMemoryBytes(paths),
-		BuildMs:         float64(time.Since(start).Microseconds()) / 1000, //mars:wallclock Table 2 reports real build latency
+		IntSightEntries: intSight,
+		IntSightBytes:   intSight * pathid.IntSightMATEntryBytes,
 	}
 }
 

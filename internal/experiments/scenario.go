@@ -13,8 +13,9 @@
 // MARS trials are mars.System runs: the trial config maps onto mars.Config
 // and the deployment is built by mars.NewSystem, the same code the public
 // API and the examples use. The three baselines share newSubstrate
-// (systems.go). The k=16 partitioned tiers (scale, stream) build their fabric
-// through NewShardedFabric (fabric.go).
+// (systems.go). The k-ary stream tier builds its partitioned fabric through
+// NewShardedFabric (fabric.go); the arity sweep (scale.go) measures PathID
+// tables only and simulates nothing.
 package experiments
 
 import (
@@ -90,11 +91,6 @@ type TrialConfig struct {
 	// Codec names the telemetry encoding for MARS trials (internal/
 	// telemetry); "" is "mars11". Only the overhead experiment sets it.
 	Codec string
-
-	// Shards is the hook-owner count of the scale tier (RunScaleTrial),
-	// clamped to [1, partition units]: it lays out the resident programs
-	// and never changes simulated output. Every other trial ignores it.
-	Shards int
 }
 
 // DefaultTrialConfig sizes a trial so the five fault signatures are

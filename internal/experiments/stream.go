@@ -2,11 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"time"
 
-	"mars"
 	"mars/internal/dataplane"
 	"mars/internal/netsim"
 	"mars/internal/pathid"
@@ -15,19 +15,19 @@ import (
 	"mars/internal/topology"
 )
 
-// The stream trial is the continuous-operation tier: the same partitioned
-// k=16 data-plane simulation as the scale trial, but instead of one
-// post-hoc diagnosis the sink records feed internal/stream epoch by
-// epoch — bounded per-flow state, sliding-window analysis, a
+// The stream trial is the k-ary tier: one partitioned data-plane
+// simulation (k=16 by default) whose sink records feed internal/stream
+// epoch by epoch — bounded per-flow state, sliding-window analysis, a
 // cross-unit culprit merge per window — while a silent-drop gray failure
 // turns on and off mid-run. The trial reports the streaming service's
 // whole observable surface: detection latency from fault injection to
 // the first window that ranks the true culprit, localization accuracy
-// as a function of the window size, and the live metrics snapshot.
+// as a function of the window size, the live metrics snapshot, and the
+// engine's event, latency and byte totals.
 //
-// Everything on stdout (Render) is invariant under the hook-owner count
-// AND the stream worker count — CI diffs both. Only wall-clock
-// throughput on stderr varies per machine.
+// Everything on stdout (Render, EngineLine) is invariant under the
+// hook-owner count AND the stream worker count — CI diffs both. Only
+// wall-clock throughput on stderr varies per machine.
 
 // StreamTrialConfig sizes one streaming-diagnosis trial.
 type StreamTrialConfig struct {
@@ -36,7 +36,7 @@ type StreamTrialConfig struct {
 	Shards int // hook owners, clamped to [1, units]; layout only
 	// Workers bounds the stream service's per-window analysis fan-out.
 	Workers int
-	// Background traffic, as in the scale trial.
+	// Background traffic: the cross-pod mesh (meshEndpoints).
 	NumFlows int
 	RatePPS  float64
 	// Epochs is the run length in telemetry epochs
@@ -57,7 +57,7 @@ type StreamTrialConfig struct {
 }
 
 // DefaultStreamTrialConfig is the benched configuration: a k-ary fabric
-// under the scale trial's cross-pod mesh, 100 ms epochs, a fault over
+// under a cross-pod mesh of two flows per host, 100 ms epochs, a fault over
 // the middle third of the run, and windows 2/4/8 compared.
 func DefaultStreamTrialConfig(k, shards int, seed int64) StreamTrialConfig {
 	hosts := k * k * k / 4
@@ -102,6 +102,12 @@ type StreamTrialResult struct {
 	// Record flow (invariant).
 	Sent, Delivered, Dropped int64
 	RecordsDrained           int64
+	// Engine and byte totals (invariant), summed over the hook owners.
+	Events           int64
+	MeanLatency      netsim.Time
+	TotalLinkBytes   int64
+	TelemetryBytes   int64
+	TelemetryPackets int64
 	// Primary service outcome (Windows[0]).
 	PrimaryWindow    int
 	DetectionEpoch   int // window-end epoch of first top-3 hit; -1 never
@@ -135,8 +141,8 @@ func RunStreamTrial(tc StreamTrialConfig, progress func(now netsim.Time, events 
 	// The path table covers exactly the (source edge, sink edge) pairs the
 	// mesh can produce (the all-pairs set is infeasible at k=16).
 	table := selectivePathTable(ft, streamMeshPairs(ft, tc.NumFlows))
-	sh, _, bufs := NewShardedFabric(ft, tc.Shards, tc.Seed, mars.DefaultConfig().Sim, table,
-		tc.NumFlows, tc.RatePPS, netsim.Time(tc.Epochs)*dataplane.EpochDuration, true)
+	sh, progs, bufs := NewShardedFabric(ft, tc.Shards, tc.Seed, table,
+		tc.NumFlows, tc.RatePPS, netsim.Time(tc.Epochs)*dataplane.EpochDuration)
 
 	// One stream service per window size over the same record stream.
 	svcs := make([]*stream.Service, len(tc.Windows))
@@ -225,9 +231,18 @@ func RunStreamTrial(tc StreamTrialConfig, progress func(now netsim.Time, events 
 		Culprit: badAgg,
 		Sent:    stats.Sent, Delivered: stats.Delivered, Dropped: stats.Dropped,
 		RecordsDrained: drained,
+		Events:         sh.Events()[0],
+		TotalLinkBytes: sumLinkBytes(stats.LinkBytes),
 		PrimaryWindow:  tc.Windows[0],
 		DetectionEpoch: -1,
 		WallSeconds:    wall,
+	}
+	if stats.Delivered > 0 {
+		res.MeanLatency = stats.TotalLatency / netsim.Time(stats.Delivered)
+	}
+	for _, p := range progs {
+		res.TelemetryBytes += p.Stats.TelemetryLinkBytes
+		res.TelemetryPackets += p.Stats.TelemetryPackets
 	}
 
 	// Detection latency: the first window (primary service) whose merged
@@ -369,8 +384,26 @@ func (r *StreamTrialResult) Render() string {
 	return b.String()
 }
 
+// EngineLine formats the engine's event, latency and byte totals. Like
+// Render it is invariant under the owner and worker counts and goes to
+// stdout; it stays out of Render so the stream digest pin, which hashes
+// Render, keeps its value.
+func (r *StreamTrialResult) EngineLine() string {
+	return fmt.Sprintf("  engine:   events=%d mean-latency=%v links=%d telemetry=%d telemetry-packets=%d",
+		r.Events, r.MeanLatency, r.TotalLinkBytes, r.TelemetryBytes, r.TelemetryPackets)
+}
+
 // TimingLine is the machine-readable stderr throughput summary.
 func (r *StreamTrialResult) TimingLine() string {
 	return fmt.Sprintf("timing: exp=stream-trial k=%d shards=%d workers=%d wall=%.2fs records/s=%.0f diagnoses/s=%.0f",
 		r.K, r.Shards, r.Workers, r.WallSeconds, r.RecordsPerSec, r.DiagPerSec)
+}
+
+// ScaleHeartbeat builds the stream tier's -progress callback: one stderr
+// line per Run step with the simulated clock and the cumulative
+// dispatched-event count, so long k=16 runs show liveness.
+func ScaleHeartbeat(w io.Writer) func(now netsim.Time, events int64) {
+	return func(now netsim.Time, events int64) {
+		fmt.Fprintf(w, "scale-progress: t=%v events=%d\n", now, events)
+	}
 }

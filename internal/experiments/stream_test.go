@@ -32,9 +32,10 @@ func testStreamConfig(seed int64, shards, workers int) StreamTrialConfig {
 // shard count and any stream worker count.
 func TestStreamTrialShardWorkerInvariance(t *testing.T) {
 	base := RunStreamTrial(testStreamConfig(42, 1, 1), nil)
-	out := base.Render()
+	out := base.Render() + base.EngineLine()
 	for _, tc := range []struct{ shards, workers int }{{2, 1}, {4, 1}, {1, 4}, {3, 7}} {
-		got := RunStreamTrial(testStreamConfig(42, tc.shards, tc.workers), nil).Render()
+		r := RunStreamTrial(testStreamConfig(42, tc.shards, tc.workers), nil)
+		got := r.Render() + r.EngineLine()
 		if got != out {
 			t.Errorf("shards=%d workers=%d diverges from shards=1 workers=1:\n--- base ---\n%s--- got ---\n%s",
 				tc.shards, tc.workers, out, got)
@@ -44,9 +45,23 @@ func TestStreamTrialShardWorkerInvariance(t *testing.T) {
 
 // The trial must actually detect the injected silent drop: a drop culprit
 // containing the faulted aggregation switch within the top 3 of some
-// window, with positive latency from the fault start.
+// window, with positive latency from the fault start. The -progress
+// heartbeat fires once per epoch step plus the grace step, and its last
+// event count is the one Render prints.
 func TestStreamTrialDetectsFault(t *testing.T) {
-	r := RunStreamTrial(testStreamConfig(42, 2, 2), nil)
+	var (
+		beats int
+		last  int64
+	)
+	tc := testStreamConfig(42, 2, 2)
+	r := RunStreamTrial(tc, func(_ netsim.Time, events int64) { beats++; last = events })
+	if beats != tc.Epochs+1 || last != r.Events {
+		t.Errorf("heartbeat fired %d times ending at %d events, want %d ending at %d",
+			beats, last, tc.Epochs+1, r.Events)
+	}
+	if r.Delivered == 0 || r.TelemetryPackets == 0 {
+		t.Fatalf("degenerate trial:\n%s%s", r.Render(), r.EngineLine())
+	}
 	if r.DetectionEpoch < 0 {
 		t.Fatalf("fault never detected:\n%s", r.Render())
 	}

@@ -116,7 +116,7 @@ type agenda struct {
 	lanes [2]lane
 	n     int // pending events, everywhere
 	// peak tracks the high-water pending-event count for the MemStats-free
-	// memory accounting of the scale tier.
+	// memory accounting (Simulator.Mem).
 	peak int
 }
 

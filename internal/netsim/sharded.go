@@ -1,10 +1,6 @@
 package netsim
 
-import (
-	"fmt"
-
-	"mars/internal/topology"
-)
+import "mars/internal/topology"
 
 // Sharded is a partition view over one Simulator (see DESIGN.md §13). The
 // topology is partitioned into units (topology.Partition) and every event
@@ -166,11 +162,4 @@ func (s *Simulator) Mem() MemEstimate {
 	m.EstBytes = fixed + int64(s.agenda.capacity())*eventBytes + s.pktAlloc*perPkt
 	m.PeakBytes = fixed + int64(m.AgendaPeak)*eventBytes + s.pktAlloc*perPkt
 	return m
-}
-
-// String summarizes one estimate (human-readable, deterministic).
-func (m MemEstimate) String() string {
-	return fmt.Sprintf("switches=%d agenda=%d/%d(peak) packets=%d live/%d pooled est=%dKB peak=%dKB",
-		m.Switches, m.AgendaLen, m.AgendaPeak, m.PacketsLive, m.PacketsPooled,
-		m.EstBytes/1024, m.PeakBytes/1024)
 }

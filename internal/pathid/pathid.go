@@ -690,8 +690,3 @@ func IntSightMATEntries(paths []topology.Path) int {
 	}
 	return n
 }
-
-// IntSightMemoryBytes returns IntSight's PathID memory at 7 B/entry.
-func IntSightMemoryBytes(paths []topology.Path) int {
-	return IntSightMATEntries(paths) * IntSightMATEntryBytes
-}

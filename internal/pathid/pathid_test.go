@@ -223,13 +223,13 @@ func TestBuildTableCollisionsNeedEntries(t *testing.T) {
 		// 112 paths -> 512 entries; the ratio is what matters.)
 		_ = is
 	}
-	if tbl8.MemoryBytes() >= IntSightMemoryBytes(paths) {
+	if tbl8.MemoryBytes() >= is*IntSightMATEntryBytes {
 		t.Errorf("MARS memory %d B not below IntSight %d B",
-			tbl8.MemoryBytes(), IntSightMemoryBytes(paths))
+			tbl8.MemoryBytes(), is*IntSightMATEntryBytes)
 	}
 	t.Logf("8-bit: %d entries (%d B); 16-bit: %d entries; IntSight: %d entries (%d B)",
 		tbl8.MATEntryCount(), tbl8.MemoryBytes(), tbl16.MATEntryCount(),
-		IntSightMATEntries(paths), IntSightMemoryBytes(paths))
+		is, is*IntSightMATEntryBytes)
 }
 
 func TestDataPlaneChainMatchesControlPlane(t *testing.T) {
