@@ -93,7 +93,7 @@ const exitMismatch = 3
 
 // runController is the controller process: build the capture, bind the
 // port map's controller socket, run the unmodified control plane over it
-// for the replay phase, and judge the outcome against the simulator's.
+// until the run settles, and judge the outcome against the simulator's.
 func runController(scenarioPath, portmapPath string, withStream bool) (int, error) {
 	if portmapPath == "" {
 		return 0, fmt.Errorf("-portmap is required")
@@ -133,11 +133,13 @@ func runController(scenarioPath, portmapPath string, withStream bool) (int, erro
 	}
 	start := time.Now() //mars:wallclock deployment live phase
 	ctrl.Start()
-	time.Sleep(deploy.ReplayDuration(sc)) //mars:wallclock live replay phase
-	deploy.WaitSettled(ctrl)
+	settled := "bound"
+	if deploy.WaitSettled(ctrl) {
+		settled = "quiet"
+	}
 	res := ctrl.Result(time.Since(start).Seconds()) //mars:wallclock deployment live phase
-	fmt.Printf("mars-node: controller diagnoses=%d collect_mean_ms=%.2f collect_p95_ms=%.2f diag_rate=%.2f/s retries=%d frames_rx=%d\n",
-		res.Diagnoses, res.MeanCollectMs(), res.P95CollectMs(), res.DiagnosesPerSec(),
+	fmt.Printf("mars-node: controller diagnoses=%d settled=%s collect_mean_ms=%.2f collect_p95_ms=%.2f diag_rate=%.2f/s retries=%d frames_rx=%d\n",
+		res.Diagnoses, settled, res.MeanCollectMs(), res.P95CollectMs(), res.DiagnosesPerSec(),
 		res.Bytes.Retries, ctrl.Stats().FramesReceived.Load())
 	if withStream {
 		windows, merged := ctrl.FinishStream()

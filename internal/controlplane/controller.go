@@ -305,6 +305,9 @@ type Controller struct {
 	// instead of the trigger being silently dropped.
 	suppressed     *dataplane.Notification
 	flushScheduled bool
+	// collecting counts the collections started and not yet finalized, one
+	// whose sinks are backing off between retries included.
+	collecting int
 }
 
 // New wires a controller to a clock and a transport: the simulator and a
@@ -338,6 +341,12 @@ func New(cfg Config, clock Clock, topo *topology.Topology, tr ctrlchan.Transport
 
 // EdgeSwitches returns the switches with attached hosts (telemetry sinks).
 func (c *Controller) EdgeSwitches() []topology.NodeID { return c.edgeSwitches }
+
+// Quiet reports whether the controller owes no diagnosis: no collection
+// is in flight and no suppressed notification waits for its response
+// window. Refresh pulls and threshold pushes are periodic upkeep and never
+// make it false.
+func (c *Controller) Quiet() bool { return c.collecting == 0 && c.suppressed == nil }
 
 // Start schedules the periodic reservoir/threshold refresh loop.
 func (c *Controller) Start() {
@@ -680,6 +689,7 @@ func (c *Controller) beginDiagnosis(n dataplane.Notification) {
 // timeout with retries; sinks that exhaust the budget are reported as
 // missing rather than stalling the diagnosis.
 func (c *Controller) startCollection(trigger dataplane.Notification) {
+	c.collecting++
 	col := &collection{
 		trigger:   trigger,
 		pending:   make(map[topology.NodeID]bool, len(c.edgeSwitches)),
@@ -723,6 +733,7 @@ func (c *Controller) sinkResolved(col *collection, sw topology.NodeID) {
 // finalizeCollection runs the codec decoder over the collected snapshot
 // and hands the (possibly partial) diagnosis to RCA.
 func (c *Controller) finalizeCollection(col *collection) {
+	c.collecting--
 	c.Bytes.Diagnoses++
 	if len(col.missing) > 0 {
 		c.Bytes.PartialDiagnoses++

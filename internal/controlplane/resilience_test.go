@@ -235,3 +235,73 @@ func TestDuplicatedNotificationsDeduplicated(t *testing.T) {
 		t.Errorf("duplicate notifications = %d, want 1", e.ctrl.Bytes.DuplicateNotifications)
 	}
 }
+
+func TestQuietOnlyOnceEveryTriggerIsDiagnosed(t *testing.T) {
+	// Every controller→switch request is lost, so each collection backs off
+	// through the whole retry budget and finalizes partial. A second
+	// notification lands inside the first one's response window and waits
+	// for it. Quiet must be false while either is owed, and true otherwise.
+	chCfg := ctrlchan.Config{
+		ToSwitch: ctrlchan.DirConfig{Loss: 1, Latency: netsim.Millisecond},
+		Seed:     51,
+	}
+	e := newLossyEnv(t, 51, DefaultConfig(), chCfg)
+	// Half a millisecond off the probes' grid, so no probe ties with it.
+	const second = 300*netsim.Millisecond + netsim.Millisecond/2
+	var done []netsim.Time
+	e.ctrl.OnDiagnosis = func(d Diagnosis) {
+		if !d.Partial() || !e.ctrl.Quiet() {
+			t.Errorf("diagnosis at %v: partial=%v, quiet=%v; want both", d.Time, d.Partial(), e.ctrl.Quiet())
+		}
+		done = append(done, d.Time)
+	}
+	notify := func() { e.agent.Notify(dataplane.Notification{Kind: dataplane.NotifyHighLatency}) }
+	e.sim.At(0, notify)
+	e.sim.At(second, notify)
+
+	type probe struct {
+		at                netsim.Time
+		quiet, backingOff bool
+		waiting           bool
+		diagnosesSoFar    int
+	}
+	var probes []probe
+	var tick func()
+	tick = func() {
+		p := probe{at: e.sim.Now(), quiet: e.ctrl.Quiet(), waiting: e.ctrl.suppressed != nil, diagnosesSoFar: len(done)}
+		p.backingOff = e.ctrl.collecting > 0 && e.ctrl.Bytes.Retries > 0
+		for _, r := range e.ctrl.outstanding {
+			if r.kind == reqCollect {
+				p.backingOff = false
+			}
+		}
+		probes = append(probes, p)
+		if e.sim.Now() < netsim.Second {
+			e.sim.After(netsim.Millisecond, tick)
+		}
+	}
+	e.sim.At(netsim.Millisecond, tick)
+	e.sim.Run(2 * netsim.Second)
+
+	if len(done) != 2 {
+		t.Fatalf("diagnoses = %d, want 2", len(done))
+	}
+	var sawBackoff, sawWaiting bool
+	for _, p := range probes {
+		want := true
+		switch {
+		case p.diagnosesSoFar == 0:
+			want = false
+			sawBackoff = sawBackoff || p.backingOff
+		case p.at >= second && p.diagnosesSoFar == 1:
+			want = false
+			sawWaiting = sawWaiting || p.waiting
+		}
+		if p.quiet != want {
+			t.Fatalf("at %v after %d diagnoses (finalized at %v): quiet=%v, want %v", p.at, p.diagnosesSoFar, done, p.quiet, want)
+		}
+	}
+	if !sawBackoff || !sawWaiting {
+		t.Errorf("probes never saw a collection backing off (%v) or a suppressed trigger waiting (%v)", sawBackoff, sawWaiting)
+	}
+}

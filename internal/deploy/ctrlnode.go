@@ -2,6 +2,7 @@ package deploy
 
 import (
 	"net"
+	"time"
 
 	"mars/internal/controlplane"
 	"mars/internal/ctrlchan"
@@ -39,6 +40,16 @@ type ControllerNode struct {
 	noteSeen   map[dataplane.Notification]netsim.Time
 	collectLat []netsim.Time
 
+	// notes counts the capture's distinct notifications, overdue is the
+	// loop time the last of them is a ResponseWindow late, and settled
+	// closes once the run has done its work (see settle). started is the
+	// wall time Start ran, which WaitSettled's backstop counts from.
+	notes     int
+	overdue   netsim.Time
+	isSettled bool
+	settled   chan struct{}
+	started   time.Time
+
 	// Stream, when non-nil, additionally ingests every collected record
 	// into the streaming diagnosis service (set before Start).
 	Stream *stream.Service
@@ -50,7 +61,12 @@ type ControllerNode struct {
 // NewControllerNode binds the controller to a socket. switchAddrs maps
 // every switch ID to its hosting process.
 func NewControllerNode(cap *Capture, conn *net.UDPConn, switchAddrs map[topology.NodeID]*net.UDPAddr) *ControllerNode {
-	n := &ControllerNode{cap: cap, loop: rtclock.New(), noteSeen: make(map[dataplane.Notification]netsim.Time)}
+	n := &ControllerNode{cap: cap, loop: rtclock.New(), noteSeen: make(map[dataplane.Notification]netsim.Time), settled: make(chan struct{})}
+	distinct := make(map[dataplane.Notification]bool, len(cap.Notes))
+	for _, tn := range cap.Notes {
+		distinct[tn.Note] = true
+	}
+	n.notes = len(distinct)
 	n.tr = ctrlchan.NewUDP(conn, ctrlchan.UDPConfig{
 		Switches: switchAddrs,
 		LossProb: cap.Scenario.LossProb,
@@ -63,6 +79,9 @@ func NewControllerNode(cap *Capture, conn *net.UDPConn, switchAddrs map[topology
 				}
 			}
 			n.ctrl.Deliver(m)
+			if m.Kind == ctrlchan.KindNotification {
+				n.settle()
+			}
 		})
 	})
 
@@ -80,6 +99,7 @@ func NewControllerNode(cap *Capture, conn *net.UDPConn, switchAddrs map[topology
 	}))
 
 	n.ctrl.OnDiagnosis = func(d controlplane.Diagnosis) {
+		defer n.settle()
 		// Re-anchor to the collected data's own timeline: d.Time is wall
 		// nanoseconds, but the records' arrivals (and RCA's recency
 		// window) live on the sim timeline the snapshots carry in AsOf.
@@ -109,8 +129,35 @@ func NewControllerNode(cap *Capture, conn *net.UDPConn, switchAddrs map[topology
 }
 
 // Start launches the controller's periodic refresh loop on the wall
-// clock. Call once every process is listening.
-func (n *ControllerNode) Start() { n.loop.Post(n.ctrl.Start) }
+// clock, and arms the check at the instant the capture's last notification
+// is a ResponseWindow overdue. Call once every process is listening.
+func (n *ControllerNode) Start() {
+	n.started = time.Now() //mars:wallclock the backstop of the deployment's live phase
+	n.loop.Post(func() {
+		var last netsim.Time
+		if k := len(n.cap.Notes); k > 0 {
+			last = n.cap.Notes[k-1].At
+		}
+		n.overdue = n.loop.Now() + netsim.Time(float64(last)*n.cap.Scenario.Scale) + n.ctrl.Cfg.ResponseWindow
+		n.loop.At(n.overdue, n.settle)
+		n.ctrl.Start()
+	})
+}
+
+// settle closes settled once the run has done all of its work: every
+// notification of the capture has reached this node, or the last one is a
+// ResponseWindow overdue (a switch group is down, or the channel lost it),
+// and the controller is Quiet. The controller answers a notification with
+// one collection per response window, so nothing finalizes after that. It
+// runs on the loop after each notification, each diagnosis, and at the
+// overdue instant.
+func (n *ControllerNode) settle() {
+	if n.isSettled || !n.ctrl.Quiet() || (len(n.noteSeen) < n.notes && n.loop.Now() < n.overdue) {
+		return
+	}
+	n.isSettled = true
+	close(n.settled)
+}
 
 // Result judges the run as the controller saw it after wallSeconds of
 // live phase: the merged ranking against the capture's, and the collection

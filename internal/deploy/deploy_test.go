@@ -89,10 +89,16 @@ func launchInProcessWith(t *testing.T, c *Capture, absent int, rewire func(*Cont
 	return ctrl, nodes
 }
 
-// wallDeadline is the replay duration plus a generous drain margin.
-func wallDeadline(c *Capture) time.Duration {
-	replay := time.Duration(float64(c.Scenario.RunFor) * c.Scenario.Scale)
-	return replay + 5*time.Second
+// assertNoLateDiagnosis waits out the fixed 300 ms drain the settle rule
+// replaced and fails if a diagnosis finalized in it. It returns the count.
+func assertNoLateDiagnosis(t *testing.T, ctrl *ControllerNode) int {
+	t.Helper()
+	settled := len(ctrl.Diagnoses())
+	time.Sleep(300 * time.Millisecond) //mars:wallclock the drain the settle rule replaced
+	if late := len(ctrl.Diagnoses()) - settled; late != 0 {
+		t.Errorf("%d diagnoses finalized in the 300 ms after the run settled with %d", late, settled)
+	}
+	return settled
 }
 
 // TestGroupSwitchesCoversAll verifies the process grouping hosts every
@@ -136,21 +142,19 @@ func TestLoopbackReproducesSimTop1(t *testing.T) {
 		t.Skip("sim produced no culprits")
 	}
 	ctrl, nodes := launchInProcess(t, c, -1)
-
+	if !WaitSettled(ctrl) {
+		t.Error("the run ended on the backstop, not on the settle rule")
+	}
+	// The run settles on its last diagnosis: one per captured diagnosis,
+	// and none after.
+	if got := assertNoLateDiagnosis(t, ctrl); got != len(c.Diags) {
+		t.Errorf("settled after %d diagnoses, the simulator made %d", got, len(c.Diags))
+	}
 	want := Top1Key(c.Expected[0])
-	deadline := time.Now().Add(wallDeadline(c)) //mars:wallclock test deadline
-	for {
-		got := ctrl.Result(0).Got
-		if len(got) > 0 && Top1Key(got[0]) == want {
-			break
-		}
-		if time.Now().After(deadline) { //mars:wallclock test deadline
-			if len(got) == 0 {
-				t.Fatalf("no culprits from deployment run; want top-1 %s", want)
-			}
-			t.Fatalf("deployment top-1 = %s, want %s", Top1Key(got[0]), want)
-		}
-		time.Sleep(20 * time.Millisecond) //mars:wallclock test polling
+	if got := ctrl.Result(0).Got; len(got) == 0 {
+		t.Fatalf("no culprits from deployment run; want top-1 %s", want)
+	} else if Top1Key(got[0]) != want {
+		t.Fatalf("deployment top-1 = %s, want %s", Top1Key(got[0]), want)
 	}
 
 	if ds := ctrl.Diagnoses(); len(ds) == 0 {
@@ -301,10 +305,15 @@ func TestLoopbackWithAnAbsentSwitchGroup(t *testing.T) {
 	before := runtime.NumGoroutine()
 	start := time.Now() //mars:wallclock the run must end on schedule
 	ctrl, nodes := launchInProcess(t, c, absent)
-	time.Sleep(ReplayDuration(c.Scenario)) //mars:wallclock live replay phase
-	WaitSettled(ctrl)
-	// WaitSettled polls for at most 2 s; the rest is scheduling slack.
-	if took, bound := time.Since(start), ReplayDuration(c.Scenario)+2*time.Second+500*time.Millisecond; took > bound { //mars:wallclock the run must end on schedule
+	if !WaitSettled(ctrl) {
+		t.Error("the run ended on the backstop, not on the settle rule")
+	}
+	// The absent group's notifications never arrive, so the run settles
+	// once the last one is a response window overdue and the last
+	// collection has spent its retries on the absent sinks (~50 ms); the
+	// rest is scheduling slack.
+	overdue := time.Duration(float64(c.Notes[len(c.Notes)-1].At)*c.Scenario.Scale) + time.Duration(ScaledControllerConfig(c.Scenario).ResponseWindow)
+	if took, bound := time.Since(start), overdue+500*time.Millisecond; took > bound { //mars:wallclock the run must end on schedule
 		t.Errorf("run took %v, want within %v", took, bound)
 	}
 	diags := ctrl.Diagnoses()
@@ -339,17 +348,12 @@ func TestLoopbackRetriesUnderInjectedLoss(t *testing.T) {
 	lossy := *base
 	lossy.Scenario.LossProb = 0.25
 	ctrl, _ := launchInProcess(t, &lossy, -1)
-
-	deadline := time.Now().Add(wallDeadline(&lossy)) //mars:wallclock test deadline
-	for {
-		if len(ctrl.Diagnoses()) > 0 && ctrl.Result(0).Bytes.Retries > 0 {
-			break
-		}
-		if time.Now().After(deadline) { //mars:wallclock test deadline
-			t.Fatalf("under 25%% fragment loss: %d diagnoses, %d retries (want both > 0)",
-				len(ctrl.Diagnoses()), ctrl.Result(0).Bytes.Retries)
-		}
-		time.Sleep(20 * time.Millisecond) //mars:wallclock test polling
+	if !WaitSettled(ctrl) {
+		t.Error("the run ended on the backstop, not on the settle rule")
+	}
+	diagnoses := assertNoLateDiagnosis(t, ctrl)
+	if retries := ctrl.Result(0).Bytes.Retries; diagnoses == 0 || retries == 0 {
+		t.Fatalf("under 25%% fragment loss: %d diagnoses, %d retries (want both > 0)", diagnoses, retries)
 	}
 	if ctrl.Stats().InjectedDrops.Load() == 0 {
 		t.Fatal("loss injection never dropped a fragment")
@@ -407,7 +411,6 @@ func TestLoopbackRetriesByKind(t *testing.T) {
 		n.ctrl.OnDiagnosis = on
 		k.ctrl = n.ctrl
 	})
-	time.Sleep(ReplayDuration(c.Scenario)) //mars:wallclock live replay phase
 	WaitSettled(ctrl)
 	// The refresh loop keeps running: read both counts in one turn of it.
 	var (

@@ -93,27 +93,25 @@ func ReplayDuration(sc Scenario) time.Duration {
 	return time.Duration(float64(sc.RunFor) * sc.Scale)
 }
 
-// WaitSettled blocks until in-flight collections drain: the diagnosis
-// count must hold stable across two consecutive polls, bounded by a
-// fixed margin. Call it after the replay phase has elapsed.
-func WaitSettled(ctrl *ControllerNode) {
-	stableFor, last := 0, -1
-	for i := 0; i < 20 && stableFor < 2; i++ {
-		time.Sleep(100 * time.Millisecond) //mars:wallclock drain polling
-		n := len(ctrl.Diagnoses())
-		if n == last {
-			stableFor++
-		} else {
-			stableFor, last = 0, n
-		}
+// WaitSettled blocks until ctrl's run has settled (ControllerNode.settle)
+// and reports true, or until the backstop, the replay plus 2 s from
+// ctrl.Start, passes first and reports false.
+func WaitSettled(ctrl *ControllerNode) (quiet bool) {
+	bound := time.NewTimer(time.Until(ctrl.started.Add(ReplayDuration(ctrl.cap.Scenario) + 2*time.Second))) //mars:wallclock backstop of the deployment's live phase
+	defer bound.Stop()
+	select {
+	case <-ctrl.settled:
+		return true
+	case <-bound.C:
+		return false
 	}
 }
 
 // RunLoopback executes a complete deployment run inside one process:
 // controller node plus one switch node per group, each on its own
 // loopback UDP socket, replaying the capture in scaled real time. It
-// blocks for the whole live phase (Scenario.RunFor × Scale plus drain)
-// and tears everything down before returning.
+// blocks until the run settles (WaitSettled) and tears everything down
+// before returning.
 func RunLoopback(c *Capture) (*LoopbackResult, error) {
 	groups := GroupSwitches(c.Sys.FT, c.Scenario.Groups)
 	conns, pm, err := AllocatePorts(groups)
@@ -145,7 +143,6 @@ func RunLoopback(c *Capture) (*LoopbackResult, error) {
 	for _, n := range nodes {
 		n.Start()
 	}
-	time.Sleep(ReplayDuration(c.Scenario)) //mars:wallclock live replay phase
 	WaitSettled(ctrl)
 	wall := time.Since(start).Seconds() //mars:wallclock the deployment's live phase is wall-clock by nature
 
