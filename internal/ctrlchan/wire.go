@@ -20,15 +20,16 @@ import (
 //	                                 payload length)
 //	payload [Len]byte               (layout fixed per Kind)
 //
-// in big-endian, following the explicit-span style of dataplane/wire.go:
-// the fixed-size layouts are Marshal/Unmarshal [N]byte pairs, which
+// in big-endian, with each field's byte span written out: the
+// fixed-size layouts are Marshal/Unmarshal [N]byte pairs, which
 // TestMessageWireRoundTrip and FuzzMessageRoundTrip check for
 // encode/decode symmetry, and the variable-length frame assembly
 // (EncodeMessage/DecodeMessage) composes them. Unlike the in-band
-// telemetry encodings, these frames carry full field widths — the
-// control channel is not byte-budgeted. The *modeled* size the
-// experiments account (Message.Wire) stays with its sender, which counts
-// it; a decoded Message has Wire zero.
+// telemetry layouts, which no program serializes (their widths are
+// declared constants in dataplane/header.go), these frames carry full
+// field widths — the control channel is not byte-budgeted. The *modeled*
+// size the experiments account (Message.Wire) stays with its sender,
+// which counts it; a decoded Message has Wire zero.
 
 // Frame constants.
 const (

@@ -14,11 +14,9 @@ import (
 // Config.Codec resolves to; internal/telemetry's codecs embed it and
 // declare only what they change.
 //
-// By convention, a type named <name>Codec that declares WireBytes() (or a
-// non-zero HopBytes()) pairs with a Marshal<Name> (or Marshal<Name>Hop)
-// wire function whose fixed array length is that width;
-// telemetry.TestMarshalLenMatchesDeclared checks every codec's Marshal
-// length against its declared widths.
+// The widths a codec declares are what the byte accounting charges; no
+// codec serializes its header (see the constants in header.go), and
+// telemetry.TestDeclaredWidths pins every codec's widths by name.
 type Codec interface {
 	// WireBytes is the fixed header size added at the source switch.
 	WireBytes() int

@@ -37,7 +37,14 @@ func (f FlowID) String() string { return fmt.Sprintf("<s%d,s%d>", f.Src, f.Sink)
 // IDs included, have distinct keys.
 func (f FlowID) Key() uint64 { return uint64(uint32(f.Src))<<32 | uint64(uint32(f.Sink)) }
 
-// Wire-size constants used for the Fig. 9 bandwidth accounting.
+// Wire-size constants used for the Fig. 9 bandwidth accounting. No
+// program serializes these layouts: the simulator carries INTHeader,
+// Notification and RTRecord as Go values at full width (nanosecond
+// SourceTS, 32-bit epoch and count fields), while the modeled layouts
+// below carry a microsecond timestamp and 16-bit fields. Fig. 9 and
+// `mars-bench -exp overhead` charge the modeled widths. The control
+// channel's UDP frames (internal/ctrlchan/wire.go) are a separate,
+// full-width format.
 const (
 	// TelemetryHeaderBytes is the INT payload of a telemetry packet: source
 	// timestamp (compressed, 4 B), last-epoch packet count (2 B), total
@@ -45,10 +52,16 @@ const (
 	// paper's 11 bytes including the option framing.
 	TelemetryHeaderBytes = 11
 	// NotificationBytes is one data-plane → control-plane anomaly
-	// notification (switch ID, kind, flow, value, timestamp).
+	// notification: kind (1 B), switch ID (4 B), flow source and sink
+	// switches (4 B each), compressed timestamp (µs, 4 B), latency in µs
+	// or dropped count by kind (4 B), epoch gap (2 B), reserved (1 B).
 	NotificationBytes = 24
-	// RTRecordBytes is the wire size of one Ring Table record during
-	// on-demand collection.
+	// RTRecordBytes is one Ring Table record during on-demand
+	// collection: flow source switch (4 B), PathID (2 B), epoch (low
+	// 16 bits, 2 B), latency µs (4 B), source, sink and path counts
+	// (2 B each), path bytes (4 B), total queue depth (2 B), epoch gap
+	// (2 B), reserved (2 B). The sink switch is implicit: the controller
+	// knows which switch it pulls from.
 	RTRecordBytes = 28
 	// ThresholdPushBytes is one per-flow threshold update pushed from the
 	// control plane to a switch.
@@ -71,8 +84,8 @@ type INTHeader struct {
 	// switch has notified the control plane (§4.2.2).
 	Flagged bool
 	// Ext is codec-private in-flight state (nil for the paper's fixed
-	// encoding): the perhop codec's hop stack, the pintlike codec's
-	// sampled hop slot. The active Codec owns its concrete type.
+	// encoding): the pintlike codec's sampled hop slot. The active Codec
+	// owns its concrete type.
 	Ext any
 }
 

@@ -8,6 +8,12 @@ import (
 	"mars/internal/topology"
 )
 
+// PintlikeWireBytes is the pintlike header: the paper's 11 bytes plus a
+// 5-byte hop slot — slot switch ID (2 B), quantized queue depth (1 B),
+// 1-based hop index, 0 for an empty slot (1 B), hops traversed so far
+// (1 B).
+const PintlikeWireBytes = 16
+
 // HopSample is the pintlike codec's fixed-width slot: one hop's
 // observation, chosen by per-packet reservoir sampling so that across
 // many packets of a flow every hop is observed with equal probability.
@@ -81,18 +87,6 @@ func (pintlikeCodec) SinkRecord(h *dataplane.INTHeader) any {
 		return &s
 	}
 	return nil
-}
-
-func (pintlikeCodec) Marshal(h *dataplane.INTHeader) []byte {
-	b := MarshalPintlike(h)
-	return b[:]
-}
-
-func (pintlikeCodec) Unmarshal(b []byte, now netsim.Time, epochHint uint32) (*dataplane.INTHeader, error) {
-	if err := wireLen(b, PintlikeWireBytes); err != nil {
-		return nil, err
-	}
-	return UnmarshalPintlike([PintlikeWireBytes]byte(b), now, epochHint), nil
 }
 
 // DecodeRecords reconstructs per-hop queue profiles: records are grouped

@@ -4,12 +4,12 @@
 // 2020) shows the space between those extremes — probabilistic per-hop
 // sampling into a fixed-width slot, reconstructed from many packets at
 // the sink. The paper's encoding is one value, paper, built on
-// dataplane.Mars11 and dataplane.MarshalINT; every other codec embeds it
-// and declares only what it changes:
+// dataplane.Mars11 and its dataplane.TelemetryHeaderBytes; every other
+// codec embeds it and declares only what it changes:
 //
 //   - mars11: paper itself (the default).
-//   - perhop: classic INT — one 8-byte record appended per hop, the
-//     expensive exact upper baseline whose cost grows with path length.
+//   - perhop: classic INT — one 8-byte entry charged per hop, the
+//     expensive upper baseline whose cost grows with path length.
 //   - pintlike: the 11-byte base plus a 5-byte probabilistic hop slot;
 //     each hop reservoir-samples itself into the slot with seeded
 //     hashing, and the controller reconstructs per-hop queue profiles
@@ -18,8 +18,9 @@
 //     trading temporal coverage for bytes.
 //
 // A Codec is both the data-plane program hooks (dataplane.Codec) and the
-// controller-side wire marshal/unmarshal + record decoder, so one value
-// threads through mars.Config into both halves of the system. The
+// controller-side record decoder, so one value threads through
+// mars.Config into both halves of the system. Headers travel as Go
+// values; each codec's byte cost is its declared widths, and the
 // `mars-bench -exp overhead` sweep measures the resulting cost–accuracy
 // frontier over the Table 1 fault suite.
 package telemetry
@@ -29,48 +30,29 @@ import (
 	"strings"
 
 	"mars/internal/dataplane"
-	"mars/internal/netsim"
 )
 
-// Codec is a full telemetry encoding: the data-plane hooks plus the wire
-// format and the controller-side decoder.
+// Codec is a full telemetry encoding: the data-plane hooks plus the
+// controller-side decoder.
 type Codec interface {
 	dataplane.Codec
-
-	// Marshal encodes the in-flight header into its wire bytes. The
-	// length is WireBytes() plus HopBytes() per recorded hop.
-	Marshal(h *dataplane.INTHeader) []byte
-	// Unmarshal decodes wire bytes; now anchors timestamp recovery and
-	// epochHint anchors 16-bit epoch expansion, as in dataplane.UnmarshalINT.
-	Unmarshal(b []byte, now netsim.Time, epochHint uint32) (*dataplane.INTHeader, error)
 
 	// DecodeRecords reconstructs a collected Ring Table snapshot on the
 	// controller. It returns the (possibly rewritten) records and a
 	// per-record reconstruction confidence in [0,1]: nil (1 everywhere)
-	// for exact encodings, the observed-hop coverage for pintlike, the
-	// epoch coverage for sampled.
+	// for exact encodings, the observed-hop coverage for pintlike,
+	// 1/stride for sampled.
 	DecodeRecords(recs []dataplane.RTRecord) ([]dataplane.RTRecord, []float64)
-	// RecordBytes is the wire size of one record during on-demand
-	// collection (28 for the paper's encoding).
+	// RecordBytes is the declared width charged per record during
+	// on-demand collection: dataplane.RTRecordBytes for every codec here,
+	// since sinks store the paper's fields whatever travelled in-band.
 	RecordBytes() int
 }
 
 // paper is the paper's encoding, once: dataplane.Mars11's switch
-// behavior plus the controller half over dataplane.MarshalINT's 11 bytes.
-// It is the "mars11" codec, and the base every other codec embeds.
+// behavior plus the exact controller half. It is the "mars11" codec, and
+// the base every other codec embeds.
 type paper struct{ dataplane.Mars11 }
-
-func (paper) Marshal(h *dataplane.INTHeader) []byte {
-	b := dataplane.MarshalINT(h)
-	return b[:]
-}
-
-func (paper) Unmarshal(b []byte, now netsim.Time, epochHint uint32) (*dataplane.INTHeader, error) {
-	if err := wireLen(b, dataplane.TelemetryHeaderBytes); err != nil {
-		return nil, err
-	}
-	return dataplane.UnmarshalINT([dataplane.TelemetryHeaderBytes]byte(b), now, epochHint), nil
-}
 
 // DecodeRecords is the identity: the encoding is exact, and a nil
 // confidence means 1 everywhere.

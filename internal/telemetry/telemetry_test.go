@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -34,65 +33,38 @@ func TestNewUnknownListsValid(t *testing.T) {
 	}
 }
 
-// sampleHeaders exercises zero, mid-range, and saturating field values.
-func sampleHeaders() []*dataplane.INTHeader {
-	return []*dataplane.INTHeader{
-		{},
-		{SourceTS: 3 * netsim.Second, LastEpochCount: 40, TotalQueueDepth: 7, EpochID: 12, Flagged: true},
-		{SourceTS: 5400 * netsim.Second, LastEpochCount: 0xFFFF, TotalQueueDepth: 0xFFFF, EpochID: 1 << 18},
-	}
-}
-
-// TestSampledTravelsAsThePaperHeader: sampled changes when a header is
-// sent, not what it looks like — its wire form is dataplane.MarshalINT's
-// bytes (the stride is configuration, never on the wire) and only that
-// length decodes.
-func TestSampledTravelsAsThePaperHeader(t *testing.T) {
-	c, err := New("sampled", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, h := range sampleHeaders() {
-		want := dataplane.MarshalINT(h)
-		if got := c.Marshal(h); !bytes.Equal(got, want[:]) {
-			t.Errorf("sampled Marshal(%+v) = %v, dataplane.MarshalINT = %v", h, got, want)
-		}
-	}
-	for n := 0; n <= 2*dataplane.TelemetryHeaderBytes; n++ {
-		_, err := c.Unmarshal(make([]byte, n), netsim.Second, 0)
-		if ok := n == dataplane.TelemetryHeaderBytes; (err == nil) != ok {
-			t.Errorf("Unmarshal of %d bytes: err = %v", n, err)
-		}
-	}
-}
-
-// TestMarshalLenMatchesDeclared checks every registered codec's Marshal
-// length against its declared WireBytes/HopBytes, so a codec cannot
-// promise one wire width to the simulator's byte accounting while its
-// marshaller emits another.
-func TestMarshalLenMatchesDeclared(t *testing.T) {
-	for _, name := range Names() {
-		c, err := New(name, 42)
+// TestDeclaredWidths pins every codec's declared widths, and the
+// collection widths, by name: the byte accounting charges these
+// constants, and no encoder checks them against a layout.
+func TestDeclaredWidths(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		wire, hop, record int
+	}{
+		{"mars11", 11, 0, 28},
+		{"sampled", 11, 0, 28},
+		{"perhop", 11, 8, 28},
+		{"pintlike", 16, 0, 28},
+	} {
+		c, err := New(tc.name, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := &dataplane.INTHeader{SourceTS: netsim.Second, EpochID: 3}
-		hops := 0
-		for i := 1; i <= 4; i++ {
-			if grow := c.OnHop(h, 7, topology.NodeID(i), i, netsim.Second+netsim.Time(i)*netsim.Millisecond); grow > 0 {
-				hops++
-			}
+		if got := c.WireBytes(); got != tc.wire {
+			t.Errorf("%s: WireBytes() = %d, want %d", tc.name, got, tc.wire)
 		}
-		want := c.WireBytes() + hops*c.HopBytes()
-		if got := len(c.Marshal(h)); got != want {
-			t.Errorf("%s: Marshal produced %d bytes after 4 hops, want %d", name, got, want)
+		if got := c.HopBytes(); got != tc.hop {
+			t.Errorf("%s: HopBytes() = %d, want %d", tc.name, got, tc.hop)
 		}
-		back, err := c.Unmarshal(c.Marshal(h), 2*netsim.Second, h.EpochID)
-		if err != nil {
-			t.Errorf("%s: Unmarshal of own Marshal failed: %v", name, err)
-		} else if back.EpochID != h.EpochID {
-			t.Errorf("%s: epoch %d round-tripped as %d", name, h.EpochID, back.EpochID)
+		if got := c.RecordBytes(); got != tc.record {
+			t.Errorf("%s: RecordBytes() = %d, want %d", tc.name, got, tc.record)
 		}
+	}
+	if dataplane.NotificationBytes != 24 {
+		t.Errorf("NotificationBytes = %d, want 24", dataplane.NotificationBytes)
+	}
+	if dataplane.RTRecordBytes != 28 {
+		t.Errorf("RTRecordBytes = %d, want 28", dataplane.RTRecordBytes)
 	}
 }
 
@@ -186,7 +158,8 @@ func TestPintlikeDecodeCoverage(t *testing.T) {
 	}
 }
 
-// TestPerhopStack: the hop trace survives sink recording and marshalling.
+// TestPerhopStack: every hop grows the header by one stack entry, and
+// the only state carried is the paper's accumulator.
 func TestPerhopStack(t *testing.T) {
 	c, err := New("perhop", 1)
 	if err != nil {
@@ -198,19 +171,7 @@ func TestPerhopStack(t *testing.T) {
 			t.Fatalf("OnHop grew %d bytes, want %d", grow, PerhopHopBytes)
 		}
 	}
-	ext := c.SinkRecord(h)
-	st, ok := ext.(*HopStack)
-	if !ok || len(st.Hops) != 3 {
-		t.Fatalf("sink record Ext = %#v, want a 3-hop stack", ext)
-	}
-	if st.Hops[2].Switch != 13 || st.Hops[2].SinceSourceUS != 3000 {
-		t.Errorf("hop 3 = %+v, want switch 13 at 3000µs", st.Hops[2])
-	}
-	back, err := c.Unmarshal(c.Marshal(h), 2*netsim.Second, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := back.Ext.(*HopStack); !reflect.DeepEqual(got, st) {
-		t.Errorf("stack did not round-trip: %+v vs %+v", got, st)
+	if h.TotalQueueDepth != 1+2+3 || h.Ext != nil || c.SinkRecord(h) != nil {
+		t.Errorf("header after 3 hops = %+v, want the paper's accumulator only", h)
 	}
 }
