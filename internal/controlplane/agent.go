@@ -41,21 +41,20 @@ const refreshSampleBytes = 8
 // threshold pushes from its Registers. It holds no reliability state: a
 // lost request or response is the controller's to retry.
 type Agent struct {
-	regs        Registers
-	recordBytes int64
-	tr          ctrlchan.Transport
-	bytes       *BandwidthStats
-	up          func(ctrlchan.Message)
-	nextSeq     uint64
+	regs    Registers
+	tr      ctrlchan.Transport
+	bytes   *BandwidthStats
+	up      func(ctrlchan.Message)
+	nextSeq uint64
 }
 
-// NewAgent builds the agent for the switches behind regs. recordBytes is
-// the collection wire size of one Ring Table record under the codec in use;
-// bytes receives the four switch-side counters; up is the controller end's
+// NewAgent builds the agent for the switches behind regs. bytes receives
+// the four switch-side counters; a collected record costs
+// dataplane.RTRecordBytes under every codec. up is the controller end's
 // in-process delivery hook (Controller.Deliver), nil when tr crosses a
 // process boundary.
-func NewAgent(regs Registers, recordBytes int64, tr ctrlchan.Transport, bytes *BandwidthStats, up func(ctrlchan.Message)) *Agent {
-	return &Agent{regs: regs, recordBytes: recordBytes, tr: tr, bytes: bytes, up: up}
+func NewAgent(regs Registers, tr ctrlchan.Transport, bytes *BandwidthStats, up func(ctrlchan.Message)) *Agent {
+	return &Agent{regs: regs, tr: tr, bytes: bytes, up: up}
 }
 
 // send counts m's modelled size as it is put on the channel, so an exchange
@@ -83,7 +82,7 @@ func (a *Agent) Deliver(m ctrlchan.Message) {
 		recs, stamp := a.regs.Snapshot(m.Switch, m.Note)
 		a.send(&a.bytes.CollectionBytes, ctrlchan.Message{
 			Kind: ctrlchan.KindCollectResponse, Seq: m.Seq, Switch: m.Switch,
-			Records: recs, Stamp: stamp, Wire: int64(len(recs)) * a.recordBytes,
+			Records: recs, Stamp: stamp, Wire: int64(len(recs)) * dataplane.RTRecordBytes,
 		})
 	case ctrlchan.KindRefreshRequest:
 		var recs []dataplane.RTRecord

@@ -53,10 +53,10 @@ type Config struct {
 	// BackoffMax caps the exponential backoff.
 	BackoffMax netsim.Time
 
-	// Decoder is the controller-side half of the selected telemetry codec
-	// (internal/telemetry): it reconstructs collected Ring Table records.
-	// nil means the paper's exact encoding — identity reconstruction.
-	Decoder RecordDecoder
+	// Codec is the selected telemetry encoding (internal/telemetry); the
+	// controller runs its DecodeRecords over every collected snapshot. nil
+	// means the paper's exact encoding — identity reconstruction.
+	Codec dataplane.Codec
 }
 
 // Clock is the controller's scheduling seam. In the simulator it is the
@@ -74,14 +74,6 @@ type Clock interface {
 	After(d netsim.Time, fn func())
 	// At runs fn once at absolute time t (immediately if t has passed).
 	At(t netsim.Time, fn func())
-}
-
-// RecordDecoder reconstructs a collected telemetry snapshot. The second
-// return of DecodeRecords is the per-record reconstruction confidence in
-// [0,1], aligned with the returned records; RCA folds its mean into
-// culprit confidence. Every internal/telemetry Codec satisfies this.
-type RecordDecoder interface {
-	DecodeRecords(recs []dataplane.RTRecord) ([]dataplane.RTRecord, []float64)
 }
 
 const (
@@ -741,8 +733,8 @@ func (c *Controller) finalizeCollection(col *collection) {
 	if c.OnDiagnosis != nil {
 		records := col.records
 		var conf []float64
-		if c.Cfg.Decoder != nil {
-			records, conf = c.Cfg.Decoder.DecodeRecords(records)
+		if c.Cfg.Codec != nil {
+			records, conf = c.Cfg.Codec.DecodeRecords(records)
 		}
 		c.OnDiagnosis(Diagnosis{
 			Trigger:          col.trigger,

@@ -25,9 +25,9 @@ func newEnv(t *testing.T, seed int64) *env {
 }
 
 // attachAgent gives ctrl its in-process other end: an agent over prog's
-// live registers at the paper's record price, installed as prog's Notifier.
+// live registers, installed as prog's Notifier.
 func attachAgent(ctrl *Controller, prog *dataplane.Program, tr ctrlchan.Transport) *Agent {
-	a := NewAgent(LiveRegisters{Program: prog}, dataplane.RTRecordBytes, tr, &ctrl.Bytes, ctrl.Deliver)
+	a := NewAgent(LiveRegisters{Program: prog}, tr, &ctrl.Bytes, ctrl.Deliver)
 	ctrl.ToSwitch = a.Deliver
 	prog.Notifier = a
 	return a

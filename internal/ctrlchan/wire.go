@@ -181,8 +181,9 @@ func UnmarshalNotificationWire(b [NotificationWireBytes]byte) (dataplane.Notific
 //	48:52 epoch gap
 //	52:60 arrival time (ns)
 //
-// Codec-private record state (RTRecord.Ext) does not cross the socket:
-// the deployment mode runs the default exact encoding.
+// pintlike's slot bytes (RTRecord.SlotIndex, SlotHops) do not cross the
+// socket: the deployment mode runs the default exact encoding, under
+// which they are zero.
 func MarshalRecordWire(r *dataplane.RTRecord) [RecordWireBytes]byte {
 	var b [RecordWireBytes]byte
 	binary.BigEndian.PutUint32(b[0:4], uint32(r.Flow.Src))

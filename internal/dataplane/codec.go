@@ -1,18 +1,14 @@
 package dataplane
 
-import (
-	"mars/internal/netsim"
-	"mars/internal/topology"
-)
-
-// Codec is the data-plane half of a telemetry encoding. The switch program
-// consults it at the three points where the paper's fixed 11-byte design
-// is actually a free design choice: whether a marked packet is promoted to
-// a telemetry packet (source), what the in-flight header accumulates and
-// how many wire bytes it grows (per hop), and what reaches the sink's Ring
-// Table record. The paper's answers are Mars11 below, which a nil
-// Config.Codec resolves to; internal/telemetry's codecs embed it and
-// declare only what they change.
+// Codec is a telemetry encoding, the one seam between the paper's fixed
+// 11-byte design and the other points of the cost–accuracy frontier. The
+// switch program reads its widths and stride once, promotes a flow's
+// marked packet when the epoch is a multiple of EpochStride, folds each
+// hop's queue depth into the header itself, charges HopBytes per hop and
+// lets OnHop update the codec's slot. The controller runs DecodeRecords
+// over every collected snapshot. The paper's answers are Mars11 below,
+// which a nil Config.Codec resolves to; internal/telemetry's codecs embed
+// it and declare only what they change.
 //
 // The widths a codec declares are what the byte accounting charges; no
 // codec serializes its header (see the constants in header.go), and
@@ -27,35 +23,31 @@ type Codec interface {
 	// telemetry packet every epoch (the paper), N only every Nth epoch.
 	// The sink's epoch-gap drop detection scales by it.
 	EpochStride() uint32
-	// Promote decides whether the flow's marked packet for this epoch
-	// becomes a telemetry packet.
-	Promote(flow FlowID, epoch uint32) bool
-	// OnHop updates the in-flight header at one switch and returns the
-	// wire bytes the header grew by at this hop.
-	OnHop(h *INTHeader, pktID uint64, sw topology.NodeID, qlen int, now netsim.Time) int
-	// SinkRecord returns the codec-private header state (from h.Ext) that
-	// the sink stores as its Ring Table record's Ext; nil stores nothing.
-	SinkRecord(h *INTHeader) any
+	// OnHop updates the in-flight header's slot at one switch, after the
+	// program has folded the hop's queue depth.
+	OnHop(h *INTHeader, pktID uint64)
+	// DecodeRecords reconstructs a collected Ring Table snapshot on the
+	// controller. It returns the records and a per-record reconstruction
+	// confidence in [0,1] aligned with them: nil (1 everywhere) for exact
+	// encodings, the observed-hop coverage for pintlike, 1/stride for
+	// sampled.
+	DecodeRecords(recs []RTRecord) ([]RTRecord, []float64)
 }
 
 // Mars11 is the paper's fixed 11-byte encoding: every epoch mark is
-// promoted, each hop folds its queue depth into the accumulator, nothing
-// grows, nothing is carried beyond the base header. It lives here rather
-// than in internal/telemetry so the import direction stays
-// telemetry → dataplane.
+// promoted, nothing grows, nothing is carried beyond the base header, and
+// the controller reads records as they are. It lives here rather than in
+// internal/telemetry so the import direction stays telemetry → dataplane.
 type Mars11 struct{}
 
 func (Mars11) WireBytes() int      { return TelemetryHeaderBytes }
 func (Mars11) HopBytes() int       { return 0 }
 func (Mars11) EpochStride() uint32 { return 1 }
 
-func (Mars11) Promote(FlowID, uint32) bool { return true }
+func (Mars11) OnHop(*INTHeader, uint64) {}
 
-func (Mars11) OnHop(h *INTHeader, _ uint64, _ topology.NodeID, qlen int, _ netsim.Time) int {
-	h.TotalQueueDepth += uint32(qlen)
-	return 0
-}
-
-func (Mars11) SinkRecord(*INTHeader) any { return nil }
+// DecodeRecords is the identity: the encoding is exact, and a nil
+// confidence means 1 everywhere.
+func (Mars11) DecodeRecords(recs []RTRecord) ([]RTRecord, []float64) { return recs, nil }
 
 var _ Codec = Mars11{}

@@ -83,10 +83,10 @@ type INTHeader struct {
 	// Flagged suppresses anomaly detection at subsequent hops once one
 	// switch has notified the control plane (§4.2.2).
 	Flagged bool
-	// Ext is codec-private in-flight state (nil for the paper's fixed
-	// encoding): the pintlike codec's sampled hop slot. The active Codec
-	// owns its concrete type.
-	Ext any
+	// SlotIndex and SlotHops are the pintlike codec's sampled hop slot
+	// (zero under every other codec): the 1-based position of the hop the
+	// slot holds, 0 for an empty slot, and the hops traversed so far.
+	SlotIndex, SlotHops uint8
 }
 
 // PacketMeta is MARS's per-packet state: the PathID field present on every

@@ -32,39 +32,13 @@ func allocEnv(t *testing.T) (*Program, *netsim.Simulator, *topology.FatTree) {
 }
 
 // TestPerHopFoldAllocs pins the transit-hop telemetry fold (PathID hash
-// chain, codec queue-depth accumulation, threshold check) at zero
+// chain, queue-depth accumulation, codec hook, threshold check) at zero
 // allocations per packet.
 func TestPerHopFoldAllocs(t *testing.T) {
 	prog, sim, ft := allocEnv(t)
-	topo := ft.Topology
-	var sw topology.NodeID = -1
-	var in, out topology.PortID
-	for _, cand := range topo.Switches() {
-		if topo.Node(cand).Layer != topology.LayerAggregation {
-			continue
-		}
-		in, out = -1, -1
-		for i, p := range topo.Node(cand).Ports {
-			if !topo.IsSwitch(p.Peer) {
-				continue
-			}
-			if topo.Node(p.Peer).Layer == topology.LayerEdge && in < 0 {
-				in = topology.PortID(i)
-			}
-			if topo.Node(p.Peer).Layer == topology.LayerCore && out < 0 {
-				out = topology.PortID(i)
-			}
-		}
-		if in >= 0 && out >= 0 {
-			sw = cand
-			break
-		}
-	}
-	if sw < 0 {
-		t.Fatal("no transit hop found")
-	}
+	sw, in, out := transitHop(t, ft)
 	pkt := &netsim.Packet{ID: 1, Flow: 7, Size: 700}
-	meta := &PacketMeta{SourceSwitch: topo.Switches()[0]}
+	meta := &PacketMeta{SourceSwitch: ft.Topology.Switches()[0]}
 	meta.INT = &meta.hdr
 	pkt.Meta = meta
 	avg := testing.AllocsPerRun(500, func() {
@@ -76,25 +50,25 @@ func TestPerHopFoldAllocs(t *testing.T) {
 }
 
 // TestPromoteAllocs pins the source-switch promotion path (Ingress Table
-// epoch-counter fold plus the codec's promotion decision) at zero
-// allocations per packet, with the epoch advancing every call so each run
-// takes the telemetry-packet branch.
+// epoch-counter fold plus the codec's stride check) at zero allocations
+// per packet, with the epoch advancing every call so each run takes the
+// telemetry-packet branch.
 func TestPromoteAllocs(t *testing.T) {
 	prog, _, ft := allocEnv(t)
-	flow := FlowID{Src: ft.EdgeIDs[0], Sink: ft.EdgeIDs[1]}
-	sink := prog.ord[flow.Sink]
+	sink := prog.ord[ft.EdgeIDs[1]]
 	it := NewIngressTable(prog.edges)
-	cdc := prog.cdc
-	e := uint32(0)
+	e, promoted := uint32(0), 0
 	avg := testing.AllocsPerRun(500, func() {
-		mark, _ := it.Record(sink, e, 700)
-		if mark {
-			cdc.Promote(flow, e)
+		if mark, _ := it.Record(sink, e, 700); mark && e%prog.stride == 0 {
+			promoted++
 		}
 		e++
 	})
 	if avg != 0 {
 		t.Errorf("promote path allocates %.2f objects/op, want 0", avg)
+	}
+	if promoted == 0 {
+		t.Error("no epoch promoted a telemetry packet")
 	}
 }
 

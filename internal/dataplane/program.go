@@ -117,8 +117,11 @@ type Program struct {
 	// hold one slot per edge switch rather than one per node.
 	ord   []int32
 	edges int
-	// cdc is the resolved telemetry codec (Cfg.Codec, or Mars11 for nil).
-	cdc Codec
+	// cdc is the resolved telemetry codec (Cfg.Codec, or Mars11 for nil);
+	// hopBytes and stride are its HopBytes and EpochStride, read once.
+	cdc      Codec
+	hopBytes int32
+	stride   uint32
 	// metaFree recycles PacketMeta values: a meta is acquired at the
 	// source switch and released at the sink or on drop, so steady-state
 	// forwarding allocates nothing. LIFO reuse in a single-threaded
@@ -164,6 +167,7 @@ func NewResident(cfg Config, topo *topology.Topology, paths *pathid.Table, notif
 	if p.cdc == nil {
 		p.cdc = Mars11{}
 	}
+	p.hopBytes, p.stride = int32(p.cdc.HopBytes()), p.cdc.EpochStride()
 	hostPort := func(pt topology.Port) bool { return topo.IsHost(pt.Peer) }
 	p.ord = make([]int32, len(topo.Nodes))
 	for i, n := range topo.Nodes {
@@ -322,7 +326,7 @@ func (p *Program) OnForward(s *netsim.Simulator, sw topology.NodeID, inPort, out
 		sink := p.sinkOf[pkt.Dst]
 		st := &p.states[sw]
 		mark, lastCount := st.it.Record(p.ord[sink], epoch, pkt.Size)
-		if mark && p.cdc.Promote(FlowID{Src: sw, Sink: sink}, epoch) {
+		if mark && epoch%p.stride == 0 {
 			meta.hdr = INTHeader{
 				SourceTS:       now,
 				LastEpochCount: lastCount,
@@ -359,14 +363,14 @@ func (p *Program) OnForward(s *netsim.Simulator, sw topology.NodeID, inPort, out
 
 	flow := FlowID{Src: meta.SourceSwitch, Sink: p.sinkOf[pkt.Dst]}
 
-	// Telemetry packet processing at every hop: let the codec fold in this
-	// hop's observation (the paper's encoding accumulates queue depth; the
-	// perhop codec also grows the packet), then run the latency check
-	// against the dynamic threshold.
+	// Telemetry packet processing at every hop: accumulate the queue depth
+	// (in-network computation), grow the packet by the codec's per-hop
+	// width (perhop's stack entry), let the codec update its slot, then
+	// run the latency check against the dynamic threshold.
 	if meta.INT != nil {
-		if grow := p.cdc.OnHop(meta.INT, pkt.ID, sw, qlen, now); grow != 0 {
-			pkt.ExtraBytes += int32(grow)
-		}
+		meta.INT.TotalQueueDepth += uint32(qlen)
+		pkt.ExtraBytes += p.hopBytes
+		p.cdc.OnHop(meta.INT, pkt.ID)
 		latency := now - meta.INT.SourceTS
 		if !meta.INT.Flagged && latency > p.threshold(sw, flow) {
 			meta.INT.Flagged = true // suppress downstream re-detection
@@ -393,10 +397,11 @@ func (p *Program) OnForward(s *netsim.Simulator, sw topology.NodeID, inPort, out
 				SourceCount:     meta.INT.LastEpochCount,
 				SinkCount:       sinkCount,
 				PathCount:       pathCount,
+				SlotIndex:       meta.INT.SlotIndex,
+				SlotHops:        meta.INT.SlotHops,
 				PathBytes:       pathBytes,
 				TotalQueueDepth: meta.INT.TotalQueueDepth,
 				Arrival:         now,
-				Ext:             p.cdc.SinkRecord(meta.INT),
 			}
 			// Epoch-gap drop detection (§4.3.2): missing telemetry epochs
 			// mean the sampled packets themselves were lost. The expected
@@ -407,7 +412,7 @@ func (p *Program) OnForward(s *netsim.Simulator, sw topology.NodeID, inPort, out
 			if had {
 				last := uint32(v - 1)
 				if e > last {
-					if missed := (e - last - 1) / p.cdc.EpochStride(); missed > 0 {
+					if missed := (e - last - 1) / p.stride; missed > 0 {
 						rec.EpochGap = missed
 						p.notify(s, sw, Notification{
 							Kind: NotifyDrop, Switch: sw, Flow: flow,

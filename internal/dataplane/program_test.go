@@ -231,45 +231,80 @@ func TestDropDetectionCountMismatch(t *testing.T) {
 	}
 }
 
+// strided is the shape of internal/telemetry's sampled codec (which this
+// package cannot import): the paper's encoding promoted every 2nd epoch.
+type strided struct{ Mars11 }
+
+func (strided) EpochStride() uint32 { return 2 }
+
+// TestDropDetectionEpochGap blackholes a flow's uplinks for 1 s (10
+// epochs) under the paper's every-epoch promotion and under a stride-2
+// codec. Before the blackout the healthy flow's records fall on stride
+// multiples only and raise no epoch gap; the blackout then reports a gap
+// of about 10/stride missed promotions.
 func TestDropDetectionEpochGap(t *testing.T) {
-	cfg := DefaultProgramConfig()
-	env := newEnv(t, cfg, 8)
-	src, dst := env.ft.HostIDs[0], env.ft.HostIDs[4]
-	srcEdge, _ := env.ft.EdgeSwitchOf(src)
-	sink, _ := env.ft.EdgeSwitchOf(dst)
-	f := &workload.Flow{Src: src, Dst: dst, Key: 3, RatePPS: 200,
-		Gaps: workload.GapConstant, Start: 0, Stop: 4 * netsim.Second}
-	f.Install(env.sim)
-	// Total blackhole for 1 s (10 epochs) on both uplinks.
-	env.sim.At(1*netsim.Second, func() {
-		for _, agg := range env.ft.AggIDs[:2] {
-			if p, ok := env.ft.PortTo(srcEdge, agg); ok {
-				env.sim.SetPortBlackhole(srcEdge, p, true)
+	for _, tc := range []struct {
+		name  string
+		codec Codec
+	}{
+		{"mars11", nil},
+		{"sampled", strided{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultProgramConfig()
+			cfg.Codec = tc.codec
+			env := newEnv(t, cfg, 8)
+			stride := env.prog.stride
+			src, dst := env.ft.HostIDs[0], env.ft.HostIDs[4]
+			srcEdge, _ := env.ft.EdgeSwitchOf(src)
+			sink, _ := env.ft.EdgeSwitchOf(dst)
+			f := &workload.Flow{Src: src, Dst: dst, Key: 3, RatePPS: 200,
+				Gaps: workload.GapConstant, Start: 0, Stop: 4 * netsim.Second}
+			f.Install(env.sim)
+			blackhole := func(on bool) {
+				for _, agg := range env.ft.AggIDs[:2] {
+					if p, ok := env.ft.PortTo(srcEdge, agg); ok {
+						env.sim.SetPortBlackhole(srcEdge, p, on)
+					}
+				}
 			}
-		}
-	})
-	env.sim.At(2*netsim.Second, func() {
-		for _, agg := range env.ft.AggIDs[:2] {
-			if p, ok := env.ft.PortTo(srcEdge, agg); ok {
-				env.sim.SetPortBlackhole(srcEdge, p, false)
+			env.sim.At(1*netsim.Second, func() { blackhole(true) })
+			env.sim.At(2*netsim.Second, func() { blackhole(false) })
+			env.sim.Run(5 * netsim.Second)
+
+			healthy := 0
+			for _, r := range env.prog.RTSnapshot(sink) {
+				if r.Epoch%stride != 0 {
+					t.Errorf("record for epoch %d under stride %d", r.Epoch, stride)
+				}
+				if r.Arrival < netsim.Second {
+					healthy++
+					if r.EpochGap != 0 {
+						t.Errorf("healthy record for epoch %d carries epoch gap %d", r.Epoch, r.EpochGap)
+					}
+				}
 			}
-		}
-	})
-	env.sim.Run(5 * netsim.Second)
-	var gapNote *Notification
-	for i, n := range env.notes {
-		if n.Kind == NotifyDrop && n.EpochGap > 0 {
-			gapNote = &env.notes[i]
-			break
-		}
+			if want := 10 / int(stride); healthy != want {
+				t.Errorf("%d records before the blackout, want %d", healthy, want)
+			}
+			var gapNote *Notification
+			for i, n := range env.notes {
+				if n.Kind == NotifyDrop && n.EpochGap > 0 {
+					gapNote = &env.notes[i]
+					break
+				}
+			}
+			if gapNote == nil {
+				t.Fatal("no epoch-gap drop notification")
+			}
+			if gapNote.Time < 2*netsim.Second {
+				t.Errorf("epoch-gap notification at %v, before the blackout ended", gapNote.Time)
+			}
+			if want := 10 / stride; gapNote.EpochGap < want/2 || gapNote.EpochGap > want+2 {
+				t.Errorf("epoch gap = %d, want ~%d", gapNote.EpochGap, want)
+			}
+		})
 	}
-	if gapNote == nil {
-		t.Fatal("no epoch-gap drop notification")
-	}
-	if gapNote.EpochGap < 5 || gapNote.EpochGap > 12 {
-		t.Errorf("epoch gap = %d, want ~10", gapNote.EpochGap)
-	}
-	_ = sink
 }
 
 func TestTelemetryBandwidthAccounting(t *testing.T) {
@@ -288,29 +323,24 @@ func TestTelemetryBandwidthAccounting(t *testing.T) {
 	}
 }
 
+// TestQueueDepthAccumulates: at every hop the program folds the egress
+// queue occupancy into the telemetry header (in-network computation), and
+// the paper's fixed-width header grows nothing on the way.
 func TestQueueDepthAccumulates(t *testing.T) {
-	cfg := DefaultProgramConfig()
-	env := newEnv(t, cfg, 10)
-	src, dst := env.ft.HostIDs[0], env.ft.HostIDs[1] // same edge switch
-	// Burst enough packets to build a queue, then check the telemetry
-	// records carry nonzero total queue depth.
-	for i := 0; i < 60; i++ {
-		env.sim.Send(0, src, dst, netsim.FlowKey(i), 1400)
+	env := newEnv(t, DefaultProgramConfig(), 10)
+	sw, in, out := transitHop(t, env.ft)
+	meta := &PacketMeta{SourceSwitch: env.ft.EdgeIDs[0]}
+	meta.INT = &meta.hdr
+	pkt := &netsim.Packet{ID: 1, Size: 700, Meta: meta}
+	for _, qlen := range []int{3, 0, 7} {
+		env.prog.OnForward(env.sim, sw, in, out, pkt, qlen)
 	}
-	env.sim.RunAll()
-	sink, _ := env.ft.EdgeSwitchOf(dst)
-	recs := env.prog.RTSnapshot(sink)
-	if len(recs) == 0 {
-		t.Fatal("no records")
+	if got := meta.hdr.TotalQueueDepth; got != 10 {
+		t.Errorf("total queue depth after hops at 3, 0 and 7 = %d, want 10", got)
 	}
-	var maxDepth uint32
-	for _, r := range recs {
-		if r.TotalQueueDepth > maxDepth {
-			maxDepth = r.TotalQueueDepth
-		}
+	if pkt.ExtraBytes != 0 {
+		t.Errorf("the paper's header grew %d B in transit, want 0", pkt.ExtraBytes)
 	}
-	_ = maxDepth // depth can be zero for the single telemetry packet; at
-	// least ensure the field was populated without panic.
 }
 
 func TestDefaultThresholdApplies(t *testing.T) {

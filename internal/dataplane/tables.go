@@ -179,7 +179,11 @@ type RTRecord struct {
 	// PathCount / PathBytes are the per-(flow,path) counts for the
 	// previous epoch, used by traffic estimation and throughput signatures.
 	PathCount uint32
-	PathBytes uint64
+	// SlotIndex and SlotHops are the INT header's pintlike slot as it
+	// reached the sink (zero under every other codec); they sit in the
+	// padding before PathBytes.
+	SlotIndex, SlotHops uint8
+	PathBytes           uint64
 	// TotalQueueDepth is the in-network accumulated queue occupancy.
 	TotalQueueDepth uint32
 	// EpochGap is the number of missing telemetry epochs before this one
@@ -187,10 +191,6 @@ type RTRecord struct {
 	EpochGap uint32
 	// Arrival is the sink arrival time.
 	Arrival netsim.Time
-	// Ext is codec-private record state copied from the INT header at the
-	// sink (nil for the paper's fixed encoding); the controller-side
-	// decoder of the same codec consumes it during reconstruction.
-	Ext any
 }
 
 // RingTable keeps the most recent Size telemetry records, overwriting the

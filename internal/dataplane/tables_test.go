@@ -2,8 +2,10 @@ package dataplane
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"mars/internal/pathid"
 	"mars/internal/topology"
@@ -182,5 +184,34 @@ func TestFlowIDKeyInjective(t *testing.T) {
 			}
 			seen[f.Key()] = f
 		}
+	}
+}
+
+// TestRecordsArePointerFree: RTRecord and INTHeader hold no pointer,
+// interface, slice, map or string anywhere in their layout, so Ring
+// Tables, stream buckets and record traces are memory the garbage
+// collector never scans, and copying a record needs no write barrier. A
+// codec's in-band state travels as typed fixed-width fields (the pintlike
+// slot's SlotIndex and SlotHops), and RTRecord keeps them in padding.
+func TestRecordsArePointerFree(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Interface, reflect.Slice,
+			reflect.Map, reflect.String, reflect.Chan, reflect.Func:
+			t.Errorf("%s has kind %v: records must hold no pointer", path, typ.Kind())
+		}
+	}
+	walk("RTRecord", reflect.TypeOf(RTRecord{}))
+	walk("INTHeader", reflect.TypeOf(INTHeader{}))
+	if got := unsafe.Sizeof(RTRecord{}); got != 64 {
+		t.Errorf("RTRecord is %d B, want 64", got)
 	}
 }

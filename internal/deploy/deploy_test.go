@@ -207,12 +207,11 @@ func TestOneAgentTwoRegisterSources(t *testing.T) {
 	runEnd := func() netsim.Time { return netsim.Time(float64(c.Scenario.RunFor) * c.Scenario.Scale) }
 	flow := dataplane.FlowID{Src: 1, Sink: sw}
 	for _, src := range []struct {
-		name  string
-		regs  controlplane.Registers
-		price int64
+		name string
+		regs controlplane.Registers
 	}{
-		{"live", controlplane.LiveRegisters{Program: c.Sys.Program}, 11},
-		{"replay", newReplayRegisters(c, []topology.NodeID{sw}, runEnd), dataplane.RTRecordBytes},
+		{"live", controlplane.LiveRegisters{Program: c.Sys.Program}},
+		{"replay", newReplayRegisters(c, []topology.NodeID{sw}, runEnd)},
 	} {
 		t.Run(src.name, func(t *testing.T) {
 			all := src.regs.Arrived(sw)
@@ -222,7 +221,7 @@ func TestOneAgentTwoRegisterSources(t *testing.T) {
 			mid := all[len(all)/2].Arrival
 			var sent sentLog
 			var bytes controlplane.BandwidthStats
-			agent := controlplane.NewAgent(src.regs, src.price, &sent, &bytes, nil)
+			agent := controlplane.NewAgent(src.regs, &sent, &bytes, nil)
 			reqs := []ctrlchan.Message{
 				{Kind: ctrlchan.KindCollectRequest, Seq: 7, Switch: sw, Note: last.Trigger},
 				{Kind: ctrlchan.KindRefreshRequest, Seq: 8, Switch: sw},
@@ -257,11 +256,11 @@ func TestOneAgentTwoRegisterSources(t *testing.T) {
 					t.Errorf("refresh from %v returned a record that arrived at %v", mid, r.Arrival)
 				}
 			}
-			// The sender's counters price what was sent: records at the
-			// agent's record price, 8 B a refreshed sample, one ack frame for
-			// a two-entry push.
+			// The sender's counters price what was sent: records at
+			// dataplane.RTRecordBytes, 8 B a refreshed sample, one ack frame
+			// for a two-entry push.
 			want := controlplane.BandwidthStats{
-				CollectionBytes: int64(len(collect.Records)) * src.price,
+				CollectionBytes: int64(len(collect.Records)) * dataplane.RTRecordBytes,
 				RefreshBytes:    int64(len(full.Records)+len(newer.Records)) * 8,
 				AckBytes:        ctrlchan.AckBytes,
 			}

@@ -112,8 +112,7 @@ func NewSwitchNode(cap *Capture, switches []topology.NodeID, conn *net.UDPConn, 
 			}
 		})
 	})
-	// Build selects no codec: a record is priced at the paper's 28 bytes.
-	s.agent = controlplane.NewAgent(s.regs, dataplane.RTRecordBytes, s.tr, &s.bytes, nil)
+	s.agent = controlplane.NewAgent(s.regs, s.tr, &s.bytes, nil)
 	return s
 }
 

@@ -8,6 +8,7 @@ import (
 	"math"
 	"testing"
 
+	"mars"
 	"mars/internal/faults"
 	"mars/internal/harness"
 )
@@ -45,6 +46,12 @@ const (
 // paths decoded to another path before, none after. Render is unchanged;
 // the per-window scores moved.
 const pinnedStreamDigest = "d4994746608d0c76b9960be978111892b5d83e4ef4ff98321f3325d778741826"
+
+// Pin of one pintlike run through the facade (same rule: fix the code, do
+// not re-pin). It is the only pin that covers Culprit.Confidence under a
+// codec: the overhead digest hashes its rendered table and localization
+// ranks, not the confidences pintlike's decoder feeds RCA.
+const pinnedPintlikeDigest = "d5cd60dd1ae65c2df5480fa388eb9eaea24b5827dc9ec6b414ad69ef51dce244"
 
 // pinTrials keeps the pin suite affordable: one trial per fault kind per
 // sweep point still exercises every fault signature, every system, every
@@ -148,10 +155,33 @@ func streamDigest() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// pintlikeDigest runs `mars-sim -fault delay -codec pintlike` (its
+// defaults: seed 1, k=4, 96 flows at 220 pps, a 1.5 s delay at 2 s, 4 s in
+// all) through mars.NewSystem and covers every merged culprit with the
+// exact bits of its score and confidence.
+func pintlikeDigest() string {
+	cfg := mars.DefaultConfig()
+	cfg.Codec = "pintlike"
+	sys, err := mars.NewSystem(cfg)
+	if err != nil {
+		return err.Error()
+	}
+	sys.StartBackground(12*len(sys.FT.EdgeIDs), 220)
+	gt := sys.InjectFault(mars.FaultDelay, 2*mars.Second, 1500*mars.Millisecond)
+	sys.Run(4 * mars.Second)
+	h := sha256.New()
+	fmt.Fprintf(h, "%v|%d diagnoses\n", gt, len(sys.Diagnoses))
+	for _, c := range sys.Culprits() {
+		fmt.Fprintf(h, "%v/%v/%v/%v|%x|%x\n", c.Cause, c.Level, c.Location, c.Flow,
+			math.Float64bits(c.Score), math.Float64bits(c.Confidence))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // TestPinnedSeededDigests is the byte-level guard under every refactor of
 // the seeded pipeline: the table1, ctrlchan, overhead, gray, fig9 and
-// cause-ablation sweeps and the stream trial must reproduce their pinned
-// seeded output.
+// cause-ablation sweeps, the stream trial and the pintlike facade run must
+// reproduce their pinned seeded output.
 func TestPinnedSeededDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full seeded sweeps are not short")
@@ -167,6 +197,7 @@ func TestPinnedSeededDigests(t *testing.T) {
 		{"fig9", pinnedFig9Digest, fig9Digest},
 		{"ablation-cause", pinnedAblationCauseDigest, ablationCauseDigest},
 		{"stream", pinnedStreamDigest, streamDigest},
+		{"pintlike", pinnedPintlikeDigest, pintlikeDigest},
 	} {
 		c := c
 		t.Run(c.name, func(t *testing.T) {

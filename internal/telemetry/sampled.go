@@ -6,23 +6,19 @@ import "mars/internal/dataplane"
 // telemetry packet every 2 epochs, halving in-band cost.
 const DefaultSampledStride = 2
 
-// sampledCodec is epoch-subsampled mars11: the paper's 11 bytes, but a
-// flow's marked packet is promoted only when the epoch is a multiple of
-// the stride. Bytes drop by ~1/stride; detection and reconstruction see
-// only every Nth epoch, so temporal coverage (and the reconstruction
-// confidence handed to RCA) drops with it. The stride is configuration,
-// like the epoch length: the sink reads it from EpochStride, never off
-// the wire.
+// sampledCodec is epoch-subsampled mars11: the paper's 11 bytes, but the
+// program promotes a flow's marked packet only when the epoch is a
+// multiple of the stride. Bytes drop by ~1/stride; detection and
+// reconstruction see only every Nth epoch, so temporal coverage (and the
+// reconstruction confidence handed to RCA) drops with it. The stride is
+// configuration, like the epoch length: the program reads it from
+// EpochStride, never off the wire.
 type sampledCodec struct {
-	paper
+	dataplane.Mars11
 	stride uint32
 }
 
 func (c sampledCodec) EpochStride() uint32 { return c.stride }
-
-func (c sampledCodec) Promote(_ dataplane.FlowID, epoch uint32) bool {
-	return epoch%c.stride == 0
-}
 
 // DecodeRecords passes records through exactly but reports 1/stride
 // confidence: each record is precise, yet it stands in for stride epochs

@@ -1,12 +1,16 @@
 package telemetry
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"mars/internal/dataplane"
 	"mars/internal/netsim"
+	"mars/internal/pathid"
 	"mars/internal/topology"
 )
 
@@ -35,16 +39,17 @@ func TestNewUnknownListsValid(t *testing.T) {
 
 // TestDeclaredWidths pins every codec's declared widths, and the
 // collection widths, by name: the byte accounting charges these
-// constants, and no encoder checks them against a layout.
+// constants, and no encoder checks them against a layout. A collected
+// record costs dataplane.RTRecordBytes under every codec.
 func TestDeclaredWidths(t *testing.T) {
 	for _, tc := range []struct {
-		name              string
-		wire, hop, record int
+		name      string
+		wire, hop int
 	}{
-		{"mars11", 11, 0, 28},
-		{"sampled", 11, 0, 28},
-		{"perhop", 11, 8, 28},
-		{"pintlike", 16, 0, 28},
+		{"mars11", 11, 0},
+		{"sampled", 11, 0},
+		{"perhop", 11, 8},
+		{"pintlike", 16, 0},
 	} {
 		c, err := New(tc.name, 1)
 		if err != nil {
@@ -56,9 +61,6 @@ func TestDeclaredWidths(t *testing.T) {
 		if got := c.HopBytes(); got != tc.hop {
 			t.Errorf("%s: HopBytes() = %d, want %d", tc.name, got, tc.hop)
 		}
-		if got := c.RecordBytes(); got != tc.record {
-			t.Errorf("%s: RecordBytes() = %d, want %d", tc.name, got, tc.record)
-		}
 	}
 	if dataplane.NotificationBytes != 24 {
 		t.Errorf("NotificationBytes = %d, want 24", dataplane.NotificationBytes)
@@ -68,6 +70,9 @@ func TestDeclaredWidths(t *testing.T) {
 	}
 }
 
+// TestSampledStride: the sampled codec declares its stride (the program
+// promotes on it; dataplane.TestDropDetectionEpochGap runs it) and hands
+// RCA 1/stride confidence for every record.
 func TestSampledStride(t *testing.T) {
 	c, err := New("sampled", 1)
 	if err != nil {
@@ -75,12 +80,6 @@ func TestSampledStride(t *testing.T) {
 	}
 	if got := c.EpochStride(); got != DefaultSampledStride {
 		t.Fatalf("EpochStride() = %d, want %d", got, DefaultSampledStride)
-	}
-	for epoch := uint32(0); epoch < 10; epoch++ {
-		want := epoch%DefaultSampledStride == 0
-		if got := c.Promote(dataplane.FlowID{}, epoch); got != want {
-			t.Errorf("Promote(epoch=%d) = %v, want %v", epoch, got, want)
-		}
 	}
 	recs := make([]dataplane.RTRecord, 3)
 	_, conf := c.DecodeRecords(recs)
@@ -95,37 +94,37 @@ func TestSampledStride(t *testing.T) {
 // of (seed, packet ID, hop index) — two walks of the same packet agree,
 // and hop 1 always seeds the slot.
 func TestPintlikeDeterministicSampling(t *testing.T) {
-	walk := func(seed int64, pktID uint64) HopSample {
+	walk := func(seed int64, pktID uint64) dataplane.INTHeader {
 		c, err := New("pintlike", seed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		h := &dataplane.INTHeader{}
 		for i := 1; i <= 5; i++ {
-			c.OnHop(h, pktID, topology.NodeID(i), 10*i, netsim.Time(i)*netsim.Millisecond)
+			c.OnHop(h, pktID)
 		}
-		return *h.Ext.(*HopSample)
+		return *h
 	}
 	if a, b := walk(7, 99), walk(7, 99); a != b {
 		t.Errorf("same (seed, packet) sampled differently: %+v vs %+v", a, b)
 	}
-	if s := walk(7, 99); s.Count != 5 || s.Index == 0 || s.Index > 5 {
-		t.Errorf("slot after 5 hops out of range: %+v", s)
+	if h := walk(7, 99); h.SlotHops != 5 || h.SlotIndex == 0 || h.SlotIndex > 5 {
+		t.Errorf("slot after 5 hops out of range: %+v", h)
 	}
 	// A different seed must be able to pick a different hop for at least
 	// one packet — the hash actually depends on the seed.
 	varies := false
 	for pkt := uint64(0); pkt < 32 && !varies; pkt++ {
-		varies = walk(1, pkt).Index != walk(2, pkt).Index
+		varies = walk(1, pkt).SlotIndex != walk(2, pkt).SlotIndex
 	}
 	if !varies {
 		t.Error("slot choice ignores the codec seed")
 	}
 }
 
-// TestPintlikeDecodeCoverage: records of one (flow, path) merge into a
-// shared profile whose coverage is observedHops/pathLen; slotless records
-// get confidence 0.
+// TestPintlikeDecodeCoverage: records of one (flow, path) share the
+// coverage observedHops/pathLen; slotless records get confidence 0, and
+// every record comes back unchanged.
 func TestPintlikeDecodeCoverage(t *testing.T) {
 	c, err := New("pintlike", 1)
 	if err != nil {
@@ -133,24 +132,15 @@ func TestPintlikeDecodeCoverage(t *testing.T) {
 	}
 	flow := dataplane.FlowID{Src: 1, Sink: 2}
 	recs := []dataplane.RTRecord{
-		{Flow: flow, PathID: 9, Ext: &HopSample{Switch: 4, Depth: 10, Index: 1, Count: 4}},
-		{Flow: flow, PathID: 9, Ext: &HopSample{Switch: 4, Depth: 30, Index: 1, Count: 4}},
-		{Flow: flow, PathID: 9, Ext: &HopSample{Switch: 6, Depth: 8, Index: 3, Count: 4}},
+		{Flow: flow, PathID: 9, SlotIndex: 1, SlotHops: 4},
+		{Flow: flow, PathID: 9, SlotIndex: 1, SlotHops: 4},
+		{Flow: flow, PathID: 9, SlotIndex: 3, SlotHops: 4},
 		{Flow: flow, PathID: 9}, // slot never reached the sink
 	}
+	in := slices.Clone(recs)
 	out, conf := c.DecodeRecords(recs)
-	p, ok := out[0].Ext.(*PathProfile)
-	if !ok {
-		t.Fatalf("decoded record carries %T, want *PathProfile", out[0].Ext)
-	}
-	if p.PathLen != 4 || len(p.Hops) != 2 {
-		t.Fatalf("profile = %+v, want PathLen 4 with 2 observed hops", p)
-	}
-	if p.Hops[0].Index != 1 || p.Hops[0].Depth != 20 {
-		t.Errorf("hop 1 = %+v, want mean depth 20", p.Hops[0])
-	}
-	if p.Hops[1].Index != 3 || p.Hops[1].Switch != 6 {
-		t.Errorf("hop 3 = %+v, want switch 6", p.Hops[1])
+	if !slices.Equal(out, in) {
+		t.Errorf("decoded records = %+v, want them unchanged", out)
 	}
 	want := []float64{0.5, 0.5, 0.5, 0}
 	if !reflect.DeepEqual(conf, want) {
@@ -158,20 +148,127 @@ func TestPintlikeDecodeCoverage(t *testing.T) {
 	}
 }
 
-// TestPerhopStack: every hop grows the header by one stack entry, and
-// the only state carried is the paper's accumulator.
+// refPintlikeConfidence is the profile-based reconstruction pintlike's
+// decoder ran before it kept only what RCA reads: records are grouped by
+// (flow, path), each group's slots merged into a per-hop profile sorted by
+// hop index, and a record's confidence is the profile's observed hops over
+// the longest path length the group's slots reported.
+func refPintlikeConfidence(recs []dataplane.RTRecord) []float64 {
+	type groupKey struct {
+		flow dataplane.FlowID
+		path uint64
+	}
+	type profile struct {
+		hops    []uint8
+		pathLen int
+	}
+	groups := make(map[groupKey]map[uint8]int)
+	pathLen := make(map[groupKey]int)
+	for i := range recs {
+		r := &recs[i]
+		if r.SlotIndex == 0 {
+			continue
+		}
+		k := groupKey{flow: r.Flow, path: uint64(r.PathID)}
+		g := groups[k]
+		if g == nil {
+			g = make(map[uint8]int)
+			groups[k] = g
+		}
+		g[r.SlotIndex]++
+		if int(r.SlotHops) > pathLen[k] {
+			pathLen[k] = int(r.SlotHops)
+		}
+	}
+	conf := make([]float64, len(recs))
+	profiles := make(map[groupKey]*profile)
+	for i := range recs {
+		r := &recs[i]
+		if r.SlotIndex == 0 {
+			continue
+		}
+		k := groupKey{flow: r.Flow, path: uint64(r.PathID)}
+		p := profiles[k]
+		if p == nil {
+			p = &profile{pathLen: pathLen[k]}
+			for idx := range groups[k] {
+				//mars:mapiter-ok keys are sorted before use
+				p.hops = append(p.hops, idx)
+			}
+			slices.Sort(p.hops)
+			profiles[k] = p
+		}
+		if p.pathLen > 0 {
+			conf[i] = float64(len(p.hops)) / float64(p.pathLen)
+		}
+	}
+	return conf
+}
+
+// TestPintlikeDecodeMatchesProfileReference: over seeded random record sets
+// — several flows and paths, empty slots, saturated hop counts, indices
+// past the reported hop count — DecodeRecords' confidences are bit-equal
+// to the profile-based reference, and the records come back unchanged.
+func TestPintlikeDecodeMatchesProfileReference(t *testing.T) {
+	c, err := New("pintlike", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(45))
+	for set := 0; set < 200; set++ {
+		recs := make([]dataplane.RTRecord, rng.Intn(120))
+		for i := range recs {
+			r := &recs[i]
+			r.Flow = dataplane.FlowID{Src: topology.NodeID(rng.Intn(3)), Sink: topology.NodeID(3 + rng.Intn(2))}
+			r.PathID = pathid.ID(rng.Intn(3))
+			r.Epoch = uint32(i)
+			switch rng.Intn(8) {
+			case 0: // the slot never reached the sink
+			case 1: // a saturated hop count
+				r.SlotHops = 0xFF
+				r.SlotIndex = uint8(1 + rng.Intn(0xFF))
+			case 2: // any byte pair, consistent or not
+				r.SlotHops = uint8(rng.Intn(256))
+				r.SlotIndex = uint8(rng.Intn(256))
+			default:
+				r.SlotHops = uint8(1 + rng.Intn(7))
+				r.SlotIndex = uint8(1 + rng.Intn(int(r.SlotHops)))
+			}
+		}
+		in := slices.Clone(recs)
+		out, conf := c.DecodeRecords(recs)
+		if !slices.Equal(out, in) {
+			t.Fatalf("set %d: DecodeRecords changed the records", set)
+		}
+		want := refPintlikeConfidence(in)
+		if len(conf) != len(want) {
+			t.Fatalf("set %d: %d confidences for %d records", set, len(conf), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(conf[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("set %d record %+v: conf %v, reference %v", set, in[i], conf[i], want[i])
+			}
+		}
+	}
+}
+
+// TestPerhopStack: perhop's only per-hop cost is its declared stack entry,
+// which the program charges; OnHop carries no state beyond the paper's
+// accumulator, which the program folds.
 func TestPerhopStack(t *testing.T) {
 	c, err := New("perhop", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &dataplane.INTHeader{SourceTS: netsim.Second}
-	for i := 1; i <= 3; i++ {
-		if grow := c.OnHop(h, 1, topology.NodeID(10+i), i, netsim.Second+netsim.Time(i)*netsim.Millisecond); grow != PerhopHopBytes {
-			t.Fatalf("OnHop grew %d bytes, want %d", grow, PerhopHopBytes)
-		}
+	if c.HopBytes() != PerhopHopBytes {
+		t.Fatalf("HopBytes() = %d, want %d", c.HopBytes(), PerhopHopBytes)
 	}
-	if h.TotalQueueDepth != 1+2+3 || h.Ext != nil || c.SinkRecord(h) != nil {
-		t.Errorf("header after 3 hops = %+v, want the paper's accumulator only", h)
+	h := &dataplane.INTHeader{SourceTS: netsim.Second, TotalQueueDepth: 6}
+	before := *h
+	for i := 1; i <= 3; i++ {
+		c.OnHop(h, 1)
+	}
+	if *h != before {
+		t.Errorf("header after 3 hops = %+v, want %+v untouched", *h, before)
 	}
 }

@@ -125,9 +125,9 @@ type Config struct {
 	// Codec selects the telemetry encoding by name (internal/telemetry).
 	// "" is "mars11", the paper's fixed 11-byte header; "perhop",
 	// "pintlike", and "sampled" trade bytes/packet against reconstruction
-	// fidelity (see `mars-bench -exp overhead`). NewSystem derives
-	// Program.Codec, Controller.Decoder and the switch agent's record price
-	// from this one name, replacing whatever either field held.
+	// fidelity (see `mars-bench -exp overhead`). NewSystem builds the one
+	// codec value this names into both Program.Codec and Controller.Codec,
+	// replacing whatever either field held.
 	Codec string
 }
 
@@ -195,7 +195,7 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("mars: %w", err)
 	}
 	cfg.Program.Codec = cdc
-	ccfg.Decoder = cdc
+	ccfg.Codec = cdc
 	prog := dataplane.New(cfg.Program, ft.Topology, table, nil)
 	router := netsim.NewECMPRouter(ft.Topology, uint64(cfg.Seed))
 	sim := netsim.New(ft.Topology, router, prog, cfg.Sim, cfg.Seed)
@@ -205,7 +205,7 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	ch := ctrlchan.New(sim, chcfg)
 	ctrl := controlplane.New(ccfg, sim, ft.Topology, ch)
-	agent := controlplane.NewAgent(controlplane.LiveRegisters{Program: prog}, int64(cdc.RecordBytes()), ch, &ctrl.Bytes, ctrl.Deliver)
+	agent := controlplane.NewAgent(controlplane.LiveRegisters{Program: prog}, ch, &ctrl.Bytes, ctrl.Deliver)
 	ctrl.ToSwitch = agent.Deliver
 	prog.Notifier = agent
 	ctrl.Start()

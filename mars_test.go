@@ -102,12 +102,8 @@ func TestThresholdsGoWhereTheyAreRead(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cdc, err := telemetry.New("mars11", cfg.Seed)
-		if err != nil {
-			t.Fatal(err)
-		}
 		log := &installLog{LiveRegisters: controlplane.LiveRegisters{Program: sys.Program}, at: map[FlowID]map[topology.NodeID]Time{}}
-		agent := controlplane.NewAgent(log, int64(cdc.RecordBytes()), sys.CtrlChan, &sys.Controller.Bytes, sys.Controller.Deliver)
+		agent := controlplane.NewAgent(log, sys.CtrlChan, &sys.Controller.Bytes, sys.Controller.Deliver)
 		sys.Controller.ToSwitch, sys.Program.Notifier = agent.Deliver, agent
 
 		var stale []string
@@ -165,8 +161,8 @@ func TestSystemRejectsBadConfig(t *testing.T) {
 }
 
 // TestFacadeDerivesBothCodecHalves: Config.Codec is the one selector. ""
-// is "mars11", both halves of the system hold that codec's value, and a
-// Program.Codec set next to it does not survive.
+// is "mars11", the program and the controller hold that codec's one value,
+// and a Program.Codec set next to it does not survive.
 func TestFacadeDerivesBothCodecHalves(t *testing.T) {
 	for _, tc := range []struct {
 		codec, want string
@@ -187,8 +183,8 @@ func TestFacadeDerivesBothCodecHalves(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if prog, ctrl := sys.Program.Cfg.Codec, sys.Controller.Cfg.Decoder; prog != any(want) || ctrl != any(want) {
-			t.Errorf("Codec %q next to Program.Codec %#v: Program.Codec = %#v, Controller.Decoder = %#v; want %#v twice",
+		if prog, ctrl := sys.Program.Cfg.Codec, sys.Controller.Cfg.Codec; prog != want || ctrl != want {
+			t.Errorf("Codec %q next to Program.Codec %#v: Program.Codec = %#v, Controller.Codec = %#v; want %#v twice",
 				tc.codec, tc.program, prog, ctrl, want)
 		}
 	}
