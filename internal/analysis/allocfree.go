@@ -79,6 +79,9 @@ var allocGuards = map[string]bool{
 	"TestStreamEvictingIngestAllocs":     true,
 	"TestAnalyzeWindowSteadyStateAllocs": true,
 	"TestLookupAllocs":                   true,
+	"TestRefreshNothingNewAllocs":        true,
+	"TestCollectionAllocs":               true,
+	"TestUDPSendAllocs":                  true,
 }
 
 // AllocGuardTests returns the registered guard-test names, sorted.

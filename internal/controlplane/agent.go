@@ -9,15 +9,19 @@ import (
 
 // Registers is what an Agent reads and writes of its switches' state: the
 // seam between the switch-side half of the protocol and where the registers
-// live (LiveRegisters here, a replayed capture in internal/deploy).
+// live (LiveRegisters here, a replayed capture in internal/deploy). The
+// record slices it returns are read-only and go on the channel as they are:
+// each is either an exact-size copy of live registers or a window of
+// storage that never changes.
 type Registers interface {
 	// Snapshot returns the Ring Table sw hands the collection raised by
 	// trigger, and the moment on the data plane's timeline it is current as
 	// of (zero when the collector's clock is already the data's).
 	Snapshot(sw topology.NodeID, trigger dataplane.Notification) ([]dataplane.RTRecord, netsim.Time)
-	// Arrived returns the records that have reached sw's Ring Table so far;
-	// a refresh pull is sent the ones newer than its watermark.
-	Arrived(sw topology.NodeID) []dataplane.RTRecord
+	// Arrived returns the records that have reached sw's Ring Table after
+	// the watermark after, oldest-first: what a refresh pull is sent. nil
+	// when nothing is new.
+	Arrived(sw topology.NodeID, after netsim.Time) []dataplane.RTRecord
 	// SetThreshold installs a pushed per-flow dynamic threshold at sw.
 	SetThreshold(sw topology.NodeID, flow dataplane.FlowID, th netsim.Time)
 }
@@ -30,7 +34,9 @@ func (l LiveRegisters) Snapshot(sw topology.NodeID, _ dataplane.Notification) ([
 	return l.RTSnapshot(sw), 0
 }
 
-func (l LiveRegisters) Arrived(sw topology.NodeID) []dataplane.RTRecord { return l.RTSnapshot(sw) }
+func (l LiveRegisters) Arrived(sw topology.NodeID, after netsim.Time) []dataplane.RTRecord {
+	return l.RTSince(sw, after)
+}
 
 // refreshSampleBytes is one compressed latency sample on the refresh wire.
 const refreshSampleBytes = 8
@@ -85,12 +91,7 @@ func (a *Agent) Deliver(m ctrlchan.Message) {
 			Records: recs, Stamp: stamp, Wire: int64(len(recs)) * dataplane.RTRecordBytes,
 		})
 	case ctrlchan.KindRefreshRequest:
-		var recs []dataplane.RTRecord
-		for _, r := range a.regs.Arrived(m.Switch) {
-			if r.Arrival > m.Watermark {
-				recs = append(recs, r)
-			}
-		}
+		recs := a.regs.Arrived(m.Switch, m.Watermark)
 		a.send(&a.bytes.RefreshBytes, ctrlchan.Message{
 			Kind: ctrlchan.KindRefreshResponse, Seq: m.Seq, Switch: m.Switch,
 			Records: recs, Wire: int64(len(recs)) * refreshSampleBytes,

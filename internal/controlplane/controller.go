@@ -197,7 +197,11 @@ func (b BandwidthStats) DiagnosisBytes() int64 {
 // answered or exhausted its retry budget.
 type collection struct {
 	trigger dataplane.Notification
-	records []dataplane.RTRecord
+	// responses holds each answering sink's records as its response
+	// arrived, and total their count; finalizeCollection concatenates them
+	// once, in that order.
+	responses [][]dataplane.RTRecord
+	total     int
 	// pending holds the sinks still owed an answer; the collection is
 	// finalized the moment it empties.
 	pending   map[topology.NodeID]bool
@@ -330,9 +334,6 @@ func New(cfg Config, clock Clock, topo *topology.Topology, tr ctrlchan.Transport
 	c.edgeSwitches = slices.Compact(c.edgeSwitches)
 	return c
 }
-
-// EdgeSwitches returns the switches with attached hosts (telemetry sinks).
-func (c *Controller) EdgeSwitches() []topology.NodeID { return c.edgeSwitches }
 
 // Quiet reports whether the controller owes no diagnosis: no collection
 // is in flight and no suppressed notification waits for its response
@@ -684,6 +685,7 @@ func (c *Controller) startCollection(trigger dataplane.Notification) {
 	c.collecting++
 	col := &collection{
 		trigger:   trigger,
+		responses: make([][]dataplane.RTRecord, 0, len(c.edgeSwitches)),
 		pending:   make(map[topology.NodeID]bool, len(c.edgeSwitches)),
 		requested: len(c.edgeSwitches),
 	}
@@ -706,7 +708,8 @@ func (c *Controller) onCollectResponse(m ctrlchan.Message) {
 		return
 	}
 	col := req.col
-	col.records = append(col.records, m.Records...)
+	col.responses = append(col.responses, m.Records)
+	col.total += len(m.Records)
 	if m.Stamp > col.asOf {
 		col.asOf = m.Stamp
 	}
@@ -722,8 +725,9 @@ func (c *Controller) sinkResolved(col *collection, sw topology.NodeID) {
 	}
 }
 
-// finalizeCollection runs the codec decoder over the collected snapshot
-// and hands the (possibly partial) diagnosis to RCA.
+// finalizeCollection assembles the collected records in one exact-size
+// slice, runs the codec decoder over it and hands the (possibly partial)
+// diagnosis to RCA.
 func (c *Controller) finalizeCollection(col *collection) {
 	c.collecting--
 	c.Bytes.Diagnoses++
@@ -731,7 +735,13 @@ func (c *Controller) finalizeCollection(col *collection) {
 		c.Bytes.PartialDiagnoses++
 	}
 	if c.OnDiagnosis != nil {
-		records := col.records
+		var records []dataplane.RTRecord
+		if col.total > 0 {
+			records = make([]dataplane.RTRecord, 0, col.total)
+			for _, rs := range col.responses {
+				records = append(records, rs...)
+			}
+		}
 		var conf []float64
 		if c.Cfg.Codec != nil {
 			records, conf = c.Cfg.Codec.DecodeRecords(records)

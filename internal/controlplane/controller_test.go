@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"slices"
 	"testing"
 
 	"mars/internal/ctrlchan"
@@ -20,7 +21,7 @@ type env struct {
 
 // newEnv is a started controller and the switch agent over prog's live
 // registers, joined by a perfect channel.
-func newEnv(t *testing.T, seed int64) *env {
+func newEnv(t testing.TB, seed int64) *env {
 	return newLossyEnv(t, seed, DefaultConfig(), ctrlchan.Config{})
 }
 
@@ -37,13 +38,10 @@ func TestEdgeSwitchDiscovery(t *testing.T) {
 	e := newEnv(t, 1)
 	// In a K=4 fat-tree the 8 edge switches are exactly the host-attached
 	// ones.
-	if got := len(e.ctrl.EdgeSwitches()); got != 8 {
-		t.Errorf("edge switches = %d, want 8", got)
-	}
-	for _, sw := range e.ctrl.EdgeSwitches() {
-		if e.ft.Node(sw).Layer != topology.LayerEdge {
-			t.Errorf("switch %d is %v, not edge", sw, e.ft.Node(sw).Layer)
-		}
+	want := slices.Clone(e.ft.EdgeIDs)
+	slices.Sort(want)
+	if got := e.ctrl.edgeSwitches; !slices.Equal(got, want) {
+		t.Errorf("edge switches = %v, want %v", got, want)
 	}
 }
 
@@ -207,7 +205,7 @@ func TestCoreSwitchesCarryNoTelemetryState(t *testing.T) {
 		t.Fatal("collection returned nothing")
 	}
 	edge := map[topology.NodeID]bool{}
-	for _, sw := range e.ctrl.EdgeSwitches() {
+	for _, sw := range e.ft.EdgeIDs {
 		edge[sw] = true
 	}
 	for _, r := range diag.Records {

@@ -14,7 +14,7 @@ import (
 
 // newLossyEnv is newEnv with an explicit control channel and controller
 // config.
-func newLossyEnv(t *testing.T, seed int64, cfg Config, chCfg ctrlchan.Config) *env {
+func newLossyEnv(t testing.TB, seed int64, cfg Config, chCfg ctrlchan.Config) *env {
 	t.Helper()
 	ft, err := topology.NewFatTree(4)
 	if err != nil {
@@ -52,7 +52,7 @@ func TestZeroEdgeSwitchTopology(t *testing.T) {
 	ch := ctrlchan.New(sim, ctrlchan.Config{})
 	ctrl := New(DefaultConfig(), sim, topo, ch)
 	agent := attachAgent(ctrl, prog, ch)
-	if n := len(ctrl.EdgeSwitches()); n != 0 {
+	if n := len(ctrl.edgeSwitches); n != 0 {
 		t.Fatalf("edge switches = %d, want 0", n)
 	}
 	var diags []Diagnosis
@@ -102,7 +102,7 @@ func TestThresholdPushSkipsUnchangedValue(t *testing.T) {
 	// must cost zero push bytes; only a moved value goes on the wire, and
 	// only to the switches on the flow's paths.
 	e := newEnv(t, 12)
-	flow := dataplane.FlowID{Src: e.ctrl.EdgeSwitches()[0], Sink: e.ctrl.EdgeSwitches()[1]}
+	flow := dataplane.FlowID{Src: e.ft.EdgeIDs[0], Sink: e.ft.EdgeIDs[1]}
 	// An intra-pod flow: its two edge switches and their pod's two
 	// aggregation switches.
 	onPath := int64(len(e.ctrl.switchesOf(flow)))
@@ -133,7 +133,7 @@ func TestThresholdMovedInFlightFollowsTheAck(t *testing.T) {
 	// ack of the old one: each switch is sent it once that ack is in.
 	delayed := ctrlchan.DirConfig{Latency: netsim.Millisecond}
 	e := newLossyEnv(t, 14, DefaultConfig(), ctrlchan.Config{ToController: delayed, ToSwitch: delayed})
-	flow := dataplane.FlowID{Src: e.ctrl.EdgeSwitches()[0], Sink: e.ctrl.EdgeSwitches()[1]}
+	flow := dataplane.FlowID{Src: e.ft.EdgeIDs[0], Sink: e.ft.EdgeIDs[1]}
 	onPath := int64(len(e.ctrl.switchesOf(flow)))
 	e.ctrl.pushThresholds([]ctrlchan.Threshold{{Flow: flow, Value: 5 * netsim.Millisecond}})
 	e.ctrl.pushThresholds([]ctrlchan.Threshold{{Flow: flow, Value: 6 * netsim.Millisecond}})

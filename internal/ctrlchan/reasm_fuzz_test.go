@@ -3,7 +3,7 @@ package ctrlchan
 import (
 	"bytes"
 	"encoding/binary"
-	"net"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -82,11 +82,11 @@ func FuzzReassembly(f *testing.F) {
 				Flow: dataplane.FlowID{Src: 1, Sink: topology.NodeID(5)}, Time: netsim.Second, Dropped: 4}},
 	}
 	const honestFrag = 64
-	honest := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 7001}
-	hostile := []*net.UDPAddr{
-		{IP: net.IPv4(127, 0, 0, 1), Port: 6661},
-		{IP: net.IPv4(127, 0, 0, 1), Port: 6662},
-		{IP: net.IPv4(10, 0, 0, 9), Port: 6661},
+	honest := netip.MustParseAddrPort("127.0.0.1:7001")
+	hostile := []netip.AddrPort{
+		netip.MustParseAddrPort("127.0.0.1:6661"),
+		netip.MustParseAddrPort("127.0.0.1:6662"),
+		netip.MustParseAddrPort("10.0.0.9:6661"),
 	}
 
 	f.Fuzz(func(t *testing.T, raw []byte) {

@@ -1,9 +1,11 @@
 package ctrlchan
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,8 +17,9 @@ import (
 // over a UDP socket — the deployment-mode implementation of Transport.
 //
 // Each process owns one socket. Outbound messages are encoded with
-// EncodeMessage and split into MTU-sized fragments; the receiving process
-// reassembles them, decodes the frame, and hands the Message to its
+// AppendMessage and split into MTU-sized fragments, both into buffers the
+// transport keeps, so a steady-state Send allocates nothing; the receiving
+// process reassembles them, decodes the frame, and hands the Message to its
 // registered deliver function on the transport's read goroutine (callers
 // serialize into their own run loop). A lost, truncated, or corrupted
 // fragment loses the whole frame — exactly the failure the controller's
@@ -35,13 +38,18 @@ type UDPTransport struct {
 	deliver  func(Message)
 
 	maxFragment int
-	frameID     atomic.Uint32
 	closed      atomic.Bool
 	// lossProb is the injected outbound fragment loss probability.
 	lossProb float64
 
-	mu  sync.Mutex
-	rng *rand.Rand
+	// sendMu serializes Send and guards what it keeps between calls: the
+	// last frame id, the loss stream, the buffer each frame is encoded
+	// into and the one each of its datagrams is written from.
+	sendMu   sync.Mutex
+	frameID  uint32
+	rng      *rand.Rand
+	frame    []byte
+	datagram []byte
 
 	stats UDPStats
 
@@ -105,7 +113,7 @@ const (
 )
 
 type reasmKey struct {
-	from string
+	from netip.AddrPort
 	id   uint32
 }
 
@@ -135,6 +143,7 @@ func NewUDP(conn *net.UDPConn, cfg UDPConfig, deliver func(Message)) *UDPTranspo
 		maxFragment: maxFrag,
 		lossProb:    cfg.LossProb,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		datagram:    make([]byte, 0, fragHeaderBytes+maxFrag),
 		reasm:       make(map[reasmKey]*partialFrame),
 		now:         time.Now,
 		readDone:    make(chan struct{}),
@@ -160,43 +169,35 @@ func (t *UDPTransport) Send(d Direction, m Message, _ func(Message)) {
 	if peer == nil {
 		return // unroutable: indistinguishable from loss, retries handle it
 	}
-	frame := EncodeMessage(&m)
-	id := t.frameID.Add(1)
-	count := (len(frame) + t.maxFragment - 1) / t.maxFragment // >= 1: a frame has a header
+	t.sendMu.Lock()
+	defer t.sendMu.Unlock()
+	t.frame = AppendMessage(t.frame[:0], &m)
+	t.frameID++
+	count := (len(t.frame) + t.maxFragment - 1) / t.maxFragment // >= 1: a frame has a header
 	t.stats.FramesSent.Add(1)
 	for i := 0; i < count; i++ {
 		lo := i * t.maxFragment
-		hi := lo + t.maxFragment
-		if hi > len(frame) {
-			hi = len(frame)
-		}
-		if t.lossProb > 0 && t.drawLoss() {
+		hi := min(lo+t.maxFragment, len(t.frame))
+		if t.lossProb > 0 && t.rng.Float64() < t.lossProb {
 			t.stats.InjectedDrops.Add(1)
 			continue
 		}
-		if _, err := t.conn.WriteToUDP(fragment(id, i, count, frame[lo:hi]), peer); err != nil {
+		t.datagram = appendFragment(t.datagram[:0], t.frameID, i, count, t.frame[lo:hi])
+		if _, err := t.conn.WriteToUDP(t.datagram, peer); err != nil {
 			return // socket closed or unreachable; retries handle it
 		}
 		t.stats.FragmentsSent.Add(1)
 	}
 }
 
-// fragment renders one datagram: the fragment header, then its slice of
-// the frame.
-func fragment(id uint32, index, count int, payload []byte) []byte {
-	pkt := make([]byte, fragHeaderBytes+len(payload))
-	binary.BigEndian.PutUint16(pkt[0:2], fragMagic)
-	binary.BigEndian.PutUint32(pkt[2:6], id)
-	binary.BigEndian.PutUint16(pkt[6:8], uint16(index))
-	binary.BigEndian.PutUint16(pkt[8:10], uint16(count))
-	copy(pkt[fragHeaderBytes:], payload)
-	return pkt
-}
-
-func (t *UDPTransport) drawLoss() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.rng.Float64() < t.lossProb
+// appendFragment appends one datagram to dst: the fragment header, then
+// its slice of the frame.
+func appendFragment(dst []byte, id uint32, index, count int, payload []byte) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, fragMagic)
+	dst = binary.BigEndian.AppendUint32(dst, id)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(index))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(count))
+	return append(dst, payload...)
 }
 
 // Stats exposes the transport counters.
@@ -218,17 +219,18 @@ func (t *UDPTransport) readLoop() {
 	defer close(t.readDone)
 	buf := make([]byte, 65536)
 	for {
-		n, from, err := t.conn.ReadFromUDP(buf)
+		n, from, err := t.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return
 		}
-		t.onFragment(append([]byte(nil), buf[:n]...), from)
+		t.onFragment(buf[:n], from)
 	}
 }
 
 // onFragment folds one received datagram into its frame; a completed
-// frame is decoded and delivered.
-func (t *UDPTransport) onFragment(pkt []byte, from *net.UDPAddr) {
+// frame is decoded and delivered. pkt is only borrowed: a whole frame is
+// decoded where it lies, and reassembly copies the fragments it keeps.
+func (t *UDPTransport) onFragment(pkt []byte, from netip.AddrPort) {
 	if len(pkt) < fragHeaderBytes || binary.BigEndian.Uint16(pkt[0:2]) != fragMagic {
 		t.stats.DecodeErrors.Add(1)
 		return
@@ -246,7 +248,7 @@ func (t *UDPTransport) onFragment(pkt []byte, from *net.UDPAddr) {
 	if count == 1 {
 		frame = payload
 	} else {
-		frame = t.reassemble(reasmKey{from: from.String(), id: id}, index, count, payload)
+		frame = t.reassemble(reasmKey{from: from, id: id}, index, count, payload)
 		if frame == nil {
 			return // still waiting for fragments
 		}
@@ -300,7 +302,7 @@ func (t *UDPTransport) reassemble(k reasmKey, index, count int, payload []byte) 
 		p = &partialFrame{frags: make([][]byte, count), deadline: now.Add(reasmTTL)}
 		t.reasm[k] = p
 	}
-	p.frags[index] = payload
+	p.frags[index] = bytes.Clone(payload) // non-nil, even when empty: it marks the index received
 	p.have++
 	p.held += need
 	t.reasmHeld += need

@@ -2,6 +2,7 @@ package ctrlchan
 
 import (
 	"net"
+	"net/netip"
 	"reflect"
 	"runtime"
 	"sync"
@@ -33,7 +34,7 @@ func udpPair(t *testing.T, loss float64, maxFrag int, sws ...topology.NodeID) (c
 	return ctrl, sw, ctrlRx, swRx
 }
 
-func bindLoopback(t *testing.T) *net.UDPConn {
+func bindLoopback(t testing.TB) *net.UDPConn {
 	t.Helper()
 	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -195,6 +196,11 @@ func reasmTransport(clock *time.Time, deliver func(Message)) *UDPTransport {
 	}
 }
 
+// fragment renders one datagram as Send writes it.
+func fragment(id uint32, index, count int, payload []byte) []byte {
+	return appendFragment(nil, id, index, count, payload)
+}
+
 // fragmentsOf cuts m's frame into the datagrams Send would write.
 func fragmentsOf(id uint32, m Message, maxFrag int) [][]byte {
 	frame := EncodeMessage(&m)
@@ -210,7 +216,7 @@ func fragmentsOf(id uint32, m Message, maxFrag int) [][]byte {
 }
 
 // feedFrame hands m to t as the fragments Send would cut it into.
-func feedFrame(t *UDPTransport, from *net.UDPAddr, id uint32, m Message, maxFrag int) {
+func feedFrame(t *UDPTransport, from netip.AddrPort, id uint32, m Message, maxFrag int) {
 	for _, pkt := range fragmentsOf(id, m, maxFrag) {
 		t.onFragment(pkt, from)
 	}
@@ -224,8 +230,8 @@ func TestReassemblyFloodIsBounded(t *testing.T) {
 	clock := time.Unix(1000, 0)
 	var got []Message
 	tr := reasmTransport(&clock, func(m Message) { got = append(got, m) })
-	honest := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 7001}
-	attacker := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 6666}
+	honest := netip.MustParseAddrPort("127.0.0.1:7001")
+	attacker := netip.MustParseAddrPort("127.0.0.1:6666")
 	resp := Message{Kind: KindCollectResponse, Seq: 1, Switch: 3, Records: make([]dataplane.RTRecord, 100)}
 	feedFrame(tr, honest, 1, resp, defaultFragment)
 	if len(got) != 1 {
@@ -266,7 +272,7 @@ func TestReassemblyFloodIsBounded(t *testing.T) {
 func TestReassemblyDropsOversizeFrame(t *testing.T) {
 	clock := time.Unix(1000, 0)
 	tr := reasmTransport(&clock, func(Message) { t.Fatal("delivered a frame nobody sent") })
-	from := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 6666}
+	from := netip.MustParseAddrPort("127.0.0.1:6666")
 	payload := make([]byte, 60000)
 	for i := 0; i*len(payload) <= maxFrameBytes; i++ {
 		tr.onFragment(fragment(9, i, 1000, payload), from)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"mars/internal/dataplane"
 	"mars/internal/netsim"
@@ -263,10 +264,15 @@ func payloadLen(m *Message) int {
 }
 
 // EncodeMessage renders one Message as a complete frame.
-func EncodeMessage(m *Message) []byte {
+func EncodeMessage(m *Message) []byte { return AppendMessage(nil, m) }
+
+// AppendMessage appends m's complete frame to out and returns the extended
+// slice, growing it at most once: a sender that keeps the result encodes
+// every later frame of no greater size without allocating.
+func AppendMessage(out []byte, m *Message) []byte {
 	plen := payloadLen(m)
 	h := FrameHeader{Kind: m.Kind, Seq: m.Seq, Switch: m.Switch, Len: uint32(plen)}
-	out := make([]byte, 0, FrameHeaderBytes+plen)
+	out = slices.Grow(out, FrameHeaderBytes+plen)
 	hb := MarshalFrameHeader(&h)
 	out = append(out, hb[:]...)
 	switch m.Kind {

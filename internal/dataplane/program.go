@@ -160,7 +160,7 @@ func New(cfg Config, topo *topology.Topology, paths *pathid.Table, notifier Noti
 // count grows. Of the resident switches, only those with a host behind
 // them get register tables (see switchState). Per-switch accessors are
 // nil-safe wherever state is absent (SetThreshold and FlushSwitch no-op;
-// RTSnapshot/ITFlows/ETEntries report nothing).
+// RTSnapshot/RTSince/ITFlows/ETEntries report nothing).
 func NewResident(cfg Config, topo *topology.Topology, paths *pathid.Table, notifier Notifier, resident []topology.NodeID) *Program {
 	p := &Program{Cfg: cfg, Topo: topo, Paths: paths, Notifier: notifier}
 	p.cdc = cfg.Codec
@@ -271,6 +271,15 @@ func (p *Program) RTSnapshot(sw topology.NodeID) []RTRecord {
 		return nil
 	}
 	return p.states[sw].rt.Snapshot()
+}
+
+// RTSince returns the records of sw's Ring Table that arrived after t,
+// oldest-first (RingTable.Since); nil when none did or sw keeps no table.
+func (p *Program) RTSince(sw topology.NodeID, t netsim.Time) []RTRecord {
+	if p.states[sw].rt == nil {
+		return nil
+	}
+	return p.states[sw].rt.Since(t)
 }
 
 // ITFlows / ETEntries expose table occupancy for the resource model.

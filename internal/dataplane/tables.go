@@ -1,6 +1,9 @@
 package dataplane
 
 import (
+	"math"
+	"sort"
+
 	"mars/internal/netsim"
 	"mars/internal/pathid"
 )
@@ -219,15 +222,29 @@ func (rt *RingTable) Push(r RTRecord) {
 	}
 }
 
-// Snapshot returns the valid records oldest-first.
-func (rt *RingTable) Snapshot() []RTRecord {
-	if !rt.full {
-		out := make([]RTRecord, rt.next)
-		copy(out, rt.buf[:rt.next])
-		return out
+// Snapshot returns the valid records oldest-first (nil when there are
+// none): everything that arrived since the start of time.
+func (rt *RingTable) Snapshot() []RTRecord { return rt.Since(math.MinInt64) }
+
+// Since returns the records that arrived after t, oldest-first, in one
+// exact-size copy; nil when none did. A sink pushes its records as they
+// arrive, so Arrival never decreases in ring order, and each of the ring's
+// two segments — buf[next:] (only once the ring has wrapped), then
+// buf[:next] — is cut at t by a binary search.
+func (rt *RingTable) Since(t netsim.Time) []RTRecord {
+	var older []RTRecord
+	if rt.full {
+		older = rt.buf[rt.next:]
 	}
-	out := make([]RTRecord, 0, len(rt.buf))
-	out = append(out, rt.buf[rt.next:]...)
-	out = append(out, rt.buf[:rt.next]...)
+	newer := rt.buf[:rt.next]
+	after := func(s []RTRecord) []RTRecord {
+		return s[sort.Search(len(s), func(i int) bool { return s[i].Arrival > t }):]
+	}
+	older, newer = after(older), after(newer)
+	if len(older)+len(newer) == 0 {
+		return nil
+	}
+	out := make([]RTRecord, len(older)+len(newer))
+	copy(out[copy(out, older):], newer)
 	return out
 }

@@ -106,8 +106,8 @@ func NewControllerNode(cap *Capture, conn *net.UDPConn, switchAddrs map[topology
 		if d.AsOf != 0 {
 			d.Time = d.AsOf
 		}
-		if m := cap.matchDiag(d.Trigger); m != nil {
-			n.currentThr = m.Thresholds
+		if i := cap.matchDiag(d.Trigger); i >= 0 {
+			n.currentThr = cap.Diags[i].Thresholds
 		}
 		list := n.rca.Analyze(d)
 		n.currentThr = nil

@@ -198,26 +198,24 @@ type notifierFunc func(dataplane.Notification)
 
 func (f notifierFunc) Notify(n dataplane.Notification) { f(n) }
 
-// matchDiag finds the captured diagnosis for a trigger: the exact trigger
-// if the controller picked the same one the simulator did, else the
-// nearest capture by trigger time (real-clock jitter can make the
-// deployment's response window retain a different in-window notification
-// than the simulator's did).
-func (c *Capture) matchDiag(n dataplane.Notification) *CapturedDiag {
-	if len(c.Diags) == 0 {
-		return nil
-	}
+// matchDiag finds the index in Diags of the captured diagnosis for a
+// trigger: the exact trigger if the controller picked the same one the
+// simulator did, else the nearest capture by trigger time (real-clock
+// jitter can make the deployment's response window retain a different
+// in-window notification than the simulator's did). -1 when nothing was
+// captured.
+func (c *Capture) matchDiag(n dataplane.Notification) int {
 	best := -1
 	for i := range c.Diags {
 		t := &c.Diags[i].Trigger
 		if t.Kind == n.Kind && t.Switch == n.Switch && t.Flow == n.Flow && t.Time == n.Time {
-			return &c.Diags[i]
+			return i
 		}
 		if best < 0 || absTime(c.Diags[i].Trigger.Time-n.Time) < absTime(c.Diags[best].Trigger.Time-n.Time) {
 			best = i
 		}
 	}
-	return &c.Diags[best]
+	return best
 }
 
 func absTime(t netsim.Time) netsim.Time {

@@ -214,7 +214,7 @@ func TestOneAgentTwoRegisterSources(t *testing.T) {
 		{"replay", newReplayRegisters(c, []topology.NodeID{sw}, runEnd)},
 	} {
 		t.Run(src.name, func(t *testing.T) {
-			all := src.regs.Arrived(sw)
+			all := src.regs.Arrived(sw, -1)
 			if len(all) < 2 {
 				t.Fatalf("s%d holds %d records; the comparison is vacuous", sw, len(all))
 			}

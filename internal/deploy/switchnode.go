@@ -14,48 +14,82 @@ import (
 
 // replayRegisters is the deployment's controlplane.Registers: the capture,
 // read at a wall clock (now, nanoseconds since the node started) scaled
-// back onto the sim timeline.
+// back onto the sim timeline. Everything it answers is a window of storage
+// cut once here, never written again.
 type replayRegisters struct {
 	cap *Capture
 	now func() netsim.Time
 	// logs holds each hosted sink's cumulative record history, by arrival.
 	logs map[topology.NodeID][]dataplane.RTRecord
+	// snaps holds each hosted sink's slice of every captured diagnosis,
+	// indexed like cap.Diags (nil where the sink held no record).
+	snaps map[topology.NodeID][][]dataplane.RTRecord
 }
 
 func newReplayRegisters(cap *Capture, switches []topology.NodeID, now func() netsim.Time) *replayRegisters {
-	r := &replayRegisters{cap: cap, now: now, logs: make(map[topology.NodeID][]dataplane.RTRecord)}
+	r := &replayRegisters{cap: cap, now: now,
+		logs:  make(map[topology.NodeID][]dataplane.RTRecord, len(switches)),
+		snaps: make(map[topology.NodeID][][]dataplane.RTRecord, len(switches)),
+	}
 	for _, sw := range switches {
 		r.logs[sw] = cap.recordLog(sw)
+		snaps := make([][]dataplane.RTRecord, len(cap.Diags))
+		for i := range cap.Diags {
+			snaps[i] = sinkRecords(cap.Diags[i].Records, sw)
+		}
+		r.snaps[sw] = snaps
 	}
 	return r
+}
+
+// sinkRecords copies the records of recs that sink sw collected, in order,
+// into a slice of exactly their number; nil when there are none.
+func sinkRecords(recs []dataplane.RTRecord, sw topology.NodeID) []dataplane.RTRecord {
+	n := 0
+	for i := range recs {
+		if recs[i].Flow.Sink == sw {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]dataplane.RTRecord, 0, n)
+	for _, rec := range recs {
+		if rec.Flow.Sink == sw {
+			out = append(out, rec)
+		}
+	}
+	return out
 }
 
 // Snapshot serves a diagnosis pull: the trigger selects the captured
 // diagnosis, and sw's slice of it is stamped with the capture's sim time.
 func (r *replayRegisters) Snapshot(sw topology.NodeID, trigger dataplane.Notification) ([]dataplane.RTRecord, netsim.Time) {
-	d := r.cap.matchDiag(trigger)
-	if d == nil {
+	i := r.cap.matchDiag(trigger)
+	snaps := r.snaps[sw]
+	if i < 0 || snaps == nil {
 		return nil, 0
 	}
-	var recs []dataplane.RTRecord
-	for _, rec := range d.Records {
-		if rec.Flow.Sink == sw {
-			recs = append(recs, rec)
-		}
-	}
-	return recs, d.Time
+	return snaps[i], r.cap.Diags[i].Time
 }
 
-// Arrived serves a refresh pull: the records of sw's log that have
-// "arrived" by the current sim time (clamped to the captured run).
-func (r *replayRegisters) Arrived(sw topology.NodeID) []dataplane.RTRecord {
+// Arrived serves a refresh pull: the records of sw's log past the
+// watermark that have "arrived" by the current sim time (clamped to the
+// captured run).
+func (r *replayRegisters) Arrived(sw topology.NodeID, after netsim.Time) []dataplane.RTRecord {
 	sc := r.cap.Scenario
 	simNow := netsim.Time(float64(r.now()) / sc.Scale)
 	if simNow > sc.RunFor {
 		simNow = sc.RunFor
 	}
 	log := r.logs[sw]
-	return log[:sort.Search(len(log), func(i int) bool { return log[i].Arrival > simNow })]
+	lo := sort.Search(len(log), func(i int) bool { return log[i].Arrival > after })
+	hi := sort.Search(len(log), func(i int) bool { return log[i].Arrival > simNow })
+	if lo >= hi {
+		return nil
+	}
+	return log[lo:hi:hi]
 }
 
 // SetThreshold accepts a pushed entry; a replayed data plane has no register for it.
