@@ -40,9 +40,8 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.File, d.Line, d.Col, d.Analyzer, d.Message)
 }
 
-// Analyzer is one check of the suite. Single-package analyzers set Run;
-// interprocedural analyzers set RunModule and receive every package of the
-// load at once, plus the shared call graph.
+// Analyzer is one check of the suite. Every analyzer receives every
+// package of the load at once, plus the shared call graph.
 type Analyzer struct {
 	Name string
 	// Doc is the one-line description shown by mars-lint -list.
@@ -60,7 +59,6 @@ type Analyzer struct {
 	// that a suppression cites a real AllocsPerRun guard before accepting
 	// it, which the blanket drop could not express).
 	SelfSuppress bool
-	Run          func(p *Pass)
 	RunModule    func(p *ModulePass)
 }
 
@@ -77,47 +75,16 @@ func (a *Analyzer) consumes(name string) bool {
 	return false
 }
 
-// Pass is one (analyzer, package) execution.
-type Pass struct {
-	Analyzer *Analyzer
-	Pkg      *Package
-	report   func(Diagnostic)
-	ignore   bool // ignore suppression directives (testing only)
-}
-
-// Reportf records a finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Pkg.Fset.Position(pos)
-	p.report(Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      position,
-		File:     position.Filename,
-		Line:     position.Line,
-		Col:      position.Column,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// Suppressed reports whether pos's line or the line directly above carries
-// the named //mars: directive.
-func (p *Pass) Suppressed(pos token.Pos, directive string) bool {
-	if p.ignore {
-		return false
-	}
-	position := p.Pkg.Fset.Position(pos)
-	return p.Pkg.hasDirective(position.Filename, position.Line, directive)
-}
-
-// ModulePass is one (analyzer, load) execution for interprocedural
-// analyzers: every package of the load, sharing one FileSet, plus the call
-// graph (built once per load and shared between analyzers).
+// ModulePass is one (analyzer, load) execution: every package of the
+// load, sharing one FileSet, plus the call graph (built once per load and
+// shared between analyzers).
 type ModulePass struct {
 	Analyzer *Analyzer
 	Pkgs     []*Package
 	Fset     *token.FileSet
 	graph    **CallGraph // lazily built, shared across the load's analyzers
 	byFile   map[string]*Package
-	report   func(Diagnostic)
+	out      *[]Diagnostic // the run's findings, shared by its passes
 	ignore   bool
 }
 
@@ -129,10 +96,14 @@ func (p *ModulePass) Graph() *CallGraph {
 	return *p.graph
 }
 
-// Reportf records a finding at pos.
+// Reportf records a finding at pos, unless the analyzer's directive
+// suppresses it there (see Analyzer.Directive).
 func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
+	if a := p.Analyzer; !a.SelfSuppress && a.Directive != "" && p.Suppressed(pos, a.Directive) {
+		return
+	}
 	position := p.Fset.Position(pos)
-	p.report(Diagnostic{
+	*p.out = append(*p.out, Diagnostic{
 		Analyzer: p.Analyzer.Name,
 		Pos:      position,
 		File:     position.Filename,
@@ -201,52 +172,26 @@ func ByName(name string) *Analyzer {
 
 // Run executes the analyzers over the packages and returns the surviving
 // diagnostics sorted by position. Findings suppressed by their analyzer's
-// directive are dropped here, so every analyzer gets uniform suppression
-// semantics for free. After the analyzers finish, any //mars: directive
-// that excused nothing is itself reported (staledirective), provided every
-// analyzer that could have consumed it actually ran.
+// directive are dropped as they are reported, so every analyzer gets
+// uniform suppression semantics for free. After the analyzers finish, any
+// //mars: directive that excused nothing is itself reported
+// (staledirective), provided every analyzer that could have consumed it
+// actually ran.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	return runImpl(pkgs, analyzers, false)
 }
 
-// RunIgnoringDirectives executes the analyzers with every //mars:
-// suppression disabled, so tests can prove each directive on the tree is
-// load-bearing: the findings it excuses must resurface without it.
-func RunIgnoringDirectives(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return runImpl(pkgs, analyzers, true)
-}
-
+// runImpl is Run; with ignore set, every //mars: suppression is disabled,
+// so a test can prove each directive on the tree is load-bearing.
 func runImpl(pkgs []*Package, analyzers []*Analyzer, ignore bool) []Diagnostic {
 	for _, pkg := range pkgs {
 		pkg.resetDirectiveUse()
 	}
 	var out []Diagnostic
-	reportFor := func(a *Analyzer, lookup func(d Diagnostic) *Package) func(Diagnostic) {
-		return func(d Diagnostic) {
-			if !ignore && !a.SelfSuppress && a.Directive != "" {
-				if pkg := lookup(d); pkg != nil && pkg.hasDirective(d.File, d.Line, a.Directive) {
-					return
-				}
-			}
-			out = append(out, d)
-		}
-	}
 
-	// Single-package passes.
-	for _, pkg := range pkgs {
-		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
-			pass := &Pass{Analyzer: a, Pkg: pkg, ignore: ignore}
-			pass.report = reportFor(a, func(Diagnostic) *Package { return pkg })
-			a.Run(pass)
-		}
-	}
-
-	// Module passes, grouped by FileSet: packages loaded together share
-	// one FileSet and one call graph; bare-directory loads each form
-	// their own group.
+	// Passes are grouped by FileSet: packages loaded together share one
+	// FileSet and one call graph; bare-directory loads each form their
+	// own group.
 	type group struct {
 		fset   *token.FileSet
 		pkgs   []*Package
@@ -272,19 +217,15 @@ func runImpl(pkgs []*Package, analyzers []*Analyzer, ignore bool) []Diagnostic {
 	}
 	for _, grp := range groups {
 		for _, a := range analyzers {
-			if a.RunModule == nil {
-				continue
-			}
 			pass := &ModulePass{
 				Analyzer: a,
 				Pkgs:     grp.pkgs,
 				Fset:     grp.fset,
 				graph:    &grp.graph,
 				byFile:   grp.byFile,
+				out:      &out,
 				ignore:   ignore,
 			}
-			lookup := func(d Diagnostic) *Package { return grp.byFile[d.File] }
-			pass.report = reportFor(a, lookup)
 			a.RunModule(pass)
 		}
 	}
@@ -394,13 +335,8 @@ func rootIdent(e ast.Expr) *ast.Ident {
 	}
 }
 
-// calleeFunc resolves a call to the *types.Func it invokes, or nil (calls
-// through function values, builtins, conversions).
-func calleeFunc(p *Pass, call *ast.CallExpr) *types.Func {
-	return calleeFuncInfo(p.Pkg.Info, call)
-}
-
-// calleeFuncInfo is calleeFunc for callers that hold only type info.
+// calleeFuncInfo resolves a call to the *types.Func it invokes, or nil
+// (calls through function values, builtins, conversions).
 func calleeFuncInfo(info *types.Info, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
 	switch fn := ast.Unparen(call.Fun).(type) {

@@ -93,16 +93,6 @@ func (g *CallGraph) NodeFor(fn *types.Func) *CGNode {
 	return g.byFn[fn.Origin()]
 }
 
-// ByQName returns the declared node with the given qualified name, or nil.
-func (g *CallGraph) ByQName(qname string) *CGNode {
-	for _, n := range g.Nodes {
-		if n.qname == qname && n.Decl != nil {
-			return n
-		}
-	}
-	return nil
-}
-
 // funcQName is the root-matching name of a declared function:
 // pkgpath.Name for package functions, pkgpath.Recv.Name for methods with
 // pointer stars stripped, so "mars/internal/netsim.Simulator.Run" matches

@@ -31,45 +31,34 @@ var Detrand = &Analyzer{
 	Name:      "detrand",
 	Doc:       "forbid wall-clock and global math/rand calls in deterministic code",
 	Directive: "wallclock",
-	Run:       runDetrand,
+	RunModule: runDetrand,
 }
 
-func runDetrand(p *Pass) {
-	if strings.HasPrefix(p.Pkg.Path, "mars/examples") {
-		return // demo programs, not part of the deterministic pipeline
-	}
-	for _, f := range p.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := calleeFunc(p, call)
-			if fn == nil || fn.Pkg() == nil {
-				return true
-			}
-			switch fn.Pkg().Path() {
-			case "time":
-				if wallclockFuncs[fn.Name()] && isPkgFunc(fn, "time", fn.Name()) {
-					p.Reportf(call.Pos(),
-						"ambient wall clock: time.%s couples results to real time; use the simulator clock, or annotate //mars:wallclock if this is wall-time benchmarking", fn.Name())
-				}
-			case "math/rand", "math/rand/v2":
-				if !isPkgFunc(fn, fn.Pkg().Path(), fn.Name()) {
-					return true // methods on an explicit *rand.Rand are fine
-				}
-				if globalRandAllowed[fn.Name()] {
+func runDetrand(p *ModulePass) {
+	for _, pkg := range p.Pkgs {
+		if strings.HasPrefix(pkg.Path, "mars/examples") {
+			continue // demo programs, not part of the deterministic pipeline
+		}
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
 					return true
 				}
-				if fn.Name() == "Seed" {
+				switch sink := ambientSink(calleeFuncInfo(pkg.Info, call)); {
+				case sink == "":
+				case strings.HasPrefix(sink, "time."):
+					p.Reportf(call.Pos(),
+						"ambient wall clock: %s couples results to real time; use the simulator clock, or annotate //mars:wallclock if this is wall-time benchmarking", sink)
+				case sink == "rand.Seed":
 					p.Reportf(call.Pos(),
 						"rand.Seed reseeds the process-global generator; build a local rand.New(rand.NewSource(seed)) instead")
-					return true
+				default:
+					p.Reportf(call.Pos(),
+						"global RNG: %s draws from the ambient generator; draw from a seeded *rand.Rand instead", sink)
 				}
-				p.Reportf(call.Pos(),
-					"global RNG: rand.%s draws from the ambient generator; draw from a seeded *rand.Rand instead", fn.Name())
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
 }

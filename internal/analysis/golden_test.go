@@ -142,7 +142,7 @@ func TestSuppressionsLoadBearing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}
-	diags := RunIgnoringDirectives(pkgs, All())
+	diags := runImpl(pkgs, All(), true)
 	wants := []struct {
 		analyzer string
 		file     string // path suffix

@@ -29,23 +29,25 @@ var Mapiter = &Analyzer{
 	Name:      "mapiter",
 	Doc:       "flag order-sensitive writes inside range-over-map loops",
 	Directive: "mapiter-ok",
-	Run:       runMapiter,
+	RunModule: runMapiter,
 }
 
-func runMapiter(p *Pass) {
-	for _, f := range p.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			rs, ok := n.(*ast.RangeStmt)
-			if !ok || !isMapRange(p.Pkg, rs) {
+func runMapiter(p *ModulePass) {
+	for _, pkg := range p.Pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				rs, ok := n.(*ast.RangeStmt)
+				if !ok || !isMapRange(pkg, rs) {
+					return true
+				}
+				// A directive on the range line suppresses the whole loop.
+				if p.Suppressed(rs.Pos(), "mapiter-ok") {
+					return true
+				}
+				mapRangeHazards(pkg, rs, p.Reportf)
 				return true
-			}
-			// A directive on the range line suppresses the whole loop.
-			if p.Suppressed(rs.Pos(), "mapiter-ok") {
-				return true
-			}
-			mapRangeHazards(p.Pkg, rs, p.Reportf)
-			return true
-		})
+			})
+		}
 	}
 }
 

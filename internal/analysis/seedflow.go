@@ -15,33 +15,32 @@ var Seedflow = &Analyzer{
 	Name:      "seedflow",
 	Doc:       "require rand.NewSource seeds to derive from config, not literals",
 	Directive: "fixedseed",
-	Run:       runSeedflow,
+	RunModule: runSeedflow,
 }
 
-func runSeedflow(p *Pass) {
-	for _, f := range p.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := calleeFunc(p, call)
-			if fn == nil {
-				return true
-			}
-			if !isPkgFunc(fn, "math/rand", "NewSource") &&
-				!isPkgFunc(fn, "math/rand/v2", "NewPCG") &&
-				!isPkgFunc(fn, "math/rand/v2", "NewChaCha8") {
-				return true
-			}
-			for _, arg := range call.Args {
-				if tv, ok := p.Pkg.Info.Types[arg]; ok && tv.Value != nil {
-					p.Reportf(arg.Pos(),
-						"literal seed %s in rand.%s: derive seeds from a Config/seed parameter so one run seed drives every component (//mars:fixedseed to keep a reviewed constant)",
-						tv.Value.String(), fn.Name())
+func runSeedflow(p *ModulePass) {
+	for _, pkg := range p.Pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
 				}
-			}
-			return true
-		})
+				fn := calleeFuncInfo(pkg.Info, call)
+				if !isPkgFunc(fn, "math/rand", "NewSource") &&
+					!isPkgFunc(fn, "math/rand/v2", "NewPCG") &&
+					!isPkgFunc(fn, "math/rand/v2", "NewChaCha8") {
+					return true
+				}
+				for _, arg := range call.Args {
+					if tv, ok := pkg.Info.Types[arg]; ok && tv.Value != nil {
+						p.Reportf(arg.Pos(),
+							"literal seed %s in rand.%s: derive seeds from a Config/seed parameter so one run seed drives every component (//mars:fixedseed to keep a reviewed constant)",
+							tv.Value.String(), fn.Name())
+					}
+				}
+				return true
+			})
+		}
 	}
 }

@@ -7,9 +7,9 @@
 //
 // Faithful limitations reproduced here (per §5.4): contention points come
 // from queuing delta only, so out-of-queue Delay faults produce no
-// contention bits and no localization; drop events are sensed at flow
-// level (source/destination counter mismatch) but cannot be attributed to
-// a switch or port, so Localize returns nothing useful for them.
+// contention bits and no localization; drop events raise no SLO report
+// and cannot be attributed to a switch or port, so Localize returns
+// nothing useful for them.
 package intsight
 
 import (
@@ -67,26 +67,20 @@ type System struct {
 	Topo *topology.Topology
 
 	reports map[int64]map[netsim.FlowKey]*report
-	// srcCount/dstCount give flow-level drop sensing.
-	srcCount map[netsim.FlowKey]int64
-	dstCount map[netsim.FlowKey]int64
 
 	TelemetryBytes int64
 	DiagnosisBytes int64
 
 	sloViolated bool
-	dropSensed  bool
 	sinkOf      map[topology.NodeID]topology.NodeID
 }
 
 // New attaches a fresh IntSight instance.
 func New(topo *topology.Topology) *System {
 	s := &System{
-		Topo:     topo,
-		reports:  make(map[int64]map[netsim.FlowKey]*report),
-		srcCount: make(map[netsim.FlowKey]int64),
-		dstCount: make(map[netsim.FlowKey]int64),
-		sinkOf:   make(map[topology.NodeID]topology.NodeID),
+		Topo:    topo,
+		reports: make(map[int64]map[netsim.FlowKey]*report),
+		sinkOf:  make(map[topology.NodeID]topology.NodeID),
 	}
 	for _, h := range topo.Hosts() {
 		if sw, ok := topo.EdgeSwitchOf(h); ok {
@@ -99,9 +93,6 @@ func New(topo *topology.Topology) *System {
 // Detected reports whether any SLO violation report was emitted.
 func (s *System) Detected() bool { return s.sloViolated }
 
-// DropSensed reports flow-level drop awareness (never localizable).
-func (s *System) DropSensed() bool { return s.dropSensed }
-
 // OnForward implements netsim.Hooks.
 func (s *System) OnForward(sim *netsim.Simulator, sw topology.NodeID, inPort, outPort topology.PortID, pkt *netsim.Packet, qlen int) netsim.Action {
 	m, _ := pkt.Meta.(*meta)
@@ -109,7 +100,6 @@ func (s *System) OnForward(sim *netsim.Simulator, sw topology.NodeID, inPort, ou
 		m = &meta{start: sim.Now()}
 		pkt.Meta = m
 		pkt.ExtraBytes = headerBytes
-		s.srcCount[pkt.Flow]++
 	}
 	s.TelemetryBytes += headerBytes
 	if qlen >= contentionQueueDepth {
@@ -118,7 +108,6 @@ func (s *System) OnForward(sim *netsim.Simulator, sw topology.NodeID, inPort, ou
 
 	// Sink processing: strip header, evaluate SLO, update reports.
 	if s.Topo.IsHost(s.Topo.Node(sw).Ports[outPort].Peer) {
-		s.dstCount[pkt.Flow]++
 		e2e := sim.Now() - m.start
 		epoch := int64(sim.Now() / epochLen)
 		if e2e > sloLatency {
@@ -144,10 +133,6 @@ func (s *System) OnForward(sim *netsim.Simulator, sw topology.NodeID, inPort, ou
 			for _, c := range m.contention {
 				r.contention[c]++
 			}
-		}
-		// Flow-level drop sensing from the per-flow counters.
-		if s.srcCount[pkt.Flow] > s.dstCount[pkt.Flow]+3 {
-			s.dropSensed = true
 		}
 		pkt.ExtraBytes = 0
 	}

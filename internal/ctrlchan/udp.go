@@ -17,7 +17,7 @@ import (
 // over a UDP socket — the deployment-mode implementation of Transport.
 //
 // Each process owns one socket. Outbound messages are encoded with
-// AppendMessage and split into MTU-sized fragments, both into buffers the
+// appendMessage and split into MTU-sized fragments, both into buffers the
 // transport keeps, so a steady-state Send allocates nothing; the receiving
 // process reassembles them, decodes the frame, and hands the Message to its
 // registered deliver function on the transport's read goroutine (callers
@@ -171,7 +171,7 @@ func (t *UDPTransport) Send(d Direction, m Message, _ func(Message)) {
 	}
 	t.sendMu.Lock()
 	defer t.sendMu.Unlock()
-	t.frame = AppendMessage(t.frame[:0], &m)
+	t.frame = appendMessage(t.frame[:0], &m)
 	t.frameID++
 	count := (len(t.frame) + t.maxFragment - 1) / t.maxFragment // >= 1: a frame has a header
 	t.stats.FramesSent.Add(1)

@@ -79,7 +79,7 @@ type FrameHeader struct {
 	Len uint32
 }
 
-// MarshalFrameHeader encodes the fixed frame header:
+// marshalFrameHeader encodes the fixed frame header:
 //
 //	0:2   magic
 //	2     version
@@ -87,7 +87,7 @@ type FrameHeader struct {
 //	4:12  sequence number
 //	12:16 switch ID
 //	16:20 payload length
-func MarshalFrameHeader(h *FrameHeader) [FrameHeaderBytes]byte {
+func marshalFrameHeader(h *FrameHeader) [FrameHeaderBytes]byte {
 	var b [FrameHeaderBytes]byte
 	binary.BigEndian.PutUint16(b[0:2], FrameMagic)
 	b[2] = FrameVersion
@@ -98,8 +98,8 @@ func MarshalFrameHeader(h *FrameHeader) [FrameHeaderBytes]byte {
 	return b
 }
 
-// UnmarshalFrameHeader decodes and validates the fixed frame header.
-func UnmarshalFrameHeader(b [FrameHeaderBytes]byte) (*FrameHeader, error) {
+// unmarshalFrameHeader decodes and validates the fixed frame header.
+func unmarshalFrameHeader(b [FrameHeaderBytes]byte) (*FrameHeader, error) {
 	if binary.BigEndian.Uint16(b[0:2]) != FrameMagic {
 		return nil, fmt.Errorf("%w: magic %#04x", ErrBadFrame, binary.BigEndian.Uint16(b[0:2]))
 	}
@@ -121,7 +121,7 @@ func UnmarshalFrameHeader(b [FrameHeaderBytes]byte) (*FrameHeader, error) {
 	return h, nil
 }
 
-// MarshalNotificationWire encodes a notification payload at full width
+// marshalNotificationWire encodes a notification payload at full width
 // (unlike the in-band 24-byte form, no timestamp compression — control
 // frames are not byte-budgeted):
 //
@@ -133,7 +133,7 @@ func UnmarshalFrameHeader(b [FrameHeaderBytes]byte) (*FrameHeader, error) {
 //	21:29 latency (ns)
 //	29:37 dropped count
 //	37:41 epoch gap
-func MarshalNotificationWire(n *dataplane.Notification) [NotificationWireBytes]byte {
+func marshalNotificationWire(n *dataplane.Notification) [NotificationWireBytes]byte {
 	var b [NotificationWireBytes]byte
 	b[0] = byte(n.Kind)
 	binary.BigEndian.PutUint32(b[1:5], uint32(n.Switch))
@@ -146,8 +146,8 @@ func MarshalNotificationWire(n *dataplane.Notification) [NotificationWireBytes]b
 	return b
 }
 
-// UnmarshalNotificationWire decodes the full-width notification payload.
-func UnmarshalNotificationWire(b [NotificationWireBytes]byte) (dataplane.Notification, error) {
+// unmarshalNotificationWire decodes the full-width notification payload.
+func unmarshalNotificationWire(b [NotificationWireBytes]byte) (dataplane.Notification, error) {
 	k := dataplane.NotificationKind(b[0])
 	if k != dataplane.NotifyHighLatency && k != dataplane.NotifyDrop {
 		return dataplane.Notification{}, fmt.Errorf("%w: notification kind %d", ErrBadFrame, b[0])
@@ -166,7 +166,7 @@ func UnmarshalNotificationWire(b [NotificationWireBytes]byte) (dataplane.Notific
 	}, nil
 }
 
-// MarshalRecordWire encodes one Ring Table record at full width for
+// marshalRecordWire encodes one Ring Table record at full width for
 // collect/refresh response payloads:
 //
 //	0:4   flow source switch
@@ -185,7 +185,7 @@ func UnmarshalNotificationWire(b [NotificationWireBytes]byte) (dataplane.Notific
 // pintlike's slot bytes (RTRecord.SlotIndex, SlotHops) do not cross the
 // socket: the deployment mode runs the default exact encoding, under
 // which they are zero.
-func MarshalRecordWire(r *dataplane.RTRecord) [RecordWireBytes]byte {
+func marshalRecordWire(r *dataplane.RTRecord) [RecordWireBytes]byte {
 	var b [RecordWireBytes]byte
 	binary.BigEndian.PutUint32(b[0:4], uint32(r.Flow.Src))
 	binary.BigEndian.PutUint32(b[4:8], uint32(r.Flow.Sink))
@@ -202,8 +202,8 @@ func MarshalRecordWire(r *dataplane.RTRecord) [RecordWireBytes]byte {
 	return b
 }
 
-// UnmarshalRecordWire decodes one full-width Ring Table record.
-func UnmarshalRecordWire(b [RecordWireBytes]byte) dataplane.RTRecord {
+// unmarshalRecordWire decodes one full-width Ring Table record.
+func unmarshalRecordWire(b [RecordWireBytes]byte) dataplane.RTRecord {
 	return dataplane.RTRecord{
 		Flow: dataplane.FlowID{
 			Src:  topology.NodeID(binary.BigEndian.Uint32(b[0:4])),
@@ -222,12 +222,12 @@ func UnmarshalRecordWire(b [RecordWireBytes]byte) dataplane.RTRecord {
 	}
 }
 
-// MarshalThresholdWire encodes one threshold push/ack entry:
+// marshalThresholdWire encodes one threshold push/ack entry:
 //
 //	0:4  flow source switch
 //	4:8  flow sink switch
 //	8:16 threshold (ns)
-func MarshalThresholdWire(e *Threshold) [ThresholdWireBytes]byte {
+func marshalThresholdWire(e *Threshold) [ThresholdWireBytes]byte {
 	var b [ThresholdWireBytes]byte
 	binary.BigEndian.PutUint32(b[0:4], uint32(e.Flow.Src))
 	binary.BigEndian.PutUint32(b[4:8], uint32(e.Flow.Sink))
@@ -235,8 +235,8 @@ func MarshalThresholdWire(e *Threshold) [ThresholdWireBytes]byte {
 	return b
 }
 
-// UnmarshalThresholdWire decodes one threshold push/ack entry.
-func UnmarshalThresholdWire(b [ThresholdWireBytes]byte) Threshold {
+// unmarshalThresholdWire decodes one threshold push/ack entry.
+func unmarshalThresholdWire(b [ThresholdWireBytes]byte) Threshold {
 	return Threshold{
 		Flow: dataplane.FlowID{
 			Src:  topology.NodeID(binary.BigEndian.Uint32(b[0:4])),
@@ -264,20 +264,20 @@ func payloadLen(m *Message) int {
 }
 
 // EncodeMessage renders one Message as a complete frame.
-func EncodeMessage(m *Message) []byte { return AppendMessage(nil, m) }
+func EncodeMessage(m *Message) []byte { return appendMessage(nil, m) }
 
-// AppendMessage appends m's complete frame to out and returns the extended
+// appendMessage appends m's complete frame to out and returns the extended
 // slice, growing it at most once: a sender that keeps the result encodes
 // every later frame of no greater size without allocating.
-func AppendMessage(out []byte, m *Message) []byte {
+func appendMessage(out []byte, m *Message) []byte {
 	plen := payloadLen(m)
 	h := FrameHeader{Kind: m.Kind, Seq: m.Seq, Switch: m.Switch, Len: uint32(plen)}
 	out = slices.Grow(out, FrameHeaderBytes+plen)
-	hb := MarshalFrameHeader(&h)
+	hb := marshalFrameHeader(&h)
 	out = append(out, hb[:]...)
 	switch m.Kind {
 	case KindNotification, KindCollectRequest:
-		nb := MarshalNotificationWire(&m.Note)
+		nb := marshalNotificationWire(&m.Note)
 		out = append(out, nb[:]...)
 	case KindCollectResponse, KindRefreshResponse:
 		var head [responseHeadBytes]byte
@@ -285,7 +285,7 @@ func AppendMessage(out []byte, m *Message) []byte {
 		binary.BigEndian.PutUint32(head[8:12], uint32(len(m.Records)))
 		out = append(out, head[:]...)
 		for i := range m.Records {
-			rb := MarshalRecordWire(&m.Records[i])
+			rb := marshalRecordWire(&m.Records[i])
 			out = append(out, rb[:]...)
 		}
 	case KindRefreshRequest:
@@ -295,7 +295,7 @@ func AppendMessage(out []byte, m *Message) []byte {
 	case KindThresholdPush, KindThresholdAck:
 		out = binary.BigEndian.AppendUint32(out, uint32(len(m.Thresholds)))
 		for i := range m.Thresholds {
-			tb := MarshalThresholdWire(&m.Thresholds[i])
+			tb := marshalThresholdWire(&m.Thresholds[i])
 			out = append(out, tb[:]...)
 		}
 	}
@@ -312,7 +312,7 @@ func DecodeMessage(b []byte) (Message, int, error) {
 	}
 	var hb [FrameHeaderBytes]byte
 	copy(hb[:], b[:FrameHeaderBytes])
-	h, err := UnmarshalFrameHeader(hb)
+	h, err := unmarshalFrameHeader(hb)
 	if err != nil {
 		return Message{}, 0, err
 	}
@@ -329,7 +329,7 @@ func DecodeMessage(b []byte) (Message, int, error) {
 		}
 		var nb [NotificationWireBytes]byte
 		copy(nb[:], p)
-		n, err := UnmarshalNotificationWire(nb)
+		n, err := unmarshalNotificationWire(nb)
 		if err != nil {
 			return Message{}, 0, err
 		}
@@ -348,7 +348,7 @@ func DecodeMessage(b []byte) (Message, int, error) {
 			for i := 0; i < count; i++ {
 				var rb [RecordWireBytes]byte
 				copy(rb[:], p[responseHeadBytes+i*RecordWireBytes:])
-				m.Records[i] = UnmarshalRecordWire(rb)
+				m.Records[i] = unmarshalRecordWire(rb)
 			}
 		}
 	case KindRefreshRequest:
@@ -367,7 +367,7 @@ func DecodeMessage(b []byte) (Message, int, error) {
 		for i := 0; i < count; i++ {
 			var tb [ThresholdWireBytes]byte
 			copy(tb[:], p[countBytes+i*ThresholdWireBytes:])
-			m.Thresholds = append(m.Thresholds, UnmarshalThresholdWire(tb))
+			m.Thresholds = append(m.Thresholds, unmarshalThresholdWire(tb))
 		}
 	}
 	return m, total, nil

@@ -31,7 +31,7 @@ func TestFlushSwitchWipesRegisterState(t *testing.T) {
 		if len(env.prog.RTSnapshot(sw)) > 0 && victim < 0 {
 			victim = sw
 		}
-		if env.prog.ITFlows(sw) > 0 && witness < 0 {
+		if itFlows(env.prog, sw) > 0 && witness < 0 {
 			witness = sw
 		}
 	}
@@ -41,16 +41,16 @@ func TestFlushSwitchWipesRegisterState(t *testing.T) {
 	env.prog.SetThreshold(victim, FlowID{Src: src, Sink: dst}, netsim.Millisecond)
 
 	env.prog.FlushSwitch(victim)
-	if env.prog.ITFlows(victim) != 0 {
-		t.Errorf("IT flows after flush = %d", env.prog.ITFlows(victim))
+	if n := itFlows(env.prog, victim); n != 0 {
+		t.Errorf("IT flows after flush = %d", n)
 	}
-	if env.prog.ETEntries(victim) != 0 {
-		t.Errorf("ET entries after flush = %d", env.prog.ETEntries(victim))
+	if n := etEntries(env.prog, victim); n != 0 {
+		t.Errorf("ET entries after flush = %d", n)
 	}
 	if n := len(env.prog.RTSnapshot(victim)); n != 0 {
 		t.Errorf("RT records after flush = %d", n)
 	}
-	if env.prog.ITFlows(witness) == 0 {
+	if itFlows(env.prog, witness) == 0 {
 		t.Error("flush must not touch other switches")
 	}
 
@@ -100,7 +100,7 @@ func TestRegistersLiveAtEdgeSwitches(t *testing.T) {
 			t.Errorf("switch %d of a dataplane.New program is not resident", sw)
 		}
 	}
-	if env.prog.ITFlows(env.ft.EdgeIDs[0]) == 0 || len(env.prog.RTSnapshot(env.ft.EdgeIDs[0])) == 0 {
+	if itFlows(env.prog, env.ft.EdgeIDs[0]) == 0 || len(env.prog.RTSnapshot(env.ft.EdgeIDs[0])) == 0 {
 		t.Error("edge switch tables did not load during the run")
 	}
 

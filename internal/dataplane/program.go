@@ -160,7 +160,7 @@ func New(cfg Config, topo *topology.Topology, paths *pathid.Table, notifier Noti
 // count grows. Of the resident switches, only those with a host behind
 // them get register tables (see switchState). Per-switch accessors are
 // nil-safe wherever state is absent (SetThreshold and FlushSwitch no-op;
-// RTSnapshot/RTSince/ITFlows/ETEntries report nothing).
+// RTSnapshot/RTSince report nothing).
 func NewResident(cfg Config, topo *topology.Topology, paths *pathid.Table, notifier Notifier, resident []topology.NodeID) *Program {
 	p := &Program{Cfg: cfg, Topo: topo, Paths: paths, Notifier: notifier}
 	p.cdc = cfg.Codec
@@ -280,23 +280,6 @@ func (p *Program) RTSince(sw topology.NodeID, t netsim.Time) []RTRecord {
 		return nil
 	}
 	return p.states[sw].rt.Since(t)
-}
-
-// ITFlows / ETEntries expose table occupancy for the resource model.
-// Non-resident switches report zero.
-func (p *Program) ITFlows(sw topology.NodeID) int {
-	if p.states[sw].it == nil {
-		return 0
-	}
-	return p.states[sw].it.Flows()
-}
-
-// ETEntries returns the sink-side (flow, path) entry count at sw.
-func (p *Program) ETEntries(sw topology.NodeID) int {
-	if p.states[sw].et == nil {
-		return 0
-	}
-	return p.states[sw].et.Entries()
 }
 
 // notify sends a notification unless suppressed by the per-switch window.

@@ -261,15 +261,15 @@ func TestDropDetectionEpochGap(t *testing.T) {
 			f := &workload.Flow{Src: src, Dst: dst, Key: 3, RatePPS: 200,
 				Gaps: workload.GapConstant, Start: 0, Stop: 4 * netsim.Second}
 			f.Install(env.sim)
-			blackhole := func(on bool) {
+			blackhole := func(prob float64) {
 				for _, agg := range env.ft.AggIDs[:2] {
 					if p, ok := env.ft.PortTo(srcEdge, agg); ok {
-						env.sim.SetPortBlackhole(srcEdge, p, on)
+						env.sim.SetPortDropProb(srcEdge, p, prob)
 					}
 				}
 			}
-			env.sim.At(1*netsim.Second, func() { blackhole(true) })
-			env.sim.At(2*netsim.Second, func() { blackhole(false) })
+			env.sim.At(1*netsim.Second, func() { blackhole(1) })
+			env.sim.At(2*netsim.Second, func() { blackhole(0) })
 			env.sim.Run(5 * netsim.Second)
 
 			healthy := 0
@@ -379,10 +379,27 @@ func TestITETAccounting(t *testing.T) {
 	env.sim.RunAll()
 	srcEdge, _ := env.ft.EdgeSwitchOf(src)
 	sink, _ := env.ft.EdgeSwitchOf(dst)
-	if env.prog.ITFlows(srcEdge) != 1 {
-		t.Errorf("IT flows = %d", env.prog.ITFlows(srcEdge))
+	if n := itFlows(env.prog, srcEdge); n != 1 {
+		t.Errorf("IT flows = %d", n)
 	}
-	if env.prog.ETEntries(sink) != 1 {
-		t.Errorf("ET entries = %d", env.prog.ETEntries(sink))
+	if n := etEntries(env.prog, sink); n != 1 {
+		t.Errorf("ET entries = %d", n)
 	}
+}
+
+// itFlows counts the flows sw's Ingress Table tracks; a switch without
+// tables tracks none.
+func itFlows(p *Program, sw topology.NodeID) int {
+	if p.states[sw].it == nil {
+		return 0
+	}
+	return tracked(p.states[sw].it)
+}
+
+// etEntries counts sw's Egress Table (flow, path) keys.
+func etEntries(p *Program, sw topology.NodeID) int {
+	if p.states[sw].et == nil {
+		return 0
+	}
+	return len(p.states[sw].et.perPath)
 }

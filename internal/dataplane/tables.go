@@ -65,14 +65,12 @@ func (c *epochCounter) lastEpochCount(e uint32) uint32 {
 // allocation-free.
 type IngressTable struct {
 	entries []itEntry
-	flows   int
 }
 
 type itEntry struct {
 	counter        epochCounter
 	lastTelemEpoch uint32
 	haveTelem      bool
-	present        bool
 }
 
 // NewIngressTable returns an IT with one preallocated slot per possible
@@ -86,10 +84,6 @@ func NewIngressTable(edges int) *IngressTable {
 // previous epoch's packet count to embed. sink is the edge ordinal.
 func (it *IngressTable) Record(sink int32, epoch uint32, size int32) (mark bool, lastEpochCount uint32) {
 	e := &it.entries[sink]
-	if !e.present {
-		e.present = true
-		it.flows++
-	}
 	e.counter.add(epoch, size)
 	lastEpochCount = e.counter.lastEpochCount(epoch)
 	if !e.haveTelem || e.lastTelemEpoch != epoch {
@@ -99,9 +93,6 @@ func (it *IngressTable) Record(sink int32, epoch uint32, size int32) (mark bool,
 	}
 	return false, lastEpochCount
 }
-
-// Flows returns the number of tracked flows (state accounting).
-func (it *IngressTable) Flows() int { return it.flows }
 
 // EgressTable (ET) is the sink-switch state: per-(FlowID, PathID) and
 // per-FlowID epoch counters (§4.2.2). FlowID is simplified to the source
@@ -162,9 +153,6 @@ func (et *EgressTable) PathLastEpoch(src int32, path pathid.ID, epoch uint32) (u
 	}
 	return n, b
 }
-
-// Entries returns the number of (flow, path) keys (state accounting).
-func (et *EgressTable) Entries() int { return len(et.perPath) }
 
 // RTRecord is one Ring Table entry: the self-contained telemetry sample
 // the control plane collects on demand for diagnosis (§4.2.2, §4.4).

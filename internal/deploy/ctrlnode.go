@@ -85,7 +85,7 @@ func NewControllerNode(cap *Capture, conn *net.UDPConn, switchAddrs map[topology
 		})
 	})
 
-	cfg := ScaledControllerConfig(cap.Scenario)
+	cfg := scaledControllerConfig(cap.Scenario)
 	n.ctrl = controlplane.New(cfg, n.loop, cap.Sys.FT.Topology, n.tr)
 
 	// RCA consults the thresholds the simulator had derived at the matched

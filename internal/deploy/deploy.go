@@ -287,11 +287,11 @@ func GroupSwitches(ft *topology.FatTree, n int) [][]topology.NodeID {
 	return groups
 }
 
-// ScaledControllerConfig compresses the controller's wall-time knobs by
+// scaledControllerConfig compresses the controller's wall-time knobs by
 // the scenario's Scale so the protocol's shape (how many refresh rounds
 // and response windows fit in the run) is preserved under time
 // compression.
-func ScaledControllerConfig(sc Scenario) controlplane.Config {
+func scaledControllerConfig(sc Scenario) controlplane.Config {
 	cfg := controlplane.DefaultConfig()
 	cfg.Seed = sc.Seed
 	scale := func(t netsim.Time) netsim.Time {

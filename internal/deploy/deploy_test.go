@@ -14,6 +14,7 @@ import (
 	"mars/internal/ctrlchan"
 	"mars/internal/dataplane"
 	"mars/internal/netsim"
+	"mars/internal/stream"
 	"mars/internal/topology"
 )
 
@@ -190,6 +191,24 @@ func TestLoopbackReproducesSimTop1(t *testing.T) {
 	}
 }
 
+// TestLoopbackFeedsTheStreamService runs mars-node -stream's path in
+// process: the controller node hands every collected record to a
+// streaming diagnosis service, which must close windows and merge
+// culprits from them once the run settles.
+func TestLoopbackFeedsTheStreamService(t *testing.T) {
+	c := defaultCapture(t)
+	ctrl, _ := launchInProcessWith(t, c, -1, func(n *ControllerNode) {
+		n.Stream = stream.New(stream.DefaultConfig(c.Scenario.Seed), c.Sys.FT.PodPartition(), c.Sys.Paths)
+	})
+	if !WaitSettled(ctrl) {
+		t.Error("the run ended on the backstop, not on the settle rule")
+	}
+	windows, culprits := ctrl.FinishStream()
+	if windows == 0 || culprits == 0 {
+		t.Fatalf("the stream service closed %d windows and merged %d culprits, want at least one of each", windows, culprits)
+	}
+}
+
 // sentLog is a Transport that keeps what is sent through it.
 type sentLog []ctrlchan.Message
 
@@ -311,7 +330,7 @@ func TestLoopbackWithAnAbsentSwitchGroup(t *testing.T) {
 	// once the last one is a response window overdue and the last
 	// collection has spent its retries on the absent sinks (~50 ms); the
 	// rest is scheduling slack.
-	overdue := time.Duration(float64(c.Notes[len(c.Notes)-1].At)*c.Scenario.Scale) + time.Duration(ScaledControllerConfig(c.Scenario).ResponseWindow)
+	overdue := time.Duration(float64(c.Notes[len(c.Notes)-1].At)*c.Scenario.Scale) + time.Duration(scaledControllerConfig(c.Scenario).ResponseWindow)
 	if took, bound := time.Since(start), overdue+500*time.Millisecond; took > bound { //mars:wallclock the run must end on schedule
 		t.Errorf("run took %v, want within %v", took, bound)
 	}
@@ -403,7 +422,7 @@ func TestLoopbackRetriesByKind(t *testing.T) {
 	c := defaultCapture(t)
 	var k *retryKinds
 	ctrl, _ := launchInProcessWith(t, c, -1, func(n *ControllerNode) {
-		cfg := ScaledControllerConfig(c.Scenario)
+		cfg := scaledControllerConfig(c.Scenario)
 		k = &retryKinds{tr: n.tr, clock: n.loop, timeout: cfg.RequestTimeout, retries: map[ctrlchan.Kind]int64{}}
 		on := n.ctrl.OnDiagnosis
 		n.ctrl = controlplane.New(cfg, k, c.Sys.FT.Topology, k)

@@ -90,16 +90,6 @@ func ctrlChanMode(retry bool) string {
 	return "no-retry"
 }
 
-// Row returns the sweep point for (loss, retry), or nil.
-func (r *CtrlChanResult) Row(loss float64, retry bool) *CtrlChanRow {
-	for i := range r.Rows {
-		if r.Rows[i].Loss == loss && r.Rows[i].Retry == retry {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}
-
 // Render formats the degradation curves.
 func (r *CtrlChanResult) Render() string {
 	var b strings.Builder

@@ -103,16 +103,6 @@ func RunOverheadWith(cfg harness.Config, trials int, baseSeed int64) *OverheadRe
 	return res
 }
 
-// Row returns the sweep row for a codec, or nil.
-func (r *OverheadResult) Row(codec string) *OverheadRow {
-	for i := range r.Rows {
-		if r.Rows[i].Codec == codec {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}
-
 // Render formats the cost–accuracy frontier.
 func (r *OverheadResult) Render() string {
 	var b strings.Builder

@@ -337,7 +337,7 @@ func (in *Injector) plan(kind Kind, start, dur netsim.Time, rng *rand.Rand, ep *
 
 	case CtrlChanDegrade:
 		// A randomly drawn loss rate in the 10-30% band the ctrlchan
-		// experiment sweeps; use InjectCtrlChanLoss for an exact rate.
+		// experiment sweeps.
 		return in.planCtrlLoss(start, dur, 0.1+rng.Float64()*0.2, ep, causedBy)
 
 	case SilentDrop:
@@ -528,15 +528,9 @@ func (in *Injector) planUplinkDegrade(start, dur netsim.Time, rng *rand.Rand, ep
 	return rootIdx
 }
 
-// InjectCtrlChanLoss degrades the control channel to the given symmetric
-// loss probability over [start, start+dur]. The data plane is untouched:
-// only the monitoring system's own messaging suffers.
-func (in *Injector) InjectCtrlChanLoss(start, dur netsim.Time, loss float64) GroundTruth {
-	ep := &Episode{}
-	idx := in.planCtrlLoss(start, dur, loss, ep, -1)
-	return ep.Faults[idx].GT
-}
-
+// planCtrlLoss degrades the control channel to the given symmetric loss
+// probability over [start, start+dur]. The data plane is untouched: only
+// the monitoring system's own messaging suffers.
 func (in *Injector) planCtrlLoss(start, dur netsim.Time, loss float64, ep *Episode, causedBy int) int {
 	if in.Chan == nil {
 		panic("faults: CtrlChanDegrade requires an attached ctrlchan.Channel")

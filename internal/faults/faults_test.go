@@ -193,7 +193,8 @@ func TestCtrlChanDegradeSetsAndRevertsLoss(t *testing.T) {
 	inj, sim, _ := setup(t, 6)
 	ch := ctrlchan.New(sim, ctrlchan.Config{Seed: 6})
 	inj.Chan = ch
-	gt := inj.InjectCtrlChanLoss(100*netsim.Millisecond, netsim.Second, 0.25)
+	ep := &Episode{}
+	gt := ep.Faults[inj.planCtrlLoss(100*netsim.Millisecond, netsim.Second, 0.25, ep, -1)].GT
 	if gt.Kind != CtrlChanDegrade || gt.CtrlLoss != 0.25 || gt.Switch != -1 {
 		t.Fatalf("ground truth = %+v", gt)
 	}

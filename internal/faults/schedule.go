@@ -45,15 +45,6 @@ type Episode struct {
 	Faults []Fault
 }
 
-// GroundTruths lists every fault in the episode, roots and consequences.
-func (e *Episode) GroundTruths() []GroundTruth {
-	out := make([]GroundTruth, len(e.Faults))
-	for i, f := range e.Faults {
-		out[i] = f.GT
-	}
-	return out
-}
-
 // Roots lists only the root faults (those not caused by another fault).
 // Scoring targets roots: blaming a consequence is exactly the mistake
 // compound-cause disambiguation exists to avoid.
@@ -89,12 +80,6 @@ type Handle struct {
 func (in *Injector) newHandle(kind Kind, apply, revert func()) *Handle {
 	return &Handle{kind: kind, apply: apply, revert: revert}
 }
-
-// Applied reports whether the injection's apply has run.
-func (h *Handle) Applied() bool { return h.applied }
-
-// Reverted reports whether the injection has been reverted.
-func (h *Handle) Reverted() bool { return h.reverted }
 
 // active reports whether the fault is currently in force. Scheduled
 // mid-window actions (flap toggles, the end-of-window revert) check it so

@@ -19,7 +19,7 @@ import "mars/internal/det"
 //
 // Two read paths:
 //
-//   - Patterns(p) mines the indexed multiset itself — exactly what a batch
+//   - patterns(p) mines the indexed multiset itself — exactly what a batch
 //     miner would return over the same dataset (the equivalence tests pin
 //     this against PrefixSpan and the naive oracle);
 //   - Miner() adapts the index to the Miner seam: Mine(db, p) counts each
@@ -109,10 +109,10 @@ func (x *Incremental) Remove(seq Sequence) {
 	})
 }
 
-// Patterns mines the indexed multiset: all contiguous patterns meeting
+// patterns mines the indexed multiset: all contiguous patterns meeting
 // p's support floor over the Len() indexed sequences, in the canonical
 // order (support desc, length asc, lexicographic).
-func (x *Incremental) Patterns(p Params) []Pattern {
+func (x *Incremental) patterns(p Params) []Pattern {
 	minSup := p.minSupport(x.size)
 	maxLen := p.maxLen()
 	var out []Pattern

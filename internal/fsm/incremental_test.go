@@ -43,8 +43,8 @@ func TestIncrementalMatchesBatchMiners(t *testing.T) {
 		}
 		p := Params{MinRelSupport: 0.3, MaxLen: 2}
 		want := NaiveMiner{}.Mine(db, p)
-		if got := inc.Patterns(p); !patternsEqual(got, want) {
-			t.Fatalf("trial %d: Patterns() = %v, want %v", trial, got, want)
+		if got := inc.patterns(p); !patternsEqual(got, want) {
+			t.Fatalf("trial %d: patterns() = %v, want %v", trial, got, want)
 		}
 		if got := NewPrefixSpan().Mine(db, p); !patternsEqual(got, want) {
 			t.Fatalf("trial %d: oracle disagreement prefixspan %v vs naive %v", trial, got, want)
@@ -77,7 +77,7 @@ func TestIncrementalSlideMatchesRemine(t *testing.T) {
 			t.Fatalf("step %d: Len()=%d, want %d", i, inc.Len(), len(live))
 		}
 		want := NaiveMiner{}.Mine(live, p)
-		if got := inc.Patterns(p); !patternsEqual(got, want) {
+		if got := inc.patterns(p); !patternsEqual(got, want) {
 			t.Fatalf("step %d: incremental %v != remine %v", i, got, want)
 		}
 	}
@@ -99,7 +99,7 @@ func TestIncrementalDrainsToEmpty(t *testing.T) {
 	if inc.Len() != 0 {
 		t.Fatalf("Len()=%d after full drain", inc.Len())
 	}
-	if got := inc.Patterns(Params{}); len(got) != 0 {
+	if got := inc.patterns(Params{}); len(got) != 0 {
 		t.Fatalf("drained index still mines %v", got)
 	}
 	if len(inc.counts) != 0 {

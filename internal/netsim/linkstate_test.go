@@ -126,7 +126,7 @@ func TestSetSwitchDownDropsAtIngress(t *testing.T) {
 	// Down the first edge switch: its hosts lose all connectivity.
 	edge := ft.EdgeIDs[0]
 	sim.SetSwitchDown(edge, true)
-	if !sim.SwitchDown(edge) {
+	if !sim.switches[edge].down {
 		t.Fatal("switch not marked down")
 	}
 	var under []topology.NodeID

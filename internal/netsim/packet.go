@@ -49,7 +49,7 @@ type DropReason uint8
 const (
 	// DropQueueFull is a tail drop at a full egress queue.
 	DropQueueFull DropReason = iota
-	// DropFault is an injected loss (link failure, blackhole, random loss).
+	// DropFault is an injected loss (link failure, random loss).
 	DropFault
 	// DropNoRoute means the routing function returned no egress port.
 	DropNoRoute

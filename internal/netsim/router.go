@@ -214,27 +214,6 @@ func (r *ECMPRouter) RestoreWeights(sw topology.NodeID, saved map[topology.NodeI
 	r.weights[sw] = saved
 }
 
-// NextHops returns the equal-cost next-hop switches from sw toward dst
-// host, in ascending ID order (empty if sw is the destination edge switch).
-func (r *ECMPRouter) NextHops(sw topology.NodeID, dst topology.NodeID) []topology.NodeID {
-	if int(dst) >= len(r.hostEdge) {
-		return nil
-	}
-	edge := r.hostEdge[dst]
-	if edge < 0 || sw == edge {
-		return nil
-	}
-	cands := r.candidates(sw, edge)
-	if len(cands) == 0 {
-		return nil
-	}
-	hops := make([]topology.NodeID, len(cands))
-	for i, c := range cands {
-		hops[i] = c.sw
-	}
-	return hops
-}
-
 // Route implements Router. It runs per packet per hop and performs no
 // allocation: candidate sets and host ports are precomputed.
 func (r *ECMPRouter) Route(sw topology.NodeID, pkt *Packet) (topology.PortID, bool) {

@@ -113,11 +113,10 @@ type portRuntime struct {
 	peerPort topology.PortID
 	link     topology.LinkID
 
-	busy      bool
-	blackhole bool  // drop everything
-	down      bool  // attached link is administratively/physically down
-	peerHost  bool  // peer is a host: serialize at the host-link rate, deliver on arrival
-	dir       uint8 // Stats.LinkDirBytes index of this port's transmit direction
+	busy     bool
+	down     bool  // attached link is administratively/physically down
+	peerHost bool  // peer is a host: serialize at the host-link rate, deliver on arrival
+	dir      uint8 // Stats.LinkDirBytes index of this port's transmit direction
 }
 
 // qlen is the number of packets waiting in the queue (excluding any
@@ -516,10 +515,6 @@ func (s *Simulator) processAtSwitch(sw topology.NodeID, inPort topology.PortID, 
 		s.drop(sw, outPort, pkt, DropByProgram)
 		return
 	}
-	if pr.blackhole {
-		s.drop(sw, outPort, pkt, DropFault)
-		return
-	}
 	if pr.down {
 		s.drop(sw, outPort, pkt, DropLinkDown)
 		return
@@ -639,11 +634,6 @@ func (s *Simulator) SetPortDropProb(sw topology.NodeID, port topology.PortID, p 
 	s.switches[sw].ports[port].dropProb = p
 }
 
-// SetPortBlackhole drops all packets on an egress port when on.
-func (s *Simulator) SetPortBlackhole(sw topology.NodeID, port topology.PortID, on bool) {
-	s.switches[sw].ports[port].blackhole = on
-}
-
 // SetPortRateLimit caps departures on a port at pps packets per second
 // (0 removes the cap). This models the process-rate-decrease fault.
 func (s *Simulator) SetPortRateLimit(sw topology.NodeID, port topology.PortID, pps float64) {
@@ -710,9 +700,4 @@ func (s *Simulator) LinkUp(link topology.LinkID) bool {
 // how a real reboot wipes P4 register arrays.
 func (s *Simulator) SetSwitchDown(sw topology.NodeID, down bool) {
 	s.switches[sw].down = down
-}
-
-// SwitchDown reports whether sw is currently rebooting.
-func (s *Simulator) SwitchDown(sw topology.NodeID) bool {
-	return s.switches[sw].down
 }

@@ -141,7 +141,7 @@ func TestBlackholeDropsAll(t *testing.T) {
 	r := NewECMPRouter(topo, 1)
 	s := New(topo, r, nil, DefaultConfig(), 42)
 	p, _ := topo.PortTo(0, 1)
-	s.SetPortBlackhole(0, p, true)
+	s.SetPortDropProb(0, p, 1) // a blackhole
 	for i := 0; i < 10; i++ {
 		s.Send(Time(i)*Millisecond, h0, h1, FlowKey(i), 800)
 	}
@@ -275,7 +275,7 @@ func TestECMPWeightSkew(t *testing.T) {
 	r := NewECMPRouter(ft.Topology, 3)
 	// Skew edge switch 0's uplinks 1:9 toward its second aggregation.
 	e0 := ft.EdgeIDs[0]
-	hops := r.NextHops(e0, ft.HostIDs[8])
+	hops := nextHops(r, e0, ft.HostIDs[8])
 	if len(hops) != 2 {
 		t.Fatalf("uplink next hops = %d, want 2", len(hops))
 	}

@@ -165,14 +165,9 @@ func Step(cfg Config, cur ID, sw topology.NodeID, in, out uint16, control uint8)
 	return h & cfg.mask()
 }
 
-// HopPorts returns, for each switch of path, the (ingress, egress) port
-// numbers used in the PathID hash chain: real inter-switch port indices in
-// the middle, HostPort sentinels at the ends.
-func HopPorts(topo *topology.Topology, path topology.Path) ([][2]uint16, error) {
-	return appendHopPorts(make([][2]uint16, 0, len(path)), topo, path)
-}
-
-// appendHopPorts is HopPorts appending to ports.
+// appendHopPorts appends, for each switch of path, the (ingress, egress)
+// port numbers used in the PathID hash chain: real inter-switch port
+// indices in the middle, HostPort sentinels at the ends.
 func appendHopPorts(ports [][2]uint16, topo *topology.Topology, path topology.Path) ([][2]uint16, error) {
 	n := len(ports)
 	ports = slices.Grow(ports, len(path))[:n+len(path)]
@@ -204,16 +199,6 @@ func fillHopPorts(ports [][2]uint16, topo *topology.Topology, path topology.Path
 	}
 	ports[len(path)-1][1] = HostPort
 	return nil
-}
-
-// MATEntry is one collision-breaking rule installed at a switch: when a
-// packet with matching current PathID crosses (in → out), use Control in
-// the hash instead of zero.
-type MATEntry struct {
-	Switch  topology.NodeID
-	Cur     ID
-	In, Out uint16
-	Control uint8
 }
 
 // MATEntryBytes is the paper's per-entry memory estimate for MARS
@@ -662,17 +647,6 @@ func (t *Table) MATEntryCount() int {
 // MemoryBytes returns the total switch memory spent on PathID MAT entries
 // under the paper's 10 B/entry estimate.
 func (t *Table) MemoryBytes() int { return t.MATEntryCount() * MATEntryBytes }
-
-// EntriesPerSwitch breaks down entry placement for resource reporting.
-func (t *Table) EntriesPerSwitch() map[topology.NodeID]int {
-	per := make(map[topology.NodeID]int)
-	for sw, m := range t.mat {
-		if len(m) > 0 {
-			per[topology.NodeID(sw)] = len(m)
-		}
-	}
-	return per
-}
 
 // IntSightMATEntries returns the number of MAT entries IntSight's encoding
 // needs for the same path set: one per hop of every path (§5.5:

@@ -117,7 +117,7 @@ func TestHopPorts(t *testing.T) {
 	ft := k4(t)
 	paths := ft.AllShortestPaths(ft.EdgeIDs[0], ft.EdgeIDs[1])
 	p := paths[0]
-	ports, err := HopPorts(ft.Topology, p)
+	ports, err := appendHopPorts(nil, ft.Topology, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestHopPorts(t *testing.T) {
 func TestHopPortsRejectsNonAdjacent(t *testing.T) {
 	ft := k4(t)
 	bad := topology.Path{ft.EdgeIDs[0], ft.EdgeIDs[7]}
-	if _, err := HopPorts(ft.Topology, bad); err == nil {
+	if _, err := appendHopPorts(nil, ft.Topology, bad); err == nil {
 		t.Error("expected error for non-adjacent path")
 	}
 }
@@ -243,7 +243,7 @@ func TestDataPlaneChainMatchesControlPlane(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range paths {
-		ports, err := HopPorts(ft.Topology, p)
+		ports, err := appendHopPorts(nil, ft.Topology, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,13 +330,23 @@ func TestHeaderBytes(t *testing.T) {
 	}
 }
 
+// matEntry is one collision-breaking rule installed at a switch: when a
+// packet with matching current PathID crosses (in → out), use Control in
+// the hash instead of zero.
+type matEntry struct {
+	Switch  topology.NodeID
+	Cur     ID
+	In, Out uint16
+	Control uint8
+}
+
 // matEntries lists a table's MAT entries as a set.
-func matEntries(tbl *Table) map[MATEntry]bool {
-	set := map[MATEntry]bool{}
+func matEntries(tbl *Table) map[matEntry]bool {
+	set := map[matEntry]bool{}
 	for sw, m := range tbl.mat {
 		//mars:mapiter-ok the entries go into a set
 		for k, c := range m {
-			set[MATEntry{Switch: topology.NodeID(sw), Cur: ID(k >> 32), In: uint16(k >> 16), Out: uint16(k), Control: c}] = true
+			set[matEntry{Switch: topology.NodeID(sw), Cur: ID(k >> 32), In: uint16(k >> 16), Out: uint16(k), Control: c}] = true
 		}
 	}
 	return set
@@ -365,7 +375,7 @@ func TestControlForMatchesEntries(t *testing.T) {
 		}
 		// control maps each installed hop, Control left zero, to its value;
 		// any other hop must read 0.
-		control := map[MATEntry]uint8{}
+		control := map[matEntry]uint8{}
 		//mars:mapiter-ok the entries go into a map
 		for e := range entries {
 			c := e.Control
@@ -374,7 +384,7 @@ func TestControlForMatchesEntries(t *testing.T) {
 		}
 		//mars:mapiter-ok each hop is checked on its own
 		for e := range control {
-			for _, hop := range []MATEntry{
+			for _, hop := range []matEntry{
 				e,
 				{Switch: e.Switch, Cur: e.Cur + 1, In: e.In, Out: e.Out},
 				{Switch: e.Switch, Cur: e.Cur - 1, In: e.In, Out: e.Out},
@@ -387,21 +397,6 @@ func TestControlForMatchesEntries(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestEntriesPerSwitchSumsToTotal(t *testing.T) {
-	ft := k4(t)
-	tbl, err := BuildTable(Config{Alg: CRC16, Width: 8}, ft.Topology, ft.AllEdgePairPaths())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := 0
-	for _, n := range tbl.EntriesPerSwitch() {
-		sum += n
-	}
-	if sum != tbl.MATEntryCount() {
-		t.Errorf("per-switch sum %d != total %d", sum, tbl.MATEntryCount())
 	}
 }
 
@@ -574,7 +569,7 @@ func TestBuildOrderMatchesStringKeyOrder(t *testing.T) {
 func decodesToItself(t *testing.T, tbl *Table, topo *topology.Topology, paths []topology.Path) (stale []topology.Path) {
 	t.Helper()
 	for _, p := range paths {
-		ports, err := HopPorts(topo, p)
+		ports, err := appendHopPorts(nil, topo, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -625,15 +620,10 @@ func TestPropertyEveryChainDecodesToItself(t *testing.T) {
 func tableDigest(tbl *Table, paths []topology.Path) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "entries %d\n", tbl.MATEntryCount())
-	per := tbl.EntriesPerSwitch()
-	sws := make([]topology.NodeID, 0, len(per))
-	//mars:mapiter-ok the collected keys are sorted immediately below
-	for sw := range per {
-		sws = append(sws, sw)
-	}
-	slices.Sort(sws)
-	for _, sw := range sws {
-		fmt.Fprintf(h, "switch %d %d\n", sw, per[sw])
+	for sw, m := range tbl.mat {
+		if len(m) > 0 {
+			fmt.Fprintf(h, "switch %d %d\n", sw, len(m))
+		}
 	}
 	for _, p := range paths {
 		id, ok := tbl.FinalID(p)
@@ -782,7 +772,7 @@ func TestFinalIDRejectsUnknownPaths(t *testing.T) {
 	}
 	decodes := 0
 	for _, p := range out {
-		ports, _ := HopPorts(ft.Topology, p)
+		ports, _ := appendHopPorts(nil, ft.Topology, p)
 		cur := ID(0)
 		for i, sw := range p {
 			cur = Step(tbl.Cfg, cur, sw, ports[i][0], ports[i][1], tbl.ControlFor(sw, cur, ports[i][0], ports[i][1]))

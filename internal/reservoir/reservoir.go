@@ -245,18 +245,6 @@ func (r *Reservoir) Threshold() float64 {
 	return r.threshold
 }
 
-// Median returns the current sample median (0 until MinSamples reached).
-func (r *Reservoir) Median() float64 {
-	r.refresh()
-	return r.median
-}
-
-// Stddev returns the current sample standard deviation.
-func (r *Reservoir) Stddev() float64 {
-	r.refresh()
-	return r.sigma()
-}
-
 // Input feeds one latency observation (Algorithm 1) and reports whether it
 // was classified as an outlier against the threshold in force *before*
 // this sample was considered for insertion.

@@ -32,6 +32,11 @@ func TestDefaultThresholdBeforeFill(t *testing.T) {
 	}
 }
 
+// median and stddev read the sample median (0 until MinSamples is
+// reached) and the population standard deviation.
+func median(r *Reservoir) float64 { r.refresh(); return r.median }
+func stddev(r *Reservoir) float64 { r.refresh(); return r.sigma() }
+
 func TestMedianAndStddev(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MinSamples = 1
@@ -39,11 +44,11 @@ func TestMedianAndStddev(t *testing.T) {
 	for _, v := range []float64{1, 2, 3, 4, 5} {
 		r.Input(v)
 	}
-	if m := r.Median(); m != 3 {
+	if m := median(r); m != 3 {
 		t.Errorf("median = %v, want 3", m)
 	}
 	want := math.Sqrt(2) // population stddev of 1..5
-	if s := r.Stddev(); math.Abs(s-want) > 1e-12 {
+	if s := stddev(r); math.Abs(s-want) > 1e-12 {
 		t.Errorf("stddev = %v, want %v", s, want)
 	}
 	// Even count median.
@@ -51,7 +56,7 @@ func TestMedianAndStddev(t *testing.T) {
 	for _, v := range []float64{1, 2, 3, 4} {
 		r2.Input(v)
 	}
-	if m := r2.Median(); m != 2.5 {
+	if m := median(r2); m != 2.5 {
 		t.Errorf("even median = %v, want 2.5", m)
 	}
 }
@@ -181,7 +186,7 @@ func TestPropertyInvariants(t *testing.T) {
 			if r.Len() > cfg.Volume {
 				return false
 			}
-			if r.Len() >= cfg.MinSamples && r.Threshold() < r.Median() {
+			if r.Len() >= cfg.MinSamples && r.Threshold() < median(r) {
 				return false
 			}
 		}
@@ -273,15 +278,15 @@ func TestRefreshScratchReuseStable(t *testing.T) {
 	}
 	r := fill()
 	t1 := r.Threshold()
-	m1 := r.Median()
+	m1 := median(r)
 	// Force many dirty/refresh cycles over the same data shape.
 	for i := 0; i < 50; i++ {
 		r.Input(10 + float64(i%200))
 	}
 	r2 := fill()
-	if r2.Threshold() != t1 || r2.Median() != m1 {
+	if r2.Threshold() != t1 || median(r2) != m1 {
 		t.Fatalf("recomputed stats differ: thr %v vs %v, med %v vs %v",
-			r2.Threshold(), t1, r2.Median(), m1)
+			r2.Threshold(), t1, median(r2), m1)
 	}
 }
 

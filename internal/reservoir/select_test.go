@@ -117,11 +117,11 @@ func TestSelectedStatsEqualSortedStats(t *testing.T) {
 					r.Input(v) // below Volume every sample is retained, in order
 				}
 				med, sd, thr := sortedStats(cfg, data)
-				if math.Float64bits(r.Median()) != math.Float64bits(med) ||
-					math.Float64bits(r.Stddev()) != math.Float64bits(sd) ||
+				if math.Float64bits(median(r)) != math.Float64bits(med) ||
+					math.Float64bits(stddev(r)) != math.Float64bits(sd) ||
 					math.Float64bits(r.Threshold()) != math.Float64bits(thr) {
 					t.Fatalf("%s n=%d scale=%v: median/stddev/threshold %v/%v/%v, sorted reference %v/%v/%v",
-						sh.name, n, scale, r.Median(), r.Stddev(), r.Threshold(), med, sd, thr)
+						sh.name, n, scale, median(r), stddev(r), r.Threshold(), med, sd, thr)
 				}
 			}
 			sets++
@@ -134,7 +134,7 @@ func TestSelectedStatsEqualSortedStats(t *testing.T) {
 // is that sample in ascending order. θ is read first, as Input reads it.
 func checkSortedStats(t *testing.T, cfg Config, r *Reservoir, step int) {
 	t.Helper()
-	thr, med, sd := r.Threshold(), r.Median(), r.Stddev()
+	thr, med, sd := r.Threshold(), median(r), stddev(r)
 	wmed, wsd, wthr := sortedStats(cfg, r.data)
 	if math.Float64bits(med) != math.Float64bits(wmed) ||
 		math.Float64bits(sd) != math.Float64bits(wsd) ||

@@ -372,10 +372,6 @@ func (s *Service) updateGauges() {
 	s.lag.Set(lag)
 }
 
-// FlowBytes returns one unit's current flow-state byte accounting (test
-// hook for the budget bound).
-func (s *Service) FlowBytes(unit int) int { return s.units[unit].flowBytes }
-
 // ingestKind classifies one record's sampling outcome.
 type ingestKind uint8
 

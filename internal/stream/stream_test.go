@@ -145,7 +145,7 @@ func TestStreamBudgetBound(t *testing.T) {
 	for e := uint32(0); e < 6; e++ {
 		for _, p := range paths {
 			s.Ingest(f.rec(t, p, e, netsim.Millisecond, 0))
-			if got := s.FlowBytes(unit); got > cfg.BudgetBytes {
+			if got := s.units[unit].flowBytes; got > cfg.BudgetBytes {
 				t.Fatalf("epoch %d: flow bytes %d exceed budget %d", e, got, cfg.BudgetBytes)
 			}
 		}
@@ -177,7 +177,7 @@ func TestStreamBudgetBelowOneFlow(t *testing.T) {
 		for e := uint32(0); e < 6; e++ {
 			for _, p := range paths {
 				s.Ingest(f.rec(t, p, e, netsim.Millisecond, 0))
-				if got := s.FlowBytes(unit); got != flowCost {
+				if got := s.units[unit].flowBytes; got != flowCost {
 					t.Fatalf("budget %d, epoch %d: flow bytes %d, want one flow's %d", budget, e, got, flowCost)
 				}
 			}

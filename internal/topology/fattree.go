@@ -68,49 +68,6 @@ func NewFatTree(k int) (*FatTree, error) {
 	return ft, nil
 }
 
-// FatTreeDims are the closed-form counts of a K-ary fat-tree. The scale
-// tier's k=16/k=32 constructors are validated against these instead of
-// path enumeration: AllEdgePairPaths is O(K^6)-ish and already enumerates
-// ~67M paths at k=32, while every count below follows from the arity alone.
-type FatTreeDims struct {
-	K int
-	// Per-tier switch counts.
-	Core, Agg, Edge int
-	// Switches = Core + Agg + Edge; Hosts = K^3/4.
-	Switches, Hosts int
-	// Links by tier boundary: core-agg, agg-edge, edge-host.
-	CoreAggLinks, AggEdgeLinks, HostLinks, Links int
-	// ECMP shortest-path counts between two distinct edge switches:
-	// K/2 paths within a pod (one per aggregation switch), (K/2)^2 across
-	// pods (one per core switch).
-	SamePodPaths, CrossPodPaths int
-}
-
-// Dims returns the closed-form dimension table for arity k.
-func Dims(k int) FatTreeDims {
-	half := k / 2
-	d := FatTreeDims{
-		K:    k,
-		Core: half * half,
-		Agg:  k * half,
-		Edge: k * half,
-		// Each agg connects to K/2 cores; each edge to K/2 aggs; each edge
-		// hosts K/2 end hosts.
-		CoreAggLinks:  k * half * half,
-		AggEdgeLinks:  k * half * half,
-		HostLinks:     k * half * half,
-		SamePodPaths:  half,
-		CrossPodPaths: half * half,
-	}
-	d.Switches = d.Core + d.Agg + d.Edge
-	d.Hosts = d.HostLinks
-	d.Links = d.CoreAggLinks + d.AggEdgeLinks + d.HostLinks
-	return d
-}
-
-// Dims returns the tree's closed-form dimension table.
-func (ft *FatTree) Dims() FatTreeDims { return Dims(ft.K) }
-
 // PodOf returns the pod index of an aggregation or edge switch, or -1 for
 // core switches and hosts.
 func (ft *FatTree) PodOf(id NodeID) int {
@@ -126,17 +83,4 @@ func (ft *FatTree) PodOf(id NodeID) int {
 		}
 	}
 	return -1
-}
-
-// CountEdgePairPaths returns the number of distinct shortest paths between
-// ordered pairs of edge switches, broken down by hop count. For K=4 the
-// paper reports 8 one-hop... the published breakdown counts unordered
-// pairs with directionality folded; this helper reports ordered-pair
-// counts so tests can pin the combinatorics exactly.
-func (ft *FatTree) CountEdgePairPaths() map[int]int {
-	counts := make(map[int]int)
-	for _, p := range ft.AllEdgePairPaths() {
-		counts[len(p)]++
-	}
-	return counts
 }

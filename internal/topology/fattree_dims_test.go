@@ -2,41 +2,39 @@ package topology
 
 import "testing"
 
-// TestFatTreeDimsClosedForm validates the k=16 and k=32 scale
-// constructors (and the small arities the rest of the suite leans on)
-// against the closed-form dimension table: per-tier switch counts, link
-// counts per tier boundary, host counts, and the ECMP shortest-path
-// combinatorics between edge switches. Path counts are checked by BFS on
-// sampled pairs rather than AllEdgePairPaths, which enumerates tens of
-// millions of paths at k=32.
+// TestFatTreeDimsClosedForm validates the fat-tree constructor at k=4 to
+// k=32 against the closed-form counts of a K-ary fat tree: (K/2)^2 core,
+// K·K/2 aggregation and K·K/2 edge switches (5K^2/4 in all), K^3/4 hosts,
+// and K^3/4 links at each tier boundary (core-agg, agg-edge, edge-host).
+// The ECMP shortest paths between edge switches are K/2 inside a pod (one
+// per aggregation switch) and (K/2)^2 across pods (one per core switch).
+// Path counts are checked by BFS on sampled pairs rather than
+// AllEdgePairPaths, which enumerates tens of millions of paths at k=32.
 func TestFatTreeDimsClosedForm(t *testing.T) {
 	for _, k := range []int{4, 8, 16, 32} {
 		ft, err := NewFatTree(k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := ft.Dims()
 		half := k / 2
-		if d.Core != half*half || d.Agg != k*half || d.Edge != k*half {
-			t.Fatalf("k=%d: closed-form tier counts wrong: %+v", k, d)
+		tierLinks := k * half * half // = K^3/4
+		if got := len(ft.CoreIDs); got != half*half {
+			t.Errorf("k=%d: %d core switches, want %d", k, got, half*half)
 		}
-		if got := len(ft.CoreIDs); got != d.Core {
-			t.Errorf("k=%d: %d core switches, want %d", k, got, d.Core)
+		if got := len(ft.AggIDs); got != k*half {
+			t.Errorf("k=%d: %d aggregation switches, want %d", k, got, k*half)
 		}
-		if got := len(ft.AggIDs); got != d.Agg {
-			t.Errorf("k=%d: %d aggregation switches, want %d", k, got, d.Agg)
+		if got := len(ft.EdgeIDs); got != k*half {
+			t.Errorf("k=%d: %d edge switches, want %d", k, got, k*half)
 		}
-		if got := len(ft.EdgeIDs); got != d.Edge {
-			t.Errorf("k=%d: %d edge switches, want %d", k, got, d.Edge)
+		if got := ft.NumSwitches(); got != 5*k*k/4 {
+			t.Errorf("k=%d: %d switches, want %d (=5K^2/4)", k, got, 5*k*k/4)
 		}
-		if got := ft.NumSwitches(); got != d.Switches || d.Switches != 5*k*k/4 {
-			t.Errorf("k=%d: %d switches, want %d (=5K^2/4)", k, got, d.Switches)
+		if got := ft.NumHosts(); got != tierLinks {
+			t.Errorf("k=%d: %d hosts, want %d (=K^3/4)", k, got, tierLinks)
 		}
-		if got := ft.NumHosts(); got != d.Hosts || d.Hosts != k*k*k/4 {
-			t.Errorf("k=%d: %d hosts, want %d (=K^3/4)", k, got, d.Hosts)
-		}
-		if got := len(ft.Links); got != d.Links || d.Links != 3*k*k*k/4 {
-			t.Errorf("k=%d: %d links, want %d (=3K^3/4)", k, got, d.Links)
+		if got := len(ft.Links); got != 3*tierLinks {
+			t.Errorf("k=%d: %d links, want %d (=3K^3/4)", k, got, 3*tierLinks)
 		}
 		var coreAgg, aggEdge, host int
 		for _, l := range ft.Links {
@@ -50,17 +48,13 @@ func TestFatTreeDimsClosedForm(t *testing.T) {
 				aggEdge++
 			}
 		}
-		if coreAgg != d.CoreAggLinks || aggEdge != d.AggEdgeLinks || host != d.HostLinks {
-			t.Errorf("k=%d: link tiers (%d,%d,%d), want (%d,%d,%d)",
-				k, coreAgg, aggEdge, host, d.CoreAggLinks, d.AggEdgeLinks, d.HostLinks)
+		if coreAgg != tierLinks || aggEdge != tierLinks || host != tierLinks {
+			t.Errorf("k=%d: link tiers (%d,%d,%d), want %d each", k, coreAgg, aggEdge, host, tierLinks)
 		}
 
-		// ECMP path combinatorics on sampled edge pairs: K/2 two-hop paths
-		// inside a pod (one per aggregation switch), (K/2)^2 four-hop paths
-		// across pods (one per core switch).
 		samePod := ft.AllShortestPaths(ft.EdgeIDs[0], ft.EdgeIDs[1])
-		if len(samePod) != d.SamePodPaths {
-			t.Errorf("k=%d: %d same-pod paths, want %d", k, len(samePod), d.SamePodPaths)
+		if len(samePod) != half {
+			t.Errorf("k=%d: %d same-pod paths, want %d", k, len(samePod), half)
 		}
 		for _, p := range samePod {
 			if len(p) != 3 {
@@ -68,8 +62,8 @@ func TestFatTreeDimsClosedForm(t *testing.T) {
 			}
 		}
 		crossPod := ft.AllShortestPaths(ft.EdgeIDs[0], ft.EdgeIDs[len(ft.EdgeIDs)-1])
-		if len(crossPod) != d.CrossPodPaths {
-			t.Errorf("k=%d: %d cross-pod paths, want %d", k, len(crossPod), d.CrossPodPaths)
+		if len(crossPod) != half*half {
+			t.Errorf("k=%d: %d cross-pod paths, want %d", k, len(crossPod), half*half)
 		}
 		for _, p := range crossPod {
 			if len(p) != 5 {

@@ -86,9 +86,6 @@ type Node struct {
 	Ports []Port
 }
 
-// Degree returns the number of attached links.
-func (n *Node) Degree() int { return len(n.Ports) }
-
 // Port describes one end of a link from the owning node's perspective.
 type Port struct {
 	// Peer is the node on the other end of the link.
@@ -108,14 +105,6 @@ type Link struct {
 	A, B  NodeID
 	APort PortID
 	BPort PortID
-}
-
-// Other returns the endpoint of the link opposite to from.
-func (l Link) Other(from NodeID) NodeID {
-	if from == l.A {
-		return l.B
-	}
-	return l.A
 }
 
 // Topology is an immutable network graph.

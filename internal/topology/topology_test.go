@@ -22,8 +22,8 @@ func TestBuilderWiring(t *testing.T) {
 	if topo.NumSwitches() != 2 || topo.NumHosts() != 1 {
 		t.Fatalf("got %d switches %d hosts", topo.NumSwitches(), topo.NumHosts())
 	}
-	if got := topo.Links[l0].Other(s0); got != s1 {
-		t.Errorf("Other(s0) = %d, want %d", got, s1)
+	if l := topo.Links[l0]; l.A != s0 || l.B != s1 {
+		t.Errorf("link %d joins %d-%d, want %d-%d", l0, l.A, l.B, s0, s1)
 	}
 	if p, ok := topo.PortTo(s0, s1); !ok || p != 0 {
 		t.Errorf("PortTo(s0,s1) = %d,%v", p, ok)
@@ -104,12 +104,12 @@ func TestFatTreePortCounts(t *testing.T) {
 	}
 	// In a K-ary fat-tree every switch has exactly K ports.
 	for _, id := range ft.Switches() {
-		if d := ft.Node(id).Degree(); d != 4 {
+		if d := len(ft.Node(id).Ports); d != 4 {
 			t.Errorf("switch %d degree = %d, want 4", id, d)
 		}
 	}
 	for _, id := range ft.Hosts() {
-		if d := ft.Node(id).Degree(); d != 1 {
+		if d := len(ft.Node(id).Ports); d != 1 {
 			t.Errorf("host %d degree = %d, want 1", id, d)
 		}
 	}
@@ -361,7 +361,11 @@ func TestAllEdgePairPathsK4Count(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := ft.CountEdgePairPaths()
+	// Shortest paths between ordered pairs of edge switches, by hop count.
+	counts := make(map[int]int)
+	for _, p := range ft.AllEdgePairPaths() {
+		counts[len(p)]++
+	}
 	// Ordered pairs: 8 edge switches. Same-pod ordered pairs: 8 (4 pods x 2
 	// ordered pairs), each with 2 three-switch paths = 16. Cross-pod ordered
 	// pairs: 8*7-8 = 48, each with 4 five-switch paths = 192.
