@@ -36,10 +36,10 @@ func TestListOutput(t *testing.T) {
 		t.Errorf("-list output diverges from AnalyzerList()")
 	}
 	lines := strings.Split(strings.TrimRight(text, "\n"), "\n")
-	if len(lines) != 6 {
-		t.Errorf("-list printed %d analyzers, want 6:\n%s", len(lines), text)
+	if len(lines) != 7 {
+		t.Errorf("-list printed %d analyzers, want 7:\n%s", len(lines), text)
 	}
-	for _, want := range []string{"detflow", "allocfree", "exhaustcase", "suppress with //mars:partial"} {
+	for _, want := range []string{"detflow", "allocfree", "exhaustcase", "testonly", "suppress with //mars:partial", "suppress with //mars:test-seam"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("-list output missing %q", want)
 		}

@@ -44,7 +44,6 @@ var Allocfree = &Analyzer{
 // NopHooks's empty methods). Corpora mark roots with //mars:root.
 var allocfreeRoots = []string{
 	"mars/internal/netsim.Simulator.Run",
-	"mars/internal/netsim.Simulator.RunAll",
 	"mars/internal/dataplane.Program.OnForward",
 	"mars/internal/dataplane.Program.OnDrop",
 	"mars/internal/dataplane.Program.OnDeliver",

@@ -116,12 +116,8 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 // Suppressed reports whether pos's line or the line directly above carries
 // the named //mars: directive.
 func (p *ModulePass) Suppressed(pos token.Pos, directive string) bool {
-	if p.ignore {
-		return false
-	}
-	position := p.Fset.Position(pos)
-	pkg := p.byFile[position.Filename]
-	return pkg != nil && pkg.hasDirective(position.Filename, position.Line, directive)
+	_, ok := p.DirectiveNear(pos, directive)
+	return ok
 }
 
 // DirectiveNear returns the named directive on pos's line or the line
@@ -129,25 +125,13 @@ func (p *ModulePass) Suppressed(pos token.Pos, directive string) bool {
 // validate suppression contents (allocfree's guard citations) use this
 // instead of the boolean Suppressed.
 func (p *ModulePass) DirectiveNear(pos token.Pos, name string) (reason string, ok bool) {
-	if p.ignore {
-		return "", false
-	}
 	position := p.Fset.Position(pos)
 	pkg := p.byFile[position.Filename]
-	if pkg == nil {
+	if p.ignore || pkg == nil {
 		return "", false
 	}
-	byLine := pkg.directives[position.Filename]
-	if byLine == nil {
-		return "", false
-	}
-	for _, l := range [2]int{position.Line, position.Line - 1} {
-		for _, d := range byLine[l] {
-			if d.name == name {
-				d.used = true
-				return d.reason, true
-			}
-		}
+	if d := pkg.directiveAt(position.Filename, position.Line, name); d != nil {
+		return d.reason, true
 	}
 	return "", false
 }
@@ -156,7 +140,7 @@ func (p *ModulePass) DirectiveNear(pos token.Pos, name string) (reason string, o
 func All() []*Analyzer {
 	return []*Analyzer{
 		Detrand, Mapiter, Seedflow,
-		Detflow, Allocfree, Exhaustcase,
+		Detflow, Allocfree, Exhaustcase, Testonly,
 	}
 }
 

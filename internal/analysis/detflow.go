@@ -37,7 +37,6 @@ var Detflow = &Analyzer{
 // Golden corpora mark their roots with //mars:root instead.
 var detflowRoots = []string{
 	"mars/internal/netsim.Simulator.Run",
-	"mars/internal/netsim.Simulator.RunAll",
 	"mars/internal/harness.Run",
 	"mars/internal/rca.Analyzer.Analyze",
 }
@@ -128,7 +127,7 @@ func moduleRoots(p *ModulePass, g *CallGraph, qnames []string) []*CGNode {
 			continue
 		}
 		pos := p.Fset.Position(n.Decl.Pos())
-		if pkg := p.byFile[pos.Filename]; pkg != nil && pkg.hasDirective(pos.Filename, pos.Line, "root") {
+		if pkg := p.byFile[pos.Filename]; pkg != nil && pkg.directiveAt(pos.Filename, pos.Line, "root") != nil {
 			out = append(out, n)
 		}
 	}

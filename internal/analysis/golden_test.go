@@ -105,6 +105,7 @@ func TestSeedflowGolden(t *testing.T)    { runGolden(t, Seedflow) }
 func TestDetflowGolden(t *testing.T)     { runGolden(t, Detflow) }
 func TestAllocfreeGolden(t *testing.T)   { runGolden(t, Allocfree) }
 func TestExhaustcaseGolden(t *testing.T) { runGolden(t, Exhaustcase) }
+func TestTestonlyGolden(t *testing.T)    { runGolden(t, Testonly) }
 
 // loadRepo loads the repository's own module once for every test that
 // analyzes the real tree.
@@ -153,6 +154,7 @@ func TestSuppressionsLoadBearing(t *testing.T) {
 		{"allocfree", "dataplane/program.go", "escaping composite literal"},
 		{"exhaustcase", "experiments/gray.go", "switch on Kind misses"},
 		{"mapiter", "analysis/analysis.go", "depends on iteration order"},
+		{"testonly", "netsim/sim.go", "(*mars/internal/netsim.Simulator).RunAll is exported but only tests call it"},
 	}
 	for _, w := range wants {
 		found := false

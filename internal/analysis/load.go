@@ -39,20 +39,19 @@ type directive struct {
 	used   bool
 }
 
-// hasDirective reports whether file:line (or the line directly above)
-// carries the named directive, marking any match as used. Checking the
-// preceding line lets a standalone comment annotate the statement below.
-func (p *Package) hasDirective(file string, line int, name string) bool {
-	byLine := p.directives[file]
-	if byLine == nil {
-		return false
-	}
-	found := false
+// directiveAt returns the named directive on file:line, or else on the
+// line directly above, marking every match used; nil when there is none.
+// Checking the preceding line lets a standalone comment annotate the
+// statement below.
+func (p *Package) directiveAt(file string, line int, name string) *directive {
+	var found *directive
 	for _, l := range [2]int{line, line - 1} {
-		for _, d := range byLine[l] {
+		for _, d := range p.directives[file][l] {
 			if d.name == name {
 				d.used = true
-				found = true
+				if found == nil {
+					found = d
+				}
 			}
 		}
 	}

@@ -295,6 +295,11 @@ type Controller struct {
 	refreshPending map[topology.NodeID]bool
 	flows          map[dataplane.FlowID]*flowPush
 	pushes         map[topology.NodeID]*switchPush
+	// Scratch reused by every refresh response: the flows it updated and
+	// the switches owed a push. pushThresholds copies entries by value.
+	refreshSeen    map[dataplane.FlowID]bool
+	refreshUpdated []ctrlchan.Threshold
+	pushDue        []topology.NodeID
 
 	// suppressed retains the newest notification that arrived inside the
 	// response window, so a diagnosis fires when the window reopens
@@ -324,6 +329,7 @@ func New(cfg Config, clock Clock, topo *topology.Topology, tr ctrlchan.Transport
 		refreshPending: make(map[topology.NodeID]bool),
 		flows:          make(map[dataplane.FlowID]*flowPush),
 		pushes:         make(map[topology.NodeID]*switchPush),
+		refreshSeen:    make(map[dataplane.FlowID]bool),
 	}
 	for _, h := range topo.Hosts() {
 		if sw, ok := topo.EdgeSwitchOf(h); ok {
@@ -533,8 +539,8 @@ func (c *Controller) onRefreshResponse(m ctrlchan.Message) {
 
 	last := c.lastSeen[req.sw]
 	newest := last
-	var updated []ctrlchan.Threshold
-	seen := make(map[dataplane.FlowID]bool)
+	updated := c.refreshUpdated[:0]
+	clear(c.refreshSeen)
 	for _, r := range m.Records {
 		if r.Arrival <= last {
 			continue // straggler overlap with an already-consumed pull
@@ -543,8 +549,8 @@ func (c *Controller) onRefreshResponse(m ctrlchan.Message) {
 			newest = r.Arrival
 		}
 		c.ReservoirFor(r.Flow).Input(float64(r.Latency))
-		if !seen[r.Flow] {
-			seen[r.Flow] = true
+		if !c.refreshSeen[r.Flow] {
+			c.refreshSeen[r.Flow] = true
 			updated = append(updated, ctrlchan.Threshold{Flow: r.Flow})
 		}
 	}
@@ -552,6 +558,7 @@ func (c *Controller) onRefreshResponse(m ctrlchan.Message) {
 	for i := range updated {
 		updated[i].Value = c.ThresholdOf(updated[i].Flow)
 	}
+	c.refreshUpdated = updated
 	c.pushThresholds(updated)
 }
 
@@ -564,7 +571,7 @@ func (c *Controller) onRefreshResponse(m ctrlchan.Message) {
 // the ack. A value that did not move costs no bytes, except at a switch
 // that never acknowledged it (its push spent the retry budget).
 func (c *Controller) pushThresholds(wanted []ctrlchan.Threshold) {
-	var due []topology.NodeID
+	c.pushDue = c.pushDue[:0]
 	for _, e := range wanted {
 		fp := c.flows[e.Flow]
 		moved := fp == nil || fp.want != e.Value
@@ -588,11 +595,11 @@ func (c *Controller) pushThresholds(wanted []ctrlchan.Threshold) {
 			case i < 0:
 				continue // unchanged and acknowledged
 			}
-			due = append(due, sw)
+			c.pushDue = append(c.pushDue, sw)
 		}
 	}
-	slices.Sort(due)
-	for _, sw := range slices.Compact(due) {
+	slices.Sort(c.pushDue)
+	for _, sw := range slices.Compact(c.pushDue) {
 		c.issue(request{kind: reqPush, sw: sw})
 	}
 }

@@ -56,8 +56,7 @@ func TestRefreshFeedsReservoirsAndPushesThresholds(t *testing.T) {
 	srcEdge, _ := e.ft.EdgeSwitchOf(src)
 	sink, _ := e.ft.EdgeSwitchOf(dst)
 	flow := dataplane.FlowID{Src: srcEdge, Sink: sink}
-	r := e.ctrl.ReservoirFor(flow)
-	if r.Len() == 0 {
+	if e.ctrl.reservoirs[flow] == nil {
 		t.Fatal("reservoir never fed")
 	}
 	th := e.ctrl.ThresholdOf(flow)

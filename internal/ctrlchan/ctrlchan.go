@@ -178,32 +178,11 @@ func Lossy(loss float64, seed int64) Config {
 	return Config{ToController: dir, ToSwitch: dir, Seed: seed}
 }
 
-// DirStats counts one direction's traffic.
-type DirStats struct {
-	// Sent counts submission attempts (including ones later lost).
-	Sent int64
-	// SentBytes sums the wire size of every submission.
-	SentBytes int64
-	// Lost counts messages dropped by the fault model.
-	Lost int64
-	// Duplicated counts extra deliveries minted by duplication.
-	Duplicated int64
-	// Delivered counts deliveries handed to the receiving endpoint.
-	Delivered int64
-}
-
-// Stats aggregates both directions.
-type Stats struct {
-	ToController DirStats
-	ToSwitch     DirStats
-}
-
 // Channel is the fault-injectable message layer. All methods must be
 // called from inside the simulator's event loop (the whole system is
 // single-threaded discrete-event code).
 type Channel struct {
-	Cfg   Config
-	Stats Stats
+	Cfg Config
 
 	sim *netsim.Simulator
 	rng *rand.Rand
@@ -215,26 +194,24 @@ func New(sim *netsim.Simulator, cfg Config) *Channel {
 	return &Channel{Cfg: cfg, sim: sim, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
-// dir returns the fault model and stats slot of a direction.
-func (ch *Channel) dir(d Direction) (*DirConfig, *DirStats) {
+// dir returns the fault model of a direction.
+func (ch *Channel) dir(d Direction) *DirConfig {
 	if d == ToController {
-		return &ch.Cfg.ToController, &ch.Stats.ToController
+		return &ch.Cfg.ToController
 	}
-	return &ch.Cfg.ToSwitch, &ch.Stats.ToSwitch
+	return &ch.Cfg.ToSwitch
 }
 
 // SetLoss adjusts one direction's loss probability at runtime (the
 // control-channel degradation fault injector's knob).
 func (ch *Channel) SetLoss(d Direction, p float64) {
-	cfg, _ := ch.dir(d)
-	cfg.Loss = p
+	ch.dir(d).Loss = p
 }
 
 // Loss returns one direction's current loss probability (the value a
 // revert must restore when degradation windows overlap).
 func (ch *Channel) Loss(d Direction) float64 {
-	cfg, _ := ch.dir(d)
-	return cfg.Loss
+	return ch.dir(d).Loss
 }
 
 // Send submits a message in direction d; deliver runs when (and if) the
@@ -243,27 +220,22 @@ func (ch *Channel) Loss(d Direction) float64 {
 // drawn delay, may happen twice (duplication), may never happen (loss),
 // and later Sends can overtake earlier ones (jitter/reorder).
 func (ch *Channel) Send(d Direction, m Message, deliver func(Message)) {
-	cfg, st := ch.dir(d)
-	st.Sent++
-	st.SentBytes += m.Wire
+	cfg := ch.dir(d)
 	if cfg.perfect() {
-		st.Delivered++
 		deliver(m)
 		return
 	}
 	if cfg.Loss > 0 && ch.rng.Float64() < cfg.Loss {
-		st.Lost++
 		return
 	}
-	ch.scheduleDelivery(cfg, st, m, deliver)
+	ch.scheduleDelivery(cfg, m, deliver)
 	if cfg.DupProb > 0 && ch.rng.Float64() < cfg.DupProb {
-		st.Duplicated++
-		ch.scheduleDelivery(cfg, st, m, deliver)
+		ch.scheduleDelivery(cfg, m, deliver)
 	}
 }
 
 // scheduleDelivery queues one delivery with an independent delay draw.
-func (ch *Channel) scheduleDelivery(cfg *DirConfig, st *DirStats, m Message, deliver func(Message)) {
+func (ch *Channel) scheduleDelivery(cfg *DirConfig, m Message, deliver func(Message)) {
 	delay := cfg.Latency
 	if cfg.Jitter > 0 {
 		delay += netsim.Time(ch.rng.Int63n(int64(cfg.Jitter)))
@@ -271,8 +243,5 @@ func (ch *Channel) scheduleDelivery(cfg *DirConfig, st *DirStats, m Message, del
 	if cfg.ReorderProb > 0 && ch.rng.Float64() < cfg.ReorderProb {
 		delay += 3 * cfg.Jitter
 	}
-	ch.sim.After(delay, func() {
-		st.Delivered++
-		deliver(m)
-	})
+	ch.sim.After(delay, func() { deliver(m) })
 }

@@ -23,9 +23,9 @@ func newSim(t *testing.T, seed int64) *netsim.Simulator {
 func TestPerfectChannelDeliversSynchronously(t *testing.T) {
 	sim := newSim(t, 1)
 	ch := New(sim, Config{Seed: 1})
-	delivered := false
+	delivered := 0
 	ch.Send(ToController, Message{Kind: KindNotification, Wire: 24}, func(m Message) {
-		delivered = true
+		delivered++
 		if m.Wire != 24 {
 			t.Errorf("wire = %d", m.Wire)
 		}
@@ -33,12 +33,12 @@ func TestPerfectChannelDeliversSynchronously(t *testing.T) {
 	// The zero config is perfect: delivery happens inline, before Send
 	// returns, with no event-heap involvement — and therefore no change to
 	// any seeded experiment's event stream.
-	if !delivered {
-		t.Fatal("perfect channel did not deliver before Send returned")
+	if delivered != 1 {
+		t.Fatalf("perfect channel delivered %d times before Send returned, want 1", delivered)
 	}
-	st := ch.Stats.ToController
-	if st.Sent != 1 || st.Delivered != 1 || st.SentBytes != 24 || st.Lost != 0 {
-		t.Errorf("stats = %+v", st)
+	sim.RunAll()
+	if delivered != 1 {
+		t.Errorf("perfect channel delivered %d times, want 1", delivered)
 	}
 }
 
@@ -52,10 +52,6 @@ func TestFullLossDropsEverything(t *testing.T) {
 	sim.Run(netsim.Second)
 	if n != 0 {
 		t.Errorf("%d messages survived loss=1", n)
-	}
-	st := ch.Stats.ToSwitch
-	if st.Sent != 10 || st.Lost != 10 || st.Delivered != 0 {
-		t.Errorf("stats = %+v", st)
 	}
 	// SetLoss back to zero makes the direction perfect again.
 	ch.SetLoss(ToSwitch, 0)
@@ -77,10 +73,6 @@ func TestDuplicationDeliversTwice(t *testing.T) {
 	sim.Run(netsim.Second)
 	if n != 2 {
 		t.Errorf("deliveries = %d, want 2 (dup prob 1)", n)
-	}
-	st := ch.Stats.ToController
-	if st.Sent != 1 || st.Duplicated != 1 || st.Delivered != 2 {
-		t.Errorf("stats = %+v", st)
 	}
 }
 
@@ -112,7 +104,7 @@ func TestJitterReordersBackToBackSends(t *testing.T) {
 }
 
 func TestLossyChannelIsDeterministic(t *testing.T) {
-	run := func() (Stats, []uint64) {
+	run := func() []uint64 {
 		sim := newSim(t, 7)
 		ch := New(sim, Lossy(0.3, 99))
 		var order []uint64
@@ -128,13 +120,9 @@ func TestLossyChannelIsDeterministic(t *testing.T) {
 			})
 		}
 		sim.Run(netsim.Second)
-		return ch.Stats, order
+		return order
 	}
-	s1, o1 := run()
-	s2, o2 := run()
-	if s1 != s2 {
-		t.Errorf("same seed, different stats:\n%+v\n%+v", s1, s2)
-	}
+	o1, o2 := run(), run()
 	if len(o1) != len(o2) {
 		t.Fatalf("same seed, different delivery counts: %d vs %d", len(o1), len(o2))
 	}
@@ -143,7 +131,11 @@ func TestLossyChannelIsDeterministic(t *testing.T) {
 			t.Fatalf("same seed, different delivery order at %d: %d vs %d", i, o1[i], o2[i])
 		}
 	}
-	if s1.ToController.Lost == 0 && s1.ToSwitch.Lost == 0 {
+	seen := make(map[uint64]bool)
+	for _, seq := range o1 {
+		seen[seq] = true
+	}
+	if len(seen) == 200 {
 		t.Error("200 sends at 30% loss lost nothing; fault model inert")
 	}
 }

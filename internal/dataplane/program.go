@@ -216,6 +216,8 @@ func (p *Program) resetTables(st *switchState) {
 }
 
 // Resident reports whether sw's state lives in this program instance.
+//
+//mars:test-seam experiments.TestShardedFabricProgramShardPairing checks which hook owner holds a switch's state; goes with NewResident's resident argument (ROADMAP item 4)
 func (p *Program) Resident(sw topology.NodeID) bool {
 	return int(sw) < len(p.states) && p.states[sw].thresholds != nil
 }

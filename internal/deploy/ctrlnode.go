@@ -177,13 +177,6 @@ func (n *ControllerNode) Result(wallSeconds float64) *LoopbackResult {
 	return res
 }
 
-// Diagnoses returns the collected diagnoses so far.
-func (n *ControllerNode) Diagnoses() []controlplane.Diagnosis {
-	var out []controlplane.Diagnosis
-	n.loop.Run(func() { out = append(out, n.diagnoses...) })
-	return out
-}
-
 // FinishStream seals the attached streaming service's tail windows and
 // reports (closed windows, merged culprits). No-op (0, 0) when no
 // service is attached.

@@ -90,13 +90,20 @@ func launchInProcessWith(t *testing.T, c *Capture, absent int, rewire func(*Cont
 	return ctrl, nodes
 }
 
+// diagnosesOf returns the node's diagnoses so far, read on its loop.
+func diagnosesOf(n *ControllerNode) []controlplane.Diagnosis {
+	var out []controlplane.Diagnosis
+	n.loop.Run(func() { out = append(out, n.diagnoses...) })
+	return out
+}
+
 // assertNoLateDiagnosis waits out the fixed 300 ms drain the settle rule
 // replaced and fails if a diagnosis finalized in it. It returns the count.
 func assertNoLateDiagnosis(t *testing.T, ctrl *ControllerNode) int {
 	t.Helper()
-	settled := len(ctrl.Diagnoses())
+	settled := len(diagnosesOf(ctrl))
 	time.Sleep(300 * time.Millisecond) //mars:wallclock the drain the settle rule replaced
-	if late := len(ctrl.Diagnoses()) - settled; late != 0 {
+	if late := len(diagnosesOf(ctrl)) - settled; late != 0 {
 		t.Errorf("%d diagnoses finalized in the 300 ms after the run settled with %d", late, settled)
 	}
 	return settled
@@ -158,7 +165,7 @@ func TestLoopbackReproducesSimTop1(t *testing.T) {
 		t.Fatalf("deployment top-1 = %s, want %s", Top1Key(got[0]), want)
 	}
 
-	if ds := ctrl.Diagnoses(); len(ds) == 0 {
+	if ds := diagnosesOf(ctrl); len(ds) == 0 {
 		t.Fatal("no diagnoses collected")
 	} else {
 		for _, d := range ds {
@@ -334,7 +341,7 @@ func TestLoopbackWithAnAbsentSwitchGroup(t *testing.T) {
 	if took, bound := time.Since(start), overdue+500*time.Millisecond; took > bound { //mars:wallclock the run must end on schedule
 		t.Errorf("run took %v, want within %v", took, bound)
 	}
-	diags := ctrl.Diagnoses()
+	diags := diagnosesOf(ctrl)
 	if len(diags) == 0 {
 		t.Fatal("no diagnosis finalized")
 	}
@@ -443,7 +450,7 @@ func TestLoopbackRetriesByKind(t *testing.T) {
 	if sum != booked {
 		t.Fatalf("attributed %d retries (%v), the controller booked %d", sum, byKind, booked)
 	}
-	diagnoses := len(ctrl.Diagnoses())
+	diagnoses := len(diagnosesOf(ctrl))
 	if diagnoses == 0 {
 		t.Fatal("no diagnosis finalized")
 	}

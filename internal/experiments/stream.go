@@ -232,13 +232,11 @@ func RunStreamTrial(tc StreamTrialConfig, progress func(now netsim.Time, events 
 		Sent:    stats.Sent, Delivered: stats.Delivered, Dropped: stats.Dropped,
 		RecordsDrained: drained,
 		Events:         sh.Events()[0],
+		MeanLatency:    stats.MeanLatency(),
 		TotalLinkBytes: sumLinkBytes(stats.LinkBytes),
 		PrimaryWindow:  tc.Windows[0],
 		DetectionEpoch: -1,
 		WallSeconds:    wall,
-	}
-	if stats.Delivered > 0 {
-		res.MeanLatency = stats.TotalLatency / netsim.Time(stats.Delivered)
 	}
 	for _, p := range progs {
 		res.TelemetryBytes += p.Stats.TelemetryLinkBytes

@@ -64,9 +64,6 @@ func (p Pattern) String() string {
 	return fmt.Sprintf("%s>:%d", s, p.Support)
 }
 
-// Key returns a map key for the pattern's items.
-func (p Pattern) Key() string { return seqKey(p.Items) }
-
 func seqKey(items []Item) string {
 	b := make([]byte, 0, len(items)*4)
 	for _, it := range items {

@@ -22,7 +22,7 @@ func paperExample() Dataset {
 func patternsToMap(ps []Pattern) map[string]int {
 	m := map[string]int{}
 	for _, p := range ps {
-		m[p.Key()] = p.Support
+		m[seqKey(p.Items)] = p.Support
 	}
 	return m
 }

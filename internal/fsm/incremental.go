@@ -58,9 +58,6 @@ func NewIncremental(maxLen int) *Incremental {
 	}
 }
 
-// Len returns the number of indexed sequences.
-func (x *Incremental) Len() int { return x.size }
-
 // patternsOf visits each distinct contiguous pattern of seq once.
 func (x *Incremental) patternsOf(seq Sequence, visit func(key string, items []Item)) {
 	clear(x.scratch)

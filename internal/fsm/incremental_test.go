@@ -73,8 +73,8 @@ func TestIncrementalSlideMatchesRemine(t *testing.T) {
 			lo = i - window + 1
 		}
 		live := stream[lo : i+1]
-		if inc.Len() != len(live) {
-			t.Fatalf("step %d: Len()=%d, want %d", i, inc.Len(), len(live))
+		if inc.size != len(live) {
+			t.Fatalf("step %d: size=%d, want %d", i, inc.size, len(live))
 		}
 		want := NaiveMiner{}.Mine(live, p)
 		if got := inc.patterns(p); !patternsEqual(got, want) {
@@ -96,8 +96,8 @@ func TestIncrementalDrainsToEmpty(t *testing.T) {
 	for _, s := range seqs {
 		inc.Remove(s)
 	}
-	if inc.Len() != 0 {
-		t.Fatalf("Len()=%d after full drain", inc.Len())
+	if inc.size != 0 {
+		t.Fatalf("size=%d after full drain", inc.size)
 	}
 	if got := inc.patterns(Params{}); len(got) != 0 {
 		t.Fatalf("drained index still mines %v", got)

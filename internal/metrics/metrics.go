@@ -114,9 +114,6 @@ func (l *Localization) MeanExamScore() float64 {
 	return sum / float64(len(l.Results))
 }
 
-// Trials returns the number of recorded trials.
-func (l *Localization) Trials() int { return len(l.Results) }
-
 // Merge appends another aggregate's trials (for the Overall row).
 func (l *Localization) Merge(o *Localization) {
 	l.Results = append(l.Results, o.Results...)
@@ -155,22 +152,6 @@ func (c *CDF) Quantile(q float64) float64 {
 	}
 	return c.sorted[lo]*(1-frac) + c.sorted[lo+1]*frac
 }
-
-// At returns P(X <= x).
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	n := sort.SearchFloat64s(c.sorted, x)
-	// include equal values
-	for n < len(c.sorted) && c.sorted[n] <= x {
-		n++
-	}
-	return float64(n) / float64(len(c.sorted))
-}
-
-// Len returns the sample size.
-func (c *CDF) Len() int { return len(c.sorted) }
 
 // Mean returns the sample mean.
 func (c *CDF) Mean() float64 {

@@ -61,9 +61,6 @@ func (c Counter) Add(n int64) {
 // Inc adds one.
 func (c Counter) Inc() { *c.v++ }
 
-// Value returns the current count.
-func (c Counter) Value() int64 { return *c.v }
-
 // Gauge is a point-in-time value that may move in both directions.
 type Gauge struct{ v *int64 }
 
@@ -73,12 +70,6 @@ func (r *Registry) Gauge(name string) Gauge { return Gauge{r.cell(name)} }
 // Set replaces the gauge value.
 func (g Gauge) Set(v int64) { *g.v = v }
 
-// Add moves the gauge by delta (either sign).
-func (g Gauge) Add(delta int64) { *g.v += delta }
-
-// Value returns the current value.
-func (g Gauge) Value() int64 { return *g.v }
-
 // Get returns the named value and whether it is registered.
 func (r *Registry) Get(name string) (int64, bool) {
 	c, ok := r.vals[name]
@@ -86,13 +77,6 @@ func (r *Registry) Get(name string) (int64, bool) {
 		return 0, false
 	}
 	return *c, true
-}
-
-// Names returns the registered names in sorted order (a copy).
-func (r *Registry) Names() []string {
-	out := make([]string, len(r.names))
-	copy(out, r.names)
-	return out
 }
 
 // Snapshot renders the registry as one line of JSON with keys in sorted

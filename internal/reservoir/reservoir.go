@@ -152,9 +152,6 @@ func (r *Reservoir) Reset() {
 	}
 }
 
-// Len returns the number of retained samples.
-func (r *Reservoir) Len() int { return len(r.data) }
-
 // refresh recomputes median and threshold, and σ only if the threshold
 // needs it.
 func (r *Reservoir) refresh() {

@@ -145,8 +145,8 @@ func TestReservoirCapacityBound(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		r.Input(float64(i))
 	}
-	if r.Len() != 16 {
-		t.Errorf("len = %d, want 16", r.Len())
+	if len(r.data) != 16 {
+		t.Errorf("len = %d, want 16", len(r.data))
 	}
 }
 
@@ -183,10 +183,10 @@ func TestPropertyInvariants(t *testing.T) {
 		r := newTest(cfg, seed)
 		for _, v := range vals {
 			r.Input(math.Abs(v))
-			if r.Len() > cfg.Volume {
+			if len(r.data) > cfg.Volume {
 				return false
 			}
-			if r.Len() >= cfg.MinSamples && r.Threshold() < median(r) {
+			if len(r.data) >= cfg.MinSamples && r.Threshold() < median(r) {
 				return false
 			}
 		}

@@ -340,13 +340,6 @@ outer:
 	return false
 }
 
-// Clone returns a copy of the path.
-func (p Path) Clone() Path {
-	q := make(Path, len(p))
-	copy(q, p)
-	return q
-}
-
 func (p Path) String() string {
 	s := "<"
 	for i, n := range p {

@@ -404,15 +404,13 @@ func TestPathContains(t *testing.T) {
 	}
 }
 
-func TestPathEqualClone(t *testing.T) {
+func TestPathEqual(t *testing.T) {
 	p := Path{1, 2, 3}
-	q := p.Clone()
-	if !p.Equal(q) {
-		t.Fatal("clone not equal")
+	if !p.Equal(Path{1, 2, 3}) {
+		t.Fatal("equal paths compared different")
 	}
-	q[0] = 9
-	if p.Equal(q) {
-		t.Fatal("clone aliases original")
+	if p.Equal(Path{9, 2, 3}) {
+		t.Fatal("different paths compared equal")
 	}
 	if p.Equal(Path{1, 2}) {
 		t.Fatal("different lengths compared equal")
