@@ -81,6 +81,8 @@ var allocGuards = map[string]bool{
 	"TestRefreshNothingNewAllocs":        true,
 	"TestCollectionAllocs":               true,
 	"TestUDPSendAllocs":                  true,
+	"TestUDPReceiveAllocs":               true,
+	"TestLoopAllocs":                     true,
 }
 
 // AllocGuardTests returns the registered guard-test names, sorted.

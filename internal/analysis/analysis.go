@@ -9,12 +9,23 @@
 // mining + SBFL ranking must produce byte-identical culprit lists for a
 // given seed. The analyzers encode the invariants that keep that true:
 //
-//   - detrand:   no ambient wall-clock or global-RNG calls in
+//   - detrand:     no ambient wall-clock or global-RNG calls in
 //     deterministic code (suppress: //mars:wallclock)
-//   - mapiter:   no order-sensitive writes inside `range` over a map
+//   - mapiter:     no order-sensitive writes inside `range` over a map
 //     (suppress: //mars:mapiter-ok)
-//   - seedflow:  rand.NewSource arguments derive from config/seed
+//   - seedflow:    rand.NewSource arguments derive from config/seed
 //     parameters, never literals (suppress: //mars:fixedseed)
+//   - detflow:     no wall-clock, global-RNG, goroutine or map-order
+//     hazard reachable through the call graph from the simulator, harness
+//     and RCA entry points (suppress: //mars:wallclock, //mars:sync,
+//     //mars:mapiter-ok at the sink)
+//   - allocfree:   no allocation site reachable from the packet hot path
+//     (suppress: //mars:alloc <GuardTest>, citing the AllocsPerRun guard
+//     that pins the site)
+//   - exhaustcase: a switch over an enum-like kind set handles every
+//     constant (suppress: //mars:partial)
+//   - testonly:    every exported internal/ func and method has a non-test
+//     caller (declare a seam: //mars:test-seam)
 package analysis
 
 import (

@@ -1,7 +1,6 @@
 package ctrlchan
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"net"
@@ -53,11 +52,15 @@ type UDPTransport struct {
 
 	stats UDPStats
 
-	reasmMu sync.Mutex
-	reasm   map[reasmKey]*partialFrame
-	// reasmHeld is what the incomplete frames are accounted as holding
-	// (partialFrame.held summed), kept at or below maxReasmBytes.
+	// Reassembly state, owned by the read goroutine. reasmHeld is what the
+	// incomplete frames hold (partialFrame.held summed), kept at or below
+	// maxReasmBytes. spare is the last completed or evicted frame, kept
+	// for the next frame to assemble in: at most one, its buffer at most
+	// maxFrameBytes and its fragment bitmap at most 8 KiB, and not counted
+	// in reasmHeld.
+	reasm     map[reasmKey]*partialFrame
 	reasmHeld int
+	spare     *partialFrame
 	sweep     time.Time
 	// now is the reassembly TTL clock: time.Now outside tests —
 	// deployment-mode I/O, never simulation state.
@@ -105,11 +108,11 @@ const (
 	// maxFrameBytes is the largest frame DecodeMessage accepts.
 	maxFrameBytes = FrameHeaderBytes + MaxFramePayload
 	// maxPartialFrames and maxReasmBytes bound what incomplete frames may
-	// hold, fragment tables included (fragSlotBytes per announced fragment;
-	// any datagram can announce 65,535): room for four whole frames at once.
+	// hold, buffers and fragment bitmaps included (any datagram can
+	// announce 65,535 fragments and, through its fragment length, a frame
+	// up to maxFrameBytes long): room for four whole frames at once.
 	maxPartialFrames = 1024
 	maxReasmBytes    = 4 * maxFrameBytes
-	fragSlotBytes    = 24 // one []byte header of partialFrame.frags
 )
 
 type reasmKey struct {
@@ -117,11 +120,17 @@ type reasmKey struct {
 	id   uint32
 }
 
+// partialFrame is one frame being reassembled in place: fragment i lands
+// at i*stride of buf, where stride is the length of every fragment but the
+// last. Until one of those has landed the stride is unknown (0), and a
+// last fragment that came first waits at the head of buf.
 type partialFrame struct {
-	frags [][]byte
-	have  int
-	// held is the frame's share of reasmHeld: its fragment table plus the
-	// payloads received so far.
+	buf []byte
+	// got has one bit per fragment, set once it has landed.
+	got             []uint64
+	count, have     int
+	stride, lastLen int
+	// held is the frame's share of reasmHeld: the capacity of buf and got.
 	held     int
 	deadline time.Time
 }
@@ -229,7 +238,9 @@ func (t *UDPTransport) readLoop() {
 
 // onFragment folds one received datagram into its frame; a completed
 // frame is decoded and delivered. pkt is only borrowed: a whole frame is
-// decoded where it lies, and reassembly copies the fragments it keeps.
+// decoded where it lies, and reassembly copies each fragment into its
+// frame's buffer. DecodeMessage copies out everything a Message holds, so
+// the buffer is free for the next frame once the frame is decoded.
 func (t *UDPTransport) onFragment(pkt []byte, from netip.AddrPort) {
 	if len(pkt) < fragHeaderBytes || binary.BigEndian.Uint16(pkt[0:2]) != fragMagic {
 		t.stats.DecodeErrors.Add(1)
@@ -244,16 +255,18 @@ func (t *UDPTransport) onFragment(pkt []byte, from netip.AddrPort) {
 	}
 	payload := pkt[fragHeaderBytes:]
 
-	var frame []byte
-	if count == 1 {
-		frame = payload
-	} else {
-		frame = t.reassemble(reasmKey{from: from, id: id}, index, count, payload)
-		if frame == nil {
+	frame := payload
+	var p *partialFrame
+	if count > 1 {
+		if p = t.reassemble(reasmKey{from: from, id: id}, index, count, payload); p == nil {
 			return // still waiting for fragments
 		}
+		frame = p.buf
 	}
 	m, _, err := DecodeMessage(frame)
+	if p != nil && t.spare == nil {
+		t.spare = p
+	}
 	if err != nil {
 		t.stats.DecodeErrors.Add(1)
 		return
@@ -262,15 +275,15 @@ func (t *UDPTransport) onFragment(pkt []byte, from netip.AddrPort) {
 	t.deliver(m)
 }
 
-// reassemble buffers one fragment and returns the whole frame when the
-// last piece lands. Incomplete frames are evicted after reasmTTL, and a
-// fragment that would take them past maxPartialFrames or maxReasmBytes, or
-// its own frame past maxFrameBytes, is dropped — a lost fragment, which
-// the retry machinery above already absorbs.
-func (t *UDPTransport) reassemble(k reasmKey, index, count int, payload []byte) []byte {
+// reassemble copies one fragment into its frame's buffer and returns the
+// frame, removed from the table, when the last piece lands. Incomplete
+// frames are evicted after reasmTTL, and a fragment that would take them
+// past maxPartialFrames or maxReasmBytes, or its own frame past
+// maxFrameBytes, is dropped — a lost fragment, which the retry machinery
+// above already absorbs. So is a frame whose fragments disagree on their
+// length: a sender cuts every fragment but the last at one size.
+func (t *UDPTransport) reassemble(k reasmKey, index, count int, payload []byte) *partialFrame {
 	now := t.now()
-	t.reasmMu.Lock()
-	defer t.reasmMu.Unlock()
 	if now.After(t.sweep) {
 		for key, p := range t.reasm {
 			if now.After(p.deadline) {
@@ -280,29 +293,79 @@ func (t *UDPTransport) reassemble(k reasmKey, index, count int, payload []byte) 
 		t.sweep = now.Add(reasmSweep)
 	}
 	p := t.reasm[k]
-	if p != nil && len(p.frags) != count {
+	if p != nil && p.count != count {
 		t.evict(k, p) // the id now announces a different frame
 		p = nil
 	}
-	need := len(payload)
-	switch {
-	case p == nil:
-		need += count * fragSlotBytes
-	case p.frags[index] != nil:
+	if p != nil && p.got[index/64]&(1<<(index%64)) != 0 {
 		return nil // duplicate
-	case p.held-count*fragSlotBytes+need > maxFrameBytes:
-		t.evict(k, p)
+	}
+
+	// Where the fragment lands, and how long its frame's buffer must be.
+	last := index == count-1
+	stride, lastLen := 0, 0
+	if p != nil {
+		stride, lastLen = p.stride, p.lastLen
+	}
+	switch {
+	case len(payload) == 0:
+		stride = -1
+	case !last && stride == 0:
+		stride = len(payload)
+	case !last && stride != len(payload):
+		stride = -1
+	case last:
+		lastLen = len(payload)
+	}
+	if stride < 0 || stride > 0 && lastLen > stride {
+		t.drop(k, p)
 		return nil
 	}
+	size, off := lastLen, 0 // the last fragment waits at the head of buf until a stride is known
+	if stride > 0 {
+		size, off = min(count*stride, maxFrameBytes), index*stride
+		if lastLen > 0 {
+			size = (count-1)*stride + lastLen
+		}
+	}
+	if off+len(payload) > maxFrameBytes || size > maxFrameBytes {
+		t.drop(k, p)
+		return nil
+	}
+
+	// What the frame holds once its buffer has room for size bytes.
+	var held, gotCap, bufCap int
+	switch {
+	case p != nil:
+		gotCap, bufCap = cap(p.got), cap(p.buf)
+		held = p.held
+	case t.spare != nil:
+		gotCap, bufCap = cap(t.spare.got), cap(t.spare.buf)
+	}
+	words := (count + 63) / 64
+	gotCap = max(gotCap, words)
+	bufCap = max(bufCap, size)
+	need := gotCap*8 + bufCap - held
 	if t.reasmHeld+need > maxReasmBytes || p == nil && len(t.reasm) >= maxPartialFrames {
 		t.stats.ReasmDropped.Add(1)
 		return nil
 	}
 	if p == nil {
-		p = &partialFrame{frags: make([][]byte, count), deadline: now.Add(reasmTTL)}
+		p = t.open(count, words)
+		p.deadline = now.Add(reasmTTL)
 		t.reasm[k] = p
 	}
-	p.frags[index] = bytes.Clone(payload) // non-nil, even when empty: it marks the index received
+	if cap(p.buf) < size {
+		p.buf = append(make([]byte, 0, size), p.buf...)
+	}
+	if p.stride == 0 && stride > 0 && p.lastLen > 0 {
+		// The last fragment came first: move it to its place.
+		copy(p.buf[(count-1)*stride:size], p.buf[:p.lastLen])
+	}
+	p.buf = p.buf[:size] // it only shrinks once the last fragment fixes the frame's length
+	copy(p.buf[off:], payload)
+	p.stride, p.lastLen = stride, lastLen
+	p.got[index/64] |= 1 << (index % 64)
 	p.have++
 	p.held += need
 	t.reasmHeld += need
@@ -311,18 +374,46 @@ func (t *UDPTransport) reassemble(k reasmKey, index, count int, payload []byte) 
 	}
 	delete(t.reasm, k)
 	t.reasmHeld -= p.held
-	frame := make([]byte, 0, p.held-count*fragSlotBytes)
-	for _, f := range p.frags {
-		frame = append(frame, f...)
-	}
-	return frame
+	return p
 }
 
-// evict abandons an incomplete frame and releases what it held.
+// open starts a frame of count fragments in the spare buffer, or in a new
+// one when there is no spare.
+func (t *UDPTransport) open(count, words int) *partialFrame {
+	p := t.spare
+	t.spare = nil
+	if p == nil {
+		p = &partialFrame{}
+	}
+	got := p.got[:0]
+	if cap(got) < words {
+		got = make([]uint64, 0, words)
+	}
+	got = got[:words]
+	clear(got)
+	*p = partialFrame{buf: p.buf[:0], got: got, count: count}
+	return p
+}
+
+// drop loses one fragment; an incomplete frame it belongs to, which can
+// then never be whole, is evicted with it.
+func (t *UDPTransport) drop(k reasmKey, p *partialFrame) {
+	if p != nil {
+		t.evict(k, p)
+		return
+	}
+	t.stats.ReasmDropped.Add(1)
+}
+
+// evict abandons an incomplete frame and releases what it held; its
+// buffer becomes the spare if there is none.
 func (t *UDPTransport) evict(k reasmKey, p *partialFrame) {
 	delete(t.reasm, k)
 	t.reasmHeld -= p.held
 	t.stats.ReasmDropped.Add(1)
+	if t.spare == nil {
+		t.spare = p
+	}
 }
 
 var _ Transport = (*UDPTransport)(nil)

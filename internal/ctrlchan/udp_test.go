@@ -282,3 +282,24 @@ func TestReassemblyDropsOversizeFrame(t *testing.T) {
 			len(tr.reasm), tr.reasmHeld, tr.stats.ReasmDropped.Load())
 	}
 }
+
+// TestReassemblyDropsInconsistentFragments: a sender cuts every fragment
+// but the last at one length, and the last no longer, so a fragment that
+// breaks either rule, or carries nothing, evicts its frame at once.
+func TestReassemblyDropsInconsistentFragments(t *testing.T) {
+	clock := time.Unix(1000, 0)
+	tr := reasmTransport(&clock, func(Message) { t.Fatal("delivered a frame nobody sent") })
+	from := netip.MustParseAddrPort("127.0.0.1:6666")
+	for i, frags := range [][][]byte{
+		{fragment(1, 0, 3, make([]byte, 100)), fragment(1, 1, 3, make([]byte, 50))},
+		{fragment(2, 2, 3, make([]byte, 100)), fragment(2, 0, 3, make([]byte, 50))},
+		{fragment(3, 0, 3, nil)},
+	} {
+		for _, f := range frags {
+			tr.onFragment(f, from)
+		}
+		if len(tr.reasm) != 0 || tr.reasmHeld != 0 || tr.stats.ReasmDropped.Load() != int64(i+1) {
+			t.Fatalf("case %d left %d entries holding %d bytes, %d drops; want it dropped", i, len(tr.reasm), tr.reasmHeld, tr.stats.ReasmDropped.Load())
+		}
+	}
+}

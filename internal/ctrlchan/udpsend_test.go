@@ -1,10 +1,13 @@
 package ctrlchan
 
 import (
+	"math/rand"
 	"net"
+	"net/netip"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"mars/internal/dataplane"
 	"mars/internal/netsim"
@@ -95,5 +98,66 @@ func BenchmarkUDPSend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Send(ToSwitch, m, nil)
+	}
+}
+
+// receiver is a transport with no socket that keeps the last Message fed
+// through onFragment, and a collect response of sendRecords records cut
+// into the datagrams Send writes, in a seeded shuffled order that starts
+// with the last fragment (which then waits for the fragment length).
+func receiver() (tr *UDPTransport, got *Message, pkts [][]byte) {
+	got = new(Message)
+	clock := time.Unix(1000, 0)
+	tr = reasmTransport(&clock, func(m Message) { *got = m })
+	pkts = fragmentsOf(1, collectResponse(sendRecords), defaultFragment)
+	last := len(pkts) - 1
+	pkts[0], pkts[last] = pkts[last], pkts[0]
+	rand.New(rand.NewSource(1)).Shuffle(last, func(i, j int) { pkts[i+1], pkts[j+1] = pkts[j+1], pkts[i+1] })
+	return tr, got, pkts
+}
+
+// TestUDPReceiveAllocs: once the transport holds a spare frame buffer,
+// reassembling and decoding a 22-fragment collect response that arrives
+// out of order allocates only the decoded record slice, the one thing the
+// Message keeps; so does a one-fragment frame, decoded where it lies.
+func TestUDPReceiveAllocs(t *testing.T) {
+	tr, got, pkts := receiver()
+	from := netip.MustParseAddrPort("127.0.0.1:7001")
+	if len(pkts) != 22 || pkts[0][7] != 21 || pkts[1][7] == 0 {
+		t.Fatalf("%d fragments, starting with %d and %d; want 22, starting with the last one and then out of order", len(pkts), pkts[0][7], pkts[1][7])
+	}
+	feed := func(pkts [][]byte) {
+		for _, pkt := range pkts {
+			tr.onFragment(pkt, from)
+		}
+	}
+	feed(pkts) // grow the spare
+	if want := collectResponse(sendRecords); !reflect.DeepEqual(*got, want) {
+		t.Fatal("the shuffled fragments did not reassemble to the response")
+	}
+	if avg := testing.AllocsPerRun(20, func() { feed(pkts) }); avg != 1 {
+		t.Errorf("a warm %d-fragment receive allocates %.2f objects, want 1 (the records)", len(pkts), avg)
+	}
+	one := fragmentsOf(2, collectResponse(5), defaultFragment)
+	if avg := testing.AllocsPerRun(20, func() { feed(one) }); len(one) != 1 || avg != 1 {
+		t.Errorf("a one-fragment receive (%d fragments) allocates %.2f objects, want 1 (the records)", len(one), avg)
+	}
+	if tr.stats.FramesReceived.Load() != 1+21+21 || len(tr.reasm) != 0 || tr.reasmHeld != 0 {
+		t.Errorf("received %d frames, %d still held in %d bytes", tr.stats.FramesReceived.Load(), len(tr.reasm), tr.reasmHeld)
+	}
+}
+
+// BenchmarkUDPReceive is the receiving end of BenchmarkUDPSend, without
+// the socket: a full k=4 ring's collect response arrives as 22 shuffled
+// datagrams, assembled in the spare frame buffer and decoded.
+func BenchmarkUDPReceive(b *testing.B) {
+	tr, _, pkts := receiver()
+	from := netip.MustParseAddrPort("127.0.0.1:7001")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, pkt := range pkts {
+			tr.onFragment(pkt, from)
+		}
 	}
 }

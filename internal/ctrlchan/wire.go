@@ -99,24 +99,24 @@ func marshalFrameHeader(h *FrameHeader) [FrameHeaderBytes]byte {
 }
 
 // unmarshalFrameHeader decodes and validates the fixed frame header.
-func unmarshalFrameHeader(b [FrameHeaderBytes]byte) (*FrameHeader, error) {
+func unmarshalFrameHeader(b [FrameHeaderBytes]byte) (FrameHeader, error) {
 	if binary.BigEndian.Uint16(b[0:2]) != FrameMagic {
-		return nil, fmt.Errorf("%w: magic %#04x", ErrBadFrame, binary.BigEndian.Uint16(b[0:2]))
+		return FrameHeader{}, fmt.Errorf("%w: magic %#04x", ErrBadFrame, binary.BigEndian.Uint16(b[0:2]))
 	}
 	if b[2] != FrameVersion {
-		return nil, fmt.Errorf("%w: version %d, want %d", ErrBadFrame, b[2], FrameVersion)
+		return FrameHeader{}, fmt.Errorf("%w: version %d, want %d", ErrBadFrame, b[2], FrameVersion)
 	}
-	h := &FrameHeader{
+	h := FrameHeader{
 		Kind:   Kind(b[3]),
 		Seq:    binary.BigEndian.Uint64(b[4:12]),
 		Switch: topology.NodeID(binary.BigEndian.Uint32(b[12:16])),
 		Len:    binary.BigEndian.Uint32(b[16:20]),
 	}
 	if h.Kind > KindThresholdAck {
-		return nil, fmt.Errorf("%w: kind %d", ErrBadFrame, h.Kind)
+		return FrameHeader{}, fmt.Errorf("%w: kind %d", ErrBadFrame, h.Kind)
 	}
 	if h.Len > MaxFramePayload {
-		return nil, fmt.Errorf("%w: payload %d exceeds %d", ErrBadFrame, h.Len, MaxFramePayload)
+		return FrameHeader{}, fmt.Errorf("%w: payload %d exceeds %d", ErrBadFrame, h.Len, MaxFramePayload)
 	}
 	return h, nil
 }
@@ -364,10 +364,13 @@ func DecodeMessage(b []byte) (Message, int, error) {
 		if len(p) != countBytes+count*ThresholdWireBytes {
 			return Message{}, 0, fmt.Errorf("%w: %v entry count %d disagrees with payload %d bytes", ErrBadFrame, h.Kind, count, len(p))
 		}
-		for i := 0; i < count; i++ {
-			var tb [ThresholdWireBytes]byte
-			copy(tb[:], p[countBytes+i*ThresholdWireBytes:])
-			m.Thresholds = append(m.Thresholds, unmarshalThresholdWire(tb))
+		if count > 0 {
+			m.Thresholds = make([]Threshold, count)
+			for i := 0; i < count; i++ {
+				var tb [ThresholdWireBytes]byte
+				copy(tb[:], p[countBytes+i*ThresholdWireBytes:])
+				m.Thresholds[i] = unmarshalThresholdWire(tb)
+			}
 		}
 	}
 	return m, total, nil

@@ -71,19 +71,17 @@ func NewControllerNode(cap *Capture, conn *net.UDPConn, switchAddrs map[topology
 		Switches: switchAddrs,
 		LossProb: cap.Scenario.LossProb,
 		Seed:     cap.Scenario.Seed + 200,
-	}, func(m ctrlchan.Message) {
-		n.loop.Post(func() {
-			if m.Kind == ctrlchan.KindNotification {
-				if _, ok := n.noteSeen[m.Note]; !ok {
-					n.noteSeen[m.Note] = n.loop.Now()
-				}
+	}, newInbox(n.loop, func(m ctrlchan.Message) {
+		if m.Kind == ctrlchan.KindNotification {
+			if _, ok := n.noteSeen[m.Note]; !ok {
+				n.noteSeen[m.Note] = n.loop.Now()
 			}
-			n.ctrl.Deliver(m)
-			if m.Kind == ctrlchan.KindNotification {
-				n.settle()
-			}
-		})
-	})
+		}
+		n.ctrl.Deliver(m)
+		if m.Kind == ctrlchan.KindNotification {
+			n.settle()
+		}
+	}).deliver)
 
 	cfg := scaledControllerConfig(cap.Scenario)
 	n.ctrl = controlplane.New(cfg, n.loop, cap.Sys.FT.Topology, n.tr)

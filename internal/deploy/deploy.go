@@ -132,6 +132,18 @@ type Capture struct {
 	// Sys is the simulated system the capture ran on (topology, program,
 	// PathID table — everything the real controller and agents rewire).
 	Sys *mars.System
+
+	// sinks is each sink switch's share of Diags, cut once by Build; a
+	// copied Capture shares it.
+	sinks map[topology.NodeID]*sinkCut
+}
+
+// sinkCut is what a sink switch's replayed registers answer from: its
+// cumulative record log (recordLog) and its slice of every captured
+// diagnosis, indexed like Diags (nil where it held no record).
+type sinkCut struct {
+	log   []dataplane.RTRecord
+	snaps [][]dataplane.RTRecord
 }
 
 // Build runs the Scenario's simulation to completion and extracts the
@@ -190,6 +202,18 @@ func Build(sc Scenario) (*Capture, error) {
 	}
 	sys.Run(sc.RunFor)
 	cap.Expected = sys.Culprits()
+	cap.sinks = make(map[topology.NodeID]*sinkCut)
+	for _, sw := range sys.FT.EdgeIDs {
+		log := cap.recordLog(sw)
+		if len(log) == 0 {
+			continue // it held no record in any diagnosis either
+		}
+		cut := &sinkCut{log: log, snaps: make([][]dataplane.RTRecord, len(cap.Diags))}
+		for i := range cap.Diags {
+			cut.snaps[i] = sinkRecords(cap.Diags[i].Records, sw)
+		}
+		cap.sinks[sw] = cut
+	}
 	return cap, nil
 }
 
@@ -262,6 +286,27 @@ func (c *Capture) recordLog(sw topology.NodeID) []dataplane.RTRecord {
 		return log[i].Epoch < log[j].Epoch
 	})
 	return log
+}
+
+// sinkRecords copies the records of recs that sink sw collected, in order,
+// into a slice of exactly their number; nil when there are none.
+func sinkRecords(recs []dataplane.RTRecord, sw topology.NodeID) []dataplane.RTRecord {
+	n := 0
+	for i := range recs {
+		if recs[i].Flow.Sink == sw {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]dataplane.RTRecord, 0, n)
+	for _, rec := range recs {
+		if rec.Flow.Sink == sw {
+			out = append(out, rec)
+		}
+	}
+	return out
 }
 
 // GroupSwitches partitions the fat tree's switches into n process groups:

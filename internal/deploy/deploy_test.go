@@ -237,7 +237,7 @@ func TestOneAgentTwoRegisterSources(t *testing.T) {
 		regs controlplane.Registers
 	}{
 		{"live", controlplane.LiveRegisters{Program: c.Sys.Program}},
-		{"replay", newReplayRegisters(c, []topology.NodeID{sw}, runEnd)},
+		{"replay", &replayRegisters{cap: c, now: runEnd}},
 	} {
 		t.Run(src.name, func(t *testing.T) {
 			all := src.regs.Arrived(sw, -1)

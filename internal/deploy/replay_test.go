@@ -21,7 +21,7 @@ func TestReplayRegistersMatchTheCapture(t *testing.T) {
 	sc := c.Scenario
 	sinks := c.Sys.FT.EdgeIDs
 	var clock netsim.Time
-	r := newReplayRegisters(c, sinks, func() netsim.Time { return clock })
+	r := &replayRegisters{cap: c, now: func() netsim.Time { return clock }}
 
 	filter := func(recs []dataplane.RTRecord, keep func(dataplane.RTRecord) bool) []dataplane.RTRecord {
 		var out []dataplane.RTRecord

@@ -12,66 +12,24 @@ import (
 	"mars/internal/topology"
 )
 
-// replayRegisters is the deployment's controlplane.Registers: the capture,
-// read at a wall clock (now, nanoseconds since the node started) scaled
-// back onto the sim timeline. Everything it answers is a window of storage
-// cut once here, never written again.
+// replayRegisters is the deployment's controlplane.Registers: the capture's
+// per-sink cuts, read at a wall clock (now, nanoseconds since the node
+// started) scaled back onto the sim timeline. Everything it answers is a
+// window of storage Build cut once, never written again.
 type replayRegisters struct {
 	cap *Capture
 	now func() netsim.Time
-	// logs holds each hosted sink's cumulative record history, by arrival.
-	logs map[topology.NodeID][]dataplane.RTRecord
-	// snaps holds each hosted sink's slice of every captured diagnosis,
-	// indexed like cap.Diags (nil where the sink held no record).
-	snaps map[topology.NodeID][][]dataplane.RTRecord
-}
-
-func newReplayRegisters(cap *Capture, switches []topology.NodeID, now func() netsim.Time) *replayRegisters {
-	r := &replayRegisters{cap: cap, now: now,
-		logs:  make(map[topology.NodeID][]dataplane.RTRecord, len(switches)),
-		snaps: make(map[topology.NodeID][][]dataplane.RTRecord, len(switches)),
-	}
-	for _, sw := range switches {
-		r.logs[sw] = cap.recordLog(sw)
-		snaps := make([][]dataplane.RTRecord, len(cap.Diags))
-		for i := range cap.Diags {
-			snaps[i] = sinkRecords(cap.Diags[i].Records, sw)
-		}
-		r.snaps[sw] = snaps
-	}
-	return r
-}
-
-// sinkRecords copies the records of recs that sink sw collected, in order,
-// into a slice of exactly their number; nil when there are none.
-func sinkRecords(recs []dataplane.RTRecord, sw topology.NodeID) []dataplane.RTRecord {
-	n := 0
-	for i := range recs {
-		if recs[i].Flow.Sink == sw {
-			n++
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]dataplane.RTRecord, 0, n)
-	for _, rec := range recs {
-		if rec.Flow.Sink == sw {
-			out = append(out, rec)
-		}
-	}
-	return out
 }
 
 // Snapshot serves a diagnosis pull: the trigger selects the captured
 // diagnosis, and sw's slice of it is stamped with the capture's sim time.
 func (r *replayRegisters) Snapshot(sw topology.NodeID, trigger dataplane.Notification) ([]dataplane.RTRecord, netsim.Time) {
 	i := r.cap.matchDiag(trigger)
-	snaps := r.snaps[sw]
-	if i < 0 || snaps == nil {
+	cut := r.cap.sinks[sw]
+	if i < 0 || cut == nil {
 		return nil, 0
 	}
-	return snaps[i], r.cap.Diags[i].Time
+	return cut.snaps[i], r.cap.Diags[i].Time
 }
 
 // Arrived serves a refresh pull: the records of sw's log past the
@@ -83,7 +41,11 @@ func (r *replayRegisters) Arrived(sw topology.NodeID, after netsim.Time) []datap
 	if simNow > sc.RunFor {
 		simNow = sc.RunFor
 	}
-	log := r.logs[sw]
+	cut := r.cap.sinks[sw]
+	if cut == nil {
+		return nil
+	}
+	log := cut.log
 	lo := sort.Search(len(log), func(i int) bool { return log[i].Arrival > after })
 	hi := sort.Search(len(log), func(i int) bool { return log[i].Arrival > simNow })
 	if lo >= hi {
@@ -131,21 +93,20 @@ func NewSwitchNode(cap *Capture, switches []topology.NodeID, conn *net.UDPConn, 
 	for _, sw := range switches {
 		s.hosted[sw] = true
 	}
-	s.regs = newReplayRegisters(cap, switches, s.loop.Now)
+	s.regs = &replayRegisters{cap: cap, now: s.loop.Now}
+	in := newInbox(s.loop, func(m ctrlchan.Message) {
+		if s.hosted[m.Switch] { // else misrouted: the controller's retries own it
+			if m.Kind == ctrlchan.KindThresholdPush {
+				s.pushes++
+			}
+			s.agent.Deliver(m)
+		}
+	})
 	s.tr = ctrlchan.NewUDP(conn, ctrlchan.UDPConfig{
 		Controller: controller,
 		LossProb:   cap.Scenario.LossProb,
 		Seed:       cap.Scenario.Seed + 100, // distinct stream per role
-	}, func(m ctrlchan.Message) {
-		s.loop.Post(func() {
-			if s.hosted[m.Switch] { // else misrouted: the controller's retries own it
-				if m.Kind == ctrlchan.KindThresholdPush {
-					s.pushes++
-				}
-				s.agent.Deliver(m)
-			}
-		})
-	})
+	}, in.deliver)
 	s.agent = controlplane.NewAgent(s.regs, s.tr, &s.bytes, nil)
 	return s
 }
