@@ -79,6 +79,7 @@ var allocGuards = map[string]bool{
 	"TestAnalyzeWindowSteadyStateAllocs": true,
 	"TestLookupAllocs":                   true,
 	"TestRefreshNothingNewAllocs":        true,
+	"TestRefreshNewRecordsAllocs":        true,
 	"TestCollectionAllocs":               true,
 	"TestUDPSendAllocs":                  true,
 	"TestUDPReceiveAllocs":               true,

@@ -10,32 +10,38 @@ import (
 // Registers is what an Agent reads and writes of its switches' state: the
 // seam between the switch-side half of the protocol and where the registers
 // live (LiveRegisters here, a replayed capture in internal/deploy). The
-// record slices it returns are read-only and go on the channel as they are:
-// each is either an exact-size copy of live registers or a window of
-// storage that never changes.
+// record slices it returns are read-only and borrowed: they hold until its
+// next read, and a response lends them on as they are, so whoever keeps
+// them past the delivery copies them.
 type Registers interface {
 	// Snapshot returns the Ring Table sw hands the collection raised by
 	// trigger, and the moment on the data plane's timeline it is current as
 	// of (zero when the collector's clock is already the data's).
 	Snapshot(sw topology.NodeID, trigger dataplane.Notification) ([]dataplane.RTRecord, netsim.Time)
 	// Arrived returns the records that have reached sw's Ring Table after
-	// the watermark after, oldest-first: what a refresh pull is sent. nil
-	// when nothing is new.
+	// the watermark after, oldest-first: what a refresh pull is sent.
 	Arrived(sw topology.NodeID, after netsim.Time) []dataplane.RTRecord
 	// SetThreshold installs a pushed per-flow dynamic threshold at sw.
 	SetThreshold(sw topology.NodeID, flow dataplane.FlowID, th netsim.Time)
 }
 
-// LiveRegisters is a running Program as Registers; collection is
-// synchronous with the data plane, so a snapshot needs no stamp.
-type LiveRegisters struct{ *dataplane.Program }
-
-func (l LiveRegisters) Snapshot(sw topology.NodeID, _ dataplane.Notification) ([]dataplane.RTRecord, netsim.Time) {
-	return l.RTSnapshot(sw), 0
+// LiveRegisters is a running Program as Registers. Every read copies out of
+// the ring, which keeps being overwritten, into one slice that the next read
+// reuses. Collection is synchronous with the data plane, so a snapshot needs
+// no stamp.
+type LiveRegisters struct {
+	*dataplane.Program
+	records []dataplane.RTRecord
 }
 
-func (l LiveRegisters) Arrived(sw topology.NodeID, after netsim.Time) []dataplane.RTRecord {
-	return l.RTSince(sw, after)
+func (l *LiveRegisters) Snapshot(sw topology.NodeID, _ dataplane.Notification) ([]dataplane.RTRecord, netsim.Time) {
+	l.records = l.RTSnapshot(l.records[:0], sw)
+	return l.records, 0
+}
+
+func (l *LiveRegisters) Arrived(sw topology.NodeID, after netsim.Time) []dataplane.RTRecord {
+	l.records = l.RTSince(l.records[:0], sw, after)
+	return l.records
 }
 
 // refreshSampleBytes is one compressed latency sample on the refresh wire.
@@ -81,6 +87,9 @@ func (a *Agent) Notify(n dataplane.Notification) {
 }
 
 // Deliver answers one controller → switch message under the request's Seq.
+// m is borrowed for the call (an ack echoes m.Thresholds as it is sent), and
+// a response lends the records its Registers returned, which the next
+// request may overwrite.
 func (a *Agent) Deliver(m ctrlchan.Message) {
 	//mars:partial only controller->switch request kinds arrive at an agent; responses, acks, and notifications travel the other direction and are handled by Controller.Deliver
 	switch m.Kind {

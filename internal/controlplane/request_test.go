@@ -129,7 +129,7 @@ func TestRequestLifecycleAcrossKinds(t *testing.T) {
 			kind:  ctrlchan.KindRefreshRequest,
 			start: func(h *reqHarness) { h.ctrl.Refresh() },
 			done: func(t *testing.T, h *reqHarness) {
-				records := int64(len(h.prog.RTSnapshot(h.sw)))
+				records := int64(len(h.prog.RTSnapshot(nil, h.sw)))
 				if got := h.ctrl.ReservoirFor(h.flow).Accepted; got != records || records == 0 {
 					t.Errorf("reservoir accepted %d of the sink's %d records, want each once", got, records)
 				}

@@ -22,6 +22,7 @@ package ctrlchan
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"mars/internal/dataplane"
 	"mars/internal/netsim"
@@ -98,6 +99,12 @@ const (
 
 // Message is one typed control-channel exchange. Exactly the fields of
 // its Kind are meaningful; the rest are zero.
+//
+// Records and Thresholds are borrowed: the sender's storage, valid for the
+// Send call that carries the Message and for the deliver call that receives
+// it, and reused after. Whoever keeps either past that call copies it — a
+// Channel that delivers after Send returns, a handler that keeps records
+// for later — and nobody writes through them.
 type Message struct {
 	Kind Kind
 	// Seq matches responses (and acks) to requests and deduplicates
@@ -216,9 +223,11 @@ func (ch *Channel) Loss(d Direction) float64 {
 
 // Send submits a message in direction d; deliver runs when (and if) the
 // message arrives. A perfect direction delivers synchronously before Send
-// returns; otherwise delivery is scheduled on the event heap after the
-// drawn delay, may happen twice (duplication), may never happen (loss),
-// and later Sends can overtake earlier ones (jitter/reorder).
+// returns, lending m's slices on as they are; otherwise delivery is
+// scheduled on the event heap after the drawn delay, may happen twice
+// (duplication), may never happen (loss), and later Sends can overtake
+// earlier ones (jitter/reorder). A delivery the channel holds past Send
+// carries its own copy of m's slices, shared by a duplicate.
 func (ch *Channel) Send(d Direction, m Message, deliver func(Message)) {
 	cfg := ch.dir(d)
 	if cfg.perfect() {
@@ -228,6 +237,7 @@ func (ch *Channel) Send(d Direction, m Message, deliver func(Message)) {
 	if cfg.Loss > 0 && ch.rng.Float64() < cfg.Loss {
 		return
 	}
+	m.Records, m.Thresholds = slices.Clone(m.Records), slices.Clone(m.Thresholds)
 	ch.scheduleDelivery(cfg, m, deliver)
 	if cfg.DupProb > 0 && ch.rng.Float64() < cfg.DupProb {
 		ch.scheduleDelivery(cfg, m, deliver)

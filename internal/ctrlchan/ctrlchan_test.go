@@ -3,6 +3,7 @@ package ctrlchan
 import (
 	"testing"
 
+	"mars/internal/dataplane"
 	"mars/internal/netsim"
 	"mars/internal/topology"
 )
@@ -163,5 +164,27 @@ func TestKindStringNamesUnknownKinds(t *testing.T) {
 	}
 	if got := Kind(200).String(); got != "Kind(200)" {
 		t.Errorf("Kind(200) = %q, want Kind(200)", got)
+	}
+}
+
+// TestChannelCopiesWhatItHolds: a sender lends a Message's slices only for
+// Send, so a delivery the channel makes later — and its duplicate — carries
+// what was sent even after the sender has overwritten its storage.
+func TestChannelCopiesWhatItHolds(t *testing.T) {
+	sim := newSim(t, 3)
+	ch := New(sim, Config{ToController: DirConfig{Latency: netsim.Millisecond, DupProb: 1}, Seed: 3})
+	recs := []dataplane.RTRecord{{Epoch: 1}, {Epoch: 2}}
+	ths := []Threshold{{Value: 7}}
+	var got []Message
+	ch.Send(ToController, Message{Kind: KindCollectResponse, Records: recs, Thresholds: ths}, func(m Message) { got = append(got, m) })
+	recs[0].Epoch, ths[0].Value = 99, 99
+	sim.RunAll()
+	if len(got) != 2 {
+		t.Fatalf("delivered %d times, want the message and its duplicate", len(got))
+	}
+	for _, m := range got {
+		if m.Records[0].Epoch != 1 || m.Records[1].Epoch != 2 || m.Thresholds[0].Value != 7 {
+			t.Fatalf("a held delivery carries %+v and %+v, not what was sent", m.Records, m.Thresholds)
+		}
 	}
 }

@@ -306,7 +306,13 @@ func appendMessage(out []byte, m *Message) []byte {
 // message and the number of bytes consumed. ErrShortFrame means b ends
 // before the frame does (a stream reader should buffer more and retry);
 // ErrBadFrame means the bytes are not a valid frame and must be dropped.
-func DecodeMessage(b []byte) (Message, int, error) {
+// The Message owns its records and thresholds, each in a slice of exactly
+// their count; none aliases b.
+func DecodeMessage(b []byte) (Message, int, error) { return decodeMessage(b, nil, nil) }
+
+// decodeMessage is DecodeMessage with the Message's records and thresholds
+// decoded into slices taken from recs and ths (freeList.take).
+func decodeMessage(b []byte, recs *freeList[dataplane.RTRecord], ths *freeList[Threshold]) (Message, int, error) {
 	if len(b) < FrameHeaderBytes {
 		return Message{}, 0, ErrShortFrame
 	}
@@ -344,7 +350,7 @@ func DecodeMessage(b []byte) (Message, int, error) {
 			return Message{}, 0, fmt.Errorf("%w: %v record count %d disagrees with payload %d bytes", ErrBadFrame, h.Kind, count, len(p))
 		}
 		if count > 0 {
-			m.Records = make([]dataplane.RTRecord, count)
+			m.Records = recs.take(count)
 			for i := 0; i < count; i++ {
 				var rb [RecordWireBytes]byte
 				copy(rb[:], p[responseHeadBytes+i*RecordWireBytes:])
@@ -365,7 +371,7 @@ func DecodeMessage(b []byte) (Message, int, error) {
 			return Message{}, 0, fmt.Errorf("%w: %v entry count %d disagrees with payload %d bytes", ErrBadFrame, h.Kind, count, len(p))
 		}
 		if count > 0 {
-			m.Thresholds = make([]Threshold, count)
+			m.Thresholds = ths.take(count)
 			for i := 0; i < count; i++ {
 				var tb [ThresholdWireBytes]byte
 				copy(tb[:], p[countBytes+i*ThresholdWireBytes:])

@@ -18,7 +18,7 @@ func TestSourceSinkCountConsistencyFullMesh(t *testing.T) {
 	env.sim.Run(3 * netsim.Second)
 	shown := 0
 	for _, sinkSw := range env.ft.EdgeIDs {
-		for _, r := range env.prog.RTSnapshot(sinkSw) {
+		for _, r := range env.prog.RTSnapshot(nil, sinkSw) {
 			if r.Epoch < 2 {
 				continue
 			}

@@ -32,7 +32,7 @@ func TestSourceSinkCountConsistency(t *testing.T) {
 	}
 	env.sim.Run(4 * netsim.Second)
 	sink, _ := env.ft.EdgeSwitchOf(dst1)
-	recs := env.prog.RTSnapshot(sink)
+	recs := env.prog.RTSnapshot(nil, sink)
 	if len(recs) < 10 {
 		t.Fatalf("records = %d", len(recs))
 	}

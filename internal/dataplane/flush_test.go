@@ -28,7 +28,7 @@ func TestFlushSwitchWipesRegisterState(t *testing.T) {
 	sws := append(append(append([]topology.NodeID{}, env.ft.EdgeIDs...), env.ft.AggIDs...), env.ft.CoreIDs...)
 	var victim, witness topology.NodeID = -1, -1
 	for _, sw := range sws {
-		if len(env.prog.RTSnapshot(sw)) > 0 && victim < 0 {
+		if len(env.prog.RTSnapshot(nil, sw)) > 0 && victim < 0 {
 			victim = sw
 		}
 		if itFlows(env.prog, sw) > 0 && witness < 0 {
@@ -47,7 +47,7 @@ func TestFlushSwitchWipesRegisterState(t *testing.T) {
 	if n := etEntries(env.prog, victim); n != 0 {
 		t.Errorf("ET entries after flush = %d", n)
 	}
-	if n := len(env.prog.RTSnapshot(victim)); n != 0 {
+	if n := len(env.prog.RTSnapshot(nil, victim)); n != 0 {
 		t.Errorf("RT records after flush = %d", n)
 	}
 	if itFlows(env.prog, witness) == 0 {
@@ -60,7 +60,7 @@ func TestFlushSwitchWipesRegisterState(t *testing.T) {
 		Start: 2 * netsim.Second, Stop: 3 * netsim.Second}
 	f2.Install(env.sim)
 	env.sim.Run(4 * netsim.Second)
-	if len(env.prog.RTSnapshot(victim)) == 0 {
+	if len(env.prog.RTSnapshot(nil, victim)) == 0 {
 		t.Error("flushed switch did not repopulate from new traffic")
 	}
 }
@@ -100,7 +100,7 @@ func TestRegistersLiveAtEdgeSwitches(t *testing.T) {
 			t.Errorf("switch %d of a dataplane.New program is not resident", sw)
 		}
 	}
-	if itFlows(env.prog, env.ft.EdgeIDs[0]) == 0 || len(env.prog.RTSnapshot(env.ft.EdgeIDs[0])) == 0 {
+	if itFlows(env.prog, env.ft.EdgeIDs[0]) == 0 || len(env.prog.RTSnapshot(nil, env.ft.EdgeIDs[0])) == 0 {
 		t.Error("edge switch tables did not load during the run")
 	}
 

@@ -123,7 +123,7 @@ func TestTelemetrySinkAllocs(t *testing.T) {
 	if got := prog.Stats.TelemetryPackets - before; got != runs+1 {
 		t.Fatalf("%d of %d measured packets were promoted", got, runs+1)
 	}
-	if sw, _ := ft.Topology.EdgeSwitchOf(dst); len(prog.RTSnapshot(sw)) == 0 {
+	if sw, _ := ft.Topology.EdgeSwitchOf(dst); len(prog.RTSnapshot(nil, sw)) == 0 {
 		t.Fatal("the sink recorded nothing")
 	}
 	if avg != 0 {

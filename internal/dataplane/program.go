@@ -266,22 +266,24 @@ func (p *Program) threshold(sw topology.NodeID, flow FlowID) netsim.Time {
 	return DefaultThreshold
 }
 
-// RTSnapshot returns the sink switch's Ring Table contents oldest-first.
+// RTSnapshot appends the sink switch's Ring Table contents to dst
+// oldest-first (RingTable.Snapshot); dst unchanged when sw keeps no table.
 // The control plane's collection cost is accounted by the caller.
-func (p *Program) RTSnapshot(sw topology.NodeID) []RTRecord {
+func (p *Program) RTSnapshot(dst []RTRecord, sw topology.NodeID) []RTRecord {
 	if p.states[sw].rt == nil {
-		return nil
+		return dst
 	}
-	return p.states[sw].rt.Snapshot()
+	return p.states[sw].rt.Snapshot(dst)
 }
 
-// RTSince returns the records of sw's Ring Table that arrived after t,
-// oldest-first (RingTable.Since); nil when none did or sw keeps no table.
-func (p *Program) RTSince(sw topology.NodeID, t netsim.Time) []RTRecord {
+// RTSince appends the records of sw's Ring Table that arrived after t to
+// dst, oldest-first (RingTable.Since); dst unchanged when none did or sw
+// keeps no table.
+func (p *Program) RTSince(dst []RTRecord, sw topology.NodeID, t netsim.Time) []RTRecord {
 	if p.states[sw].rt == nil {
-		return nil
+		return dst
 	}
-	return p.states[sw].rt.Since(t)
+	return p.states[sw].rt.Since(dst, t)
 }
 
 // notify sends a notification unless suppressed by the per-switch window.

@@ -77,7 +77,7 @@ func TestRTRecordsPathDecodable(t *testing.T) {
 
 	sink, _ := env.ft.EdgeSwitchOf(dst)
 	srcEdge, _ := env.ft.EdgeSwitchOf(src)
-	recs := env.prog.RTSnapshot(sink)
+	recs := env.prog.RTSnapshot(nil, sink)
 	if len(recs) == 0 {
 		t.Fatal("no RT records at sink")
 	}
@@ -273,7 +273,7 @@ func TestDropDetectionEpochGap(t *testing.T) {
 			env.sim.Run(5 * netsim.Second)
 
 			healthy := 0
-			for _, r := range env.prog.RTSnapshot(sink) {
+			for _, r := range env.prog.RTSnapshot(nil, sink) {
 				if r.Epoch%stride != 0 {
 					t.Errorf("record for epoch %d under stride %d", r.Epoch, stride)
 				}

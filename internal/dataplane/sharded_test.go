@@ -47,7 +47,7 @@ func TestResidentProgramPartitionsRegisters(t *testing.T) {
 		// Non-resident accessors: no-ops and zero values, never a panic.
 		away.SetThreshold(sw, flow, netsim.Millisecond)
 		away.FlushSwitch(sw)
-		if itFlows(away, sw) != 0 || etEntries(away, sw) != 0 || away.RTSnapshot(sw) != nil {
+		if itFlows(away, sw) != 0 || etEntries(away, sw) != 0 || away.RTSnapshot(nil, sw) != nil {
 			t.Fatalf("switch %d reports register state on a foreign shard", sw)
 		}
 		if d := away.threshold(sw, flow); d != DefaultThreshold {

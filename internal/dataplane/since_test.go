@@ -11,10 +11,10 @@ import (
 
 // checkSince asserts that snap — a Ring Table oldest-first — never steps
 // back in Arrival, the order Since's binary search relies on, and that
-// since(t) is snap filtered by Arrival > t (nil when empty) for t before
-// the first record, after the last, and on, just below and just above
-// every arrival.
-func checkSince(t *testing.T, snap []RTRecord, since func(netsim.Time) []RTRecord) {
+// since(dst, t) appends snap filtered by Arrival > t to dst (nil stays nil
+// when nothing did) for t before the first record, after the last, and on,
+// just below and just above every arrival.
+func checkSince(t *testing.T, snap []RTRecord, since func([]RTRecord, netsim.Time) []RTRecord) {
 	t.Helper()
 	marks := []netsim.Time{-1, 0}
 	for i, r := range snap {
@@ -23,6 +23,7 @@ func checkSince(t *testing.T, snap []RTRecord, since func(netsim.Time) []RTRecor
 		}
 		marks = append(marks, r.Arrival-1, r.Arrival, r.Arrival+1)
 	}
+	head := RTRecord{Epoch: 1 << 30}
 	for _, at := range marks {
 		var want []RTRecord
 		for _, r := range snap {
@@ -30,13 +31,13 @@ func checkSince(t *testing.T, snap []RTRecord, since func(netsim.Time) []RTRecor
 				want = append(want, r)
 			}
 		}
-		got := since(at)
+		got := since(nil, at)
 		if !slices.Equal(got, want) || (got == nil) != (want == nil) {
-			t.Fatalf("Since(%v) = %d records, want %d of %d (nil: got %v, want %v)",
+			t.Fatalf("Since(nil, %v) = %d records, want %d of %d (nil: got %v, want %v)",
 				at, len(got), len(want), len(snap), got == nil, want == nil)
 		}
-		if len(got) != cap(got) {
-			t.Fatalf("Since(%v) returned len %d cap %d, want an exact-size copy", at, len(got), cap(got))
+		if got := since([]RTRecord{head}, at); !slices.Equal(got, append([]RTRecord{head}, want...)) {
+			t.Fatalf("Since(dst, %v) = %d records, want dst's one and then %d", at, len(got), len(want))
 		}
 	}
 }
@@ -54,10 +55,10 @@ func TestRingTableSinceMatchesFilteredSnapshot(t *testing.T) {
 			at += netsim.Time(rng.Intn(3)) // 0 repeats the previous arrival
 			rt.Push(RTRecord{Epoch: uint32(i), Arrival: at})
 		}
-		checkSince(t, rt.Snapshot(), rt.Since)
-		if got := rt.Since(-1); len(got) > 0 {
+		checkSince(t, rt.Snapshot(nil), rt.Since)
+		if got := rt.Since(nil, -1); len(got) > 0 {
 			got[0].Epoch = 1 << 31
-			if rt.Snapshot()[0].Epoch == 1<<31 {
+			if rt.Snapshot(nil)[0].Epoch == 1<<31 {
 				t.Fatal("Since aliases the ring")
 			}
 		}
@@ -79,7 +80,7 @@ func TestRTSinceOnLiveRings(t *testing.T) {
 	check := func() {
 		t.Helper()
 		for _, sw := range env.ft.EdgeIDs {
-			checkSince(t, env.prog.RTSnapshot(sw), func(at netsim.Time) []RTRecord { return env.prog.RTSince(sw, at) })
+			checkSince(t, env.prog.RTSnapshot(nil, sw), func(dst []RTRecord, at netsim.Time) []RTRecord { return env.prog.RTSince(dst, sw, at) })
 		}
 	}
 
@@ -89,15 +90,15 @@ func TestRTSinceOnLiveRings(t *testing.T) {
 	}
 	check()
 	env.prog.FlushSwitch(sink)
-	if got := env.prog.RTSince(sink, -1); got != nil {
+	if got := env.prog.RTSince(nil, sink, -1); got != nil {
 		t.Fatalf("flushed sink still answers %d records", len(got))
 	}
 	env.sim.Run(11 * netsim.Second)
-	if len(env.prog.RTSnapshot(sink)) == 0 {
+	if len(env.prog.RTSnapshot(nil, sink)) == 0 {
 		t.Fatal("flushed sink took no records afterwards")
 	}
 	check()
-	if got := env.prog.RTSince(env.ft.CoreIDs[0], -1); got != nil {
+	if got := env.prog.RTSince(nil, env.ft.CoreIDs[0], -1); got != nil {
 		t.Fatalf("a core switch answers %d records; it keeps no Ring Table", len(got))
 	}
 }

@@ -210,16 +210,16 @@ func (rt *RingTable) Push(r RTRecord) {
 	}
 }
 
-// Snapshot returns the valid records oldest-first (nil when there are
-// none): everything that arrived since the start of time.
-func (rt *RingTable) Snapshot() []RTRecord { return rt.Since(math.MinInt64) }
+// Snapshot appends the valid records to dst oldest-first and returns the
+// extended slice: everything that arrived since the start of time.
+func (rt *RingTable) Snapshot(dst []RTRecord) []RTRecord { return rt.Since(dst, math.MinInt64) }
 
-// Since returns the records that arrived after t, oldest-first, in one
-// exact-size copy; nil when none did. A sink pushes its records as they
-// arrive, so Arrival never decreases in ring order, and each of the ring's
-// two segments — buf[next:] (only once the ring has wrapped), then
-// buf[:next] — is cut at t by a binary search.
-func (rt *RingTable) Since(t netsim.Time) []RTRecord {
+// Since appends the records that arrived after t to dst, oldest-first, and
+// returns the extended slice; a nil dst stays nil when none did. A sink
+// pushes its records as they arrive, so Arrival never decreases in ring
+// order, and each of the ring's two segments — buf[next:] (only once the
+// ring has wrapped), then buf[:next] — is cut at t by a binary search.
+func (rt *RingTable) Since(dst []RTRecord, t netsim.Time) []RTRecord {
 	var older []RTRecord
 	if rt.full {
 		older = rt.buf[rt.next:]
@@ -229,10 +229,5 @@ func (rt *RingTable) Since(t netsim.Time) []RTRecord {
 		return s[sort.Search(len(s), func(i int) bool { return s[i].Arrival > t }):]
 	}
 	older, newer = after(older), after(newer)
-	if len(older)+len(newer) == 0 {
-		return nil
-	}
-	out := make([]RTRecord, len(older)+len(newer))
-	copy(out[copy(out, older):], newer)
-	return out
+	return append(append(dst, older...), newer...)
 }

@@ -119,13 +119,13 @@ func TestEgressTableCounts(t *testing.T) {
 
 func TestRingTableWraps(t *testing.T) {
 	rt := NewRingTable(3)
-	if n := len(rt.Snapshot()); n != 0 || len(rt.buf) != 3 {
+	if n := len(rt.Snapshot(nil)); n != 0 || len(rt.buf) != 3 {
 		t.Fatalf("empty ring len=%d cap=%d", n, len(rt.buf))
 	}
 	for i := uint32(1); i <= 5; i++ {
 		rt.Push(RTRecord{Epoch: i})
 	}
-	snap := rt.Snapshot()
+	snap := rt.Snapshot(nil)
 	if len(snap) != 3 {
 		t.Fatalf("len = %d", len(snap))
 	}
@@ -138,7 +138,7 @@ func TestRingTablePartial(t *testing.T) {
 	rt := NewRingTable(4)
 	rt.Push(RTRecord{Epoch: 1})
 	rt.Push(RTRecord{Epoch: 2})
-	snap := rt.Snapshot()
+	snap := rt.Snapshot(nil)
 	if len(snap) != 2 || snap[0].Epoch != 1 || snap[1].Epoch != 2 {
 		t.Errorf("partial snapshot = %v", snap)
 	}
@@ -162,7 +162,7 @@ func TestPropertyRingKeepsNewest(t *testing.T) {
 		for i := 0; i < n; i++ {
 			rt.Push(RTRecord{Epoch: uint32(i)})
 		}
-		snap := rt.Snapshot()
+		snap := rt.Snapshot(nil)
 		want := n
 		if want > c {
 			want = c

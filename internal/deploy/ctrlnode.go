@@ -81,7 +81,7 @@ func NewControllerNode(cap *Capture, conn *net.UDPConn, switchAddrs map[topology
 		if m.Kind == ctrlchan.KindNotification {
 			n.settle()
 		}
-	}).deliver)
+	}, func(m ctrlchan.Message) { n.tr.Release(m) }).deliver)
 
 	cfg := scaledControllerConfig(cap.Scenario)
 	n.ctrl = controlplane.New(cfg, n.loop, cap.Sys.FT.Topology, n.tr)

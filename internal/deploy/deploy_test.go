@@ -5,6 +5,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -216,10 +217,46 @@ func TestLoopbackFeedsTheStreamService(t *testing.T) {
 	}
 }
 
-// sentLog is a Transport that keeps what is sent through it.
+// TestDeployedDiagnosesHoldTheCapturedRecords: the records of every
+// complete deployed diagnosis are those of the captured diagnosis its
+// trigger matches, each once. The switch nodes answer from the capture, and
+// their responses cross the socket into slices the controller node's inbox
+// releases for the next frames once handled, so a record lost, doubled or
+// overwritten in that reuse shows here. Records are compared as multisets:
+// the sinks' responses arrive in wall-clock order.
+func TestDeployedDiagnosesHoldTheCapturedRecords(t *testing.T) {
+	c := defaultCapture(t)
+	ctrl, _ := launchInProcess(t, c, -1)
+	WaitSettled(ctrl)
+	count := func(recs []dataplane.RTRecord) map[dataplane.RTRecord]int {
+		n := make(map[dataplane.RTRecord]int, len(recs))
+		for _, r := range recs {
+			n[r]++
+		}
+		return n
+	}
+	complete := 0
+	for _, d := range diagnosesOf(ctrl) {
+		if d.Partial() {
+			continue
+		}
+		complete++
+		want := c.Diags[c.matchDiag(d.Trigger)].Records
+		if len(d.Records) != len(want) || !maps.Equal(count(d.Records), count(want)) {
+			t.Errorf("the diagnosis at %v holds %d records, not the %d of its captured diagnosis", d.Trigger.Time, len(d.Records), len(want))
+		}
+	}
+	if complete == 0 {
+		t.Fatal("no complete diagnosis; the comparison is vacuous")
+	}
+}
+
+// sentLog is a Transport that keeps what is sent through it, and so copies
+// the records the sender only lends.
 type sentLog []ctrlchan.Message
 
 func (l *sentLog) Send(_ ctrlchan.Direction, m ctrlchan.Message, _ func(ctrlchan.Message)) {
+	m.Records = slices.Clone(m.Records)
 	*l = append(*l, m)
 }
 
@@ -236,7 +273,7 @@ func TestOneAgentTwoRegisterSources(t *testing.T) {
 		name string
 		regs controlplane.Registers
 	}{
-		{"live", controlplane.LiveRegisters{Program: c.Sys.Program}},
+		{"live", &controlplane.LiveRegisters{Program: c.Sys.Program}},
 		{"replay", &replayRegisters{cap: c, now: runEnd}},
 	} {
 		t.Run(src.name, func(t *testing.T) {

@@ -14,7 +14,7 @@ func TestInboxKeepsArrivalOrder(t *testing.T) {
 	defer loop.Stop()
 	const n = 2000
 	var got []uint64
-	in := newInbox(loop, func(m ctrlchan.Message) { got = append(got, m.Seq) })
+	in := newInbox(loop, func(m ctrlchan.Message) { got = append(got, m.Seq) }, func(ctrlchan.Message) {})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

@@ -101,7 +101,7 @@ func NewSwitchNode(cap *Capture, switches []topology.NodeID, conn *net.UDPConn, 
 			}
 			s.agent.Deliver(m)
 		}
-	})
+	}, func(m ctrlchan.Message) { s.tr.Release(m) })
 	s.tr = ctrlchan.NewUDP(conn, ctrlchan.UDPConfig{
 		Controller: controller,
 		LossProb:   cap.Scenario.LossProb,

@@ -37,7 +37,7 @@ func culpritDigest(t *testing.T, tc TrialConfig) string {
 	ccfg := controlplane.DefaultConfig()
 	ccfg.Seed = tc.Seed
 	ctrl := controlplane.New(ccfg, sim, ft.Topology, ch)
-	agent := controlplane.NewAgent(controlplane.LiveRegisters{Program: prog}, ch, &ctrl.Bytes, ctrl.Deliver)
+	agent := controlplane.NewAgent(&controlplane.LiveRegisters{Program: prog}, ch, &ctrl.Bytes, ctrl.Deliver)
 	ctrl.ToSwitch = agent.Deliver
 	prog.Notifier = agent
 	ctrl.Start()

@@ -205,7 +205,7 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	ch := ctrlchan.New(sim, chcfg)
 	ctrl := controlplane.New(ccfg, sim, ft.Topology, ch)
-	agent := controlplane.NewAgent(controlplane.LiveRegisters{Program: prog}, ch, &ctrl.Bytes, ctrl.Deliver)
+	agent := controlplane.NewAgent(&controlplane.LiveRegisters{Program: prog}, ch, &ctrl.Bytes, ctrl.Deliver)
 	ctrl.ToSwitch = agent.Deliver
 	prog.Notifier = agent
 	ctrl.Start()
