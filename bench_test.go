@@ -26,7 +26,7 @@ func BenchmarkTable1FaultLocalization(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, kind := range faults.Kinds() {
-			tc := experiments.DefaultTrialConfig(int64(1000+i), kind)
+			tc := experiments.TrialConfig{Scenario: mars.DefaultScenario(int64(1000+i), kind)}
 			for _, sys := range experiments.Systems() {
 				experiments.RunTrial(sys, tc)
 			}
@@ -40,7 +40,7 @@ func BenchmarkMARSTrial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tc := experiments.DefaultTrialConfig(int64(42+i), faults.Delay)
+		tc := experiments.TrialConfig{Scenario: mars.DefaultScenario(int64(42+i), faults.Delay)}
 		experiments.RunTrial(experiments.SysMARS, tc)
 	}
 }

@@ -28,15 +28,16 @@ import (
 )
 
 func main() {
+	def := mars.DefaultScenario(1, mars.FaultDelay)
 	var (
-		faultList = flag.String("fault", "delay", "comma-separated fault scenarios: micro-burst, ecmp-imbalance, process-rate, delay, drop, ctrl-chan, silent-drop, link-flap, link-down, switch-reboot, uplink-degrade")
-		seed      = flag.Int64("seed", 1, "random seed (workload, fault target, reservoirs)")
-		k         = flag.Int("k", 4, "fat-tree arity (even)")
+		faultList = flag.String("fault", def.Fault.String(), "comma-separated fault scenarios: micro-burst, ecmp-imbalance, process-rate, delay, drop, ctrl-chan, silent-drop, link-flap, link-down, switch-reboot, uplink-degrade")
+		seed      = flag.Int64("seed", def.Seed, "random seed (workload, fault target, reservoirs)")
+		k         = flag.Int("k", def.K, "fat-tree arity (even)")
 		flows     = flag.Int("flows", 0, "background flows (default 12 per edge switch: 96 at k=4)")
-		rate      = flag.Float64("rate", 220, "per-flow background rate (pps)")
-		start     = flag.Float64("start", 2.0, "fault start (s)")
-		dur       = flag.Float64("dur", 1.5, "fault duration (s)")
-		total     = flag.Float64("total", 4.0, "total simulated time (s)")
+		rate      = flag.Float64("rate", def.RatePPS, "per-flow background rate (pps)")
+		start     = flag.Float64("start", def.FaultStart.Seconds(), "fault start (s)")
+		dur       = flag.Float64("dur", def.FaultDur.Seconds(), "fault duration (s)")
+		total     = flag.Float64("total", def.RunFor.Seconds(), "total simulated time (s)")
 		top       = flag.Int("top", 8, "culprits to print")
 		codec     = flag.String("codec", "", "telemetry codec: mars11 (default), perhop, pintlike, sampled")
 		compound  = flag.Bool("compound", false, "enable compound-cause RCA (gray-failure signatures)")
@@ -54,9 +55,7 @@ func main() {
 		kinds = append(kinds, kind)
 	}
 
-	cfg := mars.DefaultConfig()
-	cfg.Seed = *seed
-	cfg.FatTreeK = *k
+	cfg := mars.Scenario{K: *k, Seed: *seed}.Config()
 	cfg.Codec = *codec
 	cfg.RCA.CompoundCauses = *compound
 	sys, err := mars.NewSystem(cfg)
@@ -116,11 +115,7 @@ func main() {
 		}
 		mark := ""
 		for _, gt := range roots {
-			if gt.Kind == mars.FaultMicroBurst {
-				if c.Flow == (mars.FlowID{Src: gt.BurstSrcEdge, Sink: gt.BurstSinkEdge}) {
-					mark = "   <== injected"
-				}
-			} else if c.ContainsSwitch(gt.Switch) {
+			if mars.Locates(c, gt) {
 				mark = "   <== injected"
 			}
 		}

@@ -13,15 +13,14 @@ import (
 )
 
 func main() {
-	cfg := mars.DefaultConfig()
-	cfg.Seed = 5
-	sys, err := mars.NewSystem(cfg)
+	sc := mars.DefaultScenario(5, mars.FaultDrop)
+	sys, err := mars.NewSystem(sc.Config())
 	if err != nil {
 		panic(err)
 	}
-	sys.StartBackground(96, 220)
+	sys.StartBackground(sc.Flows, sc.RatePPS)
 
-	gt := sys.InjectFault(mars.FaultDrop, 2*mars.Second, 1500*mars.Millisecond)
+	gt := sys.InjectFault(sc.Fault, sc.FaultStart, sc.FaultDur)
 	fmt.Printf("injected: %v\n\n", gt)
 
 	// Observe each diagnosis as it happens.
@@ -40,7 +39,7 @@ func main() {
 			d.Time, d.Trigger.Kind, d.Trigger.Switch, len(d.Records), mismatches, gaps)
 	}
 
-	sys.Run(4 * mars.Second)
+	sys.Run(sc.RunFor)
 
 	fmt.Println("\nranked culprits:")
 	for i, c := range sys.Culprits() {

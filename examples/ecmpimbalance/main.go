@@ -12,19 +12,18 @@ import (
 )
 
 func main() {
-	cfg := mars.DefaultConfig()
-	cfg.Seed = 1259
-	sys, err := mars.NewSystem(cfg)
+	sc := mars.DefaultScenario(1259, mars.FaultECMP)
+	sys, err := mars.NewSystem(sc.Config())
 	if err != nil {
 		panic(err)
 	}
-	sys.StartBackground(96, 220)
+	sys.StartBackground(sc.Flows, sc.RatePPS)
 
-	gt := sys.InjectFault(mars.FaultECMP, 2*mars.Second, 1500*mars.Millisecond)
+	gt := sys.InjectFault(sc.Fault, sc.FaultStart, sc.FaultDur)
 	fmt.Printf("injected: %v\n", gt)
 	fmt.Printf("(the skewed switch is s%d; congestion builds at its heavy next hop)\n\n", gt.Switch)
 
-	sys.Run(4 * mars.Second)
+	sys.Run(sc.RunFor)
 
 	fmt.Println("ranked culprits:")
 	for i, c := range sys.Culprits() {

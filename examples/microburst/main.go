@@ -14,19 +14,18 @@ import (
 )
 
 func main() {
-	cfg := mars.DefaultConfig()
-	cfg.Seed = 2
-	sys, err := mars.NewSystem(cfg)
+	sc := mars.DefaultScenario(2, mars.FaultMicroBurst)
+	sys, err := mars.NewSystem(sc.Config())
 	if err != nil {
 		panic(err)
 	}
-	sys.StartBackground(96, 220)
+	sys.StartBackground(sc.Flows, sc.RatePPS)
 
-	gt := sys.InjectFault(mars.FaultMicroBurst, 2*mars.Second, 1500*mars.Millisecond)
+	gt := sys.InjectFault(sc.Fault, sc.FaultStart, sc.FaultDur)
 	fmt.Printf("injected: %v\n", gt)
 	burstFlow := mars.FlowID{Src: gt.BurstSrcEdge, Sink: gt.BurstSinkEdge}
 
-	sys.Run(4 * mars.Second)
+	sys.Run(sc.RunFor)
 
 	// Show the burst flow's per-epoch source counts from the collected
 	// telemetry: the spike is what the micro-burst signature matches.

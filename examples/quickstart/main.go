@@ -11,22 +11,20 @@ import (
 )
 
 func main() {
-	cfg := mars.DefaultConfig()
-	cfg.Seed = 42
-	sys, err := mars.NewSystem(cfg)
+	// The default scenario is Table 1's trial: a cross-pod background
+	// mesh, and a fault injected once the thresholds have calibrated. A
+	// delay fault slows every packet through a random switch (a
+	// Chaosblade-style interface fault).
+	sc := mars.DefaultScenario(42, mars.FaultDelay)
+	sys, err := mars.NewSystem(sc.Config())
 	if err != nil {
 		panic(err)
 	}
-
-	// Background traffic: 96 cross-pod flows at ~220 pps each.
-	sys.StartBackground(96, 220)
-
-	// Let thresholds calibrate for 2 s, then delay every packet through a
-	// random switch for 1.5 s (a Chaosblade-style interface fault).
-	gt := sys.InjectFault(mars.FaultDelay, 2*mars.Second, 1500*mars.Millisecond)
+	sys.StartBackground(sc.Flows, sc.RatePPS)
+	gt := sys.InjectFault(sc.Fault, sc.FaultStart, sc.FaultDur)
 	fmt.Printf("injected: %v\n\n", gt)
 
-	sys.Run(4 * mars.Second)
+	sys.Run(sc.RunFor)
 
 	fmt.Printf("diagnoses collected: %d\n", len(sys.Diagnoses))
 	fmt.Printf("telemetry overhead:  %d B on links\n", sys.TelemetryOverheadBytes())

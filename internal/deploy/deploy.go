@@ -43,32 +43,18 @@ import (
 	"mars"
 	"mars/internal/controlplane"
 	"mars/internal/dataplane"
-	"mars/internal/faults"
 	"mars/internal/netsim"
 	"mars/internal/rca"
 	"mars/internal/topology"
 )
 
 // Scenario is the complete, JSON-serializable description of one
-// deployment run. Every process derives its replay data from the same
-// Scenario, so nothing but this struct and the port map crosses process
-// boundaries out of band.
+// deployment run: the trial scenario plus how the deployment replays it.
+// Every process derives its replay data from the same Scenario, so
+// nothing but this struct and the port map crosses process boundaries out
+// of band.
 type Scenario struct {
-	// K is the fat-tree arity.
-	K int `json:"k"`
-	// Seed drives all simulation randomness.
-	Seed int64 `json:"seed"`
-	// Flows and RatePPS shape the background workload.
-	Flows   int     `json:"flows"`
-	RatePPS float64 `json:"rate_pps"`
-	// Fault names the injected scenario (faults.Parse names); empty means
-	// a healthy run.
-	Fault string `json:"fault"`
-	// FaultStart and FaultDur position the injection on the sim timeline.
-	FaultStart netsim.Time `json:"fault_start"`
-	FaultDur   netsim.Time `json:"fault_dur"`
-	// RunFor is the simulated duration.
-	RunFor netsim.Time `json:"run_for"`
+	mars.Scenario
 	// Scale maps sim time to wall time: wall = sim × Scale. 1 replays in
 	// real time; 0.25 replays 4 sim-seconds in one wall second. The
 	// controller's timing knobs scale with it so the protocol keeps its
@@ -81,22 +67,11 @@ type Scenario struct {
 	Groups int `json:"groups"`
 }
 
-// DefaultScenario is the CI smoke run: the gray experiment's silent-drop
-// injection on the default K=4 system, replayed at 4× compression across
-// 4 switch processes.
+// DefaultScenario is the CI smoke run: the default trial with the gray
+// experiment's silent-drop injection at seed 1000, replayed at 4×
+// compression across 4 switch processes.
 func DefaultScenario() Scenario {
-	return Scenario{
-		K:          4,
-		Seed:       1000,
-		Flows:      96,
-		RatePPS:    220,
-		Fault:      "silent-drop",
-		FaultStart: 2 * netsim.Second,
-		FaultDur:   1500 * netsim.Millisecond,
-		RunFor:     4 * netsim.Second,
-		Scale:      0.25,
-		Groups:     4,
-	}
+	return Scenario{Scenario: mars.DefaultScenario(1000, mars.FaultSilentDrop), Scale: 0.25, Groups: 4}
 }
 
 // CapturedDiag is one simulator diagnosis, captured with everything the
@@ -126,8 +101,8 @@ type Capture struct {
 	Notes []TimedNote
 	// Diags are the simulator's diagnoses in collection order.
 	Diags []CapturedDiag
-	// Expected is the simulator's merged ranked culprit list — the ground
-	// truth a deployment run must reproduce at rank 1.
+	// Expected is the simulator's System.Culprits(), the "every diagnosis
+	// merged" fold — the ranking a deployment run must reproduce at rank 1.
 	Expected []rca.Culprit
 	// Sys is the simulated system the capture ran on (topology, program,
 	// PathID table — everything the real controller and agents rewire).
@@ -150,13 +125,15 @@ type sinkCut struct {
 // replay capture. Deterministic: every process calls this with the same
 // Scenario and derives an identical capture.
 func Build(sc Scenario) (*Capture, error) {
-	if sc.Scale <= 0 {
-		return nil, fmt.Errorf("deploy: scale must be positive, got %v", sc.Scale)
+	switch {
+	case sc.Scale <= 0:
+		return nil, fmt.Errorf("deploy: scenario \"scale\" must be positive, got %v", sc.Scale)
+	case sc.Flows < 0:
+		return nil, fmt.Errorf("deploy: scenario \"flows\" must not be negative, got %d", sc.Flows)
+	case sc.Flows > 0 && sc.RatePPS <= 0:
+		return nil, fmt.Errorf("deploy: scenario \"rate_pps\" must be positive with %d flows, got %v", sc.Flows, sc.RatePPS)
 	}
-	cfg := mars.DefaultConfig()
-	cfg.FatTreeK = sc.K
-	cfg.Seed = sc.Seed
-	sys, err := mars.NewSystem(cfg)
+	sys, err := mars.NewSystem(sc.Config())
 	if err != nil {
 		return nil, fmt.Errorf("deploy: %w", err)
 	}
@@ -191,15 +168,9 @@ func Build(sc Scenario) (*Capture, error) {
 	}
 
 	sys.StartBackground(sc.Flows, sc.RatePPS)
-	if sc.Fault != "" {
-		kind, err := faults.Parse(sc.Fault)
-		if err != nil {
-			return nil, fmt.Errorf("deploy: %w", err)
-		}
-		sys.InjectSchedule(mars.Schedule{Injections: []mars.Injection{
-			{Kind: kind, Start: sc.FaultStart, Dur: sc.FaultDur},
-		}})
-	}
+	sys.InjectSchedule(mars.Schedule{Injections: []mars.Injection{
+		{Kind: sc.Fault, Start: sc.FaultStart, Dur: sc.FaultDur},
+	}})
 	sys.Run(sc.RunFor)
 	cap.Expected = sys.Culprits()
 	cap.sinks = make(map[topology.NodeID]*sinkCut)

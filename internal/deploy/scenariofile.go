@@ -3,17 +3,28 @@ package deploy
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
+
+	"mars"
 )
 
 // WriteFile serializes the scenario as JSON — the launcher writes it once
 // and every node process re-derives the identical capture from it.
 func (s Scenario) WriteFile(path string) error { return writeJSON(path, "scenario", s) }
 
-// ReadScenario loads a scenario JSON file.
+// unreadFault marks a scenario's fault before decoding: the zero Kind is
+// micro-burst, so a file with no "fault" key must not read as one.
+const unreadFault = math.MaxUint8
+
+// ReadScenario loads a scenario JSON file. The fault is named ("delay");
+// an unknown, empty or missing name is an error.
 func ReadScenario(path string) (Scenario, error) {
-	var s Scenario
+	s := Scenario{Scenario: mars.Scenario{Fault: unreadFault}}
 	err := readJSON(path, "scenario", &s)
+	if err == nil && s.Fault == unreadFault {
+		err = fmt.Errorf("deploy: scenario %s has no \"fault\"", path)
+	}
 	return s, err
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"mars"
 	"mars/internal/faults"
 	"mars/internal/fsm"
 	"mars/internal/harness"
@@ -72,7 +73,7 @@ func RunAblationSBFLWith(cfg harness.Config, trials int, baseSeed int64) *Ablati
 	var variants []marsVariant
 	for _, name := range []string{"relative-risk", "ochiai", "tarantula", "jaccard", "dstar"} {
 		formula := sbfl.Formulas()[name]
-		variants = append(variants, marsVariant{name, func(c *rca.Config) { c.Formula = formula }, marsMatches})
+		variants = append(variants, marsVariant{name, func(c *rca.Config) { c.Formula = formula }, mars.Locates})
 	}
 	return runMARSVariants(cfg, "Ablation: SBFL formula", variants, trials, baseSeed)
 }
@@ -83,7 +84,7 @@ func RunAblationFSMMaxLenWith(cfg harness.Config, trials int, baseSeed int64) *A
 	var variants []marsVariant
 	for _, maxLen := range []int{1, 2, 3} {
 		variants = append(variants, marsVariant{fmt.Sprintf("maxlen=%d", maxLen),
-			func(c *rca.Config) { c.MaxPatternLen = maxLen }, marsMatches})
+			func(c *rca.Config) { c.MaxPatternLen = maxLen }, mars.Locates})
 	}
 	return runMARSVariants(cfg, "Ablation: FSM max pattern length", variants, trials, baseSeed)
 }
@@ -94,7 +95,7 @@ func RunAblationMinerWith(cfg harness.Config, trials int, baseSeed int64) *Ablat
 	var variants []marsVariant
 	for _, name := range []string{"PrefixSpan", "GSP", "CM-SPADE"} {
 		m := fsm.ByName(name)
-		variants = append(variants, marsVariant{name, func(c *rca.Config) { c.Miner = m }, marsMatches})
+		variants = append(variants, marsVariant{name, func(c *rca.Config) { c.Miner = m }, mars.Locates})
 	}
 	return runMARSVariants(cfg, "Ablation: FSM algorithm (results must match)", variants, trials, baseSeed)
 }
@@ -104,7 +105,7 @@ func RunAblationMinerWith(cfg harness.Config, trials int, baseSeed int64) *Ablat
 // addition to the location) next to the location-only rule.
 func RunAblationCauseAccuracyWith(cfg harness.Config, trials int, baseSeed int64) *AblationResult {
 	return runMARSVariants(cfg, "Ablation: location-only vs location+cause matching", []marsVariant{
-		{"location", nil, marsMatches},
+		{"location", nil, mars.Locates},
 		{"location+cause", nil, marsCauseMatches},
 	}, trials, baseSeed)
 }

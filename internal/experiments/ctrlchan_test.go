@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"mars"
 	"mars/internal/faults"
 )
 
@@ -24,7 +25,7 @@ func TestCtrlChanTrialKnobs(t *testing.T) {
 	}
 	// Identical trials through the realistic lossy channel must agree
 	// exactly (the sweep's determinism rests on this).
-	tc := DefaultTrialConfig(5, faults.Delay)
+	tc := TrialConfig{Scenario: mars.DefaultScenario(5, faults.Delay)}
 	tc.CtrlLossy, tc.CtrlLoss = true, 0.25
 	a := RunTrial(SysMARS, tc)
 	b := RunTrial(SysMARS, tc)

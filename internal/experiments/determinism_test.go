@@ -50,11 +50,11 @@ func culpritDigest(t *testing.T, tc TrialConfig) string {
 		}
 	}
 
-	installWorkload(tc, sim, ft)
+	mars.InstallBackground(sim, ft, tc.Flows, tc.RatePPS)
 	inj := faults.NewInjector(sim, ft, router)
 	inj.Chan = ch
 	inj.Inject(tc.Fault, tc.FaultStart, tc.FaultDur)
-	sim.Run(tc.Total)
+	sim.Run(tc.RunFor)
 
 	h := sha256.New()
 	for _, c := range rca.MergeRanked(lists) {
@@ -76,7 +76,7 @@ func TestSeededRunsAreDeterministic(t *testing.T) {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			t.Parallel()
-			tc := DefaultTrialConfig(11, kind)
+			tc := TrialConfig{Scenario: mars.DefaultScenario(11, kind)}
 			first := culpritDigest(t, tc)
 			second := culpritDigest(t, tc)
 			if first != second {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"mars"
 	"mars/internal/faults"
 	"mars/internal/harness"
 )
@@ -181,7 +182,7 @@ func TestFig9ShapeQuick(t *testing.T) {
 	tel := map[SystemKind]int64{}
 	diag := map[SystemKind]int64{}
 	for _, sys := range Systems() {
-		tc := DefaultTrialConfig(5, faults.Delay)
+		tc := TrialConfig{Scenario: mars.DefaultScenario(5, faults.Delay)}
 		r := RunTrial(sys, tc)
 		tel[sys] = r.TelemetryBytes
 		diag[sys] = r.DiagnosisBytes
@@ -221,16 +222,6 @@ func TestTable1Quick(t *testing.T) {
 	}
 }
 
-func TestDefaultTrialConfigSane(t *testing.T) {
-	tc := DefaultTrialConfig(1, faults.Delay)
-	if tc.FaultStart >= tc.Total || tc.FaultStart+tc.FaultDur > tc.Total {
-		t.Error("fault window exceeds run")
-	}
-	if tc.NumFlows <= 0 || tc.RatePPS <= 0 {
-		t.Error("degenerate workload")
-	}
-}
-
 func TestScaleSweepShape(t *testing.T) {
 	r := RunScaleWith(harness.Config{}, []int{4, 6})
 	if len(r.Rows) != 2 {
@@ -258,7 +249,7 @@ func TestRunTrialRejectsUnknownSystem(t *testing.T) {
 	if got := bogus.String(); got != "SystemKind(9)" {
 		t.Errorf("String() = %q, want SystemKind(9)", got)
 	}
-	tc := DefaultTrialConfig(1, faults.Delay)
+	tc := TrialConfig{Scenario: mars.DefaultScenario(1, faults.Delay)}
 	_, err := harness.Run(harness.Config{Workers: 1}, []harness.Trial{{Label: "bogus"}},
 		func(harness.Trial) TrialResult { return RunTrial(bogus, tc) })
 	var te *harness.TrialError

@@ -33,7 +33,7 @@ type Fig2Result struct {
 func RunFig2(seed int64) *Fig2Result {
 	cfg := mars.DefaultConfig().Sim
 	cfg.HostLinkBandwidthBps = cfg.LinkBandwidthBps // uniform rating for the CDF
-	tc := TrialConfig{Seed: seed, K: 4, SimCfg: &cfg}
+	tc := TrialConfig{Scenario: mars.Scenario{K: 4, Seed: seed}, SimCfg: &cfg}
 	ft := newFatTree(tc)
 	sim := newSubstrate(tc, ft, nil).Sim
 	// The motivating CDF reproduces the *measurement conditions* of the
@@ -359,11 +359,11 @@ func RunFig7(seed int64) *Fig7Result {
 		var winLat netsim.Time
 		var winN int64
 		hook := &latencyWindow{lat: &winLat, n: &winN}
-		tc := DefaultTrialConfig(seed, faults.MicroBurst)
+		tc := TrialConfig{Scenario: mars.DefaultScenario(seed, faults.MicroBurst)}
 		ft := newFatTree(tc)
 		sub := newSubstrate(tc, ft, hook)
 		sim := sub.Sim
-		installWorkload(tc, sim, ft)
+		mars.InstallBackground(sim, ft, tc.Flows, tc.RatePPS)
 		inj := faults.NewInjector(sim, ft, sub.Router)
 		gt := inj.Inject(faults.MicroBurst, tc.FaultStart, netsim.Second)
 		hook.sinkEdge = gt.BurstSinkEdge
@@ -378,21 +378,21 @@ func RunFig7(seed int64) *Fig7Result {
 			out.BurstT = append(out.BurstT, sim.Now().Seconds())
 			out.BurstLatencyMs = append(out.BurstLatencyMs, mean)
 			winLat, winN = 0, 0
-			if sim.Now() < tc.Total {
+			if sim.Now() < tc.RunFor {
 				sim.After(window, sample)
 			}
 		}
 		sim.At(window, sample)
-		sim.Run(tc.Total)
+		sim.Run(tc.RunFor)
 	}
 
 	// (b) ECMP imbalance throughput split.
 	{
-		tc := DefaultTrialConfig(seed, faults.ECMPImbalance)
+		tc := TrialConfig{Scenario: mars.DefaultScenario(seed, faults.ECMPImbalance)}
 		ft := newFatTree(tc)
 		sub := newSubstrate(tc, ft, nil)
 		sim, router := sub.Sim, sub.Router
-		installWorkload(tc, sim, ft)
+		mars.InstallBackground(sim, ft, tc.Flows, tc.RatePPS)
 		// Deterministic: skew edge 0's uplinks 1:8 during the window.
 		e0 := ft.EdgeIDs[0]
 		up := ft.AggIDs[:2]
@@ -421,12 +421,12 @@ func RunFig7(seed int64) *Fig7Result {
 			out.ECMPLightPPS = append(out.ECMPLightPPS, float64(c0-prev0)/avgPkt/window.Seconds())
 			out.ECMPHeavyPPS = append(out.ECMPHeavyPPS, float64(c1-prev1)/avgPkt/window.Seconds())
 			prev0, prev1 = c0, c1
-			if sim.Now() < tc.Total {
+			if sim.Now() < tc.RunFor {
 				sim.After(window, sample)
 			}
 		}
 		sim.At(window, sample)
-		sim.Run(tc.Total)
+		sim.Run(tc.RunFor)
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"mars"
 	"mars/internal/faults"
 	"mars/internal/harness"
 	"mars/internal/metrics"
@@ -126,7 +127,7 @@ func RunGrayWith(cfg harness.Config, trials int, baseSeed int64) *GrayResult {
 	var rows []sweepRow[grayOutcome]
 	for _, mode := range GrayModes() {
 		rows = append(rows, sweepRow[grayOutcome]{mode.String(), func(k int, seed int64) grayOutcome {
-			tc := DefaultTrialConfig(seed, faults.SilentDrop)
+			tc := TrialConfig{Scenario: mars.DefaultScenario(seed, faults.SilentDrop)}
 			// FaultStart separates detections from false alarms; use the
 			// episode's earliest window.
 			tc.FaultStart, tc.FaultDur = scheduleWindow(scens[k].Schedule)
@@ -181,7 +182,7 @@ func scheduleWindow(s faults.Schedule) (netsim.Time, netsim.Time) {
 func runGrayTrial(tc TrialConfig, sched faults.Schedule, compound bool) grayOutcome {
 	m := startMARS(tc, func(c *rca.Config) { c.CompoundCauses = compound })
 	ep := m.sys.InjectSchedule(sched)
-	m.sys.Run(tc.Total)
+	m.sys.Run(tc.RunFor)
 
 	ranked := m.merged.Ranked()
 	out := grayOutcome{Detected: m.detected}

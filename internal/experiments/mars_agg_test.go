@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"mars"
 	"mars/internal/faults"
 	"mars/internal/metrics"
 )
@@ -17,7 +18,7 @@ func TestMARSAggregate(t *testing.T) {
 	for _, kind := range faults.Kinds() {
 		var loc metrics.Localization
 		for i := 0; i < trials; i++ {
-			tc := DefaultTrialConfig(int64(1000+i*37), kind)
+			tc := TrialConfig{Scenario: mars.DefaultScenario(int64(1000+i*37), kind)}
 			r := RunTrial(SysMARS, tc)
 			loc.Add(r.Rank)
 			if r.Rank == 0 || r.Rank > 2 {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"mars"
 	"mars/internal/faults"
 )
 
@@ -39,7 +40,7 @@ func TestOverheadCodecTrialQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	tc := DefaultTrialConfig(5, faults.Delay)
+	tc := TrialConfig{Scenario: mars.DefaultScenario(5, faults.Delay)}
 	results := map[string]TrialResult{}
 	for _, codec := range append([]string{""}, OverheadCodecs...) {
 		c := tc

@@ -21,13 +21,13 @@ package experiments
 import (
 	"fmt"
 
+	"mars"
 	"mars/internal/baselines/syndb"
 	"mars/internal/dataplane"
 	"mars/internal/faults"
 	"mars/internal/netsim"
 	"mars/internal/rca"
 	"mars/internal/topology"
-	"mars/internal/workload"
 )
 
 // SystemKind names the compared systems (Table 1, Fig. 9).
@@ -62,18 +62,11 @@ func (s SystemKind) String() string {
 	}
 }
 
-// TrialConfig parameterizes one fault-localization trial.
+// TrialConfig parameterizes one fault-localization trial: the scenario
+// (mars.DefaultScenario for every Table 1 trial) plus the knobs only the
+// experiments turn.
 type TrialConfig struct {
-	Seed  int64
-	Fault faults.Kind
-	K     int
-	// Background traffic shape; zero-value fields take the defaults below.
-	NumFlows int
-	RatePPS  float64
-	// Timeline.
-	FaultStart netsim.Time
-	FaultDur   netsim.Time
-	Total      netsim.Time
+	mars.Scenario
 	// SimCfg overrides the physical parameters (zero = scaled defaults).
 	SimCfg *netsim.Config
 
@@ -91,23 +84,6 @@ type TrialConfig struct {
 	// Codec names the telemetry encoding for MARS trials (internal/
 	// telemetry); "" is "mars11". Only the overhead experiment sets it.
 	Codec string
-}
-
-// DefaultTrialConfig sizes a trial so the five fault signatures are
-// observable at software-switch scale: links fit ~2500 pps of mixed
-// traffic, background load sits near 50% on the fat-tree uplinks, and
-// faults run for 1.5 s after a 2 s warmup.
-func DefaultTrialConfig(seed int64, kind faults.Kind) TrialConfig {
-	return TrialConfig{
-		Seed:       seed,
-		Fault:      kind,
-		K:          4,
-		NumFlows:   96,
-		RatePPS:    220,
-		FaultStart: 2 * netsim.Second,
-		FaultDur:   1500 * netsim.Millisecond,
-		Total:      4 * netsim.Second,
-	}
 }
 
 // TrialResult is the outcome of one (system, fault) trial.
@@ -140,21 +116,6 @@ type TrialResult struct {
 	FalseAlarms int64
 }
 
-// installWorkload starts the background mesh and returns the flows.
-func installWorkload(tc TrialConfig, sim *netsim.Simulator, ft *topology.FatTree) []*workload.Flow {
-	return workload.RandomBackground(sim, ft, workload.BackgroundConfig{
-		NumFlows:      tc.NumFlows,
-		RatePPS:       tc.RatePPS,
-		RateJitter:    0.2,
-		Gaps:          workload.GapExponential,
-		Start:         0,
-		Stop:          tc.Total,
-		CrossPodBias:  1.0,
-		RoundRobinSrc: true,
-		RoundRobinDst: true,
-	}, 1)
-}
-
 // sumLinkBytes totals per-link byte counters (all traffic serialized).
 func sumLinkBytes(perLink []int64) int64 {
 	var n int64
@@ -170,7 +131,7 @@ func sumLinkBytes(perLink []int64) int64 {
 func RunTrial(sys SystemKind, tc TrialConfig) TrialResult {
 	switch sys {
 	case SysMARS:
-		return marsTrial(tc, nil, marsMatches)
+		return marsTrial(tc, nil, mars.Locates)
 	case SysSpiderMon:
 		return runBaselineTrial(sys, tc, newSpiderMon)
 	case SysIntSight:
@@ -191,27 +152,6 @@ func recordGT(gt faults.GroundTruth) faults.GroundTruth {
 	return gt
 }
 
-// marsMatches decides whether a MARS culprit locates the injected fault.
-// Table 1’s R@k measures whether "the root cause can be located within the
-// top k culprits": a micro-burst is located by naming the offending flow;
-// every other fault is located by naming the faulty switch (the same
-// location-based rule the baselines are scored with — they emit no cause
-// taxonomy at all). MARS’s cause labels remain part of its output and are
-// evaluated separately by the cause-accuracy ablation.
-func marsMatches(c rca.Culprit, gt faults.GroundTruth) bool {
-	if gt.Kind == faults.MicroBurst {
-		return c.Level == rca.LevelFlow &&
-			c.Flow == dataplane.FlowID{Src: gt.BurstSrcEdge, Sink: gt.BurstSinkEdge}
-	}
-	if gt.Kind == faults.ECMPImbalance && c.Cause == rca.CauseECMPImbalance {
-		return c.ContainsSwitch(gt.Switch)
-	}
-	if c.Level == rca.LevelFlow {
-		return false
-	}
-	return c.ContainsSwitch(gt.Switch)
-}
-
 // marsCauseMatches is the stricter variant requiring the diagnosed cause
 // class to match as well (used by the cause-accuracy ablation).
 func marsCauseMatches(c rca.Culprit, gt faults.GroundTruth) bool {
@@ -222,7 +162,7 @@ func marsCauseMatches(c rca.Culprit, gt faults.GroundTruth) bool {
 		faults.Delay:               rca.CauseDelay,
 		faults.Drop:                rca.CauseDrop,
 	}[gt.Kind]
-	return c.Cause == want && marsMatches(c, gt)
+	return c.Cause == want && mars.Locates(c, gt)
 }
 
 // baselineMatches scores a baseline culprit: flow-identity match for

@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"mars"
 	"mars/internal/dataplane"
 	"mars/internal/faults"
 	"mars/internal/harness"
@@ -118,15 +119,15 @@ func TestStreamMatchesBatchTop1(t *testing.T) {
 	for _, kind := range []faults.Kind{faults.MicroBurst} {
 		t.Run("trial/"+kind.String(), func(t *testing.T) {
 			// Table 1's first trial of the fault at CI's -seed 1000.
-			tc := DefaultTrialConfig(harness.TrialSeed(1000, int(kind), 0), kind)
+			tc := TrialConfig{Scenario: mars.DefaultScenario(harness.TrialSeed(1000, int(kind), 0), kind)}
 			m := startMARS(tc, nil)
 			var all []dataplane.RTRecord
 			m.sys.Program.OnRecord = func(_ topology.NodeID, rec dataplane.RTRecord) { all = append(all, rec) }
 			gt := m.sys.InjectFault(tc.Fault, tc.FaultStart, tc.FaultDur)
-			m.sys.Run(tc.Total)
-			epochs := int(tc.Total / dataplane.EpochDuration)
+			m.sys.Run(tc.RunFor)
+			epochs := int(tc.RunFor / dataplane.EpochDuration)
 			checkStreamMatchesBatch(t, all, m.sys.FT, m.sys.Paths, m.sys.Analyzer.Thr, tc.Seed, 4, epochs,
-				func(c rca.Culprit) bool { return marsMatches(c, gt) })
+				func(c rca.Culprit) bool { return mars.Locates(c, gt) })
 		})
 	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"mars"
 	"mars/internal/faults"
 	"mars/internal/harness"
 )
@@ -46,7 +47,7 @@ func faultSuite() []sweepKind {
 func faultRow(label string, run func(tc TrialConfig) TrialResult) sweepRow[TrialResult] {
 	kinds := faults.Kinds()
 	return sweepRow[TrialResult]{label, func(k int, seed int64) TrialResult {
-		return run(DefaultTrialConfig(seed, kinds[k]))
+		return run(TrialConfig{Scenario: mars.DefaultScenario(seed, kinds[k])})
 	}}
 }
 

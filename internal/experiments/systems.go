@@ -53,9 +53,7 @@ func newSubstrate(tc TrialConfig, ft *topology.FatTree, hooks netsim.Hooks) *Sub
 // API users call are built by the same code. mutateRCA (may be nil) edits
 // the analyzer config for the ablations and the gray modes.
 func marsConfig(tc TrialConfig, mutateRCA func(*rca.Config)) mars.Config {
-	cfg := mars.DefaultConfig()
-	cfg.FatTreeK = tc.K
-	cfg.Seed = tc.Seed
+	cfg := tc.Config()
 	if tc.SimCfg != nil {
 		cfg.Sim = *tc.SimCfg
 	}
@@ -75,10 +73,10 @@ func marsConfig(tc TrialConfig, mutateRCA func(*rca.Config)) mars.Config {
 }
 
 // marsRun is one MARS deployment under the trial drivers' diagnosis
-// policy: diagnoses completed before FaultStart count as false alarms and
-// are not analyzed (they are 2–4 of a trial's 6–8 collections, so the
-// facade's analyze-everything default would add ~60% RCA work and let
-// pre-fault noise into the ranking).
+// policy, the oracle fold: only diagnoses completed at or after FaultStart
+// are analyzed and merged; earlier ones count as false alarms (2–4 of a
+// trial's 6–8 collections). mars.System.Culprits() is the other fold,
+// every diagnosis merged, which bench's trial_k4 and the deployment score.
 type marsRun struct {
 	sys         *mars.System
 	merged      rca.Merger
@@ -90,8 +88,8 @@ type marsRun struct {
 }
 
 // startMARS builds the deployment through mars.NewSystem, installs the
-// trial's diagnosis policy on the controller, and starts the workload. The
-// caller injects its fault (or schedule) and runs the simulation.
+// trial's diagnosis policy on the controller, and starts the background.
+// The caller injects its fault (or schedule) and runs the simulation.
 func startMARS(tc TrialConfig, mutateRCA func(*rca.Config)) *marsRun {
 	sys, err := mars.NewSystem(marsConfig(tc, mutateRCA))
 	if err != nil {
@@ -113,17 +111,17 @@ func startMARS(tc TrialConfig, mutateRCA func(*rca.Config)) *marsRun {
 		}
 		m.merged.Add(sys.Analyzer.Analyze(d))
 	}
-	installWorkload(tc, sys.Sim, sys.FT)
+	sys.StartBackground(tc.Flows, tc.RatePPS)
 	return m
 }
 
 // marsTrial runs one single-fault MARS trial and scores the merged
-// ranking under match (marsMatches, or marsCauseMatches for the
+// ranking under match (mars.Locates, or marsCauseMatches for the
 // cause-accuracy ablation).
 func marsTrial(tc TrialConfig, mutateRCA func(*rca.Config), match func(rca.Culprit, faults.GroundTruth) bool) TrialResult {
 	m := startMARS(tc, mutateRCA)
 	gt := m.sys.InjectFault(tc.Fault, tc.FaultStart, tc.FaultDur)
-	m.sys.Run(tc.Total)
+	m.sys.Run(tc.RunFor)
 	return TrialResult{
 		System: SysMARS, GT: recordGT(gt), Rank: rankWhere(m.merged.Ranked(), gt, match),
 		Detected:       m.detected,
@@ -202,9 +200,9 @@ func runBaselineTrial(kind SystemKind, tc TrialConfig, mk func(*topology.FatTree
 	b := mk(ft)
 	sub := newSubstrate(tc, ft, b.hooks)
 	inj := faults.NewInjector(sub.Sim, ft, sub.Router)
-	installWorkload(tc, sub.Sim, ft)
+	mars.InstallBackground(sub.Sim, ft, tc.Flows, tc.RatePPS)
 	gt := inj.Inject(tc.Fault, tc.FaultStart, tc.FaultDur)
-	sub.Sim.Run(tc.Total)
+	sub.Sim.Run(tc.RunFor)
 	res := b.score(tc, gt)
 	res.System, res.GT, res.TotalLinkBytes = kind, recordGT(gt), sumLinkBytes(sub.Sim.Stats.LinkBytes)
 	return res

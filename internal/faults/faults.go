@@ -126,6 +126,20 @@ func (k Kind) String() string {
 	}
 }
 
+// MarshalText writes the kind by name, as scenario files carry it.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText reads a kind by name through Parse; an unknown or empty
+// name is an error.
+func (k *Kind) UnmarshalText(b []byte) error {
+	v, err := Parse(string(b))
+	if err != nil {
+		return err
+	}
+	*k = v
+	return nil
+}
+
 // Parse maps a scenario name (as printed by Kind.String, matched
 // case-insensitively) to its Kind. Every kind parses, including ctrl-chan
 // and the gray family. The error for an unknown name lists the valid set

@@ -13,6 +13,16 @@ import (
 	"mars/internal/workload"
 )
 
+func TestDefaultScenarioSane(t *testing.T) {
+	sc := DefaultScenario(1, FaultDelay)
+	if sc.FaultStart >= sc.RunFor || sc.FaultStart+sc.FaultDur > sc.RunFor {
+		t.Error("fault window exceeds run")
+	}
+	if sc.Flows <= 0 || sc.RatePPS <= 0 {
+		t.Error("degenerate workload")
+	}
+}
+
 func TestSystemEndToEndDelayFault(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 7
