@@ -18,8 +18,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -27,49 +29,67 @@ import (
 	"mars/internal/faults"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// scenarioFlag names the flag that sets each mars.Scenario field Check can
+// reject.
+var scenarioFlag = map[string]string{"flows": "-flows", "rate_pps": "-rate"}
+
+// run is mars-sim on the given arguments: 0 on success, 1 if the system
+// cannot be built, 2 for a bad flag value.
+func run(args []string, stdout, stderr io.Writer) int {
 	def := mars.DefaultScenario(1, mars.FaultDelay)
+	fs := flag.NewFlagSet("mars-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		faultList = flag.String("fault", def.Fault.String(), "comma-separated fault scenarios: micro-burst, ecmp-imbalance, process-rate, delay, drop, ctrl-chan, silent-drop, link-flap, link-down, switch-reboot, uplink-degrade")
-		seed      = flag.Int64("seed", def.Seed, "random seed (workload, fault target, reservoirs)")
-		k         = flag.Int("k", def.K, "fat-tree arity (even)")
-		flows     = flag.Int("flows", 0, "background flows (default 12 per edge switch: 96 at k=4)")
-		rate      = flag.Float64("rate", def.RatePPS, "per-flow background rate (pps)")
-		start     = flag.Float64("start", def.FaultStart.Seconds(), "fault start (s)")
-		dur       = flag.Float64("dur", def.FaultDur.Seconds(), "fault duration (s)")
-		total     = flag.Float64("total", def.RunFor.Seconds(), "total simulated time (s)")
-		top       = flag.Int("top", 8, "culprits to print")
-		codec     = flag.String("codec", "", "telemetry codec: mars11 (default), perhop, pintlike, sampled")
-		compound  = flag.Bool("compound", false, "enable compound-cause RCA (gray-failure signatures)")
-		verbose   = flag.Bool("v", false, "print each diagnosis as it happens and the control-channel byte counters")
+		faultList = fs.String("fault", def.Fault.String(), "comma-separated fault scenarios: micro-burst, ecmp-imbalance, process-rate, delay, drop, ctrl-chan, silent-drop, link-flap, link-down, switch-reboot, uplink-degrade")
+		seed      = fs.Int64("seed", def.Seed, "random seed (workload, fault target, reservoirs)")
+		k         = fs.Int("k", def.K, "fat-tree arity (even)")
+		flows     = fs.Int("flows", 0, "background flows (default 12 per edge switch: 96 at k=4)")
+		rate      = fs.Float64("rate", def.RatePPS, "per-flow background rate (pps)")
+		start     = fs.Float64("start", def.FaultStart.Seconds(), "fault start (s)")
+		dur       = fs.Float64("dur", def.FaultDur.Seconds(), "fault duration (s)")
+		total     = fs.Float64("total", def.RunFor.Seconds(), "total simulated time (s)")
+		top       = fs.Int("top", 8, "culprits to print")
+		codec     = fs.String("codec", "", "telemetry codec: mars11 (default), perhop, pintlike, sampled")
+		compound  = fs.Bool("compound", false, "enable compound-cause RCA (gray-failure signatures)")
+		verbose   = fs.Bool("v", false, "print each diagnosis as it happens and the control-channel byte counters")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	var kinds []mars.FaultKind
 	for _, name := range strings.Split(*faultList, ",") {
 		kind, err := faults.Parse(strings.TrimSpace(name))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
 		kinds = append(kinds, kind)
 	}
 
-	cfg := mars.Scenario{K: *k, Seed: *seed}.Config()
+	sc := mars.Scenario{K: *k, Seed: *seed, Flows: *flows, RatePPS: *rate}
+	cfg := sc.Config()
 	cfg.Codec = *codec
 	cfg.RCA.CompoundCauses = *compound
 	sys, err := mars.NewSystem(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-	if *flows == 0 {
-		*flows = 12 * len(sys.FT.EdgeIDs)
+	if sc.Flows == 0 {
+		sc.Flows = 12 * len(sys.FT.EdgeIDs)
 	}
-	sys.StartBackground(*flows, *rate)
+	var bad *mars.ScenarioError
+	if errors.As(sc.Check(), &bad) {
+		fmt.Fprintf(stderr, "mars-sim: %s %s\n", scenarioFlag[bad.Field], bad.Msg)
+		return 2
+	}
+	sys.StartBackground(sc.Flows, sc.RatePPS)
 	if *verbose {
 		sys.OnDiagnosis = func(d mars.Diagnosis, list []mars.Culprit) {
-			fmt.Printf("diagnosis at %v: trigger %v at s%d, %d records, %d culprits\n",
+			fmt.Fprintf(stdout, "diagnosis at %v: trigger %v at s%d, %d records, %d culprits\n",
 				d.Time, d.Trigger.Kind, d.Trigger.Switch, len(d.Records), len(list))
 		}
 	}
@@ -87,28 +107,28 @@ func main() {
 		}
 		roots = sys.InjectSchedule(sched).Roots()
 	}
-	fmt.Printf("topology: K=%d fat-tree (%d switches, %d hosts)\n", *k, sys.FT.NumSwitches(), sys.FT.NumHosts())
+	fmt.Fprintf(stdout, "topology: K=%d fat-tree (%d switches, %d hosts)\n", *k, sys.FT.NumSwitches(), sys.FT.NumHosts())
 	for _, gt := range roots {
-		fmt.Printf("injected: %v\n", gt)
+		fmt.Fprintf(stdout, "injected: %v\n", gt)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	sys.Run(sec(*total))
 
-	fmt.Printf("\nsent=%d delivered=%d dropped=%d\n",
+	fmt.Fprintf(stdout, "\nsent=%d delivered=%d dropped=%d\n",
 		sys.Sim.Stats.Sent, sys.Sim.Stats.Delivered, sys.Sim.Stats.Dropped)
 	if b := sys.Controller.Bytes; *verbose {
-		fmt.Printf("control channel: notification %d + collection %d + refresh %d + push %d B are the diagnosis overhead; request %d + ack %d B are not in it\n",
+		fmt.Fprintf(stdout, "control channel: notification %d + collection %d + refresh %d + push %d B are the diagnosis overhead; request %d + ack %d B are not in it\n",
 			b.NotificationBytes, b.CollectionBytes, b.RefreshBytes, b.ThresholdPushBytes, b.RequestBytes, b.AckBytes)
 	}
-	fmt.Printf("telemetry overhead: %d B, diagnosis overhead: %d B\n\n",
+	fmt.Fprintf(stdout, "telemetry overhead: %d B, diagnosis overhead: %d B\n\n",
 		sys.TelemetryOverheadBytes(), sys.DiagnosisOverheadBytes())
 
 	culprits := sys.Culprits()
 	if len(culprits) == 0 {
-		fmt.Println("no culprits (nothing detected)")
-		return
+		fmt.Fprintln(stdout, "no culprits (nothing detected)")
+		return 0
 	}
-	fmt.Println("ranked culprits:")
+	fmt.Fprintln(stdout, "ranked culprits:")
 	for i, c := range culprits {
 		if i >= *top {
 			break
@@ -119,6 +139,7 @@ func main() {
 				mark = "   <== injected"
 			}
 		}
-		fmt.Printf("  #%d %v%s\n", i+1, c, mark)
+		fmt.Fprintf(stdout, "  #%d %v%s\n", i+1, c, mark)
 	}
+	return 0
 }

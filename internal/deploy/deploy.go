@@ -125,13 +125,11 @@ type sinkCut struct {
 // replay capture. Deterministic: every process calls this with the same
 // Scenario and derives an identical capture.
 func Build(sc Scenario) (*Capture, error) {
-	switch {
-	case sc.Scale <= 0:
+	if sc.Scale <= 0 {
 		return nil, fmt.Errorf("deploy: scenario \"scale\" must be positive, got %v", sc.Scale)
-	case sc.Flows < 0:
-		return nil, fmt.Errorf("deploy: scenario \"flows\" must not be negative, got %d", sc.Flows)
-	case sc.Flows > 0 && sc.RatePPS <= 0:
-		return nil, fmt.Errorf("deploy: scenario \"rate_pps\" must be positive with %d flows, got %v", sc.Flows, sc.RatePPS)
+	}
+	if err := sc.Check(); err != nil {
+		return nil, fmt.Errorf("deploy: %w", err)
 	}
 	sys, err := mars.NewSystem(sc.Config())
 	if err != nil {

@@ -118,6 +118,8 @@ type agenda struct {
 	// peak tracks the high-water pending-event count for the MemStats-free
 	// memory accounting (Simulator.Mem).
 	peak int
+	// popped is the one slot nextBy pops into; drain dispatches from it.
+	popped event
 }
 
 // lane is a FIFO of events sorted by (at, ord): q[head:] is pending.
@@ -304,22 +306,25 @@ func (a *agenda) firstMarked() int64 {
 	return a.base + 1 + (s-start)&wheelMask
 }
 
-// nextBy pops the least pending event if it is due by until; otherwise it
-// pops nothing and reports false. One least per event: a stepped Run's
-// horizon check and its pop are the same look. The agenda must not be
-// empty.
-func (a *agenda) nextBy(until Time) (event, bool) {
+// nextBy pops the least pending event if it is due by until: it copies the
+// event into popped, the agenda's one pop slot, and returns that slot.
+// Otherwise it pops nothing and returns nil. The slot holds the event until
+// the next pop: pushes write the lanes, cur, the wheel and the heap, never
+// the slot, so a dispatch may schedule freely while it reads its event.
+// One least per event: a stepped Run's horizon check and its pop are the
+// same look. The agenda must not be empty.
+func (a *agenda) nextBy(until Time) *event {
 	e, l := a.least()
 	if e.at > until {
-		return event{}, false
+		return nil
 	}
-	top := *e
+	a.popped = *e
 	*e = event{} // release the packet/closure reference
 	a.n--
 	if l.head++; l.head == len(l.q) {
 		l.q, l.head = l.q[:0], 0
 	}
-	return top, true
+	return &a.popped
 }
 
 // popHeap removes the heap's least event.

@@ -19,19 +19,26 @@ type agendaOp struct {
 }
 
 // runAgendaOps drives a fresh agenda through ops next to a model — the
-// plain list of pending (at, ord) keys — and requires every pop to be the
-// model's minimum, nextBy to pop nothing just short of it, and the length,
+// plain list of pending events — and requires every pop to be the model's
+// minimum, nextBy to pop nothing just short of it, and the length,
 // emptiness and peak bookkeeping to match. Ords are unique (per-unit counters under
 // the unit prefix, as Simulator.push stamps them), so the order is total.
-// Whatever is still pending after the script is drained the same way.
+// Each push carries distinct operands a and b, and a pop must hand out the
+// pushed event whole; what it hands out must stay intact through the ops
+// after it up to the next pop, as drain dispatches from it while the
+// handler pushes. Whatever is still pending after the script is drained
+// the same way.
 func runAgendaOps(t testing.TB, ops []agendaOp) {
 	t.Helper()
 	var (
-		a     agenda
-		model []event
-		seq   [16]uint64
-		peak  int
-		now   Time // the last pop's time
+		a      agenda
+		model  []event
+		seq    [16]uint64
+		peak   int
+		now    Time // the last pop's time
+		pushes int32
+		held   *event // what the last pop handed out
+		want   event  // and what it must still hold
 	)
 	least := func() int {
 		m := 0
@@ -42,25 +49,31 @@ func runAgendaOps(t testing.TB, ops []agendaOp) {
 		}
 		return m
 	}
+	same := func(got *event, want event) bool {
+		return got.at == want.at && got.ord == want.ord && got.kind == want.kind && got.a == want.a && got.b == want.b
+	}
 	stop := func(step int) {
 		at := model[least()].at
-		if got, ok := a.nextBy(at - 1); ok {
+		if got := a.nextBy(at - 1); got != nil {
 			t.Fatalf("step %d: nextBy(%d) popped an event at %d, next pop is at %d", step, at-1, got.at, at)
 		}
 	}
 	pop := func(step int) {
 		stop(step)
 		m := least()
-		want := model[m]
+		want = model[m]
 		model = append(model[:m], model[m+1:]...)
 		now = want.at
-		got, ok := a.nextBy(want.at)
-		if !ok || got.at != want.at || got.ord != want.ord || got.kind != want.kind {
-			t.Fatalf("step %d: popped %v (at=%d ord=%#x kind=%d), want (at=%d ord=%#x kind=%d)",
-				step, ok, got.at, got.ord, got.kind, want.at, want.ord, want.kind)
+		held = a.nextBy(want.at)
+		if held == nil {
+			t.Fatalf("step %d: nextBy(%d) popped nothing, want (at=%d ord=%#x)", step, want.at, want.at, want.ord)
 		}
 	}
 	check := func(step int) {
+		if held != nil && !same(held, want) {
+			t.Fatalf("step %d: the last pop holds (at=%d ord=%#x kind=%d a=%d b=%d), want (at=%d ord=%#x kind=%d a=%d b=%d)",
+				step, held.at, held.ord, held.kind, held.a, held.b, want.at, want.ord, want.kind, want.a, want.b)
+		}
 		if a.len() != len(model) || a.empty() != (len(model) == 0) {
 			t.Fatalf("step %d: len()=%d empty()=%v with %d pending", step, a.len(), a.empty(), len(model))
 		}
@@ -81,7 +94,8 @@ func runAgendaOps(t testing.TB, ops []agendaOp) {
 		default:
 			u := op.unit % uint64(len(seq))
 			seq[u]++
-			e := event{at: op.at, ord: u<<unitShift | seq[u], kind: op.kind}
+			pushes++
+			e := event{at: op.at, ord: u<<unitShift | seq[u], kind: op.kind, a: pushes, b: -pushes}
 			if op.rel {
 				e.at += now
 			}

@@ -325,11 +325,14 @@ func (s *Simulator) RunAll() Time {
 }
 
 // drain is the event loop: it dispatches, in agenda order, every event
-// due by until.
+// due by until. It is the agenda's one pop site, and each event is
+// dispatched from the agenda's pop slot, which the next pop overwrites. No
+// event handler calls Run or RunAll, so drain is never re-entered while a
+// dispatch still reads its event; keep it that way.
 func (s *Simulator) drain(until Time) {
 	for !s.agenda.empty() {
-		e, ok := s.agenda.nextBy(until)
-		if !ok {
+		e := s.agenda.nextBy(until)
+		if e == nil {
 			return
 		}
 		s.now = e.at
@@ -362,7 +365,7 @@ func (s *Simulator) enter(n topology.NodeID) { s.cur = &s.units[s.unitOf[n]] }
 // unit that scheduled them, recovered from the ord stamp. Packet events
 // resolve their port operands against the port's wiring at fire time, so
 // the agenda never carries more than (node, port, packet).
-func (s *Simulator) dispatch(e event) {
+func (s *Simulator) dispatch(e *event) {
 	switch e.kind {
 	case evFunc:
 		s.cur = &s.units[e.ord>>unitShift]

@@ -182,6 +182,28 @@ func DefaultScenario(seed int64, kind FaultKind) Scenario {
 	}
 }
 
+// ScenarioError is a Scenario value that Check rejects; Field is its JSON
+// key.
+type ScenarioError struct {
+	Field string
+	Msg   string
+}
+
+func (e *ScenarioError) Error() string { return fmt.Sprintf("scenario %q %s", e.Field, e.Msg) }
+
+// Check rejects the background values the mesh cannot install: a negative
+// flow count, and flows with no positive rate. A *ScenarioError names the
+// field.
+func (sc Scenario) Check() error {
+	switch {
+	case sc.Flows < 0:
+		return &ScenarioError{"flows", fmt.Sprintf("must not be negative, got %d", sc.Flows)}
+	case sc.Flows > 0 && sc.RatePPS <= 0:
+		return &ScenarioError{"rate_pps", fmt.Sprintf("must be positive with %d flows, got %v", sc.Flows, sc.RatePPS)}
+	}
+	return nil
+}
+
 // Config is DefaultConfig on the scenario's fat-tree and seed.
 func (sc Scenario) Config() Config {
 	cfg := DefaultConfig()
