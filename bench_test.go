@@ -26,9 +26,9 @@ func BenchmarkTable1FaultLocalization(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, kind := range faults.Kinds() {
-			tc := experiments.TrialConfig{Scenario: mars.DefaultScenario(int64(1000+i), kind)}
+			sc := mars.DefaultScenario(int64(1000+i), kind)
 			for _, sys := range experiments.Systems() {
-				experiments.RunTrial(sys, tc)
+				experiments.RunTrial(sys, sc)
 			}
 		}
 	}
@@ -40,8 +40,7 @@ func BenchmarkMARSTrial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tc := experiments.TrialConfig{Scenario: mars.DefaultScenario(int64(42+i), faults.Delay)}
-		experiments.RunTrial(experiments.SysMARS, tc)
+		experiments.RunTrial(experiments.SysMARS, mars.DefaultScenario(int64(42+i), faults.Delay))
 	}
 }
 

@@ -37,12 +37,12 @@ func (r *AblationResult) Render() string {
 	return b.String()
 }
 
-// marsVariant is one row of an ablation: an RCA config edit (nil: none)
-// and a matching rule.
+// marsVariant is one row of an ablation: a config edit (nil: none) and a
+// matching rule.
 type marsVariant struct {
-	name   string
-	mutate func(*rca.Config)
-	match  func(rca.Culprit, faults.GroundTruth) bool
+	name  string
+	edit  func(*mars.Config)
+	match func(rca.Culprit, faults.GroundTruth) bool
 }
 
 // runMARSVariants runs the Table 1 fault suite under every variant, on
@@ -51,8 +51,8 @@ type marsVariant struct {
 func runMARSVariants(cfg harness.Config, title string, variants []marsVariant, trials int, baseSeed int64) *AblationResult {
 	var rows []sweepRow[TrialResult]
 	for _, v := range variants {
-		rows = append(rows, faultRow(v.name, func(tc TrialConfig) TrialResult {
-			return marsTrial(tc, v.mutate, v.match)
+		rows = append(rows, faultRow(v.name, func(sc mars.Scenario) TrialResult {
+			return marsTrial(sc, v.edit, v.match)
 		}))
 	}
 	results := sweep(cfg, "ablation", rows, faultSuite(), trials, baseSeed)
@@ -73,7 +73,7 @@ func RunAblationSBFLWith(cfg harness.Config, trials int, baseSeed int64) *Ablati
 	var variants []marsVariant
 	for _, name := range []string{"relative-risk", "ochiai", "tarantula", "jaccard", "dstar"} {
 		formula := sbfl.Formulas()[name]
-		variants = append(variants, marsVariant{name, func(c *rca.Config) { c.Formula = formula }, mars.Locates})
+		variants = append(variants, marsVariant{name, func(c *mars.Config) { c.RCA.Formula = formula }, mars.Locates})
 	}
 	return runMARSVariants(cfg, "Ablation: SBFL formula", variants, trials, baseSeed)
 }
@@ -84,7 +84,7 @@ func RunAblationFSMMaxLenWith(cfg harness.Config, trials int, baseSeed int64) *A
 	var variants []marsVariant
 	for _, maxLen := range []int{1, 2, 3} {
 		variants = append(variants, marsVariant{fmt.Sprintf("maxlen=%d", maxLen),
-			func(c *rca.Config) { c.MaxPatternLen = maxLen }, mars.Locates})
+			func(c *mars.Config) { c.RCA.MaxPatternLen = maxLen }, mars.Locates})
 	}
 	return runMARSVariants(cfg, "Ablation: FSM max pattern length", variants, trials, baseSeed)
 }
@@ -95,7 +95,7 @@ func RunAblationMinerWith(cfg harness.Config, trials int, baseSeed int64) *Ablat
 	var variants []marsVariant
 	for _, name := range []string{"PrefixSpan", "GSP", "CM-SPADE"} {
 		m := fsm.ByName(name)
-		variants = append(variants, marsVariant{name, func(c *rca.Config) { c.Miner = m }, mars.Locates})
+		variants = append(variants, marsVariant{name, func(c *mars.Config) { c.RCA.Miner = m }, mars.Locates})
 	}
 	return runMARSVariants(cfg, "Ablation: FSM algorithm (results must match)", variants, trials, baseSeed)
 }

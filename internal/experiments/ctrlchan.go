@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 
+	"mars"
+	"mars/internal/ctrlchan"
 	"mars/internal/harness"
 	"mars/internal/metrics"
 	"mars/internal/netsim"
@@ -54,11 +56,8 @@ func RunCtrlChanWith(cfg harness.Config, trials int, baseSeed int64) *CtrlChanRe
 		for _, retry := range []bool{true, false} {
 			res.Rows = append(res.Rows, CtrlChanRow{Loss: loss, Retry: retry})
 			label := fmt.Sprintf("%.0f%%/%s", 100*loss, ctrlChanMode(retry))
-			rows = append(rows, faultRow(label, func(tc TrialConfig) TrialResult {
-				tc.CtrlLossy = true
-				tc.CtrlLoss = loss
-				tc.CtrlNoRetry = !retry
-				return RunTrial(SysMARS, tc)
+			rows = append(rows, faultRow(label, func(sc mars.Scenario) TrialResult {
+				return marsTrial(sc, lossyChannel(loss, retry), mars.Locates)
 			}))
 		}
 	}
@@ -70,7 +69,7 @@ func RunCtrlChanWith(cfg harness.Config, trials int, baseSeed int64) *CtrlChanRe
 			row.Loc.Add(r.Rank)
 			row.Diagnoses += r.Diagnoses
 			row.Partial += r.PartialDiagnoses
-			if r.DiagDetected {
+			if r.Detected {
 				row.Detected++
 				latSum += r.DiagLatency
 			}
@@ -80,6 +79,19 @@ func RunCtrlChanWith(cfg harness.Config, trials int, baseSeed int64) *CtrlChanRe
 		}
 	}
 	return res
+}
+
+// lossyChannel is a sweep point's edit: the realistic control channel
+// (1 ms ± jitter latency, duplication, reordering) at symmetric message
+// loss, on the trial's channel seed; without retry, the controller's
+// retry budget is zero, so every request is sent exactly once.
+func lossyChannel(loss float64, retry bool) func(*mars.Config) {
+	return func(cfg *mars.Config) {
+		cfg.CtrlChan = ctrlchan.Lossy(loss, cfg.CtrlChan.Seed)
+		if !retry {
+			cfg.Controller.MaxRetries = 0
+		}
+	}
 }
 
 // ctrlChanMode names a controller mode in labels and the rendered table.

@@ -25,18 +25,16 @@ func TestCtrlChanTrialKnobs(t *testing.T) {
 	}
 	// Identical trials through the realistic lossy channel must agree
 	// exactly (the sweep's determinism rests on this).
-	tc := TrialConfig{Scenario: mars.DefaultScenario(5, faults.Delay)}
-	tc.CtrlLossy, tc.CtrlLoss = true, 0.25
-	a := RunTrial(SysMARS, tc)
-	b := RunTrial(SysMARS, tc)
+	sc := mars.DefaultScenario(5, faults.Delay)
+	a := marsTrial(sc, lossyChannel(0.25, true), mars.Locates)
+	b := marsTrial(sc, lossyChannel(0.25, true), mars.Locates)
 	if a.Rank != b.Rank || a.Diagnoses != b.Diagnoses ||
 		a.PartialDiagnoses != b.PartialDiagnoses || a.DiagnosisBytes != b.DiagnosisBytes {
 		t.Errorf("same trial config diverged:\n%+v\n%+v", a, b)
 	}
 	// The no-retry ablation at the same loss leaves far more collections
 	// partial; the retry budget is what keeps diagnosis data complete.
-	tc.CtrlNoRetry = true
-	n := RunTrial(SysMARS, tc)
+	n := marsTrial(sc, lossyChannel(0.25, false), mars.Locates)
 	if n.PartialDiagnoses <= a.PartialDiagnoses {
 		t.Errorf("no-retry partial=%d not above retry partial=%d (of %d/%d diagnoses)",
 			n.PartialDiagnoses, a.PartialDiagnoses, n.Diagnoses, a.Diagnoses)

@@ -7,57 +7,24 @@ import (
 	"testing"
 
 	"mars"
-	"mars/internal/controlplane"
-	"mars/internal/ctrlchan"
-	"mars/internal/dataplane"
 	"mars/internal/faults"
-	"mars/internal/netsim"
-	"mars/internal/pathid"
-	"mars/internal/rca"
 )
 
-// culpritDigest runs one full seeded MARS trial — simulator, data plane,
-// control channel, RCA — and hashes the merged ranked-culprit list,
-// including every field that reaches an operator. Two runs with the same
-// seed must produce the same digest bit for bit; this is the regression
-// net under the mapiter/detrand fixes (map-iteration order and ambient
-// randomness were the ways runs used to diverge).
-func culpritDigest(t *testing.T, tc TrialConfig) string {
-	t.Helper()
-	ft := newFatTree(tc)
-	dcfg := dataplane.DefaultProgramConfig()
-	table, err := pathid.BuildTable(dcfg.PathCfg, ft.Topology, ft.AllEdgePairPaths())
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := dataplane.New(dcfg, ft.Topology, table, nil)
-	router := netsim.NewECMPRouter(ft.Topology, uint64(tc.Seed))
-	sim := netsim.New(ft.Topology, router, prog, mars.DefaultConfig().Sim, tc.Seed)
-	ch := ctrlchan.New(sim, ctrlchan.Config{Seed: tc.Seed + 7})
-	ccfg := controlplane.DefaultConfig()
-	ccfg.Seed = tc.Seed
-	ctrl := controlplane.New(ccfg, sim, ft.Topology, ch)
-	agent := controlplane.NewAgent(&controlplane.LiveRegisters{Program: prog}, ch, &ctrl.Bytes, ctrl.Deliver)
-	ctrl.ToSwitch = agent.Deliver
-	prog.Notifier = agent
-	ctrl.Start()
-
-	analyzer := rca.New(rca.DefaultConfig(), table, ctrl)
-	var lists [][]rca.Culprit
-	ctrl.OnDiagnosis = func(d controlplane.Diagnosis) {
-		if d.Time >= tc.FaultStart {
-			lists = append(lists, analyzer.Analyze(d))
-		}
-	}
-
-	mars.InstallBackground(sim, ft, tc.Flows, tc.RatePPS)
-	inj := faults.NewInjector(sim, ft, router)
-	inj.Chan = ch
-	inj.Inject(tc.Fault, tc.FaultStart, tc.FaultDur)
-	sim.Run(tc.RunFor)
+// culpritDigest runs one full seeded MARS trial the way the experiments
+// run it (startMARS: mars.NewSystem's simulator, data plane, control
+// channel and RCA, under the oracle fold) and hashes the merged
+// ranked-culprit list, including every field that reaches an operator.
+// Two runs with the same seed must produce the same digest bit for bit;
+// this is the regression net under the mapiter/detrand fixes
+// (map-iteration order and ambient randomness were the ways runs used to
+// diverge).
+func culpritDigest(sc mars.Scenario) string {
+	m := startMARS(sc, nil)
+	m.sys.InjectFault(sc.Fault, sc.FaultStart, sc.FaultDur)
+	m.sys.Run(sc.RunFor)
 
 	h := sha256.New()
-	for _, c := range rca.MergeRanked(lists) {
+	for _, c := range m.merged.Ranked() {
 		fmt.Fprintf(h, "%d|%d|%v|%v|%v|%.9e|%.9e\n",
 			c.Cause, c.Level, c.Location, c.Flow, c.String(), c.Score, c.Confidence)
 	}
@@ -76,9 +43,9 @@ func TestSeededRunsAreDeterministic(t *testing.T) {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			t.Parallel()
-			tc := TrialConfig{Scenario: mars.DefaultScenario(11, kind)}
-			first := culpritDigest(t, tc)
-			second := culpritDigest(t, tc)
+			sc := mars.DefaultScenario(11, kind)
+			first := culpritDigest(sc)
+			second := culpritDigest(sc)
 			if first != second {
 				t.Fatalf("two identical seeded runs diverged: %s vs %s", first, second)
 			}

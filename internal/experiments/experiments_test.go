@@ -182,8 +182,7 @@ func TestFig9ShapeQuick(t *testing.T) {
 	tel := map[SystemKind]int64{}
 	diag := map[SystemKind]int64{}
 	for _, sys := range Systems() {
-		tc := TrialConfig{Scenario: mars.DefaultScenario(5, faults.Delay)}
-		r := RunTrial(sys, tc)
+		r := RunTrial(sys, mars.DefaultScenario(5, faults.Delay))
 		tel[sys] = r.TelemetryBytes
 		diag[sys] = r.DiagnosisBytes
 	}
@@ -249,9 +248,9 @@ func TestRunTrialRejectsUnknownSystem(t *testing.T) {
 	if got := bogus.String(); got != "SystemKind(9)" {
 		t.Errorf("String() = %q, want SystemKind(9)", got)
 	}
-	tc := TrialConfig{Scenario: mars.DefaultScenario(1, faults.Delay)}
+	sc := mars.DefaultScenario(1, faults.Delay)
 	_, err := harness.Run(harness.Config{Workers: 1}, []harness.Trial{{Label: "bogus"}},
-		func(harness.Trial) TrialResult { return RunTrial(bogus, tc) })
+		func(harness.Trial) TrialResult { return RunTrial(bogus, sc) })
 	var te *harness.TrialError
 	if !errors.As(err, &te) {
 		t.Fatalf("RunTrial(%v) through the harness returned err=%v, want a *harness.TrialError", bogus, err)

@@ -33,9 +33,8 @@ type Fig2Result struct {
 func RunFig2(seed int64) *Fig2Result {
 	cfg := mars.DefaultConfig().Sim
 	cfg.HostLinkBandwidthBps = cfg.LinkBandwidthBps // uniform rating for the CDF
-	tc := TrialConfig{Scenario: mars.Scenario{K: 4, Seed: seed}, SimCfg: &cfg}
-	ft := newFatTree(tc)
-	sim := newSubstrate(tc, ft, nil).Sim
+	ft := newFatTree(4)
+	_, sim := newSubstrate(ft, seed, cfg, nil)
 	// The motivating CDF reproduces the *measurement conditions* of the
 	// Benson et al. study the paper cites: skewed host popularity (zipf
 	// endpoints — most access links idle, a few hot) over an oversubscribed
@@ -98,10 +97,8 @@ func RunFig2(seed int64) *Fig2Result {
 	}
 
 	var core, agg, edge []float64
-	window := 100 * netsim.Millisecond
 	prev := make([][2]int64, len(ft.Links))
-	var sample func()
-	sample = func() {
+	sampleEvery(sim, 5*netsim.Second, func() {
 		for _, lc := range classes {
 			cur := sim.Stats.LinkDirBytes[lc.link]
 			for d := 0; d < 2; d++ {
@@ -110,7 +107,7 @@ func RunFig2(seed int64) *Fig2Result {
 				if lc.class == topology.LayerCore {
 					bw /= 4 // 4:1 oversubscription rating
 				}
-				util := bits / (window.Seconds() * bw)
+				util := bits / (sampleWindow.Seconds() * bw)
 				if util > 1 {
 					util = 1 // rated utilization saturates
 				}
@@ -127,11 +124,7 @@ func RunFig2(seed int64) *Fig2Result {
 			}
 			prev[lc.link] = cur
 		}
-		if sim.Now() < 5*netsim.Second {
-			sim.After(window, sample)
-		}
-	}
-	sim.At(window, sample)
+	})
 	sim.Run(5 * netsim.Second)
 	return &Fig2Result{
 		Core: metrics.NewCDF(core),
@@ -359,18 +352,15 @@ func RunFig7(seed int64) *Fig7Result {
 		var winLat netsim.Time
 		var winN int64
 		hook := &latencyWindow{lat: &winLat, n: &winN}
-		tc := TrialConfig{Scenario: mars.DefaultScenario(seed, faults.MicroBurst)}
-		ft := newFatTree(tc)
-		sub := newSubstrate(tc, ft, hook)
-		sim := sub.Sim
-		mars.InstallBackground(sim, ft, tc.Flows, tc.RatePPS)
-		inj := faults.NewInjector(sim, ft, sub.Router)
-		gt := inj.Inject(faults.MicroBurst, tc.FaultStart, netsim.Second)
+		sc := mars.DefaultScenario(seed, faults.MicroBurst)
+		ft := newFatTree(sc.K)
+		router, sim := newSubstrate(ft, sc.Seed, sc.Config().Sim, hook)
+		mars.InstallBackground(sim, ft, sc.Flows, sc.RatePPS)
+		inj := faults.NewInjector(sim, ft, router)
+		gt := inj.Inject(faults.MicroBurst, sc.FaultStart, netsim.Second)
 		hook.sinkEdge = gt.BurstSinkEdge
 		hook.topo = ft.Topology
-		window := 100 * netsim.Millisecond
-		var sample func()
-		sample = func() {
+		sampleEvery(sim, sc.RunFor, func() {
 			mean := 0.0
 			if winN > 0 {
 				mean = (netsim.Time(int64(winLat) / winN)).Millis()
@@ -378,26 +368,21 @@ func RunFig7(seed int64) *Fig7Result {
 			out.BurstT = append(out.BurstT, sim.Now().Seconds())
 			out.BurstLatencyMs = append(out.BurstLatencyMs, mean)
 			winLat, winN = 0, 0
-			if sim.Now() < tc.RunFor {
-				sim.After(window, sample)
-			}
-		}
-		sim.At(window, sample)
-		sim.Run(tc.RunFor)
+		})
+		sim.Run(sc.RunFor)
 	}
 
 	// (b) ECMP imbalance throughput split.
 	{
-		tc := TrialConfig{Scenario: mars.DefaultScenario(seed, faults.ECMPImbalance)}
-		ft := newFatTree(tc)
-		sub := newSubstrate(tc, ft, nil)
-		sim, router := sub.Sim, sub.Router
-		mars.InstallBackground(sim, ft, tc.Flows, tc.RatePPS)
+		sc := mars.DefaultScenario(seed, faults.ECMPImbalance)
+		ft := newFatTree(sc.K)
+		router, sim := newSubstrate(ft, sc.Seed, sc.Config().Sim, nil)
+		mars.InstallBackground(sim, ft, sc.Flows, sc.RatePPS)
 		// Deterministic: skew edge 0's uplinks 1:8 during the window.
 		e0 := ft.EdgeIDs[0]
 		up := ft.AggIDs[:2]
-		sim.At(tc.FaultStart, func() { router.SetWeight(e0, up[1], 8) })
-		sim.At(tc.FaultStart+tc.FaultDur, func() { router.ResetWeights(e0) })
+		sim.At(sc.FaultStart, func() { router.SetWeight(e0, up[1], 8) })
+		sim.At(sc.FaultStart+sc.FaultDur, func() { router.ResetWeights(e0) })
 		p0, _ := ft.PortTo(e0, up[0])
 		p1, _ := ft.PortTo(e0, up[1])
 		l0 := ft.Node(e0).Ports[p0].Link
@@ -411,24 +396,34 @@ func RunFig7(seed int64) *Fig7Result {
 			d1 = 1
 		}
 		prev0, prev1 := int64(0), int64(0)
-		window := 100 * netsim.Millisecond
-		var sample func()
-		sample = func() {
+		sampleEvery(sim, sc.RunFor, func() {
 			c0, c1 := sim.Stats.LinkDirBytes[l0][d0], sim.Stats.LinkDirBytes[l1][d1]
 			// Approximate pps by bytes/avg-size per window.
 			const avgPkt = 700.0
 			out.ECMPT = append(out.ECMPT, sim.Now().Seconds())
-			out.ECMPLightPPS = append(out.ECMPLightPPS, float64(c0-prev0)/avgPkt/window.Seconds())
-			out.ECMPHeavyPPS = append(out.ECMPHeavyPPS, float64(c1-prev1)/avgPkt/window.Seconds())
+			out.ECMPLightPPS = append(out.ECMPLightPPS, float64(c0-prev0)/avgPkt/sampleWindow.Seconds())
+			out.ECMPHeavyPPS = append(out.ECMPHeavyPPS, float64(c1-prev1)/avgPkt/sampleWindow.Seconds())
 			prev0, prev1 = c0, c1
-			if sim.Now() < tc.RunFor {
-				sim.After(window, sample)
-			}
-		}
-		sim.At(window, sample)
-		sim.Run(tc.RunFor)
+		})
+		sim.Run(sc.RunFor)
 	}
 	return out
+}
+
+// sampleWindow is the probe period of the figure sims (Figs. 2, 7a, 7b).
+const sampleWindow = 100 * netsim.Millisecond
+
+// sampleEvery runs sample on the bare simulator at every multiple of
+// sampleWindow, the last time at the first multiple at or past until.
+func sampleEvery(sim *netsim.Simulator, until netsim.Time, sample func()) {
+	var tick func()
+	tick = func() {
+		sample()
+		if sim.Now() < until {
+			sim.After(sampleWindow, tick)
+		}
+	}
+	sim.At(sampleWindow, tick)
 }
 
 type latencyWindow struct {

@@ -127,11 +127,11 @@ func RunGrayWith(cfg harness.Config, trials int, baseSeed int64) *GrayResult {
 	var rows []sweepRow[grayOutcome]
 	for _, mode := range GrayModes() {
 		rows = append(rows, sweepRow[grayOutcome]{mode.String(), func(k int, seed int64) grayOutcome {
-			tc := TrialConfig{Scenario: mars.DefaultScenario(seed, faults.SilentDrop)}
+			sc := mars.DefaultScenario(seed, faults.SilentDrop)
 			// FaultStart separates detections from false alarms; use the
 			// episode's earliest window.
-			tc.FaultStart, tc.FaultDur = scheduleWindow(scens[k].Schedule)
-			return runGrayTrial(tc, scens[k].Schedule, mode == GrayCompound)
+			sc.FaultStart, sc.FaultDur = scheduleWindow(scens[k].Schedule)
+			return runGrayTrial(sc, scens[k].Schedule, mode == GrayCompound)
 		}})
 	}
 	results := sweep(cfg, "gray", rows, kinds, trials, baseSeed)
@@ -179,10 +179,10 @@ func scheduleWindow(s faults.Schedule) (netsim.Time, netsim.Time) {
 
 // runGrayTrial runs one MARS trial over a fault schedule: the same
 // mars.System run as every other MARS trial, scored against the episode.
-func runGrayTrial(tc TrialConfig, sched faults.Schedule, compound bool) grayOutcome {
-	m := startMARS(tc, func(c *rca.Config) { c.CompoundCauses = compound })
+func runGrayTrial(sc mars.Scenario, sched faults.Schedule, compound bool) grayOutcome {
+	m := startMARS(sc, func(c *mars.Config) { c.RCA.CompoundCauses = compound })
 	ep := m.sys.InjectSchedule(sched)
-	m.sys.Run(tc.RunFor)
+	m.sys.Run(sc.RunFor)
 
 	ranked := m.merged.Ranked()
 	out := grayOutcome{Detected: m.detected}
@@ -194,7 +194,7 @@ func runGrayTrial(tc TrialConfig, sched faults.Schedule, compound bool) grayOutc
 			out.SwRank = r
 		}
 		if !out.CauseHit {
-			want := grayCauseWant(gt.Kind)
+			want := trueCause(gt.Kind)
 			for i, c := range ranked {
 				if i >= 3 {
 					break
@@ -248,25 +248,6 @@ func graySwitchMatch(c rca.Culprit, gt faults.GroundTruth) bool {
 		return true
 	}
 	return gt.Peer >= 0 && c.ContainsSwitch(gt.Peer)
-}
-
-// grayCauseWant maps a root kind to its true cause class. Paper mode
-// cannot emit the gray classes at all — its cause accuracy on those rows
-// is zero by construction, which is the point of the comparison.
-func grayCauseWant(k faults.Kind) rca.Cause {
-	//mars:partial every loss-class kind (SilentDrop, LinkDown, Drop, ...) deliberately maps to CauseDrop through the default: loss is loss
-	switch k {
-	case faults.LinkFlap:
-		return rca.CauseLinkFlap
-	case faults.SwitchReboot:
-		return rca.CauseSwitchReboot
-	case faults.UplinkDegrade:
-		return rca.CauseLinkDegrade
-	case faults.Delay:
-		return rca.CauseDelay
-	default: // SilentDrop, LinkDown, Drop: loss is loss
-		return rca.CauseDrop
-	}
 }
 
 // Render formats the grid, paper vs compound per scenario.

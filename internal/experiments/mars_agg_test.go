@@ -18,8 +18,7 @@ func TestMARSAggregate(t *testing.T) {
 	for _, kind := range faults.Kinds() {
 		var loc metrics.Localization
 		for i := 0; i < trials; i++ {
-			tc := TrialConfig{Scenario: mars.DefaultScenario(int64(1000+i*37), kind)}
-			r := RunTrial(SysMARS, tc)
+			r := RunTrial(SysMARS, mars.DefaultScenario(int64(1000+i*37), kind))
 			loc.Add(r.Rank)
 			if r.Rank == 0 || r.Rank > 2 {
 				t.Logf("  MISS %v seed=%d rank=%d gt=%v detected=%v", kind, 1000+i*37, r.Rank, r.GT, r.Detected)

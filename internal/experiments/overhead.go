@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"mars"
 	"mars/internal/harness"
 	"mars/internal/metrics"
 )
@@ -76,9 +77,8 @@ func RunOverheadWith(cfg harness.Config, trials int, baseSeed int64) *OverheadRe
 	var rows []sweepRow[TrialResult]
 	for _, codec := range OverheadCodecs {
 		res.Rows = append(res.Rows, OverheadRow{Codec: codec})
-		rows = append(rows, faultRow(codec, func(tc TrialConfig) TrialResult {
-			tc.Codec = codec
-			return RunTrial(SysMARS, tc)
+		rows = append(rows, faultRow(codec, func(sc mars.Scenario) TrialResult {
+			return marsTrial(sc, func(cfg *mars.Config) { cfg.Codec = codec }, mars.Locates)
 		}))
 	}
 	results := sweep(cfg, "overhead", rows, faultSuite(), trials, baseSeed)
@@ -86,7 +86,7 @@ func RunOverheadWith(cfg harness.Config, trials int, baseSeed int64) *OverheadRe
 		row := &res.Rows[i]
 		for _, r := range results[i] {
 			row.Loc.Add(r.Rank)
-			row.Det.Add(r.DiagDetected, true)
+			row.Det.Add(r.Detected, true)
 			if r.FalseAlarms > 0 {
 				row.Det.Add(true, false)
 			}
@@ -95,7 +95,7 @@ func RunOverheadWith(cfg harness.Config, trials int, baseSeed int64) *OverheadRe
 			row.DiagnosisBytes += r.DiagnosisBytes
 			row.Packets += r.Packets
 			row.TelemetryPackets += r.TelemetryPackets
-			if r.DiagDetected {
+			if r.Detected {
 				row.Detected++
 			}
 		}

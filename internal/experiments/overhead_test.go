@@ -40,12 +40,13 @@ func TestOverheadCodecTrialQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	tc := TrialConfig{Scenario: mars.DefaultScenario(5, faults.Delay)}
+	sc := mars.DefaultScenario(5, faults.Delay)
+	codec := func(name string) func(*mars.Config) {
+		return func(cfg *mars.Config) { cfg.Codec = name }
+	}
 	results := map[string]TrialResult{}
-	for _, codec := range append([]string{""}, OverheadCodecs...) {
-		c := tc
-		c.Codec = codec
-		results[codec] = RunTrial(SysMARS, c)
+	for _, name := range append([]string{""}, OverheadCodecs...) {
+		results[name] = marsTrial(sc, codec(name), mars.Locates)
 	}
 
 	// The pluggable seam must be invisible when the paper's codec is
@@ -55,9 +56,7 @@ func TestOverheadCodecTrialQuick(t *testing.T) {
 			results[""], results["mars11"])
 	}
 	// And deterministic across repeats.
-	c := tc
-	c.Codec = "perhop"
-	if again := RunTrial(SysMARS, c); !reflect.DeepEqual(again, results["perhop"]) {
+	if again := marsTrial(sc, codec("perhop"), mars.Locates); !reflect.DeepEqual(again, results["perhop"]) {
 		t.Errorf("perhop trial not deterministic:\n%+v\n%+v", again, results["perhop"])
 	}
 
@@ -66,12 +65,12 @@ func TestOverheadCodecTrialQuick(t *testing.T) {
 		t.Errorf("telemetry cost ordering wrong: sampled=%d mars11=%d pintlike=%d perhop=%d",
 			cost("sampled"), cost("mars11"), cost("pintlike"), cost("perhop"))
 	}
-	for _, codec := range OverheadCodecs {
-		if !results[codec].DiagDetected {
-			t.Errorf("%s: delay fault went undetected", codec)
+	for _, name := range OverheadCodecs {
+		if !results[name].Detected {
+			t.Errorf("%s: delay fault went undetected", name)
 		}
-		if results[codec].Packets == 0 || results[codec].TelemetryPackets == 0 {
-			t.Errorf("%s: packet accounting empty: %+v", codec, results[codec])
+		if results[name].Packets == 0 || results[name].TelemetryPackets == 0 {
+			t.Errorf("%s: packet accounting empty: %+v", name, results[name])
 		}
 	}
 }

@@ -119,14 +119,14 @@ func TestStreamMatchesBatchTop1(t *testing.T) {
 	for _, kind := range []faults.Kind{faults.MicroBurst} {
 		t.Run("trial/"+kind.String(), func(t *testing.T) {
 			// Table 1's first trial of the fault at CI's -seed 1000.
-			tc := TrialConfig{Scenario: mars.DefaultScenario(harness.TrialSeed(1000, int(kind), 0), kind)}
-			m := startMARS(tc, nil)
+			sc := mars.DefaultScenario(harness.TrialSeed(1000, int(kind), 0), kind)
+			m := startMARS(sc, nil)
 			var all []dataplane.RTRecord
 			m.sys.Program.OnRecord = func(_ topology.NodeID, rec dataplane.RTRecord) { all = append(all, rec) }
-			gt := m.sys.InjectFault(tc.Fault, tc.FaultStart, tc.FaultDur)
-			m.sys.Run(tc.RunFor)
-			epochs := int(tc.RunFor / dataplane.EpochDuration)
-			checkStreamMatchesBatch(t, all, m.sys.FT, m.sys.Paths, m.sys.Analyzer.Thr, tc.Seed, 4, epochs,
+			gt := m.sys.InjectFault(sc.Fault, sc.FaultStart, sc.FaultDur)
+			m.sys.Run(sc.RunFor)
+			epochs := int(sc.RunFor / dataplane.EpochDuration)
+			checkStreamMatchesBatch(t, all, m.sys.FT, m.sys.Paths, m.sys.Analyzer.Thr, sc.Seed, 4, epochs,
 				func(c rca.Culprit) bool { return mars.Locates(c, gt) })
 		})
 	}

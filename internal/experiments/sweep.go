@@ -42,12 +42,12 @@ func faultSuite() []sweepKind {
 	return out
 }
 
-// faultRow is a row over the fault suite: trial (k, t) runs on the default
-// trial config of faults.Kinds()[k], which run may edit before running it.
-func faultRow(label string, run func(tc TrialConfig) TrialResult) sweepRow[TrialResult] {
+// faultRow is a row over the fault suite: trial (k, t) runs the default
+// scenario of faults.Kinds()[k] on the trial's seed.
+func faultRow(label string, run func(sc mars.Scenario) TrialResult) sweepRow[TrialResult] {
 	kinds := faults.Kinds()
 	return sweepRow[TrialResult]{label, func(k int, seed int64) TrialResult {
-		return run(TrialConfig{Scenario: mars.DefaultScenario(seed, kinds[k])})
+		return run(mars.DefaultScenario(seed, kinds[k]))
 	}}
 }
 

@@ -5,8 +5,6 @@ import (
 	"mars/internal/baselines/intsight"
 	"mars/internal/baselines/spidermon"
 	"mars/internal/baselines/syndb"
-	"mars/internal/controlplane"
-	"mars/internal/ctrlchan"
 	"mars/internal/dataplane"
 	"mars/internal/faults"
 	"mars/internal/harness"
@@ -15,68 +13,46 @@ import (
 	"mars/internal/topology"
 )
 
-// Substrate is the bare simulation stack under everything that is not a
-// mars.System: one fat-tree, one ECMP router, one classic simulator. The
-// baselines and the hand-instrumented figure sims share it.
-type Substrate struct {
-	FT     *topology.FatTree
-	Router *netsim.ECMPRouter
-	Sim    *netsim.Simulator
-}
-
-// newFatTree builds the trial's topology, panicking on a malformed K (the
+// newFatTree builds a trial's topology, panicking on a malformed K (the
 // harness recovers trial panics into typed errors).
-func newFatTree(tc TrialConfig) *topology.FatTree {
-	ft, err := topology.NewFatTree(tc.K)
+func newFatTree(k int) *topology.FatTree {
+	ft, err := topology.NewFatTree(k)
 	if err != nil {
 		panic(err)
 	}
 	return ft
 }
 
-// newSubstrate wires the router and simulator around the topology with the
-// trial's physical configuration and seed.
-func newSubstrate(tc TrialConfig, ft *topology.FatTree, hooks netsim.Hooks) *Substrate {
-	router := netsim.NewECMPRouter(ft.Topology, uint64(tc.Seed))
-	cfg := mars.DefaultConfig().Sim
-	if tc.SimCfg != nil {
-		cfg = *tc.SimCfg
-	}
-	sim := netsim.New(ft.Topology, router, hooks, cfg, tc.Seed)
-	return &Substrate{FT: ft, Router: router, Sim: sim}
+// newSubstrate is the bare simulation stack under everything that is not
+// a mars.System (the baselines and the hand-instrumented figure sims): one
+// ECMP router and one classic simulator around ft, seeded like a
+// mars.System's.
+func newSubstrate(ft *topology.FatTree, seed int64, cfg netsim.Config, hooks netsim.Hooks) (*netsim.ECMPRouter, *netsim.Simulator) {
+	router := netsim.NewECMPRouter(ft.Topology, uint64(seed))
+	return router, netsim.New(ft.Topology, router, hooks, cfg, seed)
 }
 
 // --- MARS -----------------------------------------------------------------
 
-// marsConfig maps a trial onto the public facade's configuration: MARS
-// trials are mars.System runs, so the numbers in EXPERIMENTS.md and the
-// API users call are built by the same code. mutateRCA (may be nil) edits
-// the analyzer config for the ablations and the gray modes.
-func marsConfig(tc TrialConfig, mutateRCA func(*rca.Config)) mars.Config {
-	cfg := tc.Config()
-	if tc.SimCfg != nil {
-		cfg.Sim = *tc.SimCfg
-	}
-	cfg.Codec = tc.Codec
-	ctrlSeed := harness.CtrlChanSeed(tc.Seed)
-	cfg.CtrlChan = ctrlchan.Config{Seed: ctrlSeed}
-	if tc.CtrlLossy {
-		cfg.CtrlChan = ctrlchan.Lossy(tc.CtrlLoss, ctrlSeed)
-	}
-	if tc.CtrlNoRetry {
-		cfg.Controller.MaxRetries = 0
-	}
-	if mutateRCA != nil {
-		mutateRCA(&cfg.RCA)
+// marsConfig is a MARS trial's deployment: the scenario's mars.Config on
+// the trial's control-channel seed, then edit (may be nil), the driver's
+// one change to a field (the channel's loss model and retry budget, the
+// codec, the analyzer). MARS trials are mars.System runs, so the numbers
+// in EXPERIMENTS.md and the API users call are built by the same code.
+func marsConfig(sc mars.Scenario, edit func(*mars.Config)) mars.Config {
+	cfg := sc.Config()
+	cfg.CtrlChan.Seed = harness.CtrlChanSeed(sc.Seed)
+	if edit != nil {
+		edit(&cfg)
 	}
 	return cfg
 }
 
 // marsRun is one MARS deployment under the trial drivers' diagnosis
 // policy, the oracle fold: only diagnoses completed at or after FaultStart
-// are analyzed and merged; earlier ones count as false alarms (2–4 of a
-// trial's 6–8 collections). mars.System.Culprits() is the other fold,
-// every diagnosis merged, which bench's trial_k4 and the deployment score.
+// are merged; earlier ones count as false alarms (2–4 of a trial's 6–8
+// collections). mars.System.Culprits() is the other fold, every diagnosis
+// merged, which bench's trial_k4 and the deployment score.
 type marsRun struct {
 	sys         *mars.System
 	merged      rca.Merger
@@ -87,49 +63,50 @@ type marsRun struct {
 	falseAlarms int64
 }
 
-// startMARS builds the deployment through mars.NewSystem, installs the
-// trial's diagnosis policy on the controller, and starts the background.
-// The caller injects its fault (or schedule) and runs the simulation.
-func startMARS(tc TrialConfig, mutateRCA func(*rca.Config)) *marsRun {
-	sys, err := mars.NewSystem(marsConfig(tc, mutateRCA))
+// startMARS builds the deployment through mars.NewSystem, folds its
+// analysed diagnoses through System.OnDiagnosis, and starts the
+// background. The caller injects its fault (or schedule) and runs the
+// simulation.
+func startMARS(sc mars.Scenario, edit func(*mars.Config)) *marsRun {
+	sys, err := mars.NewSystem(marsConfig(sc, edit))
 	if err != nil {
 		panic(err)
 	}
 	m := &marsRun{sys: sys}
-	sys.Controller.OnDiagnosis = func(d controlplane.Diagnosis) {
-		if d.Time < tc.FaultStart {
+	sys.OnDiagnosis = func(d mars.Diagnosis, list []mars.Culprit) {
+		if d.Time < sc.FaultStart {
 			m.falseAlarms++
 			return
 		}
 		if !m.detected {
 			m.detected = true
-			m.firstDiag = d.Time - tc.FaultStart
+			m.firstDiag = d.Time - sc.FaultStart
 		}
 		m.diagnoses++
 		if d.Partial() {
 			m.partial++
 		}
-		m.merged.Add(sys.Analyzer.Analyze(d))
+		m.merged.Add(list)
 	}
-	sys.StartBackground(tc.Flows, tc.RatePPS)
+	sys.StartBackground(sc.Flows, sc.RatePPS)
 	return m
 }
 
-// marsTrial runs one single-fault MARS trial and scores the merged
-// ranking under match (mars.Locates, or marsCauseMatches for the
-// cause-accuracy ablation).
-func marsTrial(tc TrialConfig, mutateRCA func(*rca.Config), match func(rca.Culprit, faults.GroundTruth) bool) TrialResult {
-	m := startMARS(tc, mutateRCA)
-	gt := m.sys.InjectFault(tc.Fault, tc.FaultStart, tc.FaultDur)
-	m.sys.Run(tc.RunFor)
+// marsTrial runs one single-fault MARS trial on marsConfig(sc, edit) and
+// scores the merged ranking under match (mars.Locates, or
+// marsCauseMatches for the cause-accuracy ablation).
+func marsTrial(sc mars.Scenario, edit func(*mars.Config), match func(rca.Culprit, faults.GroundTruth) bool) TrialResult {
+	m := startMARS(sc, edit)
+	gt := m.sys.InjectFault(sc.Fault, sc.FaultStart, sc.FaultDur)
+	m.sys.Run(sc.RunFor)
 	return TrialResult{
 		System: SysMARS, GT: recordGT(gt), Rank: rankWhere(m.merged.Ranked(), gt, match),
 		Detected:       m.detected,
 		TelemetryBytes: m.sys.TelemetryOverheadBytes(),
 		DiagnosisBytes: m.sys.DiagnosisOverheadBytes(),
 		TotalLinkBytes: sumLinkBytes(m.sys.Sim.Stats.LinkBytes),
-		DiagLatency:    m.firstDiag, DiagDetected: m.detected,
-		Diagnoses: m.diagnoses, PartialDiagnoses: m.partial,
+		DiagLatency:    m.firstDiag,
+		Diagnoses:      m.diagnoses, PartialDiagnoses: m.partial,
 		Packets:          m.sys.Sim.Stats.Sent,
 		TelemetryPackets: m.sys.Program.Stats.TelemetryPackets,
 		FalseAlarms:      m.falseAlarms,
@@ -145,12 +122,12 @@ func marsTrial(tc TrialConfig, mutateRCA func(*rca.Config), match func(rca.Culpr
 // value is built for every trial.
 type baseline struct {
 	hooks netsim.Hooks
-	score func(tc TrialConfig, gt faults.GroundTruth) TrialResult
+	score func(sc mars.Scenario, gt faults.GroundTruth) TrialResult
 }
 
 func newSpiderMon(ft *topology.FatTree) baseline {
 	s := spidermon.New(ft.Topology)
-	return baseline{s, func(_ TrialConfig, gt faults.GroundTruth) TrialResult {
+	return baseline{s, func(_ mars.Scenario, gt faults.GroundTruth) TrialResult {
 		rank := 0
 		for i, c := range s.Localize() {
 			if baselineMatches(c.Switches, c.FlowID, true, gt) {
@@ -165,7 +142,7 @@ func newSpiderMon(ft *topology.FatTree) baseline {
 
 func newIntSight(ft *topology.FatTree) baseline {
 	s := intsight.New(ft.Topology)
-	return baseline{s, func(_ TrialConfig, gt faults.GroundTruth) TrialResult {
+	return baseline{s, func(_ mars.Scenario, gt faults.GroundTruth) TrialResult {
 		rank := 0
 		for i, c := range s.Localize() {
 			if switchOrFlowMatches(c.Switch, c.FlowID, gt) {
@@ -180,9 +157,9 @@ func newIntSight(ft *topology.FatTree) baseline {
 
 func newSyNDB(ft *topology.FatTree) baseline {
 	s := syndb.New(ft.Topology)
-	return baseline{s, func(tc TrialConfig, gt faults.GroundTruth) TrialResult {
+	return baseline{s, func(sc mars.Scenario, gt faults.GroundTruth) TrialResult {
 		rank := 0
-		for i, c := range s.Localize(syndbQuery(tc.Fault)) {
+		for i, c := range s.Localize(syndbQuery(sc.Fault)) {
 			if switchOrFlowMatches(c.Switch, c.FlowID, gt) {
 				rank = i + 1
 				break
@@ -193,18 +170,18 @@ func newSyNDB(ft *topology.FatTree) baseline {
 	}}
 }
 
-// runBaselineTrial runs one baseline over the shared substrate: build the
+// runBaselineTrial runs one baseline on the bare substrate: build the
 // system's hooks against the topology, run the workload and fault, score.
-func runBaselineTrial(kind SystemKind, tc TrialConfig, mk func(*topology.FatTree) baseline) TrialResult {
-	ft := newFatTree(tc)
+func runBaselineTrial(kind SystemKind, sc mars.Scenario, mk func(*topology.FatTree) baseline) TrialResult {
+	ft := newFatTree(sc.K)
 	b := mk(ft)
-	sub := newSubstrate(tc, ft, b.hooks)
-	inj := faults.NewInjector(sub.Sim, ft, sub.Router)
-	mars.InstallBackground(sub.Sim, ft, tc.Flows, tc.RatePPS)
-	gt := inj.Inject(tc.Fault, tc.FaultStart, tc.FaultDur)
-	sub.Sim.Run(tc.RunFor)
-	res := b.score(tc, gt)
-	res.System, res.GT, res.TotalLinkBytes = kind, recordGT(gt), sumLinkBytes(sub.Sim.Stats.LinkBytes)
+	router, sim := newSubstrate(ft, sc.Seed, sc.Config().Sim, b.hooks)
+	inj := faults.NewInjector(sim, ft, router)
+	mars.InstallBackground(sim, ft, sc.Flows, sc.RatePPS)
+	gt := inj.Inject(sc.Fault, sc.FaultStart, sc.FaultDur)
+	sim.Run(sc.RunFor)
+	res := b.score(sc, gt)
+	res.System, res.GT, res.TotalLinkBytes = kind, recordGT(gt), sumLinkBytes(sim.Stats.LinkBytes)
 	return res
 }
 

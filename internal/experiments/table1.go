@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"mars"
 	"mars/internal/faults"
 	"mars/internal/harness"
 	"mars/internal/metrics"
@@ -26,8 +27,8 @@ type Table1Result struct {
 func systemRows() []sweepRow[TrialResult] {
 	var rows []sweepRow[TrialResult]
 	for _, sys := range Systems() {
-		rows = append(rows, faultRow(sys.String(), func(tc TrialConfig) TrialResult {
-			return RunTrial(sys, tc)
+		rows = append(rows, faultRow(sys.String(), func(sc mars.Scenario) TrialResult {
+			return RunTrial(sys, sc)
 		}))
 	}
 	return rows
