@@ -52,11 +52,6 @@ type Config struct {
 	BackoffBase netsim.Time
 	// BackoffMax caps the exponential backoff.
 	BackoffMax netsim.Time
-
-	// Codec is the selected telemetry encoding (internal/telemetry); the
-	// controller runs its DecodeRecords over every collected snapshot. nil
-	// means the paper's exact encoding — identity reconstruction.
-	Codec dataplane.Codec
 }
 
 // Clock is the controller's scheduling seam. In the simulator it is the
@@ -121,24 +116,6 @@ type Diagnosis struct {
 	// MissingSinks lists the edge switches that never responded within
 	// the retry budget; empty for a complete collection.
 	MissingSinks []topology.NodeID
-	// RecordConfidence, when non-nil, is the codec decoder's per-record
-	// reconstruction confidence aligned with Records. nil means the exact
-	// default encoding (confidence 1 everywhere).
-	RecordConfidence []float64
-}
-
-// ReconstructionConfidence is the mean per-record reconstruction
-// confidence, 1 for exact encodings (nil RecordConfidence) and for empty
-// collections.
-func (d Diagnosis) ReconstructionConfidence() float64 {
-	if len(d.RecordConfidence) == 0 {
-		return 1
-	}
-	var s float64
-	for _, c := range d.RecordConfidence {
-		s += c
-	}
-	return s / float64(len(d.RecordConfidence))
 }
 
 // Coverage returns the fraction of contacted sinks that answered (1 for a
@@ -740,9 +717,9 @@ func (c *Controller) sinkResolved(col *collection, sw topology.NodeID) {
 }
 
 // finalizeCollection copies the staged records into one exact-size slice,
-// a collection's one record allocation, runs the codec decoder over it and
-// hands the (possibly partial) diagnosis to RCA. It keeps the larger of
-// its staging buffer and one an overlapping collection returned.
+// a collection's one record allocation, and hands the (possibly partial)
+// diagnosis to RCA. It keeps the larger of its staging buffer and one an
+// overlapping collection returned.
 func (c *Controller) finalizeCollection(col *collection) {
 	c.collecting--
 	c.Bytes.Diagnoses++
@@ -760,18 +737,13 @@ func (c *Controller) finalizeCollection(col *collection) {
 			records = make([]dataplane.RTRecord, len(staged))
 			copy(records, staged)
 		}
-		var conf []float64
-		if c.Cfg.Codec != nil {
-			records, conf = c.Cfg.Codec.DecodeRecords(records)
-		}
 		c.OnDiagnosis(Diagnosis{
-			Trigger:          col.trigger,
-			Records:          records,
-			Time:             c.clock.Now(),
-			AsOf:             col.asOf,
-			Requested:        col.requested,
-			MissingSinks:     col.missing,
-			RecordConfidence: conf,
+			Trigger:      col.trigger,
+			Records:      records,
+			Time:         c.clock.Now(),
+			AsOf:         col.asOf,
+			Requested:    col.requested,
+			MissingSinks: col.missing,
 		})
 	}
 }

@@ -5,10 +5,11 @@ package dataplane
 // switch program reads its widths and stride once, promotes a flow's
 // marked packet when the epoch is a multiple of EpochStride, folds each
 // hop's queue depth into the header itself, charges HopBytes per hop and
-// lets OnHop update the codec's slot. The controller runs DecodeRecords
-// over every collected snapshot. The paper's answers are Mars11 below,
-// which a nil Config.Codec resolves to; internal/telemetry's codecs embed
-// it and declare only what they change.
+// lets OnHop update the codec's slot. The analyzer (rca.Config.Codec)
+// scales a diagnosis's culprit confidence by the snapshot's Confidence.
+// The paper's answers are Mars11 below, which a nil Config.Codec resolves
+// to; internal/telemetry's codecs embed it and declare only what they
+// change.
 //
 // The widths a codec declares are what the byte accounting charges; no
 // codec serializes its header (see the constants in header.go), and
@@ -26,12 +27,11 @@ type Codec interface {
 	// OnHop updates the in-flight header's slot at one switch, after the
 	// program has folded the hop's queue depth.
 	OnHop(h *INTHeader, pktID uint64)
-	// DecodeRecords reconstructs a collected Ring Table snapshot on the
-	// controller. It returns the records and a per-record reconstruction
-	// confidence in [0,1] aligned with them: nil (1 everywhere) for exact
-	// encodings, the observed-hop coverage for pintlike, 1/stride for
+	// Confidence is the mean reconstruction confidence in [0,1] of a
+	// collected Ring Table snapshot, which it does not modify: 1 for exact
+	// encodings, the mean observed-hop coverage for pintlike, 1/stride for
 	// sampled.
-	DecodeRecords(recs []RTRecord) ([]RTRecord, []float64)
+	Confidence(recs []RTRecord) float64
 }
 
 // Mars11 is the paper's fixed 11-byte encoding: every epoch mark is
@@ -46,8 +46,7 @@ func (Mars11) EpochStride() uint32 { return 1 }
 
 func (Mars11) OnHop(*INTHeader, uint64) {}
 
-// DecodeRecords is the identity: the encoding is exact, and a nil
-// confidence means 1 everywhere.
-func (Mars11) DecodeRecords(recs []RTRecord) ([]RTRecord, []float64) { return recs, nil }
+// Confidence is 1: the encoding is exact.
+func (Mars11) Confidence([]RTRecord) float64 { return 1 }
 
 var _ Codec = Mars11{}

@@ -29,8 +29,7 @@ type ControllerNode struct {
 	// the duration of one Analyze call (set and read on the loop goroutine).
 	currentThr map[dataplane.FlowID]netsim.Time
 
-	merged    rca.Merger
-	diagnoses []controlplane.Diagnosis
+	merged rca.Merger
 
 	// noteSeen records the wall time each distinct trigger first reached
 	// this process (a retransmission carries the same Notification);
@@ -112,7 +111,6 @@ func NewControllerNode(cap *Capture, conn *net.UDPConn, switchAddrs map[topology
 		if at, ok := n.noteSeen[d.Trigger]; ok {
 			n.collectLat = append(n.collectLat, n.loop.Now()-at)
 		}
-		n.diagnoses = append(n.diagnoses, d)
 		n.merged.Add(list)
 		if n.Stream != nil {
 			for _, r := range d.Records {
@@ -166,7 +164,7 @@ func (n *ControllerNode) Result(wallSeconds float64) *LoopbackResult {
 	res := &LoopbackResult{Expected: n.cap.Expected, WallSeconds: wallSeconds}
 	n.loop.Run(func() {
 		res.Got = n.merged.Ranked()
-		res.Diagnoses = len(n.diagnoses)
+		res.Diagnoses = int(n.ctrl.Bytes.Diagnoses)
 		res.CollectLatencies = append(res.CollectLatencies, n.collectLat...)
 		res.Bytes = n.ctrl.Bytes
 	})

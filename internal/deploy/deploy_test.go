@@ -15,6 +15,7 @@ import (
 	"mars/internal/ctrlchan"
 	"mars/internal/dataplane"
 	"mars/internal/netsim"
+	"mars/internal/rca"
 	"mars/internal/stream"
 	"mars/internal/topology"
 )
@@ -67,6 +68,9 @@ func launchInProcessWith(t *testing.T, c *Capture, absent int, rewire func(*Cont
 		t.Fatal(err)
 	}
 	ctrl := NewControllerNode(c, conns[0], swAddrs)
+	diags := new([]controlplane.Diagnosis)
+	kept.Store(ctrl, diags)
+	ctrl.OnDiagnosis = func(d controlplane.Diagnosis, _ []rca.Culprit) { *diags = append(*diags, d) }
 	if rewire != nil {
 		rewire(ctrl)
 	}
@@ -83,6 +87,7 @@ func launchInProcessWith(t *testing.T, c *Capture, absent int, rewire func(*Cont
 		for _, n := range nodes {
 			n.Stop()
 		}
+		kept.Delete(ctrl)
 	})
 	ctrl.Start()
 	for _, n := range nodes {
@@ -91,10 +96,15 @@ func launchInProcessWith(t *testing.T, c *Capture, absent int, rewire func(*Cont
 	return ctrl, nodes
 }
 
+// kept holds each launched controller node's diagnoses, which the node's
+// OnDiagnosis hook appends on its loop.
+var kept sync.Map // *ControllerNode → *[]controlplane.Diagnosis
+
 // diagnosesOf returns the node's diagnoses so far, read on its loop.
 func diagnosesOf(n *ControllerNode) []controlplane.Diagnosis {
+	diags, _ := kept.Load(n)
 	var out []controlplane.Diagnosis
-	n.loop.Run(func() { out = append(out, n.diagnoses...) })
+	n.loop.Run(func() { out = append(out, *diags.(*[]controlplane.Diagnosis)...) })
 	return out
 }
 
@@ -158,6 +168,8 @@ func TestLoopbackReproducesSimTop1(t *testing.T) {
 	// and none after.
 	if got := assertNoLateDiagnosis(t, ctrl); got != len(c.Diags) {
 		t.Errorf("settled after %d diagnoses, the simulator made %d", got, len(c.Diags))
+	} else if res := ctrl.Result(0).Diagnoses; res != got {
+		t.Errorf("Result counts %d diagnoses, the node handed out %d", res, got)
 	}
 	want := Top1Key(c.Expected[0])
 	if got := ctrl.Result(0).Got; len(got) == 0 {

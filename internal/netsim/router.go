@@ -8,15 +8,6 @@ import (
 	"mars/internal/topology"
 )
 
-// Router decides the egress port for a packet at a switch. Implementations
-// must be deterministic functions of (switch, packet identity) so that all
-// packets of a flow follow one path unless weights change.
-type Router interface {
-	// Route returns the egress port at sw for pkt, or ok=false if the
-	// switch has no route to the destination.
-	Route(sw topology.NodeID, pkt *Packet) (topology.PortID, bool)
-}
-
 // ECMPRouter implements weighted equal-cost multi-path routing over all
 // shortest paths of the topology, matching the paper's "ECMP strategy
 // based on path weight". The path a flow takes is chosen per switch by
@@ -214,8 +205,11 @@ func (r *ECMPRouter) RestoreWeights(sw topology.NodeID, saved map[topology.NodeI
 	r.weights[sw] = saved
 }
 
-// Route implements Router. It runs per packet per hop and performs no
-// allocation: candidate sets and host ports are precomputed.
+// Route returns the egress port at sw for pkt, or ok=false if the switch
+// has no route to the destination. It is a deterministic function of
+// (switch, packet flow), so all packets of a flow follow one path unless
+// weights change. It runs per packet per hop and performs no allocation:
+// candidate sets and host ports are precomputed.
 func (r *ECMPRouter) Route(sw topology.NodeID, pkt *Packet) (topology.PortID, bool) {
 	if int(pkt.Dst) >= len(r.hostEdge) {
 		return 0, false

@@ -34,7 +34,7 @@ type ShardedConfig struct {
 // NewSharded builds the simulator over part. Owner i's pipeline is
 // hooksFor(i), called once per owner in index order (nil means no pipeline
 // anywhere).
-func NewSharded(topo *topology.Topology, part *topology.Partition, router Router, hooksFor func(shard int) Hooks, cfg Config, seed int64, scfg ShardedConfig) *Sharded {
+func NewSharded(topo *topology.Topology, part *topology.Partition, router *ECMPRouter, hooksFor func(shard int) Hooks, cfg Config, seed int64, scfg ShardedConfig) *Sharded {
 	if err := part.Validate(topo); err != nil {
 		panic(err)
 	}
@@ -103,13 +103,11 @@ func (sh *Sharded) Mem() []MemEstimate { return []MemEstimate{sh.sim.Mem()} }
 // agenda's peak length, and the packet pool's total-ever-allocated count —
 // pooled packets are never freed, so that IS the live-packet peak).
 type MemEstimate struct {
-	Switches      int
-	AgendaLen     int
-	AgendaPeak    int
-	PacketsLive   int
-	PacketsPooled int
-	EstBytes      int64
-	PeakBytes     int64
+	Switches    int
+	AgendaPeak  int
+	PacketsLive int
+	EstBytes    int64
+	PeakBytes   int64
 }
 
 // eventBytes is what Mem charges per agenda slot — an element of the
@@ -131,10 +129,8 @@ const (
 func (s *Simulator) Mem() MemEstimate {
 	const packetBytes = 80
 	m := MemEstimate{
-		AgendaLen:     s.agenda.len(),
-		AgendaPeak:    s.agenda.peak,
-		PacketsPooled: len(s.free),
-		PacketsLive:   int(s.pktAlloc) - len(s.free),
+		AgendaPeak:  s.agenda.peak,
+		PacketsLive: int(s.pktAlloc) - len(s.free),
 	}
 	var pathBytes int64
 	for _, p := range s.free {

@@ -192,11 +192,11 @@ type unitState struct {
 // seq); netsim.New runs it over the single-unit partition, where that order
 // is plain scheduling order.
 type Simulator struct {
-	Topo   *topology.Topology
-	Router Router
-	Cfg    Config
-	Stats  Stats
+	Topo  *topology.Topology
+	Cfg   Config
+	Stats Stats
 
+	router   *ECMPRouter
 	agenda   agenda
 	now      Time
 	switches []switchRuntime
@@ -226,17 +226,17 @@ type Simulator struct {
 // and hooks as the attached pipeline (nil means no pipeline). It is the
 // one-unit case of the partitioned simulator: unit 0 keeps the raw seed,
 // event stamps are the scheduling counter and packet IDs run 1, 2, 3, …
-func New(topo *topology.Topology, router Router, hooks Hooks, cfg Config, seed int64) *Simulator {
+func New(topo *topology.Topology, router *ECMPRouter, hooks Hooks, cfg Config, seed int64) *Simulator {
 	return newSimulator(topo, topology.SingleUnit(topo), router, []Hooks{hooks}, cfg, seed)
 }
 
 // newSimulator builds the simulator over a validated partition; unitHooks
 // is indexed by unit (nil entries mean no pipeline).
-func newSimulator(topo *topology.Topology, part *topology.Partition, router Router, unitHooks []Hooks, cfg Config, seed int64) *Simulator {
+func newSimulator(topo *topology.Topology, part *topology.Partition, router *ECMPRouter, unitHooks []Hooks, cfg Config, seed int64) *Simulator {
 	s := &Simulator{
 		Topo:   topo,
-		Router: router,
 		Cfg:    cfg,
+		router: router,
 		unitOf: part.UnitOf,
 		units:  make([]unitState, part.NumUnits),
 	}
@@ -503,7 +503,7 @@ func (s *Simulator) processAtSwitch(sw topology.NodeID, inPort topology.PortID, 
 	pkt.TruePath = append(pkt.TruePath, sw) //mars:alloc TestNetsimStepAllocs the per-packet slice keeps its capacity across pool recycling
 	s.cur.hooks.OnSwitchArrival(s, sw, inPort, pkt)
 
-	outPort, ok := s.Router.Route(sw, pkt)
+	outPort, ok := s.router.Route(sw, pkt)
 	if !ok {
 		s.drop(sw, 0, pkt, DropNoRoute)
 		return

@@ -223,7 +223,7 @@ func TestIndexMatchesPerRecordOracle(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: Analyze(%v trigger on %v)\n got %v\nwant %v", name, trig.Kind, trig.Flow, got, want)
 				}
-				if window := a.AnalyzeWindow(d.Records, d.Time, d.Coverage()*d.ReconstructionConfidence()); !reflect.DeepEqual(got, window) {
+				if window := a.AnalyzeWindow(d.Records, d.Time, d.Coverage()); !reflect.DeepEqual(got, window) {
 					t.Errorf("%s: the %v trigger on %v changes the ranking\n Analyze       %v\n AnalyzeWindow %v", name, trig.Kind, trig.Flow, got, window)
 				}
 				for _, c := range got {

@@ -707,7 +707,7 @@ func (a *Analyzer) refClassifyDropCause(sub []topology.NodeID, affected map[data
 }
 
 func (a *Analyzer) refAnalyze(d controlplane.Diagnosis) []Culprit {
-	return a.refAnalyzeWindow(d.Records, d.Time, d.Coverage()*d.ReconstructionConfidence())
+	return a.refAnalyzeWindow(d.Records, d.Time, d.Coverage())
 }
 
 func (a *Analyzer) refAnalyzeWindow(records []dataplane.RTRecord, now netsim.Time, coverage float64) []Culprit {

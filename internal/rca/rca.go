@@ -169,6 +169,10 @@ type Config struct {
 	// by default so the paper's five-signature behavior is the baseline;
 	// the gray experiment flips it on for its compound mode.
 	CompoundCauses bool
+	// Codec is the telemetry encoding the analysed records were collected
+	// under; Analyze scales a diagnosis's coverage by its Confidence. nil
+	// is the paper's exact encoding, confidence 1.
+	Codec dataplane.Codec
 }
 
 // DefaultConfig returns the evaluation configuration.
@@ -293,12 +297,16 @@ func (a *Analyzer) AnalyzeWindow(records []dataplane.RTRecord, now netsim.Time, 
 
 // Analyze produces the ranked culprit list for one collected diagnosis: its
 // records as of the collection time, with the collection's sink coverage
-// and the codec's reconstruction confidence as the coverage, so a partial
-// collection or a probabilistic encoding weakens every culprit's Confidence
-// without changing the ranking. The notification only started the
-// collection; its kind does not reach the analysis.
+// times the codec's Confidence as the coverage, so a partial collection or
+// a probabilistic encoding weakens every culprit's Confidence without
+// changing the ranking. The notification only started the collection; its
+// kind does not reach the analysis.
 func (a *Analyzer) Analyze(d controlplane.Diagnosis) []Culprit {
-	return a.AnalyzeWindow(d.Records, d.Time, d.Coverage()*d.ReconstructionConfidence())
+	conf := 1.0
+	if a.Cfg.Codec != nil {
+		conf = a.Cfg.Codec.Confidence(d.Records)
+	}
+	return a.AnalyzeWindow(d.Records, d.Time, d.Coverage()*conf)
 }
 
 // withConfidence stamps the evidence coverage on every culprit.

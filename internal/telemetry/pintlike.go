@@ -11,7 +11,7 @@ import (
 // 5-byte hop slot — slot switch ID (2 B), quantized queue depth (1 B),
 // 1-based hop index, 0 for an empty slot (1 B), hops traversed so far
 // (1 B). The charge is the whole modeled slot; the Go header carries only
-// the two bytes the controller reads, INTHeader.SlotIndex and SlotHops.
+// the two bytes the analyzer reads, INTHeader.SlotIndex and SlotHops.
 const PintlikeWireBytes = 16
 
 // pintlikeCodec approximates PINT's value mode: the 11-byte base header
@@ -19,8 +19,8 @@ const PintlikeWireBytes = 16
 // 5-byte slot carries one probabilistically chosen hop in place of
 // perhop's whole stack. Hop k of a packet overwrites the slot with
 // probability 1/k — classic reservoir sampling driven by a seeded hash of
-// (packet ID, hop index), deterministic for a fixed seed. The controller
-// groups collected records by (flow, path); a record's confidence is the
+// (packet ID, hop index), deterministic for a fixed seed. The analyzer
+// groups collected records by (flow, path); a record's coverage is the
 // fraction of its path the group's slots observed.
 type pintlikeCodec struct {
 	dataplane.Mars11
@@ -46,13 +46,16 @@ type slotCover struct {
 	hops uint8
 }
 
-// DecodeRecords scores each record by its (flow, path) group's coverage:
-// the distinct hop indices the group's slots observed, divided by the
-// largest hop count among them. A record whose slot never reached the sink
-// (SlotIndex 0) scores 0. The records come back unchanged, so RCA sees the
-// same signatures as mars11, annotated with how much of the path the
-// probabilistic slots actually illuminated.
-func (pintlikeCodec) DecodeRecords(recs []dataplane.RTRecord) ([]dataplane.RTRecord, []float64) {
+// Confidence is the mean of the records' coverages. A record's coverage
+// is its (flow, path) group's: the distinct hop indices the group's slots
+// observed, divided by the largest hop count among them; a record whose
+// slot never reached the sink (SlotIndex 0) covers 0. An empty snapshot is
+// 1. The records are only read, so RCA sees the same signatures as mars11,
+// weakened by how much of the paths the probabilistic slots illuminated.
+func (pintlikeCodec) Confidence(recs []dataplane.RTRecord) float64 {
+	if len(recs) == 0 {
+		return 1
+	}
 	type groupKey struct {
 		flow dataplane.FlowID
 		path pathid.ID
@@ -69,7 +72,7 @@ func (pintlikeCodec) DecodeRecords(recs []dataplane.RTRecord) ([]dataplane.RTRec
 		c.hops = max(c.hops, r.SlotHops)
 		covers[k] = c
 	}
-	conf := make([]float64, len(recs))
+	var sum float64
 	for i := range recs {
 		r := &recs[i]
 		if r.SlotIndex == 0 {
@@ -80,10 +83,10 @@ func (pintlikeCodec) DecodeRecords(recs []dataplane.RTRecord) ([]dataplane.RTRec
 			for _, w := range c.seen {
 				n += bits.OnesCount64(w)
 			}
-			conf[i] = float64(n) / float64(c.hops)
+			sum += float64(n) / float64(c.hops)
 		}
 	}
-	return recs, conf
+	return sum / float64(len(recs))
 }
 
 // mix64 is a splitmix64 finalizer: a stateless, seed-stable hash for the

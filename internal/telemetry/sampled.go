@@ -20,13 +20,6 @@ type sampledCodec struct {
 
 func (c sampledCodec) EpochStride() uint32 { return c.stride }
 
-// DecodeRecords passes records through exactly but reports 1/stride
-// confidence: each record is precise, yet it stands in for stride epochs
-// of unobserved behavior.
-func (c sampledCodec) DecodeRecords(recs []dataplane.RTRecord) ([]dataplane.RTRecord, []float64) {
-	conf := make([]float64, len(recs))
-	for i := range conf {
-		conf[i] = 1 / float64(c.stride)
-	}
-	return recs, conf
-}
+// Confidence is 1/stride: each record is precise, yet it stands in for
+// stride epochs of unobserved behavior.
+func (c sampledCodec) Confidence([]dataplane.RTRecord) float64 { return 1 / float64(c.stride) }

@@ -12,13 +12,13 @@
 //     expensive upper baseline whose cost grows with path length.
 //   - pintlike: the 11-byte base plus a 5-byte probabilistic hop slot;
 //     each hop reservoir-samples itself into the slot with seeded
-//     hashing, and the controller scores each (flow, path) by the share
+//     hashing, and the analyzer scores each (flow, path) by the share
 //     of its hops the slots observed.
 //   - sampled: the paper's header promoted only every Nth epoch,
 //     trading temporal coverage for bytes.
 //
-// A codec is one dataplane.Codec value, so it threads through
-// mars.Config into both halves of the system. Headers travel as Go
+// A codec is one dataplane.Codec value, which mars.NewSystem hands to
+// the switch program and the analyzer alike. Headers travel as Go
 // values; each codec's byte cost is its declared widths, and the
 // `mars-bench -exp overhead` sweep measures the resulting cost–accuracy
 // frontier over the Table 1 fault suite.

@@ -72,7 +72,7 @@ func TestDeclaredWidths(t *testing.T) {
 
 // TestSampledStride: the sampled codec declares its stride (the program
 // promotes on it; dataplane.TestDropDetectionEpochGap runs it) and hands
-// RCA 1/stride confidence for every record.
+// RCA 1/stride confidence whatever the snapshot holds, leaving it as it was.
 func TestSampledStride(t *testing.T) {
 	c, err := New("sampled", 1)
 	if err != nil {
@@ -81,11 +81,34 @@ func TestSampledStride(t *testing.T) {
 	if got := c.EpochStride(); got != DefaultSampledStride {
 		t.Fatalf("EpochStride() = %d, want %d", got, DefaultSampledStride)
 	}
-	recs := make([]dataplane.RTRecord, 3)
-	_, conf := c.DecodeRecords(recs)
-	for i, v := range conf {
-		if v != 1.0/DefaultSampledStride {
-			t.Errorf("conf[%d] = %v, want %v", i, v, 1.0/DefaultSampledStride)
+	flow := dataplane.FlowID{Src: 1, Sink: 2}
+	for _, recs := range [][]dataplane.RTRecord{
+		nil,
+		make([]dataplane.RTRecord, 3),
+		{{Flow: flow, PathID: 9, Epoch: 4, SlotIndex: 1, SlotHops: 4}, {Flow: flow, PathID: 9, Epoch: 6}},
+	} {
+		in := slices.Clone(recs)
+		if got := c.Confidence(recs); got != 1.0/DefaultSampledStride {
+			t.Errorf("Confidence of %d records = %v, want %v", len(recs), got, 1.0/DefaultSampledStride)
+		}
+		if !slices.Equal(recs, in) {
+			t.Errorf("Confidence changed the records: %+v, want %+v", recs, in)
+		}
+	}
+}
+
+// TestExactCodecsConfidence: mars11 and perhop carry every hop's signal
+// exactly, so their confidence is 1 for any snapshot.
+func TestExactCodecsConfidence(t *testing.T) {
+	for _, name := range []string{"mars11", "perhop"} {
+		c, err := New(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, recs := range [][]dataplane.RTRecord{nil, {{SlotIndex: 1, SlotHops: 4}, {}}} {
+			if got := c.Confidence(recs); got != 1 {
+				t.Errorf("%s: Confidence of %d records = %v, want 1", name, len(recs), got)
+			}
 		}
 	}
 }
@@ -123,8 +146,8 @@ func TestPintlikeDeterministicSampling(t *testing.T) {
 }
 
 // TestPintlikeDecodeCoverage: records of one (flow, path) share the
-// coverage observedHops/pathLen; slotless records get confidence 0, and
-// every record comes back unchanged.
+// coverage observedHops/pathLen, slotless records cover 0, the confidence
+// is their mean (1 for no records), and the records are left unchanged.
 func TestPintlikeDecodeCoverage(t *testing.T) {
 	c, err := New("pintlike", 1)
 	if err != nil {
@@ -138,21 +161,22 @@ func TestPintlikeDecodeCoverage(t *testing.T) {
 		{Flow: flow, PathID: 9}, // slot never reached the sink
 	}
 	in := slices.Clone(recs)
-	out, conf := c.DecodeRecords(recs)
-	if !slices.Equal(out, in) {
-		t.Errorf("decoded records = %+v, want them unchanged", out)
+	if got, want := c.Confidence(recs), (0.5+0.5+0.5+0)/4; got != want {
+		t.Errorf("Confidence = %v, want %v", got, want)
 	}
-	want := []float64{0.5, 0.5, 0.5, 0}
-	if !reflect.DeepEqual(conf, want) {
-		t.Errorf("conf = %v, want %v", conf, want)
+	if !slices.Equal(recs, in) {
+		t.Errorf("records after Confidence = %+v, want them unchanged", recs)
+	}
+	if got := c.Confidence(nil); got != 1 {
+		t.Errorf("Confidence of no records = %v, want 1", got)
 	}
 }
 
-// refPintlikeConfidence is the profile-based reconstruction pintlike's
-// decoder ran before it kept only what RCA reads: records are grouped by
-// (flow, path), each group's slots merged into a per-hop profile sorted by
-// hop index, and a record's confidence is the profile's observed hops over
-// the longest path length the group's slots reported.
+// refPintlikeConfidence is a per-record, profile-based reference for
+// pintlike's coverage: records are grouped by (flow, path), each group's
+// slots merged into a per-hop profile sorted by hop index, and a record's
+// confidence is the profile's observed hops over the longest path length
+// the group's slots reported.
 func refPintlikeConfidence(recs []dataplane.RTRecord) []float64 {
 	type groupKey struct {
 		flow dataplane.FlowID
@@ -207,8 +231,9 @@ func refPintlikeConfidence(recs []dataplane.RTRecord) []float64 {
 
 // TestPintlikeDecodeMatchesProfileReference: over seeded random record sets
 // — several flows and paths, empty slots, saturated hop counts, indices
-// past the reported hop count — DecodeRecords' confidences are bit-equal
-// to the profile-based reference, and the records come back unchanged.
+// past the reported hop count — Confidence is bit-equal to the in-order
+// mean of the profile-based reference's per-record confidences (1 for an
+// empty set), and the records are left unchanged.
 func TestPintlikeDecodeMatchesProfileReference(t *testing.T) {
 	c, err := New("pintlike", 1)
 	if err != nil {
@@ -236,18 +261,20 @@ func TestPintlikeDecodeMatchesProfileReference(t *testing.T) {
 			}
 		}
 		in := slices.Clone(recs)
-		out, conf := c.DecodeRecords(recs)
-		if !slices.Equal(out, in) {
-			t.Fatalf("set %d: DecodeRecords changed the records", set)
+		got := c.Confidence(recs)
+		if !slices.Equal(recs, in) {
+			t.Fatalf("set %d: Confidence changed the records", set)
 		}
-		want := refPintlikeConfidence(in)
-		if len(conf) != len(want) {
-			t.Fatalf("set %d: %d confidences for %d records", set, len(conf), len(want))
-		}
-		for i := range want {
-			if math.Float64bits(conf[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("set %d record %+v: conf %v, reference %v", set, in[i], conf[i], want[i])
+		want := 1.0
+		if ref := refPintlikeConfidence(in); len(ref) > 0 {
+			var sum float64
+			for _, v := range ref {
+				sum += v
 			}
+			want = sum / float64(len(ref))
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("set %d (%d records): Confidence %v, reference mean %v", set, len(in), got, want)
 		}
 	}
 }

@@ -125,9 +125,10 @@ type Config struct {
 	// Codec selects the telemetry encoding by name (internal/telemetry).
 	// "" is "mars11", the paper's fixed 11-byte header; "perhop",
 	// "pintlike", and "sampled" trade bytes/packet against reconstruction
-	// fidelity (see `mars-bench -exp overhead`). NewSystem builds the one
-	// codec value this names into both Program.Codec and Controller.Codec,
-	// replacing whatever either field held.
+	// fidelity (see `mars-bench -exp overhead`, DESIGN.md §9). NewSystem
+	// builds the one codec value this names into both Program.Codec, which
+	// encodes, and RCA.Codec, which scales each diagnosis's culprit
+	// confidence, replacing whatever either field held.
 	Codec string
 }
 
@@ -257,7 +258,7 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("mars: %w", err)
 	}
 	cfg.Program.Codec = cdc
-	ccfg.Codec = cdc
+	cfg.RCA.Codec = cdc
 	prog := dataplane.New(cfg.Program, ft.Topology, table, nil)
 	router := netsim.NewECMPRouter(ft.Topology, uint64(cfg.Seed))
 	sim := netsim.New(ft.Topology, router, prog, cfg.Sim, cfg.Seed)

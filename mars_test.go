@@ -171,8 +171,8 @@ func TestSystemRejectsBadConfig(t *testing.T) {
 }
 
 // TestFacadeDerivesBothCodecHalves: Config.Codec is the one selector. ""
-// is "mars11", the program and the controller hold that codec's one value,
-// and a Program.Codec set next to it does not survive.
+// is "mars11", the program and the analyzer hold that codec's one value,
+// and a Program.Codec or RCA.Codec set next to it does not survive.
 func TestFacadeDerivesBothCodecHalves(t *testing.T) {
 	for _, tc := range []struct {
 		codec, want string
@@ -185,6 +185,7 @@ func TestFacadeDerivesBothCodecHalves(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Codec = tc.codec
 		cfg.Program.Codec = tc.program
+		cfg.RCA.Codec = tc.program
 		sys, err := NewSystem(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -193,9 +194,9 @@ func TestFacadeDerivesBothCodecHalves(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if prog, ctrl := sys.Program.Cfg.Codec, sys.Controller.Cfg.Codec; prog != want || ctrl != want {
-			t.Errorf("Codec %q next to Program.Codec %#v: Program.Codec = %#v, Controller.Codec = %#v; want %#v twice",
-				tc.codec, tc.program, prog, ctrl, want)
+		if prog, an := sys.Program.Cfg.Codec, sys.Analyzer.Cfg.Codec; prog != want || an != want {
+			t.Errorf("Codec %q next to Program.Codec and RCA.Codec %#v: Program.Codec = %#v, RCA.Codec = %#v; want %#v twice",
+				tc.codec, tc.program, prog, an, want)
 		}
 	}
 }
